@@ -89,51 +89,65 @@ func (v DVV) String() string {
 	return fmt.Sprintf("%s@%s", v.Dot, v.Context)
 }
 
+// SiblingEntry is one concurrent version of a key with its DVV: what a
+// sibling set holds and what replication layers ship and store.
+type SiblingEntry[T any] struct {
+	DVV   DVV
+	Value T
+}
+
+// AddSibling applies DVV supersession to the sibling list es in place:
+// it drops every version dvv obsoletes and appends (dvv, value) unless
+// a survivor obsoletes it or already carries its dot (idempotent
+// re-delivery). It returns the surviving list, which reuses es's backing
+// array, and whether the set changed. This is the whole of
+// Siblings.Add, exposed for layers that keep the list themselves.
+func AddSibling[T any](es []SiblingEntry[T], dvv DVV, value T) ([]SiblingEntry[T], bool) {
+	kept := es[:0]
+	obsoleted := false
+	for _, have := range es {
+		if have.DVV.Dot == dvv.Dot {
+			// The same write re-delivered: keep the existing copy.
+			kept = append(kept, have)
+			obsoleted = true
+			continue
+		}
+		if dvv.Obsoletes(have.DVV) {
+			continue // new write supersedes this sibling
+		}
+		if have.DVV.Obsoletes(dvv) {
+			obsoleted = true
+		}
+		kept = append(kept, have)
+	}
+	dropped := len(kept) < len(es)
+	clear(es[len(kept):]) // release the dropped versions' values
+	if !obsoleted {
+		kept = append(kept, SiblingEntry[T]{DVV: dvv, Value: value})
+	}
+	return kept, dropped || !obsoleted
+}
+
 // Siblings maintains the set of concurrent versions of one key under DVV
 // semantics: adding a version drops every existing version it obsoletes
 // and is itself dropped if obsoleted.
 type Siblings[T any] struct {
-	versions []taggedVersion[T]
-}
-
-type taggedVersion[T any] struct {
-	dvv   DVV
-	value T
+	versions []SiblingEntry[T]
 }
 
 // Add inserts a version, applying DVV supersession. Adding a version
 // whose dot is already present is a no-op (idempotent re-delivery). It
 // returns the number of surviving siblings.
 func (s *Siblings[T]) Add(dvv DVV, value T) int {
-	kept := s.versions[:0]
-	obsoleted := false
-	for _, tv := range s.versions {
-		if tv.dvv.Dot == dvv.Dot {
-			// The same write re-delivered: keep the existing copy.
-			kept = append(kept, tv)
-			obsoleted = true
-			continue
-		}
-		if dvv.Obsoletes(tv.dvv) {
-			continue // new write supersedes this sibling
-		}
-		if tv.dvv.Obsoletes(dvv) {
-			obsoleted = true
-		}
-		kept = append(kept, tv)
-	}
-	s.versions = kept
-	if !obsoleted {
-		s.versions = append(s.versions, taggedVersion[T]{dvv: dvv, value: value})
-	}
+	s.versions, _ = AddSibling(s.versions, dvv, value)
 	return len(s.versions)
 }
 
 // Values returns the current sibling values in insertion order.
 func (s *Siblings[T]) Values() []T {
 	out := make([]T, len(s.versions))
-	for i, tv := range s.versions {
-		out[i] = tv.value
+	for i, e := range s.versions {
+		out[i] = e.Value
 	}
 	return out
 }
@@ -142,10 +156,10 @@ func (s *Siblings[T]) Values() []T {
 // client must echo back on its next write to supersede them all.
 func (s *Siblings[T]) Context() Vector {
 	ctx := NewVector()
-	for _, tv := range s.versions {
-		ctx.Merge(tv.dvv.Context)
-		if ctx.Get(tv.dvv.Dot.Node) < tv.dvv.Dot.Counter {
-			ctx[tv.dvv.Dot.Node] = tv.dvv.Dot.Counter
+	for _, e := range s.versions {
+		ctx.Merge(e.DVV.Context)
+		if ctx.Get(e.DVV.Dot.Node) < e.DVV.Dot.Counter {
+			ctx[e.DVV.Dot.Node] = e.DVV.Dot.Counter
 		}
 	}
 	return ctx
@@ -154,18 +168,8 @@ func (s *Siblings[T]) Context() Vector {
 // Len returns the number of surviving siblings.
 func (s *Siblings[T]) Len() int { return len(s.versions) }
 
-// SiblingEntry is one concurrent version with its DVV, as exposed by
-// Entries for replication layers that ship full sibling sets.
-type SiblingEntry[T any] struct {
-	DVV   DVV
-	Value T
-}
-
-// Entries returns the surviving (DVV, value) pairs in insertion order.
+// Entries returns a copy of the surviving (DVV, value) pairs in insertion
+// order.
 func (s *Siblings[T]) Entries() []SiblingEntry[T] {
-	out := make([]SiblingEntry[T], len(s.versions))
-	for i, tv := range s.versions {
-		out[i] = SiblingEntry[T]{DVV: tv.dvv, Value: tv.value}
-	}
-	return out
+	return append(make([]SiblingEntry[T], 0, len(s.versions)), s.versions...)
 }

@@ -397,20 +397,59 @@ func (e *Engine) GetAny(key string) (storage.Version, bool) {
 	return e.getMergedLocked(key, ^uint64(0), true)
 }
 
-// scanMergedLocked materializes the version histories of every key in
-// [lo, hi) across the memtable and all runs, then resolves each key at
-// `at`. Caller holds e.mu (shared suffices).
+// scanMergedLocked resolves every key in [lo, hi) at `at` across the
+// memtable and all runs, in key order, stopping at limit pairs (0 = no
+// limit). A limited scan reads in windows of at most limit keys per run
+// rather than materializing the whole range first, so Scan(lo, hi, 1)
+// costs a block per run, not the tree. Caller holds e.mu (shared
+// suffices).
 func (e *Engine) scanMergedLocked(lo, hi string, limit int, at uint64, includeTombstones bool) []storage.Pair {
+	var out []storage.Pair
+	for {
+		pairs, last, cut := e.scanWindowLocked(lo, hi, limit-len(out), at, includeTombstones)
+		out = append(out, pairs...)
+		if limit > 0 && len(out) >= limit {
+			return out[:limit] // a window holds up to per keys of every source
+		}
+		if !cut {
+			return out
+		}
+		lo = last + "\x00" // the smallest key after the window
+	}
+}
+
+// scanWindowLocked materializes the version histories of the keys in
+// [lo, hi), taking at most per keys from the memtable and from each run
+// (per <= 0: all of them), and resolves each key at `at`. If some source
+// was cut short, cut is set and the window ends at last, the smallest key
+// any source stopped on: every source has given all it holds up to there,
+// so the pairs returned are exactly the range's pairs through last.
+func (e *Engine) scanWindowLocked(lo, hi string, per int, at uint64, includeTombstones bool) (out []storage.Pair, last string, cut bool) {
+	stopAt := func(key string) {
+		if !cut || key < last {
+			last, cut = key, true
+		}
+	}
 	acc := make(map[string][]storage.Version)
-	for _, key := range e.mem.rangeKeys(lo, hi) {
+	memKeys := e.mem.rangeKeys(lo, hi)
+	if per > 0 && len(memKeys) >= per {
+		memKeys = memKeys[:per]
+		stopAt(memKeys[per-1])
+	}
+	for _, key := range memKeys {
 		acc[key] = append(acc[key], e.mem.versions[key]...)
 	}
 	for _, t := range e.tables {
 		if t.minSeq > at {
 			continue
 		}
+		taken := 0
 		err := t.scanRange(lo, hi, func(key string, vs []storage.Version) bool {
 			acc[key] = append(acc[key], vs...)
+			if taken++; taken == per {
+				stopAt(key)
+				return false
+			}
 			return true
 		})
 		if err != nil {
@@ -420,10 +459,11 @@ func (e *Engine) scanMergedLocked(lo, hi string, limit int, at uint64, includeTo
 	}
 	keys := make([]string, 0, len(acc))
 	for key := range acc {
-		keys = append(keys, key)
+		if !cut || key <= last {
+			keys = append(keys, key)
+		}
 	}
 	sort.Strings(keys)
-	var out []storage.Pair
 	for _, key := range keys {
 		vs := acc[key]
 		sort.Slice(vs, func(i, j int) bool { return vs[i].Seq < vs[j].Seq })
@@ -432,11 +472,8 @@ func (e *Engine) scanMergedLocked(lo, hi string, limit int, at uint64, includeTo
 			continue
 		}
 		out = append(out, storage.Pair{Key: key, Version: v})
-		if limit > 0 && len(out) >= limit {
-			break
-		}
 	}
-	return out
+	return out, last, cut
 }
 
 // Scan returns up to limit live pairs in [lo, hi) in key order.

@@ -142,6 +142,38 @@ func TestBloomFiltersKeepNegativeLookupsCheap(t *testing.T) {
 	}
 }
 
+func TestLimitedScanReadsAWindowNotTheTree(t *testing.T) {
+	// Scan with a limit must stop once it has the pairs asked for: one
+	// block per run for limit 1, however large the tree, and it must still
+	// walk on past a run of tombstones to the first live key.
+	e := openTest(t, Options{MemtableBytes: 1 << 10, BlockBytes: 512, MaxTablesPerTier: 100})
+	const n = 500
+	for i := 0; i < n; i++ {
+		e.Put(fmt.Sprintf("k-%04d", i), bytes.Repeat([]byte{byte(i)}, 32), nil)
+	}
+	st := e.Stats()
+	if st.SSTables < 4 {
+		t.Fatalf("want several SSTables, got %d", st.SSTables)
+	}
+	got := e.Scan("", "", 1)
+	if len(got) != 1 || got[0].Key != "k-0000" {
+		t.Fatalf("Scan limit 1 = %v, want k-0000", got)
+	}
+	if reads := e.Stats().BlockReads - st.BlockReads; reads > uint64(st.SSTables) {
+		t.Fatalf("Scan limit 1 read %d blocks of %d tables", reads, st.SSTables)
+	}
+	for i := 0; i < 40; i++ {
+		e.Delete(fmt.Sprintf("k-%04d", i), nil)
+	}
+	got = e.Scan("", "", 3)
+	if len(got) != 3 || got[0].Key != "k-0040" || got[2].Key != "k-0042" {
+		t.Fatalf("Scan limit 3 past 40 tombstones = %v, want k-0040..k-0042", got)
+	}
+	if all := e.ScanAll("", "", 3); len(all) != 3 || all[0].Key != "k-0000" {
+		t.Fatalf("ScanAll limit 3 = %v, want the tombstoned k-0000 first", all)
+	}
+}
+
 func TestTierCompactionBoundsTableCount(t *testing.T) {
 	e := openTest(t, Options{MemtableBytes: 1 << 10, MaxTablesPerTier: 4})
 	for i := 0; i < 2000; i++ {

@@ -1,6 +1,7 @@
 package quorum
 
 import (
+	"encoding/binary"
 	"hash/fnv"
 	"sync/atomic"
 
@@ -77,16 +78,19 @@ func (n *Node) tree(peer string) *storage.Merkle {
 	return t
 }
 
-// keyStateHash digests a key's full sibling set, so two replicas agree
-// on the hash iff they hold identical versions.
-func (n *Node) keyStateHash(key string) uint64 {
+// entriesDigest digests a key's full sibling set, so two replicas agree
+// on the hash iff they hold identical versions. It is FNV-1a over the
+// decoded fields in stored order — dot node, dot counter, tombstone
+// flag, value — and never over the stored bytes: contexts are maps and
+// encode in iteration order, so equal sets differ bytewise across
+// replicas, and a digest of the bytes would have anti-entropy exchange
+// every bucket forever.
+func entriesDigest(es []clock.SiblingEntry[record]) uint64 {
 	h := fnv.New64a()
-	for _, e := range n.localEntries(key) {
+	for _, e := range es {
 		h.Write([]byte(e.DVV.Dot.Node))
 		var b [9]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(e.DVV.Dot.Counter >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(b[:8], e.DVV.Dot.Counter)
 		if e.Value.Deleted {
 			b[8] = 1
 		}
@@ -96,14 +100,17 @@ func (n *Node) keyStateHash(key string) uint64 {
 	return h.Sum64()
 }
 
-// noteKeyChanged refreshes the key's digest in every peer tree that
-// shares it. Call after any local sibling-set mutation.
-func (n *Node) noteKeyChanged(key string) {
+// noteKeyChanged refreshes key's digest, computed from es, the sibling set
+// the store now holds, in the tree of every peer that shares the key
+// (peers is the key's preference list). applyEntry calls it under the
+// shard lock on every install, changed or not: an unchanged digest costs
+// a map lookup per peer, and a key the tree lacked is added.
+func (n *Node) noteKeyChanged(key string, es []clock.SiblingEntry[record], peers []string) {
 	if !n.cfg.AntiEntropy {
 		return
 	}
-	digest := n.keyStateHash(key)
-	for _, rep := range n.PreferenceList(key) {
+	digest := entriesDigest(es)
+	for _, rep := range peers {
 		if rep != n.id {
 			n.tree(rep).Update(key, digest)
 		}
@@ -177,6 +184,5 @@ func (n *Node) applyAEEntries(domain int, entries []aeEntry) {
 		for _, s := range e.Entries {
 			n.installEntry(domain, e.Key, s)
 		}
-		n.noteKeyChanged(e.Key)
 	}
 }

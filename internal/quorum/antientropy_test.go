@@ -2,10 +2,13 @@ package quorum
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/lsm"
+	"repro/internal/storage"
 )
 
 // divergedReplicas sets up a W=1 write whose replication to the laggard
@@ -158,5 +161,164 @@ func TestAntiEntropyQuietWhenConverged(t *testing.T) {
 	perRound := float64(delta) / 150.0
 	if perRound > 3000 {
 		t.Fatalf("converged cluster still ships %.0f bytes/AE round; entries leaking", perRound)
+	}
+}
+
+// checkTreesSettled asserts that a's tree for b indexes every key a holds
+// that the two replicate (so a can offer it to b), and that the two trees
+// the pair keep for each other have the same leaves (so an exchange
+// between them finds nothing to ship).
+func checkTreesSettled(t *testing.T, a, b *Node) {
+	t.Helper()
+	ta := a.tree(b.id)
+	for _, sh := range a.shards {
+		for _, p := range sh.store.Scan("", "", 0) {
+			prefs := a.PreferenceList(p.Key)
+			if !contains(prefs, a.id) || !contains(prefs, b.id) {
+				continue
+			}
+			if !contains(ta.AppendBucketKeys(nil, ta.Bucket(p.Key)), p.Key) {
+				t.Errorf("%s stores %q, shared with %s, but its tree for %s lacks it", a.id, p.Key, b.id, b.id)
+			}
+		}
+	}
+	la, lb := ta.LevelHashes(ta.Depth()), b.tree(a.id).LevelHashes(ta.Depth())
+	var differ []int
+	for i := range la {
+		if la[i] != lb[i] {
+			differ = append(differ, i)
+		}
+	}
+	if len(differ) > 0 {
+		t.Errorf("%s and %s disagree on buckets %v of the trees they keep for each other", a.id, b.id, differ)
+	}
+}
+
+func TestAntiEntropyTreesCoverStoredKeysAfterLSMRestart(t *testing.T) {
+	// A node restarting over a disk-resident engine finds every sibling
+	// set already in its SSTables, so checkpoint restore and WAL replay
+	// install nothing new. Its per-peer trees must be rebuilt all the same,
+	// or it can never offer those keys to a peer that lost them.
+	dir := t.TempDir()
+	open := func(id string) storage.Engine {
+		eng, err := lsm.Open(lsm.Options{Dir: filepath.Join(dir, id)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	var journal [][]byte // s1's records
+	cfgFor := func(id string) Config {
+		eng := open(id)
+		cfg := Config{N: 3, R: 2, W: 3, AntiEntropy: true, AntiEntropyInterval: 100 * time.Millisecond,
+			Storage: func(int) storage.Engine { return eng }}
+		if id == "s1" {
+			cfg.Persist = func(rec []byte) { journal = append(journal, rec) }
+		}
+		return cfg
+	}
+	h := newHarnessWith(t, 3, 41, cfgFor)
+	const nKeys = 30
+	h.c.At(0, func() {
+		for i := 0; i < nKeys; i++ {
+			h.client.Put(h.env, h.anyNode(), fmt.Sprintf("k-%d", i), []byte("v"), nil)
+		}
+	})
+	h.c.Run(5 * time.Second)
+	old := h.nodes[1]
+	// The checkpoint covers the first half of the journal, replay the rest.
+	state, err := old.StateSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(journal) < nKeys {
+		t.Fatalf("s1 journaled %d records for %d keys", len(journal), nKeys)
+	}
+	if err := old.Close(); err != nil { // flushes the memtable
+		t.Fatal(err)
+	}
+
+	cfg := cfgFor("s1")
+	cfg.Ring = []string{"s0", "s1", "s2"}
+	cfg.Persist = func([]byte) { t.Error("recovery re-journaled a record") }
+	s1 := NewNode("s1", cfg)
+	defer s1.Close()
+	if err := s1.CheckStoredFormat(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.RestoreState(state); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range journal[len(journal)/2:] {
+		if err := s1.ReplayRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, peer := range []*Node{h.nodes[0], h.nodes[2]} {
+		defer peer.Close()
+		checkTreesSettled(t, s1, peer)
+		checkTreesSettled(t, peer, s1)
+	}
+}
+
+func TestAntiEntropyQuiescesAfterNodeJoins(t *testing.T) {
+	// s3 joins a three-node ring and catches up on the keys it now
+	// replicates. The old owners' trees for s3 start empty: they fill from
+	// s3's anti-entropy pushes, every one a duplicate install. Once they
+	// have, the exchanges must stop shipping entries.
+	h := newHarness(t, 4, Config{
+		N: 3, R: 2, W: 3,
+		AntiEntropy: true, AntiEntropyInterval: 100 * time.Millisecond,
+	}, 43)
+	old, all := []string{"s0", "s1", "s2"}, []string{"s0", "s1", "s2", "s3"}
+	for _, n := range h.nodes {
+		n.SetMembers(old)
+	}
+	const nKeys = 40
+	h.c.At(0, func() {
+		for i := 0; i < nKeys; i++ {
+			h.client.Put(h.env, "s0", fmt.Sprintf("k-%d", i), []byte("v"), nil)
+		}
+	})
+	h.c.Run(5 * time.Second)
+	s0, s3 := h.nodes[0], h.nodes[3]
+	joined := 0
+	h.c.After(0, func() {
+		for _, n := range h.nodes {
+			n.SetMembers(all)
+		}
+		// What the transfer stream does for the arcs s3 gained.
+		for i := 0; i < nKeys; i++ {
+			key := fmt.Sprintf("k-%d", i)
+			if !contains(s3.PreferenceList(key), "s3") {
+				continue
+			}
+			joined++
+			for _, e := range s0.localEntries(key) {
+				s3.installEntry(0, key, e)
+			}
+		}
+	})
+	h.c.Run(h.c.Now() + 20*time.Second)
+	if joined == 0 || joined == nKeys {
+		t.Fatalf("s3 replicates %d of %d keys; the placement makes this test vacuous", joined, nKeys)
+	}
+	for _, a := range h.nodes {
+		for _, b := range h.nodes {
+			if a != b {
+				checkTreesSettled(t, a, b)
+			}
+		}
+	}
+	syncs := func() (total uint64) {
+		for _, n := range h.nodes {
+			total += n.AESyncs
+		}
+		return total
+	}
+	before := syncs()
+	h.c.Run(h.c.Now() + 10*time.Second)
+	if after := syncs(); after != before {
+		t.Fatalf("converged cluster still ran %d entry exchanges in 10s", after-before)
 	}
 }

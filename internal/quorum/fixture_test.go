@@ -1,0 +1,263 @@
+package quorum
+
+import (
+	"flag"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"repro/internal/clock"
+	"repro/internal/lsm"
+	"repro/internal/storage"
+	"repro/internal/wal"
+)
+
+// Golden on-disk fixtures. testdata/<version>/ holds three data
+// directories laid out the way server.New expects a DataDir, each
+// isolating one decoder:
+//
+//	wal/   WAL segments only: every record kind, keyed and serial
+//	ckpt/  one checkpoint of the same state, and no log
+//	lsm/   lsm/shard-0 with the sibling sets flushed to an SSTable, and no log
+//
+// v0 was written by this generator at the last commit whose formats were
+// gob (4c5e599); the current code must refuse it with ErrFormatTooOld
+// (server.TestFormatTooOld boots server.New on each directory). v1 is
+// written by the current code and must replay to exactly fixtureWant
+// below. The next format change adds v2 the same way and decides for v1
+// between replaying and refusing:
+//
+//	go test ./internal/quorum -run TestFixtureV1 -write-fixtures testdata/v2
+var writeFixtures = flag.String("write-fixtures", "", "write the golden data directories under this path and exit")
+
+func fixtureEntry(node string, ctr uint64, ctx clock.Vector, val []byte, deleted bool) clock.SiblingEntry[record] {
+	return clock.SiblingEntry[record]{
+		DVV:   clock.DVV{Dot: clock.Dot{Node: node, Counter: ctr}, Context: ctx},
+		Value: record{Value: val, Deleted: deleted},
+	}
+}
+
+// fixtureInstalls is the sibling-set history the fixtures journal, in
+// order: a superseded write, two concurrent siblings, a tombstone, and a
+// nil value under a nil context.
+var fixtureInstalls = []struct {
+	key string
+	e   clock.SiblingEntry[record]
+}{
+	{"alpha", fixtureEntry("c1", 1, clock.Vector{}, []byte("a1"), false)},
+	{"alpha", fixtureEntry("c1", 2, clock.Vector{"c1": 1}, []byte("a2"), false)},
+	{"beta", fixtureEntry("c1", 1, clock.Vector{}, []byte("b1"), false)},
+	{"beta", fixtureEntry("c2", 1, clock.Vector{"s0": 4}, []byte("b2"), false)},
+	{"gamma", fixtureEntry("c1", 2, clock.Vector{}, []byte("g1"), false)},
+	{"gamma", fixtureEntry("c1", 3, clock.Vector{"c1": 2, "c2": 7}, nil, true)},
+	{"epsilon", fixtureEntry("s0", 1, nil, nil, false)},
+}
+
+// fixtureWant is the state every v1 directory must restore to: the
+// surviving (dot, value, tombstone) triples per key, in stored order.
+var fixtureWant = map[string][]clock.SiblingEntry[record]{
+	"alpha":   {fixtureInstalls[1].e},
+	"beta":    {fixtureInstalls[2].e, fixtureInstalls[3].e},
+	"gamma":   {fixtureInstalls[5].e},
+	"epsilon": {fixtureInstalls[6].e},
+}
+
+var fixtureHint = fixtureEntry("c3", 1, clock.Vector{"c1": 2}, []byte("h1"), false)
+
+func fixtureConfig() Config {
+	return Config{Ring: []string{"s0", "s1", "s2"}, N: 3, R: 2, W: 2, Shards: 2}
+}
+
+// writeFixtureDirs drives one node's journaling paths into root/wal,
+// snapshots it into root/ckpt, and flushes the same sibling sets through
+// an LSM engine into root/lsm.
+func writeFixtureDirs(t *testing.T, root string) {
+	t.Helper()
+	walDir := filepath.Join(root, "wal")
+	log, err := wal.Open(walDir, wal.Options{Policy: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fixtureConfig()
+	cfg.PersistAt = func(_ int, rec []byte) {
+		if _, err := log.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := NewNode("s0", cfg)
+	for _, in := range fixtureInstalls {
+		n.installEntry(0, in.key, in.e)
+	}
+	// One record of every other kind, applied the way the live paths
+	// apply them: a minted counter, a hint that stays queued, a hint that
+	// is acknowledged away, two transfer completions, a geo cursor.
+	sh := n.shardFor("alpha")
+	sh.minted["alpha"] = 5
+	n.persistRecord(0, walRecord{Mint: &mintRec{Key: "alpha", Counter: 5}})
+	for _, h := range []hintRec{
+		{Intended: "s2", Key: "hinted", Entry: fixtureHint},
+		{Intended: "s1", Key: "acked", Entry: fixtureHint},
+	} {
+		n.storeHint(h.Intended, h.Key, h.Entry)
+		n.persistRecord(0, walRecord{Hint: &h})
+	}
+	n.dropHints("s1", "acked")
+	n.persistRecord(0, walRecord{HintAck: &hintAckRec{Intended: "s1", Key: "acked"}})
+	for _, idx := range []int{0, 2} {
+		n.markTransferDone(3, idx)
+		n.persistRecord(0, walRecord{TransferDone: &transferDoneRec{Seq: 3, Idx: idx, Start: 10, End: 20}})
+	}
+	n.geoRestoreAck("s1", 9)
+	n.persistRecord(0, walRecord{GeoAck: &geoAckRec{Peer: "s1", Seq: 9}})
+	seq := log.LastSeq()
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	state, err := n.StateSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.WriteSnapshot(filepath.Join(root, "ckpt"), seq, state); err != nil {
+		t.Fatal(err)
+	}
+
+	eng, err := lsm.Open(lsm.Options{Dir: filepath.Join(root, "lsm", "lsm", "shard-0")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lcfg := fixtureConfig()
+	lcfg.Shards = 1
+	lcfg.Storage = func(int) storage.Engine { return eng }
+	ln := NewNode("s0", lcfg)
+	for _, in := range fixtureInstalls {
+		ln.installEntry(0, in.key, in.e)
+	}
+	if err := ln.Close(); err != nil { // flushes the memtable to an SSTable
+		t.Fatal(err)
+	}
+}
+
+// copyTree copies a fixture directory so a test can open it for append
+// without touching the committed files.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if info.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkFixtureSets fails unless n stores exactly fixtureWant.
+func checkFixtureSets(t *testing.T, n *Node) {
+	t.Helper()
+	stored := 0
+	for _, sh := range n.shards {
+		stored += sh.store.Len()
+	}
+	if stored != len(fixtureWant) {
+		t.Fatalf("node stores %d keys, want %d", stored, len(fixtureWant))
+	}
+	for key, want := range fixtureWant {
+		if got := n.localEntries(key); !reflect.DeepEqual(got, want) {
+			t.Fatalf("key %q restored to\n got  %#v\n want %#v", key, got, want)
+		}
+	}
+}
+
+// checkFixtureRest fails unless n holds the non-sibling state the wal and
+// ckpt fixtures carry.
+func checkFixtureRest(t *testing.T, n *Node) {
+	t.Helper()
+	if got := n.shardFor("alpha").minted["alpha"]; got != 5 {
+		t.Fatalf("minted[alpha] = %d, want 5", got)
+	}
+	wantHints := map[string]map[string][]clock.SiblingEntry[record]{"s2": {"hinted": {fixtureHint}}}
+	if !reflect.DeepEqual(n.hints, wantHints) {
+		t.Fatalf("hints restored to %#v, want %#v", n.hints, wantHints)
+	}
+	if want := map[uint64]map[int]bool{3: {0: true, 2: true}}; !reflect.DeepEqual(n.xferDone, want) {
+		t.Fatalf("transfer completions restored to %v, want %v", n.xferDone, want)
+	}
+	if g := n.geoPeers["s1"]; g == nil || g.acked != 9 {
+		t.Fatalf("geo cursor for s1 restored to %+v, want acked=9", g)
+	}
+}
+
+// TestFixtureV1 replays the committed v1 directories with the current
+// code. With -write-fixtures it writes a fresh set instead.
+func TestFixtureV1(t *testing.T) {
+	if *writeFixtures != "" {
+		if err := os.RemoveAll(*writeFixtures); err != nil {
+			t.Fatal(err)
+		}
+		writeFixtureDirs(t, *writeFixtures)
+		t.Skipf("wrote fixtures under %s", *writeFixtures)
+	}
+	root := t.TempDir()
+	copyTree(t, filepath.Join("testdata", "v1"), root)
+
+	t.Run("wal", func(t *testing.T) {
+		log, err := wal.Open(filepath.Join(root, "wal"), wal.Options{Policy: wal.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer log.Close()
+		n := NewNode("s0", fixtureConfig())
+		keyed, serial := 0, 0
+		err = log.Replay(1, func(_ uint64, rec []byte) error {
+			if n.ReplayDomain(rec) >= 0 {
+				keyed++
+			} else {
+				serial++
+			}
+			return n.ReplayRecord(rec)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keyed == 0 || serial == 0 {
+			t.Fatalf("fixture journal has %d keyed and %d serial records, want both", keyed, serial)
+		}
+		checkFixtureSets(t, n)
+		checkFixtureRest(t, n)
+	})
+	t.Run("ckpt", func(t *testing.T) {
+		_, state, found, err := wal.LatestSnapshot(filepath.Join(root, "ckpt"))
+		if err != nil || !found {
+			t.Fatalf("no checkpoint in fixture: found=%v err=%v", found, err)
+		}
+		n := NewNode("s0", fixtureConfig())
+		if err := n.RestoreState(state); err != nil {
+			t.Fatal(err)
+		}
+		checkFixtureSets(t, n)
+		checkFixtureRest(t, n)
+	})
+	t.Run("lsm", func(t *testing.T) {
+		eng, err := lsm.Open(lsm.Options{Dir: filepath.Join(root, "lsm", "lsm", "shard-0")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := fixtureConfig()
+		cfg.Shards = 1
+		cfg.Storage = func(int) storage.Engine { return eng }
+		n := NewNode("s0", cfg)
+		defer n.Close()
+		checkFixtureSets(t, n)
+	})
+}

@@ -210,7 +210,6 @@ func (n *Node) handleGeoShip(env sim.Env, from string, m geoShip) {
 		for _, e := range ae.Entries {
 			n.installEntry(dom, ae.Key, e)
 		}
-		n.noteKeyChanged(ae.Key)
 	}
 	if m.Zone != "" {
 		n.geoMu.Lock()

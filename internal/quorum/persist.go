@@ -3,13 +3,12 @@ package quorum
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/clock"
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 // Durability hooks. A quorum node's durable state is three maps: the
@@ -70,39 +69,27 @@ type transferDoneRec struct {
 	Start, End uint64
 }
 
-// quorumImage is the checkpoint payload, keys sorted for deterministic
-// iteration on restore.
-type quorumImage struct {
-	Keys      []string
-	Sets      [][]clock.SiblingEntry[record]
-	Minted    map[string]uint64
-	Hints     []hintRec
-	Transfers []transferDoneRec
-	GeoAcks   []geoAckRec
-}
-
-// Record framing. With the plain Persist hook records are bare gob, as
-// they always were. With PersistAt, every record gains a one-byte magic
-// plus, for key-addressed records, the key's 64-bit shard hash — so
-// parallel replay can route a raw record to its shard in O(1) without
-// decoding it (see ReplayDomain). The magic bytes sit in a range a gob
-// stream's leading length byte can never occupy, letting replay fall
-// back to bare-gob decoding for journals written before sharding.
+// Record framing: [0xEC][8-byte LE key hash][kind][fields] for
+// key-addressed records, [0xED][kind][fields] for the rest, fields in the
+// wire codec. The header lets parallel replay route a raw record to its
+// shard in O(1) without decoding it (see ReplayDomain). The kind bytes sit
+// in 0x80..0xF7 like storedFormat, where a record written before this
+// layout has the length byte of its gob stream — and a journal from
+// before sharding, bare gob, starts with that length byte — so either is
+// refused with ErrFormatTooOld instead of being mis-decoded.
 const (
-	recMagicKeyed  = 0xEC // [magic][8-byte LE key hash][gob]
-	recMagicSerial = 0xED // [magic][gob]
+	recMagicKeyed  = 0xEC
+	recMagicSerial = 0xED
 )
 
-// frameRecord wraps an encoded record with its replay-routing header.
-func frameRecord(keyed bool, hash uint64, gobBytes []byte) []byte {
-	if !keyed {
-		return append([]byte{recMagicSerial}, gobBytes...)
-	}
-	out := make([]byte, 9, 9+len(gobBytes))
-	out[0] = recMagicKeyed
-	binary.LittleEndian.PutUint64(out[1:9], hash)
-	return append(out, gobBytes...)
-}
+const (
+	kindEntry        byte = 0x81 + iota // key, entry
+	kindHint                            // intended, key, entry
+	kindHintAck                         // intended, key
+	kindMint                            // key, counter
+	kindTransferDone                    // seq, idx, start, end
+	kindGeoAck                          // peer, seq
+)
 
 // recordKey returns the routing key of a record, or "" for records bound
 // to the serial domain (transfer completions are epoch-, not key-scoped).
@@ -120,11 +107,99 @@ func (r walRecord) recordKey() (string, bool) {
 	return "", false
 }
 
+// appendRecord encodes r behind its replay-routing header.
+func appendRecord(dst []byte, r walRecord) []byte {
+	if key, keyed := r.recordKey(); keyed {
+		dst = append(dst, recMagicKeyed)
+		dst = binary.LittleEndian.AppendUint64(dst, storage.KeyHash(key))
+	} else {
+		dst = append(dst, recMagicSerial)
+	}
+	switch {
+	case r.Entry != nil:
+		dst = append(dst, kindEntry)
+		dst = wire.AppendString(dst, r.Entry.Key)
+		dst = appendEntry(dst, r.Entry.Entry)
+	case r.Hint != nil:
+		dst = append(dst, kindHint)
+		dst = wire.AppendString(dst, r.Hint.Intended)
+		dst = wire.AppendString(dst, r.Hint.Key)
+		dst = appendEntry(dst, r.Hint.Entry)
+	case r.HintAck != nil:
+		dst = append(dst, kindHintAck)
+		dst = wire.AppendString(dst, r.HintAck.Intended)
+		dst = wire.AppendString(dst, r.HintAck.Key)
+	case r.Mint != nil:
+		dst = append(dst, kindMint)
+		dst = wire.AppendString(dst, r.Mint.Key)
+		dst = wire.AppendUvarint(dst, r.Mint.Counter)
+	case r.TransferDone != nil:
+		dst = append(dst, kindTransferDone)
+		dst = wire.AppendUvarint(dst, r.TransferDone.Seq)
+		dst = wire.AppendVarint(dst, int64(r.TransferDone.Idx))
+		dst = wire.AppendUvarint(dst, r.TransferDone.Start)
+		dst = wire.AppendUvarint(dst, r.TransferDone.End)
+	case r.GeoAck != nil:
+		dst = append(dst, kindGeoAck)
+		dst = wire.AppendString(dst, r.GeoAck.Peer)
+		dst = wire.AppendUvarint(dst, r.GeoAck.Seq)
+	default:
+		panic("quorum: empty WAL record")
+	}
+	return dst
+}
+
+// decodeRecord is the inverse of appendRecord. Strings and contexts of
+// the result are fresh; entry values alias rec.
+func decodeRecord(rec []byte) (walRecord, error) {
+	var r walRecord
+	if len(rec) == 0 {
+		return r, fmt.Errorf("quorum: empty WAL record: %w", wire.ErrMalformed)
+	}
+	hdr := 1
+	switch rec[0] {
+	case recMagicKeyed:
+		hdr = 9
+	case recMagicSerial:
+	default:
+		return r, checkFormat("WAL record", rec[0], recMagicKeyed)
+	}
+	if len(rec) <= hdr {
+		return r, fmt.Errorf("quorum: truncated WAL record: %w", wire.ErrMalformed)
+	}
+	kind, rd := rec[hdr], wire.NewReader(rec[hdr+1:])
+	switch kind {
+	case kindEntry:
+		r.Entry = &entryRec{Key: rd.String(), Entry: readEntry(rd)}
+	case kindHint:
+		r.Hint = &hintRec{Intended: rd.String(), Key: rd.String(), Entry: readEntry(rd)}
+	case kindHintAck:
+		r.HintAck = &hintAckRec{Intended: rd.String(), Key: rd.String()}
+	case kindMint:
+		r.Mint = &mintRec{Key: rd.String(), Counter: rd.Uvarint()}
+	case kindTransferDone:
+		r.TransferDone = &transferDoneRec{Seq: rd.Uvarint(), Idx: int(rd.Varint()), Start: rd.Uvarint(), End: rd.Uvarint()}
+	case kindGeoAck:
+		r.GeoAck = &geoAckRec{Peer: rd.String(), Seq: rd.Uvarint()}
+	default:
+		return r, checkFormat("WAL record", kind, kindEntry)
+	}
+	if err := rd.Close(); err != nil {
+		return walRecord{}, fmt.Errorf("quorum: WAL record kind %#x: %w", kind, err)
+	}
+	// The header must route the record where its key lives, or parallel
+	// replay would apply it on a lane that does not own the key's order.
+	key, keyed := r.recordKey()
+	if keyed != (rec[0] == recMagicKeyed) || keyed && binary.LittleEndian.Uint64(rec[1:9]) != storage.KeyHash(key) {
+		return walRecord{}, fmt.Errorf("quorum: WAL record kind %#x under the wrong routing header: %w", kind, wire.ErrMalformed)
+	}
+	return r, nil
+}
+
 // ReplayDomain routes a raw journaled record for parallel replay: the
 // owning shard index for key-addressed records, -1 for records that must
-// replay on the serial lane (transfer completions and legacy bare-gob
-// records, whose ordering against everything else is then preserved by
-// the single serial lane).
+// replay on the serial lane (and for anything unrecognisable, which
+// ReplayRecord then refuses there).
 func (n *Node) ReplayDomain(rec []byte) int {
 	if len(rec) >= 9 && rec[0] == recMagicKeyed {
 		return n.router.ShardOfHash(binary.LittleEndian.Uint64(rec[1:9]))
@@ -138,50 +213,77 @@ func (n *Node) persistEnabled() bool {
 
 // persistRecord journals one mutation. domain names the execution domain
 // the mutation ran on (0 = serial loop, 1+i = shard i) so the hosting
-// server can account the pending fsync to the right ack barrier.
+// server can account the pending fsync to the right ack barrier. Every
+// record is a fresh buffer, the hook's to keep.
 func (n *Node) persistRecord(domain int, r walRecord) {
 	if !n.persistEnabled() {
 		return
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		panic(fmt.Sprintf("quorum: encode WAL record: %v", err))
+	// Sized for the header, the key and any entry in one allocation; the
+	// few remaining bytes (a node id, a counter) fit the slack.
+	key, _ := r.recordKey()
+	size := 64 + len(key)
+	switch {
+	case r.Entry != nil:
+		size += entrySize(r.Entry.Entry)
+	case r.Hint != nil:
+		size += entrySize(r.Hint.Entry)
 	}
+	rec := appendRecord(make([]byte, 0, size), r)
 	if n.cfg.PersistAt != nil {
-		key, keyed := r.recordKey()
-		n.cfg.PersistAt(domain, frameRecord(keyed, storage.KeyHash(key), buf.Bytes()))
+		n.cfg.PersistAt(domain, rec)
 		return
 	}
-	n.cfg.Persist(buf.Bytes())
+	n.cfg.Persist(rec)
 }
 
-// installEntry adds one version to key's sibling set, reporting whether
-// the set changed; a change is journaled. This is the single install
-// path shared by replica puts, handoff delivery, read repair, active
-// anti-entropy, and WAL replay (which calls it with journaling off).
-// domain is the executing durability domain (see persistRecord).
-func (n *Node) installEntry(domain int, key string, e clock.SiblingEntry[record]) bool {
-	sh := n.shardFor(key)
-	sh.mu.Lock()
-	sib, existed := sh.siblings(key)
-	before := sib.Entries()
-	sib.Add(e.DVV, e.Value)
-	changed := !existed || !sameEntries(before, sib.Entries())
-	if changed {
-		sh.setSiblings(key, sib)
-	}
-	sh.mu.Unlock()
-	if !n.persistEnabled() {
-		return true
-	}
-	if !changed {
-		return false // duplicate or obsolete: nothing to journal
+// installEntry adds one version to key's sibling set and journals it if
+// the set changed. This is the single install path of the live node:
+// replica puts, handoff delivery, read repair, active anti-entropy,
+// transfer and geo batches. domain is the executing durability domain
+// (see persistRecord).
+func (n *Node) installEntry(domain int, key string, e clock.SiblingEntry[record]) {
+	if !n.applyEntry(key, e) {
+		return // duplicate or obsolete: nothing to journal
 	}
 	// Journaled outside the lock: concurrent installs of the same key are
 	// causally unordered, and replaying their records in either order
-	// joins to the same sibling set (Siblings.Add is a semilattice merge).
+	// joins to the same sibling set (AddSibling is a semilattice merge).
 	n.persistRecord(domain, walRecord{Entry: &entryRec{Key: key, Entry: e}})
-	return true
+}
+
+// applyEntry is the one read-modify-write of a key's sibling set: decode
+// the stored set once, add e, encode and store it once if that changed
+// it, and refresh the key's anti-entropy digests from the set in hand.
+// It reports whether the set changed. WAL replay and checkpoint restore
+// call it directly, which is what keeps them from re-journaling.
+//
+// The digests are refreshed for a duplicate too. That is the only thing
+// that ever puts a key into a peer's tree, and two cases reach here with
+// the key already stored and the tree without it: a restart over a
+// disk-resident engine (replay finds every set in the SSTables), and a
+// peer that joined the key's preference list after the key was written
+// (its first anti-entropy push is all duplicates). Skip it and those keys
+// are never offered to the peer and their buckets mismatch forever.
+//
+// e.Value may alias a frame or journal buffer: encodeStored copies it
+// into the stored value, so nothing here retains it.
+func (n *Node) applyEntry(key string, e clock.SiblingEntry[record]) bool {
+	var peers []string
+	if n.cfg.AntiEntropy {
+		peers = n.PreferenceList(key) // placement is the host's code: call it before locking
+	}
+	sh := n.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	es, changed := clock.AddSibling(sh.entries(key), e.DVV, e.Value)
+	if changed {
+		sh.setEntries(key, es)
+	}
+	// Still under the shard lock, so that two racing installs of one key
+	// leave the digest of whichever set was stored last.
+	n.noteKeyChanged(key, es, peers)
+	return changed
 }
 
 // storeHint queues a version for intended, deduplicating by dot so
@@ -220,188 +322,194 @@ func (n *Node) dropHints(intended, key string) int {
 }
 
 // ReplayRecord re-applies one journaled mutation during crash recovery.
-// Must run before the node starts exchanging messages, with Persist
-// still unset (the server wires Persist only after replay) so replay
-// does not re-journal. Records for different keys may be replayed
-// concurrently (the parallel recovery path partitions the journal with
-// ReplayDomain); per-key structures are lock-guarded, and TransferDone
-// records must stay on the single serial replay lane.
+// Must run before the node starts exchanging messages. Nothing it does
+// re-journals. Records for different keys may be replayed concurrently
+// (the parallel recovery path partitions the journal with ReplayDomain);
+// per-key structures are lock-guarded, and TransferDone records must stay
+// on the single serial replay lane. rec may be reused once it returns:
+// the one thing replay retains, a queued hint, gets its own copy of the
+// value.
 func (n *Node) ReplayRecord(rec []byte) error {
-	// Strip the replay-routing header; journals written through the
-	// plain Persist hook are bare gob (see frameRecord).
-	if len(rec) > 0 {
-		switch rec[0] {
-		case recMagicKeyed:
-			if len(rec) < 9 {
-				return fmt.Errorf("quorum: truncated keyed WAL record")
-			}
-			rec = rec[9:]
-		case recMagicSerial:
-			rec = rec[1:]
-		}
-	}
-	var r walRecord
-	if err := gob.NewDecoder(bytes.NewReader(rec)).Decode(&r); err != nil {
-		return fmt.Errorf("quorum: decode WAL record: %w", err)
+	r, err := decodeRecord(rec)
+	if err != nil {
+		return err
 	}
 	switch {
 	case r.Entry != nil:
-		n.installEntry(0, r.Entry.Key, r.Entry.Entry)
-		n.noteKeyChanged(r.Entry.Key)
+		n.applyEntry(r.Entry.Key, r.Entry.Entry)
 	case r.Hint != nil:
+		r.Hint.Entry.Value.Value = bytes.Clone(r.Hint.Entry.Value.Value)
 		n.storeHint(r.Hint.Intended, r.Hint.Key, r.Hint.Entry)
 	case r.HintAck != nil:
 		n.dropHints(r.HintAck.Intended, r.HintAck.Key)
 	case r.Mint != nil:
-		sh := n.shardFor(r.Mint.Key)
-		sh.mu.Lock()
-		if r.Mint.Counter > sh.minted[r.Mint.Key] {
-			sh.minted[r.Mint.Key] = r.Mint.Counter
-		}
-		sh.mu.Unlock()
+		n.restoreMint(r.Mint.Key, r.Mint.Counter)
 	case r.TransferDone != nil:
 		n.markTransferDone(r.TransferDone.Seq, r.TransferDone.Idx)
 	case r.GeoAck != nil:
 		n.geoRestoreAck(r.GeoAck.Peer, r.GeoAck.Seq)
-	default:
-		return fmt.Errorf("quorum: empty WAL record")
 	}
 	return nil
 }
 
+// restoreMint raises key's issued-dot floor to counter.
+func (n *Node) restoreMint(key string, counter uint64) {
+	sh := n.shardFor(key)
+	sh.mu.Lock()
+	if counter > sh.minted[key] {
+		sh.minted[key] = counter
+	}
+	sh.mu.Unlock()
+}
+
+// Checkpoint layout: [checkpointFormat] then five counted lists in the
+// wire codec —
+//
+//	keys:      key, stored value (length-prefixed, its own format byte first)
+//	minted:    key, counter
+//	hints:     intended, key, entry
+//	transfers: epoch seq, range index
+//	geo acks:  peer, acked seq
+//
+// Stored values are copied in raw, so a checkpoint costs the actor loop
+// one scan and one memcpy per key, not a decode and a re-encode.
+const checkpointFormat = 0xE2
+
 // StateSnapshot serializes the node's durable state for a checkpoint.
-// Shards are captured concurrently (each under its own lock); the
-// resulting image is byte-identical to the unsharded layout. The caller
+// Shards are captured concurrently (each under its own lock). The caller
 // fixes the WAL sequence the checkpoint covers before invoking this, so
 // any mutation the capture races is also in the replayed suffix and
 // re-applies idempotently.
 func (n *Node) StateSnapshot() ([]byte, error) {
 	type shardImage struct {
-		keys   []string
-		sets   map[string][]clock.SiblingEntry[record]
-		minted map[string]uint64
+		pairs  []storage.Pair // values are immutable: safe past the unlock
+		minted []mintRec
 	}
 	images := make([]shardImage, len(n.shards))
 	var wg sync.WaitGroup
 	for i, sh := range n.shards {
 		wg.Add(1)
-		go func(i int, sh *nodeShard) {
+		go func(im *shardImage, sh *nodeShard) {
 			defer wg.Done()
 			sh.mu.RLock()
 			defer sh.mu.RUnlock()
-			pairs := sh.store.Scan("", "", 0)
-			im := shardImage{
-				sets:   make(map[string][]clock.SiblingEntry[record], len(pairs)),
-				minted: make(map[string]uint64, len(sh.minted)),
-			}
-			for _, p := range pairs {
-				im.keys = append(im.keys, p.Key)
-				im.sets[p.Key] = decodeEntries(p.Version.Value)
-			}
+			im.pairs = sh.store.Scan("", "", 0)
+			im.minted = make([]mintRec, 0, len(sh.minted))
 			for k, c := range sh.minted {
-				im.minted[k] = c
+				im.minted = append(im.minted, mintRec{Key: k, Counter: c})
 			}
-			images[i] = im
-		}(i, sh)
+		}(&images[i], sh)
 	}
 	wg.Wait()
 
-	img := quorumImage{Minted: make(map[string]uint64)}
+	// Sized for the sibling sets, nearly all of a checkpoint's bytes.
+	keys, minted, size := 0, 0, 64
 	for _, im := range images {
-		img.Keys = append(img.Keys, im.keys...)
-		for k, c := range im.minted {
-			img.Minted[k] = c
+		keys += len(im.pairs)
+		minted += len(im.minted)
+		for _, p := range im.pairs {
+			size += len(p.Key) + len(p.Version.Value) + 2*binary.MaxVarintLen32
 		}
 	}
-	sort.Strings(img.Keys)
-	for _, k := range img.Keys {
-		img.Sets = append(img.Sets, images[n.router.Shard(k)].sets[k])
+	out := append(make([]byte, 0, size), checkpointFormat)
+	out = wire.AppendUvarint(out, uint64(keys))
+	for _, im := range images {
+		for _, p := range im.pairs {
+			out = wire.AppendString(out, p.Key)
+			out = wire.AppendUvarint(out, uint64(len(p.Version.Value)))
+			out = append(out, p.Version.Value...)
+		}
 	}
+	out = wire.AppendUvarint(out, uint64(minted))
+	for _, im := range images {
+		for _, m := range im.minted {
+			out = wire.AppendString(out, m.Key)
+			out = wire.AppendUvarint(out, m.Counter)
+		}
+	}
+
 	n.hintsMu.Lock()
-	intendeds := make([]string, 0, len(n.hints))
-	for intended := range n.hints {
-		intendeds = append(intendeds, intended)
-	}
-	sort.Strings(intendeds)
-	for _, intended := range intendeds {
-		keys := make([]string, 0, len(n.hints[intended]))
-		for key := range n.hints[intended] {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			for _, e := range n.hints[intended][key] {
-				img.Hints = append(img.Hints, hintRec{Intended: intended, Key: key, Entry: e})
+	out = wire.AppendUvarint(out, uint64(n.pendingHintsLocked()))
+	for intended, keys := range n.hints {
+		for key, es := range keys {
+			for _, e := range es {
+				out = wire.AppendString(out, intended)
+				out = wire.AppendString(out, key)
+				out = appendEntry(out, e)
 			}
 		}
 	}
 	n.hintsMu.Unlock()
-	seqs := make([]uint64, 0, len(n.xferDone))
-	for seq := range n.xferDone {
-		seqs = append(seqs, seq)
+
+	done := 0
+	for _, idxs := range n.xferDone {
+		done += len(idxs)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		idxs := make([]int, 0, len(n.xferDone[seq]))
-		for idx := range n.xferDone[seq] {
-			idxs = append(idxs, idx)
-		}
-		sort.Ints(idxs)
-		for _, idx := range idxs {
-			img.Transfers = append(img.Transfers, transferDoneRec{Seq: seq, Idx: idx})
+	out = wire.AppendUvarint(out, uint64(done))
+	for seq, idxs := range n.xferDone {
+		for idx := range idxs {
+			out = wire.AppendUvarint(out, seq)
+			out = wire.AppendVarint(out, int64(idx))
 		}
 	}
+
 	n.geoMu.Lock()
-	geoPeers := make([]string, 0, len(n.geoPeers))
-	for p := range n.geoPeers {
-		geoPeers = append(geoPeers, p)
-	}
-	sort.Strings(geoPeers)
-	for _, p := range geoPeers {
-		if acked := n.geoPeers[p].acked; acked > 0 {
-			img.GeoAcks = append(img.GeoAcks, geoAckRec{Peer: p, Seq: acked})
-		}
+	out = wire.AppendUvarint(out, uint64(len(n.geoPeers)))
+	for p, g := range n.geoPeers {
+		out = wire.AppendString(out, p)
+		out = wire.AppendUvarint(out, g.acked)
 	}
 	n.geoMu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
-		return nil, fmt.Errorf("quorum: encode snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
+	return out, nil
 }
 
 // RestoreState loads a checkpoint written by StateSnapshot. Call before
-// ReplayRecord replays the log suffix.
+// ReplayRecord replays the log suffix. Nothing restored aliases state.
 func (n *Node) RestoreState(state []byte) error {
-	var img quorumImage
-	if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&img); err != nil {
-		return fmt.Errorf("quorum: decode snapshot: %w", err)
+	if len(state) == 0 {
+		return fmt.Errorf("quorum: empty checkpoint: %w", wire.ErrMalformed)
 	}
-	if len(img.Keys) != len(img.Sets) {
-		return fmt.Errorf("quorum: malformed snapshot: %d keys, %d sets", len(img.Keys), len(img.Sets))
+	if err := checkFormat("checkpoint", state[0], checkpointFormat); err != nil {
+		return err
 	}
-	for i, key := range img.Keys {
-		for _, e := range img.Sets[i] {
-			n.installEntry(0, key, e)
+	r := wire.NewReader(state[1:])
+	for i := r.Count(); i > 0; i-- {
+		key, stored := r.String(), r.Raw()
+		if r.Err() != nil {
+			break
 		}
-		n.noteKeyChanged(key)
-	}
-	for k, c := range img.Minted {
-		sh := n.shardFor(k)
-		sh.mu.Lock()
-		if c > sh.minted[k] {
-			sh.minted[k] = c
+		es, err := decodeStored(stored)
+		if err != nil {
+			return fmt.Errorf("quorum: checkpoint key %q: %w", key, err)
 		}
-		sh.mu.Unlock()
+		for _, e := range es {
+			n.applyEntry(key, e)
+		}
 	}
-	for _, h := range img.Hints {
-		n.storeHint(h.Intended, h.Key, h.Entry)
+	for i := r.Count(); i > 0; i-- {
+		if key, counter := r.String(), r.Uvarint(); r.Err() == nil {
+			n.restoreMint(key, counter)
+		}
 	}
-	for _, t := range img.Transfers {
-		n.markTransferDone(t.Seq, t.Idx)
+	for i := r.Count(); i > 0; i-- {
+		intended, key, e := r.String(), r.String(), readEntry(r)
+		if r.Err() == nil {
+			e.Value.Value = bytes.Clone(e.Value.Value)
+			n.storeHint(intended, key, e)
+		}
 	}
-	for _, g := range img.GeoAcks {
-		n.geoRestoreAck(g.Peer, g.Seq)
+	for i := r.Count(); i > 0; i-- {
+		if seq, idx := r.Uvarint(), int(r.Varint()); r.Err() == nil {
+			n.markTransferDone(seq, idx)
+		}
+	}
+	for i := r.Count(); i > 0; i-- {
+		if peer, seq := r.String(), r.Uvarint(); r.Err() == nil {
+			n.geoRestoreAck(peer, seq)
+		}
+	}
+	if err := r.Close(); err != nil {
+		return fmt.Errorf("quorum: checkpoint: %w", err)
 	}
 	return nil
 }

@@ -334,7 +334,7 @@ type pendingWrite struct {
 	timer     sim.TimerID
 
 	// Resilience state.
-	hinted  map[string]bool // prefs a fallback already stands in for
+	hinted  map[string]bool // prefs a fallback already stands in for (nil until one does)
 	fi      int             // next unused fallback index
 	fbTried bool            // quorum-timeout fallback engagement done
 	attempt int             // retransmission rounds spent
@@ -464,44 +464,28 @@ func NewNode(id string, cfg Config) *Node {
 
 // PreferenceList returns the N replicas for key, in priority order.
 func (n *Node) PreferenceList(key string) []string {
-	if n.cfg.Placement != nil {
-		seq := n.cfg.Placement.Sequence(key)
-		if len(seq) >= n.cfg.N {
-			return seq[:n.cfg.N:n.cfg.N]
-		}
-	}
-	return preferenceList(n.ring(), key, n.cfg.N)
+	prefs, _ := n.placement(key)
+	return prefs
 }
 
-func preferenceList(ring []string, key string, n int) []string {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	start := int(h.Sum64() % uint64(len(ring)))
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, ring[(start+i)%len(ring)])
-	}
-	return out
-}
-
-// fallbackList returns the ring nodes after the preference list, used for
-// sloppy quorums.
-func (n *Node) fallbackList(key string) []string {
+// placement returns key's N replicas in priority order and, after them,
+// the rest of the ring in walk order — the fallbacks of a sloppy quorum —
+// both cut from one walk.
+func (n *Node) placement(key string) (prefs, fallbacks []string) {
 	if n.cfg.Placement != nil {
-		seq := n.cfg.Placement.Sequence(key)
-		if len(seq) >= n.cfg.N {
-			return seq[n.cfg.N:]
+		if seq := n.cfg.Placement.Sequence(key); len(seq) >= n.cfg.N {
+			return seq[:n.cfg.N:n.cfg.N], seq[n.cfg.N:]
 		}
 	}
 	ring := n.ring()
 	h := fnv.New64a()
 	h.Write([]byte(key))
 	start := int(h.Sum64() % uint64(len(ring)))
-	var out []string
-	for i := n.cfg.N; i < len(ring); i++ {
-		out = append(out, ring[(start+i)%len(ring)])
+	seq := make([]string, max(len(ring), n.cfg.N))
+	for i := range seq {
+		seq[i] = ring[(start+i)%len(ring)]
 	}
-	return out
+	return seq[:n.cfg.N:n.cfg.N], seq[n.cfg.N:]
 }
 
 type handoffTag struct{}
@@ -603,7 +587,6 @@ func (n *Node) OnMessage(env sim.Env, from string, msg sim.Message) {
 		for _, e := range m.Entries {
 			n.installEntry(dom, m.Key, e)
 		}
-		n.noteKeyChanged(m.Key)
 		env.Send(from, handoffAck{Key: m.Key})
 	case handoffAck:
 		if dropped := n.dropHints(from, m.Key); dropped > 0 {
@@ -683,7 +666,7 @@ func (n *Node) coordinatePut(env sim.Env, client string, m clientPut) {
 		env.Send(client, putResp{ID: m.ID, Err: "quorum: node draining"})
 		return
 	}
-	prefs := n.PreferenceList(m.Key)
+	prefs, fallbacks := n.placement(m.Key)
 
 	// Mint the new version: the context is exactly what the client
 	// causally observed (a blind write must sibling with, not supersede,
@@ -728,10 +711,9 @@ func (n *Node) coordinatePut(env sim.Env, client string, m clientPut) {
 		acked:    make(map[string]bool),
 		needed:   n.cfg.W,
 		replicas: prefs,
-		hinted:   make(map[string]bool),
 	}
 	if n.cfg.SloppyQuorum {
-		pw.fallbacks = n.fallbackList(m.Key)
+		pw.fallbacks = fallbacks
 	}
 	// Geo async: replicas in the coordinator's zone stay synchronous and
 	// the ack quorum shrinks to the intra-zone sub-quorum; cross-zone
@@ -778,7 +760,6 @@ func (n *Node) coordinatePut(env sim.Env, client string, m clientPut) {
 				}
 				if old == n.id {
 					n.installEntry(execDomain(env), m.Key, entry)
-					n.noteKeyChanged(m.Key)
 					continue
 				}
 				env.Send(old, replicaPut{Key: m.Key, Entry: entry, Repair: true})
@@ -805,6 +786,9 @@ func (n *Node) engageFallback(env sim.Env, id uint64, pw *pendingWrite, pref str
 	}
 	fb := pw.fallbacks[pw.fi]
 	pw.fi++
+	if pw.hinted == nil {
+		pw.hinted = make(map[string]bool)
+	}
 	pw.hinted[pref] = true
 	pw.sloppy = true
 	env.Send(fb, replicaPut{ID: id, Key: pw.key, Entry: pw.entry, Hint: pref})
@@ -873,7 +857,6 @@ func (n *Node) applyReplicaPut(env sim.Env, from string, m replicaPut) {
 		}
 	} else {
 		n.installEntry(execDomain(env), m.Key, m.Entry)
-		n.noteKeyChanged(m.Key)
 	}
 	if !m.Repair {
 		env.Send(from, replicaPutAck{ID: m.ID})
@@ -938,7 +921,7 @@ func (n *Node) writeTimeout(env sim.Env, id uint64) {
 // any other, so which R replicas "win" is decided by delivery timing —
 // the race probabilistically-bounded staleness quantifies.
 func (n *Node) coordinateGet(env sim.Env, client string, m clientGet) {
-	prefs := n.PreferenceList(m.Key)
+	prefs, fallbacks := n.placement(m.Key)
 	shardIdx := n.router.Shard(m.Key)
 	id := n.mintReq(shardIdx)
 	needed := n.cfg.R
@@ -963,7 +946,7 @@ func (n *Node) coordinateGet(env sim.Env, client string, m clientGet) {
 		// Under elasticity the fallback walk matters even without sloppy
 		// quorums: a catching-up replica answers NotReady and the read
 		// must reach the old owners further along the new ring's walk.
-		pr.fallbacks = n.fallbackList(m.Key)
+		pr.fallbacks = fallbacks
 	}
 	n.shards[shardIdx].reads[id] = pr
 	for _, rep := range prefs {
@@ -1151,7 +1134,6 @@ func (n *Node) readRepair(env sim.Env, pr *pendingRead, merged []clock.SiblingEn
 			for _, e := range merged {
 				n.installEntry(execDomain(env), pr.key, e)
 			}
-			n.noteKeyChanged(pr.key)
 			continue
 		}
 		for _, e := range merged {
@@ -1240,6 +1222,10 @@ func (n *Node) LocalValues(key string) [][]byte {
 func (n *Node) PendingHints() int {
 	n.hintsMu.Lock()
 	defer n.hintsMu.Unlock()
+	return n.pendingHintsLocked()
+}
+
+func (n *Node) pendingHintsLocked() int {
 	c := 0
 	for _, keys := range n.hints {
 		for _, entries := range keys {

@@ -1,14 +1,14 @@
 package quorum
 
 import (
-	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"sync"
 
 	"repro/internal/clock"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 // Sharded execution. With Config.Shards = S > 1 the node's replica state
@@ -38,7 +38,7 @@ type nodeShard struct {
 	// read-modify-write install cycle around it.
 	mu sync.RWMutex
 	// store holds the shard's sibling sets, one engine entry per key,
-	// the value a gob-encoded entry list (see encodeEntries). Which
+	// the value a binary entry list (see encodeStored). Which
 	// engine backs it — in-memory KV or disk-resident LSM — is the
 	// host's choice via Config.Storage.
 	store    storage.Engine
@@ -74,34 +74,28 @@ func newNodeShard(store storage.Engine) *nodeShard {
 // in-place map the shard used to hold had no such debt).
 const compactEvery = 256
 
-// entries returns key's sibling set as stored, or nil. Caller holds
-// sh.mu (read suffices).
+// entries returns key's sibling set as stored, or nil. The decoded values
+// alias the engine's bytes (see decodeStored). Caller holds sh.mu (read
+// suffices).
 func (sh *nodeShard) entries(key string) []clock.SiblingEntry[record] {
 	v, ok := sh.store.Get(key)
 	if !ok {
 		return nil
 	}
-	return decodeEntries(v.Value)
+	es, err := decodeStored(v.Value)
+	if err != nil {
+		// CheckStoredFormat vetted the store at boot and every value
+		// written since is encodeStored's own output (CRC-verified on the
+		// disk path), so only a bug gets here.
+		panic(fmt.Sprintf("quorum: key %q: %v", key, err))
+	}
+	return es
 }
 
-// siblings loads key's sibling set rebuilt for merging, or an empty set.
-// Caller holds sh.mu for writing (the result feeds setSiblings).
-func (sh *nodeShard) siblings(key string) (*clock.Siblings[record], bool) {
-	v, ok := sh.store.Get(key)
-	if !ok {
-		return &clock.Siblings[record]{}, false
-	}
-	sib := &clock.Siblings[record]{}
-	for _, e := range decodeEntries(v.Value) {
-		sib.Add(e.DVV, e.Value)
-	}
-	return sib, true
-}
-
-// setSiblings stores key's sibling set back into the engine and
-// amortizes version garbage collection. Caller holds sh.mu for writing.
-func (sh *nodeShard) setSiblings(key string, sib *clock.Siblings[record]) {
-	sh.store.Put(key, encodeEntries(sib.Entries()), nil)
+// setEntries stores key's sibling set back into the engine and amortizes
+// version garbage collection. Caller holds sh.mu for writing.
+func (sh *nodeShard) setEntries(key string, es []clock.SiblingEntry[record]) {
+	sh.store.Put(key, encodeStored(es), nil)
 	sh.installs++
 	if sh.installs >= compactEvery {
 		sh.installs = 0
@@ -109,27 +103,75 @@ func (sh *nodeShard) setSiblings(key string, sib *clock.Siblings[record]) {
 	}
 }
 
-// encodeEntries serializes a sibling entry list for engine storage.
-func encodeEntries(es []clock.SiblingEntry[record]) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(es); err != nil {
-		panic(fmt.Sprintf("quorum: encode sibling set: %v", err))
+// Stored-value layout: [storedFormat][entry list], the entry list exactly
+// as the wire codec frames it inside a replicaGetResp (appendEntries).
+// The leading byte versions the layout; it sits in 0x80..0xF7, which the
+// first byte of a gob stream (a message length) never occupies, so a
+// value written before the binary layout existed is recognised, not
+// mis-decoded.
+const storedFormat = 0xE1
+
+// ErrFormatTooOld reports state written by a version whose on-disk
+// formats (gob sibling sets, WAL records and checkpoints) this version
+// no longer reads. A node refuses to boot on such a data directory;
+// there is no in-place upgrade.
+var ErrFormatTooOld = errors.New("quorum: data written in a format this version no longer reads")
+
+// checkFormat vets the byte that versions a stored value, a WAL record
+// or a checkpoint.
+func checkFormat(what string, got, want byte) error {
+	switch {
+	case got == want:
+		return nil
+	case got < 0x80 || got >= 0xF8: // a gob stream's leading length byte
+		return fmt.Errorf("quorum: %s: %w", what, ErrFormatTooOld)
 	}
-	return buf.Bytes()
+	return fmt.Errorf("quorum: %s: unknown format byte %#x", what, got)
 }
 
-// decodeEntries is the inverse of encodeEntries. The bytes come from
-// our own engine (CRC-verified on the disk path), so failure is a
-// programming error, not an input error. Rebuilding a Siblings from the
-// decoded list via Add round-trips exactly: stored survivors are
-// mutually concurrent, so no entry obsoletes another and insertion
-// order is preserved.
-func decodeEntries(b []byte) []clock.SiblingEntry[record] {
-	var es []clock.SiblingEntry[record]
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&es); err != nil {
-		panic(fmt.Sprintf("quorum: decode sibling set: %v", err))
+// encodeStored serializes a sibling entry list for engine storage, into
+// one exactly-sized allocation.
+func encodeStored(es []clock.SiblingEntry[record]) []byte {
+	out := make([]byte, 1, 1+entriesSize(es))
+	out[0] = storedFormat
+	return appendEntries(out, es)
+}
+
+// decodeStored is the inverse of encodeStored. Value slices of the result
+// alias b: engine values are immutable once stored (a new version is a
+// new buffer), so the entries stay valid for as long as they are
+// referenced and must never be written through. A stored list holds
+// mutually concurrent survivors in insertion order, so feeding it to
+// clock.AddSibling as is continues the set it was taken from.
+func decodeStored(b []byte) ([]clock.SiblingEntry[record], error) {
+	if len(b) == 0 {
+		return nil, fmt.Errorf("quorum: stored sibling set: %w", wire.ErrMalformed)
 	}
-	return es
+	if err := checkFormat("stored sibling set", b[0], storedFormat); err != nil {
+		return nil, err
+	}
+	r := wire.NewReader(b[1:])
+	es := readEntries(r)
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("quorum: stored sibling set: %w", err)
+	}
+	return es, nil
+}
+
+// CheckStoredFormat vets one stored value per shard. A store is written
+// by one version from its first value on (this check is what keeps a
+// newer version from adding to an older store), so the first key stands
+// for all of them. The host calls it before replay touches the store;
+// the in-memory engine is empty then, a disk-resident one is not.
+func (n *Node) CheckStoredFormat() error {
+	for i, sh := range n.shards {
+		for _, p := range sh.store.Scan("", "", 1) {
+			if _, err := decodeStored(p.Version.Value); err != nil {
+				return fmt.Errorf("shard %d key %q: %w", i, p.Key, err)
+			}
+		}
+	}
+	return nil
 }
 
 // shardFor returns the shard owning key.

@@ -267,7 +267,6 @@ func (n *Node) handleTransferBatch(env sim.Env, m transferBatch) {
 			n.installEntry(dom, e.Key, s)
 			size += len(e.Key) + len(s.Value.Value) + 16*len(s.DVV.Context) + 16
 		}
-		n.noteKeyChanged(e.Key)
 	}
 	n.Transfer.BytesIn.Add(uint64(size))
 	if !m.Done {
@@ -523,7 +522,6 @@ func (n *Node) SetMembers(members []string) {
 		for _, e := range o.entries {
 			n.installEntry(0, o.key, e)
 		}
-		n.noteKeyChanged(o.key)
 		n.dropHints(o.intended, o.key)
 		n.persistRecord(0, walRecord{HintAck: &hintAckRec{Intended: o.intended, Key: o.key}})
 	}

@@ -52,6 +52,23 @@ func readEntry(r *wire.Reader) clock.SiblingEntry[record] {
 	return e
 }
 
+// entrySize returns len(appendEntry(nil, e)).
+func entrySize(e clock.SiblingEntry[record]) int {
+	return wire.SizeDVV(e.DVV) + wire.SizeBytes(e.Value.Value) + 1
+}
+
+// entriesSize returns len(appendEntries(nil, es)).
+func entriesSize(es []clock.SiblingEntry[record]) int {
+	if es == nil {
+		return 1
+	}
+	n := wire.UvarintLen(uint64(len(es)) + 1)
+	for _, e := range es {
+		n += entrySize(e)
+	}
+	return n
+}
+
 func appendEntries(dst []byte, es []clock.SiblingEntry[record]) []byte {
 	if es == nil {
 		return append(dst, 0)
@@ -64,30 +81,18 @@ func appendEntries(dst []byte, es []clock.SiblingEntry[record]) []byte {
 }
 
 func readEntries(r *wire.Reader) []clock.SiblingEntry[record] {
-	n := r.Uvarint()
-	if n == 0 || r.Err() != nil {
+	n, ok := r.ListLen()
+	if !ok {
 		return nil
 	}
-	n--
-	if n > uint64(r.Len()) { // every entry costs ≥1 byte
-		return readFail[[]clock.SiblingEntry[record]](r)
-	}
 	out := make([]clock.SiblingEntry[record], 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, readEntry(r))
 	}
 	if r.Err() != nil {
 		return nil
 	}
 	return out
-}
-
-// readFail poisons the reader (a declared length exceeded the bytes
-// remaining) and returns a typed zero value.
-func readFail[T any](r *wire.Reader) T {
-	r.Poison()
-	var zero T
-	return zero
 }
 
 func appendAEEntries(dst []byte, es []aeEntry) []byte {
@@ -103,16 +108,12 @@ func appendAEEntries(dst []byte, es []aeEntry) []byte {
 }
 
 func readAEEntries(r *wire.Reader) []aeEntry {
-	n := r.Uvarint()
-	if n == 0 || r.Err() != nil {
+	n, ok := r.ListLen()
+	if !ok {
 		return nil
 	}
-	n--
-	if n > uint64(r.Len()) {
-		return readFail[[]aeEntry](r)
-	}
 	out := make([]aeEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, aeEntry{Key: r.String(), Entries: readEntries(r)})
 	}
 	if r.Err() != nil {

@@ -157,6 +157,8 @@ func (c *Client) do(req Request) (Response, error) {
 		return Response{}, err
 	}
 
+	t := startTimer(c.timeout())
+	defer stopTimer(t)
 	select {
 	case resp, ok := <-ch:
 		if !ok {
@@ -172,7 +174,7 @@ func (c *Client) do(req Request) (Response, error) {
 			return resp, errors.New(resp.Err)
 		}
 		return resp, nil
-	case <-time.After(c.timeout()):
+	case <-t.C:
 		c.mu.Lock()
 		delete(c.waiters, req.Seq)
 		c.mu.Unlock()

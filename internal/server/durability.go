@@ -206,12 +206,14 @@ func (d *durability) startCheckpointer(interval time.Duration, capture func() (s
 }
 
 func (d *durability) checkpoint(capture func() ([]byte, uint64, bool)) {
+	if d.log.LastSeq() <= d.CheckpointSeq() {
+		// Nothing journaled since the last checkpoint: do not make the
+		// actor loop snapshot state that a checkpoint already covers.
+		return
+	}
 	state, seq, ok := capture()
 	if !ok {
 		return
-	}
-	if seq <= d.CheckpointSeq() {
-		return // nothing new to cover
 	}
 	if err := wal.WriteSnapshot(d.dir, seq, state); err != nil {
 		if d.logf != nil {

@@ -217,6 +217,11 @@ type elastic struct {
 	gainers    map[string]bool
 
 	pullTimer transport.TimerID
+	// pullAnswered records that some peer has answered a ringPull since
+	// boot. Until then the pull repeats: a peer writes its first answer to
+	// a restarted node into the old connection if it has not yet noticed
+	// that one is dead, and the answer is lost.
+	pullAnswered bool
 }
 
 // snapshot returns the fields status endpoints need, consistently.
@@ -244,7 +249,7 @@ type elasticHandler struct {
 
 func (h *elasticHandler) OnStart(env transport.Env) {
 	h.inner.OnStart(env)
-	h.s.elasticBoot(env)
+	h.s.elasticPull(env)
 }
 
 func (h *elasticHandler) OnMessage(env transport.Env, from string, msg transport.Message) {
@@ -268,7 +273,7 @@ func (h *elasticHandler) OnMessage(env transport.Env, from string, msg transport
 
 func (h *elasticHandler) OnTimer(env transport.Env, tag any) {
 	if _, ok := tag.(elasticPullTag); ok {
-		h.s.elasticRePull(env)
+		h.s.elasticPull(env)
 		return
 	}
 	h.inner.OnTimer(env, tag)
@@ -328,14 +333,14 @@ func (e serverElastic) PrevSequence(key string) []string {
 	return prev.Sequence(key)
 }
 
-// elasticBoot runs on the storage loop at (re)start: ask every known
-// peer for the current epoch. A fresh cluster answers with seq 0, which
-// no one installs; a node restarted mid-window gets the open epoch back
-// (Joining/Leaving intact) and resumes its side of the transfer.
-func (s *Server) elasticBoot(env transport.Env) {
-	if s.el == nil {
-		return
-	}
+// elasticPull asks every known peer for the current epoch. It runs on
+// the storage loop at (re)start — a fresh cluster answers with seq 0,
+// which no one installs; a node restarted mid-window gets the open epoch
+// back (Joining/Leaving intact) and resumes its side of the transfer —
+// and again each elasticPullInterval while no peer has answered, or
+// while this node is still waiting for its join window (a lost
+// broadcast, or peers that weren't up yet).
+func (s *Server) elasticPull(env transport.Env) {
 	s.el.mu.Lock()
 	peers := make([]string, 0, len(s.el.addrs))
 	for id := range s.el.addrs {
@@ -344,38 +349,17 @@ func (s *Server) elasticBoot(env transport.Env) {
 		}
 	}
 	sort.Strings(peers)
+	unanswered := !s.el.pullAnswered && len(peers) > 0
 	waiting := s.el.mode == stateCatchingUp
 	s.el.mu.Unlock()
-	for _, p := range peers {
-		env.Send(p, ringPull{Pad: 1})
-	}
-	if waiting {
-		s.el.pullTimer = env.SetTimer(elasticPullInterval, elasticPullTag{})
-	}
-}
-
-// elasticRePull retries the epoch pull while this node is still waiting
-// for its join window (a lost broadcast, or peers that weren't up yet).
-func (s *Server) elasticRePull(env transport.Env) {
-	s.el.mu.Lock()
-	mode := s.el.mode
-	peers := make([]string, 0, len(s.el.addrs))
-	for id := range s.el.addrs {
-		if id != s.cfg.ID {
-			peers = append(peers, id)
-		}
-	}
-	sort.Strings(peers)
-	s.el.mu.Unlock()
-	if mode != stateCatchingUp {
-		return
-	}
-	if !s.qnode.CatchingUp() {
+	if unanswered || (waiting && !s.qnode.CatchingUp()) {
 		for _, p := range peers {
 			env.Send(p, ringPull{Pad: 1})
 		}
 	}
-	s.el.pullTimer = env.SetTimer(elasticPullInterval, elasticPullTag{})
+	if unanswered || waiting {
+		s.el.pullTimer = env.SetTimer(elasticPullInterval, elasticPullTag{})
+	}
 }
 
 // onRingPull answers with this node's current epoch. The reply carries
@@ -524,6 +508,7 @@ func (s *Server) onRingUpdate(env transport.Env, from string, m ringUpdate) {
 	}
 	el := s.el
 	el.mu.Lock()
+	el.pullAnswered = el.pullAnswered || m.Reply
 	current := m.Seq == el.seq && el.prev != nil
 	resumeJoin := current && m.Reply && el.joining == s.cfg.ID
 	resumeLeave := current && m.Reply && el.leaving == s.cfg.ID &&

@@ -390,9 +390,21 @@ func New(cfg Config) (*Server, error) {
 			lanes = qn.Shards() + 1
 			route = func(rec []byte) int { return qn.ReplayDomain(rec) + 1 }
 		}
-		if err := s.dur.recover(node, lanes, route); err != nil {
+		var err error
+		if s.qnode != nil {
+			// A disk-resident engine already holds state: refuse one an
+			// older version wrote before replay adds to it.
+			err = s.qnode.CheckStoredFormat()
+		}
+		if err == nil {
+			err = s.dur.recover(node, lanes, route)
+		}
+		if err != nil {
 			s.dur.Close()
 			tcp.Close()
+			if s.qnode != nil {
+				s.qnode.Close()
+			}
 			return nil, fmt.Errorf("server %s: recovery from %s: %w", cfg.ID, cfg.DataDir, err)
 		}
 	}
@@ -990,10 +1002,42 @@ func sessionWriteResponse(sess *session.Client, r session.WriteResult) Response 
 // buffered, so a late callback after timeout completes without leaking
 // a goroutine.
 func await(done chan Response) Response {
+	t := startTimer(requestTimeout)
+	defer stopTimer(t)
 	select {
 	case r := <-done:
 		return r
-	case <-time.After(requestTimeout):
+	case <-t.C:
 		return Response{Err: "request timed out"}
 	}
+}
+
+// timers recycles the time-out timers of request waits: every request
+// arms one and almost none fires, so time.After would allocate a timer
+// and its channel per request only to drop them.
+var timers sync.Pool
+
+func startTimer(d time.Duration) *time.Timer {
+	if t, ok := timers.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+// stopTimer returns t to the pool if it is known stopped with an empty
+// channel: Stop caught it before it fired, or its tick was taken here. A
+// timer that fired and whose tick is not in the channel is dropped: either
+// the wait consumed it, or (go.mod predates Go 1.23's synchronous timer
+// channels) the runtime has marked it expired and not yet sent, and the
+// tick would land in the pool and time out the next request at once.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+			return
+		}
+	}
+	timers.Put(t)
 }

@@ -88,6 +88,33 @@ func appendBody(dst []byte, e Envelope) ([]byte, error) {
 	return appendGobBody(dst, e)
 }
 
+// readers recycles the Reader handed to the registered decoders. They
+// are called through a table, so a Reader made per envelope would escape
+// to the heap on every message.
+var readers = sync.Pool{New: func() any { return new(wire.Reader) }}
+
+func decodeBinaryBody(r *wire.Reader) (Envelope, error) {
+	var e Envelope
+	e.From = r.ID()
+	e.To = r.ID()
+	id := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return Envelope{}, fmt.Errorf("transport: decode envelope header: %w", err)
+	}
+	if id > 0xffff {
+		return Envelope{}, fmt.Errorf("transport: wire id %d out of range", id)
+	}
+	dec, ok := binaryDecoder(uint16(id))
+	if !ok {
+		return Envelope{}, fmt.Errorf("transport: unknown wire id %d", id)
+	}
+	e.Msg = dec(r)
+	if err := r.Close(); err != nil {
+		return Envelope{}, fmt.Errorf("transport: decode wire id %d: %w", id, err)
+	}
+	return e, nil
+}
+
 // decodeBody decodes one envelope body (as produced by appendBody).
 func decodeBody(b []byte) (Envelope, error) {
 	if len(b) == 0 {
@@ -95,26 +122,12 @@ func decodeBody(b []byte) (Envelope, error) {
 	}
 	switch b[0] {
 	case codecBinary:
-		r := wire.NewReader(b[1:])
-		var e Envelope
-		e.From = r.String()
-		e.To = r.String()
-		id := r.Uvarint()
-		if err := r.Err(); err != nil {
-			return Envelope{}, fmt.Errorf("transport: decode envelope header: %w", err)
-		}
-		if id > 0xffff {
-			return Envelope{}, fmt.Errorf("transport: wire id %d out of range", id)
-		}
-		dec, ok := binaryDecoder(uint16(id))
-		if !ok {
-			return Envelope{}, fmt.Errorf("transport: unknown wire id %d", id)
-		}
-		e.Msg = dec(r)
-		if err := r.Close(); err != nil {
-			return Envelope{}, fmt.Errorf("transport: decode wire id %d: %w", id, err)
-		}
-		return e, nil
+		r := readers.Get().(*wire.Reader)
+		r.Reset(b[1:])
+		e, err := decodeBinaryBody(r)
+		r.Reset(nil) // a pooled Reader must not pin the frame
+		readers.Put(r)
+		return e, err
 	case codecGob:
 		return decodeGobBody(b[1:])
 	case codecBatch:

@@ -15,9 +15,13 @@ import (
 // two nodes sending to each other under load), and the loop blocks on
 // recv until an event or close arrives.
 type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// queue[head:] are the pending events. Taking advances head instead
+	// of reslicing, so a drained queue starts over at the front of its
+	// backing array and the steady state enqueues without allocating.
 	queue  []procEvent
+	head   int
 	closed bool
 }
 
@@ -34,6 +38,13 @@ func (m *mailbox) put(ev procEvent) bool {
 	if m.closed {
 		return false
 	}
+	if len(m.queue) == cap(m.queue) && m.head > 0 && m.head >= len(m.queue)/2 {
+		// A backlog that never drains must not pin everything it ever
+		// held: before growing, slide the pending half to the front.
+		n := copy(m.queue, m.queue[m.head:])
+		clear(m.queue[n:])
+		m.queue, m.head = m.queue[:n], 0
+	}
 	m.queue = append(m.queue, ev)
 	m.cond.Signal()
 	return true
@@ -44,15 +55,18 @@ func (m *mailbox) put(ev procEvent) bool {
 func (m *mailbox) take() (procEvent, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.queue) == 0 && !m.closed {
+	for m.head == len(m.queue) && !m.closed {
 		m.cond.Wait()
 	}
-	if len(m.queue) == 0 {
+	if m.head == len(m.queue) {
 		return procEvent{}, false
 	}
-	ev := m.queue[0]
-	m.queue[0] = procEvent{}
-	m.queue = m.queue[1:]
+	ev := m.queue[m.head]
+	m.queue[m.head] = procEvent{}
+	m.head++
+	if m.head == len(m.queue) {
+		m.queue, m.head = m.queue[:0], 0
+	}
 	return ev, true
 }
 

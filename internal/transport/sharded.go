@@ -225,5 +225,5 @@ func (r *Runtime) dispatch(p *proc, from string, msg Message) bool {
 func (m *mailbox) depth() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.queue)
+	return len(m.queue) - m.head
 }

@@ -16,6 +16,9 @@
 //     uvarint length header of n+1, with 0 meaning nil. Nil-ness
 //     survives a round trip, which the codec equivalence tests against
 //     gob rely on.
+//   - Strings are copied out of the buffer, except identifiers read with
+//     ID (node, client and zone names), which are interned: one shared
+//     string per name, no allocation once the name has been seen.
 //   - Decoded byte slices alias the Reader's buffer — zero-copy. The
 //     transport hands each inbound frame its own buffer and messages
 //     are immutable once sent, so aliasing is safe; a decoder that
@@ -32,6 +35,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/clock"
 )
@@ -150,6 +154,10 @@ type Reader struct {
 // byte slices alias it too.
 func NewReader(b []byte) *Reader { return &Reader{b: b} }
 
+// Reset points the Reader at b with no error, for callers that reuse one
+// Reader across messages.
+func (r *Reader) Reset(b []byte) { r.b, r.err = b, nil }
+
 // Err returns the first decode failure (nil while healthy).
 func (r *Reader) Err() error { return r.err }
 
@@ -171,6 +179,33 @@ func (r *Reader) fail() { r.err = ErrMalformed }
 // element count exceeds the bytes that could possibly hold it, instead
 // of allocating on the attacker-controlled length.
 func (r *Reader) Poison() { r.fail() }
+
+// Count reads a uvarint element count. Every element of every list costs
+// at least one byte, so a count beyond the bytes remaining is corrupt:
+// Count fails then, before the caller allocates on the declared length.
+func (r *Reader) Count() int {
+	n := r.Uvarint()
+	if n > uint64(len(r.b)) {
+		r.fail()
+		return 0
+	}
+	return int(n)
+}
+
+// ListLen reads a nil-aware list header (0 = nil, else count+1),
+// bounding the count like Count. ok is false for a nil list and after a
+// failure.
+func (r *Reader) ListLen() (n int, ok bool) {
+	h := r.Uvarint()
+	if h == 0 || r.err != nil {
+		return 0, false
+	}
+	if h-1 > uint64(len(r.b)) {
+		r.fail()
+		return 0, false
+	}
+	return int(h - 1), true
+}
 
 // Uvarint reads an unsigned varint.
 func (r *Reader) Uvarint() uint64 {
@@ -246,21 +281,60 @@ func (r *Reader) String() string {
 	return string(r.take(r.Uvarint()))
 }
 
+// ID reads a length-prefixed string that names a node, a client or a
+// zone, and interns it. Such names recur in every message and every
+// stored version — envelope addresses, dots, context entries — but come
+// from a small, slowly changing set, so ID hands out one shared string
+// per name and decoding them does not allocate in the steady state.
+func (r *Reader) ID() string {
+	return intern(r.take(r.Uvarint()))
+}
+
+// The intern table is a fixed-size cache, not a registry: a name has two
+// candidate slots picked by its hash, a miss fills an empty one or
+// overwrites the first, and a name that keeps losing its slot merely
+// costs the allocation it would have cost without the table. Slots are
+// atomic pointers, so readers on any goroutine share it without a lock.
+const (
+	internSlots  = 512 // a power of two
+	internMaxLen = 64
+)
+
+var interned [internSlots]atomic.Pointer[string]
+
+func intern(b []byte) string {
+	if len(b) == 0 || len(b) > internMaxLen {
+		return string(b)
+	}
+	h := uint64(14695981039346656037) // FNV-1a
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	first, second := &interned[h%internSlots], &interned[(h>>32)%internSlots]
+	p, q := first.Load(), second.Load()
+	switch {
+	case p != nil && *p == string(b): // the conversion in a comparison does not allocate
+		return *p
+	case q != nil && *q == string(b):
+		return *q
+	}
+	s := string(b)
+	if p != nil && q == nil {
+		second.Store(&s)
+	} else {
+		first.Store(&s)
+	}
+	return s
+}
+
 // ByteSlices reads a nil-aware list of byte slices.
 func (r *Reader) ByteSlices() [][]byte {
-	n := r.Uvarint()
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	n--
-	// Each element costs at least one header byte; a declared count
-	// beyond the remaining bytes is corrupt, not a huge allocation.
-	if n > uint64(len(r.b)) {
-		r.fail()
+	n, ok := r.ListLen()
+	if !ok {
 		return nil
 	}
 	out := make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, r.Bytes())
 	}
 	if r.err != nil {
@@ -271,13 +345,12 @@ func (r *Reader) ByteSlices() [][]byte {
 
 // Uint64s reads a nil-aware dense counter slice.
 func (r *Reader) Uint64s() []uint64 {
-	n := r.Uvarint()
-	if n == 0 || r.err != nil {
+	n, ok := r.ListLen()
+	if !ok {
 		return nil
 	}
-	n--
-	raw := r.take(n * 8)
-	if raw == nil && n > 0 {
+	raw := r.take(uint64(n) * 8)
+	if r.err != nil {
 		return nil
 	}
 	out := make([]uint64, n)
@@ -289,17 +362,12 @@ func (r *Reader) Uint64s() []uint64 {
 
 // Ints reads a nil-aware []int.
 func (r *Reader) Ints() []int {
-	n := r.Uvarint()
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	n--
-	if n > uint64(len(r.b)) {
-		r.fail()
+	n, ok := r.ListLen()
+	if !ok {
 		return nil
 	}
 	out := make([]int, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		v := r.Varint()
 		if int64(int(v)) != v {
 			r.fail()
@@ -315,18 +383,13 @@ func (r *Reader) Ints() []int {
 
 // Vector reads a nil-aware clock.Vector.
 func (r *Reader) Vector() clock.Vector {
-	n := r.Uvarint()
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	n--
-	if n > uint64(len(r.b)) {
-		r.fail()
+	n, ok := r.ListLen()
+	if !ok {
 		return nil
 	}
 	v := make(clock.Vector, n)
-	for i := uint64(0); i < n; i++ {
-		id := r.String()
+	for i := 0; i < n; i++ {
+		id := r.ID()
 		c := r.Uvarint()
 		if r.err != nil {
 			return nil
@@ -339,14 +402,40 @@ func (r *Reader) Vector() clock.Vector {
 // DVV reads a dotted version vector.
 func (r *Reader) DVV() clock.DVV {
 	var d clock.DVV
-	d.Dot.Node = r.String()
+	d.Dot.Node = r.ID()
 	d.Dot.Counter = r.Uvarint()
 	d.Context = r.Vector()
 	return d
 }
 
-// UvarintLen returns the encoded size of v, for callers presizing
-// buffers.
+// ── Sizes, for callers presizing buffers ──────────────────────────────
+
+// UvarintLen returns the encoded size of v.
 func UvarintLen(v uint64) int {
 	return (bits.Len64(v|1) + 6) / 7
+}
+
+// SizeBytes returns len(AppendBytes(nil, b)).
+func SizeBytes(b []byte) int {
+	if b == nil {
+		return 1
+	}
+	return UvarintLen(uint64(len(b))+1) + len(b)
+}
+
+// SizeString returns len(AppendString(nil, s)).
+func SizeString(s string) int {
+	return UvarintLen(uint64(len(s))) + len(s)
+}
+
+// SizeDVV returns len(AppendDVV(nil, d)).
+func SizeDVV(d clock.DVV) int {
+	n := SizeString(d.Dot.Node) + UvarintLen(d.Dot.Counter) + 1
+	if d.Context != nil {
+		n += UvarintLen(uint64(len(d.Context))+1) - 1
+		for id, c := range d.Context {
+			n += SizeString(id) + UvarintLen(c)
+		}
+	}
+	return n
 }

@@ -1,0 +1,290 @@
+package wire
+
+import (
+	"math"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/clock"
+)
+
+// codecCase is one value through one Append*/Reader pair.
+type codecCase struct {
+	name string
+	enc  func(dst []byte) []byte
+	dec  func(r *Reader) any
+	want any
+	size int // what the matching Size* helper predicts, -1 when there is none
+}
+
+func codecCases() []codecCase {
+	var cases []codecCase
+	add := func(name string, want any, size int, enc func([]byte) []byte, dec func(*Reader) any) {
+		cases = append(cases, codecCase{name: name, enc: enc, dec: dec, want: want, size: size})
+	}
+	for _, v := range []uint64{0, 1, 127, 128, 1 << 32, math.MaxUint64} {
+		add("uvarint", v, UvarintLen(v),
+			func(b []byte) []byte { return AppendUvarint(b, v) },
+			func(r *Reader) any { return r.Uvarint() })
+	}
+	for _, v := range []int64{0, -1, 1, 63, -64, 64, math.MinInt64, math.MaxInt64} {
+		add("varint", v, -1,
+			func(b []byte) []byte { return AppendVarint(b, v) },
+			func(r *Reader) any { return r.Varint() })
+	}
+	for _, v := range []bool{false, true} {
+		add("bool", v, 1,
+			func(b []byte) []byte { return AppendBool(b, v) },
+			func(r *Reader) any { return r.Bool() })
+	}
+	for _, v := range [][]byte{nil, {}, {0}, []byte("value"), make([]byte, 300)} {
+		add("bytes", v, SizeBytes(v),
+			func(b []byte) []byte { return AppendBytes(b, v) },
+			func(r *Reader) any { return r.Bytes() })
+	}
+	for _, v := range []string{"", "k", "a longer key with spaces"} {
+		add("string", v, SizeString(v),
+			func(b []byte) []byte { return AppendString(b, v) },
+			func(r *Reader) any { return r.String() })
+		add("id", v, SizeString(v),
+			func(b []byte) []byte { return AppendString(b, v) },
+			func(r *Reader) any { return r.ID() })
+		// Raw reads what AppendString writes, as bytes.
+		add("raw", []byte(v), SizeString(v),
+			func(b []byte) []byte { return AppendString(b, v) },
+			func(r *Reader) any { return r.Raw() })
+		add("count", len(v), -1,
+			func(b []byte) []byte { return AppendString(b, v) },
+			func(r *Reader) any { n := r.Count(); r.take(uint64(n)); return n })
+	}
+	for _, v := range [][][]byte{nil, {}, {nil}, {{}, nil, []byte("x")}} {
+		add("byteslices", v, -1,
+			func(b []byte) []byte { return AppendByteSlices(b, v) },
+			func(r *Reader) any { return r.ByteSlices() })
+	}
+	for _, v := range [][]uint64{nil, {}, {0}, {1, math.MaxUint64, 7}} {
+		add("uint64s", v, -1,
+			func(b []byte) []byte { return AppendUint64s(b, v) },
+			func(r *Reader) any { return r.Uint64s() })
+	}
+	for _, v := range [][]int{nil, {}, {0}, {-1, 1 << 40, math.MinInt64}} {
+		add("ints", v, -1,
+			func(b []byte) []byte { return AppendInts(b, v) },
+			func(r *Reader) any { return r.Ints() })
+	}
+	vectors := []clock.Vector{nil, {}, {"n1": 1}, {"n1": 3, "node-two": math.MaxUint64, "": 0}}
+	for _, v := range vectors {
+		add("vector", v, -1,
+			func(b []byte) []byte { return AppendVector(b, v) },
+			func(r *Reader) any { return r.Vector() })
+		d := clock.DVV{Dot: clock.Dot{Node: "coord", Counter: 1 << 20}, Context: v}
+		add("dvv", d, SizeDVV(d),
+			func(b []byte) []byte { return AppendDVV(b, d) },
+			func(r *Reader) any { return r.DVV() })
+	}
+	return cases
+}
+
+// Every pair round-trips exactly — nil stays nil and empty stays empty —
+// consumes exactly what it wrote, and the Size helpers predict it.
+func TestRoundTrip(t *testing.T) {
+	for _, c := range codecCases() {
+		b := c.enc(nil)
+		if c.size >= 0 && c.size != len(b) {
+			t.Errorf("%s %#v: size helper says %d, encoding is %d bytes", c.name, c.want, c.size, len(b))
+		}
+		r := NewReader(b)
+		got := c.dec(r)
+		if err := r.Close(); err != nil {
+			t.Errorf("%s %#v: %v after a clean decode", c.name, c.want, err)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: decoded %#v, want %#v", c.name, got, c.want)
+		}
+		// Appending extends dst and leaves what was there alone. (Compared
+		// decoded: a vector's bytes depend on map iteration order.)
+		ext := c.enc([]byte{0xAA})
+		if r := NewReader(ext[1:]); ext[0] != 0xAA || !reflect.DeepEqual(c.dec(r), c.want) || r.Close() != nil {
+			t.Errorf("%s %#v: appended onto a prefix as %x", c.name, c.want, ext)
+		}
+	}
+}
+
+// A strict prefix of an encoding never decodes: the encodings are
+// self-delimiting, so a cut one is short of bytes somewhere.
+func TestTruncationAtEveryPrefix(t *testing.T) {
+	for _, c := range codecCases() {
+		b := c.enc(nil)
+		for i := 0; i < len(b); i++ {
+			r := NewReader(b[:i])
+			got := c.dec(r)
+			if r.Err() == nil {
+				t.Errorf("%s %#v: first %d of %d bytes decoded to %#v", c.name, c.want, i, len(b), got)
+			}
+		}
+	}
+}
+
+func TestCloseRejectsTrailingBytes(t *testing.T) {
+	for _, c := range codecCases() {
+		r := NewReader(append(c.enc(nil), 0))
+		c.dec(r)
+		if r.Err() != nil {
+			t.Fatalf("%s %#v: %v before Close", c.name, c.want, r.Err())
+		}
+		if r.Close() != ErrMalformed {
+			t.Errorf("%s %#v: Close accepted a trailing byte", c.name, c.want)
+		}
+	}
+}
+
+// After the first failure every read returns zero and the error stays.
+func TestStickyError(t *testing.T) {
+	r := NewReader([]byte{5, 'a'}) // a 5-byte string with one byte present
+	if s := r.String(); s != "" || r.Err() != ErrMalformed {
+		t.Fatalf("short string read %q, err %v", s, r.Err())
+	}
+	if r.Uvarint() != 0 || r.Varint() != 0 || r.Bool() || r.Bytes() != nil || r.Raw() != nil ||
+		r.String() != "" || r.ByteSlices() != nil || r.Uint64s() != nil || r.Ints() != nil ||
+		r.Vector() != nil || r.Count() != 0 || !reflect.DeepEqual(r.DVV(), clock.DVV{}) {
+		t.Fatal("a read after the failure returned a non-zero value")
+	}
+	if _, ok := r.ListLen(); ok {
+		t.Fatal("ListLen succeeded after the failure")
+	}
+	if r.Close() != ErrMalformed {
+		t.Fatal("Close lost the error")
+	}
+}
+
+// A declared length or count beyond the bytes that remain fails before
+// anything is allocated for it.
+func TestOversizedCountsFailWithoutAllocating(t *testing.T) {
+	readers := map[string]func(r *Reader){
+		"bytes":      func(r *Reader) { r.Bytes() },
+		"raw":        func(r *Reader) { r.Raw() },
+		"string":     func(r *Reader) { _ = r.String() },
+		"id":         func(r *Reader) { _ = r.ID() },
+		"byteslices": func(r *Reader) { r.ByteSlices() },
+		"uint64s":    func(r *Reader) { r.Uint64s() },
+		"ints":       func(r *Reader) { r.Ints() },
+		"vector":     func(r *Reader) { r.Vector() },
+		"count":      func(r *Reader) { r.Count() },
+		"listlen":    func(r *Reader) { r.ListLen() },
+	}
+	// 1<<61 + 1 is the list header whose count times eight wraps to zero.
+	for _, declared := range []uint64{9, 1 << 20, 1<<61 + 1, math.MaxUint64} {
+		input := append(AppendUvarint(nil, declared), 1, 2, 3, 4, 5, 6)
+		for name, read := range readers {
+			var r Reader // outside the measured call: the indirect read makes it escape
+			allocs := testing.AllocsPerRun(10, func() {
+				r = Reader{b: input}
+				read(&r)
+			})
+			if r.err == nil {
+				t.Errorf("%s: declared %d with 6 bytes left decoded", name, declared)
+			}
+			if allocs != 0 {
+				t.Errorf("%s: declared %d allocated %v times before failing", name, declared, allocs)
+			}
+		}
+	}
+}
+
+// ID hands out one shared string per name without allocating once the
+// name is known, whichever Reader reads it; names too long to be
+// identifiers are copied like any string.
+func TestIDInterns(t *testing.T) {
+	enc := AppendString(nil, "node-7#gw3")
+	first := NewReader(enc).ID()
+	var r Reader
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(enc)
+		if r.ID() != first {
+			t.Fatal("interned id changed")
+		}
+	})
+	if allocs != 0 || r.Close() != nil {
+		t.Fatalf("reading a known id: %v allocs, err %v", allocs, r.Err())
+	}
+	long := string(make([]byte, internMaxLen+1))
+	if got := NewReader(AppendString(nil, long)).ID(); got != long {
+		t.Fatalf("long id read as %d bytes, want %d", len(got), len(long))
+	}
+	// Many names through few slots: every read still returns its own name.
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 4*internSlots; i++ {
+			name := "client-" + string(rune('a'+i%26)) + string(rune('0'+i%10)) + string(rune('A'+i/260))
+			if got := NewReader(AppendString(nil, name)).ID(); got != name {
+				t.Fatalf("id %q read back as %q", name, got)
+			}
+		}
+	}
+}
+
+// The intern table is shared by every goroutine that decodes.
+func TestIDInternsConcurrently(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				name := "node" + string(rune('0'+(i+g)%10)) + "#gw" + string(rune('0'+i%7))
+				if got := NewReader(AppendString(nil, name)).ID(); got != name {
+					t.Errorf("id %q read back as %q", name, got)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+func TestPoison(t *testing.T) {
+	r := NewReader([]byte{1})
+	r.Poison()
+	if r.Err() != ErrMalformed || r.Uvarint() != 0 || r.Len() != 1 {
+		t.Fatalf("poisoned reader: err %v, %d bytes left", r.Err(), r.Len())
+	}
+}
+
+// FuzzReader: no input makes a reader panic or over-allocate, a failed
+// read leaves the error set, and whatever does decode survives a second
+// trip through its encoder.
+func FuzzReader(f *testing.F) {
+	for _, c := range codecCases() {
+		f.Add(c.enc(nil))
+	}
+	f.Add(AppendUvarint(nil, 1<<61+1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		again := []struct {
+			name string
+			dec  func(r *Reader) any
+			enc  func(v any) []byte
+		}{
+			{"bytes", func(r *Reader) any { return r.Bytes() }, func(v any) []byte { return AppendBytes(nil, v.([]byte)) }},
+			{"string", func(r *Reader) any { return r.String() }, func(v any) []byte { return AppendString(nil, v.(string)) }},
+			{"byteslices", func(r *Reader) any { return r.ByteSlices() }, func(v any) []byte { return AppendByteSlices(nil, v.([][]byte)) }},
+			{"uint64s", func(r *Reader) any { return r.Uint64s() }, func(v any) []byte { return AppendUint64s(nil, v.([]uint64)) }},
+			{"ints", func(r *Reader) any { return r.Ints() }, func(v any) []byte { return AppendInts(nil, v.([]int)) }},
+			{"vector", func(r *Reader) any { return r.Vector() }, func(v any) []byte { return AppendVector(nil, v.(clock.Vector)) }},
+			{"dvv", func(r *Reader) any { return r.DVV() }, func(v any) []byte { return AppendDVV(nil, v.(clock.DVV)) }},
+		}
+		for _, c := range again {
+			r := NewReader(data)
+			v := c.dec(r)
+			if r.Err() != nil {
+				if r.Uvarint() != 0 || r.Close() != ErrMalformed {
+					t.Fatalf("%s: error did not stick", c.name)
+				}
+				continue
+			}
+			r2 := NewReader(c.enc(v))
+			if v2 := c.dec(r2); r2.Close() != nil || !reflect.DeepEqual(v, v2) {
+				t.Fatalf("%s: %#v re-encoded and decoded to %#v (err %v)", c.name, v, v2, r2.Err())
+			}
+		}
+	})
+}
