@@ -38,20 +38,14 @@ func (m benchPayload) AppendBinary(dst []byte) []byte {
 }
 
 func init() {
-	transport.Register(benchPayload{})
 	transport.RegisterBinary(60, func(r *wire.Reader) transport.Message {
 		m := benchPayload{Key: r.String(), Val: r.Bytes()}
-		n := r.Uvarint()
-		if n == 0 || r.Err() != nil {
-			return m
-		}
-		n--
-		if n > uint64(r.Len()) {
-			r.Poison()
+		n, ok := r.ListLen()
+		if !ok {
 			return m
 		}
 		m.Vec = make(map[string]uint64, n)
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			id := r.String()
 			m.Vec[id] = r.Uvarint()
 		}
@@ -74,7 +68,7 @@ func framePayload(size int) transport.Envelope {
 	}
 }
 
-// frameEncode measures AppendFrame: one gob encode plus the length
+// frameEncode measures AppendFrame: one binary encode plus the length
 // prefix, the per-message send cost of the TCP transport.
 func frameEncode(b *testing.B, size int) {
 	e := framePayload(size)

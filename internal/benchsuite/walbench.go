@@ -9,8 +9,8 @@ import (
 )
 
 // walRecord builds the payload the append benchmarks journal: the size
-// of a typical protocol write record (key, value, small clock) after
-// gob encoding.
+// of a typical protocol write record (key, value, small clock) as
+// journaled.
 func walRecord(size int) []byte {
 	rec := make([]byte, size)
 	rand.New(rand.NewSource(7)).Read(rec)
@@ -109,8 +109,8 @@ func walRecovery(b *testing.B, records int) {
 // through ReplaySharded: records fan out to lanes concurrent appliers
 // by a hash of the record body, modeling the quorum node's per-shard
 // replay. The work per record here is trivial, so the numbers bound the
-// fan-out overhead; real recovery (gob decode + sibling-set merge per
-// record) amortises it and scales with lanes.
+// fan-out overhead; real recovery (record decode + sibling-set merge
+// per record) amortises it and scales with lanes.
 func walRecoveryParallel(b *testing.B, records, lanes int) {
 	dir := b.TempDir()
 	log, err := wal.Open(dir, wal.Options{Policy: wal.SyncNone})

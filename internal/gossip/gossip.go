@@ -5,8 +5,8 @@
 // immediately). Convergence of values is last-writer-wins by hybrid
 // logical clock timestamp.
 //
-// A gossip.Node is a sim.Handler; experiments drive a cluster of them and
-// measure time-to-convergence and bandwidth (experiment E4).
+// A gossip.Node is a transport.Handler; experiments drive a cluster of
+// them and measure time-to-convergence and bandwidth (experiment E4).
 package gossip
 
 import (
@@ -16,8 +16,8 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/transport"
 )
 
 // Write is one replicated key version.
@@ -135,7 +135,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Node is one anti-entropy replica. It implements sim.Handler.
+// Node is one anti-entropy replica. It implements transport.Handler.
 type Node struct {
 	cfg    Config
 	id     string
@@ -165,8 +165,8 @@ func NewNode(id string, cfg Config, now func() int64) *Node {
 
 type tickTag struct{}
 
-// OnStart implements sim.Handler.
-func (n *Node) OnStart(env sim.Env) {
+// OnStart implements transport.Handler.
+func (n *Node) OnStart(env transport.Env) {
 	env.SetTimer(n.jittered(env.Rand()), tickTag{})
 }
 
@@ -175,13 +175,13 @@ func (n *Node) jittered(r *rand.Rand) time.Duration {
 	return n.cfg.Interval/2 + time.Duration(r.Int63n(int64(n.cfg.Interval)))
 }
 
-// OnTimer implements sim.Handler.
-func (n *Node) OnTimer(env sim.Env, _ any) {
+// OnTimer implements transport.Handler.
+func (n *Node) OnTimer(env transport.Env, _ any) {
 	n.startSync(env)
 	env.SetTimer(n.jittered(env.Rand()), tickTag{})
 }
 
-func (n *Node) startSync(env sim.Env) {
+func (n *Node) startSync(env transport.Env) {
 	if len(n.cfg.Peers) == 0 {
 		return
 	}
@@ -215,8 +215,8 @@ func (n *Node) sample(r *rand.Rand, k int) []int {
 	return s[:k]
 }
 
-// OnMessage implements sim.Handler.
-func (n *Node) OnMessage(env sim.Env, from string, msg sim.Message) {
+// OnMessage implements transport.Handler.
+func (n *Node) OnMessage(env transport.Env, from string, msg transport.Message) {
 	switch m := msg.(type) {
 	case syncStep:
 		next, found := n.merkle.Descend(m.Pairs)
@@ -269,7 +269,7 @@ func (n *Node) writesInBuckets(buckets []int) []Write {
 // apply installs a write if it is newer (LWW), updating the Merkle tree
 // and, when fresh and rumor mongering is on, forwarding it to peers
 // other than the one it arrived from.
-func (n *Node) apply(env sim.Env, from string, w Write, ttl int) {
+func (n *Node) apply(env transport.Env, from string, w Write, ttl int) {
 	if !n.install(w) {
 		return // stale or duplicate
 	}
@@ -295,7 +295,7 @@ func (n *Node) install(w Write) bool {
 
 // spreadRumor forwards w to up to Fanout random peers, never back to
 // except (the peer the rumor arrived from; "" for locally minted writes).
-func (n *Node) spreadRumor(env sim.Env, w Write, ttl int, except string) {
+func (n *Node) spreadRumor(env transport.Env, w Write, ttl int, except string) {
 	k := n.cfg.Fanout
 	want := k
 	if except != "" && want < len(n.cfg.Peers) {
@@ -314,7 +314,7 @@ func (n *Node) spreadRumor(env sim.Env, w Write, ttl int, except string) {
 
 // Put performs a client write at this replica. Call it from a cluster
 // callback so it runs at simulation time.
-func (n *Node) Put(env sim.Env, key string, value []byte) {
+func (n *Node) Put(env transport.Env, key string, value []byte) {
 	w := Write{Key: key, Value: value, TS: n.hlc.Now()}
 	n.data[key] = w
 	n.merkle.Update(key, w.hash())
@@ -325,7 +325,7 @@ func (n *Node) Put(env sim.Env, key string, value []byte) {
 }
 
 // Delete performs a client delete (a tombstone write) at this replica.
-func (n *Node) Delete(env sim.Env, key string) {
+func (n *Node) Delete(env transport.Env, key string) {
 	w := Write{Key: key, TS: n.hlc.Now(), Deleted: true}
 	n.data[key] = w
 	n.merkle.Update(key, w.hash())

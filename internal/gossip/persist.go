@@ -2,9 +2,10 @@ package gossip
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
+
+	"repro/internal/wire"
 )
 
 // Durability hooks. A gossip node's entire replicated state is its LWW
@@ -12,65 +13,80 @@ import (
 // is enough to rebuild the node — the Merkle tree and HLC are derived.
 // Replay is naturally idempotent: re-installing an already-held write
 // loses the LWW comparison and is a no-op.
-
-// gossipImage is the checkpoint payload: every held write (tombstones
-// included), sorted by key for deterministic snapshots.
-type gossipImage struct {
-	Writes []Write
-}
+//
+// On-disk layouts, in the encoders of wire.go behind a version byte that
+// follows wire.CheckFormat's rule:
+//
+//	WAL record  [recordFormat][write]
+//	checkpoint  [checkpointFormat][write list], every held write
+//	            (tombstones included), sorted by key so snapshots of
+//	            equal states are equal bytes
+const (
+	recordFormat     = 0xA1
+	checkpointFormat = 0xA2
+)
 
 // persist journals one installed write through cfg.Persist, if set. The
 // callback runs on the node's actor loop before any acknowledgement is
 // sent, so a SyncEach WAL makes acked writes durable.
 func (n *Node) persist(w Write) {
-	if n.cfg.Persist == nil {
-		return
+	if n.cfg.Persist != nil {
+		rec := append(make([]byte, 0, 16+w.wireSize()), recordFormat) // one allocation, not a doubling chain
+		n.cfg.Persist(appendWrite(rec, w))
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		panic(fmt.Sprintf("gossip: encode WAL record: %v", err))
-	}
-	n.cfg.Persist(buf.Bytes())
+}
+
+// installDecoded installs a write decoded from a journal record or a
+// checkpoint. Its Value aliases the buffer it was decoded from — a whole
+// WAL segment during replay — so it is copied first: the write map must
+// not pin, or change with, the caller's buffer.
+func (n *Node) installDecoded(w Write) {
+	w.Value = bytes.Clone(w.Value)
+	n.install(w)
 }
 
 // ReplayRecord re-installs one journaled write during crash recovery.
 // Must be called before the node starts exchanging messages.
 func (n *Node) ReplayRecord(rec []byte) error {
-	var w Write
-	if err := gob.NewDecoder(bytes.NewReader(rec)).Decode(&w); err != nil {
-		return fmt.Errorf("gossip: decode WAL record: %w", err)
+	r, err := wire.NewVersionedReader("gossip: WAL record", rec, recordFormat)
+	if err != nil {
+		return err
 	}
-	n.install(w)
+	w := readWrite(r)
+	if err := r.Close(); err != nil {
+		return fmt.Errorf("gossip: WAL record: %w", err)
+	}
+	n.installDecoded(w)
 	return nil
 }
 
 // StateSnapshot serializes the node's replicated state for a checkpoint.
-func (n *Node) StateSnapshot() ([]byte, error) {
-	img := gossipImage{Writes: make([]Write, 0, len(n.data))}
+func (n *Node) StateSnapshot() []byte {
 	keys := make([]string, 0, len(n.data))
 	for k := range n.data {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	ws := make([]Write, 0, len(keys))
 	for _, k := range keys {
-		img.Writes = append(img.Writes, n.data[k])
+		ws = append(ws, n.data[k])
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
-		return nil, fmt.Errorf("gossip: encode snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
+	return appendWrites([]byte{checkpointFormat}, ws)
 }
 
 // RestoreState loads a checkpoint written by StateSnapshot. Must be
 // called before ReplayRecord replays the log suffix.
 func (n *Node) RestoreState(state []byte) error {
-	var img gossipImage
-	if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&img); err != nil {
-		return fmt.Errorf("gossip: decode snapshot: %w", err)
+	r, err := wire.NewVersionedReader("gossip: checkpoint", state, checkpointFormat)
+	if err != nil {
+		return err
 	}
-	for _, w := range img.Writes {
-		n.install(w)
+	ws := readWrites(r)
+	if err := r.Close(); err != nil {
+		return fmt.Errorf("gossip: checkpoint: %w", err)
+	}
+	for _, w := range ws {
+		n.installDecoded(w)
 	}
 	return nil
 }

@@ -7,10 +7,9 @@ import (
 )
 
 // Wire codecs: the anti-entropy and rumor messages, so gossip nodes
-// converse unchanged over the TCP transport. Each type carries a
-// hand-rolled binary encoding plus the gob registration the codec
-// equivalence tests diff it against. storage.HashPair and Write travel
-// inside them by value.
+// converse unchanged over the TCP transport. storage.HashPair and Write
+// travel inside them by value; appendWrite/appendWrites are also the
+// node's journal and checkpoint encoding (persist.go).
 //
 // Wire ids 40–49 belong to this package (see transport.BinaryMessage).
 const (
@@ -52,17 +51,12 @@ func appendWrites(dst []byte, ws []Write) []byte {
 }
 
 func readWrites(r *wire.Reader) []Write {
-	n := r.Uvarint()
-	if n == 0 || r.Err() != nil {
-		return nil
-	}
-	n--
-	if n > uint64(r.Len()) { // every write costs ≥1 byte
-		r.Poison()
+	n, ok := r.ListLen()
+	if !ok {
 		return nil
 	}
 	out := make([]Write, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, readWrite(r))
 	}
 	if r.Err() != nil {
@@ -84,17 +78,12 @@ func appendPairs(dst []byte, ps []storage.HashPair) []byte {
 }
 
 func readPairs(r *wire.Reader) []storage.HashPair {
-	n := r.Uvarint()
-	if n == 0 || r.Err() != nil {
-		return nil
-	}
-	n--
-	if n > uint64(r.Len()) {
-		r.Poison()
+	n, ok := r.ListLen()
+	if !ok {
 		return nil
 	}
 	out := make([]storage.HashPair, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, storage.HashPair{Idx: int(r.Varint()), Hash: r.Uvarint()})
 	}
 	if r.Err() != nil {
@@ -127,9 +116,6 @@ func (m rumor) AppendBinary(dst []byte) []byte {
 }
 
 func init() {
-	transport.Register(
-		syncStep{}, syncResp{}, syncPush{}, rumor{},
-	)
 	transport.RegisterBinary(widSyncStep, func(r *wire.Reader) transport.Message {
 		return syncStep{Pairs: readPairs(r), Buckets: r.Ints()}
 	})

@@ -23,8 +23,6 @@
 package lsm
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,6 +33,7 @@ import (
 
 	"repro/internal/storage"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // DefaultMemtableBytes is the flush threshold when Options leaves it 0.
@@ -109,18 +108,44 @@ type Engine struct {
 
 var _ storage.Engine = (*Engine)(nil)
 
-// manifestImage is the gob payload of one manifest checkpoint: the
-// engine sequence horizon and the live table set.
-type manifestImage struct {
-	Seq       uint64
-	NextID    uint64
-	Watermark uint64
-	Tables    []manifestTable
+// manifest is the payload of one manifest checkpoint: the engine's
+// sequence horizon and the live table set, oldest run first (a table's
+// footer carries its own seq bounds). Encoded as uvarints behind a byte
+// that versions the layout under wire.CheckFormat's rule:
+//
+//	[manifestFormat][seq][next table id][watermark][count][table id …]
+type manifest struct {
+	seq, nextID, watermark uint64
+	tables                 []uint64
 }
 
-type manifestTable struct {
-	ID             uint64
-	MinSeq, MaxSeq uint64
+const manifestFormat = 0xC1
+
+func appendManifest(dst []byte, m manifest) []byte {
+	dst = append(dst, manifestFormat)
+	dst = wire.AppendUvarint(dst, m.seq)
+	dst = wire.AppendUvarint(dst, m.nextID)
+	dst = wire.AppendUvarint(dst, m.watermark)
+	dst = wire.AppendUvarint(dst, uint64(len(m.tables)))
+	for _, id := range m.tables {
+		dst = wire.AppendUvarint(dst, id)
+	}
+	return dst
+}
+
+func decodeManifest(state []byte) (manifest, error) {
+	r, err := wire.NewVersionedReader("lsm: manifest", state, manifestFormat)
+	if err != nil {
+		return manifest{}, err
+	}
+	m := manifest{seq: r.Uvarint(), nextID: r.Uvarint(), watermark: r.Uvarint()}
+	for i := r.Count(); i > 0; i-- {
+		m.tables = append(m.tables, r.Uvarint())
+	}
+	if err := r.Close(); err != nil {
+		return manifest{}, fmt.Errorf("lsm: manifest: %w", err)
+	}
+	return m, nil
 }
 
 func tableFileName(id uint64) string { return fmt.Sprintf("sst-%016x.sst", id) }
@@ -158,23 +183,26 @@ func Open(opts Options) (*Engine, error) {
 	}
 	inManifest := make(map[string]bool)
 	if found {
-		var img manifestImage
-		if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&img); err != nil {
-			return nil, fmt.Errorf("lsm: decode manifest: %w", err)
+		// A manifest that does not decode fails Open here, before the
+		// sweep below: the sweep trusts the manifest's table list, and
+		// with none it would delete every run in the directory.
+		m, err := decodeManifest(state)
+		if err != nil {
+			return nil, err
 		}
 		e.manifestVer = ver
-		e.seq = img.Seq
-		e.nextID = img.NextID
-		e.watermark = img.Watermark
-		for _, mt := range img.Tables {
-			name := tableFileName(mt.ID)
+		e.seq = m.seq
+		e.nextID = m.nextID
+		e.watermark = m.watermark
+		for _, id := range m.tables {
+			name := tableFileName(id)
 			inManifest[name] = true
 			t, err := openTable(filepath.Join(opts.Dir, name))
 			if err != nil {
 				e.closeTablesLocked()
 				return nil, fmt.Errorf("lsm: open %s: %w", name, err)
 			}
-			t.io = &e.io
+			t.id, t.io = id, &e.io
 			e.tables = append(e.tables, t)
 		}
 	}
@@ -227,12 +255,12 @@ func (e *Engine) Seq() uint64 {
 }
 
 // Put commits a new version of key and returns its sequence number.
-func (e *Engine) Put(key string, value []byte, meta any) uint64 {
+func (e *Engine) Put(key string, value []byte, meta []byte) uint64 {
 	return e.commit(key, storage.Version{Value: value, Meta: meta})
 }
 
 // Delete commits a tombstone for key and returns its sequence number.
-func (e *Engine) Delete(key string, meta any) uint64 {
+func (e *Engine) Delete(key string, meta []byte) uint64 {
 	return e.commit(key, storage.Version{Tombstone: true, Meta: meta})
 }
 
@@ -272,7 +300,7 @@ func (e *Engine) flushLocked() error {
 	if err != nil {
 		return err
 	}
-	t.io = &e.io
+	t.id, t.io = id, &e.io
 	e.nextID++
 	e.tables = append(e.tables, t)
 	e.mem = newMemtable()
@@ -292,29 +320,12 @@ func (e *Engine) flushLocked() error {
 }
 
 func (e *Engine) writeManifestLocked() error {
-	img := manifestImage{Seq: e.seq, NextID: e.nextID, Watermark: e.watermark}
+	m := manifest{seq: e.seq, nextID: e.nextID, watermark: e.watermark}
 	for _, t := range e.tables {
-		id, err := tableID(t.path)
-		if err != nil {
-			return err
-		}
-		img.Tables = append(img.Tables, manifestTable{ID: id, MinSeq: t.minSeq, MaxSeq: t.maxSeq})
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
-		return err
+		m.tables = append(m.tables, t.id)
 	}
 	e.manifestVer++
-	return wal.WriteSnapshot(e.opts.Dir, e.manifestVer, buf.Bytes())
-}
-
-func tableID(path string) (uint64, error) {
-	name := filepath.Base(path)
-	var id uint64
-	if _, err := fmt.Sscanf(name, "sst-%016x.sst", &id); err != nil {
-		return 0, fmt.Errorf("lsm: bad table name %q: %w", name, err)
-	}
-	return id, nil
+	return wal.WriteSnapshot(e.opts.Dir, e.manifestVer, appendManifest(nil, m))
 }
 
 // ── storage.Engine: reads ──────────────────────────────────────────────
@@ -721,7 +732,7 @@ func (e *Engine) mergeLocked(inputs []*table, complete bool, eff uint64) error {
 			e.tables = append(kept, inputs...) // restore; retry later
 			return err
 		}
-		nt.io = &e.io
+		nt.id, nt.io = id, &e.io
 		e.nextID++
 		kept = append(kept, nt)
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/storage"
@@ -263,21 +264,23 @@ func TestSnapshotPinsCompactionAcrossTables(t *testing.T) {
 func TestMetaRoundTripsThroughFlush(t *testing.T) {
 	dir := t.TempDir()
 	e := openTest(t, Options{Dir: dir})
-	e.Put("k", []byte("v"), "meta-string")
-	e.Put("k2", []byte("v2"), []byte{1, 2, 3})
+	want := map[string][]byte{"k": []byte("meta-string"), "k2": {1, 2, 3}, "empty": {}, "none": nil}
+	for key, meta := range want {
+		e.Put(key, []byte("v"), meta)
+	}
+	e.Delete("gone", []byte("why"))
 	if err := e.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	r := openTest(t, Options{Dir: dir})
-	if v, ok := r.Get("k"); !ok || v.Meta != "meta-string" {
-		t.Fatalf("Get(k).Meta = %#v, %v; want meta-string", v.Meta, ok)
+	for key, meta := range want {
+		// DeepEqual: a nil meta and an empty one stay apart.
+		if v, ok := r.Get(key); !ok || !reflect.DeepEqual(v.Meta, meta) {
+			t.Fatalf("Get(%s).Meta = %#v, %v; want %#v", key, v.Meta, ok, meta)
+		}
 	}
-	v2, ok := r.Get("k2")
-	if !ok {
-		t.Fatal("Get(k2) missing")
-	}
-	if b, isBytes := v2.Meta.([]byte); !isBytes || !bytes.Equal(b, []byte{1, 2, 3}) {
-		t.Fatalf("Get(k2).Meta = %#v; want []byte{1,2,3}", v2.Meta)
+	if v, ok := r.GetAny("gone"); !ok || !v.Tombstone || string(v.Meta) != "why" {
+		t.Fatalf("GetAny(gone) = %+v, %v; want a tombstone with meta why", v, ok)
 	}
 }
 

@@ -35,7 +35,7 @@ func (m *memtable) add(key string, v storage.Version) {
 		m.bytes += len(key)
 	}
 	m.versions[key] = append(vs, v)
-	m.bytes += len(v.Value) + memEntryOverhead
+	m.bytes += len(v.Value) + len(v.Meta) + memEntryOverhead
 }
 
 func (m *memtable) get(key string) ([]storage.Version, bool) {

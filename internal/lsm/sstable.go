@@ -1,9 +1,7 @@
 package lsm
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"math/bits"
@@ -28,8 +26,7 @@ import (
 //	uvarint seq | flags | [uvarint len | value] | [uvarint len | meta]
 //
 // flags bit0 = tombstone, bit1 = value present (distinguishes nil from
-// empty), bit2 = meta present (gob-encoded; Meta must be a type gob
-// can encode as an interface value, e.g. the basic types).
+// empty), bit2 = meta present (the caller's bytes, stored raw).
 //
 // Every parse below is bounds-checked: a truncated or corrupted file
 // yields an error, never a panic — pinned by FuzzSSTableDecode.
@@ -50,10 +47,6 @@ type tableEntry struct {
 	key      string
 	versions []storage.Version
 }
-
-// metaBox wraps Version.Meta for gob so the concrete type tag rides
-// along with the value.
-type metaBox struct{ V any }
 
 // ── bloom filter ───────────────────────────────────────────────────────
 
@@ -147,7 +140,7 @@ func (c *cursor) done() bool { return c.bad || c.off >= len(c.b) }
 
 // ── writer ─────────────────────────────────────────────────────────────
 
-func appendVersion(buf []byte, v storage.Version) ([]byte, error) {
+func appendVersion(buf []byte, v storage.Version) []byte {
 	buf = binary.AppendUvarint(buf, v.Seq)
 	flags := byte(0)
 	if v.Tombstone {
@@ -156,13 +149,7 @@ func appendVersion(buf []byte, v storage.Version) ([]byte, error) {
 	if v.Value != nil {
 		flags |= flagHasValue
 	}
-	var meta []byte
 	if v.Meta != nil {
-		var mb bytes.Buffer
-		if err := gob.NewEncoder(&mb).Encode(&metaBox{V: v.Meta}); err != nil {
-			return nil, fmt.Errorf("lsm: encode version meta: %w", err)
-		}
-		meta = mb.Bytes()
 		flags |= flagHasMeta
 	}
 	buf = append(buf, flags)
@@ -170,11 +157,11 @@ func appendVersion(buf []byte, v storage.Version) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(len(v.Value)))
 		buf = append(buf, v.Value...)
 	}
-	if meta != nil {
-		buf = binary.AppendUvarint(buf, uint64(len(meta)))
-		buf = append(buf, meta...)
+	if v.Meta != nil {
+		buf = binary.AppendUvarint(buf, uint64(len(v.Meta)))
+		buf = append(buf, v.Meta...)
 	}
-	return buf, nil
+	return buf
 }
 
 // writeTable writes one SSTable holding entries (sorted by key, each
@@ -220,11 +207,7 @@ func writeTable(path string, entries []tableEntry, blockBytes, bitsPerKey int) (
 		blockBuf = append(blockBuf, e.key...)
 		blockBuf = binary.AppendUvarint(blockBuf, uint64(len(e.versions)))
 		for _, v := range e.versions {
-			var err error
-			blockBuf, err = appendVersion(blockBuf, v)
-			if err != nil {
-				return nil, err
-			}
+			blockBuf = appendVersion(blockBuf, v)
 			if v.Seq < minSeq {
 				minSeq = v.Seq
 			}
@@ -314,6 +297,7 @@ type table struct {
 	maxSeq   uint64
 	keys     int
 	versions int
+	id       uint64   // the engine's number for this run, as in its file name
 	io       *tableIO // engine read counters; nil until attached
 }
 
@@ -479,11 +463,7 @@ func parseGroup(c *cursor) (string, []storage.Version, error) {
 			if c.bad {
 				return "", nil, fmt.Errorf("lsm: truncated meta")
 			}
-			var box metaBox
-			if err := gob.NewDecoder(bytes.NewReader(mb)).Decode(&box); err != nil {
-				return "", nil, fmt.Errorf("lsm: decode version meta: %w", err)
-			}
-			v.Meta = box.V
+			v.Meta = append([]byte{}, mb...)
 		}
 		if i > 0 && seq <= vs[len(vs)-1].Seq {
 			return "", nil, fmt.Errorf("lsm: version seqs out of order for %q", key)

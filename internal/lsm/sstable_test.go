@@ -131,7 +131,7 @@ func FuzzSSTableDecode(f *testing.F) {
 		{key: "a", versions: []storage.Version{{Seq: 1, Value: []byte("x")}}},
 		{key: "b", versions: []storage.Version{{Seq: 2, Tombstone: true}}},
 		{key: "c", versions: []storage.Version{
-			{Seq: 3, Value: []byte("y"), Meta: "m"},
+			{Seq: 3, Value: []byte("y"), Meta: []byte("m")},
 			{Seq: 4, Value: nil},
 		}},
 	}, 64))

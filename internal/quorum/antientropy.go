@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/clock"
-	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/transport"
 )
 
 // Active anti-entropy for the quorum store: each node maintains, per
@@ -118,7 +118,7 @@ func (n *Node) noteKeyChanged(key string, es []clock.SiblingEntry[record], peers
 }
 
 // startAntiEntropy exchanges with one random peer.
-func (n *Node) startAntiEntropy(env sim.Env) {
+func (n *Node) startAntiEntropy(env transport.Env) {
 	ring := n.ring()
 	if len(ring) < 2 {
 		return
@@ -134,7 +134,7 @@ func (n *Node) startAntiEntropy(env sim.Env) {
 	env.Send(peer, aeReq{Leaves: t.LevelHashes(t.Depth())})
 }
 
-func (n *Node) handleAEReq(env sim.Env, from string, m aeReq) {
+func (n *Node) handleAEReq(env transport.Env, from string, m aeReq) {
 	t := n.tree(from)
 	local := t.LevelHashes(t.Depth())
 	var buckets []int
@@ -170,7 +170,7 @@ func (n *Node) entriesInBuckets(peer string, buckets []int) []aeEntry {
 	return out
 }
 
-func (n *Node) handleAEResp(env sim.Env, from string, m aeResp) {
+func (n *Node) handleAEResp(env transport.Env, from string, m aeResp) {
 	n.applyAEEntries(execDomain(env), m.Entries)
 	env.Send(from, aePush{Entries: n.entriesInBuckets(from, m.Buckets)})
 	atomic.AddUint64(&n.AESyncs, 1)

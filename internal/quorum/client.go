@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/resilience"
-	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // Client is a quorum-store client. Register it as a simulator node, then
@@ -58,13 +58,13 @@ type Client struct {
 // end to end.
 type clientOp struct {
 	key    string
-	msg    sim.Message
+	msg    transport.Message
 	coord  string
 	sent   time.Duration
 	budget *resilience.Budget
 	hedged bool
-	retry  sim.TimerID
-	hedge  sim.TimerID
+	retry  transport.TimerID
+	hedge  transport.TimerID
 }
 
 // ErrNoResponse is returned when the coordinator never answered within
@@ -91,11 +91,11 @@ func NewClient(id string) *Client {
 	}
 }
 
-// OnStart implements sim.Handler.
-func (c *Client) OnStart(sim.Env) {}
+// OnStart implements transport.Handler.
+func (c *Client) OnStart(transport.Env) {}
 
-// OnTimer implements sim.Handler.
-func (c *Client) OnTimer(env sim.Env, tag any) {
+// OnTimer implements transport.Handler.
+func (c *Client) OnTimer(env transport.Env, tag any) {
 	switch t := tag.(type) {
 	case clientTimeout:
 		c.fail(t.id)
@@ -128,7 +128,7 @@ func (c *Client) fail(id uint64) {
 // onRetryTimer handles a silent coordinator: record the failure against
 // its breaker, then (budget permitting) resend the request — to a
 // different coordinator when one looks healthier.
-func (c *Client) onRetryTimer(env sim.Env, id uint64) {
+func (c *Client) onRetryTimer(env transport.Env, id uint64) {
 	o, ok := c.ops[id]
 	if !ok {
 		return
@@ -151,7 +151,7 @@ func (c *Client) onRetryTimer(env sim.Env, id uint64) {
 // onHedgeTimer duplicates a slow request to a second coordinator without
 // abandoning the first — whichever answers first wins (both answers are
 // the same operation, so the loser is dropped by the callback dedup).
-func (c *Client) onHedgeTimer(env sim.Env, id uint64) {
+func (c *Client) onHedgeTimer(env transport.Env, id uint64) {
 	o, ok := c.ops[id]
 	if !ok || o.hedged {
 		return
@@ -212,8 +212,8 @@ func (c *Client) breaker(node string) *resilience.Breaker {
 	return b
 }
 
-// OnMessage implements sim.Handler.
-func (c *Client) OnMessage(env sim.Env, from string, msg sim.Message) {
+// OnMessage implements transport.Handler.
+func (c *Client) OnMessage(env transport.Env, from string, msg transport.Message) {
 	switch m := msg.(type) {
 	case putResp:
 		cb, ok := c.putCBs[m.ID]
@@ -256,7 +256,7 @@ func (c *Client) OnMessage(env sim.Env, from string, msg sim.Message) {
 
 // settle closes out an op's resilience state on first response: feed the
 // latency estimator, credit the responder's breaker, stop the timers.
-func (c *Client) settle(env sim.Env, id uint64, from string) {
+func (c *Client) settle(env transport.Env, id uint64, from string) {
 	o, ok := c.ops[id]
 	if !ok {
 		return
@@ -272,7 +272,7 @@ func (c *Client) settle(env sim.Env, id uint64, from string) {
 // Policy is configured. All quorum requests are idempotent end to end
 // (reads trivially; writes because the dot is derived from the request
 // id), so every op gets the full retry budget.
-func (c *Client) send(env sim.Env, coordinator string, id uint64, key string, msg sim.Message) {
+func (c *Client) send(env transport.Env, coordinator string, id uint64, key string, msg transport.Message) {
 	env.SetTimer(c.RequestTimeout, clientTimeout{id: id})
 	env.Send(coordinator, msg)
 	if c.Policy == nil {
@@ -300,7 +300,7 @@ func (c *Client) send(env sim.Env, coordinator string, id uint64, key string, ms
 // Put writes key=value through coordinator (any store node), invoking cb
 // on completion. The client's stored context for the key is attached, so
 // this write supersedes everything the client has read or written before.
-func (c *Client) Put(env sim.Env, coordinator, key string, value []byte, cb func(PutResult)) {
+func (c *Client) Put(env transport.Env, coordinator, key string, value []byte, cb func(PutResult)) {
 	c.nextID++
 	c.putCBs[c.nextID] = cb
 	c.keys[c.nextID] = key
@@ -309,7 +309,7 @@ func (c *Client) Put(env sim.Env, coordinator, key string, value []byte, cb func
 
 // PutBlind writes without any causal context (a client that did not read
 // first) — the sibling-generating pattern the DVV machinery bounds.
-func (c *Client) PutBlind(env sim.Env, coordinator, key string, value []byte, cb func(PutResult)) {
+func (c *Client) PutBlind(env transport.Env, coordinator, key string, value []byte, cb func(PutResult)) {
 	c.nextID++
 	c.putCBs[c.nextID] = cb
 	c.keys[c.nextID] = key
@@ -317,7 +317,7 @@ func (c *Client) PutBlind(env sim.Env, coordinator, key string, value []byte, cb
 }
 
 // Delete tombstones key through coordinator.
-func (c *Client) Delete(env sim.Env, coordinator, key string, cb func(PutResult)) {
+func (c *Client) Delete(env transport.Env, coordinator, key string, cb func(PutResult)) {
 	c.nextID++
 	c.putCBs[c.nextID] = cb
 	c.keys[c.nextID] = key
@@ -326,7 +326,7 @@ func (c *Client) Delete(env sim.Env, coordinator, key string, cb func(PutResult)
 
 // Get reads key through coordinator, invoking cb with the merged sibling
 // values.
-func (c *Client) Get(env sim.Env, coordinator, key string, cb func(GetResult)) {
+func (c *Client) Get(env transport.Env, coordinator, key string, cb func(GetResult)) {
 	c.nextID++
 	c.getCBs[c.nextID] = cb
 	c.keys[c.nextID] = key
@@ -336,7 +336,7 @@ func (c *Client) Get(env sim.Env, coordinator, key string, cb func(GetResult)) {
 // GetR reads key with a per-request read-quorum override — the SLA
 // tiers' lever (R=1 is an eventual-tier read). r <= 0 uses the
 // coordinator's configured quorum.
-func (c *Client) GetR(env sim.Env, coordinator, key string, r int, cb func(GetResult)) {
+func (c *Client) GetR(env transport.Env, coordinator, key string, r int, cb func(GetResult)) {
 	c.nextID++
 	c.getCBs[c.nextID] = cb
 	c.keys[c.nextID] = key

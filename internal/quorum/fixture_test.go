@@ -1,6 +1,7 @@
 package quorum
 
 import (
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -11,6 +12,8 @@ import (
 	"repro/internal/lsm"
 	"repro/internal/storage"
 	"repro/internal/wal"
+	"repro/internal/wire"
+	"repro/internal/wiretest"
 )
 
 // Golden on-disk fixtures. testdata/<version>/ holds three data
@@ -22,13 +25,18 @@ import (
 //	lsm/   lsm/shard-0 with the sibling sets flushed to an SSTable, and no log
 //
 // v0 was written by this generator at the last commit whose formats were
-// gob (4c5e599); the current code must refuse it with ErrFormatTooOld
-// (server.TestFormatTooOld boots server.New on each directory). v1 is
-// written by the current code and must replay to exactly fixtureWant
-// below. The next format change adds v2 the same way and decides for v1
-// between replaying and refusing:
+// gob (4c5e599); the current code must refuse it with
+// wire.ErrFormatTooOld (server.TestFormatTooOld boots server.New on each
+// directory). v1 was written when the quorum formats went binary: its
+// wal/ and ckpt/ are still the current formats and must replay to exactly
+// fixtureWant below; its lsm/ has the gob manifest of that time and is
+// refused. v2 holds the one directory that changed since, lsm/ with the
+// binary manifest, and must replay to fixtureWant. The next format change
+// writes a fresh set, commits the directories that differ as v3, and
+// decides for their predecessors between replaying and refusing;
+// committed files are never regenerated:
 //
-//	go test ./internal/quorum -run TestFixtureV1 -write-fixtures testdata/v2
+//	go test ./internal/quorum -run TestFixtureV1 -write-fixtures /tmp/v3
 var writeFixtures = flag.String("write-fixtures", "", "write the golden data directories under this path and exit")
 
 func fixtureEntry(node string, ctr uint64, ctx clock.Vector, val []byte, deleted bool) clock.SiblingEntry[record] {
@@ -115,11 +123,7 @@ func writeFixtureDirs(t *testing.T, root string) {
 		t.Fatal(err)
 	}
 
-	state, err := n.StateSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wal.WriteSnapshot(filepath.Join(root, "ckpt"), seq, state); err != nil {
+	if err := wal.WriteSnapshot(filepath.Join(root, "ckpt"), seq, n.StateSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -135,29 +139,6 @@ func writeFixtureDirs(t *testing.T, root string) {
 		ln.installEntry(0, in.key, in.e)
 	}
 	if err := ln.Close(); err != nil { // flushes the memtable to an SSTable
-		t.Fatal(err)
-	}
-}
-
-// copyTree copies a fixture directory so a test can open it for append
-// without touching the committed files.
-func copyTree(t *testing.T, src, dst string) {
-	t.Helper()
-	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(src, path)
-		if info.IsDir() {
-			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
-	})
-	if err != nil {
 		t.Fatal(err)
 	}
 }
@@ -198,8 +179,9 @@ func checkFixtureRest(t *testing.T, n *Node) {
 	}
 }
 
-// TestFixtureV1 replays the committed v1 directories with the current
-// code. With -write-fixtures it writes a fresh set instead.
+// TestFixtureV1 replays the committed directories with the current code
+// (the name is as old as v1). With -write-fixtures it writes a fresh set
+// instead.
 func TestFixtureV1(t *testing.T) {
 	if *writeFixtures != "" {
 		if err := os.RemoveAll(*writeFixtures); err != nil {
@@ -209,7 +191,8 @@ func TestFixtureV1(t *testing.T) {
 		t.Skipf("wrote fixtures under %s", *writeFixtures)
 	}
 	root := t.TempDir()
-	copyTree(t, filepath.Join("testdata", "v1"), root)
+	wiretest.CopyTree(t, filepath.Join("testdata", "v1"), root)
+	wiretest.CopyTree(t, filepath.Join("testdata", "v2", "lsm"), filepath.Join(root, "lsm-v2"))
 
 	t.Run("wal", func(t *testing.T) {
 		log, err := wal.Open(filepath.Join(root, "wal"), wal.Options{Policy: wal.SyncNone})
@@ -249,7 +232,13 @@ func TestFixtureV1(t *testing.T) {
 		checkFixtureRest(t, n)
 	})
 	t.Run("lsm", func(t *testing.T) {
-		eng, err := lsm.Open(lsm.Options{Dir: filepath.Join(root, "lsm", "lsm", "shard-0")})
+		if eng, err := lsm.Open(lsm.Options{Dir: filepath.Join(root, "lsm", "lsm", "shard-0")}); !errors.Is(err, wire.ErrFormatTooOld) {
+			if err == nil {
+				eng.Close()
+			}
+			t.Fatalf("v1 lsm directory (gob manifest): %v, want wire.ErrFormatTooOld", err)
+		}
+		eng, err := lsm.Open(lsm.Options{Dir: filepath.Join(root, "lsm-v2", "lsm", "shard-0")})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // Geo-replication: with Config.GeoAsync set, a write coordinator splits
@@ -122,7 +122,7 @@ func (n *Node) geoEnqueue(peer, key string, e clock.SiblingEntry[record]) {
 // geoFlush is the periodic ship/retry tick (serial loop): each peer
 // with a backlog gets its next batch, or a resend of the inflight
 // prefix once the quorum timeout has elapsed without an ack.
-func (n *Node) geoFlush(env sim.Env) {
+func (n *Node) geoFlush(env transport.Env) {
 	n.geoMu.Lock()
 	peers := make([]string, 0, len(n.geoPeers))
 	for p := range n.geoPeers {
@@ -139,7 +139,7 @@ func (n *Node) geoFlush(env sim.Env) {
 // geoShipTo ships the next batch to peer, or resends the inflight
 // prefix after the retry deadline. Resends are safe: the receiver's
 // installEntry dedups by dot and the ack covers the whole prefix.
-func (n *Node) geoShipTo(env sim.Env, peer string) {
+func (n *Node) geoShipTo(env transport.Env, peer string) {
 	n.geoMu.Lock()
 	g := n.geoPeers[peer]
 	if g == nil || len(g.queue) == 0 {
@@ -183,7 +183,7 @@ func (n *Node) geoShipTo(env sim.Env, peer string) {
 // ship carrying the current wall clock, so a quiet zone's measured
 // staleness stays near the beacon interval instead of growing without
 // bound.
-func (n *Node) geoBeacon(env sim.Env) {
+func (n *Node) geoBeacon(env transport.Env) {
 	ts := nowMs()
 	for _, peer := range n.ring() {
 		if peer == n.id || n.cfg.Zones[peer] == n.cfg.Zone {
@@ -204,7 +204,7 @@ func (n *Node) geoBeacon(env sim.Env) {
 
 // handleGeoShip applies a cross-zone batch (or beacon) and advances the
 // source zone's high-water timestamp.
-func (n *Node) handleGeoShip(env sim.Env, from string, m geoShip) {
+func (n *Node) handleGeoShip(env transport.Env, from string, m geoShip) {
 	dom := execDomain(env)
 	for _, ae := range m.Items {
 		for _, e := range ae.Entries {
@@ -228,7 +228,7 @@ func (n *Node) handleGeoShip(env sim.Env, from string, m geoShip) {
 
 // handleGeoAck drops the acked prefix, journals the cursor, and ships
 // the next batch immediately (no flush-tick latency between batches).
-func (n *Node) handleGeoAck(env sim.Env, from string, m geoShipAck) {
+func (n *Node) handleGeoAck(env transport.Env, from string, m geoShipAck) {
 	n.geoMu.Lock()
 	g := n.geoPeers[from]
 	if g == nil || m.Seq < g.base {

@@ -76,7 +76,7 @@ type transferDoneRec struct {
 // in 0x80..0xF7 like storedFormat, where a record written before this
 // layout has the length byte of its gob stream — and a journal from
 // before sharding, bare gob, starts with that length byte — so either is
-// refused with ErrFormatTooOld instead of being mis-decoded.
+// refused with wire.ErrFormatTooOld instead of being mis-decoded.
 const (
 	recMagicKeyed  = 0xEC
 	recMagicSerial = 0xED
@@ -162,7 +162,7 @@ func decodeRecord(rec []byte) (walRecord, error) {
 		hdr = 9
 	case recMagicSerial:
 	default:
-		return r, checkFormat("WAL record", rec[0], recMagicKeyed)
+		return r, wire.CheckFormat("quorum: WAL record", rec[0], recMagicKeyed)
 	}
 	if len(rec) <= hdr {
 		return r, fmt.Errorf("quorum: truncated WAL record: %w", wire.ErrMalformed)
@@ -182,7 +182,7 @@ func decodeRecord(rec []byte) (walRecord, error) {
 	case kindGeoAck:
 		r.GeoAck = &geoAckRec{Peer: rd.String(), Seq: rd.Uvarint()}
 	default:
-		return r, checkFormat("WAL record", kind, kindEntry)
+		return r, wire.CheckFormat("quorum: WAL record", kind, kindEntry)
 	}
 	if err := rd.Close(); err != nil {
 		return walRecord{}, fmt.Errorf("quorum: WAL record kind %#x: %w", kind, err)
@@ -380,7 +380,7 @@ const checkpointFormat = 0xE2
 // fixes the WAL sequence the checkpoint covers before invoking this, so
 // any mutation the capture races is also in the replayed suffix and
 // re-applies idempotently.
-func (n *Node) StateSnapshot() ([]byte, error) {
+func (n *Node) StateSnapshot() []byte {
 	type shardImage struct {
 		pairs  []storage.Pair // values are immutable: safe past the unlock
 		minted []mintRec
@@ -460,19 +460,16 @@ func (n *Node) StateSnapshot() ([]byte, error) {
 		out = wire.AppendUvarint(out, g.acked)
 	}
 	n.geoMu.Unlock()
-	return out, nil
+	return out
 }
 
 // RestoreState loads a checkpoint written by StateSnapshot. Call before
 // ReplayRecord replays the log suffix. Nothing restored aliases state.
 func (n *Node) RestoreState(state []byte) error {
-	if len(state) == 0 {
-		return fmt.Errorf("quorum: empty checkpoint: %w", wire.ErrMalformed)
-	}
-	if err := checkFormat("checkpoint", state[0], checkpointFormat); err != nil {
+	r, err := wire.NewVersionedReader("quorum: checkpoint", state, checkpointFormat)
+	if err != nil {
 		return err
 	}
-	r := wire.NewReader(state[1:])
 	for i := r.Count(); i > 0; i-- {
 		key, stored := r.String(), r.Raw()
 		if r.Err() != nil {

@@ -8,14 +8,15 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/wiretest"
 )
 
 // The on-disk codecs: stored sibling sets, WAL records, checkpoints.
 
-// edgeEntries are the shapes the random generator never emits: an empty
-// but non-nil value and context, a tombstone with no value, and a nil
-// value under a nil context.
+// edgeEntries are the shapes a random draw rarely combines: an empty but
+// non-nil value and context under empty ids, a tombstone with no value,
+// and a nil value under a nil context.
 var edgeEntries = []clock.SiblingEntry[record]{
 	fixtureEntry("", 0, clock.Vector{}, []byte{}, false),
 	fixtureEntry("c1", 3, clock.Vector{"c1": 2}, nil, true),
@@ -95,7 +96,7 @@ func TestFormatBytes(t *testing.T) {
 			"serial record":    second(decodeRecord([]byte{recMagicSerial, lead, 1})),
 			"checkpoint":       NewNode("s0", fixtureConfig()).RestoreState([]byte{lead, 0, 0, 0, 0, 0}),
 		} {
-			if !errors.Is(err, ErrFormatTooOld) {
+			if !errors.Is(err, wire.ErrFormatTooOld) {
 				t.Errorf("%s led by %#x: got %v, want ErrFormatTooOld", name, lead, err)
 			}
 		}
@@ -111,7 +112,7 @@ func TestFormatBytes(t *testing.T) {
 		"wrong header":   second(decodeRecord(append([]byte{recMagicSerial}, keyed[9:]...))),
 		"wrong key hash": second(decodeRecord(append([]byte{recMagicKeyed, 0, 0, 0, 0, 0, 0, 0, 0}, keyed[9:]...))),
 	} {
-		if err == nil || errors.Is(err, ErrFormatTooOld) {
+		if err == nil || errors.Is(err, wire.ErrFormatTooOld) {
 			t.Errorf("%s: got %v, want a malformed-input error", name, err)
 		}
 	}

@@ -26,8 +26,8 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/resilience"
-	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/transport"
 )
 
 // Config configures every node of a quorum store.
@@ -299,9 +299,9 @@ type (
 	}
 	// resPing/resPong are liveness heartbeats exchanged between ring
 	// nodes when resilience is enabled. Their only payload is a pad
-	// byte (gob refuses a struct with no exported fields): the arrival
-	// itself is the failure-detector evidence, and the pong gives the
-	// pinger evidence about the pingee.
+	// byte (an empty struct would do; dropping it changes the frames'
+	// bytes): the arrival itself is the failure-detector evidence, and
+	// the pong gives the pinger evidence about the pingee.
 	resPing struct{ Pad byte }
 	resPong struct{ Pad byte }
 )
@@ -331,7 +331,7 @@ type pendingWrite struct {
 	fallbacks []string // next ring nodes for sloppy quorum
 	sloppy    bool
 	done      bool
-	timer     sim.TimerID
+	timer     transport.TimerID
 
 	// Resilience state.
 	hinted  map[string]bool // prefs a fallback already stands in for (nil until one does)
@@ -353,7 +353,7 @@ type pendingRead struct {
 	needed    int
 	replicas  []string
 	done      bool
-	timer     sim.TimerID
+	timer     transport.TimerID
 
 	// Resilience state.
 	fallbacks []string
@@ -363,7 +363,7 @@ type pendingRead struct {
 }
 
 // Node is one storage node of the quorum store. It implements
-// sim.Handler. All nodes are symmetric: a client may send a request to
+// transport.Handler. All nodes are symmetric: a client may send a request to
 // any node, which forwards it to a coordinator in the key's preference
 // list.
 type Node struct {
@@ -504,8 +504,8 @@ type rpcRetryTag struct {
 	write bool
 }
 
-// OnStart implements sim.Handler.
-func (n *Node) OnStart(env sim.Env) {
+// OnStart implements transport.Handler.
+func (n *Node) OnStart(env transport.Env) {
 	if n.cfg.SloppyQuorum {
 		env.SetTimer(n.cfg.HandoffInterval, handoffTag{})
 	}
@@ -526,8 +526,8 @@ func (n *Node) OnStart(env sim.Env) {
 	}
 }
 
-// OnTimer implements sim.Handler.
-func (n *Node) OnTimer(env sim.Env, tag any) {
+// OnTimer implements transport.Handler.
+func (n *Node) OnTimer(env transport.Env, tag any) {
 	switch tg := tag.(type) {
 	case handoffTag:
 		n.attemptHandoff(env)
@@ -567,8 +567,8 @@ func (n *Node) OnTimer(env sim.Env, tag any) {
 	}
 }
 
-// OnMessage implements sim.Handler.
-func (n *Node) OnMessage(env sim.Env, from string, msg sim.Message) {
+// OnMessage implements transport.Handler.
+func (n *Node) OnMessage(env transport.Env, from string, msg transport.Message) {
 	switch m := msg.(type) {
 	case clientPut:
 		n.coordinatePut(env, from, m)
@@ -657,7 +657,7 @@ func (n *Node) hintedEntries(key string) []clock.SiblingEntry[record] {
 // to the key's N replicas, and acknowledge the client after W replica
 // acks. The coordinator's own replica (when it is one) acks through the
 // same message path, so acks race realistically.
-func (n *Node) coordinatePut(env sim.Env, client string, m clientPut) {
+func (n *Node) coordinatePut(env transport.Env, client string, m clientPut) {
 	if n.draining.Load() && m.ID == 0 {
 		// Decommission invariant: once draining begins this node mints no
 		// new dots. (Client-minted dots carry their own identity and may
@@ -780,7 +780,7 @@ func (n *Node) suspects(peer string, now time.Duration) bool {
 
 // engageFallback sends the pending write to the next unused fallback as
 // a hinted stand-in for pref. Idempotent per pref.
-func (n *Node) engageFallback(env sim.Env, id uint64, pw *pendingWrite, pref string) bool {
+func (n *Node) engageFallback(env transport.Env, id uint64, pw *pendingWrite, pref string) bool {
 	if pw.hinted[pref] || pw.fi >= len(pw.fallbacks) {
 		return false
 	}
@@ -798,7 +798,7 @@ func (n *Node) engageFallback(env sim.Env, id uint64, pw *pendingWrite, pref str
 // retryWrite is one retransmission round for a pending write: resend the
 // entry to every replica that has not acked, within the policy's attempt
 // budget, backing off between rounds.
-func (n *Node) retryWrite(env sim.Env, id uint64) {
+func (n *Node) retryWrite(env transport.Env, id uint64) {
 	pw, ok := n.reqShard(id).writes[id]
 	if !ok || pw.done {
 		return
@@ -836,7 +836,7 @@ func contains(xs []string, x string) bool {
 	return false
 }
 
-func (n *Node) applyReplicaPut(env sim.Env, from string, m replicaPut) {
+func (n *Node) applyReplicaPut(env transport.Env, from string, m replicaPut) {
 	// Ownership guard: a direct replica write for a key outside this
 	// node's current arcs (and outside any open dual-apply window) means
 	// the coordinator placed it with a stale ring. Refuse with our epoch
@@ -863,7 +863,7 @@ func (n *Node) applyReplicaPut(env sim.Env, from string, m replicaPut) {
 	}
 }
 
-func (n *Node) onPutAck(env sim.Env, from string, id uint64) {
+func (n *Node) onPutAck(env transport.Env, from string, id uint64) {
 	pw, ok := n.reqShard(id).writes[id]
 	if !ok || pw.done {
 		return
@@ -874,7 +874,7 @@ func (n *Node) onPutAck(env sim.Env, from string, id uint64) {
 	}
 }
 
-func (n *Node) finishWrite(env sim.Env, id uint64, pw *pendingWrite, errStr string) {
+func (n *Node) finishWrite(env transport.Env, id uint64, pw *pendingWrite, errStr string) {
 	pw.done = true
 	delete(n.reqShard(id).writes, id)
 	env.Cancel(pw.timer)
@@ -885,7 +885,7 @@ func (n *Node) finishWrite(env sim.Env, id uint64, pw *pendingWrite, errStr stri
 	env.Send(pw.client, putResp{ID: pw.id, Context: ctx, Err: errStr, Sloppy: pw.sloppy})
 }
 
-func (n *Node) writeTimeout(env sim.Env, id uint64) {
+func (n *Node) writeTimeout(env transport.Env, id uint64) {
 	pw, ok := n.reqShard(id).writes[id]
 	if !ok || pw.done {
 		return
@@ -920,7 +920,7 @@ func (n *Node) writeTimeout(env sim.Env, id uint64) {
 // its own replica (when it is one) answers through the message path like
 // any other, so which R replicas "win" is decided by delivery timing —
 // the race probabilistically-bounded staleness quantifies.
-func (n *Node) coordinateGet(env sim.Env, client string, m clientGet) {
+func (n *Node) coordinateGet(env transport.Env, client string, m clientGet) {
 	prefs, fallbacks := n.placement(m.Key)
 	shardIdx := n.router.Shard(m.Key)
 	id := n.mintReq(shardIdx)
@@ -967,7 +967,7 @@ func (n *Node) coordinateGet(env sim.Env, client string, m clientGet) {
 
 // askReadFallback queries the next unused fallback node for a pending
 // read (no-op when fallbacks are exhausted or disabled).
-func (n *Node) askReadFallback(env sim.Env, id uint64, pr *pendingRead) {
+func (n *Node) askReadFallback(env transport.Env, id uint64, pr *pendingRead) {
 	if pr.fi >= len(pr.fallbacks) {
 		return
 	}
@@ -979,7 +979,7 @@ func (n *Node) askReadFallback(env sim.Env, id uint64, pr *pendingRead) {
 
 // retryRead is one retransmission round for a pending read: re-ask every
 // node that has not responded, within the policy's attempt budget.
-func (n *Node) retryRead(env sim.Env, id uint64) {
+func (n *Node) retryRead(env transport.Env, id uint64) {
 	pr, ok := n.reqShard(id).reads[id]
 	if !ok || pr.done {
 		return
@@ -1021,7 +1021,7 @@ type repairState struct {
 	waiting int
 }
 
-func (n *Node) onGetResp(env sim.Env, from string, m replicaGetResp) {
+func (n *Node) onGetResp(env transport.Env, from string, m replicaGetResp) {
 	if m.NotReady {
 		// A catching-up replica refused to answer: it does not count
 		// toward R. Ask the next fallback — the old owners sit in the
@@ -1045,7 +1045,7 @@ func (n *Node) onGetResp(env sim.Env, from string, m replicaGetResp) {
 	}
 }
 
-func (n *Node) finishRead(env sim.Env, id uint64, pr *pendingRead, errStr string) {
+func (n *Node) finishRead(env transport.Env, id uint64, pr *pendingRead, errStr string) {
 	pr.done = true
 	delete(n.reqShard(id).reads, id)
 	env.Cancel(pr.timer)
@@ -1092,7 +1092,7 @@ func (n *Node) finishRead(env sim.Env, id uint64, pr *pendingRead, errStr string
 // backgroundRepair handles a replica response arriving after the quorum
 // returned: fold it into the merged set and, if the replica was behind,
 // push the merged versions back to it.
-func (n *Node) backgroundRepair(env sim.Env, id uint64, rs *repairState, from string, entries []clock.SiblingEntry[record]) {
+func (n *Node) backgroundRepair(env transport.Env, id uint64, rs *repairState, from string, entries []clock.SiblingEntry[record]) {
 	before := rs.merged.Entries()
 	for _, e := range entries {
 		rs.merged.Add(e.DVV, e.Value)
@@ -1111,7 +1111,7 @@ func (n *Node) backgroundRepair(env sim.Env, id uint64, rs *repairState, from st
 
 // readRepair pushes the merged sibling set to every replica whose
 // response differed from it (A1 ablation switch).
-func (n *Node) readRepair(env sim.Env, pr *pendingRead, merged []clock.SiblingEntry[record]) {
+func (n *Node) readRepair(env transport.Env, pr *pendingRead, merged []clock.SiblingEntry[record]) {
 	// Repair replicas in sorted order so the sends interleave
 	// deterministically across runs.
 	reps := make([]string, 0, len(pr.responses))
@@ -1162,7 +1162,7 @@ func sameEntries(a, b []clock.SiblingEntry[record]) bool {
 	return true
 }
 
-func (n *Node) readTimeout(env sim.Env, id uint64) {
+func (n *Node) readTimeout(env transport.Env, id uint64) {
 	pr, ok := n.reqShard(id).reads[id]
 	if !ok || pr.done {
 		return
@@ -1173,7 +1173,7 @@ func (n *Node) readTimeout(env sim.Env, id uint64) {
 // attemptHandoff tries to deliver stored hints to their intended nodes.
 // Hints are retained until the intended node acknowledges them, so
 // delivery survives the target staying down across attempts.
-func (n *Node) attemptHandoff(env sim.Env) {
+func (n *Node) attemptHandoff(env transport.Env) {
 	// Snapshot under the lock (copying each entry slice — the store path
 	// may append concurrently from a shard goroutine), then send.
 	type delivery struct {

@@ -1,13 +1,12 @@
 package quorum
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
 	"repro/internal/clock"
-	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -105,29 +104,10 @@ func (sh *nodeShard) setEntries(key string, es []clock.SiblingEntry[record]) {
 
 // Stored-value layout: [storedFormat][entry list], the entry list exactly
 // as the wire codec frames it inside a replicaGetResp (appendEntries).
-// The leading byte versions the layout; it sits in 0x80..0xF7, which the
-// first byte of a gob stream (a message length) never occupies, so a
-// value written before the binary layout existed is recognised, not
-// mis-decoded.
+// The leading byte versions the layout under wire.CheckFormat's rule, so
+// a value written before the binary layout existed is refused with
+// wire.ErrFormatTooOld, not mis-decoded.
 const storedFormat = 0xE1
-
-// ErrFormatTooOld reports state written by a version whose on-disk
-// formats (gob sibling sets, WAL records and checkpoints) this version
-// no longer reads. A node refuses to boot on such a data directory;
-// there is no in-place upgrade.
-var ErrFormatTooOld = errors.New("quorum: data written in a format this version no longer reads")
-
-// checkFormat vets the byte that versions a stored value, a WAL record
-// or a checkpoint.
-func checkFormat(what string, got, want byte) error {
-	switch {
-	case got == want:
-		return nil
-	case got < 0x80 || got >= 0xF8: // a gob stream's leading length byte
-		return fmt.Errorf("quorum: %s: %w", what, ErrFormatTooOld)
-	}
-	return fmt.Errorf("quorum: %s: unknown format byte %#x", what, got)
-}
 
 // encodeStored serializes a sibling entry list for engine storage, into
 // one exactly-sized allocation.
@@ -147,7 +127,7 @@ func decodeStored(b []byte) ([]clock.SiblingEntry[record], error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("quorum: stored sibling set: %w", wire.ErrMalformed)
 	}
-	if err := checkFormat("stored sibling set", b[0], storedFormat); err != nil {
+	if err := wire.CheckFormat("quorum: stored sibling set", b[0], storedFormat); err != nil {
 		return nil, err
 	}
 	r := wire.NewReader(b[1:])
@@ -199,7 +179,7 @@ func (n *Node) mintReq(idx int) uint64 {
 // on: 1+shard for a shard-goroutine invocation, 0 for the serial loop
 // (and for every host that does not implement the transport's ShardEnv).
 // The server's WAL barrier keys pending-fsync accounting by this domain.
-func execDomain(env sim.Env) int {
+func execDomain(env transport.Env) int {
 	if se, ok := env.(interface{ Shard() int }); ok {
 		if k := se.Shard(); k >= 0 {
 			return k + 1
@@ -223,7 +203,7 @@ func (n *Node) Shards() int { return len(n.shards) }
 // ShardOf implements transport.ShardedHandler: key-addressed requests go
 // to the key's shard, responses go back to the shard that minted the
 // request id, and everything else (-1) keeps the serial actor loop.
-func (n *Node) ShardOf(msg sim.Message) int {
+func (n *Node) ShardOf(msg transport.Message) int {
 	s := uint64(len(n.shards))
 	switch m := msg.(type) {
 	case clientPut:
@@ -248,7 +228,7 @@ func (n *Node) ShardOf(msg sim.Message) int {
 // be answered synchronously on the delivering goroutine without queueing
 // through any mailbox. Every other message — and every replicaGet when
 // the node is unsharded — falls back to normal dispatch.
-func (n *Node) FastHandle(env sim.Env, from string, msg sim.Message) bool {
+func (n *Node) FastHandle(env transport.Env, from string, msg transport.Message) bool {
 	if len(n.shards) < 2 {
 		return false
 	}
@@ -263,7 +243,7 @@ func (n *Node) FastHandle(env sim.Env, from string, msg sim.Message) bool {
 // answerReplicaGet serves a replica read. Called from the owning shard's
 // goroutine, from the serial loop (sim hosting), or from the transport's
 // fast path; every structure it reads is safe under concurrent mutation.
-func (n *Node) answerReplicaGet(env sim.Env, from string, m replicaGet) {
+func (n *Node) answerReplicaGet(env transport.Env, from string, m replicaGet) {
 	if n.gatedKey(m.Key) {
 		// This replica is still pulling the key's arc: answering from
 		// a partial copy could serve a gap. NotReady tells the

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/ring"
-	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // Live elasticity: streaming arc handoff between quorum replicas.
@@ -97,7 +97,7 @@ type catchUp struct {
 	pulls      []TransferPull
 	done       []bool
 	nonce      []uint64
-	retry      []sim.TimerID
+	retry      []transport.TimerID
 	remaining  int
 	onProgress func(done, total int)
 	onDone     func()
@@ -173,7 +173,7 @@ func (n *Node) TransferDoneFor(seq uint64) int {
 // seq. Ranges already journaled complete are skipped. onProgress runs
 // after each completed range, onDone once when every range has landed —
 // both on the actor loop. Idempotent per epoch.
-func (n *Node) BeginCatchUp(env sim.Env, seq uint64, pulls []TransferPull, onProgress func(done, total int), onDone func()) {
+func (n *Node) BeginCatchUp(env transport.Env, seq uint64, pulls []TransferPull, onProgress func(done, total int), onDone func()) {
 	if n.inbound != nil && n.inbound.seq == seq {
 		return // duplicate begin: the window is already running
 	}
@@ -182,7 +182,7 @@ func (n *Node) BeginCatchUp(env sim.Env, seq uint64, pulls []TransferPull, onPro
 		pulls:      pulls,
 		done:       make([]bool, len(pulls)),
 		nonce:      make([]uint64, len(pulls)),
-		retry:      make([]sim.TimerID, len(pulls)),
+		retry:      make([]transport.TimerID, len(pulls)),
 		onProgress: onProgress,
 		onDone:     onDone,
 	}
@@ -217,7 +217,7 @@ func (n *Node) CatchingUp() bool {
 	return n.inbound != nil
 }
 
-func (n *Node) sendTransferReq(env sim.Env, cu *catchUp, i int, curHash uint64, curKey string) {
+func (n *Node) sendTransferReq(env transport.Env, cu *catchUp, i int, curHash uint64, curKey string) {
 	cu.nonce[i]++
 	p := cu.pulls[i]
 	env.Send(p.Source, transferReq{
@@ -236,7 +236,7 @@ func (n *Node) sendTransferReq(env sim.Env, cu *catchUp, i int, curHash uint64, 
 // bump invalidates any in-flight batch so the cursor cannot be advanced
 // twice; re-pulling from the last acked cursor is safe because installs
 // dedup by dot.
-func (n *Node) retryTransfer(env sim.Env, tg xferRetryTag) {
+func (n *Node) retryTransfer(env transport.Env, tg xferRetryTag) {
 	cu := n.inbound
 	if cu == nil || cu.seq != tg.seq || tg.idx >= len(cu.done) || cu.done[tg.idx] {
 		return
@@ -252,7 +252,7 @@ type cursorPos struct {
 
 // handleTransferBatch installs one batch on the gainer and advances (or
 // completes) the range.
-func (n *Node) handleTransferBatch(env sim.Env, m transferBatch) {
+func (n *Node) handleTransferBatch(env transport.Env, m transferBatch) {
 	cu := n.inbound
 	if cu == nil || cu.seq != m.Seq || m.Idx >= len(cu.done) || cu.done[m.Idx] {
 		return
@@ -303,7 +303,7 @@ func (n *Node) markTransferDone(seq uint64, idx int) {
 	n.xferDone[seq][idx] = true
 }
 
-func (n *Node) finishCatchUp(env sim.Env) {
+func (n *Node) finishCatchUp(env transport.Env) {
 	cu := n.inbound
 	n.elMu.Lock()
 	n.inbound = nil
@@ -343,7 +343,7 @@ func (n *Node) gatedKey(key string) bool {
 
 // handleTransferReq streams one batch from a current owner, bounded by
 // Max bytes and paced by the node's token bucket.
-func (n *Node) handleTransferReq(env sim.Env, from string, m transferReq) {
+func (n *Node) handleTransferReq(env transport.Env, from string, m transferReq) {
 	type kh struct {
 		hash uint64
 		key  string
@@ -393,7 +393,7 @@ func (n *Node) handleTransferReq(env sim.Env, from string, m transferReq) {
 
 // sendThrottled charges size against the token bucket and either sends
 // the batch now or stashes it behind a timer until the bucket refills.
-func (n *Node) sendThrottled(env sim.Env, to string, batch transferBatch, size int) {
+func (n *Node) sendThrottled(env transport.Env, to string, batch transferBatch, size int) {
 	rate := float64(n.transferRate())
 	now := env.Now()
 	if n.tbInit {
@@ -424,7 +424,7 @@ func (n *Node) sendThrottled(env sim.Env, to string, batch transferBatch, size i
 	env.SetTimer(wait, xferFlushTag{seq: batch.Seq, idx: batch.Idx})
 }
 
-func (n *Node) flushThrottled(env sim.Env, tg xferFlushTag) {
+func (n *Node) flushThrottled(env transport.Env, tg xferFlushTag) {
 	k := xferKey{tg.seq, tg.idx}
 	st, ok := n.xferOut[k]
 	if !ok {
@@ -439,13 +439,13 @@ func (n *Node) flushThrottled(env sim.Env, tg xferFlushTag) {
 // handoff queues, calling onDrained (once, on the actor loop) when no
 // hints remain. Replica-level traffic continues — the node is still an
 // owner until its arcs transfer.
-func (n *Node) BeginDrain(env sim.Env, onDrained func()) {
+func (n *Node) BeginDrain(env transport.Env, onDrained func()) {
 	n.draining.Store(true)
 	n.onDrained = onDrained
 	n.drainTick(env)
 }
 
-func (n *Node) drainTick(env sim.Env) {
+func (n *Node) drainTick(env transport.Env) {
 	if !n.draining.Load() {
 		return
 	}

@@ -8,9 +8,8 @@ import (
 
 // Wire codecs: every message a quorum node or client exchanges, so the
 // protocol runs unchanged over the TCP transport. Each type carries a
-// hand-rolled binary encoding (the hot path — no reflection, decode
-// aliases the frame buffer) plus the gob registration the codec
-// equivalence tests diff it against.
+// hand-rolled binary encoding: no reflection, and decode aliases the
+// frame buffer.
 //
 // Wire ids 20–39 belong to this package (see transport.BinaryMessage).
 const (
@@ -263,15 +262,6 @@ func (m geoShipAck) AppendBinary(dst []byte) []byte {
 }
 
 func init() {
-	transport.Register(
-		clientPut{}, clientGet{}, putResp{}, getResp{},
-		replicaPut{}, replicaPutAck{}, replicaGet{}, replicaGetResp{},
-		handoffDeliver{}, handoffAck{},
-		resPing{}, resPong{},
-		aeReq{}, aeResp{}, aePush{},
-		transferReq{}, transferBatch{}, replicaNotOwner{},
-		geoShip{}, geoShipAck{},
-	)
 	transport.RegisterBinary(widClientPut, func(r *wire.Reader) transport.Message {
 		return clientPut{ID: r.Uvarint(), Key: r.String(), Value: r.Bytes(), Deleted: r.Bool(), Context: r.Vector()}
 	})

@@ -15,7 +15,7 @@ import (
 type durableNode interface {
 	RestoreState(state []byte) error
 	ReplayRecord(rec []byte) error
-	StateSnapshot() ([]byte, error)
+	StateSnapshot() []byte
 }
 
 // durability owns a node's WAL: it journals the protocol's Persist

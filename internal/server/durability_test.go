@@ -330,17 +330,19 @@ func TestGossipRestartServesPreKillKeysThenSyncsDelta(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Wait until node2 has the pre-kill keys (anti-entropy), so its WAL
-	// journals them.
+	// Wait until node2 has every pre-kill key, so its WAL journals them
+	// all: rumors arrive in no particular order, and the last key put can
+	// get there before the first.
 	c2 := dialNode(t, srvs[2], "cli2")
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, found, err := c2.Get("pre7")
-		if err == nil && found {
-			break
+	for i := 0; i < 8; {
+		key := fmt.Sprintf("pre%d", i)
+		if _, found, err := c2.Get(key); err == nil && found {
+			i++
+			continue
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("node2 never received pre-kill keys")
+			t.Fatalf("node2 never received pre-kill key %s", key)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

@@ -161,7 +161,6 @@ func (m ringPull) AppendBinary(dst []byte) []byte {
 }
 
 func init() {
-	transport.Register(ringUpdate{}, ringAck{}, beginTransfer{}, transferComplete{}, epochSettled{}, ringPull{})
 	transport.RegisterBinary(widRingUpdate, func(r *wire.Reader) transport.Message {
 		return ringUpdate{
 			Seq:     r.Uvarint(),

@@ -6,77 +6,113 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/quorum"
 	"repro/internal/wal"
+	"repro/internal/wire"
+	"repro/internal/wiretest"
 )
 
-// fixtureDataDir copies one golden data directory of internal/quorum
-// (see fixture_test.go there for what each holds) so the server can open
-// it for append.
-func fixtureDataDir(t *testing.T, version, name string) string {
+// fixture names one golden data directory: <model>/testdata/<version>/<dir>
+// (see fixture_test.go in internal/quorum, internal/gossip and
+// internal/session for what each holds).
+type fixture struct {
+	name, model, version, dir, engine string
+}
+
+// dataDir copies the fixture so the server can open it for append.
+func (f fixture) dataDir(t *testing.T) string {
 	t.Helper()
-	src := filepath.Join("..", "quorum", "testdata", version, name)
-	dst := filepath.Join(t.TempDir(), name)
-	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(src, path)
-		if info.IsDir() {
-			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dst := filepath.Join(t.TempDir(), f.dir)
+	wiretest.CopyTree(t, filepath.Join("..", f.model, "testdata", f.version, f.dir), dst)
 	return dst
 }
 
-func fixtureConfig(t *testing.T, dataDir, engine string) Config {
+func (f fixture) config(t *testing.T, dataDir string) Config {
 	t.Helper()
 	addr := reservePorts(t, 1)[0]
 	return Config{
 		ID:                 "s0",
-		Model:              "quorum",
+		Model:              f.model,
 		Peers:              map[string]string{"s0": addr},
 		DataDir:            dataDir,
 		Fsync:              wal.SyncNone,
 		CheckpointInterval: -1,
-		Engine:             engine,
+		Engine:             f.engine,
 		Shards:             1,
 	}
 }
 
-// TestFormatTooOld boots a node on each data directory the last gob
-// commit wrote — journal records, a checkpoint, sibling sets in an
-// SSTable. Every one must be refused with the typed error, not decoded
-// into something else and not left to panic on a first read.
+// readTree returns every file under root by relative path.
+func readTree(t *testing.T, root string) map[string]string {
+	t.Helper()
+	files := make(map[string]string)
+	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(root, path) // path is under root by construction
+		files[rel] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestFormatTooOld boots a node on each data directory a gob commit
+// wrote — journal records and a checkpoint of every model, sibling sets
+// in an SSTable, an LSM manifest. Every one must be refused with the one
+// typed error, not decoded into something else and not left to panic on a
+// first read, and a refusal must leave every file as it found it.
 func TestFormatTooOld(t *testing.T) {
-	for name, engine := range map[string]string{"wal": "mem", "ckpt": "mem", "lsm": "lsm"} {
-		t.Run(name, func(t *testing.T) {
-			s, err := New(fixtureConfig(t, fixtureDataDir(t, "v0", name), engine))
+	for _, f := range []fixture{
+		{"wal", "quorum", "v0", "wal", "mem"},
+		{"ckpt", "quorum", "v0", "ckpt", "mem"},
+		{"lsm", "quorum", "v0", "lsm", "lsm"},
+		{"lsm-v1", "quorum", "v1", "lsm", "lsm"}, // binary sibling sets under a gob manifest
+		{"gossip-wal", "gossip", "v0", "wal", ""},
+		{"gossip-ckpt", "gossip", "v0", "ckpt", ""},
+		{"session-wal", "session", "v0", "wal", ""},
+		{"session-ckpt", "session", "v0", "ckpt", ""},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			dir := f.dataDir(t)
+			before := readTree(t, dir)
+			s, err := New(f.config(t, dir))
 			if err == nil {
 				s.Close()
-				t.Fatal("booted on a data directory in the v0 formats")
+				t.Fatal("booted on a data directory in a retired format")
 			}
-			if !errors.Is(err, quorum.ErrFormatTooOld) {
-				t.Fatalf("refused with %v, want quorum.ErrFormatTooOld", err)
+			if !errors.Is(err, wire.ErrFormatTooOld) {
+				t.Fatalf("refused with %v, want wire.ErrFormatTooOld", err)
+			}
+			// Opening the journal may add an empty segment to a directory
+			// that had none; nothing that was there may change or go.
+			after := readTree(t, dir)
+			for name, content := range before {
+				if got, ok := after[name]; !ok || got != content {
+					t.Errorf("the refused boot removed or rewrote %s", name)
+				}
 			}
 		})
 	}
 }
 
-// The same three directories in the current formats boot and serve what
-// they hold (internal/quorum's TestFixtureV1 checks the exact sets).
+// The same directories in the current formats boot and serve what they
+// hold (TestFixtureV1 in each model's package checks the exact state).
 func TestFormatCurrentBoots(t *testing.T) {
-	for name, engine := range map[string]string{"wal": "mem", "ckpt": "mem", "lsm": "lsm"} {
-		t.Run(name, func(t *testing.T) {
-			s, err := New(fixtureConfig(t, fixtureDataDir(t, "v1", name), engine))
+	for _, f := range []fixture{
+		{"wal", "quorum", "v1", "wal", "mem"},
+		{"ckpt", "quorum", "v1", "ckpt", "mem"},
+		{"lsm", "quorum", "v2", "lsm", "lsm"},
+		{"gossip-wal", "gossip", "v1", "wal", ""},
+		{"gossip-ckpt", "gossip", "v1", "ckpt", ""},
+		{"session-wal", "session", "v1", "wal", ""},
+		{"session-ckpt", "session", "v1", "ckpt", ""},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			s, err := New(f.config(t, f.dataDir(t)))
 			if err != nil {
 				t.Fatal(err)
 			}

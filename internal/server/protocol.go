@@ -128,7 +128,6 @@ func (m Response) AppendBinary(dst []byte) []byte {
 }
 
 func init() {
-	transport.Register(Request{}, Response{})
 	transport.RegisterBinary(widRequest, func(r *wire.Reader) transport.Message {
 		return Request{
 			Seq:     r.Uvarint(),

@@ -464,20 +464,15 @@ func New(cfg Config) (*Server, error) {
 		s.dur.startCheckpointer(interval, func() ([]byte, uint64, bool) {
 			var state []byte
 			var seq uint64
-			var serr error
 			captured := make(chan struct{})
 			if !s.tcp.Invoke(cfg.ID, func(transport.Env) {
 				seq = s.dur.log.LastSeq()
-				state, serr = node.StateSnapshot()
+				state = node.StateSnapshot()
 				close(captured)
 			}) {
 				return nil, 0, false
 			}
 			<-captured
-			if serr != nil {
-				s.logf("server %s: state snapshot failed: %v", cfg.ID, serr)
-				return nil, 0, false
-			}
 			return state, seq, true
 		})
 	}

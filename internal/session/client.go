@@ -3,7 +3,7 @@ package session
 import (
 	"repro/internal/clock"
 	"repro/internal/resilience"
-	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // Guarantees selects which of the four session guarantees a session
@@ -72,11 +72,11 @@ type Client struct {
 // so retries carry identical id and MinVec floor.
 type sessionOp struct {
 	key    string
-	msg    sim.Message
+	msg    transport.Message
 	isRead bool
 	server string
 	budget *resilience.Budget
-	retry  sim.TimerID
+	retry  transport.TimerID
 }
 
 type sRetryTag struct{ id uint64 }
@@ -94,11 +94,11 @@ func NewClient(id string, g Guarantees) *Client {
 	}
 }
 
-// OnStart implements sim.Handler.
-func (c *Client) OnStart(sim.Env) {}
+// OnStart implements transport.Handler.
+func (c *Client) OnStart(transport.Env) {}
 
-// OnTimer implements sim.Handler.
-func (c *Client) OnTimer(env sim.Env, tag any) {
+// OnTimer implements transport.Handler.
+func (c *Client) OnTimer(env transport.Env, tag any) {
 	t, ok := tag.(sRetryTag)
 	if !ok {
 		return
@@ -113,7 +113,7 @@ func (c *Client) OnTimer(env sim.Env, tag any) {
 }
 
 // resend retries an op against the next healthy server, within budget.
-func (c *Client) resend(env sim.Env, id uint64, o *sessionOp) bool {
+func (c *Client) resend(env transport.Env, id uint64, o *sessionOp) bool {
 	if !o.budget.Attempt() {
 		return false
 	}
@@ -149,7 +149,7 @@ func (c *Client) giveUp(id uint64, o *sessionOp) {
 
 // pickServer rotates to the server after `avoid`, skipping suspects;
 // plain rotation when every alternative is suspected.
-func (c *Client) pickServer(env sim.Env, avoid string) string {
+func (c *Client) pickServer(env transport.Env, avoid string) string {
 	if len(c.Servers) == 0 {
 		return avoid
 	}
@@ -180,8 +180,8 @@ func (c *Client) pickServer(env sim.Env, avoid string) string {
 	return avoid
 }
 
-// OnMessage implements sim.Handler.
-func (c *Client) OnMessage(env sim.Env, _ string, msg sim.Message) {
+// OnMessage implements transport.Handler.
+func (c *Client) OnMessage(env transport.Env, _ string, msg transport.Message) {
 	switch m := msg.(type) {
 	case sreadResp:
 		if o, ok := c.ops[m.ID]; ok {
@@ -252,7 +252,7 @@ func (c *Client) writeFloor() clock.Vector {
 }
 
 // send dispatches a request, arming retry state when a Policy is set.
-func (c *Client) send(env sim.Env, server, key string, id uint64, msg sim.Message, isRead bool) {
+func (c *Client) send(env transport.Env, server, key string, id uint64, msg transport.Message, isRead bool) {
 	env.Send(server, msg)
 	if c.Policy == nil {
 		return
@@ -272,7 +272,7 @@ func (c *Client) send(env sim.Env, server, key string, id uint64, msg sim.Messag
 
 // Read reads key at server, blocking there until the selected guarantees
 // hold.
-func (c *Client) Read(env sim.Env, server, key string, cb func(ReadResult)) {
+func (c *Client) Read(env transport.Env, server, key string, cb func(ReadResult)) {
 	c.nextID++
 	c.readCBs[c.nextID] = cb
 	c.send(env, server, key, c.nextID, sread{ID: c.nextID, Key: key, MinVec: c.readFloor()}, true)
@@ -280,14 +280,14 @@ func (c *Client) Read(env sim.Env, server, key string, cb func(ReadResult)) {
 
 // Write writes key=value at server, blocking there until the selected
 // guarantees hold.
-func (c *Client) Write(env sim.Env, server, key string, value []byte, cb func(WriteResult)) {
+func (c *Client) Write(env transport.Env, server, key string, value []byte, cb func(WriteResult)) {
 	c.nextID++
 	c.writeCBs[c.nextID] = cb
 	c.send(env, server, key, c.nextID, swrite{ID: c.nextID, Key: key, Val: value, MinVec: c.writeFloor()}, false)
 }
 
 // Delete tombstones key at server under the same write guarantees.
-func (c *Client) Delete(env sim.Env, server, key string, cb func(WriteResult)) {
+func (c *Client) Delete(env transport.Env, server, key string, cb func(WriteResult)) {
 	c.nextID++
 	c.writeCBs[c.nextID] = cb
 	c.send(env, server, key, c.nextID, swrite{ID: c.nextID, Key: key, Deleted: true, MinVec: c.writeFloor()}, false)

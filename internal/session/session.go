@@ -17,7 +17,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // WriteID identifies a write: the n-th write accepted by a server.
@@ -130,7 +130,7 @@ func (c ServerConfig) withDefaults() ServerConfig {
 
 type blockedReq struct {
 	from   string
-	msg    sim.Message
+	msg    transport.Message
 	expiry time.Duration
 	// min is the request's guarantee floor, interned once at block time
 	// so every wake/sweep re-check is a dense slice walk instead of a
@@ -138,7 +138,7 @@ type blockedReq struct {
 	min clock.Dense
 }
 
-// Server is one Bayou-style replica. It implements sim.Handler.
+// Server is one Bayou-style replica. It implements transport.Handler.
 type Server struct {
 	cfg ServerConfig
 	id  string
@@ -185,14 +185,14 @@ func NewServer(id string, cfg ServerConfig) *Server {
 	}
 }
 
-// OnStart implements sim.Handler.
-func (s *Server) OnStart(env sim.Env) {
+// OnStart implements transport.Handler.
+func (s *Server) OnStart(env transport.Env) {
 	env.SetTimer(s.cfg.AntiEntropyInterval, aeTick{})
 	env.SetTimer(s.cfg.BlockTimeout/4, blockSweep{})
 }
 
-// OnTimer implements sim.Handler.
-func (s *Server) OnTimer(env sim.Env, tag any) {
+// OnTimer implements transport.Handler.
+func (s *Server) OnTimer(env transport.Env, tag any) {
 	switch tag.(type) {
 	case aeTick:
 		if len(s.cfg.Peers) > 0 {
@@ -206,8 +206,8 @@ func (s *Server) OnTimer(env sim.Env, tag any) {
 	}
 }
 
-// OnMessage implements sim.Handler.
-func (s *Server) OnMessage(env sim.Env, from string, msg sim.Message) {
+// OnMessage implements transport.Handler.
+func (s *Server) OnMessage(env transport.Env, from string, msg transport.Message) {
 	switch m := msg.(type) {
 	case aeReq:
 		// Walk origins in sorted order so the response payload (and any
@@ -254,7 +254,7 @@ func (s *Server) OnMessage(env sim.Env, from string, msg sim.Message) {
 	}
 }
 
-func (s *Server) serveRead(env sim.Env, from string, m sread, wasBlocked bool) {
+func (s *Server) serveRead(env transport.Env, from string, m sread, wasBlocked bool) {
 	if wasBlocked {
 		s.BlockedServed++
 	}
@@ -267,7 +267,7 @@ func (s *Server) serveRead(env sim.Env, from string, m sread, wasBlocked bool) {
 	env.Send(from, resp)
 }
 
-func (s *Server) serveWrite(env sim.Env, from string, m swrite, wasBlocked bool) {
+func (s *Server) serveWrite(env transport.Env, from string, m swrite, wasBlocked bool) {
 	if wasBlocked {
 		s.BlockedServed++
 	}
@@ -326,7 +326,7 @@ func (s *Server) resolve(w write) {
 	}
 }
 
-func (s *Server) block(env sim.Env, from string, msg sim.Message, minVec clock.Vector) {
+func (s *Server) block(env transport.Env, from string, msg transport.Message, minVec clock.Vector) {
 	s.blocked = append(s.blocked, blockedReq{
 		from:   from,
 		msg:    msg,
@@ -335,7 +335,7 @@ func (s *Server) block(env sim.Env, from string, msg sim.Message, minVec clock.V
 	})
 }
 
-func (s *Server) wakeBlocked(env sim.Env) {
+func (s *Server) wakeBlocked(env transport.Env) {
 	var still []blockedReq
 	for _, b := range s.blocked {
 		served := false
@@ -356,7 +356,7 @@ func (s *Server) wakeBlocked(env sim.Env) {
 	s.blocked = still
 }
 
-func (s *Server) sweepBlocked(env sim.Env) {
+func (s *Server) sweepBlocked(env transport.Env) {
 	var still []blockedReq
 	for _, b := range s.blocked {
 		if env.Now() < b.expiry {

@@ -8,10 +8,9 @@ import (
 
 // Wire codecs: every message a session server or client exchanges, so
 // the protocol runs unchanged over the TCP transport. Unexported
-// message types are fine — both ends run this same package — but every
-// field that must travel is exported. Each type carries a hand-rolled
-// binary encoding plus the gob registration the codec equivalence tests
-// diff it against.
+// message types are fine: both ends run this same package.
+// appendSessWrite/appendSessWrites are also the server's journal and
+// checkpoint encoding (persist.go).
 //
 // Wire ids 50–59 belong to this package (see transport.BinaryMessage).
 const (
@@ -61,17 +60,12 @@ func appendSessWrites(dst []byte, ws []write) []byte {
 }
 
 func readSessWrites(r *wire.Reader) []write {
-	n := r.Uvarint()
-	if n == 0 || r.Err() != nil {
-		return nil
-	}
-	n--
-	if n > uint64(r.Len()) { // every write costs ≥1 byte
-		r.Poison()
+	n, ok := r.ListLen()
+	if !ok {
 		return nil
 	}
 	out := make([]write, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, readSessWrite(r))
 	}
 	if r.Err() != nil {
@@ -126,11 +120,6 @@ func (m swriteResp) AppendBinary(dst []byte) []byte {
 }
 
 func init() {
-	transport.Register(
-		aeReq{}, aeResp{},
-		sread{}, sreadResp{},
-		swrite{}, swriteResp{},
-	)
 	transport.RegisterBinary(widAEReq, func(r *wire.Reader) transport.Message {
 		return aeReq{V: r.Vector()}
 	})

@@ -19,9 +19,9 @@ type Engine interface {
 	// Seq returns the sequence number of the newest committed write.
 	Seq() uint64
 	// Put commits a new version of key and returns its sequence number.
-	Put(key string, value []byte, meta any) uint64
+	Put(key string, value []byte, meta []byte) uint64
 	// Delete commits a tombstone for key.
-	Delete(key string, meta any) uint64
+	Delete(key string, meta []byte) uint64
 	// Get returns the latest version of key, if it is live.
 	Get(key string) (Version, bool)
 	// GetAt returns the newest version of key with Seq <= at, if live at

@@ -21,8 +21,9 @@ type Version struct {
 	// and anti-entropy like ordinary writes.
 	Tombstone bool
 	// Meta carries protocol-specific version metadata (vector clock, HLC
-	// timestamp, causal dependencies, ...). The engine never inspects it.
-	Meta any
+	// timestamp, causal dependencies, ...), serialized by the caller. The
+	// engine never inspects it and stores it as is.
+	Meta []byte
 }
 
 // KV is a multi-version key-value store. Reads can be anchored at a
@@ -48,12 +49,12 @@ func (kv *KV) Seq() uint64 {
 }
 
 // Put commits a new version of key and returns its sequence number.
-func (kv *KV) Put(key string, value []byte, meta any) uint64 {
+func (kv *KV) Put(key string, value []byte, meta []byte) uint64 {
 	return kv.commit(key, Version{Value: value, Meta: meta})
 }
 
 // Delete commits a tombstone for key and returns its sequence number.
-func (kv *KV) Delete(key string, meta any) uint64 {
+func (kv *KV) Delete(key string, meta []byte) uint64 {
 	return kv.commit(key, Version{Tombstone: true, Meta: meta})
 }
 

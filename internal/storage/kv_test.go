@@ -18,9 +18,9 @@ func TestKVGetPut(t *testing.T) {
 	if !ok || string(v.Value) != "v1" || v.Seq != s1 {
 		t.Fatalf("Get = %+v ok=%v, want v1@%d", v, ok, s1)
 	}
-	s2 := kv.Put("k", []byte("v2"), "meta")
+	s2 := kv.Put("k", []byte("v2"), []byte("meta"))
 	v, _ = kv.Get("k")
-	if string(v.Value) != "v2" || v.Seq != s2 || v.Meta != "meta" {
+	if string(v.Value) != "v2" || v.Seq != s2 || string(v.Meta) != "meta" {
 		t.Fatalf("Get after overwrite = %+v", v)
 	}
 	if s2 <= s1 {

@@ -111,12 +111,12 @@ func (s *ShardedKV) Close() error {
 }
 
 // Put commits a new version of key on its owning shard.
-func (s *ShardedKV) Put(key string, value []byte, meta any) uint64 {
+func (s *ShardedKV) Put(key string, value []byte, meta []byte) uint64 {
 	return s.For(key).Put(key, value, meta)
 }
 
 // Delete commits a tombstone for key on its owning shard.
-func (s *ShardedKV) Delete(key string, meta any) uint64 {
+func (s *ShardedKV) Delete(key string, meta []byte) uint64 {
 	return s.For(key).Delete(key, meta)
 }
 

@@ -9,32 +9,32 @@ import (
 
 // Codec versioning. Every frame body opens with one version byte so the
 // wire format can evolve without a flag day: a reader dispatches on the
-// byte and rejects versions it does not know, and a future codec (or a
-// rollback to gob) is one more case, not a protocol fork.
+// byte and rejects versions it does not know, and a future codec is one
+// more case, not a protocol fork.
 //
-//	codecGob    — the payload is gob(Envelope), the v0 format. Still
-//	              emitted for message types without a hand-rolled codec
-//	              (tests, experiments); decodable forever.
 //	codecBinary — hand-rolled binary: from, to, wire type id, payload.
-//	              The hot path: no reflection, no type names on the
-//	              wire, decode aliases the frame buffer.
-//	codecBatch  — a fan-out batch: several codecBinary/codecGob bodies
-//	              in one frame, one length-prefix + one syscall for a
-//	              whole flush tick's worth of ops.
+//	              No reflection, no type names on the wire, decode
+//	              aliases the frame buffer.
+//	codecBatch  — a fan-out batch: several codecBinary bodies in one
+//	              frame, one length-prefix + one syscall for a whole
+//	              flush tick's worth of ops.
+//
+// Byte 0 was gob(Envelope) and is retired: no message type rode it
+// outside tests, and gob's decoder is not hardened against adversarial
+// input, so a frame that opens with it is refused like any unknown version.
 const (
-	codecGob    byte = 0
 	codecBinary byte = 1
 	codecBatch  byte = 2
 )
 
-// BinaryMessage is implemented by wire types that encode themselves
-// with the hand-rolled binary codec. WireID returns the type's
-// registered id (unique across all protocol packages; see the range
-// allocation below), AppendBinary appends the payload bytes.
+// BinaryMessage is implemented by every message type that travels over
+// TCP. WireID returns the type's registered id (unique across all
+// protocol packages; see the range allocation below), AppendBinary
+// appends the payload bytes.
 //
 // Wire id ranges, so packages cannot collide:
 //
-//	 1–9   transport (hello, heartbeat)
+//	 1–9   transport (hello, heartbeat; 3–5 are its tests' messages)
 //	10–19  internal/server client protocol
 //	20–39  internal/quorum
 //	40–49  internal/gossip
@@ -56,8 +56,8 @@ var (
 )
 
 // RegisterBinary installs the payload decoder for wire id. Protocol
-// packages call it from init alongside Register; a duplicate id is a
-// cross-package collision and panics loudly.
+// packages call it from init, so hosting them on TCP needs no extra
+// wiring; a duplicate id is a cross-package collision and panics loudly.
 func RegisterBinary(id uint16, dec func(r *wire.Reader) Message) {
 	binMu.Lock()
 	defer binMu.Unlock()
@@ -75,17 +75,19 @@ func binaryDecoder(id uint16) (func(r *wire.Reader) Message, bool) {
 }
 
 // appendBody appends one envelope body (version byte onward, no length
-// prefix): binary when the message implements BinaryMessage, gob
-// otherwise.
+// prefix). A message that does not implement BinaryMessage cannot leave
+// the process: Loopback and the simulator deliver it by reference, TCP
+// reports it.
 func appendBody(dst []byte, e Envelope) ([]byte, error) {
-	if bm, ok := e.Msg.(BinaryMessage); ok {
-		dst = append(dst, codecBinary)
-		dst = wire.AppendString(dst, e.From)
-		dst = wire.AppendString(dst, e.To)
-		dst = wire.AppendUvarint(dst, uint64(bm.WireID()))
-		return bm.AppendBinary(dst), nil
+	bm, ok := e.Msg.(BinaryMessage)
+	if !ok {
+		return dst, fmt.Errorf("transport: %T has no wire codec (it does not implement BinaryMessage)", e.Msg)
 	}
-	return appendGobBody(dst, e)
+	dst = append(dst, codecBinary)
+	dst = wire.AppendString(dst, e.From)
+	dst = wire.AppendString(dst, e.To)
+	dst = wire.AppendUvarint(dst, uint64(bm.WireID()))
+	return bm.AppendBinary(dst), nil
 }
 
 // readers recycles the Reader handed to the registered decoders. They
@@ -128,8 +130,6 @@ func decodeBody(b []byte) (Envelope, error) {
 		r.Reset(nil) // a pooled Reader must not pin the frame
 		readers.Put(r)
 		return e, err
-	case codecGob:
-		return decodeGobBody(b[1:])
 	case codecBatch:
 		return Envelope{}, fmt.Errorf("transport: unexpected batch frame")
 	default:

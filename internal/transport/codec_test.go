@@ -3,25 +3,15 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/wire"
 )
 
-// gobCodecMsg has no binary codec, so it rides the codecGob fallback —
-// the coverage that unregistered types still travel.
-type gobCodecMsg struct {
-	A string
-	B []byte
-}
-
-func init() { Register(gobCodecMsg{}) }
-
-// roundTrip frames e, decodes it, and checks the result is identical —
-// and that the gob codec agrees on the same envelope.
+// roundTrip frames e, decodes it, and checks the result is identical.
 func roundTrip(t testing.TB, e Envelope) {
 	t.Helper()
 	frame, err := AppendFrame(nil, e)
@@ -36,18 +26,7 @@ func roundTrip(t testing.TB, e Envelope) {
 		t.Fatalf("decode consumed %d of %d bytes", n, len(frame))
 	}
 	if !reflect.DeepEqual(got, e) {
-		t.Fatalf("binary round trip:\n got  %#v\n want %#v", got, e)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&e); err != nil {
-		t.Fatalf("gob encode: %v", err)
-	}
-	var viaGob Envelope
-	if err := gob.NewDecoder(&buf).Decode(&viaGob); err != nil {
-		t.Fatalf("gob decode: %v", err)
-	}
-	if !reflect.DeepEqual(got.Msg, viaGob.Msg) {
-		t.Fatalf("codec disagreement:\n binary %#v\n gob    %#v", got.Msg, viaGob.Msg)
+		t.Fatalf("round trip:\n got  %#v\n want %#v", got, e)
 	}
 }
 
@@ -64,21 +43,41 @@ func genEnvs(seed int64) []Envelope {
 		if rng.Intn(4) == 0 {
 			return nil
 		}
-		b := make([]byte, 1+rng.Intn(24))
+		b := make([]byte, rng.Intn(25))
 		rng.Read(b)
 		return b
 	}
 	return []Envelope{
 		{From: str(), To: str(), Msg: hello{Kind: str(), ID: str()}},
 		{From: str(), To: str(), Msg: heartbeat{T: rng.Int63() - rng.Int63(), Echo: rng.Intn(2) == 1}},
-		{From: str(), To: str(), Msg: gobCodecMsg{A: str(), B: val()}},
+		{From: str(), To: str(), Msg: bigMsg{B: val()}},
 	}
 }
 
-func TestCodecGobAgreement(t *testing.T) {
+func TestCodecRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 256; seed++ {
 		for _, e := range genEnvs(seed) {
 			roundTrip(t, e)
+		}
+	}
+}
+
+// A message without a wire codec cannot be framed: the error names the
+// type, alone or inside a batch, and nothing is appended.
+func TestMessageWithoutCodecIsAnEncodeError(t *testing.T) {
+	type uncoded struct{ A string }
+	bad := Envelope{From: "a", To: "b", Msg: uncoded{A: "x"}}
+	prefix := []byte("kept")
+	for name, encode := range map[string]func() ([]byte, error){
+		"frame": func() ([]byte, error) { return AppendFrame(prefix, bad) },
+		"batch": func() ([]byte, error) { return AppendBatch(prefix, append(genEnvs(1), bad)) },
+	} {
+		out, err := encode()
+		if err == nil || !strings.Contains(err.Error(), "transport.uncoded") {
+			t.Errorf("%s: got %v, want an error naming transport.uncoded", name, err)
+		}
+		if string(out) != "kept" {
+			t.Errorf("%s: a failed encode left %q in the buffer", name, out)
 		}
 	}
 }
@@ -94,9 +93,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	})
 }
 
-// TestBatchRoundTrip pins the batch frame format: several envelopes —
-// binary and gob bodies mixed — behind one length prefix, recovered in
-// order by ReadBatch.
+// TestBatchRoundTrip pins the batch frame format: several envelopes
+// behind one length prefix, recovered in order by ReadBatch.
 func TestBatchRoundTrip(t *testing.T) {
 	envs := genEnvs(7)
 	envs = append(envs, genEnvs(8)...)
@@ -167,11 +165,11 @@ func TestMalformedFrames(t *testing.T) {
 		{"unknown codec version", frameFor([]byte{0x7f, 1, 2, 3})},
 		{"binary body truncated header", frameFor([]byte{codecBinary, 0x05, 'a'})},
 		{"unknown wire id", frameFor(binaryBody("a", "b", 9999, nil))},
-		{"wire id out of range", frameFor(binaryBody("a", "b", 1 << 20, nil))},
+		{"wire id out of range", frameFor(binaryBody("a", "b", 1<<20, nil))},
 		{"payload truncated", frameFor(binaryBody("a", "b", 1, helloPayload[:1]))},
 		{"trailing bytes", frameFor(append(binaryBody("a", "b", 1, helloPayload), 0xff))},
 		{"length overrun in payload", frameFor(binaryBody("a", "b", 1, []byte{0xff, 0xff, 0x03}))},
-		{"gob body garbage", frameFor([]byte{codecGob, 0xde, 0xad, 0xbe, 0xef})},
+		{"retired codec 0", frameFor(append([]byte{0}, binaryBody("a", "b", 1, helloPayload)[1:]...))},
 		{"bare batch byte", frameFor([]byte{codecBatch})},
 		{"batch count overruns frame", frameFor([]byte{codecBatch, 0xc8})},
 		{"batch member truncated", frameFor([]byte{codecBatch, 1, 10, 1, 2, 3})},

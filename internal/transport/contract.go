@@ -15,7 +15,7 @@
 //
 //   - Loopback (loopback.go) connects runtimes in-process — every
 //     transport test runs without opening a socket — while TCP (tcp.go)
-//     connects them over real connections with length-prefixed gob
+//     connects them over real connections with length-prefixed binary
 //     framing, per-peer send queues, reconnection backoff from
 //     internal/resilience, and transport-level heartbeats that feed the
 //     phi-accrual failure detector with real arrival times.
@@ -28,8 +28,9 @@ import (
 
 // Message is any protocol payload exchanged between nodes. Payloads must
 // be treated as immutable once sent: in-process transports deliver the
-// same value they were handed, the TCP transport delivers a gob copy.
-// Types that cross a real wire must be registered with Register.
+// same value they were handed, the TCP transport delivers a decoded copy.
+// Types that cross a real wire implement BinaryMessage and register their
+// decoder with RegisterBinary.
 type Message any
 
 // TimerID identifies a pending timer for cancellation.

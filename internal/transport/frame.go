@@ -3,10 +3,8 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/wire"
 )
@@ -21,8 +19,8 @@ import (
 // off a frame without decoding it, and a partially written frame never
 // desynchronizes the stream past the next boundary. The version byte
 // dispatches the body decoder (see codec.go): hand-rolled binary for
-// the registered wire types, gob for everything else, and batch frames
-// that pack a whole flush tick of envelopes behind one prefix. Each
+// the registered wire types, and batch frames that pack a whole flush
+// tick of envelopes behind one prefix. Each
 // body is self-contained — stateless frames survive reconnects, can be
 // hedged or re-sent verbatim, and decode independently of arrival
 // order. The framing micro-benchmarks in internal/benchsuite track the
@@ -39,42 +37,6 @@ const MaxFrameSize = 16 << 20
 type Envelope struct {
 	From, To string
 	Msg      Message
-}
-
-// Register makes concrete message types encodable inside a gob-codec
-// envelope (gob needs the concrete type of an interface value
-// registered on both sides). Protocol packages register their wire
-// messages from an init so hosting them on TCP needs no extra wiring;
-// types that also implement BinaryMessage use the binary codec instead
-// and keep the gob registration only for the codec equivalence tests.
-func Register(msgs ...Message) {
-	for _, m := range msgs {
-		gob.Register(m)
-	}
-}
-
-// encBuf pools gob encode scratch buffers.
-var encBuf = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// appendGobBody appends the gob fallback body (minus the version byte,
-// which the caller has written).
-func appendGobBody(dst []byte, e Envelope) ([]byte, error) {
-	dst = append(dst, codecGob)
-	buf := encBuf.Get().(*bytes.Buffer)
-	defer encBuf.Put(buf)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(&e); err != nil {
-		return dst, fmt.Errorf("transport: encode %T: %w", e.Msg, err)
-	}
-	return append(dst, buf.Bytes()...), nil
-}
-
-func decodeGobBody(b []byte) (Envelope, error) {
-	var e Envelope
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&e); err != nil {
-		return Envelope{}, fmt.Errorf("transport: decode gob frame: %w", err)
-	}
-	return e, nil
 }
 
 // finishFrame fills in the length prefix reserved at mark.
@@ -264,7 +226,6 @@ func (m heartbeat) AppendBinary(dst []byte) []byte {
 func ClientHello(id string) Message { return hello{Kind: "client", ID: id} }
 
 func init() {
-	Register(hello{}, heartbeat{})
 	RegisterBinary(1, func(r *wire.Reader) Message {
 		return hello{Kind: r.String(), ID: r.String()}
 	})

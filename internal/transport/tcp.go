@@ -49,7 +49,7 @@ type TCPConfig struct {
 }
 
 // TCP is the real transport: a Runtime whose non-local sends travel as
-// length-prefixed gob frames over pooled TCP connections, one ordered
+// length-prefixed binary frames over pooled TCP connections, one ordered
 // send queue per peer, with automatic reconnection under the resilience
 // policy's jittered backoff and transport-level heartbeats feeding the
 // failure detector with real RTTs.
@@ -530,10 +530,10 @@ func (p *tcpPeer) drain(conn net.Conn) bool {
 
 // writeBatch frames envs (one plain or batch frame) into buf and writes
 // it. The returned buffer is buf possibly grown, for reuse. If the
-// combined batch overflows MaxFrameSize, each envelope retries in its
-// own frame so only a genuinely oversized message is dropped (logged
-// and counted; the protocols retry) — one bad payload never kills the
-// link or its queue-mates.
+// combined batch overflows MaxFrameSize or holds a message without a
+// wire codec, each envelope retries in its own frame so only the
+// offending message is dropped (logged and counted; the protocols
+// retry) — one bad payload never kills the link or its queue-mates.
 func (p *tcpPeer) writeBatch(conn net.Conn, buf []byte, envs []Envelope) ([]byte, error) {
 	out, err := AppendBatch(buf[:0], envs)
 	if err == nil {

@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"repro/internal/resilience"
+	"repro/internal/wire"
 )
 
-// echoMsg / echoReply are the test protocol.
+// echoMsg / echoReply are the test protocol, on wire ids 3 and 4 of the
+// transport's own range.
 type echoMsg struct {
 	N int
 }
@@ -17,7 +19,16 @@ type echoReply struct {
 	N int
 }
 
-func init() { Register(echoMsg{}, echoReply{}) }
+func (echoMsg) WireID() uint16                   { return 3 }
+func (m echoMsg) AppendBinary(dst []byte) []byte { return wire.AppendVarint(dst, int64(m.N)) }
+
+func (echoReply) WireID() uint16                   { return 4 }
+func (m echoReply) AppendBinary(dst []byte) []byte { return wire.AppendVarint(dst, int64(m.N)) }
+
+func init() {
+	RegisterBinary(3, func(r *wire.Reader) Message { return echoMsg{N: int(r.Varint())} })
+	RegisterBinary(4, func(r *wire.Reader) Message { return echoReply{N: int(r.Varint())} })
+}
 
 // echoNode replies to every echoMsg and records replies it receives.
 type echoNode struct {
@@ -278,9 +289,15 @@ func TestFrameRoundTripAndLimit(t *testing.T) {
 	}
 }
 
+// bigMsg carries an arbitrary payload, on wire id 5.
 type bigMsg struct{ B []byte }
 
-func init() { Register(bigMsg{}) }
+func (bigMsg) WireID() uint16                   { return 5 }
+func (m bigMsg) AppendBinary(dst []byte) []byte { return wire.AppendBytes(dst, m.B) }
+
+func init() {
+	RegisterBinary(5, func(r *wire.Reader) Message { return bigMsg{B: r.Bytes()} })
+}
 
 func TestRuntimeDuplicateNodePanics(t *testing.T) {
 	r := NewRuntime(0)

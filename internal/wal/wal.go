@@ -1,8 +1,8 @@
 // Package wal is the durable-persistence subsystem under the cluster
 // runtime: a segmented append-only write-ahead log with per-record
-// CRC32C and configurable fsync batching, checkpoint snapshots written
-// atomically beside it, and a Store that journals a storage.KV plus
-// protocol metadata through both.
+// CRC32C and configurable fsync batching, and checkpoint snapshots
+// written atomically beside it. Records and snapshot images are opaque
+// bytes here; each protocol package owns its layouts.
 //
 // The paper's definition of eventual consistency presumes eventual
 // delivery of every update, which a node that forgets acknowledged

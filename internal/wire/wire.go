@@ -1,6 +1,6 @@
 // Package wire holds the append/read primitives the hand-rolled binary
 // wire codec is built from. Every protocol package encodes its message
-// types with these helpers instead of reflection-driven gob: an
+// types and its durable state with these helpers, not with reflection: an
 // encoder is a chain of Append* calls growing one []byte, a decoder is
 // a Reader consuming the same bytes with sticky-error reads, so the
 // per-message hot path is straight-line code with no allocation beyond
@@ -13,9 +13,8 @@
 //     be encoded and decoded with a single bounds check each — the
 //     clocks are flat []uint64 precisely to make this cheap.
 //   - Collections (byte slices, string maps, entry lists) carry a
-//     uvarint length header of n+1, with 0 meaning nil. Nil-ness
-//     survives a round trip, which the codec equivalence tests against
-//     gob rely on.
+//     uvarint length header of n+1, with 0 meaning nil, so nil and
+//     empty both survive a round trip (pinned by the round-trip tests).
 //   - Strings are copied out of the buffer, except identifiers read with
 //     ID (node, client and zone names), which are interned: one shared
 //     string per name, no allocation once the name has been seen.
@@ -34,6 +33,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/bits"
 	"sync/atomic"
 
@@ -43,6 +43,39 @@ import (
 // ErrMalformed is the sticky Reader error: a field's bytes were absent,
 // truncated, or inconsistent with the declared length.
 var ErrMalformed = errors.New("wire: malformed message")
+
+// ErrFormatTooOld reports durable state in a format this version no
+// longer reads: the gob WAL records, checkpoints, stored values and
+// manifests of the commits before the binary layouts. A node refuses to
+// boot on such a data directory; there is no in-place upgrade.
+var ErrFormatTooOld = errors.New("wire: data written in a format this version no longer reads")
+
+// CheckFormat vets the byte that versions a WAL record, a checkpoint, a
+// stored value or a manifest. Every version byte in the repository sits
+// in 0x80..0xF7, which the first byte of a gob stream (a message length)
+// never occupies, so state from before the binary layouts is recognised
+// and refused with ErrFormatTooOld, not mis-decoded.
+func CheckFormat(what string, got, want byte) error {
+	switch {
+	case got == want:
+		return nil
+	case got < 0x80 || got >= 0xF8: // a gob stream's leading length byte
+		return fmt.Errorf("%s: %w", what, ErrFormatTooOld)
+	}
+	return fmt.Errorf("%s: unknown format byte %#x", what, got)
+}
+
+// NewVersionedReader vets the version byte that opens b with CheckFormat
+// and returns a Reader over the rest.
+func NewVersionedReader(what string, b []byte, want byte) (*Reader, error) {
+	if len(b) == 0 {
+		return nil, fmt.Errorf("%s: empty: %w", what, ErrMalformed)
+	}
+	if err := CheckFormat(what, b[0], want); err != nil {
+		return nil, err
+	}
+	return NewReader(b[1:]), nil
+}
 
 // ── Append side ───────────────────────────────────────────────────────
 

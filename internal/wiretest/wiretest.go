@@ -1,24 +1,17 @@
 // Package wiretest is the shared harness behind every protocol
 // package's codec tests: a deterministic message generator and a
-// checker asserting the two codec properties the wire format promises —
-// decode(encode(x)) == x through the binary codec, and agreement with
-// the gob codec on the same message (the v0 format both ends can still
-// speak). Each protocol package owns generators for its (unexported)
-// wire types and feeds them through Check from its FuzzCodecRoundTrip
-// target and gob-agreement property test.
-//
-// Generator discipline: gob collapses empty-but-non-nil maps and slices
-// to nil on a round trip, so generators emit collections that are
-// either nil or non-empty — the only shapes the protocols produce —
-// keeping DeepEqual agreement exact. The binary codec itself preserves
-// emptiness (nil-aware length headers); only the gob comparison forces
-// the restriction.
+// checker asserting the property the wire format promises —
+// decode(encode(x)) == x, nil-ness and emptiness included. Each protocol
+// package owns generators for its (unexported) wire types and feeds them
+// through Check from its FuzzCodecRoundTrip target and TestCodecRoundTrip
+// property test. CopyTree serves the golden on-disk fixture tests of the
+// same packages.
 package wiretest
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -26,9 +19,9 @@ import (
 	"repro/internal/transport"
 )
 
-// Check frames msg inside an envelope through the binary codec and
-// through gob, decodes both, and fails t unless both round trips
-// reproduce the original exactly.
+// Check frames msg inside an envelope, decodes the frame, and fails t
+// unless the round trip consumes the whole frame and reproduces the
+// original exactly.
 func Check(t testing.TB, msg transport.Message) {
 	t.Helper()
 	env := transport.Envelope{From: "nodeA", To: "nodeB", Msg: msg}
@@ -45,19 +38,30 @@ func Check(t testing.TB, msg transport.Message) {
 		t.Fatalf("decode %T consumed %d of %d bytes", msg, n, len(frame))
 	}
 	if !reflect.DeepEqual(got, env) {
-		t.Fatalf("binary round trip of %T:\n got  %#v\n want %#v", msg, got.Msg, env.Msg)
+		t.Fatalf("round trip of %T:\n got  %#v\n want %#v", msg, got.Msg, env.Msg)
 	}
+}
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-		t.Fatalf("gob encode %T: %v", msg, err)
-	}
-	var viaGob transport.Envelope
-	if err := gob.NewDecoder(&buf).Decode(&viaGob); err != nil {
-		t.Fatalf("gob decode %T: %v", msg, err)
-	}
-	if !reflect.DeepEqual(got.Msg, viaGob.Msg) {
-		t.Fatalf("codec disagreement on %T:\n binary %#v\n gob    %#v", msg, got.Msg, viaGob.Msg)
+// CopyTree copies the directory src to dst, so a test can open a
+// committed fixture for append without touching the committed files.
+func CopyTree(t testing.TB, src, dst string) {
+	t.Helper()
+	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path) // path is under src by construction
+		if info.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -105,59 +109,60 @@ func (g *Gen) Int64() int64 {
 // Byte returns one random byte.
 func (g *Gen) Byte() byte { return byte(g.R.Intn(256)) }
 
-// Bytes returns nil a quarter of the time, else 1..32 random bytes —
-// never empty-but-non-nil (see the package comment).
+// Bytes returns nil a quarter of the time, else 0..32 random bytes. The
+// collection generators all emit nil and empty-but-non-nil alike: the
+// codec's n+1 length headers keep the two apart.
 func (g *Gen) Bytes() []byte {
 	if g.R.Intn(4) == 0 {
 		return nil
 	}
-	b := make([]byte, 1+g.R.Intn(32))
+	b := make([]byte, g.R.Intn(33))
 	g.R.Read(b)
 	return b
 }
 
-// ByteSlices returns nil or 1..4 elements of Bytes.
+// ByteSlices returns nil or 0..4 elements of Bytes.
 func (g *Gen) ByteSlices() [][]byte {
 	if g.R.Intn(4) == 0 {
 		return nil
 	}
-	out := make([][]byte, 1+g.R.Intn(4))
+	out := make([][]byte, g.R.Intn(5))
 	for i := range out {
 		out[i] = g.Bytes()
 	}
 	return out
 }
 
-// Uint64s returns nil or 1..8 random counters.
+// Uint64s returns nil or 0..8 random counters.
 func (g *Gen) Uint64s() []uint64 {
 	if g.R.Intn(4) == 0 {
 		return nil
 	}
-	out := make([]uint64, 1+g.R.Intn(8))
+	out := make([]uint64, g.R.Intn(9))
 	for i := range out {
 		out[i] = g.Uint64()
 	}
 	return out
 }
 
-// Ints returns nil or 1..8 random ints.
+// Ints returns nil or 0..8 random ints.
 func (g *Gen) Ints() []int {
 	if g.R.Intn(4) == 0 {
 		return nil
 	}
-	out := make([]int, 1+g.R.Intn(8))
+	out := make([]int, g.R.Intn(9))
 	for i := range out {
 		out[i] = int(g.Int64())
 	}
 	return out
 }
 
-// Vector returns nil or a clock.Vector of 1..4 entries.
+// Vector returns nil or a clock.Vector of 0..4 entries.
 func (g *Gen) Vector() clock.Vector {
 	if g.R.Intn(4) == 0 {
 		return nil
 	}
-	n := 1 + g.R.Intn(4)
+	n := g.R.Intn(5)
 	v := make(clock.Vector, n)
 	for i := 0; i < n; i++ {
 		v["node"+g.Str()] = g.Uint64()
