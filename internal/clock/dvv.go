@@ -143,6 +143,19 @@ func (s *Siblings[T]) Add(dvv DVV, value T) int {
 	return len(s.versions)
 }
 
+// Covers reports whether the set already accounts for dvv's write: a
+// sibling carries its dot or obsoletes it, so Add would not keep that
+// version. It needs no value: a reader holding only a peer's clocks
+// learns from it whether the peer has a version the set lacks.
+func (s *Siblings[T]) Covers(dvv DVV) bool {
+	for _, have := range s.versions {
+		if have.DVV.Dot == dvv.Dot || have.DVV.Obsoletes(dvv) {
+			return true
+		}
+	}
+	return false
+}
+
 // Values returns the current sibling values in insertion order.
 func (s *Siblings[T]) Values() []T {
 	out := make([]T, len(s.versions))

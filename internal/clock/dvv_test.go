@@ -80,6 +80,45 @@ func TestSiblingsObsoleteWriteIgnored(t *testing.T) {
 	}
 }
 
+// TestSiblingsCoversAgreesWithAdd: Covers answers from clocks alone what
+// Add would decide about a version: kept (not covered) or not.
+func TestSiblingsCoversAgreesWithAdd(t *testing.T) {
+	v1 := NewDVV("a", nil)
+	v2 := NewDVV("a", v1.Context)         // supersedes v1
+	v3 := NewDVV("b", nil)                // concurrent with both
+	v4 := NewDVV("c", v2.Join(v3).Copy()) // supersedes all three
+	var s Siblings[string]
+	s.Add(v2, "two")
+	for _, tc := range []struct {
+		name    string
+		dvv     DVV
+		covered bool
+	}{
+		{"its own dot", v2, true},
+		{"a version it obsoletes", v1, true},
+		{"a concurrent version", v3, false},
+		{"a version that obsoletes it", v4, false},
+	} {
+		if got := s.Covers(tc.dvv); got != tc.covered {
+			t.Errorf("Covers(%s) = %v, want %v", tc.name, got, tc.covered)
+		}
+		probe := s
+		probe.versions = append([]SiblingEntry[string](nil), s.versions...)
+		probe.Add(tc.dvv, "probe")
+		kept := false
+		for _, e := range probe.versions {
+			kept = kept || e.Value == "probe"
+		}
+		if kept == tc.covered {
+			t.Errorf("%s: Add kept it = %v, Covers = %v", tc.name, kept, tc.covered)
+		}
+	}
+	var empty Siblings[string]
+	if empty.Covers(v1) {
+		t.Error("an empty set covers nothing")
+	}
+}
+
 // TestSiblingsNoExplosionWithDVV is the A3 ablation's core claim: a client
 // that always echoes the read context never produces more than the true
 // number of concurrent writers, even when writes interleave at one server.

@@ -357,7 +357,7 @@ func (e *Engine) getMergedLocked(key string, at uint64, includeTombstone bool) (
 		if t.minSeq > at {
 			continue
 		}
-		vs, ok, skipped, err := t.get(key)
+		v, ok, skipped, err := t.get(key, at)
 		if skipped {
 			e.io.bloomMisses.Add(1)
 			continue
@@ -367,10 +367,7 @@ func (e *Engine) getMergedLocked(key string, at uint64, includeTombstone bool) (
 			e.logf("lsm: read %s: %v", t.path, err)
 			continue
 		}
-		if !ok {
-			continue
-		}
-		if v, vok := newestAtMost(vs, at); vok && (!found || v.Seq > best.Seq) {
+		if ok && (!found || v.Seq > best.Seq) {
 			best, found = v, true
 		}
 	}

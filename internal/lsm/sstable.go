@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"os"
 	"sort"
+	"sync"
 
 	"repro/internal/storage"
 )
@@ -419,20 +420,42 @@ func (t *table) blockFor(key string) int {
 	return i - 1
 }
 
-func (t *table) readBlock(i int) ([]byte, error) {
+// blockPool recycles data-block buffers across reads: every point lookup
+// and scan step reads one whole block, and what a caller keeps of it is
+// copied out before the buffer returns here, so nothing that outlives a
+// read ever aliases a pooled buffer. It is shared by the lock-free
+// replica-read path, scans and the compactor.
+var blockPool sync.Pool // of *[]byte
+
+// readBlock reads data block i into a pooled buffer and verifies its CRC,
+// on every read: a recycled buffer holds another block's bytes until
+// ReadAt overwrites them all. The caller hands the buffer back with
+// releaseBlock once it has copied out what it keeps.
+func (t *table) readBlock(i int) (*[]byte, error) {
 	if t.io != nil {
 		t.io.blockReads.Add(1)
 	}
 	bm := t.blocks[i]
-	buf := make([]byte, bm.len)
-	if _, err := t.f.ReadAt(buf, int64(bm.off)); err != nil {
+	bp, _ := blockPool.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	if uint64(cap(*bp)) < bm.len {
+		*bp = make([]byte, bm.len)
+	}
+	*bp = (*bp)[:bm.len]
+	if _, err := t.f.ReadAt(*bp, int64(bm.off)); err != nil {
+		releaseBlock(bp)
 		return nil, err
 	}
-	if crc32.Checksum(buf, castagnoli) != bm.crc {
+	if crc32.Checksum(*bp, castagnoli) != bm.crc {
+		releaseBlock(bp)
 		return nil, fmt.Errorf("lsm: %s: block %d CRC mismatch", t.path, i)
 	}
-	return buf, nil
+	return bp, nil
 }
+
+func releaseBlock(bp *[]byte) { blockPool.Put(bp) }
 
 // parseGroup decodes one (key, versions) group at the cursor.
 func parseGroup(c *cursor) (string, []storage.Version, error) {
@@ -473,34 +496,88 @@ func parseGroup(c *cursor) (string, []storage.Version, error) {
 	return key, vs, nil
 }
 
-// get returns key's version history from this table. skipped reports
-// that the bloom filter excluded the key without touching any block.
-func (t *table) get(key string) (vs []storage.Version, ok bool, skipped bool, err error) {
+// findInBlock walks the key groups of one data block in place and
+// returns the newest version of key with Seq <= at. It compares key
+// bytes where they lie and steps over every other group by its lengths,
+// so nothing is materialized on the way; the walk stops at the first
+// greater key. The result's Value and Meta alias block: the caller
+// copies them before the block's buffer is released.
+func findInBlock(block []byte, key string, at uint64) (v storage.Version, ok bool, err error) {
+	c := cursor{b: block}
+	for !c.done() {
+		k := c.take(c.uvarint())
+		n := c.uvarint()
+		if c.bad || n > uint64(len(c.b)-c.off)+1 {
+			return storage.Version{}, false, fmt.Errorf("lsm: malformed group header")
+		}
+		if string(k) > key {
+			break
+		}
+		match := string(k) == key
+		var prev uint64
+		for i := uint64(0); i < n; i++ {
+			seq := c.uvarint()
+			flagBytes := c.take(1)
+			if c.bad {
+				return storage.Version{}, false, fmt.Errorf("lsm: truncated version")
+			}
+			flags := flagBytes[0]
+			var val, meta []byte
+			if flags&flagHasValue != 0 {
+				val = c.take(c.uvarint())
+			}
+			if flags&flagHasMeta != 0 {
+				meta = c.take(c.uvarint())
+			}
+			if c.bad {
+				return storage.Version{}, false, fmt.Errorf("lsm: truncated value or meta")
+			}
+			if !match {
+				continue
+			}
+			if i > 0 && seq <= prev {
+				return storage.Version{}, false, fmt.Errorf("lsm: version seqs out of order for %q", key)
+			}
+			prev = seq
+			if seq <= at {
+				v, ok = storage.Version{Seq: seq, Tombstone: flags&flagTombstone != 0, Value: val, Meta: meta}, true
+			}
+		}
+		if match {
+			return v, ok, nil
+		}
+	}
+	return storage.Version{}, false, nil
+}
+
+// get returns the newest version of key with Seq <= at held by this
+// table. skipped reports that the bloom filter excluded the key without
+// touching any block. The one version returned is the one thing copied
+// out of the block.
+func (t *table) get(key string, at uint64) (v storage.Version, ok bool, skipped bool, err error) {
 	if !t.bloom.mayContain(key) {
-		return nil, false, true, nil
+		return storage.Version{}, false, true, nil
 	}
 	i := t.blockFor(key)
 	if i < 0 {
-		return nil, false, false, nil
+		return storage.Version{}, false, false, nil
 	}
-	buf, err := t.readBlock(i)
+	bp, err := t.readBlock(i)
 	if err != nil {
-		return nil, false, false, err
+		return storage.Version{}, false, false, err
 	}
-	c := &cursor{b: buf}
-	for !c.done() {
-		k, versions, err := parseGroup(c)
-		if err != nil {
-			return nil, false, false, err
-		}
-		if k == key {
-			return versions, true, false, nil
-		}
-		if k > key {
-			break
-		}
+	defer releaseBlock(bp)
+	v, ok, err = findInBlock(*bp, key, at)
+	if !ok || err != nil {
+		return storage.Version{}, false, false, err
 	}
-	return nil, false, false, nil
+	// The same copies parseGroup makes: an empty value comes back nil, an
+	// empty meta comes back empty.
+	v.Value = append([]byte(nil), v.Value...)
+	if v.Meta != nil {
+		v.Meta = append([]byte{}, v.Meta...)
+	}
+	return v, true, false, nil
 }
 
 // scanRange calls fn for every key group with lo <= key < hi ("" =
@@ -516,26 +593,38 @@ func (t *table) scanRange(lo, hi string, fn func(key string, vs []storage.Versio
 		if hi != "" && t.blocks[i].firstKey >= hi {
 			return nil
 		}
-		buf, err := t.readBlock(i)
-		if err != nil {
+		more, err := t.scanBlock(i, lo, hi, fn)
+		if err != nil || !more {
 			return err
-		}
-		c := &cursor{b: buf}
-		for !c.done() {
-			key, vs, err := parseGroup(c)
-			if err != nil {
-				return err
-			}
-			if hi != "" && key >= hi {
-				return nil
-			}
-			if key < lo {
-				continue
-			}
-			if !fn(key, vs) {
-				return nil
-			}
 		}
 	}
 	return nil
+}
+
+// scanBlock is scanRange's step over block i; more reports whether the
+// scan goes on to the next block. What fn receives is parseGroup's copy,
+// so it stays valid after the block's buffer is released here.
+func (t *table) scanBlock(i int, lo, hi string, fn func(key string, vs []storage.Version) bool) (more bool, err error) {
+	bp, err := t.readBlock(i)
+	if err != nil {
+		return false, err
+	}
+	defer releaseBlock(bp)
+	c := &cursor{b: *bp}
+	for !c.done() {
+		key, vs, err := parseGroup(c)
+		if err != nil {
+			return false, err
+		}
+		if hi != "" && key >= hi {
+			return false, nil
+		}
+		if key < lo {
+			continue
+		}
+		if !fn(key, vs) {
+			return false, nil
+		}
+	}
+	return true, nil
 }

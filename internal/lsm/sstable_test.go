@@ -1,6 +1,8 @@
 package lsm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +10,9 @@ import (
 
 	"repro/internal/storage"
 )
+
+// latest reads a key's newest version: no seq is above it.
+const latest = ^uint64(0)
 
 func buildTableBytes(t testing.TB, entries []tableEntry, blockBytes int) []byte {
 	t.Helper()
@@ -60,21 +65,28 @@ func TestSSTableRoundTrip(t *testing.T) {
 	}
 
 	for _, e := range entries {
-		vs, ok, skipped, err := tab.get(e.key)
-		if err != nil || !ok || skipped {
-			t.Fatalf("get(%q) = ok=%v skipped=%v err=%v", e.key, ok, skipped, err)
-		}
-		if len(vs) != len(e.versions) {
-			t.Fatalf("get(%q) = %d versions, want %d", e.key, len(vs), len(e.versions))
-		}
-		for i := range vs {
-			if vs[i].Seq != e.versions[i].Seq || vs[i].Tombstone != e.versions[i].Tombstone ||
-				string(vs[i].Value) != string(e.versions[i].Value) {
-				t.Fatalf("get(%q)[%d] = %+v, want %+v", e.key, i, vs[i], e.versions[i])
+		for i, want := range e.versions {
+			// A read at a version's own seq, and just below the next one's,
+			// resolves to that version.
+			ats := []uint64{want.Seq, latest}
+			if i+1 < len(e.versions) {
+				ats[1] = e.versions[i+1].Seq - 1
+			}
+			for _, at := range ats {
+				v, ok, skipped, err := tab.get(e.key, at)
+				if err != nil || !ok || skipped {
+					t.Fatalf("get(%q, %d) = ok=%v skipped=%v err=%v", e.key, at, ok, skipped, err)
+				}
+				if v.Seq != want.Seq || v.Tombstone != want.Tombstone || string(v.Value) != string(want.Value) {
+					t.Fatalf("get(%q, %d) = %+v, want %+v", e.key, at, v, want)
+				}
 			}
 		}
+		if _, ok, _, err := tab.get(e.key, e.versions[0].Seq-1); ok || err != nil {
+			t.Fatalf("get(%q) below its first seq = ok=%v err=%v", e.key, ok, err)
+		}
 	}
-	if _, ok, _, err := tab.get("key-9999"); ok || err != nil {
+	if _, ok, _, err := tab.get("key-9999", latest); ok || err != nil {
 		t.Fatalf("get(absent) = ok=%v err=%v", ok, err)
 	}
 
@@ -114,8 +126,8 @@ func TestSSTableDetectsCorruption(t *testing.T) {
 		}
 		// Structure parsed (corruption was inside a data block): the
 		// block CRC must catch it at read time.
-		_, _, _, gerr := tab.get("alpha")
-		_, _, _, gerr2 := tab.get("beta")
+		_, _, _, gerr := tab.get("alpha", latest)
+		_, _, _, gerr2 := tab.get("beta", latest)
 		tab.close()
 		if gerr == nil && gerr2 == nil {
 			t.Fatalf("corruption at offset %d accepted silently", off)
@@ -123,8 +135,62 @@ func TestSSTableDetectsCorruption(t *testing.T) {
 	}
 }
 
+// parseBlock is the reference the in-place walker is held to: every
+// group of a block through parseGroup, as scanRange reads it.
+func parseBlock(block []byte) ([]tableEntry, error) {
+	var out []tableEntry
+	c := &cursor{b: block}
+	for !c.done() {
+		key, vs, err := parseGroup(c)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, tableEntry{key: key, versions: vs})
+	}
+	return out, nil
+}
+
+// checkWalkerAgrees holds findInBlock to parseBlock on one block: for
+// every key the block holds, at every seq around each of its versions,
+// the walker picks what newestAtMost picks from the parsed history. A
+// block whose keys do not ascend is skipped: no writer produces one, and
+// the walker rightly stops at the first greater key.
+func checkWalkerAgrees(t *testing.T, block []byte) {
+	t.Helper()
+	groups, err := parseBlock(block)
+	if err != nil {
+		return
+	}
+	for i := 1; i < len(groups); i++ {
+		if groups[i].key <= groups[i-1].key {
+			return
+		}
+	}
+	for _, g := range groups {
+		ats := []uint64{0, latest}
+		for _, v := range g.versions {
+			ats = append(ats, v.Seq-1, v.Seq, v.Seq+1)
+		}
+		for _, at := range ats {
+			want, wantOK := newestAtMost(g.versions, at)
+			got, ok, err := findInBlock(block, g.key, at)
+			if err != nil || ok != wantOK {
+				t.Fatalf("findInBlock(%q, %d) = ok=%v err=%v, parseGroup says ok=%v", g.key, at, ok, err, wantOK)
+			}
+			if ok && (got.Seq != want.Seq || got.Tombstone != want.Tombstone ||
+				!bytes.Equal(got.Value, want.Value) || !bytes.Equal(got.Meta, want.Meta) ||
+				(got.Meta == nil) != (want.Meta == nil)) {
+				t.Fatalf("findInBlock(%q, %d) = %+v, parseGroup says %+v", g.key, at, got, want)
+			}
+		}
+	}
+}
+
 // FuzzSSTableDecode throws arbitrary bytes at the table parser and the
-// full read path. Any input may be rejected; none may panic.
+// full read path, and at the in-place block walker directly (a block's
+// CRC keeps mutated bytes from ever reaching it through a table). Any
+// input may be rejected; none may panic; and what the walker accepts it
+// reads as parseGroup does.
 func FuzzSSTableDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(buildTableBytes(f, []tableEntry{
@@ -141,8 +207,36 @@ func FuzzSSTableDecode(f *testing.F) {
 	f.Add(seed)
 	f.Add(seed[:len(seed)-10]) // truncated footer
 	f.Add(seed[5:])            // shifted offsets
+	// A bare data block, for the walker: three groups, one multi-version.
+	var block []byte
+	for _, e := range []tableEntry{
+		{key: "a", versions: []storage.Version{{Seq: 1, Value: []byte("x")}}},
+		{key: "longer-key-0001", versions: []storage.Version{
+			{Seq: 2, Value: []byte("y"), Meta: []byte{}},
+			{Seq: 5, Tombstone: true},
+			{Seq: 7, Value: []byte{}},
+		}},
+		{key: "zzz", versions: []storage.Version{{Seq: 9, Meta: []byte("m")}}},
+	} {
+		block = binary.AppendUvarint(block, uint64(len(e.key)))
+		block = append(block, e.key...)
+		block = binary.AppendUvarint(block, uint64(len(e.versions)))
+		for _, v := range e.versions {
+			block = appendVersion(block, v)
+		}
+	}
+	f.Add(block)
+	f.Add(block[:len(block)-3]) // cut inside the last group
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The walker on the raw bytes: the skip path over whatever they
+		// hold, then agreement with the copying parser.
+		for _, key := range []string{"", "a", "longer-key-0001", "m", "zzz", "\xff\xff"} {
+			findInBlock(data, key, latest)
+			findInBlock(data, key, 4)
+		}
+		checkWalkerAgrees(t, data)
+
 		path := filepath.Join(t.TempDir(), "fuzz.sst")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
@@ -153,9 +247,33 @@ func FuzzSSTableDecode(f *testing.F) {
 		}
 		defer tab.close()
 		// Exercise every decode path; errors are fine, panics are not.
-		tab.get("a")
-		tab.get("longer-key-0001")
-		tab.get("zzz")
-		tab.scanRange("", "", func(string, []storage.Version) bool { return true })
+		tab.get("a", latest)
+		tab.get("longer-key-0001", 3)
+		tab.get("zzz", latest)
+		var scanned []tableEntry
+		err = tab.scanRange("", "", func(key string, vs []storage.Version) bool {
+			scanned = append(scanned, tableEntry{key: key, versions: vs})
+			return true
+		})
+		if err != nil {
+			return
+		}
+		// An accepted table: a point lookup of every key it scans agrees
+		// with the scan (keys in written order; see checkWalkerAgrees).
+		for i := 1; i < len(scanned); i++ {
+			if scanned[i].key <= scanned[i-1].key {
+				return
+			}
+		}
+		for _, e := range scanned {
+			want, wantOK := newestAtMost(e.versions, latest)
+			got, ok, skipped, err := tab.get(e.key, latest)
+			if skipped {
+				continue // a bloom section that is not this table's
+			}
+			if err != nil || ok != wantOK || got.Seq != want.Seq || !bytes.Equal(got.Value, want.Value) {
+				t.Fatalf("get(%q) = %+v ok=%v err=%v, scanRange says %+v ok=%v", e.key, got, ok, err, want, wantOK)
+			}
+		}
 	})
 }

@@ -243,6 +243,9 @@ func (n *Node) persistRecord(domain int, r walRecord) {
 // transfer and geo batches. domain is the executing durability domain
 // (see persistRecord).
 func (n *Node) installEntry(domain int, key string, e clock.SiblingEntry[record]) {
+	if n.installHook != nil {
+		n.installHook(key, e)
+	}
 	if !n.applyEntry(key, e) {
 		return // duplicate or obsolete: nothing to journal
 	}

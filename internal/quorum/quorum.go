@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -281,6 +282,10 @@ type (
 	replicaGet struct {
 		ID  uint64
 		Key string
+		// Digest asks for the key's clocks only. A read needs R clocks to
+		// decide freshness and one value to answer, so a coordinator that
+		// holds a replica of the key asks only that replica for values.
+		Digest bool
 	}
 	replicaGetResp struct {
 		ID      uint64
@@ -289,6 +294,14 @@ type (
 		// NotReady marks a catching-up replica's refusal: it must not be
 		// counted toward R (the key's arc has not finished transferring).
 		NotReady bool
+		// Digest marks the answer to a digest ask: every entry carries its
+		// DVV and tombstone bit and a nil value. The mark sits on the
+		// message, not the entry, so an entry's own encoding (appendEntry,
+		// and the stored layout built from it) is untouched. A digest's
+		// entries go into the coordinator's supersession check and nowhere
+		// else: they are never installed, journaled, hinted, pushed or
+		// returned.
+		Digest bool
 	}
 	handoffDeliver struct {
 		Key     string
@@ -345,21 +358,88 @@ type pendingWrite struct {
 	geoAsync []string
 }
 
+// readAnswer is one node's answer to a read: its sibling entries, and
+// whether they came as a digest (see replicaGetResp.Digest).
+type readAnswer struct {
+	entries []clock.SiblingEntry[record]
+	digest  bool
+}
+
 type pendingRead struct {
 	client    string
 	id        uint64
 	key       string
-	responses map[string][]clock.SiblingEntry[record]
+	responses map[string]readAnswer
 	needed    int
 	replicas  []string
 	done      bool
 	timer     transport.TimerID
 
+	// digests is set when the coordinator holds a replica of the key:
+	// that replica alone is asked for values, every other node for a
+	// digest. It is read off the preference list, not configured.
+	digests bool
+	// asked is everyone this read has been sent to, and whether the ask
+	// that stands is for a digest (a re-ask in full clears it).
+	asked map[string]bool
+
 	// Resilience state.
 	fallbacks []string
-	asked     map[string]bool // everyone this read has been sent to
 	fi        int
 	attempt   int
+}
+
+// owes reports whether target has yet to answer the ask that stands: it
+// has not answered at all, or with a digest where its values have since
+// been asked for.
+func (pr *pendingRead) owes(target string) bool {
+	a, ok := pr.responses[target]
+	return !ok || (a.digest && !pr.asked[target])
+}
+
+// merge folds the read's answers under DVV supersession and names the
+// responders whose values are still needed. Only answers that carry
+// values go into merged, so none of its entries ever lacks one; digests
+// are checked against it, and a digest naming a version merged does not
+// cover (a dot that survives and that nobody sent) puts its responder in
+// missing. An empty missing means every surviving dot has its value. A
+// read asked in full everywhere is the degenerate case: nothing to
+// check. Both passes walk the preference list and then the fallbacks in
+// ring order, never the responses map, so sibling order is a function of
+// the seed.
+func (pr *pendingRead) merge() (merged *clock.Siblings[record], missing []string) {
+	merged = new(clock.Siblings[record])
+	nodes := len(pr.replicas) + pr.fi
+	answer := func(i int) (string, readAnswer, bool) {
+		node := ""
+		if i < len(pr.replicas) {
+			node = pr.replicas[i]
+		} else {
+			node = pr.fallbacks[i-len(pr.replicas)]
+		}
+		a, ok := pr.responses[node]
+		return node, a, ok
+	}
+	for i := 0; i < nodes; i++ {
+		if _, a, ok := answer(i); ok && !a.digest {
+			for _, e := range a.entries {
+				merged.Add(e.DVV, e.Value)
+			}
+		}
+	}
+	for i := 0; i < nodes; i++ {
+		node, a, ok := answer(i)
+		if !ok || !a.digest {
+			continue
+		}
+		for _, e := range a.entries {
+			if !merged.Covers(e.DVV) {
+				missing = append(missing, node)
+				break
+			}
+		}
+	}
+	return merged, missing
 }
 
 // Node is one storage node of the quorum store. It implements
@@ -416,6 +496,11 @@ type Node struct {
 	geoMu    sync.Mutex
 	geoPeers map[string]*geoPeer
 	zoneHigh map[string]int64 // source zone -> high-water wall-clock ms
+
+	// installHook, when a test sets it before the node runs, sees every
+	// entry handed to installEntry, stored or not: where the tests pin
+	// that nothing a digest carried is ever installed.
+	installHook func(key string, e clock.SiblingEntry[record])
 
 	// Stats (written with atomic adds: shard goroutines race each other).
 	ReadRepairsSent uint64
@@ -920,6 +1005,14 @@ func (n *Node) writeTimeout(env transport.Env, id uint64) {
 // its own replica (when it is one) answers through the message path like
 // any other, so which R replicas "win" is decided by delivery timing —
 // the race probabilistically-bounded staleness quantifies.
+//
+// What is asked of each replica depends on where the coordinator stands.
+// Supersession is computed from DVVs alone, so R clocks decide which
+// versions the read returns and each of those needs its value from one
+// place only. A coordinator in the key's preference list asks its own
+// replica for values and the others for digests; when the digests name a
+// version its replica did not have, it asks that responder again in full
+// (onGetResp). A coordinator outside the list asks everyone in full.
 func (n *Node) coordinateGet(env transport.Env, client string, m clientGet) {
 	prefs, fallbacks := n.placement(m.Key)
 	shardIdx := n.router.Shard(m.Key)
@@ -937,9 +1030,10 @@ func (n *Node) coordinateGet(env transport.Env, client string, m clientGet) {
 		client:    client,
 		id:        m.ID,
 		key:       m.Key,
-		responses: make(map[string][]clock.SiblingEntry[record]),
+		responses: make(map[string]readAnswer),
 		needed:    needed,
 		replicas:  prefs,
+		digests:   contains(prefs, n.id),
 		asked:     make(map[string]bool),
 	}
 	if (n.cfg.Resilience != nil && n.cfg.SloppyQuorum) || n.cfg.Elastic != nil {
@@ -950,8 +1044,7 @@ func (n *Node) coordinateGet(env transport.Env, client string, m clientGet) {
 	}
 	n.shards[shardIdx].reads[id] = pr
 	for _, rep := range prefs {
-		env.Send(rep, replicaGet{ID: id, Key: m.Key})
-		pr.asked[rep] = true
+		n.ask(env, id, pr, rep, pr.digests && rep != n.id)
 		// Suspected replicas get a fallback reader immediately: under a
 		// sloppy quorum the fallback may hold the only reachable copy
 		// (a hinted write), and its response counts toward R.
@@ -973,12 +1066,19 @@ func (n *Node) askReadFallback(env transport.Env, id uint64, pr *pendingRead) {
 	}
 	fb := pr.fallbacks[pr.fi]
 	pr.fi++
-	pr.asked[fb] = true
-	env.Send(fb, replicaGet{ID: id, Key: pr.key})
+	n.ask(env, id, pr, fb, pr.digests)
+}
+
+// ask sends target the read's replicaGet, for a digest or in full, and
+// records which ask now stands.
+func (n *Node) ask(env transport.Env, id uint64, pr *pendingRead, target string, digest bool) {
+	pr.asked[target] = digest
+	env.Send(target, replicaGet{ID: id, Key: pr.key, Digest: digest})
 }
 
 // retryRead is one retransmission round for a pending read: re-ask every
-// node that has not responded, within the policy's attempt budget.
+// node that still owes an answer (a re-ask in full included), within the
+// policy's attempt budget.
 func (n *Node) retryRead(env transport.Env, id uint64) {
 	pr, ok := n.reqShard(id).reads[id]
 	if !ok || pr.done {
@@ -999,10 +1099,10 @@ func (n *Node) retryRead(env transport.Env, id uint64) {
 	}
 	sort.Strings(targets)
 	for _, t := range targets {
-		if _, responded := pr.responses[t]; responded {
+		if !pr.owes(t) {
 			continue
 		}
-		env.Send(t, replicaGet{ID: id, Key: pr.key})
+		env.Send(t, replicaGet{ID: id, Key: pr.key, Digest: pr.asked[t]})
 		if n.cfg.Counters != nil {
 			n.cfg.Counters.Retry()
 		}
@@ -1013,12 +1113,17 @@ func (n *Node) retryRead(env transport.Env, id uint64) {
 	env.SetTimer(pol.Backoff(pr.attempt, env.Rand()), rpcRetryTag{id: id, write: false})
 }
 
-// repairState tracks a completed read whose remaining replica responses
-// drive background read repair.
+// repairState is a completed read parked for background read repair: the
+// replicas that had not answered when it returned, and the merged set to
+// hold their late answers against. It lives until they have all answered
+// or the read's own deadline passes, whichever is first: timer is the
+// read's timeout, left armed, so a replica that never answers (down,
+// partitioned, a dropped frame, NotReady) cannot strand the state.
 type repairState struct {
 	key     string
 	merged  *clock.Siblings[record]
-	waiting int
+	waiting []string
+	timer   transport.TimerID
 }
 
 func (n *Node) onGetResp(env transport.Env, from string, m replicaGetResp) {
@@ -1035,43 +1140,61 @@ func (n *Node) onGetResp(env transport.Env, from string, m replicaGetResp) {
 	if !ok || pr.done {
 		// Late response after the quorum returned: background repair.
 		if rs, ok := n.reqShard(m.ID).repairs[m.ID]; ok {
-			n.backgroundRepair(env, m.ID, rs, from, m.Entries)
+			n.backgroundRepair(env, m.ID, rs, from, m)
 		}
 		return
 	}
-	pr.responses[from] = m.Entries
-	if len(pr.responses) >= pr.needed {
-		n.finishRead(env, m.ID, pr, "")
+	if have, ok := pr.responses[from]; ok && !have.digest && m.Digest {
+		return // a straggling digest does not displace the values already here
+	}
+	pr.responses[from] = readAnswer{entries: m.Entries, digest: m.Digest}
+	if len(pr.responses) < pr.needed {
+		return
+	}
+	// R answers, and every dot that survives the merge of their clocks
+	// has its value: the one condition a read completes on.
+	merged, missing := pr.merge()
+	if len(missing) == 0 {
+		n.finishRead(env, m.ID, pr, merged, "")
+		return
+	}
+	// A digest names a surviving version nobody sent (this node's own
+	// replica lags, or has not answered yet): ask its responder again, in
+	// full, once. The answer replaces the digest and lands back here; if
+	// it is lost, retryRead repeats the ask inside the read's deadline.
+	for _, node := range missing {
+		if pr.asked[node] {
+			n.ask(env, m.ID, pr, node, false)
+		}
 	}
 }
 
-func (n *Node) finishRead(env transport.Env, id uint64, pr *pendingRead, errStr string) {
+// finishRead completes a read with merged, the fold of the answers that
+// carried values (see pendingRead.merge).
+func (n *Node) finishRead(env transport.Env, id uint64, pr *pendingRead, merged *clock.Siblings[record], errStr string) {
 	pr.done = true
-	delete(n.reqShard(id).reads, id)
-	env.Cancel(pr.timer)
-
-	// Merge all sibling sets under DVV supersession.
-	var merged clock.Siblings[record]
-	for _, entries := range pr.responses {
-		for _, e := range entries {
-			merged.Add(e.DVV, e.Value)
-		}
-	}
+	sh := n.reqShard(id)
+	delete(sh.reads, id)
 	mergedEntries := merged.Entries()
 
+	parked := false
 	if n.cfg.ReadRepair && errStr == "" {
 		n.readRepair(env, pr, mergedEntries)
 		// Late responses from the replicas that did not make the quorum
 		// drive background repair as they trickle in.
-		remaining := 0
+		var waiting []string
 		for _, rep := range pr.replicas {
 			if _, ok := pr.responses[rep]; !ok {
-				remaining++
+				waiting = append(waiting, rep)
 			}
 		}
-		if remaining > 0 {
-			n.reqShard(id).repairs[id] = &repairState{key: pr.key, merged: &merged, waiting: remaining}
+		if len(waiting) > 0 {
+			sh.repairs[id] = &repairState{key: pr.key, merged: merged, waiting: waiting, timer: pr.timer}
+			parked = true
 		}
+	}
+	if !parked {
+		env.Cancel(pr.timer)
 	}
 
 	var values [][]byte
@@ -1090,27 +1213,39 @@ func (n *Node) finishRead(env transport.Env, id uint64, pr *pendingRead, errStr 
 }
 
 // backgroundRepair handles a replica response arriving after the quorum
-// returned: fold it into the merged set and, if the replica was behind,
-// push the merged versions back to it.
-func (n *Node) backgroundRepair(env transport.Env, id uint64, rs *repairState, from string, entries []clock.SiblingEntry[record]) {
-	before := rs.merged.Entries()
-	for _, e := range entries {
-		rs.merged.Add(e.DVV, e.Value)
+// returned: if the replica differs from the merged set, fold in what it
+// sent and push the merged versions back to it. Only the replicas the
+// read was still waiting for are heard, each once: a duplicate, a
+// fallback's answer or the reply to a re-ask neither repairs anything
+// nor ends the wait early. A late digest is compared by its dots and
+// contributes none of its (elided) entries: what is pushed always comes
+// from answers that carried values.
+func (n *Node) backgroundRepair(env transport.Env, id uint64, rs *repairState, from string, m replicaGetResp) {
+	i := slices.Index(rs.waiting, from)
+	if i < 0 {
+		return
 	}
-	if !sameEntries(entries, before) {
+	rs.waiting = slices.Delete(rs.waiting, i, i+1)
+	if !sameEntries(m.Entries, rs.merged.Entries()) {
+		if !m.Digest {
+			for _, e := range m.Entries {
+				rs.merged.Add(e.DVV, e.Value)
+			}
+		}
 		for _, e := range rs.merged.Entries() {
 			env.Send(from, replicaPut{Key: rs.key, Entry: e, Repair: true})
 			atomic.AddUint64(&n.ReadRepairsSent, 1)
 		}
 	}
-	rs.waiting--
-	if rs.waiting <= 0 {
+	if len(rs.waiting) == 0 {
 		delete(n.reqShard(id).repairs, id)
+		env.Cancel(rs.timer)
 	}
 }
 
 // readRepair pushes the merged sibling set to every replica whose
-// response differed from it (A1 ablation switch).
+// response differed from it (A1 ablation switch). A digest is compared
+// like any answer, by its dots.
 func (n *Node) readRepair(env transport.Env, pr *pendingRead, merged []clock.SiblingEntry[record]) {
 	// Repair replicas in sorted order so the sends interleave
 	// deterministically across runs.
@@ -1126,8 +1261,7 @@ func (n *Node) readRepair(env transport.Env, pr *pendingRead, merged []clock.Sib
 		if !contains(pr.replicas, rep) {
 			continue
 		}
-		entries := pr.responses[rep]
-		if sameEntries(entries, merged) {
+		if sameEntries(pr.responses[rep].entries, merged) {
 			continue
 		}
 		if rep == n.id {
@@ -1162,12 +1296,17 @@ func sameEntries(a, b []clock.SiblingEntry[record]) bool {
 	return true
 }
 
+// readTimeout is the read's deadline. A read still pending fails with
+// whatever the value-bearing answers so far merge to; a read that already
+// returned gives up waiting for its late replicas (see repairState).
 func (n *Node) readTimeout(env transport.Env, id uint64) {
-	pr, ok := n.reqShard(id).reads[id]
-	if !ok || pr.done {
+	sh := n.reqShard(id)
+	if pr, ok := sh.reads[id]; ok && !pr.done {
+		merged, _ := pr.merge()
+		n.finishRead(env, id, pr, merged, string(ErrQuorumTimeout))
 		return
 	}
-	n.finishRead(env, id, pr, string(ErrQuorumTimeout))
+	delete(sh.repairs, id)
 }
 
 // attemptHandoff tries to deliver stored hints to their intended nodes.

@@ -14,6 +14,32 @@ type harness struct {
 	nodes  []*Node
 	client *Client
 	env    sim.Env
+	// onDeliver, when set, sees every message the simulator delivers, just
+	// before its recipient does.
+	onDeliver func(msg sim.Message)
+}
+
+// sizeOf is the simulator's delivery-time size hook, which is the one
+// place it shows a delivered message to its host: the harness measures
+// as the simulator would by itself and lets the test look.
+func (h *harness) sizeOf(msg sim.Message) int {
+	if h.onDeliver != nil {
+		h.onDeliver(msg)
+	}
+	if s, ok := msg.(interface{ Size() int }); ok {
+		return s.Size()
+	}
+	return 0
+}
+
+// node returns the store node called id.
+func (h *harness) node(id string) *Node {
+	for _, n := range h.nodes {
+		if n.id == id {
+			return n
+		}
+	}
+	return nil
 }
 
 func newHarness(t *testing.T, nNodes int, cfg Config, seed int64) *harness {
@@ -35,7 +61,8 @@ func newHarnessWith(t *testing.T, nNodes int, seed int64, cfgFor func(id string)
 
 func newHarnessPerNode(t *testing.T, nNodes int, seed int64, lat sim.LatencyModel, cfgFor func(id string) Config) *harness {
 	t.Helper()
-	c := sim.New(sim.Config{Seed: seed, Latency: lat})
+	h := &harness{}
+	c := sim.New(sim.Config{Seed: seed, Latency: lat, SizeOf: h.sizeOf})
 	ring := make([]string, nNodes)
 	for i := range ring {
 		ring[i] = fmt.Sprintf("s%d", i)
@@ -49,7 +76,8 @@ func newHarnessPerNode(t *testing.T, nNodes int, seed int64, lat sim.LatencyMode
 	}
 	client := NewClient("client")
 	c.AddNode("client", client)
-	return &harness{c: c, nodes: nodes, client: client, env: c.ClientEnv("client")}
+	h.c, h.nodes, h.client, h.env = c, nodes, client, c.ClientEnv("client")
+	return h
 }
 
 func (h *harness) anyNode() string { return h.nodes[0].id }

@@ -260,7 +260,15 @@ func (n *Node) answerReplicaGet(env transport.Env, from string, m replicaGet) {
 		// copies reachable from this side.
 		entries = append(entries, n.hintedEntries(m.Key)...)
 	}
-	env.Send(from, replicaGetResp{ID: m.ID, Key: m.Key, Entries: entries})
+	if m.Digest {
+		// Clocks only: the values stay home. entries is this call's own
+		// slice (decoded fresh, hints appended by value), so clearing its
+		// value fields touches nothing stored or queued.
+		for i := range entries {
+			entries[i].Value.Value = nil
+		}
+	}
+	env.Send(from, replicaGetResp{ID: m.ID, Key: m.Key, Entries: entries, Digest: m.Digest})
 }
 
 // Router exposes the node's key→shard mapping (the same hash the Merkle

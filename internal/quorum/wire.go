@@ -171,15 +171,17 @@ func (m replicaPutAck) AppendBinary(dst []byte) []byte {
 func (replicaGet) WireID() uint16 { return widReplicaGet }
 func (m replicaGet) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendUvarint(dst, m.ID)
-	return wire.AppendString(dst, m.Key)
+	dst = wire.AppendString(dst, m.Key)
+	return wire.AppendBool(dst, m.Digest)
 }
 
 func (replicaGetResp) WireID() uint16 { return widReplicaGetResp }
 func (m replicaGetResp) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendUvarint(dst, m.ID)
 	dst = wire.AppendString(dst, m.Key)
-	dst = appendEntries(dst, m.Entries)
-	return wire.AppendBool(dst, m.NotReady)
+	dst = appendEntries(dst, m.Entries) // a digest's entries hold no value: one byte each says so
+	dst = wire.AppendBool(dst, m.NotReady)
+	return wire.AppendBool(dst, m.Digest)
 }
 
 func (handoffDeliver) WireID() uint16 { return widHandoffDeliver }
@@ -281,10 +283,10 @@ func init() {
 		return replicaPutAck{ID: r.Uvarint()}
 	})
 	transport.RegisterBinary(widReplicaGet, func(r *wire.Reader) transport.Message {
-		return replicaGet{ID: r.Uvarint(), Key: r.String()}
+		return replicaGet{ID: r.Uvarint(), Key: r.String(), Digest: r.Bool()}
 	})
 	transport.RegisterBinary(widReplicaGetResp, func(r *wire.Reader) transport.Message {
-		return replicaGetResp{ID: r.Uvarint(), Key: r.String(), Entries: readEntries(r), NotReady: r.Bool()}
+		return replicaGetResp{ID: r.Uvarint(), Key: r.String(), Entries: readEntries(r), NotReady: r.Bool(), Digest: r.Bool()}
 	})
 	transport.RegisterBinary(widHandoffDeliver, func(r *wire.Reader) transport.Message {
 		return handoffDeliver{Key: r.String(), Entries: readEntries(r)}

@@ -29,6 +29,16 @@ func genEntries(g *wiretest.Gen) []clock.SiblingEntry[record] {
 	return out
 }
 
+// genDigests returns an entry list as a digest answer carries it: no
+// entry holds a value.
+func genDigests(g *wiretest.Gen) []clock.SiblingEntry[record] {
+	es := genEntries(g)
+	for i := range es {
+		es[i].Value.Value = nil
+	}
+	return es
+}
+
 func genAEEntries(g *wiretest.Gen) []aeEntry {
 	if g.R.Intn(4) == 0 {
 		return nil
@@ -48,8 +58,9 @@ func genMsgs(g *wiretest.Gen) []transport.Message {
 		getResp{ID: g.Uint64(), Values: g.ByteSlices(), Context: g.Vector(), Err: g.Str(), Replicas: int(g.Int64())},
 		replicaPut{ID: g.Uint64(), Key: g.Str(), Entry: genEntry(g), Hint: g.Str(), Repair: g.Bool()},
 		replicaPutAck{ID: g.Uint64()},
-		replicaGet{ID: g.Uint64(), Key: g.Str()},
+		replicaGet{ID: g.Uint64(), Key: g.Str(), Digest: g.Bool()},
 		replicaGetResp{ID: g.Uint64(), Key: g.Str(), Entries: genEntries(g), NotReady: g.Bool()},
+		replicaGetResp{ID: g.Uint64(), Key: g.Str(), Entries: genDigests(g), NotReady: g.Bool(), Digest: true},
 		handoffDeliver{Key: g.Str(), Entries: genEntries(g)},
 		handoffAck{Key: g.Str()},
 		resPing{Pad: g.Byte()},

@@ -2,7 +2,7 @@ package resilience
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -202,9 +202,10 @@ func (l *Latency) Quantile(q float64) time.Duration {
 	if len(l.samples) == 0 {
 		return 0
 	}
-	sorted := make([]time.Duration, len(l.samples))
-	copy(sorted, l.samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	// A copy on the stack: this runs once per client request.
+	var window [latencyWindow]time.Duration
+	sorted := window[:copy(window[:], l.samples)]
+	slices.Sort(sorted)
 	idx := int(q * float64(len(sorted)))
 	if idx >= len(sorted) {
 		idx = len(sorted) - 1

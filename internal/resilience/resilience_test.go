@@ -200,6 +200,11 @@ func TestLatencyQuantileAndHedgeDelay(t *testing.T) {
 	if l.Count() != latencyWindow {
 		t.Fatalf("count = %d, want window cap %d", l.Count(), latencyWindow)
 	}
+	// Every quorum request asks for a hedge delay: the sort must stay on
+	// the stack.
+	if a := testing.AllocsPerRun(100, func() { l.HedgeDelay(p) }); a != 0 {
+		t.Fatalf("HedgeDelay over a full window: %v allocs, want 0", a)
+	}
 }
 
 func TestPolicyNormalizedFillsZeroFields(t *testing.T) {

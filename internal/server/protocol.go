@@ -107,13 +107,39 @@ func (m Request) AppendBinary(dst []byte) []byte {
 	return wire.AppendString(dst, m.Zone)
 }
 
+// The byte after Value holds Found in bit 0, as a bool always did, and in
+// bit 1 that Value is Values[0]: a quorum get answers with its first
+// sibling in both fields, one slice. Such a Value is written absent and
+// the decoder points it back at Values[0], so the value crosses the wire
+// once. Every other answer keeps its bytes.
+const (
+	respFound      = 1 << 0
+	respValueFirst = 1 << 1
+)
+
+// valueIsFirst reports whether m.Value is the very slice m.Values[0], by
+// identity: contents are never compared.
+func (m Response) valueIsFirst() bool {
+	return len(m.Values) > 0 && len(m.Value) > 0 && len(m.Value) == len(m.Values[0]) &&
+		&m.Value[0] == &m.Values[0][0]
+}
+
 func (Response) WireID() uint16 { return widResponse }
 func (m Response) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendUvarint(dst, m.Seq)
 	dst = wire.AppendBool(dst, m.OK)
 	dst = wire.AppendString(dst, m.Err)
-	dst = wire.AppendBytes(dst, m.Value)
-	dst = wire.AppendBool(dst, m.Found)
+	var flags byte
+	if m.Found {
+		flags |= respFound
+	}
+	if m.valueIsFirst() {
+		flags |= respValueFirst
+		dst = wire.AppendBytes(dst, nil)
+	} else {
+		dst = wire.AppendBytes(dst, m.Value)
+	}
+	dst = append(dst, flags)
 	dst = wire.AppendByteSlices(dst, m.Values)
 	dst = wire.AppendVector(dst, m.Token.Read)
 	dst = wire.AppendVector(dst, m.Token.Write)
@@ -141,22 +167,28 @@ func init() {
 		}
 	})
 	transport.RegisterBinary(widResponse, func(r *wire.Reader) transport.Message {
-		return Response{
-			Seq:      r.Uvarint(),
-			OK:       r.Bool(),
-			Err:      r.String(),
-			Value:    r.Bytes(),
-			Found:    r.Bool(),
-			Values:   r.ByteSlices(),
-			Token:    session.Token{Read: r.Vector(), Write: r.Vector()},
-			Node:     r.String(),
-			Model:    r.String(),
-			NotOwner: r.Bool(),
-			Epoch:    r.Uvarint(),
-			State:    r.String(),
-			StaleMs:  r.Varint(),
-			Tier:     uint8(r.Uvarint()),
-			Zone:     r.String(),
+		m := Response{Seq: r.Uvarint(), OK: r.Bool(), Err: r.String(), Value: r.Bytes()}
+		flags := r.Uvarint()
+		m.Found = flags&respFound != 0
+		m.Values = r.ByteSlices()
+		switch {
+		case flags&^(respFound|respValueFirst) != 0:
+			r.Poison()
+		case flags&respValueFirst == 0:
+		case m.Value == nil && len(m.Values) > 0:
+			m.Value = m.Values[0]
+		default:
+			r.Poison() // the mark promises an absent Value and a first sibling
 		}
+		m.Token = session.Token{Read: r.Vector(), Write: r.Vector()}
+		m.Node = r.String()
+		m.Model = r.String()
+		m.NotOwner = r.Bool()
+		m.Epoch = r.Uvarint()
+		m.State = r.String()
+		m.StaleMs = r.Varint()
+		m.Tier = uint8(r.Uvarint())
+		m.Zone = r.String()
+		return m
 	})
 }

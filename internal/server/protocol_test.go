@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/session"
@@ -24,6 +25,16 @@ func genStrs(g *wiretest.Gen) []string {
 	return out
 }
 
+// genResponse returns a get's answer shaped as handleQuorum builds it:
+// Value is the first sibling, the same slice, whenever there is one.
+func genResponse(g *wiretest.Gen) Response {
+	r := Response{Seq: g.Uint64(), OK: true, Values: g.ByteSlices(), Tier: g.Byte()}
+	if len(r.Values) > 0 {
+		r.Found, r.Value = true, r.Values[0]
+	}
+	return r
+}
+
 func genMsgs(g *wiretest.Gen) []transport.Message {
 	return []transport.Message{
 		Request{
@@ -36,6 +47,7 @@ func genMsgs(g *wiretest.Gen) []transport.Message {
 			BoundMs: g.Int64(),
 			Zone:    g.Str(),
 		},
+		genResponse(g),
 		Response{
 			Seq:      g.Uint64(),
 			OK:       g.Bool(),
@@ -81,6 +93,70 @@ func checkAll(t testing.TB, seed int64) {
 func TestCodecRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 256; seed++ {
 		checkAll(t, seed)
+	}
+	t.Run("value carried once", checkValueCarriedOnce)
+}
+
+// frameOf encodes msg as the transport does and decodes it again.
+func frameOf(t *testing.T, msg transport.Message) (frame []byte, got Response) {
+	t.Helper()
+	frame, err := transport.AppendFrame(nil, transport.Envelope{From: "node0", To: "c", Msg: msg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, _, err := transport.DecodeFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame, env.Msg.(Response)
+}
+
+// checkValueCarriedOnce pins the one place the client codec looks at
+// identity: a get's answer whose Value is Values[0], the slice
+// handleQuorum builds, crosses the wire with the value in it once and
+// decodes to the same shape; every other answer is written in full.
+func checkValueCarriedOnce(t *testing.T) {
+	v := bytes.Repeat([]byte("v"), 4096)
+	w := bytes.Repeat([]byte("w"), 100)
+	for _, tc := range []struct {
+		name   string
+		resp   Response
+		copies int // times v's bytes appear in the frame
+	}{
+		{"aliased", Response{OK: true, Found: true, Value: v, Values: [][]byte{v, w}}, 1},
+		{"aliased, not found", Response{OK: true, Value: v, Values: [][]byte{v}}, 1},
+		{"distinct slices, equal bytes", Response{OK: true, Found: true, Value: bytes.Clone(v), Values: [][]byte{v, w}}, 2},
+		{"distinct values", Response{OK: true, Found: true, Value: w, Values: [][]byte{v, w}}, 1},
+		{"a prefix of the first sibling", Response{OK: true, Found: true, Value: v[:10], Values: [][]byte{v}}, 1},
+		{"no siblings", Response{OK: true, Found: true, Value: v}, 1},
+		{"empty sibling list", Response{OK: true, Found: true, Value: v, Values: [][]byte{}}, 1},
+		{"empty value and first sibling", Response{OK: true, Found: true, Value: []byte{}, Values: [][]byte{{}}}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wiretest.Check(t, tc.resp)
+			frame, got := frameOf(t, tc.resp)
+			if n := bytes.Count(frame, v); n != tc.copies {
+				t.Errorf("the frame holds the value %d times, want %d", n, tc.copies)
+			}
+			if tc.resp.valueIsFirst() && &got.Value[0] != &got.Values[0][0] {
+				t.Error("decoded Value is not Values[0]")
+			}
+		})
+	}
+	// The mark without what it promises is malformed, not a nil Value.
+	frame, _ := frameOf(t, Response{OK: true, Found: true, Value: v, Values: [][]byte{v}})
+	bare, _ := frameOf(t, Response{OK: true, Found: true})
+	body := Response{OK: true, Found: true}.AppendBinary(nil)
+	const flagsAt = 4 // after Seq, OK, an empty Err and a nil Value, a byte each
+	if body[flagsAt] != respFound {
+		t.Fatalf("body % x: no flags byte at %d", body, flagsAt)
+	}
+	bare[bytes.Index(bare, body)+flagsAt] |= respValueFirst
+	if _, _, err := transport.DecodeFrame(bare); err == nil {
+		t.Error("a frame marked value-is-first with no siblings decoded")
+	}
+	if _, _, err := transport.DecodeFrame(frame); err != nil {
+		t.Errorf("the well-formed marked frame: %v", err)
 	}
 }
 
