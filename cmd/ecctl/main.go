@@ -197,7 +197,7 @@ func cmdUp(args []string) error {
 	noData := fs.Bool("no-data", false, "run memory-only (no WAL, no crash recovery)")
 	shards := fs.Int("shards", 0, "execution shards per node (0 = GOMAXPROCS, 1 = serial; quorum model)")
 	xferRate := fs.Int("transfer-rate", 0, "elasticity transfer throttle, bytes/sec per source (0 = default)")
-	xferBatch := fs.Int("transfer-batch", 0, "elasticity transfer batch payload bytes (0 = default)")
+	xferBatch := fs.Int("transfer-batch", 0, "bytes of entries in one batch shipped to a peer: transfer, handoff, anti-entropy, geo (0 = default 64KiB)")
 	engine := fs.String("engine", "", "storage engine: mem (default) or lsm (disk-resident; quorum model, needs data dirs)")
 	zonesFlag := fs.String("zones", "", "comma-separated zone names (e.g. us,eu,ap); nodes are assigned round-robin")
 	geoAsync := fs.Bool("geo-async", true, "with -zones: ack writes on the intra-zone sub-quorum, replicate cross-zone async")

@@ -51,7 +51,7 @@ func main() {
 		shards  = flag.Int("shards", 0, "execution shards per node: parallel key-range executors on the quorum hot path (0 = GOMAXPROCS, 1 = classic serial loop)")
 		join    = flag.Bool("join", false, "boot as a live joiner: own nothing until the cluster admits this node (quorum model; see ecctl add-node)")
 		xferRt  = flag.Int("transfer-rate", 0, "elasticity transfer throttle, bytes/sec per source (0 = default)")
-		xferBt  = flag.Int("transfer-batch", 0, "elasticity transfer batch payload bytes (0 = default)")
+		xferBt  = flag.Int("transfer-batch", 0, "bytes of entries in one batch shipped to a peer: transfer, handoff, anti-entropy, geo (0 = default 64KiB)")
 		engine  = flag.String("engine", "", "storage engine: mem (default) or lsm (disk-resident, quorum model, requires -data-dir)")
 		zone    = flag.String("zone", "", "this node's zone name (geo-replication)")
 		zones   = flag.String("zones", "", "comma-separated node=zone for every zoned node (all nodes must agree)")

@@ -103,6 +103,38 @@ func (c *durableCluster) put(id, key, val string) {
 	<-done
 }
 
+// await blocks until id holds key.
+func (c *durableCluster) await(id, key string) {
+	c.t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, ok := c.get(id, key); ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			c.t.Fatalf("%s never received %s", id, key)
+		}
+	}
+}
+
+// quiesce blocks until the Loopback is quiet: every message sent has been
+// delivered or dropped, and two reads of the counters a few milliseconds
+// apart agree, so no handler was still running to send another.
+func (c *durableCluster) quiesce() {
+	c.t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for prev := c.lb.Stats(); ; {
+		time.Sleep(5 * time.Millisecond)
+		cur := c.lb.Stats()
+		if cur == prev && cur.MessagesSent == cur.MessagesDelivered+cur.MessagesDropped {
+			return
+		}
+		if time.Now().After(deadline) {
+			c.t.Fatalf("the Loopback never went quiet: %+v", cur)
+		}
+		prev = cur
+	}
+}
+
 func (c *durableCluster) get(id, key string) (string, bool) {
 	c.t.Helper()
 	var val string
@@ -175,19 +207,15 @@ func TestRestartRecoversFromWALNotPeers(t *testing.T) {
 		c.put("n0", fmt.Sprintf("pre%02d", i), "x")
 	}
 	// Rumor delivery is asynchronous: wait until n2 holds the writes.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, ok := c.get("n2", "pre09"); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("rumors never reached n2")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	c.await("n2", "pre09")
 
 	c.crash(nem, "n2")
 	c.put("n0", "missed", "while-down")
+	// put returns once n0 has applied the write; the rumor's second hop
+	// (n0 → n1 → n2) runs on n1's goroutine. Restarting before it has been
+	// sent, and dropped at the dead n2, would land it on the rebuilt node.
+	c.await("n1", "missed")
+	c.quiesce()
 	nem.Restart("n2")
 
 	for i := 0; i < 10; i++ {

@@ -3,7 +3,8 @@ package quorum
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"sync/atomic"
+	"slices"
+	"sort"
 
 	"repro/internal/clock"
 	"repro/internal/storage"
@@ -12,53 +13,39 @@ import (
 
 // Active anti-entropy for the quorum store: each node maintains, per
 // peer, a Merkle tree over exactly the keys both nodes replicate (the
-// intersection of preference lists). Periodically a node exchanges leaf
-// hashes with one random peer and push-pulls the sibling sets of
-// divergent buckets. This is Dynamo's background repair path: unlike
-// read repair it converges keys that are never read.
+// intersection of preference lists). Periodically a node opens a top-down
+// descent of that tree with one random peer (the exchange gossip uses:
+// storage.Merkle.RootPair and Descend), and each side then streams the
+// other its sibling sets of the buckets found divergent (see stream.go).
+// This is Dynamo's background repair path: unlike read repair it
+// converges keys that are never read.
 
 type (
-	// aeReq opens a round with the sender's leaf hashes of the tree it
-	// keeps for the receiver.
+	// aeReq carries one level of the descent: the sender's (index, hash)
+	// pairs for the receiver to compare, and the divergent leaf buckets
+	// found so far. A round opens with the root pair alone.
 	aeReq struct {
-		Leaves []uint64
+		Pairs   []storage.HashPair
+		Buckets []int
 	}
-	// aeResp returns the responder's entries in the divergent buckets
-	// plus the bucket list for the push half.
+	// aeResp closes the descent with the divergent buckets: its sender has
+	// begun streaming its keys of those buckets, and the receiver does the
+	// same.
 	aeResp struct {
 		Buckets []int
-		Entries []aeEntry
-	}
-	// aePush closes the round with the initiator's entries.
-	aePush struct {
-		Entries []aeEntry
 	}
 )
 
-type aeEntry struct {
-	Key     string
-	Entries []clock.SiblingEntry[record]
-}
+// Size implements the sim bandwidth hook.
+func (m aeReq) Size() int { return 12*len(m.Pairs) + 4*len(m.Buckets) }
 
 // Size implements the sim bandwidth hook.
-func (m aeReq) Size() int { return 8 * len(m.Leaves) }
-
-// Size implements the sim bandwidth hook.
-func (m aeResp) Size() int {
-	n := 4 * len(m.Buckets)
-	for _, e := range m.Entries {
-		n += len(e.Key)
-		for _, s := range e.Entries {
-			n += len(s.Value.Value) + 16*len(s.DVV.Context) + 16
-		}
-	}
-	return n
-}
-
-// Size implements the sim bandwidth hook.
-func (m aePush) Size() int { return aeResp{Entries: m.Entries}.Size() }
+func (m aeResp) Size() int { return 4 * len(m.Buckets) }
 
 type aeTick struct{}
+
+// merkleDepth is the reconciliation trees' depth: 256 leaf buckets.
+const merkleDepth = 8
 
 // tree returns (creating lazily) the Merkle tree tracking keys shared
 // with peer. aeMu guards only the map — each tree synchronizes itself —
@@ -67,12 +54,9 @@ type aeTick struct{}
 func (n *Node) tree(peer string) *storage.Merkle {
 	n.aeMu.Lock()
 	defer n.aeMu.Unlock()
-	if n.aeTrees == nil {
-		n.aeTrees = make(map[string]*storage.Merkle)
-	}
 	t, ok := n.aeTrees[peer]
 	if !ok {
-		t = storage.NewMerkle(n.cfg.MerkleDepth)
+		t = storage.NewMerkle(merkleDepth)
 		n.aeTrees[peer] = t
 	}
 	return t
@@ -117,7 +101,8 @@ func (n *Node) noteKeyChanged(key string, es []clock.SiblingEntry[record], peers
 	}
 }
 
-// startAntiEntropy exchanges with one random peer.
+// startAntiEntropy opens a round with one random peer, unless the keys of
+// the last round with it are still on their way.
 func (n *Node) startAntiEntropy(env transport.Env) {
 	ring := n.ring()
 	if len(ring) < 2 {
@@ -130,59 +115,46 @@ func (n *Node) startAntiEntropy(env transport.Env) {
 			break
 		}
 	}
-	t := n.tree(peer)
-	env.Send(peer, aeReq{Leaves: t.LevelHashes(t.Depth())})
+	if n.streamTo(peer, streamAE, 0) == nil {
+		env.Send(peer, aeReq{Pairs: []storage.HashPair{n.tree(peer).RootPair()}})
+	}
 }
 
+// handleAEReq takes the descent one level down. The side it ends on holds
+// the whole list of divergent buckets, names them to the other and starts
+// streaming.
 func (n *Node) handleAEReq(env transport.Env, from string, m aeReq) {
-	t := n.tree(from)
-	local := t.LevelHashes(t.Depth())
-	var buckets []int
-	for i := range local {
-		if i < len(m.Leaves) && local[i] != m.Leaves[i] {
-			buckets = append(buckets, i)
-		}
+	next, found := n.tree(from).Descend(m.Pairs)
+	buckets := append(slices.Clip(m.Buckets), found...)
+	if len(next) > 0 {
+		env.Send(from, aeReq{Pairs: next, Buckets: buckets})
+		return
 	}
 	if len(buckets) == 0 {
 		return
 	}
-	env.Send(from, aeResp{Buckets: buckets, Entries: n.entriesInBuckets(from, buckets)})
+	sort.Ints(buckets)
+	env.Send(from, aeResp{Buckets: buckets})
+	n.shipBuckets(env, from, buckets)
 }
 
-// entriesInBuckets collects this node's sibling sets for keys shared
-// with peer that fall in the given buckets. The per-peer tree indexes
-// exactly the keys both nodes replicate, so the lookup walks only the
-// divergent buckets' key sets — O(divergent keys), not a scan and sort
-// of every key this node holds.
-func (n *Node) entriesInBuckets(peer string, buckets []int) []aeEntry {
+// shipBuckets streams peer this node's sibling sets of the keys the two
+// share in the given buckets. The tree kept for peer indexes exactly those
+// keys, so they are found through the divergent buckets' key lists and not
+// by a scan of what this node holds. A stream still open from an earlier
+// round is left to finish: it is shipping the same divergence.
+func (n *Node) shipBuckets(env transport.Env, peer string, buckets []int) {
+	if n.streamTo(peer, streamAE, 0) != nil {
+		return
+	}
 	t := n.tree(peer)
 	var keys []string
 	for _, b := range buckets {
-		keys = t.AppendBucketKeys(keys, b)
-	}
-	out := make([]aeEntry, 0, len(keys))
-	for _, key := range keys {
-		if !contains(n.PreferenceList(key), peer) {
-			continue // peer is not a replica of this key
-		}
-		out = append(out, aeEntry{Key: key, Entries: n.localEntries(key)})
-	}
-	return out
-}
-
-func (n *Node) handleAEResp(env transport.Env, from string, m aeResp) {
-	n.applyAEEntries(execDomain(env), m.Entries)
-	env.Send(from, aePush{Entries: n.entriesInBuckets(from, m.Buckets)})
-	atomic.AddUint64(&n.AESyncs, 1)
-}
-
-func (n *Node) applyAEEntries(domain int, entries []aeEntry) {
-	for _, e := range entries {
-		if !contains(n.PreferenceList(e.Key), n.id) {
-			continue // not a replica of this key; ignore
-		}
-		for _, s := range e.Entries {
-			n.installEntry(domain, e.Key, s)
+		if b >= 0 && b < t.Leaves() { // the list is a peer's: not a bucket, not a panic
+			keys = t.AppendBucketKeys(keys, b)
 		}
 	}
+	// A key whose preference list peer has since left stays home.
+	keys = slices.DeleteFunc(keys, func(key string) bool { return !contains(n.PreferenceList(key), peer) })
+	n.openStream(env, peer, streamID{streamAE, n.mintStream()}, 0, source{next: shipKeys(keys, n.localEntries)})
 }

@@ -136,7 +136,9 @@ func TestAntiEntropyIgnoresKeysOutsidePreferenceList(t *testing.T) {
 		t.Fatal("could not find an outsider node")
 	}
 	evil := clock.SiblingEntry[record]{DVV: clock.NewDVV("attacker", nil), Value: record{Value: []byte("evil")}}
-	outsider.applyAEEntries(0, []aeEntry{{Key: key, Entries: []clock.SiblingEntry[record]{evil}}})
+	batch := shipBatch{Stream: streamID{Kind: streamAE, N: 1}, Seq: 1,
+		Entries: []aeEntry{{Key: key, Entries: []clock.SiblingEntry[record]{evil}}}}
+	outsider.onShipBatch(sinkEnv{}, "attacker", batch)
 	if len(outsider.LocalValues(key)) != 0 {
 		t.Fatal("outsider stored a key it does not replicate")
 	}
@@ -156,11 +158,11 @@ func TestAntiEntropyQuietWhenConverged(t *testing.T) {
 	before := h.c.Stats().BytesDelivered
 	h.c.Run(10 * time.Second)
 	delta := h.c.Stats().BytesDelivered - before
-	// Only aeReq leaf-hash exchanges (256 leaves × 8 bytes ≈ 2KB per
-	// round, ~150 rounds) should flow; no entry payloads.
-	perRound := float64(delta) / 150.0
-	if perRound > 3000 {
-		t.Fatalf("converged cluster still ships %.0f bytes/AE round; entries leaking", perRound)
+	// Only aeReq root probes (one (index, hash) pair per round, ~300
+	// rounds) should flow: no descent, no entry payloads.
+	perRound := float64(delta) / 300.0
+	if perRound > 30 {
+		t.Fatalf("converged cluster still ships %.0f bytes/AE round; the descent or entries are leaking", perRound)
 	}
 }
 
@@ -213,7 +215,7 @@ func TestAntiEntropyTreesCoverStoredKeysAfterLSMRestart(t *testing.T) {
 		cfg := Config{N: 3, R: 2, W: 3, AntiEntropy: true, AntiEntropyInterval: 100 * time.Millisecond,
 			Storage: func(int) storage.Engine { return eng }}
 		if id == "s1" {
-			cfg.Persist = func(rec []byte) { journal = append(journal, rec) }
+			cfg.PersistAt = func(_ int, rec []byte) { journal = append(journal, rec) }
 		}
 		return cfg
 	}
@@ -237,7 +239,7 @@ func TestAntiEntropyTreesCoverStoredKeysAfterLSMRestart(t *testing.T) {
 
 	cfg := cfgFor("s1")
 	cfg.Ring = []string{"s0", "s1", "s2"}
-	cfg.Persist = func([]byte) { t.Error("recovery re-journaled a record") }
+	cfg.PersistAt = func(int, []byte) { t.Error("recovery re-journaled a record") }
 	s1 := NewNode("s1", cfg)
 	defer s1.Close()
 	if err := s1.CheckStoredFormat(); err != nil {

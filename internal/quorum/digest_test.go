@@ -26,7 +26,8 @@ type readTraffic struct {
 // watch installs the invariants every digest test runs under, and counts
 // read traffic at the simulator's delivery hook: no entry a digest elided
 // is ever handed to installEntry, carried by a replicaPut (which is also
-// how a hint arrives) or a handoff, or returned to a client.
+// how a hint arrives) or by a batch of any stream (handoff included), or
+// returned to a client.
 func watch(t *testing.T, h *harness) *readTraffic {
 	t.Helper()
 	elided := func(e clock.SiblingEntry[record]) bool {
@@ -66,10 +67,12 @@ func watch(t *testing.T, h *harness) *readTraffic {
 			if elided(m.Entry) {
 				t.Errorf("replicaPut(%q, hint=%q, repair=%v) carries an elided entry", m.Key, m.Hint, m.Repair)
 			}
-		case handoffDeliver:
-			for _, e := range m.Entries {
-				if elided(e) {
-					t.Errorf("handoffDeliver(%q) carries an elided entry", m.Key)
+		case shipBatch:
+			for _, ae := range m.Entries {
+				for _, e := range ae.Entries {
+					if elided(e) {
+						t.Errorf("shipBatch(kind %d, %q) carries an elided entry", m.Stream.Kind, ae.Key)
+					}
 				}
 			}
 		case getResp:

@@ -110,8 +110,7 @@ func writeFixtureDirs(t *testing.T, root string) {
 		n.storeHint(h.Intended, h.Key, h.Entry)
 		n.persistRecord(0, walRecord{Hint: &h})
 	}
-	n.dropHints("s1", "acked")
-	n.persistRecord(0, walRecord{HintAck: &hintAckRec{Intended: "s1", Key: "acked"}})
+	n.hintSource("s1").acked(sinkEnv{}, []aeEntry{{Key: "acked", Entries: []clock.SiblingEntry[record]{fixtureHint}}})
 	for _, idx := range []int{0, 2} {
 		n.markTransferDone(3, idx)
 		n.persistRecord(0, walRecord{TransferDone: &transferDoneRec{Seq: 3, Idx: idx, Start: 10, End: 20}})

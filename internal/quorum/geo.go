@@ -1,7 +1,6 @@
 package quorum
 
 import (
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -14,49 +13,31 @@ import (
 // get synchronous replicaPuts and the client is acknowledged on that
 // intra-zone sub-quorum (min(W, in-zone replicas)); replicas in other
 // zones are fed by a per-peer replicator that retains entries until the
-// remote side acknowledges them, shipping batched geoShip frames on a
-// flush tick and resending on the quorum timeout — resumable across
-// reconnects and partitions the way transfer.go's pull stream is. Every
-// ship (and, when idle, a periodic beacon) carries the sender's
-// wall-clock high-water timestamp; the receiver keeps the max per
-// source zone, so "how stale is my view of zone Z" is a measured
-// quantity (PBS-style) rather than an estimate — the number exported as
-// ec_geo_staleness_ms and consulted by bounded-staleness SLA reads.
+// remote side acknowledges them: the retained queue is the source of a
+// stream (see stream.go) that a flush tick opens whenever there is a
+// backlog and none is open. Every batch (and, when idle, a periodic
+// beacon) carries the sender's wall-clock high-water stamp; the receiver
+// keeps the max per source zone, so "how stale is my view of zone Z" is a
+// measured quantity (PBS-style) rather than an estimate — the number
+// exported as ec_geo_staleness_ms and consulted by bounded-staleness SLA
+// reads.
 //
 // Durability: an acked write is WAL-journaled on the intra-zone
 // sub-quorum before the ack leaves, and the replicator retains it in
 // memory until the cross-zone ack, so a cross-zone partition loses
 // nothing — shipping resumes where the acked cursor stopped. The acked
-// cursor is WAL-journaled (geoAckRec) so sequence numbering stays
-// monotone across restarts; entries a crash takes down with the
+// cursor is WAL-journaled (geoAckRec) so it stays monotone across
+// restarts; entries a crash takes down with the
 // coordinator before shipping are re-delivered by anti-entropy, the
 // same backstop that covers hinted handoff.
 
-// geoShip carries a batch of retained entries (or, with no items, an
-// idle high-water beacon) from a write coordinator to one cross-zone
-// replica. Seq numbers the first item; items ack as a prefix.
-type geoShip struct {
-	Seq    uint64 // sequence of Items[0]; 0 with no items = beacon
+// geoStamp is a zone's high-water mark: everything the sender coordinated
+// before HighTS has reached the receiver. It rides every geo batch, stamped
+// so that it never passes an entry the batch does not carry, and travels
+// alone as the idle beacon.
+type geoStamp struct {
 	Zone   string // sender's zone
-	HighTS int64  // sender wall-clock ms: everything older has shipped
-	Items  []aeEntry
-}
-
-// geoShipAck acknowledges every shipped item with sequence <= Seq.
-type geoShipAck struct {
-	Seq uint64
-}
-
-// Size implements the sim bandwidth hook.
-func (m geoShip) Size() int {
-	n := len(m.Zone) + 16
-	for _, e := range m.Items {
-		n += len(e.Key)
-		for _, s := range e.Entries {
-			n += len(s.Value.Value) + 16*len(s.DVV.Context) + 16
-		}
-	}
-	return n
+	HighTS int64  // sender wall-clock ms
 }
 
 // geoItem is one retained cross-zone entry awaiting remote ack.
@@ -66,13 +47,12 @@ type geoItem struct {
 	ts    int64 // wall-clock ms at enqueue, the staleness bound it carries
 }
 
-// geoPeer is the replicator state for one cross-zone peer.
+// geoPeer is the replicator state for one cross-zone peer: what it has yet
+// to acknowledge, oldest first, and how many entries it has acknowledged
+// in all (WAL-journaled).
 type geoPeer struct {
-	queue     []geoItem
-	base      uint64 // sequence of queue[0]
-	acked     uint64 // highest acked sequence (WAL-journaled)
-	inflight  int    // prefix of queue shipped and awaiting ack
-	shippedAt time.Duration
+	queue []geoItem
+	acked uint64
 }
 
 // geoAckRec journals the per-peer acked cursor (see persist.go).
@@ -83,6 +63,13 @@ type geoAckRec struct {
 
 type geoFlushTag struct{}
 type geoBeaconTag struct{}
+
+// geoFlushInterval paces the tick that opens a stream to a peer with a
+// backlog, geoBeaconInterval the idle high-water beacons.
+const (
+	geoFlushInterval  = 20 * time.Millisecond
+	geoBeaconInterval = 250 * time.Millisecond
+)
 
 func nowMs() int64 { return time.Now().UnixMilli() }
 
@@ -100,192 +87,116 @@ func (n *Node) splitGeo(prefs []string) (sync, async []string) {
 	return sync, async
 }
 
+// geoPeerLocked returns (creating) peer's replicator state. Caller holds
+// geoMu.
+func (n *Node) geoPeerLocked(peer string) *geoPeer {
+	g := n.geoPeers[peer]
+	if g == nil {
+		g = &geoPeer{}
+		n.geoPeers[peer] = g
+	}
+	return g
+}
+
 // geoEnqueue retains one entry for a cross-zone peer. Runs on the
 // write's shard goroutine; the serial-loop flush tick ships it.
 func (n *Node) geoEnqueue(peer, key string, e clock.SiblingEntry[record]) {
 	n.geoMu.Lock()
-	if n.geoPeers == nil {
-		n.geoPeers = make(map[string]*geoPeer)
-	}
-	g := n.geoPeers[peer]
-	if g == nil {
-		g = &geoPeer{}
-		n.geoPeers[peer] = g
-	}
-	if len(g.queue) == 0 {
-		g.base = g.acked + 1
-	}
+	g := n.geoPeerLocked(peer)
 	g.queue = append(g.queue, geoItem{key: key, entry: e, ts: nowMs()})
 	n.geoMu.Unlock()
 }
 
-// geoFlush is the periodic ship/retry tick (serial loop): each peer
-// with a backlog gets its next batch, or a resend of the inflight
-// prefix once the quorum timeout has elapsed without an ack.
+// geoFlush is the periodic tick (serial loop): each peer with a backlog
+// and no stream open gets one, which then drains the queue at the speed
+// the peer acknowledges.
 func (n *Node) geoFlush(env transport.Env) {
-	n.geoMu.Lock()
-	peers := make([]string, 0, len(n.geoPeers))
-	for p := range n.geoPeers {
-		peers = append(peers, p)
+	_, backlog := n.GeoQueue()
+	for _, p := range sortedKeys(backlog) {
+		if n.streamTo(p, streamGeo, 0) == nil {
+			n.openStream(env, p, streamID{streamGeo, n.mintStream()}, 0, n.geoSource(p))
+		}
 	}
-	n.geoMu.Unlock()
-	sort.Strings(peers)
-	for _, p := range peers {
-		n.geoShipTo(env, p)
-	}
-	env.SetTimer(n.cfg.GeoFlushInterval, geoFlushTag{})
+	env.SetTimer(geoFlushInterval, geoFlushTag{})
 }
 
-// geoShipTo ships the next batch to peer, or resends the inflight
-// prefix after the retry deadline. Resends are safe: the receiver's
-// installEntry dedups by dot and the ack covers the whole prefix.
-func (n *Node) geoShipTo(env transport.Env, peer string) {
-	n.geoMu.Lock()
-	g := n.geoPeers[peer]
-	if g == nil || len(g.queue) == 0 {
-		n.geoMu.Unlock()
-		return
-	}
-	now := env.Now()
-	if g.inflight > 0 {
-		if now-g.shippedAt < n.cfg.Timeout {
-			n.geoMu.Unlock()
-			return
+// geoSource ships the head of peer's retained queue, and on ack drops it
+// and journals the cursor.
+func (n *Node) geoSource(peer string) source {
+	next := func(budget int) shipBatch {
+		n.geoMu.Lock()
+		defer n.geoMu.Unlock()
+		queue := n.geoPeerLocked(peer).queue
+		var f fill
+		for _, it := range queue {
+			if f.add(budget, it.key, []clock.SiblingEntry[record]{it.entry}) {
+				break
+			}
 		}
-		atomic.AddUint64(&n.GeoResends, 1)
-	} else {
-		k := n.cfg.GeoBatch
-		if k > len(g.queue) {
-			k = len(g.queue)
-		}
-		g.inflight = k
+		k := len(f.entries)
 		atomic.AddUint64(&n.GeoShipped, uint64(k))
+		// The batch's high-water claim: when it drains the whole queue the
+		// peer is caught up to "now"; otherwise only up to the last shipped
+		// item's enqueue time.
+		stamp := geoStamp{Zone: n.cfg.Zone, HighTS: nowMs()}
+		if k < len(queue) {
+			stamp.HighTS = queue[k-1].ts
+		}
+		return shipBatch{Entries: f.entries, Done: k == len(queue), Stamp: stamp}
 	}
-	g.shippedAt = now
-	items := make([]aeEntry, g.inflight)
-	for i := 0; i < g.inflight; i++ {
-		it := g.queue[i]
-		items[i] = aeEntry{Key: it.key, Entries: []clock.SiblingEntry[record]{it.entry}}
+	acked := func(env transport.Env, entries []aeEntry) {
+		n.geoMu.Lock()
+		g := n.geoPeerLocked(peer)
+		drop := min(len(entries), len(g.queue))
+		g.queue = append([]geoItem(nil), g.queue[drop:]...)
+		g.acked += uint64(drop)
+		cursor := g.acked
+		n.geoMu.Unlock()
+		atomic.AddUint64(&n.GeoAcked, uint64(drop))
+		n.persistRecord(execDomain(env), walRecord{GeoAck: &geoAckRec{Peer: peer, Seq: cursor}})
 	}
-	// The batch's high-water claim: when it drains the whole queue the
-	// peer is caught up to "now"; otherwise only up to the last shipped
-	// item's enqueue time.
-	high := g.queue[g.inflight-1].ts
-	if g.inflight == len(g.queue) {
-		high = nowMs()
-	}
-	msg := geoShip{Seq: g.base, Zone: n.cfg.Zone, HighTS: high, Items: items}
-	n.geoMu.Unlock()
-	env.Send(peer, msg)
+	return source{next: next, acked: acked}
 }
 
-// geoBeacon keeps idle links fresh: peers with no backlog get an empty
-// ship carrying the current wall clock, so a quiet zone's measured
+// geoBeacon keeps idle links fresh: peers with no backlog get a bare
+// stamp carrying the current wall clock, so a quiet zone's measured
 // staleness stays near the beacon interval instead of growing without
 // bound.
 func (n *Node) geoBeacon(env transport.Env) {
 	ts := nowMs()
+	_, backlog := n.GeoQueue()
 	for _, peer := range n.ring() {
 		if peer == n.id || n.cfg.Zones[peer] == n.cfg.Zone {
 			continue
 		}
-		n.geoMu.Lock()
-		g := n.geoPeers[peer]
-		busy := g != nil && len(g.queue) > 0
-		n.geoMu.Unlock()
-		if busy {
-			continue // the flush path is already advancing the high water
+		if backlog[peer] > 0 {
+			continue // the stream's batches are already advancing the high water
 		}
-		env.Send(peer, geoShip{Zone: n.cfg.Zone, HighTS: ts})
+		env.Send(peer, geoStamp{Zone: n.cfg.Zone, HighTS: ts})
 		atomic.AddUint64(&n.GeoBeacons, 1)
 	}
-	env.SetTimer(n.cfg.GeoBeaconInterval, geoBeaconTag{})
+	env.SetTimer(geoBeaconInterval, geoBeaconTag{})
 }
 
-// handleGeoShip applies a cross-zone batch (or beacon) and advances the
-// source zone's high-water timestamp.
-func (n *Node) handleGeoShip(env transport.Env, from string, m geoShip) {
-	dom := execDomain(env)
-	for _, ae := range m.Items {
-		for _, e := range ae.Entries {
-			n.installEntry(dom, ae.Key, e)
-		}
-	}
-	if m.Zone != "" {
-		n.geoMu.Lock()
-		if n.zoneHigh == nil {
-			n.zoneHigh = make(map[string]int64)
-		}
-		if m.HighTS > n.zoneHigh[m.Zone] {
-			n.zoneHigh[m.Zone] = m.HighTS
-		}
-		n.geoMu.Unlock()
-	}
-	if len(m.Items) > 0 {
-		env.Send(from, geoShipAck{Seq: m.Seq + uint64(len(m.Items)) - 1})
-	}
-}
-
-// handleGeoAck drops the acked prefix, journals the cursor, and ships
-// the next batch immediately (no flush-tick latency between batches).
-func (n *Node) handleGeoAck(env transport.Env, from string, m geoShipAck) {
-	n.geoMu.Lock()
-	g := n.geoPeers[from]
-	if g == nil || m.Seq < g.base {
-		n.geoMu.Unlock()
+// noteZoneHigh advances the source zone's high-water timestamp: the geo
+// receive hook, and all there is to receiving a beacon.
+func (n *Node) noteZoneHigh(m geoStamp) {
+	if m.Zone == "" {
 		return
 	}
-	drop := int(m.Seq - g.base + 1)
-	if drop > len(g.queue) {
-		drop = len(g.queue)
+	n.geoMu.Lock()
+	if m.HighTS > n.zoneHigh[m.Zone] {
+		n.zoneHigh[m.Zone] = m.HighTS
 	}
-	g.queue = append([]geoItem(nil), g.queue[drop:]...)
-	g.base += uint64(drop)
-	if m.Seq > g.acked {
-		g.acked = m.Seq
-	}
-	g.inflight -= drop
-	if g.inflight < 0 {
-		g.inflight = 0
-	}
-	more := len(g.queue) > 0 && g.inflight == 0
 	n.geoMu.Unlock()
-	atomic.AddUint64(&n.GeoAcked, uint64(drop))
-	n.persistRecord(execDomain(env), walRecord{GeoAck: &geoAckRec{Peer: from, Seq: m.Seq}})
-	if more {
-		n.geoShipTo(env, from)
-	}
 }
 
-// geoRestoreAck re-applies a journaled cursor during replay so sequence
-// numbering resumes monotonically after a restart.
+// geoRestoreAck re-applies a journaled cursor during replay so the count
+// resumes monotonically after a restart.
 func (n *Node) geoRestoreAck(peer string, seq uint64) {
 	n.geoMu.Lock()
-	if n.geoPeers == nil {
-		n.geoPeers = make(map[string]*geoPeer)
-	}
-	g := n.geoPeers[peer]
-	if g == nil {
-		g = &geoPeer{}
-		n.geoPeers[peer] = g
-	}
-	if seq > g.acked {
+	if g := n.geoPeerLocked(peer); seq > g.acked {
 		g.acked = seq
-		if len(g.queue) == 0 {
-			g.base = g.acked + 1
-		}
-	}
-	n.geoMu.Unlock()
-}
-
-// geoDropPeers discards replicator state for departed members (their
-// arcs re-home through transfer and anti-entropy).
-func (n *Node) geoDropPeers(members []string) {
-	n.geoMu.Lock()
-	for peer := range n.geoPeers {
-		if !contains(members, peer) {
-			delete(n.geoPeers, peer)
-		}
 	}
 	n.geoMu.Unlock()
 }

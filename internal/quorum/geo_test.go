@@ -35,8 +35,7 @@ func newGeoHarness(t *testing.T, nNodes int, cfg Config, seed int64) *geoHarness
 	}
 	cfg.Zones = zones
 	base := cfg
-	h := &harness{}
-	*h = *newHarnessWith(t, nNodes, seed, func(id string) Config {
+	h := newHarnessWith(t, nNodes, seed, func(id string) Config {
 		c := base
 		c.Zone = zones[id]
 		return c
@@ -230,28 +229,32 @@ func TestGeoAckJournalRoundTrip(t *testing.T) {
 	cfg := Config{N: 3, R: 1, W: 1, Ring: []string{"a", "b", "c"},
 		Zone: "us", Zones: map[string]string{"a": "us", "b": "eu", "c": "ap"}, GeoAsync: true}
 	var journal [][]byte
-	cfg.Persist = func(rec []byte) { journal = append(journal, append([]byte(nil), rec...)) }
+	cfg.PersistAt = func(_ int, rec []byte) { journal = append(journal, append([]byte(nil), rec...)) }
 	n := NewNode("a", cfg)
 	n.geoRestoreAck("b", 7)
 	n.persistRecord(0, walRecord{GeoAck: &geoAckRec{Peer: "b", Seq: 7}})
 
-	cfg2 := cfg
-	cfg2.Persist = nil
-	n2 := NewNode("a", cfg2)
+	n2 := NewNode("a", cfg)
 	for _, rec := range journal {
 		if err := n2.ReplayRecord(rec); err != nil {
 			t.Fatalf("replay: %v", err)
 		}
 	}
-	n2.geoEnqueue("b", "k", entryForTest())
 	n2.geoMu.Lock()
-	g := n2.geoPeers["b"]
-	base, ackedSeq := g.base, g.acked
+	ackedSeq := n2.geoPeers["b"].acked
 	n2.geoMu.Unlock()
 	if ackedSeq != 7 {
 		t.Fatalf("replayed acked cursor = %d, want 7", ackedSeq)
 	}
-	if base != 8 {
-		t.Fatalf("post-replay enqueue numbered from %d, want 8", base)
+	// The next entry b acknowledges is numbered after the replayed cursor.
+	n2.geoEnqueue("b", "k", entryForTest())
+	src := n2.geoSource("b")
+	src.acked(sinkEnv{}, src.next(1<<20).Entries)
+	last, err := decodeRecord(journal[len(journal)-1])
+	if err != nil || last.GeoAck == nil || *last.GeoAck != (geoAckRec{Peer: "b", Seq: 8}) {
+		t.Fatalf("post-replay ack journaled %+v (%v), want geoAck{b 8}", last.GeoAck, err)
+	}
+	if total, _ := n2.GeoQueue(); total != 0 {
+		t.Fatalf("acknowledged entry still queued: %d", total)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/clock"
@@ -207,16 +208,12 @@ func (n *Node) ReplayDomain(rec []byte) int {
 	return -1
 }
 
-func (n *Node) persistEnabled() bool {
-	return n.cfg.Persist != nil || n.cfg.PersistAt != nil
-}
-
 // persistRecord journals one mutation. domain names the execution domain
 // the mutation ran on (0 = serial loop, 1+i = shard i) so the hosting
 // server can account the pending fsync to the right ack barrier. Every
 // record is a fresh buffer, the hook's to keep.
 func (n *Node) persistRecord(domain int, r walRecord) {
-	if !n.persistEnabled() {
+	if n.cfg.PersistAt == nil {
 		return
 	}
 	// Sized for the header, the key and any entry in one allocation; the
@@ -229,19 +226,13 @@ func (n *Node) persistRecord(domain int, r walRecord) {
 	case r.Hint != nil:
 		size += entrySize(r.Hint.Entry)
 	}
-	rec := appendRecord(make([]byte, 0, size), r)
-	if n.cfg.PersistAt != nil {
-		n.cfg.PersistAt(domain, rec)
-		return
-	}
-	n.cfg.Persist(rec)
+	n.cfg.PersistAt(domain, appendRecord(make([]byte, 0, size), r))
 }
 
 // installEntry adds one version to key's sibling set and journals it if
 // the set changed. This is the single install path of the live node:
-// replica puts, handoff delivery, read repair, active anti-entropy,
-// transfer and geo batches. domain is the executing durability domain
-// (see persistRecord).
+// replica puts, read repair and every batch a stream ships. domain is the
+// executing durability domain (see persistRecord).
 func (n *Node) installEntry(domain int, key string, e clock.SiblingEntry[record]) {
 	if n.installHook != nil {
 		n.installHook(key, e)
@@ -307,21 +298,27 @@ func (n *Node) storeHint(intended, key string, e clock.SiblingEntry[record]) boo
 	return true
 }
 
-// dropHints discards the hints queued for intended under key (they were
-// acknowledged delivered), reporting how many were dropped.
-func (n *Node) dropHints(intended, key string) int {
+// dropHints discards, of the hints queued for intended under key, those
+// whose dots shipped names (they were acknowledged installed), or all of
+// them when shipped is nil. It reports how many it dropped and how many
+// the key has left.
+func (n *Node) dropHints(intended, key string, shipped []clock.SiblingEntry[record]) (dropped, left int) {
 	n.hintsMu.Lock()
 	defer n.hintsMu.Unlock()
-	keys, ok := n.hints[intended]
-	if !ok {
-		return 0
+	keys := n.hints[intended]
+	queued := keys[key]
+	keep := slices.DeleteFunc(queued, func(have clock.SiblingEntry[record]) bool {
+		return shipped == nil || slices.ContainsFunc(shipped, func(e clock.SiblingEntry[record]) bool { return e.DVV.Dot == have.DVV.Dot })
+	})
+	if len(keep) > 0 {
+		keys[key] = keep
+	} else {
+		delete(keys, key)
+		if len(keys) == 0 {
+			delete(n.hints, intended)
+		}
 	}
-	dropped := len(keys[key])
-	delete(keys, key)
-	if len(keys) == 0 {
-		delete(n.hints, intended)
-	}
-	return dropped
+	return len(queued) - len(keep), len(keep)
 }
 
 // ReplayRecord re-applies one journaled mutation during crash recovery.
@@ -344,7 +341,7 @@ func (n *Node) ReplayRecord(rec []byte) error {
 		r.Hint.Entry.Value.Value = bytes.Clone(r.Hint.Entry.Value.Value)
 		n.storeHint(r.Hint.Intended, r.Hint.Key, r.Hint.Entry)
 	case r.HintAck != nil:
-		n.dropHints(r.HintAck.Intended, r.HintAck.Key)
+		n.dropHints(r.HintAck.Intended, r.HintAck.Key, nil)
 	case r.Mint != nil:
 		n.restoreMint(r.Mint.Key, r.Mint.Counter)
 	case r.TransferDone != nil:

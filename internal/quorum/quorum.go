@@ -61,8 +61,6 @@ type Config struct {
 	AntiEntropy bool
 	// AntiEntropyInterval is the reconciliation period (default 500ms).
 	AntiEntropyInterval time.Duration
-	// MerkleDepth sets the reconciliation tree depth (default 8).
-	MerkleDepth int
 	// Strict declares the deployment intends a strict quorum (R+W > N,
 	// no sloppy fallbacks), and Validate rejects configurations that
 	// silently void that claim.
@@ -77,16 +75,14 @@ type Config struct {
 	Directory *resilience.Directory
 	// Counters receives resilience event counts. May be nil.
 	Counters *resilience.Counters
-	// Persist, when set, journals every durable-state mutation (sibling
+	// PersistAt, when set, journals every durable-state mutation (sibling
 	// installs, hint stores/acks, minted dot counters) before any
 	// acknowledgement leaves the node — the hook the server runtime
-	// wires to its WAL. It runs on the node's actor loop.
-	Persist func(rec []byte)
-	// PersistAt is the sharded variant of Persist: domain 0 is the
-	// serial actor loop, domain 1+i is shard i's goroutine, and the
-	// record carries a routing header so replay can repartition it (see
-	// ReplayDomain). When both are set PersistAt wins. It may be invoked
-	// concurrently from different domains, never concurrently within one.
+	// wires to its WAL. domain names where the mutation ran: 0 is the
+	// serial actor loop, 1+i is shard i's goroutine, and the record
+	// carries a routing header so replay can repartition it (see
+	// ReplayDomain). It may be invoked concurrently from different
+	// domains, never concurrently within one.
 	PersistAt func(domain int, rec []byte)
 	// Shards splits the node's replica state into this many key-range
 	// execution domains (rounded up to a power of two; default 1, fully
@@ -113,7 +109,8 @@ type Config struct {
 	// reveals this node's membership epoch is behind the cluster's.
 	OnStaleRing func(seq uint64)
 	// TransferRate bounds outbound transfer streaming in bytes/sec
-	// (default ~8MiB/s); TransferBatch bounds one batch (default 64KiB).
+	// (default ~8MiB/s); TransferBatch bounds one batch of every stream
+	// that ships versions to a peer (default 64KiB, see stream.go).
 	TransferRate  int
 	TransferBatch int
 	// Zone names this node's zone and Zones maps every ring node to its
@@ -125,12 +122,6 @@ type Config struct {
 	// (min(W, in-zone replicas)) and replicates to other zones
 	// asynchronously through the per-peer geo replicator.
 	GeoAsync bool
-	// GeoFlushInterval paces replicator ship/retry ticks (default 20ms);
-	// GeoBeaconInterval paces idle high-water beacons (default 250ms);
-	// GeoBatch bounds entries per geoShip frame (default 128).
-	GeoFlushInterval  time.Duration
-	GeoBeaconInterval time.Duration
-	GeoBatch          int
 }
 
 // Placement maps a key to an ordered walk of distinct storage nodes —
@@ -151,17 +142,11 @@ func (c Config) withDefaults() Config {
 	if c.AntiEntropyInterval <= 0 {
 		c.AntiEntropyInterval = 500 * time.Millisecond
 	}
-	if c.MerkleDepth <= 0 {
-		c.MerkleDepth = 8
+	if c.TransferRate <= 0 {
+		c.TransferRate = 8 << 20
 	}
-	if c.GeoFlushInterval <= 0 {
-		c.GeoFlushInterval = 20 * time.Millisecond
-	}
-	if c.GeoBeaconInterval <= 0 {
-		c.GeoBeaconInterval = 250 * time.Millisecond
-	}
-	if c.GeoBatch <= 0 {
-		c.GeoBatch = 128
+	if c.TransferBatch <= 0 {
+		c.TransferBatch = 64 << 10
 	}
 	if c.Resilience != nil {
 		c.Resilience = c.Resilience.Normalized()
@@ -302,13 +287,6 @@ type (
 		// else: they are never installed, journaled, hinted, pushed or
 		// returned.
 		Digest bool
-	}
-	handoffDeliver struct {
-		Key     string
-		Entries []clock.SiblingEntry[record]
-	}
-	handoffAck struct {
-		Key string
 	}
 	// resPing/resPong are liveness heartbeats exchanged between ring
 	// nodes when resilience is enabled. Their only payload is a pad
@@ -461,9 +439,15 @@ type Node struct {
 
 	// hints holds writes accepted on behalf of unreachable nodes:
 	// intended node -> key -> entries. Guarded by hintsMu: stored on the
-	// key's shard goroutine, delivered and acked on the serial loop.
+	// key's shard goroutine, shipped and acked on the serial loop.
 	hintsMu sync.Mutex
 	hints   map[string]map[string][]clock.SiblingEntry[record]
+
+	// out holds the open outbound streams, in the order they were opened
+	// (see stream.go), and lastStream the last stream id minted.
+	// Serial-loop-confined.
+	out        []*outStream
+	lastStream uint64
 
 	// aeTrees holds one Merkle tree per peer, covering exactly the keys
 	// both nodes replicate (see antientropy.go). aeMu guards the map;
@@ -475,20 +459,15 @@ type Node struct {
 	// completion flags — the read path consults them from shard
 	// goroutines (gatedKey) while the serial loop advances the transfer.
 	// xferDone remembers journaled range completions per epoch so a
-	// restart resumes instead of re-pulling; xferCursor tracks per-range
-	// pull cursors for retry; xferOut stashes throttled outbound batches
-	// (all three serial-loop-confined).
-	elMu       sync.RWMutex
-	inbound    *catchUp
-	xferDone   map[uint64]map[int]bool
-	xferCursor map[xferKey]cursorPos
-	xferOut    map[xferKey]stashedBatch
-	draining   atomic.Bool
-	onDrained  func()
+	// restart resumes instead of re-pulling (serial-loop-confined).
+	elMu      sync.RWMutex
+	inbound   *catchUp
+	xferDone  map[uint64]map[int]bool
+	draining  atomic.Bool
+	onDrained func()
 	// Token bucket pacing outbound transfer batches.
 	tbTokens float64
 	tbLast   time.Duration
-	tbInit   bool
 
 	// Geo-replication state (see geo.go). geoMu guards geoPeers and
 	// zoneHigh: enqueue runs on write shard goroutines, ship/ack on the
@@ -539,8 +518,12 @@ func NewNode(id string, cfg Config) *Node {
 		router:     router,
 		shards:     shards,
 		hints:      make(map[string]map[string][]clock.SiblingEntry[record]),
+		lastStream: uint64(time.Now().UnixNano()),
+		aeTrees:    make(map[string]*storage.Merkle),
+		geoPeers:   make(map[string]*geoPeer),
+		zoneHigh:   make(map[string]int64),
 		xferDone:   make(map[uint64]map[int]bool),
-		xferCursor: make(map[xferKey]cursorPos),
+		tbTokens:   float64(cfg.TransferRate),
 	}
 	members := append([]string(nil), cfg.Ring...)
 	n.members.Store(&members)
@@ -605,9 +588,13 @@ func (n *Node) OnStart(env transport.Env) {
 		env.SetTimer(hi/2+time.Duration(env.Rand().Int63n(int64(hi))), pingTag{})
 	}
 	if n.cfg.GeoAsync {
-		env.SetTimer(n.cfg.GeoFlushInterval, geoFlushTag{})
-		bi := n.cfg.GeoBeaconInterval
-		env.SetTimer(bi/2+time.Duration(env.Rand().Int63n(int64(bi))), geoBeaconTag{})
+		env.SetTimer(geoFlushInterval, geoFlushTag{})
+		env.SetTimer(geoBeaconInterval/2+time.Duration(env.Rand().Int63n(int64(geoBeaconInterval))), geoBeaconTag{})
+	}
+	// A node the simulator crashed and restarted kept its streams and lost
+	// their timers.
+	for _, st := range n.out {
+		n.transmit(env, st)
 	}
 }
 
@@ -615,7 +602,7 @@ func (n *Node) OnStart(env transport.Env) {
 func (n *Node) OnTimer(env transport.Env, tag any) {
 	switch tg := tag.(type) {
 	case handoffTag:
-		n.attemptHandoff(env)
+		n.handoff(env)
 		env.SetTimer(n.cfg.HandoffInterval, handoffTag{})
 	case aeTick:
 		n.startAntiEntropy(env)
@@ -640,9 +627,16 @@ func (n *Node) OnTimer(env transport.Env, tag any) {
 			n.retryRead(env, tg.id)
 		}
 	case xferRetryTag:
-		n.retryTransfer(env, tg)
-	case xferFlushTag:
-		n.flushThrottled(env, tg)
+		if cu := n.inbound; cu != nil && cu.seq == tg.seq && !cu.done[tg.idx] {
+			n.openTransfer(env, cu, tg.idx) // the range's stream has stalled: re-open it at its cursor
+		}
+	case *outStream:
+		if slices.Contains(n.out, tg) {
+			if tg.id.Kind == streamGeo {
+				atomic.AddUint64(&n.GeoResends, 1)
+			}
+			n.transmit(env, tg)
+		}
 	case drainTag:
 		n.drainTick(env)
 	case geoFlushTag:
@@ -667,17 +661,10 @@ func (n *Node) OnMessage(env transport.Env, from string, msg transport.Message) 
 		n.answerReplicaGet(env, from, m)
 	case replicaGetResp:
 		n.onGetResp(env, from, m)
-	case handoffDeliver:
-		dom := execDomain(env)
-		for _, e := range m.Entries {
-			n.installEntry(dom, m.Key, e)
-		}
-		env.Send(from, handoffAck{Key: m.Key})
-	case handoffAck:
-		if dropped := n.dropHints(from, m.Key); dropped > 0 {
-			atomic.AddUint64(&n.HintsDelivered, uint64(dropped))
-			n.persistRecord(execDomain(env), walRecord{HintAck: &hintAckRec{Intended: from, Key: m.Key}})
-		}
+	case shipBatch:
+		n.onShipBatch(env, from, m)
+	case shipAck:
+		n.onShipAck(env, from, m)
 	case resPing:
 		env.Send(from, resPong{})
 	case resPong:
@@ -685,19 +672,16 @@ func (n *Node) OnMessage(env transport.Env, from string, msg transport.Message) 
 	case aeReq:
 		n.handleAEReq(env, from, m)
 	case aeResp:
-		n.handleAEResp(env, from, m)
-	case aePush:
-		n.applyAEEntries(execDomain(env), m.Entries)
+		n.shipBuckets(env, from, m.Buckets)
+		atomic.AddUint64(&n.AESyncs, 1)
 	case transferReq:
-		n.handleTransferReq(env, from, m)
-	case transferBatch:
-		n.handleTransferBatch(env, m)
+		// A gainer opens (or re-opens at its cursor) a range's stream, under
+		// an id it chose, in place of the one still open for that range.
+		n.openStream(env, from, streamID{streamTransfer, m.Stream}, m.Idx, n.arcSource(m.Start, m.End, m.Cursor))
 	case replicaNotOwner:
 		n.onNotOwner(m)
-	case geoShip:
-		n.handleGeoShip(env, from, m)
-	case geoShipAck:
-		n.handleGeoAck(env, from, m)
+	case geoStamp:
+		n.noteZoneHigh(m)
 	}
 }
 
@@ -725,13 +709,8 @@ func (n *Node) Close() error {
 func (n *Node) hintedEntries(key string) []clock.SiblingEntry[record] {
 	n.hintsMu.Lock()
 	defer n.hintsMu.Unlock()
-	intendeds := make([]string, 0, len(n.hints))
-	for intended := range n.hints {
-		intendeds = append(intendeds, intended)
-	}
-	sort.Strings(intendeds)
 	var out []clock.SiblingEntry[record]
-	for _, intended := range intendeds {
+	for _, intended := range sortedKeys(n.hints) {
 		out = append(out, n.hints[intended][key]...)
 	}
 	return out
@@ -1093,12 +1072,7 @@ func (n *Node) retryRead(env transport.Env, id uint64) {
 		return
 	}
 	now := env.Now()
-	targets := make([]string, 0, len(pr.asked))
-	for t := range pr.asked {
-		targets = append(targets, t)
-	}
-	sort.Strings(targets)
-	for _, t := range targets {
+	for _, t := range sortedKeys(pr.asked) {
 		if !pr.owes(t) {
 			continue
 		}
@@ -1249,12 +1223,7 @@ func (n *Node) backgroundRepair(env transport.Env, id uint64, rs *repairState, f
 func (n *Node) readRepair(env transport.Env, pr *pendingRead, merged []clock.SiblingEntry[record]) {
 	// Repair replicas in sorted order so the sends interleave
 	// deterministically across runs.
-	reps := make([]string, 0, len(pr.responses))
-	for rep := range pr.responses {
-		reps = append(reps, rep)
-	}
-	sort.Strings(reps)
-	for _, rep := range reps {
+	for _, rep := range sortedKeys(pr.responses) {
 		// Fallback responders (resilience reads) are not replicas of the
 		// key; pushing the merged set there would strand data on nodes
 		// the read path never consults again.
@@ -1309,39 +1278,57 @@ func (n *Node) readTimeout(env transport.Env, id uint64) {
 	delete(sh.repairs, id)
 }
 
-// attemptHandoff tries to deliver stored hints to their intended nodes.
-// Hints are retained until the intended node acknowledges them, so
-// delivery survives the target staying down across attempts.
-func (n *Node) attemptHandoff(env transport.Env) {
-	// Snapshot under the lock (copying each entry slice — the store path
-	// may append concurrently from a shard goroutine), then send.
-	type delivery struct {
-		intended string
-		msg      handoffDeliver
-	}
-	var out []delivery
+// handoff opens a hint stream to every peer this node holds hints for and
+// is not already shipping to. Hints are retained until the intended node
+// acknowledges them, so delivery survives the target staying down.
+func (n *Node) handoff(env transport.Env) {
 	n.hintsMu.Lock()
-	intendeds := make([]string, 0, len(n.hints))
-	for intended := range n.hints {
-		intendeds = append(intendeds, intended)
-	}
-	sort.Strings(intendeds)
-	for _, intended := range intendeds {
-		keys := n.hints[intended]
-		hintKeys := make([]string, 0, len(keys))
-		for key := range keys {
-			hintKeys = append(hintKeys, key)
-		}
-		sort.Strings(hintKeys)
-		for _, key := range hintKeys {
-			entries := append([]clock.SiblingEntry[record](nil), keys[key]...)
-			out = append(out, delivery{intended, handoffDeliver{Key: key, Entries: entries}})
-		}
-	}
+	intendeds := sortedKeys(n.hints)
 	n.hintsMu.Unlock()
-	for _, d := range out {
-		env.Send(d.intended, d.msg)
+	for _, intended := range intendeds {
+		if n.streamTo(intended, streamHints, 0) == nil {
+			n.openStream(env, intended, streamID{streamHints, n.mintStream()}, 0, n.hintSource(intended))
+		}
 	}
+}
+
+// hintSource ships the hints held for peer, in key order, for the keys
+// that have one now; a key hinted later waits for the next stream.
+func (n *Node) hintSource(peer string) source {
+	n.hintsMu.Lock()
+	keys := sortedKeys(n.hints[peer])
+	n.hintsMu.Unlock()
+	return source{
+		next: shipKeys(keys, func(key string) []clock.SiblingEntry[record] {
+			n.hintsMu.Lock()
+			defer n.hintsMu.Unlock()
+			// Copied: the store path appends to the queue from shard goroutines.
+			return slices.Clone(n.hints[peer][key])
+		}),
+		// Drop exactly the versions that were shipped: a hint stored under
+		// the same key while the batch was in flight stays queued. The
+		// journal's hintAck means "nothing is queued for this key", so it is
+		// written only when that is so.
+		acked: func(env transport.Env, entries []aeEntry) {
+			for _, e := range entries {
+				dropped, left := n.dropHints(peer, e.Key, e.Entries)
+				atomic.AddUint64(&n.HintsDelivered, uint64(dropped))
+				if dropped > 0 && left == 0 {
+					n.persistRecord(execDomain(env), walRecord{HintAck: &hintAckRec{Intended: peer, Key: e.Key}})
+				}
+			}
+		},
+	}
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // LocalValues exposes the node's live local values for key — what this

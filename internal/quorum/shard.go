@@ -15,8 +15,9 @@ import (
 // the hosting transport (which discovers the split through the
 // ShardedHandler methods below) drains every shard on its own goroutine,
 // so key-addressed traffic for disjoint shards executes concurrently on
-// separate cores. Control traffic — membership, anti-entropy, handoff,
-// transfer streaming — still runs on the serial actor loop, which is why
+// separate cores. Control traffic — membership, the anti-entropy descent,
+// every stream that ships versions to a peer — still runs on the serial
+// actor loop, which is why
 // the shared structures it touches (hints, Merkle trees, the elasticity
 // window) carry their own locks while the per-request coordination maps
 // stay lock-free (each is only ever touched by its shard's goroutine).
@@ -32,7 +33,7 @@ import (
 type nodeShard struct {
 	// mu guards store and minted: the owning shard goroutine mutates
 	// them on the write path while the serial loop reads and writes them
-	// for anti-entropy, handoff, transfer streaming, and snapshots. The
+	// for the streams' sources and installs, and for snapshots. The
 	// engine is internally synchronized, but mu still serializes the
 	// read-modify-write install cycle around it.
 	mu sync.RWMutex
@@ -81,7 +82,12 @@ func (sh *nodeShard) entries(key string) []clock.SiblingEntry[record] {
 	if !ok {
 		return nil
 	}
-	es, err := decodeStored(v.Value)
+	return mustDecodeStored(key, v.Value)
+}
+
+// mustDecodeStored decodes a value read back from a shard's engine.
+func mustDecodeStored(key string, b []byte) []clock.SiblingEntry[record] {
+	es, err := decodeStored(b)
 	if err != nil {
 		// CheckStoredFormat vetted the store at boot and every value
 		// written since is encodeStored's own output (CRC-verified on the

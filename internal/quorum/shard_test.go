@@ -95,9 +95,9 @@ func TestShardOfRoutesKeyTrafficAndResponsesConsistently(t *testing.T) {
 	}
 	// Control traffic stays on the serial loop.
 	for _, msg := range []interface{}{
-		aeReq{}, aeResp{}, aePush{},
-		transferReq{}, transferBatch{},
-		replicaNotOwner{},
+		aeReq{}, aeResp{},
+		shipBatch{}, shipAck{},
+		transferReq{}, replicaNotOwner{}, geoStamp{},
 	} {
 		if got := n.ShardOf(msg); got != -1 {
 			t.Fatalf("ShardOf(%T) = %d, want -1 (serial)", msg, got)
@@ -129,10 +129,10 @@ func TestSingleShardMintsClassicSequence(t *testing.T) {
 }
 
 // TestArcScanOverShardsMatchesFlatScan is the transfer-source property:
-// scanning each shard's map and filtering by a ring arc must select
-// exactly the keys a single flat map would — the shard partition (keyed
-// by storage.KeyHash) neither hides nor duplicates keys under the arc
-// filter (keyed by ring.KeyHash).
+// walking each shard's engine in windows and filtering by a ring arc must
+// select exactly the keys a single flat map would — the shard partition
+// (keyed by storage.KeyHash) neither hides nor duplicates keys under the
+// arc filter (keyed by ring.KeyHash), wherever a batch happens to end.
 func TestArcScanOverShardsMatchesFlatScan(t *testing.T) {
 	n := newShardedNode(t, 8)
 	const nKeys = 2000
@@ -152,25 +152,25 @@ func TestArcScanOverShardsMatchesFlatScan(t *testing.T) {
 			}
 		}
 		got := make(map[string]bool)
-		for _, sh := range n.shards {
-			sh.mu.RLock()
-			for _, p := range sh.store.Scan("", "", 0) {
-				key := p.Key
-				if rangeContains(start, end, ring.KeyHash(key)) {
-					if got[key] {
-						t.Fatalf("arc (%d,%d]: key %q scanned twice", start, end, key)
-					}
-					got[key] = true
+		// A fresh source per batch, resumed at the cursor of the one before,
+		// is what a gainer re-opening after every batch would see.
+		cursor, budget := "", 1+rng.Intn(2000)
+		for done := false; !done; {
+			b := n.arcSource(start, end, cursor).next(budget)
+			for _, e := range b.Entries {
+				if got[e.Key] {
+					t.Fatalf("arc (%d,%d]: key %q shipped twice", start, end, e.Key)
 				}
+				got[e.Key] = true
 			}
-			sh.mu.RUnlock()
+			cursor, done = b.Cursor, b.Done
 		}
 		if len(got) != len(want) {
-			t.Fatalf("arc (%d,%d]: sharded scan found %d keys, flat scan %d", start, end, len(got), len(want))
+			t.Fatalf("arc (%d,%d]: the source shipped %d keys, a flat scan finds %d", start, end, len(got), len(want))
 		}
 		for key := range want {
 			if !got[key] {
-				t.Fatalf("arc (%d,%d]: sharded scan missed key %q", start, end, key)
+				t.Fatalf("arc (%d,%d]: the source missed key %q", start, end, key)
 			}
 		}
 	}

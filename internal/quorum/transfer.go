@@ -1,12 +1,16 @@
 package quorum
 
 import (
+	"encoding/binary"
+	"maps"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/ring"
+	"repro/internal/storage"
 	"repro/internal/transport"
 )
 
@@ -14,10 +18,11 @@ import (
 //
 // When membership changes, the hosting runtime computes which arcs of
 // the hash circle gained this node (ring.DiffN) and calls BeginCatchUp
-// with a pull per arc. The gainer streams exactly those ranges from a
-// current owner in cursor-ordered batches — resumable after a crash
-// because installs dedup by dot and completed ranges are journaled to
-// the WAL — while the source token-buckets its sends so foreground
+// with a pull per arc. The gainer asks a current owner to open a stream
+// (see stream.go) over exactly each range — resumable after a crash
+// because installs dedup by dot, a stalled range is re-opened at the last
+// cursor it installed, and completed ranges are journaled to the WAL —
+// while the source token-buckets its sends so foreground
 // traffic keeps its latency budget. Until a range completes, the
 // gainer's replica answers reads for keys in it with NotReady, and the
 // coordinator falls back to the old owners (which remain in the new
@@ -54,30 +59,17 @@ type TransferStats struct {
 	NotOwnerSeen  atomic.Uint64
 }
 
-// Protocol messages (wire ids 35–37, see wire.go).
+// Protocol messages (see wire.go).
 type (
-	// transferReq asks Source for the next batch of (Start, End] at the
-	// cursor. Nonce pairs a request with its batch so a retransmitted
-	// request cannot double-advance the cursor.
+	// transferReq asks Source to open, or re-open at Cursor, the stream
+	// of the arc (Start, End]. The gainer mints the stream's id, so that it
+	// can tell the batches of the stream it last asked for from those of
+	// one it has given up on.
 	transferReq struct {
-		Seq        uint64
-		Idx        int
-		Nonce      uint64
+		Idx        int // the range's index in the gainer's window: one stream per index
+		Stream     uint64
 		Start, End uint64
-		CurHash    uint64
-		CurKey     string
-		Max        int
-	}
-	// transferBatch carries the next run of keys in (KeyHash, key)
-	// order, the cursor after them, and whether the range is finished.
-	transferBatch struct {
-		Seq     uint64
-		Idx     int
-		Nonce   uint64
-		Entries []aeEntry
-		CurHash uint64
-		CurKey  string
-		Done    bool
+		Cursor     string // the last cursor installed; "" to start
 	}
 	// replicaNotOwner refuses a replicaPut for a key outside the
 	// receiver's current (or dual-apply previous) arcs, carrying the
@@ -88,31 +80,19 @@ type (
 	}
 )
 
-// Size implements the sim bandwidth hook.
-func (m transferBatch) Size() int { return aePush{Entries: m.Entries}.Size() }
-
-// catchUp tracks one inbound transfer window (one epoch's pulls).
+// catchUp tracks one inbound transfer window (one epoch's pulls). Per
+// range: whether it is done, the id of the stream last asked for, the
+// cursor of the last batch installed from it, and the stall timer.
 type catchUp struct {
 	seq        uint64
 	pulls      []TransferPull
 	done       []bool
-	nonce      []uint64
-	retry      []transport.TimerID
+	stream     []uint64
+	cursor     []string
+	stall      []transport.TimerID
 	remaining  int
 	onProgress func(done, total int)
 	onDone     func()
-}
-
-// xferKey identifies one range of one epoch.
-type xferKey struct {
-	seq uint64
-	idx int
-}
-
-// stashedBatch is a built batch whose send the token bucket delayed.
-type stashedBatch struct {
-	to    string
-	batch transferBatch
 }
 
 type (
@@ -120,38 +100,13 @@ type (
 		seq uint64
 		idx int
 	}
-	xferFlushTag struct {
-		seq uint64
-		idx int
-	}
 	drainTag struct{}
 )
 
-// xferRetryTimeout re-requests a range whose batch never arrived (source
-// crash or lost message); the cursor makes the re-request resume, not
-// restart.
+// xferRetryTimeout re-opens a range that has gone this long without a
+// batch (source crash, or a lost request); the cursor makes the new stream
+// resume, not restart.
 const xferRetryTimeout = 2 * time.Second
-
-// defaultTransferRate / defaultTransferBatch bound source-side streaming:
-// ~8MiB/s refill, ~64KiB per batch.
-const (
-	defaultTransferRate  = 8 << 20
-	defaultTransferBatch = 64 << 10
-)
-
-func (n *Node) transferRate() int {
-	if n.cfg.TransferRate > 0 {
-		return n.cfg.TransferRate
-	}
-	return defaultTransferRate
-}
-
-func (n *Node) transferBatchMax() int {
-	if n.cfg.TransferBatch > 0 {
-		return n.cfg.TransferBatch
-	}
-	return defaultTransferBatch
-}
 
 // rangeContains reports whether hash falls in the arc (start, end]
 // clockwise (wrapping when end < start).
@@ -181,8 +136,9 @@ func (n *Node) BeginCatchUp(env transport.Env, seq uint64, pulls []TransferPull,
 		seq:        seq,
 		pulls:      pulls,
 		done:       make([]bool, len(pulls)),
-		nonce:      make([]uint64, len(pulls)),
-		retry:      make([]transport.TimerID, len(pulls)),
+		stream:     make([]uint64, len(pulls)),
+		cursor:     make([]string, len(pulls)),
+		stall:      make([]transport.TimerID, len(pulls)),
 		onProgress: onProgress,
 		onDone:     onDone,
 	}
@@ -205,7 +161,7 @@ func (n *Node) BeginCatchUp(env transport.Env, seq uint64, pulls []TransferPull,
 	}
 	for i := range cu.pulls {
 		if !cu.done[i] {
-			n.sendTransferReq(env, cu, i, 0, "")
+			n.openTransfer(env, cu, i)
 		}
 	}
 }
@@ -217,74 +173,52 @@ func (n *Node) CatchingUp() bool {
 	return n.inbound != nil
 }
 
-func (n *Node) sendTransferReq(env transport.Env, cu *catchUp, i int, curHash uint64, curKey string) {
-	cu.nonce[i]++
+// openTransfer asks range i's source for a new stream from the range's
+// cursor. The new id voids the stream asked for before: the source
+// replaces it, and a batch of it still in flight no longer moves the
+// cursor. Re-pulling from the last installed cursor is safe because
+// installs dedup by dot.
+func (n *Node) openTransfer(env transport.Env, cu *catchUp, i int) {
 	p := cu.pulls[i]
-	env.Send(p.Source, transferReq{
-		Seq: cu.seq, Idx: i, Nonce: cu.nonce[i],
-		Start: p.Start, End: p.End,
-		CurHash: curHash, CurKey: curKey,
-		Max: n.transferBatchMax(),
-	})
-	// One live retry timer per range: a batch arrival supersedes it, so a
-	// slow (throttled) source is not flooded with overlapping re-requests.
-	env.Cancel(cu.retry[i])
-	cu.retry[i] = env.SetTimer(xferRetryTimeout, xferRetryTag{seq: cu.seq, idx: i})
+	cu.stream[i] = n.mintStream()
+	env.Send(p.Source, transferReq{Idx: i, Stream: cu.stream[i], Start: p.Start, End: p.End, Cursor: cu.cursor[i]})
+	n.armStall(env, cu, i)
 }
 
-// retryTransfer re-requests a range whose batch is overdue. The nonce
-// bump invalidates any in-flight batch so the cursor cannot be advanced
-// twice; re-pulling from the last acked cursor is safe because installs
-// dedup by dot.
-func (n *Node) retryTransfer(env transport.Env, tg xferRetryTag) {
+// armStall restarts range i's stall timer. One live timer per range: each
+// batch supersedes it, so a slow (throttled) source is not asked twice.
+func (n *Node) armStall(env transport.Env, cu *catchUp, i int) {
+	env.Cancel(cu.stall[i])
+	cu.stall[i] = env.SetTimer(xferRetryTimeout, xferRetryTag{seq: cu.seq, idx: i})
+}
+
+// transferReceived is the transfer receive hook: m, already installed,
+// advances (or completes) the range whose current stream it belongs to.
+func (n *Node) transferReceived(env transport.Env, dom int, m shipBatch) {
 	cu := n.inbound
-	if cu == nil || cu.seq != tg.seq || tg.idx >= len(cu.done) || cu.done[tg.idx] {
+	if cu == nil {
 		return
 	}
-	c := n.xferCursor[xferKey{tg.seq, tg.idx}]
-	n.sendTransferReq(env, cu, tg.idx, c.hash, c.key)
-}
-
-type cursorPos struct {
-	hash uint64
-	key  string
-}
-
-// handleTransferBatch installs one batch on the gainer and advances (or
-// completes) the range.
-func (n *Node) handleTransferBatch(env transport.Env, m transferBatch) {
-	cu := n.inbound
-	if cu == nil || cu.seq != m.Seq || m.Idx >= len(cu.done) || cu.done[m.Idx] {
-		return
+	i := slices.Index(cu.stream, m.Stream.N)
+	if i < 0 || cu.done[i] {
+		return // a stream since re-opened, or a repeat of the last batch
 	}
-	if m.Nonce != cu.nonce[m.Idx] {
-		return // stale batch from a superseded request
-	}
-	dom := execDomain(env)
-	size := 0
-	for _, e := range m.Entries {
-		for _, s := range e.Entries {
-			n.installEntry(dom, e.Key, s)
-			size += len(e.Key) + len(s.Value.Value) + 16*len(s.DVV.Context) + 16
-		}
-	}
-	n.Transfer.BytesIn.Add(uint64(size))
+	n.Transfer.BytesIn.Add(uint64(m.Size()))
 	if !m.Done {
-		n.xferCursor[xferKey{m.Seq, m.Idx}] = cursorPos{hash: m.CurHash, key: m.CurKey}
-		n.sendTransferReq(env, cu, m.Idx, m.CurHash, m.CurKey)
+		cu.cursor[i] = m.Cursor
+		n.armStall(env, cu, i)
 		return
 	}
 	n.elMu.Lock()
-	cu.done[m.Idx] = true
+	cu.done[i] = true
 	n.elMu.Unlock()
 	cu.remaining--
-	env.Cancel(cu.retry[m.Idx])
-	delete(n.xferCursor, xferKey{m.Seq, m.Idx})
+	env.Cancel(cu.stall[i])
 	n.Transfer.RangesDone.Add(1)
 	// Journal completion so a restarted node does not re-pull the range.
-	p := cu.pulls[m.Idx]
-	n.markTransferDone(m.Seq, m.Idx)
-	n.persistRecord(dom, walRecord{TransferDone: &transferDoneRec{Seq: m.Seq, Idx: m.Idx, Start: p.Start, End: p.End}})
+	p := cu.pulls[i]
+	n.markTransferDone(cu.seq, i)
+	n.persistRecord(dom, walRecord{TransferDone: &transferDoneRec{Seq: cu.seq, Idx: i, Start: p.Start, End: p.End}})
 	if cu.onProgress != nil {
 		cu.onProgress(len(cu.pulls)-cu.remaining, len(cu.pulls))
 	}
@@ -294,9 +228,6 @@ func (n *Node) handleTransferBatch(env transport.Env, m transferBatch) {
 }
 
 func (n *Node) markTransferDone(seq uint64, idx int) {
-	if n.xferDone == nil {
-		n.xferDone = make(map[uint64]map[int]bool)
-	}
 	if n.xferDone[seq] == nil {
 		n.xferDone[seq] = make(map[int]bool)
 	}
@@ -341,103 +272,54 @@ func (n *Node) gatedKey(key string) bool {
 	return false
 }
 
-// handleTransferReq streams one batch from a current owner, bounded by
-// Max bytes and paced by the node's token bucket.
-func (n *Node) handleTransferReq(env transport.Env, from string, m transferReq) {
-	type kh struct {
-		hash uint64
-		key  string
+// arcSource walks the keys of the arc (start, end] from cursor on, shard by
+// shard and in key order within a shard. The arc is a filter on the ring
+// hash, which no engine orders by, so every pair the engines hold is looked
+// at, in windows. A cursor is the shard being walked and the first key of
+// it not yet looked at; one that is not this source's own starts the range
+// over, which is safe.
+func (n *Node) arcSource(start, end uint64, cursor string) source {
+	shard, lo := 0, ""
+	if v, k := binary.Uvarint([]byte(cursor)); k > 0 && v <= uint64(len(n.shards)) {
+		shard, lo = int(v), cursor[k:]
 	}
-	// Collect and order the keys in the arc; the cursor is exclusive.
-	// Each shard is scanned under its own read lock — the arc only
-	// overlaps the shards whose hash range it intersects, but scanning
-	// all of them keeps the (serial-loop) source path simple.
-	var keys []kh
-	for _, sh := range n.shards {
-		sh.mu.RLock()
-		for _, p := range sh.store.Scan("", "", 0) {
-			key := p.Key
-			h := ring.KeyHash(key)
-			if !rangeContains(m.Start, m.End, h) {
-				continue
+	return source{next: func(budget int) shipBatch {
+		var f fill
+		seen, done := 0, true // seen: pairs this batch has looked at
+	walk:
+		for ; shard < len(n.shards); shard, lo = shard+1, "" {
+			for {
+				// Each window is one pair longer than everything looked at
+				// before it, so what a batch that fills up leaves unread in
+				// its last window is less than what it read: serving a range
+				// costs the engines at most twice the pairs they hold.
+				limit := seen + 1
+				sh := n.shards[shard]
+				sh.mu.RLock()
+				pairs := sh.store.Scan(lo, "", limit)
+				sh.mu.RUnlock()
+				for _, p := range pairs {
+					seen++
+					lo = p.Key + "\x00"
+					if rangeContains(start, end, ring.KeyHash(p.Key)) &&
+						f.add(budget, p.Key, mustDecodeStored(p.Key, p.Version.Value)) {
+						done = false
+						break walk
+					}
+				}
+				if len(pairs) < limit {
+					break // the shard is exhausted
+				}
 			}
-			if h < m.CurHash || (h == m.CurHash && key <= m.CurKey) {
-				continue
-			}
-			keys = append(keys, kh{hash: h, key: key})
 		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].hash != keys[j].hash {
-			return keys[i].hash < keys[j].hash
-		}
-		return keys[i].key < keys[j].key
-	})
-	batch := transferBatch{Seq: m.Seq, Idx: m.Idx, Nonce: m.Nonce, Done: true}
-	size := 0
-	for i, k := range keys {
-		es := n.localEntries(k.key)
-		batch.Entries = append(batch.Entries, aeEntry{Key: k.key, Entries: es})
-		for _, s := range es {
-			size += len(k.key) + len(s.Value.Value) + 16*len(s.DVV.Context) + 16
-		}
-		if size >= m.Max && i < len(keys)-1 {
-			batch.Done = false
-			batch.CurHash, batch.CurKey = k.hash, k.key
-			break
-		}
-	}
-	n.sendThrottled(env, from, batch, size)
-}
-
-// sendThrottled charges size against the token bucket and either sends
-// the batch now or stashes it behind a timer until the bucket refills.
-func (n *Node) sendThrottled(env transport.Env, to string, batch transferBatch, size int) {
-	rate := float64(n.transferRate())
-	now := env.Now()
-	if n.tbInit {
-		n.tbTokens += rate * (now - n.tbLast).Seconds()
-	} else {
-		n.tbTokens = rate // a full second of burst to start
-		n.tbInit = true
-	}
-	if n.tbTokens > rate {
-		n.tbTokens = rate
-	}
-	n.tbLast = now
-	n.tbTokens -= float64(size)
-	n.Transfer.BytesOut.Add(uint64(size))
-	if n.tbTokens >= 0 {
-		env.Send(to, batch)
-		return
-	}
-	// Overdrawn: delay the send until the deficit refills. At most one
-	// batch per (seq, idx) is in flight (the puller waits for it), so
-	// the stash slot cannot be clobbered by a concurrent batch.
-	n.Transfer.ThrottleWaits.Add(1)
-	wait := time.Duration(-n.tbTokens / rate * float64(time.Second))
-	if n.xferOut == nil {
-		n.xferOut = make(map[xferKey]stashedBatch)
-	}
-	n.xferOut[xferKey{batch.Seq, batch.Idx}] = stashedBatch{to: to, batch: batch}
-	env.SetTimer(wait, xferFlushTag{seq: batch.Seq, idx: batch.Idx})
-}
-
-func (n *Node) flushThrottled(env transport.Env, tg xferFlushTag) {
-	k := xferKey{tg.seq, tg.idx}
-	st, ok := n.xferOut[k]
-	if !ok {
-		return
-	}
-	delete(n.xferOut, k)
-	env.Send(st.to, st.batch)
+		return shipBatch{Entries: f.entries, Cursor: string(binary.AppendUvarint(nil, uint64(shard))) + lo, Done: done}
+	}}
 }
 
 // BeginDrain puts the node into decommission drain: it stops minting
-// dots for node-coordinated writes and aggressively flushes its hinted
-// handoff queues, calling onDrained (once, on the actor loop) when no
-// hints remain. Replica-level traffic continues — the node is still an
+// dots for node-coordinated writes and keeps a hint stream open to every
+// peer it holds hints for, calling onDrained (once, on the actor loop) when
+// no hints remain. Replica-level traffic continues — the node is still an
 // owner until its arcs transfer.
 func (n *Node) BeginDrain(env transport.Env, onDrained func()) {
 	n.draining.Store(true)
@@ -457,7 +339,7 @@ func (n *Node) drainTick(env transport.Env) {
 		}
 		return
 	}
-	n.attemptHandoff(env)
+	n.handoff(env)
 	env.SetTimer(50*time.Millisecond, drainTag{})
 }
 
@@ -479,51 +361,50 @@ func (n *Node) MintedDots() uint64 {
 }
 
 // SetMembers installs the new member set for heartbeats and anti-entropy
-// after a membership epoch lands. Hints intended for departed members
-// are dissolved into local data (journaled), where anti-entropy re-homes
-// them to the keys' current owners — a hint may be an acked write's only
-// copy and must never strand behind a dead address.
+// after a membership epoch lands. Streams to departed members are dropped.
+// Hints intended for departed members are dissolved into local data
+// (journaled), where anti-entropy re-homes them to the keys' current
+// owners — a hint may be an acked write's only copy and must never strand
+// behind a dead address.
 func (n *Node) SetMembers(members []string) {
 	ms := append([]string(nil), members...)
 	sort.Strings(ms)
 	n.members.Store(&ms)
-	n.geoDropPeers(ms)
+	// What is kept per peer goes with the peer: its streams (their timers
+	// find none and lapse), its geo queue (its arcs re-home through transfer
+	// and anti-entropy) and its tree.
+	gone := func(peer string) bool { return !contains(ms, peer) }
+	n.out = slices.DeleteFunc(n.out, func(st *outStream) bool { return gone(st.peer) })
+	n.geoMu.Lock()
+	maps.DeleteFunc(n.geoPeers, func(peer string, _ *geoPeer) bool { return gone(peer) })
+	n.geoMu.Unlock()
 	n.aeMu.Lock()
-	for peer := range n.aeTrees {
-		if peer != n.id && !contains(ms, peer) {
-			delete(n.aeTrees, peer)
-		}
-	}
+	maps.DeleteFunc(n.aeTrees, func(peer string, _ *storage.Merkle) bool { return gone(peer) })
 	n.aeMu.Unlock()
 	// Snapshot the departed members' hints, then dissolve them (the
 	// install and drop paths take the hints lock themselves).
-	type orphan struct {
-		intended, key string
-		entries       []clock.SiblingEntry[record]
-	}
-	var orphans []orphan
+	var orphans []hintRec
 	n.hintsMu.Lock()
-	for intended := range n.hints {
+	for intended, keys := range n.hints {
 		if contains(ms, intended) {
 			continue
 		}
-		hintKeys := make([]string, 0, len(n.hints[intended]))
-		for key := range n.hints[intended] {
-			hintKeys = append(hintKeys, key)
-		}
-		sort.Strings(hintKeys)
-		for _, key := range hintKeys {
-			entries := append([]clock.SiblingEntry[record](nil), n.hints[intended][key]...)
-			orphans = append(orphans, orphan{intended: intended, key: key, entries: entries})
+		for key, entries := range keys {
+			for _, e := range entries {
+				orphans = append(orphans, hintRec{Intended: intended, Key: key, Entry: e})
+			}
 		}
 	}
 	n.hintsMu.Unlock()
+	sort.SliceStable(orphans, func(i, j int) bool {
+		a, b := orphans[i], orphans[j]
+		return a.Intended < b.Intended || a.Intended == b.Intended && a.Key < b.Key
+	})
 	for _, o := range orphans {
-		for _, e := range o.entries {
-			n.installEntry(0, o.key, e)
+		n.installEntry(0, o.Key, o.Entry)
+		if _, left := n.dropHints(o.Intended, o.Key, []clock.SiblingEntry[record]{o.Entry}); left == 0 {
+			n.persistRecord(0, walRecord{HintAck: &hintAckRec{Intended: o.Intended, Key: o.Key}})
 		}
-		n.dropHints(o.intended, o.key)
-		n.persistRecord(0, walRecord{HintAck: &hintAckRec{Intended: o.intended, Key: o.key}})
 	}
 }
 

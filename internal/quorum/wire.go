@@ -2,6 +2,7 @@ package quorum
 
 import (
 	"repro/internal/clock"
+	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -11,7 +12,9 @@ import (
 // hand-rolled binary encoding: no reflection, and decode aliases the
 // frame buffer.
 //
-// Wire ids 20–39 belong to this package (see transport.BinaryMessage).
+// Wire ids 20–39 belong to this package (see transport.BinaryMessage). The
+// ids of the frames that one shipBatch and its ack replaced are reused or
+// left unassigned; the repo does not run mixed-version clusters.
 const (
 	widClientPut uint16 = 20 + iota
 	widClientGet
@@ -21,18 +24,18 @@ const (
 	widReplicaPutAck
 	widReplicaGet
 	widReplicaGetResp
-	widHandoffDeliver
-	widHandoffAck
+	widShipBatch // was handoffDeliver
+	widShipAck   // was handoffAck
 	widResPing
 	widResPong
 	widAEReq
 	widAEResp
-	widAEPush
+	_ // was aePush
 	widTransferReq
-	widTransferBatch
+	_ // was transferBatch
 	widReplicaNotOwner
-	widGeoShip
-	widGeoShipAck
+	widGeoStamp // was geoShip
+	_           // was geoShipAck
 )
 
 // appendEntry / readEntry encode one sibling version: its DVV and the
@@ -184,15 +187,27 @@ func (m replicaGetResp) AppendBinary(dst []byte) []byte {
 	return wire.AppendBool(dst, m.Digest)
 }
 
-func (handoffDeliver) WireID() uint16 { return widHandoffDeliver }
-func (m handoffDeliver) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendString(dst, m.Key)
-	return appendEntries(dst, m.Entries)
+func appendStreamID(dst []byte, id streamID) []byte {
+	return wire.AppendUvarint(wire.AppendUvarint(dst, uint64(id.Kind)), id.N)
 }
 
-func (handoffAck) WireID() uint16 { return widHandoffAck }
-func (m handoffAck) AppendBinary(dst []byte) []byte {
-	return wire.AppendString(dst, m.Key)
+func readStreamID(r *wire.Reader) streamID {
+	return streamID{Kind: streamKind(r.Uvarint()), N: r.Uvarint()}
+}
+
+func (shipBatch) WireID() uint16 { return widShipBatch }
+func (m shipBatch) AppendBinary(dst []byte) []byte {
+	dst = appendStreamID(dst, m.Stream)
+	dst = wire.AppendUvarint(dst, m.Seq)
+	dst = appendAEEntries(dst, m.Entries)
+	dst = wire.AppendString(dst, m.Cursor)
+	dst = wire.AppendBool(dst, m.Done)
+	return m.Stamp.AppendBinary(dst)
+}
+
+func (shipAck) WireID() uint16 { return widShipAck }
+func (m shipAck) AppendBinary(dst []byte) []byte {
+	return wire.AppendUvarint(appendStreamID(dst, m.Stream), m.Seq)
 }
 
 func (resPing) WireID() uint16 { return widResPing }
@@ -207,41 +222,45 @@ func (m resPong) AppendBinary(dst []byte) []byte {
 
 func (aeReq) WireID() uint16 { return widAEReq }
 func (m aeReq) AppendBinary(dst []byte) []byte {
-	return wire.AppendUint64s(dst, m.Leaves)
+	if m.Pairs == nil {
+		dst = append(dst, 0)
+	} else {
+		dst = wire.AppendUvarint(dst, uint64(len(m.Pairs))+1)
+		for _, p := range m.Pairs {
+			dst = wire.AppendVarint(dst, int64(p.Idx))
+			dst = wire.AppendUvarint(dst, p.Hash)
+		}
+	}
+	return wire.AppendInts(dst, m.Buckets)
+}
+
+func readPairs(r *wire.Reader) []storage.HashPair {
+	n, ok := r.ListLen()
+	if !ok {
+		return nil
+	}
+	out := make([]storage.HashPair, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, storage.HashPair{Idx: int(r.Varint()), Hash: r.Uvarint()})
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	return out
 }
 
 func (aeResp) WireID() uint16 { return widAEResp }
 func (m aeResp) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendInts(dst, m.Buckets)
-	return appendAEEntries(dst, m.Entries)
-}
-
-func (aePush) WireID() uint16 { return widAEPush }
-func (m aePush) AppendBinary(dst []byte) []byte {
-	return appendAEEntries(dst, m.Entries)
+	return wire.AppendInts(dst, m.Buckets)
 }
 
 func (transferReq) WireID() uint16 { return widTransferReq }
 func (m transferReq) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendUvarint(dst, m.Seq)
 	dst = wire.AppendVarint(dst, int64(m.Idx))
-	dst = wire.AppendUvarint(dst, m.Nonce)
+	dst = wire.AppendUvarint(dst, m.Stream)
 	dst = wire.AppendUvarint(dst, m.Start)
 	dst = wire.AppendUvarint(dst, m.End)
-	dst = wire.AppendUvarint(dst, m.CurHash)
-	dst = wire.AppendString(dst, m.CurKey)
-	return wire.AppendVarint(dst, int64(m.Max))
-}
-
-func (transferBatch) WireID() uint16 { return widTransferBatch }
-func (m transferBatch) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendUvarint(dst, m.Seq)
-	dst = wire.AppendVarint(dst, int64(m.Idx))
-	dst = wire.AppendUvarint(dst, m.Nonce)
-	dst = appendAEEntries(dst, m.Entries)
-	dst = wire.AppendUvarint(dst, m.CurHash)
-	dst = wire.AppendString(dst, m.CurKey)
-	return wire.AppendBool(dst, m.Done)
+	return wire.AppendString(dst, m.Cursor)
 }
 
 func (replicaNotOwner) WireID() uint16 { return widReplicaNotOwner }
@@ -250,17 +269,14 @@ func (m replicaNotOwner) AppendBinary(dst []byte) []byte {
 	return wire.AppendUvarint(dst, m.Seq)
 }
 
-func (geoShip) WireID() uint16 { return widGeoShip }
-func (m geoShip) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendUvarint(dst, m.Seq)
+func (geoStamp) WireID() uint16 { return widGeoStamp }
+func (m geoStamp) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendString(dst, m.Zone)
-	dst = wire.AppendVarint(dst, m.HighTS)
-	return appendAEEntries(dst, m.Items)
+	return wire.AppendUvarint(dst, uint64(m.HighTS))
 }
 
-func (geoShipAck) WireID() uint16 { return widGeoShipAck }
-func (m geoShipAck) AppendBinary(dst []byte) []byte {
-	return wire.AppendUvarint(dst, m.Seq)
+func readGeoStamp(r *wire.Reader) geoStamp {
+	return geoStamp{Zone: r.String(), HighTS: int64(r.Uvarint())}
 }
 
 func init() {
@@ -288,11 +304,14 @@ func init() {
 	transport.RegisterBinary(widReplicaGetResp, func(r *wire.Reader) transport.Message {
 		return replicaGetResp{ID: r.Uvarint(), Key: r.String(), Entries: readEntries(r), NotReady: r.Bool(), Digest: r.Bool()}
 	})
-	transport.RegisterBinary(widHandoffDeliver, func(r *wire.Reader) transport.Message {
-		return handoffDeliver{Key: r.String(), Entries: readEntries(r)}
+	transport.RegisterBinary(widShipBatch, func(r *wire.Reader) transport.Message {
+		return shipBatch{
+			Stream: readStreamID(r), Seq: r.Uvarint(), Entries: readAEEntries(r),
+			Cursor: r.String(), Done: r.Bool(), Stamp: readGeoStamp(r),
+		}
 	})
-	transport.RegisterBinary(widHandoffAck, func(r *wire.Reader) transport.Message {
-		return handoffAck{Key: r.String()}
+	transport.RegisterBinary(widShipAck, func(r *wire.Reader) transport.Message {
+		return shipAck{Stream: readStreamID(r), Seq: r.Uvarint()}
 	})
 	transport.RegisterBinary(widResPing, func(r *wire.Reader) transport.Message {
 		return resPing{Pad: byte(r.Uvarint())}
@@ -301,35 +320,16 @@ func init() {
 		return resPong{Pad: byte(r.Uvarint())}
 	})
 	transport.RegisterBinary(widAEReq, func(r *wire.Reader) transport.Message {
-		return aeReq{Leaves: r.Uint64s()}
+		return aeReq{Pairs: readPairs(r), Buckets: r.Ints()}
 	})
 	transport.RegisterBinary(widAEResp, func(r *wire.Reader) transport.Message {
-		return aeResp{Buckets: r.Ints(), Entries: readAEEntries(r)}
-	})
-	transport.RegisterBinary(widAEPush, func(r *wire.Reader) transport.Message {
-		return aePush{Entries: readAEEntries(r)}
+		return aeResp{Buckets: r.Ints()}
 	})
 	transport.RegisterBinary(widTransferReq, func(r *wire.Reader) transport.Message {
-		return transferReq{
-			Seq: r.Uvarint(), Idx: int(r.Varint()), Nonce: r.Uvarint(),
-			Start: r.Uvarint(), End: r.Uvarint(),
-			CurHash: r.Uvarint(), CurKey: r.String(), Max: int(r.Varint()),
-		}
-	})
-	transport.RegisterBinary(widTransferBatch, func(r *wire.Reader) transport.Message {
-		return transferBatch{
-			Seq: r.Uvarint(), Idx: int(r.Varint()), Nonce: r.Uvarint(),
-			Entries: readAEEntries(r),
-			CurHash: r.Uvarint(), CurKey: r.String(), Done: r.Bool(),
-		}
+		return transferReq{Idx: int(r.Varint()), Stream: r.Uvarint(), Start: r.Uvarint(), End: r.Uvarint(), Cursor: r.String()}
 	})
 	transport.RegisterBinary(widReplicaNotOwner, func(r *wire.Reader) transport.Message {
 		return replicaNotOwner{ID: r.Uvarint(), Seq: r.Uvarint()}
 	})
-	transport.RegisterBinary(widGeoShip, func(r *wire.Reader) transport.Message {
-		return geoShip{Seq: r.Uvarint(), Zone: r.String(), HighTS: r.Varint(), Items: readAEEntries(r)}
-	})
-	transport.RegisterBinary(widGeoShipAck, func(r *wire.Reader) transport.Message {
-		return geoShipAck{Seq: r.Uvarint()}
-	})
+	transport.RegisterBinary(widGeoStamp, func(r *wire.Reader) transport.Message { return readGeoStamp(r) })
 }

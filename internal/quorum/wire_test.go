@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/wiretest"
 )
@@ -61,33 +62,45 @@ func genMsgs(g *wiretest.Gen) []transport.Message {
 		replicaGet{ID: g.Uint64(), Key: g.Str(), Digest: g.Bool()},
 		replicaGetResp{ID: g.Uint64(), Key: g.Str(), Entries: genEntries(g), NotReady: g.Bool()},
 		replicaGetResp{ID: g.Uint64(), Key: g.Str(), Entries: genDigests(g), NotReady: g.Bool(), Digest: true},
-		handoffDeliver{Key: g.Str(), Entries: genEntries(g)},
-		handoffAck{Key: g.Str()},
+		shipBatch{
+			Stream: genStreamID(g), Seq: g.Uint64(), Entries: genAEEntries(g),
+			Cursor: g.Str(), Done: g.Bool(), Stamp: geoStamp{Zone: g.Str(), HighTS: g.Int64()},
+		},
+		shipAck{Stream: genStreamID(g), Seq: g.Uint64()},
 		resPing{Pad: g.Byte()},
 		resPong{Pad: g.Byte()},
-		aeReq{Leaves: g.Uint64s()},
-		aeResp{Buckets: g.Ints(), Entries: genAEEntries(g)},
-		aePush{Entries: genAEEntries(g)},
-		transferReq{
-			Seq: g.Uint64(), Idx: int(g.Int64()), Nonce: g.Uint64(),
-			Start: g.Uint64(), End: g.Uint64(),
-			CurHash: g.Uint64(), CurKey: g.Str(), Max: int(g.Int64()),
-		},
-		transferBatch{
-			Seq: g.Uint64(), Idx: int(g.Int64()), Nonce: g.Uint64(),
-			Entries: genAEEntries(g),
-			CurHash: g.Uint64(), CurKey: g.Str(), Done: g.Bool(),
-		},
+		aeReq{Pairs: genPairs(g), Buckets: g.Ints()},
+		aeResp{Buckets: g.Ints()},
+		transferReq{Idx: int(g.Int64()), Stream: g.Uint64(), Start: g.Uint64(), End: g.Uint64(), Cursor: g.Str()},
 		replicaNotOwner{ID: g.Uint64(), Seq: g.Uint64()},
-		geoShip{Seq: g.Uint64(), Zone: g.Str(), HighTS: g.Int64(), Items: genAEEntries(g)},
-		geoShipAck{Seq: g.Uint64()},
+		geoStamp{Zone: g.Str(), HighTS: g.Int64()},
 	}
+}
+
+func genStreamID(g *wiretest.Gen) streamID {
+	return streamID{Kind: streamKind(g.Byte()), N: g.Uint64()}
+}
+
+func genPairs(g *wiretest.Gen) []storage.HashPair {
+	if g.R.Intn(4) == 0 {
+		return nil
+	}
+	out := make([]storage.HashPair, g.R.Intn(5))
+	for i := range out {
+		out[i] = storage.HashPair{Idx: int(g.Int64()), Hash: g.Uint64()}
+	}
+	return out
 }
 
 func checkAll(t testing.TB, seed int64) {
 	g := wiretest.NewGen(seed)
 	for _, m := range genMsgs(g) {
 		wiretest.Check(t, m)
+		// The one size formula of a frame that carries entries is its
+		// encoded size.
+		if b, ok := m.(shipBatch); ok && b.Size() != len(b.AppendBinary(nil)) {
+			t.Fatalf("seed %d: shipBatch.Size() = %d, encodes to %d bytes", seed, b.Size(), len(b.AppendBinary(nil)))
+		}
 	}
 }
 

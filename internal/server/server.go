@@ -68,7 +68,8 @@ type Config struct {
 	// TransferRate caps elasticity arc streaming at this many bytes per
 	// second per source node (0 = protocol default). Quorum model only.
 	TransferRate int
-	// TransferBatch bounds one transfer batch's payload bytes (0 =
+	// TransferBatch bounds the entries of one batch shipped to a peer, by
+	// transfer, handoff, anti-entropy or geo replication, in bytes (0 =
 	// protocol default). Quorum model only.
 	TransferBatch int
 	// Shards splits the quorum node's replica state into this many
