@@ -340,24 +340,25 @@ func newestAtMost(vs []storage.Version, at uint64) (storage.Version, bool) {
 	return vs[i-1], true
 }
 
-// getMergedLocked resolves key's version visible at `at` across the
-// memtable and every run. Runs have pairwise disjoint seq ranges, but
-// tier merges can union non-adjacent ranges, so the lookup merges
-// candidates from all runs instead of trusting any single ordering.
-// Caller holds e.mu (shared suffices).
-func (e *Engine) getMergedLocked(key string, at uint64, includeTombstone bool) (storage.Version, bool) {
+// lookupLocked resolves key's version visible at `at` across the
+// memtable and every run, tombstone or not. Runs have pairwise disjoint
+// seq ranges, but tier merges can union non-adjacent ranges, so the
+// lookup merges candidates from all runs instead of trusting any single
+// ordering. A version found in a run is not copied: it aliases the block
+// buffer bp, which the caller releases when done with it (bp is nil for
+// a memtable version, whose bytes the engine never reuses). Caller
+// holds e.mu (shared suffices).
+func (e *Engine) lookupLocked(key string, at uint64) (best storage.Version, bp *[]byte, found bool) {
 	if vs, ok := e.mem.get(key); ok {
-		if v, found := newestAtMost(vs, at); found {
-			return liveOrNot(v, includeTombstone)
+		if v, ok := newestAtMost(vs, at); ok {
+			return v, nil, true
 		}
 	}
-	var best storage.Version
-	found := false
 	for _, t := range e.tables {
 		if t.minSeq > at {
 			continue
 		}
-		v, ok, skipped, err := t.get(key, at)
+		v, vbp, ok, skipped, err := t.lookup(key, at)
 		if skipped {
 			e.io.bloomMisses.Add(1)
 			continue
@@ -367,19 +368,32 @@ func (e *Engine) getMergedLocked(key string, at uint64, includeTombstone bool) (
 			e.logf("lsm: read %s: %v", t.path, err)
 			continue
 		}
-		if ok && (!found || v.Seq > best.Seq) {
-			best, found = v, true
+		if !ok {
+			continue
 		}
+		if found && v.Seq <= best.Seq {
+			releaseBlock(vbp)
+			continue
+		}
+		if bp != nil {
+			releaseBlock(bp)
+		}
+		best, bp, found = v, vbp, true
 	}
-	if !found {
-		return storage.Version{}, false
-	}
-	return liveOrNot(best, includeTombstone)
+	return best, bp, found
 }
 
-func liveOrNot(v storage.Version, includeTombstone bool) (storage.Version, bool) {
-	if v.Tombstone && !includeTombstone {
+// getMergedLocked is lookupLocked plus the copy a returned version needs.
+func (e *Engine) getMergedLocked(key string, at uint64, includeTombstone bool) (storage.Version, bool) {
+	v, bp, ok := e.lookupLocked(key, at)
+	if bp != nil {
+		defer releaseBlock(bp)
+	}
+	if !ok || (v.Tombstone && !includeTombstone) {
 		return storage.Version{}, false
+	}
+	if bp != nil {
+		v = ownVersion(v)
 	}
 	return v, true
 }
@@ -389,6 +403,23 @@ func (e *Engine) Get(key string) (storage.Version, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.getMergedLocked(key, ^uint64(0), false)
+}
+
+// View lends the latest live version of key to fn, uncopied: a version
+// read from a run aliases its pooled block buffer, which goes back to the
+// pool when fn returns.
+func (e *Engine) View(key string, fn func(storage.Version)) bool {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	v, bp, ok := e.lookupLocked(key, ^uint64(0))
+	if bp != nil {
+		defer releaseBlock(bp)
+	}
+	if !ok || v.Tombstone {
+		return false
+	}
+	fn(v)
+	return true
 }
 
 // GetAt returns the newest version of key with Seq <= at, if live.

@@ -33,14 +33,33 @@ func openTest(t *testing.T, opts Options) *Engine {
 func TestEngineConformance(t *testing.T) {
 	t.Run("memtable-only", func(t *testing.T) {
 		enginetest.Run(t, func(t *testing.T) storage.Engine {
-			return openTest(t, Options{})
+			return openReopenable(t, Options{})
 		})
 	})
 	t.Run("flush-heavy", func(t *testing.T) {
 		enginetest.Run(t, func(t *testing.T) storage.Engine {
-			return openTest(t, Options{MemtableBytes: 2 << 10, BlockBytes: 512})
+			return openReopenable(t, Options{MemtableBytes: 2 << 10, BlockBytes: 512})
 		})
 	})
+}
+
+// reopenable is an engine the conformance suite can close and open again
+// over its directory (an enginetest.Reopener).
+type reopenable struct {
+	*Engine
+	opts Options
+}
+
+func openReopenable(t *testing.T, opts Options) reopenable {
+	opts.Dir = t.TempDir()
+	return reopenable{openTest(t, opts), opts}
+}
+
+func (r reopenable) Reopen(t *testing.T) storage.Engine {
+	if err := r.Engine.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	return reopenable{openTest(t, r.opts), r.opts}
 }
 
 func TestReopenRecoversFlushedState(t *testing.T) {

@@ -15,6 +15,17 @@ import (
 // Tests of the in-place point lookup (findInBlock, table.get) and of the
 // block buffer pool under it.
 
+// get is lookup plus the copy that lets a version outlive its block, as
+// the engine's own reads do.
+func (t *table) get(key string, at uint64) (v storage.Version, ok, skipped bool, err error) {
+	v, bp, ok, skipped, err := t.lookup(key, at)
+	if !ok {
+		return v, false, skipped, err
+	}
+	defer releaseBlock(bp)
+	return ownVersion(v), true, false, nil
+}
+
 // valueFor is the one value key ever holds in these tests, so a read
 // that returns anything else has read another key's bytes.
 func valueFor(key string, size int) []byte {
@@ -320,6 +331,67 @@ func TestReturnedValuesSurviveLaterReads(t *testing.T) {
 		if !bytes.Equal(h.v.Value, valueFor(h.key, valueSize)) || string(h.v.Meta) != h.key {
 			t.Fatalf("the value held for %q changed under later reads", h.key)
 		}
+	}
+}
+
+// TestViewLendsWithoutCopying pins View's half of the contract: what fn
+// decodes from the lent bytes (as a digest answer decodes clocks) stays
+// intact across ten thousand later reads through the same pooled
+// buffers, and lending an SSTable-resident 4 KiB value copies nothing.
+func TestViewLendsWithoutCopying(t *testing.T) {
+	const n, valueSize = 600, 4096
+	e := openTest(t, Options{MemtableBytes: 256 << 10, MaxTablesPerTier: 100})
+	key := func(i int) string { return fmt.Sprintf("k%05d", i) }
+	for i := 0; i < n; i++ {
+		e.Put(key(i), valueFor(key(i), valueSize), nil)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A digest: a few bytes decoded out of the lent value into memory fn
+	// owns, as wire.Reader.ID decodes a dot's node name.
+	digest := func(k string) (d string, ok bool) {
+		ok = e.View(k, func(v storage.Version) {
+			if !bytes.Equal(v.Value, valueFor(k, valueSize)) {
+				t.Errorf("View(%q) lent another key's bytes", k)
+			}
+			d = string(v.Value[:16])
+		})
+		return d, ok
+	}
+	held := make(map[string]string)
+	for i := 0; i < n/2; i++ {
+		d, ok := digest(key(i))
+		if !ok {
+			t.Fatalf("View(%q) found nothing", key(i))
+		}
+		held[key(i)] = d
+	}
+	for i := 0; i < 10000; i++ {
+		k := key(n/2 + i%(n/2))
+		if i%2 == 0 {
+			digest(k)
+		} else if _, ok := e.Get(k); !ok {
+			t.Fatalf("Get(%q) found nothing", k)
+		}
+	}
+	for k, d := range held {
+		if d != string(valueFor(k, valueSize)[:16]) {
+			t.Fatalf("the digest decoded from %q changed under later reads: %q", k, d)
+		}
+	}
+
+	k := key(n - 1)
+	var sum int
+	objects := testing.AllocsPerRun(100, func() {
+		e.View(k, func(v storage.Version) { sum += len(v.Value) })
+	})
+	if sum != 101*valueSize {
+		t.Fatalf("View lent %d bytes over 101 calls, want %d", sum, 101*valueSize)
+	}
+	if objects > 1 && !raceEnabled {
+		t.Errorf("View(%q): %v objects per lookup, budget 1", k, objects)
 	}
 }
 

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -422,9 +423,10 @@ func (t *table) blockFor(key string) int {
 
 // blockPool recycles data-block buffers across reads: every point lookup
 // and scan step reads one whole block, and what a caller keeps of it is
-// copied out before the buffer returns here, so nothing that outlives a
-// read ever aliases a pooled buffer. It is shared by the lock-free
-// replica-read path, scans and the compactor.
+// copied out (or, through Engine.View, read in place) before the buffer
+// returns here, so nothing that outlives a read ever aliases a pooled
+// buffer. It is shared by the lock-free replica-read path, scans and the
+// compactor.
 var blockPool sync.Pool // of *[]byte
 
 // readBlock reads data block i into a pooled buffer and verifies its CRC,
@@ -479,14 +481,14 @@ func parseGroup(c *cursor) (string, []storage.Version, error) {
 			if c.bad {
 				return "", nil, fmt.Errorf("lsm: truncated value")
 			}
-			v.Value = append([]byte(nil), val...)
+			v.Value = bytes.Clone(val) // non-nil: an empty value stays empty
 		}
 		if flags&flagHasMeta != 0 {
 			mb := c.take(c.uvarint())
 			if c.bad {
 				return "", nil, fmt.Errorf("lsm: truncated meta")
 			}
-			v.Meta = append([]byte{}, mb...)
+			v.Meta = bytes.Clone(mb)
 		}
 		if i > 0 && seq <= vs[len(vs)-1].Seq {
 			return "", nil, fmt.Errorf("lsm: version seqs out of order for %q", key)
@@ -550,34 +552,38 @@ func findInBlock(block []byte, key string, at uint64) (v storage.Version, ok boo
 	return storage.Version{}, false, nil
 }
 
-// get returns the newest version of key with Seq <= at held by this
-// table. skipped reports that the bloom filter excluded the key without
-// touching any block. The one version returned is the one thing copied
-// out of the block.
-func (t *table) get(key string, at uint64) (v storage.Version, ok bool, skipped bool, err error) {
+// lookup returns the newest version of key with Seq <= at held by this
+// table, without copying it: its Value and Meta alias the block buffer
+// bp, which the caller releases once it is done with them. skipped
+// reports that the bloom filter excluded the key without touching any
+// block. bp is nil unless ok.
+func (t *table) lookup(key string, at uint64) (v storage.Version, bp *[]byte, ok, skipped bool, err error) {
 	if !t.bloom.mayContain(key) {
-		return storage.Version{}, false, true, nil
+		return storage.Version{}, nil, false, true, nil
 	}
 	i := t.blockFor(key)
 	if i < 0 {
-		return storage.Version{}, false, false, nil
+		return storage.Version{}, nil, false, false, nil
 	}
-	bp, err := t.readBlock(i)
+	bp, err = t.readBlock(i)
 	if err != nil {
-		return storage.Version{}, false, false, err
+		return storage.Version{}, nil, false, false, err
 	}
-	defer releaseBlock(bp)
 	v, ok, err = findInBlock(*bp, key, at)
 	if !ok || err != nil {
-		return storage.Version{}, false, false, err
+		releaseBlock(bp)
+		return storage.Version{}, nil, false, false, err
 	}
-	// The same copies parseGroup makes: an empty value comes back nil, an
-	// empty meta comes back empty.
-	v.Value = append([]byte(nil), v.Value...)
-	if v.Meta != nil {
-		v.Meta = append([]byte{}, v.Meta...)
-	}
-	return v, true, false, nil
+	return v, bp, true, false, nil
+}
+
+// ownVersion copies v's Value and Meta out of the block they alias: the
+// one copy a read that keeps a version makes. What is empty stays empty
+// and what is nil stays nil, as parseGroup has it.
+func ownVersion(v storage.Version) storage.Version {
+	v.Value = bytes.Clone(v.Value)
+	v.Meta = bytes.Clone(v.Meta)
+	return v
 }
 
 // scanRange calls fn for every key group with lo <= key < hi ("" =

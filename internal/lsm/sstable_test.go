@@ -179,7 +179,7 @@ func checkWalkerAgrees(t *testing.T, block []byte) {
 			}
 			if ok && (got.Seq != want.Seq || got.Tombstone != want.Tombstone ||
 				!bytes.Equal(got.Value, want.Value) || !bytes.Equal(got.Meta, want.Meta) ||
-				(got.Meta == nil) != (want.Meta == nil)) {
+				(got.Value == nil) != (want.Value == nil) || (got.Meta == nil) != (want.Meta == nil)) {
 				t.Fatalf("findInBlock(%q, %d) = %+v, parseGroup says %+v", g.key, at, got, want)
 			}
 		}

@@ -26,7 +26,7 @@ type Client struct {
 	id      string
 	nextID  uint64
 	getCBs  map[uint64]func(GetResult)
-	putCBs  map[uint64]func(PutResult)
+	puts    map[uint64]pendingPut
 	keys    map[uint64]string
 	context map[string]clock.Vector
 
@@ -50,6 +50,12 @@ type Client struct {
 	breakers map[string]*resilience.Breaker
 	rtt      resilience.Latency
 	polNorm  bool
+}
+
+// pendingPut is a put (or delete) awaiting its answer.
+type pendingPut struct {
+	cb  func(PutResult)
+	ctx clock.Vector // the context it carries: with its id, this names its dot
 }
 
 // clientOp is the in-flight state of one resilient request. The message
@@ -82,7 +88,7 @@ func NewClient(id string) *Client {
 	return &Client{
 		id:             id,
 		getCBs:         make(map[uint64]func(GetResult)),
-		putCBs:         make(map[uint64]func(PutResult)),
+		puts:           make(map[uint64]pendingPut),
 		keys:           make(map[uint64]string),
 		context:        make(map[string]clock.Vector),
 		ops:            make(map[uint64]*clientOp),
@@ -109,11 +115,14 @@ func (c *Client) OnTimer(env transport.Env, tag any) {
 func (c *Client) fail(id uint64) {
 	delete(c.ops, id)
 	key := c.keys[id]
-	if cb, ok := c.putCBs[id]; ok {
-		delete(c.putCBs, id)
+	if p, ok := c.puts[id]; ok {
+		delete(c.puts, id)
 		delete(c.keys, id)
-		if cb != nil {
-			cb(PutResult{Key: key, Err: ErrNoResponse})
+		// Unanswered is not unapplied, and the dot is the one the
+		// coordinator would have derived.
+		c.cover(key, clock.DVV{Dot: clientDot(c.id, id, p.ctx), Context: p.ctx})
+		if p.cb != nil {
+			p.cb(PutResult{Key: key, Err: ErrNoResponse})
 		}
 	}
 	if cb, ok := c.getCBs[id]; ok {
@@ -216,22 +225,23 @@ func (c *Client) breaker(node string) *resilience.Breaker {
 func (c *Client) OnMessage(env transport.Env, from string, msg transport.Message) {
 	switch m := msg.(type) {
 	case putResp:
-		cb, ok := c.putCBs[m.ID]
+		p, ok := c.puts[m.ID]
 		if !ok {
 			return
 		}
 		c.settle(env, m.ID, from)
-		delete(c.putCBs, m.ID)
+		delete(c.puts, m.ID)
 		key := c.keys[m.ID]
 		delete(c.keys, m.ID)
 		res := PutResult{Key: key, Context: m.Context, Sloppy: m.Sloppy}
 		if m.Err != "" {
 			res.Err = errors.New(m.Err)
+			c.cover(key, clock.DVV{Context: m.Context}) // a failing answer's context names the write too
 		} else {
 			c.context[key] = m.Context
 		}
-		if cb != nil {
-			cb(res)
+		if p.cb != nil {
+			p.cb(res)
 		}
 	case getResp:
 		cb, ok := c.getCBs[m.ID]
@@ -299,29 +309,37 @@ func (c *Client) send(env transport.Env, coordinator string, id uint64, key stri
 
 // Put writes key=value through coordinator (any store node), invoking cb
 // on completion. The client's stored context for the key is attached, so
-// this write supersedes everything the client has read or written before.
+// this write supersedes everything the client has read or written before,
+// a put of the key that failed included (see cover).
 func (c *Client) Put(env transport.Env, coordinator, key string, value []byte, cb func(PutResult)) {
-	c.nextID++
-	c.putCBs[c.nextID] = cb
-	c.keys[c.nextID] = key
-	c.send(env, coordinator, c.nextID, key, clientPut{ID: c.nextID, Key: key, Value: value, Context: c.context[key]})
+	c.put(env, coordinator, clientPut{Key: key, Value: value, Context: c.context[key]}, cb)
 }
 
 // PutBlind writes without any causal context (a client that did not read
 // first) — the sibling-generating pattern the DVV machinery bounds.
 func (c *Client) PutBlind(env transport.Env, coordinator, key string, value []byte, cb func(PutResult)) {
-	c.nextID++
-	c.putCBs[c.nextID] = cb
-	c.keys[c.nextID] = key
-	c.send(env, coordinator, c.nextID, key, clientPut{ID: c.nextID, Key: key, Value: value})
+	c.put(env, coordinator, clientPut{Key: key, Value: value}, cb)
 }
 
 // Delete tombstones key through coordinator.
 func (c *Client) Delete(env transport.Env, coordinator, key string, cb func(PutResult)) {
+	c.put(env, coordinator, clientPut{Key: key, Deleted: true, Context: c.context[key]}, cb)
+}
+
+func (c *Client) put(env transport.Env, coordinator string, m clientPut, cb func(PutResult)) {
 	c.nextID++
-	c.putCBs[c.nextID] = cb
-	c.keys[c.nextID] = key
-	c.send(env, coordinator, c.nextID, key, clientPut{ID: c.nextID, Key: key, Deleted: true, Context: c.context[key]})
+	m.ID = c.nextID
+	c.puts[m.ID] = pendingPut{cb: cb, ctx: m.Context}
+	c.keys[m.ID] = m.Key
+	c.send(env, coordinator, m.ID, m.Key, m)
+}
+
+// cover folds a put that failed into key's context. A put that times out
+// may have been applied all the same, so the application's repeat of it
+// must supersede it, not stand beside it as a sibling. w is the failed
+// put's DVV; its dot is the same whichever coordinator ran it.
+func (c *Client) cover(key string, w clock.DVV) {
+	c.context[key] = w.Join(clock.DVV{Context: c.context[key]})
 }
 
 // Get reads key through coordinator, invoking cb with the merged sibling

@@ -4,10 +4,13 @@ import (
 	"errors"
 	"hash/fnv"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/lsm"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/wire"
 	"repro/internal/wiretest"
 )
@@ -233,6 +236,41 @@ func TestReplicaPathAllocBudget(t *testing.T) {
 	if get > 8 {
 		t.Errorf("answerReplicaGet of a stored key: %v allocs, budget 8", get)
 	}
+	// Reading the clocks through Engine.View costs no more objects than
+	// reading the set: the callback is not allocated per answer.
+	digestKV := testing.AllocsPerRun(runs, func() {
+		n.answerReplicaGet(sinkEnv{}, "s1", replicaGet{ID: 1, Key: "hot", Digest: true})
+	})
+	if digestKV > get && !raceEnabled {
+		t.Errorf("answerReplicaGet of a stored key, digest: %v allocs, more than the %v of a full answer", digestKV, get)
+	}
+
+	// A digest answer for a 4 KiB value in an SSTable reads the clocks in
+	// place: the value is not copied out of the block to be dropped.
+	eng, err := lsm.Open(lsm.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lcfg := cfg
+	lcfg.Storage = func(int) storage.Engine { return eng }
+	ln := NewNode("s0", lcfg)
+	defer ln.Close()
+	ln.installEntry(0, "big", fixtureEntry("client", 1, clock.Vector{"s1": 4}, make([]byte, 4096), false))
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	answerDigest := func() { ln.answerReplicaGet(sinkEnv{}, "s1", replicaGet{ID: 1, Key: "big", Digest: true}) }
+	answerDigest()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		answerDigest()
+	}
+	runtime.ReadMemStats(&m1)
+	digest := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	if digest > 512 && !raceEnabled {
+		t.Errorf("answerReplicaGet of an SSTable-resident 4 KiB key, digest: %.0f B, budget 512", digest)
+	}
 
 	pcfg := cfg
 	pcfg.PersistAt = func(_ int, rec []byte) { journaled += len(rec) }
@@ -246,5 +284,5 @@ func TestReplicaPathAllocBudget(t *testing.T) {
 	if rec > 1 {
 		t.Errorf("encoding one entry WAL record: %v allocs, budget 1", rec)
 	}
-	t.Logf("allocs: install %v, replica get %v, entry record %v", install, get, rec)
+	t.Logf("allocs: install %v, replica get %v (digest %v), entry record %v; digest of a 4 KiB SSTable value %.0f B", install, get, digestKV, rec, digest)
 }

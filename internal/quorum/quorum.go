@@ -692,6 +692,15 @@ func (n *Node) localEntries(key string) []clock.SiblingEntry[record] {
 	return sh.entries(key) // decoded fresh; safe past the unlock
 }
 
+// localClocks is localEntries with every value left out, read in place
+// (see nodeShard.clocks).
+func (n *Node) localClocks(key string) []clock.SiblingEntry[record] {
+	sh := n.shardFor(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.clocks(key)
+}
+
 // Close releases the per-shard storage engines (flushing disk-resident
 // ones). The node must be detached from its transport first.
 func (n *Node) Close() error {
@@ -745,14 +754,7 @@ func (n *Node) coordinatePut(env transport.Env, client string, m clientPut) {
 		// client's own entry in the echoed context; the max guards
 		// against a malformed context anyway.
 		ctx := m.Context.Copy()
-		if ctx == nil {
-			ctx = clock.NewVector()
-		}
-		ctr := m.ID
-		if c := ctx.Get(client); c >= ctr {
-			ctr = c + 1
-		}
-		dvv = clock.DVV{Dot: clock.Dot{Node: client, Counter: ctr}, Context: ctx}
+		dvv = clock.DVV{Dot: clientDot(client, m.ID, ctx), Context: ctx}
 	} else {
 		sh := n.shardFor(m.Key)
 		sh.mu.Lock()
@@ -834,6 +836,16 @@ func (n *Node) coordinatePut(env transport.Env, client string, m clientPut) {
 	if n.cfg.Resilience != nil {
 		env.SetTimer(n.cfg.Resilience.RetryTimeout, rpcRetryTag{id: id, write: true})
 	}
+}
+
+// clientDot is the dot of request id from client, carrying context ctx:
+// the request id, lifted past the client's own entry in ctx. The client
+// derives it too, for a put that got no answer (Client.fail).
+func clientDot(client string, id uint64, ctx clock.Vector) clock.Dot {
+	if c := ctx.Get(client); c >= id {
+		id = c + 1
+	}
+	return clock.Dot{Node: client, Counter: id}
 }
 
 // suspects consults the shared failure detector for this node's view of

@@ -85,6 +85,42 @@ func (sh *nodeShard) entries(key string) []clock.SiblingEntry[record] {
 	return mustDecodeStored(key, v.Value)
 }
 
+// clocks returns key's sibling set as stored with every value left out:
+// the DVVs and tombstone bits are decoded from the bytes the engine
+// lends, in place, and nothing the entries keep aliases them. Caller
+// holds sh.mu (read suffices).
+func (sh *nodeShard) clocks(key string) []clock.SiblingEntry[record] {
+	r := clockReaders.Get().(*clockReader)
+	r.key = key
+	sh.store.View(key, r.read)
+	es := r.es
+	r.key, r.es = "", nil
+	clockReaders.Put(r)
+	return es
+}
+
+// clockReader is the callback clocks lends to Engine.View, with the key
+// it reads and the entries it decodes. A closure handed to an interface
+// method escapes, and a fresh one per digest answer cost two objects
+// (itself and the result it writes), so readers are pooled with their
+// callback bound.
+type clockReader struct {
+	key  string
+	es   []clock.SiblingEntry[record]
+	read func(storage.Version)
+}
+
+var clockReaders = sync.Pool{New: func() any {
+	r := new(clockReader)
+	r.read = func(v storage.Version) {
+		r.es = mustDecodeStored(r.key, v.Value)
+		for i := range r.es {
+			r.es[i].Value.Value = nil
+		}
+	}
+	return r
+}}
+
 // mustDecodeStored decodes a value read back from a shard's engine.
 func mustDecodeStored(key string, b []byte) []clock.SiblingEntry[record] {
 	es, err := decodeStored(b)
@@ -259,7 +295,12 @@ func (n *Node) answerReplicaGet(env transport.Env, from string, m replicaGet) {
 		env.Send(from, replicaGetResp{ID: m.ID, Key: m.Key, NotReady: true})
 		return
 	}
-	entries := n.localEntries(m.Key)
+	var entries []clock.SiblingEntry[record]
+	if m.Digest {
+		entries = n.localClocks(m.Key) // the stored set is not even copied out of the engine
+	} else {
+		entries = n.localEntries(m.Key)
+	}
 	if n.cfg.Resilience != nil {
 		// A fallback replica answers with the hinted writes it holds
 		// too — during a partition they are the freshest (often only)
@@ -267,9 +308,8 @@ func (n *Node) answerReplicaGet(env transport.Env, from string, m replicaGet) {
 		entries = append(entries, n.hintedEntries(m.Key)...)
 	}
 	if m.Digest {
-		// Clocks only: the values stay home. entries is this call's own
-		// slice (decoded fresh, hints appended by value), so clearing its
-		// value fields touches nothing stored or queued.
+		// Clocks only: the values stay home. The hints were appended by
+		// value, so clearing their value fields touches nothing queued.
 		for i := range entries {
 			entries[i].Value.Value = nil
 		}

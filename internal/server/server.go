@@ -6,6 +6,7 @@ import (
 	"net"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -112,22 +113,22 @@ type Server struct {
 	dir    *resilience.Directory
 	policy *resilience.Policy
 
-	gwQuorum  []*quorum.Client // quorum model: gateway actors' clients (one per shard)
-	gwIDs     []string
+	gwQuorum   []*quorum.Client // quorum model: gateway actors' clients (one per shard)
+	gwIDs      []string
 	lsmEngines []*lsm.Engine // Engine "lsm": per-shard trees, for metrics and close
-	gossipN   *gossip.Node // gossip model: ops run on the storage actor itself
-	qnode     *quorum.Node // quorum model: the storage actor's protocol node
-	qN        int          // quorum model: replication factor
-	el        *elastic     // quorum model: live membership state
-	dur       *durability  // nil unless Config.DataDir set
-	ackB      *ackBarrier  // nil unless durable: holds acks until fsync
-	httpLn    net.Listener
-	statMu    sync.Mutex // guards reqCount and reqLat
-	reqCount  *metrics.Counters
-	reqLat    *metrics.Histogram
-	connSeq   uint64
-	connMu    sync.Mutex
-	closeOnce sync.Once
+	gossipN    *gossip.Node  // gossip model: ops run on the storage actor itself
+	qnode      *quorum.Node  // quorum model: the storage actor's protocol node
+	qN         int           // quorum model: replication factor
+	el         *elastic      // quorum model: live membership state
+	dur        *durability   // nil unless Config.DataDir set
+	ackB       *ackBarrier   // nil unless durable: holds acks until fsync
+	httpLn     net.Listener
+	statMu     sync.Mutex // guards reqCount and reqLat
+	reqCount   *metrics.Counters
+	reqLat     *metrics.Histogram
+	connSeq    uint64
+	connMu     sync.Mutex
+	closeOnce  sync.Once
 
 	// booted is set just before ready closes iff New succeeded; the
 	// channel close orders the write for the parked handlers.
@@ -235,14 +236,14 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	tcp, err := transport.NewTCP(transport.TCPConfig{
-		LocalID:      cfg.ID,
-		Listen:       cfg.ListenPeer,
-		Peers:        cfg.Peers,
-		Policy:       policy,
-		Directory:    s.dir,
-		Seed:         cfg.Seed,
-		Logf:         cfg.Logf,
-		LinkDelay:    linkDelay,
+		LocalID:   cfg.ID,
+		Listen:    cfg.ListenPeer,
+		Peers:     cfg.Peers,
+		Policy:    policy,
+		Directory: s.dir,
+		Seed:      cfg.Seed,
+		Logf:      cfg.Logf,
+		LinkDelay: linkDelay,
 		OnClientConn: func(id string, conn net.Conn) {
 			go func() {
 				<-s.ready
@@ -813,12 +814,13 @@ func (s *Server) handleGossip(req Request) Response {
 
 // handleQuorum funnels the operation through a gateway actor's quorum
 // client — the key's shard picks the gateway, so disjoint key ranges
-// use disjoint gateway loops. The coordinator is the key's ring owner —
-// requests for a key land on its primary replica, and the client's
-// resilience layer fails over if that node is down. An SLA get may
-// instead route to an in-zone replica with a sub-quorum read (see
-// slaRoute); the response reports the tier actually delivered and the
-// node's measured cross-zone staleness at serve time.
+// use disjoint gateway loops. The coordinator is normally this node
+// itself, a post to its own mailbox, whenever it holds a replica of the
+// key (see coordinator for when the ring owner coordinates instead), and
+// the client's resilience layer fails over if the coordinator is down.
+// An eventual or bounded get runs a sub-quorum read in this node's zone
+// (see slaRoute); the response reports the tier actually delivered and
+// the node's measured cross-zone staleness at serve time.
 func (s *Server) handleQuorum(req Request) Response {
 	tier, rOverride, coord, staleMs := s.slaRoute(req)
 	gi := 0
@@ -860,35 +862,69 @@ func (s *Server) handleQuorum(req Request) Response {
 	return resp
 }
 
-// slaRoute resolves a request's SLA tier into a read plan: the tier
-// actually delivered, the per-request read-quorum override (0 keeps the
-// configured R), the coordinator, and the staleness measurement that
-// justified the decision.
+// slaRoute resolves a request's SLA tier into a plan: the tier actually
+// delivered, the per-request read-quorum override (0 keeps the
+// configured R), the coordinator (see coordinator), and the staleness
+// measurement that justified the decision.
 //
-//   - strong (or any write): the key's ring owner coordinates a full
-//     R quorum — unchanged pre-SLA behavior.
-//   - eventual: an in-zone replica of the key coordinates an R=1 read —
-//     local latency, reads may trail remote zones by the replicator lag.
+//   - strong (or any write): a full R (or W) quorum.
+//   - eventual: an R=1 read coordinated inside this node's zone — local
+//     latency, reads may trail remote zones by the replicator lag.
 //   - bounded: the eventual plan while this node's measured staleness
 //     for every remote zone is within the bound; otherwise it escalates
 //     to strong. No measurement yet (boot) counts as over-bound.
 func (s *Server) slaRoute(req Request) (tier geo.Kind, rOverride int, coord string, staleMs int64) {
-	coord = s.curRing().Owner(req.Key)
-	if coord == "" {
-		coord = s.cfg.ID
-	}
 	tier = geo.Kind(req.SLA)
-	if req.Op != "get" || tier == geo.Strong || s.qnode == nil {
-		return geo.Strong, 0, coord, 0
+	if req.Op != "get" || tier == geo.Strong {
+		return geo.Strong, 0, s.coordinator(req.Key, false), 0
 	}
 	staleMs = s.maxRemoteStaleness()
 	if tier == geo.Bounded {
 		if staleMs < 0 || staleMs > req.BoundMs {
-			return geo.Strong, 0, coord, staleMs
+			return geo.Strong, 0, s.coordinator(req.Key, false), staleMs
 		}
 		tier = geo.Eventual
 	}
-	return tier, 1, s.localCoordinator(req.Key), staleMs
+	return tier, 1, s.coordinator(req.Key, true), staleMs
+}
+
+// coordinator picks the node that coordinates an operation on key. The
+// rule is to coordinate where the client landed: this node, whenever it
+// is one of the key's replicas. Quorums intersect whichever replica
+// coordinates, a write's dot is derived from the client's request id and
+// not from the coordinator, and dual-apply, hints, read repair and the
+// redirects of a draining or departed node run wherever the operation
+// does. The key's ring owner coordinates instead in three cases:
+//
+//   - this node is not a replica of the key (N < cluster size);
+//   - GeoAsync is on and the operation is a write or a strong read: a
+//     write acks on its coordinator's zone's sub-quorum, so a strong read
+//     is fresh only because writes and strong reads of a key meet at the
+//     one owner;
+//   - this node is catching up: its own replica would answer NotReady.
+//
+// An eventual read (inZone) keeps to the zone instead: this node if it
+// is a replica, else the first replica in its zone, else the owner.
+func (s *Server) coordinator(key string, inZone bool) string {
+	prefs := s.qnode.PreferenceList(key)
+	if len(prefs) == 0 {
+		return s.cfg.ID
+	}
+	local := slices.Contains(prefs, s.cfg.ID)
+	switch {
+	case inZone:
+		if local {
+			return s.cfg.ID
+		}
+		for _, p := range prefs {
+			if s.cfg.Zones[p] == s.cfg.Zone {
+				return p
+			}
+		}
+	case local && !s.cfg.GeoAsync && !s.qnode.CatchingUp():
+		return s.cfg.ID
+	}
+	return prefs[0]
 }
 
 // maxRemoteStaleness reports the worst measured replication staleness
@@ -921,28 +957,6 @@ func (s *Server) maxRemoteStaleness() int64 {
 		}
 	}
 	return max
-}
-
-// localCoordinator picks the replica that should coordinate an
-// eventual-tier read of key: this node if it is a replica, else the
-// first same-zone replica, else the key's owner — the read stays inside
-// the client's zone whenever the zone holds a replica.
-func (s *Server) localCoordinator(key string) string {
-	prefs := s.qnode.PreferenceList(key)
-	for _, p := range prefs {
-		if p == s.cfg.ID {
-			return p
-		}
-	}
-	for _, p := range prefs {
-		if s.cfg.Zones[p] == s.cfg.Zone {
-			return p
-		}
-	}
-	if len(prefs) > 0 {
-		return prefs[0]
-	}
-	return s.cfg.ID
 }
 
 func putResponse(err error) Response {

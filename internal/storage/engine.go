@@ -9,7 +9,8 @@ package storage
 //   - Put/Delete assign a store-local, strictly increasing sequence
 //     number and keep every prior version until Compact.
 //   - Get returns the newest live version; GetAt(key, at) the newest
-//     version with Seq <= at; GetAny includes tombstones.
+//     version with Seq <= at; GetAny includes tombstones. View is Get
+//     without the copy: it lends the stored bytes to a callback.
 //   - Scan walks live keys in order; ScanAll includes tombstoned keys.
 //   - OpenSnapshot anchors a read view at the current Seq; Compact may
 //     not drop any version visible to an open snapshot or to the given
@@ -24,6 +25,11 @@ type Engine interface {
 	Delete(key string, meta []byte) uint64
 	// Get returns the latest version of key, if it is live.
 	Get(key string) (Version, bool)
+	// View calls fn with the version Get would return and reports
+	// whether there was one. The version's Value and Meta may alias the
+	// engine's own buffers: they are valid only while fn runs, must not
+	// be written through, and fn must not call the engine.
+	View(key string, fn func(Version)) bool
 	// GetAt returns the newest version of key with Seq <= at, if live at
 	// that point.
 	GetAt(key string, at uint64) (Version, bool)

@@ -28,10 +28,24 @@ import (
 // factory's job (t.Cleanup / t.TempDir).
 type Factory func(t *testing.T) storage.Engine
 
+// Flusher is an engine with a volatile level it can write out (the LSM
+// memtable). The suite reads back across the flush when the factory's
+// engine is one.
+type Flusher interface{ Flush() error }
+
+// Reopener is an engine that can be closed and opened again over the
+// state it persisted. The suite reads back across the reopen when the
+// factory's engine is one.
+type Reopener interface {
+	Reopen(t *testing.T) storage.Engine
+}
+
 // Run exercises the full Engine contract against engines built by
 // factory.
 func Run(t *testing.T, factory Factory) {
 	t.Run("BasicVisibility", func(t *testing.T) { testBasicVisibility(t, factory) })
+	t.Run("ViewLendsWhatGetReturns", func(t *testing.T) { testView(t, factory) })
+	t.Run("EmptyValueStaysEmpty", func(t *testing.T) { testEmptyValue(t, factory) })
 	t.Run("ScanBoundsAndLimit", func(t *testing.T) { testScanBoundsAndLimit(t, factory) })
 	t.Run("SnapshotIsolation", func(t *testing.T) { testSnapshotIsolation(t, factory) })
 	t.Run("SnapshotSurvivesCompact", func(t *testing.T) { testSnapshotSurvivesCompact(t, factory) })
@@ -96,6 +110,74 @@ func testBasicVisibility(t *testing.T, factory Factory) {
 	e.Put("d", []byte{}, nil)
 	if v, ok := e.Get("d"); !ok || len(v.Value) != 0 {
 		t.Fatalf("Get(d) after empty put = %+v, %v", v, ok)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// testView holds View to Get: the same version, lent once, for a live
+// key; no call for a missing or tombstoned one.
+func testView(t *testing.T, factory Factory) {
+	e := factory(t)
+	defer e.Close()
+	e.Put("a", []byte("a1"), []byte("m"))
+	e.Put("a", []byte("a2"), nil)
+	e.Put("b", []byte("b1"), nil)
+	e.Delete("b", nil)
+	check := func(when string) {
+		t.Helper()
+		want, _ := e.Get("a")
+		calls := 0
+		var seq uint64
+		var val, meta []byte
+		ok := e.View("a", func(v storage.Version) {
+			calls++
+			seq, val, meta = v.Seq, bytes.Clone(v.Value), bytes.Clone(v.Meta)
+		})
+		if !ok || calls != 1 || seq != want.Seq || !bytes.Equal(val, want.Value) || meta != nil {
+			t.Fatalf("%s: View(a) = %v after %d calls with %q@%d meta %q; Get says %q@%d", when, ok, calls, val, seq, meta, want.Value, want.Seq)
+		}
+		for _, key := range []string{"b", "missing"} {
+			if e.View(key, func(storage.Version) { t.Fatalf("%s: View(%s) called fn", when, key) }) {
+				t.Fatalf("%s: View(%s) = true", when, key)
+			}
+		}
+	}
+	check("in memory")
+	if f, ok := e.(Flusher); ok {
+		if err := f.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		check("after flush")
+	}
+}
+
+// testEmptyValue: a value put empty comes back empty, not nil, wherever
+// the engine keeps it — the engine layer distinguishes the two.
+func testEmptyValue(t *testing.T, factory Factory) {
+	e := factory(t)
+	e.Put("empty", []byte{}, nil)
+	e.Put("nil", nil, nil)
+	check := func(when string) {
+		t.Helper()
+		if v, ok := e.Get("empty"); !ok || v.Value == nil || len(v.Value) != 0 {
+			t.Fatalf("%s: Get(empty) = %#v, %v; want a non-nil empty value", when, v.Value, ok)
+		}
+		if v, ok := e.Get("nil"); !ok || v.Value != nil {
+			t.Fatalf("%s: Get(nil) = %#v, %v; want nil", when, v.Value, ok)
+		}
+	}
+	check("in memory")
+	if f, ok := e.(Flusher); ok {
+		if err := f.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		check("after flush")
+	}
+	if r, ok := e.(Reopener); ok {
+		e = r.Reopen(t)
+		check("after reopen")
 	}
 	if err := e.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

@@ -81,6 +81,18 @@ func (kv *KV) Get(key string) (Version, bool) {
 	return kv.getAt(key, kv.seq)
 }
 
+// View implements Engine. It lends the stored slice itself, which Get
+// returns as well: KV never copies a value.
+func (kv *KV) View(key string, fn func(Version)) bool {
+	kv.mu.RLock()
+	defer kv.mu.RUnlock()
+	v, ok := kv.getAt(key, kv.seq)
+	if ok {
+		fn(v)
+	}
+	return ok
+}
+
 // GetAt returns the newest version of key with Seq <= at, i.e. the value a
 // snapshot taken at sequence at observes.
 func (kv *KV) GetAt(key string, at uint64) (Version, bool) {

@@ -128,9 +128,9 @@ type proc struct {
 // the contract only promises validity during an invocation.
 type penv struct{ p *proc }
 
-func (e penv) ID() string          { return e.p.id }
-func (e penv) Now() time.Duration  { return e.p.rt.Now() }
-func (e penv) Rand() *rand.Rand    { return e.p.rng }
+func (e penv) ID() string         { return e.p.id }
+func (e penv) Now() time.Duration { return e.p.rt.Now() }
+func (e penv) Rand() *rand.Rand   { return e.p.rng }
 func (e penv) Send(to string, msg Message) {
 	e.p.rt.send(e.p.id, to, msg)
 }
@@ -477,4 +477,3 @@ func (c *statsCell) snapshot() Stats {
 	defer c.mu.Unlock()
 	return c.s
 }
-
