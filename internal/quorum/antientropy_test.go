@@ -215,7 +215,7 @@ func TestAntiEntropyTreesCoverStoredKeysAfterLSMRestart(t *testing.T) {
 		cfg := Config{N: 3, R: 2, W: 3, AntiEntropy: true, AntiEntropyInterval: 100 * time.Millisecond,
 			Storage: func(int) storage.Engine { return eng }}
 		if id == "s1" {
-			cfg.PersistAt = func(_ int, rec []byte) { journal = append(journal, rec) }
+			cfg.PersistAt = func(_ int, rec []byte) { journal = append(journal, append([]byte(nil), rec...)) }
 		}
 		return cfg
 	}

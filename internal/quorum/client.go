@@ -97,6 +97,14 @@ func NewClient(id string) *Client {
 	}
 }
 
+// StartIDsAt makes base the floor of the client's request ids: the next
+// one is base+1. A client whose id outlives its process (a server names
+// its gateways after the node) passes a floor above every id an earlier
+// incarnation issued: the coordinator derives a put's dot from the
+// client id and the request id, and replicas discard, yet still ack, a
+// dot they have already seen. Call it before the first operation.
+func (c *Client) StartIDsAt(base uint64) { c.nextID = base }
+
 // OnStart implements transport.Handler.
 func (c *Client) OnStart(transport.Env) {}
 

@@ -210,24 +210,27 @@ func (n *Node) ReplayDomain(rec []byte) int {
 
 // persistRecord journals one mutation. domain names the execution domain
 // the mutation ran on (0 = serial loop, 1+i = shard i) so the hosting
-// server can account the pending fsync to the right ack barrier. Every
-// record is a fresh buffer, the hook's to keep.
+// server can account the pending fsync to the right ack barrier. The
+// record is encoded into the domain's reused buffer, so it is the hook's
+// only for the duration of the call.
 func (n *Node) persistRecord(domain int, r walRecord) {
 	if n.cfg.PersistAt == nil {
 		return
 	}
-	// Sized for the header, the key and any entry in one allocation; the
-	// few remaining bytes (a node id, a counter) fit the slack.
-	key, _ := r.recordKey()
-	size := 64 + len(key)
-	switch {
-	case r.Entry != nil:
-		size += entrySize(r.Entry.Entry)
-	case r.Hint != nil:
-		size += entrySize(r.Hint.Entry)
+	if domain < 0 || domain >= len(n.recBufs) {
+		n.cfg.PersistAt(domain, appendRecord(nil, r))
+		return
 	}
-	n.cfg.PersistAt(domain, appendRecord(make([]byte, 0, size), r))
+	rec := appendRecord(n.recBufs[domain][:0], r)
+	if cap(rec) <= maxKeptRecord {
+		n.recBufs[domain] = rec
+	}
+	n.cfg.PersistAt(domain, rec)
 }
+
+// maxKeptRecord bounds the record buffer a domain keeps between records;
+// a larger record's buffer is left to the collector.
+const maxKeptRecord = 64 << 10
 
 // installEntry adds one version to key's sibling set and journals it if
 // the set changed. This is the single install path of the live node:

@@ -82,7 +82,9 @@ type Config struct {
 	// serial actor loop, 1+i is shard i's goroutine, and the record
 	// carries a routing header so replay can repartition it (see
 	// ReplayDomain). It may be invoked concurrently from different
-	// domains, never concurrently within one.
+	// domains, never concurrently within one. rec is valid only during
+	// the call: the domain's next record reuses its buffer, so a hook
+	// that keeps rec must copy it.
 	PersistAt func(domain int, rec []byte)
 	// Shards splits the node's replica state into this many key-range
 	// execution domains (rounded up to a power of two; default 1, fully
@@ -437,6 +439,11 @@ type Node struct {
 	router storage.ShardRouter
 	shards []*nodeShard
 
+	// recBufs holds one journal record buffer per execution domain (0 is
+	// the serial loop, 1+i shard i), reused by persistRecord. Each is
+	// confined to its domain, as Config.PersistAt's calls are.
+	recBufs [][]byte
+
 	// hints holds writes accepted on behalf of unreachable nodes:
 	// intended node -> key -> entries. Guarded by hintsMu: stored on the
 	// key's shard goroutine, shipped and acked on the serial loop.
@@ -517,6 +524,7 @@ func NewNode(id string, cfg Config) *Node {
 		id:         id,
 		router:     router,
 		shards:     shards,
+		recBufs:    make([][]byte, len(shards)+1),
 		hints:      make(map[string]map[string][]clock.SiblingEntry[record]),
 		lastStream: uint64(time.Now().UnixNano()),
 		aeTrees:    make(map[string]*storage.Merkle),

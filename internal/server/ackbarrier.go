@@ -12,28 +12,37 @@ import (
 // Every protocol ack (a quorum replica's write response, a session
 // server's swrite response) is an Env.Send made in the same handler
 // invocation that called Persist. The barrier intercepts those sends:
-// after each invocation it collects the invocation's WAL durability
-// waits (durability.takePending) and, if there are any, parks the
-// invocation's outgoing messages on a release queue instead of sending
-// them. A release goroutine posts each batch once its records are on
-// disk. The actor loop itself never waits — it moves on to the next
-// message, appending more records behind the in-flight fsync, which is
-// what forms WAL commit groups across concurrent client operations.
+// after each invocation it takes the highest WAL seq the invocation
+// appended (durability.takePending) and, unless the log's durable
+// watermark already covers it, parks the invocation's outgoing messages
+// on a release queue instead of sending them. A release goroutine waits
+// for the watermark to pass each batch's seq and then posts the batch.
+// The actor loop itself never waits — it moves on to the next message,
+// appending more records behind the in-flight fsync, which is what forms
+// WAL commit groups across concurrent client operations.
+//
+// A batch whose seq never becomes durable (its append failed, or the
+// fsync did) is dropped, not posted: the requester times out and the
+// write is never acked. Its domain then drops every later batch too,
+// because a later ack may rest on the lost record — a retried put that
+// finds its version already installed journals nothing and would
+// otherwise be acked at once.
 //
 // A sharded node runs one barrier domain per execution domain (the
 // serial loop plus every shard goroutine): each domain has its own
-// deferred-send buffer, pending table, release queue, and release
+// deferred-send buffer, pending entry, release queue, and release
 // goroutine, so the barrier stays lock-free — every piece is confined
 // to one goroutine exactly as the single-domain original was.
 //
 // Batches release strictly in invocation order within a domain. WAL
-// sequence numbers are assigned in append order and commits are
+// sequence numbers are assigned in append order and the watermark is
 // monotone, so a domain's queue never waits out of order; ordering also
 // means a non-persisting invocation's sends cannot overtake an earlier
 // persisting one's on the same domain. (Across domains there is no
 // order — the protocol already tolerates cross-key reordering.) The
-// fast path — nothing pending and the domain's queue drained — sends
-// inline, so reads and protocol chatter keep their direct-send latency.
+// fast path — the invocation's records already durable (or none) and
+// the domain's queue drained — sends inline, so reads and protocol
+// chatter keep their direct-send latency.
 type ackBarrier struct {
 	inner transport.Handler
 	dur   *durability
@@ -44,12 +53,20 @@ type ackBarrier struct {
 }
 
 // ackDomain is one execution domain's slice of the barrier. Everything
-// except the release queue itself is confined to the domain's executor
-// goroutine.
+// except the release queue, the free list and the two atomics is
+// confined to the domain's executor goroutine.
 type ackDomain struct {
 	q      chan sendBatch
-	queued atomic.Int64 // batches enqueued but not yet fully posted
+	queued atomic.Int64 // batches enqueued but not yet fully released
 	done   chan struct{}
+
+	// free returns posted batches' send buffers to the domain. A domain
+	// rarely has more batches in flight than one fsync's worth of
+	// invocations; buffers beyond its 64 slots go to the collector.
+	free chan []outMsg
+	// lost is set once a batch was dropped: every later batch of the
+	// domain is dropped too.
+	lost atomic.Bool
 
 	env deferEnv // reused across invocations (each domain is single-threaded)
 }
@@ -59,9 +76,11 @@ type outMsg struct {
 	msg transport.Message
 }
 
+// sendBatch is one invocation's deferred sends and the WAL seq they wait
+// for (0 when the invocation journaled nothing).
 type sendBatch struct {
+	seq   uint64
 	sends []outMsg
-	waits []<-chan error
 }
 
 // deferEnv captures a handler invocation's sends for the barrier while
@@ -87,7 +106,7 @@ func (e *deferEnv) Shard() int {
 
 // newAckBarrier builds a barrier with domains execution domains: 1 for
 // a classic single-loop node, shards+1 for a sharded one. The
-// durability layer's pending tables must be sized to match
+// durability layer's pending table must be sized to match
 // (durability.setDomains).
 func newAckBarrier(inner transport.Handler, dur *durability, domains int, post func(to string, msg transport.Message)) *ackBarrier {
 	if domains < 1 {
@@ -102,6 +121,7 @@ func newAckBarrier(inner transport.Handler, dur *durability, domains int, post f
 	for i := range b.doms {
 		d := &ackDomain{
 			q:    make(chan sendBatch, 1024),
+			free: make(chan []outMsg, 64),
 			done: make(chan struct{}),
 		}
 		b.doms[i] = d
@@ -171,12 +191,13 @@ func (b *ackBarrier) FastHandle(env transport.Env, from string, msg transport.Me
 	return false
 }
 
-// finish routes one finished invocation's sends: inline when nothing
-// gates them and the domain's queue is drained, else onto its release
-// queue.
+// finish routes one finished invocation's sends: inline when its records
+// are already durable and the domain's queue is drained, else onto the
+// release queue. A queued batch takes the send buffer with it, and the
+// domain continues with a buffer the release goroutine handed back.
 func (b *ackBarrier) finish(i int, d *ackDomain, env transport.Env) {
-	waits := b.dur.takePending(i)
-	if len(waits) == 0 && d.queued.Load() == 0 {
+	seq := b.dur.takePending(i)
+	if d.queued.Load() == 0 && !d.lost.Load() && b.dur.durable(seq) {
 		// queued can only grow on this goroutine, so a drained queue
 		// stays drained for the duration of this fast path.
 		for _, m := range d.env.sends {
@@ -184,23 +205,38 @@ func (b *ackBarrier) finish(i int, d *ackDomain, env transport.Env) {
 		}
 		return
 	}
-	batch := sendBatch{waits: waits}
+	batch := sendBatch{seq: seq}
 	if len(d.env.sends) > 0 {
-		batch.sends = append([]outMsg(nil), d.env.sends...)
+		batch.sends = d.env.sends
+		select {
+		case d.env.sends = <-d.free:
+		default:
+			d.env.sends = nil
+		}
 	}
 	d.queued.Add(1)
 	d.q <- batch
 }
 
-// release drains one domain's queue: wait out each batch's durability,
-// then post its messages. Posting uses Runtime.Post, which is safe off
-// the actor goroutine.
+// release drains one domain's queue: wait for each batch's seq to become
+// durable, then post its messages, or drop them if it never does.
+// Posting uses Runtime.Post, which is safe off the actor goroutine.
 func (b *ackBarrier) release(d *ackDomain) {
 	defer close(d.done)
 	for batch := range d.q {
-		b.dur.await(batch.waits)
-		for _, m := range batch.sends {
-			b.post(m.to, m.msg)
+		if !d.lost.Load() && b.dur.await(batch.seq) {
+			for _, m := range batch.sends {
+				b.post(m.to, m.msg)
+			}
+		} else {
+			d.lost.Store(true)
+		}
+		if batch.sends != nil {
+			clear(batch.sends) // drop the messages, keep the buffer
+			select {
+			case d.free <- batch.sends[:0]:
+			default:
+			}
 		}
 		d.queued.Add(-1)
 	}

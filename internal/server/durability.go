@@ -2,6 +2,11 @@ package server
 
 import (
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -18,11 +23,25 @@ type durableNode interface {
 	StateSnapshot() []byte
 }
 
+// journal is the part of *wal.Log the ack path uses: append without
+// waiting, read the durable watermark, wait for it. Tests put a journal
+// whose disk fails behind durability.
+type journal interface {
+	AppendAsync(rec []byte) (uint64, error)
+	Durable() uint64
+	WaitDurable(seq uint64) error
+}
+
+// neverDurable is the pending seq of an invocation one of whose appends
+// failed: no commit reaches it, so the acks it gates never leave.
+const neverDurable = math.MaxUint64
+
 // durability owns a node's WAL: it journals the protocol's Persist
 // callbacks, recovers state at boot, and runs the background
 // checkpointer that bounds log growth.
 type durability struct {
 	log  *wal.Log
+	j    journal // log, or a test's failing stand-in
 	dir  string
 	logf func(format string, args ...any)
 
@@ -32,12 +51,12 @@ type durability struct {
 	failures   uint64
 	recovering bool
 
-	// pending holds, per execution domain, the durability waits of the
-	// appends journaled since that domain's last takePending. Domain 0 is
-	// the serial actor loop; 1+k is shard k of a sharded node. Each slice
-	// is confined to its domain's goroutine (persistAt and takePending
-	// both run there), so none needs a lock.
-	pending [][]<-chan error
+	// pending holds, per execution domain, the highest WAL seq appended
+	// since that domain's last takePending: 0 if none, neverDurable if an
+	// append failed. Domain 0 is the serial actor loop; 1+k is shard k of
+	// a sharded node. Each entry is confined to its domain's goroutine
+	// (persistAt and takePending both run there), so none needs a lock.
+	pending []uint64
 
 	// laneReplayed counts the records recovery replayed on each WAL
 	// replay lane (lane 0 = serial records, 1+k = shard k). Written
@@ -53,86 +72,140 @@ func openDurability(dir string, policy wal.SyncPolicy, logf func(string, ...any)
 	if err != nil {
 		return nil, err
 	}
-	return &durability{log: log, dir: dir, logf: logf, pending: make([][]<-chan error, 1)}, nil
+	return &durability{log: log, j: log, dir: dir, logf: logf, pending: make([]uint64, 1)}, nil
 }
 
-// setDomains sizes the per-domain pending tables for a sharded node
+// setDomains sizes the per-domain pending table for a sharded node
 // (1 serial domain + the node's shard count). Must run before the
 // node's actors start.
 func (d *durability) setDomains(n int) {
-	if n < 1 {
-		n = 1
-	}
-	d.pending = make([][]<-chan error, n)
+	d.pending = make([]uint64, max(n, 1))
 }
 
 // persist journals one protocol record. It is the Persist hook handed
 // to the protocol config, and it runs on the node's actor loop — but
-// it does NOT wait for the fsync. The record's durability wait lands
-// in pending; the ack barrier (ackBarrier, or handleGossip for
-// client-direct acks) holds the handler's outgoing acks until every
-// pending wait resolves. Durable-before-ack still holds, yet the actor
-// loop keeps processing during the disk wait — which is exactly what
-// lets the WAL committer group many appends under one fsync. During
-// recovery replay persist is a no-op (replay must not re-journal).
+// it does NOT wait for the fsync. The record's seq lands in pending;
+// the ack barrier (ackBarrier, or handleGossip for client-direct acks)
+// holds the handler's outgoing acks until the WAL's durable watermark
+// reaches it, and drops them if it never does. Durable-before-ack holds,
+// yet the actor loop keeps processing during the disk wait — which is
+// exactly what lets the WAL committer group many appends under one
+// fsync. During recovery replay persist is a no-op (replay must not
+// re-journal).
 func (d *durability) persist(rec []byte) {
 	d.persistAt(0, rec)
 }
 
 // persistAt is persist for one execution domain of a sharded node: the
-// wait lands in that domain's pending slice, so each shard's ack
-// barrier gates only its own invocations' acks on its own appends.
-// Must run on the domain's executor goroutine.
+// seq lands in that domain's pending entry, so each shard's ack barrier
+// gates only its own invocations' acks on its own appends. A failed
+// append marks the invocation never durable. Must run on the domain's
+// executor goroutine.
 func (d *durability) persistAt(domain int, rec []byte) {
 	if d.recovering {
 		return
 	}
-	_, done, err := d.log.AppendAsync(rec)
-	if err != nil {
-		d.fail(err)
-		return
-	}
-	if done != nil {
-		if domain < 0 || domain >= len(d.pending) {
-			domain = 0
-		}
-		d.pending[domain] = append(d.pending[domain], done)
-	}
-}
-
-// takePending returns and clears the durability waits accumulated by
-// persistAt for one domain since the last take. Must run on the
-// domain's executor goroutine, right after the handler invocation
-// whose acks they gate.
-func (d *durability) takePending(domain int) []<-chan error {
 	if domain < 0 || domain >= len(d.pending) {
 		domain = 0
 	}
-	p := d.pending[domain]
-	d.pending[domain] = nil
-	return p
-}
-
-// await blocks until every wait resolves. Failures are counted and
-// logged but do not block the ack — matching the synchronous path's
-// semantics: the guarantee is void for those records and the metrics
-// say so loudly.
-func (d *durability) await(waits []<-chan error) {
-	for _, w := range waits {
-		if err := <-w; err != nil {
-			d.fail(err)
-		}
+	seq, err := d.j.AppendAsync(rec)
+	if err != nil {
+		d.fail(err)
+		seq = neverDurable
 	}
+	d.pending[domain] = max(d.pending[domain], seq)
 }
 
-// fail records one record whose durability guarantee is void.
+// takePending returns and clears the highest seq persistAt appended for
+// one domain since the last take (0 if none). Must run on the domain's
+// executor goroutine, right after the handler invocation whose acks it
+// gates.
+func (d *durability) takePending(domain int) uint64 {
+	if domain < 0 || domain >= len(d.pending) {
+		domain = 0
+	}
+	seq := d.pending[domain]
+	d.pending[domain] = 0
+	return seq
+}
+
+// durable reports, without blocking, whether record seq is on disk.
+func (d *durability) durable(seq uint64) bool {
+	return seq <= d.j.Durable()
+}
+
+// await blocks until record seq is on disk and reports whether it got
+// there. A record whose append or fsync failed never does: the caller
+// drops the acks it gates, the requester times out, and nothing is
+// acked that the disk may not hold.
+func (d *durability) await(seq uint64) bool {
+	if seq == neverDurable {
+		return false // persistAt counted the failure
+	}
+	if err := d.j.WaitDurable(seq); err != nil {
+		d.fail(err)
+		return false
+	}
+	return true
+}
+
+// fail counts one append or wait whose acks are dropped. A log failure
+// is sticky and fails everything after it, so only the first is logged.
 func (d *durability) fail(err error) {
 	d.mu.Lock()
 	d.failures++
+	first := d.failures == 1
 	d.mu.Unlock()
-	if d.logf != nil {
-		d.logf("wal append failed (write NOT durable): %v", err)
+	if first && d.logf != nil {
+		d.logf("wal write not durable, its acks are dropped (later failures are only counted): %v", err)
 	}
+}
+
+// incarnationFile names the file in a node's DataDir that counts its
+// boots.
+const incarnationFile = "incarnation"
+
+// bootIncarnation returns how many times a node booted from dir before
+// this boot, and records this one. The count is replaced atomically
+// (temp file, fsync, rename, directory fsync), so a crash leaves the old
+// count or the new one, never a torn file, and no two boots that got as
+// far as serving get the same number.
+func bootIncarnation(dir string) (uint64, error) {
+	path := filepath.Join(dir, incarnationFile)
+	var n uint64
+	b, err := os.ReadFile(path)
+	switch {
+	case err == nil:
+		if n, err = strconv.ParseUint(strings.TrimSpace(string(b)), 10, 64); err != nil {
+			return 0, fmt.Errorf("corrupt %s: %w", path, err)
+		}
+	case !os.IsNotExist(err):
+		return 0, err
+	}
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return 0, err
+	}
+	_, err = fmt.Fprintf(f, "%d\n", n+1)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return 0, err
+	}
+	if d, err := os.Open(dir); err == nil {
+		d.Sync() // best effort, as for the WAL's snapshots
+		d.Close()
+	}
+	return n, nil
 }
 
 // recover rebuilds node from disk: latest intact checkpoint, then the
@@ -245,7 +318,7 @@ func (d *durability) Replayed() uint64 {
 	return d.replayed
 }
 
-// Failures returns how many persist calls failed to reach the log.
+// Failures returns how many appends or durability waits failed.
 func (d *durability) Failures() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()

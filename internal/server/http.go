@@ -153,7 +153,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("ec_wal_appends_total", "Records journaled to the write-ahead log.", st.Appends)
 		counter("ec_wal_fsyncs_total", "fsync calls issued by the write-ahead log.", st.Syncs)
 		counter("ec_wal_records_replayed_total", "WAL records replayed during crash recovery at boot.", s.dur.Replayed())
-		counter("ec_wal_persist_failures_total", "Journal appends that failed (durability guarantee void).", s.dur.Failures())
+		counter("ec_wal_persist_failures_total", "Journal appends or durability waits that failed; the acks they gated were dropped.", s.dur.Failures())
 		gauge := func(name, help string, v uint64) {
 			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 		}
@@ -164,6 +164,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "# HELP ec_wal_group_commit_size Mean appends per committer fsync (group-commit efficiency).\n# TYPE ec_wal_group_commit_size gauge\nec_wal_group_commit_size %g\n",
 			float64(st.GroupedAppends)/float64(commits))
 		gauge("ec_wal_last_seq", "Sequence number of the newest journaled record.", s.dur.log.LastSeq())
+		gauge("ec_wal_durable_seq", "Sequence number of the newest record on stable storage; acks wait for it.", s.dur.log.Durable())
 		gauge("ec_wal_checkpoint_seq", "WAL sequence covered by the latest checkpoint snapshot.", s.dur.CheckpointSeq())
 		gauge("ec_wal_disk_bytes", "On-disk footprint of the WAL segments.", uint64(s.dur.log.DiskBytes()))
 	}

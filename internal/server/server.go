@@ -130,6 +130,10 @@ type Server struct {
 	connMu     sync.Mutex
 	closeOnce  sync.Once
 
+	// incarnation counts the boots from DataDir before this one (0
+	// without a DataDir); see incarnationShift.
+	incarnation uint64
+
 	// booted is set just before ready closes iff New succeeded; the
 	// channel close orders the write for the parked handlers.
 	booted bool
@@ -142,6 +146,15 @@ type Server struct {
 	// the replay instead of racing it.
 	ready chan struct{}
 }
+
+// incarnationShift places a boot's incarnation above every request id
+// a gateway's quorum.Client, and every connection number the session
+// model, can issue in one boot (2^40: four months at 100,000 a second).
+// Both name writes: a quorum dot is (gateway, request id), and a session
+// server applies a client's request at most once. An identity minted
+// after a restart therefore never repeats one minted before it, and a
+// first boot mints exactly what it did before incarnations existed.
+const incarnationShift = 40
 
 // requestTimeout bounds how long a gateway waits for the protocol to
 // complete one client operation before answering with an error. Long
@@ -401,6 +414,9 @@ func New(cfg Config) (*Server, error) {
 		if err == nil {
 			err = s.dur.recover(node, lanes, route)
 		}
+		if err == nil {
+			s.incarnation, err = bootIncarnation(cfg.DataDir)
+		}
 		if err != nil {
 			s.dur.Close()
 			tcp.Close()
@@ -410,6 +426,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server %s: recovery from %s: %w", cfg.ID, cfg.DataDir, err)
 		}
 	}
+	s.connSeq = s.incarnation << incarnationShift // session connection ids
+
 	// Membership traffic shares the storage actor's loop (and, below,
 	// its durability ack barrier): epoch installs serialize with the
 	// protocol work they re-route.
@@ -443,6 +461,7 @@ func New(cfg Config) (*Server, error) {
 		for i := range s.gwIDs {
 			id := fmt.Sprintf("%s#gw%d", cfg.ID, i)
 			c := quorum.NewClient(id)
+			c.StartIDsAt(s.incarnation << incarnationShift)
 			c.Nodes = ringMembers
 			c.Policy = policy
 			c.Directory = s.dir
@@ -771,13 +790,14 @@ func (s *Server) dispatch(req Request, sess *session.Client, sessID string) Resp
 // gossip reads and writes are local by design, anti-entropy spreads
 // them. The client's ack bypasses the protocol's message path (it
 // travels the done channel, not Env.Send), so the durability wait
-// happens here: the actor hands back the write's WAL waits and this
-// request goroutine — not the actor loop — parks on them before
-// acking. Concurrent client writes thus share committer fsyncs.
+// happens here: the actor hands back the write's WAL seq and this
+// request goroutine — not the actor loop — waits for it to become
+// durable before acking, and answers with an error if it never does.
+// Concurrent client writes thus share committer fsyncs.
 func (s *Server) handleGossip(req Request) Response {
 	type out struct {
-		resp  Response
-		waits []<-chan error
+		resp Response
+		seq  uint64 // the write's WAL seq; 0 if it journaled nothing
 	}
 	done := make(chan out, 1)
 	ok := s.tcp.Invoke(s.cfg.ID, func(env transport.Env) {
@@ -794,7 +814,7 @@ func (s *Server) handleGossip(req Request) Response {
 			o.resp = Response{OK: true, Value: v, Found: found}
 		}
 		if s.dur != nil {
-			o.waits = s.dur.takePending(0)
+			o.seq = s.dur.takePending(0)
 		}
 		done <- o
 	})
@@ -803,8 +823,8 @@ func (s *Server) handleGossip(req Request) Response {
 	}
 	select {
 	case o := <-done:
-		if len(o.waits) > 0 {
-			s.dur.await(o.waits)
+		if o.seq != 0 && !s.dur.await(o.seq) { // 0: no DataDir, or nothing journaled
+			return Response{Err: "write not durable: the node's WAL failed"}
 		}
 		return o.resp
 	case <-time.After(requestTimeout):

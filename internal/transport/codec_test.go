@@ -131,6 +131,25 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// Reading a frame allocates its body and nothing else: the length prefix
+// is read into a recycled buffer, not one per frame.
+func TestReadFrameBodyAllocatesOnlyTheBody(t *testing.T) {
+	frame, err := AppendFrame(nil, genEnvs(3)[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(frame)
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(frame)
+		if _, _, err := readFrameBody(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("readFrameBody: %v allocs per frame, want 1 (the body)", allocs)
+	}
+}
+
 // frameFor builds a raw frame around body (length prefix included).
 func frameFor(body []byte) []byte {
 	f := make([]byte, 4, 4+len(body))

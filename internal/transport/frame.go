@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/wire"
 )
@@ -96,14 +97,21 @@ func WriteFrame(w io.Writer, e Envelope) (int, error) {
 	return w.Write(b)
 }
 
+// frameHeaders recycles the 4-byte length prefixes readFrameBody reads
+// into: a buffer handed to an io.Reader escapes, so a local array would
+// cost one object per inbound frame.
+var frameHeaders = sync.Pool{New: func() any { return new([4]byte) }}
+
 // readFrameBody reads one length-prefixed frame body from r into a
 // fresh buffer (decoded messages may alias it).
 func readFrameBody(r io.Reader) ([]byte, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := frameHeaders.Get().(*[4]byte)
+	_, err := io.ReadFull(r, hdr[:])
+	n := binary.BigEndian.Uint32(hdr[:])
+	frameHeaders.Put(hdr)
+	if err != nil {
 		return nil, 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
 	if n > MaxFrameSize {
 		return nil, 0, fmt.Errorf("transport: frame length %d exceeds %d", n, MaxFrameSize)
 	}

@@ -19,6 +19,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -28,8 +29,15 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
+
+// ErrFailed wraps the first write or fsync error a log meets. The
+// failure is sticky: from then on every AppendAsync and every wait past
+// Durable returns it, because after a failed fsync the kernel may report
+// the next one clean over pages that never reached the disk.
+var ErrFailed = errors.New("wal: log failed")
 
 // SyncPolicy says when appended records reach stable storage.
 type SyncPolicy int
@@ -39,8 +47,9 @@ const (
 	// on disk. The policy the zero-lost-writes guarantee needs.
 	// Concurrent appenders group-commit: their records are written under
 	// the log mutex, then a single committer fsync covers every record
-	// written since the previous fsync and wakes all of their Append
-	// calls at once — N concurrent acked writes cost one fsync, not N.
+	// written since the previous fsync and advances the durable sequence
+	// number past all of them at once — N concurrent acked writes cost
+	// one fsync, not N.
 	SyncEach SyncPolicy = iota
 	// SyncBatch fsyncs at most every Options.BatchInterval from a
 	// background flusher — group commit: a crash loses at most one
@@ -89,6 +98,10 @@ type Options struct {
 	Policy SyncPolicy
 	// BatchInterval paces the SyncBatch flusher (default 2ms).
 	BatchInterval time.Duration
+
+	// fsync makes a segment's written bytes durable (default
+	// (*os.File).Sync); the package's tests slow it down or fail it.
+	fsync func(*os.File) error
 }
 
 func (o Options) withDefaults() Options {
@@ -97,6 +110,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BatchInterval <= 0 {
 		o.BatchInterval = 2 * time.Millisecond
+	}
+	if o.fsync == nil {
+		o.fsync = (*os.File).Sync
 	}
 	return o
 }
@@ -126,17 +142,17 @@ type segment struct {
 type Stats struct {
 	Appends uint64
 	Syncs   uint64
-	// GroupCommits counts committer fsyncs that acknowledged waiting
-	// Append calls (SyncEach only); GroupedAppends counts the appends
-	// they covered. GroupedAppends/GroupCommits is the mean group size
+	// GroupCommits counts the fsyncs that advanced the durable sequence
+	// number (SyncEach only); GroupedAppends counts the records they made
+	// durable. GroupedAppends/GroupCommits is the mean group size
 	// (exported as ec_wal_group_commit_size).
 	GroupCommits   uint64
 	GroupedAppends uint64
 }
 
-// Log is a segmented append-only record log. Append/Sync/TruncateThrough
-// are safe for concurrent use; Replay is meant for the recovery phase
-// before appends begin but tolerates concurrency.
+// Log is a segmented append-only record log. Appends, waits, syncs and
+// TruncateThrough are safe for concurrent use; Replay is meant for the
+// recovery phase before appends begin but tolerates concurrency.
 type Log struct {
 	dir string
 	opt Options
@@ -146,18 +162,26 @@ type Log struct {
 	base   uint64    // first seq of the active segment
 	size   int64     // bytes in the active segment
 	seq    uint64    // last appended (or recovered) sequence number
+	synced uint64    // highest seq an fsync has covered (or recovery found)
 	sealed []segment // sealed segments, ascending by base
-	dirty  bool      // unsynced bytes pending
 	closed bool
+	err    error // the sticky failure (see ErrFailed); nil while healthy
 	stats  Stats
-	// rotations counts segment rotations; the committer uses it to
-	// recognize that the file handle it synced outside the lock was
-	// sealed (durably, by rotateLocked) while the fsync was in flight.
+	// rotations counts segment rotations; a sync uses it to recognize
+	// that the file handle it fsynced outside the lock was sealed
+	// (durably, by rotateLocked) while the fsync was in flight.
 	rotations uint64
 
-	// waiters are Append calls blocked on the next committer fsync
-	// (SyncEach group commit). Each receives exactly one error.
-	waiters []chan error
+	// durable is the highest seq on stable storage as far as the policy
+	// promises: the last commit's under SyncEach, the last append's under
+	// SyncBatch and SyncNone, and a sealed segment's last record under
+	// every policy. It only grows, and never past a failure. Written
+	// under mu; Durable reads it without the lock.
+	durable atomic.Uint64
+	// durableCond (on mu) wakes WaitDurable callers when durable advances
+	// or the log fails: one broadcast per commit, whatever the number of
+	// waiters.
+	durableCond sync.Cond
 
 	stopFlush chan struct{}
 	doneFlush chan struct{}
@@ -182,6 +206,7 @@ func Open(dir string, opt Options) (*Log, error) {
 	}
 
 	l := &Log{dir: dir, opt: opt}
+	l.durableCond.L = &l.mu
 	for i, s := range names {
 		n, off, intact, err := scanSegment(s.path, s.base)
 		if err != nil {
@@ -225,9 +250,12 @@ func Open(dir string, opt Options) (*Log, error) {
 		l.f, l.base, l.size = f, act.base, act.size
 	} else {
 		if err := l.openSegmentLocked(1); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("wal: %w", err)
 		}
 	}
+	// What recovery found is as durable as it will get.
+	l.synced = l.seq
+	l.durable.Store(l.seq)
 
 	switch opt.Policy {
 	case SyncBatch:
@@ -311,190 +339,140 @@ func nextRecord(data []byte, off int64) (rec []byte, next int64, ok bool) {
 func (l *Log) openSegmentLocked(base uint64) error {
 	f, err := os.OpenFile(filepath.Join(l.dir, segmentName(base)), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return err
 	}
 	l.f, l.base, l.size = f, base, 0
 	return nil
 }
 
-// Append journals one record and returns its sequence number. Under
-// SyncEach the record is on stable storage when Append returns — but
-// the fsync that makes it so is shared: the record is written under the
-// log mutex, Append joins the waiter list, and the committer's next
-// fsync (which covers every record written while the previous fsync
-// was in flight) wakes the whole group. Concurrency is what creates
-// batching — a lone appender still pays one fsync per record.
+// Append journals one record and returns its sequence number once the
+// record is as durable as the policy promises: AppendAsync, then
+// WaitDurable. Under SyncEach the fsync that makes it so is shared with
+// every record written while the previous fsync was in flight.
+// Concurrency is what creates batching — a lone appender still pays one
+// fsync per record.
 func (l *Log) Append(rec []byte) (uint64, error) {
-	seq, done, err := l.AppendAsync(rec)
+	seq, err := l.AppendAsync(rec)
 	if err != nil {
 		return 0, err
 	}
-	if done != nil {
-		if err := <-done; err != nil {
-			return 0, err
-		}
+	if err := l.WaitDurable(seq); err != nil {
+		return 0, err
 	}
 	return seq, nil
 }
 
-// AppendAsync journals rec and returns without waiting for durability.
-// done is nil when the record is already as durable as the policy
-// promises (non-SyncEach policies; or the append triggered a rotation,
-// whose sealing fsync covered it). Otherwise exactly one error arrives
-// on done when a committer fsync covers the record; nil means durable.
-// A single-threaded caller that appends again before reading done is
-// what forms commit groups: the records pile up behind one in-flight
-// fsync and the next commit covers them all.
-func (l *Log) AppendAsync(rec []byte) (seq uint64, done <-chan error, err error) {
+// AppendAsync journals rec and returns its sequence number without
+// waiting for it to reach disk. The record is durable once Durable()
+// reaches seq, and WaitDurable(seq) blocks until then. Under SyncEach the
+// append kicks the group committer; a caller that appends again before
+// waiting is what forms commit groups, since the records pile up behind
+// one in-flight fsync and the next commit covers them all. Under
+// SyncBatch and SyncNone, and for an append that seals its segment, the
+// record counts as durable on return. Once the log has failed, every
+// append is refused with the sticky error.
+func (l *Log) AppendAsync(rec []byte) (uint64, error) {
 	if len(rec) == 0 || len(rec) > MaxRecord {
-		return 0, nil, fmt.Errorf("wal: record size %d out of range (0, %d]", len(rec), MaxRecord)
+		return 0, fmt.Errorf("wal: record size %d out of range (0, %d]", len(rec), MaxRecord)
 	}
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
-		return 0, nil, fmt.Errorf("wal: log closed")
+		return 0, fmt.Errorf("wal: log closed")
+	}
+	if l.err != nil {
+		return 0, l.err
 	}
 	var h [recHeader]byte
 	binary.LittleEndian.PutUint32(h[0:4], uint32(len(rec)))
 	binary.LittleEndian.PutUint32(h[4:8], crc32.Checksum(rec, castagnoli))
 	if _, err := l.f.Write(h[:]); err != nil {
-		l.mu.Unlock()
-		return 0, nil, fmt.Errorf("wal: %w", err)
+		return 0, l.failLocked(err)
 	}
 	if _, err := l.f.Write(rec); err != nil {
-		l.mu.Unlock()
-		return 0, nil, fmt.Errorf("wal: %w", err)
+		return 0, l.failLocked(err)
 	}
 	l.seq++
 	l.size += recHeader + int64(len(rec))
 	l.stats.Appends++
-	l.dirty = true
-	seq = l.seq
-	if l.size >= l.opt.SegmentSize {
-		// Sealing fsyncs the segment, so the record is already durable
-		// under every policy; no need to join a commit group.
-		err := l.rotateLocked()
-		l.mu.Unlock()
-		if err != nil {
-			return 0, nil, err
+	seq := l.seq
+	switch {
+	case l.size >= l.opt.SegmentSize:
+		if err := l.rotateLocked(); err != nil {
+			return 0, err
 		}
-		return seq, nil, nil
+	case l.opt.Policy != SyncEach:
+		l.advanceLocked(seq)
+	default:
+		select {
+		case l.commitKick <- struct{}{}:
+		default: // a kick is already pending; the committer will see us
+		}
 	}
-	if l.opt.Policy != SyncEach {
-		l.mu.Unlock()
-		return seq, nil, nil
-	}
-	ch := make(chan error, 1)
-	l.waiters = append(l.waiters, ch)
-	l.mu.Unlock()
-	select {
-	case l.commitKick <- struct{}{}:
-	default: // a kick is already pending; the committer will see us
-	}
-	return seq, ch, nil
+	return seq, nil
 }
 
-// commitLoop is the SyncEach group committer: on each kick it takes the
-// current waiter list, issues one fsync covering all of their records,
-// and completes every Append in the group. Appenders that arrive while
-// the fsync is in flight queue behind the mutex and form the next
-// group.
+// Durable returns the highest sequence number that is on stable storage
+// as far as the policy promises (see AppendAsync). It never blocks.
+func (l *Log) Durable() uint64 { return l.durable.Load() }
+
+// WaitDurable blocks until record seq is durable or the log has failed,
+// and returns nil in the first case and the sticky failure in the
+// second. Waiters park on one condition variable that each commit
+// broadcasts, so a wait allocates nothing.
+func (l *Log) WaitDurable(seq uint64) error {
+	if seq <= l.durable.Load() {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for seq > l.durable.Load() {
+		if l.err != nil {
+			return l.err
+		}
+		if seq > l.seq {
+			return fmt.Errorf("wal: wait for seq %d, past the last append %d", seq, l.seq)
+		}
+		l.durableCond.Wait()
+	}
+	return nil
+}
+
+// advanceLocked moves durable up to seq and wakes the waiters, unless
+// the log has failed.
+func (l *Log) advanceLocked(seq uint64) {
+	if l.err == nil && seq > l.durable.Load() {
+		l.durable.Store(seq)
+		l.durableCond.Broadcast()
+	}
+}
+
+// failLocked makes err the log's sticky failure, unless an earlier one
+// already is, and returns the failure. durable stays where it is.
+func (l *Log) failLocked(err error) error {
+	if l.err == nil {
+		l.err = fmt.Errorf("%w: %w", ErrFailed, err)
+		l.durableCond.Broadcast()
+	}
+	return l.err
+}
+
+// commitLoop is the SyncEach group committer: each kick syncs every
+// record appended so far. Appenders that arrive while the fsync is in
+// flight write under the mutex, kick again, and form the next group.
 func (l *Log) commitLoop() {
 	defer close(l.doneCommit)
 	for {
 		select {
 		case <-l.stopCommit:
-			l.commitOnce()
-			return
+			return // Close syncs what is left
 		case <-l.commitKick:
-			l.commitOnce()
+			l.sync()
 		}
 	}
 }
 
-// commitOnce syncs on behalf of the currently queued waiters (if any)
-// and wakes them. The fsync runs outside the log mutex — that is what
-// makes groups: while the disk is busy, appenders keep acquiring the
-// mutex, writing records, and queueing as the next group, so the group
-// size tracks the arrival rate during one fsync instead of the few
-// appends that squeeze between two mutex holds.
-func (l *Log) commitOnce() {
-	l.mu.Lock()
-	ws := l.waiters
-	l.waiters = nil
-	f := l.f
-	rot := l.rotations
-	l.mu.Unlock()
-	if len(ws) == 0 {
-		return
-	}
-	err := f.Sync()
-	if err != nil {
-		err = fmt.Errorf("wal: fsync: %w", err)
-	}
-	l.mu.Lock()
-	if err != nil && rot != l.rotations {
-		// The segment sealed mid-commit: rotateLocked fsynced it before
-		// closing the handle we were holding, so the group's records are
-		// durable and the stale-handle error is moot.
-		err = nil
-	}
-	if err == nil {
-		l.stats.Syncs++
-		l.stats.GroupCommits++
-		l.stats.GroupedAppends += uint64(len(ws))
-	}
-	l.mu.Unlock()
-	for _, ch := range ws {
-		ch <- err
-	}
-}
-
-// rotateLocked seals the active segment and opens the next one.
-func (l *Log) rotateLocked() error {
-	// Seal durably: a sealed segment is never written again, and
-	// checkpoint truncation assumes its contents are settled.
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync on rotate: %w", err)
-	}
-	l.stats.Syncs++
-	l.dirty = false
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	l.sealed = append(l.sealed, segment{
-		base: l.base,
-		path: filepath.Join(l.dir, segmentName(l.base)),
-		size: l.size,
-		last: l.seq,
-	})
-	l.rotations++
-	return l.openSegmentLocked(l.seq + 1)
-}
-
-// Sync forces buffered records to stable storage.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncLocked()
-}
-
-// syncLocked fsyncs pending bytes. It deliberately does not check
-// closed: Close sets closed before stopping the flusher and committer,
-// and both must still be able to issue the final fsync — the file
-// handle stays open until they have drained.
-func (l *Log) syncLocked() error {
-	if !l.dirty {
-		return nil
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
-	}
-	l.dirty = false
-	l.stats.Syncs++
-	return nil
-}
-
+// flushLoop is the SyncBatch flusher.
 func (l *Log) flushLoop() {
 	defer close(l.doneFlush)
 	t := time.NewTicker(l.opt.BatchInterval)
@@ -504,11 +482,73 @@ func (l *Log) flushLoop() {
 		case <-l.stopFlush:
 			return
 		case <-t.C:
-			l.mu.Lock()
-			l.syncLocked()
-			l.mu.Unlock()
+			l.sync()
 		}
 	}
+}
+
+// sync is the log's one fsync path, shared by the committer, the batch
+// flusher and Close. It takes the target seq and the file handle under
+// the mutex and fsyncs outside it: while the disk is busy, appenders
+// keep acquiring the mutex and writing records, so a commit group is
+// what arrives during one fsync, not the few appends that squeeze
+// between two mutex holds. It then advances durable to the target.
+func (l *Log) sync() error {
+	l.mu.Lock()
+	target, f, rot := l.seq, l.f, l.rotations
+	if l.err != nil || target <= l.synced {
+		err := l.err
+		l.mu.Unlock()
+		return err
+	}
+	l.mu.Unlock()
+	err := l.opt.fsync(f)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err != nil && rot == l.rotations {
+		return l.failLocked(fmt.Errorf("fsync: %w", err))
+	}
+	// Either the fsync covered target, or the segment sealed mid-sync:
+	// rotateLocked fsynced it before closing the handle held here, so
+	// the stale handle's error is moot.
+	if l.err != nil {
+		return l.err
+	}
+	l.stats.Syncs++
+	l.synced = max(l.synced, target)
+	if prev := l.durable.Load(); target > prev {
+		l.stats.GroupCommits++
+		l.stats.GroupedAppends += target - prev
+		l.advanceLocked(target)
+	}
+	return nil
+}
+
+// rotateLocked seals the active segment and opens the next one.
+func (l *Log) rotateLocked() error {
+	// Seal durably: a sealed segment is never written again, and
+	// checkpoint truncation assumes its contents are settled. The seal
+	// covers every record so far, under every policy.
+	if err := l.opt.fsync(l.f); err != nil {
+		return l.failLocked(fmt.Errorf("fsync on rotate: %w", err))
+	}
+	l.stats.Syncs++
+	l.synced = l.seq
+	l.advanceLocked(l.seq)
+	if err := l.f.Close(); err != nil {
+		return l.failLocked(err)
+	}
+	l.sealed = append(l.sealed, segment{
+		base: l.base,
+		path: filepath.Join(l.dir, segmentName(l.base)),
+		size: l.size,
+		last: l.seq,
+	})
+	l.rotations++
+	if err := l.openSegmentLocked(l.seq + 1); err != nil {
+		return l.failLocked(err)
+	}
+	return nil
 }
 
 // Replay re-reads the log from disk and calls fn for every record with
@@ -600,10 +640,11 @@ func (l *Log) Stats() Stats {
 	return l.stats
 }
 
-// Close syncs and closes the log. Idempotent. Ordering matters: closed
-// is set first (no new appends), then the flusher and committer drain —
-// the committer's final pass syncs and wakes any in-flight group — and
-// only then is the final sync issued and the file handle closed.
+// Close syncs and closes the log, and returns the sticky failure if the
+// log has one. Idempotent. Ordering matters: closed is set first (no new
+// appends), then the flusher and committer stop, and only then does the
+// final sync make every appended record durable — waking any waiter the
+// committer left — before the file handle closes.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -620,15 +661,10 @@ func (l *Log) Close() error {
 		close(l.stopCommit)
 		<-l.doneCommit
 	}
+	err := l.sync()
 	l.mu.Lock()
-	err := l.syncLocked()
 	cerr := l.f.Close()
-	ws := l.waiters // the committer drained; belt and suspenders
-	l.waiters = nil
 	l.mu.Unlock()
-	for _, ch := range ws {
-		ch <- err
-	}
 	if err != nil {
 		return err
 	}
