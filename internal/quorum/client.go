@@ -2,6 +2,7 @@ package quorum
 
 import (
 	"errors"
+	"sync"
 	"time"
 
 	"repro/internal/clock"
@@ -22,13 +23,25 @@ import (
 // client id and request id), slow requests are hedged to a second
 // coordinator after a latency percentile, and a per-coordinator circuit
 // breaker steers load away from nodes that keep failing.
+//
+// A node may also coordinate a client's operation in place, when both
+// live in one process (Node.CoordinatePut): such an operation runs on the
+// node's goroutine, not the client's, and skips everything below that
+// exists to survive a coordinator elsewhere.
 type Client struct {
-	id      string
+	id string
+
+	// mu guards the state every operation of the client shares, whichever
+	// goroutine runs it: the request-id floor and the per-key causal
+	// context (with the failed puts folded in, see cover).
+	mu      sync.Mutex
 	nextID  uint64
-	getCBs  map[uint64]func(GetResult)
-	puts    map[uint64]pendingPut
-	keys    map[uint64]string
 	context map[string]clock.Vector
+
+	// The rest is confined to the client's own loop.
+	getCBs map[uint64]func(GetResult)
+	puts   map[uint64]pendingPut
+	keys   map[uint64]string
 
 	// RequestTimeout bounds how long the client waits for any response
 	// before failing the operation locally (for example when the chosen
@@ -103,7 +116,11 @@ func NewClient(id string) *Client {
 // incarnation issued: the coordinator derives a put's dot from the
 // client id and the request id, and replicas discard, yet still ack, a
 // dot they have already seen. Call it before the first operation.
-func (c *Client) StartIDsAt(base uint64) { c.nextID = base }
+func (c *Client) StartIDsAt(base uint64) {
+	c.mu.Lock()
+	c.nextID = base
+	c.mu.Unlock()
+}
 
 // OnStart implements transport.Handler.
 func (c *Client) OnStart(transport.Env) {}
@@ -128,7 +145,9 @@ func (c *Client) fail(id uint64) {
 		delete(c.keys, id)
 		// Unanswered is not unapplied, and the dot is the one the
 		// coordinator would have derived.
+		c.mu.Lock()
 		c.cover(key, clock.DVV{Dot: clientDot(c.id, id, p.ctx), Context: p.ctx})
+		c.mu.Unlock()
 		if p.cb != nil {
 			p.cb(PutResult{Key: key, Err: ErrNoResponse})
 		}
@@ -241,16 +260,7 @@ func (c *Client) OnMessage(env transport.Env, from string, msg transport.Message
 		delete(c.puts, m.ID)
 		key := c.keys[m.ID]
 		delete(c.keys, m.ID)
-		res := PutResult{Key: key, Context: m.Context, Sloppy: m.Sloppy}
-		if m.Err != "" {
-			res.Err = errors.New(m.Err)
-			c.cover(key, clock.DVV{Context: m.Context}) // a failing answer's context names the write too
-		} else {
-			c.context[key] = m.Context
-		}
-		if p.cb != nil {
-			p.cb(res)
-		}
+		c.putDone(key, m, p.cb)
 	case getResp:
 		cb, ok := c.getCBs[m.ID]
 		if !ok {
@@ -260,15 +270,39 @@ func (c *Client) OnMessage(env transport.Env, from string, msg transport.Message
 		delete(c.getCBs, m.ID)
 		key := c.keys[m.ID]
 		delete(c.keys, m.ID)
-		res := GetResult{Key: key, Values: m.Values, Context: m.Context, Replicas: m.Replicas}
-		if m.Err != "" {
-			res.Err = errors.New(m.Err)
-		} else {
-			c.context[key] = m.Context
-		}
-		if cb != nil {
-			cb(res)
-		}
+		c.getDone(key, m, cb)
+	}
+}
+
+// putDone folds a put's answer into key's context and hands the result to
+// cb.
+func (c *Client) putDone(key string, m putResp, cb func(PutResult)) {
+	res := PutResult{Key: key, Context: m.Context, Sloppy: m.Sloppy}
+	c.mu.Lock()
+	if m.Err != "" {
+		res.Err = errors.New(m.Err)
+		c.cover(key, clock.DVV{Context: m.Context}) // a failing answer's context names the write too
+	} else {
+		c.context[key] = m.Context
+	}
+	c.mu.Unlock()
+	if cb != nil {
+		cb(res)
+	}
+}
+
+// getDone is putDone for a get: a successful read's context becomes key's.
+func (c *Client) getDone(key string, m getResp, cb func(GetResult)) {
+	res := GetResult{Key: key, Values: m.Values, Context: m.Context, Replicas: m.Replicas}
+	if m.Err != "" {
+		res.Err = errors.New(m.Err)
+	} else {
+		c.mu.Lock()
+		c.context[key] = m.Context
+		c.mu.Unlock()
+	}
+	if cb != nil {
+		cb(res)
 	}
 }
 
@@ -320,32 +354,42 @@ func (c *Client) send(env transport.Env, coordinator string, id uint64, key stri
 // this write supersedes everything the client has read or written before,
 // a put of the key that failed included (see cover).
 func (c *Client) Put(env transport.Env, coordinator, key string, value []byte, cb func(PutResult)) {
-	c.put(env, coordinator, clientPut{Key: key, Value: value, Context: c.context[key]}, cb)
+	id, ctx := c.next(key)
+	c.put(env, coordinator, clientPut{ID: id, Key: key, Value: value, Context: ctx}, cb)
 }
 
 // PutBlind writes without any causal context (a client that did not read
 // first) — the sibling-generating pattern the DVV machinery bounds.
 func (c *Client) PutBlind(env transport.Env, coordinator, key string, value []byte, cb func(PutResult)) {
-	c.put(env, coordinator, clientPut{Key: key, Value: value}, cb)
+	id, _ := c.next(key)
+	c.put(env, coordinator, clientPut{ID: id, Key: key, Value: value}, cb)
 }
 
 // Delete tombstones key through coordinator.
 func (c *Client) Delete(env transport.Env, coordinator, key string, cb func(PutResult)) {
-	c.put(env, coordinator, clientPut{Key: key, Deleted: true, Context: c.context[key]}, cb)
+	id, ctx := c.next(key)
+	c.put(env, coordinator, clientPut{ID: id, Key: key, Deleted: true, Context: ctx}, cb)
 }
 
 func (c *Client) put(env transport.Env, coordinator string, m clientPut, cb func(PutResult)) {
-	c.nextID++
-	m.ID = c.nextID
 	c.puts[m.ID] = pendingPut{cb: cb, ctx: m.Context}
 	c.keys[m.ID] = m.Key
 	c.send(env, coordinator, m.ID, m.Key, m)
 }
 
+// next mints the client's next request id and reads key's context.
+func (c *Client) next(key string) (uint64, clock.Vector) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.nextID++
+	return c.nextID, c.context[key]
+}
+
 // cover folds a put that failed into key's context. A put that times out
 // may have been applied all the same, so the application's repeat of it
 // must supersede it, not stand beside it as a sibling. w is the failed
-// put's DVV; its dot is the same whichever coordinator ran it.
+// put's DVV; its dot is the same whichever coordinator ran it. Caller
+// holds c.mu.
 func (c *Client) cover(key string, w clock.DVV) {
 	c.context[key] = w.Join(clock.DVV{Context: c.context[key]})
 }
@@ -353,20 +397,17 @@ func (c *Client) cover(key string, w clock.DVV) {
 // Get reads key through coordinator, invoking cb with the merged sibling
 // values.
 func (c *Client) Get(env transport.Env, coordinator, key string, cb func(GetResult)) {
-	c.nextID++
-	c.getCBs[c.nextID] = cb
-	c.keys[c.nextID] = key
-	c.send(env, coordinator, c.nextID, key, clientGet{ID: c.nextID, Key: key})
+	c.GetR(env, coordinator, key, 0, cb)
 }
 
 // GetR reads key with a per-request read-quorum override — the SLA
 // tiers' lever (R=1 is an eventual-tier read). r <= 0 uses the
 // coordinator's configured quorum.
 func (c *Client) GetR(env transport.Env, coordinator, key string, r int, cb func(GetResult)) {
-	c.nextID++
-	c.getCBs[c.nextID] = cb
-	c.keys[c.nextID] = key
-	c.send(env, coordinator, c.nextID, key, clientGet{ID: c.nextID, Key: key, R: r})
+	id, _ := c.next(key)
+	c.getCBs[id] = cb
+	c.keys[id] = key
+	c.send(env, coordinator, id, key, clientGet{ID: id, Key: key, R: r})
 }
 
 // ID returns the client's node id.
@@ -374,4 +415,38 @@ func (c *Client) ID() string { return c.id }
 
 // Context returns the client's current causal context for key (nil if the
 // key was never read or written here).
-func (c *Client) Context(key string) clock.Vector { return c.context[key] }
+func (c *Client) Context(key string) clock.Vector {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.context[key]
+}
+
+// CoordinatePut runs client c's put of key at this node, in place of
+// c.Put with this node as the coordinator, for a client in the node's own
+// process: the host calls it on the key's execution domain (ShardOf maps
+// the key's messages there). The write is the one c.Put would send: the
+// same request id from c's sequence, c's context for the key, and so the
+// same dot. What differs is the hand-off. No message crosses to the node
+// and back, and c arms no timer and keeps no retry state: the node's own
+// Timeout, sloppy fallback and replica retransmission bound the put, and
+// its answer reaches cb by a call (see answer). c's context takes the
+// answer in, as it would a putResp.
+func (n *Node) CoordinatePut(env transport.Env, c *Client, key string, value []byte, cb func(PutResult)) {
+	id, ctx := c.next(key)
+	n.coordinatePut(env, c.id, clientPut{ID: id, Key: key, Value: value, Context: ctx},
+		func(m putResp) { c.putDone(key, m, cb) })
+}
+
+// CoordinateDelete is CoordinatePut for c.Delete.
+func (n *Node) CoordinateDelete(env transport.Env, c *Client, key string, cb func(PutResult)) {
+	id, ctx := c.next(key)
+	n.coordinatePut(env, c.id, clientPut{ID: id, Key: key, Deleted: true, Context: ctx},
+		func(m putResp) { c.putDone(key, m, cb) })
+}
+
+// CoordinateGet is CoordinatePut for c.GetR.
+func (n *Node) CoordinateGet(env transport.Env, c *Client, key string, r int, cb func(GetResult)) {
+	id, _ := c.next(key)
+	n.coordinateGet(env, c.id, clientGet{ID: id, Key: key, R: r},
+		func(m getResp) { c.getDone(key, m, cb) })
+}

@@ -129,7 +129,9 @@ type Config struct {
 // Placement maps a key to an ordered walk of distinct storage nodes —
 // replicas first, then fallbacks. Every node must resolve the identical
 // sequence for a key (the same vnode layout), which consistent hashing
-// gives for free.
+// gives for free. The walk may be shared between lookups (a ring.Ring
+// hands out its own): the node and everything it hands the walk to only
+// read it.
 type Placement interface {
 	Sequence(key string) []string
 }
@@ -315,6 +317,7 @@ func (m replicaGetResp) Size() int {
 
 type pendingWrite struct {
 	client    string
+	reply     func(putResp) // the answer's call when client is in this process (see answer)
 	id        uint64
 	key       string
 	entry     clock.SiblingEntry[record]
@@ -347,6 +350,7 @@ type readAnswer struct {
 
 type pendingRead struct {
 	client    string
+	reply     func(getResp) // see pendingWrite.reply
 	id        uint64
 	key       string
 	responses map[string]readAnswer
@@ -538,7 +542,8 @@ func NewNode(id string, cfg Config) *Node {
 	return n
 }
 
-// PreferenceList returns the N replicas for key, in priority order.
+// PreferenceList returns the N replicas for key, in priority order. The
+// list may be the Placement's shared walk and must not be written.
 func (n *Node) PreferenceList(key string) []string {
 	prefs, _ := n.placement(key)
 	return prefs
@@ -658,9 +663,9 @@ func (n *Node) OnTimer(env transport.Env, tag any) {
 func (n *Node) OnMessage(env transport.Env, from string, msg transport.Message) {
 	switch m := msg.(type) {
 	case clientPut:
-		n.coordinatePut(env, from, m)
+		n.coordinatePut(env, from, m, nil)
 	case clientGet:
-		n.coordinateGet(env, from, m)
+		n.coordinateGet(env, from, m, nil)
 	case replicaPut:
 		n.applyReplicaPut(env, from, m)
 	case replicaPutAck:
@@ -737,14 +742,16 @@ func (n *Node) hintedEntries(key string) []clock.SiblingEntry[record] {
 // contacted (Cassandra-style coordination): mint a new version, send it
 // to the key's N replicas, and acknowledge the client after W replica
 // acks. The coordinator's own replica (when it is one) acks through the
-// same message path, so acks race realistically.
-func (n *Node) coordinatePut(env transport.Env, client string, m clientPut) {
+// same message path, so acks race realistically. The acknowledgement is
+// a putResp to client, or a call of reply for a client in this process
+// (see answer).
+func (n *Node) coordinatePut(env transport.Env, client string, m clientPut, reply func(putResp)) {
 	if n.draining.Load() && m.ID == 0 {
 		// Decommission invariant: once draining begins this node mints no
 		// new dots. (Client-minted dots carry their own identity and may
 		// still coordinate; the hosting runtime redirects clients away
 		// anyway.)
-		env.Send(client, putResp{ID: m.ID, Err: "quorum: node draining"})
+		answer(env, client, reply, putResp{ID: m.ID, Err: "quorum: node draining"})
 		return
 	}
 	prefs, fallbacks := n.placement(m.Key)
@@ -779,6 +786,7 @@ func (n *Node) coordinatePut(env transport.Env, client string, m clientPut) {
 	id := n.mintReq(shardIdx)
 	pw := &pendingWrite{
 		client:   client,
+		reply:    reply,
 		id:       m.ID,
 		key:      m.Key,
 		entry:    entry,
@@ -966,7 +974,27 @@ func (n *Node) finishWrite(env transport.Env, id uint64, pw *pendingWrite, errSt
 	if ctx.Get(pw.entry.DVV.Dot.Node) < pw.entry.DVV.Dot.Counter {
 		ctx[pw.entry.DVV.Dot.Node] = pw.entry.DVV.Dot.Counter
 	}
-	env.Send(pw.client, putResp{ID: pw.id, Context: ctx, Err: errStr, Sloppy: pw.sloppy})
+	answer(env, pw.client, pw.reply, putResp{ID: pw.id, Context: ctx, Err: errStr, Sloppy: pw.sloppy})
+}
+
+// answer delivers a coordinator's answer r to its client: a message to
+// the client's address, or, when the client is in this process and handed
+// the coordinator reply (Node.CoordinatePut), a call of reply. A host Env
+// that can Defer a call (the server's ack barrier) holds it exactly as it
+// would hold the message: behind the records the invocation journaled, in
+// its execution domain's order, and dropped with the rest of the domain's
+// sends once a record of the domain failed to reach the disk. Any other
+// Env has nothing to wait for, and reply runs at once.
+func answer[R any](env transport.Env, client string, reply func(R), r R) {
+	if reply == nil {
+		env.Send(client, r)
+		return
+	}
+	if d, ok := env.(interface{ Defer(func()) }); ok {
+		d.Defer(func() { reply(r) })
+		return
+	}
+	reply(r)
 }
 
 func (n *Node) writeTimeout(env transport.Env, id uint64) {
@@ -1012,7 +1040,9 @@ func (n *Node) writeTimeout(env transport.Env, id uint64) {
 // replica for values and the others for digests; when the digests name a
 // version its replica did not have, it asks that responder again in full
 // (onGetResp). A coordinator outside the list asks everyone in full.
-func (n *Node) coordinateGet(env transport.Env, client string, m clientGet) {
+//
+// The answer goes to the client as coordinatePut's does.
+func (n *Node) coordinateGet(env transport.Env, client string, m clientGet, reply func(getResp)) {
 	prefs, fallbacks := n.placement(m.Key)
 	shardIdx := n.router.Shard(m.Key)
 	id := n.mintReq(shardIdx)
@@ -1027,6 +1057,7 @@ func (n *Node) coordinateGet(env transport.Env, client string, m clientGet) {
 	}
 	pr := &pendingRead{
 		client:    client,
+		reply:     reply,
 		id:        m.ID,
 		key:       m.Key,
 		responses: make(map[string]readAnswer),
@@ -1197,7 +1228,7 @@ func (n *Node) finishRead(env transport.Env, id uint64, pr *pendingRead, merged 
 			values = append(values, e.Value.Value)
 		}
 	}
-	env.Send(pr.client, getResp{
+	answer(env, pr.client, pr.reply, getResp{
 		ID:       pr.id,
 		Values:   values,
 		Context:  merged.Context(),

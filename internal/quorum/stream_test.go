@@ -341,7 +341,7 @@ func TestGeoBatchIsBoundedInBytes(t *testing.T) {
 	h.c.At(0, func() {
 		h.c.Partition(local, remote)
 		for i := 0; i < 100; i++ {
-			h.byID[coord].coordinatePut(h.c.ClientEnv(coord), "client", clientPut{ID: uint64(i + 1), Key: "geo-0", Value: value})
+			h.byID[coord].coordinatePut(h.c.ClientEnv(coord), "client", clientPut{ID: uint64(i + 1), Key: "geo-0", Value: value}, nil)
 		}
 	})
 	h.c.At(time.Second, func() { h.c.Heal() })

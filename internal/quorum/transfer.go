@@ -39,6 +39,7 @@ type Elasticity interface {
 	EpochSeq() uint64
 	// PrevSequence returns key's placement walk under the previous
 	// epoch's ring while a transfer window is open, nil when settled.
+	// Like a Placement's, the walk may be shared and is only read.
 	PrevSequence(key string) []string
 }
 

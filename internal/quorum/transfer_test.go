@@ -135,7 +135,7 @@ func TestDrainStopsMintingAndEmptiesHints(t *testing.T) {
 		h.c.Partition(append(rest, "client"), []string{victim})
 		// Node-coordinated (ID 0) so the coordinator mints a dot — the
 		// counter the drain must later freeze.
-		byID[coord].coordinatePut(h.c.ClientEnv(coord), "client", clientPut{Key: key, Value: []byte("v")})
+		byID[coord].coordinatePut(h.c.ClientEnv(coord), "client", clientPut{Key: key, Value: []byte("v")}, nil)
 	})
 
 	drained := map[string]bool{}
@@ -151,7 +151,7 @@ func TestDrainStopsMintingAndEmptiesHints(t *testing.T) {
 	// Writes arriving after drain began must be refused without minting.
 	h.c.At(3*time.Second, func() {
 		put = PutResult{}
-		byID[coord].coordinatePut(h.c.ClientEnv(coord), "client", clientPut{Key: "post-drain", Value: []byte("x")})
+		byID[coord].coordinatePut(h.c.ClientEnv(coord), "client", clientPut{Key: "post-drain", Value: []byte("x")}, nil)
 	})
 	_ = put
 	h.c.Run(10 * time.Second)

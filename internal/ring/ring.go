@@ -17,6 +17,7 @@ package ring
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -40,6 +41,13 @@ type Ring struct {
 	members []string          // sorted, deduped
 	points  []point           // sorted by hash
 	zones   map[string]string // member -> zone; nil/uniform means zone-unaware
+	// walks holds, for each point, the full distinct walk starting there
+	// (zone-spread on a zoned ring), len(members) entries per point, in
+	// point order: walks[i*len(members):][:len(members)] starts at
+	// points[i]. A key's walk is constant between two points, so every
+	// walk the ring can answer is one of these, computed once (see
+	// distinctWalks) and handed out shared.
+	walks []string
 }
 
 // New builds a ring over members with vnodes virtual nodes each
@@ -85,7 +93,47 @@ func NewZoned(members []string, vnodes int, zones map[string]string) *Ring {
 		}
 		return a.node < b.node // total order even on (astronomically rare) hash ties
 	})
+	r.walks = distinctWalks(r.points, len(ms))
+	if len(r.zones) != 0 {
+		for i := 0; i < len(r.walks); i += len(ms) {
+			w := r.walks[i : i+len(ms)]
+			copy(w, zoneSpread(w, r.zones))
+		}
+	}
 	return r
+}
+
+// distinctWalks returns the clockwise walk of m distinct members from
+// every point, flattened in point order. The walk from point i is that
+// point's member followed by the walk from point i+1 with the member
+// taken out, so one pass backwards around the circle derives them all
+// from the last point's, walked out in full: points × members steps,
+// not points × the points a walk crosses.
+func distinctWalks(points []point, m int) []string {
+	if len(points) == 0 {
+		return nil
+	}
+	walks := make([]string, len(points)*m)
+	last := walks[(len(points)-1)*m:]
+	k := 0
+	for i := len(points) - 1; k < m; i = (i + 1) % len(points) {
+		if node := points[i].node; !slices.Contains(last[:k], node) {
+			last[k] = node
+			k++
+		}
+	}
+	for i := len(points) - 2; i >= 0; i-- {
+		w, next := walks[i*m:(i+1)*m], walks[(i+1)*m:(i+2)*m]
+		w[0] = points[i].node
+		k := 1
+		for _, node := range next {
+			if node != w[0] {
+				w[k] = node
+				k++
+			}
+		}
+	}
+	return walks
 }
 
 // vnodeHash positions virtual node i of member m on the circle. The
@@ -105,11 +153,15 @@ func vnodeHash(m string, i int) uint64 {
 	return mix64(h.Sum64())
 }
 
-// KeyHash positions a key on the circle.
+// KeyHash positions a key on the circle: fnv64a of the key, inlined so
+// that a lookup allocates nothing, then the mix64 finalizer.
 func KeyHash(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return mix64(h.Sum64())
+	h := uint64(14695981039346656037) // fnv64a offset basis
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211 // fnv64a prime
+	}
+	return mix64(h)
 }
 
 // mix64 is the MurmurHash3/SplitMix64 finalizer. Raw FNV-1a output
@@ -174,50 +226,35 @@ func (r *Ring) Owner(key string) string {
 // Sequence returns the full ordered walk of distinct members starting
 // at key's position: the first N entries are the key's replicas, the
 // rest its sloppy-quorum fallbacks. It satisfies quorum.Placement.
+//
+// The result is shared by every lookup that lands between the same two
+// points and must not be written. Its capacity is its length, so an
+// append copies it.
 func (r *Ring) Sequence(key string) []string {
 	return r.walk(KeyHash(key), len(r.members))
 }
 
 // Replicas returns the n distinct members responsible for key, in
-// preference order (all members if n exceeds the ring size).
+// preference order (all members if n exceeds the ring size). Like
+// Sequence's, the result is shared and must not be written.
 func (r *Ring) Replicas(key string, n int) []string {
-	if n > len(r.members) {
-		n = len(r.members)
-	}
 	return r.walk(KeyHash(key), n)
 }
 
-// walk collects up to n distinct members clockwise from hash. On a
-// zoned ring the full distinct walk is re-ordered round-robin across
-// zones (zones ordered by first appearance, members within a zone in
-// circle order) before truncating to n, so a prefix of any length
-// spans as many zones as it can while walk[0] — the Owner — stays the
+// walk returns the first n (at most all) distinct members clockwise from
+// hash. On a zoned ring the full distinct walk is re-ordered round-robin
+// across zones (zones ordered by first appearance, members within a zone
+// in circle order) before it is cut to n, so a prefix of any length
+// spans as many zones as it can while walk[0], the Owner, stays the
 // first clockwise member.
 func (r *Ring) walk(hash uint64, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
-	limit := n
-	if len(r.zones) != 0 && limit < len(r.members) {
-		limit = len(r.members) // spread needs the full walk before cutting
-	}
-	out := make([]string, 0, limit)
-	seen := make(map[string]bool, limit)
-	start := r.successorIdx(hash)
-	for i := 0; i < len(r.points) && len(out) < limit; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
-		}
-	}
-	if len(r.zones) != 0 {
-		out = zoneSpread(out, r.zones)
-		if len(out) > n {
-			out = out[:n]
-		}
-	}
-	return out
+	m := len(r.members)
+	n = min(n, m)
+	i := r.successorIdx(hash) * m
+	return r.walks[i : i+n : i+n]
 }
 
 // zoneSpread interleaves a clockwise member walk round-robin by zone:

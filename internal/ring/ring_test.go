@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -208,6 +209,84 @@ func TestJoinLeaveRoundTrip(t *testing.T) {
 	}
 	if d := Diff(r, same); len(d) != 0 {
 		t.Fatalf("join+leave left a non-empty diff: %v", d)
+	}
+}
+
+// referenceWalk collects the n distinct members clockwise from hash one
+// point at a time, spreading a zoned walk before cutting it: the walk
+// Sequence answered by walking the circle on every lookup, before the
+// walks were computed once per ring.
+func referenceWalk(r *Ring, hash uint64, n int) []string {
+	if len(r.points) == 0 || n <= 0 {
+		return nil
+	}
+	limit := min(n, len(r.members))
+	if len(r.zones) != 0 {
+		limit = len(r.members)
+	}
+	var out []string
+	seen := map[string]bool{}
+	start := r.successorIdx(hash)
+	for i := 0; i < len(r.points) && len(out) < limit; i++ {
+		if p := r.points[(start+i)%len(r.points)]; !seen[p.node] {
+			seen[p.node] = true
+			out = append(out, p.node)
+		}
+	}
+	if len(r.zones) != 0 {
+		out = zoneSpread(out, r.zones)
+	}
+	return out[:min(n, len(out))]
+}
+
+// The walks a ring computes once agree with walking the circle, on zoned
+// and unzoned rings and on every ring Join and Leave derive, for every
+// prefix length: at each point's own hash (where a walk starts) and at
+// random keys between.
+func TestWalksMatchWalkingTheCircle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	rings := []*Ring{
+		New(nil, 8),
+		New([]string{"solo"}, 8),
+		New(members(5), 32),
+		New(members(5), 32).Join("node9").Leave("node2"),
+		NewZoned(members(9), 16, threeZones(9)),
+		NewZoned(members(9), 16, threeZones(9)).JoinZone("node9", "eu").Leave("node0"),
+		NewZoned(members(4), 64, map[string]string{"node0": "a", "node1": "a", "node2": "b"}),
+	}
+	for ri, r := range rings {
+		hashes := make([]uint64, 0, len(r.points)+200)
+		for _, p := range r.points {
+			hashes = append(hashes, p.hash, p.hash+1)
+		}
+		for i := 0; i < 200; i++ {
+			hashes = append(hashes, rng.Uint64())
+		}
+		for _, h := range hashes {
+			for n := 0; n <= r.Size()+1; n++ {
+				if got, want := r.walk(h, n), referenceWalk(r, h, n); !slices.Equal(got, want) {
+					t.Fatalf("ring %d (%v): walk(%x, %d) = %v, want %v", ri, r, h, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+// A lookup hands out the ring's shared walk: it allocates nothing, and an
+// append to the result copies instead of writing into the next walk.
+func TestSequenceAllocatesNothing(t *testing.T) {
+	r := NewZoned(members(3), DefaultVirtualNodes, threeZones(3))
+	if allocs := testing.AllocsPerRun(100, func() { r.Sequence("cart:7f3a") }); allocs != 0 {
+		t.Fatalf("Sequence allocates %v objects per lookup, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.Replicas("cart:7f3a", 2) }); allocs != 0 {
+		t.Fatalf("Replicas allocates %v objects per lookup, want 0", allocs)
+	}
+	reps := r.Replicas("cart:7f3a", 2)
+	want := slices.Clone(r.Sequence("cart:7f3a"))
+	_ = append(reps, "intruder")
+	if got := r.Sequence("cart:7f3a"); !slices.Equal(got, want) {
+		t.Fatalf("an append to Replicas wrote into the ring's walk: %v, want %v", got, want)
 	}
 }
 

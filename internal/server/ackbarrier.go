@@ -21,6 +21,11 @@ import (
 // appending more records behind the in-flight fsync, which is what forms
 // WAL commit groups across concurrent client operations.
 //
+// The server's own calls onto a domain's loop (Call: a quorum operation
+// this node coordinates) are invocations too, and the answer such an
+// operation hands back by a call, not a message (deferEnv.Defer), rides
+// the same queue as a send would.
+//
 // A batch whose seq never becomes durable (its append failed, or the
 // fsync did) is dropped, not posted: the requester times out and the
 // write is never acked. Its domain then drops every later batch too,
@@ -71,9 +76,21 @@ type ackDomain struct {
 	env deferEnv // reused across invocations (each domain is single-threaded)
 }
 
+// outMsg is one deferred send, or a deferred call (fn set) in place of
+// one: see deferEnv.Defer.
 type outMsg struct {
 	to  string
 	msg transport.Message
+	fn  func()
+}
+
+// send delivers m: posts the message, or runs the call.
+func (m outMsg) send(post func(to string, msg transport.Message)) {
+	if m.fn != nil {
+		m.fn()
+		return
+	}
+	post(m.to, m.msg)
 }
 
 // sendBatch is one invocation's deferred sends and the WAL seq they wait
@@ -92,6 +109,16 @@ type deferEnv struct {
 
 func (e *deferEnv) Send(to string, msg transport.Message) {
 	e.sends = append(e.sends, outMsg{to: to, msg: msg})
+}
+
+// Defer queues fn with the invocation's sends, to run where a message in
+// its place would be posted: after the records the invocation journaled
+// are durable, in the domain's order, and never once the domain has lost
+// a record. It is how an answer that is a call, not a message (a quorum
+// operation this node coordinates for its own gateway), obeys the
+// barrier; the quorum node finds it the way it finds Shard.
+func (e *deferEnv) Defer(fn func()) {
+	e.sends = append(e.sends, outMsg{fn: fn})
 }
 
 // Shard exposes the wrapped Env's execution domain so the protocol
@@ -142,23 +169,25 @@ func (b *ackBarrier) domain(env transport.Env) (int, *ackDomain) {
 }
 
 func (b *ackBarrier) OnStart(env transport.Env) {
-	i, d := b.domain(env)
-	d.env.Env, d.env.sends = env, d.env.sends[:0]
-	b.inner.OnStart(&d.env)
-	b.finish(i, d, env)
+	b.Call(env, b.inner.OnStart)
 }
 
 func (b *ackBarrier) OnMessage(env transport.Env, from string, msg transport.Message) {
-	i, d := b.domain(env)
-	d.env.Env, d.env.sends = env, d.env.sends[:0]
-	b.inner.OnMessage(&d.env, from, msg)
-	b.finish(i, d, env)
+	b.Call(env, func(env transport.Env) { b.inner.OnMessage(env, from, msg) })
 }
 
 func (b *ackBarrier) OnTimer(env transport.Env, tag any) {
+	b.Call(env, func(env transport.Env) { b.inner.OnTimer(env, tag) })
+}
+
+// Call runs fn as one handler invocation of env's domain: what fn sends
+// or defers waits for the records it journals. Besides the handler
+// methods above, the server runs a call the runtime made on the domain's
+// loop through it (Runtime.InvokeShard).
+func (b *ackBarrier) Call(env transport.Env, fn func(transport.Env)) {
 	i, d := b.domain(env)
 	d.env.Env, d.env.sends = env, d.env.sends[:0]
-	b.inner.OnTimer(&d.env, tag)
+	fn(&d.env)
 	b.finish(i, d, env)
 }
 
@@ -201,7 +230,7 @@ func (b *ackBarrier) finish(i int, d *ackDomain, env transport.Env) {
 		// queued can only grow on this goroutine, so a drained queue
 		// stays drained for the duration of this fast path.
 		for _, m := range d.env.sends {
-			env.Send(m.to, m.msg)
+			m.send(env.Send)
 		}
 		return
 	}
@@ -226,7 +255,7 @@ func (b *ackBarrier) release(d *ackDomain) {
 	for batch := range d.q {
 		if !d.lost.Load() && b.dur.await(batch.seq) {
 			for _, m := range batch.sends {
-				b.post(m.to, m.msg)
+				m.send(b.post)
 			}
 		} else {
 			d.lost.Store(true)

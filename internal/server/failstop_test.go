@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/geo"
 	"repro/internal/transport"
 	"repro/internal/wal"
 )
@@ -123,18 +124,41 @@ func TestAckBarrierDropsAcksOfRecordsNotOnDisk(t *testing.T) {
 
 // When a live node's disk fails, the write it was journaling is not
 // acknowledged, under every model: no replica ack, coordinator answer,
-// session answer or gossip OK leaves the node for it.
+// session answer or gossip OK leaves the node for it. In the three-node
+// quorum case the contacted node coordinates the put and both its peers
+// ack it, so the put has its quorum: what must hold it back is the ack
+// barrier, which drops the coordinator's answer with the rest of the
+// domain's sends once the node's own record is lost.
 func TestNoAckForAWriteTheDiskLost(t *testing.T) {
-	for _, model := range []string{"quorum", "gossip", "session"} {
+	for _, tc := range []struct {
+		name  string
+		model string
+		nodes int
+	}{
+		{"quorum", "quorum", 1},
+		{"quorum-3-nodes", "quorum", 3},
+		{"gossip", "gossip", 1},
+		{"session", "session", 1},
+	} {
 		for _, fault := range []string{"fsync", "append"} {
-			t.Run(model+"/"+fault, func(t *testing.T) {
-				cfg := durableConfigs(t, model, 1, -1)[0]
-				cfg.Shards = 1 // one execution domain: the fault swaps in on it
-				s, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
+			t.Run(tc.name+"/"+fault, func(t *testing.T) {
+				cfgs := durableConfigs(t, tc.model, tc.nodes, -1)
+				srvs := make([]*Server, len(cfgs))
+				for i, cfg := range cfgs {
+					cfg.Shards = 1 // one execution domain: the fault swaps in on it
+					s, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(s.Close)
+					srvs[i] = s
 				}
-				t.Cleanup(s.Close)
+				s, cfg := srvs[0], cfgs[0]
+				if tc.nodes > 1 {
+					if coord := coordOf(s, "put", "k", geo.Strong); coord != cfg.ID {
+						t.Fatalf("the put is coordinated by %s, want the contacted %s", coord, cfg.ID)
+					}
+				}
 				c := dialNode(t, s, "cli")
 				c.Timeout = 3 * time.Second
 				if err := c.Put("k", []byte("before")); err != nil {
@@ -160,6 +184,11 @@ func TestNoAckForAWriteTheDiskLost(t *testing.T) {
 				}
 				if s.dur.Failures() == 0 {
 					t.Fatal("the lost write was not counted in Failures")
+				}
+				for _, peer := range srvs[1:] {
+					if got := peer.qnode.LocalValues("k"); len(got) != 1 || string(got[0]) != "after" {
+						t.Fatalf("%s holds %q, want the put it acked", peer.ID(), got)
+					}
 				}
 			})
 		}

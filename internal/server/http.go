@@ -262,7 +262,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		for i, st := range sts {
 			fmt.Fprintf(&b, "ec_shard_queue_depth{shard=\"%d\"} %d\n", i, st.Depth)
 		}
-		fmt.Fprintf(&b, "# HELP ec_shard_ops_total Messages processed by (or fast-handled for) each execution shard.\n# TYPE ec_shard_ops_total counter\n")
+		fmt.Fprintf(&b, "# HELP ec_shard_ops_total Messages and calls processed by (or fast-handled for) each execution shard.\n# TYPE ec_shard_ops_total counter\n")
 		for i, st := range sts {
 			fmt.Fprintf(&b, "ec_shard_ops_total{shard=\"%d\"} %d\n", i, st.Ops)
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/resilience"
 )
 
 // Tests of where a quorum operation is coordinated (Server.coordinator):
@@ -90,6 +91,74 @@ func TestGetsCoordinateWhereTheyLand(t *testing.T) {
 	}
 }
 
+// TestLocalPutIsACallNotAMessage: a put coordinated where it lands is a
+// call on the key's shard. The messages it costs the cluster are the
+// three replica puts and their three acks; the gateway's clientPut to its
+// own node and the putResp back (eight messages a put) are gone.
+func TestLocalPutIsACallNotAMessage(t *testing.T) {
+	addrs := reservePorts(t, 3)
+	peers := make(map[string]string, len(addrs))
+	for i, a := range addrs {
+		peers[fmt.Sprintf("node%d", i)] = a
+	}
+	// No liveness pings between the nodes, so the puts' messages are all
+	// the cluster sends while they run, bar an anti-entropy round or two.
+	quiet := &resilience.Policy{HeartbeatInterval: time.Hour}
+	srvs := make([]*Server, len(addrs))
+	for i := range srvs {
+		s, err := New(Config{ID: fmt.Sprintf("node%d", i), Model: "quorum", Peers: peers, Policy: quiet, Seed: int64(3000 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srvs[i] = s
+		t.Cleanup(s.Close)
+	}
+	c := dialNode(t, srvs[0], "cli")
+	held := func(keys ...string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for _, k := range keys {
+			for _, s := range srvs {
+				for len(s.qnode.LocalValues(k)) != 1 {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s never got %s", s.ID(), k)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}
+	}
+	if err := c.Put("warm", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	held("warm")
+
+	sent := func() (n uint64) {
+		for _, s := range srvs {
+			n += s.tcp.Stats().MessagesSent
+		}
+		return n
+	}
+	const puts = 200
+	keys := make([]string, puts)
+	before := sent()
+	for i := range keys {
+		keys[i] = fmt.Sprintf("call-%03d", i)
+		if coord := coordOf(srvs[0], "put", keys[i], geo.Strong); coord != "node0" {
+			t.Fatalf("put %s is coordinated by %s, want node0", keys[i], coord)
+		}
+		if err := c.Put(keys[i], []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held(keys...)
+	perPut := float64(sent()-before) / puts
+	t.Logf("%.2f messages per put", perPut)
+	if perPut < 5.9 || perPut >= 7 {
+		t.Fatalf("%.2f messages per put, want 6: three replica puts and three acks", perPut)
+	}
+}
+
 // TestNonReplicaForwardsToTheOwner: with N below the cluster size, a node
 // that holds no replica of the key hands the operation to the key's
 // owner, and the client is served all the same.
@@ -147,6 +216,44 @@ func TestGeoAsyncWritesAndStrongReadsMeetAtTheOwner(t *testing.T) {
 	}
 	if v, found, _, _, err := c.GetSLA(k, geo.Tier{Kind: geo.Strong}); err != nil || !found || string(v) != "v" {
 		t.Fatalf("strong get = %q/%v/%v", v, found, err)
+	}
+}
+
+// TestGeoAsyncLocalGetAndForwardedPutShareOneContext: under GeoAsync an
+// eventual get at a replica that is not the owner is coordinated in
+// place, and a put through the same node is forwarded to the owner. The
+// two run on different paths, yet the put must carry the context the get
+// read, and supersede the version it saw instead of standing beside it.
+func TestGeoAsyncLocalGetAndForwardedPutShareOneContext(t *testing.T) {
+	srvs, _ := startGeoCluster(t, 3, []string{"us", "eu", "ap"}, 0, false)
+	s := srvs[0]
+	k := keyWhere(t, s, func(p []string) bool { return slices.Contains(p, "node0") && p[0] != "node0" })
+	if got := coordOf(s, "get", k, geo.Eventual); got != "node0" {
+		t.Fatalf("eventual get is coordinated by %s, want node0", got)
+	}
+	if got := coordOf(s, "put", k, geo.Strong); got == "node0" {
+		t.Fatal("the put is coordinated in place, want it forwarded to the owner")
+	}
+	if err := dialNode(t, srvs[1], "other").Put(k, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	c := dialNode(t, s, "cli")
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		v, found, _, _, err := c.GetSLA(k, geo.Tier{Kind: geo.Eventual})
+		if err == nil && found && string(v) == "v1" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("eventual get at node0 never saw v1: %q/%v/%v", v, found, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := c.Put(k, []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	vals, err := c.GetSiblings(k)
+	if err != nil || len(vals) != 1 || string(vals[0]) != "v2" {
+		t.Fatalf("siblings after get-then-put = %q/%v, want [v2]", vals, err)
 	}
 }
 

@@ -113,7 +113,7 @@ type Server struct {
 	dir    *resilience.Directory
 	policy *resilience.Policy
 
-	gwQuorum   []*quorum.Client // quorum model: gateway actors' clients (one per shard)
+	gwQuorum   []*quorum.Client // quorum model: gateway clients (one per shard; see handleQuorum)
 	gwIDs      []string
 	lsmEngines []*lsm.Engine // Engine "lsm": per-shard trees, for metrics and close
 	gossipN    *gossip.Node  // gossip model: ops run on the storage actor itself
@@ -450,10 +450,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	tcp.AddNode(cfg.ID, handler)
 	if cfg.Model == "quorum" {
-		// Gateway actors host the protocol clients; connection handlers
-		// funnel operations onto their loops with Invoke. A sharded node
-		// runs one gateway per shard — keyed the same way as the replica
-		// shards — so client-side coordination fans across cores too
+		// One gateway quorum client per shard, keyed the same way as the
+		// replica shards, names the writes this node's clients make and
+		// keeps their contexts. An operation this node coordinates runs on
+		// the key's shard loop (handleQuorum); one it forwards runs on the
+		// gateway's own actor loop, so forwarding fans across cores too
 		// instead of serializing on a single gateway loop.
 		ng := s.qnode.Shards()
 		s.gwIDs = make([]string, ng)
@@ -728,7 +729,7 @@ func (s *Server) logf(format string, args ...any) {
 func (s *Server) handle(req Request, sess *session.Client, sessID string) Response {
 	start := time.Now()
 	s.statMu.Lock()
-	s.reqCount.Inc("server.requests." + req.Op)
+	s.reqCount.Inc(requestCounter(req.Op))
 	s.statMu.Unlock()
 	resp := s.dispatch(req, sess, sessID)
 	s.statMu.Lock()
@@ -738,6 +739,30 @@ func (s *Server) handle(req Request, sess *session.Client, sessID string) Respon
 	s.reqLat.Observe(time.Since(start))
 	s.statMu.Unlock()
 	return resp
+}
+
+// requestCounter names the counter of requests for op. The op is the
+// client's string: counting it verbatim would let a client grow the
+// counters, and /metrics, by one series per op name it invents, so every
+// op dispatch does not know counts as "unknown".
+func requestCounter(op string) string {
+	switch op {
+	case "put":
+		return "server.requests.put"
+	case "get":
+		return "server.requests.get"
+	case "del":
+		return "server.requests.del"
+	case "status":
+		return "server.requests.status"
+	case "ring-status":
+		return "server.requests.ring-status"
+	case "add-node":
+		return "server.requests.add-node"
+	case "decommission":
+		return "server.requests.decommission"
+	}
+	return "server.requests.unknown"
 }
 
 func (s *Server) dispatch(req Request, sess *session.Client, sessID string) Response {
@@ -821,65 +846,104 @@ func (s *Server) handleGossip(req Request) Response {
 	if !ok {
 		return Response{Err: "node stopped"}
 	}
+	t := startTimer(requestTimeout)
+	defer stopTimer(t)
 	select {
 	case o := <-done:
 		if o.seq != 0 && !s.dur.await(o.seq) { // 0: no DataDir, or nothing journaled
 			return Response{Err: "write not durable: the node's WAL failed"}
 		}
 		return o.resp
-	case <-time.After(requestTimeout):
+	case <-t.C:
 		return Response{Err: "request timed out"}
 	}
 }
 
-// handleQuorum funnels the operation through a gateway actor's quorum
-// client — the key's shard picks the gateway, so disjoint key ranges
-// use disjoint gateway loops. The coordinator is normally this node
-// itself, a post to its own mailbox, whenever it holds a replica of the
-// key (see coordinator for when the ring owner coordinates instead), and
-// the client's resilience layer fails over if the coordinator is down.
-// An eventual or bounded get runs a sub-quorum read in this node's zone
-// (see slaRoute); the response reports the tier actually delivered and
-// the node's measured cross-zone staleness at serve time.
+// handleQuorum runs the operation under the gateway quorum client of the
+// key's shard (the request ids and per-key contexts of the key live
+// there). The coordinator is normally this node itself, whenever it holds
+// a replica of the key (see coordinator for when the ring owner
+// coordinates instead). Then the operation is one call on the key's shard
+// loop, where the node coordinates it for the gateway client in place:
+// no message to the node and back, and no client-side timers, since the
+// node's own time-out and retransmission bound the operation. The call
+// passes the ack barrier like a message, and so does its answer. An
+// operation another node coordinates goes through the gateway actor,
+// whose client retries, hedges and fails over if the coordinator is
+// down. An eventual or bounded get runs a sub-quorum read in this node's
+// zone (see slaRoute); the response reports the tier actually delivered
+// and the node's measured cross-zone staleness at serve time.
 func (s *Server) handleQuorum(req Request) Response {
 	tier, rOverride, coord, staleMs := s.slaRoute(req)
 	gi := 0
 	if len(s.gwIDs) > 1 {
 		gi = s.qnode.Router().Shard(req.Key)
 	}
-	gwID, gw := s.gwIDs[gi], s.gwQuorum[gi]
+	gw := s.gwQuorum[gi]
 	done := make(chan Response, 1)
-	ok := s.tcp.Invoke(gwID, func(env transport.Env) {
-		switch req.Op {
-		case "put":
-			gw.Put(env, coord, req.Key, req.Value, func(r quorum.PutResult) {
-				done <- putResponse(r.Err)
-			})
-		case "del":
-			gw.Delete(env, coord, req.Key, func(r quorum.PutResult) {
-				done <- putResponse(r.Err)
-			})
-		case "get":
-			gw.GetR(env, coord, req.Key, rOverride, func(r quorum.GetResult) {
-				if r.Err != nil {
-					done <- Response{Err: r.Err.Error()}
-					return
+	var ok bool
+	if coord == s.cfg.ID {
+		ok = s.tcp.InvokeShard(s.cfg.ID, gi, func(env transport.Env) {
+			s.invocation(env, func(env transport.Env) {
+				switch req.Op {
+				case "put":
+					s.qnode.CoordinatePut(env, gw, req.Key, req.Value, putDone(done))
+				case "del":
+					s.qnode.CoordinateDelete(env, gw, req.Key, putDone(done))
+				case "get":
+					s.qnode.CoordinateGet(env, gw, req.Key, rOverride, getDone(done, tier, staleMs))
 				}
-				resp := Response{OK: true, Found: len(r.Values) > 0, Values: r.Values,
-					Tier: uint8(tier), StaleMs: staleMs}
-				if len(r.Values) > 0 {
-					resp.Value = r.Values[0]
-				}
-				done <- resp
 			})
-		}
-	})
+		})
+	} else {
+		ok = s.tcp.Invoke(s.gwIDs[gi], func(env transport.Env) {
+			switch req.Op {
+			case "put":
+				gw.Put(env, coord, req.Key, req.Value, putDone(done))
+			case "del":
+				gw.Delete(env, coord, req.Key, putDone(done))
+			case "get":
+				gw.GetR(env, coord, req.Key, rOverride, getDone(done, tier, staleMs))
+			}
+		})
+	}
 	if !ok {
-		return Response{Err: "gateway stopped"}
+		return Response{Err: "node stopped"}
 	}
 	resp := await(done)
 	resp.Zone = s.cfg.Zone
 	return resp
+}
+
+// invocation runs fn as one handler invocation of the storage actor: on a
+// durable node through the ack barrier, like a message.
+func (s *Server) invocation(env transport.Env, fn func(transport.Env)) {
+	if s.ackB == nil {
+		fn(env)
+		return
+	}
+	s.ackB.Call(env, fn)
+}
+
+// putDone answers a quorum put or delete on done.
+func putDone(done chan Response) func(quorum.PutResult) {
+	return func(r quorum.PutResult) { done <- putResponse(r.Err) }
+}
+
+// getDone answers a quorum get on done, at the tier delivered.
+func getDone(done chan Response, tier geo.Kind, staleMs int64) func(quorum.GetResult) {
+	return func(r quorum.GetResult) {
+		if r.Err != nil {
+			done <- Response{Err: r.Err.Error()}
+			return
+		}
+		resp := Response{OK: true, Found: len(r.Values) > 0, Values: r.Values,
+			Tier: uint8(tier), StaleMs: staleMs}
+		if len(r.Values) > 0 {
+			resp.Value = r.Values[0]
+		}
+		done <- resp
+	}
 }
 
 // slaRoute resolves a request's SLA tier into a plan: the tier actually

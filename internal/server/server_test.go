@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -325,6 +326,42 @@ func TestMetricsEndpointRenders(t *testing.T) {
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("metrics content type %q", ct)
+	}
+}
+
+// An op name is the client's string: a client that invents op names
+// must not add a request series per name to /metrics. Every unknown op
+// counts under one op="unknown".
+func TestInventedOpsShareOneMetricSeries(t *testing.T) {
+	srvs := startCluster(t, "gossip", 1, true)
+	c := dialNode(t, srvs[0], "cli")
+	if err := c.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	const invented = 1000
+	for i := 0; i < invented; i++ {
+		if _, err := c.do(Request{Op: fmt.Sprintf("op-%d", i)}); err == nil {
+			t.Fatalf("invented op %d was served", i)
+		}
+	}
+	resp, err := http.Get("http://" + srvs[0].HTTPAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var series []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "ec_requests_total{") {
+			series = append(series, line)
+		}
+	}
+	want := []string{`ec_requests_total{op="put"} 1`, fmt.Sprintf(`ec_requests_total{op="unknown"} %d`, invented)}
+	if !slices.Equal(series, want) {
+		t.Fatalf("%d request series, want %q; the first: %q", len(series), want, series[:min(3, len(series))])
 	}
 }
 

@@ -310,13 +310,25 @@ func (r *Runtime) RemoveNode(id string) {
 // protocol methods that expect to run single-threaded with an Env.
 // Returns false if the node is unknown or stopped.
 func (r *Runtime) Invoke(id string, fn func(Env)) bool {
+	return r.InvokeShard(id, -1, fn)
+}
+
+// InvokeShard is Invoke onto one execution domain of a sharded node: fn
+// runs on shard's loop, in order with the messages ShardOf maps there,
+// and the timers it sets fire back on that shard. A shard of -1, or any
+// shard of a node without shard loops, is the serial loop.
+func (r *Runtime) InvokeShard(id string, shard int, fn func(Env)) bool {
 	r.mu.Lock()
 	p := r.procs[id]
 	r.mu.Unlock()
 	if p == nil {
 		return false
 	}
-	return p.box.put(procEvent{kind: pevCall, fn: fn})
+	ev := procEvent{kind: pevCall, fn: fn}
+	if shard >= 0 && shard < len(p.shards) {
+		return p.shards[shard].box.put(ev)
+	}
+	return p.box.put(ev)
 }
 
 // Post sends a message on behalf of node from, outside any handler

@@ -62,7 +62,7 @@ type ShardEnv interface {
 // ShardStat is one shard's dispatch accounting.
 type ShardStat struct {
 	Depth int    // events waiting in the shard's mailbox
-	Ops   uint64 // messages processed by (or fast-handled for) the shard
+	Ops   uint64 // messages and calls processed by (or fast-handled for) the shard
 }
 
 // ShardStats returns per-shard queue depths and op counts for node id,
@@ -159,6 +159,11 @@ func (sl *shardLoop) loop() {
 			delete(sl.timers, ev.timer)
 			if sl.up && ev.epoch == sl.epoch {
 				sl.p.h.OnTimer(env, ev.tag)
+			}
+		case pevCall:
+			if sl.up {
+				sl.ops.Add(1)
+				ev.fn(env)
 			}
 		}
 	}

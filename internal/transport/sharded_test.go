@@ -275,6 +275,61 @@ func (h *timerSharded) OnTimer(env Env, tag any) {
 	}
 }
 
+// InvokeShard runs a call on the named shard's loop, behind the messages
+// already queued there; shard -1, and any shard of a node without shard
+// loops, runs it on the serial loop.
+func TestInvokeShardRunsOnTheShardInOrder(t *testing.T) {
+	rt := NewRuntime(1)
+	defer rt.Close()
+	var handled atomic.Int64
+	rt.AddNode("n", &orderedSharded{on: func(shard, i int) { handled.Add(1) }})
+	rt.AddNode("src", noopHandler{})
+	rt.AddNode("plain", noopHandler{})
+	const queued = 100
+	for i := 0; i < queued; i++ {
+		rt.Post("src", "n", [2]int{1, i})
+	}
+	type ran struct {
+		domain int
+		before int64
+	}
+	call := func(id string, shard int) ran {
+		t.Helper()
+		got := make(chan ran, 1)
+		if !rt.InvokeShard(id, shard, func(env Env) {
+			d := -1
+			if se, ok := env.(ShardEnv); ok {
+				d = se.Shard()
+			}
+			got <- ran{d, handled.Load()}
+		}) {
+			t.Fatalf("InvokeShard(%q, %d) refused", id, shard)
+		}
+		select {
+		case r := <-got:
+			return r
+		case <-time.After(5 * time.Second):
+			t.Fatalf("InvokeShard(%q, %d) never ran", id, shard)
+			return ran{}
+		}
+	}
+	if r := call("n", 1); r.domain != 1 || r.before != queued {
+		t.Fatalf("call on shard 1 ran on domain %d after %d of its %d queued messages", r.domain, r.before, queued)
+	}
+	if r := call("n", -1); r.domain != -1 {
+		t.Fatalf("call on shard -1 ran on domain %d, want the serial loop", r.domain)
+	}
+	if r := call("plain", 3); r.domain != -1 {
+		t.Fatalf("call on an unsharded node ran on domain %d, want the serial loop", r.domain)
+	}
+	if st := rt.ShardStats("n"); st[1].Ops != queued+1 {
+		t.Fatalf("shard 1 counted %d ops, want %d messages and the call", st[1].Ops, queued+1)
+	}
+	if rt.InvokeShard("nobody", 0, func(Env) {}) {
+		t.Fatal("InvokeShard accepted a call for an unknown node")
+	}
+}
+
 func TestShardStatsCountOps(t *testing.T) {
 	rt := NewRuntime(1)
 	defer rt.Close()
