@@ -321,7 +321,8 @@ type pendingWrite struct {
 	id        uint64
 	key       string
 	entry     clock.SiblingEntry[record]
-	acked     map[string]bool // replicas (or fallbacks) that acked
+	acked     []string // replicas (or fallbacks) that acked, each once; starts in ackedBuf
+	ackedBuf  [3]string
 	needed    int
 	replicas  []string // intended preference list
 	fallbacks []string // next ring nodes for sloppy quorum
@@ -741,10 +742,14 @@ func (n *Node) hintedEntries(key string) []clock.SiblingEntry[record] {
 // coordinatePut runs the write protocol at whichever node the client
 // contacted (Cassandra-style coordination): mint a new version, send it
 // to the key's N replicas, and acknowledge the client after W replica
-// acks. The coordinator's own replica (when it is one) acks through the
-// same message path, so acks race realistically. The acknowledgement is
-// a putResp to client, or a call of reply for a client in this process
-// (see answer).
+// acks. When the coordinator is one of the synchronous replicas it does
+// not message itself: after the fan-out it installs the version in place
+// and counts its own ack, so a write that needs W-1 peers waits for
+// exactly those. The install journals the version in this invocation,
+// so a host that holds acks behind the journal (the server's ack barrier)
+// holds the answer behind it too, whether it leaves now or with a later
+// peer ack. The acknowledgement is a putResp to client, or a call of
+// reply for a client in this process (see answer).
 func (n *Node) coordinatePut(env transport.Env, client string, m clientPut, reply func(putResp)) {
 	if n.draining.Load() && m.ID == 0 {
 		// Decommission invariant: once draining begins this node mints no
@@ -790,10 +795,10 @@ func (n *Node) coordinatePut(env transport.Env, client string, m clientPut, repl
 		id:       m.ID,
 		key:      m.Key,
 		entry:    entry,
-		acked:    make(map[string]bool),
 		needed:   n.cfg.W,
 		replicas: prefs,
 	}
+	pw.acked = pw.ackedBuf[:0]
 	if n.cfg.SloppyQuorum {
 		pw.fallbacks = fallbacks
 	}
@@ -817,8 +822,14 @@ func (n *Node) coordinatePut(env transport.Env, client string, m clientPut, repl
 	}
 	n.shards[shardIdx].writes[id] = pw
 
+	put := transport.Message(replicaPut{ID: id, Key: m.Key, Entry: entry}) // boxed once for every peer
+	self := false
 	for _, rep := range syncPrefs {
-		env.Send(rep, replicaPut{ID: id, Key: m.Key, Entry: entry})
+		if rep == n.id {
+			self = true
+			continue
+		}
+		env.Send(rep, put)
 		// A replica the failure detector already suspects gets a sloppy
 		// stand-in immediately instead of after the quorum timeout.
 		if n.cfg.Resilience != nil && n.cfg.SloppyQuorum && n.suspects(rep, env.Now()) {
@@ -846,6 +857,16 @@ func (n *Node) coordinatePut(env transport.Env, client string, m clientPut, repl
 				}
 				env.Send(old, replicaPut{Key: m.Key, Entry: entry, Repair: true})
 			}
+		}
+	}
+	if self {
+		// applyReplicaPut's ownership guard holds by construction: this
+		// node is in the key's preference list.
+		n.installEntry(execDomain(env), m.Key, entry)
+		pw.acked = append(pw.acked, n.id)
+		if len(pw.acked) >= pw.needed {
+			n.finishWrite(env, id, pw, "")
+			return
 		}
 	}
 	pw.timer = env.SetTimer(n.cfg.Timeout, timeoutTag{id: id, write: true})
@@ -905,7 +926,7 @@ func (n *Node) retryWrite(env transport.Env, id uint64) {
 	}
 	now := env.Now()
 	for _, rep := range pw.replicas {
-		if pw.acked[rep] || contains(pw.geoAsync, rep) {
+		if contains(pw.acked, rep) || contains(pw.geoAsync, rep) {
 			continue
 		}
 		env.Send(rep, replicaPut{ID: id, Key: pw.key, Entry: pw.entry})
@@ -960,7 +981,10 @@ func (n *Node) onPutAck(env transport.Env, from string, id uint64) {
 	if !ok || pw.done {
 		return
 	}
-	pw.acked[from] = true
+	if contains(pw.acked, from) {
+		return // a retransmission's second ack
+	}
+	pw.acked = append(pw.acked, from)
 	if len(pw.acked) >= pw.needed {
 		n.finishWrite(env, id, pw, "")
 	}
@@ -1011,7 +1035,7 @@ func (n *Node) writeTimeout(env transport.Env, id uint64) {
 		pw.fbTried = true
 		engaged := pw.sloppy
 		for _, rep := range pw.replicas {
-			if pw.acked[rep] || contains(pw.geoAsync, rep) {
+			if contains(pw.acked, rep) || contains(pw.geoAsync, rep) {
 				continue
 			}
 			if n.engageFallback(env, id, pw, rep) {

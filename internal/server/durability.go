@@ -129,6 +129,16 @@ func (d *durability) takePending(domain int) uint64 {
 	return seq
 }
 
+// journaled reports whether the domain appended a record since its last
+// takePending: within a handler invocation, whether the invocation has
+// journaled anything yet. Must run on the domain's executor goroutine.
+func (d *durability) journaled(domain int) bool {
+	if domain < 0 || domain >= len(d.pending) {
+		domain = 0
+	}
+	return d.pending[domain] != 0
+}
+
 // durable reports, without blocking, whether record seq is on disk.
 func (d *durability) durable(seq uint64) bool {
 	return seq <= d.j.Durable()

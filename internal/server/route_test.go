@@ -92,9 +92,9 @@ func TestGetsCoordinateWhereTheyLand(t *testing.T) {
 }
 
 // TestLocalPutIsACallNotAMessage: a put coordinated where it lands is a
-// call on the key's shard. The messages it costs the cluster are the
-// three replica puts and their three acks; the gateway's clientPut to its
-// own node and the putResp back (eight messages a put) are gone.
+// call on the key's shard, and the coordinator applies it to its own
+// replica in place. The messages it costs the cluster are the two peer
+// replica puts and their two acks: none goes from the node to itself.
 func TestLocalPutIsACallNotAMessage(t *testing.T) {
 	addrs := reservePorts(t, 3)
 	peers := make(map[string]string, len(addrs))
@@ -154,8 +154,8 @@ func TestLocalPutIsACallNotAMessage(t *testing.T) {
 	held(keys...)
 	perPut := float64(sent()-before) / puts
 	t.Logf("%.2f messages per put", perPut)
-	if perPut < 5.9 || perPut >= 7 {
-		t.Fatalf("%.2f messages per put, want 6: three replica puts and three acks", perPut)
+	if perPut < 3.9 || perPut >= 5 {
+		t.Fatalf("%.2f messages per put, want 4: two peer replica puts and two acks", perPut)
 	}
 }
 

@@ -8,12 +8,12 @@ import "testing"
 func TestMailboxReusesItsBackingArray(t *testing.T) {
 	m := newMailbox()
 	next := 0 // tag of the next event to come out
-	put := func(tag int) { m.put(procEvent{kind: pevTimer, tag: tag}) }
+	put := func(tag int) { m.put(procEvent{kind: pevMessage, msg: tag}) }
 	take := func() {
 		t.Helper()
 		ev, ok := m.take()
-		if !ok || ev.tag.(int) != next {
-			t.Fatalf("took %v (ok=%v), want event %d", ev.tag, ok, next)
+		if !ok || ev.msg.(int) != next {
+			t.Fatalf("took %v (ok=%v), want event %d", ev.msg, ok, next)
 		}
 		next++
 	}
@@ -35,7 +35,7 @@ func TestMailboxReusesItsBackingArray(t *testing.T) {
 	if c := cap(m.queue); c > 8 {
 		t.Fatalf("bursts of 3 that drain grew the queue to cap %d", c)
 	}
-	ev := procEvent{kind: pevTimer, tag: 0}
+	ev := procEvent{kind: pevMessage, msg: 0}
 	if allocs := testing.AllocsPerRun(100, func() { m.put(ev); m.take() }); allocs != 0 {
 		t.Fatalf("put+take on a drained mailbox: %v allocs", allocs)
 	}

@@ -87,15 +87,13 @@ const (
 	pevCrash
 )
 
-// procEvent is one unit of work for a node's actor loop.
+// procEvent is one unit of work for a node's actor loop. A pevTimer
+// carries nothing: it wakes the loop to fire the timers that are due.
 type procEvent struct {
-	kind  procEventKind
-	from  string
-	msg   Message
-	tag   any
-	timer TimerID
-	epoch uint64
-	fn    func(Env)
+	kind procEventKind
+	from string
+	msg  Message
+	fn   func(Env)
 }
 
 // proc is one hosted node: a Handler plus the actor goroutine that
@@ -118,8 +116,7 @@ type proc struct {
 
 	// Loop-confined state (the actor goroutine is the only toucher).
 	up     bool
-	epoch  uint64
-	timers map[TimerID]*time.Timer
+	timers *timers
 
 	done chan struct{}
 }
@@ -135,31 +132,14 @@ func (e penv) Send(to string, msg Message) {
 	e.p.rt.send(e.p.id, to, msg)
 }
 
-func (e penv) SetTimer(d time.Duration, tag any) TimerID {
-	p := e.p
-	id := TimerID(p.rt.timerSeq.Add(1))
-	epoch := p.epoch
-	t := time.AfterFunc(d, func() {
-		p.box.put(procEvent{kind: pevTimer, tag: tag, timer: id, epoch: epoch})
-	})
-	p.timers[id] = t
-	return id
-}
-
-func (e penv) Cancel(id TimerID) {
-	if id == 0 {
-		return
-	}
-	if t, ok := e.p.timers[id]; ok {
-		t.Stop()
-		delete(e.p.timers, id)
-	}
-}
+func (e penv) SetTimer(d time.Duration, tag any) TimerID { return e.p.timers.set(d, tag) }
+func (e penv) Cancel(id TimerID)                         { e.p.timers.cancel(id) }
 
 // loop is the actor goroutine: strictly one handler invocation at a
 // time, events in mailbox order.
 func (p *proc) loop() {
 	defer close(p.done)
+	defer p.timers.stop()
 	env := penv{p: p}
 	for {
 		ev, ok := p.box.take()
@@ -174,26 +154,30 @@ func (p *proc) loop() {
 		case pevCrash:
 			p.up = false
 			p.upFast.Store(false)
-			p.epoch++
-			for id, t := range p.timers {
-				t.Stop()
-				delete(p.timers, id)
-			}
+			p.timers.reset()
 		case pevMessage:
 			if p.up {
 				p.h.OnMessage(env, ev.from, ev.msg)
 			}
 		case pevTimer:
-			delete(p.timers, ev.timer)
-			if p.up && ev.epoch == p.epoch {
-				p.h.OnTimer(env, ev.tag)
-			}
+			p.rt.fire(p.timers, p.h, env)
 		case pevCall:
 			if p.up {
 				ev.fn(env)
 			}
 		}
 	}
+}
+
+// fire runs OnTimer for every timer of one execution domain that is due,
+// each as its own invocation, and re-arms the domain's wake-up for the
+// rest. A crash emptied the heap, so whatever is due was set since the
+// node last started.
+func (r *Runtime) fire(t *timers, h Handler, env Env) {
+	t.fire(func(tag any) {
+		r.stats.add(func(s *Stats) { s.TimersFired++ })
+		h.OnTimer(env, tag)
+	})
 }
 
 // Stats counts transport-level events. All fields are monotonic; read a
@@ -230,8 +214,7 @@ type Runtime struct {
 	cut     func(from, to string) bool              // fault hook: true drops the send
 	delay   func(from, to string) time.Duration     // fault hook: artificial link latency
 
-	timerSeq atomic.Uint64
-	stats    statsCell
+	stats statsCell
 }
 
 // NewRuntime returns an empty runtime. seed derives each node's random
@@ -261,14 +244,14 @@ func (r *Runtime) AddNode(id string, h Handler) {
 		panic(fmt.Sprintf("transport: duplicate node id %q", id))
 	}
 	p := &proc{
-		id:     id,
-		h:      h,
-		rt:     r,
-		box:    newMailbox(),
-		rng:    rand.New(rand.NewSource(r.seed ^ int64(idHash(id)))),
-		timers: make(map[TimerID]*time.Timer),
-		done:   make(chan struct{}),
+		id:   id,
+		h:    h,
+		rt:   r,
+		box:  newMailbox(),
+		rng:  rand.New(rand.NewSource(r.seed ^ int64(idHash(id)))),
+		done: make(chan struct{}),
 	}
+	p.timers = newTimers(r.Now, p.box)
 	if sh, ok := h.(ShardedHandler); ok && sh.Shards() > 1 {
 		p.sh = sh
 		p.shards = newShardLoops(p, sh.Shards())

@@ -92,8 +92,7 @@ type shardLoop struct {
 
 	// Loop-confined state.
 	up     bool
-	epoch  uint64
-	timers map[TimerID]*time.Timer
+	timers *timers
 
 	done chan struct{}
 }
@@ -107,33 +106,16 @@ func (e senv) Rand() *rand.Rand            { return e.sl.rng }
 func (e senv) Shard() int                  { return e.sl.idx }
 func (e senv) Send(to string, msg Message) { e.sl.p.rt.send(e.sl.p.id, to, msg) }
 
-func (e senv) SetTimer(d time.Duration, tag any) TimerID {
-	sl := e.sl
-	id := TimerID(sl.p.rt.timerSeq.Add(1))
-	epoch := sl.epoch
-	t := time.AfterFunc(d, func() {
-		sl.box.put(procEvent{kind: pevTimer, tag: tag, timer: id, epoch: epoch})
-	})
-	sl.timers[id] = t
-	return id
-}
-
-func (e senv) Cancel(id TimerID) {
-	if id == 0 {
-		return
-	}
-	if t, ok := e.sl.timers[id]; ok {
-		t.Stop()
-		delete(e.sl.timers, id)
-	}
-}
+func (e senv) SetTimer(d time.Duration, tag any) TimerID { return e.sl.timers.set(d, tag) }
+func (e senv) Cancel(id TimerID)                         { e.sl.timers.cancel(id) }
 
 // loop drains the shard mailbox, invoking the handler one event at a
 // time. pevStart/pevCrash arrive broadcast alongside the serial loop's,
-// so the shard's up/epoch track the node's lifecycle independently
-// (messages racing a crash are droppable either way).
+// so the shard's up flag and timers track the node's lifecycle
+// independently (messages racing a crash are droppable either way).
 func (sl *shardLoop) loop() {
 	defer close(sl.done)
+	defer sl.timers.stop()
 	env := senv{sl: sl}
 	for {
 		ev, ok := sl.box.take()
@@ -145,21 +127,14 @@ func (sl *shardLoop) loop() {
 			sl.up = true
 		case pevCrash:
 			sl.up = false
-			sl.epoch++
-			for id, t := range sl.timers {
-				t.Stop()
-				delete(sl.timers, id)
-			}
+			sl.timers.reset()
 		case pevMessage:
 			if sl.up {
 				sl.ops.Add(1)
 				sl.p.h.OnMessage(env, ev.from, ev.msg)
 			}
 		case pevTimer:
-			delete(sl.timers, ev.timer)
-			if sl.up && ev.epoch == sl.epoch {
-				sl.p.h.OnTimer(env, ev.tag)
-			}
+			sl.p.rt.fire(sl.timers, sl.p.h, env)
 		case pevCall:
 			if sl.up {
 				sl.ops.Add(1)
@@ -195,13 +170,13 @@ func newShardLoops(p *proc, n int) []*shardLoop {
 	shards := make([]*shardLoop, n)
 	for i := range shards {
 		sl := &shardLoop{
-			p:      p,
-			idx:    i,
-			box:    newMailbox(),
-			rng:    rand.New(rand.NewSource(p.rt.seed ^ int64(idHash(fmt.Sprintf("%s/shard%d", p.id, i))))),
-			timers: make(map[TimerID]*time.Timer),
-			done:   make(chan struct{}),
+			p:    p,
+			idx:  i,
+			box:  newMailbox(),
+			rng:  rand.New(rand.NewSource(p.rt.seed ^ int64(idHash(fmt.Sprintf("%s/shard%d", p.id, i))))),
+			done: make(chan struct{}),
 		}
+		sl.timers = newTimers(p.rt.Now, sl.box)
 		shards[i] = sl
 	}
 	return shards
