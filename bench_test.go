@@ -124,8 +124,6 @@ func BenchmarkMerkleDiff(b *testing.B)          { runGroup(b, "BenchmarkMerkleDi
 func BenchmarkMerkleDescend(b *testing.B)       { runGroup(b, "BenchmarkMerkleDescend") }
 func BenchmarkKVPut(b *testing.B)               { runGroup(b, "BenchmarkKVPut") }
 func BenchmarkKVGet(b *testing.B)               { runGroup(b, "BenchmarkKVGet") }
-func BenchmarkKVPutParallel(b *testing.B)       { runGroup(b, "BenchmarkKVPutParallel") }
-func BenchmarkKVGetParallel(b *testing.B)       { runGroup(b, "BenchmarkKVGetParallel") }
 func BenchmarkZipfianNext(b *testing.B)         { runGroup(b, "BenchmarkZipfianNext") }
 func BenchmarkHLCNow(b *testing.B)              { runGroup(b, "BenchmarkHLCNow") }
 

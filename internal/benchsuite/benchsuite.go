@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/clock"
@@ -65,8 +64,6 @@ func All() []Benchmark {
 		Benchmark{Name: "BenchmarkMerkleDescend", F: merkleDescend},
 		Benchmark{Name: "BenchmarkKVPut", F: kvPut},
 		Benchmark{Name: "BenchmarkKVGet", F: kvGet},
-		Benchmark{Name: "BenchmarkKVPutParallel", F: kvPutParallel},
-		Benchmark{Name: "BenchmarkKVGetParallel", F: kvGetParallel},
 		Benchmark{Name: "BenchmarkZipfianNext", F: zipfianNext},
 		Benchmark{Name: "BenchmarkHLCNow", F: hlcNow},
 	)
@@ -328,47 +325,6 @@ func kvGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		kv.Get(keys[i%len(keys)])
 	}
-}
-
-// kvPutParallel and kvGetParallel measure the sharded store under
-// GOMAXPROCS-way concurrency: per-shard locks mean goroutines writing
-// disjoint shards never contend, which is the storage half of the
-// multi-core replica hot path.
-
-func kvPutParallel(b *testing.B) {
-	s := storage.NewShardedKV(8)
-	keys := make([]string, 1024)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%d", i)
-	}
-	val := []byte("0123456789abcdef")
-	var next atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := next.Add(1) * 101
-		for pb.Next() {
-			s.Put(keys[i%uint64(len(keys))], val, nil)
-			i++
-		}
-	})
-}
-
-func kvGetParallel(b *testing.B) {
-	s := storage.NewShardedKV(8)
-	keys := make([]string, 1024)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%d", i)
-		s.Put(keys[i], []byte("v"), nil)
-	}
-	var next atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := next.Add(1) * 101
-		for pb.Next() {
-			s.Get(keys[i%uint64(len(keys))])
-			i++
-		}
-	})
 }
 
 // ── Workload ───────────────────────────────────────────────────────────

@@ -3,17 +3,20 @@
 // set exceeds RAM can swap it in for the in-memory storage.KV without
 // any replication-layer changes.
 //
-// Writes land in a mutable memtable (the same multi-version shape as
-// storage.KV). When the memtable passes Options.MemtableBytes it is
-// flushed as an immutable SSTable — a sorted run with a sparse block
-// index and a per-table bloom filter (see sstable.go). Tables
-// accumulate in size tiers; when a tier holds MaxTablesPerTier runs
-// they are merged into one, dropping versions that no open snapshot or
-// recorded Compact watermark can still observe. The table set is
-// recorded in an atomic manifest reusing the WAL checkpoint machinery
-// (wal.WriteSnapshot / LatestSnapshot), so a crash between file
-// operations recovers to a consistent table set and orphaned runs are
-// swept on open.
+// Writes land in a mutable memtable (a storage.KV). When the memtable
+// passes Options.MemtableBytes it is flushed as an immutable SSTable — a
+// sorted run of (key, value) groups with a sparse block index and a
+// per-table bloom filter (see sstable.go). The engine keeps one value per
+// key and no sequence numbers: recency is position. The manifest lists
+// the tables oldest first, a flush appends to that list, and a merge
+// takes a contiguous run of tables and puts its output in their slot, so
+// a lookup that walks memtable → newest table → oldest can stop at the
+// first hit. Tables accumulate in size tiers; when MaxTablesPerTier
+// adjacent runs share a tier they are merged into one, newest value
+// winning. The table set is recorded in an atomic manifest reusing the
+// WAL checkpoint machinery (wal.WriteSnapshot / LatestSnapshot), so a
+// crash between file operations recovers to a consistent table set and
+// orphaned runs are swept on open.
 //
 // The engine keeps no redo log of its own: the memtable is volatile by
 // design, because every caller that needs durability already journals
@@ -23,6 +26,7 @@
 package lsm
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -51,8 +55,8 @@ type Options struct {
 	// BloomBitsPerKey sizes the per-table bloom filters (default 10,
 	// ~1% false positives).
 	BloomBitsPerKey int
-	// MaxTablesPerTier triggers a size-tiered merge when one tier
-	// accumulates this many runs (default 4).
+	// MaxTablesPerTier triggers a size-tiered merge when this many
+	// adjacent runs share a tier (default 4).
 	MaxTablesPerTier int
 	// Async moves tier compaction to a background goroutine. Leave it
 	// off under the deterministic simulator and in tests.
@@ -63,15 +67,15 @@ type Options struct {
 
 // Stats is a point-in-time snapshot of engine counters for /metrics.
 type Stats struct {
-	SSTables         int    // open immutable runs
-	DiskBytes        int64  // bytes across all runs
-	MemtableBytes    int    // approximate mutable level size
-	MemtableVersions int    // versions not yet flushed
-	Flushes          uint64 // memtable flushes since open
-	Compactions      uint64 // table merges since open
-	BloomMisses      uint64 // lookups a bloom filter excluded a table from
-	BlockReads       uint64 // data blocks fetched from disk
-	ReadErrors       uint64 // IO/CRC errors swallowed on the read path
+	SSTables      int    // open immutable runs
+	DiskBytes     int64  // bytes across all runs
+	MemtableBytes int    // key and value bytes in the mutable level
+	Flushes       uint64 // memtable flushes since open
+	FlushErrors   uint64 // memtable flushes that failed since open
+	Compactions   uint64 // table merges since open
+	BloomMisses   uint64 // lookups a bloom filter excluded a table from
+	BlockReads    uint64 // data blocks fetched from disk
+	ReadErrors    uint64 // IO/CRC errors swallowed on the read path
 }
 
 // tableIO carries the engine's read-path counters into table methods.
@@ -89,17 +93,16 @@ type Engine struct {
 	opts Options
 
 	mu          sync.RWMutex
-	seq         uint64
-	mem         *memtable
-	tables      []*table
+	mem         *storage.KV
+	flushAt     int      // memtable size that triggers the next flush
+	tables      []*table // oldest first
 	nextID      uint64
 	manifestVer uint64
-	watermark   uint64         // highest keepSeq an explicit Compact recorded
-	snaps       map[uint64]int // open snapshot seq -> refcount
 	closed      bool
 
 	io          tableIO
 	flushes     atomic.Uint64
+	flushErrors atomic.Uint64
 	compactions atomic.Uint64
 
 	compactCh   chan struct{}
@@ -108,24 +111,27 @@ type Engine struct {
 
 var _ storage.Engine = (*Engine)(nil)
 
-// manifest is the payload of one manifest checkpoint: the engine's
-// sequence horizon and the live table set, oldest run first (a table's
-// footer carries its own seq bounds). Encoded as uvarints behind a byte
-// that versions the layout under wire.CheckFormat's rule:
+// manifest is the payload of one manifest checkpoint: the next table id
+// and the live table set, oldest run first — the order every read and
+// merge takes recency from. Encoded as uvarints behind a byte that
+// versions the layout under wire.CheckFormat's rule:
 //
-//	[manifestFormat][seq][next table id][watermark][count][table id …]
+//	[manifestFormat][next table id][count][table id …]
 type manifest struct {
-	seq, nextID, watermark uint64
-	tables                 []uint64
+	nextID uint64
+	tables []uint64
 }
 
-const manifestFormat = 0xC1
+const (
+	manifestFormat = 0xC2
+	// manifestFormatSeq is the retired layout whose tables carried
+	// sequence numbers; a directory written in it is refused.
+	manifestFormatSeq = 0xC1
+)
 
 func appendManifest(dst []byte, m manifest) []byte {
 	dst = append(dst, manifestFormat)
-	dst = wire.AppendUvarint(dst, m.seq)
 	dst = wire.AppendUvarint(dst, m.nextID)
-	dst = wire.AppendUvarint(dst, m.watermark)
 	dst = wire.AppendUvarint(dst, uint64(len(m.tables)))
 	for _, id := range m.tables {
 		dst = wire.AppendUvarint(dst, id)
@@ -134,11 +140,14 @@ func appendManifest(dst []byte, m manifest) []byte {
 }
 
 func decodeManifest(state []byte) (manifest, error) {
+	if len(state) > 0 && state[0] == manifestFormatSeq {
+		return manifest{}, fmt.Errorf("lsm: manifest: %w", wire.ErrFormatTooOld)
+	}
 	r, err := wire.NewVersionedReader("lsm: manifest", state, manifestFormat)
 	if err != nil {
 		return manifest{}, err
 	}
-	m := manifest{seq: r.Uvarint(), nextID: r.Uvarint(), watermark: r.Uvarint()}
+	m := manifest{nextID: r.Uvarint()}
 	for i := r.Count(); i > 0; i-- {
 		m.tables = append(m.tables, r.Uvarint())
 	}
@@ -172,11 +181,7 @@ func Open(opts Options) (*Engine, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		opts:  opts,
-		mem:   newMemtable(),
-		snaps: make(map[uint64]int),
-	}
+	e := &Engine{opts: opts, mem: storage.NewKV(), flushAt: opts.MemtableBytes}
 	ver, state, found, err := wal.LatestSnapshot(opts.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: read manifest: %w", err)
@@ -191,9 +196,7 @@ func Open(opts Options) (*Engine, error) {
 			return nil, err
 		}
 		e.manifestVer = ver
-		e.seq = m.seq
 		e.nextID = m.nextID
-		e.watermark = m.watermark
 		for _, id := range m.tables {
 			name := tableFileName(id)
 			inManifest[name] = true
@@ -247,36 +250,20 @@ func (e *Engine) compactLoop() {
 
 // ── storage.Engine: writes ─────────────────────────────────────────────
 
-// Seq returns the sequence number of the newest committed write.
-func (e *Engine) Seq() uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.seq
-}
-
-// Put commits a new version of key and returns its sequence number.
-func (e *Engine) Put(key string, value []byte, meta []byte) uint64 {
-	return e.commit(key, storage.Version{Value: value, Meta: meta})
-}
-
-// Delete commits a tombstone for key and returns its sequence number.
-func (e *Engine) Delete(key string, meta []byte) uint64 {
-	return e.commit(key, storage.Version{Tombstone: true, Meta: meta})
-}
-
-func (e *Engine) commit(key string, v storage.Version) uint64 {
+// Put stores value as key's value. The engine keeps value itself until
+// the memtable is flushed: the caller must not write through it.
+func (e *Engine) Put(key string, value []byte, _ []byte) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.seq++
-	v.Seq = e.seq
-	e.mem.add(key, v)
-	if e.mem.bytes >= e.opts.MemtableBytes {
+	e.mem.Put(key, value, nil)
+	if e.mem.Bytes() >= e.flushAt {
 		if err := e.flushLocked(); err != nil {
-			// Keep the memtable; the next threshold crossing retries.
+			// Keep the memtable and retry once it has grown by another
+			// threshold's worth, not on every later Put.
+			e.flushAt = e.mem.Bytes() + e.opts.MemtableBytes
 			e.logf("lsm: flush: %v", err)
 		}
 	}
-	return v.Seq
 }
 
 // Flush forces the memtable to disk as an SSTable (no-op when empty).
@@ -287,23 +274,21 @@ func (e *Engine) Flush() error {
 }
 
 func (e *Engine) flushLocked() error {
-	if len(e.mem.keys) == 0 {
+	if e.mem.Len() == 0 {
 		return nil
-	}
-	entries := make([]tableEntry, 0, len(e.mem.keys))
-	for _, key := range e.mem.keys {
-		entries = append(entries, tableEntry{key: key, versions: e.mem.versions[key]})
 	}
 	id := e.nextID
 	t, err := writeTable(filepath.Join(e.opts.Dir, tableFileName(id)),
-		entries, e.opts.BlockBytes, e.opts.BloomBitsPerKey)
+		e.mem.Scan("", "", 0), e.opts.BlockBytes, e.opts.BloomBitsPerKey)
 	if err != nil {
+		e.flushErrors.Add(1)
 		return err
 	}
 	t.id, t.io = id, &e.io
 	e.nextID++
 	e.tables = append(e.tables, t)
-	e.mem = newMemtable()
+	e.mem = storage.NewKV()
+	e.flushAt = e.opts.MemtableBytes
 	e.flushes.Add(1)
 	if err := e.writeManifestLocked(); err != nil {
 		return err
@@ -320,7 +305,7 @@ func (e *Engine) flushLocked() error {
 }
 
 func (e *Engine) writeManifestLocked() error {
-	m := manifest{seq: e.seq, nextID: e.nextID, watermark: e.watermark}
+	m := manifest{nextID: e.nextID}
 	for _, t := range e.tables {
 		m.tables = append(m.tables, t.id)
 	}
@@ -330,35 +315,19 @@ func (e *Engine) writeManifestLocked() error {
 
 // ── storage.Engine: reads ──────────────────────────────────────────────
 
-// newestAtMost returns the newest version with Seq <= at from an
-// ascending version list.
-func newestAtMost(vs []storage.Version, at uint64) (storage.Version, bool) {
-	i := sort.Search(len(vs), func(i int) bool { return vs[i].Seq > at })
-	if i == 0 {
-		return storage.Version{}, false
-	}
-	return vs[i-1], true
-}
-
-// lookupLocked resolves key's version visible at `at` across the
-// memtable and every run, tombstone or not. Runs have pairwise disjoint
-// seq ranges, but tier merges can union non-adjacent ranges, so the
-// lookup merges candidates from all runs instead of trusting any single
-// ordering. A version found in a run is not copied: it aliases the block
+// lookupLocked finds key's value, walking the memtable and then the runs
+// newest first and stopping at the first that holds it (or fails to
+// read). A value found in a run is not copied: it aliases the block
 // buffer bp, which the caller releases when done with it (bp is nil for
-// a memtable version, whose bytes the engine never reuses). Caller
-// holds e.mu (shared suffices).
-func (e *Engine) lookupLocked(key string, at uint64) (best storage.Version, bp *[]byte, found bool) {
-	if vs, ok := e.mem.get(key); ok {
-		if v, ok := newestAtMost(vs, at); ok {
-			return v, nil, true
-		}
+// a memtable value, whose bytes the engine never reuses). Caller holds
+// e.mu (shared suffices).
+func (e *Engine) lookupLocked(key string) (val []byte, bp *[]byte, found bool) {
+	if v, ok := e.mem.Get(key); ok {
+		return v, nil, true
 	}
-	for _, t := range e.tables {
-		if t.minSeq > at {
-			continue
-		}
-		v, vbp, ok, skipped, err := t.lookup(key, at)
+	for i := len(e.tables) - 1; i >= 0; i-- {
+		t := e.tables[i]
+		v, vbp, ok, skipped, err := t.lookup(key)
 		if skipped {
 			e.io.bloomMisses.Add(1)
 			continue
@@ -366,86 +335,51 @@ func (e *Engine) lookupLocked(key string, at uint64) (best storage.Version, bp *
 		if err != nil {
 			e.io.readErrors.Add(1)
 			e.logf("lsm: read %s: %v", t.path, err)
-			continue
+			return nil, nil, false
 		}
-		if !ok {
-			continue
+		if ok {
+			return v, vbp, true
 		}
-		if found && v.Seq <= best.Seq {
-			releaseBlock(vbp)
-			continue
-		}
-		if bp != nil {
-			releaseBlock(bp)
-		}
-		best, bp, found = v, vbp, true
 	}
-	return best, bp, found
+	return nil, nil, false
 }
 
-// getMergedLocked is lookupLocked plus the copy a returned version needs.
-func (e *Engine) getMergedLocked(key string, at uint64, includeTombstone bool) (storage.Version, bool) {
-	v, bp, ok := e.lookupLocked(key, at)
+// Get returns key's value, copied out of the block it was read from.
+func (e *Engine) Get(key string) ([]byte, bool) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	v, bp, ok := e.lookupLocked(key)
+	if bp != nil {
+		v = bytes.Clone(v)
+		releaseBlock(bp)
+	}
+	return v, ok
+}
+
+// View lends key's value to fn, uncopied: a value read from a run aliases
+// its pooled block buffer, which goes back to the pool when fn returns.
+func (e *Engine) View(key string, fn func([]byte)) bool {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	v, bp, ok := e.lookupLocked(key)
 	if bp != nil {
 		defer releaseBlock(bp)
 	}
-	if !ok || (v.Tombstone && !includeTombstone) {
-		return storage.Version{}, false
+	if ok {
+		fn(v)
 	}
-	if bp != nil {
-		v = ownVersion(v)
-	}
-	return v, true
+	return ok
 }
 
-// Get returns the latest live version of key.
-func (e *Engine) Get(key string) (storage.Version, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.getMergedLocked(key, ^uint64(0), false)
-}
-
-// View lends the latest live version of key to fn, uncopied: a version
-// read from a run aliases its pooled block buffer, which goes back to the
-// pool when fn returns.
-func (e *Engine) View(key string, fn func(storage.Version)) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	v, bp, ok := e.lookupLocked(key, ^uint64(0))
-	if bp != nil {
-		defer releaseBlock(bp)
-	}
-	if !ok || v.Tombstone {
-		return false
-	}
-	fn(v)
-	return true
-}
-
-// GetAt returns the newest version of key with Seq <= at, if live.
-func (e *Engine) GetAt(key string, at uint64) (storage.Version, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.getMergedLocked(key, at, false)
-}
-
-// GetAny returns the latest version of key including tombstones.
-func (e *Engine) GetAny(key string) (storage.Version, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.getMergedLocked(key, ^uint64(0), true)
-}
-
-// scanMergedLocked resolves every key in [lo, hi) at `at` across the
-// memtable and all runs, in key order, stopping at limit pairs (0 = no
-// limit). A limited scan reads in windows of at most limit keys per run
-// rather than materializing the whole range first, so Scan(lo, hi, 1)
-// costs a block per run, not the tree. Caller holds e.mu (shared
-// suffices).
-func (e *Engine) scanMergedLocked(lo, hi string, limit int, at uint64, includeTombstones bool) []storage.Pair {
+// scanMergedLocked resolves every key in [lo, hi) across the memtable and
+// all runs, in key order, stopping at limit pairs (0 = no limit). A
+// limited scan reads in windows of at most limit keys per source rather
+// than materializing the whole range first, so Scan(lo, hi, 1) costs a
+// block per run, not the tree. Caller holds e.mu (shared suffices).
+func (e *Engine) scanMergedLocked(lo, hi string, limit int) []storage.Pair {
 	var out []storage.Pair
 	for {
-		pairs, last, cut := e.scanWindowLocked(lo, hi, limit-len(out), at, includeTombstones)
+		pairs, last, cut := e.scanWindowLocked(lo, hi, limit-len(out))
 		out = append(out, pairs...)
 		if limit > 0 && len(out) >= limit {
 			return out[:limit] // a window holds up to per keys of every source
@@ -457,34 +391,34 @@ func (e *Engine) scanMergedLocked(lo, hi string, limit int, at uint64, includeTo
 	}
 }
 
-// scanWindowLocked materializes the version histories of the keys in
-// [lo, hi), taking at most per keys from the memtable and from each run
-// (per <= 0: all of them), and resolves each key at `at`. If some source
-// was cut short, cut is set and the window ends at last, the smallest key
-// any source stopped on: every source has given all it holds up to there,
-// so the pairs returned are exactly the range's pairs through last.
-func (e *Engine) scanWindowLocked(lo, hi string, per int, at uint64, includeTombstones bool) (out []storage.Pair, last string, cut bool) {
+// scanWindowLocked collects the keys in [lo, hi), taking at most per keys
+// from the memtable and from each run (per <= 0: all of them), newest
+// source first so the first value seen for a key is its value. If some
+// source was cut short, cut is set and the window ends at last, the
+// smallest key any source stopped on: every source has given all it
+// holds up to there, so the pairs returned are exactly the range's pairs
+// through last.
+func (e *Engine) scanWindowLocked(lo, hi string, per int) (out []storage.Pair, last string, cut bool) {
 	stopAt := func(key string) {
 		if !cut || key < last {
 			last, cut = key, true
 		}
 	}
-	acc := make(map[string][]storage.Version)
-	memKeys := e.mem.rangeKeys(lo, hi)
-	if per > 0 && len(memKeys) >= per {
-		memKeys = memKeys[:per]
-		stopAt(memKeys[per-1])
+	acc := make(map[string][]byte)
+	mem := e.mem.Scan(lo, hi, per)
+	if per > 0 && len(mem) == per {
+		stopAt(mem[per-1].Key)
 	}
-	for _, key := range memKeys {
-		acc[key] = append(acc[key], e.mem.versions[key]...)
+	for _, p := range mem {
+		acc[p.Key] = p.Value
 	}
-	for _, t := range e.tables {
-		if t.minSeq > at {
-			continue
-		}
+	for i := len(e.tables) - 1; i >= 0; i-- {
+		t := e.tables[i]
 		taken := 0
-		err := t.scanRange(lo, hi, func(key string, vs []storage.Version) bool {
-			acc[key] = append(acc[key], vs...)
+		err := t.scanRange(lo, hi, func(key string, val []byte) bool {
+			if _, seen := acc[key]; !seen {
+				acc[key] = val
+			}
 			if taken++; taken == per {
 				stopAt(key)
 				return false
@@ -496,155 +430,30 @@ func (e *Engine) scanWindowLocked(lo, hi string, per int, at uint64, includeTomb
 			e.logf("lsm: scan %s: %v", t.path, err)
 		}
 	}
-	keys := make([]string, 0, len(acc))
-	for key := range acc {
+	for key, val := range acc {
 		if !cut || key <= last {
-			keys = append(keys, key)
+			out = append(out, storage.Pair{Key: key, Value: val})
 		}
 	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		vs := acc[key]
-		sort.Slice(vs, func(i, j int) bool { return vs[i].Seq < vs[j].Seq })
-		v, ok := newestAtMost(vs, at)
-		if !ok || (v.Tombstone && !includeTombstones) {
-			continue
-		}
-		out = append(out, storage.Pair{Key: key, Version: v})
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, last, cut
 }
 
-// Scan returns up to limit live pairs in [lo, hi) in key order.
+// Scan returns up to limit pairs in [lo, hi) in key order.
 func (e *Engine) Scan(lo, hi string, limit int) []storage.Pair {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.scanMergedLocked(lo, hi, limit, ^uint64(0), false)
+	return e.scanMergedLocked(lo, hi, limit)
 }
 
-// ScanAll is Scan including tombstoned keys.
-func (e *Engine) ScanAll(lo, hi string, limit int) []storage.Pair {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.scanMergedLocked(lo, hi, limit, ^uint64(0), true)
-}
-
-// Len returns the number of live keys.
+// Len returns the number of keys.
 func (e *Engine) Len() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return len(e.scanMergedLocked("", "", 0, ^uint64(0), false))
-}
-
-// VersionCount reports stored versions across the memtable and all
-// runs. Unlike KV, versions made obsolete by Compact linger until the
-// merge that rewrites their run, so this is an upper bound between
-// compactions.
-func (e *Engine) VersionCount() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	n := e.mem.versionCount()
-	for _, t := range e.tables {
-		n += t.versions
-	}
-	return n
-}
-
-// ── snapshots ──────────────────────────────────────────────────────────
-
-type lsmSnapshot struct {
-	e        *Engine
-	at       uint64
-	released atomic.Bool
-}
-
-// OpenSnapshot anchors a read view at the current Seq and pins it
-// against compaction until Release.
-func (e *Engine) OpenSnapshot() storage.EngineSnapshot {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.snaps[e.seq]++
-	return &lsmSnapshot{e: e, at: e.seq}
-}
-
-func (s *lsmSnapshot) Seq() uint64 { return s.at }
-
-func (s *lsmSnapshot) Get(key string) (storage.Version, bool) {
-	s.e.mu.RLock()
-	defer s.e.mu.RUnlock()
-	return s.e.getMergedLocked(key, s.at, false)
-}
-
-func (s *lsmSnapshot) Scan(lo, hi string, limit int) []storage.Pair {
-	s.e.mu.RLock()
-	defer s.e.mu.RUnlock()
-	return s.e.scanMergedLocked(lo, hi, limit, s.at, false)
-}
-
-func (s *lsmSnapshot) Release() {
-	if s.released.Swap(true) {
-		return
-	}
-	s.e.mu.Lock()
-	defer s.e.mu.Unlock()
-	if n := s.e.snaps[s.at]; n > 1 {
-		s.e.snaps[s.at] = n - 1
-	} else {
-		delete(s.e.snaps, s.at)
-	}
-}
-
-// minSnapLocked returns the oldest open snapshot seq, or max-uint64.
-func (e *Engine) minSnapLocked() uint64 {
-	min := ^uint64(0)
-	for at := range e.snaps {
-		if at < min {
-			min = at
-		}
-	}
-	return min
+	return len(e.scanMergedLocked("", "", 0))
 }
 
 // ── compaction ─────────────────────────────────────────────────────────
-
-// Compact records keepSeq as the version-retention watermark, prunes
-// the memtable, and — when more than one run exists — merges the full
-// table set, dropping every version no read at or after the watermark
-// (or an older open snapshot) could observe and purging keys whose
-// entire surviving history is one tombstone at or below it.
-func (e *Engine) Compact(keepSeq uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if keepSeq > e.watermark {
-		e.watermark = keepSeq
-	}
-	eff := e.watermark
-	if m := e.minSnapLocked(); m < eff {
-		eff = m
-	}
-	e.mem.compact(eff, func(key string) bool { return !e.tablesHaveKeyLocked(key) })
-	// Rewrite the table set when a merge can reclaim something: several
-	// runs to fold together, or a lone run still carrying superseded
-	// versions. A lone run at one version per key is left alone (its
-	// tombstones may linger until the next multi-run merge).
-	if len(e.tables) >= 2 || (len(e.tables) == 1 && e.tables[0].versions > e.tables[0].keys) {
-		if err := e.mergeLocked(e.tables, true, eff); err != nil {
-			e.logf("lsm: compact: %v", err)
-		}
-	}
-}
-
-// tablesHaveKeyLocked reports whether any run may still hold key (by
-// bloom, erring toward "yes") — the memtable may purge a lone
-// tombstone only when no older level can resurrect the key.
-func (e *Engine) tablesHaveKeyLocked(key string) bool {
-	for _, t := range e.tables {
-		if t.bloom.mayContain(key) {
-			return true
-		}
-	}
-	return false
-}
 
 // tierOf buckets a run by size: tier 0 holds runs under 64 KiB, each
 // further tier covers a 4x size band — the classic size-tiered shape
@@ -657,114 +466,71 @@ func tierOf(size int64) int {
 	return t
 }
 
-// maybeCompactTiersLocked merges any tier holding MaxTablesPerTier or
-// more runs, repeating until no tier is over-full.
+// maybeCompactTiersLocked merges any run of MaxTablesPerTier or more
+// adjacent tables that share a tier, lowest tier first, repeating until
+// there is none. Only adjacent tables merge: the output takes their
+// slot, so every table keeps its place in the age order reads rely on.
 func (e *Engine) maybeCompactTiersLocked() {
 	for {
-		byTier := make(map[int][]*table)
-		for _, t := range e.tables {
-			tier := tierOf(t.size)
-			byTier[tier] = append(byTier[tier], t)
-		}
-		tiers := make([]int, 0, len(byTier))
-		for tier := range byTier {
-			tiers = append(tiers, tier)
-		}
-		sort.Ints(tiers)
-		var pick []*table
-		for _, tier := range tiers {
-			if len(byTier[tier]) >= e.opts.MaxTablesPerTier {
-				pick = byTier[tier]
-				break
+		from, to, best := 0, 0, -1
+		for i := 0; i < len(e.tables); {
+			j := i + 1
+			tier := tierOf(e.tables[i].size)
+			for j < len(e.tables) && tierOf(e.tables[j].size) == tier {
+				j++
 			}
+			if j-i >= e.opts.MaxTablesPerTier && (best < 0 || tier < best) {
+				from, to, best = i, j, tier
+			}
+			i = j
 		}
-		if pick == nil {
+		if best < 0 {
 			return
 		}
-		eff := e.watermark
-		if m := e.minSnapLocked(); m < eff {
-			eff = m
-		}
-		if err := e.mergeLocked(pick, len(pick) == len(e.tables), eff); err != nil {
+		if err := e.mergeLocked(from, to); err != nil {
 			e.logf("lsm: tier merge: %v", err)
 			return
 		}
 	}
 }
 
-// mergeLocked rewrites inputs as one run. Within the merged set a
-// version is dropped when a newer version of the same key exists at or
-// below eff — any read at or after eff resolves to the newer one
-// regardless of what other levels hold. Purging a key entirely (its
-// one surviving version is a tombstone <= eff) additionally requires
-// complete=true (the merge covers every run) and no memtable entry,
-// because only then is the tombstone provably the key's newest version.
-func (e *Engine) mergeLocked(inputs []*table, complete bool, eff uint64) error {
-	merged := make(map[string][]storage.Version)
-	for _, t := range inputs {
-		err := t.scanRange("", "", func(key string, vs []storage.Version) bool {
-			merged[key] = append(merged[key], vs...)
+// mergeLocked rewrites the adjacent tables e.tables[from:to] as one run
+// in their slot. Walking the inputs newest first, the first value seen
+// for a key is its value.
+func (e *Engine) mergeLocked(from, to int) error {
+	inputs := e.tables[from:to]
+	merged := make(map[string][]byte)
+	for i := len(inputs) - 1; i >= 0; i-- {
+		err := inputs[i].scanRange("", "", func(key string, val []byte) bool {
+			if _, seen := merged[key]; !seen {
+				merged[key] = val
+			}
 			return true
 		})
 		if err != nil {
 			return err
 		}
 	}
-	keys := make([]string, 0, len(merged))
-	for key := range merged {
-		keys = append(keys, key)
+	pairs := make([]storage.Pair, 0, len(merged))
+	for key, val := range merged {
+		pairs = append(pairs, storage.Pair{Key: key, Value: val})
 	}
-	sort.Strings(keys)
-	entries := make([]tableEntry, 0, len(keys))
-	for _, key := range keys {
-		vs := merged[key]
-		sort.Slice(vs, func(i, j int) bool { return vs[i].Seq < vs[j].Seq })
-		if mvs, inMem := e.mem.get(key); inMem {
-			if _, visible := newestAtMost(mvs, eff); visible {
-				// Every memtable version outranks every run version, so a
-				// memtable version at or below eff supersedes the key's
-				// whole on-disk history: no read at or after eff (nor any
-				// open snapshot, all >= eff) can observe it.
-				continue
-			}
-		}
-		if i := sort.Search(len(vs), func(i int) bool { return vs[i].Seq > eff }); i > 1 {
-			vs = vs[i-1:]
-		}
-		if complete && len(vs) == 1 && vs[0].Tombstone && vs[0].Seq <= eff {
-			if _, inMem := e.mem.get(key); !inMem {
-				continue
-			}
-		}
-		entries = append(entries, tableEntry{key: key, versions: vs})
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
+	id := e.nextID
+	nt, err := writeTable(filepath.Join(e.opts.Dir, tableFileName(id)),
+		pairs, e.opts.BlockBytes, e.opts.BloomBitsPerKey)
+	if err != nil {
+		return err
 	}
-
-	inputSet := make(map[*table]bool, len(inputs))
-	for _, t := range inputs {
-		inputSet[t] = true
-	}
-	// Fresh slice: inputs may be e.tables itself, so appending into the
-	// old backing array would overwrite the very tables the cleanup
-	// loop below still needs to close.
-	kept := make([]*table, 0, len(e.tables))
-	for _, t := range e.tables {
-		if !inputSet[t] {
-			kept = append(kept, t)
-		}
-	}
-	if len(entries) > 0 {
-		id := e.nextID
-		nt, err := writeTable(filepath.Join(e.opts.Dir, tableFileName(id)),
-			entries, e.opts.BlockBytes, e.opts.BloomBitsPerKey)
-		if err != nil {
-			e.tables = append(kept, inputs...) // restore; retry later
-			return err
-		}
-		nt.id, nt.io = id, &e.io
-		e.nextID++
-		kept = append(kept, nt)
-	}
-	e.tables = kept
+	nt.id, nt.io = id, &e.io
+	e.nextID++
+	// Fresh slice: inputs aliases e.tables, which the cleanup loop below
+	// still needs to read.
+	tables := make([]*table, 0, len(e.tables)-len(inputs)+1)
+	tables = append(tables, e.tables[:from]...)
+	tables = append(tables, nt)
+	tables = append(tables, e.tables[to:]...)
+	e.tables = tables
 	e.compactions.Add(1)
 	if err := e.writeManifestLocked(); err != nil {
 		return err
@@ -785,14 +551,14 @@ func (e *Engine) Stats() Stats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	s := Stats{
-		SSTables:         len(e.tables),
-		MemtableBytes:    e.mem.bytes,
-		MemtableVersions: e.mem.versionCount(),
-		Flushes:          e.flushes.Load(),
-		Compactions:      e.compactions.Load(),
-		BloomMisses:      e.io.bloomMisses.Load(),
-		BlockReads:       e.io.blockReads.Load(),
-		ReadErrors:       e.io.readErrors.Load(),
+		SSTables:      len(e.tables),
+		MemtableBytes: e.mem.Bytes(),
+		Flushes:       e.flushes.Load(),
+		FlushErrors:   e.flushErrors.Load(),
+		Compactions:   e.compactions.Load(),
+		BloomMisses:   e.io.bloomMisses.Load(),
+		BlockReads:    e.io.blockReads.Load(),
+		ReadErrors:    e.io.readErrors.Load(),
 	}
 	for _, t := range e.tables {
 		s.DiskBytes += t.size

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/storage"
@@ -69,31 +68,25 @@ func TestReopenRecoversFlushedState(t *testing.T) {
 	for i := 0; i < n; i++ {
 		e.Put(fmt.Sprintf("key-%03d", i), []byte(fmt.Sprintf("val-%d", i)), nil)
 	}
-	e.Delete("key-007", nil)
-	wantSeq := e.Seq()
+	e.Put("key-007", []byte("rewritten"), nil)
 	if err := e.Close(); err != nil { // Close flushes the memtable
 		t.Fatalf("Close: %v", err)
 	}
 
 	r := openTest(t, Options{Dir: dir, MemtableBytes: 1 << 10})
-	if got := r.Seq(); got != wantSeq {
-		t.Fatalf("reopened Seq() = %d, want %d", got, wantSeq)
+	if got := r.Len(); got != n {
+		t.Fatalf("reopened Len() = %d, want %d", got, n)
 	}
-	if got := r.Len(); got != n-1 {
-		t.Fatalf("reopened Len() = %d, want %d", got, n-1)
+	if v, ok := r.Get("key-042"); !ok || string(v) != "val-42" {
+		t.Fatalf("reopened Get(key-042) = %q, %v", v, ok)
 	}
-	if v, ok := r.Get("key-042"); !ok || string(v.Value) != "val-42" {
-		t.Fatalf("reopened Get(key-042) = %+v, %v", v, ok)
+	if v, ok := r.Get("key-007"); !ok || string(v) != "rewritten" {
+		t.Fatalf("reopened Get(key-007) = %q, %v; want the rewrite", v, ok)
 	}
-	if _, ok := r.Get("key-007"); ok {
-		t.Fatal("reopened Get(key-007): deleted key visible")
-	}
-	if v, ok := r.GetAny("key-007"); !ok || !v.Tombstone {
-		t.Fatalf("reopened GetAny(key-007) = %+v, %v; want tombstone", v, ok)
-	}
-	// Writes continue from the recovered sequence horizon.
-	if s := r.Put("after", []byte("x"), nil); s != wantSeq+1 {
-		t.Fatalf("post-reopen Put seq = %d, want %d", s, wantSeq+1)
+	// Writes after the reopen outrank what it restored.
+	r.Put("key-042", []byte("after"), nil)
+	if v, ok := r.Get("key-042"); !ok || string(v) != "after" {
+		t.Fatalf("Get(key-042) after a post-reopen Put = %q, %v", v, ok)
 	}
 }
 
@@ -112,9 +105,7 @@ func TestOpenSweepsOrphanTables(t *testing.T) {
 	}
 
 	orphan := filepath.Join(dir, tableFileName(999))
-	if _, err := writeTable(orphan, []tableEntry{
-		{key: "ghost", versions: []storage.Version{{Seq: 12345, Value: []byte("boo")}}},
-	}, 0, 0); err != nil {
+	if _, err := writeTable(orphan, []storage.Pair{{Key: "ghost", Value: []byte("boo")}}, 0, 0); err != nil {
 		t.Fatalf("write orphan: %v", err)
 	}
 
@@ -122,8 +113,8 @@ func TestOpenSweepsOrphanTables(t *testing.T) {
 	if _, ok := r.Get("ghost"); ok {
 		t.Fatal("orphan table contents visible after reopen")
 	}
-	if v, ok := r.Get("real"); !ok || string(v.Value) != "x" {
-		t.Fatalf("Get(real) = %+v, %v", v, ok)
+	if v, ok := r.Get("real"); !ok || string(v) != "x" {
+		t.Fatalf("Get(real) = %q, %v", v, ok)
 	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Fatalf("orphan file still on disk (stat err = %v)", err)
@@ -164,8 +155,8 @@ func TestBloomFiltersKeepNegativeLookupsCheap(t *testing.T) {
 
 func TestLimitedScanReadsAWindowNotTheTree(t *testing.T) {
 	// Scan with a limit must stop once it has the pairs asked for: one
-	// block per run for limit 1, however large the tree, and it must still
-	// walk on past a run of tombstones to the first live key.
+	// block per run for limit 1, however large the tree, and what it
+	// returns is each key's newest value.
 	e := openTest(t, Options{MemtableBytes: 1 << 10, BlockBytes: 512, MaxTablesPerTier: 100})
 	const n = 500
 	for i := 0; i < n; i++ {
@@ -182,22 +173,20 @@ func TestLimitedScanReadsAWindowNotTheTree(t *testing.T) {
 	if reads := e.Stats().BlockReads - st.BlockReads; reads > uint64(st.SSTables) {
 		t.Fatalf("Scan limit 1 read %d blocks of %d tables", reads, st.SSTables)
 	}
-	for i := 0; i < 40; i++ {
-		e.Delete(fmt.Sprintf("k-%04d", i), nil)
-	}
-	got = e.Scan("", "", 3)
-	if len(got) != 3 || got[0].Key != "k-0040" || got[2].Key != "k-0042" {
-		t.Fatalf("Scan limit 3 past 40 tombstones = %v, want k-0040..k-0042", got)
-	}
-	if all := e.ScanAll("", "", 3); len(all) != 3 || all[0].Key != "k-0000" {
-		t.Fatalf("ScanAll limit 3 = %v, want the tombstoned k-0000 first", all)
+	e.Put("k-0001", []byte("new"), nil)
+	got = e.Scan("k-0001", "", 3)
+	if len(got) != 3 || string(got[0].Value) != "new" || got[2].Key != "k-0003" {
+		t.Fatalf("Scan limit 3 after a rewrite = %v, want k-0001=new..k-0003", got)
 	}
 }
 
 func TestTierCompactionBoundsTableCount(t *testing.T) {
 	e := openTest(t, Options{MemtableBytes: 1 << 10, MaxTablesPerTier: 4})
+	newest := make(map[string]string)
 	for i := 0; i < 2000; i++ {
-		e.Put(fmt.Sprintf("key-%05d", i%300), []byte(fmt.Sprintf("value-%d", i)), nil)
+		key, val := fmt.Sprintf("key-%05d", i%300), fmt.Sprintf("value-%d", i)
+		e.Put(key, []byte(val), nil)
+		newest[key] = val
 	}
 	st := e.Stats()
 	if st.Flushes < 8 {
@@ -210,173 +199,214 @@ func TestTierCompactionBoundsTableCount(t *testing.T) {
 		t.Fatalf("compaction did not reduce table count: %d tables from %d flushes",
 			st.SSTables, st.Flushes)
 	}
-	// Merges must not lose data: every key's newest version survives.
-	for i := 0; i < 300; i++ {
-		key := fmt.Sprintf("key-%05d", i)
-		if _, ok := e.Get(key); !ok {
-			t.Fatalf("key %q lost across compactions", key)
+	// Merges must not lose data: every key keeps its newest value.
+	for key, want := range newest {
+		if v, ok := e.Get(key); !ok || string(v) != want {
+			t.Fatalf("Get(%q) = %q, %v across compactions; want %q", key, v, ok, want)
 		}
 	}
 }
 
-// TestCompactReclaimsDiskAndPurgesTombstones pins the explicit-Compact
-// path: after overwrites and deletes, Compact at the current horizon
-// merges all runs, drops obsolete versions, and purges fully
-// tombstoned keys from disk.
-func TestCompactReclaimsDiskAndPurgesTombstones(t *testing.T) {
-	e := openTest(t, Options{MemtableBytes: 1 << 10})
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 100; i++ {
-			e.Put(fmt.Sprintf("key-%03d", i), bytes.Repeat([]byte{byte(round)}, 64), nil)
+// TestRewrittenKeyCostsOneBlockRead: a key every run holds is read from
+// the newest run alone. Recency is the run's position, so the lookup
+// stops at the first run that has the key instead of consulting all.
+func TestRewrittenKeyCostsOneBlockRead(t *testing.T) {
+	e := openTest(t, Options{MaxTablesPerTier: 100})
+	for round := 0; round < 4; round++ {
+		e.Put("hot", []byte(fmt.Sprintf("v%d", round)), nil)
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for i := 0; i < 50; i++ {
-		e.Delete(fmt.Sprintf("key-%03d", i), nil)
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
 	}
 	before := e.Stats()
-	e.Compact(e.Seq())
-	after := e.Stats()
-
-	if after.DiskBytes >= before.DiskBytes {
-		t.Fatalf("Compact did not reclaim disk: %d -> %d bytes", before.DiskBytes, after.DiskBytes)
+	if before.SSTables != 4 {
+		t.Fatalf("want 4 runs each holding the key, got %d", before.SSTables)
 	}
-	if got := e.VersionCount(); got != 50 {
-		t.Fatalf("VersionCount after full compact = %d, want 50 (one live version each)", got)
-	}
-	if got := e.Len(); got != 50 {
-		t.Fatalf("Len after compact = %d, want 50", got)
-	}
-	// Purged tombstones are gone even from the any-version view.
-	if _, ok := e.GetAny("key-000"); ok {
-		t.Fatal("purged tombstone still visible via GetAny")
-	}
-}
-
-func TestSnapshotPinsCompactionAcrossTables(t *testing.T) {
-	e := openTest(t, Options{MemtableBytes: 1 << 10})
-	for i := 0; i < 100; i++ {
-		e.Put(fmt.Sprintf("key-%03d", i), []byte("old"), nil)
-	}
-	snap := e.OpenSnapshot()
-	for i := 0; i < 100; i++ {
-		e.Put(fmt.Sprintf("key-%03d", i), []byte("new"), nil)
-	}
-	// Compact at the live horizon; the open snapshot must clamp the cut.
-	e.Compact(e.Seq())
-	for i := 0; i < 100; i++ {
-		key := fmt.Sprintf("key-%03d", i)
-		if v, ok := snap.Get(key); !ok || string(v.Value) != "old" {
-			t.Fatalf("snap.Get(%q) = %+v, %v; want old", key, v, ok)
+	const gets = 10
+	for i := 0; i < gets; i++ {
+		if v, ok := e.Get("hot"); !ok || string(v) != "v3" {
+			t.Fatalf("Get(hot) = %q, %v; want v3", v, ok)
 		}
 	}
-	snap.Release()
-	// After release the cut applies on the next compaction.
-	e.Compact(e.Seq())
-	if got := e.VersionCount(); got != 100 {
-		t.Fatalf("VersionCount after release+compact = %d, want 100", got)
+	if reads := e.Stats().BlockReads - before.BlockReads; reads != gets {
+		t.Fatalf("%d Gets of a key in %d runs read %d blocks, want one each", gets, before.SSTables, reads)
 	}
 }
 
-func TestMetaRoundTripsThroughFlush(t *testing.T) {
+// TestMergeKeepsNewestValueOfAMiddleRun builds runs whose tiers go
+// small, big, small: the two small runs share a tier but are not
+// adjacent, and the big one between them rewrites a key the older small
+// run holds. Only adjacent runs may merge, into their own slot; a merge
+// of the two small runs would make the older value look newer.
+func TestMergeKeepsNewestValueOfAMiddleRun(t *testing.T) {
+	e := openTest(t, Options{MemtableBytes: 8 << 20, MaxTablesPerTier: 2})
+	model := make(map[string]string)
+	put := func(key, val string) {
+		e.Put(key, []byte(val), nil)
+		model[key] = val
+	}
+	flush := func(what string) {
+		t.Helper()
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := e.Get("k"); !ok || string(v) != "new" {
+			t.Fatalf("after %s: Get(k) = %q, %v; want new", what, v, ok)
+		}
+		for _, p := range e.Scan("", "", 0) {
+			if string(p.Value) != model[p.Key] {
+				t.Fatalf("after %s: %s = %q, want %q", what, p.Key, p.Value, model[p.Key])
+			}
+		}
+	}
+	put("k", "old")
+	put("small-a", "a")
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	put("k", "new")
+	for i := 0; i < 100; i++ { // ~100 KiB: one tier above the small runs
+		put(fmt.Sprintf("big-%03d", i), string(bytes.Repeat([]byte{'b'}, 1<<10)))
+	}
+	flush("the big run")
+	for round := 0; round < 6; round++ {
+		put(fmt.Sprintf("small-%d", round), "s")
+		flush(fmt.Sprintf("small run %d", round))
+	}
+	st := e.Stats()
+	if st.Compactions == 0 {
+		t.Fatal("no merges ran")
+	}
+	if tiers := []int{tierOf(e.tables[0].size), tierOf(e.tables[1].size)}; tiers[0] == tiers[1] {
+		t.Fatalf("the oldest two runs share tier %d: the layout this test needs did not form", tiers[0])
+	}
+	if len(e.tables) != 3 {
+		t.Fatalf("%d runs, want the oldest small one, the big one and the merged small ones", len(e.tables))
+	}
+}
+
+// TestFailedFlushRetriesAfterAnotherThreshold: a flush that fails keeps
+// the memtable and is retried once the memtable has grown by another
+// threshold's worth, not on every later Put.
+func TestFailedFlushRetriesAfterAnotherThreshold(t *testing.T) {
+	dir := t.TempDir()
+	e := openTest(t, Options{Dir: dir, MemtableBytes: 1 << 10})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	value := bytes.Repeat([]byte{'v'}, 100)
+	for i := 0; i < 15; i++ { // past the threshold once, not twice
+		e.Put(fmt.Sprintf("k%02d", i), value, nil)
+	}
+	st := e.Stats()
+	if st.FlushErrors != 1 || st.Flushes != 0 {
+		t.Fatalf("%d puts past the threshold: %d failed flushes and %d flushes, want 1 and 0", 15-9, st.FlushErrors, st.Flushes)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("a failed flush recreated the directory: %v", err)
+	}
+	// The directory is back: the next retry succeeds and keeps every key.
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 15; i < 25; i++ {
+		e.Put(fmt.Sprintf("k%02d", i), value, nil)
+	}
+	if st := e.Stats(); st.FlushErrors != 1 || st.Flushes != 1 || st.MemtableBytes >= 1<<10 {
+		t.Fatalf("after the directory came back: %+v, want one flush", st)
+	}
+	if got := e.Len(); got != 25 {
+		t.Fatalf("Len() = %d, want 25", got)
+	}
+}
+
+// TestFailedTableWriteLeavesNoFile: a table the engine fails to finish
+// writing is removed, so a full disk does not get fuller.
+func TestFailedTableWriteLeavesNoFile(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to write to")
+	}
 	dir := t.TempDir()
 	e := openTest(t, Options{Dir: dir})
-	want := map[string][]byte{"k": []byte("meta-string"), "k2": {1, 2, 3}, "empty": {}, "none": nil}
-	for key, meta := range want {
-		e.Put(key, []byte("v"), meta)
+	e.Put("k", []byte("v"), nil)
+	path := filepath.Join(dir, tableFileName(e.nextID))
+	if err := os.Symlink("/dev/full", path); err != nil {
+		t.Fatal(err)
 	}
-	e.Delete("gone", []byte("why"))
-	if err := e.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	if err := e.Flush(); err == nil {
+		t.Fatal("a flush onto a full device succeeded")
 	}
-	r := openTest(t, Options{Dir: dir})
-	for key, meta := range want {
-		// DeepEqual: a nil meta and an empty one stay apart.
-		if v, ok := r.Get(key); !ok || !reflect.DeepEqual(v.Meta, meta) {
-			t.Fatalf("Get(%s).Meta = %#v, %v; want %#v", key, v.Meta, ok, meta)
-		}
+	if _, err := os.Lstat(path); !os.IsNotExist(err) {
+		t.Fatalf("the failed table is still on disk (lstat err = %v)", err)
 	}
-	if v, ok := r.GetAny("gone"); !ok || !v.Tombstone || string(v.Meta) != "why" {
-		t.Fatalf("GetAny(gone) = %+v, %v; want a tombstone with meta why", v, ok)
+	if st := e.Stats(); st.FlushErrors != 1 {
+		t.Fatalf("FlushErrors = %d, want 1", st.FlushErrors)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if v, ok := e.Get("k"); !ok || string(v) != "v" {
+		t.Fatalf("Get(k) after the retried flush = %q, %v", v, ok)
 	}
 }
 
 // TestCompactionPreservesFlatScanEquivalence is the compaction
-// property test: however the version history is physically arranged —
-// memtable, many small tables, or freshly merged runs — the live view
-// must equal a flat map replaying the same operations. A random
-// workload with interleaved Flush and Compact calls drives the engine
-// through every arrangement; after each compaction the full scan, a
-// handful of point gets, and Len must all match the model exactly.
+// property test: however the values are physically arranged — memtable,
+// many small tables, or freshly merged runs — the view must equal a flat
+// map replaying the same operations. A random workload with interleaved
+// flushes drives the engine through every arrangement; after each flush
+// (and the merges it triggers) the full scan, a handful of point gets,
+// and Len must all match the model exactly.
 func TestCompactionPreservesFlatScanEquivalence(t *testing.T) {
-	e := openTest(t, Options{MemtableBytes: 1 << 10, BlockBytes: 256})
+	e := openTest(t, Options{MemtableBytes: 1 << 10, BlockBytes: 256, MaxTablesPerTier: 2})
 	rng := rand.New(rand.NewSource(11))
-	flat := make(map[string]string) // live view: key -> newest value
+	flat := make(map[string]string)
 
-	checkFlat := func(step int) {
+	checkFlat := func(step int, e *Engine) {
 		t.Helper()
 		got := e.Scan("", "", 0)
-		if len(got) != len(flat) {
-			t.Fatalf("step %d: scan has %d keys, flat model %d", step, len(got), len(flat))
+		if len(got) != len(flat) || e.Len() != len(flat) {
+			t.Fatalf("step %d: scan has %d keys, Len %d, flat model %d", step, len(got), e.Len(), len(flat))
 		}
 		for _, p := range got {
-			want, ok := flat[p.Key]
-			if !ok {
-				t.Fatalf("step %d: scan shows deleted/unknown key %q", step, p.Key)
-			}
-			if string(p.Version.Value) != want {
-				t.Fatalf("step %d: key %q = %q, flat model %q", step, p.Key, p.Version.Value, want)
-			}
-			if p.Version.Tombstone {
-				t.Fatalf("step %d: live scan returned tombstone for %q", step, p.Key)
+			if want := flat[p.Key]; string(p.Value) != want {
+				t.Fatalf("step %d: key %q = %q, flat model %q", step, p.Key, p.Value, want)
 			}
 		}
-		if e.Len() != len(flat) {
-			t.Fatalf("step %d: Len = %d, flat model %d", step, e.Len(), len(flat))
+		for i := 0; i < 5; i++ {
+			key := fmt.Sprintf("p-%02d", rng.Intn(70))
+			v, ok := e.Get(key)
+			want, wok := flat[key]
+			if ok != wok || string(v) != want {
+				t.Fatalf("step %d: Get(%q) = %q, %v; flat model %q, %v", step, key, v, ok, want, wok)
+			}
 		}
 	}
 
 	const keys = 60
 	for step := 0; step < 4000; step++ {
 		key := fmt.Sprintf("p-%02d", rng.Intn(keys))
-		switch {
-		case rng.Intn(10) == 0: // delete
-			e.Delete(key, nil)
-			delete(flat, key)
-		default:
-			val := fmt.Sprintf("v%d", step)
-			e.Put(key, []byte(val), nil)
-			flat[key] = val
-		}
-		switch {
-		case step%503 == 0:
+		val := fmt.Sprintf("v%d", step)
+		e.Put(key, []byte(val), nil)
+		flat[key] = val
+		if step%503 == 0 {
 			if err := e.Flush(); err != nil {
 				t.Fatalf("step %d: flush: %v", step, err)
 			}
-			checkFlat(step)
-		case step%701 == 0:
-			e.Compact(e.Seq())
-			checkFlat(step)
+		}
+		if step%301 == 0 {
+			checkFlat(step, e)
 		}
 	}
-	e.Compact(e.Seq())
-	checkFlat(4000)
+	if e.Stats().Compactions == 0 {
+		t.Fatal("no merges ran")
+	}
+	checkFlat(4000, e)
 	// And the arrangement-independence must survive a restart: reopen
 	// and compare the flat view against what the manifest restored.
 	dir := e.opts.Dir
 	if err := e.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	e2 := openTest(t, Options{Dir: dir, MemtableBytes: 1 << 10, BlockBytes: 256})
-	got := e2.Scan("", "", 0)
-	if len(got) != len(flat) {
-		t.Fatalf("after reopen: scan has %d keys, flat model %d", len(got), len(flat))
-	}
-	for _, p := range got {
-		if want := flat[p.Key]; string(p.Version.Value) != want {
-			t.Fatalf("after reopen: key %q = %q, flat model %q", p.Key, p.Version.Value, want)
-		}
-	}
+	checkFlat(4001, openTest(t, Options{Dir: dir, MemtableBytes: 1 << 10, BlockBytes: 256}))
 }

@@ -13,8 +13,8 @@ import (
 
 var manifestCases = []manifest{
 	{},
-	{seq: 1, nextID: 1, tables: []uint64{0}},
-	{seq: 1 << 40, nextID: 300, watermark: 1<<40 - 7, tables: []uint64{299, 12, 1 << 33}},
+	{nextID: 1, tables: []uint64{0}},
+	{nextID: 300, tables: []uint64{299, 12, 1 << 33}},
 }
 
 func TestManifestRoundTrip(t *testing.T) {
@@ -45,11 +45,13 @@ func TestManifestRejectsTruncationAndTrailingBytes(t *testing.T) {
 	}
 }
 
-// What the commits before this layout wrote starts with the length byte
-// of a gob stream: refused as too old. Any other unknown byte is not.
+// What the commits before the binary layouts wrote starts with the length
+// byte of a gob stream, and the binary layout before this one starts with
+// manifestFormatSeq: both are refused as too old. Any other unknown byte
+// is not.
 func TestManifestFormatByte(t *testing.T) {
 	b := appendManifest(nil, manifestCases[1])
-	for _, lead := range []byte{0x01, 0x2C, 0x7F, 0xF8, 0xFF} {
+	for _, lead := range []byte{0x01, 0x2C, 0x7F, 0xF8, 0xFF, manifestFormatSeq} {
 		b[0] = lead
 		if _, err := decodeManifest(b); !errors.Is(err, wire.ErrFormatTooOld) {
 			t.Errorf("manifest led by %#x: got %v, want wire.ErrFormatTooOld", lead, err)
@@ -67,8 +69,8 @@ func FuzzManifestDecode(f *testing.F) {
 	for _, m := range manifestCases {
 		f.Add(appendManifest(nil, m))
 	}
-	f.Add([]byte{manifestFormat, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // a count far past the bytes
-	f.Add([]byte{0x2C, 0xFF, 0x81})                                      // gob
+	f.Add([]byte{manifestFormat, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // a count far past the bytes
+	f.Add([]byte{0x2C, 0xFF, 0x81})                                // gob
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeManifest(data)
 		if err != nil {
@@ -100,24 +102,27 @@ func readDir(t *testing.T, dir string) map[string]string {
 
 // Open sweeps every .sst its manifest does not list. A manifest it cannot
 // read lists nothing, so Open must fail before the sweep: refusing a data
-// directory may not be what destroys it. The directory is the one the
-// previous format generation wrote (gob manifest, current SSTable).
+// directory may not be what destroys it. The directories are the ones
+// earlier format generations wrote: a gob manifest (v1), and the binary
+// manifest whose tables carried sequence numbers (v2).
 func TestRefusedOpenLeavesDirectoryUntouched(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "shard-0")
-	wiretest.CopyTree(t, filepath.Join("..", "quorum", "testdata", "v1", "lsm", "lsm", "shard-0"), dir)
-	before := readDir(t, dir)
-	if len(before) < 2 {
-		t.Fatalf("fixture holds %d files, want a manifest and a table", len(before))
-	}
-	e, err := Open(Options{Dir: dir})
-	if err == nil {
-		e.Close()
-		t.Fatal("opened a directory whose manifest is gob")
-	}
-	if !errors.Is(err, wire.ErrFormatTooOld) {
-		t.Fatalf("refused with %v, want wire.ErrFormatTooOld", err)
-	}
-	if after := readDir(t, dir); !reflect.DeepEqual(after, before) {
-		t.Fatalf("a refused Open changed the directory: %d files before, %d after", len(before), len(after))
+	for _, gen := range []string{"v1", "v2"} {
+		dir := filepath.Join(t.TempDir(), gen, "shard-0")
+		wiretest.CopyTree(t, filepath.Join("..", "quorum", "testdata", gen, "lsm", "lsm", "shard-0"), dir)
+		before := readDir(t, dir)
+		if len(before) < 2 {
+			t.Fatalf("%s fixture holds %d files, want a manifest and a table", gen, len(before))
+		}
+		e, err := Open(Options{Dir: dir})
+		if err == nil {
+			e.Close()
+			t.Fatalf("opened the %s directory", gen)
+		}
+		if !errors.Is(err, wire.ErrFormatTooOld) {
+			t.Fatalf("%s: refused with %v, want wire.ErrFormatTooOld", gen, err)
+		}
+		if after := readDir(t, dir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s: a refused Open changed the directory: %d files before, %d after", gen, len(before), len(after))
+		}
 	}
 }

@@ -15,15 +15,15 @@ import (
 // Tests of the in-place point lookup (findInBlock, table.get) and of the
 // block buffer pool under it.
 
-// get is lookup plus the copy that lets a version outlive its block, as
+// get is lookup plus the copy that lets a value outlive its block, as
 // the engine's own reads do.
-func (t *table) get(key string, at uint64) (v storage.Version, ok, skipped bool, err error) {
-	v, bp, ok, skipped, err := t.lookup(key, at)
+func (t *table) get(key string) (v []byte, ok, skipped bool, err error) {
+	v, bp, ok, skipped, err := t.lookup(key)
 	if !ok {
-		return v, false, skipped, err
+		return nil, false, skipped, err
 	}
 	defer releaseBlock(bp)
-	return ownVersion(v), true, false, nil
+	return bytes.Clone(v), true, false, nil
 }
 
 // valueFor is the one value key ever holds in these tests, so a read
@@ -37,14 +37,12 @@ func valueFor(key string, size int) []byte {
 // absent keys that sort between two groups, before the first block and
 // after the last.
 func TestTableGetByPosition(t *testing.T) {
-	var entries []tableEntry
+	var pairs []storage.Pair
 	for i := 0; i < 60; i++ {
 		key := fmt.Sprintf("key-%03d", i*2) // even numbers: odd ones sort between
-		entries = append(entries, tableEntry{key: key, versions: []storage.Version{
-			{Seq: uint64(i + 1), Value: valueFor(key, 40)},
-		}})
+		pairs = append(pairs, storage.Pair{Key: key, Value: valueFor(key, 40)})
 	}
-	tab, err := writeTable(filepath.Join(t.TempDir(), "t.sst"), entries, 256, 10)
+	tab, err := writeTable(filepath.Join(t.TempDir(), "t.sst"), pairs, 256, 10)
 	if err != nil {
 		t.Fatalf("writeTable: %v", err)
 	}
@@ -53,7 +51,7 @@ func TestTableGetByPosition(t *testing.T) {
 		t.Fatalf("want at least 3 blocks, got %d", len(tab.blocks))
 	}
 	// What each block holds, by the copying parser.
-	blocks := make([][]tableEntry, len(tab.blocks))
+	blocks := make([][]storage.Pair, len(tab.blocks))
 	for i := range tab.blocks {
 		bp, err := tab.readBlock(i)
 		if err != nil {
@@ -75,13 +73,13 @@ func TestTableGetByPosition(t *testing.T) {
 		name, key string
 		found     bool
 	}{
-		{"first group of the first block", blocks[0][0].key, true},
-		{"first group of a middle block", mid[0].key, true},
-		{"middle group of a block", mid[len(mid)/2].key, true},
-		{"last group of a block", mid[len(mid)-1].key, true},
-		{"last group of the last block", lastBlock[len(lastBlock)-1].key, true},
-		{"absent, between two groups", between(mid[0].key), false},
-		{"absent, between two blocks", between(mid[len(mid)-1].key), false},
+		{"first group of the first block", blocks[0][0].Key, true},
+		{"first group of a middle block", mid[0].Key, true},
+		{"middle group of a block", mid[len(mid)/2].Key, true},
+		{"last group of a block", mid[len(mid)-1].Key, true},
+		{"last group of the last block", lastBlock[len(lastBlock)-1].Key, true},
+		{"absent, between two groups", between(mid[0].Key), false},
+		{"absent, between two blocks", between(mid[len(mid)-1].Key), false},
 		{"absent, before the first block", "key-", false},
 		{"absent, after the last block", "key-999", false},
 	}
@@ -89,12 +87,12 @@ func TestTableGetByPosition(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// The bloom filter may exclude an absent key before any block
 			// is read; the walker itself is asked too.
-			v, ok, _, err := tab.get(tc.key, latest)
+			v, ok, _, err := tab.get(tc.key)
 			if err != nil || ok != tc.found {
 				t.Fatalf("get(%q) = ok=%v err=%v, want ok=%v", tc.key, ok, err, tc.found)
 			}
-			if ok && !bytes.Equal(v.Value, valueFor(tc.key, 40)) {
-				t.Fatalf("get(%q) = %q", tc.key, v.Value)
+			if ok && !bytes.Equal(v, valueFor(tc.key, 40)) {
+				t.Fatalf("get(%q) = %q", tc.key, v)
 			}
 			if i := tab.blockFor(tc.key); i >= 0 {
 				bp, err := tab.readBlock(i)
@@ -102,7 +100,7 @@ func TestTableGetByPosition(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer releaseBlock(bp)
-				if _, ok, err := findInBlock(*bp, tc.key, latest); err != nil || ok != tc.found {
+				if _, ok, err := findInBlock(*bp, tc.key); err != nil || ok != tc.found {
 					t.Fatalf("findInBlock(%q) = ok=%v err=%v, want ok=%v", tc.key, ok, err, tc.found)
 				}
 			} else if tc.found {
@@ -118,47 +116,6 @@ func TestTableGetByPosition(t *testing.T) {
 		}
 		checkWalkerAgrees(t, *bp)
 		releaseBlock(bp)
-	}
-}
-
-// TestGetAtReadsEachVersionOfAGroup reads a multi-version group that
-// lives in an SSTable through the engine at each of its seqs, with a
-// tombstone newest.
-func TestGetAtReadsEachVersionOfAGroup(t *testing.T) {
-	e := openTest(t, Options{BlockBytes: 256})
-	for i := 0; i < 20; i++ { // neighbours, so the group sits mid-block
-		e.Put(fmt.Sprintf("k-%02d", i), valueFor("pad", 30), nil)
-	}
-	s1 := e.Put("k-10", []byte("one"), []byte("m1"))
-	s2 := e.Put("k-10", []byte("two"), nil)
-	s3 := e.Delete("k-10", nil)
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.Stats(); st.SSTables != 1 || st.MemtableVersions != 0 {
-		t.Fatalf("want everything in one SSTable, got %+v", st)
-	}
-	for _, tc := range []struct {
-		at         uint64
-		want, meta string
-	}{
-		{s1 - 1, string(valueFor("pad", 30)), ""}, // the put the three overwrote
-		{s1, "one", "m1"},
-		{s2, "two", ""},
-	} {
-		v, ok := e.GetAt("k-10", tc.at)
-		if !ok || string(v.Value) != tc.want || string(v.Meta) != tc.meta {
-			t.Fatalf("GetAt(k-10, %d) = %+v ok=%v, want %q", tc.at, v, ok, tc.want)
-		}
-	}
-	if _, ok := e.GetAt("k-10", s3); ok {
-		t.Fatal("GetAt at the tombstone's seq found a live value")
-	}
-	if _, ok := e.Get("k-10"); ok {
-		t.Fatal("Get found a value under a newest tombstone")
-	}
-	if v, ok := e.GetAny("k-10"); !ok || !v.Tombstone || v.Seq != s3 {
-		t.Fatalf("GetAny = %+v ok=%v, want the tombstone at %d", v, ok, s3)
 	}
 }
 
@@ -180,14 +137,14 @@ func TestCorruptBlockRefusedThroughReusedBuffer(t *testing.T) {
 		t.Fatalf("want at least 2 blocks, got %d", len(tab.blocks))
 	}
 	keyA, keyB := tab.blocks[0].firstKey, tab.blocks[1].firstKey
-	if v, ok := e.Get(keyA); !ok || !bytes.Equal(v.Value, valueFor(keyA, 40)) {
-		t.Fatalf("Get(%q) from block A = %q ok=%v", keyA, v.Value, ok)
+	if v, ok := e.Get(keyA); !ok || !bytes.Equal(v, valueFor(keyA, 40)) {
+		t.Fatalf("Get(%q) from block A = %q ok=%v", keyA, v, ok)
 	}
-	if v, ok := e.Get(keyB); !ok || !bytes.Equal(v.Value, valueFor(keyB, 40)) {
-		t.Fatalf("Get(%q) from block B before the flip = %q ok=%v", keyB, v.Value, ok)
+	if v, ok := e.Get(keyB); !ok || !bytes.Equal(v, valueFor(keyB, 40)) {
+		t.Fatalf("Get(%q) from block B before the flip = %q ok=%v", keyB, v, ok)
 	}
-	if v, ok := e.Get(keyA); !ok || !bytes.Equal(v.Value, valueFor(keyA, 40)) {
-		t.Fatalf("Get(%q) from block A = %q ok=%v", keyA, v.Value, ok)
+	if v, ok := e.Get(keyA); !ok || !bytes.Equal(v, valueFor(keyA, 40)) {
+		t.Fatalf("Get(%q) from block A = %q ok=%v", keyA, v, ok)
 	}
 
 	f, err := os.OpenFile(tab.path, os.O_RDWR, 0)
@@ -207,7 +164,7 @@ func TestCorruptBlockRefusedThroughReusedBuffer(t *testing.T) {
 
 	before := e.Stats().ReadErrors
 	if v, ok := e.Get(keyB); ok {
-		t.Fatalf("Get(%q) from the corrupted block returned %q", keyB, v.Value)
+		t.Fatalf("Get(%q) from the corrupted block returned %q", keyB, v)
 	}
 	if got := e.Stats().ReadErrors - before; got != 1 {
 		t.Fatalf("ReadErrors grew by %d, want 1", got)
@@ -218,8 +175,8 @@ func TestCorruptBlockRefusedThroughReusedBuffer(t *testing.T) {
 	if got := e.Stats().ReadErrors - before; got != 2 {
 		t.Fatalf("ReadErrors after the scan grew by %d, want 2", got)
 	}
-	if v, ok := e.Get(keyA); !ok || !bytes.Equal(v.Value, valueFor(keyA, 40)) {
-		t.Fatalf("Get(%q) from the intact block after the refusal = %q ok=%v", keyA, v.Value, ok)
+	if v, ok := e.Get(keyA); !ok || !bytes.Equal(v, valueFor(keyA, 40)) {
+		t.Fatalf("Get(%q) from the intact block after the refusal = %q ok=%v", keyA, v, ok)
 	}
 }
 
@@ -251,10 +208,10 @@ func TestGetAllocBudget(t *testing.T) {
 		t.Fatalf("block 1 holds %d keys, want at least 3", len(block))
 	}
 	for _, key := range []string{block[0], block[len(block)/2], block[len(block)-1]} {
-		var got storage.Version
+		var got []byte
 		var ok bool
 		objects := testing.AllocsPerRun(100, func() { got, ok = e.Get(key) })
-		if !ok || !bytes.Equal(got.Value, valueFor(key, valueSize)) {
+		if !ok || !bytes.Equal(got, valueFor(key, valueSize)) {
 			t.Fatalf("Get(%q) ok=%v, wrong value", key, ok)
 		}
 		const runs = 200
@@ -283,31 +240,22 @@ func TestReturnedValuesSurviveLaterReads(t *testing.T) {
 	e := openTest(t, Options{MemtableBytes: 32 << 10, BlockBytes: 1 << 10, MaxTablesPerTier: 100})
 	key := func(i int) string { return fmt.Sprintf("k%05d", i) }
 	for i := 0; i < n; i++ {
-		e.Put(key(i), valueFor(key(i), valueSize), []byte(key(i)))
+		e.Put(key(i), valueFor(key(i), valueSize), nil)
 	}
-	snap := e.OpenSnapshot()
-	defer snap.Release()
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	type held struct {
-		key string
-		v   storage.Version
-	}
-	var hold []held
-	for i := 0; i < 1000; i += 5 {
-		for j, read := range []func(string) (storage.Version, bool){
+	hold := make(map[string][]byte)
+	for i := 0; i < 1000; i += 2 {
+		for j, read := range []func(string) ([]byte, bool){
 			e.Get,
-			func(k string) (storage.Version, bool) { return e.GetAt(k, e.Seq()) },
-			e.GetAny,
-			snap.Get,
-			func(k string) (storage.Version, bool) {
+			func(k string) ([]byte, bool) {
 				p := e.Scan(k, "", 1)
 				if len(p) != 1 || p[0].Key != k {
-					return storage.Version{}, false
+					return nil, false
 				}
-				return p[0].Version, true
+				return p[0].Value, true
 			},
 		} {
 			k := key(i + j)
@@ -315,7 +263,7 @@ func TestReturnedValuesSurviveLaterReads(t *testing.T) {
 			if !ok {
 				t.Fatalf("read %d of %q found nothing", j, k)
 			}
-			hold = append(hold, held{k, v})
+			hold[k] = v
 		}
 	}
 	if len(hold) != 1000 {
@@ -323,13 +271,13 @@ func TestReturnedValuesSurviveLaterReads(t *testing.T) {
 	}
 	for i := 0; i < 10000; i++ {
 		k := key(1000 + i%200)
-		if v, ok := e.Get(k); !ok || !bytes.Equal(v.Value, valueFor(k, valueSize)) {
+		if v, ok := e.Get(k); !ok || !bytes.Equal(v, valueFor(k, valueSize)) {
 			t.Fatalf("Get(%q) ok=%v, wrong value", k, ok)
 		}
 	}
-	for _, h := range hold {
-		if !bytes.Equal(h.v.Value, valueFor(h.key, valueSize)) || string(h.v.Meta) != h.key {
-			t.Fatalf("the value held for %q changed under later reads", h.key)
+	for k, v := range hold {
+		if !bytes.Equal(v, valueFor(k, valueSize)) {
+			t.Fatalf("the value held for %q changed under later reads", k)
 		}
 	}
 }
@@ -352,11 +300,11 @@ func TestViewLendsWithoutCopying(t *testing.T) {
 	// A digest: a few bytes decoded out of the lent value into memory fn
 	// owns, as wire.Reader.ID decodes a dot's node name.
 	digest := func(k string) (d string, ok bool) {
-		ok = e.View(k, func(v storage.Version) {
-			if !bytes.Equal(v.Value, valueFor(k, valueSize)) {
+		ok = e.View(k, func(v []byte) {
+			if !bytes.Equal(v, valueFor(k, valueSize)) {
 				t.Errorf("View(%q) lent another key's bytes", k)
 			}
-			d = string(v.Value[:16])
+			d = string(v[:16])
 		})
 		return d, ok
 	}
@@ -385,7 +333,7 @@ func TestViewLendsWithoutCopying(t *testing.T) {
 	k := key(n - 1)
 	var sum int
 	objects := testing.AllocsPerRun(100, func() {
-		e.View(k, func(v storage.Version) { sum += len(v.Value) })
+		e.View(k, func(v []byte) { sum += len(v) })
 	})
 	if sum != 101*valueSize {
 		t.Fatalf("View lent %d bytes over 101 calls, want %d", sum, 101*valueSize)
@@ -396,8 +344,8 @@ func TestViewLendsWithoutCopying(t *testing.T) {
 }
 
 // TestBlockPoolUnderConcurrentReadsAndCompaction shares the pool between
-// point lookups, scans and the merges a writer triggers (run it under
-// -race). Every key only ever holds valueFor(key), so a read that
+// point lookups, scans and the contiguous merges a writer's flushes
+// trigger (run it under -race). Every key only ever holds valueFor(key), so a read that
 // returns anything else came out of a buffer someone else was filling.
 func TestBlockPoolUnderConcurrentReadsAndCompaction(t *testing.T) {
 	const keys, valueSize = 300, 120
@@ -421,7 +369,7 @@ func TestBlockPoolUnderConcurrentReadsAndCompaction(t *testing.T) {
 				default:
 				}
 				k := key(i % keys)
-				if v, ok := e.Get(k); !ok || !bytes.Equal(v.Value, valueFor(k, valueSize)) {
+				if v, ok := e.Get(k); !ok || !bytes.Equal(v, valueFor(k, valueSize)) {
 					t.Errorf("Get(%q) ok=%v, wrong value", k, ok)
 					return
 				}
@@ -438,7 +386,7 @@ func TestBlockPoolUnderConcurrentReadsAndCompaction(t *testing.T) {
 			default:
 			}
 			for _, p := range e.Scan(key(i%keys), "", 20) {
-				if !bytes.Equal(p.Version.Value, valueFor(p.Key, valueSize)) {
+				if !bytes.Equal(p.Value, valueFor(p.Key, valueSize)) {
 					t.Errorf("Scan returned a wrong value for %q", p.Key)
 					return
 				}
@@ -455,7 +403,6 @@ func TestBlockPoolUnderConcurrentReadsAndCompaction(t *testing.T) {
 			e.Put(key(i), valueFor(key(i), valueSize), nil)
 		}
 	}
-	e.Compact(e.Seq())
 	close(stop)
 	wg.Wait()
 }

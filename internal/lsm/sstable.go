@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/bits"
@@ -15,40 +16,29 @@ import (
 
 // SSTable file layout. One immutable sorted run:
 //
-//	data blocks   groups of (key, version list), sorted by key; blocks
-//	              are cut at key-group boundaries near BlockBytes, so a
-//	              key's versions never straddle blocks
+//	data blocks   groups of (key, value), sorted by key; blocks are cut
+//	              at group boundaries near BlockBytes
 //	index block   per data block: first key, offset, length, CRC32C
 //	bloom block   double-hashed bloom filter over the table's keys
-//	footer        fixed 84 bytes: section offsets/lengths, seq bounds,
-//	              counts, section CRCs, footer CRC, magic
+//	footer        fixed 60 bytes: section offsets/lengths, key count,
+//	              section CRCs, footer CRC, magic
 //
-// Version encoding inside a group:
+// A group is one key and its value:
 //
-//	uvarint seq | flags | [uvarint len | value] | [uvarint len | meta]
+//	uvarint keylen | key | uvarint vallen | value
 //
-// flags bit0 = tombstone, bit1 = value present (distinguishes nil from
-// empty), bit2 = meta present (the caller's bytes, stored raw).
+// A table holds no sequence numbers: which of two tables is newer is
+// their position in the manifest's list.
 //
 // Every parse below is bounds-checked: a truncated or corrupted file
 // yields an error, never a panic — pinned by FuzzSSTableDecode.
 
 const (
-	tableMagic    = "ECLSMST1"
-	footerLen     = 8*8 + 4 + 4 + 4 + len(tableMagic) // 84
-	flagTombstone = 1 << 0
-	flagHasValue  = 1 << 1
-	flagHasMeta   = 1 << 2
+	tableMagic = "ECLSMST2"
+	footerLen  = 5*8 + 4 + 4 + 4 + len(tableMagic) // 60
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// tableEntry is one key and its full version history, ascending by Seq
-// — the unit a memtable flush or a compaction merge hands the writer.
-type tableEntry struct {
-	key      string
-	versions []storage.Version
-}
 
 // ── bloom filter ───────────────────────────────────────────────────────
 
@@ -140,36 +130,32 @@ func (c *cursor) take(n uint64) []byte {
 
 func (c *cursor) done() bool { return c.bad || c.off >= len(c.b) }
 
-// ── writer ─────────────────────────────────────────────────────────────
+var errTruncatedGroup = errors.New("lsm: truncated group")
 
-func appendVersion(buf []byte, v storage.Version) []byte {
-	buf = binary.AppendUvarint(buf, v.Seq)
-	flags := byte(0)
-	if v.Tombstone {
-		flags |= flagTombstone
+// group decodes the (key, value) group at the cursor. Both alias the
+// buffer.
+func (c *cursor) group() (key, val []byte, err error) {
+	key = c.take(c.uvarint())
+	val = c.take(c.uvarint())
+	if c.bad {
+		return nil, nil, errTruncatedGroup
 	}
-	if v.Value != nil {
-		flags |= flagHasValue
-	}
-	if v.Meta != nil {
-		flags |= flagHasMeta
-	}
-	buf = append(buf, flags)
-	if v.Value != nil {
-		buf = binary.AppendUvarint(buf, uint64(len(v.Value)))
-		buf = append(buf, v.Value...)
-	}
-	if v.Meta != nil {
-		buf = binary.AppendUvarint(buf, uint64(len(v.Meta)))
-		buf = append(buf, v.Meta...)
-	}
-	return buf
+	return key, val, nil
 }
 
-// writeTable writes one SSTable holding entries (sorted by key, each
-// version list ascending by Seq) and reopens it through the same parse
-// path every reader uses.
-func writeTable(path string, entries []tableEntry, blockBytes, bitsPerKey int) (*table, error) {
+// ── writer ─────────────────────────────────────────────────────────────
+
+func appendGroup(buf []byte, p storage.Pair) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(p.Key)))
+	buf = append(buf, p.Key...)
+	buf = binary.AppendUvarint(buf, uint64(len(p.Value)))
+	return append(buf, p.Value...)
+}
+
+// writeTable writes one SSTable holding pairs (sorted by key) and reopens
+// it through the same parse path every reader uses. A file it fails to
+// finish is removed.
+func writeTable(path string, pairs []storage.Pair, blockBytes, bitsPerKey int) (*table, error) {
 	if blockBytes <= 0 {
 		blockBytes = 16 << 10
 	}
@@ -182,11 +168,8 @@ func writeTable(path string, entries []tableEntry, blockBytes, bitsPerKey int) (
 		nBlocks  uint64
 		blockBuf []byte
 		firstKey string
-		minSeq   = ^uint64(0)
-		maxSeq   uint64
-		versions uint64
 	)
-	bloom := buildBloom(len(entries), bitsPerKey)
+	bloom := buildBloom(len(pairs), bitsPerKey)
 	flushBlock := func() {
 		if len(blockBuf) == 0 {
 			return
@@ -200,32 +183,17 @@ func writeTable(path string, entries []tableEntry, blockBytes, bitsPerKey int) (
 		nBlocks++
 		blockBuf = blockBuf[:0]
 	}
-	for _, e := range entries {
+	for _, p := range pairs {
 		if len(blockBuf) == 0 {
-			firstKey = e.key
+			firstKey = p.Key
 		}
-		bloom.add(e.key)
-		blockBuf = binary.AppendUvarint(blockBuf, uint64(len(e.key)))
-		blockBuf = append(blockBuf, e.key...)
-		blockBuf = binary.AppendUvarint(blockBuf, uint64(len(e.versions)))
-		for _, v := range e.versions {
-			blockBuf = appendVersion(blockBuf, v)
-			if v.Seq < minSeq {
-				minSeq = v.Seq
-			}
-			if v.Seq > maxSeq {
-				maxSeq = v.Seq
-			}
-			versions++
-		}
+		bloom.add(p.Key)
+		blockBuf = appendGroup(blockBuf, p)
 		if len(blockBuf) >= blockBytes {
 			flushBlock()
 		}
 	}
 	flushBlock()
-	if versions == 0 {
-		minSeq = 0
-	}
 
 	var bloomBuf []byte
 	bloomBuf = binary.AppendUvarint(bloomBuf, uint64(bloom.k))
@@ -248,32 +216,34 @@ func writeTable(path string, entries []tableEntry, blockBytes, bitsPerKey int) (
 	le.PutUint64(footer[8:], uint64(len(countedIndex)))
 	le.PutUint64(footer[16:], bloomOff)
 	le.PutUint64(footer[24:], uint64(len(bloomBuf)))
-	le.PutUint64(footer[32:], minSeq)
-	le.PutUint64(footer[40:], maxSeq)
-	le.PutUint64(footer[48:], uint64(len(entries)))
-	le.PutUint64(footer[56:], versions)
-	le.PutUint32(footer[64:], crc32.Checksum(countedIndex, castagnoli))
-	le.PutUint32(footer[68:], crc32.Checksum(bloomBuf, castagnoli))
-	le.PutUint32(footer[72:], crc32.Checksum(footer[:72], castagnoli))
-	copy(footer[76:], tableMagic)
+	le.PutUint64(footer[32:], uint64(len(pairs)))
+	le.PutUint32(footer[40:], crc32.Checksum(countedIndex, castagnoli))
+	le.PutUint32(footer[44:], crc32.Checksum(bloomBuf, castagnoli))
+	le.PutUint32(footer[48:], crc32.Checksum(footer[:48], castagnoli))
+	copy(footer[52:], tableMagic)
 	file = append(file, footer[:]...)
 
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := f.Write(file); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFile(path, file); err != nil {
+		os.Remove(path)
 		return nil, err
 	}
 	return openTable(path)
+}
+
+// writeFile writes b to path and syncs it.
+func writeFile(path string, b []byte) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // ── reader ─────────────────────────────────────────────────────────────
@@ -290,17 +260,14 @@ type blockMeta struct {
 // through it, which is what lets compaction swap tables out from under
 // concurrent readers without coordination.
 type table struct {
-	f        *os.File
-	path     string
-	size     int64
-	blocks   []blockMeta
-	bloom    bloomFilter
-	minSeq   uint64
-	maxSeq   uint64
-	keys     int
-	versions int
-	id       uint64   // the engine's number for this run, as in its file name
-	io       *tableIO // engine read counters; nil until attached
+	f      *os.File
+	path   string
+	size   int64
+	blocks []blockMeta
+	bloom  bloomFilter
+	keys   int
+	id     uint64   // the engine's number for this run, as in its file name
+	io     *tableIO // engine read counters; nil until attached
 }
 
 // openTable opens and validates path. Corruption anywhere in the
@@ -332,22 +299,14 @@ func parseTable(f *os.File, path string) (*table, error) {
 	if _, err := f.ReadAt(footer[:], size-int64(footerLen)); err != nil {
 		return nil, err
 	}
-	if string(footer[76:]) != tableMagic {
+	if string(footer[52:]) != tableMagic {
 		return nil, fmt.Errorf("lsm: %s: bad magic", path)
 	}
 	le := binary.LittleEndian
-	if le.Uint32(footer[72:]) != crc32.Checksum(footer[:72], castagnoli) {
+	if le.Uint32(footer[48:]) != crc32.Checksum(footer[:48], castagnoli) {
 		return nil, fmt.Errorf("lsm: %s: footer CRC mismatch", path)
 	}
-	t := &table{
-		f:        f,
-		path:     path,
-		size:     size,
-		minSeq:   le.Uint64(footer[32:]),
-		maxSeq:   le.Uint64(footer[40:]),
-		keys:     int(le.Uint64(footer[48:])),
-		versions: int(le.Uint64(footer[56:])),
-	}
+	t := &table{f: f, path: path, size: size, keys: int(le.Uint64(footer[32:]))}
 	indexOff, indexLen := le.Uint64(footer[0:]), le.Uint64(footer[8:])
 	bloomOff, bloomLen := le.Uint64(footer[16:]), le.Uint64(footer[24:])
 	body := uint64(size - int64(footerLen))
@@ -365,11 +324,11 @@ func parseTable(f *os.File, path string) (*table, error) {
 		}
 		return buf, nil
 	}
-	indexBuf, err := readSection(indexOff, indexLen, le.Uint32(footer[64:]), "index")
+	indexBuf, err := readSection(indexOff, indexLen, le.Uint32(footer[40:]), "index")
 	if err != nil {
 		return nil, err
 	}
-	bloomBuf, err := readSection(bloomOff, bloomLen, le.Uint32(footer[68:]), "bloom")
+	bloomBuf, err := readSection(bloomOff, bloomLen, le.Uint32(footer[44:]), "bloom")
 	if err != nil {
 		return nil, err
 	}
@@ -459,136 +418,56 @@ func (t *table) readBlock(i int) (*[]byte, error) {
 
 func releaseBlock(bp *[]byte) { blockPool.Put(bp) }
 
-// parseGroup decodes one (key, versions) group at the cursor.
-func parseGroup(c *cursor) (string, []storage.Version, error) {
-	keyLen := c.uvarint()
-	key := string(c.take(keyLen))
-	n := c.uvarint()
-	if c.bad || n > uint64(len(c.b)-c.off)+1 {
-		return "", nil, fmt.Errorf("lsm: malformed group header")
-	}
-	vs := make([]storage.Version, 0, n)
-	for i := uint64(0); i < n; i++ {
-		seq := c.uvarint()
-		flagBytes := c.take(1)
-		if c.bad {
-			return "", nil, fmt.Errorf("lsm: truncated version")
-		}
-		flags := flagBytes[0]
-		v := storage.Version{Seq: seq, Tombstone: flags&flagTombstone != 0}
-		if flags&flagHasValue != 0 {
-			val := c.take(c.uvarint())
-			if c.bad {
-				return "", nil, fmt.Errorf("lsm: truncated value")
-			}
-			v.Value = bytes.Clone(val) // non-nil: an empty value stays empty
-		}
-		if flags&flagHasMeta != 0 {
-			mb := c.take(c.uvarint())
-			if c.bad {
-				return "", nil, fmt.Errorf("lsm: truncated meta")
-			}
-			v.Meta = bytes.Clone(mb)
-		}
-		if i > 0 && seq <= vs[len(vs)-1].Seq {
-			return "", nil, fmt.Errorf("lsm: version seqs out of order for %q", key)
-		}
-		vs = append(vs, v)
-	}
-	return key, vs, nil
-}
-
-// findInBlock walks the key groups of one data block in place and
-// returns the newest version of key with Seq <= at. It compares key
-// bytes where they lie and steps over every other group by its lengths,
-// so nothing is materialized on the way; the walk stops at the first
-// greater key. The result's Value and Meta alias block: the caller
-// copies them before the block's buffer is released.
-func findInBlock(block []byte, key string, at uint64) (v storage.Version, ok bool, err error) {
+// findInBlock walks the groups of one data block in place and returns
+// key's value. It compares key bytes where they lie and steps over every
+// other group by its lengths, so nothing is materialized on the way; the
+// walk stops at the first greater key. The value aliases block: the
+// caller copies it before the block's buffer is released.
+func findInBlock(block []byte, key string) (val []byte, ok bool, err error) {
 	c := cursor{b: block}
 	for !c.done() {
-		k := c.take(c.uvarint())
-		n := c.uvarint()
-		if c.bad || n > uint64(len(c.b)-c.off)+1 {
-			return storage.Version{}, false, fmt.Errorf("lsm: malformed group header")
+		k, v, err := c.group()
+		if err != nil {
+			return nil, false, err
+		}
+		if string(k) == key {
+			return v, true, nil
 		}
 		if string(k) > key {
 			break
 		}
-		match := string(k) == key
-		var prev uint64
-		for i := uint64(0); i < n; i++ {
-			seq := c.uvarint()
-			flagBytes := c.take(1)
-			if c.bad {
-				return storage.Version{}, false, fmt.Errorf("lsm: truncated version")
-			}
-			flags := flagBytes[0]
-			var val, meta []byte
-			if flags&flagHasValue != 0 {
-				val = c.take(c.uvarint())
-			}
-			if flags&flagHasMeta != 0 {
-				meta = c.take(c.uvarint())
-			}
-			if c.bad {
-				return storage.Version{}, false, fmt.Errorf("lsm: truncated value or meta")
-			}
-			if !match {
-				continue
-			}
-			if i > 0 && seq <= prev {
-				return storage.Version{}, false, fmt.Errorf("lsm: version seqs out of order for %q", key)
-			}
-			prev = seq
-			if seq <= at {
-				v, ok = storage.Version{Seq: seq, Tombstone: flags&flagTombstone != 0, Value: val, Meta: meta}, true
-			}
-		}
-		if match {
-			return v, ok, nil
-		}
 	}
-	return storage.Version{}, false, nil
+	return nil, false, nil
 }
 
-// lookup returns the newest version of key with Seq <= at held by this
-// table, without copying it: its Value and Meta alias the block buffer
-// bp, which the caller releases once it is done with them. skipped
-// reports that the bloom filter excluded the key without touching any
-// block. bp is nil unless ok.
-func (t *table) lookup(key string, at uint64) (v storage.Version, bp *[]byte, ok, skipped bool, err error) {
+// lookup returns key's value in this table without copying it: it
+// aliases the block buffer bp, which the caller releases once it is done
+// with it. skipped reports that the bloom filter excluded the key without
+// touching any block. bp is nil unless ok.
+func (t *table) lookup(key string) (val []byte, bp *[]byte, ok, skipped bool, err error) {
 	if !t.bloom.mayContain(key) {
-		return storage.Version{}, nil, false, true, nil
+		return nil, nil, false, true, nil
 	}
 	i := t.blockFor(key)
 	if i < 0 {
-		return storage.Version{}, nil, false, false, nil
+		return nil, nil, false, false, nil
 	}
 	bp, err = t.readBlock(i)
 	if err != nil {
-		return storage.Version{}, nil, false, false, err
+		return nil, nil, false, false, err
 	}
-	v, ok, err = findInBlock(*bp, key, at)
+	val, ok, err = findInBlock(*bp, key)
 	if !ok || err != nil {
 		releaseBlock(bp)
-		return storage.Version{}, nil, false, false, err
+		return nil, nil, false, false, err
 	}
-	return v, bp, true, false, nil
+	return val, bp, true, false, nil
 }
 
-// ownVersion copies v's Value and Meta out of the block they alias: the
-// one copy a read that keeps a version makes. What is empty stays empty
-// and what is nil stays nil, as parseGroup has it.
-func ownVersion(v storage.Version) storage.Version {
-	v.Value = bytes.Clone(v.Value)
-	v.Meta = bytes.Clone(v.Meta)
-	return v
-}
-
-// scanRange calls fn for every key group with lo <= key < hi ("" =
-// open) in key order; fn returning false stops the scan.
-func (t *table) scanRange(lo, hi string, fn func(key string, vs []storage.Version) bool) error {
+// scanRange calls fn for every group with lo <= key < hi ("" = open) in
+// key order; fn returning false stops the scan. The value fn receives is
+// a copy, so it stays valid after the block's buffer is released.
+func (t *table) scanRange(lo, hi string, fn func(key string, val []byte) bool) error {
 	start := 0
 	if lo != "" {
 		if start = t.blockFor(lo); start < 0 {
@@ -608,9 +487,8 @@ func (t *table) scanRange(lo, hi string, fn func(key string, vs []storage.Versio
 }
 
 // scanBlock is scanRange's step over block i; more reports whether the
-// scan goes on to the next block. What fn receives is parseGroup's copy,
-// so it stays valid after the block's buffer is released here.
-func (t *table) scanBlock(i int, lo, hi string, fn func(key string, vs []storage.Version) bool) (more bool, err error) {
+// scan goes on to the next block.
+func (t *table) scanBlock(i int, lo, hi string, fn func(key string, val []byte) bool) (more bool, err error) {
 	bp, err := t.readBlock(i)
 	if err != nil {
 		return false, err
@@ -618,17 +496,18 @@ func (t *table) scanBlock(i int, lo, hi string, fn func(key string, vs []storage
 	defer releaseBlock(bp)
 	c := &cursor{b: *bp}
 	for !c.done() {
-		key, vs, err := parseGroup(c)
+		k, val, err := c.group()
 		if err != nil {
 			return false, err
 		}
+		key := string(k)
 		if hi != "" && key >= hi {
 			return false, nil
 		}
 		if key < lo {
 			continue
 		}
-		if !fn(key, vs) {
+		if !fn(key, bytes.Clone(val)) {
 			return false, nil
 		}
 	}

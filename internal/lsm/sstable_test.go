@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,13 +10,10 @@ import (
 	"repro/internal/storage"
 )
 
-// latest reads a key's newest version: no seq is above it.
-const latest = ^uint64(0)
-
-func buildTableBytes(t testing.TB, entries []tableEntry, blockBytes int) []byte {
+func buildTableBytes(t testing.TB, pairs []storage.Pair, blockBytes int) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "t.sst")
-	tab, err := writeTable(path, entries, blockBytes, 10)
+	tab, err := writeTable(path, pairs, blockBytes, 10)
 	if err != nil {
 		t.Fatalf("writeTable: %v", err)
 	}
@@ -30,68 +26,44 @@ func buildTableBytes(t testing.TB, entries []tableEntry, blockBytes int) []byte 
 }
 
 func TestSSTableRoundTrip(t *testing.T) {
-	var entries []tableEntry
-	seq := uint64(0)
+	var pairs []storage.Pair
 	for i := 0; i < 300; i++ {
 		key := fmt.Sprintf("key-%04d", i)
-		var vs []storage.Version
-		for j := 0; j <= i%3; j++ {
-			seq++
-			v := storage.Version{Seq: seq, Value: []byte(fmt.Sprintf("%s/v%d", key, j))}
-			if i%17 == 0 && j == i%3 {
-				v.Tombstone = true
-				v.Value = nil
-			}
-			vs = append(vs, v)
+		val := []byte(fmt.Sprintf("%s/v%d", key, i%3))
+		if i%17 == 0 {
+			val = []byte{}
 		}
-		entries = append(entries, tableEntry{key: key, versions: vs})
+		pairs = append(pairs, storage.Pair{Key: key, Value: val})
 	}
 
 	path := filepath.Join(t.TempDir(), "t.sst")
-	tab, err := writeTable(path, entries, 512, 10) // small blocks: many index entries
+	tab, err := writeTable(path, pairs, 512, 10) // small blocks: many index entries
 	if err != nil {
 		t.Fatalf("writeTable: %v", err)
 	}
 	defer tab.close()
 
-	if tab.keys != len(entries) {
-		t.Fatalf("keys = %d, want %d", tab.keys, len(entries))
-	}
-	if tab.minSeq != 1 || tab.maxSeq != seq {
-		t.Fatalf("seq range [%d,%d], want [1,%d]", tab.minSeq, tab.maxSeq, seq)
+	if tab.keys != len(pairs) {
+		t.Fatalf("keys = %d, want %d", tab.keys, len(pairs))
 	}
 	if len(tab.blocks) < 2 {
 		t.Fatalf("want multiple blocks, got %d", len(tab.blocks))
 	}
-
-	for _, e := range entries {
-		for i, want := range e.versions {
-			// A read at a version's own seq, and just below the next one's,
-			// resolves to that version.
-			ats := []uint64{want.Seq, latest}
-			if i+1 < len(e.versions) {
-				ats[1] = e.versions[i+1].Seq - 1
-			}
-			for _, at := range ats {
-				v, ok, skipped, err := tab.get(e.key, at)
-				if err != nil || !ok || skipped {
-					t.Fatalf("get(%q, %d) = ok=%v skipped=%v err=%v", e.key, at, ok, skipped, err)
-				}
-				if v.Seq != want.Seq || v.Tombstone != want.Tombstone || string(v.Value) != string(want.Value) {
-					t.Fatalf("get(%q, %d) = %+v, want %+v", e.key, at, v, want)
-				}
-			}
+	for _, p := range pairs {
+		v, ok, skipped, err := tab.get(p.Key)
+		if err != nil || !ok || skipped {
+			t.Fatalf("get(%q) = ok=%v skipped=%v err=%v", p.Key, ok, skipped, err)
 		}
-		if _, ok, _, err := tab.get(e.key, e.versions[0].Seq-1); ok || err != nil {
-			t.Fatalf("get(%q) below its first seq = ok=%v err=%v", e.key, ok, err)
+		if !bytes.Equal(v, p.Value) || v == nil {
+			t.Fatalf("get(%q) = %#v, want %#v", p.Key, v, p.Value)
 		}
 	}
-	if _, ok, _, err := tab.get("key-9999", latest); ok || err != nil {
+	if _, ok, _, err := tab.get("key-9999"); ok || err != nil {
 		t.Fatalf("get(absent) = ok=%v err=%v", ok, err)
 	}
 
 	var scanned []string
-	err = tab.scanRange("key-0100", "key-0110", func(key string, vs []storage.Version) bool {
+	err = tab.scanRange("key-0100", "key-0110", func(key string, _ []byte) bool {
 		scanned = append(scanned, key)
 		return true
 	})
@@ -107,11 +79,10 @@ func TestSSTableRoundTrip(t *testing.T) {
 // requires either a clean parse failure or an IO-layer error on read —
 // never a wrong answer accepted silently at the structural level.
 func TestSSTableDetectsCorruption(t *testing.T) {
-	entries := []tableEntry{
-		{key: "alpha", versions: []storage.Version{{Seq: 1, Value: []byte("one")}}},
-		{key: "beta", versions: []storage.Version{{Seq: 2, Value: []byte("two")}}},
-	}
-	clean := buildTableBytes(t, entries, 0)
+	clean := buildTableBytes(t, []storage.Pair{
+		{Key: "alpha", Value: []byte("one")},
+		{Key: "beta", Value: []byte("two")},
+	}, 0)
 	dir := t.TempDir()
 	for off := 0; off < len(clean); off += 7 {
 		mut := append([]byte(nil), clean...)
@@ -126,8 +97,8 @@ func TestSSTableDetectsCorruption(t *testing.T) {
 		}
 		// Structure parsed (corruption was inside a data block): the
 		// block CRC must catch it at read time.
-		_, _, _, gerr := tab.get("alpha", latest)
-		_, _, _, gerr2 := tab.get("beta", latest)
+		_, _, _, gerr := tab.get("alpha")
+		_, _, _, gerr2 := tab.get("beta")
 		tab.close()
 		if gerr == nil && gerr2 == nil {
 			t.Fatalf("corruption at offset %d accepted silently", off)
@@ -136,25 +107,24 @@ func TestSSTableDetectsCorruption(t *testing.T) {
 }
 
 // parseBlock is the reference the in-place walker is held to: every
-// group of a block through parseGroup, as scanRange reads it.
-func parseBlock(block []byte) ([]tableEntry, error) {
-	var out []tableEntry
+// group of a block, decoded in turn as scanRange reads them.
+func parseBlock(block []byte) ([]storage.Pair, error) {
+	var out []storage.Pair
 	c := &cursor{b: block}
 	for !c.done() {
-		key, vs, err := parseGroup(c)
+		key, val, err := c.group()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, tableEntry{key: key, versions: vs})
+		out = append(out, storage.Pair{Key: string(key), Value: val})
 	}
 	return out, nil
 }
 
-// checkWalkerAgrees holds findInBlock to parseBlock on one block: for
-// every key the block holds, at every seq around each of its versions,
-// the walker picks what newestAtMost picks from the parsed history. A
-// block whose keys do not ascend is skipped: no writer produces one, and
-// the walker rightly stops at the first greater key.
+// checkWalkerAgrees holds findInBlock to parseBlock on one block: every
+// key the block holds is found with the value parsed for it. A block
+// whose keys do not ascend is skipped: no writer produces one, and the
+// walker rightly stops at the first greater key.
 func checkWalkerAgrees(t *testing.T, block []byte) {
 	t.Helper()
 	groups, err := parseBlock(block)
@@ -162,26 +132,14 @@ func checkWalkerAgrees(t *testing.T, block []byte) {
 		return
 	}
 	for i := 1; i < len(groups); i++ {
-		if groups[i].key <= groups[i-1].key {
+		if groups[i].Key <= groups[i-1].Key {
 			return
 		}
 	}
 	for _, g := range groups {
-		ats := []uint64{0, latest}
-		for _, v := range g.versions {
-			ats = append(ats, v.Seq-1, v.Seq, v.Seq+1)
-		}
-		for _, at := range ats {
-			want, wantOK := newestAtMost(g.versions, at)
-			got, ok, err := findInBlock(block, g.key, at)
-			if err != nil || ok != wantOK {
-				t.Fatalf("findInBlock(%q, %d) = ok=%v err=%v, parseGroup says ok=%v", g.key, at, ok, err, wantOK)
-			}
-			if ok && (got.Seq != want.Seq || got.Tombstone != want.Tombstone ||
-				!bytes.Equal(got.Value, want.Value) || !bytes.Equal(got.Meta, want.Meta) ||
-				(got.Value == nil) != (want.Value == nil) || (got.Meta == nil) != (want.Meta == nil)) {
-				t.Fatalf("findInBlock(%q, %d) = %+v, parseGroup says %+v", g.key, at, got, want)
-			}
+		got, ok, err := findInBlock(block, g.Key)
+		if err != nil || !ok || !bytes.Equal(got, g.Value) {
+			t.Fatalf("findInBlock(%q) = %q ok=%v err=%v, parseBlock says %q", g.Key, got, ok, err, g.Value)
 		}
 	}
 }
@@ -190,50 +148,35 @@ func checkWalkerAgrees(t *testing.T, block []byte) {
 // full read path, and at the in-place block walker directly (a block's
 // CRC keeps mutated bytes from ever reaching it through a table). Any
 // input may be rejected; none may panic; and what the walker accepts it
-// reads as parseGroup does.
+// reads as parseBlock does.
 func FuzzSSTableDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(buildTableBytes(f, []tableEntry{
-		{key: "a", versions: []storage.Version{{Seq: 1, Value: []byte("x")}}},
-		{key: "b", versions: []storage.Version{{Seq: 2, Tombstone: true}}},
-		{key: "c", versions: []storage.Version{
-			{Seq: 3, Value: []byte("y"), Meta: []byte("m")},
-			{Seq: 4, Value: nil},
-		}},
+	f.Add(buildTableBytes(f, []storage.Pair{
+		{Key: "a", Value: []byte("x")},
+		{Key: "b", Value: []byte{}},
+		{Key: "c", Value: []byte("y")},
 	}, 64))
-	seed := buildTableBytes(f, []tableEntry{
-		{key: "longer-key-0001", versions: []storage.Version{{Seq: 9, Value: make([]byte, 300)}}},
-	}, 0)
+	seed := buildTableBytes(f, []storage.Pair{{Key: "longer-key-0001", Value: make([]byte, 300)}}, 0)
 	f.Add(seed)
 	f.Add(seed[:len(seed)-10]) // truncated footer
 	f.Add(seed[5:])            // shifted offsets
-	// A bare data block, for the walker: three groups, one multi-version.
+	// A bare data block, for the walker: three groups, one empty.
 	var block []byte
-	for _, e := range []tableEntry{
-		{key: "a", versions: []storage.Version{{Seq: 1, Value: []byte("x")}}},
-		{key: "longer-key-0001", versions: []storage.Version{
-			{Seq: 2, Value: []byte("y"), Meta: []byte{}},
-			{Seq: 5, Tombstone: true},
-			{Seq: 7, Value: []byte{}},
-		}},
-		{key: "zzz", versions: []storage.Version{{Seq: 9, Meta: []byte("m")}}},
+	for _, p := range []storage.Pair{
+		{Key: "a", Value: []byte("x")},
+		{Key: "longer-key-0001", Value: []byte{}},
+		{Key: "zzz", Value: []byte("m")},
 	} {
-		block = binary.AppendUvarint(block, uint64(len(e.key)))
-		block = append(block, e.key...)
-		block = binary.AppendUvarint(block, uint64(len(e.versions)))
-		for _, v := range e.versions {
-			block = appendVersion(block, v)
-		}
+		block = appendGroup(block, p)
 	}
 	f.Add(block)
 	f.Add(block[:len(block)-3]) // cut inside the last group
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The walker on the raw bytes: the skip path over whatever they
-		// hold, then agreement with the copying parser.
+		// hold, then agreement with the reference parse.
 		for _, key := range []string{"", "a", "longer-key-0001", "m", "zzz", "\xff\xff"} {
-			findInBlock(data, key, latest)
-			findInBlock(data, key, 4)
+			findInBlock(data, key)
 		}
 		checkWalkerAgrees(t, data)
 
@@ -247,12 +190,12 @@ func FuzzSSTableDecode(f *testing.F) {
 		}
 		defer tab.close()
 		// Exercise every decode path; errors are fine, panics are not.
-		tab.get("a", latest)
-		tab.get("longer-key-0001", 3)
-		tab.get("zzz", latest)
-		var scanned []tableEntry
-		err = tab.scanRange("", "", func(key string, vs []storage.Version) bool {
-			scanned = append(scanned, tableEntry{key: key, versions: vs})
+		tab.get("a")
+		tab.get("longer-key-0001")
+		tab.get("zzz")
+		var scanned []storage.Pair
+		err = tab.scanRange("", "", func(key string, val []byte) bool {
+			scanned = append(scanned, storage.Pair{Key: key, Value: val})
 			return true
 		})
 		if err != nil {
@@ -261,18 +204,17 @@ func FuzzSSTableDecode(f *testing.F) {
 		// An accepted table: a point lookup of every key it scans agrees
 		// with the scan (keys in written order; see checkWalkerAgrees).
 		for i := 1; i < len(scanned); i++ {
-			if scanned[i].key <= scanned[i-1].key {
+			if scanned[i].Key <= scanned[i-1].Key {
 				return
 			}
 		}
-		for _, e := range scanned {
-			want, wantOK := newestAtMost(e.versions, latest)
-			got, ok, skipped, err := tab.get(e.key, latest)
+		for _, p := range scanned {
+			got, ok, skipped, err := tab.get(p.Key)
 			if skipped {
 				continue // a bloom section that is not this table's
 			}
-			if err != nil || ok != wantOK || got.Seq != want.Seq || !bytes.Equal(got.Value, want.Value) {
-				t.Fatalf("get(%q) = %+v ok=%v err=%v, scanRange says %+v ok=%v", e.key, got, ok, err, want, wantOK)
+			if err != nil || !ok || !bytes.Equal(got, p.Value) {
+				t.Fatalf("get(%q) = %q ok=%v err=%v, scanRange says %q", p.Key, got, ok, err, p.Value)
 			}
 		}
 	})

@@ -31,12 +31,14 @@ import (
 // wal/ and ckpt/ are still the current formats and must replay to exactly
 // fixtureWant below; its lsm/ has the gob manifest of that time and is
 // refused. v2 holds the one directory that changed since, lsm/ with the
-// binary manifest, and must replay to fixtureWant. The next format change
-// writes a fresh set, commits the directories that differ as v3, and
-// decides for their predecessors between replaying and refusing;
+// binary manifest over tables that carried sequence numbers, and is
+// refused too. v3 holds lsm/ again, with one value per key and no
+// sequence numbers, and must replay to fixtureWant. The next format
+// change writes a fresh set, commits the directories that differ as v4,
+// and decides for their predecessors between replaying and refusing;
 // committed files are never regenerated:
 //
-//	go test ./internal/quorum -run TestFixtureV1 -write-fixtures /tmp/v3
+//	go test ./internal/quorum -run TestFixtureV1 -write-fixtures /tmp/v4
 var writeFixtures = flag.String("write-fixtures", "", "write the golden data directories under this path and exit")
 
 func fixtureEntry(node string, ctr uint64, ctx clock.Vector, val []byte, deleted bool) clock.SiblingEntry[record] {
@@ -191,7 +193,9 @@ func TestFixtureV1(t *testing.T) {
 	}
 	root := t.TempDir()
 	wiretest.CopyTree(t, filepath.Join("testdata", "v1"), root)
-	wiretest.CopyTree(t, filepath.Join("testdata", "v2", "lsm"), filepath.Join(root, "lsm-v2"))
+	for _, gen := range []string{"v2", "v3"} {
+		wiretest.CopyTree(t, filepath.Join("testdata", gen, "lsm"), filepath.Join(root, "lsm-"+gen))
+	}
 
 	t.Run("wal", func(t *testing.T) {
 		log, err := wal.Open(filepath.Join(root, "wal"), wal.Options{Policy: wal.SyncNone})
@@ -231,13 +235,15 @@ func TestFixtureV1(t *testing.T) {
 		checkFixtureRest(t, n)
 	})
 	t.Run("lsm", func(t *testing.T) {
-		if eng, err := lsm.Open(lsm.Options{Dir: filepath.Join(root, "lsm", "lsm", "shard-0")}); !errors.Is(err, wire.ErrFormatTooOld) {
-			if err == nil {
-				eng.Close()
+		for gen, dir := range map[string]string{"v1 (gob manifest)": "lsm", "v2 (sequence numbers)": "lsm-v2"} {
+			if eng, err := lsm.Open(lsm.Options{Dir: filepath.Join(root, dir, "lsm", "shard-0")}); !errors.Is(err, wire.ErrFormatTooOld) {
+				if err == nil {
+					eng.Close()
+				}
+				t.Fatalf("%s lsm directory: %v, want wire.ErrFormatTooOld", gen, err)
 			}
-			t.Fatalf("v1 lsm directory (gob manifest): %v, want wire.ErrFormatTooOld", err)
 		}
-		eng, err := lsm.Open(lsm.Options{Dir: filepath.Join(root, "lsm-v2", "lsm", "shard-0")})
+		eng, err := lsm.Open(lsm.Options{Dir: filepath.Join(root, "lsm-v3", "lsm", "shard-0")})
 		if err != nil {
 			t.Fatal(err)
 		}

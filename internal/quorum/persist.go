@@ -411,7 +411,7 @@ func (n *Node) StateSnapshot() []byte {
 		keys += len(im.pairs)
 		minted += len(im.minted)
 		for _, p := range im.pairs {
-			size += len(p.Key) + len(p.Version.Value) + 2*binary.MaxVarintLen32
+			size += len(p.Key) + len(p.Value) + 2*binary.MaxVarintLen32
 		}
 	}
 	out := append(make([]byte, 0, size), checkpointFormat)
@@ -419,8 +419,8 @@ func (n *Node) StateSnapshot() []byte {
 	for _, im := range images {
 		for _, p := range im.pairs {
 			out = wire.AppendString(out, p.Key)
-			out = wire.AppendUvarint(out, uint64(len(p.Version.Value)))
-			out = append(out, p.Version.Value...)
+			out = wire.AppendUvarint(out, uint64(len(p.Value)))
+			out = append(out, p.Value...)
 		}
 	}
 	out = wire.AppendUvarint(out, uint64(minted))

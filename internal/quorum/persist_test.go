@@ -214,7 +214,7 @@ func TestReplicaPathAllocBudget(t *testing.T) {
 	value := make([]byte, 128)
 	// Each install supersedes the one before, as a client overwriting its
 	// own key does: the set changes every time and stays at one sibling.
-	entries := make([]clock.SiblingEntry[record], runs+2)
+	entries := make([]clock.SiblingEntry[record], 2*runs+2)
 	for i := range entries {
 		entries[i] = fixtureEntry("client", uint64(i+1), clock.Vector{"client": uint64(i), "s1": 4}, value, false)
 	}
@@ -228,6 +228,19 @@ func TestReplicaPathAllocBudget(t *testing.T) {
 	}
 	if install > 8 {
 		t.Errorf("installEntry onto an existing key: %v allocs, budget 8", install)
+	}
+	// And in bytes: the stored set and what decoding the old one costs,
+	// with nothing kept per install beside the one value the key holds.
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		n.installEntry(0, "hot", entries[next])
+		next++
+	}
+	runtime.ReadMemStats(&m1)
+	installBytes := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	if installBytes > 560 && !raceEnabled {
+		t.Errorf("installEntry of a 128 B value onto an existing key: %.0f B, budget 560", installBytes)
 	}
 
 	get := testing.AllocsPerRun(runs, func() {
@@ -261,7 +274,6 @@ func TestReplicaPathAllocBudget(t *testing.T) {
 	}
 	answerDigest := func() { ln.answerReplicaGet(sinkEnv{}, "s1", replicaGet{ID: 1, Key: "big", Digest: true}) }
 	answerDigest()
-	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < runs; i++ {
 		answerDigest()
@@ -284,5 +296,5 @@ func TestReplicaPathAllocBudget(t *testing.T) {
 	if rec > 1 {
 		t.Errorf("encoding one entry WAL record: %v allocs, budget 1", rec)
 	}
-	t.Logf("allocs: install %v, replica get %v (digest %v), entry record %v; digest of a 4 KiB SSTable value %.0f B", install, get, digestKV, rec, digest)
+	t.Logf("allocs: install %v (%.0f B), replica get %v (digest %v), entry record %v; digest of a 4 KiB SSTable value %.0f B", install, installBytes, get, digestKV, rec, digest)
 }

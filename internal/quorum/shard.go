@@ -41,9 +41,8 @@ type nodeShard struct {
 	// the value a binary entry list (see encodeStored). Which
 	// engine backs it — in-memory KV or disk-resident LSM — is the
 	// host's choice via Config.Storage.
-	store    storage.Engine
-	installs int // engine writes since the last version compaction
-	minted   map[string]uint64
+	store  storage.Engine
+	minted map[string]uint64
 
 	// Coordination state is executor-confined: only the shard's own
 	// goroutine (or the serial loop when dispatch is unsharded) touches
@@ -67,13 +66,6 @@ func newNodeShard(store storage.Engine) *nodeShard {
 	}
 }
 
-// compactEvery bounds how many engine writes a shard accumulates before
-// discarding superseded sibling-set versions. Engines are multi-version
-// stores: every install writes a fresh version of the key, so without a
-// periodic Compact the obsolete versions would pile up forever (the
-// in-place map the shard used to hold had no such debt).
-const compactEvery = 256
-
 // entries returns key's sibling set as stored, or nil. The decoded values
 // alias the engine's bytes (see decodeStored). Caller holds sh.mu (read
 // suffices).
@@ -82,7 +74,7 @@ func (sh *nodeShard) entries(key string) []clock.SiblingEntry[record] {
 	if !ok {
 		return nil
 	}
-	return mustDecodeStored(key, v.Value)
+	return mustDecodeStored(key, v)
 }
 
 // clocks returns key's sibling set as stored with every value left out:
@@ -107,13 +99,13 @@ func (sh *nodeShard) clocks(key string) []clock.SiblingEntry[record] {
 type clockReader struct {
 	key  string
 	es   []clock.SiblingEntry[record]
-	read func(storage.Version)
+	read func([]byte)
 }
 
 var clockReaders = sync.Pool{New: func() any {
 	r := new(clockReader)
-	r.read = func(v storage.Version) {
-		r.es = mustDecodeStored(r.key, v.Value)
+	r.read = func(v []byte) {
+		r.es = mustDecodeStored(r.key, v)
 		for i := range r.es {
 			r.es[i].Value.Value = nil
 		}
@@ -133,15 +125,10 @@ func mustDecodeStored(key string, b []byte) []clock.SiblingEntry[record] {
 	return es
 }
 
-// setEntries stores key's sibling set back into the engine and amortizes
-// version garbage collection. Caller holds sh.mu for writing.
+// setEntries stores key's sibling set back into the engine, replacing
+// the one it held. Caller holds sh.mu for writing.
 func (sh *nodeShard) setEntries(key string, es []clock.SiblingEntry[record]) {
 	sh.store.Put(key, encodeStored(es), nil)
-	sh.installs++
-	if sh.installs >= compactEvery {
-		sh.installs = 0
-		sh.store.Compact(sh.store.Seq())
-	}
 }
 
 // Stored-value layout: [storedFormat][entry list], the entry list exactly
@@ -160,8 +147,8 @@ func encodeStored(es []clock.SiblingEntry[record]) []byte {
 }
 
 // decodeStored is the inverse of encodeStored. Value slices of the result
-// alias b: engine values are immutable once stored (a new version is a
-// new buffer), so the entries stay valid for as long as they are
+// alias b: engine values are immutable once stored (a new set is a new
+// buffer), so the entries stay valid for as long as they are
 // referenced and must never be written through. A stored list holds
 // mutually concurrent survivors in insertion order, so feeding it to
 // clock.AddSibling as is continues the set it was taken from.
@@ -188,7 +175,7 @@ func decodeStored(b []byte) ([]clock.SiblingEntry[record], error) {
 func (n *Node) CheckStoredFormat() error {
 	for i, sh := range n.shards {
 		for _, p := range sh.store.Scan("", "", 1) {
-			if _, err := decodeStored(p.Version.Value); err != nil {
+			if _, err := decodeStored(p.Value); err != nil {
 				return fmt.Errorf("shard %d key %q: %w", i, p.Key, err)
 			}
 		}

@@ -303,7 +303,7 @@ func (n *Node) arcSource(start, end uint64, cursor string) source {
 					seen++
 					lo = p.Key + "\x00"
 					if rangeContains(start, end, ring.KeyHash(p.Key)) &&
-						f.add(budget, p.Key, mustDecodeStored(p.Key, p.Version.Value)) {
+						f.add(budget, p.Key, mustDecodeStored(p.Key, p.Value)) {
 						done = false
 						break walk
 					}

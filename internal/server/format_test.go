@@ -62,7 +62,8 @@ func readTree(t *testing.T, root string) map[string]string {
 
 // TestFormatTooOld boots a node on each data directory a gob commit
 // wrote — journal records and a checkpoint of every model, sibling sets
-// in an SSTable, an LSM manifest. Every one must be refused with the one
+// in an SSTable, an LSM manifest — and on the LSM directories of the
+// binary layouts since retired. Every one must be refused with the one
 // typed error, not decoded into something else and not left to panic on a
 // first read, and a refusal must leave every file as it found it.
 func TestFormatTooOld(t *testing.T) {
@@ -71,6 +72,7 @@ func TestFormatTooOld(t *testing.T) {
 		{"ckpt", "quorum", "v0", "ckpt", "mem"},
 		{"lsm", "quorum", "v0", "lsm", "lsm"},
 		{"lsm-v1", "quorum", "v1", "lsm", "lsm"}, // binary sibling sets under a gob manifest
+		{"lsm-v2", "quorum", "v2", "lsm", "lsm"}, // tables that carried sequence numbers
 		{"gossip-wal", "gossip", "v0", "wal", ""},
 		{"gossip-ckpt", "gossip", "v0", "ckpt", ""},
 		{"session-wal", "session", "v0", "wal", ""},
@@ -105,7 +107,7 @@ func TestFormatCurrentBoots(t *testing.T) {
 	for _, f := range []fixture{
 		{"wal", "quorum", "v1", "wal", "mem"},
 		{"ckpt", "quorum", "v1", "ckpt", "mem"},
-		{"lsm", "quorum", "v2", "lsm", "lsm"},
+		{"lsm", "quorum", "v3", "lsm", "lsm"},
 		{"gossip-wal", "gossip", "v1", "wal", ""},
 		{"gossip-ckpt", "gossip", "v1", "ckpt", ""},
 		{"session-wal", "session", "v1", "wal", ""},

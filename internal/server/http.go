@@ -179,6 +179,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 			agg.DiskBytes += st.DiskBytes
 			agg.MemtableBytes += st.MemtableBytes
 			agg.Flushes += st.Flushes
+			agg.FlushErrors += st.FlushErrors
 			agg.Compactions += st.Compactions
 			agg.BloomMisses += st.BloomMisses
 			agg.BlockReads += st.BlockReads
@@ -191,7 +192,8 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		lsmGauge("ec_lsm_disk_bytes", "On-disk footprint of the LSM storage engine.", uint64(agg.DiskBytes))
 		lsmGauge("ec_lsm_memtable_bytes", "Resident size of the mutable memtables.", uint64(agg.MemtableBytes))
 		counter("ec_lsm_flushes_total", "Memtable flushes to SSTables.", agg.Flushes)
-		counter("ec_lsm_compactions_total", "SSTable merges (size-tiered and explicit).", agg.Compactions)
+		counter("ec_lsm_flush_errors_total", "Memtable flushes that failed; the memtable is kept and the flush retried after another threshold's worth of writes.", agg.FlushErrors)
+		counter("ec_lsm_compactions_total", "Size-tiered SSTable merges.", agg.Compactions)
 		counter("ec_lsm_bloom_misses_total", "Point lookups a bloom filter excluded a table from.", agg.BloomMisses)
 		counter("ec_lsm_block_reads_total", "Data blocks fetched from SSTables.", agg.BlockReads)
 		counter("ec_lsm_read_errors_total", "IO or checksum errors swallowed on the LSM read path.", agg.ReadErrors)

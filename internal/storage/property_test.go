@@ -68,36 +68,27 @@ func TestMerkleQuickSetEquivalence(t *testing.T) {
 }
 
 // TestKVQuickScanMatchesSortedModel: Scan over any range equals the
-// model map's keys filtered to the range and sorted.
+// model set's keys filtered to the range and sorted.
 func TestKVQuickScanMatchesSortedModel(t *testing.T) {
-	type op struct {
-		key byte
-		del bool
-	}
 	cfg := &quick.Config{
 		MaxCount: 200,
 		Values: func(args []reflect.Value, r *rand.Rand) {
-			ops := make([]op, r.Intn(50))
-			for i := range ops {
-				ops[i] = op{key: byte('a' + r.Intn(8)), del: r.Intn(4) == 0}
+			keys := make([]byte, r.Intn(50))
+			for i := range keys {
+				keys[i] = byte('a' + r.Intn(8))
 			}
-			args[0] = reflect.ValueOf(ops)
+			args[0] = reflect.ValueOf(keys)
 			args[1] = reflect.ValueOf(byte('a' + r.Intn(8)))
 			args[2] = reflect.ValueOf(byte('a' + r.Intn(10)))
 		},
 	}
-	prop := func(ops []op, lo, hi byte) bool {
+	prop := func(keys []byte, lo, hi byte) bool {
 		kv := NewKV()
 		model := map[string]bool{}
-		for _, o := range ops {
-			k := string(o.key)
-			if o.del {
-				kv.Delete(k, nil)
-				delete(model, k)
-			} else {
-				kv.Put(k, []byte{o.key}, nil)
-				model[k] = true
-			}
+		for _, key := range keys {
+			k := string(key)
+			kv.Put(k, []byte{key}, nil)
+			model[k] = true
 		}
 		start, end := string(lo), string(hi)
 		if end < start {
@@ -127,7 +118,7 @@ func TestKVQuickScanMatchesSortedModel(t *testing.T) {
 }
 
 // TestKVConcurrentAccess exercises the engine's thread safety under the
-// race detector: parallel writers, readers, scanners, and a compactor.
+// race detector: parallel writers, readers and scanners.
 func TestKVConcurrentAccess(t *testing.T) {
 	kv := NewKV()
 	var wg sync.WaitGroup
@@ -138,9 +129,6 @@ func TestKVConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
 				kv.Put(fmt.Sprintf("k%d", i%20), []byte{byte(w), byte(i)}, nil)
-				if i%7 == 0 {
-					kv.Delete(fmt.Sprintf("k%d", i%20), nil)
-				}
 			}
 		}()
 	}
@@ -150,25 +138,17 @@ func TestKVConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
 				kv.Get(fmt.Sprintf("k%d", i%20))
+				kv.View("k3", func([]byte) {})
 				if i%11 == 0 {
 					kv.Scan("", "", 10)
-					snap := kv.Snapshot()
-					snap.Get("k3")
 				}
 			}
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 20; i++ {
-			kv.Compact(kv.Seq())
-		}
-	}()
 	wg.Wait()
-	// Survived the race detector; sanity check the index.
-	_ = kv.Len()
-	_ = kv.VersionCount()
+	if kv.Len() != 20 || len(kv.Scan("", "", 0)) != 20 {
+		t.Fatalf("Len() = %d after writes to 20 keys", kv.Len())
+	}
 }
 
 // TestLogConcurrentAccess exercises Log thread safety.

@@ -51,86 +51,3 @@ func (r ShardRouter) ShardOfHash(h uint64) int {
 // share, for callers that persist it (WAL record headers) or check
 // bucket alignment.
 func KeyHash(key string) uint64 { return hashKey(key) }
-
-// ShardedKV partitions a multi-version store into independently locked
-// engine shards. Each shard is a full Engine with its own sequence
-// domain; cross-shard operations (checkpoint, transfer iteration) visit
-// shards via ForEach. The default constructor builds in-memory KV
-// shards; NewSharded routes to any per-shard engine (e.g. disk-resident
-// LSM trees).
-type ShardedKV struct {
-	router ShardRouter
-	shards []Engine
-}
-
-// NewShardedKV returns a store with n in-memory shards (rounded up to a
-// power of two, minimum 1).
-func NewShardedKV(n int) *ShardedKV {
-	return NewSharded(n, func(int) Engine { return NewKV() })
-}
-
-// NewSharded returns a store whose n shards (rounded up to a power of
-// two, minimum 1) are built by factory, one engine per shard index.
-func NewSharded(n int, factory func(shard int) Engine) *ShardedKV {
-	r := NewShardRouter(n)
-	shards := make([]Engine, r.Shards())
-	for i := range shards {
-		shards[i] = factory(i)
-	}
-	return &ShardedKV{router: r, shards: shards}
-}
-
-// Router returns the key → shard mapping.
-func (s *ShardedKV) Router() ShardRouter { return s.router }
-
-// Shards returns the shard count.
-func (s *ShardedKV) Shards() int { return len(s.shards) }
-
-// Shard returns shard i's engine for direct (per-shard) access.
-func (s *ShardedKV) Shard(i int) Engine { return s.shards[i] }
-
-// For returns the engine owning key.
-func (s *ShardedKV) For(key string) Engine { return s.shards[s.router.Shard(key)] }
-
-// ForEach visits every shard in index order.
-func (s *ShardedKV) ForEach(fn func(i int, e Engine)) {
-	for i, e := range s.shards {
-		fn(i, e)
-	}
-}
-
-// Close closes every shard engine, returning the first error.
-func (s *ShardedKV) Close() error {
-	var first error
-	for _, e := range s.shards {
-		if err := e.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Put commits a new version of key on its owning shard.
-func (s *ShardedKV) Put(key string, value []byte, meta []byte) uint64 {
-	return s.For(key).Put(key, value, meta)
-}
-
-// Delete commits a tombstone for key on its owning shard.
-func (s *ShardedKV) Delete(key string, meta []byte) uint64 {
-	return s.For(key).Delete(key, meta)
-}
-
-// Get returns the latest live version of key.
-func (s *ShardedKV) Get(key string) (Version, bool) { return s.For(key).Get(key) }
-
-// GetAny is Get including tombstones.
-func (s *ShardedKV) GetAny(key string) (Version, bool) { return s.For(key).GetAny(key) }
-
-// Len returns the number of live keys across all shards.
-func (s *ShardedKV) Len() int {
-	n := 0
-	for _, kv := range s.shards {
-		n += kv.Len()
-	}
-	return n
-}

@@ -69,41 +69,3 @@ func TestShardRouterHashRouting(t *testing.T) {
 		}
 	}
 }
-
-func TestShardedKVRoutingAndAggregation(t *testing.T) {
-	s := NewShardedKV(4)
-	const n = 500
-	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		s.Put(key, []byte(key), nil)
-	}
-	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		v, ok := s.Get(key)
-		if !ok || string(v.Value) != key {
-			t.Fatalf("get %q: ok=%v value=%q", key, ok, v.Value)
-		}
-		// The owning shard, and only the owning shard, holds the key.
-		for i := 0; i < s.Shards(); i++ {
-			_, has := s.Shard(i).Get(key)
-			if want := i == s.Router().Shard(key); has != want {
-				t.Fatalf("key %q present on shard %d = %v, want %v", key, i, has, want)
-			}
-		}
-	}
-	if got := s.Len(); got != n {
-		t.Fatalf("Len() = %d, want %d", got, n)
-	}
-	s.Delete("key-0", nil)
-	if _, ok := s.Get("key-0"); ok {
-		t.Fatal("deleted key still visible")
-	}
-	if got := s.Len(); got != n-1 {
-		t.Fatalf("Len() after delete = %d, want %d", got, n-1)
-	}
-	seen := 0
-	s.ForEach(func(i int, e Engine) { seen++ })
-	if seen != 4 {
-		t.Fatalf("ForEach visited %d shards, want 4", seen)
-	}
-}
