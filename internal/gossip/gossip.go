@@ -301,12 +301,16 @@ func (n *Node) spreadRumor(env transport.Env, w Write, ttl int, except string) {
 	if except != "" && want < len(n.cfg.Peers) {
 		want++ // one spare in case the sample includes the rumor's source
 	}
+	var msg transport.Message // boxed once, at the first send, for every peer
 	for _, pi := range n.sample(env.Rand(), want) {
 		if k == 0 {
 			break
 		}
 		if p := n.cfg.Peers[pi]; p != except {
-			env.Send(p, rumor{W: w, TTL: ttl})
+			if msg == nil {
+				msg = rumor{W: w, TTL: ttl}
+			}
+			env.Send(p, msg)
 			k--
 		}
 	}

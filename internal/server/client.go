@@ -30,7 +30,8 @@ type Client struct {
 	// Timeout bounds each round trip (default 10s).
 	Timeout time.Duration
 
-	wmu sync.Mutex // serializes request frames onto the connection
+	wmu  sync.Mutex // serializes request frames onto the connection
+	wbuf []byte     // guarded by wmu: the request frame, reused
 
 	mu      sync.Mutex // guards the fields below
 	token   session.Token
@@ -116,9 +117,11 @@ func (c *Client) reader() {
 	}
 }
 
-// fail records the terminal error and wakes every in-flight request.
-func (c *Client) fail(err error) {
+// fail records the terminal error, wakes every in-flight request, and
+// returns the sticky error (the first one recorded).
+func (c *Client) fail(err error) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.err == nil {
 		c.err = fmt.Errorf("server: connection failed: %w", err)
 	}
@@ -126,31 +129,51 @@ func (c *Client) fail(err error) {
 		delete(c.waiters, seq)
 		close(ch)
 	}
-	c.mu.Unlock()
+	return c.err
+}
+
+// write frames req into the reused buffer and writes it. A frame that
+// fails to encode writes nothing and fails only its request. A write
+// that fails may have left part of the frame on the wire, and the server
+// would read the next request as that frame's tail, so it ends the
+// connection: the error turns sticky and every request in flight fails.
+func (c *Client) write(req Request) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	var err error
+	c.wbuf, err = transport.AppendFrame(c.wbuf[:0], transport.Envelope{From: c.id, Msg: req})
+	if err != nil {
+		return err
+	}
+	c.conn.SetWriteDeadline(time.Now().Add(c.timeout()))
+	if _, err := c.conn.Write(c.wbuf); err != nil {
+		err = c.fail(err)
+		c.conn.Close()
+		return err
+	}
+	return nil
 }
 
 // do runs one request/response exchange. Concurrent callers pipeline:
 // the request goes out immediately and this goroutine parks until the
-// reader delivers the response matching its sequence number.
+// reader delivers the response matching its sequence number. The
+// waiter's channel comes from the reply pool and goes back once its
+// answer is received (see replies).
 func (c *Client) do(req Request) (Response, error) {
-	ch := make(chan Response, 1)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
 		return Response{}, err
 	}
+	ch := getReply()
 	c.seq++
 	req.Seq = c.seq
 	req.Token = c.token
 	c.waiters[req.Seq] = ch
 	c.mu.Unlock()
 
-	c.wmu.Lock()
-	c.conn.SetWriteDeadline(time.Now().Add(c.timeout()))
-	_, err := transport.WriteFrame(c.conn, transport.Envelope{From: c.id, Msg: req})
-	c.wmu.Unlock()
-	if err != nil {
+	if err := c.write(req); err != nil {
 		c.mu.Lock()
 		delete(c.waiters, req.Seq)
 		c.mu.Unlock()
@@ -167,6 +190,7 @@ func (c *Client) do(req Request) (Response, error) {
 			c.mu.Unlock()
 			return Response{}, err
 		}
+		putReply(ch)
 		if resp.Err != "" {
 			if resp.NotOwner {
 				return resp, &NotOwnerError{Node: resp.Node, Epoch: resp.Epoch, State: resp.State}

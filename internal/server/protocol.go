@@ -92,6 +92,12 @@ type Response struct {
 	StaleMs int64
 	Tier    uint8
 	Zone    string
+
+	// walSeq is the WAL seq a gossip write must be durable through before
+	// the server answers (0: nothing journaled). Server-side only: it
+	// rides the reply channel from the actor loop to the request
+	// goroutine and is never encoded.
+	walSeq uint64
 }
 
 func (Request) WireID() uint16 { return widRequest }
@@ -157,7 +163,7 @@ func init() {
 	transport.RegisterBinary(widRequest, func(r *wire.Reader) transport.Message {
 		return Request{
 			Seq:     r.Uvarint(),
-			Op:      r.String(),
+			Op:      r.ID(), // a handful of names: interned, like node ids
 			Key:     r.String(),
 			Value:   r.Bytes(),
 			Token:   session.Token{Read: r.Vector(), Write: r.Vector()},
@@ -181,7 +187,7 @@ func init() {
 			r.Poison() // the mark promises an absent Value and a first sibling
 		}
 		m.Token = session.Token{Read: r.Vector(), Write: r.Vector()}
-		m.Node = r.String()
+		m.Node = r.ID()
 		m.Model = r.String()
 		m.NotOwner = r.Bool()
 		m.Epoch = r.Uvarint()

@@ -820,43 +820,33 @@ func (s *Server) dispatch(req Request, sess *session.Client, sessID string) Resp
 // durable before acking, and answers with an error if it never does.
 // Concurrent client writes thus share committer fsyncs.
 func (s *Server) handleGossip(req Request) Response {
-	type out struct {
-		resp Response
-		seq  uint64 // the write's WAL seq; 0 if it journaled nothing
-	}
-	done := make(chan out, 1)
+	done := getReply()
 	ok := s.tcp.Invoke(s.cfg.ID, func(env transport.Env) {
-		var o out
+		var resp Response
 		switch req.Op {
 		case "put":
 			s.gossipN.Put(env, req.Key, req.Value)
-			o.resp = Response{OK: true}
+			resp = Response{OK: true}
 		case "del":
 			s.gossipN.Delete(env, req.Key)
-			o.resp = Response{OK: true}
+			resp = Response{OK: true}
 		case "get":
 			v, found := s.gossipN.Get(req.Key)
-			o.resp = Response{OK: true, Value: v, Found: found}
+			resp = Response{OK: true, Value: v, Found: found}
 		}
 		if s.dur != nil {
-			o.seq = s.dur.takePending(0)
+			resp.walSeq = s.dur.takePending(0)
 		}
-		done <- o
+		done <- resp
 	})
 	if !ok {
 		return Response{Err: "node stopped"}
 	}
-	t := startTimer(requestTimeout)
-	defer stopTimer(t)
-	select {
-	case o := <-done:
-		if o.seq != 0 && !s.dur.await(o.seq) { // 0: no DataDir, or nothing journaled
-			return Response{Err: "write not durable: the node's WAL failed"}
-		}
-		return o.resp
-	case <-t.C:
-		return Response{Err: "request timed out"}
+	resp := await(done)
+	if resp.walSeq != 0 && !s.dur.await(resp.walSeq) { // 0: no DataDir, or nothing journaled
+		return Response{Err: "write not durable: the node's WAL failed"}
 	}
+	return resp
 }
 
 // handleQuorum runs the operation under the gateway quorum client of the
@@ -880,7 +870,7 @@ func (s *Server) handleQuorum(req Request) Response {
 		gi = s.qnode.Router().Shard(req.Key)
 	}
 	gw := s.gwQuorum[gi]
-	done := make(chan Response, 1)
+	done := getReply()
 	var ok bool
 	if coord == s.cfg.ID {
 		ok = s.tcp.InvokeShard(s.cfg.ID, gi, func(env transport.Env) {
@@ -1057,7 +1047,7 @@ func (s *Server) handleSession(req Request, sess *session.Client, sessID string)
 	if sess == nil {
 		return Response{Err: "no session"}
 	}
-	done := make(chan Response, 1)
+	done := getReply()
 	ok := s.tcp.Invoke(sessID, func(env transport.Env) {
 		sess.MergeToken(req.Token)
 		switch req.Op {
@@ -1092,19 +1082,34 @@ func sessionWriteResponse(sess *session.Client, r session.WriteResult) Response 
 	return Response{OK: true, Token: sess.Token()}
 }
 
-// await bounds the wait for a protocol completion. The channel is
-// buffered, so a late callback after timeout completes without leaking
-// a goroutine.
+// await bounds the wait for a protocol completion on done, a channel
+// from getReply. The channel is buffered, so a late callback after
+// timeout completes without leaking a goroutine.
 func await(done chan Response) Response {
 	t := startTimer(requestTimeout)
 	defer stopTimer(t)
 	select {
 	case r := <-done:
+		putReply(done)
 		return r
 	case <-t.C:
 		return Response{Err: "request timed out"}
 	}
 }
+
+// replies recycles the one-value channels a request's answer travels
+// on: Client.do's waiter, and the done channel of every handler that
+// waits in await. Every such channel has one sender that sends at most
+// once (a callback the protocol deletes or marks done before it runs,
+// or a closure the runtime runs once), so a channel goes back only
+// after its one value was received: it is then empty and nothing else
+// holds it. After a time-out or a close it is dropped instead, since a
+// late sender may still write into it.
+var replies = sync.Pool{New: func() any { return make(chan Response, 1) }}
+
+func getReply() chan Response { return replies.Get().(chan Response) }
+
+func putReply(ch chan Response) { replies.Put(ch) }
 
 // timers recycles the time-out timers of request waits: every request
 // arms one and almost none fires, so time.After would allocate a timer

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -128,6 +129,83 @@ func TestBatchRoundTrip(t *testing.T) {
 	got, _, err = ReadBatch(bytes.NewReader(single), nil)
 	if err != nil || len(got) != 1 || !reflect.DeepEqual(got[0], envs[0]) {
 		t.Fatalf("ReadBatch(plain frame) = %#v, %v", got, err)
+	}
+}
+
+// TestAppendBatchLayout pins the batch frame byte for byte against one
+// built by hand, with member bodies whose length headers take one, two
+// and three bytes: each member is encoded in place and shifted right by
+// its header, and the shift must land every byte where a copy would.
+func TestAppendBatchLayout(t *testing.T) {
+	envs := []Envelope{
+		{From: "a", To: "b", Msg: bigMsg{B: make([]byte, 10)}},
+		{From: "node0", To: "node1", Msg: bigMsg{B: bytes.Repeat([]byte{0xab}, 300)}},
+		{From: "node1", To: "node0", Msg: bigMsg{B: bytes.Repeat([]byte{0xcd}, 20000)}},
+	}
+	want := []byte{codecBatch}
+	want = binary.AppendUvarint(want, uint64(len(envs)))
+	for i, e := range envs {
+		body, err := appendBody(nil, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr := binary.AppendUvarint(nil, uint64(len(body)))
+		if len(hdr) != i+1 {
+			t.Fatalf("member %d: a %d-byte body has a %d-byte header, want %d", i, len(body), len(hdr), i+1)
+		}
+		want = append(append(want, hdr...), body...)
+	}
+	want = frameFor(want)
+	prefix := []byte("kept")
+	got, err := AppendBatch(prefix, envs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("batch frame differs from the hand-built one (%d bytes, want %d after the prefix)", len(got), len(want))
+	}
+}
+
+// A batch frame encodes into the buffer it is given: with room in it,
+// framing three envelopes allocates nothing.
+func TestAppendBatchAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	envs := []Envelope{
+		{From: "node0", To: "node1", Msg: heartbeat{T: 1}},
+		{From: "node0", To: "node1", Msg: echoMsg{N: 2}},
+		{From: "node0", To: "node1", Msg: bigMsg{B: make([]byte, 200)}},
+	}
+	buf := make([]byte, 0, 4096)
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if buf, err = AppendBatch(buf[:0], envs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendBatch of 3 envelopes: %v allocs, want 0", allocs)
+	}
+}
+
+// Decoding a frame in memory reads it in place: the decoded message
+// aliases the frame, and nothing is copied or allocated but the message.
+func TestDecodeFrameDecodesInPlace(t *testing.T) {
+	frame, err := AppendFrame(nil, Envelope{From: "node0", To: "node1", Msg: bigMsg{B: []byte("payload")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, n, err := DecodeFrame(frame)
+	if err != nil || n != len(frame) {
+		t.Fatalf("DecodeFrame = %d bytes, %v; want %d", n, err, len(frame))
+	}
+	b := e.Msg.(bigMsg).B
+	if i := bytes.Index(frame, []byte("payload")); &b[0] != &frame[i] {
+		t.Fatal("the decoded payload is a copy of the frame's bytes")
+	}
+	if _, _, err := DecodeFrame(frame[:len(frame)-1]); err != io.ErrUnexpectedEOF {
+		t.Fatalf("a frame short of its length prefix: %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -75,15 +74,20 @@ func AppendBatch(dst []byte, envs []Envelope) ([]byte, error) {
 	mark := len(dst)
 	dst = append(dst, 0, 0, 0, 0, codecBatch)
 	dst = wire.AppendUvarint(dst, uint64(len(envs)))
-	var scratch []byte
 	for _, e := range envs {
-		body, err := appendBody(scratch[:0], e)
+		// Each member is encoded in place and then shifted right by its
+		// length header, which is only known once the body is.
+		at := len(dst)
+		out, err := appendBody(dst, e)
 		if err != nil {
 			return dst[:mark], err
 		}
-		scratch = body
-		dst = wire.AppendUvarint(dst, uint64(len(body)))
-		dst = append(dst, body...)
+		var hdr [binary.MaxVarintLen64]byte
+		h := binary.PutUvarint(hdr[:], uint64(len(out)-at))
+		out = append(out, hdr[:h]...) // room for the header
+		copy(out[at+h:], out[at:len(out)-h])
+		copy(out[at:], hdr[:h])
+		dst = out
 	}
 	return finishFrame(dst, mark)
 }
@@ -192,10 +196,25 @@ func decodeBodies(body []byte, envs []Envelope) ([]Envelope, error) {
 }
 
 // DecodeFrame decodes one frame from b (length prefix included),
-// returning the envelope and bytes consumed. Exposed for benchmarks and
-// tests that frame into memory.
+// returning the envelope and bytes consumed. It decodes in place: the
+// decoded message aliases b, so b must not be reused while the message
+// is in use. Exposed for benchmarks and tests that frame into memory.
 func DecodeFrame(b []byte) (Envelope, int, error) {
-	return ReadFrame(bytes.NewReader(b))
+	if len(b) < 4 {
+		return Envelope{}, 0, io.ErrUnexpectedEOF
+	}
+	n := binary.BigEndian.Uint32(b)
+	if n > MaxFrameSize {
+		return Envelope{}, 0, fmt.Errorf("transport: frame length %d exceeds %d", n, MaxFrameSize)
+	}
+	if uint64(len(b)-4) < uint64(n) {
+		return Envelope{}, 0, io.ErrUnexpectedEOF
+	}
+	e, err := decodeBody(b[4 : 4+n])
+	if err != nil {
+		return Envelope{}, 0, err
+	}
+	return e, int(n) + 4, nil
 }
 
 // hello is the first frame on every dialed connection, identifying the

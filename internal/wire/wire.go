@@ -315,10 +315,11 @@ func (r *Reader) String() string {
 }
 
 // ID reads a length-prefixed string that names a node, a client or a
-// zone, and interns it. Such names recur in every message and every
-// stored version — envelope addresses, dots, context entries — but come
-// from a small, slowly changing set, so ID hands out one shared string
-// per name and decoding them does not allocate in the steady state.
+// zone (or a client operation), and interns it. Such names recur in
+// every message and every stored version — envelope addresses, dots,
+// context entries — but come from a small, slowly changing set, so ID
+// hands out one shared string per name and decoding them does not
+// allocate in the steady state.
 func (r *Reader) ID() string {
 	return intern(r.take(r.Uvarint()))
 }
