@@ -260,7 +260,9 @@ func (c *Client) OnMessage(env transport.Env, from string, msg transport.Message
 		delete(c.puts, m.ID)
 		key := c.keys[m.ID]
 		delete(c.keys, m.ID)
-		c.putDone(key, m, p.cb)
+		if res := c.putResult(key, m); p.cb != nil {
+			p.cb(res)
+		}
 	case getResp:
 		cb, ok := c.getCBs[m.ID]
 		if !ok {
@@ -270,13 +272,15 @@ func (c *Client) OnMessage(env transport.Env, from string, msg transport.Message
 		delete(c.getCBs, m.ID)
 		key := c.keys[m.ID]
 		delete(c.keys, m.ID)
-		c.getDone(key, m, cb)
+		if res := c.getResult(key, m); cb != nil {
+			cb(res)
+		}
 	}
 }
 
-// putDone folds a put's answer into key's context and hands the result to
-// cb.
-func (c *Client) putDone(key string, m putResp, cb func(PutResult)) {
+// putResult folds a put's answer into key's context and returns the
+// put's result.
+func (c *Client) putResult(key string, m putResp) PutResult {
 	res := PutResult{Key: key, Context: m.Context, Sloppy: m.Sloppy}
 	c.mu.Lock()
 	if m.Err != "" {
@@ -286,13 +290,12 @@ func (c *Client) putDone(key string, m putResp, cb func(PutResult)) {
 		c.context[key] = m.Context
 	}
 	c.mu.Unlock()
-	if cb != nil {
-		cb(res)
-	}
+	return res
 }
 
-// getDone is putDone for a get: a successful read's context becomes key's.
-func (c *Client) getDone(key string, m getResp, cb func(GetResult)) {
+// getResult is putResult for a get: a successful read's context becomes
+// key's.
+func (c *Client) getResult(key string, m getResp) GetResult {
 	res := GetResult{Key: key, Values: m.Values, Context: m.Context, Replicas: m.Replicas}
 	if m.Err != "" {
 		res.Err = errors.New(m.Err)
@@ -301,9 +304,7 @@ func (c *Client) getDone(key string, m getResp, cb func(GetResult)) {
 		c.context[key] = m.Context
 		c.mu.Unlock()
 	}
-	if cb != nil {
-		cb(res)
-	}
+	return res
 }
 
 // settle closes out an op's resilience state on first response: feed the
@@ -429,24 +430,25 @@ func (c *Client) Context(key string) clock.Vector {
 // same dot. What differs is the hand-off. No message crosses to the node
 // and back, and c arms no timer and keeps no retry state: the node's own
 // Timeout, sloppy fallback and replica retransmission bound the put, and
-// its answer reaches cb by a call (see answer). c's context takes the
-// answer in, as it would a putResp.
-func (n *Node) CoordinatePut(env transport.Env, c *Client, key string, value []byte, cb func(PutResult)) {
+// its answer reaches cb by a call, with the Env of the invocation the put
+// completed in (see answer). c's context takes the answer in, as it would
+// a putResp.
+func (n *Node) CoordinatePut(env transport.Env, c *Client, key string, value []byte, cb func(transport.Env, PutResult)) {
 	id, ctx := c.next(key)
 	n.coordinatePut(env, c.id, clientPut{ID: id, Key: key, Value: value, Context: ctx},
-		func(m putResp) { c.putDone(key, m, cb) })
+		func(env transport.Env, m putResp) { cb(env, c.putResult(key, m)) })
 }
 
 // CoordinateDelete is CoordinatePut for c.Delete.
-func (n *Node) CoordinateDelete(env transport.Env, c *Client, key string, cb func(PutResult)) {
+func (n *Node) CoordinateDelete(env transport.Env, c *Client, key string, cb func(transport.Env, PutResult)) {
 	id, ctx := c.next(key)
 	n.coordinatePut(env, c.id, clientPut{ID: id, Key: key, Deleted: true, Context: ctx},
-		func(m putResp) { c.putDone(key, m, cb) })
+		func(env transport.Env, m putResp) { cb(env, c.putResult(key, m)) })
 }
 
 // CoordinateGet is CoordinatePut for c.GetR.
-func (n *Node) CoordinateGet(env transport.Env, c *Client, key string, r int, cb func(GetResult)) {
+func (n *Node) CoordinateGet(env transport.Env, c *Client, key string, r int, cb func(transport.Env, GetResult)) {
 	id, _ := c.next(key)
 	n.coordinateGet(env, c.id, clientGet{ID: id, Key: key, R: r},
-		func(m getResp) { c.getDone(key, m, cb) })
+		func(env transport.Env, m getResp) { cb(env, c.getResult(key, m)) })
 }

@@ -317,7 +317,7 @@ func (m replicaGetResp) Size() int {
 
 type pendingWrite struct {
 	client    string
-	reply     func(putResp) // the answer's call when client is in this process (see answer)
+	reply     func(transport.Env, putResp) // the answer's call when client is in this process (see answer)
 	id        uint64
 	key       string
 	entry     clock.SiblingEntry[record]
@@ -351,7 +351,7 @@ type readAnswer struct {
 
 type pendingRead struct {
 	client    string
-	reply     func(getResp) // see pendingWrite.reply
+	reply     func(transport.Env, getResp) // see pendingWrite.reply
 	id        uint64
 	key       string
 	responses map[string]readAnswer
@@ -750,7 +750,7 @@ func (n *Node) hintedEntries(key string) []clock.SiblingEntry[record] {
 // holds the answer behind it too, whether it leaves now or with a later
 // peer ack. The acknowledgement is a putResp to client, or a call of
 // reply for a client in this process (see answer).
-func (n *Node) coordinatePut(env transport.Env, client string, m clientPut, reply func(putResp)) {
+func (n *Node) coordinatePut(env transport.Env, client string, m clientPut, reply func(transport.Env, putResp)) {
 	if n.draining.Load() && m.ID == 0 {
 		// Decommission invariant: once draining begins this node mints no
 		// new dots. (Client-minted dots carry their own identity and may
@@ -1003,22 +1003,16 @@ func (n *Node) finishWrite(env transport.Env, id uint64, pw *pendingWrite, errSt
 
 // answer delivers a coordinator's answer r to its client: a message to
 // the client's address, or, when the client is in this process and handed
-// the coordinator reply (Node.CoordinatePut), a call of reply. A host Env
-// that can Defer a call (the server's ack barrier) holds it exactly as it
-// would hold the message: behind the records the invocation journaled, in
-// its execution domain's order, and dropped with the rest of the domain's
-// sends once a record of the domain failed to reach the disk. Any other
-// Env has nothing to wait for, and reply runs at once.
-func answer[R any](env transport.Env, client string, reply func(R), r R) {
+// the coordinator reply (Node.CoordinatePut), a call of reply with the Env
+// of the invocation the operation completed in. A host that holds a
+// message back until the invocation's records are durable (the server's
+// ack barrier) holds the call's answer the same way through that Env.
+func answer[R any](env transport.Env, client string, reply func(transport.Env, R), r R) {
 	if reply == nil {
 		env.Send(client, r)
 		return
 	}
-	if d, ok := env.(interface{ Defer(func()) }); ok {
-		d.Defer(func() { reply(r) })
-		return
-	}
-	reply(r)
+	reply(env, r)
 }
 
 func (n *Node) writeTimeout(env transport.Env, id uint64) {
@@ -1066,7 +1060,7 @@ func (n *Node) writeTimeout(env transport.Env, id uint64) {
 // (onGetResp). A coordinator outside the list asks everyone in full.
 //
 // The answer goes to the client as coordinatePut's does.
-func (n *Node) coordinateGet(env transport.Env, client string, m clientGet, reply func(getResp)) {
+func (n *Node) coordinateGet(env transport.Env, client string, m clientGet, reply func(transport.Env, getResp)) {
 	prefs, fallbacks := n.placement(m.Key)
 	shardIdx := n.router.Shard(m.Key)
 	id := n.mintReq(shardIdx)

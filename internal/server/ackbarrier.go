@@ -32,17 +32,17 @@ import (
 // the client comes after the coordinator's record, in this invocation or
 // in a later one on the same domain, and so waits for it either way.
 //
-// The server's own calls onto a domain's loop (Call: a quorum operation
-// this node coordinates) are invocations too, and the answer such an
-// operation hands back by a call, not a message (deferEnv.Defer), rides
-// the same queue as a send would.
+// The server's own calls onto a domain's loop (Call: a client operation
+// on a gossip node, or a quorum operation this node coordinates) are
+// invocations too, and the answer to the client, a call and not a message
+// (deferEnv.Defer), rides the same queue as a send would.
 //
 // A batch whose seq never becomes durable (its append failed, or the
-// fsync did) is dropped, not posted: the requester times out and the
-// write is never acked. Its domain then drops every later batch too,
-// because a later ack may rest on the lost record — a retried put that
-// finds its version already installed journals nothing and would
-// otherwise be acked at once.
+// fsync did) is dropped, not posted: the write is never acked, and a
+// deferred answer runs its drop in its place. Its domain then drops every
+// later batch too, because a later ack may rest on the lost record — a
+// retried put that finds its version already installed journals nothing
+// and would otherwise be acked at once.
 //
 // A sharded node runs one barrier domain per execution domain (the
 // serial loop plus every shard goroutine): each domain has its own
@@ -87,12 +87,12 @@ type ackDomain struct {
 	env deferEnv // reused across invocations (each domain is single-threaded)
 }
 
-// outMsg is one deferred send, or a deferred call (fn set) in place of
+// outMsg is one deferred send, or a deferred answer (fn set) in place of
 // one: see deferEnv.Defer.
 type outMsg struct {
-	to  string
-	msg transport.Message
-	fn  func()
+	to       string
+	msg      transport.Message
+	fn, drop func()
 }
 
 // send delivers m: posts the message, or runs the call.
@@ -143,14 +143,14 @@ func (e *deferEnv) add(m outMsg) {
 	e.sends = append(e.sends, m)
 }
 
-// Defer queues fn with the invocation's sends, to run where a message in
-// its place would be posted: after the records the invocation journaled
-// are durable, in the domain's order, and never once the domain has lost
-// a record. It is how an answer that is a call, not a message (a quorum
-// operation this node coordinates for its own gateway), obeys the
-// barrier; the quorum node finds it the way it finds Shard.
-func (e *deferEnv) Defer(fn func()) {
-	e.add(outMsg{fn: fn})
+// Defer queues answer with the invocation's sends, to run where a
+// message in its place would be posted: after the records the invocation
+// journaled are durable, in the domain's order. Once the domain has lost
+// a record, drop runs instead. Exactly one of the two runs. It is how an
+// answer to a client, which is a call and not a message, obeys the
+// barrier.
+func (e *deferEnv) Defer(answer, drop func()) {
+	e.add(outMsg{fn: answer, drop: drop})
 }
 
 // Shard exposes the wrapped Env's execution domain so the protocol
@@ -290,18 +290,25 @@ func (b *ackBarrier) finish(i int, d *ackDomain, env transport.Env) {
 func (b *ackBarrier) release(d *ackDomain) {
 	defer close(d.done)
 	for batch := range d.q {
-		lost := d.lost.Load()
-		if !lost {
-			for _, m := range batch.sends[:batch.early] {
+		unsent := batch.sends
+		if !d.lost.Load() {
+			for _, m := range unsent[:batch.early] {
 				m.send(b.post)
+			}
+			unsent = unsent[batch.early:]
+			if b.dur.await(batch.seq) {
+				for _, m := range unsent {
+					m.send(b.post)
+				}
+				unsent = nil
+			} else {
+				d.lost.Store(true)
 			}
 		}
-		if !lost && b.dur.await(batch.seq) {
-			for _, m := range batch.sends[batch.early:] {
-				m.send(b.post)
+		for _, m := range unsent {
+			if m.drop != nil {
+				m.drop()
 			}
-		} else {
-			d.lost.Store(true)
 		}
 		if batch.sends != nil {
 			clear(batch.sends) // drop the messages, keep the buffer

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -85,14 +86,13 @@ func (c *Client) timeout() time.Duration {
 }
 
 // reader demultiplexes response frames to the waiting requests. It owns
-// the receive side of the connection for the client's whole life; batch
-// frames (the server coalesces responses that are ready together) fan
-// back out here.
+// the receive side of the connection for the client's whole life.
 func (c *Client) reader() {
+	r := bufio.NewReaderSize(c.conn, transport.ReadBufferSize)
 	var envs []transport.Envelope
 	for {
 		var err error
-		envs, _, err = transport.ReadBatch(c.conn, envs[:0])
+		envs, _, err = transport.ReadBatch(r, envs[:0])
 		if err != nil {
 			c.fail(err)
 			return
@@ -141,7 +141,7 @@ func (c *Client) write(req Request) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	var err error
-	c.wbuf, err = transport.AppendFrame(c.wbuf[:0], transport.Envelope{From: c.id, Msg: req})
+	c.wbuf, err = transport.AppendMessage(c.wbuf[:0], c.id, "", req)
 	if err != nil {
 		return err
 	}
@@ -315,4 +315,46 @@ func (c *Client) AddNodeZone(id, addr, zone string) error {
 func (c *Client) Decommission() error {
 	_, err := c.do(Request{Op: "decommission"})
 	return err
+}
+
+// replies recycles the one-value channels Client.do waits on. Each has
+// one sender that sends at most once (the reader, which takes the waiter
+// out of the map before sending), so a channel goes back only after its
+// one value was received: it is then empty and nothing else holds it.
+// After a time-out or a close it is dropped instead, since a late sender
+// may still write into it.
+var replies = sync.Pool{New: func() any { return make(chan Response, 1) }}
+
+func getReply() chan Response { return replies.Get().(chan Response) }
+
+func putReply(ch chan Response) { replies.Put(ch) }
+
+// timers recycles the time-out timers of request waits: every request
+// arms one and almost none fires, so time.After would allocate a timer
+// and its channel per request only to drop them.
+var timers sync.Pool
+
+func startTimer(d time.Duration) *time.Timer {
+	if t, ok := timers.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+// stopTimer returns t to the pool if it is known stopped with an empty
+// channel: Stop caught it before it fired, or its tick was taken here. A
+// timer that fired and whose tick is not in the channel is dropped: either
+// the wait consumed it, or (go.mod predates Go 1.23's synchronous timer
+// channels) the runtime has marked it expired and not yet sent, and the
+// tick would land in the pool and time out the next request at once.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+			return
+		}
+	}
+	timers.Put(t)
 }

@@ -1,0 +1,596 @@
+package server
+
+import (
+	"bufio"
+	"fmt"
+	"net"
+	"sync"
+	"sync/atomic"
+	"syscall"
+	"time"
+
+	"repro/internal/geo"
+	"repro/internal/quorum"
+	"repro/internal/session"
+	"repro/internal/transport"
+)
+
+// maxClientInflight caps the operations of one client connection that
+// are not yet answered on the wire. When the cap is reached the reader
+// stops pulling frames, so an over-eager pipelining client sees TCP
+// backpressure rather than unbounded server memory.
+const maxClientInflight = 128
+
+// writeTimeout bounds a blocking write of answers to a client.
+const writeTimeout = 30 * time.Second
+
+// errNotDurable answers an operation whose answer the ack barrier dropped:
+// a record of its execution domain never reached the disk.
+const errNotDurable = "write not durable: the node's WAL failed"
+
+// clientConn is the server side of one client connection. Requests are
+// pipelined: the client tags each with a sequence number and may send the
+// next before the previous answered. The reader starts every operation
+// and does not wait for it. The operation completes on whichever
+// goroutine finishes it (an actor or shard loop, a barrier release
+// goroutine, an admin goroutine), and that goroutine encodes the answer
+// into the connection's output buffer and writes it. A loop never blocks
+// on a client socket: the completion makes one non-blocking write, and
+// what the kernel does not take goes to the connection's writer
+// goroutine. Gossip and quorum operations run concurrently; session
+// operations run one at a time in arrival order, since the guarantees are
+// defined over the session's own operation sequence.
+type clientConn struct {
+	s    *Server
+	id   string
+	conn net.Conn
+	raw  syscall.RawConn // nil if conn has no descriptor: the writer goroutine writes everything
+
+	sess   *session.Client // session model only
+	sessID string
+
+	// free holds the slots whose answers are written (or dropped with a
+	// broken connection). made, the number of slots made so far, is the
+	// reader's.
+	free chan *opSlot
+	made int
+
+	mu      sync.Mutex
+	slots   []*opSlot // every slot made, for Server.Close
+	queued  []*opSlot // answered, each holding its answer in resp, for a writer to take
+	spare   []*opSlot // the last batch written, for reuse
+	writing bool      // a writer owns the socket and the fields below
+	broken  bool      // a write failed: answers are dropped
+
+	// The writer's: the batch it took and its framed answers, and the
+	// outcome of the last non-blocking attempt (rawWrite's results).
+	wheld   []*opSlot
+	wbuf    []byte
+	wn      int
+	werr    error
+	rawFunc func(fd uintptr) bool // c.rawWrite, bound once
+
+	// wake hands an unfinished write to the writer goroutine. Only the
+	// writer sends, and the goroutine takes the token before writing, so
+	// the send never blocks.
+	wake chan struct{}
+
+	// The session chain: sessBusy while a session operation runs, and the
+	// ones that arrived behind it.
+	sessMu   sync.Mutex
+	sessBusy bool
+	sessQ    []*opSlot
+}
+
+// Slot states. An operation is answered once: whoever swaps its slot back
+// to idle sends the answer.
+const (
+	slotIdle  uint32 = iota
+	slotOp           // a put, get or delete on the protocol
+	slotAdmin        // an admin operation on its own goroutine
+)
+
+// Where an operation runs.
+const (
+	pathGossip  = iota // on the gossip node's loop
+	pathLocal          // coordinated here, on the key's shard loop
+	pathGateway        // forwarded through the shard's gateway client
+	pathSession        // on the connection's session client
+)
+
+// opSlot carries one operation from its start to its answer. A
+// connection reuses its slots, and each binds its callbacks once, so
+// starting and completing an operation allocates no closure.
+type opSlot struct {
+	c     *clientConn
+	state atomic.Uint32
+	req   Request
+	start time.Time
+	path  int
+
+	// The quorum plan of the operation (see slaRoute).
+	gi      int
+	coord   string
+	r       int
+	tier    geo.Kind
+	staleMs int64
+
+	resp Response // the answer, while the ack barrier holds it or it waits for a writer
+
+	guarded, exec    func(transport.Env)
+	localPut         func(transport.Env, quorum.PutResult)
+	localGet         func(transport.Env, quorum.GetResult)
+	gwPut            func(quorum.PutResult)
+	gwGet            func(quorum.GetResult)
+	sessWrote        func(session.WriteResult)
+	sessRead         func(session.ReadResult)
+	deliver, dropped func()
+}
+
+// serveClient reads one client connection's requests and starts each.
+func (s *Server) serveClient(clientID string, conn net.Conn) {
+	c := &clientConn{
+		s:    s,
+		id:   clientID,
+		conn: conn,
+		free: make(chan *opSlot, maxClientInflight),
+		wake: make(chan struct{}, 1),
+	}
+	c.rawFunc = c.rawWrite
+	if sc, ok := conn.(syscall.Conn); ok {
+		c.raw, _ = sc.SyscallConn()
+	}
+	if s.cfg.Model == "session" {
+		s.connMu.Lock()
+		s.connSeq++
+		c.sessID = fmt.Sprintf("%s#s%d", s.cfg.ID, s.connSeq)
+		s.connMu.Unlock()
+		c.sess = session.NewClient(c.sessID, session.All())
+		c.sess.Servers = s.ring.Members()
+		c.sess.Policy = s.policy
+		c.sess.Directory = s.dir
+		s.tcp.AddNode(c.sessID, c.sess)
+	}
+	s.connMu.Lock()
+	s.conns[c] = struct{}{}
+	s.connMu.Unlock()
+	go c.writer()
+	defer c.close()
+
+	r := bufio.NewReaderSize(conn, transport.ReadBufferSize)
+	var envs []transport.Envelope
+	for {
+		conn.SetReadDeadline(time.Now().Add(5 * time.Minute))
+		var err error
+		envs, _, err = transport.ReadBatch(r, envs[:0])
+		if err != nil {
+			return
+		}
+		for _, e := range envs {
+			req, ok := e.Msg.(Request)
+			if !ok {
+				s.logf("server %s: client %s sent %T, want Request", s.cfg.ID, clientID, e.Msg)
+				return
+			}
+			c.start(req)
+		}
+	}
+}
+
+// close ends the connection once every operation it started is answered
+// (or dropped with a broken connection).
+func (c *clientConn) close() {
+	for range c.made {
+		<-c.free
+	}
+	c.conn.Close()
+	close(c.wake)
+	if c.sess != nil {
+		c.s.tcp.RemoveNode(c.sessID)
+	}
+	c.s.connMu.Lock()
+	delete(c.s.conns, c)
+	c.s.connMu.Unlock()
+}
+
+// slot takes a free slot, making one while fewer than maxClientInflight
+// exist, and otherwise waits for an answer to be written.
+func (c *clientConn) slot() *opSlot {
+	select {
+	case sl := <-c.free:
+		return sl
+	default:
+	}
+	if c.made == maxClientInflight {
+		return <-c.free
+	}
+	c.made++
+	sl := &opSlot{c: c}
+	sl.guarded, sl.exec = sl.runGuarded, sl.run
+	sl.localPut, sl.localGet = sl.putDone, sl.getDone
+	sl.gwPut, sl.gwGet = sl.gatewayPutDone, sl.gatewayGetDone
+	sl.sessWrote, sl.sessRead = sl.sessionWritten, sl.sessionRead
+	sl.deliver, sl.dropped = sl.answerHeld, sl.answerDropped
+	c.mu.Lock()
+	c.slots = append(c.slots, sl)
+	c.mu.Unlock()
+	return sl
+}
+
+// start begins one operation without waiting for it.
+func (c *clientConn) start(req Request) {
+	s := c.s
+	sl := c.slot()
+	sl.req, sl.start = req, time.Now()
+	s.statMu.Lock()
+	s.reqCount.Inc(requestCounter(req.Op))
+	s.statMu.Unlock()
+	switch req.Op {
+	case "put", "get", "del":
+	case "status", "ring-status", "add-node", "decommission":
+		sl.state.Store(slotAdmin)
+		go func() { c.answer(sl, s.admin(req)) }()
+		return
+	default:
+		sl.state.Store(slotOp)
+		c.answer(sl, Response{Err: fmt.Sprintf("unknown op %q", req.Op)})
+		return
+	}
+	sl.state.Store(slotOp)
+	if resp, refused := s.refusal(req); refused {
+		c.answer(sl, resp)
+		return
+	}
+	var ok bool
+	switch s.cfg.Model {
+	case "gossip":
+		sl.path = pathGossip
+		ok = s.tcp.Invoke(s.cfg.ID, sl.guarded)
+	case "quorum":
+		// The gateway client of the key's shard names the operation
+		// (request ids, per-key contexts). When this node coordinates, the
+		// operation is one call on the key's shard loop; otherwise the
+		// gateway sends it to the coordinator, and retries, hedges and
+		// fails over if that node is down.
+		sl.tier, sl.r, sl.coord, sl.staleMs = s.slaRoute(req)
+		sl.gi = 0
+		if len(s.gwIDs) > 1 {
+			sl.gi = s.qnode.Router().Shard(req.Key)
+		}
+		if sl.coord == s.cfg.ID {
+			sl.path = pathLocal
+			ok = s.tcp.InvokeShard(s.cfg.ID, sl.gi, sl.guarded)
+		} else {
+			sl.path = pathGateway
+			ok = s.tcp.Invoke(s.gwIDs[sl.gi], sl.exec)
+		}
+	case "session":
+		sl.path = pathSession
+		c.runSessions(c.queueSession(sl))
+		return
+	}
+	if !ok {
+		c.answer(sl, Response{Err: "node stopped"})
+	}
+}
+
+// runGuarded runs the operation as one invocation of the storage node: on
+// a durable node through the ack barrier, like a message.
+func (sl *opSlot) runGuarded(env transport.Env) { sl.c.s.invocation(env, sl.exec) }
+
+// run executes the operation on its loop. Its answer may come before run
+// returns, and the slot may then be reused at once: nothing reads the
+// slot after the operation is handed to the protocol.
+func (sl *opSlot) run(env transport.Env) {
+	s, req := sl.c.s, sl.req
+	switch sl.path {
+	case pathGossip:
+		resp := Response{OK: true}
+		switch req.Op {
+		case "put":
+			s.gossipN.Put(env, req.Key, req.Value)
+		case "del":
+			s.gossipN.Delete(env, req.Key)
+		case "get":
+			resp.Value, resp.Found = s.gossipN.Get(req.Key)
+		}
+		sl.finish(env, resp)
+	case pathLocal:
+		gw := s.gwQuorum[sl.gi]
+		switch req.Op {
+		case "put":
+			s.qnode.CoordinatePut(env, gw, req.Key, req.Value, sl.localPut)
+		case "del":
+			s.qnode.CoordinateDelete(env, gw, req.Key, sl.localPut)
+		case "get":
+			s.qnode.CoordinateGet(env, gw, req.Key, sl.r, sl.localGet)
+		}
+	case pathGateway:
+		gw, coord := s.gwQuorum[sl.gi], sl.coord
+		switch req.Op {
+		case "put":
+			gw.Put(env, coord, req.Key, req.Value, sl.gwPut)
+		case "del":
+			gw.Delete(env, coord, req.Key, sl.gwPut)
+		case "get":
+			gw.GetR(env, coord, req.Key, sl.r, sl.gwGet)
+		}
+	case pathSession:
+		sess := sl.c.sess
+		sess.MergeToken(req.Token)
+		switch req.Op {
+		case "put":
+			sess.Write(env, s.cfg.ID, req.Key, req.Value, sl.sessWrote)
+		case "del":
+			sess.Delete(env, s.cfg.ID, req.Key, sl.sessWrote)
+		case "get":
+			sess.Read(env, s.cfg.ID, req.Key, sl.sessRead)
+		}
+	}
+}
+
+func (sl *opSlot) putDone(env transport.Env, r quorum.PutResult) {
+	resp := putResponse(r.Err)
+	resp.Zone = sl.c.s.cfg.Zone
+	sl.finish(env, resp)
+}
+
+// getDone answers a quorum get at the tier delivered.
+func (sl *opSlot) getDone(env transport.Env, r quorum.GetResult) {
+	resp := Response{Zone: sl.c.s.cfg.Zone}
+	if r.Err != nil {
+		resp.Err = r.Err.Error()
+	} else {
+		resp.OK, resp.Found, resp.Values = true, len(r.Values) > 0, r.Values
+		resp.Tier, resp.StaleMs = uint8(sl.tier), sl.staleMs
+		if len(r.Values) > 0 {
+			resp.Value = r.Values[0]
+		}
+	}
+	sl.finish(env, resp)
+}
+
+// The gateway clients are not behind the ack barrier: they journal
+// nothing, and their answers come from the coordinator's own.
+func (sl *opSlot) gatewayPutDone(r quorum.PutResult) { sl.putDone(nil, r) }
+func (sl *opSlot) gatewayGetDone(r quorum.GetResult) { sl.getDone(nil, r) }
+
+func (sl *opSlot) sessionWritten(r session.WriteResult) {
+	resp := Response{OK: true, Token: sl.c.sess.Token()}
+	if r.TimedOut {
+		resp = Response{Err: "session write timed out", Token: resp.Token}
+	}
+	sl.sessionDone(resp)
+}
+
+func (sl *opSlot) sessionRead(r session.ReadResult) {
+	resp := Response{OK: true, Value: r.Value, Found: r.OK, Token: sl.c.sess.Token()}
+	if r.TimedOut {
+		resp = Response{Err: "session read timed out", Token: resp.Token}
+	}
+	sl.sessionDone(resp)
+}
+
+// sessionDone answers a session operation and starts the next one.
+func (sl *opSlot) sessionDone(resp Response) {
+	c := sl.c
+	c.answer(sl, resp)
+	c.runSessions(c.nextSession())
+}
+
+// queueSession puts sl behind the session operation running, and returns
+// it if none is: the caller starts it.
+func (c *clientConn) queueSession(sl *opSlot) *opSlot {
+	c.sessMu.Lock()
+	defer c.sessMu.Unlock()
+	if c.sessBusy {
+		c.sessQ = append(c.sessQ, sl)
+		return nil
+	}
+	c.sessBusy = true
+	return sl
+}
+
+// nextSession returns the session operation queued next, or nil (and the
+// chain goes idle).
+func (c *clientConn) nextSession() *opSlot {
+	c.sessMu.Lock()
+	defer c.sessMu.Unlock()
+	if len(c.sessQ) == 0 {
+		c.sessBusy = false
+		return nil
+	}
+	sl := c.sessQ[0]
+	c.sessQ = append(c.sessQ[:0], c.sessQ[1:]...)
+	return sl
+}
+
+// runSessions starts sl on the session client, answering it and moving
+// to the next for as long as the client is stopped.
+func (c *clientConn) runSessions(sl *opSlot) {
+	for sl != nil && !c.s.tcp.Invoke(c.sessID, sl.exec) {
+		c.answer(sl, Response{Err: "session stopped"})
+		sl = c.nextSession()
+	}
+}
+
+// finish answers the operation from the invocation env it completed in
+// (nil off the storage node's loops). Under the ack barrier the answer
+// waits like a message sent in its place, for the records the invocation
+// journaled; if the barrier drops it, the client learns the write is not
+// durable.
+func (sl *opSlot) finish(env transport.Env, resp Response) {
+	if d, ok := env.(*deferEnv); ok {
+		sl.resp = resp
+		d.Defer(sl.deliver, sl.dropped)
+		return
+	}
+	sl.c.answer(sl, resp)
+}
+
+func (sl *opSlot) answerHeld()    { sl.c.answer(sl, sl.resp) }
+func (sl *opSlot) answerDropped() { sl.c.answer(sl, Response{Err: errNotDurable}) }
+
+// answer sends the answer of sl's operation, unless it was answered
+// already (Server.Close answers what the stopped node never will).
+func (c *clientConn) answer(sl *opSlot, resp Response) {
+	if sl.state.Swap(slotIdle) != slotIdle {
+		c.send(sl, resp)
+	}
+}
+
+// send counts the finished request and queues its answer. Unless a
+// writer is at work, it then writes the queue itself; a writer at work
+// writes it next. The slot comes back once the answer is written.
+func (c *clientConn) send(sl *opSlot, resp Response) {
+	s := c.s
+	s.statMu.Lock()
+	if !resp.OK {
+		s.reqCount.Inc("server.request_errors")
+	}
+	s.reqLat.Observe(time.Since(sl.start))
+	s.statMu.Unlock()
+	resp.Seq, resp.Node = sl.req.Seq, s.cfg.ID
+	sl.req, sl.resp = Request{}, resp // the request's frame is not pinned
+
+	c.mu.Lock()
+	if c.broken {
+		c.mu.Unlock()
+		sl.resp = Response{}
+		c.free <- sl
+		return
+	}
+	c.queued = append(c.queued, sl)
+	if c.writing {
+		c.mu.Unlock()
+		return
+	}
+	c.writing = true
+	for len(c.queued) > 0 {
+		c.take()
+		c.mu.Unlock()
+		c.frame()
+		if c.tryWrite(); c.werr != nil {
+			c.fail(c.werr)
+			return
+		}
+		if c.wn < len(c.wbuf) {
+			c.wake <- struct{}{}
+			return
+		}
+		c.mu.Lock()
+		c.written()
+	}
+	c.writing = false
+	c.mu.Unlock()
+}
+
+// take hands the queued answers to the writer. c.mu held.
+func (c *clientConn) take() {
+	c.wheld, c.queued, c.spare = c.queued, c.spare[:0], nil
+}
+
+// frame encodes the writer's batch into its buffer. An answer too large
+// for a frame is answered with the error instead.
+func (c *clientConn) frame() {
+	c.wbuf, c.wn = c.wbuf[:0], 0
+	for _, sl := range c.wheld {
+		var err error
+		if c.wbuf, err = transport.AppendMessage(c.wbuf, c.s.cfg.ID, c.id, sl.resp); err != nil {
+			c.wbuf, _ = transport.AppendMessage(c.wbuf, c.s.cfg.ID, c.id,
+				Response{Seq: sl.resp.Seq, Node: sl.resp.Node, Err: err.Error()})
+		}
+	}
+}
+
+// written frees the slots of the batch just written. c.mu held.
+func (c *clientConn) written() {
+	for _, sl := range c.wheld {
+		sl.resp = Response{}
+		c.free <- sl
+	}
+	clear(c.wheld)
+	c.spare, c.wheld = c.wheld[:0], nil
+}
+
+// tryWrite makes one non-blocking write of the writer's buffer; wn and
+// werr report what it did.
+func (c *clientConn) tryWrite() {
+	c.wn, c.werr = 0, nil
+	if c.raw == nil {
+		return
+	}
+	if err := c.raw.Write(c.rawFunc); err != nil {
+		c.werr = err
+	}
+}
+
+// rawWrite is one write(2), which never waits: a full socket buffer
+// writes nothing and leaves the rest to the writer goroutine.
+func (c *clientConn) rawWrite(fd uintptr) bool {
+	n, err := syscall.Write(int(fd), c.wbuf)
+	switch err {
+	case nil:
+		c.wn = n
+	case syscall.EAGAIN, syscall.EINTR:
+	default:
+		c.werr = err
+	}
+	return true
+}
+
+// writer finishes the writes the non-blocking attempt could not, then
+// frames and writes what was answered meanwhile, blocking as long as the
+// client takes to read (up to writeTimeout a write).
+func (c *clientConn) writer() {
+	for range c.wake {
+		for {
+			c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+			if _, err := c.conn.Write(c.wbuf[c.wn:]); err != nil {
+				c.fail(err)
+				break
+			}
+			c.mu.Lock()
+			c.written()
+			if len(c.queued) == 0 {
+				// No stale deadline may fail the next non-blocking attempt.
+				c.conn.SetWriteDeadline(time.Time{})
+				c.writing = false
+				c.mu.Unlock()
+				break
+			}
+			c.take()
+			c.mu.Unlock()
+			c.frame()
+		}
+	}
+}
+
+// fail ends a connection whose write failed: the reader stops, and every
+// answer not yet written is dropped with its slot freed.
+func (c *clientConn) fail(err error) {
+	c.s.logf("server %s: client %s write: %v", c.s.cfg.ID, c.id, err)
+	c.conn.Close()
+	c.mu.Lock()
+	c.broken, c.writing = true, false
+	for _, sl := range append(c.wheld, c.queued...) {
+		sl.resp = Response{}
+		c.free <- sl
+	}
+	c.wheld, c.queued = nil, nil
+	c.mu.Unlock()
+}
+
+// abandon answers every operation still in flight as stopped. Server.Close
+// calls it once the loops and the barrier are stopped, when no operation
+// can complete any more; admin operations answer on their own.
+func (c *clientConn) abandon() {
+	c.mu.Lock()
+	slots := append([]*opSlot(nil), c.slots...)
+	c.mu.Unlock()
+	for _, sl := range slots {
+		if sl.state.CompareAndSwap(slotOp, slotIdle) {
+			c.send(sl, Response{Err: "node stopped"})
+		}
+	}
+}

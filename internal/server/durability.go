@@ -85,9 +85,9 @@ func (d *durability) setDomains(n int) {
 // persist journals one protocol record. It is the Persist hook handed
 // to the protocol config, and it runs on the node's actor loop — but
 // it does NOT wait for the fsync. The record's seq lands in pending;
-// the ack barrier (ackBarrier, or handleGossip for client-direct acks)
-// holds the handler's outgoing acks until the WAL's durable watermark
-// reaches it, and drops them if it never does. Durable-before-ack holds,
+// the ack barrier (ackBarrier) holds the handler's outgoing acks, and
+// its answers to clients, until the WAL's durable watermark reaches it,
+// and drops them if it never does. Durable-before-ack holds,
 // yet the actor loop keeps processing during the disk wait — which is
 // exactly what lets the WAL committer group many appends under one
 // fsync. During recovery replay persist is a no-op (replay must not
@@ -146,8 +146,8 @@ func (d *durability) durable(seq uint64) bool {
 
 // await blocks until record seq is on disk and reports whether it got
 // there. A record whose append or fsync failed never does: the caller
-// drops the acks it gates, the requester times out, and nothing is
-// acked that the disk may not hold.
+// drops the acks it gates, and nothing is acked that the disk may not
+// hold.
 func (d *durability) await(seq uint64) bool {
 	if seq == neverDurable {
 		return false // persistAt counted the failure

@@ -185,9 +185,19 @@ func TestNoAckForAWriteTheDiskLost(t *testing.T) {
 				if s.dur.Failures() == 0 {
 					t.Fatal("the lost write was not counted in Failures")
 				}
+				// The refusal leaves as soon as the record is lost, which
+				// can be before the peers have installed the put.
+				deadline := time.Now().Add(2 * time.Second)
 				for _, peer := range srvs[1:] {
-					if got := peer.qnode.LocalValues("k"); len(got) != 1 || string(got[0]) != "after" {
-						t.Fatalf("%s holds %q, want the put it acked", peer.ID(), got)
+					for {
+						got := peer.qnode.LocalValues("k")
+						if len(got) == 1 && string(got[0]) == "after" {
+							break
+						}
+						if time.Now().After(deadline) {
+							t.Fatalf("%s holds %q, want the put it acked", peer.ID(), got)
+						}
+						time.Sleep(time.Millisecond)
 					}
 				}
 			})

@@ -92,12 +92,6 @@ type Response struct {
 	StaleMs int64
 	Tier    uint8
 	Zone    string
-
-	// walSeq is the WAL seq a gossip write must be durable through before
-	// the server answers (0: nothing journaled). Server-side only: it
-	// rides the reply channel from the actor loop to the request
-	// goroutine and is never encoded.
-	walSeq uint64
 }
 
 func (Request) WireID() uint16 { return widRequest }

@@ -25,7 +25,7 @@ func genStrs(g *wiretest.Gen) []string {
 	return out
 }
 
-// genResponse returns a get's answer shaped as handleQuorum builds it:
+// genResponse returns a get's answer shaped as a quorum get builds it:
 // Value is the first sibling, the same slice, whenever there is one.
 func genResponse(g *wiretest.Gen) Response {
 	r := Response{Seq: g.Uint64(), OK: true, Values: g.ByteSlices(), Tier: g.Byte()}
@@ -112,8 +112,8 @@ func frameOf(t *testing.T, msg transport.Message) (frame []byte, got Response) {
 }
 
 // checkValueCarriedOnce pins the one place the client codec looks at
-// identity: a get's answer whose Value is Values[0], the slice
-// handleQuorum builds, crosses the wire with the value in it once and
+// identity: a get's answer whose Value is Values[0], the slice a quorum
+// get builds, crosses the wire with the value in it once and
 // decodes to the same shape; every other answer is written in full.
 func checkValueCarriedOnce(t *testing.T) {
 	v := bytes.Repeat([]byte("v"), 4096)
@@ -157,6 +157,53 @@ func checkValueCarriedOnce(t *testing.T) {
 	}
 	if _, _, err := transport.DecodeFrame(frame); err != nil {
 		t.Errorf("the well-formed marked frame: %v", err)
+	}
+}
+
+// sameFrame checks that AppendMessage frames m into the bytes AppendFrame
+// gives the boxed m, appended to what dst held.
+func sameFrame[M transport.BinaryMessage](t *testing.T, from, to string, m M) {
+	t.Helper()
+	want, err := transport.AppendFrame([]byte("head"), transport.Envelope{From: from, To: to, Msg: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := transport.AppendMessage([]byte("head"), from, to, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("AppendMessage(%T) = % x, AppendFrame = % x", m, got, want)
+	}
+}
+
+// The server frames its answers, and the client its requests, with
+// AppendMessage: the bytes AppendFrame writes, without boxing the message
+// into an Envelope, so framing one allocates nothing.
+func TestAppendMessageMatchesAppendFrame(t *testing.T) {
+	for seed := int64(0); seed < 64; seed++ {
+		// A token's vectors encode in map order, so two framings of one
+		// token need not agree byte for byte: the frames here carry none.
+		msgs := genMsgs(wiretest.NewGen(seed))
+		req, resp := msgs[0].(Request), msgs[2].(Response)
+		req.Token, resp.Token = session.Token{}, session.Token{}
+		sameFrame(t, "cli", "", req)
+		sameFrame(t, "node0", "cli", msgs[1].(Response))
+		sameFrame(t, "node0", "cli", resp)
+	}
+	sameFrame(t, "cli", "", transport.ClientHello("cli").(transport.BinaryMessage))
+	if _, err := transport.AppendMessage(nil, "node0", "cli", Response{Value: make([]byte, transport.MaxFrameSize)}); err == nil {
+		t.Fatal("a frame over MaxFrameSize was encoded")
+	}
+	if raceEnabled {
+		return
+	}
+	resp := genResponse(wiretest.NewGen(1))
+	buf := make([]byte, 0, 64<<10)
+	if n := testing.AllocsPerRun(100, func() {
+		buf, _ = transport.AppendMessage(buf[:0], "node0", "cli", resp)
+	}); n != 0 {
+		t.Fatalf("AppendMessage allocates %v objects per response, want 0", n)
 	}
 }
 

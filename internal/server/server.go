@@ -113,7 +113,7 @@ type Server struct {
 	dir    *resilience.Directory
 	policy *resilience.Policy
 
-	gwQuorum   []*quorum.Client // quorum model: gateway clients (one per shard; see handleQuorum)
+	gwQuorum   []*quorum.Client // quorum model: gateway clients (one per shard; see clientConn.start)
 	gwIDs      []string
 	lsmEngines []*lsm.Engine // Engine "lsm": per-shard trees, for metrics and close
 	gossipN    *gossip.Node  // gossip model: ops run on the storage actor itself
@@ -126,8 +126,9 @@ type Server struct {
 	statMu     sync.Mutex // guards reqCount and reqLat
 	reqCount   *metrics.Counters
 	reqLat     *metrics.Histogram
+	connMu     sync.Mutex // guards connSeq and conns
 	connSeq    uint64
-	connMu     sync.Mutex
+	conns      map[*clientConn]struct{} // client connections being served
 	closeOnce  sync.Once
 
 	// incarnation counts the boots from DataDir before this one (0
@@ -156,9 +157,8 @@ type Server struct {
 // first boot mints exactly what it did before incarnations existed.
 const incarnationShift = 40
 
-// requestTimeout bounds how long a gateway waits for the protocol to
-// complete one client operation before answering with an error. Long
-// enough for quorum retries and session guarantee-blocking to resolve.
+// requestTimeout bounds how long an admin operation waits for the
+// storage node's loop and the cluster before answering with an error.
 const requestTimeout = 6 * time.Second
 
 func (c Config) validate() error {
@@ -233,6 +233,7 @@ func New(cfg Config) (*Server, error) {
 		policy:   policy,
 		reqCount: metrics.NewCounters(),
 		reqLat:   metrics.NewHistogram(),
+		conns:    make(map[*clientConn]struct{}),
 	}
 	// Wake parked connection handlers however New exits — they check
 	// booted and drop the connection if boot failed.
@@ -453,7 +454,7 @@ func New(cfg Config) (*Server, error) {
 		// One gateway quorum client per shard, keyed the same way as the
 		// replica shards, names the writes this node's clients make and
 		// keeps their contexts. An operation this node coordinates runs on
-		// the key's shard loop (handleQuorum); one it forwards runs on the
+		// the key's shard loop (clientConn.start); one it forwards runs on the
 		// gateway's own actor loop, so forwarding fans across cores too
 		// instead of serializing on a single gateway loop.
 		ng := s.qnode.Shards()
@@ -574,6 +575,13 @@ func (s *Server) Close() {
 			// posts into the closed transport, which discards it.
 			s.ackB.Close()
 		}
+		// No client operation can complete any more: answer the ones a
+		// stopped loop or timer would have.
+		s.connMu.Lock()
+		for c := range s.conns {
+			c.abandon()
+		}
+		s.connMu.Unlock()
 		if s.dur != nil {
 			// After tcp.Close the actor loops are stopped, so no persist
 			// call can race the log close.
@@ -588,157 +596,10 @@ func (s *Server) Close() {
 	})
 }
 
-// maxClientInflight caps concurrently executing requests per client
-// connection. When the cap is reached the read loop stops pulling
-// frames, so an over-eager pipelining client sees TCP backpressure
-// rather than unbounded server memory.
-const maxClientInflight = 128
-
-// serveClient handles one client connection. Requests are pipelined:
-// the client tags each with a sequence number and may send the next
-// before the previous answered. Gossip and quorum requests execute
-// concurrently (each op is independent; the protocol actors serialize
-// what must serialize), so a pipelining client overlaps quorum round
-// trips and lets the WAL group-commit its writes. Session requests run
-// in arrival order — the guarantees are defined over the session's own
-// operation sequence. Responses carry the request's Seq back and are
-// batch-framed when several complete together.
-func (s *Server) serveClient(clientID string, conn net.Conn) {
-	defer conn.Close()
-
-	var sess *session.Client
-	var sessID string
-	if s.cfg.Model == "session" {
-		s.connMu.Lock()
-		s.connSeq++
-		sessID = fmt.Sprintf("%s#s%d", s.cfg.ID, s.connSeq)
-		s.connMu.Unlock()
-		sess = session.NewClient(sessID, session.All())
-		sess.Servers = s.ring.Members()
-		sess.Policy = s.policy
-		sess.Directory = s.dir
-		s.tcp.AddNode(sessID, sess)
-		defer s.tcp.RemoveNode(sessID)
-	}
-
-	// Responses funnel through respCh to a writer goroutine that
-	// coalesces replies completing together into one batch frame. The
-	// buffer covers every possible in-flight handler, so no handler
-	// blocks on a stalled writer.
-	respCh := make(chan Response, maxClientInflight)
-	writerDone := make(chan struct{})
-	go s.writeResponses(clientID, conn, respCh, writerDone)
-	var wg sync.WaitGroup
-	defer func() {
-		wg.Wait()     // every handler has parked its response
-		close(respCh) // writer flushes and exits
-		<-writerDone
-	}()
-
-	sem := make(chan struct{}, maxClientInflight)
-	var envs []transport.Envelope
-	for {
-		conn.SetReadDeadline(time.Now().Add(5 * time.Minute))
-		var err error
-		envs, _, err = transport.ReadBatch(conn, envs[:0])
-		if err != nil {
-			return
-		}
-		for _, e := range envs {
-			req, ok := e.Msg.(Request)
-			if !ok {
-				s.logf("server %s: client %s sent %T, want Request", s.cfg.ID, clientID, e.Msg)
-				return
-			}
-			if sess != nil {
-				resp := s.handle(req, sess, sessID)
-				resp.Seq, resp.Node = req.Seq, s.cfg.ID
-				respCh <- resp
-				continue
-			}
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(req Request) {
-				defer wg.Done()
-				resp := s.handle(req, nil, "")
-				resp.Seq, resp.Node = req.Seq, s.cfg.ID
-				respCh <- resp
-				<-sem
-			}(req)
-		}
-	}
-}
-
-// writeResponses drains respCh onto the connection, packing every
-// response ready at the same moment into one batch frame. On a write
-// error it closes the connection (which ends the read loop) but keeps
-// draining until the channel closes, so in-flight handlers never block.
-func (s *Server) writeResponses(clientID string, conn net.Conn, respCh chan Response, done chan struct{}) {
-	defer close(done)
-	var buf []byte
-	envs := make([]transport.Envelope, 0, 16)
-	broken := false
-	for resp := range respCh {
-		envs = append(envs[:0], transport.Envelope{From: s.cfg.ID, To: clientID, Msg: resp})
-	drain:
-		for len(envs) < maxClientInflight {
-			select {
-			case r, ok := <-respCh:
-				if !ok {
-					break drain
-				}
-				envs = append(envs, transport.Envelope{From: s.cfg.ID, To: clientID, Msg: r})
-			default:
-				break drain
-			}
-		}
-		if broken {
-			continue
-		}
-		var err error
-		buf, err = transport.AppendBatch(buf[:0], envs)
-		if err != nil {
-			// The batch overflowed the frame limit: send each response in
-			// its own frame so only a genuinely oversized one fails.
-			for _, e := range envs {
-				conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-				if _, werr := transport.WriteFrame(conn, e); werr != nil {
-					s.logf("server %s: client %s write: %v", s.cfg.ID, clientID, werr)
-					broken = true
-					conn.Close()
-					break
-				}
-			}
-			continue
-		}
-		conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		if _, err := conn.Write(buf); err != nil {
-			broken = true
-			conn.Close()
-		}
-	}
-}
-
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)
 	}
-}
-
-// handle executes one request against the hosted model.
-func (s *Server) handle(req Request, sess *session.Client, sessID string) Response {
-	start := time.Now()
-	s.statMu.Lock()
-	s.reqCount.Inc(requestCounter(req.Op))
-	s.statMu.Unlock()
-	resp := s.dispatch(req, sess, sessID)
-	s.statMu.Lock()
-	if !resp.OK {
-		s.reqCount.Inc("server.request_errors")
-	}
-	s.reqLat.Observe(time.Since(start))
-	s.statMu.Unlock()
-	return resp
 }
 
 // requestCounter names the counter of requests for op. The op is the
@@ -765,144 +626,44 @@ func requestCounter(op string) string {
 	return "server.requests.unknown"
 }
 
-func (s *Server) dispatch(req Request, sess *session.Client, sessID string) Response {
+// admin answers an admin operation. Those may wait on the cluster, so
+// each runs on a goroutine of its own.
+func (s *Server) admin(req Request) Response {
 	switch req.Op {
-	case "status":
-		resp := Response{OK: true, Model: s.cfg.Model, Zone: s.cfg.Zone}
-		if s.el != nil {
-			seq, mode, _, _, _ := s.el.snapshot()
-			resp.Epoch, resp.State = seq, mode
-		}
-		return resp
 	case "ring-status":
 		return s.handleRingStatus()
 	case "add-node":
 		return s.handleAddNode(req)
 	case "decommission":
 		return s.handleDecommission()
-	case "put", "get", "del":
-	default:
-		return Response{Err: fmt.Sprintf("unknown op %q", req.Op)}
 	}
-	// A node that left the ring — or is draining, for writes — redirects
-	// the client with a typed refusal instead of silently serving (or
-	// coordinating) against stale ownership.
+	resp := Response{OK: true, Model: s.cfg.Model, Zone: s.cfg.Zone}
 	if s.el != nil {
-		s.el.mu.Lock()
-		mode, seq := s.el.mode, s.el.seq
-		s.el.mu.Unlock()
-		if mode == stateLeft || (mode == stateDraining && req.Op != "get") {
-			return Response{
-				Err:      fmt.Sprintf("node %s is %s; retry against a current member", s.cfg.ID, mode),
-				NotOwner: true,
-				Epoch:    seq,
-				State:    mode,
-			}
-		}
-	}
-	switch s.cfg.Model {
-	case "gossip":
-		return s.handleGossip(req)
-	case "quorum":
-		return s.handleQuorum(req)
-	case "session":
-		return s.handleSession(req, sess, sessID)
-	}
-	return Response{Err: "no model"}
-}
-
-// handleGossip runs the operation on the storage actor's own loop:
-// gossip reads and writes are local by design, anti-entropy spreads
-// them. The client's ack bypasses the protocol's message path (it
-// travels the done channel, not Env.Send), so the durability wait
-// happens here: the actor hands back the write's WAL seq and this
-// request goroutine — not the actor loop — waits for it to become
-// durable before acking, and answers with an error if it never does.
-// Concurrent client writes thus share committer fsyncs.
-func (s *Server) handleGossip(req Request) Response {
-	done := getReply()
-	ok := s.tcp.Invoke(s.cfg.ID, func(env transport.Env) {
-		var resp Response
-		switch req.Op {
-		case "put":
-			s.gossipN.Put(env, req.Key, req.Value)
-			resp = Response{OK: true}
-		case "del":
-			s.gossipN.Delete(env, req.Key)
-			resp = Response{OK: true}
-		case "get":
-			v, found := s.gossipN.Get(req.Key)
-			resp = Response{OK: true, Value: v, Found: found}
-		}
-		if s.dur != nil {
-			resp.walSeq = s.dur.takePending(0)
-		}
-		done <- resp
-	})
-	if !ok {
-		return Response{Err: "node stopped"}
-	}
-	resp := await(done)
-	if resp.walSeq != 0 && !s.dur.await(resp.walSeq) { // 0: no DataDir, or nothing journaled
-		return Response{Err: "write not durable: the node's WAL failed"}
+		seq, mode, _, _, _ := s.el.snapshot()
+		resp.Epoch, resp.State = seq, mode
 	}
 	return resp
 }
 
-// handleQuorum runs the operation under the gateway quorum client of the
-// key's shard (the request ids and per-key contexts of the key live
-// there). The coordinator is normally this node itself, whenever it holds
-// a replica of the key (see coordinator for when the ring owner
-// coordinates instead). Then the operation is one call on the key's shard
-// loop, where the node coordinates it for the gateway client in place:
-// no message to the node and back, and no client-side timers, since the
-// node's own time-out and retransmission bound the operation. The call
-// passes the ack barrier like a message, and so does its answer. An
-// operation another node coordinates goes through the gateway actor,
-// whose client retries, hedges and fails over if the coordinator is
-// down. An eventual or bounded get runs a sub-quorum read in this node's
-// zone (see slaRoute); the response reports the tier actually delivered
-// and the node's measured cross-zone staleness at serve time.
-func (s *Server) handleQuorum(req Request) Response {
-	tier, rOverride, coord, staleMs := s.slaRoute(req)
-	gi := 0
-	if len(s.gwIDs) > 1 {
-		gi = s.qnode.Router().Shard(req.Key)
+// refusal is the typed refusal of a node that left the ring, or is
+// draining and req is a write: it redirects the client instead of
+// silently serving (or coordinating) against stale ownership.
+func (s *Server) refusal(req Request) (Response, bool) {
+	if s.el == nil {
+		return Response{}, false
 	}
-	gw := s.gwQuorum[gi]
-	done := getReply()
-	var ok bool
-	if coord == s.cfg.ID {
-		ok = s.tcp.InvokeShard(s.cfg.ID, gi, func(env transport.Env) {
-			s.invocation(env, func(env transport.Env) {
-				switch req.Op {
-				case "put":
-					s.qnode.CoordinatePut(env, gw, req.Key, req.Value, putDone(done))
-				case "del":
-					s.qnode.CoordinateDelete(env, gw, req.Key, putDone(done))
-				case "get":
-					s.qnode.CoordinateGet(env, gw, req.Key, rOverride, getDone(done, tier, staleMs))
-				}
-			})
-		})
-	} else {
-		ok = s.tcp.Invoke(s.gwIDs[gi], func(env transport.Env) {
-			switch req.Op {
-			case "put":
-				gw.Put(env, coord, req.Key, req.Value, putDone(done))
-			case "del":
-				gw.Delete(env, coord, req.Key, putDone(done))
-			case "get":
-				gw.GetR(env, coord, req.Key, rOverride, getDone(done, tier, staleMs))
-			}
-		})
+	s.el.mu.Lock()
+	mode, seq := s.el.mode, s.el.seq
+	s.el.mu.Unlock()
+	if mode == stateLeft || (mode == stateDraining && req.Op != "get") {
+		return Response{
+			Err:      fmt.Sprintf("node %s is %s; retry against a current member", s.cfg.ID, mode),
+			NotOwner: true,
+			Epoch:    seq,
+			State:    mode,
+		}, true
 	}
-	if !ok {
-		return Response{Err: "node stopped"}
-	}
-	resp := await(done)
-	resp.Zone = s.cfg.Zone
-	return resp
+	return Response{}, false
 }
 
 // invocation runs fn as one handler invocation of the storage actor: on a
@@ -913,27 +674,6 @@ func (s *Server) invocation(env transport.Env, fn func(transport.Env)) {
 		return
 	}
 	s.ackB.Call(env, fn)
-}
-
-// putDone answers a quorum put or delete on done.
-func putDone(done chan Response) func(quorum.PutResult) {
-	return func(r quorum.PutResult) { done <- putResponse(r.Err) }
-}
-
-// getDone answers a quorum get on done, at the tier delivered.
-func getDone(done chan Response, tier geo.Kind, staleMs int64) func(quorum.GetResult) {
-	return func(r quorum.GetResult) {
-		if r.Err != nil {
-			done <- Response{Err: r.Err.Error()}
-			return
-		}
-		resp := Response{OK: true, Found: len(r.Values) > 0, Values: r.Values,
-			Tier: uint8(tier), StaleMs: staleMs}
-		if len(r.Values) > 0 {
-			resp.Value = r.Values[0]
-		}
-		done <- resp
-	}
 }
 
 // slaRoute resolves a request's SLA tier into a plan: the tier actually
@@ -1038,105 +778,4 @@ func putResponse(err error) Response {
 		return Response{Err: err.Error()}
 	}
 	return Response{OK: true}
-}
-
-// handleSession merges the request's token into the connection's
-// session, runs the operation against the local replica (failover takes
-// it elsewhere if needed), and returns the updated token.
-func (s *Server) handleSession(req Request, sess *session.Client, sessID string) Response {
-	if sess == nil {
-		return Response{Err: "no session"}
-	}
-	done := getReply()
-	ok := s.tcp.Invoke(sessID, func(env transport.Env) {
-		sess.MergeToken(req.Token)
-		switch req.Op {
-		case "put":
-			sess.Write(env, s.cfg.ID, req.Key, req.Value, func(r session.WriteResult) {
-				done <- sessionWriteResponse(sess, r)
-			})
-		case "del":
-			sess.Delete(env, s.cfg.ID, req.Key, func(r session.WriteResult) {
-				done <- sessionWriteResponse(sess, r)
-			})
-		case "get":
-			sess.Read(env, s.cfg.ID, req.Key, func(r session.ReadResult) {
-				if r.TimedOut {
-					done <- Response{Err: "session read timed out", Token: sess.Token()}
-					return
-				}
-				done <- Response{OK: true, Value: r.Value, Found: r.OK, Token: sess.Token()}
-			})
-		}
-	})
-	if !ok {
-		return Response{Err: "session stopped"}
-	}
-	return await(done)
-}
-
-func sessionWriteResponse(sess *session.Client, r session.WriteResult) Response {
-	if r.TimedOut {
-		return Response{Err: "session write timed out", Token: sess.Token()}
-	}
-	return Response{OK: true, Token: sess.Token()}
-}
-
-// await bounds the wait for a protocol completion on done, a channel
-// from getReply. The channel is buffered, so a late callback after
-// timeout completes without leaking a goroutine.
-func await(done chan Response) Response {
-	t := startTimer(requestTimeout)
-	defer stopTimer(t)
-	select {
-	case r := <-done:
-		putReply(done)
-		return r
-	case <-t.C:
-		return Response{Err: "request timed out"}
-	}
-}
-
-// replies recycles the one-value channels a request's answer travels
-// on: Client.do's waiter, and the done channel of every handler that
-// waits in await. Every such channel has one sender that sends at most
-// once (a callback the protocol deletes or marks done before it runs,
-// or a closure the runtime runs once), so a channel goes back only
-// after its one value was received: it is then empty and nothing else
-// holds it. After a time-out or a close it is dropped instead, since a
-// late sender may still write into it.
-var replies = sync.Pool{New: func() any { return make(chan Response, 1) }}
-
-func getReply() chan Response { return replies.Get().(chan Response) }
-
-func putReply(ch chan Response) { replies.Put(ch) }
-
-// timers recycles the time-out timers of request waits: every request
-// arms one and almost none fires, so time.After would allocate a timer
-// and its channel per request only to drop them.
-var timers sync.Pool
-
-func startTimer(d time.Duration) *time.Timer {
-	if t, ok := timers.Get().(*time.Timer); ok {
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-// stopTimer returns t to the pool if it is known stopped with an empty
-// channel: Stop caught it before it fired, or its tick was taken here. A
-// timer that fired and whose tick is not in the channel is dropped: either
-// the wait consumed it, or (go.mod predates Go 1.23's synchronous timer
-// channels) the runtime has marked it expired and not yet sent, and the
-// tick would land in the pool and time out the next request at once.
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-			return
-		}
-	}
-	timers.Put(t)
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/wire"
 )
@@ -129,6 +131,62 @@ func TestBatchRoundTrip(t *testing.T) {
 	got, _, err = ReadBatch(bytes.NewReader(single), nil)
 	if err != nil || len(got) != 1 || !reflect.DeepEqual(got[0], envs[0]) {
 		t.Fatalf("ReadBatch(plain frame) = %#v, %v", got, err)
+	}
+}
+
+// Each connection reads frames through one buffered reader: a frame's
+// length prefix and body, and the frames behind them, come in whatever
+// reads the socket delivers. ReadBatch decodes every envelope whether
+// the stream arrives one byte per read or all of it in one.
+func TestReadBatchThroughABufferedReader(t *testing.T) {
+	var stream []byte
+	var want []Envelope
+	for seed := int64(0); seed < 6; seed++ {
+		envs := genEnvs(seed)
+		var err error
+		if seed%2 == 0 {
+			stream, err = AppendBatch(stream, envs)
+		} else {
+			for _, e := range envs {
+				if stream, err = AppendFrame(stream, e); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, envs...)
+	}
+	stream, _ = AppendFrame(stream, Envelope{From: "a", To: "b", Msg: bigMsg{B: make([]byte, 3*ReadBufferSize)}})
+	want = append(want, Envelope{From: "a", To: "b", Msg: bigMsg{B: make([]byte, 3*ReadBufferSize)}})
+	for name, src := range map[string]io.Reader{
+		"one byte per read":   iotest.OneByteReader(bytes.NewReader(stream)),
+		"coalesced in a read": bytes.NewReader(stream),
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := bufio.NewReaderSize(src, ReadBufferSize)
+			var got []Envelope
+			total := 0
+			for {
+				var n int
+				var err error
+				got, n, err = ReadBatch(r, got)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatalf("after %d envelopes: %v", len(got), err)
+				}
+				total += n
+			}
+			if total != len(stream) {
+				t.Fatalf("ReadBatch reported %d bytes of %d", total, len(stream))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("decoded %d envelopes that differ from the %d framed", len(got), len(want))
+			}
+		})
 	}
 }
 

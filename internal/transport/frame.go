@@ -61,6 +61,23 @@ func AppendFrame(dst []byte, e Envelope) ([]byte, error) {
 	return finishFrame(body, mark)
 }
 
+// AppendMessage is AppendFrame for an envelope from → to carrying m, for
+// a caller that holds m as its concrete type: the same bytes, without
+// boxing m into an Envelope's Message.
+func AppendMessage[M BinaryMessage](dst []byte, from, to string, m M) ([]byte, error) {
+	mark := len(dst)
+	dst = append(dst, 0, 0, 0, 0, codecBinary)
+	dst = wire.AppendString(dst, from)
+	dst = wire.AppendString(dst, to)
+	dst = wire.AppendUvarint(dst, uint64(m.WireID()))
+	return finishFrame(m.AppendBinary(dst), mark)
+}
+
+// ReadBufferSize sizes the buffered reader each connection's frame
+// reader reads through: a small frame's length prefix and body, and
+// often the frames behind it, arrive in one read syscall.
+const ReadBufferSize = 16 << 10
+
 // AppendBatch encodes envelopes as a single batch frame appended to
 // dst: one length prefix, one version byte, then each envelope's body
 // behind its own uvarint length. This is the coordinator fan-out

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -313,12 +314,13 @@ func (t *TCP) servePeer(peerID string, conn net.Conn) {
 		conn.Close()
 	}()
 	idle := t.idleTimeout()
+	r := bufio.NewReaderSize(conn, ReadBufferSize)
 	var envs []Envelope
 	for {
 		conn.SetReadDeadline(time.Now().Add(idle))
 		var n int
 		var err error
-		envs, n, err = ReadBatch(conn, envs[:0])
+		envs, n, err = ReadBatch(r, envs[:0])
 		if err != nil {
 			select {
 			case <-t.done:
