@@ -10,7 +10,6 @@
 //	ecbench -experiment pbs-staleness   # ... or by name
 //	ecbench -seed 7          # a different deterministic universe
 //	ecbench -parallel        # run experiments on a worker pool
-//	ecbench -bench out.json  # micro-benchmark suite -> JSON baseline
 //	ecbench -list            # list experiments
 //
 // Every experiment is a pure function of its seed, so -parallel changes
@@ -24,7 +23,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/benchsuite"
 	"repro/internal/experiments"
 )
 
@@ -34,21 +32,12 @@ func main() {
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		parallel = flag.Bool("parallel", false, "run experiments concurrently (same output, less wall time)")
-		bench    = flag.String("bench", "", "run the micro-benchmark suite and write a JSON baseline to this path ('-' for stdout)")
 	)
 	flag.Parse()
 
 	if *list {
 		for _, r := range experiments.All() {
 			fmt.Printf("%-4s %s\n", r.ID, r.Name)
-		}
-		return
-	}
-
-	if *bench != "" {
-		if err := benchsuite.WriteBaseline(*bench); err != nil {
-			fmt.Fprintf(os.Stderr, "ecbench: %v\n", err)
-			os.Exit(1)
 		}
 		return
 	}

@@ -9,6 +9,5 @@
 // The public surface is internal/core (the unified store API),
 // cmd/ecbench (the experiment suite E1–E11 from DESIGN.md), cmd/ecdemo
 // (a scripted partition scenario per model), and the runnable programs
-// under examples/. Benchmarks in bench_test.go regenerate each
-// experiment's table or figure.
+// under examples/.
 package repro

@@ -6,7 +6,8 @@
 //
 // Every experiment is a pure function of its seed: it builds a simulated
 // cluster, drives a workload, and returns formatted results. cmd/ecbench
-// prints them; bench_test.go wraps each in a testing.B benchmark.
+// prints them with each one's wall time; the TestE*Shape tests run each
+// one and check its claimed shape.
 package experiments
 
 import (

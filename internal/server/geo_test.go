@@ -15,7 +15,7 @@ import (
 // startGeoCluster boots n quorum nodes spread round-robin across zones,
 // with async cross-zone replication and an injected per-frame delay on
 // every cross-zone link — the local stand-in for WAN RTT.
-func startGeoCluster(t *testing.T, n int, zoneNames []string, xzDelay time.Duration, withHTTP bool) ([]*Server, map[string]string) {
+func startGeoCluster(t testing.TB, n int, zoneNames []string, xzDelay time.Duration, withHTTP bool) ([]*Server, map[string]string) {
 	t.Helper()
 	addrs := reservePorts(t, n)
 	peers := make(map[string]string, n)
@@ -131,6 +131,57 @@ func TestClusterGeoSLATiers(t *testing.T) {
 	}
 	if resp.Zone != zones["node0"] {
 		t.Fatalf("response zone = %q, want %q", resp.Zone, zones["node0"])
+	}
+}
+
+// BenchmarkGeoSLARead measures each SLA tier's read latency against a
+// zoned cluster of 6 nodes over 3 zones with a 2ms delay on every
+// cross-zone frame. Strong reads pay the injected RTT through the ring
+// owner's full R quorum; eventual reads serve R=1 from a replica in the
+// contacted node's own zone and never cross a zone — the gap between the
+// two cells is the latency the SLA tiers trade in.
+func BenchmarkGeoSLARead(b *testing.B) {
+	const keys = 64
+	srvs, _ := startGeoCluster(b, 6, []string{"us", "eu", "ap"}, 2*time.Millisecond, false)
+	c := dialNode(b, srvs[0], "geobench")
+	names := make([]string, keys)
+	for i := range names {
+		names[i] = fmt.Sprintf("geo-%d", i)
+		if err := c.Put(names[i], []byte("v")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Let the async replicator land every key in node0's zone, so the
+	// timed loops measure serving latency, not convergence waits.
+	deadline := time.Now().Add(30 * time.Second)
+	for _, k := range names {
+		for {
+			_, found, _, _, err := c.GetSLA(k, geo.Tier{Kind: geo.Eventual})
+			if err == nil && found {
+				break
+			}
+			if time.Now().After(deadline) {
+				b.Fatalf("key %s never replicated to node0's zone", k)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		tier geo.Tier
+	}{
+		{"strong", geo.Tier{Kind: geo.Strong}},
+		{"eventual", geo.Tier{Kind: geo.Eventual}},
+		{"bounded", geo.Tier{Kind: geo.Bounded, Bound: time.Minute}},
+	} {
+		b.Run("tier="+tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, _, _, err := c.GetSLA(names[i%keys], tc.tier); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // releasing ephemeral listeners. The tiny rebind window is the standard
 // trade for a cluster whose members must agree on the peer map before
 // any of them starts.
-func reservePorts(t *testing.T, n int) []string {
+func reservePorts(t testing.TB, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
 	lns := make([]net.Listener, n)
@@ -70,7 +70,7 @@ func startCluster(t *testing.T, model string, n int, withHTTP bool) []*Server {
 	return srvs
 }
 
-func dialNode(t *testing.T, s *Server, id string) *Client {
+func dialNode(t testing.TB, s *Server, id string) *Client {
 	t.Helper()
 	c, err := Dial(s.Addr(), id)
 	if err != nil {

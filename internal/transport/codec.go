@@ -39,7 +39,6 @@ const (
 //	20–39  internal/quorum
 //	40–49  internal/gossip
 //	50–59  internal/session
-//	60–69  internal/benchsuite
 type BinaryMessage interface {
 	Message
 	WireID() uint16

@@ -23,8 +23,8 @@ import (
 // tick of envelopes behind one prefix. Each
 // body is self-contained — stateless frames survive reconnects, can be
 // hedged or re-sent verbatim, and decode independently of arrival
-// order. The framing micro-benchmarks in internal/benchsuite track the
-// cost.
+// order. The frame probes in bench/probes.go (transport.frame_encode_ns,
+// frame_decode_ns, frame_decode_allocs) track the cost.
 
 // MaxFrameSize bounds a single frame (16 MiB). A peer announcing a
 // larger frame is protocol-corrupt and the connection is dropped —
