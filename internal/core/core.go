@@ -387,7 +387,3 @@ func (c *Cluster) Model() Model { return c.opts.Model }
 // ResilienceCounters returns the cluster-wide resilience event counters,
 // or nil when the resilience layer is off.
 func (c *Cluster) ResilienceCounters() *resilience.Counters { return c.resCounters }
-
-// ResilienceDirectory returns the shared failure-detector directory, or
-// nil when the resilience layer is off.
-func (c *Cluster) ResilienceDirectory() *resilience.Directory { return c.resDir }

@@ -1,9 +1,8 @@
 // Package geo carries the zone vocabulary of the geo-replication
-// subsystem: SLA tiers (strong / bounded-staleness / eventual), zone
-// spec parsing for flags, and a Pileus-style utility picker that routes
-// a client's read to the server expected to maximize delivered utility
-// given measured per-node round-trip times and per-zone replication
-// staleness (the quorum layer's PBS-style ec_geo_staleness_ms figure).
+// subsystem: SLA tiers (strong / bounded-staleness / eventual), which
+// travel on each server request, and zone spec parsing for flags. The
+// server routes a tiered read itself (see server.slaRoute); the
+// Pileus-style utility picker is internal/sla, run in simulation by E10.
 //
 // The tier semantics on the quorum substrate:
 //
@@ -20,7 +19,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -132,188 +130,4 @@ func AssignRoundRobin(ids, zones []string) map[string]string {
 		out[id] = zones[i%len(zones)]
 	}
 	return out
-}
-
-// SubSLA is one acceptable (tier, latency) point and the utility it
-// delivers — the Pileus triple on the quorum substrate.
-type SubSLA struct {
-	Tier    Tier
-	Latency time.Duration
-	Utility float64
-}
-
-// SLA is an ordered list of sub-SLAs, decreasing utility first.
-type SLA []SubSLA
-
-// TierSLA is the canonical single-tier SLA the ecctl `get --sla` flag
-// maps to: the requested tier at full utility, with strong as the
-// always-correct fallback.
-func TierSLA(t Tier) SLA {
-	if t.Kind == Strong {
-		return SLA{{Tier: t, Utility: 1}}
-	}
-	return SLA{
-		{Tier: t, Utility: 1},
-		{Tier: Tier{Kind: Strong}, Utility: 0.25},
-	}
-}
-
-// view is the picker's belief about one server.
-type view struct {
-	rtt      time.Duration
-	hasRTT   bool
-	staleMs  int64 // max staleness across the node's remote zones
-	hasStale bool
-}
-
-// Picker routes SLA reads: it keeps an RTT EWMA and the last reported
-// replication staleness per candidate server, and picks the server (and
-// tier) expected to maximize delivered utility. Safe for concurrent use.
-type Picker struct {
-	mu        sync.Mutex
-	views     map[string]*view
-	zoneOf    map[string]string
-	localZone string
-}
-
-// NewPicker returns a picker for a client in localZone over servers
-// whose zones are given by zoneOf (missing entries share the empty
-// zone, which still beats no information).
-func NewPicker(localZone string, zoneOf map[string]string) *Picker {
-	z := make(map[string]string, len(zoneOf))
-	for n, zn := range zoneOf {
-		z[n] = zn
-	}
-	return &Picker{views: make(map[string]*view), zoneOf: z, localZone: localZone}
-}
-
-func (p *Picker) viewOf(node string) *view {
-	v := p.views[node]
-	if v == nil {
-		v = &view{}
-		p.views[node] = v
-	}
-	return v
-}
-
-// ObserveRTT feeds one measured round trip into node's EWMA
-// (alpha = 1/8, the estimator internal/sla and the TCP heartbeats use).
-func (p *Picker) ObserveRTT(node string, rtt time.Duration) {
-	p.mu.Lock()
-	v := p.viewOf(node)
-	if !v.hasRTT {
-		v.rtt, v.hasRTT = rtt, true
-	} else {
-		v.rtt = (v.rtt*7 + rtt) / 8
-	}
-	p.mu.Unlock()
-}
-
-// ObserveStaleness records node's reported max replication staleness
-// across remote zones (from a read response or /healthz).
-func (p *Picker) ObserveStaleness(node string, ms int64) {
-	p.mu.Lock()
-	v := p.viewOf(node)
-	v.staleMs, v.hasStale = ms, true
-	p.mu.Unlock()
-}
-
-// RTT returns node's current round-trip estimate.
-func (p *Picker) RTT(node string) (time.Duration, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	v := p.views[node]
-	if v == nil || !v.hasRTT {
-		return 0, false
-	}
-	return v.rtt, true
-}
-
-// Pick chooses the server and sub-SLA for a read over nodes: scan the
-// sub-SLAs in order (decreasing utility) and take the first whose tier
-// some server is believed able to deliver within the latency target,
-// lowest RTT winning among candidates. Eventual- and bounded-tier reads
-// prefer the client's own zone (that is where sub-quorum reads are
-// local); bounded additionally requires the server's last reported
-// staleness within the bound. Returns the chosen node and the index of
-// the sub-SLA it was picked for (-1 with an empty node list).
-func (p *Picker) Pick(sla SLA, nodes []string) (string, int) {
-	if len(nodes) == 0 {
-		return "", -1
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, sub := range sla {
-		best, bestRTT := "", time.Duration(0)
-		bestLocal := false
-		for _, n := range nodes {
-			v := p.views[n]
-			var rtt time.Duration
-			hasRTT := false
-			if v != nil && v.hasRTT {
-				rtt, hasRTT = v.rtt, true
-			}
-			if hasRTT && sub.Latency > 0 && rtt > sub.Latency {
-				continue
-			}
-			if sub.Tier.Kind == Bounded {
-				// Without a staleness report, assume within bound (the
-				// server re-checks and escalates server-side anyway).
-				if v != nil && v.hasStale && time.Duration(v.staleMs)*time.Millisecond > sub.Tier.Bound {
-					continue
-				}
-			}
-			local := p.zoneOf[n] == p.localZone
-			if sub.Tier.Kind != Strong {
-				// Prefer in-zone candidates; among equals, lowest RTT.
-				if best != "" && bestLocal && !local {
-					continue
-				}
-			}
-			better := best == "" ||
-				(sub.Tier.Kind != Strong && local && !bestLocal) ||
-				(hasRTT && (bestRTT == 0 || rtt < bestRTT))
-			if better {
-				best, bestRTT, bestLocal = n, rtt, local
-			}
-		}
-		if best != "" {
-			return best, i
-		}
-	}
-	// Nothing matches any sub-SLA's latency target: fall back to the
-	// last sub-SLA at whatever latency the best-known server delivers.
-	best, bestRTT := nodes[0], time.Duration(0)
-	for _, n := range nodes {
-		if v := p.views[n]; v != nil && v.hasRTT && (bestRTT == 0 || v.rtt < bestRTT) {
-			best, bestRTT = n, v.rtt
-		}
-	}
-	return best, len(sla) - 1
-}
-
-// Score grades a completed read against the SLA: the first sub-SLA
-// whose latency target covers the observed latency and whose tier is at
-// least as weak as what was delivered earns its utility. deliveredTier
-// is the tier the server actually served (it may escalate bounded to
-// strong); staleMs is the staleness it reported. Returns the sub-SLA
-// index and utility, or (-1, 0) if no sub-SLA was met.
-func Score(sla SLA, lat time.Duration, deliveredTier Kind, staleMs int64) (int, float64) {
-	for i, sub := range sla {
-		if sub.Latency > 0 && lat > sub.Latency {
-			continue
-		}
-		switch sub.Tier.Kind {
-		case Strong:
-			if deliveredTier != Strong {
-				continue
-			}
-		case Bounded:
-			if deliveredTier != Strong && time.Duration(staleMs)*time.Millisecond > sub.Tier.Bound {
-				continue
-			}
-		}
-		return i, sub.Utility
-	}
-	return -1, 0
 }

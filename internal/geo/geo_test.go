@@ -67,120 +67,3 @@ func TestAssignRoundRobin(t *testing.T) {
 		t.Fatal("no zones must assign nothing")
 	}
 }
-
-func newTestPicker() *Picker {
-	// Client in us; one server per zone.
-	return NewPicker("us", map[string]string{"s-us": "us", "s-eu": "eu", "s-ap": "ap"})
-}
-
-func TestPickerEventualPrefersLocalZone(t *testing.T) {
-	p := newTestPicker()
-	// The remote servers look faster on RTT alone — zone must win for
-	// the eventual tier regardless.
-	p.ObserveRTT("s-us", 5*time.Millisecond)
-	p.ObserveRTT("s-eu", 1*time.Millisecond)
-	p.ObserveRTT("s-ap", 2*time.Millisecond)
-	nodes := []string{"s-eu", "s-ap", "s-us"}
-	node, sub := p.Pick(TierSLA(Tier{Kind: Eventual}), nodes)
-	if node != "s-us" || sub != 0 {
-		t.Fatalf("eventual pick = %q sub %d, want local s-us at sub 0", node, sub)
-	}
-}
-
-func TestPickerStrongUsesLowestRTT(t *testing.T) {
-	p := newTestPicker()
-	p.ObserveRTT("s-us", 5*time.Millisecond)
-	p.ObserveRTT("s-eu", 1*time.Millisecond)
-	node, _ := p.Pick(TierSLA(Tier{Kind: Strong}), []string{"s-us", "s-eu", "s-ap"})
-	if node != "s-eu" {
-		t.Fatalf("strong pick = %q, want lowest-RTT s-eu", node)
-	}
-}
-
-func TestPickerBoundedEscalatesOnStaleness(t *testing.T) {
-	p := newTestPicker()
-	p.ObserveRTT("s-us", 1*time.Millisecond)
-	p.ObserveRTT("s-eu", 30*time.Millisecond)
-	sla := TierSLA(Tier{Kind: Bounded, Bound: 500 * time.Millisecond})
-
-	p.ObserveStaleness("s-us", 100) // within bound
-	node, sub := p.Pick(sla, []string{"s-us", "s-eu"})
-	if node != "s-us" || sub != 0 {
-		t.Fatalf("fresh bounded pick = %q sub %d, want local at sub 0", node, sub)
-	}
-
-	// Over bound everywhere: no server can promise the bounded tier, so
-	// the pick escalates to the strong sub-SLA.
-	p.ObserveStaleness("s-us", 2_000)
-	p.ObserveStaleness("s-eu", 2_000)
-	node, sub = p.Pick(sla, []string{"s-us", "s-eu"})
-	if sub != 1 {
-		t.Fatalf("stale bounded pick = %q sub %d, want strong fallback sub 1", node, sub)
-	}
-
-	// A node with no staleness report is assumed within bound — the
-	// serving node re-checks and escalates server-side regardless.
-	p2 := newTestPicker()
-	p2.ObserveStaleness("s-us", 2_000)
-	if _, sub := p2.Pick(sla, []string{"s-us", "s-eu"}); sub != 0 {
-		t.Fatalf("unreported node not assumed fresh: sub %d", sub)
-	}
-}
-
-func TestPickerLatencyTargetFiltersSlowNodes(t *testing.T) {
-	p := newTestPicker()
-	p.ObserveRTT("s-us", 40*time.Millisecond)
-	p.ObserveRTT("s-eu", 2*time.Millisecond)
-	sla := SLA{
-		{Tier: Tier{Kind: Eventual}, Latency: 10 * time.Millisecond, Utility: 1},
-		{Tier: Tier{Kind: Strong}, Utility: 0.5},
-	}
-	// The only local node misses the 10ms target, so the first sub-SLA
-	// has no candidate in-zone... but s-eu meets it: eventual reads may
-	// go cross-zone when the local zone is slow.
-	node, sub := p.Pick(sla, []string{"s-us", "s-eu"})
-	if node != "s-eu" || sub != 0 {
-		t.Fatalf("pick = %q sub %d, want fast s-eu at sub 0", node, sub)
-	}
-}
-
-func TestPickerRTTEWMA(t *testing.T) {
-	p := newTestPicker()
-	p.ObserveRTT("s-us", 8*time.Millisecond)
-	p.ObserveRTT("s-us", 16*time.Millisecond)
-	got, ok := p.RTT("s-us")
-	if !ok {
-		t.Fatal("no RTT view")
-	}
-	want := (8*time.Millisecond*7 + 16*time.Millisecond) / 8
-	if got != want {
-		t.Fatalf("EWMA = %v, want %v", got, want)
-	}
-}
-
-func TestScore(t *testing.T) {
-	sla := SLA{
-		{Tier: Tier{Kind: Eventual}, Latency: 10 * time.Millisecond, Utility: 1},
-		{Tier: Tier{Kind: Strong}, Latency: 200 * time.Millisecond, Utility: 0.25},
-	}
-	if i, u := Score(sla, 5*time.Millisecond, Eventual, 50); i != 0 || u != 1 {
-		t.Fatalf("fast eventual: %d %v", i, u)
-	}
-	if i, u := Score(sla, 50*time.Millisecond, Strong, 0); i != 1 || u != 0.25 {
-		t.Fatalf("slow strong: %d %v", i, u)
-	}
-	if i, u := Score(sla, time.Second, Strong, 0); i != -1 || u != 0 {
-		t.Fatalf("blown latency: %d %v", i, u)
-	}
-	// A bounded sub-SLA is met by a strong answer or a fresh-enough one.
-	bsla := SLA{{Tier: Tier{Kind: Bounded, Bound: 100 * time.Millisecond}, Utility: 1}}
-	if i, _ := Score(bsla, time.Millisecond, Eventual, 50); i != 0 {
-		t.Fatalf("fresh bounded not credited: %d", i)
-	}
-	if i, _ := Score(bsla, time.Millisecond, Eventual, 500); i != -1 {
-		t.Fatalf("stale bounded credited: %d", i)
-	}
-	if i, _ := Score(bsla, time.Millisecond, Strong, 0); i != 0 {
-		t.Fatalf("strong answer not credited for bounded: %d", i)
-	}
-}

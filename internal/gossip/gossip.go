@@ -233,12 +233,14 @@ func (n *Node) OnMessage(env transport.Env, from string, msg transport.Message) 
 			return
 		}
 		sort.Ints(buckets)
-		env.Send(from, syncResp{Buckets: buckets, Writes: n.writesInBuckets(buckets)})
+		ws, nb := n.writesInBuckets(buckets)
+		env.Send(from, syncResp{Buckets: buckets[:nb], Writes: ws})
 	case syncResp:
 		for _, w := range m.Writes {
 			n.apply(env, from, w, 0)
 		}
-		env.Send(from, syncPush{Writes: n.writesInBuckets(m.Buckets)})
+		ws, _ := n.writesInBuckets(m.Buckets)
+		env.Send(from, syncPush{Writes: ws})
 		n.SyncRounds++
 	case syncPush:
 		for _, w := range m.Writes {
@@ -249,13 +251,32 @@ func (n *Node) OnMessage(env transport.Env, from string, msg transport.Message) 
 	}
 }
 
-// writesInBuckets fetches this replica's writes for the given divergent
-// buckets through the Merkle key index: O(divergent keys), not a scan
-// and sort of the whole key space.
-func (n *Node) writesInBuckets(buckets []int) []Write {
+// maxSyncBytes bounds the writes one syncResp or syncPush carries, well
+// under transport.MaxFrameSize: a replica far behind its peers catches up
+// over several rounds instead of in one frame the transport refuses.
+const maxSyncBytes = transport.MaxFrameSize / 4
+
+// writesInBuckets fetches this replica's writes for a prefix of the given
+// divergent buckets through the Merkle key index: O(divergent keys), not
+// a scan and sort of the whole key space. The prefix holds at least one
+// bucket and as many more as fit in maxSyncBytes; it returns the writes
+// and the prefix length. Buckets left out stay divergent, so a later
+// round ships them.
+func (n *Node) writesInBuckets(buckets []int) ([]Write, int) {
 	var keys []string
-	for _, b := range buckets {
-		keys = n.merkle.AppendBucketKeys(keys, b)
+	size, nb := 0, 0
+	for ; nb < len(buckets); nb++ {
+		mark := len(keys)
+		keys = n.merkle.AppendBucketKeys(keys, buckets[nb])
+		for _, k := range keys[mark:] {
+			if w, ok := n.data[k]; ok {
+				size += w.wireSize()
+			}
+		}
+		if nb > 0 && size > maxSyncBytes {
+			keys = keys[:mark]
+			break
+		}
 	}
 	out := make([]Write, 0, len(keys))
 	for _, k := range keys {
@@ -263,7 +284,7 @@ func (n *Node) writesInBuckets(buckets []int) []Write {
 			out = append(out, w)
 		}
 	}
-	return out
+	return out, nb
 }
 
 // apply installs a write if it is newer (LWW), updating the Merkle tree

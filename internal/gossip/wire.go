@@ -65,36 +65,9 @@ func readWrites(r *wire.Reader) []Write {
 	return out
 }
 
-func appendPairs(dst []byte, ps []storage.HashPair) []byte {
-	if ps == nil {
-		return append(dst, 0)
-	}
-	dst = wire.AppendUvarint(dst, uint64(len(ps))+1)
-	for _, p := range ps {
-		dst = wire.AppendVarint(dst, int64(p.Idx))
-		dst = wire.AppendUvarint(dst, p.Hash)
-	}
-	return dst
-}
-
-func readPairs(r *wire.Reader) []storage.HashPair {
-	n, ok := r.ListLen()
-	if !ok {
-		return nil
-	}
-	out := make([]storage.HashPair, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, storage.HashPair{Idx: int(r.Varint()), Hash: r.Uvarint()})
-	}
-	if r.Err() != nil {
-		return nil
-	}
-	return out
-}
-
 func (syncStep) WireID() uint16 { return widSyncStep }
 func (m syncStep) AppendBinary(dst []byte) []byte {
-	dst = appendPairs(dst, m.Pairs)
+	dst = storage.AppendHashPairs(dst, m.Pairs)
 	return wire.AppendInts(dst, m.Buckets)
 }
 
@@ -117,7 +90,7 @@ func (m rumor) AppendBinary(dst []byte) []byte {
 
 func init() {
 	transport.RegisterBinary(widSyncStep, func(r *wire.Reader) transport.Message {
-		return syncStep{Pairs: readPairs(r), Buckets: r.Ints()}
+		return syncStep{Pairs: storage.ReadHashPairs(r), Buckets: r.Ints()}
 	})
 	transport.RegisterBinary(widSyncResp, func(r *wire.Reader) transport.Message {
 		return syncResp{Buckets: r.Ints(), Writes: readWrites(r)}

@@ -130,15 +130,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Summary renders count/mean/p50/p99/max on one line.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
-		h.Count(), h.Mean().Round(time.Microsecond),
-		h.Quantile(0.50).Round(time.Microsecond),
-		h.Quantile(0.99).Round(time.Microsecond),
-		h.Max().Round(time.Microsecond))
-}
-
 // Ratio tracks a boolean outcome rate: anomalies per read, availability
 // per request, stale reads per probe.
 type Ratio struct {

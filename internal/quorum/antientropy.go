@@ -155,6 +155,6 @@ func (n *Node) shipBuckets(env transport.Env, peer string, buckets []int) {
 		}
 	}
 	// A key whose preference list peer has since left stays home.
-	keys = slices.DeleteFunc(keys, func(key string) bool { return !contains(n.PreferenceList(key), peer) })
+	keys = slices.DeleteFunc(keys, func(key string) bool { return !slices.Contains(n.PreferenceList(key), peer) })
 	n.openStream(env, peer, streamID{streamAE, n.mintStream()}, 0, source{next: shipKeys(keys, n.localEntries)})
 }

@@ -3,6 +3,7 @@ package quorum
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -25,7 +26,7 @@ func writeWithLaggards(t *testing.T, h *harness, key string) []string {
 	}
 	rest := []string{"client"}
 	for _, n := range h.c.Nodes() {
-		if !contains(isolated, n) && n != "client" {
+		if !slices.Contains(isolated, n) && n != "client" {
 			rest = append(rest, n)
 		}
 	}
@@ -125,7 +126,7 @@ func TestAntiEntropyIgnoresKeysOutsidePreferenceList(t *testing.T) {
 		k := fmt.Sprintf("probe-%d", i)
 		prefs := h.nodes[0].PreferenceList(k)
 		for _, n := range h.nodes {
-			if !contains(prefs, n.id) {
+			if !slices.Contains(prefs, n.id) {
 				key = k
 				outsider = n
 				break
@@ -176,10 +177,10 @@ func checkTreesSettled(t *testing.T, a, b *Node) {
 	for _, sh := range a.shards {
 		for _, p := range sh.store.Scan("", "", 0) {
 			prefs := a.PreferenceList(p.Key)
-			if !contains(prefs, a.id) || !contains(prefs, b.id) {
+			if !slices.Contains(prefs, a.id) || !slices.Contains(prefs, b.id) {
 				continue
 			}
-			if !contains(ta.AppendBucketKeys(nil, ta.Bucket(p.Key)), p.Key) {
+			if !slices.Contains(ta.AppendBucketKeys(nil, ta.Bucket(p.Key)), p.Key) {
 				t.Errorf("%s stores %q, shared with %s, but its tree for %s lacks it", a.id, p.Key, b.id, b.id)
 			}
 		}
@@ -289,7 +290,7 @@ func TestAntiEntropyQuiescesAfterNodeJoins(t *testing.T) {
 		// What the transfer stream does for the arcs s3 gained.
 		for i := 0; i < nKeys; i++ {
 			key := fmt.Sprintf("k-%d", i)
-			if !contains(s3.PreferenceList(key), "s3") {
+			if !slices.Contains(s3.PreferenceList(key), "s3") {
 				continue
 			}
 			joined++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -102,7 +103,7 @@ func entryAt(node string, ctr uint64, ctx clock.Vector, val string) clock.Siblin
 func (h *harness) outsider(key string) string {
 	prefs := h.nodes[0].PreferenceList(key)
 	for _, n := range h.nodes {
-		if !contains(prefs, n.id) {
+		if !slices.Contains(prefs, n.id) {
 			return n.id
 		}
 	}

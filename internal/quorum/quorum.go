@@ -61,10 +61,6 @@ type Config struct {
 	AntiEntropy bool
 	// AntiEntropyInterval is the reconciliation period (default 500ms).
 	AntiEntropyInterval time.Duration
-	// Strict declares the deployment intends a strict quorum (R+W > N,
-	// no sloppy fallbacks), and Validate rejects configurations that
-	// silently void that claim.
-	Strict bool
 	// Resilience, when non-nil, enables the fault-tolerance layer on
 	// every node: replica-RPC retransmission with backoff, fast sloppy
 	// fallback for suspected replicas, and liveness heartbeats feeding
@@ -172,15 +168,6 @@ func (c Config) Validate() error {
 	}
 	if c.W < 1 || c.W > c.N {
 		return fmt.Errorf("quorum: W=%d must be in [1, N=%d]", c.W, c.N)
-	}
-	if c.Strict && c.R+c.W <= c.N {
-		return fmt.Errorf("quorum: strict quorum claimed but R+W=%d <= N=%d, so read and write quorums need not intersect", c.R+c.W, c.N)
-	}
-	if c.Strict && c.SloppyQuorum {
-		return errors.New("quorum: strict quorum claimed but SloppyQuorum lets fallback acks void replica intersection")
-	}
-	if c.Strict && c.GeoAsync {
-		return errors.New("quorum: strict quorum claimed but GeoAsync acks on an intra-zone sub-quorum smaller than W")
 	}
 	return nil
 }
@@ -848,7 +835,7 @@ func (n *Node) coordinatePut(env transport.Env, client string, m clientPut, repl
 				lim = len(prev)
 			}
 			for _, old := range prev[:lim] {
-				if contains(prefs, old) {
+				if slices.Contains(prefs, old) {
 					continue
 				}
 				if old == n.id {
@@ -926,7 +913,7 @@ func (n *Node) retryWrite(env transport.Env, id uint64) {
 	}
 	now := env.Now()
 	for _, rep := range pw.replicas {
-		if contains(pw.acked, rep) || contains(pw.geoAsync, rep) {
+		if slices.Contains(pw.acked, rep) || slices.Contains(pw.geoAsync, rep) {
 			continue
 		}
 		env.Send(rep, replicaPut{ID: id, Key: pw.key, Entry: pw.entry})
@@ -938,15 +925,6 @@ func (n *Node) retryWrite(env transport.Env, id uint64) {
 		}
 	}
 	env.SetTimer(pol.Backoff(pw.attempt, env.Rand()), rpcRetryTag{id: id, write: true})
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 func (n *Node) applyReplicaPut(env transport.Env, from string, m replicaPut) {
@@ -981,7 +959,7 @@ func (n *Node) onPutAck(env transport.Env, from string, id uint64) {
 	if !ok || pw.done {
 		return
 	}
-	if contains(pw.acked, from) {
+	if slices.Contains(pw.acked, from) {
 		return // a retransmission's second ack
 	}
 	pw.acked = append(pw.acked, from)
@@ -1029,7 +1007,7 @@ func (n *Node) writeTimeout(env transport.Env, id uint64) {
 		pw.fbTried = true
 		engaged := pw.sloppy
 		for _, rep := range pw.replicas {
-			if contains(pw.acked, rep) || contains(pw.geoAsync, rep) {
+			if slices.Contains(pw.acked, rep) || slices.Contains(pw.geoAsync, rep) {
 				continue
 			}
 			if n.engageFallback(env, id, pw, rep) {
@@ -1081,7 +1059,7 @@ func (n *Node) coordinateGet(env transport.Env, client string, m clientGet, repl
 		responses: make(map[string]readAnswer),
 		needed:    needed,
 		replicas:  prefs,
-		digests:   contains(prefs, n.id),
+		digests:   slices.Contains(prefs, n.id),
 		asked:     make(map[string]bool),
 	}
 	if (n.cfg.Resilience != nil && n.cfg.SloppyQuorum) || n.cfg.Elastic != nil {
@@ -1149,7 +1127,7 @@ func (n *Node) retryRead(env transport.Env, id uint64) {
 		if n.cfg.Counters != nil {
 			n.cfg.Counters.Retry()
 		}
-		if contains(pr.replicas, t) && n.suspects(t, now) {
+		if slices.Contains(pr.replicas, t) && n.suspects(t, now) {
 			n.askReadFallback(env, id, pr)
 		}
 	}
@@ -1296,7 +1274,7 @@ func (n *Node) readRepair(env transport.Env, pr *pendingRead, merged []clock.Sib
 		// Fallback responders (resilience reads) are not replicas of the
 		// key; pushing the merged set there would strand data on nodes
 		// the read path never consults again.
-		if !contains(pr.replicas, rep) {
+		if !slices.Contains(pr.replicas, rep) {
 			continue
 		}
 		if sameEntries(pr.responses[rep].entries, merged) {

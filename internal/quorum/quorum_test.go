@@ -2,6 +2,7 @@ package quorum
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -283,7 +284,7 @@ func TestStrictQuorumUnavailableUnderPartition(t *testing.T) {
 		rest := []string{"client", prefs[0]}
 		var other []string
 		for _, n := range h.c.Nodes() {
-			if !contains(rest, n) {
+			if !slices.Contains(rest, n) {
 				other = append(other, n)
 			}
 		}
@@ -362,7 +363,7 @@ func TestForwardingFromNonPreferenceNode(t *testing.T) {
 	h.c.At(0, func() {
 		prefs := h.nodes[0].PreferenceList(key)
 		for _, n := range h.nodes {
-			if !contains(prefs, n.id) {
+			if !slices.Contains(prefs, n.id) {
 				outside = n.id
 				break
 			}

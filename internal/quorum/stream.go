@@ -204,7 +204,7 @@ func (n *Node) onShipAck(env transport.Env, from string, m shipAck) {
 func (n *Node) onShipBatch(env transport.Env, from string, m shipBatch) {
 	dom := execDomain(env)
 	for _, e := range m.Entries {
-		if m.Stream.Kind == streamAE && !contains(n.PreferenceList(e.Key), n.id) {
+		if m.Stream.Kind == streamAE && !slices.Contains(n.PreferenceList(e.Key), n.id) {
 			continue // anti-entropy is between replicas: not one of this key, ignore it
 		}
 		for _, s := range e.Entries {

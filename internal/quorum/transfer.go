@@ -374,7 +374,7 @@ func (n *Node) SetMembers(members []string) {
 	// What is kept per peer goes with the peer: its streams (their timers
 	// find none and lapse), its geo queue (its arcs re-home through transfer
 	// and anti-entropy) and its tree.
-	gone := func(peer string) bool { return !contains(ms, peer) }
+	gone := func(peer string) bool { return !slices.Contains(ms, peer) }
 	n.out = slices.DeleteFunc(n.out, func(st *outStream) bool { return gone(st.peer) })
 	n.geoMu.Lock()
 	maps.DeleteFunc(n.geoPeers, func(peer string, _ *geoPeer) bool { return gone(peer) })
@@ -387,7 +387,7 @@ func (n *Node) SetMembers(members []string) {
 	var orphans []hintRec
 	n.hintsMu.Lock()
 	for intended, keys := range n.hints {
-		if contains(ms, intended) {
+		if slices.Contains(ms, intended) {
 			continue
 		}
 		for key, entries := range keys {
@@ -413,7 +413,7 @@ func (n *Node) SetMembers(members []string) {
 // for key: it is in the current preference list, or in the previous
 // epoch's while a dual-apply window is open.
 func (n *Node) ownsKey(key string) bool {
-	if contains(n.PreferenceList(key), n.id) {
+	if slices.Contains(n.PreferenceList(key), n.id) {
 		return true
 	}
 	if prev := n.cfg.Elastic.PrevSequence(key); prev != nil {
@@ -421,7 +421,7 @@ func (n *Node) ownsKey(key string) bool {
 		if lim > len(prev) {
 			lim = len(prev)
 		}
-		return contains(prev[:lim], n.id)
+		return slices.Contains(prev[:lim], n.id)
 	}
 	return false
 }

@@ -222,31 +222,7 @@ func (m resPong) AppendBinary(dst []byte) []byte {
 
 func (aeReq) WireID() uint16 { return widAEReq }
 func (m aeReq) AppendBinary(dst []byte) []byte {
-	if m.Pairs == nil {
-		dst = append(dst, 0)
-	} else {
-		dst = wire.AppendUvarint(dst, uint64(len(m.Pairs))+1)
-		for _, p := range m.Pairs {
-			dst = wire.AppendVarint(dst, int64(p.Idx))
-			dst = wire.AppendUvarint(dst, p.Hash)
-		}
-	}
-	return wire.AppendInts(dst, m.Buckets)
-}
-
-func readPairs(r *wire.Reader) []storage.HashPair {
-	n, ok := r.ListLen()
-	if !ok {
-		return nil
-	}
-	out := make([]storage.HashPair, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, storage.HashPair{Idx: int(r.Varint()), Hash: r.Uvarint()})
-	}
-	if r.Err() != nil {
-		return nil
-	}
-	return out
+	return wire.AppendInts(storage.AppendHashPairs(dst, m.Pairs), m.Buckets)
 }
 
 func (aeResp) WireID() uint16 { return widAEResp }
@@ -320,7 +296,7 @@ func init() {
 		return resPong{Pad: byte(r.Uvarint())}
 	})
 	transport.RegisterBinary(widAEReq, func(r *wire.Reader) transport.Message {
-		return aeReq{Pairs: readPairs(r), Buckets: r.Ints()}
+		return aeReq{Pairs: storage.ReadHashPairs(r), Buckets: r.Ints()}
 	})
 	transport.RegisterBinary(widAEResp, func(r *wire.Reader) transport.Message {
 		return aeResp{Buckets: r.Ints()}

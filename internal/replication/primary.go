@@ -141,10 +141,6 @@ type Node struct {
 	// Primary state.
 	shipped map[string]uint64 // backup -> highest acked index
 	pending []*pendingCommit
-
-	// LostOnFailover counts entries discarded because a promoted backup
-	// had not received them (async mode's anomaly).
-	LostOnFailover uint64
 }
 
 type shipTick struct{}

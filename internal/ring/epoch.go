@@ -1,6 +1,9 @@
 package ring
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Epoch is one point in the cluster's membership history: a
 // monotonically increasing sequence number paired with the ring it
@@ -48,7 +51,7 @@ func (g RangeN) Contains(hash uint64) bool {
 // Gained reports whether member is a replica of this arc after the
 // change but was not before — i.e. member must pull this range.
 func (g RangeN) Gained(member string) bool {
-	return containsStr(g.New, member) && !containsStr(g.Old, member)
+	return slices.Contains(g.New, member) && !slices.Contains(g.Old, member)
 }
 
 // DiffN returns the arcs whose n-replica preference set differs between
@@ -121,13 +124,4 @@ func equalStrs(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-func containsStr(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

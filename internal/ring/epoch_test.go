@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -104,7 +105,7 @@ func TestDiffNGainInvariants(t *testing.T) {
 				continue
 			}
 			for _, m := range g.New {
-				if m != "node9" && !containsStr(g.Old, m) {
+				if m != "node9" && !slices.Contains(g.Old, m) {
 					t.Fatalf("join: member %q gained range %v -> %v", m, g.Old, g.New)
 				}
 			}
@@ -123,7 +124,7 @@ func TestDiffNGainInvariants(t *testing.T) {
 
 	left := base.Leave("node2")
 	for _, g := range DiffN(base, left, n) {
-		if !containsStr(g.Old, "node2") {
+		if !slices.Contains(g.Old, "node2") {
 			t.Fatalf("leave: changed range %v -> %v does not involve the leaver", g.Old, g.New)
 		}
 	}

@@ -201,9 +201,6 @@ func (r *Ring) ZoneOf(member string) string { return r.zones[member] }
 // Size returns the number of physical members.
 func (r *Ring) Size() int { return len(r.members) }
 
-// VirtualNodes returns the vnode count per member.
-func (r *Ring) VirtualNodes() int { return r.vnodes }
-
 // successorIdx returns the index of the first point at or clockwise of
 // hash (wrapping).
 func (r *Ring) successorIdx(hash uint64) int {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/check"
+	"repro/internal/quorum"
 	"repro/internal/resilience"
 	"repro/internal/wal"
 )
@@ -396,5 +397,75 @@ func TestGossipRestartServesPreKillKeysThenSyncsDelta(t *testing.T) {
 			t.Fatalf("recovered node never Merkle-synced the missed delta: %q/%v/%v", v, found, err)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// BenchmarkRecover times durability.recover over a journal of real
+// quorum records, as a durable node replays it at boot: serially
+// (lanes=1) and split by key across the node's shards plus the serial
+// lane, as New does. The journal is built once by one sharded node
+// taking puts; each iteration recovers it into a fresh node.
+func BenchmarkRecover(b *testing.B) {
+	const writers, perWriter = 4, 10000
+	cfg := Config{ID: "node0", Model: "quorum", Peers: map[string]string{"node0": reservePorts(b, 1)[0]},
+		DataDir: b.TempDir(), Fsync: wal.SyncNone, CheckpointInterval: -1}
+	s, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	value := make([]byte, 128)
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		c := dialNode(b, s, fmt.Sprintf("loader%d", w))
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if err := c.Put(fmt.Sprintf("key-%d-%d", w, i), value); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
+		b.Fatal(err)
+	}
+	shards := s.qnode.Shards()
+	s.Close()
+
+	qcfg := quorum.Config{Ring: []string{cfg.ID}, N: 1, R: 1, W: 1, Shards: shards}
+	for _, lanes := range []int{1, shards + 1} {
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				d, err := openDurability(cfg.DataDir, wal.SyncNone, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				qn := quorum.NewNode(cfg.ID, qcfg)
+				var route func(rec []byte) int
+				if lanes > 1 {
+					route = func(rec []byte) int { return qn.ReplayDomain(rec) + 1 }
+				}
+				b.StartTimer()
+				err = d.recover(qn, lanes, route)
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if d.replayed < writers*perWriter {
+					b.Fatalf("replayed %d records, want at least %d", d.replayed, writers*perWriter)
+				}
+				b.ReportMetric(float64(d.replayed), "records")
+				qn.Close()
+				d.Close()
+				b.StartTimer()
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -404,7 +405,7 @@ func (s *Server) installUpdate(env transport.Env, m ringUpdate) bool {
 			el.prev = nil
 			leaver := el.leaving
 			el.joining, el.leaving = "", ""
-			if el.mode == stateCatchingUp && containsStr(m.Members, s.cfg.ID) {
+			if el.mode == stateCatchingUp && slices.Contains(m.Members, s.cfg.ID) {
 				el.mode = stateOK
 			}
 			if leaver != "" && leaver != s.cfg.ID {
@@ -479,7 +480,7 @@ func (s *Server) installUpdate(env transport.Env, m ringUpdate) bool {
 		el.mode = stateCatchingUp
 	case m.Leaving == s.cfg.ID && el.mode != stateLeft:
 		el.mode = stateDraining
-	case m.Settled && el.mode == stateCatchingUp && containsStr(members, s.cfg.ID):
+	case m.Settled && el.mode == stateCatchingUp && slices.Contains(members, s.cfg.ID):
 		el.mode = stateOK
 	}
 	addrsCopy := make(map[string]string, len(addrs))
@@ -597,7 +598,7 @@ func (s *Server) startCatchUp(env transport.Env) {
 		// Any previous owner holds the range; prefer the leaver (it is
 		// guaranteed to stay up until every gainer acks).
 		src := g.Old[0]
-		if leaving != "" && containsStr(g.Old, leaving) {
+		if leaving != "" && slices.Contains(g.Old, leaving) {
 			src = leaving
 		}
 		pulls = append(pulls, quorum.TransferPull{Source: src, Start: g.Start, End: g.End})
@@ -667,7 +668,7 @@ func (s *Server) startJoin(env transport.Env, id, addr, zone string, done chan e
 		el.mu.Unlock()
 		done <- fmt.Errorf("membership change already in progress (epoch %d)", el.seq)
 		return
-	case containsStr(el.cur.Members(), id):
+	case slices.Contains(el.cur.Members(), id):
 		el.mu.Unlock()
 		done <- fmt.Errorf("%s is already a member", id)
 		return
@@ -1019,13 +1020,4 @@ func (s *Server) handleDecommission() Response {
 	case <-time.After(requestTimeout):
 		return Response{Err: "decommission timed out"}
 	}
-}
-
-func containsStr(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -223,64 +223,6 @@ func TestClusterGeoBoundedStaleness(t *testing.T) {
 	}
 }
 
-// TestSLAClientRoutesByZone: the Pileus-style picker over real
-// connections. An eventual-tier SLA client in "eu" settles on an eu
-// node once RTT observations accumulate — it never pays the injected
-// cross-zone delay — and scores full utility; a strong-tier client
-// still sees every acked write wherever it reads.
-func TestSLAClientRoutesByZone(t *testing.T) {
-	srvs, zones := startGeoCluster(t, 6, []string{"us", "eu", "ap"}, 15*time.Millisecond, false)
-	peers := make(map[string]string, len(srvs))
-	for _, s := range srvs {
-		peers[s.ID()] = s.Addr()
-	}
-
-	w := dialNode(t, srvs[0], "sla-writer")
-	if err := w.Put("sk", []byte("sv")); err != nil {
-		t.Fatal(err)
-	}
-
-	ec, err := DialSLA(peers, zones, "eu", "sla-eu", geo.TierSLA(geo.Tier{Kind: geo.Eventual}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ec.Close()
-	// Warm the RTT estimates and wait out replication into eu.
-	deadline := time.Now().Add(15 * time.Second)
-	var r SLARead
-	for {
-		if r, err = ec.Get("sk"); err != nil {
-			t.Fatal(err)
-		}
-		if r.Found && string(r.Value) == "sv" && zones[r.Node] == "eu" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("SLA client never served from eu: node=%s zone=%s found=%v", r.Node, zones[r.Node], r.Found)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if r.Tier != geo.Eventual {
-		t.Fatalf("eu read delivered %s, want eventual", r.Tier)
-	}
-	if r.Utility != 1 {
-		t.Fatalf("eu read scored utility %v, want 1 (latency %s, tier %s)", r.Utility, r.Latency, r.Tier)
-	}
-
-	sc, err := DialSLA(peers, zones, "eu", "sla-strong", geo.TierSLA(geo.Tier{Kind: geo.Strong}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	sr, err := sc.Get("sk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sr.Found || string(sr.Value) != "sv" || sr.Tier != geo.Strong || sr.Utility != 1 {
-		t.Fatalf("strong SLA read = %q/%v tier=%s utility=%v", sr.Value, sr.Found, sr.Tier, sr.Utility)
-	}
-}
-
 // TestGeoMetricsEndpoint: a zoned node exports the geo series — the
 // per-zone staleness gauge, replicator counters, and per-zone RTT.
 func TestGeoMetricsEndpoint(t *testing.T) {

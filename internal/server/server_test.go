@@ -232,12 +232,14 @@ func TestClusterSurvivesNodeKill(t *testing.T) {
 	}
 }
 
-// TestRestartedEmptyReplicaConvergesOverTCP: a quorum node that comes back
-// with nothing, beside two peers that share more than one frame may carry
+// TestRestartedEmptyReplicaConvergesOverTCP: a node that comes back with
+// nothing, beside two peers that share more than one frame may carry
 // (transport.MaxFrameSize) with it, gets it all back by anti-entropy, and
 // no peer had to drop a message to do it. As one frame per round, which is
 // how anti-entropy used to answer, the data never arrives: the writer
 // refuses the frame, counts it dropped, and the next round builds it again.
+// Quorum reads node2's store directly; gossip and session serve a
+// token-less get from the local replica, so a client of node2 sees it.
 func TestRestartedEmptyReplicaConvergesOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("moves 17 MiB three times over loopback TCP")
@@ -246,56 +248,71 @@ func TestRestartedEmptyReplicaConvergesOverTCP(t *testing.T) {
 	if nKeys*valueSize <= transport.MaxFrameSize {
 		t.Fatal("the dataset fits one frame")
 	}
-	addrs := reservePorts(t, 3)
-	peers := make(map[string]string, len(addrs))
-	for i, a := range addrs {
-		peers[fmt.Sprintf("node%d", i)] = a
-	}
-	cfgs := make([]Config, len(addrs))
-	srvs := make([]*Server, len(addrs))
-	for i := range cfgs {
-		cfgs[i] = Config{ID: fmt.Sprintf("node%d", i), Model: "quorum", Peers: peers, Seed: int64(2000 + i),
-			Policy: &resilience.Policy{HeartbeatInterval: 20 * time.Millisecond}}
-		s, err := New(cfgs[i])
-		if err != nil {
-			t.Fatalf("start %s: %v", cfgs[i].ID, err)
-		}
-		srvs[i] = s
-	}
-	defer func() {
-		for _, s := range srvs {
-			s.Close()
-		}
-	}()
-	c := dialNode(t, srvs[0], "loader")
-	value := make([]byte, valueSize)
-	for i := 0; i < nKeys; i++ {
-		if err := c.Put(fmt.Sprintf("key-%04d", i), value); err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-	}
+	for _, model := range []string{"quorum", "gossip", "session"} {
+		t.Run(model, func(t *testing.T) {
+			addrs := reservePorts(t, 3)
+			peers := make(map[string]string, len(addrs))
+			for i, a := range addrs {
+				peers[fmt.Sprintf("node%d", i)] = a
+			}
+			cfgs := make([]Config, len(addrs))
+			srvs := make([]*Server, len(addrs))
+			for i := range cfgs {
+				cfgs[i] = Config{ID: fmt.Sprintf("node%d", i), Model: model, Peers: peers, Seed: int64(2000 + i),
+					Policy: &resilience.Policy{HeartbeatInterval: 20 * time.Millisecond}}
+				s, err := New(cfgs[i])
+				if err != nil {
+					t.Fatalf("start %s: %v", cfgs[i].ID, err)
+				}
+				srvs[i] = s
+			}
+			defer func() {
+				for _, s := range srvs {
+					s.Close()
+				}
+			}()
+			c := dialNode(t, srvs[0], "loader")
+			value := make([]byte, valueSize)
+			for i := 0; i < nKeys; i++ {
+				if err := c.Put(fmt.Sprintf("key-%04d", i), value); err != nil {
+					t.Fatalf("put %d: %v", i, err)
+				}
+			}
 
-	srvs[2].Close()
-	s2, err := New(cfgs[2]) // no data directory: it boots empty
-	if err != nil {
-		t.Fatalf("restart node2: %v", err)
-	}
-	srvs[2] = s2
-	dropped := func() uint64 { return srvs[0].tcp.Stats().MessagesDropped + srvs[1].tcp.Stats().MessagesDropped }
-	before := dropped()
-	deadline := time.Now().Add(60 * time.Second)
-	for i := 0; i < nKeys; {
-		if len(s2.qnode.LocalValues(fmt.Sprintf("key-%04d", i))) == 1 {
-			i++
-			continue
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("node2 never got key %d of %d back; its peers dropped %d messages meanwhile", i, nKeys, dropped()-before)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if after := dropped(); after != before {
-		t.Fatalf("the peers dropped %d messages while node2 caught up", after-before)
+			srvs[2].Close()
+			s2, err := New(cfgs[2]) // no data directory: it boots empty
+			if err != nil {
+				t.Fatalf("restart node2: %v", err)
+			}
+			srvs[2] = s2
+			has := func(key string) bool { return len(s2.qnode.LocalValues(key)) == 1 }
+			if model != "quorum" {
+				r := dialNode(t, s2, "reader")
+				has = func(key string) bool {
+					v, found, err := r.Get(key)
+					if err != nil {
+						t.Fatalf("get %s from node2: %v", key, err)
+					}
+					return found && len(v) == valueSize
+				}
+			}
+			dropped := func() uint64 { return srvs[0].tcp.Stats().MessagesDropped + srvs[1].tcp.Stats().MessagesDropped }
+			before := dropped()
+			deadline := time.Now().Add(60 * time.Second)
+			for i := 0; i < nKeys; {
+				if has(fmt.Sprintf("key-%04d", i)) {
+					i++
+					continue
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("node2 never got key %d of %d back; its peers dropped %d messages meanwhile", i, nKeys, dropped()-before)
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+			if after := dropped(); after != before {
+				t.Fatalf("the peers dropped %d messages while node2 caught up", after-before)
+			}
+		})
 	}
 }
 

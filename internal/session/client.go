@@ -295,10 +295,3 @@ func (c *Client) Delete(env transport.Env, server, key string, cb func(WriteResu
 
 // ID returns the client's simulator id.
 func (c *Client) ID() string { return c.id }
-
-// RetryBudgetExhausted reports whether op id is no longer tracked
-// (completed or abandoned) — exposed for tests.
-func (c *Client) RetryBudgetExhausted(id uint64) bool {
-	_, ok := c.ops[id]
-	return !ok
-}

@@ -98,10 +98,19 @@ type (
 func (m aeResp) Size() int {
 	n := 0
 	for _, w := range m.Writes {
-		n += len(w.Key) + len(w.Val) + 24
+		n += w.wireSize()
 	}
 	return n
 }
+
+// wireSize estimates the write's serialized size.
+func (w write) wireSize() int { return len(w.Key) + len(w.Val) + 24 }
+
+// maxAEBytes bounds the writes one aeResp carries, well under
+// transport.MaxFrameSize: a replica far behind its peers catches up over
+// several anti-entropy rounds instead of in one frame the transport
+// refuses.
+const maxAEBytes = transport.MaxFrameSize / 4
 
 // ServerConfig configures a session server.
 type ServerConfig struct {
@@ -217,12 +226,26 @@ func (s *Server) OnMessage(env transport.Env, from string, msg transport.Message
 			origins = append(origins, origin)
 		}
 		sort.Strings(origins)
+		// Each origin's missing suffix ships from its start, as far as
+		// maxAEBytes allows (at least one write), so what arrives is a
+		// prefix applyRemote accepts; the next round sends the rest.
 		var missing []write
+		size := 0
 		for _, origin := range origins {
 			log := s.logs[origin]
 			have := int(m.V.Get(origin))
-			if have < len(log) {
-				missing = append(missing, log[have:]...)
+			end := have
+			for ; end < len(log); end++ {
+				size += log[end].wireSize()
+				if size > maxAEBytes && len(missing)+end-have > 0 {
+					break
+				}
+			}
+			if have < end {
+				missing = append(missing, log[have:end]...)
+			}
+			if end < len(log) {
+				break
 			}
 		}
 		if len(missing) > 0 {

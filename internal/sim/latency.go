@@ -128,7 +128,3 @@ func (g *Geo) dcOf(id string) string {
 	}
 	return g.DefaultDC
 }
-
-// DCOf exposes the data-center assignment, for protocol layers (such as
-// SLA-driven replica selection) that make placement-aware decisions.
-func (g *Geo) DCOf(id string) string { return g.dcOf(id) }

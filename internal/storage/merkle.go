@@ -4,6 +4,8 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
+
+	"repro/internal/wire"
 )
 
 // Merkle is a fixed-shape hash tree over a key space, used by anti-entropy
@@ -223,6 +225,36 @@ func DiffLeaves(a, b *Merkle) []int {
 type HashPair struct {
 	Idx  int
 	Hash uint64
+}
+
+// AppendHashPairs encodes ps as a nil-preserving list of (varint index,
+// uvarint hash) — the pair list every descent message carries.
+func AppendHashPairs(dst []byte, ps []HashPair) []byte {
+	if ps == nil {
+		return append(dst, 0)
+	}
+	dst = wire.AppendUvarint(dst, uint64(len(ps))+1)
+	for _, p := range ps {
+		dst = wire.AppendVarint(dst, int64(p.Idx))
+		dst = wire.AppendUvarint(dst, p.Hash)
+	}
+	return dst
+}
+
+// ReadHashPairs decodes AppendHashPairs' encoding; nil on a short read.
+func ReadHashPairs(r *wire.Reader) []HashPair {
+	n, ok := r.ListLen()
+	if !ok {
+		return nil
+	}
+	out := make([]HashPair, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, HashPair{Idx: int(r.Varint()), Hash: r.Uvarint()})
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	return out
 }
 
 // RootPair returns the root's (index, hash) pair, the opening move of a

@@ -9,11 +9,10 @@ import (
 // Loopback is the in-process transport: every node of a "cluster" is
 // hosted on one Runtime, messages are delivered through mailboxes
 // without touching a socket, and the link-fault surface of the
-// simulator's nemesis (partitions, severed links, loss, latency,
-// crashes) is available in real time. Every transport-level test — and
-// the off-sim conformance suite — runs against Loopback, so protocol
-// behaviour over the real actor runtime is provable without network
-// flakiness in CI.
+// simulator's nemesis (partitions, severed links, latency, crashes) is
+// available in real time. Every transport-level test — and the off-sim
+// conformance suite — runs against Loopback, so protocol behaviour over
+// the real actor runtime is provable without network flakiness in CI.
 type Loopback struct {
 	*Runtime
 
@@ -21,19 +20,14 @@ type Loopback struct {
 	blocked map[[2]string]bool
 	groups  map[string]int
 	part    bool
-	loss    float64
 	rng     *rand.Rand
 	latLo   time.Duration
 	latHi   time.Duration
-	links   map[[2]string]time.Duration // per-link one-way delay overrides
-	zoneOf  map[string]string           // node -> zone for class-based delay
-	intra   time.Duration               // same-zone one-way delay
-	cross   time.Duration               // cross-zone one-way delay
 }
 
 // LoopbackConfig shapes a loopback cluster.
 type LoopbackConfig struct {
-	// Seed drives node randomness, loss draws, and latency jitter.
+	// Seed drives node randomness and latency jitter.
 	Seed int64
 	// MinLatency/MaxLatency add a uniform artificial delay per delivery
 	// (zero means immediate). A few milliseconds surfaces interleavings
@@ -61,90 +55,25 @@ func NewLoopback(cfg LoopbackConfig) *Loopback {
 }
 
 // cutLink decides whether a send is dropped: a partition between the
-// endpoints' groups, an explicitly severed link, or a loss draw.
+// endpoints' groups or an explicitly severed link.
 func (l *Loopback) cutLink(from, to string) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.part && l.groups[from] != l.groups[to] {
 		return true
 	}
-	if len(l.blocked) != 0 && l.blocked[[2]string{from, to}] {
-		return true
-	}
-	return l.loss > 0 && l.rng.Float64() < l.loss
+	return len(l.blocked) != 0 && l.blocked[[2]string{from, to}]
 }
 
-// linkDelay resolves the artificial one-way latency for a send, most
-// specific first: an explicit per-link override, then the endpoints'
-// zone class (intra- vs cross-zone), then the uniform jitter range.
-// Zero means direct in-order dispatch.
+// linkDelay draws the artificial one-way latency for a send from the
+// uniform jitter range. Zero means direct in-order dispatch.
 func (l *Loopback) linkDelay(from, to string) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.links) != 0 {
-		if d, ok := l.links[[2]string{from, to}]; ok {
-			return d
-		}
-	}
-	if l.zoneOf != nil {
-		if l.zoneOf[zoneKey(from)] == l.zoneOf[zoneKey(to)] {
-			return l.intra
-		}
-		return l.cross
-	}
 	if l.latHi <= l.latLo {
 		return l.latLo
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	return l.latLo + time.Duration(l.rng.Int63n(int64(l.latHi-l.latLo)))
-}
-
-// zoneKey maps a node id to the id that carries its zone: gateway and
-// client actors ("node1#gw0") ride their storage node's zone.
-func zoneKey(id string) string {
-	for i := 0; i < len(id); i++ {
-		if id[i] == '#' {
-			return id[:i]
-		}
-	}
-	return id
-}
-
-// SetLinkLatency pins a one-way artificial delay on the directed link
-// from -> to, overriding zone classes and the uniform range. A zero d
-// makes the link instant; clear with ClearLinkLatency.
-func (l *Loopback) SetLinkLatency(from, to string, d time.Duration) {
-	l.mu.Lock()
-	if l.links == nil {
-		l.links = make(map[[2]string]time.Duration)
-	}
-	l.links[[2]string{from, to}] = d
-	l.mu.Unlock()
-}
-
-// ClearLinkLatency removes the per-link override for from -> to.
-func (l *Loopback) ClearLinkLatency(from, to string) {
-	l.mu.Lock()
-	delete(l.links, [2]string{from, to})
-	l.mu.Unlock()
-}
-
-// SetZoneLatency declares latency classes over a node -> zone map:
-// sends between same-zone nodes take intra one way, cross-zone sends
-// take cross. Gateway ids ("node#gwN") inherit their node's zone; ids
-// absent from zones share the empty zone. Passing a nil map reverts to
-// the uniform jitter range.
-func (l *Loopback) SetZoneLatency(zones map[string]string, intra, cross time.Duration) {
-	l.mu.Lock()
-	if zones == nil {
-		l.zoneOf = nil
-	} else {
-		l.zoneOf = make(map[string]string, len(zones))
-		for id, z := range zones {
-			l.zoneOf[id] = z
-		}
-	}
-	l.intra, l.cross = intra, cross
-	l.mu.Unlock()
 }
 
 // Partition splits the cluster into groups: sends between different
@@ -166,34 +95,19 @@ func (l *Loopback) Partition(groups ...[]string) {
 	}
 }
 
-// BlockLink severs the directed link from → to until UnblockLink/Heal.
+// BlockLink severs the directed link from → to until Heal.
 func (l *Loopback) BlockLink(from, to string) {
 	l.mu.Lock()
 	l.blocked[[2]string{from, to}] = true
 	l.mu.Unlock()
 }
 
-// UnblockLink restores the directed link from → to.
-func (l *Loopback) UnblockLink(from, to string) {
-	l.mu.Lock()
-	delete(l.blocked, [2]string{from, to})
-	l.mu.Unlock()
-}
-
-// SetLoss drops the given fraction of sends uniformly (0 disables).
-func (l *Loopback) SetLoss(p float64) {
-	l.mu.Lock()
-	l.loss = p
-	l.mu.Unlock()
-}
-
-// Heal removes all partitions, severed links, and loss.
+// Heal removes all partitions and severed links.
 func (l *Loopback) Heal() {
 	l.mu.Lock()
 	l.blocked = make(map[[2]string]bool)
 	l.groups = make(map[string]int)
 	l.part = false
-	l.loss = 0
 	l.mu.Unlock()
 }
 

@@ -382,14 +382,6 @@ func (r *Runtime) Nodes() []string {
 	return out
 }
 
-// Has reports whether id is hosted here.
-func (r *Runtime) Has(id string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.procs[id]
-	return ok
-}
-
 // Stats returns a snapshot of transport accounting.
 func (r *Runtime) Stats() Stats { return r.stats.snapshot() }
 

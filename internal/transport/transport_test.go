@@ -345,3 +345,28 @@ func TestLoopbackManyNodesConcurrentTraffic(t *testing.T) {
 		return total == nodes*per
 	}, "all cross-node replies")
 }
+
+// With no latency configured the delay hook must return zero so
+// delivery stays direct and per-pair ordering is untouched — the
+// conformance suite's seeds depend on it.
+func TestLoopbackNoLatencyStaysOrdered(t *testing.T) {
+	l := NewLoopback(LoopbackConfig{Seed: 6})
+	defer l.Close()
+	if d := l.linkDelay("a", "b"); d != 0 {
+		t.Fatalf("unconfigured linkDelay = %v, want 0", d)
+	}
+	a, b := &echoNode{}, &echoNode{}
+	l.AddNode("a", a)
+	l.AddNode("b", b)
+	const n = 200
+	for i := 0; i < n; i++ {
+		i := i
+		l.Invoke("a", func(env Env) { env.Send("b", echoMsg{N: i}) })
+	}
+	waitFor(t, 2*time.Second, func() bool { return len(a.received()) == n }, "all replies")
+	for i, v := range a.received() {
+		if v != i {
+			t.Fatalf("reply %d = %d; ordering violated with idle delay hook", i, v)
+		}
+	}
+}
