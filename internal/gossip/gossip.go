@@ -145,6 +145,8 @@ type Node struct {
 
 	// SyncRounds counts completed anti-entropy rounds initiated here.
 	SyncRounds uint64
+	// Rumors counts the rumor messages sent from here.
+	Rumors uint64
 
 	// scratch is the reusable peer-index pool for fanout sampling.
 	scratch []int
@@ -332,6 +334,7 @@ func (n *Node) spreadRumor(env transport.Env, w Write, ttl int, except string) {
 				msg = rumor{W: w, TTL: ttl}
 			}
 			env.Send(p, msg)
+			n.Rumors++
 			k--
 		}
 	}

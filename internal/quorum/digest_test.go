@@ -58,7 +58,7 @@ func watch(t *testing.T, h *harness) *readTraffic {
 				tr.digestAnswers++
 				for _, e := range m.Entries {
 					if e.Value.Value != nil {
-						t.Errorf("a digest answer for %q carries a value", m.Key)
+						t.Errorf("digest answer %d carries a value", m.ID)
 					}
 				}
 			default:

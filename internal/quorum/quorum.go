@@ -263,9 +263,10 @@ type (
 		// holds a replica of the key asks only that replica for values.
 		Digest bool
 	}
+	// replicaGetResp answers a replicaGet. It does not echo the key: an
+	// answer routes by ID (ShardOf), and the pending read holds the key.
 	replicaGetResp struct {
 		ID      uint64
-		Key     string
 		Entries []clock.SiblingEntry[record]
 		// NotReady marks a catching-up replica's refusal: it must not be
 		// counted toward R (the key's arc has not finished transferring).
@@ -280,12 +281,11 @@ type (
 		Digest bool
 	}
 	// resPing/resPong are liveness heartbeats exchanged between ring
-	// nodes when resilience is enabled. Their only payload is a pad
-	// byte (an empty struct would do; dropping it changes the frames'
-	// bytes): the arrival itself is the failure-detector evidence, and
-	// the pong gives the pinger evidence about the pingee.
-	resPing struct{ Pad byte }
-	resPong struct{ Pad byte }
+	// nodes when resilience is enabled. They carry nothing: the arrival
+	// itself is the failure-detector evidence, and the pong gives the
+	// pinger evidence about the pingee.
+	resPing struct{}
+	resPong struct{}
 )
 
 // Size implements the sim bandwidth hook.
@@ -295,7 +295,7 @@ func (m replicaPut) Size() int {
 
 // Size implements the sim bandwidth hook.
 func (m replicaGetResp) Size() int {
-	n := len(m.Key)
+	n := 0
 	for _, e := range m.Entries {
 		n += len(e.Value.Value) + 16*len(e.DVV.Context) + 16
 	}

@@ -279,7 +279,7 @@ func (n *Node) answerReplicaGet(env transport.Env, from string, m replicaGet) {
 		// coordinator to count someone else — the old owners are in
 		// the new ring's fallback walk.
 		n.Transfer.GatedReads.Add(1)
-		env.Send(from, replicaGetResp{ID: m.ID, Key: m.Key, NotReady: true})
+		env.Send(from, replicaGetResp{ID: m.ID, NotReady: true})
 		return
 	}
 	var entries []clock.SiblingEntry[record]
@@ -301,7 +301,7 @@ func (n *Node) answerReplicaGet(env transport.Env, from string, m replicaGet) {
 			entries[i].Value.Value = nil
 		}
 	}
-	env.Send(from, replicaGetResp{ID: m.ID, Key: m.Key, Entries: entries, Digest: m.Digest})
+	env.Send(from, replicaGetResp{ID: m.ID, Entries: entries, Digest: m.Digest})
 }
 
 // Router exposes the node's key→shard mapping (the same hash the Merkle

@@ -181,7 +181,6 @@ func (m replicaGet) AppendBinary(dst []byte) []byte {
 func (replicaGetResp) WireID() uint16 { return widReplicaGetResp }
 func (m replicaGetResp) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendUvarint(dst, m.ID)
-	dst = wire.AppendString(dst, m.Key)
 	dst = appendEntries(dst, m.Entries) // a digest's entries hold no value: one byte each says so
 	dst = wire.AppendBool(dst, m.NotReady)
 	return wire.AppendBool(dst, m.Digest)
@@ -210,15 +209,11 @@ func (m shipAck) AppendBinary(dst []byte) []byte {
 	return wire.AppendUvarint(appendStreamID(dst, m.Stream), m.Seq)
 }
 
-func (resPing) WireID() uint16 { return widResPing }
-func (m resPing) AppendBinary(dst []byte) []byte {
-	return wire.AppendUvarint(dst, uint64(m.Pad))
-}
+func (resPing) WireID() uint16                 { return widResPing }
+func (resPing) AppendBinary(dst []byte) []byte { return dst }
 
-func (resPong) WireID() uint16 { return widResPong }
-func (m resPong) AppendBinary(dst []byte) []byte {
-	return wire.AppendUvarint(dst, uint64(m.Pad))
-}
+func (resPong) WireID() uint16                 { return widResPong }
+func (resPong) AppendBinary(dst []byte) []byte { return dst }
 
 func (aeReq) WireID() uint16 { return widAEReq }
 func (m aeReq) AppendBinary(dst []byte) []byte {
@@ -278,7 +273,7 @@ func init() {
 		return replicaGet{ID: r.Uvarint(), Key: r.String(), Digest: r.Bool()}
 	})
 	transport.RegisterBinary(widReplicaGetResp, func(r *wire.Reader) transport.Message {
-		return replicaGetResp{ID: r.Uvarint(), Key: r.String(), Entries: readEntries(r), NotReady: r.Bool(), Digest: r.Bool()}
+		return replicaGetResp{ID: r.Uvarint(), Entries: readEntries(r), NotReady: r.Bool(), Digest: r.Bool()}
 	})
 	transport.RegisterBinary(widShipBatch, func(r *wire.Reader) transport.Message {
 		return shipBatch{
@@ -290,10 +285,10 @@ func init() {
 		return shipAck{Stream: readStreamID(r), Seq: r.Uvarint()}
 	})
 	transport.RegisterBinary(widResPing, func(r *wire.Reader) transport.Message {
-		return resPing{Pad: byte(r.Uvarint())}
+		return resPing{}
 	})
 	transport.RegisterBinary(widResPong, func(r *wire.Reader) transport.Message {
-		return resPong{Pad: byte(r.Uvarint())}
+		return resPong{}
 	})
 	transport.RegisterBinary(widAEReq, func(r *wire.Reader) transport.Message {
 		return aeReq{Pairs: storage.ReadHashPairs(r), Buckets: r.Ints()}

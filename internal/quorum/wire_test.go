@@ -60,15 +60,15 @@ func genMsgs(g *wiretest.Gen) []transport.Message {
 		replicaPut{ID: g.Uint64(), Key: g.Str(), Entry: genEntry(g), Hint: g.Str(), Repair: g.Bool()},
 		replicaPutAck{ID: g.Uint64()},
 		replicaGet{ID: g.Uint64(), Key: g.Str(), Digest: g.Bool()},
-		replicaGetResp{ID: g.Uint64(), Key: g.Str(), Entries: genEntries(g), NotReady: g.Bool()},
-		replicaGetResp{ID: g.Uint64(), Key: g.Str(), Entries: genDigests(g), NotReady: g.Bool(), Digest: true},
+		replicaGetResp{ID: g.Uint64(), Entries: genEntries(g), NotReady: g.Bool()},
+		replicaGetResp{ID: g.Uint64(), Entries: genDigests(g), NotReady: g.Bool(), Digest: true},
 		shipBatch{
 			Stream: genStreamID(g), Seq: g.Uint64(), Entries: genAEEntries(g),
 			Cursor: g.Str(), Done: g.Bool(), Stamp: geoStamp{Zone: g.Str(), HighTS: g.Int64()},
 		},
 		shipAck{Stream: genStreamID(g), Seq: g.Uint64()},
-		resPing{Pad: g.Byte()},
-		resPong{Pad: g.Byte()},
+		resPing{},
+		resPong{},
 		aeReq{Pairs: genPairs(g), Buckets: g.Ints()},
 		aeResp{Buckets: g.Ints()},
 		transferReq{Idx: int(g.Int64()), Stream: g.Uint64(), Start: g.Uint64(), End: g.Uint64(), Cursor: g.Str()},
@@ -115,4 +115,28 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) { checkAll(t, seed) })
+}
+
+// On a peer link a frame spells out neither end, and an answer does not
+// echo its key: a replicaPutAck is 10 bytes shorter than a frame naming
+// node1 and node0 (21 bytes), and a digest answer for an 11-byte key 22
+// shorter (46 bytes).
+func TestPeerFrameSizes(t *testing.T) {
+	link := transport.Link{Local: "node1", Remote: "node0"}
+	digest := []clock.SiblingEntry[record]{{DVV: clock.DVV{Dot: clock.Dot{Node: "node0", Counter: 9}}}}
+	for _, tc := range []struct {
+		msg  transport.Message
+		want int
+	}{
+		{replicaPutAck{ID: 1 << 20}, 11},
+		{replicaGetResp{ID: 1 << 20, Entries: digest, Digest: true}, 24},
+	} {
+		frame, err := link.AppendBatch(nil, []transport.Envelope{{From: "node1", To: "node0", Msg: tc.msg}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frame) != tc.want {
+			t.Errorf("%T frame: %d bytes, want %d", tc.msg, len(frame), tc.want)
+		}
+	}
 }

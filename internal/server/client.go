@@ -27,7 +27,7 @@ import (
 // the node it was talking to dies.
 type Client struct {
 	conn net.Conn
-	id   string
+	link transport.Link // this client (Local, its id) to the node it dialed, which it names ""
 	// Timeout bounds each round trip (default 10s).
 	Timeout time.Duration
 
@@ -48,7 +48,7 @@ func Dial(addr, id string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: dial %s: %w", addr, err)
 	}
-	c := &Client{conn: conn, id: id, Timeout: 10 * time.Second, waiters: make(map[uint64]chan Response)}
+	c := &Client{conn: conn, link: transport.Link{Local: id}, Timeout: 10 * time.Second, waiters: make(map[uint64]chan Response)}
 	c.conn.SetWriteDeadline(time.Now().Add(c.timeout()))
 	if _, err := transport.WriteFrame(conn, transport.Envelope{From: id, Msg: transport.ClientHello(id)}); err != nil {
 		conn.Close()
@@ -92,7 +92,7 @@ func (c *Client) reader() {
 	var envs []transport.Envelope
 	for {
 		var err error
-		envs, _, err = transport.ReadBatch(r, envs[:0])
+		envs, _, err = c.link.ReadBatch(r, envs[:0])
 		if err != nil {
 			c.fail(err)
 			return
@@ -141,7 +141,7 @@ func (c *Client) write(req Request) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	var err error
-	c.wbuf, err = transport.AppendMessage(c.wbuf[:0], c.id, "", req)
+	c.wbuf, err = transport.AppendMessage(c.link, c.wbuf[:0], c.link.Local, c.link.Remote, req)
 	if err != nil {
 		return err
 	}

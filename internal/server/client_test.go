@@ -101,7 +101,7 @@ func TestFailedWriteEndsTheConnection(t *testing.T) {
 	// The node got the hello and a prefix of the put's frame, then the end
 	// of the stream: nothing of the get.
 	hello, _ := transport.AppendFrame(nil, transport.Envelope{From: "cli", Msg: transport.ClientHello("cli")})
-	put, _ := transport.AppendFrame(nil, transport.Envelope{From: "cli", Msg: Request{Seq: 1, Op: "put", Key: "big", Value: value}})
+	put, _ := transport.AppendMessage(transport.Link{Local: "cli"}, nil, "cli", "", Request{Seq: 1, Op: "put", Key: "big", Value: value})
 	want := append(hello, put...)
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	got, err := io.ReadAll(conn)
@@ -153,7 +153,7 @@ func TestTimedOutAnswerDoesNotReachTheNextRequest(t *testing.T) {
 		var envs []transport.Envelope
 		for i := 0; ; i++ {
 			var err error
-			if envs, _, err = transport.ReadBatch(conn, envs[:0]); err != nil {
+			if envs, _, err = (transport.Link{}).ReadBatch(conn, envs[:0]); err != nil {
 				return
 			}
 			for _, e := range envs {

@@ -42,7 +42,7 @@ const errNotDurable = "write not durable: the node's WAL failed"
 // defined over the session's own operation sequence.
 type clientConn struct {
 	s    *Server
-	id   string
+	link transport.Link // as the client's hello named it: Remote is the client's id
 	conn net.Conn
 	raw  syscall.RawConn // nil if conn has no descriptor: the writer goroutine writes everything
 
@@ -128,10 +128,10 @@ type opSlot struct {
 }
 
 // serveClient reads one client connection's requests and starts each.
-func (s *Server) serveClient(clientID string, conn net.Conn) {
+func (s *Server) serveClient(link transport.Link, conn net.Conn) {
 	c := &clientConn{
 		s:    s,
-		id:   clientID,
+		link: link,
 		conn: conn,
 		free: make(chan *opSlot, maxClientInflight),
 		wake: make(chan struct{}, 1),
@@ -162,14 +162,14 @@ func (s *Server) serveClient(clientID string, conn net.Conn) {
 	for {
 		conn.SetReadDeadline(time.Now().Add(5 * time.Minute))
 		var err error
-		envs, _, err = transport.ReadBatch(r, envs[:0])
+		envs, _, err = link.ReadBatch(r, envs[:0])
 		if err != nil {
 			return
 		}
 		for _, e := range envs {
 			req, ok := e.Msg.(Request)
 			if !ok {
-				s.logf("server %s: client %s sent %T, want Request", s.cfg.ID, clientID, e.Msg)
+				s.logf("server %s: client %s sent %T, want Request", s.cfg.ID, link.Remote, e.Msg)
 				return
 			}
 			c.start(req)
@@ -490,14 +490,16 @@ func (c *clientConn) take() {
 	c.wheld, c.queued, c.spare = c.queued, c.spare[:0], nil
 }
 
-// frame encodes the writer's batch into its buffer. An answer too large
-// for a frame is answered with the error instead.
+// frame encodes the writer's batch into its buffer, each answer from the
+// node the client dialed (the answer's Node names it) to the client. An
+// answer too large for a frame is answered with the error instead.
 func (c *clientConn) frame() {
 	c.wbuf, c.wn = c.wbuf[:0], 0
+	l := c.link
 	for _, sl := range c.wheld {
 		var err error
-		if c.wbuf, err = transport.AppendMessage(c.wbuf, c.s.cfg.ID, c.id, sl.resp); err != nil {
-			c.wbuf, _ = transport.AppendMessage(c.wbuf, c.s.cfg.ID, c.id,
+		if c.wbuf, err = transport.AppendMessage(l, c.wbuf, l.Local, l.Remote, sl.resp); err != nil {
+			c.wbuf, _ = transport.AppendMessage(l, c.wbuf, l.Local, l.Remote,
 				Response{Seq: sl.resp.Seq, Node: sl.resp.Node, Err: err.Error()})
 		}
 	}
@@ -569,7 +571,7 @@ func (c *clientConn) writer() {
 // fail ends a connection whose write failed: the reader stops, and every
 // answer not yet written is dropped with its slot freed.
 func (c *clientConn) fail(err error) {
-	c.s.logf("server %s: client %s write: %v", c.s.cfg.ID, c.id, err)
+	c.s.logf("server %s: client %s write: %v", c.s.cfg.ID, c.link.Remote, err)
 	c.conn.Close()
 	c.mu.Lock()
 	c.broken, c.writing = true, false

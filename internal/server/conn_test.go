@@ -44,7 +44,7 @@ func (rc *rawClient) send(seq uint64, reqs ...Request) {
 	for i, req := range reqs {
 		req.Seq = seq + uint64(i)
 		var err error
-		if buf, err = transport.AppendMessage(buf, rc.id, "", req); err != nil {
+		if buf, err = transport.AppendMessage(transport.Link{Local: rc.id}, buf, rc.id, "", req); err != nil {
 			rc.t.Fatal(err)
 		}
 	}
@@ -62,7 +62,7 @@ func (rc *rawClient) answers(n int) map[uint64]Response {
 	var envs []transport.Envelope
 	for len(got) < n {
 		var err error
-		if envs, _, err = transport.ReadBatch(rc.r, envs[:0]); err != nil {
+		if envs, _, err = (transport.Link{}).ReadBatch(rc.r, envs[:0]); err != nil {
 			rc.t.Fatalf("after %d of %d answers: %v", len(got), n, err)
 		}
 		for _, e := range envs {
@@ -74,7 +74,7 @@ func (rc *rawClient) answers(n int) map[uint64]Response {
 		}
 	}
 	rc.conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-	if _, _, err := transport.ReadBatch(rc.r, nil); !errors.Is(err, os.ErrDeadlineExceeded) {
+	if _, _, err := (transport.Link{}).ReadBatch(rc.r, nil); !errors.Is(err, os.ErrDeadlineExceeded) {
 		rc.t.Fatalf("after the %d answers: %v, want nothing more", n, err)
 	}
 	return got

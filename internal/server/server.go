@@ -258,14 +258,14 @@ func New(cfg Config) (*Server, error) {
 		Seed:      cfg.Seed,
 		Logf:      cfg.Logf,
 		LinkDelay: linkDelay,
-		OnClientConn: func(id string, conn net.Conn) {
+		OnClientConn: func(link transport.Link, conn net.Conn) {
 			go func() {
 				<-s.ready
 				if !s.booted {
 					conn.Close()
 					return
 				}
-				s.serveClient(id, conn)
+				s.serveClient(link, conn)
 			}()
 		},
 	})
@@ -299,7 +299,13 @@ func New(cfg Config) (*Server, error) {
 	var handler transport.Handler
 	switch cfg.Model {
 	case "gossip":
-		s.gossipN = gossip.NewNode(cfg.ID, gossip.Config{Peers: others, RumorTTL: 2, Persist: persist},
+		// With Fanout 1 a fresh write travels one chain of TTL+1
+		// rumors. len(others) of them can reach every peer; one more
+		// only lands on a node that holds the write already and refuses
+		// it (with three nodes, the one that minted it). Anti-entropy
+		// repairs a chain that revisits a node and stops short.
+		ttl := max(1, len(others)-1)
+		s.gossipN = gossip.NewNode(cfg.ID, gossip.Config{Peers: others, RumorTTL: ttl, Persist: persist},
 			func() int64 { return time.Now().UnixNano() })
 		node, handler = s.gossipN, s.gossipN
 	case "quorum":

@@ -115,6 +115,47 @@ func TestClusterGossipPutGetOverTCP(t *testing.T) {
 	}
 }
 
+// A fresh gossip write's rumor chain ends at the last peer: on three
+// nodes a put on node0 sends one rumor to a peer, which sends one to the
+// other. A third would only return to node0, which holds the write.
+func TestGossipRumorChainEndsAtTheLastPeer(t *testing.T) {
+	srvs := startCluster(t, "gossip", 3, false)
+	c0 := dialNode(t, srvs[0], "cli0")
+	const puts = 100
+	for i := range puts {
+		if err := c0.Put(fmt.Sprintf("k%03d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range srvs {
+		c := dialNode(t, s, "cli-"+s.ID())
+		deadline := time.Now().Add(10 * time.Second)
+		for i := 0; i < puts; {
+			if _, found, err := c.Get(fmt.Sprintf("k%03d", i)); err == nil && found {
+				i++
+				continue
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never got k%03d", s.ID(), i)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	// Every rumor is sent by the invocation that installs its write, so
+	// with every write everywhere the counts are final.
+	var rumors uint64
+	for _, s := range srvs {
+		got := make(chan uint64, 1)
+		if !s.tcp.Invoke(s.ID(), func(transport.Env) { got <- s.gossipN.Rumors }) {
+			t.Fatalf("%s stopped", s.ID())
+		}
+		rumors += <-got
+	}
+	if rumors != 2*puts {
+		t.Fatalf("%d puts sent %d rumors, want %d", puts, rumors, 2*puts)
+	}
+}
+
 func TestClusterQuorumPutGetOverTCP(t *testing.T) {
 	srvs := startCluster(t, "quorum", 3, false)
 	c0 := dialNode(t, srvs[0], "cli0")

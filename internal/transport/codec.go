@@ -12,7 +12,8 @@ import (
 // byte and rejects versions it does not know, and a future codec is one
 // more case, not a protocol fork.
 //
-//	codecBinary — hand-rolled binary: from, to, wire type id, payload.
+//	codecBinary — hand-rolled binary: from, to, wire type id, payload
+//	              (from and to empty where the link implies them).
 //	              No reflection, no type names on the wire, decode
 //	              aliases the frame buffer.
 //	codecBatch  — a fan-out batch: several codecBinary bodies in one
@@ -77,14 +78,13 @@ func binaryDecoder(id uint16) (func(r *wire.Reader) Message, bool) {
 // prefix). A message that does not implement BinaryMessage cannot leave
 // the process: Loopback and the simulator deliver it by reference, TCP
 // reports it.
-func appendBody(dst []byte, e Envelope) ([]byte, error) {
+func (l Link) appendBody(dst []byte, e Envelope) ([]byte, error) {
 	bm, ok := e.Msg.(BinaryMessage)
 	if !ok {
 		return dst, fmt.Errorf("transport: %T has no wire codec (it does not implement BinaryMessage)", e.Msg)
 	}
 	dst = append(dst, codecBinary)
-	dst = wire.AppendString(dst, e.From)
-	dst = wire.AppendString(dst, e.To)
+	dst = l.appendAddrs(dst, e.From, e.To)
 	dst = wire.AppendUvarint(dst, uint64(bm.WireID()))
 	return bm.AppendBinary(dst), nil
 }
@@ -94,10 +94,9 @@ func appendBody(dst []byte, e Envelope) ([]byte, error) {
 // to the heap on every message.
 var readers = sync.Pool{New: func() any { return new(wire.Reader) }}
 
-func decodeBinaryBody(r *wire.Reader) (Envelope, error) {
+func (l Link) decodeBinaryBody(r *wire.Reader) (Envelope, error) {
 	var e Envelope
-	e.From = r.ID()
-	e.To = r.ID()
+	e.From, e.To = l.readAddrs(r)
 	id := r.Uvarint()
 	if err := r.Err(); err != nil {
 		return Envelope{}, fmt.Errorf("transport: decode envelope header: %w", err)
@@ -116,8 +115,9 @@ func decodeBinaryBody(r *wire.Reader) (Envelope, error) {
 	return e, nil
 }
 
-// decodeBody decodes one envelope body (as produced by appendBody).
-func decodeBody(b []byte) (Envelope, error) {
+// decodeBody decodes one envelope body (as produced by appendBody on
+// the other end of l).
+func (l Link) decodeBody(b []byte) (Envelope, error) {
 	if len(b) == 0 {
 		return Envelope{}, fmt.Errorf("transport: empty frame body")
 	}
@@ -125,7 +125,7 @@ func decodeBody(b []byte) (Envelope, error) {
 	case codecBinary:
 		r := readers.Get().(*wire.Reader)
 		r.Reset(b[1:])
-		e, err := decodeBinaryBody(r)
+		e, err := l.decodeBinaryBody(r)
 		r.Reset(nil) // a pooled Reader must not pin the frame
 		readers.Put(r)
 		return e, err

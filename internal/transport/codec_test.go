@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -33,6 +34,53 @@ func roundTrip(t testing.TB, e Envelope) {
 	}
 }
 
+// linkRoundTrip frames e on link l and reads it on the link's other end:
+// the envelope comes back with an empty address read as the link's end,
+// and every other address as written.
+func linkRoundTrip(t testing.TB, l Link, e Envelope) {
+	t.Helper()
+	frame, err := l.AppendBatch(nil, []Envelope{e})
+	if err != nil {
+		t.Fatalf("encode %T: %v", e.Msg, err)
+	}
+	got, n, err := reverse(l).ReadBatch(bytes.NewReader(frame), nil)
+	if err != nil {
+		t.Fatalf("decode %T: %v", e.Msg, err)
+	}
+	if n != len(frame) {
+		t.Fatalf("decode consumed %d of %d bytes", n, len(frame))
+	}
+	want := e
+	if want.From == "" {
+		want.From = l.Local
+	}
+	if want.To == "" {
+		want.To = l.Remote
+	}
+	if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("round trip on %+v:\n got  %#v\n want %#v", l, got, want)
+	}
+}
+
+// reverse is link l as its other end holds it.
+func reverse(l Link) Link { return Link{Local: l.Remote, Remote: l.Local} }
+
+// genLink draws a link for e: each end is empty, e's address on that
+// side (so it is elided), or another name.
+func genLink(seed int64, e Envelope) Link {
+	rng := rand.New(rand.NewSource(seed))
+	end := func(addr string) string {
+		switch rng.Intn(3) {
+		case 0:
+			return ""
+		case 1:
+			return addr
+		}
+		return fmt.Sprintf("n%d", rng.Intn(4))
+	}
+	return Link{Local: end(e.From), Remote: end(e.To)}
+}
+
 func genEnvs(seed int64) []Envelope {
 	rng := rand.New(rand.NewSource(seed))
 	str := func() string {
@@ -59,8 +107,9 @@ func genEnvs(seed int64) []Envelope {
 
 func TestCodecRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 256; seed++ {
-		for _, e := range genEnvs(seed) {
+		for i, e := range genEnvs(seed) {
 			roundTrip(t, e)
+			linkRoundTrip(t, genLink(seed+int64(i), e), e)
 		}
 	}
 }
@@ -73,7 +122,7 @@ func TestMessageWithoutCodecIsAnEncodeError(t *testing.T) {
 	prefix := []byte("kept")
 	for name, encode := range map[string]func() ([]byte, error){
 		"frame": func() ([]byte, error) { return AppendFrame(prefix, bad) },
-		"batch": func() ([]byte, error) { return AppendBatch(prefix, append(genEnvs(1), bad)) },
+		"batch": func() ([]byte, error) { return Link{}.AppendBatch(prefix, append(genEnvs(1), bad)) },
 	} {
 		out, err := encode()
 		if err == nil || !strings.Contains(err.Error(), "transport.uncoded") {
@@ -90,10 +139,106 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		for _, e := range genEnvs(seed) {
+		for i, e := range genEnvs(seed) {
 			roundTrip(t, e)
+			linkRoundTrip(t, genLink(seed+int64(i), e), e)
 		}
 	})
+}
+
+// TestLinkRoundTrip frames envelopes on a peer link and on both ends of a
+// client link. Each frame leaves out exactly the addresses equal to the
+// writer's end on their side, and the reader restores the envelope.
+func TestLinkRoundTrip(t *testing.T) {
+	peer := Link{Local: "node0", Remote: "node1"}
+	client := Link{Local: "cli"} // a client names the node it dialed ""
+	server := reverse(client)
+	hb := heartbeat{T: 99}
+	cases := []struct {
+		name  string
+		link  Link
+		envs  []Envelope
+		saved int // bytes left out, against the zero link's frame
+	}{
+		{"peer, both ends", peer, []Envelope{{From: "node0", To: "node1", Msg: hb}}, 10},
+		{"peer, gateway sender", peer, []Envelope{{From: "node0#gw1", To: "node1", Msg: echoMsg{N: 1}}}, 5},
+		{"peer, gateway receiver", peer, []Envelope{{From: "node0", To: "node1#gw2", Msg: echoMsg{N: 2}}}, 5},
+		{"peer, addresses of the opposite ends", peer, []Envelope{{From: "node1", To: "node0", Msg: hb}}, 0},
+		{"peer, mixed batch", peer, []Envelope{
+			{From: "node0", To: "node1", Msg: hb},
+			{From: "node0#gw1", To: "node1#gw1", Msg: bigMsg{B: []byte("x")}},
+			{From: "node0", To: "node1#gw3", Msg: echoMsg{N: 3}},
+			{From: "node0#gw2", To: "node1", Msg: heartbeat{Echo: true}},
+		}, 20},
+		{"client request, empty To", client, []Envelope{{From: "cli", To: "", Msg: echoMsg{N: 4}}}, 3},
+		{"server answer", server, []Envelope{{From: "", To: "cli", Msg: echoReply{N: 4}}}, 3},
+		// A connection's hello is written before there is a link.
+		{"hello, on the zero link", Link{}, []Envelope{{From: "node0", To: "node1", Msg: hello{Kind: "peer", ID: "node0"}}}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			frame, err := tc.link.AppendBatch(nil, tc.envs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := Link{}.AppendBatch(nil, tc.envs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if saved := len(plain) - len(frame); saved != tc.saved {
+				t.Errorf("the link left out %d bytes, want %d", saved, tc.saved)
+			}
+			got, _, err := reverse(tc.link).ReadBatch(bytes.NewReader(frame), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, tc.envs) {
+				t.Fatalf("read back\n %#v\nwant\n %#v", got, tc.envs)
+			}
+			for _, e := range tc.envs {
+				linkRoundTrip(t, tc.link, e)
+			}
+		})
+	}
+}
+
+// The zero link elides nothing: its frames are the bytes every frame had
+// before links existed, which the frame probes in bench/ measure and the
+// hello still carries.
+func TestZeroLinkFramesAreUnchanged(t *testing.T) {
+	cases := []struct {
+		envs []Envelope
+		want string
+	}{
+		{[]Envelope{{From: "node0", To: "node1", Msg: heartbeat{T: 12345}}},
+			"\x00\x00\x00\x12\x01\x05node0\x05node1\x02\xf2\xc0\x01\x00"},
+		{[]Envelope{{From: "node0", To: "node1", Msg: hello{Kind: "peer", ID: "node0"}}},
+			"\x00\x00\x00\x19\x01\x05node0\x05node1\x01\x04peer\x05node0"},
+		{[]Envelope{
+			{From: "node0", To: "node1#gw1", Msg: echoMsg{N: 7}},
+			{From: "node0#gw1", To: "node1", Msg: bigMsg{B: []byte("abc")}},
+		}, "\x00\x00\x00-\x02\x02\x13\x01\x05node0\tnode1#gw1\x03\x0e\x16\x01\tnode0#gw1\x05node1\x05\x04abc"},
+		{[]Envelope{{From: "cli", Msg: echoMsg{N: -3}}},
+			"\x00\x00\x00\b\x01\x03cli\x00\x03\x05"},
+	}
+	for i, tc := range cases {
+		got, err := Link{}.AppendBatch(nil, tc.envs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("frame %d = %q, want %q", i, got, tc.want)
+		}
+		if len(tc.envs) > 1 {
+			continue
+		}
+		if plain, _ := AppendFrame(nil, tc.envs[0]); string(plain) != tc.want {
+			t.Errorf("AppendFrame %d = %q, want %q", i, plain, tc.want)
+		}
+		if e, _, err := DecodeFrame(got); err != nil || !reflect.DeepEqual(e, tc.envs[0]) {
+			t.Errorf("DecodeFrame %d = %#v, %v", i, e, err)
+		}
+	}
 }
 
 // TestBatchRoundTrip pins the batch frame format: several envelopes
@@ -101,14 +246,14 @@ func FuzzCodecRoundTrip(f *testing.F) {
 func TestBatchRoundTrip(t *testing.T) {
 	envs := genEnvs(7)
 	envs = append(envs, genEnvs(8)...)
-	frame, err := AppendBatch(nil, envs)
+	frame, err := Link{}.AppendBatch(nil, envs)
 	if err != nil {
 		t.Fatalf("AppendBatch: %v", err)
 	}
 	if frame[4] != codecBatch {
 		t.Fatalf("multi-envelope frame has codec %d, want batch", frame[4])
 	}
-	got, n, err := ReadBatch(bytes.NewReader(frame), nil)
+	got, n, err := Link{}.ReadBatch(bytes.NewReader(frame), nil)
 	if err != nil {
 		t.Fatalf("ReadBatch: %v", err)
 	}
@@ -120,17 +265,17 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 
 	// A single envelope must not pay the batch header…
-	single, err := AppendBatch(nil, envs[:1])
+	single, err := Link{}.AppendBatch(nil, envs[:1])
 	if err != nil {
-		t.Fatalf("AppendBatch(1): %v", err)
+		t.Fatalf("Link{}.AppendBatch(1): %v", err)
 	}
 	if single[4] == codecBatch {
 		t.Fatal("single-envelope batch framed as batch")
 	}
 	// …and ReadBatch must accept the plain frame it produced.
-	got, _, err = ReadBatch(bytes.NewReader(single), nil)
+	got, _, err = Link{}.ReadBatch(bytes.NewReader(single), nil)
 	if err != nil || len(got) != 1 || !reflect.DeepEqual(got[0], envs[0]) {
-		t.Fatalf("ReadBatch(plain frame) = %#v, %v", got, err)
+		t.Fatalf("Link{}.ReadBatch(plain frame) = %#v, %v", got, err)
 	}
 }
 
@@ -145,7 +290,7 @@ func TestReadBatchThroughABufferedReader(t *testing.T) {
 		envs := genEnvs(seed)
 		var err error
 		if seed%2 == 0 {
-			stream, err = AppendBatch(stream, envs)
+			stream, err = Link{}.AppendBatch(stream, envs)
 		} else {
 			for _, e := range envs {
 				if stream, err = AppendFrame(stream, e); err != nil {
@@ -171,7 +316,7 @@ func TestReadBatchThroughABufferedReader(t *testing.T) {
 			for {
 				var n int
 				var err error
-				got, n, err = ReadBatch(r, got)
+				got, n, err = Link{}.ReadBatch(r, got)
 				if err == io.EOF {
 					break
 				}
@@ -203,7 +348,7 @@ func TestAppendBatchLayout(t *testing.T) {
 	want := []byte{codecBatch}
 	want = binary.AppendUvarint(want, uint64(len(envs)))
 	for i, e := range envs {
-		body, err := appendBody(nil, e)
+		body, err := Link{}.appendBody(nil, e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +360,7 @@ func TestAppendBatchLayout(t *testing.T) {
 	}
 	want = frameFor(want)
 	prefix := []byte("kept")
-	got, err := AppendBatch(prefix, envs)
+	got, err := Link{}.AppendBatch(prefix, envs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +383,7 @@ func TestAppendBatchAllocatesNothing(t *testing.T) {
 	buf := make([]byte, 0, 4096)
 	allocs := testing.AllocsPerRun(100, func() {
 		var err error
-		if buf, err = AppendBatch(buf[:0], envs); err != nil {
+		if buf, err = (Link{}).AppendBatch(buf[:0], envs); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -329,7 +474,7 @@ func TestMalformedFrames(t *testing.T) {
 		{"batch count overruns frame", frameFor([]byte{codecBatch, 0xc8})},
 		{"batch member truncated", frameFor([]byte{codecBatch, 1, 10, 1, 2, 3})},
 		{"batch trailing bytes", func() []byte {
-			b, _ := appendBody(nil, Envelope{From: "a", To: "b", Msg: heartbeat{T: 1}})
+			b, _ := Link{}.appendBody(nil, Envelope{From: "a", To: "b", Msg: heartbeat{T: 1}})
 			raw := []byte{codecBatch, 1}
 			raw = binary.AppendUvarint(raw, uint64(len(b)))
 			raw = append(raw, b...)
@@ -341,7 +486,7 @@ func TestMalformedFrames(t *testing.T) {
 			if _, _, err := ReadFrame(bytes.NewReader(tc.raw)); err == nil {
 				t.Error("ReadFrame accepted malformed input")
 			}
-			if _, _, err := ReadBatch(bytes.NewReader(tc.raw), nil); err == nil {
+			if _, _, err := (Link{}).ReadBatch(bytes.NewReader(tc.raw), nil); err == nil {
 				t.Error("ReadBatch accepted malformed input")
 			}
 		})
@@ -349,7 +494,7 @@ func TestMalformedFrames(t *testing.T) {
 
 	// A batch frame is well-formed for ReadBatch but must be rejected by
 	// ReadFrame (handshake reader).
-	batch, err := AppendBatch(nil, genEnvs(1)[:2])
+	batch, err := Link{}.AppendBatch(nil, genEnvs(1)[:2])
 	if err != nil {
 		t.Fatalf("AppendBatch: %v", err)
 	}
@@ -370,11 +515,11 @@ func FuzzDecodeFrame(f *testing.F) {
 			f.Add(frame)
 		}
 	}
-	if batch, err := AppendBatch(nil, genEnvs(5)); err == nil {
+	if batch, err := (Link{}).AppendBatch(nil, genEnvs(5)); err == nil {
 		f.Add(batch)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		DecodeFrame(raw)
-		ReadBatch(bytes.NewReader(raw), nil)
+		Link{}.ReadBatch(bytes.NewReader(raw), nil)
 	})
 }

@@ -13,18 +13,29 @@ import (
 //
 //	| length: uint32 big-endian | body |
 //	body := | codec version: byte | version-specific payload |
+//	binary payload := | from: string | to: string | wire id: uvarint | message |
+//	batch payload  := | count: uvarint | (length: uvarint, binary body)... |
 //
-// The length prefix (rather than any codec's own stream framing) keeps
-// frame boundaries explicit — a reader can size-check, skip, or hand
-// off a frame without decoding it, and a partially written frame never
-// desynchronizes the stream past the next boundary. The version byte
-// dispatches the body decoder (see codec.go): hand-rolled binary for
-// the registered wire types, and batch frames that pack a whole flush
-// tick of envelopes behind one prefix. Each
-// body is self-contained — stateless frames survive reconnects, can be
-// hedged or re-sent verbatim, and decode independently of arrival
-// order. The frame probes in bench/probes.go (transport.frame_encode_ns,
-// frame_decode_ns, frame_decode_allocs) track the cost.
+// where a string is its uvarint length and its bytes. The length prefix
+// (rather than any codec's own stream framing) keeps frame boundaries
+// explicit — a reader can size-check, skip, or hand off a frame without
+// decoding it, and a partially written frame never desynchronizes the
+// stream past the next boundary. The version byte dispatches the body
+// decoder (see codec.go): hand-rolled binary for the registered wire
+// types, and batch frames that pack a whole flush tick of envelopes
+// behind one prefix. Each body is self-contained — stateless frames
+// survive reconnects, can be hedged or re-sent verbatim, and decode
+// independently of arrival order.
+//
+// Addresses the connection already implies are elided (see Link): on a
+// link, an envelope from the writer's node carries an empty from and
+// one to the reader's node an empty to, and the reader fills both back
+// in from its end of the link. Every other address — a gateway actor
+// such as node0#gw1, and every address of the hello — is spelled out.
+// The package-level frame functions use the zero Link and elide
+// nothing. The frame probes in bench/probes.go
+// (transport.frame_encode_ns, frame_decode_ns, frame_decode_allocs)
+// track the cost.
 
 // MaxFrameSize bounds a single frame (16 MiB). A peer announcing a
 // larger frame is protocol-corrupt and the connection is dropped —
@@ -39,6 +50,40 @@ type Envelope struct {
 	Msg      Message
 }
 
+// Link names the two ends of a connection as its hello fixed them:
+// Local is this side's node, Remote the node at the other end. Frames
+// written on a link leave out what its reader already knows: From is
+// written empty when it is Local, To when it is Remote. The reader's
+// link is the same one seen from the other end (its Local is the
+// writer's Remote), so reading fills an empty From with Remote and an
+// empty To with Local. An address that is itself empty therefore reads
+// as the link's end; the zero Link elides and fills nothing.
+type Link struct {
+	Local, Remote string
+}
+
+// appendAddrs appends an envelope's from and to as the link writes them.
+func (l Link) appendAddrs(dst []byte, from, to string) []byte {
+	if from == l.Local {
+		from = ""
+	}
+	if to == l.Remote {
+		to = ""
+	}
+	return wire.AppendString(wire.AppendString(dst, from), to)
+}
+
+// readAddrs reads an envelope's from and to as the link wrote them.
+func (l Link) readAddrs(r *wire.Reader) (from, to string) {
+	if from = r.ID(); from == "" {
+		from = l.Remote
+	}
+	if to = r.ID(); to == "" {
+		to = l.Local
+	}
+	return from, to
+}
+
 // finishFrame fills in the length prefix reserved at mark.
 func finishFrame(dst []byte, mark int) ([]byte, error) {
 	n := len(dst) - mark - 4
@@ -50,25 +95,29 @@ func finishFrame(dst []byte, mark int) ([]byte, error) {
 }
 
 // AppendFrame encodes e as one frame appended to dst and returns the
-// extended slice.
+// extended slice. Every address is spelled out.
 func AppendFrame(dst []byte, e Envelope) ([]byte, error) {
+	return Link{}.appendFrame(dst, e)
+}
+
+func (l Link) appendFrame(dst []byte, e Envelope) ([]byte, error) {
 	mark := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
-	body, err := appendBody(dst, e)
+	body, err := l.appendBody(dst, e)
 	if err != nil {
 		return dst[:mark], err
 	}
 	return finishFrame(body, mark)
 }
 
-// AppendMessage is AppendFrame for an envelope from → to carrying m, for
-// a caller that holds m as its concrete type: the same bytes, without
-// boxing m into an Envelope's Message.
-func AppendMessage[M BinaryMessage](dst []byte, from, to string, m M) ([]byte, error) {
+// AppendMessage frames an envelope from → to carrying m on link l, for a
+// caller that holds m as its concrete type: the bytes l.AppendBatch
+// writes for that one envelope, without boxing m into an Envelope's
+// Message.
+func AppendMessage[M BinaryMessage](l Link, dst []byte, from, to string, m M) ([]byte, error) {
 	mark := len(dst)
 	dst = append(dst, 0, 0, 0, 0, codecBinary)
-	dst = wire.AppendString(dst, from)
-	dst = wire.AppendString(dst, to)
+	dst = l.appendAddrs(dst, from, to)
 	dst = wire.AppendUvarint(dst, uint64(m.WireID()))
 	return finishFrame(m.AppendBinary(dst), mark)
 }
@@ -78,15 +127,15 @@ func AppendMessage[M BinaryMessage](dst []byte, from, to string, m M) ([]byte, e
 // often the frames behind it, arrive in one read syscall.
 const ReadBufferSize = 16 << 10
 
-// AppendBatch encodes envelopes as a single batch frame appended to
-// dst: one length prefix, one version byte, then each envelope's body
-// behind its own uvarint length. This is the coordinator fan-out
-// optimization — every op queued for a peer at flush time travels in
-// one frame and one write. A single envelope is framed plain, so
-// batching is free when there is nothing to batch.
-func AppendBatch(dst []byte, envs []Envelope) ([]byte, error) {
+// AppendBatch encodes envelopes as a single batch frame on link l,
+// appended to dst: one length prefix, one version byte, then each
+// envelope's body behind its own uvarint length. This is the
+// coordinator fan-out optimization — every op queued for a peer at
+// flush time travels in one frame and one write. A single envelope is
+// framed plain, so batching is free when there is nothing to batch.
+func (l Link) AppendBatch(dst []byte, envs []Envelope) ([]byte, error) {
 	if len(envs) == 1 {
-		return AppendFrame(dst, envs[0])
+		return l.appendFrame(dst, envs[0])
 	}
 	mark := len(dst)
 	dst = append(dst, 0, 0, 0, 0, codecBatch)
@@ -95,7 +144,7 @@ func AppendBatch(dst []byte, envs []Envelope) ([]byte, error) {
 		// Each member is encoded in place and then shifted right by its
 		// length header, which is only known once the body is.
 		at := len(dst)
-		out, err := appendBody(dst, e)
+		out, err := l.appendBody(dst, e)
 		if err != nil {
 			return dst[:mark], err
 		}
@@ -155,22 +204,23 @@ func ReadFrame(r io.Reader) (Envelope, int, error) {
 	if err != nil {
 		return Envelope{}, 0, err
 	}
-	e, err := decodeBody(body)
+	e, err := Link{}.decodeBody(body)
 	if err != nil {
 		return Envelope{}, 0, err
 	}
 	return e, n, nil
 }
 
-// ReadBatch reads one frame and returns every envelope it carries: a
-// one-element slice for a plain frame, all members for a batch frame.
-// envs is appended to (pass a reused slice to avoid the allocation).
-func ReadBatch(r io.Reader, envs []Envelope) ([]Envelope, int, error) {
+// ReadBatch reads one frame written on the other end of link l and
+// returns every envelope it carries: a one-element slice for a plain
+// frame, all members for a batch frame. envs is appended to (pass a
+// reused slice to avoid the allocation).
+func (l Link) ReadBatch(r io.Reader, envs []Envelope) ([]Envelope, int, error) {
 	body, n, err := readFrameBody(r)
 	if err != nil {
 		return envs, 0, err
 	}
-	envs, err = decodeBodies(body, envs)
+	envs, err = l.decodeBodies(body, envs)
 	if err != nil {
 		return envs, 0, err
 	}
@@ -179,12 +229,12 @@ func ReadBatch(r io.Reader, envs []Envelope) ([]Envelope, int, error) {
 
 // decodeBodies decodes a frame body into its envelopes, appending to
 // envs.
-func decodeBodies(body []byte, envs []Envelope) ([]Envelope, error) {
+func (l Link) decodeBodies(body []byte, envs []Envelope) ([]Envelope, error) {
 	if len(body) == 0 {
 		return envs, fmt.Errorf("transport: empty frame body")
 	}
 	if body[0] != codecBatch {
-		e, err := decodeBody(body)
+		e, err := l.decodeBody(body)
 		if err != nil {
 			return envs, err
 		}
@@ -200,7 +250,7 @@ func decodeBodies(body []byte, envs []Envelope) ([]Envelope, error) {
 		if rd.Err() != nil {
 			return envs, fmt.Errorf("transport: truncated batch member %d/%d", i, count)
 		}
-		e, err := decodeBody(sub)
+		e, err := l.decodeBody(sub)
 		if err != nil {
 			return envs, err
 		}
@@ -213,7 +263,8 @@ func decodeBodies(body []byte, envs []Envelope) ([]Envelope, error) {
 }
 
 // DecodeFrame decodes one frame from b (length prefix included),
-// returning the envelope and bytes consumed. It decodes in place: the
+// returning the envelope and bytes consumed, with every address as
+// spelled out in the frame. It decodes in place: the
 // decoded message aliases b, so b must not be reused while the message
 // is in use. Exposed for benchmarks and tests that frame into memory.
 func DecodeFrame(b []byte) (Envelope, int, error) {
@@ -227,7 +278,7 @@ func DecodeFrame(b []byte) (Envelope, int, error) {
 	if uint64(len(b)-4) < uint64(n) {
 		return Envelope{}, 0, io.ErrUnexpectedEOF
 	}
-	e, err := decodeBody(b[4 : 4+n])
+	e, err := Link{}.decodeBody(b[4 : 4+n])
 	if err != nil {
 		return Envelope{}, 0, err
 	}

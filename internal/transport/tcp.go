@@ -34,18 +34,23 @@ type TCPConfig struct {
 	Directory *resilience.Directory
 	// OnClientConn, when set, receives accepted connections whose
 	// handshake declares Kind "client" (the server's client protocol
-	// shares the peer port). The callback owns the connection.
-	OnClientConn func(clientID string, conn net.Conn)
+	// shares the peer port), with the link the hello named: Remote is
+	// the client's id, Local the name the client gave this node. The
+	// callback owns the connection.
+	OnClientConn func(l Link, conn net.Conn)
 	// Seed derives node and jitter randomness.
 	Seed int64
 	// Logf, when set, receives connection lifecycle diagnostics.
 	Logf func(format string, args ...any)
-	// LinkDelay, when set, returns an artificial delay injected before
-	// every frame written to the named peer — cross-zone RTT emulation
-	// for single-host multi-zone clusters (`ecctl up --zones ...
-	// --xzone-delay`). Heartbeats ride the same per-peer queue, so the
-	// failure detector's measured RTTs reflect the delay, which is what
-	// lets the SLA machinery observe realistic latency classes locally.
+	// LinkDelay, when set, returns the one-way latency of the link to
+	// the named peer — cross-zone emulation for single-host multi-zone
+	// clusters (`ecctl up --zones ... --xzone-delay`). Each message is
+	// written once it has waited that long since it was sent, and
+	// messages do not wait for each other, so the link pipelines like a
+	// distant one rather than serializing like a slow one. Heartbeats
+	// ride the same per-peer queue, so the failure detector's measured
+	// RTTs reflect the delay, which is what lets the SLA machinery
+	// observe realistic latency classes locally.
 	LinkDelay func(peer string) time.Duration
 }
 
@@ -177,13 +182,10 @@ func (t *TCP) forward(from, to string, msg Message) bool {
 	if p == nil {
 		return false
 	}
-	select {
-	case p.out <- Envelope{From: from, To: to, Msg: msg}:
-		return true
-	default:
+	if !p.send(Envelope{From: from, To: to, Msg: msg}) {
 		t.stats.add(func(s *Stats) { s.MessagesDropped++ })
-		return true // counted as dropped, not unroutable
 	}
+	return true // a full queue counts as dropped, not unroutable
 }
 
 // peer returns the live send queue for a peer runtime, creating it on
@@ -200,8 +202,9 @@ func (t *TCP) peer(id, addr string) *tcpPeer {
 	p := &tcpPeer{
 		id:   id,
 		addr: addr,
+		link: Link{Local: t.cfg.LocalID, Remote: id},
 		t:    t,
-		out:  make(chan Envelope, outQueueLen),
+		out:  make(chan queued, outQueueLen),
 		rng:  rand.New(rand.NewSource(t.cfg.Seed ^ int64(idHash(id)) ^ 0x7c9)),
 	}
 	t.peers[id] = p
@@ -280,16 +283,19 @@ func (t *TCP) handleConn(conn net.Conn) {
 		conn.Close()
 		return
 	}
+	// The dialer names itself in the hello and this node as the hello's
+	// destination: the two ends its later frames leave out.
+	link := Link{Local: e.To, Remote: h.ID}
 	switch h.Kind {
 	case "client":
 		if t.cfg.OnClientConn != nil {
 			conn.SetReadDeadline(time.Time{})
-			t.cfg.OnClientConn(h.ID, conn)
+			t.cfg.OnClientConn(link, conn)
 			return
 		}
 		conn.Close()
 	case "peer":
-		t.servePeer(h.ID, conn)
+		t.servePeer(link, conn)
 	default:
 		conn.Close()
 	}
@@ -298,7 +304,8 @@ func (t *TCP) handleConn(conn net.Conn) {
 // servePeer reads frames from an established inbound peer connection
 // until it errors; the dialer side owns reconnection. The connection is
 // registered so Close can unblock the read.
-func (t *TCP) servePeer(peerID string, conn net.Conn) {
+func (t *TCP) servePeer(link Link, conn net.Conn) {
+	peerID := link.Remote
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -320,7 +327,7 @@ func (t *TCP) servePeer(peerID string, conn net.Conn) {
 		conn.SetReadDeadline(time.Now().Add(idle))
 		var n int
 		var err error
-		envs, n, err = ReadBatch(r, envs[:0])
+		envs, n, err = link.ReadBatch(r, envs[:0])
 		if err != nil {
 			select {
 			case <-t.done:
@@ -354,10 +361,7 @@ func (t *TCP) dispatch(peerID string, e Envelope) {
 			// Echo through the ordered outbound queue; piggybacks as
 			// liveness evidence for the other side too.
 			if p := t.peer(owner, addr); p != nil {
-				select {
-				case p.out <- Envelope{From: t.cfg.LocalID, To: peerID, Msg: heartbeat{T: m.T, Echo: true}}:
-				default:
-				}
+				p.send(Envelope{From: t.cfg.LocalID, To: peerID, Msg: heartbeat{T: m.T, Echo: true}})
 			}
 		}
 	default:
@@ -418,13 +422,37 @@ func (t *TCP) Close() {
 // jittered backoff.
 type tcpPeer struct {
 	id, addr string
+	link     Link // this runtime to the peer's, as the hello names them
 	t        *TCP
-	out      chan Envelope
+	out      chan queued
 	rng      *rand.Rand
 
 	closeOnce sync.Once
 	closed    chan struct{}
 	initOnce  sync.Once
+}
+
+// queued is an envelope waiting in a peer's send queue, with when it
+// was sent on the runtime's clock. Only a link delay reads the time, so
+// send stamps it only under one: without, the send path reads no clock.
+type queued struct {
+	Envelope
+	at time.Duration
+}
+
+// send queues e for the writer without blocking; false means the queue
+// is full and e is shed.
+func (p *tcpPeer) send(e Envelope) bool {
+	q := queued{Envelope: e}
+	if p.t.cfg.LinkDelay != nil {
+		q.at = p.t.Now()
+	}
+	select {
+	case p.out <- q:
+		return true
+	default:
+		return false
+	}
 }
 
 func (p *tcpPeer) init() {
@@ -492,40 +520,68 @@ const maxBatch = 256
 // receiver. Under load a whole coordinator fan-out tick rides a single
 // frame; an idle link degenerates to one envelope per frame and pays
 // no batch overhead (AppendBatch frames singletons plain).
+//
+// Under a link delay d the loop waits until the oldest envelope taken
+// is d old, then writes every envelope taken that is d old; the rest
+// stay for the next frame. So each envelope pays d once, whatever was
+// queued ahead of it.
 func (p *tcpPeer) drain(conn net.Conn) bool {
 	t := p.t
 	hb := time.NewTicker(t.policy.HeartbeatInterval)
 	defer hb.Stop()
-	batch := make([]Envelope, 0, maxBatch)
+	batch := make([]Envelope, 0, maxBatch) // taken from the queue, not yet written
+	var sent []time.Duration               // each taken envelope's queued.at
+	take := func(q queued) {
+		batch, sent = append(batch, q.Envelope), append(sent, q.at)
+	}
+	beat := func() {
+		now := t.Now()
+		take(queued{Envelope: Envelope{From: t.cfg.LocalID, To: p.id, Msg: heartbeat{T: int64(now)}}, at: now})
+	}
 	var buf []byte
 	for {
-		select {
-		case <-p.closed:
-			return false
-		case e := <-p.out:
-			batch = append(batch[:0], e)
-			for len(batch) < maxBatch {
-				select {
-				case e := <-p.out:
-					batch = append(batch, e)
-				default:
-					goto full
-				}
+		if len(batch) == 0 {
+			select {
+			case <-p.closed:
+				return false
+			case q := <-p.out:
+				take(q)
+			case <-hb.C:
+				beat()
 			}
-		full:
-			var err error
-			buf, err = p.writeBatch(conn, buf, batch)
-			if err != nil {
-				t.logf("transport %s: write to %s: %v", t.cfg.LocalID, p.id, err)
-				return true
+		} else {
+			select {
+			case <-hb.C:
+				beat()
+			default:
 			}
-		case <-hb.C:
-			e := Envelope{From: t.cfg.LocalID, To: p.id, Msg: heartbeat{T: int64(t.Now())}}
-			var err error
-			buf, err = p.writeBatch(conn, buf, []Envelope{e})
-			if err != nil {
-				return true
+		}
+		for len(batch) < maxBatch {
+			select {
+			case q := <-p.out:
+				take(q)
+			default:
+				goto full
 			}
+		}
+	full:
+		n := len(batch)
+		if d := p.delay(); d > 0 {
+			if !p.sleep(sent[0] + d - t.Now()) {
+				return false
+			}
+			now := t.Now()
+			for n = 1; n < len(batch) && sent[n]+d <= now; n++ {
+			}
+		}
+		var err error
+		buf, err = p.writeBatch(conn, buf, batch[:n])
+		rest := copy(batch, batch[n:])
+		clear(batch[rest:]) // written messages are not pinned
+		batch, sent = batch[:rest], sent[:copy(sent, sent[n:])]
+		if err != nil {
+			t.logf("transport %s: write to %s: %v", t.cfg.LocalID, p.id, err)
+			return true
 		}
 	}
 }
@@ -537,7 +593,7 @@ func (p *tcpPeer) drain(conn net.Conn) bool {
 // offending message is dropped (logged and counted; the protocols
 // retry) — one bad payload never kills the link or its queue-mates.
 func (p *tcpPeer) writeBatch(conn net.Conn, buf []byte, envs []Envelope) ([]byte, error) {
-	out, err := AppendBatch(buf[:0], envs)
+	out, err := p.link.AppendBatch(buf[:0], envs)
 	if err == nil {
 		return out, p.writeRaw(conn, out, len(envs))
 	}
@@ -556,30 +612,16 @@ func (p *tcpPeer) writeBatch(conn net.Conn, buf []byte, envs []Envelope) ([]byte
 	return buf, nil
 }
 
-// errPeerClosing breaks a writer loop whose injected link delay was
-// interrupted by peer shutdown.
-var errPeerClosing = errors.New("transport: peer closing")
-
-// linkDelay parks the writer for the configured artificial link delay
-// (zero-cost when none is configured). Delaying the ordered writer
-// queue — rather than each read — models a slow link: every frame,
-// heartbeats included, pays it.
-func (p *tcpPeer) linkDelay() error {
+// delay returns the configured link delay to the peer (zero without one).
+func (p *tcpPeer) delay() time.Duration {
 	if f := p.t.cfg.LinkDelay; f != nil {
-		if d := f(p.id); d > 0 {
-			if !p.sleep(d) {
-				return errPeerClosing
-			}
-		}
+		return f(p.id)
 	}
-	return nil
+	return 0
 }
 
 // writeRaw writes one already-framed buffer carrying n envelopes.
 func (p *tcpPeer) writeRaw(conn net.Conn, frame []byte, n int) error {
-	if err := p.linkDelay(); err != nil {
-		return err
-	}
 	conn.SetWriteDeadline(time.Now().Add(p.t.policy.RetryTimeout * 2))
 	wn, err := conn.Write(frame)
 	if err == nil {
@@ -593,9 +635,10 @@ func (p *tcpPeer) writeRaw(conn net.Conn, frame []byte, n int) error {
 	return err
 }
 
+// writeFrame writes the hello, which pays the link delay like any frame.
 func (p *tcpPeer) writeFrame(conn net.Conn, e Envelope) error {
-	if err := p.linkDelay(); err != nil {
-		return err
+	if d := p.delay(); d > 0 && !p.sleep(d) {
+		return errPeerClosing
 	}
 	conn.SetWriteDeadline(time.Now().Add(p.t.policy.RetryTimeout * 2))
 	n, err := WriteFrame(conn, e)
@@ -604,6 +647,10 @@ func (p *tcpPeer) writeFrame(conn net.Conn, e Envelope) error {
 	}
 	return err
 }
+
+// errPeerClosing breaks a writer loop whose injected link delay was
+// interrupted by peer shutdown.
+var errPeerClosing = errors.New("transport: peer closing")
 
 // sleep waits d or until the peer closes; false means closing.
 func (p *tcpPeer) sleep(d time.Duration) bool {

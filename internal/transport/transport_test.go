@@ -370,3 +370,78 @@ func TestLoopbackNoLatencyStaysOrdered(t *testing.T) {
 		}
 	}
 }
+
+// latencies records how long each echoMsg took to reach it: the sender
+// puts the send time in N.
+type latencies struct {
+	mu  sync.Mutex
+	got []time.Duration
+}
+
+func (l *latencies) OnStart(Env)      {}
+func (l *latencies) OnTimer(Env, any) {}
+func (l *latencies) OnMessage(env Env, from string, msg Message) {
+	if m, ok := msg.(echoMsg); ok {
+		l.mu.Lock()
+		l.got = append(l.got, time.Since(time.Unix(0, int64(m.N))))
+		l.mu.Unlock()
+	}
+}
+
+func (l *latencies) take() []time.Duration {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	got := l.got
+	l.got = nil
+	return got
+}
+
+// A link delay is latency, not bandwidth: each message arrives about d
+// after it is sent, however many were sent just before it. One message
+// goes alone and nine go back to back just after it, while it waits out
+// its delay. A writer that slept d before each frame held the nine for
+// the rest of the first one's d and then a d of their own, nearly 2d.
+func TestLinkDelayIsLatencyNotBandwidth(t *testing.T) {
+	const d = 20 * time.Millisecond
+	ta, err := NewTCP(TCPConfig{LocalID: "a", Listen: "127.0.0.1:0", Seed: 1,
+		LinkDelay: func(string) time.Duration { return d }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ta.Close()
+	tb, err := NewTCP(TCPConfig{LocalID: "b", Listen: "127.0.0.1:0", Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	ta.AddNode("a", &echoNode{})
+	b := &latencies{}
+	tb.AddNode("b", b)
+	ta.SetPeers(map[string]string{"b": tb.Addr()})
+	send := func(n int) {
+		ta.Invoke("a", func(env Env) {
+			for range n {
+				env.Send("b", echoMsg{N: int(time.Now().UnixNano())})
+			}
+		})
+	}
+	var got []time.Duration
+	arrived := func(n int) func() bool {
+		return func() bool { got = append(got, b.take()...); return len(got) == n }
+	}
+
+	// The link is up once a first message has crossed it.
+	send(1)
+	waitFor(t, 5*time.Second, arrived(1), "the first message")
+	got = nil
+
+	send(1)
+	time.Sleep(d / 20)
+	send(9)
+	waitFor(t, 5*time.Second, arrived(10), "ten messages")
+	for i, lat := range got {
+		if lat < d || lat > d*3/2 {
+			t.Errorf("message %d arrived %v after it was sent, want within [%v, %v]", i, lat, d, d*3/2)
+		}
+	}
+}
