@@ -195,7 +195,7 @@ func cmdUp(args []string) error {
 	seed := fs.Int64("seed", 1, "base randomness seed")
 	fsync := fs.String("fsync", "sync", "WAL fsync policy: sync, batch, or none")
 	noData := fs.Bool("no-data", false, "run memory-only (no WAL, no crash recovery)")
-	shards := fs.Int("shards", 0, "execution shards per node (0 = GOMAXPROCS, 1 = serial; quorum model)")
+	shards := fs.Int("shards", 0, "execution shards per node, each a shard loop beside the serial loop (0 = GOMAXPROCS; quorum model)")
 	xferRate := fs.Int("transfer-rate", 0, "elasticity transfer throttle, bytes/sec per source (0 = default)")
 	xferBatch := fs.Int("transfer-batch", 0, "bytes of entries in one batch shipped to a peer: transfer, handoff, anti-entropy, geo (0 = default 64KiB)")
 	engine := fs.String("engine", "", "storage engine: mem (default) or lsm (disk-resident; quorum model, needs data dirs)")
@@ -767,7 +767,7 @@ func cmdStatus(args []string) error {
 		}
 		if c, err := server.Dial(st.Peers[id], "ecctl-status"); err == nil {
 			if rs, err := c.RingStatus(); err == nil {
-				if rs.Shards > 1 {
+				if rs.Shards > 0 {
 					line += fmt.Sprintf(" shards=%d", rs.Shards)
 				}
 				// Lane 0 is the serial control loop; lanes 1..S are the

@@ -48,7 +48,7 @@ func main() {
 		dataDir = flag.String("data-dir", "", "durable state directory: WAL + checkpoints (empty = in-memory only)")
 		fsync   = flag.String("fsync", "sync", "WAL fsync policy: sync (fsync before ack), batch, or none")
 		ckpt    = flag.Duration("checkpoint-interval", 0, "checkpoint snapshot interval (0 = default 5s, negative disables)")
-		shards  = flag.Int("shards", 0, "execution shards per node: parallel key-range executors on the quorum hot path (0 = GOMAXPROCS, 1 = classic serial loop)")
+		shards  = flag.Int("shards", 0, "execution shards per node: parallel key-range executors on the quorum hot path (0 = GOMAXPROCS; each shard loop runs beside the serial loop)")
 		join    = flag.Bool("join", false, "boot as a live joiner: own nothing until the cluster admits this node (quorum model; see ecctl add-node)")
 		xferRt  = flag.Int("transfer-rate", 0, "elasticity transfer throttle, bytes/sec per source (0 = default)")
 		xferBt  = flag.Int("transfer-batch", 0, "bytes of entries in one batch shipped to a peer: transfer, handoff, anti-entropy, geo (0 = default 64KiB)")

@@ -95,7 +95,7 @@ type Options struct {
 	// Shards is the per-DC shard count for Causal (default 2).
 	Shards int
 	// QuorumShards is the execution shard count for the Quorum model's
-	// nodes (default 1 — the classic single actor loop). Under the
+	// nodes (default 1). Under the
 	// deterministic simulator sharding changes the protocol surface
 	// (per-shard request-id minting and state partitioning) without
 	// introducing real concurrency, so seeded runs stay reproducible.

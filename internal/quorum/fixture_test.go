@@ -206,7 +206,7 @@ func TestFixtureV1(t *testing.T) {
 		n := NewNode("s0", fixtureConfig())
 		keyed, serial := 0, 0
 		err = log.Replay(1, func(_ uint64, rec []byte) error {
-			if n.ReplayDomain(rec) >= 0 {
+			if n.ReplayDomain(rec) > 0 {
 				keyed++
 			} else {
 				serial++

@@ -153,7 +153,7 @@ func (n *Node) geoSource(peer string) source {
 		cursor := g.acked
 		n.geoMu.Unlock()
 		atomic.AddUint64(&n.GeoAcked, uint64(drop))
-		n.persistRecord(execDomain(env), walRecord{GeoAck: &geoAckRec{Peer: peer, Seq: cursor}})
+		n.persistRecord(env.Domain(), walRecord{GeoAck: &geoAckRec{Peer: peer, Seq: cursor}})
 	}
 	return source{next: next, acked: acked}
 }

@@ -197,28 +197,24 @@ func decodeRecord(rec []byte) (walRecord, error) {
 	return r, nil
 }
 
-// ReplayDomain routes a raw journaled record for parallel replay: the
-// owning shard index for key-addressed records, -1 for records that must
-// replay on the serial lane (and for anything unrecognisable, which
-// ReplayRecord then refuses there).
+// ReplayDomain routes a raw journaled record for parallel replay to the
+// execution domain that journals it: 1+k for a key-addressed record of
+// shard k, 0 (the serial lane) for the rest, and for anything
+// unrecognisable, which ReplayRecord then refuses there.
 func (n *Node) ReplayDomain(rec []byte) int {
 	if len(rec) >= 9 && rec[0] == recMagicKeyed {
-		return n.router.ShardOfHash(binary.LittleEndian.Uint64(rec[1:9]))
+		return 1 + n.router.ShardOfHash(binary.LittleEndian.Uint64(rec[1:9]))
 	}
-	return -1
+	return 0
 }
 
 // persistRecord journals one mutation. domain names the execution domain
-// the mutation ran on (0 = serial loop, 1+i = shard i) so the hosting
-// server can account the pending fsync to the right ack barrier. The
-// record is encoded into the domain's reused buffer, so it is the hook's
-// only for the duration of the call.
+// the mutation ran on (Env.Domain: 0 = serial loop, 1+i = shard i) so the
+// hosting server can account the pending fsync to the right ack barrier.
+// The record is encoded into the domain's reused buffer, so it is the
+// hook's only for the duration of the call.
 func (n *Node) persistRecord(domain int, r walRecord) {
 	if n.cfg.PersistAt == nil {
-		return
-	}
-	if domain < 0 || domain >= len(n.recBufs) {
-		n.cfg.PersistAt(domain, appendRecord(nil, r))
 		return
 	}
 	rec := appendRecord(n.recBufs[domain][:0], r)

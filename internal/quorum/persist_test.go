@@ -197,6 +197,7 @@ func TestEntriesDigestIsFNV1aOverDecodedFields(t *testing.T) {
 type sinkEnv struct{ sim.Env }
 
 func (sinkEnv) Send(string, sim.Message) {}
+func (sinkEnv) Domain() int              { return 0 }
 
 // TestReplicaPathAllocBudget pins the three operations a replica performs
 // per client request. The counts are deterministic; a reflective codec

@@ -74,8 +74,9 @@ type Config struct {
 	// PersistAt, when set, journals every durable-state mutation (sibling
 	// installs, hint stores/acks, minted dot counters) before any
 	// acknowledgement leaves the node — the hook the server runtime
-	// wires to its WAL. domain names where the mutation ran: 0 is the
-	// serial actor loop, 1+i is shard i's goroutine, and the record
+	// wires to its WAL. domain names where the mutation ran, as
+	// Env.Domain does: 0 is the serial actor loop, 1+i shard i's loop (a
+	// node the simulator hosts runs in domain 0 alone), and the record
 	// carries a routing header so replay can repartition it (see
 	// ReplayDomain). It may be invoked concurrently from different
 	// domains, never concurrently within one. rec is valid only during
@@ -770,7 +771,7 @@ func (n *Node) coordinatePut(env transport.Env, client string, m clientPut, repl
 		sh.mu.Unlock()
 		// Journal the counter: reissuing a dot after a crash would let
 		// two distinct writes silently supersede each other.
-		n.persistRecord(execDomain(env), walRecord{Mint: &mintRec{Key: m.Key, Counter: dvv.Dot.Counter}})
+		n.persistRecord(env.Domain(), walRecord{Mint: &mintRec{Key: m.Key, Counter: dvv.Dot.Counter}})
 	}
 	entry := clock.SiblingEntry[record]{DVV: dvv, Value: record{Value: m.Value, Deleted: m.Deleted}}
 
@@ -839,7 +840,7 @@ func (n *Node) coordinatePut(env transport.Env, client string, m clientPut, repl
 					continue
 				}
 				if old == n.id {
-					n.installEntry(execDomain(env), m.Key, entry)
+					n.installEntry(env.Domain(), m.Key, entry)
 					continue
 				}
 				env.Send(old, replicaPut{Key: m.Key, Entry: entry, Repair: true})
@@ -849,7 +850,7 @@ func (n *Node) coordinatePut(env transport.Env, client string, m clientPut, repl
 	if self {
 		// applyReplicaPut's ownership guard holds by construction: this
 		// node is in the key's preference list.
-		n.installEntry(execDomain(env), m.Key, entry)
+		n.installEntry(env.Domain(), m.Key, entry)
 		pw.acked = append(pw.acked, n.id)
 		if len(pw.acked) >= pw.needed {
 			n.finishWrite(env, id, pw, "")
@@ -944,10 +945,10 @@ func (n *Node) applyReplicaPut(env transport.Env, from string, m replicaPut) {
 		// the queue stays at-most-once like the sibling sets themselves.
 		if n.storeHint(m.Hint, m.Key, m.Entry) {
 			atomic.AddUint64(&n.HintsStored, 1)
-			n.persistRecord(execDomain(env), walRecord{Hint: &hintRec{Intended: m.Hint, Key: m.Key, Entry: m.Entry}})
+			n.persistRecord(env.Domain(), walRecord{Hint: &hintRec{Intended: m.Hint, Key: m.Key, Entry: m.Entry}})
 		}
 	} else {
-		n.installEntry(execDomain(env), m.Key, m.Entry)
+		n.installEntry(env.Domain(), m.Key, m.Entry)
 	}
 	if !m.Repair {
 		env.Send(from, replicaPutAck{ID: m.ID})
@@ -1282,7 +1283,7 @@ func (n *Node) readRepair(env transport.Env, pr *pendingRead, merged []clock.Sib
 		}
 		if rep == n.id {
 			for _, e := range merged {
-				n.installEntry(execDomain(env), pr.key, e)
+				n.installEntry(env.Domain(), pr.key, e)
 			}
 			continue
 		}
@@ -1361,7 +1362,7 @@ func (n *Node) hintSource(peer string) source {
 				dropped, left := n.dropHints(peer, e.Key, e.Entries)
 				atomic.AddUint64(&n.HintsDelivered, uint64(dropped))
 				if dropped > 0 && left == 0 {
-					n.persistRecord(execDomain(env), walRecord{HintAck: &hintAckRec{Intended: peer, Key: e.Key}})
+					n.persistRecord(env.Domain(), walRecord{HintAck: &hintAckRec{Intended: peer, Key: e.Key}})
 				}
 			}
 		},

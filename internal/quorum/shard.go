@@ -10,24 +10,26 @@ import (
 	"repro/internal/wire"
 )
 
-// Sharded execution. With Config.Shards = S > 1 the node's replica state
+// Sharded execution. With Config.Shards = S the node's replica state
 // splits into S key-range shards, each an independent execution domain:
 // the hosting transport (which discovers the split through the
-// ShardedHandler methods below) drains every shard on its own goroutine,
-// so key-addressed traffic for disjoint shards executes concurrently on
-// separate cores. Control traffic — membership, the anti-entropy descent,
-// every stream that ships versions to a peer — still runs on the serial
-// actor loop, which is why
-// the shared structures it touches (hints, Merkle trees, the elasticity
-// window) carry their own locks while the per-request coordination maps
-// stay lock-free (each is only ever touched by its shard's goroutine).
+// ShardedHandler methods below) drains every shard on its own shard loop
+// beside the serial loop, so key-addressed traffic for disjoint shards
+// executes concurrently on separate cores, and answers replica reads on
+// the delivering goroutine (FastHandle). Control traffic — membership,
+// the anti-entropy descent, every stream that ships versions to a peer —
+// still runs on the serial actor loop, which is why the shared
+// structures it touches (hints, Merkle trees, the elasticity window)
+// carry their own locks while the per-request coordination maps stay
+// lock-free (each is only ever touched by its shard's loop). The
+// simulator hosts the node in one domain, which is as correct: every
+// invocation there is serial.
 //
 // Shard assignment reuses the Merkle tree's key hash, so a shard covers
 // a contiguous range of Merkle buckets and a ring arc maps onto whole
 // shards (see storage.ShardRouter). With S == 1 everything lands in
-// shard 0 and the node behaves byte-for-byte as the unsharded original:
-// request ids are identical (id = seq*S + shard), no extra goroutines
-// exist, and the read fast path stays disabled.
+// shard 0 and request ids are the classic 1, 2, 3, ... (id = seq*S +
+// shard).
 
 // nodeShard is one shard of a node's replica state.
 type nodeShard struct {
@@ -45,8 +47,8 @@ type nodeShard struct {
 	minted map[string]uint64
 
 	// Coordination state is executor-confined: only the shard's own
-	// goroutine (or the serial loop when dispatch is unsharded) touches
-	// it, because request ids are minted congruent to the shard index and
+	// loop (or, under the simulator, the node's one domain) touches it,
+	// because request ids are minted congruent to the shard index and
 	// acks/responses/timers route back by id. No lock needed.
 	nextReq uint64
 	writes  map[uint64]*pendingWrite
@@ -204,19 +206,6 @@ func (n *Node) mintReq(idx int) uint64 {
 	return sh.nextReq*uint64(len(n.shards)) + uint64(idx)
 }
 
-// execDomain reports which durability domain the current invocation runs
-// on: 1+shard for a shard-goroutine invocation, 0 for the serial loop
-// (and for every host that does not implement the transport's ShardEnv).
-// The server's WAL barrier keys pending-fsync accounting by this domain.
-func execDomain(env transport.Env) int {
-	if se, ok := env.(interface{ Shard() int }); ok {
-		if k := se.Shard(); k >= 0 {
-			return k + 1
-		}
-	}
-	return 0
-}
-
 // ring returns the current membership list. Reads may come from shard
 // goroutines while SetMembers swaps the list on the serial loop, hence
 // the atomic pointer rather than n.cfg.Ring.
@@ -224,12 +213,15 @@ func (n *Node) ring() []string {
 	return *n.members.Load()
 }
 
-// Shards implements transport.ShardedHandler (structurally): the number
-// of concurrent execution domains this node wants. Values < 2 keep the
-// classic single-loop dispatch.
+// A Runtime discovers the node's shards through this interface, on a
+// bare Node or through transport.WithSharding.
+var _ transport.ShardedHandler = (*Node)(nil)
+
+// Shards implements transport.Sharding: the number of shard loops this
+// node wants beside its serial loop.
 func (n *Node) Shards() int { return len(n.shards) }
 
-// ShardOf implements transport.ShardedHandler: key-addressed requests go
+// ShardOf implements transport.Sharding: key-addressed requests go
 // to the key's shard, responses go back to the shard that minted the
 // request id, and everything else (-1) keeps the serial actor loop.
 func (n *Node) ShardOf(msg transport.Message) int {
@@ -252,15 +244,12 @@ func (n *Node) ShardOf(msg transport.Message) int {
 	}
 }
 
-// FastHandle implements transport.FastHandler: a replicaGet touches only
+// FastHandle implements transport.Sharding: a replicaGet touches only
 // lock-guarded state (sibling sets, hints, the gating window), so it can
 // be answered synchronously on the delivering goroutine without queueing
-// through any mailbox. Every other message — and every replicaGet when
-// the node is unsharded — falls back to normal dispatch.
+// through any mailbox. Every other message falls back to normal
+// dispatch.
 func (n *Node) FastHandle(env transport.Env, from string, msg transport.Message) bool {
-	if len(n.shards) < 2 {
-		return false
-	}
 	m, ok := msg.(replicaGet)
 	if !ok {
 		return false

@@ -202,7 +202,7 @@ func (n *Node) onShipAck(env transport.Env, from string, m shipAck) {
 // unanswered sender would resend for ever. Only the hooks ask whether the
 // stream still matters.
 func (n *Node) onShipBatch(env transport.Env, from string, m shipBatch) {
-	dom := execDomain(env)
+	dom := env.Domain()
 	for _, e := range m.Entries {
 		if m.Stream.Kind == streamAE && !slices.Contains(n.PreferenceList(e.Key), n.id) {
 			continue // anti-entropy is between replicas: not one of this key, ignore it

@@ -44,11 +44,15 @@ import (
 // retried put that finds its version already installed journals nothing
 // and would otherwise be acked at once.
 //
-// A sharded node runs one barrier domain per execution domain (the
-// serial loop plus every shard goroutine): each domain has its own
-// deferred-send buffer, pending entry, release queue, and release
-// goroutine, so the barrier stays lock-free — every piece is confined
-// to one goroutine exactly as the single-domain original was.
+// The barrier has one domain per execution domain of the node (the
+// serial loop plus every shard loop), indexed by Env.Domain: each has its
+// own deferred-send buffer, pending entry, release queue, and release
+// goroutine, so the barrier stays lock-free — every piece is confined to
+// one goroutine. A sharded node is hosted with its sharding beside the
+// barrier (transport.WithSharding), so the read fast path skips the
+// barrier entirely. That is sound because the fast path serves reads: it
+// journals nothing, so no ack of its own needs gating, and
+// durable-before-ack only promises that acked writes survive.
 //
 // Batches release strictly in invocation order within a domain. WAL
 // sequence numbers are assigned in append order and the watermark is
@@ -64,7 +68,7 @@ type ackBarrier struct {
 	dur   *durability
 	post  func(to string, msg transport.Message)
 
-	// doms[0] serves the serial actor loop, doms[1+k] shard k.
+	// doms[i] serves execution domain i (see transport.Env.Domain).
 	doms []*ackDomain
 }
 
@@ -153,29 +157,14 @@ func (e *deferEnv) Defer(answer, drop func()) {
 	e.add(outMsg{fn: answer, drop: drop})
 }
 
-// Shard exposes the wrapped Env's execution domain so the protocol
-// node's execDomain sees through the barrier (the embedded interface
-// would hide it otherwise).
-func (e *deferEnv) Shard() int {
-	if se, ok := e.Env.(transport.ShardEnv); ok {
-		return se.Shard()
-	}
-	return -1
-}
-
-// newAckBarrier builds a barrier with domains execution domains: 1 for
-// a classic single-loop node, shards+1 for a sharded one. The
-// durability layer's pending table must be sized to match
-// (durability.setDomains).
-func newAckBarrier(inner transport.Handler, dur *durability, domains int, post func(to string, msg transport.Message)) *ackBarrier {
-	if domains < 1 {
-		domains = 1
-	}
+// newAckBarrier builds a barrier with one domain per execution domain
+// dur journals for (durability.setDomains).
+func newAckBarrier(inner transport.Handler, dur *durability, post func(to string, msg transport.Message)) *ackBarrier {
 	b := &ackBarrier{
 		inner: inner,
 		dur:   dur,
 		post:  post,
-		doms:  make([]*ackDomain, domains),
+		doms:  make([]*ackDomain, len(dur.pending)),
 	}
 	for i := range b.doms {
 		d := &ackDomain{
@@ -188,17 +177,6 @@ func newAckBarrier(inner transport.Handler, dur *durability, domains int, post f
 		go b.release(d)
 	}
 	return b
-}
-
-// domain maps an invocation's Env to its barrier domain: the shard
-// index + 1 for a shard-loop invocation, 0 for the serial loop.
-func (b *ackBarrier) domain(env transport.Env) (int, *ackDomain) {
-	if se, ok := env.(transport.ShardEnv); ok {
-		if k := se.Shard(); k >= 0 && k+1 < len(b.doms) {
-			return k + 1, b.doms[k+1]
-		}
-	}
-	return 0, b.doms[0]
 }
 
 func (b *ackBarrier) OnStart(env transport.Env) {
@@ -218,42 +196,14 @@ func (b *ackBarrier) OnTimer(env transport.Env, tag any) {
 // methods above, the server runs a call the runtime made on the domain's
 // loop through it (Runtime.InvokeShard).
 func (b *ackBarrier) Call(env transport.Env, fn func(transport.Env)) {
-	i, d := b.domain(env)
+	i := env.Domain()
+	d := b.doms[i]
 	d.env.Env, d.env.sends, d.env.early = env, d.env.sends[:0], 0
 	// queued grows only on this goroutine, and lost cannot flip while
 	// the queue is empty, so a drained queue holds for the invocation.
 	d.env.inline = d.queued.Load() == 0 && !d.lost.Load()
 	fn(&d.env)
 	b.finish(i, d, env)
-}
-
-// Shards forwards the inner handler's shard declaration so the
-// transport discovers sharded dispatch through the barrier.
-func (b *ackBarrier) Shards() int {
-	if sh, ok := b.inner.(transport.ShardedHandler); ok {
-		return sh.Shards()
-	}
-	return 1
-}
-
-// ShardOf forwards the inner handler's message→domain mapping.
-func (b *ackBarrier) ShardOf(msg transport.Message) int {
-	if sh, ok := b.inner.(transport.ShardedHandler); ok {
-		return sh.ShardOf(msg)
-	}
-	return -1
-}
-
-// FastHandle forwards the lock-free read fast path. Fast-path replies
-// skip the barrier entirely, which is sound because the fast path
-// serves reads — it journals nothing, so no ack of its own needs
-// gating, and durable-before-ack only promises that *acked writes*
-// survive.
-func (b *ackBarrier) FastHandle(env transport.Env, from string, msg transport.Message) bool {
-	if f, ok := b.inner.(transport.FastHandler); ok {
-		return f.FastHandle(env, from, msg)
-	}
-	return false
 }
 
 // finish routes one finished invocation's sends: inline when its records

@@ -104,7 +104,7 @@ func TestAckBarrierReleasesSendsBeforeTheFirstRecord(t *testing.T) {
 	env := &sinkEnv{}
 	var mu sync.Mutex
 	var posted []string
-	b := newAckBarrier(fanOutStub{dur}, dur, 1, func(_ string, msg transport.Message) {
+	b := newAckBarrier(fanOutStub{dur}, dur, func(_ string, msg transport.Message) {
 		mu.Lock()
 		posted = append(posted, msg.(string))
 		mu.Unlock()
@@ -155,7 +155,6 @@ func TestSelfAckWaitsForTheCoordinatorsRecord(t *testing.T) {
 			cfgs := durableConfigs(t, "quorum", nodes, -1)
 			srvs := make([]*Server, len(cfgs))
 			for i, cfg := range cfgs {
-				cfg.Shards = 1 // one execution domain: the gate swaps in on it
 				s, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -175,12 +174,7 @@ func TestSelfAckWaitsForTheCoordinatorsRecord(t *testing.T) {
 
 			disk := newGatedDisk(s.dur.log.Durable())
 			t.Cleanup(disk.openUp) // before the servers close: their barriers drain
-			swapped := make(chan struct{})
-			s.tcp.Invoke(s.ID(), func(transport.Env) {
-				s.dur.j = disk
-				close(swapped)
-			})
-			<-swapped
+			swapJournal(t, s, disk)
 			before := disk.appended()
 
 			done := make(chan error, 1)

@@ -253,10 +253,7 @@ func (c *clientConn) start(req Request) {
 		// gateway sends it to the coordinator, and retries, hedges and
 		// fails over if that node is down.
 		sl.tier, sl.r, sl.coord, sl.staleMs = s.slaRoute(req)
-		sl.gi = 0
-		if len(s.gwIDs) > 1 {
-			sl.gi = s.qnode.Router().Shard(req.Key)
-		}
+		sl.gi = s.qnode.Router().Shard(req.Key)
 		if sl.coord == s.cfg.ID {
 			sl.path = pathLocal
 			ok = s.tcp.InvokeShard(s.cfg.ID, sl.gi, sl.guarded)

@@ -53,14 +53,16 @@ type durability struct {
 
 	// pending holds, per execution domain, the highest WAL seq appended
 	// since that domain's last takePending: 0 if none, neverDurable if an
-	// append failed. Domain 0 is the serial actor loop; 1+k is shard k of
-	// a sharded node. Each entry is confined to its domain's goroutine
-	// (persistAt and takePending both run there), so none needs a lock.
+	// append failed. It is indexed by transport.Env.Domain: 0 is the
+	// serial actor loop, 1+k shard k of a sharded node. Each entry is
+	// confined to its domain's goroutine (persistAt and takePending both
+	// run there), so none needs a lock.
 	pending []uint64
 
 	// laneReplayed counts the records recovery replayed on each WAL
-	// replay lane (lane 0 = serial records, 1+k = shard k). Written
-	// before the actors start, read-only after.
+	// replay lane. Lanes are execution domains: lane 0 holds the serial
+	// records, 1+k shard k's. Written before the actors start, read-only
+	// after.
 	laneReplayed []uint64
 
 	stop chan struct{}
@@ -75,11 +77,11 @@ func openDurability(dir string, policy wal.SyncPolicy, logf func(string, ...any)
 	return &durability{log: log, j: log, dir: dir, logf: logf, pending: make([]uint64, 1)}, nil
 }
 
-// setDomains sizes the per-domain pending table for a sharded node
-// (1 serial domain + the node's shard count). Must run before the
-// node's actors start.
+// setDomains sizes the per-domain pending table for a node with n
+// execution domains (1 serial domain + the node's shard count). Must run
+// before the node's actors start.
 func (d *durability) setDomains(n int) {
-	d.pending = make([]uint64, max(n, 1))
+	d.pending = make([]uint64, n)
 }
 
 // persist journals one protocol record. It is the Persist hook handed
@@ -97,16 +99,13 @@ func (d *durability) persist(rec []byte) {
 }
 
 // persistAt is persist for one execution domain of a sharded node: the
-// seq lands in that domain's pending entry, so each shard's ack barrier
+// seq lands in that domain's pending entry, so each domain's ack barrier
 // gates only its own invocations' acks on its own appends. A failed
 // append marks the invocation never durable. Must run on the domain's
 // executor goroutine.
 func (d *durability) persistAt(domain int, rec []byte) {
 	if d.recovering {
 		return
-	}
-	if domain < 0 || domain >= len(d.pending) {
-		domain = 0
 	}
 	seq, err := d.j.AppendAsync(rec)
 	if err != nil {
@@ -121,9 +120,6 @@ func (d *durability) persistAt(domain int, rec []byte) {
 // executor goroutine, right after the handler invocation whose acks it
 // gates.
 func (d *durability) takePending(domain int) uint64 {
-	if domain < 0 || domain >= len(d.pending) {
-		domain = 0
-	}
 	seq := d.pending[domain]
 	d.pending[domain] = 0
 	return seq
@@ -133,9 +129,6 @@ func (d *durability) takePending(domain int) uint64 {
 // takePending: within a handler invocation, whether the invocation has
 // journaled anything yet. Must run on the domain's executor goroutine.
 func (d *durability) journaled(domain int) bool {
-	if domain < 0 || domain >= len(d.pending) {
-		domain = 0
-	}
 	return d.pending[domain] != 0
 }
 
@@ -220,12 +213,13 @@ func bootIncarnation(dir string) (uint64, error) {
 
 // recover rebuilds node from disk: latest intact checkpoint, then the
 // journaled record suffix. Must run before the node's actor starts.
-// With lanes > 1 the record suffix replays in parallel: route maps each
-// record to its lane (the quorum node's ReplayDomain keys by the
-// record's key hash) and same-lane order is preserved, so per-key replay
-// order — the only order the protocol's state depends on — matches the
-// serial replay exactly.
-func (d *durability) recover(node durableNode, lanes int, route func(rec []byte) int) error {
+// The record suffix replays on one lane per execution domain
+// (setDomains), in parallel: route maps each record to the domain that
+// journals its key (the quorum node's ReplayDomain keys by the record's
+// key hash; a node with one domain has one lane and no route) and
+// same-lane order is preserved, so per-key replay order — the only order
+// the protocol's state depends on — matches the serial replay exactly.
+func (d *durability) recover(node durableNode, route func(rec []byte) int) error {
 	d.recovering = true
 	defer func() { d.recovering = false }()
 
@@ -239,11 +233,8 @@ func (d *durability) recover(node durableNode, lanes int, route func(rec []byte)
 		}
 		d.ckptSeq = ckpt
 	}
-	if lanes < 1 || route == nil {
-		lanes = 1
-	}
-	counts := make([]uint64, lanes)
-	err = d.log.ReplaySharded(ckpt+1, lanes,
+	counts := make([]uint64, len(d.pending))
+	err = d.log.ReplaySharded(ckpt+1, len(counts),
 		func(seq uint64, rec []byte) int { return route(rec) },
 		func(lane int, seq uint64, rec []byte) error {
 			if err := node.ReplayRecord(rec); err != nil {

@@ -450,10 +450,11 @@ func BenchmarkRecover(b *testing.B) {
 				qn := quorum.NewNode(cfg.ID, qcfg)
 				var route func(rec []byte) int
 				if lanes > 1 {
-					route = func(rec []byte) int { return qn.ReplayDomain(rec) + 1 }
+					route = qn.ReplayDomain
 				}
+				d.setDomains(lanes)
 				b.StartTimer()
-				err = d.recover(qn, lanes, route)
+				err = d.recover(qn, route)
 				b.StopTimer()
 				if err != nil {
 					b.Fatal(err)

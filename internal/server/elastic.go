@@ -74,7 +74,7 @@ type (
 		Addrs   []string // parallel to Members
 		Settled bool
 		Reply   bool
-		Zones   []string // parallel to Members ("" = unzoned); may be nil from old senders
+		Zones   []string // parallel to Members ("" = unzoned); nil for an unzoned cluster
 	}
 	// ringAck confirms a member installed epoch Seq.
 	ringAck struct{ Seq uint64 }
@@ -87,7 +87,7 @@ type (
 	epochSettled struct{ Seq uint64 }
 	// ringPull asks a peer for its current epoch (boot, or after a
 	// replicaNotOwner revealed a stale ring).
-	ringPull struct{ Pad byte }
+	ringPull struct{}
 )
 
 func appendStrings(dst []byte, ss []string) []byte {
@@ -156,10 +156,8 @@ func (m transferComplete) AppendBinary(dst []byte) []byte { return wire.AppendUv
 func (epochSettled) WireID() uint16                   { return widEpochSettled }
 func (m epochSettled) AppendBinary(dst []byte) []byte { return wire.AppendUvarint(dst, m.Seq) }
 
-func (ringPull) WireID() uint16 { return widRingPull }
-func (m ringPull) AppendBinary(dst []byte) []byte {
-	return wire.AppendUvarint(dst, uint64(m.Pad))
-}
+func (ringPull) WireID() uint16                 { return widRingPull }
+func (ringPull) AppendBinary(dst []byte) []byte { return dst }
 
 func init() {
 	transport.RegisterBinary(widRingUpdate, func(r *wire.Reader) transport.Message {
@@ -187,7 +185,7 @@ func init() {
 		return epochSettled{Seq: r.Uvarint()}
 	})
 	transport.RegisterBinary(widRingPull, func(r *wire.Reader) transport.Message {
-		return ringPull{Pad: byte(r.Uvarint())}
+		return ringPull{}
 	})
 }
 
@@ -241,7 +239,9 @@ const elasticPullInterval = time.Second
 // and timers are handled here (same loop, so it may call quorum.Node
 // methods directly); everything else forwards to the protocol node. It
 // sits inside the durability ack barrier, so its sends honor the same
-// commit ordering as protocol acks.
+// commit ordering as protocol acks. Membership messages hit the protocol
+// node's ShardOf default case (-1) and stay on the serial loop, which is
+// what lets OnMessage touch epoch state without extra locking.
 type elasticHandler struct {
 	s     *Server
 	inner transport.Handler
@@ -277,32 +277,6 @@ func (h *elasticHandler) OnTimer(env transport.Env, tag any) {
 		return
 	}
 	h.inner.OnTimer(env, tag)
-}
-
-// Shards, ShardOf, and FastHandle forward the quorum node's sharded
-// dispatch declaration through the wrapper, so the transport still
-// discovers it. Membership messages hit the protocol node's ShardOf
-// default case (-1) and stay on the serial loop, which is what lets
-// OnMessage above touch epoch state without extra locking.
-func (h *elasticHandler) Shards() int {
-	if sh, ok := h.inner.(transport.ShardedHandler); ok {
-		return sh.Shards()
-	}
-	return 1
-}
-
-func (h *elasticHandler) ShardOf(msg transport.Message) int {
-	if sh, ok := h.inner.(transport.ShardedHandler); ok {
-		return sh.ShardOf(msg)
-	}
-	return -1
-}
-
-func (h *elasticHandler) FastHandle(env transport.Env, from string, msg transport.Message) bool {
-	if f, ok := h.inner.(transport.FastHandler); ok {
-		return f.FastHandle(env, from, msg)
-	}
-	return false
 }
 
 // livePlacement routes quorum placement through the node's current
@@ -354,7 +328,7 @@ func (s *Server) elasticPull(env transport.Env) {
 	s.el.mu.Unlock()
 	if unanswered || (waiting && !s.qnode.CatchingUp()) {
 		for _, p := range peers {
-			env.Send(p, ringPull{Pad: 1})
+			env.Send(p, ringPull{})
 		}
 	}
 	if unanswered || waiting {
@@ -913,7 +887,7 @@ func (s *Server) onStaleRing(seq uint64) {
 	}
 	el.mu.Unlock()
 	if peer != "" {
-		s.tcp.Post(s.cfg.ID, peer, ringPull{Pad: 1})
+		s.tcp.Post(s.cfg.ID, peer, ringPull{})
 	}
 }
 
@@ -930,7 +904,7 @@ type RingStatus struct {
 	MintedDots    uint64   `json:"minted_dots"`
 	// Zone is the node's declared zone ("" = unzoned).
 	Zone string `json:"zone,omitempty"`
-	// Shards is the node's execution shard count (1 = unsharded).
+	// Shards is the node's execution shard count: its shard loops.
 	Shards int `json:"shards,omitempty"`
 	// ReplayedByLane reports how many WAL records boot recovery replayed
 	// on each parallel replay lane: index 0 is the serial lane, 1+k is

@@ -58,10 +58,42 @@ func (e *sinkEnv) Now() time.Duration                            { return 0 }
 func (e *sinkEnv) SetTimer(time.Duration, any) transport.TimerID { return 0 }
 func (e *sinkEnv) Cancel(transport.TimerID)                      {}
 func (e *sinkEnv) Rand() *rand.Rand                              { return nil }
+func (e *sinkEnv) Domain() int                                   { return 0 }
 func (e *sinkEnv) Send(_ string, msg transport.Message) {
 	e.mu.Lock()
 	e.sent = append(e.sent, msg.(string))
 	e.mu.Unlock()
+}
+
+// swapJournal puts j behind s's durability layer while every execution
+// domain of the storage node is held inside an invocation and the ack
+// barrier has released every batch, so the swap is ordered before each
+// domain's next invocation and before the barrier's next wait.
+func swapJournal(t *testing.T, s *Server, j journal) {
+	t.Helper()
+	shards := 0
+	if s.qnode != nil {
+		shards = s.qnode.Shards()
+	}
+	var held sync.WaitGroup
+	release := make(chan struct{})
+	defer close(release)
+	for shard := -1; shard < shards; shard++ {
+		held.Add(1)
+		if !s.tcp.InvokeShard(s.ID(), shard, func(transport.Env) {
+			held.Done()
+			<-release
+		}) {
+			t.Fatalf("%s has no shard %d", s.ID(), shard)
+		}
+	}
+	held.Wait()
+	for _, d := range s.ackB.doms {
+		for d.queued.Load() != 0 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	s.dur.j = j
 }
 
 // replicaStub acks every message it gets, as a replica acks a put: a
@@ -104,7 +136,7 @@ func TestAckBarrierDropsAcksOfRecordsNotOnDisk(t *testing.T) {
 			}
 			env := &sinkEnv{}
 			var posted []string
-			b := newAckBarrier(replicaStub{dur}, dur, 1, func(_ string, msg transport.Message) {
+			b := newAckBarrier(replicaStub{dur}, dur, func(_ string, msg transport.Message) {
 				posted = append(posted, msg.(string)) // release goroutine only
 			})
 			for _, m := range []string{"write", "retry", "read"} {
@@ -145,7 +177,6 @@ func TestNoAckForAWriteTheDiskLost(t *testing.T) {
 				cfgs := durableConfigs(t, tc.model, tc.nodes, -1)
 				srvs := make([]*Server, len(cfgs))
 				for i, cfg := range cfgs {
-					cfg.Shards = 1 // one execution domain: the fault swaps in on it
 					s, err := New(cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -165,19 +196,14 @@ func TestNoAckForAWriteTheDiskLost(t *testing.T) {
 					t.Fatalf("put before the fault: %v", err)
 				}
 
-				// Swap the failing journal in on the actor loop, so the
+				// Swap the failing journal in between invocations, so the
 				// handlers that read it later are ordered after the write.
 				broken := &brokenDisk{Log: s.dur.log, failedAt: s.dur.log.Durable()}
 				var disk journal = broken
 				if fault == "append" {
 					disk = refusingDisk{broken}
 				}
-				swapped := make(chan struct{})
-				s.tcp.Invoke(cfg.ID, func(transport.Env) {
-					s.dur.j = disk
-					close(swapped)
-				})
-				<-swapped
+				swapJournal(t, s, disk)
 
 				if err := c.Put("k", []byte("after")); err == nil {
 					t.Fatal("a write the disk did not hold was acknowledged")

@@ -79,7 +79,7 @@ func genMsgs(g *wiretest.Gen) []transport.Message {
 		beginTransfer{Seq: g.Uint64()},
 		transferComplete{Seq: g.Uint64()},
 		epochSettled{Seq: g.Uint64()},
-		ringPull{Pad: g.Byte()},
+		ringPull{},
 	}
 }
 

@@ -74,11 +74,11 @@ type Config struct {
 	// protocol default). Quorum model only.
 	TransferBatch int
 	// Shards splits the quorum node's replica state into this many
-	// key-range execution shards, each drained by its own goroutine, so
-	// requests for disjoint key ranges execute on separate cores (the
-	// protocol rounds the count up to a power of two). 0 defaults to
-	// GOMAXPROCS; 1 disables sharding and restores the classic single
-	// actor loop. Quorum model only.
+	// key-range execution shards, each drained by its own shard loop
+	// beside the node's serial loop, so requests for disjoint key ranges
+	// execute on separate cores (the protocol rounds the count up to a
+	// power of two). 0 defaults to GOMAXPROCS; 1 is one shard loop.
+	// Quorum model only.
 	Shards int
 	// Engine selects the storage engine backing replica state: "mem"
 	// (default) keeps it in memory, "lsm" puts each shard on a
@@ -358,7 +358,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		if s.dur != nil {
 			// The sharded persist hook: each execution domain's records
-			// land in that domain's pending table, so every shard's ack
+			// land in that domain's pending table, so every domain's ack
 			// barrier gates on exactly its own appends.
 			qcfg.PersistAt = s.dur.persistAt
 		}
@@ -393,25 +393,25 @@ func New(cfg Config) (*Server, error) {
 		}
 		qn := quorum.NewNode(cfg.ID, qcfg)
 		s.qnode = qn
-		if s.dur != nil {
-			s.dur.setDomains(qn.Shards() + 1)
-		}
 		node, handler = qn, qn
 	case "session":
 		sn := session.NewServer(cfg.ID, session.ServerConfig{Peers: others, Persist: persist})
 		node, handler = sn, sn
 	}
 
-	// Recover from disk BEFORE the actor boots: a sharded quorum node
-	// replays in parallel — each key's records on the owning shard's
-	// lane, cross-cutting records on the serial lane — and the node
-	// rejoins the ring already holding every write it ever acknowledged.
+	// The storage actor's execution domains: the serial loop, plus a
+	// quorum node's shard loops.
+	domains, route := 1, (func(rec []byte) int)(nil)
+	if qn := s.qnode; qn != nil {
+		domains, route = 1+qn.Shards(), qn.ReplayDomain
+	}
+
+	// Recover from disk BEFORE the actor boots: a quorum node replays in
+	// parallel — each key's records on the owning shard's lane,
+	// cross-cutting records on the serial lane — and the node rejoins the
+	// ring already holding every write it ever acknowledged.
 	if s.dur != nil {
-		lanes, route := 1, (func(rec []byte) int)(nil)
-		if qn := s.qnode; qn != nil && qn.Shards() > 1 {
-			lanes = qn.Shards() + 1
-			route = func(rec []byte) int { return qn.ReplayDomain(rec) + 1 }
-		}
+		s.dur.setDomains(domains)
 		var err error
 		if s.qnode != nil {
 			// A disk-resident engine already holds state: refuse one an
@@ -419,7 +419,7 @@ func New(cfg Config) (*Server, error) {
 			err = s.qnode.CheckStoredFormat()
 		}
 		if err == nil {
-			err = s.dur.recover(node, lanes, route)
+			err = s.dur.recover(node, route)
 		}
 		if err == nil {
 			s.incarnation, err = bootIncarnation(cfg.DataDir)
@@ -446,14 +446,16 @@ func New(cfg Config) (*Server, error) {
 	// their records' group commit lands, so the loop keeps appending
 	// while the disk works.
 	if s.dur != nil {
-		domains := 1
-		if s.qnode != nil {
-			domains = s.qnode.Shards() + 1
-		}
-		s.ackB = newAckBarrier(handler, s.dur, domains, func(to string, msg transport.Message) {
+		s.ackB = newAckBarrier(handler, s.dur, func(to string, msg transport.Message) {
 			tcp.Post(cfg.ID, to, msg)
 		})
 		handler = s.ackB
+	}
+	// The wrappers above leave the quorum node's sharding to be declared
+	// here, once: invocations reach the wrapped handler on the node's
+	// domains, and the read fast path reaches the node directly.
+	if s.qnode != nil {
+		handler = transport.WithSharding(handler, s.qnode)
 	}
 	tcp.AddNode(cfg.ID, handler)
 	if cfg.Model == "quorum" {

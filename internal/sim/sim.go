@@ -576,6 +576,7 @@ func (e *clientEnv) SetTimer(time.Duration, any) TimerID {
 	panic("sim: client env cannot set timers; schedule with Cluster.After")
 }
 func (e *clientEnv) Cancel(TimerID) {}
+func (e *clientEnv) Domain() int    { return 0 }
 
 // env implements Env for one handler invocation.
 type env struct {
@@ -587,6 +588,9 @@ func (e *env) ID() string                  { return e.n.id }
 func (e *env) Now() time.Duration          { return e.c.now }
 func (e *env) Rand() *rand.Rand            { return e.c.rng }
 func (e *env) Send(to string, msg Message) { e.c.send(e.n, e.n.id, to, msg) }
+
+// Domain is 0: the simulator runs every node in one execution domain.
+func (e *env) Domain() int { return 0 }
 
 func (e *env) SetTimer(d time.Duration, tag any) TimerID {
 	e.c.nextID++

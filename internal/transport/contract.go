@@ -8,10 +8,14 @@
 //     real network without modification: the contract is the seam the
 //     ISSUE's "simulator to wire" transition pivots on.
 //
-//   - Runtime (runtime.go) hosts protocol nodes off-sim: each node is a
-//     goroutine-confined actor with an unbounded FIFO mailbox, real
-//     timers, and a deterministic per-node random source, preserving the
-//     single-threaded handler discipline the protocols assume.
+//   - Runtime (runtime.go) hosts protocol nodes off-sim. A node runs on
+//     execution domains: domain 0 is its serial actor loop, and a
+//     ShardedHandler's shard k is domain 1+k (sharded.go). Every domain
+//     is the same loop — one goroutine, an unbounded FIFO mailbox, real
+//     timers and a deterministic random source — preserving within the
+//     domain the single-threaded handler discipline the protocols
+//     assume. Env.Domain tells an invocation which domain it runs on;
+//     the simulator hosts every node in domain 0.
 //
 //   - Loopback (loopback.go) connects runtimes in-process — every
 //     transport test runs without opening a socket — while TCP (tcp.go)
@@ -38,8 +42,9 @@ type TimerID uint64
 
 // Handler is the behaviour of a node. Implementations are invoked
 // single-threaded by whichever substrate hosts them (the simulator's
-// event loop or a Runtime's actor goroutine), so state touched only by
-// the handler needs no locking.
+// event loop or a Runtime's serial loop), so state touched only by the
+// handler needs no locking; a ShardedHandler is invoked single-threaded
+// per execution domain.
 type Handler interface {
 	// OnStart runs when the node boots, and again after each restart.
 	OnStart(env Env)
@@ -72,4 +77,9 @@ type Env interface {
 	// Rand returns the node's deterministic random source. Handlers
 	// must only use it synchronously inside the current invocation.
 	Rand() *rand.Rand
+	// Domain names the execution domain the invocation runs on: 0 for
+	// the node's serial loop, 1+k for shard k of a ShardedHandler.
+	// State confined to a domain (a journal buffer, a barrier's queue)
+	// is indexed by it.
+	Domain() int
 }

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// mailbox is an unbounded FIFO queue feeding one node's actor loop.
+// mailbox is an unbounded FIFO queue feeding one execution domain's loop.
 // Senders never block (protocol handlers may fan out many sends while
 // another node's loop is busy; a bounded channel there would deadlock
 // two nodes sending to each other under load), and the loop blocks on
@@ -87,7 +87,7 @@ const (
 	pevCrash
 )
 
-// procEvent is one unit of work for a node's actor loop. A pevTimer
+// procEvent is one unit of work for an execution domain's loop. A pevTimer
 // carries nothing: it wakes the loop to fire the timers that are due.
 type procEvent struct {
 	kind procEventKind
@@ -96,88 +96,134 @@ type procEvent struct {
 	fn   func(Env)
 }
 
-// proc is one hosted node: a Handler plus the actor goroutine that
-// invokes it single-threaded, mirroring the simulator's discipline.
+// proc is one hosted node: a Handler and its execution domains.
 type proc struct {
-	id  string
-	h   Handler
-	rt  *Runtime
+	id string
+	h  Handler
+	rt *Runtime
+
+	// sh is the handler's sharding, detected once at AddNode; nil for a
+	// node that runs in domain 0 alone. doms[0] is the serial loop and
+	// doms[1+k] shard k. up gates the fast path from delivering
+	// goroutines; domain 0 is its only writer.
+	sh   ShardedHandler
+	doms []*domain
+	up   atomic.Bool
+}
+
+// domain is one execution domain of a node: a mailbox drained by its own
+// goroutine, one handler invocation at a time in mailbox order, with its
+// own timers and random stream. Domain 0 is the serial actor loop every
+// node has; a ShardedHandler's shard k is domain 1+k. The domain is also
+// the Env of every invocation it runs: the contract only promises an Env
+// is valid during its invocation, so one value serves them all.
+type domain struct {
+	p   *proc
+	idx int
 	box *mailbox
 	rng *rand.Rand
+	ops atomic.Uint64 // messages and calls run (or fast-handled) here
 
-	// Sharded dispatch (sharded.go). sh/fast are the handler's optional
-	// capabilities, detected once at AddNode; shards holds the per-shard
-	// execution domains; upFast gates the lock-free fast path from
-	// delivering goroutines (the serial loop is its only writer).
-	sh     ShardedHandler
-	fast   FastHandler
-	shards []*shardLoop
-	upFast atomic.Bool
-
-	// Loop-confined state (the actor goroutine is the only toucher).
-	up     bool
-	timers *timers
+	// Loop-confined state.
+	up      bool
+	timers  *timers
+	onTimer func(tag any) // bound once: firing a timer allocates nothing
 
 	done chan struct{}
 }
 
-// penv implements Env for one proc. It is reused across invocations;
-// the contract only promises validity during an invocation.
-type penv struct{ p *proc }
-
-func (e penv) ID() string         { return e.p.id }
-func (e penv) Now() time.Duration { return e.p.rt.Now() }
-func (e penv) Rand() *rand.Rand   { return e.p.rng }
-func (e penv) Send(to string, msg Message) {
-	e.p.rt.send(e.p.id, to, msg)
+func newDomain(p *proc, idx int) *domain {
+	name := p.id
+	if idx > 0 {
+		name = fmt.Sprintf("%s/shard%d", p.id, idx-1)
+	}
+	d := &domain{
+		p:    p,
+		idx:  idx,
+		box:  newMailbox(),
+		rng:  rand.New(rand.NewSource(p.rt.seed ^ int64(idHash(name)))),
+		done: make(chan struct{}),
+	}
+	d.timers = newTimers(p.rt.Now, d.box)
+	d.onTimer = func(tag any) {
+		p.rt.stats.timersFired.Add(1)
+		p.h.OnTimer(d, tag)
+	}
+	return d
 }
 
-func (e penv) SetTimer(d time.Duration, tag any) TimerID { return e.p.timers.set(d, tag) }
-func (e penv) Cancel(id TimerID)                         { e.p.timers.cancel(id) }
+func (d *domain) ID() string                  { return d.p.id }
+func (d *domain) Now() time.Duration          { return d.p.rt.Now() }
+func (d *domain) Rand() *rand.Rand            { return d.rng }
+func (d *domain) Domain() int                 { return d.idx }
+func (d *domain) Send(to string, msg Message) { d.p.rt.send(d.p.id, to, msg) }
 
-// loop is the actor goroutine: strictly one handler invocation at a
-// time, events in mailbox order.
-func (p *proc) loop() {
-	defer close(p.done)
-	defer p.timers.stop()
-	env := penv{p: p}
+func (d *domain) SetTimer(dur time.Duration, tag any) TimerID { return d.timers.set(dur, tag) }
+func (d *domain) Cancel(id TimerID)                           { d.timers.cancel(id) }
+
+// loop is the domain's goroutine. pevStart and pevCrash reach every
+// domain of the node, so each domain's up flag and timers track the
+// node's lifecycle on their own (messages racing a crash are droppable
+// either way); OnStart runs once per boot, on the serial loop.
+func (d *domain) loop() {
+	defer close(d.done)
+	defer d.timers.stop()
+	h := d.p.h
 	for {
-		ev, ok := p.box.take()
+		ev, ok := d.box.take()
 		if !ok {
 			return
 		}
 		switch ev.kind {
 		case pevStart:
-			p.up = true
-			p.upFast.Store(true)
-			p.h.OnStart(env)
+			d.up = true
+			if d.idx == 0 {
+				d.p.up.Store(true)
+				h.OnStart(d)
+			}
 		case pevCrash:
-			p.up = false
-			p.upFast.Store(false)
-			p.timers.reset()
+			d.up = false
+			if d.idx == 0 {
+				d.p.up.Store(false)
+			}
+			d.timers.reset()
 		case pevMessage:
-			if p.up {
-				p.h.OnMessage(env, ev.from, ev.msg)
+			if d.up {
+				d.ops.Add(1)
+				h.OnMessage(d, ev.from, ev.msg)
 			}
 		case pevTimer:
-			p.rt.fire(p.timers, p.h, env)
+			// A crash emptied the heap, so whatever is due was set since
+			// the node last started.
+			d.timers.fire(d.onTimer)
 		case pevCall:
-			if p.up {
-				ev.fn(env)
+			if d.up {
+				d.ops.Add(1)
+				ev.fn(d)
 			}
 		}
 	}
 }
 
-// fire runs OnTimer for every timer of one execution domain that is due,
-// each as its own invocation, and re-arms the domain's wake-up for the
-// rest. A crash emptied the heap, so whatever is due was set since the
-// node last started.
-func (r *Runtime) fire(t *timers, h Handler, env Env) {
-	t.fire(func(tag any) {
-		r.stats.add(func(s *Stats) { s.TimersFired++ })
-		h.OnTimer(env, tag)
-	})
+// post enqueues one event on every domain of p.
+func (p *proc) post(kind procEventKind) {
+	for _, d := range p.doms {
+		d.box.put(procEvent{kind: kind})
+	}
+}
+
+// close closes every domain's mailbox; wait then waits for the loops to
+// drain and exit.
+func (p *proc) close() {
+	for _, d := range p.doms {
+		d.box.close()
+	}
+}
+
+func (p *proc) wait() {
+	for _, d := range p.doms {
+		<-d.done
+	}
 }
 
 // Stats counts transport-level events. All fields are monotonic; read a
@@ -200,10 +246,11 @@ type Stats struct {
 	Reconnects        uint64
 }
 
-// Runtime hosts protocol nodes off-sim: each AddNode spawns an actor
-// goroutine that drives the Handler through the same OnStart/OnMessage/
-// OnTimer surface the simulator uses. Runtime alone only routes between
-// its own nodes; Loopback and TCP extend routing across runtimes.
+// Runtime hosts protocol nodes off-sim: each AddNode spawns the node's
+// execution domains, which drive the Handler through the same OnStart/
+// OnMessage/OnTimer surface the simulator uses. Runtime alone only
+// routes between its own nodes; Loopback and TCP extend routing across
+// runtimes.
 type Runtime struct {
 	mu      sync.Mutex
 	procs   map[string]*proc
@@ -217,8 +264,8 @@ type Runtime struct {
 	stats statsCell
 }
 
-// NewRuntime returns an empty runtime. seed derives each node's random
-// source (per-node streams are independent and stable per id).
+// NewRuntime returns an empty runtime. seed derives each domain's random
+// source (the streams are independent and stable per node id and shard).
 func NewRuntime(seed int64) *Runtime {
 	return &Runtime{
 		procs: make(map[string]*proc),
@@ -232,8 +279,9 @@ func NewRuntime(seed int64) *Runtime {
 // so failure-detector arithmetic carries over unchanged.
 func (r *Runtime) Now() time.Duration { return time.Since(r.start) }
 
-// AddNode registers and boots a node. It panics on a duplicate id, like
-// the simulator: topology bugs should be loud.
+// AddNode registers and boots a node: the serial loop, plus one shard
+// loop per shard if h is a ShardedHandler. It panics on a duplicate id,
+// like the simulator: topology bugs should be loud.
 func (r *Runtime) AddNode(id string, h Handler) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -243,32 +291,31 @@ func (r *Runtime) AddNode(id string, h Handler) {
 	if _, ok := r.procs[id]; ok {
 		panic(fmt.Sprintf("transport: duplicate node id %q", id))
 	}
-	p := &proc{
-		id:   id,
-		h:    h,
-		rt:   r,
-		box:  newMailbox(),
-		rng:  rand.New(rand.NewSource(r.seed ^ int64(idHash(id)))),
-		done: make(chan struct{}),
-	}
-	p.timers = newTimers(r.Now, p.box)
-	if sh, ok := h.(ShardedHandler); ok && sh.Shards() > 1 {
+	p := &proc{id: id, h: h, rt: r}
+	domains := 1
+	if sh, ok := h.(ShardedHandler); ok {
 		p.sh = sh
-		p.shards = newShardLoops(p, sh.Shards())
-		if f, ok := h.(FastHandler); ok {
-			p.fast = f
-		}
+		domains += sh.Shards()
+	}
+	p.doms = make([]*domain, domains)
+	for i := range p.doms {
+		p.doms[i] = newDomain(p, i)
 	}
 	r.procs[id] = p
-	p.box.put(procEvent{kind: pevStart})
-	for _, sl := range p.shards {
-		sl.box.put(procEvent{kind: pevStart})
-		go sl.loop()
+	p.post(pevStart)
+	for _, d := range p.doms {
+		go d.loop()
 	}
-	go p.loop()
 }
 
-// RemoveNode stops a node's loop and forgets it. Pending mailbox events
+// proc returns the node hosted as id, or nil.
+func (r *Runtime) proc(id string) *proc {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.procs[id]
+}
+
+// RemoveNode stops a node's loops and forgets it. Pending mailbox events
 // are discarded; in-flight timers fire into a closed mailbox and vanish.
 func (r *Runtime) RemoveNode(id string) {
 	r.mu.Lock()
@@ -276,18 +323,12 @@ func (r *Runtime) RemoveNode(id string) {
 	delete(r.procs, id)
 	r.mu.Unlock()
 	if p != nil {
-		p.box.close()
-		for _, sl := range p.shards {
-			sl.box.close()
-		}
-		<-p.done
-		for _, sl := range p.shards {
-			<-sl.done
-		}
+		p.close()
+		p.wait()
 	}
 }
 
-// Invoke runs fn on the node's actor loop — the off-sim analogue of
+// Invoke runs fn on the node's serial loop — the off-sim analogue of
 // scheduling a client callback with sim.Cluster.At. It is how code
 // outside the actor (a client connection handler, a test) safely calls
 // protocol methods that expect to run single-threaded with an Env.
@@ -296,22 +337,17 @@ func (r *Runtime) Invoke(id string, fn func(Env)) bool {
 	return r.InvokeShard(id, -1, fn)
 }
 
-// InvokeShard is Invoke onto one execution domain of a sharded node: fn
-// runs on shard's loop, in order with the messages ShardOf maps there,
-// and the timers it sets fire back on that shard. A shard of -1, or any
-// shard of a node without shard loops, is the serial loop.
+// InvokeShard is Invoke onto one shard of a sharded node, in the
+// numbering ShardOf uses: fn runs on the shard's loop (domain 1+shard),
+// in order with the messages ShardOf maps there, and the timers it sets
+// fire back on that loop. Shard -1 is the serial loop. Returns false if
+// the node is unknown or stopped, or has no such shard.
 func (r *Runtime) InvokeShard(id string, shard int, fn func(Env)) bool {
-	r.mu.Lock()
-	p := r.procs[id]
-	r.mu.Unlock()
-	if p == nil {
+	p := r.proc(id)
+	if p == nil || shard < -1 || shard+1 >= len(p.doms) {
 		return false
 	}
-	ev := procEvent{kind: pevCall, fn: fn}
-	if shard >= 0 && shard < len(p.shards) {
-		return p.shards[shard].box.put(ev)
-	}
-	return p.box.put(ev)
+	return p.doms[1+shard].box.put(procEvent{kind: pevCall, fn: fn})
 }
 
 // Post sends a message on behalf of node from, outside any handler
@@ -326,7 +362,7 @@ func (r *Runtime) Post(from, to string, msg Message) {
 // The cut and delay hooks (set by Loopback) inject link faults the way
 // the simulator's partition check does, at send time.
 func (r *Runtime) send(from, to string, msg Message) {
-	r.stats.add(func(s *Stats) { s.MessagesSent++ })
+	r.stats.messagesSent.Add(1)
 	r.mu.Lock()
 	p := r.procs[to]
 	fwd := r.forward
@@ -334,7 +370,7 @@ func (r *Runtime) send(from, to string, msg Message) {
 	delay := r.delay
 	r.mu.Unlock()
 	if cut != nil && cut(from, to) {
-		r.stats.add(func(s *Stats) { s.MessagesDropped++ })
+		r.stats.messagesDropped.Add(1)
 		return
 	}
 	if p != nil {
@@ -344,31 +380,30 @@ func (r *Runtime) send(from, to string, msg Message) {
 				return
 			}
 		}
-		if r.dispatch(p, from, msg) {
-			r.stats.add(func(s *Stats) { s.MessagesDelivered++ })
-		} else {
-			r.stats.add(func(s *Stats) { s.MessagesDropped++ })
-		}
+		r.count(r.dispatch(p, from, msg))
 		return
 	}
 	if fwd != nil && fwd(from, to, msg) {
 		return
 	}
-	r.stats.add(func(s *Stats) { s.MessagesDropped++ })
+	r.stats.messagesDropped.Add(1)
 }
 
 // deliver injects a message that arrived from another runtime (loopback
 // peer or decoded TCP frame) into the local destination node.
 func (r *Runtime) deliver(from, to string, msg Message) bool {
-	r.mu.Lock()
-	p := r.procs[to]
-	r.mu.Unlock()
-	if p == nil || !r.dispatch(p, from, msg) {
-		r.stats.add(func(s *Stats) { s.MessagesDropped++ })
-		return false
+	p := r.proc(to)
+	return r.count(p != nil && r.dispatch(p, from, msg))
+}
+
+// count records one local delivery as delivered or dropped.
+func (r *Runtime) count(delivered bool) bool {
+	if delivered {
+		r.stats.messagesDelivered.Add(1)
+	} else {
+		r.stats.messagesDropped.Add(1)
 	}
-	r.stats.add(func(s *Stats) { s.MessagesDelivered++ })
-	return true
+	return delivered
 }
 
 // Nodes returns the ids of currently hosted nodes (unordered).
@@ -385,7 +420,7 @@ func (r *Runtime) Nodes() []string {
 // Stats returns a snapshot of transport accounting.
 func (r *Runtime) Stats() Stats { return r.stats.snapshot() }
 
-// Close stops every node loop. Idempotent.
+// Close stops every node's loops. Idempotent.
 func (r *Runtime) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -400,42 +435,24 @@ func (r *Runtime) Close() {
 	r.procs = make(map[string]*proc)
 	r.mu.Unlock()
 	for _, p := range procs {
-		p.box.close()
-		for _, sl := range p.shards {
-			sl.box.close()
-		}
+		p.close()
 	}
 	for _, p := range procs {
-		<-p.done
-		for _, sl := range p.shards {
-			<-sl.done
-		}
+		p.wait()
 	}
 }
 
 // crash / restart support (used by Loopback for fault injection).
 
 func (r *Runtime) crash(id string) {
-	r.mu.Lock()
-	p := r.procs[id]
-	r.mu.Unlock()
-	if p != nil {
-		p.box.put(procEvent{kind: pevCrash})
-		for _, sl := range p.shards {
-			sl.box.put(procEvent{kind: pevCrash})
-		}
+	if p := r.proc(id); p != nil {
+		p.post(pevCrash)
 	}
 }
 
 func (r *Runtime) restart(id string) {
-	r.mu.Lock()
-	p := r.procs[id]
-	r.mu.Unlock()
-	if p != nil {
-		p.box.put(procEvent{kind: pevStart})
-		for _, sl := range p.shards {
-			sl.box.put(procEvent{kind: pevStart})
-		}
+	if p := r.proc(id); p != nil {
+		p.post(pevStart)
 	}
 }
 
@@ -446,21 +463,36 @@ func idHash(id string) uint64 {
 	return h.Sum64()
 }
 
-// statsCell guards a Stats value; one mutex keeps the counter updates
-// simple and the snapshot consistent.
+// statsCell holds one atomic counter per Stats field, so the goroutines
+// that count (every domain, every TCP reader and writer) share no lock.
 type statsCell struct {
-	mu sync.Mutex
-	s  Stats
+	messagesSent, messagesDelivered, messagesDropped, timersFired atomic.Uint64
+	framesSent, framesReceived, envelopesSent, envelopesReceived  atomic.Uint64
+	bytesSent, bytesReceived, reconnects                          atomic.Uint64
 }
 
-func (c *statsCell) add(fn func(*Stats)) {
-	c.mu.Lock()
-	fn(&c.s)
-	c.mu.Unlock()
+// countSent counts one frame of envelopes envelopes and bytes bytes
+// written to a peer.
+func (c *statsCell) countSent(envelopes, bytes int) {
+	c.framesSent.Add(1)
+	c.envelopesSent.Add(uint64(envelopes))
+	c.bytesSent.Add(uint64(bytes))
 }
 
+// snapshot reads every counter. Each is exact; counters read a moment
+// apart may disagree by the events that landed in between.
 func (c *statsCell) snapshot() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.s
+	return Stats{
+		MessagesSent:      c.messagesSent.Load(),
+		MessagesDelivered: c.messagesDelivered.Load(),
+		MessagesDropped:   c.messagesDropped.Load(),
+		TimersFired:       c.timersFired.Load(),
+		FramesSent:        c.framesSent.Load(),
+		FramesReceived:    c.framesReceived.Load(),
+		EnvelopesSent:     c.envelopesSent.Load(),
+		EnvelopesReceived: c.envelopesReceived.Load(),
+		BytesSent:         c.bytesSent.Load(),
+		BytesReceived:     c.bytesReceived.Load(),
+		Reconnects:        c.reconnects.Load(),
+	}
 }

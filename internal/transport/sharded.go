@@ -1,21 +1,24 @@
 package transport
 
 import (
-	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 )
 
-// Multi-core dispatch. A Handler hosted by a Runtime normally runs
-// single-threaded on one actor goroutine; a ShardedHandler additionally
-// declares S per-shard sub-mailboxes, each drained by its own
-// goroutine. The dispatch layer routes key-addressed messages straight
-// to the owning shard's goroutine while everything else (membership,
-// anti-entropy, handoff — anything ShardOf maps to -1) keeps the serial
-// actor loop and its unchanged semantics. A FastHandler goes further:
-// it may answer a message synchronously on the delivering goroutine
-// (the TCP reader), skipping every mailbox.
+// Execution domains. Every hosted node runs on domain 0, its serial
+// actor loop. A ShardedHandler that declares S shards also gets domains
+// 1..S, one shard loop each: the same loop as domain 0 with its own
+// mailbox, goroutine, timers and random stream. The dispatch layer routes
+// key-addressed messages straight to the owning shard's loop while
+// everything else (membership, anti-entropy, handoff — anything ShardOf
+// maps to -1) keeps the serial loop and its unchanged semantics. The
+// handler may also answer a message synchronously on the delivering
+// goroutine (the TCP reader), skipping every mailbox (FastHandle).
+//
+// Handlers name a shard as ShardOf does, -1 for the serial loop and k for
+// shard k; an invocation's Env names its domain as Env.Domain does, 0 for
+// the serial loop and 1+k for shard k. The runtime is the only place that
+// maps one to the other.
 //
 // What sharding costs in ordering: two messages to the same node are no
 // longer delivered in send order unless they map to the same execution
@@ -23,40 +26,47 @@ import (
 // network never promised FIFO across TCP reconnects either), which is
 // what licenses the looser discipline.
 
+// Sharding is what a sharded node declares about its execution domains.
+type Sharding interface {
+	// Shards returns the shard count S: the node runs on S shard loops
+	// beside its serial loop.
+	Shards() int
+	// ShardOf maps a message to where it runs: 0..Shards()-1 for a shard
+	// loop, -1 for the serial actor loop.
+	ShardOf(msg Message) int
+	// FastHandle may answer msg inline on the delivering goroutine,
+	// bypassing every mailbox, and reports whether it did; false defers
+	// to normal dispatch. The env it receives supports ID/Now/Send only —
+	// SetTimer, Cancel, Rand and Domain panic, because the invocation
+	// runs outside any execution domain.
+	FastHandle(env Env, from string, msg Message) bool
+}
+
 // ShardedHandler is a Handler that partitions its message processing
-// across Shards() concurrent execution domains.
+// across Shards() concurrent execution domains besides the serial loop.
 //
 // The handler's OnMessage/OnTimer are invoked concurrently: once by the
-// serial actor loop and once per shard goroutine. The handler owns its
+// serial actor loop and once per shard loop. The handler owns its
 // cross-shard synchronization; the runtime only guarantees that
 // messages mapped to the same shard are processed in arrival order by
 // one goroutine, and that a timer set during a shard invocation fires
 // back on that same shard.
 type ShardedHandler interface {
 	Handler
-	// Shards returns the shard count. Values < 2 disable sharded
-	// dispatch entirely.
-	Shards() int
-	// ShardOf maps a message to its execution domain: 0..Shards()-1 for
-	// a shard goroutine, -1 for the serial actor loop.
-	ShardOf(msg Message) int
+	Sharding
 }
 
-// FastHandler lets a handler answer a message inline on the delivering
-// goroutine, bypassing all mailboxes. FastHandle returns true when it
-// fully handled the message; false defers to normal dispatch. The env
-// it receives supports ID/Now/Send only — SetTimer, Cancel, and Rand
-// panic, because the invocation runs outside any actor loop.
-type FastHandler interface {
-	FastHandle(env Env, from string, msg Message) bool
+// WithSharding hosts h with sh's execution domains. It is how a wrapper
+// around a sharded node (a durability barrier, say) is hosted with the
+// node's sharding without declaring it itself: invocations reach h, and
+// the fast path reaches sh directly.
+func WithSharding(h Handler, sh Sharding) ShardedHandler {
+	return withSharding{h, sh}
 }
 
-// ShardEnv is implemented by the Env of a shard-loop invocation.
-// Handlers (and wrappers like the server's durability barrier) use it
-// to learn which execution domain they are running on: Shard() returns
-// the shard index, while the serial loop's env returns -1.
-type ShardEnv interface {
-	Shard() int
+type withSharding struct {
+	Handler
+	Sharding
 }
 
 // ShardStat is one shard's dispatch accounting.
@@ -68,85 +78,20 @@ type ShardStat struct {
 // ShardStats returns per-shard queue depths and op counts for node id,
 // or nil when the node is absent or not sharded.
 func (r *Runtime) ShardStats(id string) []ShardStat {
-	r.mu.Lock()
-	p := r.procs[id]
-	r.mu.Unlock()
-	if p == nil || len(p.shards) == 0 {
+	p := r.proc(id)
+	if p == nil {
 		return nil
 	}
-	out := make([]ShardStat, len(p.shards))
-	for i, sl := range p.shards {
-		out[i] = ShardStat{Depth: sl.box.depth(), Ops: sl.ops.Load()}
+	var out []ShardStat
+	for _, d := range p.doms[1:] {
+		out = append(out, ShardStat{Depth: d.box.depth(), Ops: d.ops.Load()})
 	}
 	return out
 }
 
-// shardLoop is one shard's execution domain: its own mailbox, goroutine,
-// timers, and random stream, mirroring the serial proc loop.
-type shardLoop struct {
-	p   *proc
-	idx int
-	box *mailbox
-	rng *rand.Rand
-	ops atomic.Uint64
-
-	// Loop-confined state.
-	up     bool
-	timers *timers
-
-	done chan struct{}
-}
-
-// senv is the Env of a shard-loop invocation.
-type senv struct{ sl *shardLoop }
-
-func (e senv) ID() string                  { return e.sl.p.id }
-func (e senv) Now() time.Duration          { return e.sl.p.rt.Now() }
-func (e senv) Rand() *rand.Rand            { return e.sl.rng }
-func (e senv) Shard() int                  { return e.sl.idx }
-func (e senv) Send(to string, msg Message) { e.sl.p.rt.send(e.sl.p.id, to, msg) }
-
-func (e senv) SetTimer(d time.Duration, tag any) TimerID { return e.sl.timers.set(d, tag) }
-func (e senv) Cancel(id TimerID)                         { e.sl.timers.cancel(id) }
-
-// loop drains the shard mailbox, invoking the handler one event at a
-// time. pevStart/pevCrash arrive broadcast alongside the serial loop's,
-// so the shard's up flag and timers track the node's lifecycle
-// independently (messages racing a crash are droppable either way).
-func (sl *shardLoop) loop() {
-	defer close(sl.done)
-	defer sl.timers.stop()
-	env := senv{sl: sl}
-	for {
-		ev, ok := sl.box.take()
-		if !ok {
-			return
-		}
-		switch ev.kind {
-		case pevStart:
-			sl.up = true
-		case pevCrash:
-			sl.up = false
-			sl.timers.reset()
-		case pevMessage:
-			if sl.up {
-				sl.ops.Add(1)
-				sl.p.h.OnMessage(env, ev.from, ev.msg)
-			}
-		case pevTimer:
-			sl.p.rt.fire(sl.timers, sl.p.h, env)
-		case pevCall:
-			if sl.up {
-				sl.ops.Add(1)
-				ev.fn(env)
-			}
-		}
-	}
-}
-
 // fastEnv is the Env a FastHandle invocation sees. It runs on the
 // delivering goroutine (a TCP reader), where sending is safe — rt.send
-// takes its own locks — but actor-loop facilities are not.
+// takes its own locks — but nothing confined to a domain is.
 type fastEnv struct{ p *proc }
 
 func (e fastEnv) ID() string                  { return e.p.id }
@@ -161,25 +106,8 @@ func (e fastEnv) Cancel(TimerID) {
 func (e fastEnv) Rand() *rand.Rand {
 	panic("transport: Rand is not available on the fast path")
 }
-
-// newShardLoops builds and starts the shard goroutines for p.
-func newShardLoops(p *proc, n int) []*shardLoop {
-	if n < 2 {
-		return nil
-	}
-	shards := make([]*shardLoop, n)
-	for i := range shards {
-		sl := &shardLoop{
-			p:    p,
-			idx:  i,
-			box:  newMailbox(),
-			rng:  rand.New(rand.NewSource(p.rt.seed ^ int64(idHash(fmt.Sprintf("%s/shard%d", p.id, i))))),
-			done: make(chan struct{}),
-		}
-		sl.timers = newTimers(p.rt.Now, sl.box)
-		shards[i] = sl
-	}
-	return shards
+func (e fastEnv) Domain() int {
+	panic("transport: the fast path runs in no execution domain")
 }
 
 // dispatch routes a message to p's owning execution domain: the fast
@@ -187,18 +115,15 @@ func newShardLoops(p *proc, n int) []*shardLoop {
 // messages, the serial mailbox otherwise. Reports whether the message
 // was accepted.
 func (r *Runtime) dispatch(p *proc, from string, msg Message) bool {
-	if p.fast != nil && p.upFast.Load() && p.fast.FastHandle(fastEnv{p: p}, from, msg) {
-		if k := p.sh.ShardOf(msg); k >= 0 && k < len(p.shards) {
-			p.shards[k].ops.Add(1)
-		}
-		return true
-	}
+	d := p.doms[0]
 	if p.sh != nil {
-		if k := p.sh.ShardOf(msg); k >= 0 && k < len(p.shards) {
-			return p.shards[k].box.put(procEvent{kind: pevMessage, from: from, msg: msg})
+		d = p.doms[1+p.sh.ShardOf(msg)]
+		if p.up.Load() && p.sh.FastHandle(fastEnv{p: p}, from, msg) {
+			d.ops.Add(1)
+			return true
 		}
 	}
-	return p.box.put(procEvent{kind: pevMessage, from: from, msg: msg})
+	return d.box.put(procEvent{kind: pevMessage, from: from, msg: msg})
 }
 
 // depth reports the number of queued events.

@@ -26,6 +26,10 @@ func (noopHandler) OnStart(Env)                    {}
 func (noopHandler) OnMessage(Env, string, Message) {}
 func (noopHandler) OnTimer(Env, any)               {}
 
+// FastHandle declines, so a test handler that embeds noopHandler and
+// declares shards takes no fast path.
+func (noopHandler) FastHandle(Env, string, Message) bool { return false }
+
 func newShardedEcho(n int) *shardedEcho {
 	return &shardedEcho{Handler: noopHandler{}, n: n, seen: make(map[string]int)}
 }
@@ -41,10 +45,7 @@ func (h *shardedEcho) ShardOf(msg Message) int {
 }
 
 func (h *shardedEcho) OnMessage(env Env, from string, msg Message) {
-	domain := -1
-	if se, ok := env.(ShardEnv); ok {
-		domain = se.Shard()
-	}
+	domain := env.Domain() - 1 // the shard, as ShardOf numbers it
 	h.mu.Lock()
 	h.seen[msg.(string)] = domain
 	h.mu.Unlock()
@@ -265,10 +266,7 @@ func (h *timerSharded) OnMessage(env Env, from string, msg Message) {
 	env.SetTimer(time.Millisecond, "tick")
 }
 func (h *timerSharded) OnTimer(env Env, tag any) {
-	d := -1
-	if se, ok := env.(ShardEnv); ok {
-		d = se.Shard()
-	}
+	d := env.Domain() - 1
 	select {
 	case h.got <- d:
 	default:
@@ -276,8 +274,8 @@ func (h *timerSharded) OnTimer(env Env, tag any) {
 }
 
 // InvokeShard runs a call on the named shard's loop, behind the messages
-// already queued there; shard -1, and any shard of a node without shard
-// loops, runs it on the serial loop.
+// already queued there; shard -1 runs it on the serial loop, and a shard
+// the node does not have is refused.
 func TestInvokeShardRunsOnTheShardInOrder(t *testing.T) {
 	rt := NewRuntime(1)
 	defer rt.Close()
@@ -297,11 +295,7 @@ func TestInvokeShardRunsOnTheShardInOrder(t *testing.T) {
 		t.Helper()
 		got := make(chan ran, 1)
 		if !rt.InvokeShard(id, shard, func(env Env) {
-			d := -1
-			if se, ok := env.(ShardEnv); ok {
-				d = se.Shard()
-			}
-			got <- ran{d, handled.Load()}
+			got <- ran{env.Domain() - 1, handled.Load()}
 		}) {
 			t.Fatalf("InvokeShard(%q, %d) refused", id, shard)
 		}
@@ -319,8 +313,11 @@ func TestInvokeShardRunsOnTheShardInOrder(t *testing.T) {
 	if r := call("n", -1); r.domain != -1 {
 		t.Fatalf("call on shard -1 ran on domain %d, want the serial loop", r.domain)
 	}
-	if r := call("plain", 3); r.domain != -1 {
+	if r := call("plain", -1); r.domain != -1 {
 		t.Fatalf("call on an unsharded node ran on domain %d, want the serial loop", r.domain)
+	}
+	if rt.InvokeShard("plain", 0, func(Env) {}) || rt.InvokeShard("n", 4, func(Env) {}) {
+		t.Fatal("InvokeShard accepted a call for a shard the node does not have")
 	}
 	if st := rt.ShardStats("n"); st[1].Ops != queued+1 {
 		t.Fatalf("shard 1 counted %d ops, want %d messages and the call", st[1].Ops, queued+1)
@@ -349,5 +346,96 @@ func TestShardStatsCountOps(t *testing.T) {
 	}
 	if rt.ShardStats("src") != nil {
 		t.Fatal("unsharded node reported shard stats")
+	}
+}
+
+// domainProbe is a ShardedHandler of n shards that reports, for every
+// invocation, the domain it was meant to run on beside the domain its Env
+// names. A probeMsg runs on its shard's loop (or the serial loop for -1),
+// sets a timer tagged with that domain, and is fast-handled if marked so.
+type domainProbe struct {
+	noopHandler
+	n    int
+	saw  chan [2]int // {domain meant, Env.Domain()}
+	fast atomic.Int64
+}
+
+type probeMsg struct {
+	shard int
+	fast  bool
+}
+
+func (h *domainProbe) Shards() int             { return h.n }
+func (h *domainProbe) ShardOf(msg Message) int { return msg.(probeMsg).shard }
+
+func (h *domainProbe) FastHandle(env Env, from string, msg Message) bool {
+	if !msg.(probeMsg).fast {
+		return false
+	}
+	h.fast.Add(1)
+	return true
+}
+
+func (h *domainProbe) OnStart(env Env) { h.saw <- [2]int{0, env.Domain()} }
+
+func (h *domainProbe) OnMessage(env Env, from string, msg Message) {
+	dom := 1 + msg.(probeMsg).shard
+	h.saw <- [2]int{dom, env.Domain()}
+	env.SetTimer(time.Millisecond, dom)
+}
+
+func (h *domainProbe) OnTimer(env Env, tag any) { h.saw <- [2]int{tag.(int), env.Domain()} }
+
+// Every invocation's Env names the domain it runs on, 0 for the serial
+// loop and 1+k for shard k, whatever the shard count; and a handler that
+// declares one shard gets a shard loop of its own beside the serial loop,
+// and the fast path, like one that declares more.
+func TestEveryInvocationSeesItsDomain(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
+			rt := NewRuntime(1)
+			defer rt.Close()
+			h := &domainProbe{n: shards, saw: make(chan [2]int, 16)}
+			rt.AddNode("n", h)
+			rt.AddNode("src", noopHandler{})
+			expect := func(what string, n int) {
+				t.Helper()
+				for i := 0; i < n; i++ {
+					select {
+					case s := <-h.saw:
+						if s[0] != s[1] {
+							t.Errorf("%s on domain %d: Env.Domain() = %d", what, s[0], s[1])
+						}
+					case <-time.After(5 * time.Second):
+						t.Fatalf("%s never ran", what)
+					}
+				}
+			}
+			expect("OnStart", 1)
+			for k := -1; k < shards; k++ {
+				rt.Post("src", "n", probeMsg{shard: k})
+				expect("OnMessage, then its OnTimer,", 2)
+				if !rt.InvokeShard("n", k, func(env Env) { h.saw <- [2]int{1 + k, env.Domain()} }) {
+					t.Fatalf("InvokeShard(n, %d) refused", k)
+				}
+				expect("an InvokeShard call", 1)
+			}
+
+			if st := rt.ShardStats("n"); len(st) != shards {
+				t.Fatalf("%d shard loops, want %d", len(st), shards)
+			}
+			// Shard 0 runs while the serial loop is held: it is a loop of
+			// its own, not the serial loop under another name.
+			release := make(chan struct{})
+			rt.Invoke("n", func(Env) { <-release })
+			rt.Post("src", "n", probeMsg{shard: 0})
+			expect("OnMessage on shard 0 while the serial loop is held, then its OnTimer,", 2)
+			close(release)
+
+			rt.Post("src", "n", probeMsg{shard: 0, fast: true})
+			if got := h.fast.Load(); got != 1 {
+				t.Fatalf("fast path took %d messages, want 1", got)
+			}
+		})
 	}
 }

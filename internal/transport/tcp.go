@@ -183,7 +183,7 @@ func (t *TCP) forward(from, to string, msg Message) bool {
 		return false
 	}
 	if !p.send(Envelope{From: from, To: to, Msg: msg}) {
-		t.stats.add(func(s *Stats) { s.MessagesDropped++ })
+		t.stats.messagesDropped.Add(1)
 	}
 	return true // a full queue counts as dropped, not unroutable
 }
@@ -336,12 +336,9 @@ func (t *TCP) servePeer(link Link, conn net.Conn) {
 			}
 			return
 		}
-		batch := uint64(len(envs))
-		t.stats.add(func(s *Stats) {
-			s.FramesReceived++
-			s.EnvelopesReceived += batch
-			s.BytesReceived += uint64(n)
-		})
+		t.stats.framesReceived.Add(1)
+		t.stats.envelopesReceived.Add(uint64(len(envs)))
+		t.stats.bytesReceived.Add(uint64(n))
 		t.observe(peerID)
 		for _, e := range envs {
 			t.dispatch(peerID, e)
@@ -491,7 +488,7 @@ func (p *tcpPeer) run() {
 			continue
 		}
 		if attempt > 0 {
-			t.stats.add(func(s *Stats) { s.Reconnects++ })
+			t.stats.reconnects.Add(1)
 		}
 		attempt = 0
 		if !p.drain(conn) {
@@ -599,7 +596,7 @@ func (p *tcpPeer) writeBatch(conn net.Conn, buf []byte, envs []Envelope) ([]byte
 	}
 	if len(envs) == 1 {
 		p.t.logf("transport %s: encode for %s: %v", p.t.cfg.LocalID, p.id, err)
-		p.t.stats.add(func(s *Stats) { s.MessagesDropped++ })
+		p.t.stats.messagesDropped.Add(1)
 		return buf, nil
 	}
 	for _, e := range envs {
@@ -625,12 +622,7 @@ func (p *tcpPeer) writeRaw(conn net.Conn, frame []byte, n int) error {
 	conn.SetWriteDeadline(time.Now().Add(p.t.policy.RetryTimeout * 2))
 	wn, err := conn.Write(frame)
 	if err == nil {
-		en := uint64(n)
-		p.t.stats.add(func(s *Stats) {
-			s.FramesSent++
-			s.EnvelopesSent += en
-			s.BytesSent += uint64(wn)
-		})
+		p.t.stats.countSent(n, wn)
 	}
 	return err
 }
@@ -643,7 +635,7 @@ func (p *tcpPeer) writeFrame(conn net.Conn, e Envelope) error {
 	conn.SetWriteDeadline(time.Now().Add(p.t.policy.RetryTimeout * 2))
 	n, err := WriteFrame(conn, e)
 	if err == nil {
-		p.t.stats.add(func(s *Stats) { s.FramesSent++; s.EnvelopesSent++; s.BytesSent += uint64(n) })
+		p.t.stats.countSent(1, n)
 	}
 	return err
 }

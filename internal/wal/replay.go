@@ -3,8 +3,8 @@ package wal
 import "sync"
 
 // ReplaySharded replays the log like Replay, but fans the records out to
-// lanes concurrent appliers: route picks a lane for each record (out of
-// range values land on lane 0) and apply runs on that lane's goroutine.
+// lanes concurrent appliers: route picks a lane in [0, lanes) for each
+// record and apply runs on that lane's goroutine.
 // Records routed to the same lane are applied in log order; records on
 // different lanes are applied concurrently, so they must commute — the
 // contract the quorum journal meets by routing each key's records to the
@@ -52,11 +52,7 @@ func (l *Log) ReplaySharded(from uint64, lanes int, route func(seq uint64, rec [
 			return e
 		default:
 		}
-		k := route(seq, rec)
-		if k < 0 || k >= lanes {
-			k = 0
-		}
-		chans[k] <- item{seq: seq, rec: rec}
+		chans[route(seq, rec)] <- item{seq: seq, rec: rec}
 		return nil
 	})
 	for _, ch := range chans {
