@@ -3,6 +3,7 @@ package gossip
 import (
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/wiretest"
@@ -68,4 +69,20 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) { checkAll(t, seed) })
+}
+
+// TestRumorFrameSize pins the frame of a gossip_mixed put's rumor on a
+// peer link, neither end spelled out: its wire id is above 31, so its tag
+// takes two bytes, and its 128 B value makes its length two bytes.
+func TestRumorFrameSize(t *testing.T) {
+	link := transport.Link{Local: "node0", Remote: "node1"}
+	w := Write{Key: "k00000042", Value: make([]byte, 128),
+		TS: clock.HLCTimestamp{Wall: 1_790_000_000_000_000_000, Logical: 3, Node: "node0"}}
+	frame, err := transport.AppendMessage(link, nil, "node0", "node1", rumor{W: w, TTL: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 162; len(frame) != want { // parent 166
+		t.Errorf("rumor: %d bytes, want %d", len(frame), want)
+	}
 }

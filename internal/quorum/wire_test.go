@@ -117,26 +117,40 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) { checkAll(t, seed) })
 }
 
-// On a peer link a frame spells out neither end, and an answer does not
-// echo its key: a replicaPutAck is 10 bytes shorter than a frame naming
-// node1 and node0 (21 bytes), and a digest answer for an 11-byte key 22
-// shorter (46 bytes).
+// TestPeerFrameSizes pins the frame of every envelope a benchmark
+// operation sends between quorum peers, as a peer link writes it: neither
+// end spelled out, and an answer does not echo its key. Each row gives
+// the parent layout's size too (a 4-byte length, a codec byte, two empty
+// addresses and the wire id: 8 bytes of framing against 2 or 3 now).
+// The transport's heartbeat and its echo are pinned beside their type
+// (transport.TestHeartbeatFrameSizes).
 func TestPeerFrameSizes(t *testing.T) {
 	link := transport.Link{Local: "node1", Remote: "node0"}
-	digest := []clock.SiblingEntry[record]{{DVV: clock.DVV{Dot: clock.Dot{Node: "node0", Counter: 9}}}}
+	const key = "k00000042" // the benchmark's key names
+	dot := clock.Dot{Node: "node0#gw1", Counter: 1 << 14}
+	digest := []clock.SiblingEntry[record]{{DVV: clock.DVV{Dot: dot}}}
+	put := replicaPut{ID: 1 << 20, Key: key, Entry: clock.SiblingEntry[record]{
+		DVV:   clock.DVV{Dot: dot, Context: clock.Vector{"node0#gw1": 1<<14 - 1}},
+		Value: record{Value: make([]byte, 128)},
+	}}
 	for _, tc := range []struct {
-		msg  transport.Message
+		name string
+		msg  transport.BinaryMessage
 		want int
 	}{
-		{replicaPutAck{ID: 1 << 20}, 11},
-		{replicaGetResp{ID: 1 << 20, Entries: digest, Digest: true}, 24},
+		{"digest ask", replicaGet{ID: 1 << 20, Key: key, Digest: true}, 16},               // parent 22
+		{"digest answer", replicaGetResp{ID: 1 << 20, Entries: digest, Digest: true}, 24}, // parent 30
+		{"replicaPut, 128 B value", put, 175},                                             // parent 180: its length takes two bytes
+		{"replicaPutAck", replicaPutAck{ID: 1 << 20}, 5},                                  // parent 11
+		{"resPing", resPing{}, 2},                                                         // parent 8
+		{"resPong", resPong{}, 2},                                                         // parent 8
 	} {
-		frame, err := link.AppendBatch(nil, []transport.Envelope{{From: "node1", To: "node0", Msg: tc.msg}})
+		frame, err := transport.AppendMessage(link, nil, "node1", "node0", tc.msg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(frame) != tc.want {
-			t.Errorf("%T frame: %d bytes, want %d", tc.msg, len(frame), tc.want)
+			t.Errorf("%s: %d bytes, want %d", tc.name, len(frame), tc.want)
 		}
 	}
 }

@@ -92,7 +92,7 @@ func (c *Client) reader() {
 	var envs []transport.Envelope
 	for {
 		var err error
-		envs, _, err = c.link.ReadBatch(r, envs[:0])
+		envs, _, err = c.link.ReadStream(r, envs[:0])
 		if err != nil {
 			c.fail(err)
 			return

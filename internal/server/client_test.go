@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -150,10 +151,11 @@ func TestTimedOutAnswerDoesNotReachTheNextRequest(t *testing.T) {
 		if _, _, err := transport.ReadFrame(conn); err != nil { // the hello
 			return
 		}
+		r := bufio.NewReader(conn)
 		var envs []transport.Envelope
 		for i := 0; ; i++ {
 			var err error
-			if envs, _, err = (transport.Link{}).ReadBatch(conn, envs[:0]); err != nil {
+			if envs, _, err = (transport.Link{}).ReadStream(r, envs[:0]); err != nil {
 				return
 			}
 			for _, e := range envs {

@@ -162,7 +162,7 @@ func (s *Server) serveClient(link transport.Link, conn net.Conn) {
 	for {
 		conn.SetReadDeadline(time.Now().Add(5 * time.Minute))
 		var err error
-		envs, _, err = link.ReadBatch(r, envs[:0])
+		envs, _, err = link.ReadStream(r, envs[:0])
 		if err != nil {
 			return
 		}

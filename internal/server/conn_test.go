@@ -62,7 +62,7 @@ func (rc *rawClient) answers(n int) map[uint64]Response {
 	var envs []transport.Envelope
 	for len(got) < n {
 		var err error
-		if envs, _, err = (transport.Link{}).ReadBatch(rc.r, envs[:0]); err != nil {
+		if envs, _, err = (transport.Link{}).ReadStream(rc.r, envs[:0]); err != nil {
 			rc.t.Fatalf("after %d of %d answers: %v", len(got), n, err)
 		}
 		for _, e := range envs {
@@ -74,7 +74,7 @@ func (rc *rawClient) answers(n int) map[uint64]Response {
 		}
 	}
 	rc.conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-	if _, _, err := (transport.Link{}).ReadBatch(rc.r, nil); !errors.Is(err, os.ErrDeadlineExceeded) {
+	if _, _, err := (transport.Link{}).ReadStream(rc.r, nil); !errors.Is(err, os.ErrDeadlineExceeded) {
 		rc.t.Fatalf("after the %d answers: %v, want nothing more", n, err)
 	}
 	return got
@@ -130,6 +130,35 @@ func parkActor(t *testing.T, s *Server) (release func()) {
 	}
 	<-parked
 	return func() { close(unpark) }
+}
+
+// The node reads a client's hello and nothing behind it: a client that
+// writes its hello and its first requests in one write gets every answer.
+func TestHelloAndFirstRequestInOneWrite(t *testing.T) {
+	s := startCluster(t, "gossip", 1, false)[0]
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	buf, err := transport.AppendFrame(nil, transport.Envelope{From: "cli", Msg: transport.ClientHello("cli")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, req := range []Request{{Op: "put", Key: "k", Value: []byte("v")}, {Op: "get", Key: "k"}} {
+		req.Seq = uint64(1 + i)
+		if buf, err = transport.AppendMessage(transport.Link{Local: "cli"}, buf, "cli", "", req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	rc := &rawClient{t: t, id: "cli", conn: conn, r: bufio.NewReader(conn)}
+	got := rc.answers(2)
+	if !got[1].OK || !got[2].OK || !got[2].Found || string(got[2].Value) != "v" {
+		t.Fatalf("answers %+v, want the put acknowledged and the get to read v", got)
+	}
 }
 
 // A client that pipelines reads of a large value and never reads its

@@ -114,9 +114,9 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("ec_transport_messages_sent_total", "Protocol messages sent by local actors.", st.MessagesSent)
 	counter("ec_transport_messages_delivered_total", "Protocol messages delivered to local actors.", st.MessagesDelivered)
 	counter("ec_transport_messages_dropped_total", "Messages dropped (unknown destination, crashed node, full peer queue).", st.MessagesDropped)
-	counter("ec_transport_frames_sent_total", "Frames written to peer links.", st.FramesSent)
-	counter("ec_transport_frames_received_total", "Frames read from peer links.", st.FramesReceived)
-	counter("ec_transport_envelopes_sent_total", "Protocol envelopes written to peer links (several may share a frame).", st.EnvelopesSent)
+	counter("ec_transport_frames_sent_total", "Writes to peer links, each of one frame or more.", st.FramesSent)
+	counter("ec_transport_frames_received_total", "Reads from peer links, each of every complete frame buffered.", st.FramesReceived)
+	counter("ec_transport_envelopes_sent_total", "Protocol envelopes written to peer links (several may share a write).", st.EnvelopesSent)
 	counter("ec_transport_envelopes_received_total", "Protocol envelopes read from peer links.", st.EnvelopesReceived)
 	counter("ec_transport_bytes_sent_total", "Bytes written to peer links.", st.BytesSent)
 	counter("ec_transport_bytes_received_total", "Bytes read from peer links.", st.BytesReceived)
@@ -125,7 +125,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	if framesSent == 0 {
 		framesSent = 1
 	}
-	fmt.Fprintf(&b, "# HELP ec_net_batch_size Mean envelopes per sent frame (fan-out batching efficiency).\n# TYPE ec_net_batch_size gauge\nec_net_batch_size %g\n",
+	fmt.Fprintf(&b, "# HELP ec_net_batch_size Mean envelopes per write to a peer link (fan-out batching efficiency).\n# TYPE ec_net_batch_size gauge\nec_net_batch_size %g\n",
 		float64(st.EnvelopesSent)/float64(framesSent))
 
 	s.statMu.Lock()

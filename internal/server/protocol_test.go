@@ -166,7 +166,7 @@ func checkValueCarriedOnce(t *testing.T) {
 func sameFrame[M transport.BinaryMessage](t *testing.T, l transport.Link, from, to string, m M) {
 	t.Helper()
 	e := transport.Envelope{From: from, To: to, Msg: m}
-	want, err := l.AppendBatch([]byte("head"), []transport.Envelope{e})
+	want, err := transport.AppendMessage[transport.BinaryMessage](l, []byte("head"), from, to, m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,25 +7,27 @@ import (
 	"repro/internal/wire"
 )
 
-// Codec versioning. Every frame body opens with one version byte so the
-// wire format can evolve without a flag day: a reader dispatches on the
-// byte and rejects versions it does not know, and a future codec is one
-// more case, not a protocol fork.
+// The envelope codec: what one frame carries (frame.go puts the length
+// in front). An envelope is
 //
-//	codecBinary — hand-rolled binary: from, to, wire type id, payload
-//	              (from and to empty where the link implies them).
-//	              No reflection, no type names on the wire, decode
-//	              aliases the frame buffer.
-//	codecBatch  — a fan-out batch: several codecBinary bodies in one
-//	              frame, one length-prefix + one syscall for a whole
-//	              flush tick's worth of ops.
+//	| tag: uvarint | from: string | to: string | message |
+//	tag := wire id << 2 | from present << 1 | to present
 //
-// Byte 0 was gob(Envelope) and is retired: no message type rode it
-// outside tests, and gob's decoder is not hardened against adversarial
-// input, so a frame that opens with it is refused like any unknown version.
+// where a string is its uvarint length and its bytes, and from and to are
+// there only when their presence bit is set. An address the link already
+// knows is absent, and reads back as the link's end (see Link). The
+// message is the payload its type's AppendBinary writes, decoded by the
+// decoder RegisterBinary installed for the wire id: no reflection, no type
+// names on the wire, and decode aliases the frame buffer. A wire id below
+// 32 makes the tag one byte.
+//
+// There is no codec version byte. Wire messages are unversioned and a
+// cluster upgrades as a whole, so a new layout replaces the old one on
+// every node at once instead of running beside it.
 const (
-	codecBinary byte = 1
-	codecBatch  byte = 2
+	toPresent   = 1
+	fromPresent = 2
+	tagIDShift  = 2
 )
 
 // BinaryMessage is implemented by every message type that travels over
@@ -74,19 +76,24 @@ func binaryDecoder(id uint16) (func(r *wire.Reader) Message, bool) {
 	return dec, ok
 }
 
-// appendBody appends one envelope body (version byte onward, no length
-// prefix). A message that does not implement BinaryMessage cannot leave
-// the process: Loopback and the simulator deliver it by reference, TCP
-// reports it.
-func (l Link) appendBody(dst []byte, e Envelope) ([]byte, error) {
-	bm, ok := e.Msg.(BinaryMessage)
-	if !ok {
-		return dst, fmt.Errorf("transport: %T has no wire codec (it does not implement BinaryMessage)", e.Msg)
+// appendHeader appends an envelope's tag and the addresses link l does
+// not leave out.
+func (l Link) appendHeader(dst []byte, from, to string, id uint16) []byte {
+	tag := uint64(id) << tagIDShift
+	if from != l.Local {
+		tag |= fromPresent
 	}
-	dst = append(dst, codecBinary)
-	dst = l.appendAddrs(dst, e.From, e.To)
-	dst = wire.AppendUvarint(dst, uint64(bm.WireID()))
-	return bm.AppendBinary(dst), nil
+	if to != l.Remote {
+		tag |= toPresent
+	}
+	dst = wire.AppendUvarint(dst, tag)
+	if tag&fromPresent != 0 {
+		dst = wire.AppendString(dst, from)
+	}
+	if tag&toPresent != 0 {
+		dst = wire.AppendString(dst, to)
+	}
+	return dst
 }
 
 // readers recycles the Reader handed to the registered decoders. They
@@ -94,13 +101,29 @@ func (l Link) appendBody(dst []byte, e Envelope) ([]byte, error) {
 // to the heap on every message.
 var readers = sync.Pool{New: func() any { return new(wire.Reader) }}
 
-func (l Link) decodeBinaryBody(r *wire.Reader) (Envelope, error) {
-	var e Envelope
-	e.From, e.To = l.readAddrs(r)
-	id := r.Uvarint()
+// decodeEnvelope decodes one envelope as the other end of l wrote it.
+func (l Link) decodeEnvelope(b []byte) (Envelope, error) {
+	r := readers.Get().(*wire.Reader)
+	r.Reset(b)
+	e, err := l.readEnvelope(r)
+	r.Reset(nil) // a pooled Reader must not pin the frame
+	readers.Put(r)
+	return e, err
+}
+
+func (l Link) readEnvelope(r *wire.Reader) (Envelope, error) {
+	e := Envelope{From: l.Remote, To: l.Local}
+	tag := r.Uvarint()
+	if tag&fromPresent != 0 {
+		e.From = r.ID()
+	}
+	if tag&toPresent != 0 {
+		e.To = r.ID()
+	}
 	if err := r.Err(); err != nil {
 		return Envelope{}, fmt.Errorf("transport: decode envelope header: %w", err)
 	}
+	id := tag >> tagIDShift
 	if id > 0xffff {
 		return Envelope{}, fmt.Errorf("transport: wire id %d out of range", id)
 	}
@@ -113,25 +136,4 @@ func (l Link) decodeBinaryBody(r *wire.Reader) (Envelope, error) {
 		return Envelope{}, fmt.Errorf("transport: decode wire id %d: %w", id, err)
 	}
 	return e, nil
-}
-
-// decodeBody decodes one envelope body (as produced by appendBody on
-// the other end of l).
-func (l Link) decodeBody(b []byte) (Envelope, error) {
-	if len(b) == 0 {
-		return Envelope{}, fmt.Errorf("transport: empty frame body")
-	}
-	switch b[0] {
-	case codecBinary:
-		r := readers.Get().(*wire.Reader)
-		r.Reset(b[1:])
-		e, err := l.decodeBinaryBody(r)
-		r.Reset(nil) // a pooled Reader must not pin the frame
-		readers.Put(r)
-		return e, err
-	case codecBatch:
-		return Envelope{}, fmt.Errorf("transport: unexpected batch frame")
-	default:
-		return Envelope{}, fmt.Errorf("transport: unknown codec version %d", b[0])
-	}
 }

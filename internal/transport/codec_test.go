@@ -4,13 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -35,31 +38,36 @@ func roundTrip(t testing.TB, e Envelope) {
 }
 
 // linkRoundTrip frames e on link l and reads it on the link's other end:
-// the envelope comes back with an empty address read as the link's end,
-// and every other address as written.
+// the envelope comes back as written, with every address the link left
+// out read as the link's end.
 func linkRoundTrip(t testing.TB, l Link, e Envelope) {
 	t.Helper()
-	frame, err := l.AppendBatch(nil, []Envelope{e})
+	frame, err := l.appendFrame(nil, e)
 	if err != nil {
 		t.Fatalf("encode %T: %v", e.Msg, err)
 	}
-	got, n, err := reverse(l).ReadBatch(bytes.NewReader(frame), nil)
+	got, n, err := reverse(l).ReadStream(bufio.NewReader(bytes.NewReader(frame)), nil)
 	if err != nil {
 		t.Fatalf("decode %T: %v", e.Msg, err)
 	}
 	if n != len(frame) {
 		t.Fatalf("decode consumed %d of %d bytes", n, len(frame))
 	}
-	want := e
-	if want.From == "" {
-		want.From = l.Local
+	if len(got) != 1 || !reflect.DeepEqual(got[0], e) {
+		t.Fatalf("round trip on %+v:\n got  %#v\n want %#v", l, got, e)
 	}
-	if want.To == "" {
-		want.To = l.Remote
+}
+
+// appendStream frames envs on link l back to back, as a writer writes
+// the envelopes it took from its queue.
+func appendStream(l Link, dst []byte, envs []Envelope) ([]byte, error) {
+	for _, e := range envs {
+		var err error
+		if dst, err = l.appendFrame(dst, e); err != nil {
+			return dst, err
+		}
 	}
-	if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
-		t.Fatalf("round trip on %+v:\n got  %#v\n want %#v", l, got, want)
-	}
+	return dst, nil
 }
 
 // reverse is link l as its other end holds it.
@@ -115,14 +123,15 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 // A message without a wire codec cannot be framed: the error names the
-// type, alone or inside a batch, and nothing is appended.
+// type, on the zero link or any other, and nothing is appended.
 func TestMessageWithoutCodecIsAnEncodeError(t *testing.T) {
 	type uncoded struct{ A string }
 	bad := Envelope{From: "a", To: "b", Msg: uncoded{A: "x"}}
 	prefix := []byte("kept")
 	for name, encode := range map[string]func() ([]byte, error){
-		"frame": func() ([]byte, error) { return AppendFrame(prefix, bad) },
-		"batch": func() ([]byte, error) { return Link{}.AppendBatch(prefix, append(genEnvs(1), bad)) },
+		"frame":       func() ([]byte, error) { return AppendFrame(prefix, bad) },
+		"on a link":   func() ([]byte, error) { return Link{Local: "a", Remote: "b"}.appendFrame(prefix, bad) },
+		"in a stream": func() ([]byte, error) { return appendStream(Link{}, prefix, []Envelope{bad}) },
 	} {
 		out, err := encode()
 		if err == nil || !strings.Contains(err.Error(), "transport.uncoded") {
@@ -158,37 +167,40 @@ func TestLinkRoundTrip(t *testing.T) {
 		name  string
 		link  Link
 		envs  []Envelope
-		saved int // bytes left out, against the zero link's frame
+		saved int // bytes left out, against the zero link's frames
 	}{
-		{"peer, both ends", peer, []Envelope{{From: "node0", To: "node1", Msg: hb}}, 10},
-		{"peer, gateway sender", peer, []Envelope{{From: "node0#gw1", To: "node1", Msg: echoMsg{N: 1}}}, 5},
-		{"peer, gateway receiver", peer, []Envelope{{From: "node0", To: "node1#gw2", Msg: echoMsg{N: 2}}}, 5},
+		{"peer, both ends", peer, []Envelope{{From: "node0", To: "node1", Msg: hb}}, 12},
+		{"peer, gateway sender", peer, []Envelope{{From: "node0#gw1", To: "node1", Msg: echoMsg{N: 1}}}, 6},
+		{"peer, gateway receiver", peer, []Envelope{{From: "node0", To: "node1#gw2", Msg: echoMsg{N: 2}}}, 6},
 		{"peer, addresses of the opposite ends", peer, []Envelope{{From: "node1", To: "node0", Msg: hb}}, 0},
 		{"peer, mixed batch", peer, []Envelope{
 			{From: "node0", To: "node1", Msg: hb},
 			{From: "node0#gw1", To: "node1#gw1", Msg: bigMsg{B: []byte("x")}},
 			{From: "node0", To: "node1#gw3", Msg: echoMsg{N: 3}},
 			{From: "node0#gw2", To: "node1", Msg: heartbeat{Echo: true}},
-		}, 20},
-		{"client request, empty To", client, []Envelope{{From: "cli", To: "", Msg: echoMsg{N: 4}}}, 3},
-		{"server answer", server, []Envelope{{From: "", To: "cli", Msg: echoReply{N: 4}}}, 3},
+		}, 24},
+		{"client request, empty To", client, []Envelope{{From: "cli", To: "", Msg: echoMsg{N: 4}}}, 4},
+		{"server answer", server, []Envelope{{From: "", To: "cli", Msg: echoReply{N: 4}}}, 4},
+		// An empty address that is not the link's end is written, and
+		// reads back empty.
+		{"peer, empty addresses", peer, []Envelope{{From: "", To: "", Msg: hb}}, -2},
 		// A connection's hello is written before there is a link.
 		{"hello, on the zero link", Link{}, []Envelope{{From: "node0", To: "node1", Msg: hello{Kind: "peer", ID: "node0"}}}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			frame, err := tc.link.AppendBatch(nil, tc.envs)
+			stream, err := appendStream(tc.link, nil, tc.envs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := Link{}.AppendBatch(nil, tc.envs)
+			plain, err := appendStream(Link{}, nil, tc.envs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if saved := len(plain) - len(frame); saved != tc.saved {
+			if saved := len(plain) - len(stream); saved != tc.saved {
 				t.Errorf("the link left out %d bytes, want %d", saved, tc.saved)
 			}
-			got, _, err := reverse(tc.link).ReadBatch(bytes.NewReader(frame), nil)
+			got, _, err := reverse(tc.link).ReadStream(bufio.NewReader(bytes.NewReader(stream)), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,109 +214,95 @@ func TestLinkRoundTrip(t *testing.T) {
 	}
 }
 
-// The zero link elides nothing: its frames are the bytes every frame had
-// before links existed, which the frame probes in bench/ measure and the
-// hello still carries.
+// The zero link leaves out only empty addresses. Its frames are the
+// bytes the frame probes in bench/ measure and the hello carries, pinned
+// here byte for byte: 18, 25, 19 + 22 and 7 bytes. The parent layout, a
+// 4-byte length and a codec byte before two strings and the wire id,
+// took 22, 29, 49 (one batch frame for the pair) and 12.
 func TestZeroLinkFramesAreUnchanged(t *testing.T) {
 	cases := []struct {
 		envs []Envelope
 		want string
 	}{
 		{[]Envelope{{From: "node0", To: "node1", Msg: heartbeat{T: 12345}}},
-			"\x00\x00\x00\x12\x01\x05node0\x05node1\x02\xf2\xc0\x01\x00"},
+			"\x11\x0b\x05node0\x05node1\xf2\xc0\x01\x00"},
 		{[]Envelope{{From: "node0", To: "node1", Msg: hello{Kind: "peer", ID: "node0"}}},
-			"\x00\x00\x00\x19\x01\x05node0\x05node1\x01\x04peer\x05node0"},
+			"\x18\x07\x05node0\x05node1\x04peer\x05node0"},
 		{[]Envelope{
 			{From: "node0", To: "node1#gw1", Msg: echoMsg{N: 7}},
 			{From: "node0#gw1", To: "node1", Msg: bigMsg{B: []byte("abc")}},
-		}, "\x00\x00\x00-\x02\x02\x13\x01\x05node0\tnode1#gw1\x03\x0e\x16\x01\tnode0#gw1\x05node1\x05\x04abc"},
+		}, "\x12\x0f\x05node0\tnode1#gw1\x0e" + "\x15\x17\tnode0#gw1\x05node1\x04abc"},
 		{[]Envelope{{From: "cli", Msg: echoMsg{N: -3}}},
-			"\x00\x00\x00\b\x01\x03cli\x00\x03\x05"},
+			"\x06\x0e\x03cli\x05"},
 	}
 	for i, tc := range cases {
-		got, err := Link{}.AppendBatch(nil, tc.envs)
+		got, err := appendStream(Link{}, nil, tc.envs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(got) != tc.want {
-			t.Errorf("frame %d = %q, want %q", i, got, tc.want)
+			t.Errorf("stream %d = %q, want %q", i, got, tc.want)
 		}
-		if len(tc.envs) > 1 {
-			continue
-		}
-		if plain, _ := AppendFrame(nil, tc.envs[0]); string(plain) != tc.want {
-			t.Errorf("AppendFrame %d = %q, want %q", i, plain, tc.want)
-		}
-		if e, _, err := DecodeFrame(got); err != nil || !reflect.DeepEqual(e, tc.envs[0]) {
-			t.Errorf("DecodeFrame %d = %#v, %v", i, e, err)
+		for _, e := range tc.envs {
+			e2, n, err := DecodeFrame(got)
+			if err != nil || !reflect.DeepEqual(e2, e) {
+				t.Errorf("DecodeFrame %d = %#v, %v; want %#v", i, e2, err, e)
+			}
+			got = got[n:]
 		}
 	}
 }
 
-// TestBatchRoundTrip pins the batch frame format: several envelopes
-// behind one length prefix, recovered in order by ReadBatch.
+// TestBatchRoundTrip: the frames of one write, back to back, come out of
+// one ReadStream call in order, and a lone frame reads the same way.
 func TestBatchRoundTrip(t *testing.T) {
 	envs := genEnvs(7)
 	envs = append(envs, genEnvs(8)...)
-	frame, err := Link{}.AppendBatch(nil, envs)
+	stream, err := appendStream(Link{}, nil, envs)
 	if err != nil {
-		t.Fatalf("AppendBatch: %v", err)
+		t.Fatalf("appendStream: %v", err)
 	}
-	if frame[4] != codecBatch {
-		t.Fatalf("multi-envelope frame has codec %d, want batch", frame[4])
-	}
-	got, n, err := Link{}.ReadBatch(bytes.NewReader(frame), nil)
+	got, n, err := Link{}.ReadStream(bufio.NewReaderSize(bytes.NewReader(stream), ReadBufferSize), nil)
 	if err != nil {
-		t.Fatalf("ReadBatch: %v", err)
+		t.Fatalf("ReadStream: %v", err)
 	}
-	if n != len(frame) {
-		t.Fatalf("ReadBatch consumed %d of %d bytes", n, len(frame))
+	if n != len(stream) {
+		t.Fatalf("ReadStream consumed %d of %d bytes", n, len(stream))
 	}
 	if !reflect.DeepEqual(got, envs) {
 		t.Fatalf("batch round trip:\n got  %#v\n want %#v", got, envs)
 	}
 
-	// A single envelope must not pay the batch header…
-	single, err := Link{}.AppendBatch(nil, envs[:1])
+	single, err := AppendFrame(nil, envs[0])
 	if err != nil {
-		t.Fatalf("Link{}.AppendBatch(1): %v", err)
+		t.Fatalf("AppendFrame: %v", err)
 	}
-	if single[4] == codecBatch {
-		t.Fatal("single-envelope batch framed as batch")
-	}
-	// …and ReadBatch must accept the plain frame it produced.
-	got, _, err = Link{}.ReadBatch(bytes.NewReader(single), nil)
+	got, _, err = Link{}.ReadStream(bufio.NewReader(bytes.NewReader(single)), nil)
 	if err != nil || len(got) != 1 || !reflect.DeepEqual(got[0], envs[0]) {
-		t.Fatalf("Link{}.ReadBatch(plain frame) = %#v, %v", got, err)
+		t.Fatalf("ReadStream(one frame) = %#v, %v", got, err)
 	}
 }
 
 // Each connection reads frames through one buffered reader: a frame's
-// length prefix and body, and the frames behind them, come in whatever
-// reads the socket delivers. ReadBatch decodes every envelope whether
+// length and envelope, and the frames behind them, come in whatever
+// reads the socket delivers. ReadStream decodes every envelope whether
 // the stream arrives one byte per read or all of it in one.
-func TestReadBatchThroughABufferedReader(t *testing.T) {
+func TestReadStreamThroughABufferedReader(t *testing.T) {
 	var stream []byte
 	var want []Envelope
 	for seed := int64(0); seed < 6; seed++ {
 		envs := genEnvs(seed)
 		var err error
-		if seed%2 == 0 {
-			stream, err = Link{}.AppendBatch(stream, envs)
-		} else {
-			for _, e := range envs {
-				if stream, err = AppendFrame(stream, e); err != nil {
-					break
-				}
-			}
-		}
-		if err != nil {
+		if stream, err = appendStream(Link{}, stream, envs); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, envs...)
 	}
-	stream, _ = AppendFrame(stream, Envelope{From: "a", To: "b", Msg: bigMsg{B: make([]byte, 3*ReadBufferSize)}})
-	want = append(want, Envelope{From: "a", To: "b", Msg: bigMsg{B: make([]byte, 3*ReadBufferSize)}})
+	big := Envelope{From: "a", To: "b", Msg: bigMsg{B: make([]byte, 3*ReadBufferSize)}}
+	stream, _ = AppendFrame(stream, big)
+	want = append(want, big)
+	stream, _ = AppendFrame(stream, genEnvs(9)[1])
+	want = append(want, genEnvs(9)[1])
 	for name, src := range map[string]io.Reader{
 		"one byte per read":   iotest.OneByteReader(bytes.NewReader(stream)),
 		"coalesced in a read": bytes.NewReader(stream),
@@ -316,7 +314,7 @@ func TestReadBatchThroughABufferedReader(t *testing.T) {
 			for {
 				var n int
 				var err error
-				got, n, err = Link{}.ReadBatch(r, got)
+				got, n, err = Link{}.ReadStream(r, got)
 				if err == io.EOF {
 					break
 				}
@@ -326,7 +324,7 @@ func TestReadBatchThroughABufferedReader(t *testing.T) {
 				total += n
 			}
 			if total != len(stream) {
-				t.Fatalf("ReadBatch reported %d bytes of %d", total, len(stream))
+				t.Fatalf("ReadStream reported %d bytes of %d", total, len(stream))
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("decoded %d envelopes that differ from the %d framed", len(got), len(want))
@@ -335,43 +333,38 @@ func TestReadBatchThroughABufferedReader(t *testing.T) {
 	}
 }
 
-// TestAppendBatchLayout pins the batch frame byte for byte against one
-// built by hand, with member bodies whose length headers take one, two
-// and three bytes: each member is encoded in place and shifted right by
-// its header, and the shift must land every byte where a copy would.
-func TestAppendBatchLayout(t *testing.T) {
+// TestAppendFrameLayout pins frames byte for byte against ones built by
+// hand, with lengths that take one, two and three bytes: each envelope is
+// encoded behind one byte of room and shifted right by the rest of its
+// length, and the shift must land every byte where a copy would.
+func TestAppendFrameLayout(t *testing.T) {
 	envs := []Envelope{
 		{From: "a", To: "b", Msg: bigMsg{B: make([]byte, 10)}},
 		{From: "node0", To: "node1", Msg: bigMsg{B: bytes.Repeat([]byte{0xab}, 300)}},
 		{From: "node1", To: "node0", Msg: bigMsg{B: bytes.Repeat([]byte{0xcd}, 20000)}},
 	}
-	want := []byte{codecBatch}
-	want = binary.AppendUvarint(want, uint64(len(envs)))
+	var want []byte
 	for i, e := range envs {
-		body, err := Link{}.appendBody(nil, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hdr := binary.AppendUvarint(nil, uint64(len(body)))
+		env := envelopeBody(5<<2|fromPresent|toPresent, e.From, e.To, e.Msg.(bigMsg).AppendBinary(nil))
+		hdr := binary.AppendUvarint(nil, uint64(len(env)))
 		if len(hdr) != i+1 {
-			t.Fatalf("member %d: a %d-byte body has a %d-byte header, want %d", i, len(body), len(hdr), i+1)
+			t.Fatalf("envelope %d: %d bytes have a %d-byte length, want %d", i, len(env), len(hdr), i+1)
 		}
-		want = append(append(want, hdr...), body...)
+		want = append(append(want, hdr...), env...)
 	}
-	want = frameFor(want)
 	prefix := []byte("kept")
-	got, err := Link{}.AppendBatch(prefix, envs)
+	got, err := appendStream(Link{}, prefix, envs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
-		t.Fatalf("batch frame differs from the hand-built one (%d bytes, want %d after the prefix)", len(got), len(want))
+		t.Fatalf("frames differ from the hand-built ones (%d bytes, want %d after the prefix)", len(got), len(want))
 	}
 }
 
-// A batch frame encodes into the buffer it is given: with room in it,
+// Frames encode into the buffer they are given: with room in it,
 // framing three envelopes allocates nothing.
-func TestAppendBatchAllocatesNothing(t *testing.T) {
+func TestAppendFrameAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
@@ -380,15 +373,16 @@ func TestAppendBatchAllocatesNothing(t *testing.T) {
 		{From: "node0", To: "node1", Msg: echoMsg{N: 2}},
 		{From: "node0", To: "node1", Msg: bigMsg{B: make([]byte, 200)}},
 	}
+	link := Link{Local: "node0", Remote: "node1"}
 	buf := make([]byte, 0, 4096)
 	allocs := testing.AllocsPerRun(100, func() {
 		var err error
-		if buf, err = (Link{}).AppendBatch(buf[:0], envs); err != nil {
+		if buf, err = appendStream(link, buf[:0], envs); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("AppendBatch of 3 envelopes: %v allocs, want 0", allocs)
+		t.Fatalf("framing 3 envelopes: %v allocs, want 0", allocs)
 	}
 }
 
@@ -412,99 +406,154 @@ func TestDecodeFrameDecodesInPlace(t *testing.T) {
 	}
 }
 
-// Reading a frame allocates its body and nothing else: the length prefix
-// is read into a recycled buffer, not one per frame.
+// Reading frames allocates one buffer per read and nothing else: the
+// frames a buffered reader holds share it.
 func TestReadFrameBodyAllocatesOnlyTheBody(t *testing.T) {
-	frame, err := AppendFrame(nil, genEnvs(3)[1])
+	stream, err := appendStream(Link{}, nil, genEnvs(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bytes.NewReader(frame)
+	src := bytes.NewReader(stream)
+	r := bufio.NewReaderSize(src, ReadBufferSize)
 	allocs := testing.AllocsPerRun(100, func() {
-		r.Reset(frame)
-		if _, _, err := readFrameBody(r); err != nil {
-			t.Fatal(err)
+		src.Reset(stream)
+		r.Reset(src)
+		if block, n, err := readBlock(r); err != nil || n != len(stream) || len(block) != n {
+			t.Fatalf("readBlock = %d bytes, %d read, %v; want the %d of three frames", len(block), n, err, len(stream))
 		}
 	})
 	if allocs != 1 {
-		t.Fatalf("readFrameBody: %v allocs per frame, want 1 (the body)", allocs)
+		t.Fatalf("readBlock: %v allocs per read, want 1 (the frames)", allocs)
 	}
 }
 
-// frameFor builds a raw frame around body (length prefix included).
-func frameFor(body []byte) []byte {
-	f := make([]byte, 4, 4+len(body))
-	binary.BigEndian.PutUint32(f, uint32(len(body)))
-	return append(f, body...)
+// frameFor builds a raw frame around an envelope (length included).
+func frameFor(env []byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(len(env))), env...)
 }
 
-// binaryBody builds a codecBinary body by hand.
-func binaryBody(from, to string, id uint64, payload []byte) []byte {
-	b := []byte{codecBinary}
-	b = wire.AppendString(b, from)
-	b = wire.AppendString(b, to)
-	b = binary.AppendUvarint(b, id)
+// envelopeBody builds an envelope by hand: the tag, the addresses its
+// presence bits name, and the payload.
+func envelopeBody(tag uint64, from, to string, payload []byte) []byte {
+	b := binary.AppendUvarint(nil, tag)
+	if tag&fromPresent != 0 {
+		b = wire.AppendString(b, from)
+	}
+	if tag&toPresent != 0 {
+		b = wire.AppendString(b, to)
+	}
 	return append(b, payload...)
 }
 
-// TestMalformedFrames throws every corruption class at the frame reader
+// binaryBody builds an envelope with both addresses by hand.
+func binaryBody(from, to string, id uint64, payload []byte) []byte {
+	return envelopeBody(id<<2|fromPresent|toPresent, from, to, payload)
+}
+
+// readAllFrames reads raw to its end with each reader; the error that
+// stopped it, nil for a clean end after the last frame.
+func readAllFrames(raw []byte) map[string]error {
+	clean := func(err error) error {
+		if err == io.EOF {
+			return nil
+		}
+		return err
+	}
+	errs := make(map[string]error, 3)
+	for rd := bytes.NewReader(raw); ; {
+		if _, _, err := ReadFrame(rd); err != nil {
+			errs["ReadFrame"] = clean(err)
+			break
+		}
+	}
+	for r := bufio.NewReaderSize(bytes.NewReader(raw), 16); ; {
+		if _, _, err := (Link{}).ReadStream(r, nil); err != nil {
+			errs["ReadStream"] = clean(err)
+			break
+		}
+	}
+	for b := raw; ; {
+		if len(b) == 0 {
+			errs["DecodeFrame"] = nil
+			break
+		}
+		_, n, err := DecodeFrame(b)
+		if err != nil {
+			errs["DecodeFrame"] = err
+			break
+		}
+		b = b[n:]
+	}
+	return errs
+}
+
+// TestMalformedFrames throws every corruption class at the frame readers
 // and requires a clean error — never a panic, never a huge allocation.
 func TestMalformedFrames(t *testing.T) {
 	helloPayload := wire.AppendString(wire.AppendString(nil, "peer"), "n1")
-	oversized := make([]byte, 4)
-	binary.BigEndian.PutUint32(oversized, MaxFrameSize+1)
+	heartbeatEnv := envelopeBody(2<<2, "", "", heartbeat{T: 1}.AppendBinary(nil))
+	good := frameFor(heartbeatEnv)
+	oversized := binary.AppendUvarint(nil, MaxFrameSize+1)
+	// The first frame of TestZeroLinkFramesAreUnchanged as the parent
+	// layout wrote it: a 4-byte big-endian length, then a codec byte.
+	parent := []byte("\x00\x00\x00\x12\x01\x05node0\x05node1\x02\xf2\xc0\x01\x00")
 
 	cases := []struct {
 		name string
 		raw  []byte
 	}{
-		{"truncated header", []byte{0, 0}},
+		{"truncated header", frameFor([]byte{0x80})},
+		{"truncated length varint", []byte{0x80, 0x80}},
+		{"length varint too long", append([]byte{byte(len(heartbeatEnv)) | 0x80, 0x80, 0x80, 0x80, 0}, heartbeatEnv...)},
+		{"length varint not minimal", append([]byte{byte(len(heartbeatEnv)) | 0x80, 0}, heartbeatEnv...)},
 		{"oversized length prefix", oversized},
 		{"mid-message EOF", frameFor(make([]byte, 100))[:20]},
 		{"empty body", frameFor(nil)},
-		{"unknown codec version", frameFor([]byte{0x7f, 1, 2, 3})},
-		{"binary body truncated header", frameFor([]byte{codecBinary, 0x05, 'a'})},
+		{"binary body truncated header", frameFor([]byte{1<<2 | fromPresent, 0x05, 'a'})},
 		{"unknown wire id", frameFor(binaryBody("a", "b", 9999, nil))},
 		{"wire id out of range", frameFor(binaryBody("a", "b", 1<<20, nil))},
+		{"from present, missing", frameFor([]byte{1<<2 | fromPresent})},
+		{"to present, missing", frameFor([]byte{1<<2 | toPresent})},
 		{"payload truncated", frameFor(binaryBody("a", "b", 1, helloPayload[:1]))},
 		{"trailing bytes", frameFor(append(binaryBody("a", "b", 1, helloPayload), 0xff))},
 		{"length overrun in payload", frameFor(binaryBody("a", "b", 1, []byte{0xff, 0xff, 0x03}))},
-		{"retired codec 0", frameFor(append([]byte{0}, binaryBody("a", "b", 1, helloPayload)[1:]...))},
-		{"bare batch byte", frameFor([]byte{codecBatch})},
-		{"batch count overruns frame", frameFor([]byte{codecBatch, 0xc8})},
-		{"batch member truncated", frameFor([]byte{codecBatch, 1, 10, 1, 2, 3})},
-		{"batch trailing bytes", func() []byte {
-			b, _ := Link{}.appendBody(nil, Envelope{From: "a", To: "b", Msg: heartbeat{T: 1}})
-			raw := []byte{codecBatch, 1}
-			raw = binary.AppendUvarint(raw, uint64(len(b)))
-			raw = append(raw, b...)
-			return frameFor(append(raw, 0xee))
-		}()},
+		{"parent 4-byte layout", parent},
+		{"batch member truncated", append(append([]byte{}, good...), good[:len(good)-1]...)},
+		{"batch trailing bytes", append(append([]byte{}, good...), 0x05)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, err := ReadFrame(bytes.NewReader(tc.raw)); err == nil {
-				t.Error("ReadFrame accepted malformed input")
-			}
-			if _, _, err := (Link{}).ReadBatch(bytes.NewReader(tc.raw), nil); err == nil {
-				t.Error("ReadBatch accepted malformed input")
+			for reader, err := range readAllFrames(tc.raw) {
+				if err == nil {
+					t.Errorf("%s accepted malformed input", reader)
+				}
 			}
 		})
 	}
-
-	// A batch frame is well-formed for ReadBatch but must be rejected by
-	// ReadFrame (handshake reader).
-	batch, err := Link{}.AppendBatch(nil, genEnvs(1)[:2])
-	if err != nil {
-		t.Fatalf("AppendBatch: %v", err)
+	if errs := readAllFrames(append(good, good...)); errs["ReadFrame"] != nil || errs["ReadStream"] != nil || errs["DecodeFrame"] != nil {
+		t.Fatalf("two well-formed frames: %v", errs)
 	}
-	if _, _, err := ReadFrame(bytes.NewReader(batch)); err == nil {
-		t.Error("ReadFrame accepted a batch frame")
+
+	// A length over MaxFrameSize is refused before the reader allocates
+	// for it.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 4; i++ {
+		if _, _, err := ReadFrame(bytes.NewReader(oversized)); err == nil || errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("ReadFrame of an oversized length: %v, want it refused", err)
+		}
+		if _, _, err := (Link{}).ReadStream(bufio.NewReader(bytes.NewReader(oversized)), nil); err == nil || errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("ReadStream of an oversized length: %v, want it refused", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("refusing an oversized length allocated %d bytes", grew)
 	}
 }
 
 // FuzzDecodeFrame drives raw attacker-controlled bytes through both
-// frame readers: any outcome but a panic or an over-read is fine.
+// single-frame readers: any outcome but a panic or an over-read is fine.
 func FuzzDecodeFrame(f *testing.F) {
 	for seed := int64(0); seed < 4; seed++ {
 		for _, e := range genEnvs(seed) {
@@ -515,11 +564,69 @@ func FuzzDecodeFrame(f *testing.F) {
 			f.Add(frame)
 		}
 	}
-	if batch, err := (Link{}).AppendBatch(nil, genEnvs(5)); err == nil {
-		f.Add(batch)
+	if stream, err := appendStream(Link{}, nil, genEnvs(5)); err == nil {
+		f.Add(stream)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		DecodeFrame(raw)
-		Link{}.ReadBatch(bytes.NewReader(raw), nil)
+		if _, n, err := DecodeFrame(raw); err == nil && (n <= 0 || n > len(raw)) {
+			t.Fatalf("DecodeFrame consumed %d of %d bytes", n, len(raw))
+		}
+		if _, n, err := ReadFrame(bytes.NewReader(raw)); err == nil && (n <= 0 || n > len(raw)) {
+			t.Fatalf("ReadFrame consumed %d of %d bytes", n, len(raw))
+		}
 	})
+}
+
+// FuzzReadStream drives arbitrary bytes through a buffered reader and a
+// link's stream reader, as a connection would deliver them: every read
+// ends in an error or accounts for the bytes it took, and a stream read
+// to a clean end accounts for all of them.
+func FuzzReadStream(f *testing.F) {
+	link := Link{Local: "node1", Remote: "node0"}
+	for seed := int64(0); seed < 4; seed++ {
+		envs := genEnvs(seed)
+		envs = append(envs, Envelope{From: "node0", To: "node1", Msg: heartbeat{T: seed}})
+		if stream, err := appendStream(reverse(link), nil, envs); err == nil {
+			f.Add(stream)
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		r := bufio.NewReaderSize(bytes.NewReader(raw), 16)
+		total := 0
+		var envs []Envelope
+		for {
+			var n int
+			var err error
+			envs, n, err = link.ReadStream(r, envs[:0])
+			if err == io.EOF {
+				if total != len(raw) {
+					t.Fatalf("a clean end after %d of %d bytes", total, len(raw))
+				}
+				return
+			}
+			if err != nil {
+				return
+			}
+			if n <= 0 || len(envs) == 0 {
+				t.Fatalf("a read of %d bytes and %d envelopes without an error", n, len(envs))
+			}
+			total += n
+		}
+	})
+}
+
+// TestHeartbeatFrameSizes pins the transport's liveness ping and its echo
+// on a peer link a minute into a run, neither end spelled out (the parent
+// layout wrote each in 15 bytes).
+func TestHeartbeatFrameSizes(t *testing.T) {
+	link := Link{Local: "node0", Remote: "node1"}
+	for _, m := range []heartbeat{{T: int64(time.Minute)}, {T: int64(time.Minute), Echo: true}} {
+		frame, err := AppendMessage(link, nil, "node0", "node1", m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 9; len(frame) != want {
+			t.Errorf("%+v: %d bytes, want %d", m, len(frame), want)
+		}
+	}
 }

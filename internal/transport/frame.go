@@ -1,46 +1,53 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/wire"
 )
 
-// Wire format: every frame is
+// Wire format: a connection carries a stream of self-delimiting frames,
+// one envelope each (codec.go):
 //
-//	| length: uint32 big-endian | body |
-//	body := | codec version: byte | version-specific payload |
-//	binary payload := | from: string | to: string | wire id: uvarint | message |
-//	batch payload  := | count: uvarint | (length: uvarint, binary body)... |
+//	stream := frame...
+//	frame  := | length: uvarint | envelope |
 //
-// where a string is its uvarint length and its bytes. The length prefix
-// (rather than any codec's own stream framing) keeps frame boundaries
-// explicit — a reader can size-check, skip, or hand off a frame without
-// decoding it, and a partially written frame never desynchronizes the
-// stream past the next boundary. The version byte dispatches the body
-// decoder (see codec.go): hand-rolled binary for the registered wire
-// types, and batch frames that pack a whole flush tick of envelopes
-// behind one prefix. Each body is self-contained — stateless frames
-// survive reconnects, can be hedged or re-sent verbatim, and decode
-// independently of arrival order.
+// The length counts the envelope's bytes. It is written as its minimal
+// uvarint and is at most MaxFrameSize, so it takes one to four bytes: one
+// for an envelope under 128 bytes. A reader checks it before it
+// allocates, and a frame that fails to decode ends the connection, never
+// the reader's process.
 //
-// Addresses the connection already implies are elided (see Link): on a
-// link, an envelope from the writer's node carries an empty from and
-// one to the reader's node an empty to, and the reader fills both back
-// in from its end of the link. Every other address — a gateway actor
-// such as node0#gw1, and every address of the hello — is spelled out.
-// The package-level frame functions use the zero Link and elide
-// nothing. The frame probes in bench/probes.go
+// There is no batch frame. A writer batches by writing every frame it
+// has queued in one write(2) (tcp.go, and the server's client
+// connections), and a reader takes every complete frame its buffer holds
+// into one allocation (ReadStream). Each frame is self-contained:
+// stateless frames survive reconnects, can be re-sent verbatim, and
+// decode independently of arrival order.
+//
+// The hello that opens a connection is a frame on the zero Link, read
+// with ReadFrame exactly, so whatever the dialer wrote behind it is left
+// for the connection's stream reader. The package-level AppendFrame and
+// DecodeFrame use the zero link too; the frame probes in bench/probes.go
 // (transport.frame_encode_ns, frame_decode_ns, frame_decode_allocs)
-// track the cost.
+// track their cost.
 
 // MaxFrameSize bounds a single frame (16 MiB). A peer announcing a
 // larger frame is protocol-corrupt and the connection is dropped —
 // the standard defense against length-prefix poisoning.
 const MaxFrameSize = 16 << 20
+
+// lengthBytes is the most bytes a frame length takes: the uvarint of
+// MaxFrameSize.
+const lengthBytes = 4
+
+// errLength reports a frame length that is not a minimal uvarint of at
+// most lengthBytes bytes.
+var errLength = errors.New("transport: malformed frame length")
 
 // Envelope is the unit every frame carries: a routed protocol message.
 // From is the sending node id, To the destination node id on the
@@ -53,109 +60,58 @@ type Envelope struct {
 // Link names the two ends of a connection as its hello fixed them:
 // Local is this side's node, Remote the node at the other end. Frames
 // written on a link leave out what its reader already knows: From is
-// written empty when it is Local, To when it is Remote. The reader's
-// link is the same one seen from the other end (its Local is the
-// writer's Remote), so reading fills an empty From with Remote and an
-// empty To with Local. An address that is itself empty therefore reads
-// as the link's end; the zero Link elides and fills nothing.
+// absent when it is Local, To when it is Remote. The reader's link is
+// the same one seen from the other end (its Local is the writer's
+// Remote), so an absent From reads as Remote and an absent To as Local.
+// On the zero link an absent address is "": it leaves out exactly the
+// empty addresses. Every other address — a gateway actor such as
+// node0#gw1, and every address of the hello — is spelled out.
 type Link struct {
 	Local, Remote string
 }
 
-// appendAddrs appends an envelope's from and to as the link writes them.
-func (l Link) appendAddrs(dst []byte, from, to string) []byte {
-	if from == l.Local {
-		from = ""
-	}
-	if to == l.Remote {
-		to = ""
-	}
-	return wire.AppendString(wire.AppendString(dst, from), to)
-}
-
-// readAddrs reads an envelope's from and to as the link wrote them.
-func (l Link) readAddrs(r *wire.Reader) (from, to string) {
-	if from = r.ID(); from == "" {
-		from = l.Remote
-	}
-	if to = r.ID(); to == "" {
-		to = l.Local
-	}
-	return from, to
-}
-
-// finishFrame fills in the length prefix reserved at mark.
-func finishFrame(dst []byte, mark int) ([]byte, error) {
-	n := len(dst) - mark - 4
-	if n > MaxFrameSize {
-		return dst[:mark], fmt.Errorf("transport: frame of %d bytes exceeds %d", n, MaxFrameSize)
-	}
-	binary.BigEndian.PutUint32(dst[mark:mark+4], uint32(n))
-	return dst, nil
-}
-
 // AppendFrame encodes e as one frame appended to dst and returns the
-// extended slice. Every address is spelled out.
+// extended slice. Every address but an empty one is spelled out.
 func AppendFrame(dst []byte, e Envelope) ([]byte, error) {
 	return Link{}.appendFrame(dst, e)
 }
 
+// appendFrame appends e as one frame written on link l. A message that
+// does not implement BinaryMessage cannot leave the process: Loopback
+// and the simulator deliver it by reference, TCP reports it. A failed
+// encode appends nothing.
 func (l Link) appendFrame(dst []byte, e Envelope) ([]byte, error) {
-	mark := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	body, err := l.appendBody(dst, e)
-	if err != nil {
-		return dst[:mark], err
+	bm, ok := e.Msg.(BinaryMessage)
+	if !ok {
+		return dst, fmt.Errorf("transport: %T has no wire codec (it does not implement BinaryMessage)", e.Msg)
 	}
-	return finishFrame(body, mark)
+	return AppendMessage(l, dst, e.From, e.To, bm)
 }
 
 // AppendMessage frames an envelope from → to carrying m on link l, for a
-// caller that holds m as its concrete type: the bytes l.AppendBatch
-// writes for that one envelope, without boxing m into an Envelope's
-// Message.
+// caller that holds m as its concrete type: the bytes l writes for that
+// envelope, without boxing m into an Envelope's Message.
 func AppendMessage[M BinaryMessage](l Link, dst []byte, from, to string, m M) ([]byte, error) {
 	mark := len(dst)
-	dst = append(dst, 0, 0, 0, 0, codecBinary)
-	dst = l.appendAddrs(dst, from, to)
-	dst = wire.AppendUvarint(dst, uint64(m.WireID()))
+	dst = l.appendHeader(append(dst, 0), from, to, m.WireID())
 	return finishFrame(m.AppendBinary(dst), mark)
 }
 
-// ReadBufferSize sizes the buffered reader each connection's frame
-// reader reads through: a small frame's length prefix and body, and
-// often the frames behind it, arrive in one read syscall.
-const ReadBufferSize = 16 << 10
-
-// AppendBatch encodes envelopes as a single batch frame on link l,
-// appended to dst: one length prefix, one version byte, then each
-// envelope's body behind its own uvarint length. This is the
-// coordinator fan-out optimization — every op queued for a peer at
-// flush time travels in one frame and one write. A single envelope is
-// framed plain, so batching is free when there is nothing to batch.
-func (l Link) AppendBatch(dst []byte, envs []Envelope) ([]byte, error) {
-	if len(envs) == 1 {
-		return l.appendFrame(dst, envs[0])
+// finishFrame writes the length of the envelope encoded behind the
+// one-byte room reserved at mark. A longer length shifts the envelope
+// right to make room; a frame over MaxFrameSize is cut back to mark.
+func finishFrame(dst []byte, mark int) ([]byte, error) {
+	n := len(dst) - mark - 1
+	if n > MaxFrameSize {
+		return dst[:mark], fmt.Errorf("transport: frame of %d bytes exceeds %d", n, MaxFrameSize)
 	}
-	mark := len(dst)
-	dst = append(dst, 0, 0, 0, 0, codecBatch)
-	dst = wire.AppendUvarint(dst, uint64(len(envs)))
-	for _, e := range envs {
-		// Each member is encoded in place and then shifted right by its
-		// length header, which is only known once the body is.
-		at := len(dst)
-		out, err := l.appendBody(dst, e)
-		if err != nil {
-			return dst[:mark], err
-		}
-		var hdr [binary.MaxVarintLen64]byte
-		h := binary.PutUvarint(hdr[:], uint64(len(out)-at))
-		out = append(out, hdr[:h]...) // room for the header
-		copy(out[at+h:], out[at:len(out)-h])
-		copy(out[at:], hdr[:h])
-		dst = out
+	if k := wire.UvarintLen(uint64(n)); k > 1 {
+		var room [lengthBytes]byte
+		dst = append(dst, room[:k-1]...)
+		copy(dst[mark+k:], dst[mark+1:])
 	}
-	return finishFrame(dst, mark)
+	binary.PutUvarint(dst[mark:], uint64(n))
+	return dst, nil
 }
 
 // WriteFrame encodes e and writes one frame to w.
@@ -167,122 +123,166 @@ func WriteFrame(w io.Writer, e Envelope) (int, error) {
 	return w.Write(b)
 }
 
-// frameHeaders recycles the 4-byte length prefixes readFrameBody reads
-// into: a buffer handed to an io.Reader escapes, so a local array would
-// cost one object per inbound frame.
-var frameHeaders = sync.Pool{New: func() any { return new([4]byte) }}
+// ReadBufferSize sizes the buffered reader each connection's stream
+// reader reads through: a small frame, and often the frames behind it,
+// arrive in one read syscall.
+const ReadBufferSize = 16 << 10
 
-// readFrameBody reads one length-prefixed frame body from r into a
-// fresh buffer (decoded messages may alias it).
-func readFrameBody(r io.Reader) ([]byte, int, error) {
-	hdr := frameHeaders.Get().(*[4]byte)
-	_, err := io.ReadFull(r, hdr[:])
-	n := binary.BigEndian.Uint32(hdr[:])
-	frameHeaders.Put(hdr)
-	if err != nil {
-		return nil, 0, err
+// readLength reads a frame length from r and returns it with the number
+// of bytes it took. A stream that ends before the first byte returns
+// io.EOF; one that ends inside the length, io.ErrUnexpectedEOF.
+func readLength(r io.ByteReader) (int, int, error) {
+	var n uint64
+	for i := 0; i < lengthBytes; i++ {
+		c, err := r.ReadByte()
+		if err != nil {
+			if i > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, 0, err
+		}
+		n |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			if c == 0 && i > 0 {
+				return 0, 0, errLength
+			}
+			if n > MaxFrameSize {
+				return 0, 0, fmt.Errorf("transport: frame length %d exceeds %d", n, MaxFrameSize)
+			}
+			return int(n), i + 1, nil
+		}
+	}
+	return 0, 0, errLength
+}
+
+// frameLength reads the length at the head of b by readLength's rules,
+// without the io.ByteReader that would cost DecodeFrame an allocation.
+func frameLength(b []byte) (int, int, error) {
+	n, k := binary.Uvarint(b)
+	if k == 0 && len(b) < lengthBytes {
+		return 0, 0, io.ErrUnexpectedEOF
+	}
+	if k <= 0 || k != wire.UvarintLen(n) {
+		return 0, 0, errLength
 	}
 	if n > MaxFrameSize {
-		return nil, 0, fmt.Errorf("transport: frame length %d exceeds %d", n, MaxFrameSize)
+		return 0, 0, fmt.Errorf("transport: frame length %d exceeds %d", n, MaxFrameSize)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	return int(n), k, nil
+}
+
+// unexpected reports a stream that ended inside a frame.
+func unexpected(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// byteAtATime reads one byte per read from r.
+type byteAtATime struct {
+	r io.Reader
+	b [1]byte
+}
+
+func (o *byteAtATime) ReadByte() (byte, error) {
+	_, err := io.ReadFull(o.r, o.b[:])
+	return o.b[0], err
+}
+
+// ReadFrame reads one frame from r on the zero link, and nothing behind
+// it: the length is read a byte at a time. A handshake reads the hello
+// with it from the bare connection, so the frames the dialer wrote in
+// the same write are still there for the stream reader that takes the
+// connection next.
+func ReadFrame(r io.Reader) (Envelope, int, error) {
+	n, h, err := readLength(&byteAtATime{r: r})
+	if err != nil {
+		return Envelope{}, 0, err
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return Envelope{}, 0, unexpected(err)
+	}
+	e, err := Link{}.decodeEnvelope(b)
+	if err != nil {
+		return Envelope{}, 0, err
+	}
+	return e, h + n, nil
+}
+
+// readBlock reads the next frame from r, and behind it every frame r
+// already holds in full, into one buffer: the frames as written, length
+// included, and the number of bytes read.
+func readBlock(r *bufio.Reader) ([]byte, int, error) {
+	n, h, err := readLength(r)
+	if err != nil {
 		return nil, 0, err
 	}
-	return body, int(n) + 4, nil
+	size := h + n
+	if ahead := r.Buffered(); ahead > n {
+		b, _ := r.Peek(ahead)
+		for off := n; off < len(b); {
+			m, k, err := frameLength(b[off:])
+			if err != nil || m > len(b)-off-k {
+				break // the next read takes it, or reports it
+			}
+			off += k + m
+			size = h + off
+		}
+	}
+	block := make([]byte, size)
+	binary.PutUvarint(block, uint64(n))
+	if _, err := io.ReadFull(r, block[h:]); err != nil {
+		return nil, 0, unexpected(err)
+	}
+	return block, size, nil
 }
 
-// ReadFrame reads one single-envelope frame from r and decodes it. A
-// batch frame is an error here — handshakes and other strictly
-// one-at-a-time exchanges use ReadFrame; stream readers that must
-// accept batches use ReadBatch.
-func ReadFrame(r io.Reader) (Envelope, int, error) {
-	body, n, err := readFrameBody(r)
-	if err != nil {
-		return Envelope{}, 0, err
-	}
-	e, err := Link{}.decodeBody(body)
-	if err != nil {
-		return Envelope{}, 0, err
-	}
-	return e, n, nil
-}
-
-// ReadBatch reads one frame written on the other end of link l and
-// returns every envelope it carries: a one-element slice for a plain
-// frame, all members for a batch frame. envs is appended to (pass a
-// reused slice to avoid the allocation).
-func (l Link) ReadBatch(r io.Reader, envs []Envelope) ([]Envelope, int, error) {
-	body, n, err := readFrameBody(r)
+// ReadStream reads the frames written on the other end of link l: the
+// next one, and every one behind it that r already holds in full. It
+// appends their envelopes to envs (pass a reused slice to avoid the
+// allocation) and returns the bytes read. The frames share one
+// allocation, which the decoded messages alias: a message kept pins the
+// frames read with it.
+func (l Link) ReadStream(r *bufio.Reader, envs []Envelope) ([]Envelope, int, error) {
+	block, n, err := readBlock(r)
 	if err != nil {
 		return envs, 0, err
 	}
-	envs, err = l.decodeBodies(body, envs)
-	if err != nil {
-		return envs, 0, err
+	for len(block) > 0 {
+		e, k, err := l.decodeFrame(block)
+		if err != nil {
+			return envs, 0, err
+		}
+		envs = append(envs, e)
+		block = block[k:]
 	}
 	return envs, n, nil
 }
 
-// decodeBodies decodes a frame body into its envelopes, appending to
-// envs.
-func (l Link) decodeBodies(body []byte, envs []Envelope) ([]Envelope, error) {
-	if len(body) == 0 {
-		return envs, fmt.Errorf("transport: empty frame body")
-	}
-	if body[0] != codecBatch {
-		e, err := l.decodeBody(body)
-		if err != nil {
-			return envs, err
-		}
-		return append(envs, e), nil
-	}
-	rd := wire.NewReader(body[1:])
-	count := rd.Uvarint()
-	if rd.Err() != nil || count > uint64(rd.Len()) {
-		return envs, fmt.Errorf("transport: malformed batch header")
-	}
-	for i := uint64(0); i < count; i++ {
-		sub := rd.Raw()
-		if rd.Err() != nil {
-			return envs, fmt.Errorf("transport: truncated batch member %d/%d", i, count)
-		}
-		e, err := l.decodeBody(sub)
-		if err != nil {
-			return envs, err
-		}
-		envs = append(envs, e)
-	}
-	if err := rd.Close(); err != nil {
-		return envs, fmt.Errorf("transport: trailing bytes after batch")
-	}
-	return envs, nil
+// DecodeFrame decodes one frame from b (length included) on the zero
+// link, returning the envelope and bytes consumed. It decodes in place:
+// the decoded message aliases b, so b must not be reused while the
+// message is in use. Exposed for benchmarks and tests that frame into
+// memory.
+func DecodeFrame(b []byte) (Envelope, int, error) {
+	return Link{}.decodeFrame(b)
 }
 
-// DecodeFrame decodes one frame from b (length prefix included),
-// returning the envelope and bytes consumed, with every address as
-// spelled out in the frame. It decodes in place: the
-// decoded message aliases b, so b must not be reused while the message
-// is in use. Exposed for benchmarks and tests that frame into memory.
-func DecodeFrame(b []byte) (Envelope, int, error) {
-	if len(b) < 4 {
-		return Envelope{}, 0, io.ErrUnexpectedEOF
-	}
-	n := binary.BigEndian.Uint32(b)
-	if n > MaxFrameSize {
-		return Envelope{}, 0, fmt.Errorf("transport: frame length %d exceeds %d", n, MaxFrameSize)
-	}
-	if uint64(len(b)-4) < uint64(n) {
-		return Envelope{}, 0, io.ErrUnexpectedEOF
-	}
-	e, err := Link{}.decodeBody(b[4 : 4+n])
+func (l Link) decodeFrame(b []byte) (Envelope, int, error) {
+	n, k, err := frameLength(b)
 	if err != nil {
 		return Envelope{}, 0, err
 	}
-	return e, int(n) + 4, nil
+	if n > len(b)-k {
+		return Envelope{}, 0, io.ErrUnexpectedEOF
+	}
+	e, err := l.decodeEnvelope(b[k : k+n])
+	if err != nil {
+		return Envelope{}, 0, err
+	}
+	return e, k + n, nil
 }
 
 // hello is the first frame on every dialed connection, identifying the

@@ -234,9 +234,10 @@ type Stats struct {
 	MessagesDropped   uint64 // unknown destination, crashed node, severed link, or full peer queue
 	TimersFired       uint64
 
-	// Wire accounting (TCP only). Envelopes count protocol messages;
-	// frames count wire writes — EnvelopesSent/FramesSent is the mean
-	// fan-out batch size (exported as ec_net_batch_size).
+	// Wire accounting (TCP only). Envelopes count protocol messages, a
+	// frame each; frames count socket writes and stream reads — so
+	// EnvelopesSent/FramesSent is the mean batch per write (exported as
+	// ec_net_batch_size).
 	FramesSent        uint64
 	FramesReceived    uint64
 	EnvelopesSent     uint64
@@ -471,8 +472,8 @@ type statsCell struct {
 	bytesSent, bytesReceived, reconnects                          atomic.Uint64
 }
 
-// countSent counts one frame of envelopes envelopes and bytes bytes
-// written to a peer.
+// countSent counts one write to a peer of envelopes envelopes in bytes
+// bytes.
 func (c *statsCell) countSent(envelopes, bytes int) {
 	c.framesSent.Add(1)
 	c.envelopesSent.Add(uint64(envelopes))

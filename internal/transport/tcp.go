@@ -327,7 +327,7 @@ func (t *TCP) servePeer(link Link, conn net.Conn) {
 		conn.SetReadDeadline(time.Now().Add(idle))
 		var n int
 		var err error
-		envs, n, err = link.ReadBatch(r, envs[:0])
+		envs, n, err = link.ReadStream(r, envs[:0])
 		if err != nil {
 			select {
 			case <-t.done:
@@ -468,6 +468,7 @@ func (p *tcpPeer) run() {
 	defer p.t.wg.Done()
 	p.init()
 	t := p.t
+	greeting, _ := AppendFrame(nil, Envelope{From: t.cfg.LocalID, To: p.id, Msg: hello{Kind: "peer", ID: t.cfg.LocalID}})
 	attempt := 0
 	for {
 		select {
@@ -477,7 +478,13 @@ func (p *tcpPeer) run() {
 		}
 		conn, err := net.DialTimeout("tcp", p.addr, t.handshakeTimeout())
 		if err == nil {
-			err = p.writeFrame(conn, Envelope{From: t.cfg.LocalID, To: p.id, Msg: hello{Kind: "peer", ID: t.cfg.LocalID}})
+			if !p.sleep(p.delay()) { // the hello pays the link delay like any frame
+				conn.Close()
+				return
+			}
+			if err = p.write(conn, greeting, 1); err != nil {
+				conn.Close()
+			}
 		}
 		if err != nil {
 			t.logf("transport %s: dial %s (%s): %v", t.cfg.LocalID, p.id, p.addr, err)
@@ -503,24 +510,22 @@ func (p *tcpPeer) run() {
 	}
 }
 
-// maxBatch bounds how many queued envelopes one frame may carry. With
-// small protocol messages this keeps a batch frame well under
-// MaxFrameSize; anything still queued goes in the next frame one
-// syscall later.
+// maxBatch bounds how many queued envelopes the writer takes for one
+// write; anything still queued goes in the next write one syscall
+// later.
 const maxBatch = 256
 
-// drain writes queued frames and paced heartbeats until the connection
-// errors (false return means the peer is closing for good). Sends are
-// batched: after blocking for the first envelope the loop greedily
-// takes everything else already queued (up to maxBatch) and ships the
-// lot as one frame — one length prefix, one write, one wakeup on the
-// receiver. Under load a whole coordinator fan-out tick rides a single
-// frame; an idle link degenerates to one envelope per frame and pays
-// no batch overhead (AppendBatch frames singletons plain).
+// drain writes queued envelopes and paced heartbeats until the
+// connection errors (false return means the peer is closing for good).
+// Sends are batched: after blocking for the first envelope the loop
+// greedily takes everything else already queued (up to maxBatch) and
+// writes their frames in one write — one syscall and one wakeup on the
+// receiver for a whole coordinator fan-out tick. An idle link writes one
+// frame per write and pays nothing for batching.
 //
 // Under a link delay d the loop waits until the oldest envelope taken
 // is d old, then writes every envelope taken that is d old; the rest
-// stay for the next frame. So each envelope pays d once, whatever was
+// stay for the next write. So each envelope pays d once, whatever was
 // queued ahead of it.
 func (p *tcpPeer) drain(conn net.Conn) bool {
 	t := p.t
@@ -583,30 +588,35 @@ func (p *tcpPeer) drain(conn net.Conn) bool {
 	}
 }
 
-// writeBatch frames envs (one plain or batch frame) into buf and writes
-// it. The returned buffer is buf possibly grown, for reuse. If the
-// combined batch overflows MaxFrameSize or holds a message without a
-// wire codec, each envelope retries in its own frame so only the
-// offending message is dropped (logged and counted; the protocols
-// retry) — one bad payload never kills the link or its queue-mates.
+// writeBatch frames envs into buf and writes them, in one write unless
+// the frames pass MaxFrameSize: then the frames before the one that
+// passed it are written first. The returned buffer is buf possibly
+// grown, for reuse. An envelope that fails to encode (no wire codec, or
+// a frame over MaxFrameSize) is cut back out of the buffer, logged and
+// counted as dropped (the protocols retry); its neighbours still ship.
 func (p *tcpPeer) writeBatch(conn net.Conn, buf []byte, envs []Envelope) ([]byte, error) {
-	out, err := p.link.AppendBatch(buf[:0], envs)
-	if err == nil {
-		return out, p.writeRaw(conn, out, len(envs))
+	buf = buf[:0]
+	framed := 0 // envelopes in buf
+	for _, e := range envs {
+		mark := len(buf)
+		var err error
+		if buf, err = p.link.appendFrame(buf, e); err != nil {
+			p.t.logf("transport %s: encode for %s: %v", p.t.cfg.LocalID, p.id, err)
+			p.t.stats.messagesDropped.Add(1)
+			continue
+		}
+		if len(buf) > MaxFrameSize && mark > 0 {
+			if err := p.write(conn, buf[:mark], framed); err != nil {
+				return buf, err
+			}
+			buf, framed = buf[:copy(buf, buf[mark:])], 0
+		}
+		framed++
 	}
-	if len(envs) == 1 {
-		p.t.logf("transport %s: encode for %s: %v", p.t.cfg.LocalID, p.id, err)
-		p.t.stats.messagesDropped.Add(1)
+	if framed == 0 {
 		return buf, nil
 	}
-	for _, e := range envs {
-		var serr error
-		buf, serr = p.writeBatch(conn, buf, []Envelope{e})
-		if serr != nil {
-			return buf, serr
-		}
-	}
-	return buf, nil
+	return buf, p.write(conn, buf, framed)
 }
 
 // delay returns the configured link delay to the peer (zero without one).
@@ -617,32 +627,15 @@ func (p *tcpPeer) delay() time.Duration {
 	return 0
 }
 
-// writeRaw writes one already-framed buffer carrying n envelopes.
-func (p *tcpPeer) writeRaw(conn net.Conn, frame []byte, n int) error {
+// write writes frames holding n envelopes in one write.
+func (p *tcpPeer) write(conn net.Conn, frames []byte, n int) error {
 	conn.SetWriteDeadline(time.Now().Add(p.t.policy.RetryTimeout * 2))
-	wn, err := conn.Write(frame)
+	wn, err := conn.Write(frames)
 	if err == nil {
 		p.t.stats.countSent(n, wn)
 	}
 	return err
 }
-
-// writeFrame writes the hello, which pays the link delay like any frame.
-func (p *tcpPeer) writeFrame(conn net.Conn, e Envelope) error {
-	if d := p.delay(); d > 0 && !p.sleep(d) {
-		return errPeerClosing
-	}
-	conn.SetWriteDeadline(time.Now().Add(p.t.policy.RetryTimeout * 2))
-	n, err := WriteFrame(conn, e)
-	if err == nil {
-		p.t.stats.countSent(1, n)
-	}
-	return err
-}
-
-// errPeerClosing breaks a writer loop whose injected link delay was
-// interrupted by peer shutdown.
-var errPeerClosing = errors.New("transport: peer closing")
 
 // sleep waits d or until the peer closes; false means closing.
 func (p *tcpPeer) sleep(d time.Duration) bool {

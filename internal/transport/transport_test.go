@@ -1,7 +1,12 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
+	"io"
+	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -443,5 +448,100 @@ func TestLinkDelayIsLatencyNotBandwidth(t *testing.T) {
 		if lat < d || lat > d*3/2 {
 			t.Errorf("message %d arrived %v after it was sent, want within [%v, %v]", i, lat, d, d*3/2)
 		}
+	}
+}
+
+// The accept loop reads the hello and nothing behind it: a dialer may
+// write its hello and its first frames in one write, and every frame
+// still reaches its node.
+func TestHelloAndFirstFramesInOneWrite(t *testing.T) {
+	_, tb, a, _ := startTCPPair(t, nil, nil)
+	conn, err := net.Dial("tcp", tb.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	buf, err := AppendFrame(nil, Envelope{From: "a", To: "b", Msg: hello{Kind: "peer", ID: "a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := Link{Local: "a", Remote: "b"}
+	for n := 1; n <= 3; n++ {
+		if buf, err = link.appendFrame(buf, Envelope{From: "a", To: "b", Msg: echoMsg{N: n}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return len(a.received()) == 3 }, "the echo of every frame written with the hello")
+	if got := a.received(); !reflect.DeepEqual(got, []int{1, 2, 3}) {
+		t.Fatalf("echoes %v, want [1 2 3]", got)
+	}
+}
+
+func lens(ws [][]Envelope) (n []int) {
+	for _, w := range ws {
+		n = append(n, len(w))
+	}
+	return n
+}
+
+// writes records the size of every write a peer writer makes.
+type writes struct {
+	net.Conn
+	got [][]byte
+}
+
+func (w *writes) Write(b []byte) (int, error) {
+	w.got = append(w.got, append([]byte(nil), b...))
+	return len(b), nil
+}
+
+func (w *writes) SetWriteDeadline(time.Time) error { return nil }
+
+// The writer frames what it took from the queue into one write. An
+// envelope too large to frame is dropped and counted, and the envelopes
+// around it still ship; frames that together would pass MaxFrameSize go
+// out in two writes, the second starting with the frame that passed it.
+func TestWriterDropsOnlyTheEnvelopeThatFailsToEncode(t *testing.T) {
+	tcp := &TCP{Runtime: NewRuntime(1), policy: (*resilience.Policy)(nil).Normalized()}
+	p := &tcpPeer{id: "b", link: Link{Local: "a", Remote: "b"}, t: tcp}
+	half := bigMsg{B: make([]byte, MaxFrameSize/2)}
+	envs := []Envelope{
+		{From: "a", To: "b", Msg: echoMsg{N: 1}},
+		{From: "a", To: "b", Msg: bigMsg{B: make([]byte, MaxFrameSize)}},
+		{From: "a", To: "b", Msg: echoMsg{N: 2}},
+		{From: "a", To: "b", Msg: half},
+		{From: "a", To: "b", Msg: half},
+		{From: "a", To: "b", Msg: echoMsg{N: 3}},
+	}
+	conn := &writes{}
+	if _, err := p.writeBatch(conn, nil, envs); err != nil {
+		t.Fatal(err)
+	}
+	var got [][]Envelope
+	for _, w := range conn.got {
+		if len(w) > MaxFrameSize {
+			t.Errorf("a write of %d bytes, over MaxFrameSize", len(w))
+		}
+		var read []Envelope
+		for r := bufio.NewReader(bytes.NewReader(w)); ; {
+			var err error
+			if read, _, err = reverse(p.link).ReadStream(r, read); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+		got = append(got, read)
+	}
+	want := [][]Envelope{{envs[0], envs[2], envs[3]}, {envs[4], envs[5]}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("writes carried %v envelopes; want %v", lens(got), lens(want))
+	}
+	st := tcp.Stats()
+	if st.MessagesDropped != 1 || st.FramesSent != 2 || st.EnvelopesSent != 5 {
+		t.Fatalf("stats %+v, want 1 dropped and 5 envelopes in 2 writes", st)
 	}
 }
