@@ -143,13 +143,15 @@ func (s *Siblings[T]) Add(dvv DVV, value T) int {
 	return len(s.versions)
 }
 
-// Covers reports whether the set already accounts for dvv's write: a
-// sibling carries its dot or obsoletes it, so Add would not keep that
-// version. It needs no value: a reader holding only a peer's clocks
-// learns from it whether the peer has a version the set lacks.
-func (s *Siblings[T]) Covers(dvv DVV) bool {
+// Covers reports whether the set already accounts for the write with
+// dot d: a sibling carries d or its context has seen d, so Add would not
+// keep a version with that dot. Supersession reads nothing of the other
+// version but its dot, so neither a value nor a context is needed: a
+// reader holding only a peer's dots learns from it whether the peer has
+// a version the set lacks.
+func (s *Siblings[T]) Covers(d Dot) bool {
 	for _, have := range s.versions {
-		if have.DVV.Dot == dvv.Dot || have.DVV.Obsoletes(dvv) {
+		if have.DVV.Dot == d || have.DVV.Context.Get(d.Node) >= d.Counter {
 			return true
 		}
 	}

@@ -80,7 +80,7 @@ func TestSiblingsObsoleteWriteIgnored(t *testing.T) {
 	}
 }
 
-// TestSiblingsCoversAgreesWithAdd: Covers answers from clocks alone what
+// TestSiblingsCoversAgreesWithAdd: Covers answers from a dot alone what
 // Add would decide about a version: kept (not covered) or not.
 func TestSiblingsCoversAgreesWithAdd(t *testing.T) {
 	v1 := NewDVV("a", nil)
@@ -99,7 +99,7 @@ func TestSiblingsCoversAgreesWithAdd(t *testing.T) {
 		{"a concurrent version", v3, false},
 		{"a version that obsoletes it", v4, false},
 	} {
-		if got := s.Covers(tc.dvv); got != tc.covered {
+		if got := s.Covers(tc.dvv.Dot); got != tc.covered {
 			t.Errorf("Covers(%s) = %v, want %v", tc.name, got, tc.covered)
 		}
 		probe := s
@@ -114,7 +114,7 @@ func TestSiblingsCoversAgreesWithAdd(t *testing.T) {
 		}
 	}
 	var empty Siblings[string]
-	if empty.Covers(v1) {
+	if empty.Covers(v1.Dot) {
 		t.Error("an empty set covers nothing")
 	}
 }

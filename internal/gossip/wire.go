@@ -11,9 +11,10 @@ import (
 // travel inside them by value; appendWrite/appendWrites are also the
 // node's journal and checkpoint encoding (persist.go).
 //
-// Wire ids 40–49 belong to this package (see transport.BinaryMessage).
+// Wire ids 3–9 belong to this package (see transport.BinaryMessage): each
+// message here is per-operation traffic, so each takes a one-byte tag.
 const (
-	widSyncStep uint16 = 40 + iota
+	widSyncStep uint16 = 3 + iota
 	widSyncResp
 	widSyncPush
 	widRumor

@@ -72,8 +72,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 }
 
 // TestRumorFrameSize pins the frame of a gossip_mixed put's rumor on a
-// peer link, neither end spelled out: its wire id is above 31, so its tag
-// takes two bytes, and its 128 B value makes its length two bytes.
+// peer link, neither end spelled out: its wire id is below 32, so its tag
+// takes one byte, and its 128 B value makes its length two bytes.
 func TestRumorFrameSize(t *testing.T) {
 	link := transport.Link{Local: "node0", Remote: "node1"}
 	w := Write{Key: "k00000042", Value: make([]byte, 128),
@@ -82,7 +82,7 @@ func TestRumorFrameSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 162; len(frame) != want { // parent 166
+	if want := 161; len(frame) != want { // parent 162: the rumor's id was 43, a two-byte tag
 		t.Errorf("rumor: %d bytes, want %d", len(frame), want)
 	}
 }

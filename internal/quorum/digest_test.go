@@ -5,30 +5,35 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/resilience"
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
-// Tests of digest reads (coordinateGet, onGetResp, pendingRead.merge) and
+// Tests of digest reads (coordinateGet, onAnswer, pendingRead.merge) and
 // of the parked read-repair state. Every value these tests write is
 // non-empty, so an entry that is not a tombstone and has no value is one
 // a digest elided.
 
 // readTraffic is what a test saw delivered on the read path.
 type readTraffic struct {
-	fullAsks, digestAsks       int // replicaGet
-	fullAnswers, digestAnswers int // replicaGetResp, NotReady excluded
+	fullAsks, digestAsks       int // replicaGet, replicaDigest
+	fullAnswers, digestAnswers int // replicaGetResp, replicaDigestResp
+	refusals                   int // replicaNotReady
+	repairs                    int // replicaPut with Repair set
 }
 
 // watch installs the invariants every digest test runs under, and counts
-// read traffic at the simulator's delivery hook: no entry a digest elided
-// is ever handed to installEntry, carried by a replicaPut (which is also
-// how a hint arrives) or by a batch of any stream (handoff included), or
-// returned to a client.
+// read traffic at the simulator's delivery hook. A digest answer carries
+// dots and nothing else, so no version without its value can come of
+// one: no entry without a value is ever handed to installEntry, carried
+// by a replicaPut (which is also how a hint arrives) or by a batch of any
+// stream (handoff included), or returned to a client.
 func watch(t *testing.T, h *harness) *readTraffic {
 	t.Helper()
 	elided := func(e clock.SiblingEntry[record]) bool {
@@ -46,25 +51,24 @@ func watch(t *testing.T, h *harness) *readTraffic {
 	h.onDeliver = func(msg sim.Message) {
 		switch m := msg.(type) {
 		case replicaGet:
-			if m.Digest {
-				tr.digestAsks++
-			} else {
-				tr.fullAsks++
-			}
+			tr.fullAsks++
+		case replicaDigest:
+			tr.digestAsks++
 		case replicaGetResp:
-			switch {
-			case m.NotReady:
-			case m.Digest:
-				tr.digestAnswers++
-				for _, e := range m.Entries {
-					if e.Value.Value != nil {
-						t.Errorf("digest answer %d carries a value", m.ID)
-					}
+			tr.fullAnswers++
+			for _, e := range m.Entries {
+				if elided(e) {
+					t.Errorf("full answer %d carries an entry without its value", m.ID)
 				}
-			default:
-				tr.fullAnswers++
 			}
+		case replicaDigestResp:
+			tr.digestAnswers++
+		case replicaNotReady:
+			tr.refusals++
 		case replicaPut:
+			if m.Repair {
+				tr.repairs++
+			}
 			if elided(m.Entry) {
 				t.Errorf("replicaPut(%q, hint=%q, repair=%v) carries an elided entry", m.Key, m.Hint, m.Repair)
 			}
@@ -516,10 +520,10 @@ func TestParkedRepairStateExpiresAtTheReadDeadline(t *testing.T) {
 // is only ever checked, never merged.
 func TestMergeKeepsValueBearingCopiesInPreferenceOrder(t *testing.T) {
 	a, b := entryAt("x", 1, nil, "a"), entryAt("y", 1, nil, "b")
-	strip := func(es ...clock.SiblingEntry[record]) []clock.SiblingEntry[record] {
-		out := append([]clock.SiblingEntry[record]{}, es...)
-		for i := range out {
-			out[i].Value.Value = nil
+	digest := func(es ...clock.SiblingEntry[record]) readAnswer {
+		out := readAnswer{digest: true}
+		for _, e := range es {
+			out.dots = append(out.dots, e.DVV.Dot)
 		}
 		return out
 	}
@@ -529,7 +533,7 @@ func TestMergeKeepsValueBearingCopiesInPreferenceOrder(t *testing.T) {
 		fallbacks: []string{"s3", "s4"},
 		fi:        1,
 		responses: map[string]readAnswer{
-			"s0": {entries: strip(a, b), digest: true},
+			"s0": digest(a, b),
 			"s1": {entries: []clock.SiblingEntry[record]{b}},
 			"s3": {entries: []clock.SiblingEntry[record]{a}},
 		},
@@ -544,7 +548,7 @@ func TestMergeKeepsValueBearingCopiesInPreferenceOrder(t *testing.T) {
 	}
 	// A digest that names a version nobody sent: its responder is missing,
 	// and the version stays out of merged.
-	pr.responses["s2"] = readAnswer{entries: strip(newer), digest: true}
+	pr.responses["s2"] = digest(newer)
 	merged, missing = pr.merge()
 	if len(missing) != 1 || missing[0] != "s2" {
 		t.Fatalf("missing = %v, want [s2]", missing)
@@ -557,5 +561,116 @@ func TestMergeKeepsValueBearingCopiesInPreferenceOrder(t *testing.T) {
 	merged, missing = pr.merge()
 	if es := merged.Entries(); len(missing) != 0 || len(es) != 1 || string(es[0].Value.Value) != "c" {
 		t.Fatalf("after the full answer: merged = %+v missing = %v, want [c]", es, missing)
+	}
+}
+
+// TestDigestAnswerBuildsNoContext: a digest answer is read straight out
+// of the stored bytes. For a stored set whose version has a context it
+// allocates the dots and the answer handed to Send, and nothing else:
+// decoding the context into a clock.Vector would cost a map, and copying
+// the entry out a slice of entries. The previous layout, whose answer
+// was the decoded set with its values cleared, took 4 here.
+func TestDigestAnswerBuildsNoContext(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	n := NewNode("s0", Config{Ring: []string{"s0", "s1", "s2"}, N: 3, R: 2, W: 2, ReadRepair: true})
+	ctx := clock.Vector{"client": 3, "s1": 4, "s2": 9}
+	n.installEntry(0, "k", fixtureEntry("client", 4, ctx, make([]byte, 128), false))
+	env := &sentEnv{}
+	n.answerDigest(env, "s1", replicaDigest{ID: 1, Key: "k"})
+	if want := []clock.Dot{{Node: "client", Counter: 4}}; len(env.sent) != 1 || !slices.Equal(env.sent[0].(replicaDigestResp).Dots, want) {
+		t.Fatalf("answerDigest sent %+v, want one answer naming %v", env.sent, want)
+	}
+	var sink transport.Env = sinkEnv{} // boxed once, outside the count
+	allocs := testing.AllocsPerRun(200, func() {
+		n.answerDigest(sink, "s1", replicaDigest{ID: 1, Key: "k"})
+	})
+	if allocs != 2 {
+		t.Fatalf("answerDigest: %v allocs, want 2 (the dots and the answer)", allocs)
+	}
+}
+
+// TestDigestReadAgainstEachKindOfPeer reads one key through a
+// coordinator whose own replica and a second replica hold the version
+// base, while the peer under test holds what the case gives it. A
+// digest is the peer's dots, so whether the read re-asks it in full and
+// whom it repairs follow from Covers alone. Every count is the one the
+// previous layout measured on the same seed, whose digests carried the
+// contexts, tombstone bits and flags too: shedding them changed no
+// message.
+func TestDigestReadAgainstEachKindOfPeer(t *testing.T) {
+	base := entryAt("x", 1, nil, "base")
+	newer := entryAt("x", 2, clock.Vector{"x": 1}, "newer")
+	concurrent := entryAt("y", 1, nil, "concurrent")
+	tombstone := entryAt("x", 2, clock.Vector{"x": 1}, "")
+	tombstone.Value = record{Deleted: true}
+	for _, tc := range []struct {
+		name     string
+		coord    clock.SiblingEntry[record]  // held by the coordinator and prefs[1]
+		peer     *clock.SiblingEntry[record] // held by prefs[2]; nil: down, and a fallback holds it as a hint
+		want     []string
+		traffic  readTraffic // fullAsks: the coordinator's ask of its own replica, then each re-ask
+		repaired []int       // indexes into the preference list that end up holding want, in any order
+	}{
+		{"equal", base, &base, []string{"base"},
+			readTraffic{fullAsks: 1, digestAsks: 2, fullAnswers: 1, digestAnswers: 2}, nil},
+		{"behind: its dot is covered", newer, &base, []string{"newer"},
+			readTraffic{fullAsks: 1, digestAsks: 2, fullAnswers: 1, digestAnswers: 2, repairs: 1}, []int{2}},
+		{"ahead: its dot is not covered", base, &newer, []string{"newer"},
+			readTraffic{fullAsks: 2, digestAsks: 2, fullAnswers: 2, digestAnswers: 2, repairs: 1}, []int{0, 1}},
+		{"concurrent", base, &concurrent, []string{"base", "concurrent"},
+			readTraffic{fullAsks: 2, digestAsks: 2, fullAnswers: 2, digestAnswers: 2, repairs: 4}, []int{0, 1, 2}},
+		{"a newer tombstone", base, &tombstone, nil,
+			readTraffic{fullAsks: 2, digestAsks: 2, fullAnswers: 2, digestAnswers: 2, repairs: 1}, []int{0, 1}},
+		{"a fallback answering from its hints", base, nil, []string{"newer"},
+			readTraffic{fullAsks: 2, digestAsks: 2, fullAnswers: 2, digestAnswers: 2, repairs: 1}, []int{0, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pol := resilience.DefaultPolicy()
+			dir := resilience.NewDirectory(pol)
+			h := newHarness(t, 6, Config{
+				N: 3, R: 3, W: 2, ReadRepair: true, SloppyQuorum: true,
+				HandoffInterval: time.Hour, Resilience: pol, Directory: dir,
+			}, 28)
+			tr := watch(t, h)
+			key := "k"
+			prefs, fallbacks := h.nodes[0].placement(key)
+			for _, rep := range prefs[:2] {
+				h.node(rep).installEntry(0, key, tc.coord)
+			}
+			readAt := time.Duration(0)
+			if tc.peer != nil {
+				h.node(prefs[2]).installEntry(0, key, *tc.peer)
+			} else {
+				h.node(fallbacks[0]).storeHint(prefs[2], key, newer)
+				dir.Observe(prefs[2], prefs[0], 0) // heard once, then silence
+				h.c.At(0, func() { h.c.Crash(prefs[2]) })
+				readAt = 30 * time.Second
+			}
+			var got GetResult
+			h.c.At(readAt, func() {
+				*tr = readTraffic{}
+				h.client.Get(h.env, prefs[0], key, func(gr GetResult) { got = gr })
+			})
+			h.c.Run(readAt + 2*time.Second)
+			if got.Err != nil || strings.Join(values(got), ",") != strings.Join(tc.want, ",") {
+				t.Fatalf("get = %q err=%v, want %q", values(got), got.Err, tc.want)
+			}
+			if *tr != tc.traffic {
+				t.Errorf("read traffic %+v, want %+v", *tr, tc.traffic)
+			}
+			for _, i := range tc.repaired {
+				v := values(GetResult{Values: h.node(prefs[i]).LocalValues(key)})
+				if slices.Sort(v); strings.Join(v, ",") != strings.Join(tc.want, ",") {
+					t.Errorf("after the read prefs[%d] holds %q, want %q", i, v, tc.want)
+				}
+			}
+			if tc.peer == nil {
+				if v := h.node(fallbacks[0]).LocalValues(key); len(v) != 0 {
+					t.Errorf("read repair stranded %q on the fallback", v)
+				}
+			}
+		})
 	}
 }

@@ -125,17 +125,44 @@ func second[T any](_ T, err error) error { return err }
 
 // FuzzStoredEntries: arbitrary bytes never panic the stored-value decoder
 // or make it allocate beyond the input's size; what decodes re-encodes to
-// the same set; generated sets round-trip exactly.
+// the same set; generated sets round-trip exactly. The digest's walk over
+// the same bytes (storedDots) accepts exactly what decodeStored
+// accepts and finds the dots of the decoded entries.
 func FuzzStoredEntries(f *testing.F) {
 	f.Add(encodeStored(edgeEntries), int64(0))
 	f.Add([]byte{storedFormat, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, int64(1)) // a count far past the bytes
 	f.Add([]byte{0x2C, 0xFF, 0x81}, int64(2))                           // gob
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
-		if es, err := decodeStored(data); err == nil {
+		es, err := decodeStored(data)
+		if err == nil {
 			checkStoredRoundTrip(t, es)
 		}
-		checkStoredRoundTrip(t, genEntries(wiretest.NewGen(seed)))
+		checkStoredDots(t, data, es, err)
+		gen := genEntries(wiretest.NewGen(seed))
+		checkStoredRoundTrip(t, gen)
+		checkStoredDots(t, encodeStored(gen), gen, nil)
 	})
+}
+
+// checkStoredDots checks storedDots against decodeStored's result
+// (es, err) for the same bytes.
+func checkStoredDots(t *testing.T, data []byte, es []clock.SiblingEntry[record], err error) {
+	t.Helper()
+	dots, dotsErr := storedDots(data)
+	if (err == nil) != (dotsErr == nil) {
+		t.Fatalf("decodeStored: %v; storedDots: %v", err, dotsErr)
+	}
+	if err != nil {
+		return
+	}
+	if len(dots) != len(es) {
+		t.Fatalf("%d dots for %d entries", len(dots), len(es))
+	}
+	for i, e := range es {
+		if dots[i] != e.DVV.Dot {
+			t.Fatalf("dot %d = %v, entry has %v", i, dots[i], e.DVV.Dot)
+		}
+	}
 }
 
 // FuzzWALRecord: the same for the journal record decoder and all six
@@ -250,16 +277,16 @@ func TestReplicaPathAllocBudget(t *testing.T) {
 	if get > 8 {
 		t.Errorf("answerReplicaGet of a stored key: %v allocs, budget 8", get)
 	}
-	// Reading the clocks through Engine.View costs no more objects than
+	// Reading the dots through Engine.View costs no more objects than
 	// reading the set: the callback is not allocated per answer.
 	digestKV := testing.AllocsPerRun(runs, func() {
-		n.answerReplicaGet(sinkEnv{}, "s1", replicaGet{ID: 1, Key: "hot", Digest: true})
+		n.answerDigest(sinkEnv{}, "s1", replicaDigest{ID: 1, Key: "hot"})
 	})
 	if digestKV > get && !raceEnabled {
 		t.Errorf("answerReplicaGet of a stored key, digest: %v allocs, more than the %v of a full answer", digestKV, get)
 	}
 
-	// A digest answer for a 4 KiB value in an SSTable reads the clocks in
+	// A digest answer for a 4 KiB value in an SSTable reads the dots in
 	// place: the value is not copied out of the block to be dropped.
 	eng, err := lsm.Open(lsm.Options{Dir: t.TempDir()})
 	if err != nil {
@@ -273,7 +300,7 @@ func TestReplicaPathAllocBudget(t *testing.T) {
 	if err := eng.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	answerDigest := func() { ln.answerReplicaGet(sinkEnv{}, "s1", replicaGet{ID: 1, Key: "big", Digest: true}) }
+	answerDigest := func() { ln.answerDigest(sinkEnv{}, "s1", replicaDigest{ID: 1, Key: "big"}) }
 	answerDigest()
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < runs; i++ {

@@ -256,30 +256,39 @@ type (
 	replicaPutAck struct {
 		ID uint64
 	}
+	// replicaGet asks a replica for the key's sibling set in full, values
+	// and all; replicaDigest asks it for the dots only. A read needs R
+	// answers to decide freshness and one value to answer, so a
+	// coordinator that holds a replica of the key asks only that replica
+	// in full.
 	replicaGet struct {
 		ID  uint64
 		Key string
-		// Digest asks for the key's clocks only. A read needs R clocks to
-		// decide freshness and one value to answer, so a coordinator that
-		// holds a replica of the key asks only that replica for values.
-		Digest bool
+	}
+	replicaDigest struct {
+		ID  uint64
+		Key string
 	}
 	// replicaGetResp answers a replicaGet. It does not echo the key: an
 	// answer routes by ID (ShardOf), and the pending read holds the key.
 	replicaGetResp struct {
 		ID      uint64
 		Entries []clock.SiblingEntry[record]
-		// NotReady marks a catching-up replica's refusal: it must not be
-		// counted toward R (the key's arc has not finished transferring).
-		NotReady bool
-		// Digest marks the answer to a digest ask: every entry carries its
-		// DVV and tombstone bit and a nil value. The mark sits on the
-		// message, not the entry, so an entry's own encoding (appendEntry,
-		// and the stored layout built from it) is untouched. A digest's
-		// entries go into the coordinator's supersession check and nowhere
-		// else: they are never installed, journaled, hinted, pushed or
-		// returned.
-		Digest bool
+	}
+	// replicaDigestResp answers a replicaDigest with the dot of every
+	// version the replica holds for the key, hinted ones included. A dot
+	// is all the coordinator's supersession check reads of a version
+	// (clock.Siblings.Covers), so the context, the value and the
+	// tombstone bit stay home.
+	replicaDigestResp struct {
+		ID   uint64
+		Dots []clock.Dot
+	}
+	// replicaNotReady is a catching-up replica's refusal of either ask:
+	// the key's arc has not finished transferring, so the answer must not
+	// count toward R.
+	replicaNotReady struct {
+		ID uint64
 	}
 	// resPing/resPong are liveness heartbeats exchanged between ring
 	// nodes when resilience is enabled. They carry nothing: the arrival
@@ -302,6 +311,9 @@ func (m replicaGetResp) Size() int {
 	}
 	return n
 }
+
+// Size implements the sim bandwidth hook.
+func (m replicaDigestResp) Size() int { return 16 * len(m.Dots) }
 
 type pendingWrite struct {
 	client    string
@@ -330,11 +342,50 @@ type pendingWrite struct {
 	geoAsync []string
 }
 
-// readAnswer is one node's answer to a read: its sibling entries, and
-// whether they came as a digest (see replicaGetResp.Digest).
+// readAnswer is one node's answer to a read: its sibling entries, or
+// the dots of a digest.
 type readAnswer struct {
 	entries []clock.SiblingEntry[record]
+	dots    []clock.Dot
 	digest  bool
+}
+
+// len returns how many versions the answer names.
+func (a readAnswer) len() int {
+	if a.digest {
+		return len(a.dots)
+	}
+	return len(a.entries)
+}
+
+// dot returns the dot of the answer's i-th version.
+func (a readAnswer) dot(i int) clock.Dot {
+	if a.digest {
+		return a.dots[i]
+	}
+	return a.entries[i].DVV.Dot
+}
+
+// names reports whether the answer names exactly the versions of merged,
+// by dot: all a read learns of a digest, and all it needs of a full
+// answer to tell whether its replica needs repair.
+func (a readAnswer) names(merged []clock.SiblingEntry[record]) bool {
+	if a.len() != len(merged) {
+		return false
+	}
+	for i := 0; i < a.len(); i++ {
+		found := false
+		for _, e := range merged {
+			if e.DVV.Dot == a.dot(i) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
 }
 
 type pendingRead struct {
@@ -405,8 +456,8 @@ func (pr *pendingRead) merge() (merged *clock.Siblings[record], missing []string
 		if !ok || !a.digest {
 			continue
 		}
-		for _, e := range a.entries {
-			if !merged.Covers(e.DVV) {
+		for _, d := range a.dots {
+			if !merged.Covers(d) {
 				missing = append(missing, node)
 				break
 			}
@@ -661,8 +712,14 @@ func (n *Node) OnMessage(env transport.Env, from string, msg transport.Message) 
 		n.onPutAck(env, from, m.ID)
 	case replicaGet:
 		n.answerReplicaGet(env, from, m)
+	case replicaDigest:
+		n.answerDigest(env, from, m)
 	case replicaGetResp:
-		n.onGetResp(env, from, m)
+		n.onAnswer(env, from, m.ID, readAnswer{entries: m.Entries})
+	case replicaDigestResp:
+		n.onAnswer(env, from, m.ID, readAnswer{dots: m.Dots, digest: true})
+	case replicaNotReady:
+		n.onNotReady(env, m.ID)
 	case shipBatch:
 		n.onShipBatch(env, from, m)
 	case shipAck:
@@ -694,13 +751,13 @@ func (n *Node) localEntries(key string) []clock.SiblingEntry[record] {
 	return sh.entries(key) // decoded fresh; safe past the unlock
 }
 
-// localClocks is localEntries with every value left out, read in place
-// (see nodeShard.clocks).
-func (n *Node) localClocks(key string) []clock.SiblingEntry[record] {
+// localDots returns the dots of key's stored versions, read in place
+// (see nodeShard.dots).
+func (n *Node) localDots(key string) []clock.Dot {
 	sh := n.shardFor(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.clocks(key)
+	return sh.dots(key)
 }
 
 // Close releases the per-shard storage engines (flushing disk-resident
@@ -1031,12 +1088,12 @@ func (n *Node) writeTimeout(env transport.Env, id uint64) {
 // the race probabilistically-bounded staleness quantifies.
 //
 // What is asked of each replica depends on where the coordinator stands.
-// Supersession is computed from DVVs alone, so R clocks decide which
-// versions the read returns and each of those needs its value from one
-// place only. A coordinator in the key's preference list asks its own
+// Whether a version is superseded is decided from its dot alone, so R
+// answers' dots decide which versions the read returns and each of those
+// needs its value from one place only. A coordinator in the key's preference list asks its own
 // replica for values and the others for digests; when the digests name a
 // version its replica did not have, it asks that responder again in full
-// (onGetResp). A coordinator outside the list asks everyone in full.
+// (onAnswer). A coordinator outside the list asks everyone in full.
 //
 // The answer goes to the client as coordinatePut's does.
 func (n *Node) coordinateGet(env transport.Env, client string, m clientGet, reply func(transport.Env, getResp)) {
@@ -1065,7 +1122,7 @@ func (n *Node) coordinateGet(env transport.Env, client string, m clientGet, repl
 	}
 	if (n.cfg.Resilience != nil && n.cfg.SloppyQuorum) || n.cfg.Elastic != nil {
 		// Under elasticity the fallback walk matters even without sloppy
-		// quorums: a catching-up replica answers NotReady and the read
+		// quorums: a catching-up replica refuses (replicaNotReady) and the read
 		// must reach the old owners further along the new ring's walk.
 		pr.fallbacks = fallbacks
 	}
@@ -1096,11 +1153,15 @@ func (n *Node) askReadFallback(env transport.Env, id uint64, pr *pendingRead) {
 	n.ask(env, id, pr, fb, pr.digests)
 }
 
-// ask sends target the read's replicaGet, for a digest or in full, and
-// records which ask now stands.
+// ask sends target the read's ask, a replicaDigest or a replicaGet in
+// full, and records which ask now stands.
 func (n *Node) ask(env transport.Env, id uint64, pr *pendingRead, target string, digest bool) {
 	pr.asked[target] = digest
-	env.Send(target, replicaGet{ID: id, Key: pr.key, Digest: digest})
+	if digest {
+		env.Send(target, replicaDigest{ID: id, Key: pr.key})
+	} else {
+		env.Send(target, replicaGet{ID: id, Key: pr.key})
+	}
 }
 
 // retryRead is one retransmission round for a pending read: re-ask every
@@ -1124,7 +1185,7 @@ func (n *Node) retryRead(env transport.Env, id uint64) {
 		if !pr.owes(t) {
 			continue
 		}
-		env.Send(t, replicaGet{ID: id, Key: pr.key, Digest: pr.asked[t]})
+		n.ask(env, id, pr, t, pr.asked[t])
 		if n.cfg.Counters != nil {
 			n.cfg.Counters.Retry()
 		}
@@ -1140,7 +1201,7 @@ func (n *Node) retryRead(env transport.Env, id uint64) {
 // hold their late answers against. It lives until they have all answered
 // or the read's own deadline passes, whichever is first: timer is the
 // read's timeout, left armed, so a replica that never answers (down,
-// partitioned, a dropped frame, NotReady) cannot strand the state.
+// partitioned, a dropped frame, a refusal) cannot strand the state.
 type repairState struct {
 	key     string
 	merged  *clock.Siblings[record]
@@ -1148,28 +1209,29 @@ type repairState struct {
 	timer   transport.TimerID
 }
 
-func (n *Node) onGetResp(env transport.Env, from string, m replicaGetResp) {
-	if m.NotReady {
-		// A catching-up replica refused to answer: it does not count
-		// toward R. Ask the next fallback — the old owners sit in the
-		// new ring's walk right after the replicas.
-		if pr, ok := n.reqShard(m.ID).reads[m.ID]; ok && !pr.done {
-			n.askReadFallback(env, m.ID, pr)
-		}
-		return
+// onNotReady takes a catching-up replica's refusal: it does not count
+// toward R. Ask the next fallback — the old owners sit in the new ring's
+// walk right after the replicas.
+func (n *Node) onNotReady(env transport.Env, id uint64) {
+	if pr, ok := n.reqShard(id).reads[id]; ok && !pr.done {
+		n.askReadFallback(env, id, pr)
 	}
-	pr, ok := n.reqShard(m.ID).reads[m.ID]
+}
+
+// onAnswer takes a replica's answer to read id, in full or as a digest.
+func (n *Node) onAnswer(env transport.Env, from string, id uint64, a readAnswer) {
+	pr, ok := n.reqShard(id).reads[id]
 	if !ok || pr.done {
 		// Late response after the quorum returned: background repair.
-		if rs, ok := n.reqShard(m.ID).repairs[m.ID]; ok {
-			n.backgroundRepair(env, m.ID, rs, from, m)
+		if rs, ok := n.reqShard(id).repairs[id]; ok {
+			n.backgroundRepair(env, id, rs, from, a)
 		}
 		return
 	}
-	if have, ok := pr.responses[from]; ok && !have.digest && m.Digest {
+	if have, ok := pr.responses[from]; ok && !have.digest && a.digest {
 		return // a straggling digest does not displace the values already here
 	}
-	pr.responses[from] = readAnswer{entries: m.Entries, digest: m.Digest}
+	pr.responses[from] = a
 	if len(pr.responses) < pr.needed {
 		return
 	}
@@ -1177,7 +1239,7 @@ func (n *Node) onGetResp(env transport.Env, from string, m replicaGetResp) {
 	// has its value: the one condition a read completes on.
 	merged, missing := pr.merge()
 	if len(missing) == 0 {
-		n.finishRead(env, m.ID, pr, merged, "")
+		n.finishRead(env, id, pr, merged, "")
 		return
 	}
 	// A digest names a surviving version nobody sent (this node's own
@@ -1186,7 +1248,7 @@ func (n *Node) onGetResp(env transport.Env, from string, m replicaGetResp) {
 	// it is lost, retryRead repeats the ask inside the read's deadline.
 	for _, node := range missing {
 		if pr.asked[node] {
-			n.ask(env, m.ID, pr, node, false)
+			n.ask(env, id, pr, node, false)
 		}
 	}
 }
@@ -1240,19 +1302,17 @@ func (n *Node) finishRead(env transport.Env, id uint64, pr *pendingRead, merged 
 // read was still waiting for are heard, each once: a duplicate, a
 // fallback's answer or the reply to a re-ask neither repairs anything
 // nor ends the wait early. A late digest is compared by its dots and
-// contributes none of its (elided) entries: what is pushed always comes
-// from answers that carried values.
-func (n *Node) backgroundRepair(env transport.Env, id uint64, rs *repairState, from string, m replicaGetResp) {
+// carries nothing to fold in: what is pushed always comes from answers
+// that carried values.
+func (n *Node) backgroundRepair(env transport.Env, id uint64, rs *repairState, from string, a readAnswer) {
 	i := slices.Index(rs.waiting, from)
 	if i < 0 {
 		return
 	}
 	rs.waiting = slices.Delete(rs.waiting, i, i+1)
-	if !sameEntries(m.Entries, rs.merged.Entries()) {
-		if !m.Digest {
-			for _, e := range m.Entries {
-				rs.merged.Add(e.DVV, e.Value)
-			}
+	if !a.names(rs.merged.Entries()) {
+		for _, e := range a.entries {
+			rs.merged.Add(e.DVV, e.Value)
 		}
 		for _, e := range rs.merged.Entries() {
 			env.Send(from, replicaPut{Key: rs.key, Entry: e, Repair: true})
@@ -1278,7 +1338,7 @@ func (n *Node) readRepair(env transport.Env, pr *pendingRead, merged []clock.Sib
 		if !slices.Contains(pr.replicas, rep) {
 			continue
 		}
-		if sameEntries(pr.responses[rep].entries, merged) {
+		if pr.responses[rep].names(merged) {
 			continue
 		}
 		if rep == n.id {
@@ -1292,25 +1352,6 @@ func (n *Node) readRepair(env transport.Env, pr *pendingRead, merged []clock.Sib
 			atomic.AddUint64(&n.ReadRepairsSent, 1)
 		}
 	}
-}
-
-func sameEntries(a, b []clock.SiblingEntry[record]) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for _, ea := range a {
-		found := false
-		for _, eb := range b {
-			if ea.DVV.Dot == eb.DVV.Dot {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }
 
 // readTimeout is the read's deadline. A read still pending fails with

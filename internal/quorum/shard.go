@@ -79,37 +79,36 @@ func (sh *nodeShard) entries(key string) []clock.SiblingEntry[record] {
 	return mustDecodeStored(key, v)
 }
 
-// clocks returns key's sibling set as stored with every value left out:
-// the DVVs and tombstone bits are decoded from the bytes the engine
-// lends, in place, and nothing the entries keep aliases them. Caller
-// holds sh.mu (read suffices).
-func (sh *nodeShard) clocks(key string) []clock.SiblingEntry[record] {
-	r := clockReaders.Get().(*clockReader)
+// dots returns the dots of key's stored versions, read from the bytes
+// the engine lends, in place: no context is decoded and no value copied.
+// Caller holds sh.mu (read suffices).
+func (sh *nodeShard) dots(key string) []clock.Dot {
+	r := dotReaders.Get().(*dotReader)
 	r.key = key
 	sh.store.View(key, r.read)
-	es := r.es
-	r.key, r.es = "", nil
-	clockReaders.Put(r)
-	return es
+	dots := r.dots
+	r.key, r.dots = "", nil
+	dotReaders.Put(r)
+	return dots
 }
 
-// clockReader is the callback clocks lends to Engine.View, with the key
-// it reads and the entries it decodes. A closure handed to an interface
-// method escapes, and a fresh one per digest answer cost two objects
-// (itself and the result it writes), so readers are pooled with their
-// callback bound.
-type clockReader struct {
+// dotReader is the callback dots lends to Engine.View, with the key it
+// reads and the dots it finds. A closure handed to an interface
+// method escapes, and a fresh one per digest answer would cost two
+// objects (itself and the result it writes), so readers are pooled with
+// their callback bound.
+type dotReader struct {
 	key  string
-	es   []clock.SiblingEntry[record]
+	dots []clock.Dot
 	read func([]byte)
 }
 
-var clockReaders = sync.Pool{New: func() any {
-	r := new(clockReader)
+var dotReaders = sync.Pool{New: func() any {
+	r := new(dotReader)
 	r.read = func(v []byte) {
-		r.es = mustDecodeStored(r.key, v)
-		for i := range r.es {
-			r.es[i].Value.Value = nil
+		var err error
+		if r.dots, err = storedDots(v); err != nil {
+			panic(fmt.Sprintf("quorum: key %q: %v", r.key, err)) // see mustDecodeStored
 		}
 	}
 	return r
@@ -167,6 +166,28 @@ func decodeStored(b []byte) ([]clock.SiblingEntry[record], error) {
 		return nil, fmt.Errorf("quorum: stored sibling set: %w", err)
 	}
 	return es, nil
+}
+
+// storedDots returns the dot of every version in stored value b:
+// decodeStored's walk, with readEntryDot for readEntry.
+func storedDots(b []byte) ([]clock.Dot, error) {
+	if len(b) == 0 {
+		return nil, fmt.Errorf("quorum: stored sibling set: %w", wire.ErrMalformed)
+	}
+	if err := wire.CheckFormat("quorum: stored sibling set", b[0], storedFormat); err != nil {
+		return nil, err
+	}
+	var r wire.Reader
+	r.Reset(b[1:])
+	n, _ := r.ListLen()
+	dots := make([]clock.Dot, 0, n)
+	for i := 0; i < n; i++ {
+		dots = append(dots, readEntryDot(&r))
+	}
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("quorum: stored sibling set: %w", err)
+	}
+	return dots, nil
 }
 
 // CheckStoredFormat vets one stored value per shard. A store is written
@@ -235,62 +256,82 @@ func (n *Node) ShardOf(msg transport.Message) int {
 		return n.router.Shard(m.Key)
 	case replicaGet:
 		return n.router.Shard(m.Key)
+	case replicaDigest:
+		return n.router.Shard(m.Key)
 	case replicaPutAck:
 		return int(m.ID % s)
 	case replicaGetResp:
+		return int(m.ID % s)
+	case replicaDigestResp:
+		return int(m.ID % s)
+	case replicaNotReady:
 		return int(m.ID % s)
 	default:
 		return -1
 	}
 }
 
-// FastHandle implements transport.Sharding: a replicaGet touches only
-// lock-guarded state (sibling sets, hints, the gating window), so it can
-// be answered synchronously on the delivering goroutine without queueing
-// through any mailbox. Every other message falls back to normal
-// dispatch.
+// FastHandle implements transport.Sharding: a replicaGet or a
+// replicaDigest touches only lock-guarded state (sibling sets, hints,
+// the gating window), so it can be answered synchronously on the
+// delivering goroutine without queueing through any mailbox. Every other
+// message falls back to normal dispatch.
 func (n *Node) FastHandle(env transport.Env, from string, msg transport.Message) bool {
-	m, ok := msg.(replicaGet)
-	if !ok {
+	switch m := msg.(type) {
+	case replicaGet:
+		n.answerReplicaGet(env, from, m)
+	case replicaDigest:
+		n.answerDigest(env, from, m)
+	default:
 		return false
 	}
-	n.answerReplicaGet(env, from, m)
 	return true
 }
 
-// answerReplicaGet serves a replica read. Called from the owning shard's
-// goroutine, from the serial loop (sim hosting), or from the transport's
-// fast path; every structure it reads is safe under concurrent mutation.
+// refuseGated answers ask id with replicaNotReady when key's arc is
+// still being pulled: answering from a partial copy could serve a gap.
+// The coordinator counts someone else — the old owners are in the new
+// ring's fallback walk.
+func (n *Node) refuseGated(env transport.Env, from string, id uint64, key string) bool {
+	if !n.gatedKey(key) {
+		return false
+	}
+	n.Transfer.GatedReads.Add(1)
+	env.Send(from, replicaNotReady{ID: id})
+	return true
+}
+
+// answerReplicaGet serves a replica read in full. It and answerDigest
+// are called from the owning shard's goroutine, from the serial loop
+// (sim hosting), or from the transport's fast path; every structure they
+// read is safe under concurrent mutation.
 func (n *Node) answerReplicaGet(env transport.Env, from string, m replicaGet) {
-	if n.gatedKey(m.Key) {
-		// This replica is still pulling the key's arc: answering from
-		// a partial copy could serve a gap. NotReady tells the
-		// coordinator to count someone else — the old owners are in
-		// the new ring's fallback walk.
-		n.Transfer.GatedReads.Add(1)
-		env.Send(from, replicaGetResp{ID: m.ID, NotReady: true})
+	if n.refuseGated(env, from, m.ID, m.Key) {
 		return
 	}
-	var entries []clock.SiblingEntry[record]
-	if m.Digest {
-		entries = n.localClocks(m.Key) // the stored set is not even copied out of the engine
-	} else {
-		entries = n.localEntries(m.Key)
-	}
+	entries := n.localEntries(m.Key)
 	if n.cfg.Resilience != nil {
 		// A fallback replica answers with the hinted writes it holds
 		// too — during a partition they are the freshest (often only)
 		// copies reachable from this side.
 		entries = append(entries, n.hintedEntries(m.Key)...)
 	}
-	if m.Digest {
-		// Clocks only: the values stay home. The hints were appended by
-		// value, so clearing their value fields touches nothing queued.
-		for i := range entries {
-			entries[i].Value.Value = nil
+	env.Send(from, replicaGetResp{ID: m.ID, Entries: entries})
+}
+
+// answerDigest serves a digest read: the dots of the stored versions,
+// read out of the engine's bytes, then those of the hinted ones.
+func (n *Node) answerDigest(env transport.Env, from string, m replicaDigest) {
+	if n.refuseGated(env, from, m.ID, m.Key) {
+		return
+	}
+	dots := n.localDots(m.Key)
+	if n.cfg.Resilience != nil {
+		for _, e := range n.hintedEntries(m.Key) {
+			dots = append(dots, e.DVV.Dot)
 		}
 	}
-	env.Send(from, replicaGetResp{ID: m.ID, Entries: entries, Digest: m.Digest})
+	env.Send(from, replicaDigestResp{ID: m.ID, Dots: dots})
 }
 
 // Router exposes the node's key→shard mapping (the same hash the Merkle

@@ -74,6 +74,7 @@ func TestShardOfRoutesKeyTrafficAndResponsesConsistently(t *testing.T) {
 			clientGet{Key: key},
 			replicaPut{Key: key},
 			replicaGet{Key: key},
+			replicaDigest{Key: key},
 		} {
 			if got := n.ShardOf(msg); got != want {
 				t.Fatalf("ShardOf(%T{%q}) = %d, want %d", msg, key, got, want)
@@ -86,8 +87,10 @@ func TestShardOfRoutesKeyTrafficAndResponsesConsistently(t *testing.T) {
 		if got := n.ShardOf(replicaPutAck{ID: id}); got != idx {
 			t.Fatalf("ack for id %d routed to shard %d, minted on %d", id, got, idx)
 		}
-		if got := n.ShardOf(replicaGetResp{ID: id}); got != idx {
-			t.Fatalf("resp for id %d routed to shard %d, minted on %d", id, got, idx)
+		for _, resp := range []interface{}{replicaGetResp{ID: id}, replicaDigestResp{ID: id}, replicaNotReady{ID: id}} {
+			if got := n.ShardOf(resp); got != idx {
+				t.Fatalf("%T for id %d routed to shard %d, minted on %d", resp, id, got, idx)
+			}
 		}
 		if sh := n.reqShard(id); sh != n.shards[idx] {
 			t.Fatalf("reqShard(%d) is not shard %d", id, idx)

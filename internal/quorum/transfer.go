@@ -24,7 +24,7 @@ import (
 // cursor it installed, and completed ranges are journaled to the WAL —
 // while the source token-buckets its sends so foreground
 // traffic keeps its latency budget. Until a range completes, the
-// gainer's replica answers reads for keys in it with NotReady, and the
+// gainer's replica refuses reads for keys in it (replicaNotReady), and the
 // coordinator falls back to the old owners (which remain in the new
 // ring's fallback walk); writes keep landing on both placements via the
 // coordinator's dual-apply, so nothing lands in a gap. Anti-entropy

@@ -12,30 +12,36 @@ import (
 // hand-rolled binary encoding: no reflection, and decode aliases the
 // frame buffer.
 //
-// Wire ids 20–39 belong to this package (see transport.BinaryMessage). The
-// ids of the frames that one shipBatch and its ack replaced are reused or
-// left unassigned; the repo does not run mixed-version clusters.
+// Wire ids 12–31 and 60–69 belong to this package (see
+// transport.BinaryMessage). 12–31 hold every message a get, a put or
+// the background work beside them sends, so each takes a one-byte tag;
+// 60–69 hold what only a lagging replica, a full re-ask or an elastic
+// ring change sends. Ids of retired messages are reused: the repo does
+// not run mixed-version clusters.
 const (
-	widClientPut uint16 = 20 + iota
+	widClientPut uint16 = 12 + iota
 	widClientGet
 	widPutResp
 	widGetResp
 	widReplicaPut
 	widReplicaPutAck
-	widReplicaGet
+	widReplicaDigest
+	widReplicaDigestResp
 	widReplicaGetResp
-	widShipBatch // was handoffDeliver
-	widShipAck   // was handoffAck
+	widShipBatch
+	widShipAck
 	widResPing
 	widResPong
 	widAEReq
 	widAEResp
-	_ // was aePush
+	widGeoStamp
+)
+
+const (
+	widReplicaGet uint16 = 60 + iota
+	widReplicaNotReady
 	widTransferReq
-	_ // was transferBatch
 	widReplicaNotOwner
-	widGeoStamp // was geoShip
-	_           // was geoShipAck
 )
 
 // appendEntry / readEntry encode one sibling version: its DVV and the
@@ -52,6 +58,16 @@ func readEntry(r *wire.Reader) clock.SiblingEntry[record] {
 	e.Value.Value = r.Bytes()
 	e.Value.Deleted = r.Bool()
 	return e
+}
+
+// readEntryDot reads one entry as readEntry does and keeps only its dot,
+// stepping over its context and value without building either.
+func readEntryDot(r *wire.Reader) clock.Dot {
+	d := clock.Dot{Node: r.ID(), Counter: r.Uvarint()}
+	r.SkipVector()
+	r.Bytes() // the value, aliased, not copied
+	r.Bool()  // the tombstone bit
+	return d
 }
 
 // entrySize returns len(appendEntry(nil, e)).
@@ -174,16 +190,51 @@ func (m replicaPutAck) AppendBinary(dst []byte) []byte {
 func (replicaGet) WireID() uint16 { return widReplicaGet }
 func (m replicaGet) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendUvarint(dst, m.ID)
-	dst = wire.AppendString(dst, m.Key)
-	return wire.AppendBool(dst, m.Digest)
+	return wire.AppendString(dst, m.Key)
+}
+
+func (replicaDigest) WireID() uint16 { return widReplicaDigest }
+func (m replicaDigest) AppendBinary(dst []byte) []byte {
+	dst = wire.AppendUvarint(dst, m.ID)
+	return wire.AppendString(dst, m.Key)
 }
 
 func (replicaGetResp) WireID() uint16 { return widReplicaGetResp }
 func (m replicaGetResp) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendUvarint(dst, m.ID)
-	dst = appendEntries(dst, m.Entries) // a digest's entries hold no value: one byte each says so
-	dst = wire.AppendBool(dst, m.NotReady)
-	return wire.AppendBool(dst, m.Digest)
+	return appendEntries(dst, m.Entries)
+}
+
+// A digest answer is its dots: uvarint ID ‖ count ‖ (node, counter)...
+func (replicaDigestResp) WireID() uint16 { return widReplicaDigestResp }
+func (m replicaDigestResp) AppendBinary(dst []byte) []byte {
+	dst = wire.AppendUvarint(dst, m.ID)
+	dst = wire.AppendUvarint(dst, uint64(len(m.Dots)))
+	for _, d := range m.Dots {
+		dst = wire.AppendString(dst, d.Node)
+		dst = wire.AppendUvarint(dst, d.Counter)
+	}
+	return dst
+}
+
+func readDots(r *wire.Reader) []clock.Dot {
+	n := r.Count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]clock.Dot, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, clock.Dot{Node: r.ID(), Counter: r.Uvarint()})
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	return out
+}
+
+func (replicaNotReady) WireID() uint16 { return widReplicaNotReady }
+func (m replicaNotReady) AppendBinary(dst []byte) []byte {
+	return wire.AppendUvarint(dst, m.ID)
 }
 
 func appendStreamID(dst []byte, id streamID) []byte {
@@ -270,10 +321,19 @@ func init() {
 		return replicaPutAck{ID: r.Uvarint()}
 	})
 	transport.RegisterBinary(widReplicaGet, func(r *wire.Reader) transport.Message {
-		return replicaGet{ID: r.Uvarint(), Key: r.String(), Digest: r.Bool()}
+		return replicaGet{ID: r.Uvarint(), Key: r.String()}
+	})
+	transport.RegisterBinary(widReplicaDigest, func(r *wire.Reader) transport.Message {
+		return replicaDigest{ID: r.Uvarint(), Key: r.String()}
 	})
 	transport.RegisterBinary(widReplicaGetResp, func(r *wire.Reader) transport.Message {
-		return replicaGetResp{ID: r.Uvarint(), Entries: readEntries(r), NotReady: r.Bool(), Digest: r.Bool()}
+		return replicaGetResp{ID: r.Uvarint(), Entries: readEntries(r)}
+	})
+	transport.RegisterBinary(widReplicaDigestResp, func(r *wire.Reader) transport.Message {
+		return replicaDigestResp{ID: r.Uvarint(), Dots: readDots(r)}
+	})
+	transport.RegisterBinary(widReplicaNotReady, func(r *wire.Reader) transport.Message {
+		return replicaNotReady{ID: r.Uvarint()}
 	})
 	transport.RegisterBinary(widShipBatch, func(r *wire.Reader) transport.Message {
 		return shipBatch{

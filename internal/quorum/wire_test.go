@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/transport"
+	"repro/internal/wire"
 	"repro/internal/wiretest"
 )
 
@@ -30,14 +32,17 @@ func genEntries(g *wiretest.Gen) []clock.SiblingEntry[record] {
 	return out
 }
 
-// genDigests returns an entry list as a digest answer carries it: no
-// entry holds a value.
-func genDigests(g *wiretest.Gen) []clock.SiblingEntry[record] {
-	es := genEntries(g)
-	for i := range es {
-		es[i].Value.Value = nil
+// genDots returns a digest answer's dots; an empty list decodes as nil.
+func genDots(g *wiretest.Gen) []clock.Dot {
+	n := g.R.Intn(5)
+	if n == 0 {
+		return nil
 	}
-	return es
+	out := make([]clock.Dot, n)
+	for i := range out {
+		out[i] = g.DVV().Dot
+	}
+	return out
 }
 
 func genAEEntries(g *wiretest.Gen) []aeEntry {
@@ -59,9 +64,11 @@ func genMsgs(g *wiretest.Gen) []transport.Message {
 		getResp{ID: g.Uint64(), Values: g.ByteSlices(), Context: g.Vector(), Err: g.Str(), Replicas: int(g.Int64())},
 		replicaPut{ID: g.Uint64(), Key: g.Str(), Entry: genEntry(g), Hint: g.Str(), Repair: g.Bool()},
 		replicaPutAck{ID: g.Uint64()},
-		replicaGet{ID: g.Uint64(), Key: g.Str(), Digest: g.Bool()},
-		replicaGetResp{ID: g.Uint64(), Entries: genEntries(g), NotReady: g.Bool()},
-		replicaGetResp{ID: g.Uint64(), Entries: genDigests(g), NotReady: g.Bool(), Digest: true},
+		replicaGet{ID: g.Uint64(), Key: g.Str()},
+		replicaDigest{ID: g.Uint64(), Key: g.Str()},
+		replicaGetResp{ID: g.Uint64(), Entries: genEntries(g)},
+		replicaDigestResp{ID: g.Uint64(), Dots: genDots(g)},
+		replicaNotReady{ID: g.Uint64()},
 		shipBatch{
 			Stream: genStreamID(g), Seq: g.Uint64(), Entries: genAEEntries(g),
 			Cursor: g.Str(), Done: g.Bool(), Stamp: geoStamp{Zone: g.Str(), HighTS: g.Int64()},
@@ -120,30 +127,44 @@ func FuzzCodecRoundTrip(f *testing.F) {
 // TestPeerFrameSizes pins the frame of every envelope a benchmark
 // operation sends between quorum peers, as a peer link writes it: neither
 // end spelled out, and an answer does not echo its key. Each row gives
-// the parent layout's size too (a 4-byte length, a codec byte, two empty
-// addresses and the wire id: 8 bytes of framing against 2 or 3 now).
-// The transport's heartbeat and its echo are pinned beside their type
-// (transport.TestHeartbeatFrameSizes).
+// the parent layout's size too. The digest rows changed with the digest
+// layout: an ask lost its Digest byte, and an answer became its dots,
+// without the context, the value marker, the tombstone bit and the
+// NotReady and Digest bytes. The transport's heartbeat and its echo are
+// pinned beside their type (transport.TestHeartbeatFrameSizes).
 func TestPeerFrameSizes(t *testing.T) {
 	link := transport.Link{Local: "node1", Remote: "node0"}
 	const key = "k00000042" // the benchmark's key names
 	dot := clock.Dot{Node: "node0#gw1", Counter: 1 << 14}
-	digest := []clock.SiblingEntry[record]{{DVV: clock.DVV{Dot: dot}}}
+	ctx := clock.Vector{"node0#gw1": 1<<14 - 1}
 	put := replicaPut{ID: 1 << 20, Key: key, Entry: clock.SiblingEntry[record]{
-		DVV:   clock.DVV{Dot: dot, Context: clock.Vector{"node0#gw1": 1<<14 - 1}},
+		DVV:   clock.DVV{Dot: dot, Context: ctx},
 		Value: record{Value: make([]byte, 128)},
 	}}
+	// The digest answer a replica sends for a stored set with a context:
+	// the context stays home, so the frame is the same as for a bare dot.
+	n := NewNode("node1", Config{Ring: []string{"node0", "node1", "node2"}, N: 3, R: 2, W: 2})
+	n.installEntry(0, key, put.Entry)
+	env := &sentEnv{}
+	n.answerDigest(env, "node0", replicaDigest{ID: 1 << 20, Key: key})
+	if len(env.sent) != 1 {
+		t.Fatalf("answerDigest sent %d messages, want 1", len(env.sent))
+	}
+	stored := env.sent[0].(transport.BinaryMessage)
 	for _, tc := range []struct {
 		name string
 		msg  transport.BinaryMessage
 		want int
 	}{
-		{"digest ask", replicaGet{ID: 1 << 20, Key: key, Digest: true}, 16},               // parent 22
-		{"digest answer", replicaGetResp{ID: 1 << 20, Entries: digest, Digest: true}, 24}, // parent 30
-		{"replicaPut, 128 B value", put, 175},                                             // parent 180: its length takes two bytes
-		{"replicaPutAck", replicaPutAck{ID: 1 << 20}, 5},                                  // parent 11
-		{"resPing", resPing{}, 2},                                                         // parent 8
-		{"resPong", resPong{}, 2},                                                         // parent 8
+		{"digest ask", replicaDigest{ID: 1 << 20, Key: key}, 15},                      // parent 16
+		{"digest answer", replicaDigestResp{ID: 1 << 20, Dots: []clock.Dot{dot}}, 19}, // parent 24
+		{"digest answer, stored set with a context", stored, 19},                      // parent 24
+		{"replicaPut, 128 B value", put, 175},                                         // parent 175
+		{"replicaPutAck", replicaPutAck{ID: 1 << 20}, 5},                              // parent 5
+		{"resPing", resPing{}, 2},                                                     // parent 2
+		{"resPong", resPong{}, 2},                                                     // parent 2
+		{"full ask (a re-ask; two-byte tag)", replicaGet{ID: 1 << 20, Key: key}, 16},  // parent 16
+		{"not ready (two-byte tag)", replicaNotReady{ID: 1 << 20}, 6},                 // parent 8
 	} {
 		frame, err := transport.AppendMessage(link, nil, "node1", "node0", tc.msg)
 		if err != nil {
@@ -152,5 +173,38 @@ func TestPeerFrameSizes(t *testing.T) {
 		if len(frame) != tc.want {
 			t.Errorf("%s: %d bytes, want %d", tc.name, len(frame), tc.want)
 		}
+	}
+}
+
+// sentEnv records what a handler sends.
+type sentEnv struct {
+	sim.Env
+	sent []sim.Message
+}
+
+func (e *sentEnv) Send(_ string, m sim.Message) { e.sent = append(e.sent, m) }
+func (*sentEnv) Domain() int                    { return 0 }
+
+// A digest answer's dot count is checked against the bytes left before
+// anything is allocated for it, and the frame is refused.
+func TestDigestAnswerCountBeyondTheBytesLeft(t *testing.T) {
+	dots := wire.AppendUvarint(nil, 1<<40)  // a count no frame can hold
+	dots = wire.AppendString(dots, "node0") // and one dot
+	dots = wire.AppendUvarint(dots, 3)
+	r := wire.NewReader(nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(dots)
+		if readDots(r) != nil || r.Err() == nil {
+			t.Fatal("a dot count beyond the bytes left decoded")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("refusing the count: %v allocs, want 0", allocs)
+	}
+	env := append(wire.AppendUvarint(nil, uint64(widReplicaDigestResp)<<2), wire.AppendUvarint(nil, 7)...)
+	env = append(env, dots...)
+	frame := append(wire.AppendUvarint(nil, uint64(len(env))), env...)
+	if _, _, err := transport.DecodeFrame(frame); err == nil {
+		t.Fatal("DecodeFrame accepted a digest answer whose count overruns it")
 	}
 }

@@ -27,7 +27,7 @@ import (
 // node's cursor-batched, token-bucketed transfer stream (see
 // internal/quorum/transfer.go), journaling completed ranges to the WAL
 // so a kill mid-transfer resumes instead of restarting. While its ranges
-// are incomplete the gainer answers replica reads NotReady and stays out
+// are incomplete the gainer refuses replica reads (not ready) and stays out
 // of the read quorum; when the last range lands, the gainer settles the
 // epoch and the dual-apply window closes.
 //
@@ -45,10 +45,11 @@ const (
 	stateLeft       = "left"
 )
 
-// Wire ids 12–17 belong to the membership protocol (10–11 are the
-// client protocol; see transport.BinaryMessage).
+// Wire ids 40–49 belong to the membership protocol (10–11 are the
+// client protocol; see transport.BinaryMessage). A ring change is rare,
+// so its messages sit above the one-byte-tag range.
 const (
-	widRingUpdate uint16 = 12 + iota
+	widRingUpdate uint16 = 40 + iota
 	widRingAck
 	widBeginTransfer
 	widTransferComplete

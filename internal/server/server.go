@@ -723,7 +723,7 @@ func (s *Server) slaRoute(req Request) (tier geo.Kind, rOverride int, coord stri
 //     write acks on its coordinator's zone's sub-quorum, so a strong read
 //     is fresh only because writes and strong reads of a key meet at the
 //     one owner;
-//   - this node is catching up: its own replica would answer NotReady.
+//   - this node is catching up: its own replica would refuse the read (not ready).
 //
 // An eventual read (inZone) keeps to the zone instead: this node if it
 // is a replica, else the first replica in its zone, else the owner.

@@ -35,13 +35,21 @@ const (
 // protocol packages; see the range allocation below), AppendBinary
 // appends the payload bytes.
 //
-// Wire id ranges, so packages cannot collide:
+// Wire id ranges, so packages cannot collide. An id below 32 takes a
+// one-byte tag, so 1–31 hold every message the benchmark's workloads
+// send per operation (a get, a put, the replies, heartbeats and the
+// background anti-entropy, handoff and gossip beside them), and the
+// messages only set-up, a ring change, a lagging replica or a test sends
+// live above:
 //
-//	 1–9   transport (hello, heartbeat; 3–5 are its tests' messages)
-//	10–19  internal/server client protocol
-//	20–39  internal/quorum
-//	40–49  internal/gossip
+//	 1–2   transport (hello, heartbeat)
+//	 3–9   internal/gossip
+//	10–11  internal/server client protocol
+//	12–31  internal/quorum, per operation
+//	32–39  transport's tests
+//	40–49  internal/server membership protocol
 //	50–59  internal/session
+//	60–69  internal/quorum, the rest
 type BinaryMessage interface {
 	Message
 	WireID() uint16

@@ -216,9 +216,11 @@ func TestLinkRoundTrip(t *testing.T) {
 
 // The zero link leaves out only empty addresses. Its frames are the
 // bytes the frame probes in bench/ measure and the hello carries, pinned
-// here byte for byte: 18, 25, 19 + 22 and 7 bytes. The parent layout, a
-// 4-byte length and a codec byte before two strings and the wire id,
-// took 22, 29, 49 (one batch frame for the pair) and 12.
+// here byte for byte: 18, 25, 20 + 23 and 8 bytes. The test messages'
+// wire ids are above 31, so their tags take two bytes; with ids below
+// 32 the last two streams took 19 + 22 and 7. The layout before this
+// one, a 4-byte length and a codec byte before two strings and the wire
+// id, took 22, 29, 49 (one batch frame for the pair) and 12.
 func TestZeroLinkFramesAreUnchanged(t *testing.T) {
 	cases := []struct {
 		envs []Envelope
@@ -231,9 +233,9 @@ func TestZeroLinkFramesAreUnchanged(t *testing.T) {
 		{[]Envelope{
 			{From: "node0", To: "node1#gw1", Msg: echoMsg{N: 7}},
 			{From: "node0#gw1", To: "node1", Msg: bigMsg{B: []byte("abc")}},
-		}, "\x12\x0f\x05node0\tnode1#gw1\x0e" + "\x15\x17\tnode0#gw1\x05node1\x04abc"},
+		}, "\x13\x83\x01\x05node0\tnode1#gw1\x0e" + "\x16\x8b\x01\tnode0#gw1\x05node1\x04abc"},
 		{[]Envelope{{From: "cli", Msg: echoMsg{N: -3}}},
-			"\x06\x0e\x03cli\x05"},
+			"\x07\x82\x01\x03cli\x05"},
 	}
 	for i, tc := range cases {
 		got, err := appendStream(Link{}, nil, tc.envs)
@@ -345,7 +347,7 @@ func TestAppendFrameLayout(t *testing.T) {
 	}
 	var want []byte
 	for i, e := range envs {
-		env := envelopeBody(5<<2|fromPresent|toPresent, e.From, e.To, e.Msg.(bigMsg).AppendBinary(nil))
+		env := envelopeBody(uint64(bigMsg{}.WireID())<<2|fromPresent|toPresent, e.From, e.To, e.Msg.(bigMsg).AppendBinary(nil))
 		hdr := binary.AppendUvarint(nil, uint64(len(env)))
 		if len(hdr) != i+1 {
 			t.Fatalf("envelope %d: %d bytes have a %d-byte length, want %d", i, len(env), len(hdr), i+1)

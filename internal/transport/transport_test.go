@@ -24,15 +24,15 @@ type echoReply struct {
 	N int
 }
 
-func (echoMsg) WireID() uint16                   { return 3 }
+func (echoMsg) WireID() uint16                   { return 32 }
 func (m echoMsg) AppendBinary(dst []byte) []byte { return wire.AppendVarint(dst, int64(m.N)) }
 
-func (echoReply) WireID() uint16                   { return 4 }
+func (echoReply) WireID() uint16                   { return 33 }
 func (m echoReply) AppendBinary(dst []byte) []byte { return wire.AppendVarint(dst, int64(m.N)) }
 
 func init() {
-	RegisterBinary(3, func(r *wire.Reader) Message { return echoMsg{N: int(r.Varint())} })
-	RegisterBinary(4, func(r *wire.Reader) Message { return echoReply{N: int(r.Varint())} })
+	RegisterBinary(32, func(r *wire.Reader) Message { return echoMsg{N: int(r.Varint())} })
+	RegisterBinary(33, func(r *wire.Reader) Message { return echoReply{N: int(r.Varint())} })
 }
 
 // echoNode replies to every echoMsg and records replies it receives.
@@ -297,11 +297,11 @@ func TestFrameRoundTripAndLimit(t *testing.T) {
 // bigMsg carries an arbitrary payload, on wire id 5.
 type bigMsg struct{ B []byte }
 
-func (bigMsg) WireID() uint16                   { return 5 }
+func (bigMsg) WireID() uint16                   { return 34 }
 func (m bigMsg) AppendBinary(dst []byte) []byte { return wire.AppendBytes(dst, m.B) }
 
 func init() {
-	RegisterBinary(5, func(r *wire.Reader) Message { return bigMsg{B: r.Bytes()} })
+	RegisterBinary(34, func(r *wire.Reader) Message { return bigMsg{B: r.Bytes()} })
 }
 
 func TestRuntimeDuplicateNodePanics(t *testing.T) {

@@ -433,6 +433,15 @@ func (r *Reader) Vector() clock.Vector {
 	return v
 }
 
+// SkipVector steps over a nil-aware clock.Vector without building it.
+func (r *Reader) SkipVector() {
+	n, _ := r.ListLen()
+	for i := 0; i < n; i++ {
+		r.take(r.Uvarint()) // id
+		r.Uvarint()         // counter
+	}
+}
+
 // DVV reads a dotted version vector.
 func (r *Reader) DVV() clock.DVV {
 	var d clock.DVV
