@@ -8,10 +8,10 @@
 //	ecctl up -n 9 -zones us,eu,ap # 3 zones x 3 nodes, async cross-zone replication
 //	ecctl status                  # per-node health, incl. suspected peers and geo lag
 //	ecctl ring [key]              # placement: ownership share, or a key's replicas
-//	ecctl put <key> <value>       # write through a node
-//	ecctl get <key>               # read (carries a session token if model=session)
+//	ecctl put <key> <value>       # write through a node, over what it reads first
+//	ecctl get <key>               # read every sibling, one a line (session token if model=session)
 //	ecctl get -sla eventual <key> # SLA read: strong, eventual, or bounded:<dur>
-//	ecctl del <key>               # delete
+//	ecctl del <key>               # delete what it reads first
 //	ecctl smoke                   # end-to-end check incl. session guarantees
 //	ecctl bench -clients 32       # closed-loop load: ops/s, latency, server cpu
 //	ecctl kill <node>             # SIGKILL one node
@@ -966,10 +966,17 @@ func cmdKV(op string, args []string) error {
 		defer func() { saveToken(*dir, c.Token()) }()
 	}
 
+	// Each run is a fresh client, which holds no causal context: a put or
+	// a delete reads the key first and writes over what it read (Delete
+	// does so by itself), so the CLI's writes of a key supersede each
+	// other, through whichever node, as one client's would.
 	switch op {
 	case "put":
 		if fs.NArg() != 2 {
 			return fmt.Errorf("usage: ecctl put <key> <value>")
+		}
+		if _, err := c.GetSiblings(fs.Arg(0)); err != nil {
+			return err
 		}
 		return c.Put(fs.Arg(0), []byte(fs.Arg(1)))
 	case "get":
@@ -992,14 +999,16 @@ func cmdKV(op string, args []string) error {
 			fmt.Println(string(v))
 			return nil
 		}
-		v, found, err := c.Get(fs.Arg(0))
+		vals, err := c.GetSiblings(fs.Arg(0))
 		if err != nil {
 			return err
 		}
-		if !found {
+		if len(vals) == 0 {
 			return fmt.Errorf("key %q not found", fs.Arg(0))
 		}
-		fmt.Println(string(v))
+		for _, v := range vals { // concurrent versions, one a line
+			fmt.Println(string(v))
+		}
 		return nil
 	case "del":
 		if fs.NArg() != 1 {

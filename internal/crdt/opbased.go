@@ -139,7 +139,7 @@ type OpORSet[T comparable] struct {
 	tags map[T]map[Tag]struct{}
 }
 
-// AddOp adds Elem with the unique Tag minted by the origin.
+// AddOp adds Elem with the unique Tag issued by the origin.
 type AddOp[T comparable] struct {
 	Elem T
 	Tag  Tag

@@ -230,7 +230,7 @@ func TestORSetForkDoesNotShareTags(t *testing.T) {
 	tagA := a.Add("y")
 	tagB := b.Add("z")
 	if tagA == tagB {
-		t.Fatal("forked replicas minted identical tags")
+		t.Fatal("forked replicas issued identical tags")
 	}
 	if tagB.Replica != "b" {
 		t.Fatalf("fork kept old replica id: %v", tagB)

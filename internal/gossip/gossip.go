@@ -317,7 +317,7 @@ func (n *Node) install(w Write) bool {
 }
 
 // spreadRumor forwards w to up to Fanout random peers, never back to
-// except (the peer the rumor arrived from; "" for locally minted writes).
+// except (the peer the rumor arrived from; "" for locally originated writes).
 func (n *Node) spreadRumor(env transport.Env, w Write, ttl int, except string) {
 	k := n.cfg.Fanout
 	want := k

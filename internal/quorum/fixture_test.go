@@ -27,18 +27,20 @@ import (
 // v0 was written by this generator at the last commit whose formats were
 // gob (4c5e599); the current code must refuse it with
 // wire.ErrFormatTooOld (server.TestFormatTooOld boots server.New on each
-// directory). v1 was written when the quorum formats went binary: its
-// wal/ and ckpt/ are still the current formats and must replay to exactly
-// fixtureWant below; its lsm/ has the gob manifest of that time and is
-// refused. v2 holds the one directory that changed since, lsm/ with the
-// binary manifest over tables that carried sequence numbers, and is
-// refused too. v3 holds lsm/ again, with one value per key and no
-// sequence numbers, and must replay to fixtureWant. The next format
-// change writes a fresh set, commits the directories that differ as v4,
-// and decides for their predecessors between replaying and refusing;
-// committed files are never regenerated:
+// directory). v1 was written when the quorum formats went binary; its
+// wal/ and ckpt/ carry the node's own dot counters (a Mint record, a
+// fifth checkpoint list), and its lsm/ the gob manifest of that time, so
+// all three are refused. v2 holds lsm/ with the binary manifest over
+// tables that carried sequence numbers, and is refused too. v3 holds
+// lsm/ again, with one value per key and no sequence numbers, and must
+// replay to fixtureWant below. v4 holds wal/ and ckpt/ without dot
+// counters, and must replay to fixtureWant and the rest of the state
+// checkFixtureRest names. The next format change writes a fresh set,
+// commits the directories that differ as v5, and decides for their
+// predecessors between replaying and refusing; committed files are never
+// regenerated:
 //
-//	go test ./internal/quorum -run TestFixtureV1 -write-fixtures /tmp/v4
+//	go test ./internal/quorum -run TestFixtureV1 -write-fixtures /tmp/v5
 var writeFixtures = flag.String("write-fixtures", "", "write the golden data directories under this path and exit")
 
 func fixtureEntry(node string, ctr uint64, ctx clock.Vector, val []byte, deleted bool) clock.SiblingEntry[record] {
@@ -64,7 +66,7 @@ var fixtureInstalls = []struct {
 	{"epsilon", fixtureEntry("s0", 1, nil, nil, false)},
 }
 
-// fixtureWant is the state every v1 directory must restore to: the
+// fixtureWant is the state every current directory must restore to: the
 // surviving (dot, value, tombstone) triples per key, in stored order.
 var fixtureWant = map[string][]clock.SiblingEntry[record]{
 	"alpha":   {fixtureInstalls[1].e},
@@ -100,11 +102,8 @@ func writeFixtureDirs(t *testing.T, root string) {
 		n.installEntry(0, in.key, in.e)
 	}
 	// One record of every other kind, applied the way the live paths
-	// apply them: a minted counter, a hint that stays queued, a hint that
-	// is acknowledged away, two transfer completions, a geo cursor.
-	sh := n.shardFor("alpha")
-	sh.minted["alpha"] = 5
-	n.persistRecord(0, walRecord{Mint: &mintRec{Key: "alpha", Counter: 5}})
+	// apply them: a hint that stays queued, a hint that is acknowledged
+	// away, two transfer completions, a geo cursor.
 	for _, h := range []hintRec{
 		{Intended: "s2", Key: "hinted", Entry: fixtureHint},
 		{Intended: "s1", Key: "acked", Entry: fixtureHint},
@@ -165,9 +164,6 @@ func checkFixtureSets(t *testing.T, n *Node) {
 // ckpt fixtures carry.
 func checkFixtureRest(t *testing.T, n *Node) {
 	t.Helper()
-	if got := n.shardFor("alpha").minted["alpha"]; got != 5 {
-		t.Fatalf("minted[alpha] = %d, want 5", got)
-	}
 	wantHints := map[string]map[string][]clock.SiblingEntry[record]{"s2": {"hinted": {fixtureHint}}}
 	if !reflect.DeepEqual(n.hints, wantHints) {
 		t.Fatalf("hints restored to %#v, want %#v", n.hints, wantHints)
@@ -180,9 +176,9 @@ func checkFixtureRest(t *testing.T, n *Node) {
 	}
 }
 
-// TestFixtureV1 replays the committed directories with the current code
-// (the name is as old as v1). With -write-fixtures it writes a fresh set
-// instead.
+// TestFixtureV1 replays the committed directories in the current formats
+// and refuses the retired ones (the name is as old as v1). With
+// -write-fixtures it writes a fresh set instead.
 func TestFixtureV1(t *testing.T) {
 	if *writeFixtures != "" {
 		if err := os.RemoveAll(*writeFixtures); err != nil {
@@ -192,9 +188,10 @@ func TestFixtureV1(t *testing.T) {
 		t.Skipf("wrote fixtures under %s", *writeFixtures)
 	}
 	root := t.TempDir()
-	wiretest.CopyTree(t, filepath.Join("testdata", "v1"), root)
-	for _, gen := range []string{"v2", "v3"} {
-		wiretest.CopyTree(t, filepath.Join("testdata", gen, "lsm"), filepath.Join(root, "lsm-"+gen))
+	wiretest.CopyTree(t, filepath.Join("testdata", "v4"), root)
+	for _, dir := range []string{"v1/wal", "v1/ckpt", "v1/lsm", "v2/lsm", "v3/lsm"} {
+		gen, kind := filepath.Split(dir)
+		wiretest.CopyTree(t, filepath.Join("testdata", dir), filepath.Join(root, kind+"-"+filepath.Clean(gen)))
 	}
 
 	t.Run("wal", func(t *testing.T) {
@@ -221,6 +218,16 @@ func TestFixtureV1(t *testing.T) {
 		}
 		checkFixtureSets(t, n)
 		checkFixtureRest(t, n)
+
+		old, err := wal.Open(filepath.Join(root, "wal-v1"), wal.Options{Policy: wal.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer old.Close()
+		n = NewNode("s0", fixtureConfig())
+		if err := old.Replay(1, func(_ uint64, rec []byte) error { return n.ReplayRecord(rec) }); !errors.Is(err, wire.ErrFormatTooOld) {
+			t.Fatalf("v1 journal, with a dot counter record: %v, want wire.ErrFormatTooOld", err)
+		}
 	})
 	t.Run("ckpt", func(t *testing.T) {
 		_, state, found, err := wal.LatestSnapshot(filepath.Join(root, "ckpt"))
@@ -233,9 +240,17 @@ func TestFixtureV1(t *testing.T) {
 		}
 		checkFixtureSets(t, n)
 		checkFixtureRest(t, n)
+
+		_, state, found, err = wal.LatestSnapshot(filepath.Join(root, "ckpt-v1"))
+		if err != nil || !found {
+			t.Fatalf("no checkpoint in v1 fixture: found=%v err=%v", found, err)
+		}
+		if err := NewNode("s0", fixtureConfig()).RestoreState(state); !errors.Is(err, wire.ErrFormatTooOld) {
+			t.Fatalf("v1 checkpoint, with dot counters: %v, want wire.ErrFormatTooOld", err)
+		}
 	})
 	t.Run("lsm", func(t *testing.T) {
-		for gen, dir := range map[string]string{"v1 (gob manifest)": "lsm", "v2 (sequence numbers)": "lsm-v2"} {
+		for gen, dir := range map[string]string{"v1 (gob manifest)": "lsm-v1", "v2 (sequence numbers)": "lsm-v2"} {
 			if eng, err := lsm.Open(lsm.Options{Dir: filepath.Join(root, dir, "lsm", "shard-0")}); !errors.Is(err, wire.ErrFormatTooOld) {
 				if err == nil {
 					eng.Close()

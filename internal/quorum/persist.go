@@ -12,24 +12,22 @@ import (
 	"repro/internal/wire"
 )
 
-// Durability hooks. A quorum node's durable state is three maps: the
-// per-key sibling sets, the per-key dot counters it has minted (they
-// must survive a crash or reissued dots would collide), and the hinted
-// handoff queues (a hint is an acked write whose only copy may be
-// here). Each mutation journals one walRecord; coordination state
+// Durability hooks. A quorum node's durable state is the per-key sibling
+// sets and the hinted handoff queues (a hint is an acked write whose
+// only copy may be here), beside the progress of its transfers and geo
+// streams. Each mutation journals one walRecord; coordination state
 // (pending reads/writes, AE trees) is transient and rebuilt from
-// traffic.
+// traffic. A node keeps no dot counter: every write is named by the
+// request of the client that made it (see clientDot).
 //
 // Replay idempotence: entry installs dedup by dot inside Siblings.Add,
-// hint stores dedup by dot in storeHint, hint acks and mints are
-// monotone deletes/maxes.
+// hint stores dedup by dot in storeHint, hint acks are monotone deletes.
 
 // walRecord is one journaled mutation; exactly one field is set.
 type walRecord struct {
 	Entry        *entryRec
 	Hint         *hintRec
 	HintAck      *hintAckRec
-	Mint         *mintRec
 	TransferDone *transferDoneRec
 	GeoAck       *geoAckRec
 }
@@ -51,12 +49,6 @@ type hintRec struct {
 type hintAckRec struct {
 	Intended string
 	Key      string
-}
-
-// mintRec advances the node's issued-dot counter for a key.
-type mintRec struct {
-	Key     string
-	Counter uint64
 }
 
 // transferDoneRec marks one inbound transfer range complete for a
@@ -84,12 +76,12 @@ const (
 )
 
 const (
-	kindEntry        byte = 0x81 + iota // key, entry
-	kindHint                            // intended, key, entry
-	kindHintAck                         // intended, key
-	kindMint                            // key, counter
-	kindTransferDone                    // seq, idx, start, end
-	kindGeoAck                          // peer, seq
+	kindEntry        byte = 0x81 // key, entry
+	kindHint         byte = 0x82 // intended, key, entry
+	kindHintAck      byte = 0x83 // intended, key
+	kindRetired      byte = 0x84 // a key's node-issued dot counter, no longer journaled
+	kindTransferDone byte = 0x85 // seq, idx, start, end
+	kindGeoAck       byte = 0x86 // peer, seq
 )
 
 // recordKey returns the routing key of a record, or "" for records bound
@@ -102,8 +94,6 @@ func (r walRecord) recordKey() (string, bool) {
 		return r.Hint.Key, true
 	case r.HintAck != nil:
 		return r.HintAck.Key, true
-	case r.Mint != nil:
-		return r.Mint.Key, true
 	}
 	return "", false
 }
@@ -130,10 +120,6 @@ func appendRecord(dst []byte, r walRecord) []byte {
 		dst = append(dst, kindHintAck)
 		dst = wire.AppendString(dst, r.HintAck.Intended)
 		dst = wire.AppendString(dst, r.HintAck.Key)
-	case r.Mint != nil:
-		dst = append(dst, kindMint)
-		dst = wire.AppendString(dst, r.Mint.Key)
-		dst = wire.AppendUvarint(dst, r.Mint.Counter)
 	case r.TransferDone != nil:
 		dst = append(dst, kindTransferDone)
 		dst = wire.AppendUvarint(dst, r.TransferDone.Seq)
@@ -176,8 +162,10 @@ func decodeRecord(rec []byte) (walRecord, error) {
 		r.Hint = &hintRec{Intended: rd.String(), Key: rd.String(), Entry: readEntry(rd)}
 	case kindHintAck:
 		r.HintAck = &hintAckRec{Intended: rd.String(), Key: rd.String()}
-	case kindMint:
-		r.Mint = &mintRec{Key: rd.String(), Counter: rd.Uvarint()}
+	case kindRetired:
+		// A journal that holds one was written before writes were named
+		// by their clients alone.
+		return r, fmt.Errorf("quorum: WAL record kind %#x: %w", kind, wire.ErrFormatTooOld)
 	case kindTransferDone:
 		r.TransferDone = &transferDoneRec{Seq: rd.Uvarint(), Idx: int(rd.Varint()), Start: rd.Uvarint(), End: rd.Uvarint()}
 	case kindGeoAck:
@@ -341,8 +329,6 @@ func (n *Node) ReplayRecord(rec []byte) error {
 		n.storeHint(r.Hint.Intended, r.Hint.Key, r.Hint.Entry)
 	case r.HintAck != nil:
 		n.dropHints(r.HintAck.Intended, r.HintAck.Key, nil)
-	case r.Mint != nil:
-		n.restoreMint(r.Mint.Key, r.Mint.Counter)
 	case r.TransferDone != nil:
 		n.markTransferDone(r.TransferDone.Seq, r.TransferDone.Idx)
 	case r.GeoAck != nil:
@@ -351,28 +337,22 @@ func (n *Node) ReplayRecord(rec []byte) error {
 	return nil
 }
 
-// restoreMint raises key's issued-dot floor to counter.
-func (n *Node) restoreMint(key string, counter uint64) {
-	sh := n.shardFor(key)
-	sh.mu.Lock()
-	if counter > sh.minted[key] {
-		sh.minted[key] = counter
-	}
-	sh.mu.Unlock()
-}
-
-// Checkpoint layout: [checkpointFormat] then five counted lists in the
+// Checkpoint layout: [checkpointFormat] then four counted lists in the
 // wire codec —
 //
 //	keys:      key, stored value (length-prefixed, its own format byte first)
-//	minted:    key, counter
 //	hints:     intended, key, entry
 //	transfers: epoch seq, range index
 //	geo acks:  peer, acked seq
 //
 // Stored values are copied in raw, so a checkpoint costs the actor loop
-// one scan and one memcpy per key, not a decode and a re-encode.
-const checkpointFormat = 0xE2
+// one scan and one memcpy per key, not a decode and a re-encode. The
+// retired format 0xE2 carried a fifth list, the node-issued dot counters,
+// and is refused with wire.ErrFormatTooOld.
+const (
+	checkpointFormat        = 0xE3
+	checkpointFormatRetired = 0xE2
+)
 
 // StateSnapshot serializes the node's durable state for a checkpoint.
 // Shards are captured concurrently (each under its own lock). The caller
@@ -380,50 +360,34 @@ const checkpointFormat = 0xE2
 // any mutation the capture races is also in the replayed suffix and
 // re-applies idempotently.
 func (n *Node) StateSnapshot() []byte {
-	type shardImage struct {
-		pairs  []storage.Pair // values are immutable: safe past the unlock
-		minted []mintRec
-	}
-	images := make([]shardImage, len(n.shards))
+	images := make([][]storage.Pair, len(n.shards)) // values are immutable: safe past the unlock
 	var wg sync.WaitGroup
 	for i, sh := range n.shards {
 		wg.Add(1)
-		go func(im *shardImage, sh *nodeShard) {
+		go func(im *[]storage.Pair, sh *nodeShard) {
 			defer wg.Done()
 			sh.mu.RLock()
 			defer sh.mu.RUnlock()
-			im.pairs = sh.store.Scan("", "", 0)
-			im.minted = make([]mintRec, 0, len(sh.minted))
-			for k, c := range sh.minted {
-				im.minted = append(im.minted, mintRec{Key: k, Counter: c})
-			}
+			*im = sh.store.Scan("", "", 0)
 		}(&images[i], sh)
 	}
 	wg.Wait()
 
 	// Sized for the sibling sets, nearly all of a checkpoint's bytes.
-	keys, minted, size := 0, 0, 64
-	for _, im := range images {
-		keys += len(im.pairs)
-		minted += len(im.minted)
-		for _, p := range im.pairs {
+	keys, size := 0, 64
+	for _, pairs := range images {
+		keys += len(pairs)
+		for _, p := range pairs {
 			size += len(p.Key) + len(p.Value) + 2*binary.MaxVarintLen32
 		}
 	}
 	out := append(make([]byte, 0, size), checkpointFormat)
 	out = wire.AppendUvarint(out, uint64(keys))
-	for _, im := range images {
-		for _, p := range im.pairs {
+	for _, pairs := range images {
+		for _, p := range pairs {
 			out = wire.AppendString(out, p.Key)
 			out = wire.AppendUvarint(out, uint64(len(p.Value)))
 			out = append(out, p.Value...)
-		}
-	}
-	out = wire.AppendUvarint(out, uint64(minted))
-	for _, im := range images {
-		for _, m := range im.minted {
-			out = wire.AppendString(out, m.Key)
-			out = wire.AppendUvarint(out, m.Counter)
 		}
 	}
 
@@ -465,6 +429,9 @@ func (n *Node) StateSnapshot() []byte {
 // RestoreState loads a checkpoint written by StateSnapshot. Call before
 // ReplayRecord replays the log suffix. Nothing restored aliases state.
 func (n *Node) RestoreState(state []byte) error {
+	if len(state) > 0 && state[0] == checkpointFormatRetired {
+		return fmt.Errorf("quorum: checkpoint: %w", wire.ErrFormatTooOld)
+	}
 	r, err := wire.NewVersionedReader("quorum: checkpoint", state, checkpointFormat)
 	if err != nil {
 		return err
@@ -480,11 +447,6 @@ func (n *Node) RestoreState(state []byte) error {
 		}
 		for _, e := range es {
 			n.applyEntry(key, e)
-		}
-	}
-	for i := r.Count(); i > 0; i-- {
-		if key, counter := r.String(), r.Uvarint(); r.Err() == nil {
-			n.restoreMint(key, counter)
 		}
 	}
 	for i := r.Count(); i > 0; i-- {

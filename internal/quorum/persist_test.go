@@ -1,6 +1,7 @@
 package quorum
 
 import (
+	"encoding/binary"
 	"errors"
 	"hash/fnv"
 	"reflect"
@@ -31,7 +32,6 @@ func genRecords(g *wiretest.Gen) []walRecord {
 		{Entry: &entryRec{Key: g.Str(), Entry: genEntry(g)}},
 		{Hint: &hintRec{Intended: g.Str(), Key: g.Str(), Entry: genEntry(g)}},
 		{HintAck: &hintAckRec{Intended: g.Str(), Key: g.Str()}},
-		{Mint: &mintRec{Key: g.Str(), Counter: g.Uint64()}},
 		{TransferDone: &transferDoneRec{Seq: g.Uint64(), Idx: int(g.Int64()), Start: g.Uint64(), End: g.Uint64()}},
 		{GeoAck: &geoAckRec{Peer: g.Str(), Seq: g.Uint64()}},
 	}
@@ -88,7 +88,7 @@ func TestOnDiskCodecRoundTrip(t *testing.T) {
 // layout, with the length byte of a gob stream: refused as too old.
 // Anything else unrecognised is malformed, not old.
 func TestFormatBytes(t *testing.T) {
-	keyed := appendRecord(nil, walRecord{Mint: &mintRec{Key: "k", Counter: 1}})
+	keyed := appendRecord(nil, walRecord{HintAck: &hintAckRec{Intended: "s1", Key: "k"}})
 	for _, lead := range []byte{0x01, 0x2C, 0x7F, 0xF8, 0xFF} {
 		oldKeyed := append([]byte(nil), keyed...)
 		oldKeyed[9] = lead
@@ -104,11 +104,20 @@ func TestFormatBytes(t *testing.T) {
 			}
 		}
 	}
+	// So are the layouts that held the node's own dot counters.
+	for name, err := range map[string]error{
+		"dot counter record":   second(decodeRecord(append(append([]byte(nil), keyed[:9]...), kindRetired, 2, 'k', 1))),
+		"five-list checkpoint": NewNode("s0", fixtureConfig()).RestoreState([]byte{checkpointFormatRetired, 0, 0, 0, 0, 0}),
+	} {
+		if !errors.Is(err, wire.ErrFormatTooOld) {
+			t.Errorf("%s: got %v, want ErrFormatTooOld", name, err)
+		}
+	}
 	for name, err := range map[string]error{
 		"stored value":   second(decodeStored([]byte{0xE0, 1})),
-		"record magic":   second(decodeRecord([]byte{0xEE, kindMint, 1})),
+		"record magic":   second(decodeRecord([]byte{0xEE, kindEntry, 1})),
 		"record kind":    second(decodeRecord([]byte{recMagicSerial, 0x90, 1})),
-		"checkpoint":     NewNode("s0", fixtureConfig()).RestoreState([]byte{0xE3, 0, 0, 0, 0, 0}),
+		"checkpoint":     NewNode("s0", fixtureConfig()).RestoreState([]byte{0xE4, 0, 0, 0, 0}),
 		"empty value":    second(decodeStored(nil)),
 		"empty record":   second(decodeRecord(nil)),
 		"short record":   second(decodeRecord(keyed[:9])),
@@ -165,15 +174,18 @@ func checkStoredDots(t *testing.T, data []byte, es []clock.SiblingEntry[record],
 	}
 }
 
-// FuzzWALRecord: the same for the journal record decoder and all six
-// record kinds, plus replay itself — a record that decodes applies to a
-// fresh node without panicking.
+// FuzzWALRecord: the same for the journal record decoder, all five
+// record kinds and the retired one, plus replay itself — a record that
+// decodes applies to a fresh node without panicking.
 func FuzzWALRecord(f *testing.F) {
 	for i, r := range genRecords(wiretest.NewGen(7)) {
 		f.Add(appendRecord(nil, r), int64(i))
 	}
 	f.Add([]byte{recMagicKeyed, 1, 2, 3}, int64(8))
 	f.Add([]byte{0x2C, 0xFF, 0x81}, int64(9)) // gob
+	retired := binary.LittleEndian.AppendUint64([]byte{recMagicKeyed}, storage.KeyHash("k"))
+	retired = wire.AppendUvarint(wire.AppendString(append(retired, kindRetired), "k"), 1)
+	f.Add(retired, int64(10)) // a key's dot counter, as once journaled
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		if r, err := decodeRecord(data); err == nil {
 			checkRecordRoundTrip(t, r)

@@ -72,7 +72,7 @@ type Config struct {
 	// Counters receives resilience event counts. May be nil.
 	Counters *resilience.Counters
 	// PersistAt, when set, journals every durable-state mutation (sibling
-	// installs, hint stores/acks, minted dot counters) before any
+	// installs, hint stores/acks, transfer and geo progress) before any
 	// acknowledgement leaves the node — the hook the server runtime
 	// wires to its WAL. domain names where the mutation ran, as
 	// Env.Domain does: 0 is the serial actor loop, 1+i shard i's loop (a
@@ -317,7 +317,7 @@ func (m replicaDigestResp) Size() int { return 16 * len(m.Dots) }
 
 type pendingWrite struct {
 	client    string
-	reply     func(transport.Env, putResp) // the answer's call when client is in this process (see answer)
+	reply     func(transport.Env, PutResult) // the answer's call when client is in this process (see finishWrite)
 	id        uint64
 	key       string
 	entry     clock.SiblingEntry[record]
@@ -390,7 +390,7 @@ func (a readAnswer) names(merged []clock.SiblingEntry[record]) bool {
 
 type pendingRead struct {
 	client    string
-	reply     func(transport.Env, getResp) // see pendingWrite.reply
+	reply     func(transport.Env, GetResult) // see pendingWrite.reply
 	id        uint64
 	key       string
 	responses map[string]readAnswer
@@ -495,7 +495,7 @@ type Node struct {
 	hints   map[string]map[string][]clock.SiblingEntry[record]
 
 	// out holds the open outbound streams, in the order they were opened
-	// (see stream.go), and lastStream the last stream id minted.
+	// (see stream.go), and lastStream the last stream id issued.
 	// Serial-loop-confined.
 	out        []*outStream
 	lastStream uint64
@@ -690,6 +690,8 @@ func (n *Node) OnTimer(env transport.Env, tag any) {
 			}
 			n.transmit(env, tg)
 		}
+	case requestTag:
+		n.reqShard(tg.id).out.onTimer(env, n.sender(), tg)
 	case drainTag:
 		n.drainTick(env)
 	case geoFlushTag:
@@ -706,6 +708,10 @@ func (n *Node) OnMessage(env transport.Env, from string, msg transport.Message) 
 		n.coordinatePut(env, from, m, nil)
 	case clientGet:
 		n.coordinateGet(env, from, m, nil)
+	case putResp:
+		n.reqShard(m.ID).out.settle(env, n.sender(), m.ID, from, m)
+	case getResp:
+		n.reqShard(m.ID).out.settle(env, n.sender(), m.ID, from, m)
 	case replicaPut:
 		n.applyReplicaPut(env, from, m)
 	case replicaPutAck:
@@ -794,42 +800,28 @@ func (n *Node) hintedEntries(key string) []clock.SiblingEntry[record] {
 // so a host that holds acks behind the journal (the server's ack barrier)
 // holds the answer behind it too, whether it leaves now or with a later
 // peer ack. The acknowledgement is a putResp to client, or a call of
-// reply for a client in this process (see answer).
-func (n *Node) coordinatePut(env transport.Env, client string, m clientPut, reply func(transport.Env, putResp)) {
-	if n.draining.Load() && m.ID == 0 {
-		// Decommission invariant: once draining begins this node mints no
-		// new dots. (Client-minted dots carry their own identity and may
-		// still coordinate; the hosting runtime redirects clients away
-		// anyway.)
-		answer(env, client, reply, putResp{ID: m.ID, Err: "quorum: node draining"})
+// reply for a client in this process (see finishWrite).
+func (n *Node) coordinatePut(env transport.Env, client string, m clientPut, reply func(transport.Env, PutResult)) {
+	if m.ID == 0 {
+		// Every write is named by its sender: a request without an id has
+		// no dot.
+		answerPut(env, client, reply, m.Key, putResp{Err: "quorum: put without a request id"})
 		return
 	}
 	prefs, fallbacks := n.placement(m.Key)
 
 	// Mint the new version: the context is exactly what the client
 	// causally observed (a blind write must sibling with, not supersede,
-	// versions it never read); the dot sits beyond the context.
-	var dvv clock.DVV
-	if m.ID != 0 {
-		// Client-derived dot: (client, request id) names the write
-		// itself, not the coordination attempt — a retried request,
-		// even through a different coordinator, mints the identical dot
-		// and Siblings.Add applies it at most once. The request id is
-		// unique and increasing per client, so the dot always clears the
-		// client's own entry in the echoed context; the max guards
-		// against a malformed context anyway.
-		ctx := m.Context.Copy()
-		dvv = clock.DVV{Dot: clientDot(client, m.ID, ctx), Context: ctx}
-	} else {
-		sh := n.shardFor(m.Key)
-		sh.mu.Lock()
-		dvv = clock.MintDVV(n.id, m.Context, sh.minted[m.Key])
-		sh.minted[m.Key] = dvv.Dot.Counter
-		sh.mu.Unlock()
-		// Journal the counter: reissuing a dot after a crash would let
-		// two distinct writes silently supersede each other.
-		n.persistRecord(env.Domain(), walRecord{Mint: &mintRec{Key: m.Key, Counter: dvv.Dot.Counter}})
-	}
+	// versions it never read); the dot, (client, request id), names the
+	// write itself, not the coordination attempt — a retried request, even
+	// through a different coordinator, mints the identical dot and
+	// Siblings.Add applies it at most once. The request id is unique and
+	// increasing per client, so the dot always clears the client's own
+	// entry in the echoed context; clientDot guards against a malformed
+	// context anyway. The context is kept as it came: decoded from the
+	// request's frame, or handed over by a sender in this process, which
+	// never writes into a context once sent.
+	dvv := clock.DVV{Dot: clientDot(client, m.ID, m.Context), Context: m.Context}
 	entry := clock.SiblingEntry[record]{DVV: dvv, Value: record{Value: m.Value, Deleted: m.Deleted}}
 
 	shardIdx := n.router.Shard(m.Key)
@@ -1030,25 +1022,24 @@ func (n *Node) finishWrite(env transport.Env, id uint64, pw *pendingWrite, errSt
 	pw.done = true
 	delete(n.reqShard(id).writes, id)
 	env.Cancel(pw.timer)
-	ctx := pw.entry.DVV.Context.Copy()
-	if ctx.Get(pw.entry.DVV.Dot.Node) < pw.entry.DVV.Dot.Counter {
-		ctx[pw.entry.DVV.Dot.Node] = pw.entry.DVV.Dot.Counter
-	}
-	answer(env, pw.client, pw.reply, putResp{ID: pw.id, Context: ctx, Err: errStr, Sloppy: pw.sloppy})
+	// The answer's context covers the write, failed or not: the client
+	// that echoes it supersedes the write whether it was applied or not.
+	answerPut(env, pw.client, pw.reply, pw.key,
+		putResp{ID: pw.id, Context: pw.entry.DVV.Join(clock.DVV{}), Err: errStr, Sloppy: pw.sloppy})
 }
 
-// answer delivers a coordinator's answer r to its client: a message to
+// answerPut delivers a coordinator's answer r to its client: a message to
 // the client's address, or, when the client is in this process and handed
 // the coordinator reply (Node.CoordinatePut), a call of reply with the Env
 // of the invocation the operation completed in. A host that holds a
 // message back until the invocation's records are durable (the server's
 // ack barrier) holds the call's answer the same way through that Env.
-func answer[R any](env transport.Env, client string, reply func(transport.Env, R), r R) {
+func answerPut(env transport.Env, client string, reply func(transport.Env, PutResult), key string, r putResp) {
 	if reply == nil {
 		env.Send(client, r)
 		return
 	}
-	reply(env, r)
+	reply(env, putResult(key, r))
 }
 
 func (n *Node) writeTimeout(env transport.Env, id uint64) {
@@ -1096,7 +1087,7 @@ func (n *Node) writeTimeout(env transport.Env, id uint64) {
 // (onAnswer). A coordinator outside the list asks everyone in full.
 //
 // The answer goes to the client as coordinatePut's does.
-func (n *Node) coordinateGet(env transport.Env, client string, m clientGet, reply func(transport.Env, getResp)) {
+func (n *Node) coordinateGet(env transport.Env, client string, m clientGet, reply func(transport.Env, GetResult)) {
 	prefs, fallbacks := n.placement(m.Key)
 	shardIdx := n.router.Shard(m.Key)
 	id := n.mintReq(shardIdx)
@@ -1287,13 +1278,12 @@ func (n *Node) finishRead(env transport.Env, id uint64, pr *pendingRead, merged 
 			values = append(values, e.Value.Value)
 		}
 	}
-	answer(env, pr.client, pr.reply, getResp{
-		ID:       pr.id,
-		Values:   values,
-		Context:  merged.Context(),
-		Err:      errStr,
-		Replicas: len(pr.responses),
-	})
+	r := getResp{ID: pr.id, Values: values, Context: merged.Context(), Err: errStr, Replicas: len(pr.responses)}
+	if pr.reply == nil {
+		env.Send(pr.client, r)
+		return
+	}
+	pr.reply(env, getResult(pr.key, r)) // see answerPut
 }
 
 // backgroundRepair handles a replica response arriving after the quorum

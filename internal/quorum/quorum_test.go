@@ -496,3 +496,17 @@ func TestHintedHandoffDrainsAfterPartitionHeal(t *testing.T) {
 		t.Fatalf("%d hints still queued after heal; the queue must drain", pending)
 	}
 }
+
+// A write is named by the request of the client that made it: a put
+// without a request id has no dot, and is refused.
+func TestPutWithoutRequestIDIsRefused(t *testing.T) {
+	n := NewNode("s0", fixtureConfig())
+	var got PutResult
+	n.coordinatePut(sinkEnv{}, "cli", clientPut{Key: "k", Value: []byte("v")}, func(_ sim.Env, r PutResult) { got = r })
+	if got.Err == nil {
+		t.Fatal("a put without a request id was accepted")
+	}
+	if vals := n.LocalValues("k"); len(vals) != 0 {
+		t.Fatalf("the refused put stored %q", vals)
+	}
+}

@@ -33,9 +33,9 @@ import (
 
 // nodeShard is one shard of a node's replica state.
 type nodeShard struct {
-	// mu guards store and minted: the owning shard goroutine mutates
-	// them on the write path while the serial loop reads and writes them
-	// for the streams' sources and installs, and for snapshots. The
+	// mu guards store: the owning shard goroutine mutates it on the
+	// write path while the serial loop reads and writes it for the
+	// streams' sources and installs, and for snapshots. The
 	// engine is internally synchronized, but mu still serializes the
 	// read-modify-write install cycle around it.
 	mu sync.RWMutex
@@ -43,12 +43,11 @@ type nodeShard struct {
 	// the value a binary entry list (see encodeStored). Which
 	// engine backs it — in-memory KV or disk-resident LSM — is the
 	// host's choice via Config.Storage.
-	store  storage.Engine
-	minted map[string]uint64
+	store storage.Engine
 
 	// Coordination state is executor-confined: only the shard's own
 	// loop (or, under the simulator, the node's one domain) touches it,
-	// because request ids are minted congruent to the shard index and
+	// because request ids are issued congruent to the shard index and
 	// acks/responses/timers route back by id. No lock needed.
 	nextReq uint64
 	writes  map[uint64]*pendingWrite
@@ -56,15 +55,18 @@ type nodeShard struct {
 	// repairs holds completed reads still awaiting late replica
 	// responses for background read repair.
 	repairs map[uint64]*repairState
+	// out holds the operations of this node's own clients that it
+	// forwarded to another coordinator (see forward.go).
+	out requests
 }
 
 func newNodeShard(store storage.Engine) *nodeShard {
 	return &nodeShard{
 		store:   store,
-		minted:  make(map[string]uint64),
 		writes:  make(map[uint64]*pendingWrite),
 		reads:   make(map[uint64]*pendingRead),
 		repairs: make(map[uint64]*repairState),
+		out:     newRequests(),
 	}
 }
 
@@ -211,20 +213,33 @@ func (n *Node) shardFor(key string) *nodeShard {
 	return n.shards[n.router.Shard(key)]
 }
 
-// reqShard returns the shard that coordinates request id. Ids are minted
+// reqShard returns the shard that coordinates request id. Ids are issued
 // as seq*S + shard, so the residue recovers the owner.
 func (n *Node) reqShard(id uint64) *nodeShard {
 	return n.shards[int(id%uint64(len(n.shards)))]
 }
 
-// mintReq mints a coordination request id on shard idx. Ids from
-// different shards never collide (distinct residues mod S) and the
-// responses they tag route straight back to the minting shard's
-// executor. With S == 1 this degenerates to the classic 1, 2, 3, ...
+// mintReq mints a request id on shard idx: the id of a coordination,
+// and of a client operation the node runs for its own process, which
+// names that operation's write (see CoordinatePut). Ids from different
+// shards never collide (distinct residues mod S) and the responses they
+// tag route straight back to the minting shard's executor. With S == 1
+// this degenerates to the classic 1, 2, 3, ...
 func (n *Node) mintReq(idx int) uint64 {
 	sh := n.shards[idx]
 	sh.nextReq++
 	return sh.nextReq*uint64(len(n.shards)) + uint64(idx)
+}
+
+// StartRequestsAt makes base the floor of the request ids the node
+// mints: every one is above it. A node whose id outlives its process
+// passes a floor above every id an earlier incarnation issued, since a
+// client operation's id names its write, and replicas discard, yet still
+// ack, a dot they have already seen. Call it before the node runs.
+func (n *Node) StartRequestsAt(base uint64) {
+	for _, sh := range n.shards {
+		sh.nextReq = base / uint64(len(n.shards))
+	}
 }
 
 // ring returns the current membership list. Reads may come from shard
@@ -243,7 +258,8 @@ var _ transport.ShardedHandler = (*Node)(nil)
 func (n *Node) Shards() int { return len(n.shards) }
 
 // ShardOf implements transport.Sharding: key-addressed requests go
-// to the key's shard, responses go back to the shard that minted the
+// to the key's shard, responses (a coordinator's answer to an operation
+// this node forwarded among them) go back to the shard that issued the
 // request id, and everything else (-1) keeps the serial actor loop.
 func (n *Node) ShardOf(msg transport.Message) int {
 	s := uint64(len(n.shards))
@@ -265,6 +281,10 @@ func (n *Node) ShardOf(msg transport.Message) int {
 	case replicaDigestResp:
 		return int(m.ID % s)
 	case replicaNotReady:
+		return int(m.ID % s)
+	case putResp:
+		return int(m.ID % s)
+	case getResp:
 		return int(m.ID % s)
 	default:
 		return -1

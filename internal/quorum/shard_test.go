@@ -81,15 +81,15 @@ func TestShardOfRoutesKeyTrafficAndResponsesConsistently(t *testing.T) {
 			}
 		}
 	}
-	// A response routes back to the shard whose executor minted the id.
+	// A response routes back to the shard whose executor issued the id.
 	for idx := 0; idx < s; idx++ {
 		id := n.mintReq(idx)
 		if got := n.ShardOf(replicaPutAck{ID: id}); got != idx {
-			t.Fatalf("ack for id %d routed to shard %d, minted on %d", id, got, idx)
+			t.Fatalf("ack for id %d routed to shard %d, issued on %d", id, got, idx)
 		}
 		for _, resp := range []interface{}{replicaGetResp{ID: id}, replicaDigestResp{ID: id}, replicaNotReady{ID: id}} {
 			if got := n.ShardOf(resp); got != idx {
-				t.Fatalf("%T for id %d routed to shard %d, minted on %d", resp, id, got, idx)
+				t.Fatalf("%T for id %d routed to shard %d, issued on %d", resp, id, got, idx)
 			}
 		}
 		if sh := n.reqShard(id); sh != n.shards[idx] {
@@ -115,7 +115,7 @@ func TestMintedRequestIDsNeverCollideAcrossShards(t *testing.T) {
 		for idx := 0; idx < n.Shards(); idx++ {
 			id := n.mintReq(idx)
 			if prev, dup := seen[id]; dup {
-				t.Fatalf("id %d minted by shards %d and %d", id, prev, idx)
+				t.Fatalf("id %d issued by shards %d and %d", id, prev, idx)
 			}
 			seen[id] = idx
 		}

@@ -30,7 +30,7 @@ const (
 	streamGeo
 )
 
-// streamID names a stream. N is minted by the node that opens it (the
+// streamID names a stream. N is issued by the node that opens it (the
 // gainer for a transfer, the sender otherwise) from a counter that starts
 // at its boot time, so an ack from before a restart cannot match a batch
 // sent after it.

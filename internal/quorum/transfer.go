@@ -317,11 +317,11 @@ func (n *Node) arcSource(start, end uint64, cursor string) source {
 	}}
 }
 
-// BeginDrain puts the node into decommission drain: it stops minting
-// dots for node-coordinated writes and keeps a hint stream open to every
-// peer it holds hints for, calling onDrained (once, on the actor loop) when
-// no hints remain. Replica-level traffic continues — the node is still an
-// owner until its arcs transfer.
+// BeginDrain puts the node into decommission drain: it keeps a hint
+// stream open to every peer it holds hints for, calling onDrained (once,
+// on the actor loop) when no hints remain. Replica-level traffic
+// continues — the node is still an owner until its arcs transfer; the
+// host refuses its clients' writes.
 func (n *Node) BeginDrain(env transport.Env, onDrained func()) {
 	n.draining.Store(true)
 	n.onDrained = onDrained
@@ -346,20 +346,6 @@ func (n *Node) drainTick(env transport.Env) {
 
 // Draining reports whether BeginDrain has been called.
 func (n *Node) Draining() bool { return n.draining.Load() }
-
-// MintedDots returns the total dot counters this node has issued —
-// frozen once draining begins (the decommission invariant).
-func (n *Node) MintedDots() uint64 {
-	var total uint64
-	for _, sh := range n.shards {
-		sh.mu.RLock()
-		for _, c := range sh.minted {
-			total += c
-		}
-		sh.mu.RUnlock()
-	}
-	return total
-}
 
 // SetMembers installs the new member set for heartbeats and anti-entropy
 // after a membership epoch lands. Streams to departed members are dropped.

@@ -127,16 +127,16 @@ func FuzzCodecRoundTrip(f *testing.F) {
 // TestPeerFrameSizes pins the frame of every envelope a benchmark
 // operation sends between quorum peers, as a peer link writes it: neither
 // end spelled out, and an answer does not echo its key. Each row gives
-// the parent layout's size too. The digest rows changed with the digest
-// layout: an ask lost its Digest byte, and an answer became its dots,
-// without the context, the value marker, the tombstone bit and the
-// NotReady and Digest bytes. The transport's heartbeat and its echo are
-// pinned beside their type (transport.TestHeartbeatFrameSizes).
+// the parent layout's size too. The rows that carry a dot or a context
+// changed with the names in them: a write is named by the node its
+// client reached (node0), no longer by a gateway actor of that node
+// (node0#gw1), 4 bytes less per name. The transport's heartbeat and its
+// echo are pinned beside their type (transport.TestHeartbeatFrameSizes).
 func TestPeerFrameSizes(t *testing.T) {
 	link := transport.Link{Local: "node1", Remote: "node0"}
 	const key = "k00000042" // the benchmark's key names
-	dot := clock.Dot{Node: "node0#gw1", Counter: 1 << 14}
-	ctx := clock.Vector{"node0#gw1": 1<<14 - 1}
+	dot := clock.Dot{Node: "node0", Counter: 1 << 14}
+	ctx := clock.Vector{"node0": 1<<14 - 1}
 	put := replicaPut{ID: 1 << 20, Key: key, Entry: clock.SiblingEntry[record]{
 		DVV:   clock.DVV{Dot: dot, Context: ctx},
 		Value: record{Value: make([]byte, 128)},
@@ -156,15 +156,15 @@ func TestPeerFrameSizes(t *testing.T) {
 		msg  transport.BinaryMessage
 		want int
 	}{
-		{"digest ask", replicaDigest{ID: 1 << 20, Key: key}, 15},                      // parent 16
-		{"digest answer", replicaDigestResp{ID: 1 << 20, Dots: []clock.Dot{dot}}, 19}, // parent 24
-		{"digest answer, stored set with a context", stored, 19},                      // parent 24
-		{"replicaPut, 128 B value", put, 175},                                         // parent 175
+		{"digest ask", replicaDigest{ID: 1 << 20, Key: key}, 15},                      // parent 15
+		{"digest answer", replicaDigestResp{ID: 1 << 20, Dots: []clock.Dot{dot}}, 15}, // parent 19
+		{"digest answer, stored set with a context", stored, 15},                      // parent 19
+		{"replicaPut, 128 B value", put, 167},                                         // parent 175
 		{"replicaPutAck", replicaPutAck{ID: 1 << 20}, 5},                              // parent 5
 		{"resPing", resPing{}, 2},                                                     // parent 2
 		{"resPong", resPong{}, 2},                                                     // parent 2
 		{"full ask (a re-ask; two-byte tag)", replicaGet{ID: 1 << 20, Key: key}, 16},  // parent 16
-		{"not ready (two-byte tag)", replicaNotReady{ID: 1 << 20}, 6},                 // parent 8
+		{"not ready (two-byte tag)", replicaNotReady{ID: 1 << 20}, 6},                 // parent 6
 	} {
 		frame, err := transport.AppendMessage(link, nil, "node1", "node0", tc.msg)
 		if err != nil {

@@ -24,15 +24,17 @@ import (
 // The client carries the session token across operations — and, via
 // Token/SetToken, across reconnects to different nodes — which is what
 // keeps read-your-writes and the other session guarantees intact when
-// the node it was talking to dies.
+// the node it was talking to dies. It carries each key's quorum causal
+// context the same way, which the nodes keep none of.
 type Client struct {
 	conn net.Conn
 	link transport.Link // this client (Local, its id) to the node it dialed, which it names ""
 	// Timeout bounds each round trip (default 10s).
 	Timeout time.Duration
 
-	wmu  sync.Mutex // serializes request frames onto the connection
-	wbuf []byte     // guarded by wmu: the request frame, reused
+	wmu  sync.Mutex        // serializes request frames onto the connection
+	wbuf []byte            // guarded by wmu: the request frame, reused
+	ctx  map[string][]byte // guarded by wmu: each key's context, as its last answer carried it (see keep)
 
 	mu      sync.Mutex // guards the fields below
 	token   session.Token
@@ -48,7 +50,7 @@ func Dial(addr, id string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: dial %s: %w", addr, err)
 	}
-	c := &Client{conn: conn, link: transport.Link{Local: id}, Timeout: 10 * time.Second, waiters: make(map[uint64]chan Response)}
+	c := &Client{conn: conn, link: transport.Link{Local: id}, Timeout: 10 * time.Second, ctx: map[string][]byte{}, waiters: map[uint64]chan Response{}}
 	c.conn.SetWriteDeadline(time.Now().Add(c.timeout()))
 	if _, err := transport.WriteFrame(conn, transport.Envelope{From: id, Msg: transport.ClientHello(id)}); err != nil {
 		conn.Close()
@@ -132,14 +134,18 @@ func (c *Client) fail(err error) error {
 	return c.err
 }
 
-// write frames req into the reused buffer and writes it. A frame that
-// fails to encode writes nothing and fails only its request. A write
-// that fails may have left part of the frame on the wire, and the server
-// would read the next request as that frame's tail, so it ends the
-// connection: the error turns sticky and every request in flight fails.
-func (c *Client) write(req Request) error {
+// write frames req into the reused buffer and writes it (see do for
+// own). A frame that fails to encode writes nothing and fails only its
+// request. A write that fails may have left part of the frame on the
+// wire, and the server would read the next request as that frame's tail,
+// so it ends the connection: the error turns sticky and every request in
+// flight fails.
+func (c *Client) write(req Request, own bool) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if own && req.Op != "get" {
+		req.Context = c.ctx[req.Key]
+	}
 	var err error
 	c.wbuf, err = transport.AppendMessage(c.link, c.wbuf[:0], c.link.Local, c.link.Remote, req)
 	if err != nil {
@@ -158,8 +164,9 @@ func (c *Client) write(req Request) error {
 // the request goes out immediately and this goroutine parks until the
 // reader delivers the response matching its sequence number. The
 // waiter's channel comes from the reply pool and goes back once its
-// answer is received (see replies).
-func (c *Client) do(req Request) (Response, error) {
+// answer is received (see replies). With own set, a put or delete
+// carries the client's context for req.Key, and the answer's is kept.
+func (c *Client) do(req Request, own bool) (Response, error) {
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -173,7 +180,7 @@ func (c *Client) do(req Request) (Response, error) {
 	c.waiters[req.Seq] = ch
 	c.mu.Unlock()
 
-	if err := c.write(req); err != nil {
+	if err := c.write(req, own); err != nil {
 		c.mu.Lock()
 		delete(c.waiters, req.Seq)
 		c.mu.Unlock()
@@ -191,6 +198,9 @@ func (c *Client) do(req Request) (Response, error) {
 			return Response{}, err
 		}
 		putReply(ch)
+		if own && (resp.OK || resp.Context != nil) {
+			c.keep(req.Key, resp.Context)
+		}
 		if resp.Err != "" {
 			if resp.NotOwner {
 				return resp, &NotOwnerError{Node: resp.Node, Epoch: resp.Epoch, State: resp.State}
@@ -206,15 +216,42 @@ func (c *Client) do(req Request) (Response, error) {
 	}
 }
 
-// Put writes key = value.
+// keep makes an answer's context the client's for key: a successful
+// answer's, and a failed put's, which covers the write. It is copied into
+// the slice held for key, so once the key is held it allocates nothing;
+// a model without contexts holds no key.
+func (c *Client) keep(key string, ctx []byte) {
+	c.wmu.Lock()
+	if cur, ok := c.ctx[key]; ok || len(ctx) > 0 {
+		c.ctx[key] = append(cur[:0], ctx...)
+	}
+	c.wmu.Unlock()
+}
+
+// Put writes key = value over what this client last read or wrote of
+// key: it supersedes that, and stands beside what the client never saw.
 func (c *Client) Put(key string, value []byte) error {
-	_, err := c.do(Request{Op: "put", Key: key, Value: value})
+	_, err := c.do(Request{Op: "put", Key: key, Value: value}, true)
 	return err
+}
+
+// PutCtx writes key = value over ctx, which GetCtx or PutCtx returned,
+// perhaps to another client of another node, and returns the context
+// that covers the write, even when it fails.
+func (c *Client) PutCtx(key string, value, ctx []byte) ([]byte, error) {
+	resp, err := c.do(Request{Op: "put", Key: key, Value: value, Context: ctx}, false)
+	return resp.Context, err
+}
+
+// GetCtx is GetSiblings with the context for a PutCtx to write over.
+func (c *Client) GetCtx(key string) ([][]byte, []byte, error) {
+	resp, err := c.do(Request{Op: "get", Key: key}, false)
+	return siblings(resp), resp.Context, err
 }
 
 // Get reads key. found is false when the key is absent (or deleted).
 func (c *Client) Get(key string) (value []byte, found bool, err error) {
-	resp, err := c.do(Request{Op: "get", Key: key})
+	resp, err := c.do(Request{Op: "get", Key: key}, true)
 	if err != nil {
 		return nil, false, err
 	}
@@ -227,7 +264,7 @@ func (c *Client) Get(key string) (value []byte, found bool, err error) {
 // bound — and staleMs is that measurement at serve time (-1 while the
 // node has no measurement yet).
 func (c *Client) GetSLA(key string, tier geo.Tier) (value []byte, found bool, delivered geo.Kind, staleMs int64, err error) {
-	resp, err := c.do(Request{Op: "get", Key: key, SLA: uint8(tier.Kind), BoundMs: tier.Bound.Milliseconds()})
+	resp, err := c.do(Request{Op: "get", Key: key, SLA: uint8(tier.Kind), BoundMs: tier.Bound.Milliseconds()}, true)
 	if err != nil {
 		return nil, false, geo.Strong, 0, err
 	}
@@ -237,28 +274,38 @@ func (c *Client) GetSLA(key string, tier geo.Tier) (value []byte, found bool, de
 // GetSiblings reads key and returns every concurrent version the store
 // holds (quorum model; other models return at most one value).
 func (c *Client) GetSiblings(key string) ([][]byte, error) {
-	resp, err := c.do(Request{Op: "get", Key: key})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Values) > 0 {
-		return resp.Values, nil
-	}
-	if resp.Found {
-		return [][]byte{resp.Value}, nil
-	}
-	return nil, nil
+	resp, err := c.do(Request{Op: "get", Key: key}, true)
+	return siblings(resp), err
 }
 
-// Delete removes key.
+func siblings(resp Response) [][]byte {
+	if len(resp.Values) > 0 {
+		return resp.Values
+	}
+	if resp.Found {
+		return [][]byte{resp.Value}
+	}
+	return nil
+}
+
+// Delete removes key as this client has seen it. A client that holds no
+// context for key reads it first, so the delete removes what it can see.
 func (c *Client) Delete(key string) error {
-	_, err := c.do(Request{Op: "del", Key: key})
+	c.wmu.Lock()
+	_, seen := c.ctx[key]
+	c.wmu.Unlock()
+	if !seen {
+		if _, err := c.GetSiblings(key); err != nil {
+			return err
+		}
+	}
+	_, err := c.do(Request{Op: "del", Key: key}, true)
 	return err
 }
 
 // Status asks the node which model it runs.
 func (c *Client) Status() (node, model string, err error) {
-	resp, err := c.do(Request{Op: "status"})
+	resp, err := c.do(Request{Op: "status"}, false)
 	if err != nil {
 		return "", "", err
 	}
@@ -282,7 +329,7 @@ func (e *NotOwnerError) Error() string {
 // RingStatus fetches the node's membership view: epoch, state, member
 // list, and transfer progress (quorum model only).
 func (c *Client) RingStatus() (RingStatus, error) {
-	resp, err := c.do(Request{Op: "ring-status"})
+	resp, err := c.do(Request{Op: "ring-status"}, false)
 	if err != nil {
 		return RingStatus{}, err
 	}
@@ -304,7 +351,7 @@ func (c *Client) AddNode(id, addr string) error {
 // AddNodeZone is AddNode with the joiner's zone declared, so the new
 // epoch's ring keeps replica sets spread across zones.
 func (c *Client) AddNodeZone(id, addr, zone string) error {
-	_, err := c.do(Request{Op: "add-node", Key: id, Value: []byte(addr), Zone: zone})
+	_, err := c.do(Request{Op: "add-node", Key: id, Value: []byte(addr), Zone: zone}, false)
 	return err
 }
 
@@ -313,7 +360,7 @@ func (c *Client) AddNodeZone(id, addr, zone string) error {
 // drain is underway; poll RingStatus until State is "left" before
 // stopping the process.
 func (c *Client) Decommission() error {
-	_, err := c.do(Request{Op: "decommission"})
+	_, err := c.do(Request{Op: "decommission"}, false)
 	return err
 }
 

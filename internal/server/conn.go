@@ -9,10 +9,12 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/geo"
 	"repro/internal/quorum"
 	"repro/internal/session"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // maxClientInflight caps the operations of one client connection that
@@ -90,14 +92,6 @@ const (
 	slotAdmin        // an admin operation on its own goroutine
 )
 
-// Where an operation runs.
-const (
-	pathGossip  = iota // on the gossip node's loop
-	pathLocal          // coordinated here, on the key's shard loop
-	pathGateway        // forwarded through the shard's gateway client
-	pathSession        // on the connection's session client
-)
-
 // opSlot carries one operation from its start to its answer. A
 // connection reuses its slots, and each binds its callbacks once, so
 // starting and completing an operation allocates no closure.
@@ -106,22 +100,21 @@ type opSlot struct {
 	state atomic.Uint32
 	req   Request
 	start time.Time
-	path  int
 
-	// The quorum plan of the operation (see slaRoute).
-	gi      int
+	// The quorum plan of the operation (see slaRoute), and the causal
+	// context its request carried.
 	coord   string
 	r       int
 	tier    geo.Kind
 	staleMs int64
+	ctx     clock.Vector
 
-	resp Response // the answer, while the ack barrier holds it or it waits for a writer
+	resp   Response // the answer, while the ack barrier holds it or it waits for a writer
+	ctxBuf []byte   // the answer's Context, reused by the slot's operations
 
 	guarded, exec    func(transport.Env)
-	localPut         func(transport.Env, quorum.PutResult)
-	localGet         func(transport.Env, quorum.GetResult)
-	gwPut            func(quorum.PutResult)
-	gwGet            func(quorum.GetResult)
+	quorumPut        func(transport.Env, quorum.PutResult)
+	quorumGet        func(transport.Env, quorum.GetResult)
 	sessWrote        func(session.WriteResult)
 	sessRead         func(session.ReadResult)
 	deliver, dropped func()
@@ -207,8 +200,7 @@ func (c *clientConn) slot() *opSlot {
 	c.made++
 	sl := &opSlot{c: c}
 	sl.guarded, sl.exec = sl.runGuarded, sl.run
-	sl.localPut, sl.localGet = sl.putDone, sl.getDone
-	sl.gwPut, sl.gwGet = sl.gatewayPutDone, sl.gatewayGetDone
+	sl.quorumPut, sl.quorumGet = sl.putDone, sl.getDone
 	sl.sessWrote, sl.sessRead = sl.sessionWritten, sl.sessionRead
 	sl.deliver, sl.dropped = sl.answerHeld, sl.answerDropped
 	c.mu.Lock()
@@ -229,7 +221,8 @@ func (c *clientConn) start(req Request) {
 	case "put", "get", "del":
 	case "status", "ring-status", "add-node", "decommission":
 		sl.state.Store(slotAdmin)
-		go func() { c.answer(sl, s.admin(req)) }()
+		// Passed, not captured: capturing a Request moves every one to the heap.
+		go func(req Request) { c.answer(sl, s.admin(req)) }(req)
 		return
 	default:
 		sl.state.Store(slotOp)
@@ -241,47 +234,46 @@ func (c *clientConn) start(req Request) {
 		c.answer(sl, resp)
 		return
 	}
-	var ok bool
+	shard := -1
 	switch s.cfg.Model {
-	case "gossip":
-		sl.path = pathGossip
-		ok = s.tcp.Invoke(s.cfg.ID, sl.guarded)
 	case "quorum":
-		// The gateway client of the key's shard names the operation
-		// (request ids, per-key contexts). When this node coordinates, the
-		// operation is one call on the key's shard loop; otherwise the
-		// gateway sends it to the coordinator, and retries, hedges and
-		// fails over if that node is down.
-		sl.tier, sl.r, sl.coord, sl.staleMs = s.slaRoute(req)
-		sl.gi = s.qnode.Router().Shard(req.Key)
-		if sl.coord == s.cfg.ID {
-			sl.path = pathLocal
-			ok = s.tcp.InvokeShard(s.cfg.ID, sl.gi, sl.guarded)
-		} else {
-			sl.path = pathGateway
-			ok = s.tcp.Invoke(s.gwIDs[sl.gi], sl.exec)
+		// One call on the key's shard loop, which names the operation (a
+		// request id from the shard's sequence) and either coordinates it
+		// or forwards it to the coordinator, retrying, hedging and failing
+		// over if that node is down. The context is the client's.
+		var err error
+		if sl.ctx, err = decodeContext(req.Context); err != nil {
+			c.answer(sl, Response{Err: err.Error()})
+			return
 		}
+		sl.tier, sl.r, sl.coord, sl.staleMs = s.slaRoute(req)
+		shard = s.qnode.Router().Shard(req.Key)
 	case "session":
-		sl.path = pathSession
 		c.runSessions(c.queueSession(sl))
 		return
 	}
-	if !ok {
+	if !s.tcp.InvokeShard(s.cfg.ID, shard, sl.guarded) {
 		c.answer(sl, Response{Err: "node stopped"})
 	}
 }
 
 // runGuarded runs the operation as one invocation of the storage node: on
 // a durable node through the ack barrier, like a message.
-func (sl *opSlot) runGuarded(env transport.Env) { sl.c.s.invocation(env, sl.exec) }
+func (sl *opSlot) runGuarded(env transport.Env) {
+	if b := sl.c.s.ackB; b != nil {
+		b.Call(env, sl.exec)
+	} else {
+		sl.exec(env)
+	}
+}
 
 // run executes the operation on its loop. Its answer may come before run
 // returns, and the slot may then be reused at once: nothing reads the
 // slot after the operation is handed to the protocol.
 func (sl *opSlot) run(env transport.Env) {
 	s, req := sl.c.s, sl.req
-	switch sl.path {
-	case pathGossip:
+	switch s.cfg.Model {
+	case "gossip":
 		resp := Response{OK: true}
 		switch req.Op {
 		case "put":
@@ -292,27 +284,16 @@ func (sl *opSlot) run(env transport.Env) {
 			resp.Value, resp.Found = s.gossipN.Get(req.Key)
 		}
 		sl.finish(env, resp)
-	case pathLocal:
-		gw := s.gwQuorum[sl.gi]
+	case "quorum":
 		switch req.Op {
 		case "put":
-			s.qnode.CoordinatePut(env, gw, req.Key, req.Value, sl.localPut)
+			s.qnode.CoordinatePut(env, sl.coord, req.Key, req.Value, sl.ctx, sl.quorumPut)
 		case "del":
-			s.qnode.CoordinateDelete(env, gw, req.Key, sl.localPut)
+			s.qnode.CoordinateDelete(env, sl.coord, req.Key, sl.ctx, sl.quorumPut)
 		case "get":
-			s.qnode.CoordinateGet(env, gw, req.Key, sl.r, sl.localGet)
+			s.qnode.CoordinateGet(env, sl.coord, req.Key, sl.r, sl.quorumGet)
 		}
-	case pathGateway:
-		gw, coord := s.gwQuorum[sl.gi], sl.coord
-		switch req.Op {
-		case "put":
-			gw.Put(env, coord, req.Key, req.Value, sl.gwPut)
-		case "del":
-			gw.Delete(env, coord, req.Key, sl.gwPut)
-		case "get":
-			gw.GetR(env, coord, req.Key, sl.r, sl.gwGet)
-		}
-	case pathSession:
+	case "session":
 		sess := sl.c.sess
 		sess.MergeToken(req.Token)
 		switch req.Op {
@@ -326,13 +307,18 @@ func (sl *opSlot) run(env transport.Env) {
 	}
 }
 
+// putDone answers a quorum put or delete with the context that covers
+// it, whether it failed or not.
 func (sl *opSlot) putDone(env transport.Env, r quorum.PutResult) {
-	resp := putResponse(r.Err)
-	resp.Zone = sl.c.s.cfg.Zone
+	resp := Response{OK: r.Err == nil, Zone: sl.c.s.cfg.Zone, Context: sl.context(r.Context)}
+	if r.Err != nil {
+		resp.Err = r.Err.Error()
+	}
 	sl.finish(env, resp)
 }
 
-// getDone answers a quorum get at the tier delivered.
+// getDone answers a quorum get at the tier delivered, with the context
+// of what it read.
 func (sl *opSlot) getDone(env transport.Env, r quorum.GetResult) {
 	resp := Response{Zone: sl.c.s.cfg.Zone}
 	if r.Err != nil {
@@ -340,6 +326,7 @@ func (sl *opSlot) getDone(env transport.Env, r quorum.GetResult) {
 	} else {
 		resp.OK, resp.Found, resp.Values = true, len(r.Values) > 0, r.Values
 		resp.Tier, resp.StaleMs = uint8(sl.tier), sl.staleMs
+		resp.Context = sl.context(r.Context)
 		if len(r.Values) > 0 {
 			resp.Value = r.Values[0]
 		}
@@ -347,10 +334,15 @@ func (sl *opSlot) getDone(env transport.Env, r quorum.GetResult) {
 	sl.finish(env, resp)
 }
 
-// The gateway clients are not behind the ack barrier: they journal
-// nothing, and their answers come from the coordinator's own.
-func (sl *opSlot) gatewayPutDone(r quorum.PutResult) { sl.putDone(nil, r) }
-func (sl *opSlot) gatewayGetDone(r quorum.GetResult) { sl.getDone(nil, r) }
+// context encodes v into the slot's context buffer, for the answer: nil
+// when v is empty.
+func (sl *opSlot) context(v clock.Vector) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	sl.ctxBuf = wire.AppendVector(sl.ctxBuf[:0], v)
+	return sl.ctxBuf
+}
 
 func (sl *opSlot) sessionWritten(r session.WriteResult) {
 	resp := Response{OK: true, Token: sl.c.sess.Token()}
@@ -411,8 +403,8 @@ func (c *clientConn) runSessions(sl *opSlot) {
 	}
 }
 
-// finish answers the operation from the invocation env it completed in
-// (nil off the storage node's loops). Under the ack barrier the answer
+// finish answers the operation from the invocation env it completed in.
+// Under the ack barrier the answer
 // waits like a message sent in its place, for the records the invocation
 // journaled; if the barrier drops it, the client learns the write is not
 // durable.
@@ -448,7 +440,7 @@ func (c *clientConn) send(sl *opSlot, resp Response) {
 	s.reqLat.Observe(time.Since(sl.start))
 	s.statMu.Unlock()
 	resp.Seq, resp.Node = sl.req.Seq, s.cfg.ID
-	sl.req, sl.resp = Request{}, resp // the request's frame is not pinned
+	sl.req, sl.ctx, sl.resp = Request{}, nil, resp // the request's frame is not pinned
 
 	c.mu.Lock()
 	if c.broken {

@@ -363,9 +363,9 @@ func (s *Server) onRingPull(env transport.Env, from string) {
 }
 
 // installUpdate applies a (strictly newer) epoch: new ring, previous
-// ring derived from the update's content, peer addresses, quorum member
-// set, and gateway failover list. Idempotent by Seq. Returns whether the
-// epoch was installed.
+// ring derived from the update's content, peer addresses, and quorum
+// member set (also the failover list of the operations the node
+// forwards). Idempotent by Seq. Returns whether the epoch was installed.
 func (s *Server) installUpdate(env transport.Env, m ringUpdate) bool {
 	el := s.el
 	if len(m.Members) == 0 || len(m.Addrs) != len(m.Members) {
@@ -466,11 +466,6 @@ func (s *Server) installUpdate(env transport.Env, m ringUpdate) bool {
 
 	s.tcp.SetPeers(addrsCopy)
 	s.qnode.SetMembers(members)
-	for i, gwID := range s.gwIDs {
-		gw := s.gwQuorum[i]
-		gwMembers := append([]string(nil), members...)
-		s.tcp.Invoke(gwID, func(transport.Env) { gw.Nodes = gwMembers })
-	}
 	s.logf("server %s: installed membership epoch %d (members=%v joining=%q leaving=%q settled=%v)",
 		s.cfg.ID, m.Seq, members, m.Joining, m.Leaving, m.Settled)
 	return true
@@ -902,7 +897,6 @@ type RingStatus struct {
 	TransferDone  int      `json:"transfer_done"`
 	TransferTotal int      `json:"transfer_total"`
 	PendingHints  int      `json:"pending_hints"`
-	MintedDots    uint64   `json:"minted_dots"`
 	// Zone is the node's declared zone ("" = unzoned).
 	Zone string `json:"zone,omitempty"`
 	// Shards is the node's execution shard count: its shard loops.
@@ -921,23 +915,12 @@ func (s *Server) handleRingStatus() Response {
 	st := RingStatus{
 		Node: s.cfg.ID, State: mode, Epoch: seq, Members: members,
 		TransferDone: done, TransferTotal: total,
-		Zone:   s.cfg.Zone,
-		Shards: s.qnode.Shards(),
+		PendingHints: s.qnode.PendingHints(), // lock-guarded: no loop to visit
+		Zone:         s.cfg.Zone,
+		Shards:       s.qnode.Shards(),
 	}
 	if s.dur != nil {
 		st.ReplayedByLane = s.dur.LaneReplayed()
-	}
-	captured := make(chan struct{})
-	if s.tcp.Invoke(s.cfg.ID, func(transport.Env) {
-		st.PendingHints = s.qnode.PendingHints()
-		st.MintedDots = s.qnode.MintedDots()
-		close(captured)
-	}) {
-		select {
-		case <-captured:
-		case <-time.After(requestTimeout):
-			return Response{Err: "ring-status timed out"}
-		}
 	}
 	b, err := json.Marshal(st)
 	if err != nil {

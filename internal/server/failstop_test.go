@@ -256,10 +256,10 @@ func TestPersistAllocatesNothing(t *testing.T) {
 	}
 }
 
-// A node restarted from its DataDir mints no identity it minted before,
+// A node restarted from its DataDir mints no identity it issued before,
 // so its first put after the restart is stored, not acked and dropped. A
-// quorum gateway's request ids restart with the process, and the dot of
-// a put is (gateway, request id): a repeated dot is discarded by every
+// quorum node's request ids restart with the process, and the dot of a
+// put is (node, request id): a repeated dot is discarded by every
 // replica that saw the first, yet acknowledged. A session connection's id
 // restarts too, and the session server acknowledges a request id it has
 // applied for that id without applying it again.
@@ -296,7 +296,7 @@ func TestRestartedNodeMintsFreshIdentities(t *testing.T) {
 				t.Fatal(err)
 			}
 			if model == "quorum" {
-				// The restarted gateway has read nothing, so its put is
+				// The new client has read nothing, so its put is
 				// concurrent with v5: both are siblings, neither is lost.
 				vals, err := c2.GetSiblings("k")
 				got := make([]string, len(vals))

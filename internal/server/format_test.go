@@ -62,7 +62,7 @@ func readTree(t *testing.T, root string) map[string]string {
 
 // TestFormatTooOld boots a node on each data directory a gob commit
 // wrote — journal records and a checkpoint of every model, sibling sets
-// in an SSTable, an LSM manifest — and on the LSM directories of the
+// in an SSTable, an LSM manifest — and on the quorum directories of the
 // binary layouts since retired. Every one must be refused with the one
 // typed error, not decoded into something else and not left to panic on a
 // first read, and a refusal must leave every file as it found it.
@@ -71,8 +71,10 @@ func TestFormatTooOld(t *testing.T) {
 		{"wal", "quorum", "v0", "wal", "mem"},
 		{"ckpt", "quorum", "v0", "ckpt", "mem"},
 		{"lsm", "quorum", "v0", "lsm", "lsm"},
-		{"lsm-v1", "quorum", "v1", "lsm", "lsm"}, // binary sibling sets under a gob manifest
-		{"lsm-v2", "quorum", "v2", "lsm", "lsm"}, // tables that carried sequence numbers
+		{"wal-v1", "quorum", "v1", "wal", "mem"},   // a record of the node's own dot counter
+		{"ckpt-v1", "quorum", "v1", "ckpt", "mem"}, // a list of the node's own dot counters
+		{"lsm-v1", "quorum", "v1", "lsm", "lsm"},   // binary sibling sets under a gob manifest
+		{"lsm-v2", "quorum", "v2", "lsm", "lsm"},   // tables that carried sequence numbers
 		{"gossip-wal", "gossip", "v0", "wal", ""},
 		{"gossip-ckpt", "gossip", "v0", "ckpt", ""},
 		{"session-wal", "session", "v0", "wal", ""},
@@ -105,8 +107,8 @@ func TestFormatTooOld(t *testing.T) {
 // hold (TestFixtureV1 in each model's package checks the exact state).
 func TestFormatCurrentBoots(t *testing.T) {
 	for _, f := range []fixture{
-		{"wal", "quorum", "v1", "wal", "mem"},
-		{"ckpt", "quorum", "v1", "ckpt", "mem"},
+		{"wal", "quorum", "v4", "wal", "mem"},
+		{"ckpt", "quorum", "v4", "ckpt", "mem"},
 		{"lsm", "quorum", "v3", "lsm", "lsm"},
 		{"gossip-wal", "gossip", "v1", "wal", ""},
 		{"gossip-ckpt", "gossip", "v1", "ckpt", ""},

@@ -125,7 +125,7 @@ func TestClusterGeoSLATiers(t *testing.T) {
 	t.Logf("median read latency: strong=%s eventual=%s", strong, eventual)
 
 	// Responses carry the serving node's zone.
-	resp, err := c0.do(Request{Op: "get", Key: keys[0], SLA: uint8(geo.Eventual)})
+	resp, err := c0.do(Request{Op: "get", Key: keys[0], SLA: uint8(geo.Eventual)}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,14 @@
 // Package server hosts a consistency model behind the TCP transport as
 // a networked node: the storage node itself (gossip, quorum, or session
-// — unchanged protocol code), a gateway that turns client connections
-// into protocol operations on the actor runtime, and an HTTP sidecar
+// — unchanged protocol code), the serving of client connections as
+// protocol operations on the actor runtime, and an HTTP sidecar
 // exposing Prometheus-style /metrics and a /healthz view of the
 // phi-accrual failure detector. cmd/ecserver wraps it as a daemon and
 // cmd/ecctl drives local clusters of them.
 package server
 
 import (
+	"repro/internal/clock"
 	"repro/internal/session"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -57,18 +58,23 @@ type Request struct {
 	// Zone is the client's zone hint ("add-node" carries the joiner's
 	// zone here).
 	Zone string
+	// Context is the causal context a quorum put or delete writes over,
+	// as a Response returned it (opaque to the client; empty writes blind).
+	Context []byte
 }
 
 // Response completes one client operation.
 type Response struct {
-	// Seq echoes the request's sequence number.
+	// Seq echoes the request's sequence number. The one-byte fields sit
+	// in pairs: an answer is boxed for its reader, and padding would
+	// take it a size class up.
 	Seq uint64
-	OK  bool
 	Err string
-	// Value/Found answer a get (Values carries quorum siblings when
+	OK  bool
+	// Found/Value answer a get (Values carries quorum siblings when
 	// concurrent writes left more than one).
-	Value  []byte
 	Found  bool
+	Value  []byte
 	Values [][]byte
 	// Token returns the serving session's updated state; the client
 	// echoes it on its next request (possibly elsewhere).
@@ -82,16 +88,19 @@ type Response struct {
 	// the client should retry against a current member. State is the
 	// node's elasticity state ("ok", "catching-up", "draining", "left");
 	// it also rides on "status"/"ring-status" answers.
-	NotOwner bool
 	Epoch    uint64
 	State    string
-	// StaleMs is the serving node's measured max cross-zone replication
-	// staleness at serve time (SLA gets); Tier is the tier actually
-	// delivered (a bounded request may escalate to strong); Zone is the
-	// serving node's zone.
-	StaleMs int64
+	NotOwner bool
+	// Tier is the tier actually delivered (a bounded request may escalate
+	// to strong); StaleMs is the serving node's measured max cross-zone
+	// replication staleness at serve time (SLA gets); Zone is the serving
+	// node's zone.
 	Tier    uint8
+	StaleMs int64
 	Zone    string
+	// Context is the key's causal context after a quorum get, put or
+	// delete: what the get read, or what covers the write, failed or not.
+	Context []byte
 }
 
 func (Request) WireID() uint16 { return widRequest }
@@ -104,7 +113,8 @@ func (m Request) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendVector(dst, m.Token.Write)
 	dst = wire.AppendUvarint(dst, uint64(m.SLA))
 	dst = wire.AppendVarint(dst, m.BoundMs)
-	return wire.AppendString(dst, m.Zone)
+	dst = wire.AppendString(dst, m.Zone)
+	return wire.AppendBytes(dst, m.Context)
 }
 
 // The byte after Value holds Found in bit 0, as a bool always did, and in
@@ -150,7 +160,8 @@ func (m Response) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendString(dst, m.State)
 	dst = wire.AppendVarint(dst, m.StaleMs)
 	dst = wire.AppendUvarint(dst, uint64(m.Tier))
-	return wire.AppendString(dst, m.Zone)
+	dst = wire.AppendString(dst, m.Zone)
+	return wire.AppendBytes(dst, m.Context)
 }
 
 func init() {
@@ -164,6 +175,7 @@ func init() {
 			SLA:     uint8(r.Uvarint()),
 			BoundMs: r.Varint(),
 			Zone:    r.String(),
+			Context: r.Bytes(),
 		}
 	})
 	transport.RegisterBinary(widResponse, func(r *wire.Reader) transport.Message {
@@ -189,6 +201,18 @@ func init() {
 		m.StaleMs = r.Varint()
 		m.Tier = uint8(r.Uvarint())
 		m.Zone = r.String()
+		m.Context = r.Bytes()
 		return m
 	})
+}
+
+// decodeContext reads the causal context a request carries (nil for
+// none): the vector is the request's own, for the write to keep.
+func decodeContext(b []byte) (clock.Vector, error) {
+	if len(b) == 0 {
+		return nil, nil
+	}
+	r := wire.NewReader(b)
+	v := r.Vector()
+	return v, r.Close()
 }

@@ -46,6 +46,7 @@ func genMsgs(g *wiretest.Gen) []transport.Message {
 			SLA:     g.Byte(),
 			BoundMs: g.Int64(),
 			Zone:    g.Str(),
+			Context: g.Bytes(),
 		},
 		genResponse(g),
 		Response{
@@ -64,6 +65,7 @@ func genMsgs(g *wiretest.Gen) []transport.Message {
 			StaleMs:  g.Int64(),
 			Tier:     g.Byte(),
 			Zone:     g.Str(),
+			Context:  g.Bytes(),
 		},
 		ringUpdate{
 			Seq:     g.Uint64(),

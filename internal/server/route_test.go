@@ -223,7 +223,8 @@ func TestGeoAsyncWritesAndStrongReadsMeetAtTheOwner(t *testing.T) {
 // eventual get at a replica that is not the owner is coordinated in
 // place, and a put through the same node is forwarded to the owner. The
 // two run on different paths, yet the put must carry the context the get
-// read, and supersede the version it saw instead of standing beside it.
+// read, which the client holds, and supersede the version it saw instead
+// of standing beside it.
 func TestGeoAsyncLocalGetAndForwardedPutShareOneContext(t *testing.T) {
 	srvs, _ := startGeoCluster(t, 3, []string{"us", "eu", "ap"}, 0, false)
 	s := srvs[0]

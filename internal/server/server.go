@@ -105,7 +105,9 @@ type Config struct {
 }
 
 // Server is one running node: a TCP transport hosting the model's
-// protocol node, a client-protocol gateway, and the HTTP sidecar.
+// protocol node, the client connections it serves, and the HTTP sidecar.
+// It keeps no state for its clients beyond their open connections: a
+// quorum client's causal context travels with its requests.
 type Server struct {
 	cfg    Config
 	tcp    *transport.TCP
@@ -113,8 +115,6 @@ type Server struct {
 	dir    *resilience.Directory
 	policy *resilience.Policy
 
-	gwQuorum   []*quorum.Client // quorum model: gateway clients (one per shard; see clientConn.start)
-	gwIDs      []string
 	lsmEngines []*lsm.Engine // Engine "lsm": per-shard trees, for metrics and close
 	gossipN    *gossip.Node  // gossip model: ops run on the storage actor itself
 	qnode      *quorum.Node  // quorum model: the storage actor's protocol node
@@ -140,8 +140,8 @@ type Server struct {
 	booted bool
 	// ready closes when New finishes booting. The transport's listener
 	// accepts client connections from the moment it binds, but the
-	// gateways (and, on a durable node, WAL recovery) come later in New
-	// — a request dispatched in that window would hit a half-built
+	// storage actor (and, on a durable node, WAL recovery) comes later in
+	// New — a request dispatched in that window would hit a half-built
 	// server. Connection handlers park here until boot completes; on a
 	// restart with a large WAL that means the first client blocks for
 	// the replay instead of racing it.
@@ -149,12 +149,12 @@ type Server struct {
 }
 
 // incarnationShift places a boot's incarnation above every request id
-// a gateway's quorum.Client, and every connection number the session
-// model, can issue in one boot (2^40: four months at 100,000 a second).
-// Both name writes: a quorum dot is (gateway, request id), and a session
-// server applies a client's request at most once. An identity minted
-// after a restart therefore never repeats one minted before it, and a
-// first boot mints exactly what it did before incarnations existed.
+// the quorum node, and every connection number the session model, can
+// issue in one boot (2^40: four months at 100,000 a second). Both name
+// writes: a quorum dot is (node, request id), and a session server
+// applies a client's request at most once. An identity issued after a
+// restart therefore never repeats one issued before it, and a first boot
+// issues exactly what it did before incarnations existed.
 const incarnationShift = 40
 
 // requestTimeout bounds how long an admin operation waits for the
@@ -196,8 +196,8 @@ func (c Config) validate() error {
 	return fmt.Errorf("server: unknown model %q (want gossip, quorum, or session)", c.Model)
 }
 
-// New starts a node: binds the transport, boots the protocol node and
-// gateway, and serves HTTP if configured.
+// New starts a node: binds the transport, boots the protocol node,
+// serves its clients, and serves HTTP if configured.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -302,7 +302,7 @@ func New(cfg Config) (*Server, error) {
 		// With Fanout 1 a fresh write travels one chain of TTL+1
 		// rumors. len(others) of them can reach every peer; one more
 		// only lands on a node that holds the write already and refuses
-		// it (with three nodes, the one that minted it). Anti-entropy
+		// it (with three nodes, the one that issued it). Anti-entropy
 		// repairs a chain that revisits a node and stops short.
 		ttl := max(1, len(others)-1)
 		s.gossipN = gossip.NewNode(cfg.ID, gossip.Config{Peers: others, RumorTTL: ttl, Persist: persist},
@@ -434,6 +434,9 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s.connSeq = s.incarnation << incarnationShift // session connection ids
+	if s.qnode != nil {
+		s.qnode.StartRequestsAt(s.incarnation << incarnationShift)
+	}
 
 	// Membership traffic shares the storage actor's loop (and, below,
 	// its durability ack barrier): epoch installs serialize with the
@@ -458,27 +461,6 @@ func New(cfg Config) (*Server, error) {
 		handler = transport.WithSharding(handler, s.qnode)
 	}
 	tcp.AddNode(cfg.ID, handler)
-	if cfg.Model == "quorum" {
-		// One gateway quorum client per shard, keyed the same way as the
-		// replica shards, names the writes this node's clients make and
-		// keeps their contexts. An operation this node coordinates runs on
-		// the key's shard loop (clientConn.start); one it forwards runs on the
-		// gateway's own actor loop, so forwarding fans across cores too
-		// instead of serializing on a single gateway loop.
-		ng := s.qnode.Shards()
-		s.gwIDs = make([]string, ng)
-		s.gwQuorum = make([]*quorum.Client, ng)
-		for i := range s.gwIDs {
-			id := fmt.Sprintf("%s#gw%d", cfg.ID, i)
-			c := quorum.NewClient(id)
-			c.StartIDsAt(s.incarnation << incarnationShift)
-			c.Nodes = ringMembers
-			c.Policy = policy
-			c.Directory = s.dir
-			s.gwIDs[i], s.gwQuorum[i] = id, c
-			tcp.AddNode(id, c)
-		}
-	}
 	if s.dur != nil && cfg.CheckpointInterval >= 0 {
 		interval := cfg.CheckpointInterval
 		if interval == 0 {
@@ -523,22 +505,14 @@ func quorumParams(cfg Config, size int) (n, r, w int) {
 	if n <= 0 {
 		n = 3
 	}
-	if n > size {
-		n = size
-	}
+	n = min(n, size)
 	if r <= 0 {
 		r = (n + 1) / 2
 	}
 	if w <= 0 {
 		w = n/2 + 1
 	}
-	if r > n {
-		r = n
-	}
-	if w > n {
-		w = n
-	}
-	return
+	return n, min(r, n), min(w, n)
 }
 
 // Addr returns the bound peer-link address.
@@ -615,23 +589,18 @@ func (s *Server) logf(format string, args ...any) {
 // counters, and /metrics, by one series per op name it invents, so every
 // op dispatch does not know counts as "unknown".
 func requestCounter(op string) string {
-	switch op {
-	case "put":
-		return "server.requests.put"
-	case "get":
-		return "server.requests.get"
-	case "del":
-		return "server.requests.del"
-	case "status":
-		return "server.requests.status"
-	case "ring-status":
-		return "server.requests.ring-status"
-	case "add-node":
-		return "server.requests.add-node"
-	case "decommission":
-		return "server.requests.decommission"
+	if name, ok := requestCounters[op]; ok {
+		return name
 	}
 	return "server.requests.unknown"
+}
+
+var requestCounters = map[string]string{}
+
+func init() {
+	for _, op := range []string{"put", "get", "del", "status", "ring-status", "add-node", "decommission"} {
+		requestCounters[op] = "server.requests." + op
+	}
 }
 
 // admin answers an admin operation. Those may wait on the cluster, so
@@ -674,16 +643,6 @@ func (s *Server) refusal(req Request) (Response, bool) {
 	return Response{}, false
 }
 
-// invocation runs fn as one handler invocation of the storage actor: on a
-// durable node through the ack barrier, like a message.
-func (s *Server) invocation(env transport.Env, fn func(transport.Env)) {
-	if s.ackB == nil {
-		fn(env)
-		return
-	}
-	s.ackB.Call(env, fn)
-}
-
 // slaRoute resolves a request's SLA tier into a plan: the tier actually
 // delivered, the per-request read-quorum override (0 keeps the
 // configured R), the coordinator (see coordinator), and the staleness
@@ -713,8 +672,8 @@ func (s *Server) slaRoute(req Request) (tier geo.Kind, rOverride int, coord stri
 // coordinator picks the node that coordinates an operation on key. The
 // rule is to coordinate where the client landed: this node, whenever it
 // is one of the key's replicas. Quorums intersect whichever replica
-// coordinates, a write's dot is derived from the client's request id and
-// not from the coordinator, and dual-apply, hints, read repair and the
+// coordinates, a write's dot is (this node, request id) whichever node
+// coordinates it, and dual-apply, hints, read repair and the
 // redirects of a draining or departed node run wherever the operation
 // does. The key's ring owner coordinates instead in three cases:
 //
@@ -779,11 +738,4 @@ func (s *Server) maxRemoteStaleness() int64 {
 		}
 	}
 	return max
-}
-
-func putResponse(err error) Response {
-	if err != nil {
-		return Response{Err: err.Error()}
-	}
-	return Response{OK: true}
 }

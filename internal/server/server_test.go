@@ -398,7 +398,7 @@ func TestInventedOpsShareOneMetricSeries(t *testing.T) {
 	}
 	const invented = 1000
 	for i := 0; i < invented; i++ {
-		if _, err := c.do(Request{Op: fmt.Sprintf("op-%d", i)}); err == nil {
+		if _, err := c.do(Request{Op: fmt.Sprintf("op-%d", i)}, false); err == nil {
 			t.Fatalf("invented op %d was served", i)
 		}
 	}

@@ -64,8 +64,10 @@ type Envelope struct {
 // the same one seen from the other end (its Local is the writer's
 // Remote), so an absent From reads as Remote and an absent To as Local.
 // On the zero link an absent address is "": it leaves out exactly the
-// empty addresses. Every other address — a gateway actor such as
-// node0#gw1, and every address of the hello — is spelled out.
+// empty addresses. Every other address — an actor a node hosts beside
+// itself, such as the session actor node0#s1, and every address of the
+// hello — is spelled out. A node forwards its clients' operations as
+// itself, so every message of a quorum operation leaves out both.
 type Link struct {
 	Local, Remote string
 }

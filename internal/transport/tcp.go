@@ -23,7 +23,8 @@ type TCPConfig struct {
 	Listen string
 	// Peers maps node ids to peer listen addresses. An entry for
 	// LocalID is ignored. Ids containing '#' route to the prefix owner
-	// (gateway actors live on their storage node's runtime).
+	// (a session model's per-connection actors, nodeX#sN, live on their
+	// storage node's runtime).
 	Peers map[string]string
 	// Policy supplies reconnect backoff, heartbeat pacing, and I/O
 	// deadlines. Nil uses resilience.DefaultPolicy.
@@ -152,7 +153,7 @@ func (t *TCP) logf(format string, args ...any) {
 }
 
 // ownerOf resolves which peer runtime hosts node id: an exact peer
-// entry, else the '#'-prefix owner (gateway actors ride their node).
+// entry, else the '#'-prefix owner (session actors ride their node).
 func (t *TCP) ownerOf(id string) (string, string, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

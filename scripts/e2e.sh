@@ -28,6 +28,14 @@ for model in gossip quorum session; do
   ./ecctl smoke
   ./ecctl put color teal
   [ "$(./ecctl get color)" = teal ]
+  if [ "$model" = quorum ]; then
+    # Each ecctl run is a fresh client, and the node keeps no context for
+    # it: a put reads the key first and writes over what it read, so two
+    # puts of one key through different nodes leave one value.
+    ./ecctl put -node node0 twice first
+    ./ecctl put -node node1 twice second
+    [ "$(./ecctl get twice)" = second ] || { echo "FAIL: two ecctl puts left: $(./ecctl get twice | tr '\n' ' ')" >&2; exit 1; }
+  fi
   ./ecctl down
   rm -rf .ecctl
   echo
