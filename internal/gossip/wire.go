@@ -12,7 +12,7 @@ import (
 // node's journal and checkpoint encoding (persist.go).
 //
 // Wire ids 3–9 belong to this package (see transport.BinaryMessage): each
-// message here is per-operation traffic, so each takes a one-byte tag.
+// message here is per-operation traffic.
 const (
 	widSyncStep uint16 = 3 + iota
 	widSyncResp

@@ -71,18 +71,16 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) { checkAll(t, seed) })
 }
 
-// TestRumorFrameSize pins the frame of a gossip_mixed put's rumor on a
-// peer link, neither end spelled out: its wire id is below 32, so its tag
-// takes one byte, and its 128 B value makes its length two bytes.
+// TestRumorFrameSize pins the frame of a gossip_mixed put's rumor: its
+// wire id takes one byte, and its 128 B value makes its length two bytes.
 func TestRumorFrameSize(t *testing.T) {
-	link := transport.Link{Local: "node0", Remote: "node1"}
 	w := Write{Key: "k00000042", Value: make([]byte, 128),
 		TS: clock.HLCTimestamp{Wall: 1_790_000_000_000_000_000, Logical: 3, Node: "node0"}}
-	frame, err := transport.AppendMessage(link, nil, "node0", "node1", rumor{W: w, TTL: 2})
+	frame, err := transport.AppendMessage(nil, rumor{W: w, TTL: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 161; len(frame) != want { // parent 162: the rumor's id was 43, a two-byte tag
+	if want := 161; len(frame) != want { // 162 while the rumor's id was 43, two bytes behind a shifted tag
 		t.Errorf("rumor: %d bytes, want %d", len(frame), want)
 	}
 }

@@ -14,9 +14,8 @@ import (
 //
 // Wire ids 12–31 and 60–69 belong to this package (see
 // transport.BinaryMessage). 12–31 hold every message a get, a put or
-// the background work beside them sends, so each takes a one-byte tag;
-// 60–69 hold what only a lagging replica, a full re-ask or an elastic
-// ring change sends. Ids of retired messages are reused: the repo does
+// the background work beside them sends; 60–69 hold what only a lagging
+// replica, a full re-ask or an elastic ring change sends. Ids of retired messages are reused: the repo does
 // not run mixed-version clusters.
 const (
 	widClientPut uint16 = 12 + iota

@@ -125,15 +125,13 @@ func FuzzCodecRoundTrip(f *testing.F) {
 }
 
 // TestPeerFrameSizes pins the frame of every envelope a benchmark
-// operation sends between quorum peers, as a peer link writes it: neither
-// end spelled out, and an answer does not echo its key. Each row gives
-// the parent layout's size too. The rows that carry a dot or a context
-// changed with the names in them: a write is named by the node its
-// client reached (node0), no longer by a gateway actor of that node
-// (node0#gw1), 4 bytes less per name. The transport's heartbeat and its
-// echo are pinned beside their type (transport.TestHeartbeatFrameSizes).
+// operation sends between quorum peers: no frame carries an address, and
+// an answer does not echo its key. Each row gives the parent layout's
+// size too. Only the rows whose wire id is above 31 moved: the parent's
+// tag shifted the id two bits left, so those ids took two bytes, and now
+// every id below 128 takes one. The transport's heartbeat and its echo
+// are pinned beside their type (transport.TestHeartbeatFrameSizes).
 func TestPeerFrameSizes(t *testing.T) {
-	link := transport.Link{Local: "node1", Remote: "node0"}
 	const key = "k00000042" // the benchmark's key names
 	dot := clock.Dot{Node: "node0", Counter: 1 << 14}
 	ctx := clock.Vector{"node0": 1<<14 - 1}
@@ -156,17 +154,17 @@ func TestPeerFrameSizes(t *testing.T) {
 		msg  transport.BinaryMessage
 		want int
 	}{
-		{"digest ask", replicaDigest{ID: 1 << 20, Key: key}, 15},                      // parent 15
-		{"digest answer", replicaDigestResp{ID: 1 << 20, Dots: []clock.Dot{dot}}, 15}, // parent 19
-		{"digest answer, stored set with a context", stored, 15},                      // parent 19
-		{"replicaPut, 128 B value", put, 167},                                         // parent 175
-		{"replicaPutAck", replicaPutAck{ID: 1 << 20}, 5},                              // parent 5
-		{"resPing", resPing{}, 2},                                                     // parent 2
-		{"resPong", resPong{}, 2},                                                     // parent 2
-		{"full ask (a re-ask; two-byte tag)", replicaGet{ID: 1 << 20, Key: key}, 16},  // parent 16
-		{"not ready (two-byte tag)", replicaNotReady{ID: 1 << 20}, 6},                 // parent 6
+		{"digest ask", replicaDigest{ID: 1 << 20, Key: key}, 15},                         // parent 15
+		{"digest answer", replicaDigestResp{ID: 1 << 20, Dots: []clock.Dot{dot}}, 15},    // parent 15
+		{"digest answer, stored set with a context", stored, 15},                         // parent 15
+		{"replicaPut, 128 B value", put, 167},                                            // parent 167
+		{"replicaPutAck", replicaPutAck{ID: 1 << 20}, 5},                                 // parent 5
+		{"resPing", resPing{}, 2},                                                        // parent 2
+		{"resPong", resPong{}, 2},                                                        // parent 2
+		{"full ask (a re-ask; wire id above 31)", replicaGet{ID: 1 << 20, Key: key}, 15}, // parent 16: a two-byte tag
+		{"not ready (wire id above 31)", replicaNotReady{ID: 1 << 20}, 5},                // parent 6: a two-byte tag
 	} {
-		frame, err := transport.AppendMessage(link, nil, "node1", "node0", tc.msg)
+		frame, err := transport.AppendMessage(nil, tc.msg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,10 +25,9 @@ import (
 // Token/SetToken, across reconnects to different nodes — which is what
 // keeps read-your-writes and the other session guarantees intact when
 // the node it was talking to dies. It carries each key's quorum causal
-// context the same way, which the nodes keep none of.
+// context the same way. The nodes keep neither.
 type Client struct {
 	conn net.Conn
-	link transport.Link // this client (Local, its id) to the node it dialed, which it names ""
 	// Timeout bounds each round trip (default 10s).
 	Timeout time.Duration
 
@@ -36,8 +35,8 @@ type Client struct {
 	wbuf []byte            // guarded by wmu: the request frame, reused
 	ctx  map[string][]byte // guarded by wmu: each key's context, as its last answer carried it (see keep)
 
-	mu      sync.Mutex // guards the fields below
-	token   session.Token
+	mu      sync.Mutex    // guards the fields below
+	token   session.Token // the join of every answer's token and SetToken's; never changed in place
 	seq     uint64
 	waiters map[uint64]chan Response
 	err     error // sticky: the transport error that ended the connection
@@ -50,9 +49,9 @@ func Dial(addr, id string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: dial %s: %w", addr, err)
 	}
-	c := &Client{conn: conn, link: transport.Link{Local: id}, Timeout: 10 * time.Second, ctx: map[string][]byte{}, waiters: map[uint64]chan Response{}}
+	c := &Client{conn: conn, Timeout: 10 * time.Second, ctx: map[string][]byte{}, waiters: map[uint64]chan Response{}}
 	c.conn.SetWriteDeadline(time.Now().Add(c.timeout()))
-	if _, err := transport.WriteFrame(conn, transport.Envelope{From: id, Msg: transport.ClientHello(id)}); err != nil {
+	if _, err := transport.WriteFrame(conn, transport.Envelope{Msg: transport.ClientHello(id)}); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -63,18 +62,20 @@ func Dial(addr, id string) (*Client, error) {
 // Close closes the connection. In-flight requests fail.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// Token returns the client's current session token (zero for
+// Token returns a copy of the client's current session token (zero for
 // non-session models). Persist it and hand it to a future client with
 // SetToken to continue the session elsewhere.
 func (c *Client) Token() session.Token {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.token
+	return c.token.Copy()
 }
 
-// SetToken resumes a session: the token travels with every subsequent
-// request, raising the serving session's guarantee floor.
+// SetToken resumes a session: a copy of the token travels with every
+// subsequent request, and sets the guarantee floor the serving node must
+// reach. Answers to operations already in flight join into it.
 func (c *Client) SetToken(t session.Token) {
+	t = t.Copy()
 	c.mu.Lock()
 	c.token = t
 	c.mu.Unlock()
@@ -94,7 +95,7 @@ func (c *Client) reader() {
 	var envs []transport.Envelope
 	for {
 		var err error
-		envs, _, err = c.link.ReadStream(r, envs[:0])
+		envs, _, err = (transport.Link{}).ReadStream(r, envs[:0])
 		if err != nil {
 			c.fail(err)
 			return
@@ -107,7 +108,9 @@ func (c *Client) reader() {
 			}
 			c.mu.Lock()
 			if resp.Token.Read != nil || resp.Token.Write != nil {
-				c.token = resp.Token
+				// A join: pipelined answers, in whatever order, never
+				// lower the token, nor undo a SetToken.
+				c.token = c.token.Join(resp.Token)
 			}
 			ch := c.waiters[resp.Seq]
 			delete(c.waiters, resp.Seq)
@@ -147,7 +150,7 @@ func (c *Client) write(req Request, own bool) error {
 		req.Context = c.ctx[req.Key]
 	}
 	var err error
-	c.wbuf, err = transport.AppendMessage(c.link, c.wbuf[:0], c.link.Local, c.link.Remote, req)
+	c.wbuf, err = transport.AppendMessage(c.wbuf[:0], req)
 	if err != nil {
 		return err
 	}

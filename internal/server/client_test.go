@@ -101,8 +101,8 @@ func TestFailedWriteEndsTheConnection(t *testing.T) {
 
 	// The node got the hello and a prefix of the put's frame, then the end
 	// of the stream: nothing of the get.
-	hello, _ := transport.AppendFrame(nil, transport.Envelope{From: "cli", Msg: transport.ClientHello("cli")})
-	put, _ := transport.AppendMessage(transport.Link{Local: "cli"}, nil, "cli", "", Request{Seq: 1, Op: "put", Key: "big", Value: value})
+	hello, _ := transport.AppendFrame(nil, transport.Envelope{Msg: transport.ClientHello("cli")})
+	put, _ := transport.AppendMessage(nil, Request{Seq: 1, Op: "put", Key: "big", Value: value})
 	want := append(hello, put...)
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	got, err := io.ReadAll(conn)

@@ -39,17 +39,14 @@ const errNotDurable = "write not durable: the node's WAL failed"
 // into the connection's output buffer and writes it. A loop never blocks
 // on a client socket: the completion makes one non-blocking write, and
 // what the kernel does not take goes to the connection's writer
-// goroutine. Gossip and quorum operations run concurrently; session
-// operations run one at a time in arrival order, since the guarantees are
-// defined over the session's own operation sequence.
+// goroutine. The connection keeps nothing for its client but the
+// operations in flight: a session client's token, like a quorum client's
+// contexts, travels with its requests.
 type clientConn struct {
 	s    *Server
 	link transport.Link // as the client's hello named it: Remote is the client's id
 	conn net.Conn
 	raw  syscall.RawConn // nil if conn has no descriptor: the writer goroutine writes everything
-
-	sess   *session.Client // session model only
-	sessID string
 
 	// free holds the slots whose answers are written (or dropped with a
 	// broken connection). made, the number of slots made so far, is the
@@ -76,12 +73,6 @@ type clientConn struct {
 	// writer sends, and the goroutine takes the token before writing, so
 	// the send never blocks.
 	wake chan struct{}
-
-	// The session chain: sessBusy while a session operation runs, and the
-	// ones that arrived behind it.
-	sessMu   sync.Mutex
-	sessBusy bool
-	sessQ    []*opSlot
 }
 
 // Slot states. An operation is answered once: whoever swaps its slot back
@@ -115,8 +106,7 @@ type opSlot struct {
 	guarded, exec    func(transport.Env)
 	quorumPut        func(transport.Env, quorum.PutResult)
 	quorumGet        func(transport.Env, quorum.GetResult)
-	sessWrote        func(session.WriteResult)
-	sessRead         func(session.ReadResult)
+	sessDone         func(transport.Env, session.Answer)
 	deliver, dropped func()
 }
 
@@ -132,17 +122,6 @@ func (s *Server) serveClient(link transport.Link, conn net.Conn) {
 	c.rawFunc = c.rawWrite
 	if sc, ok := conn.(syscall.Conn); ok {
 		c.raw, _ = sc.SyscallConn()
-	}
-	if s.cfg.Model == "session" {
-		s.connMu.Lock()
-		s.connSeq++
-		c.sessID = fmt.Sprintf("%s#s%d", s.cfg.ID, s.connSeq)
-		s.connMu.Unlock()
-		c.sess = session.NewClient(c.sessID, session.All())
-		c.sess.Servers = s.ring.Members()
-		c.sess.Policy = s.policy
-		c.sess.Directory = s.dir
-		s.tcp.AddNode(c.sessID, c.sess)
 	}
 	s.connMu.Lock()
 	s.conns[c] = struct{}{}
@@ -178,9 +157,6 @@ func (c *clientConn) close() {
 	}
 	c.conn.Close()
 	close(c.wake)
-	if c.sess != nil {
-		c.s.tcp.RemoveNode(c.sessID)
-	}
 	c.s.connMu.Lock()
 	delete(c.s.conns, c)
 	c.s.connMu.Unlock()
@@ -201,7 +177,7 @@ func (c *clientConn) slot() *opSlot {
 	sl := &opSlot{c: c}
 	sl.guarded, sl.exec = sl.runGuarded, sl.run
 	sl.quorumPut, sl.quorumGet = sl.putDone, sl.getDone
-	sl.sessWrote, sl.sessRead = sl.sessionWritten, sl.sessionRead
+	sl.sessDone = sl.sessionDone
 	sl.deliver, sl.dropped = sl.answerHeld, sl.answerDropped
 	c.mu.Lock()
 	c.slots = append(c.slots, sl)
@@ -248,9 +224,6 @@ func (c *clientConn) start(req Request) {
 		}
 		sl.tier, sl.r, sl.coord, sl.staleMs = s.slaRoute(req)
 		shard = s.qnode.Router().Shard(req.Key)
-	case "session":
-		c.runSessions(c.queueSession(sl))
-		return
 	}
 	if !s.tcp.InvokeShard(s.cfg.ID, shard, sl.guarded) {
 		c.answer(sl, Response{Err: "node stopped"})
@@ -294,15 +267,12 @@ func (sl *opSlot) run(env transport.Env) {
 			s.qnode.CoordinateGet(env, sl.coord, req.Key, sl.r, sl.quorumGet)
 		}
 	case "session":
-		sess := sl.c.sess
-		sess.MergeToken(req.Token)
+		// Served in place under the floor the request's token sets.
 		switch req.Op {
-		case "put":
-			sess.Write(env, s.cfg.ID, req.Key, req.Value, sl.sessWrote)
-		case "del":
-			sess.Delete(env, s.cfg.ID, req.Key, sl.sessWrote)
+		case "put", "del":
+			s.sessN.Write(env, req.Key, req.Value, req.Op == "del", req.Token, sl.sessDone)
 		case "get":
-			sess.Read(env, s.cfg.ID, req.Key, sl.sessRead)
+			s.sessN.Read(env, req.Key, req.Token, sl.sessDone)
 		}
 	}
 }
@@ -344,63 +314,18 @@ func (sl *opSlot) context(v clock.Vector) []byte {
 	return sl.ctxBuf
 }
 
-func (sl *opSlot) sessionWritten(r session.WriteResult) {
-	resp := Response{OK: true, Token: sl.c.sess.Token()}
-	if r.TimedOut {
-		resp = Response{Err: "session write timed out", Token: resp.Token}
+// sessionDone answers a session operation with the session's token,
+// raised by what the operation did or, if it timed out, as it came.
+func (sl *opSlot) sessionDone(env transport.Env, a session.Answer) {
+	resp := Response{OK: true, Value: a.Value, Found: a.Found, Token: a.Token}
+	if a.TimedOut {
+		op := "write"
+		if sl.req.Op == "get" {
+			op = "read"
+		}
+		resp = Response{Err: "session " + op + " timed out", Token: a.Token}
 	}
-	sl.sessionDone(resp)
-}
-
-func (sl *opSlot) sessionRead(r session.ReadResult) {
-	resp := Response{OK: true, Value: r.Value, Found: r.OK, Token: sl.c.sess.Token()}
-	if r.TimedOut {
-		resp = Response{Err: "session read timed out", Token: resp.Token}
-	}
-	sl.sessionDone(resp)
-}
-
-// sessionDone answers a session operation and starts the next one.
-func (sl *opSlot) sessionDone(resp Response) {
-	c := sl.c
-	c.answer(sl, resp)
-	c.runSessions(c.nextSession())
-}
-
-// queueSession puts sl behind the session operation running, and returns
-// it if none is: the caller starts it.
-func (c *clientConn) queueSession(sl *opSlot) *opSlot {
-	c.sessMu.Lock()
-	defer c.sessMu.Unlock()
-	if c.sessBusy {
-		c.sessQ = append(c.sessQ, sl)
-		return nil
-	}
-	c.sessBusy = true
-	return sl
-}
-
-// nextSession returns the session operation queued next, or nil (and the
-// chain goes idle).
-func (c *clientConn) nextSession() *opSlot {
-	c.sessMu.Lock()
-	defer c.sessMu.Unlock()
-	if len(c.sessQ) == 0 {
-		c.sessBusy = false
-		return nil
-	}
-	sl := c.sessQ[0]
-	c.sessQ = append(c.sessQ[:0], c.sessQ[1:]...)
-	return sl
-}
-
-// runSessions starts sl on the session client, answering it and moving
-// to the next for as long as the client is stopped.
-func (c *clientConn) runSessions(sl *opSlot) {
-	for sl != nil && !c.s.tcp.Invoke(c.sessID, sl.exec) {
-		c.answer(sl, Response{Err: "session stopped"})
-		sl = c.nextSession()
-	}
+	sl.finish(env, resp)
 }
 
 // finish answers the operation from the invocation env it completed in.
@@ -479,17 +404,14 @@ func (c *clientConn) take() {
 	c.wheld, c.queued, c.spare = c.queued, c.spare[:0], nil
 }
 
-// frame encodes the writer's batch into its buffer, each answer from the
-// node the client dialed (the answer's Node names it) to the client. An
-// answer too large for a frame is answered with the error instead.
+// frame encodes the writer's batch into its buffer. An answer too large
+// for a frame is answered with the error instead.
 func (c *clientConn) frame() {
 	c.wbuf, c.wn = c.wbuf[:0], 0
-	l := c.link
 	for _, sl := range c.wheld {
 		var err error
-		if c.wbuf, err = transport.AppendMessage(l, c.wbuf, l.Local, l.Remote, sl.resp); err != nil {
-			c.wbuf, _ = transport.AppendMessage(l, c.wbuf, l.Local, l.Remote,
-				Response{Seq: sl.resp.Seq, Node: sl.resp.Node, Err: err.Error()})
+		if c.wbuf, err = transport.AppendMessage(c.wbuf, sl.resp); err != nil {
+			c.wbuf, _ = transport.AppendMessage(c.wbuf, Response{Seq: sl.resp.Seq, Node: sl.resp.Node, Err: err.Error()})
 		}
 	}
 }

@@ -19,7 +19,6 @@ import (
 // answers frame by frame.
 type rawClient struct {
 	t    *testing.T
-	id   string
 	conn net.Conn
 	r    *bufio.Reader
 }
@@ -31,10 +30,10 @@ func dialRaw(t *testing.T, s *Server, id string) *rawClient {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if _, err := transport.WriteFrame(conn, transport.Envelope{From: id, Msg: transport.ClientHello(id)}); err != nil {
+	if _, err := transport.WriteFrame(conn, transport.Envelope{Msg: transport.ClientHello(id)}); err != nil {
 		t.Fatal(err)
 	}
-	return &rawClient{t: t, id: id, conn: conn, r: bufio.NewReader(conn)}
+	return &rawClient{t: t, conn: conn, r: bufio.NewReader(conn)}
 }
 
 // send writes reqs in one write, numbering them from seq.
@@ -44,7 +43,7 @@ func (rc *rawClient) send(seq uint64, reqs ...Request) {
 	for i, req := range reqs {
 		req.Seq = seq + uint64(i)
 		var err error
-		if buf, err = transport.AppendMessage(transport.Link{Local: rc.id}, buf, rc.id, "", req); err != nil {
+		if buf, err = transport.AppendMessage(buf, req); err != nil {
 			rc.t.Fatal(err)
 		}
 	}
@@ -141,20 +140,20 @@ func TestHelloAndFirstRequestInOneWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	buf, err := transport.AppendFrame(nil, transport.Envelope{From: "cli", Msg: transport.ClientHello("cli")})
+	buf, err := transport.AppendFrame(nil, transport.Envelope{Msg: transport.ClientHello("cli")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, req := range []Request{{Op: "put", Key: "k", Value: []byte("v")}, {Op: "get", Key: "k"}} {
 		req.Seq = uint64(1 + i)
-		if buf, err = transport.AppendMessage(transport.Link{Local: "cli"}, buf, "cli", "", req); err != nil {
+		if buf, err = transport.AppendMessage(buf, req); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := conn.Write(buf); err != nil {
 		t.Fatal(err)
 	}
-	rc := &rawClient{t: t, id: "cli", conn: conn, r: bufio.NewReader(conn)}
+	rc := &rawClient{t: t, conn: conn, r: bufio.NewReader(conn)}
 	got := rc.answers(2)
 	if !got[1].OK || !got[2].OK || !got[2].Found || string(got[2].Value) != "v" {
 		t.Fatalf("answers %+v, want the put acknowledged and the get to read v", got)
@@ -320,4 +319,48 @@ func TestRequestsStartNoGoroutines(t *testing.T) {
 	if grew >= 10 {
 		t.Fatalf("%d requests queued behind the loop grew the goroutines by %d, want < 10", n, grew)
 	}
+}
+
+// A connection costs the same goroutines under every model, its reader
+// and its writer: no model hosts anything else for a client.
+func TestConnectionCostsTheSameUnderEveryModel(t *testing.T) {
+	const conns = 20
+	grew := map[string]int{}
+	for _, model := range []string{"gossip", "quorum", "session"} {
+		t.Run(model, func(t *testing.T) {
+			s := startCluster(t, model, 1, false)[0]
+			before := settledGoroutines()
+			for i := 0; i < conns; i++ {
+				dialRaw(t, s, fmt.Sprintf("cli%d", i))
+			}
+			eventually(t, "the connections are served", func() bool {
+				s.connMu.Lock()
+				defer s.connMu.Unlock()
+				return len(s.conns) == conns
+			})
+			grew[model] = settledGoroutines() - before
+			t.Logf("%d connections grew the goroutines by %d", conns, grew[model])
+		})
+	}
+	for model, n := range grew {
+		if d := n - grew["gossip"]; d >= conns/2 || d <= -conns/2 {
+			t.Errorf("%d %s connections cost %d goroutines, %d gossip ones %d", conns, model, n, conns, grew["gossip"])
+		}
+	}
+}
+
+// settledGoroutines counts the goroutines once the count holds still
+// for a few samples: goroutines that are about to exit (an accept
+// handshake's) are not counted.
+func settledGoroutines() int {
+	n, same := runtime.NumGoroutine(), 0
+	for same < 5 {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
 }

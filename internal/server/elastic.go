@@ -47,7 +47,7 @@ const (
 
 // Wire ids 40–49 belong to the membership protocol (10–11 are the
 // client protocol; see transport.BinaryMessage). A ring change is rare,
-// so its messages sit above the one-byte-tag range.
+// so its messages sit above the per-operation range.
 const (
 	widRingUpdate uint16 = 40 + iota
 	widRingAck

@@ -19,12 +19,10 @@ import (
 // hello{Kind:"client"}, then exchanges Request/Response frames. Each
 // request carries a connection-local sequence number and each response
 // echoes it, so a client may pipeline: keep many requests in flight and
-// match completions by Seq rather than by position. The server executes
-// gossip and quorum requests concurrently per connection (they are
-// independently keyed); session requests stay serial per connection so
-// the session guarantees keep their program order. A serial client —
-// one outstanding request, like the v0 protocol — is just the one-deep
-// special case and needs no changes.
+// match completions by Seq rather than by position. The server starts
+// requests in arrival order and answers each as it completes. A serial
+// client — one outstanding request, like the v0 protocol — is just the
+// one-deep special case and needs no changes.
 
 // Wire ids 10–19 belong to this package (see transport.BinaryMessage).
 const (
@@ -41,9 +39,9 @@ type Request struct {
 	Op    string
 	Key   string
 	Value []byte
-	// Token carries the client's session state (session model only).
-	// The server merges it into the serving session before the
-	// operation, so the guarantees hold even if the previous operations
+	// Token is the client's session (session model only): the node
+	// serves the operation once its state dominates the floor the token
+	// sets, so the guarantees hold even if the previous operations
 	// happened over another connection to another node — this is how
 	// read-your-writes survives reconnects.
 	Token session.Token
@@ -76,8 +74,9 @@ type Response struct {
 	Found  bool
 	Value  []byte
 	Values [][]byte
-	// Token returns the serving session's updated state; the client
-	// echoes it on its next request (possibly elsewhere).
+	// Token is the request's token raised by what the operation did (as
+	// it came, if the operation timed out); the client joins it into its
+	// own and echoes that on its next request (possibly elsewhere).
 	Token session.Token
 	// Node is the id of the node that served the operation; Model its
 	// consistency model (set on "status").

@@ -162,23 +162,16 @@ func checkValueCarriedOnce(t *testing.T) {
 	}
 }
 
-// sameFrame checks that AppendMessage frames m on link l into the bytes
-// the link frames the boxed m with, appended to what dst held; on the
-// zero link, the bytes of AppendFrame.
-func sameFrame[M transport.BinaryMessage](t *testing.T, l transport.Link, from, to string, m M) {
+// sameFrame checks that AppendMessage frames m into the bytes AppendFrame
+// frames the boxed m with, appended to what dst held, whatever addresses
+// the envelope holds.
+func sameFrame[M transport.BinaryMessage](t *testing.T, from, to string, m M) {
 	t.Helper()
-	e := transport.Envelope{From: from, To: to, Msg: m}
-	want, err := transport.AppendMessage[transport.BinaryMessage](l, []byte("head"), from, to, m)
+	want, err := transport.AppendFrame([]byte("head"), transport.Envelope{From: from, To: to, Msg: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l == (transport.Link{}) {
-		plain, err := transport.AppendFrame([]byte("head"), e)
-		if err != nil || !bytes.Equal(plain, want) {
-			t.Fatalf("AppendFrame(%T) = % x, %v; the zero link's frame is % x", m, plain, err, want)
-		}
-	}
-	got, err := transport.AppendMessage(l, []byte("head"), from, to, m)
+	got, err := transport.AppendMessage([]byte("head"), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,27 +181,21 @@ func sameFrame[M transport.BinaryMessage](t *testing.T, l transport.Link, from, 
 }
 
 // The server frames its answers, and the client its requests, with
-// AppendMessage: the bytes the connection's link frames the boxed message
-// with (AppendFrame's on the zero link), without boxing the message into
-// an Envelope, so framing one allocates nothing.
+// AppendMessage: AppendFrame's bytes, without boxing the message into an
+// Envelope, so framing one allocates nothing.
 func TestAppendMessageMatchesAppendFrame(t *testing.T) {
-	client := transport.Link{Local: "cli"}
-	server := transport.Link{Remote: "cli"}
 	for seed := int64(0); seed < 64; seed++ {
 		// A token's vectors encode in map order, so two framings of one
 		// token need not agree byte for byte: the frames here carry none.
 		msgs := genMsgs(wiretest.NewGen(seed))
 		req, resp := msgs[0].(Request), msgs[2].(Response)
 		req.Token, resp.Token = session.Token{}, session.Token{}
-		sameFrame(t, transport.Link{}, "cli", "", req)
-		sameFrame(t, transport.Link{}, "node0", "cli", msgs[1].(Response))
-		sameFrame(t, transport.Link{}, "node0", "cli", resp)
-		sameFrame(t, client, "cli", "", req)
-		sameFrame(t, server, "", "cli", resp)
-		sameFrame(t, server, "node0", "cli", resp)
+		sameFrame(t, "cli", "", req)
+		sameFrame(t, "node0", "cli", msgs[1].(Response))
+		sameFrame(t, "", "cli", resp)
 	}
-	sameFrame(t, transport.Link{}, "cli", "", transport.ClientHello("cli").(transport.BinaryMessage))
-	if _, err := transport.AppendMessage(server, nil, "", "cli", Response{Value: make([]byte, transport.MaxFrameSize)}); err == nil {
+	sameFrame(t, "cli", "", transport.ClientHello("cli").(transport.BinaryMessage))
+	if _, err := transport.AppendMessage(nil, Response{Value: make([]byte, transport.MaxFrameSize)}); err == nil {
 		t.Fatal("a frame over MaxFrameSize was encoded")
 	}
 	if raceEnabled {
@@ -217,7 +204,7 @@ func TestAppendMessageMatchesAppendFrame(t *testing.T) {
 	resp := genResponse(wiretest.NewGen(1))
 	buf := make([]byte, 0, 64<<10)
 	if n := testing.AllocsPerRun(100, func() {
-		buf, _ = transport.AppendMessage(server, buf[:0], "", "cli", resp)
+		buf, _ = transport.AppendMessage(buf[:0], resp)
 	}); n != 0 {
 		t.Fatalf("AppendMessage allocates %v objects per response, want 0", n)
 	}

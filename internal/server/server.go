@@ -107,7 +107,8 @@ type Config struct {
 // Server is one running node: a TCP transport hosting the model's
 // protocol node, the client connections it serves, and the HTTP sidecar.
 // It keeps no state for its clients beyond their open connections: a
-// quorum client's causal context travels with its requests.
+// quorum client's causal context and a session client's token travel
+// with its requests.
 type Server struct {
 	cfg    Config
 	tcp    *transport.TCP
@@ -115,19 +116,19 @@ type Server struct {
 	dir    *resilience.Directory
 	policy *resilience.Policy
 
-	lsmEngines []*lsm.Engine // Engine "lsm": per-shard trees, for metrics and close
-	gossipN    *gossip.Node  // gossip model: ops run on the storage actor itself
-	qnode      *quorum.Node  // quorum model: the storage actor's protocol node
-	qN         int           // quorum model: replication factor
-	el         *elastic      // quorum model: live membership state
-	dur        *durability   // nil unless Config.DataDir set
-	ackB       *ackBarrier   // nil unless durable: holds acks until fsync
+	lsmEngines []*lsm.Engine   // Engine "lsm": per-shard trees, for metrics and close
+	gossipN    *gossip.Node    // gossip model: ops run on the storage actor itself
+	sessN      *session.Server // session model: ops run on the storage actor itself
+	qnode      *quorum.Node    // quorum model: the storage actor's protocol node
+	qN         int             // quorum model: replication factor
+	el         *elastic        // quorum model: live membership state
+	dur        *durability     // nil unless Config.DataDir set
+	ackB       *ackBarrier     // nil unless durable: holds acks until fsync
 	httpLn     net.Listener
 	statMu     sync.Mutex // guards reqCount and reqLat
 	reqCount   *metrics.Counters
 	reqLat     *metrics.Histogram
-	connMu     sync.Mutex // guards connSeq and conns
-	connSeq    uint64
+	connMu     sync.Mutex               // guards conns
 	conns      map[*clientConn]struct{} // client connections being served
 	closeOnce  sync.Once
 
@@ -149,12 +150,11 @@ type Server struct {
 }
 
 // incarnationShift places a boot's incarnation above every request id
-// the quorum node, and every connection number the session model, can
-// issue in one boot (2^40: four months at 100,000 a second). Both name
-// writes: a quorum dot is (node, request id), and a session server
-// applies a client's request at most once. An identity issued after a
-// restart therefore never repeats one issued before it, and a first boot
-// issues exactly what it did before incarnations existed.
+// the quorum node can issue in one boot (2^40: four months at 100,000 a
+// second). Request ids name writes, a quorum dot being (node, request
+// id), so an identity issued after a restart never repeats one issued
+// before it, and a first boot issues exactly what it did before
+// incarnations existed.
 const incarnationShift = 40
 
 // requestTimeout bounds how long an admin operation waits for the
@@ -395,8 +395,8 @@ func New(cfg Config) (*Server, error) {
 		s.qnode = qn
 		node, handler = qn, qn
 	case "session":
-		sn := session.NewServer(cfg.ID, session.ServerConfig{Peers: others, Persist: persist})
-		node, handler = sn, sn
+		s.sessN = session.NewServer(cfg.ID, session.ServerConfig{Peers: others, Persist: persist})
+		node, handler = s.sessN, s.sessN
 	}
 
 	// The storage actor's execution domains: the serial loop, plus a
@@ -433,7 +433,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server %s: recovery from %s: %w", cfg.ID, cfg.DataDir, err)
 		}
 	}
-	s.connSeq = s.incarnation << incarnationShift // session connection ids
 	if s.qnode != nil {
 		s.qnode.StartRequestsAt(s.incarnation << incarnationShift)
 	}

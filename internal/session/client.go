@@ -47,8 +47,7 @@ type Client struct {
 	id string
 	g  Guarantees
 
-	readVec  clock.Vector
-	writeVec clock.Vector
+	tok Token // the session: its read and write vectors
 
 	nextID   uint64
 	readCBs  map[uint64]func(ReadResult)
@@ -86,8 +85,7 @@ func NewClient(id string, g Guarantees) *Client {
 	return &Client{
 		id:       id,
 		g:        g,
-		readVec:  clock.NewVector(),
-		writeVec: clock.NewVector(),
+		tok:      Token{Read: clock.NewVector(), Write: clock.NewVector()},
 		readCBs:  make(map[uint64]func(ReadResult)),
 		writeCBs: make(map[uint64]func(WriteResult)),
 		ops:      make(map[uint64]*sessionOp),
@@ -197,12 +195,7 @@ func (c *Client) OnMessage(env transport.Env, _ string, msg transport.Message) {
 		}
 		cb := c.readCBs[m.ID]
 		delete(c.readCBs, m.ID)
-		if !m.TimedOut {
-			// Fold what the serving replica had seen into the session's
-			// read vector (the standard over-approximation of "the
-			// writes relevant to this read").
-			c.readVec.Merge(m.V)
-		}
+		c.tok.served(m)
 		if cb != nil {
 			cb(ReadResult{Key: m.Key, Value: m.Val, OK: m.OK, TimedOut: m.TimedOut})
 		}
@@ -218,37 +211,11 @@ func (c *Client) OnMessage(env transport.Env, _ string, msg transport.Message) {
 		}
 		cb := c.writeCBs[m.ID]
 		delete(c.writeCBs, m.ID)
-		if !m.TimedOut {
-			if c.writeVec.Get(m.WID.Origin) < m.WID.Seq {
-				c.writeVec[m.WID.Origin] = m.WID.Seq
-			}
-		}
+		c.tok.served(m)
 		if cb != nil {
 			cb(WriteResult{TimedOut: m.TimedOut})
 		}
 	}
-}
-
-func (c *Client) readFloor() clock.Vector {
-	floor := clock.NewVector()
-	if c.g.ReadYourWrites {
-		floor.Merge(c.writeVec)
-	}
-	if c.g.MonotonicReads {
-		floor.Merge(c.readVec)
-	}
-	return floor
-}
-
-func (c *Client) writeFloor() clock.Vector {
-	floor := clock.NewVector()
-	if c.g.MonotonicWrites {
-		floor.Merge(c.writeVec)
-	}
-	if c.g.WritesFollowReads {
-		floor.Merge(c.readVec)
-	}
-	return floor
 }
 
 // send dispatches a request, arming retry state when a Policy is set.
@@ -275,7 +242,7 @@ func (c *Client) send(env transport.Env, server, key string, id uint64, msg tran
 func (c *Client) Read(env transport.Env, server, key string, cb func(ReadResult)) {
 	c.nextID++
 	c.readCBs[c.nextID] = cb
-	c.send(env, server, key, c.nextID, sread{ID: c.nextID, Key: key, MinVec: c.readFloor()}, true)
+	c.send(env, server, key, c.nextID, sread{ID: c.nextID, Key: key, MinVec: c.tok.floor(c.g, true)}, true)
 }
 
 // Write writes key=value at server, blocking there until the selected
@@ -283,14 +250,14 @@ func (c *Client) Read(env transport.Env, server, key string, cb func(ReadResult)
 func (c *Client) Write(env transport.Env, server, key string, value []byte, cb func(WriteResult)) {
 	c.nextID++
 	c.writeCBs[c.nextID] = cb
-	c.send(env, server, key, c.nextID, swrite{ID: c.nextID, Key: key, Val: value, MinVec: c.writeFloor()}, false)
+	c.send(env, server, key, c.nextID, swrite{ID: c.nextID, Key: key, Val: value, MinVec: c.tok.floor(c.g, false)}, false)
 }
 
 // Delete tombstones key at server under the same write guarantees.
 func (c *Client) Delete(env transport.Env, server, key string, cb func(WriteResult)) {
 	c.nextID++
 	c.writeCBs[c.nextID] = cb
-	c.send(env, server, key, c.nextID, swrite{ID: c.nextID, Key: key, Deleted: true, MinVec: c.writeFloor()}, false)
+	c.send(env, server, key, c.nextID, swrite{ID: c.nextID, Key: key, Deleted: true, MinVec: c.tok.floor(c.g, false)}, false)
 }
 
 // ID returns the client's simulator id.

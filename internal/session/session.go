@@ -8,8 +8,12 @@
 // version-vector exchange, as in Bayou). A session tracks two vectors —
 // what it has written and what it has read — and each operation names the
 // minimum vector its target server must dominate; servers block the
-// request until they catch up (or time it out). Experiment E8 measures
-// the anomaly rates the guarantees eliminate and the latency they cost.
+// request until they catch up (or time it out). The session lives with
+// its client: a simulator Client sends its requests to a server as
+// messages, and a client of a live node hands its Token to the node,
+// which serves the operation in place (Server.Read, Server.Write).
+// Experiment E8 measures the anomaly rates the guarantees eliminate and
+// the latency they cost.
 package session
 
 import (
@@ -137,14 +141,35 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	return c
 }
 
+// request is one session operation at this server. A client actor's
+// request is a message, answered by a message to its address from. An
+// operation a client in this process started in place (Server.Read,
+// Server.Write) has no address: reply answers it, with tok, the token its
+// request carried, raised by what the operation did.
+type request struct {
+	from  string
+	msg   transport.Message // sread or swrite
+	tok   Token
+	reply func(transport.Env, Answer)
+}
+
 type blockedReq struct {
-	from   string
-	msg    transport.Message
+	request
 	expiry time.Duration
 	// min is the request's guarantee floor, interned once at block time
 	// so every wake/sweep re-check is a dense slice walk instead of a
 	// map iteration.
 	min clock.Dense
+}
+
+// Answer completes an operation served in place: what a read found, and
+// the session's token raised by what the operation did (the request's
+// token unchanged if the operation timed out).
+type Answer struct {
+	Value    []byte
+	Found    bool
+	TimedOut bool
+	Token    Token
 }
 
 // Server is one Bayou-style replica. It implements transport.Handler.
@@ -165,9 +190,10 @@ type Server struct {
 	blocked []blockedReq
 
 	// cliSeq is the highest client request id seen applied per client
-	// (locally or via anti-entropy); lastWID is the WriteID that request
-	// produced. Together they answer a retried write without re-applying
-	// it.
+	// actor (locally or via anti-entropy); lastWID is the WriteID that
+	// request produced. Together they answer a retried write without
+	// re-applying it. Only a requester with an address, the simulator's
+	// Client, has entries: a write served in place is never re-sent.
 	cliSeq  map[string]uint64
 	lastWID map[string]WriteID
 
@@ -263,43 +289,70 @@ func (s *Server) OnMessage(env transport.Env, from string, msg transport.Message
 			s.wakeBlocked(env)
 		}
 	case sread:
-		if !s.vec.DescendsVector(m.MinVec) {
-			s.block(env, from, m, m.MinVec)
-			return
-		}
-		s.serveRead(env, from, m, false)
+		s.serve(env, request{from: from, msg: m}, m.MinVec)
 	case swrite:
-		if !s.vec.DescendsVector(m.MinVec) {
-			s.block(env, from, m, m.MinVec)
-			return
-		}
-		s.serveWrite(env, from, m, false)
+		s.serve(env, request{from: from, msg: m}, m.MinVec)
 	}
 }
 
-func (s *Server) serveRead(env transport.Env, from string, m sread, wasBlocked bool) {
-	if wasBlocked {
-		s.BlockedServed++
+// Read reads key in place for a client of this process whose session
+// token is tok, under all four guarantees: it is served once this server
+// dominates the token's floor, and reply answers it on the invocation it
+// completes in.
+func (s *Server) Read(env transport.Env, key string, tok Token, reply func(transport.Env, Answer)) {
+	s.serve(env, request{msg: sread{Key: key}, tok: tok, reply: reply}, tok.floor(All(), true))
+}
+
+// Write writes key = value (or deletes key) in place, as Read reads it.
+// The write carries no client identity: the client never re-sends it, so
+// no at-most-once entry is kept for it.
+func (s *Server) Write(env transport.Env, key string, value []byte, deleted bool, tok Token, reply func(transport.Env, Answer)) {
+	s.serve(env, request{msg: swrite{Key: key, Val: value, Deleted: deleted}, tok: tok, reply: reply}, tok.floor(All(), false))
+}
+
+// serve serves r at once when this server dominates its floor, and
+// otherwise blocks it until anti-entropy brings the server there or
+// BlockTimeout passes.
+func (s *Server) serve(env transport.Env, r request, floor clock.Vector) {
+	if !s.vec.DescendsVector(floor) {
+		s.blocked = append(s.blocked, blockedReq{
+			request: r,
+			expiry:  env.Now() + s.cfg.BlockTimeout,
+			min:     clock.DenseFromVector(s.table, floor),
+		})
+		return
 	}
+	s.run(env, r)
+}
+
+// run serves r, whose floor this server dominates.
+func (s *Server) run(env transport.Env, r request) {
+	switch m := r.msg.(type) {
+	case sread:
+		s.serveRead(env, r, m)
+	case swrite:
+		s.serveWrite(env, r, m)
+	}
+}
+
+func (s *Server) serveRead(env transport.Env, r request, m sread) {
 	w, ok := s.data[m.Key]
 	resp := sreadResp{ID: m.ID, Key: m.Key, V: s.vec.ToVector()}
 	if ok && !w.Deleted {
 		resp.Val = w.Val
 		resp.OK = true
 	}
-	env.Send(from, resp)
+	s.answer(env, r, resp)
 }
 
-func (s *Server) serveWrite(env transport.Env, from string, m swrite, wasBlocked bool) {
-	if wasBlocked {
-		s.BlockedServed++
-	}
+func (s *Server) serveWrite(env transport.Env, r request, m swrite) {
 	// At-most-once: a request this replica knows to be applied already
 	// (here or — learned via anti-entropy — at another server) is
 	// acknowledged without re-applying, so a client retrying through a
-	// different server cannot double-write.
-	if m.ID <= s.cliSeq[from] {
-		env.Send(from, swriteResp{ID: m.ID, WID: s.lastWID[from], V: s.vec.ToVector()})
+	// different server cannot double-write. Only a requester with an
+	// address retries.
+	if r.from != "" && m.ID <= s.cliSeq[r.from] {
+		s.answer(env, r, swriteResp{ID: m.ID, WID: s.lastWID[r.from], V: s.vec.ToVector()})
 		return
 	}
 	s.lamport++
@@ -308,18 +361,41 @@ func (s *Server) serveWrite(env transport.Env, from string, m swrite, wasBlocked
 		Key:     m.Key,
 		Val:     m.Val,
 		Deleted: m.Deleted,
-		Client:  from,
+		Client:  r.from,
 		CliSeq:  m.ID,
 	}
 	w.TS.Time = s.lamport
 	w.TS.Node = s.id
 	s.logs[s.id] = append(s.logs[s.id], w)
 	s.vec.Set(s.self, uint64(len(s.logs[s.id])))
-	s.cliSeq[from] = m.ID
-	s.lastWID[from] = w.ID
+	if r.from != "" {
+		s.cliSeq[r.from] = m.ID
+		s.lastWID[r.from] = w.ID
+	}
 	s.resolve(w)
 	s.persistWrite(w)
-	env.Send(from, swriteResp{ID: m.ID, WID: w.ID, V: s.vec.ToVector()})
+	s.answer(env, r, swriteResp{ID: m.ID, WID: w.ID, V: s.vec.ToVector()})
+}
+
+// answer delivers resp, an sreadResp or swriteResp, to r's requester: a
+// message to its address, or, served in place, a call of reply with the
+// Env of the invocation the operation completed in. A host that holds a
+// message back until the invocation's records are durable (the server's
+// ack barrier) holds the call the same way through that Env.
+func (s *Server) answer(env transport.Env, r request, resp transport.Message) {
+	if r.reply == nil {
+		env.Send(r.from, resp)
+		return
+	}
+	a := Answer{Token: r.tok}
+	a.Token.served(resp)
+	switch m := resp.(type) {
+	case sreadResp:
+		a.Value, a.Found, a.TimedOut = m.Val, m.OK, m.TimedOut
+	case swriteResp:
+		a.TimedOut = m.TimedOut
+	}
+	r.reply(env, a)
 }
 
 // applyRemote installs a write received by anti-entropy, keeping
@@ -349,30 +425,13 @@ func (s *Server) resolve(w write) {
 	}
 }
 
-func (s *Server) block(env transport.Env, from string, msg transport.Message, minVec clock.Vector) {
-	s.blocked = append(s.blocked, blockedReq{
-		from:   from,
-		msg:    msg,
-		expiry: env.Now() + s.cfg.BlockTimeout,
-		min:    clock.DenseFromVector(s.table, minVec),
-	})
-}
-
 func (s *Server) wakeBlocked(env transport.Env) {
 	var still []blockedReq
 	for _, b := range s.blocked {
-		served := false
 		if s.vec.Descends(b.min) {
-			switch m := b.msg.(type) {
-			case sread:
-				s.serveRead(env, b.from, m, true)
-				served = true
-			case swrite:
-				s.serveWrite(env, b.from, m, true)
-				served = true
-			}
-		}
-		if !served {
+			s.BlockedServed++
+			s.run(env, b.request)
+		} else {
 			still = append(still, b)
 		}
 	}
@@ -388,9 +447,9 @@ func (s *Server) sweepBlocked(env transport.Env) {
 		}
 		switch m := b.msg.(type) {
 		case sread:
-			env.Send(b.from, sreadResp{ID: m.ID, Key: m.Key, TimedOut: true, V: s.vec.ToVector()})
+			s.answer(env, b.request, sreadResp{ID: m.ID, Key: m.Key, TimedOut: true, V: s.vec.ToVector()})
 		case swrite:
-			env.Send(b.from, swriteResp{ID: m.ID, TimedOut: true, V: s.vec.ToVector()})
+			s.answer(env, b.request, swriteResp{ID: m.ID, TimedOut: true, V: s.vec.ToVector()})
 		}
 	}
 	s.blocked = still

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 func buildServers(t *testing.T, n int, cfg ServerConfig, seed int64) (*sim.Cluster, []*Server, []string) {
@@ -273,5 +274,49 @@ func TestSessionVectorsIndependentAcrossClients(t *testing.T) {
 	}
 	if bDone > 100*time.Millisecond {
 		t.Fatalf("fresh session's read took %v — it must not wait on another session's writes", bDone)
+	}
+}
+
+// Writes served in place carry no client identity: the client that
+// started them never re-sends one, so they leave no at-most-once entry
+// behind on any replica. A simulator client's writes, which its
+// resilience policy may re-send to another server, still record theirs.
+func TestInPlaceWritesLeaveNoClientEntries(t *testing.T) {
+	c, servers, ids := buildServers(t, 3, ServerConfig{AntiEntropyInterval: 20 * time.Millisecond}, 7)
+	cl := NewClient("client", Guarantees{})
+	c.AddNode("client", cl)
+	var answers []Answer
+	c.At(0, func() {
+		env := c.ClientEnv(ids[0])
+		for i := 0; i < 3; i++ {
+			servers[0].Write(env, "k", []byte{byte(i)}, false, Token{}, func(_ transport.Env, a Answer) {
+				answers = append(answers, a)
+			})
+		}
+	})
+	c.Run(time.Second)
+	if len(answers) != 3 {
+		t.Fatalf("%d of 3 in-place writes answered", len(answers))
+	}
+	for i, a := range answers {
+		if a.TimedOut || a.Token.Write.Get(ids[0]) != uint64(i+1) {
+			t.Fatalf("write %d answered %+v, want its write id %s:%d in the token", i, a, ids[0], i+1)
+		}
+	}
+	for _, s := range servers {
+		if s.Vector().Get(ids[0]) != 3 {
+			t.Fatalf("%s holds %v, want the 3 writes", s.id, s.Vector())
+		}
+		if len(s.cliSeq) != 0 || len(s.lastWID) != 0 {
+			t.Fatalf("%s keeps client entries %v / %v for writes served in place", s.id, s.cliSeq, s.lastWID)
+		}
+	}
+
+	c.After(0, func() { cl.Write(c.ClientEnv("client"), ids[1], "k", []byte("actor"), nil) })
+	c.Run(2 * time.Second)
+	for _, s := range servers {
+		if s.cliSeq["client"] != 1 || s.lastWID["client"] != (WriteID{Origin: ids[1], Seq: 1}) {
+			t.Fatalf("%s keeps %v / %v, want the simulator client's write recorded", s.id, s.cliSeq, s.lastWID)
+		}
 	}
 }

@@ -146,9 +146,10 @@ func init() {
 }
 
 // Token is the portable form of a session: the read and write vectors
-// that define its guarantee floors. A client hands its token to the
-// application on disconnect and merges it back after reconnecting — to
-// any server — and read-your-writes, monotonic reads, writes-follow-
+// that define its guarantee floors. A live client sends its token with
+// every request and joins each answer's into it; it hands the token to
+// the application on disconnect and sets it again after reconnecting —
+// to any server — and read-your-writes, monotonic reads, writes-follow-
 // reads, and monotonic writes keep holding across the gap, because the
 // floors are vectors, not server identities.
 type Token struct {
@@ -156,20 +157,68 @@ type Token struct {
 	Write clock.Vector
 }
 
-// Token snapshots the session state (copies; later operations don't
-// mutate the returned vectors).
-func (c *Client) Token() Token {
-	return Token{Read: c.readVec.Copy(), Write: c.writeVec.Copy()}
+// floor is the vector a server must dominate before it serves an
+// operation of the session t under guarantees g: a read when read is
+// set, else a write.
+func (t Token) floor(g Guarantees, read bool) clock.Vector {
+	floor := clock.NewVector()
+	if (read && g.ReadYourWrites) || (!read && g.MonotonicWrites) {
+		floor.Merge(t.Write)
+	}
+	if (read && g.MonotonicReads) || (!read && g.WritesFollowReads) {
+		floor.Merge(t.Read)
+	}
+	return floor
 }
 
-// MergeToken folds a previously issued token into this session. Merging
-// is a vector join — monotone and idempotent — so replaying a stale or
-// duplicate token is harmless; the session floor only ever rises.
-func (c *Client) MergeToken(t Token) {
-	if t.Read != nil {
-		c.readVec.Merge(t.Read)
-	}
-	if t.Write != nil {
-		c.writeVec.Merge(t.Write)
+// served raises t by what the operation resp answers did, unless it
+// timed out: a read joins in the vector of the server that served it (the
+// standard over-approximation of "the writes relevant to this read"), a
+// write adds its write id.
+func (t *Token) served(resp transport.Message) {
+	switch m := resp.(type) {
+	case sreadResp:
+		if !m.TimedOut {
+			t.Read = join(t.Read, m.V)
+		}
+	case swriteResp:
+		if !m.TimedOut && t.Write.Get(m.WID.Origin) < m.WID.Seq {
+			if t.Write == nil {
+				t.Write = clock.NewVector()
+			}
+			t.Write[m.WID.Origin] = m.WID.Seq
+		}
 	}
 }
+
+// Join is the token that covers both t and o, each vector the
+// component-wise maximum. It is built in new vectors: neither t nor o
+// changes.
+func (t Token) Join(o Token) Token {
+	return Token{Read: join(t.Read.Copy(), o.Read), Write: join(t.Write.Copy(), o.Write)}
+}
+
+// Copy returns a token whose vectors are independent of t's; a nil
+// vector stays nil.
+func (t Token) Copy() Token {
+	if t.Read != nil {
+		t.Read = t.Read.Copy()
+	}
+	if t.Write != nil {
+		t.Write = t.Write.Copy()
+	}
+	return t
+}
+
+// join merges v into dst, making dst if it is nil, and returns it.
+func join(dst, v clock.Vector) clock.Vector {
+	if dst == nil {
+		dst = clock.NewVector()
+	}
+	dst.Merge(v)
+	return dst
+}
+
+// Token snapshots the session state (copies; later operations don't
+// mutate the returned vectors).
+func (c *Client) Token() Token { return c.tok.Copy() }

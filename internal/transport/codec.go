@@ -10,37 +10,30 @@ import (
 // The envelope codec: what one frame carries (frame.go puts the length
 // in front). An envelope is
 //
-//	| tag: uvarint | from: string | to: string | message |
-//	tag := wire id << 2 | from present << 1 | to present
+//	| wire id: uvarint | message |
 //
-// where a string is its uvarint length and its bytes, and from and to are
-// there only when their presence bit is set. An address the link already
-// knows is absent, and reads back as the link's end (see Link). The
-// message is the payload its type's AppendBinary writes, decoded by the
-// decoder RegisterBinary installed for the wire id: no reflection, no type
-// names on the wire, and decode aliases the frame buffer. A wire id below
-// 32 makes the tag one byte.
+// and carries no addresses: every frame travels between its link's two
+// ends, which the reader fills in (see Link). The message is the payload
+// its type's AppendBinary writes, decoded by the decoder RegisterBinary
+// installed for the wire id: no reflection, no type names on the wire,
+// and decode aliases the frame buffer. A wire id below 128 takes one
+// byte.
 //
 // There is no codec version byte. Wire messages are unversioned and a
 // cluster upgrades as a whole, so a new layout replaces the old one on
 // every node at once instead of running beside it.
-const (
-	toPresent   = 1
-	fromPresent = 2
-	tagIDShift  = 2
-)
 
 // BinaryMessage is implemented by every message type that travels over
 // TCP. WireID returns the type's registered id (unique across all
 // protocol packages; see the range allocation below), AppendBinary
 // appends the payload bytes.
 //
-// Wire id ranges, so packages cannot collide. An id below 32 takes a
-// one-byte tag, so 1–31 hold every message the benchmark's workloads
-// send per operation (a get, a put, the replies, heartbeats and the
-// background anti-entropy, handoff and gossip beside them), and the
-// messages only set-up, a ring change, a lagging replica or a test sends
-// live above:
+// Wire id ranges, so packages cannot collide. Every range lies below
+// 128, so every wire id takes one byte. 1–31 hold every message the
+// benchmark's workloads send per operation (a get, a put, the replies,
+// heartbeats and the background anti-entropy, handoff and gossip beside
+// them), and the messages only set-up, a ring change, a lagging replica
+// or a test sends live above:
 //
 //	 1–2   transport (hello, heartbeat)
 //	 3–9   internal/gossip
@@ -84,26 +77,6 @@ func binaryDecoder(id uint16) (func(r *wire.Reader) Message, bool) {
 	return dec, ok
 }
 
-// appendHeader appends an envelope's tag and the addresses link l does
-// not leave out.
-func (l Link) appendHeader(dst []byte, from, to string, id uint16) []byte {
-	tag := uint64(id) << tagIDShift
-	if from != l.Local {
-		tag |= fromPresent
-	}
-	if to != l.Remote {
-		tag |= toPresent
-	}
-	dst = wire.AppendUvarint(dst, tag)
-	if tag&fromPresent != 0 {
-		dst = wire.AppendString(dst, from)
-	}
-	if tag&toPresent != 0 {
-		dst = wire.AppendString(dst, to)
-	}
-	return dst
-}
-
 // readers recycles the Reader handed to the registered decoders. They
 // are called through a table, so a Reader made per envelope would escape
 // to the heap on every message.
@@ -121,17 +94,10 @@ func (l Link) decodeEnvelope(b []byte) (Envelope, error) {
 
 func (l Link) readEnvelope(r *wire.Reader) (Envelope, error) {
 	e := Envelope{From: l.Remote, To: l.Local}
-	tag := r.Uvarint()
-	if tag&fromPresent != 0 {
-		e.From = r.ID()
-	}
-	if tag&toPresent != 0 {
-		e.To = r.ID()
-	}
+	id := r.Uvarint()
 	if err := r.Err(); err != nil {
 		return Envelope{}, fmt.Errorf("transport: decode envelope header: %w", err)
 	}
-	id := tag >> tagIDShift
 	if id > 0xffff {
 		return Envelope{}, fmt.Errorf("transport: wire id %d out of range", id)
 	}

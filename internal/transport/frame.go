@@ -29,12 +29,11 @@ import (
 // stateless frames survive reconnects, can be re-sent verbatim, and
 // decode independently of arrival order.
 //
-// The hello that opens a connection is a frame on the zero Link, read
-// with ReadFrame exactly, so whatever the dialer wrote behind it is left
-// for the connection's stream reader. The package-level AppendFrame and
-// DecodeFrame use the zero link too; the frame probes in bench/probes.go
-// (transport.frame_encode_ns, frame_decode_ns, frame_decode_allocs)
-// track their cost.
+// The hello that opens a connection names its two ends, and so its link.
+// It is read with ReadFrame exactly, so whatever the dialer wrote behind
+// it is left for the connection's stream reader. The frame probes in
+// bench/probes.go (transport.frame_encode_ns, frame_decode_ns,
+// frame_decode_allocs) track the cost of AppendFrame and DecodeFrame.
 
 // MaxFrameSize bounds a single frame (16 MiB). A peer announcing a
 // larger frame is protocol-corrupt and the connection is dropped —
@@ -51,51 +50,42 @@ var errLength = errors.New("transport: malformed frame length")
 
 // Envelope is the unit every frame carries: a routed protocol message.
 // From is the sending node id, To the destination node id on the
-// receiving runtime.
+// receiving runtime. Neither is written: a frame reads back with its
+// link's ends.
 type Envelope struct {
 	From, To string
 	Msg      Message
 }
 
 // Link names the two ends of a connection as its hello fixed them:
-// Local is this side's node, Remote the node at the other end. Frames
-// written on a link leave out what its reader already knows: From is
-// absent when it is Local, To when it is Remote. The reader's link is
-// the same one seen from the other end (its Local is the writer's
-// Remote), so an absent From reads as Remote and an absent To as Local.
-// On the zero link an absent address is "": it leaves out exactly the
-// empty addresses. Every other address — an actor a node hosts beside
-// itself, such as the session actor node0#s1, and every address of the
-// hello — is spelled out. A node forwards its clients' operations as
-// itself, so every message of a quorum operation leaves out both.
+// Local is this side's node, Remote the node at the other end. A TCP
+// transport hosts only its own node, and a client speaks only to the
+// node it dialed, so every frame on a connection travels from one end of
+// its link to the other: a reader fills in From as its Remote and To as
+// its Local. On the zero link both read as "".
 type Link struct {
 	Local, Remote string
 }
 
 // AppendFrame encodes e as one frame appended to dst and returns the
-// extended slice. Every address but an empty one is spelled out.
+// extended slice. e's addresses are not written. A message that does not
+// implement BinaryMessage cannot leave the process: Loopback and the
+// simulator deliver it by reference, TCP reports it. A failed encode
+// appends nothing.
 func AppendFrame(dst []byte, e Envelope) ([]byte, error) {
-	return Link{}.appendFrame(dst, e)
-}
-
-// appendFrame appends e as one frame written on link l. A message that
-// does not implement BinaryMessage cannot leave the process: Loopback
-// and the simulator deliver it by reference, TCP reports it. A failed
-// encode appends nothing.
-func (l Link) appendFrame(dst []byte, e Envelope) ([]byte, error) {
 	bm, ok := e.Msg.(BinaryMessage)
 	if !ok {
 		return dst, fmt.Errorf("transport: %T has no wire codec (it does not implement BinaryMessage)", e.Msg)
 	}
-	return AppendMessage(l, dst, e.From, e.To, bm)
+	return AppendMessage(dst, bm)
 }
 
-// AppendMessage frames an envelope from → to carrying m on link l, for a
-// caller that holds m as its concrete type: the bytes l writes for that
-// envelope, without boxing m into an Envelope's Message.
-func AppendMessage[M BinaryMessage](l Link, dst []byte, from, to string, m M) ([]byte, error) {
+// AppendMessage frames m, for a caller that holds m as its concrete type:
+// the bytes AppendFrame writes for it, without boxing m into an
+// Envelope's Message.
+func AppendMessage[M BinaryMessage](dst []byte, m M) ([]byte, error) {
 	mark := len(dst)
-	dst = l.appendHeader(append(dst, 0), from, to, m.WireID())
+	dst = wire.AppendUvarint(append(dst, 0), uint64(m.WireID()))
 	return finishFrame(m.AppendBinary(dst), mark)
 }
 
@@ -287,19 +277,22 @@ func (l Link) decodeFrame(b []byte) (Envelope, int, error) {
 	return e, k + n, nil
 }
 
-// hello is the first frame on every dialed connection, identifying the
-// dialer. Kind is "peer" for transport links and "client" for the
-// server's client protocol (internal/server).
+// hello is the first frame on every dialed connection: ID names the
+// dialer and To the node it dialed, the two ends of the connection's
+// link. Kind is "peer" for transport links and "client" for the server's
+// client protocol (internal/server).
 type hello struct {
 	Kind string
 	ID   string
+	To   string
 }
 
 func (hello) WireID() uint16 { return 1 }
 
 func (m hello) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendString(dst, m.Kind)
-	return wire.AppendString(dst, m.ID)
+	dst = wire.AppendString(dst, m.ID)
+	return wire.AppendString(dst, m.To)
 }
 
 // heartbeat is the transport-level liveness ping. T is the sender's
@@ -319,12 +312,13 @@ func (m heartbeat) AppendBinary(dst []byte) []byte {
 
 // ClientHello returns the handshake message a client-protocol
 // connection opens with; the transport's accept loop hands such
-// connections to TCPConfig.OnClientConn.
+// connections to TCPConfig.OnClientConn. A client names the node it
+// dialed "".
 func ClientHello(id string) Message { return hello{Kind: "client", ID: id} }
 
 func init() {
 	RegisterBinary(1, func(r *wire.Reader) Message {
-		return hello{Kind: r.String(), ID: r.String()}
+		return hello{Kind: r.String(), ID: r.String(), To: r.String()}
 	})
 	RegisterBinary(2, func(r *wire.Reader) Message {
 		return heartbeat{T: r.Varint(), Echo: r.Bool()}

@@ -77,9 +77,8 @@ func (l *Loopback) linkDelay(from, to string) time.Duration {
 }
 
 // Partition splits the cluster into groups: sends between different
-// groups drop until Heal. Ids not named join group 0. Gateway/client
-// node ids sharing a storage node's prefix must be listed explicitly if
-// they should follow it to a side.
+// groups drop until Heal. Ids not named join group 0, so a client node
+// must be listed to follow a storage node to a side.
 func (l *Loopback) Partition(groups ...[]string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -13,18 +13,17 @@ import (
 )
 
 // TCPConfig configures a TCP transport: one per process, hosting that
-// process's node(s) and linking to every peer process.
+// process's node and linking to every peer process.
 type TCPConfig struct {
-	// LocalID identifies this runtime in handshakes and as the
-	// failure-detector observer (normally the storage node id).
+	// LocalID is the one node this transport hosts (see TCP.AddNode). It
+	// names this runtime in handshakes and as the failure-detector
+	// observer.
 	LocalID string
 	// Listen is the peer-link listen address ("127.0.0.1:0" for an
 	// ephemeral port; read the bound address back with Addr).
 	Listen string
 	// Peers maps node ids to peer listen addresses. An entry for
-	// LocalID is ignored. Ids containing '#' route to the prefix owner
-	// (a session model's per-connection actors, nodeX#sN, live on their
-	// storage node's runtime).
+	// LocalID is ignored.
 	Peers map[string]string
 	// Policy supplies reconnect backoff, heartbeat pacing, and I/O
 	// deadlines. Nil uses resilience.DefaultPolicy.
@@ -152,38 +151,36 @@ func (t *TCP) logf(format string, args ...any) {
 	}
 }
 
-// ownerOf resolves which peer runtime hosts node id: an exact peer
-// entry, else the '#'-prefix owner (session actors ride their node).
-func (t *TCP) ownerOf(id string) (string, string, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if addr, ok := t.addrs[id]; ok {
-		return id, addr, true
+// AddNode hosts id, which must be LocalID: every frame on a link travels
+// between the link's two ends, so a TCP transport hosts no node but its
+// own. Any other id panics, as a duplicate id does.
+func (t *TCP) AddNode(id string, h Handler) {
+	if id != t.cfg.LocalID {
+		panic(fmt.Sprintf("transport: a TCP transport hosts only %q, not %q", t.cfg.LocalID, id))
 	}
-	for i := 0; i < len(id); i++ {
-		if id[i] == '#' {
-			owner := id[:i]
-			if addr, ok := t.addrs[owner]; ok {
-				return owner, addr, true
-			}
-			break
-		}
-	}
-	return "", "", false
+	t.Runtime.AddNode(id, h)
 }
 
-// forward implements Runtime's non-local routing: enqueue on the owning
-// peer's ordered send queue.
+// addrOf returns the listen address of peer id.
+func (t *TCP) addrOf(id string) (string, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	addr, ok := t.addrs[id]
+	return addr, ok
+}
+
+// forward implements Runtime's non-local routing: enqueue on the peer's
+// ordered send queue.
 func (t *TCP) forward(from, to string, msg Message) bool {
-	owner, addr, ok := t.ownerOf(to)
-	if !ok || owner == t.cfg.LocalID {
+	addr, ok := t.addrOf(to)
+	if !ok || to == t.cfg.LocalID {
 		return false
 	}
-	p := t.peer(owner, addr)
+	p := t.peer(to, addr)
 	if p == nil {
 		return false
 	}
-	if !p.send(Envelope{From: from, To: to, Msg: msg}) {
+	if !p.send(msg) {
 		t.stats.messagesDropped.Add(1)
 	}
 	return true // a full queue counts as dropped, not unroutable
@@ -203,7 +200,6 @@ func (t *TCP) peer(id, addr string) *tcpPeer {
 	p := &tcpPeer{
 		id:   id,
 		addr: addr,
-		link: Link{Local: t.cfg.LocalID, Remote: id},
 		t:    t,
 		out:  make(chan queued, outQueueLen),
 		rng:  rand.New(rand.NewSource(t.cfg.Seed ^ int64(idHash(id)) ^ 0x7c9)),
@@ -284,9 +280,9 @@ func (t *TCP) handleConn(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	// The dialer names itself in the hello and this node as the hello's
-	// destination: the two ends its later frames leave out.
-	link := Link{Local: e.To, Remote: h.ID}
+	// The dialer names itself and the node it dialed: the two ends of
+	// every frame it writes after the hello.
+	link := Link{Local: h.To, Remote: h.ID}
 	switch h.Kind {
 	case "client":
 		if t.cfg.OnClientConn != nil {
@@ -355,11 +351,11 @@ func (t *TCP) dispatch(peerID string, e Envelope) {
 		if m.Echo {
 			// Round trip complete on our clock.
 			t.observeRTT(peerID, t.Now()-time.Duration(m.T))
-		} else if owner, addr, ok := t.ownerOf(peerID); ok {
+		} else if addr, ok := t.addrOf(peerID); ok {
 			// Echo through the ordered outbound queue; piggybacks as
 			// liveness evidence for the other side too.
-			if p := t.peer(owner, addr); p != nil {
-				p.send(Envelope{From: t.cfg.LocalID, To: peerID, Msg: heartbeat{T: m.T, Echo: true}})
+			if p := t.peer(peerID, addr); p != nil {
+				p.send(heartbeat{T: m.T, Echo: true})
 			}
 		}
 	default:
@@ -420,7 +416,6 @@ func (t *TCP) Close() {
 // jittered backoff.
 type tcpPeer struct {
 	id, addr string
-	link     Link // this runtime to the peer's, as the hello names them
 	t        *TCP
 	out      chan queued
 	rng      *rand.Rand
@@ -430,18 +425,20 @@ type tcpPeer struct {
 	initOnce  sync.Once
 }
 
-// queued is an envelope waiting in a peer's send queue, with when it
-// was sent on the runtime's clock. Only a link delay reads the time, so
-// send stamps it only under one: without, the send path reads no clock.
+// queued is a message waiting in a peer's send queue, with when it was
+// sent on the runtime's clock. It travels from this node to the peer, the
+// two ends of the link, so it needs no addresses. Only a link delay reads
+// the time, so send stamps it only under one: without, the send path
+// reads no clock.
 type queued struct {
-	Envelope
-	at time.Duration
+	msg Message
+	at  time.Duration
 }
 
-// send queues e for the writer without blocking; false means the queue
-// is full and e is shed.
-func (p *tcpPeer) send(e Envelope) bool {
-	q := queued{Envelope: e}
+// send queues m for the writer without blocking; false means the queue
+// is full and m is shed.
+func (p *tcpPeer) send(m Message) bool {
+	q := queued{msg: m}
 	if p.t.cfg.LinkDelay != nil {
 		q.at = p.t.Now()
 	}
@@ -469,7 +466,7 @@ func (p *tcpPeer) run() {
 	defer p.t.wg.Done()
 	p.init()
 	t := p.t
-	greeting, _ := AppendFrame(nil, Envelope{From: t.cfg.LocalID, To: p.id, Msg: hello{Kind: "peer", ID: t.cfg.LocalID}})
+	greeting, _ := AppendMessage(nil, hello{Kind: "peer", ID: t.cfg.LocalID, To: p.id})
 	attempt := 0
 	for {
 		select {
@@ -511,12 +508,12 @@ func (p *tcpPeer) run() {
 	}
 }
 
-// maxBatch bounds how many queued envelopes the writer takes for one
+// maxBatch bounds how many queued messages the writer takes for one
 // write; anything still queued goes in the next write one syscall
 // later.
 const maxBatch = 256
 
-// drain writes queued envelopes and paced heartbeats until the
+// drain writes queued messages and paced heartbeats until the
 // connection errors (false return means the peer is closing for good).
 // Sends are batched: after blocking for the first envelope the loop
 // greedily takes everything else already queued (up to maxBatch) and
@@ -532,14 +529,14 @@ func (p *tcpPeer) drain(conn net.Conn) bool {
 	t := p.t
 	hb := time.NewTicker(t.policy.HeartbeatInterval)
 	defer hb.Stop()
-	batch := make([]Envelope, 0, maxBatch) // taken from the queue, not yet written
-	var sent []time.Duration               // each taken envelope's queued.at
+	batch := make([]Message, 0, maxBatch) // taken from the queue, not yet written
+	var sent []time.Duration              // each taken message's queued.at
 	take := func(q queued) {
-		batch, sent = append(batch, q.Envelope), append(sent, q.at)
+		batch, sent = append(batch, q.msg), append(sent, q.at)
 	}
 	beat := func() {
 		now := t.Now()
-		take(queued{Envelope: Envelope{From: t.cfg.LocalID, To: p.id, Msg: heartbeat{T: int64(now)}}, at: now})
+		take(queued{msg: heartbeat{T: int64(now)}, at: now})
 	}
 	var buf []byte
 	for {
@@ -589,19 +586,19 @@ func (p *tcpPeer) drain(conn net.Conn) bool {
 	}
 }
 
-// writeBatch frames envs into buf and writes them, in one write unless
+// writeBatch frames msgs into buf and writes them, in one write unless
 // the frames pass MaxFrameSize: then the frames before the one that
 // passed it are written first. The returned buffer is buf possibly
-// grown, for reuse. An envelope that fails to encode (no wire codec, or
-// a frame over MaxFrameSize) is cut back out of the buffer, logged and
+// grown, for reuse. A message that fails to encode (no wire codec, or a
+// frame over MaxFrameSize) is cut back out of the buffer, logged and
 // counted as dropped (the protocols retry); its neighbours still ship.
-func (p *tcpPeer) writeBatch(conn net.Conn, buf []byte, envs []Envelope) ([]byte, error) {
+func (p *tcpPeer) writeBatch(conn net.Conn, buf []byte, msgs []Message) ([]byte, error) {
 	buf = buf[:0]
-	framed := 0 // envelopes in buf
-	for _, e := range envs {
+	framed := 0 // messages in buf
+	for _, m := range msgs {
 		mark := len(buf)
 		var err error
-		if buf, err = p.link.appendFrame(buf, e); err != nil {
+		if buf, err = AppendFrame(buf, Envelope{Msg: m}); err != nil {
 			p.t.logf("transport %s: encode for %s: %v", p.t.cfg.LocalID, p.id, err)
 			p.t.stats.messagesDropped.Add(1)
 			continue

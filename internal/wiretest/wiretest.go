@@ -21,10 +21,11 @@ import (
 
 // Check frames msg inside an envelope, decodes the frame, and fails t
 // unless the round trip consumes the whole frame and reproduces the
-// original exactly.
+// original exactly. A frame carries no addresses (a reader takes them
+// from its link), so the envelope holds none.
 func Check(t testing.TB, msg transport.Message) {
 	t.Helper()
-	env := transport.Envelope{From: "nodeA", To: "nodeB", Msg: msg}
+	env := transport.Envelope{Msg: msg}
 
 	frame, err := transport.AppendFrame(nil, env)
 	if err != nil {
