@@ -104,13 +104,13 @@ func (n *Node) noteKeyChanged(key string, es []clock.SiblingEntry[record], peers
 // startAntiEntropy opens a round with one random peer, unless the keys of
 // the last round with it are still on their way.
 func (n *Node) startAntiEntropy(env transport.Env) {
-	ring := n.ring()
-	if len(ring) < 2 {
+	members := n.members()
+	if len(members) < 2 {
 		return
 	}
 	var peer string
 	for {
-		peer = ring[env.Rand().Intn(len(ring))]
+		peer = members[env.Rand().Intn(len(members))]
 		if peer != n.id {
 			break
 		}

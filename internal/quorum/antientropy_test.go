@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/lsm"
+	"repro/internal/ring"
 	"repro/internal/storage"
 )
 
@@ -272,7 +273,7 @@ func TestAntiEntropyQuiescesAfterNodeJoins(t *testing.T) {
 	}, 43)
 	old, all := []string{"s0", "s1", "s2"}, []string{"s0", "s1", "s2", "s3"}
 	for _, n := range h.nodes {
-		n.SetMembers(old)
+		n.Install(ring.Epoch{Ring: ring.New(old, 1)})
 	}
 	const nKeys = 40
 	h.c.At(0, func() {
@@ -285,7 +286,7 @@ func TestAntiEntropyQuiescesAfterNodeJoins(t *testing.T) {
 	joined := 0
 	h.c.After(0, func() {
 		for _, n := range h.nodes {
-			n.SetMembers(all)
+			n.Install(ring.Epoch{Seq: 1, Ring: ring.New(all, 1)})
 		}
 		// What the transfer stream does for the arcs s3 gained.
 		for i := 0; i < nKeys; i++ {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/resilience"
+	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
@@ -327,7 +328,7 @@ func TestFallbackReaderAnswersADigestReadFromItsHints(t *testing.T) {
 	}, 25)
 	tr := watch(t, h)
 	key := "k"
-	prefs, fallbacks := h.nodes[0].placement(key)
+	prefs, fallbacks := h.nodes[0].placement(h.nodes[0].epoch.Load(), key)
 	coord, down, fb := prefs[0], prefs[2], fallbacks[0]
 	old := entryAt("x", 1, nil, "old")
 	hinted := entryAt("x", 2, clock.Vector{"x": 1}, "hinted")
@@ -364,12 +365,6 @@ func TestFallbackReaderAnswersADigestReadFromItsHints(t *testing.T) {
 	}
 }
 
-// settledRing is an Elasticity with no transfer window open.
-type settledRing struct{}
-
-func (settledRing) EpochSeq() uint64             { return 1 }
-func (settledRing) PrevSequence(string) []string { return nil }
-
 // TestNotReadyReplicaUnderDigestRead: a catching-up replica's refusal
 // does not count toward R, digest or not; the next node of the walk is
 // asked in its place. When the refusing replica is the coordinator's own,
@@ -384,13 +379,16 @@ func TestNotReadyReplicaUnderDigestRead(t *testing.T) {
 		{"the coordinator's own replica is catching up", 0, 3}, // all three digests name a version nobody sent
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newHarness(t, 5, Config{N: 3, R: 3, W: 2, Elastic: settledRing{}}, 26)
+			// A placement ring, with no transfer window open, is what has a
+			// read walk on past a refusing replica.
+			placement := ring.New([]string{"s0", "s1", "s2", "s3", "s4"}, ring.DefaultVirtualNodes)
+			h := newHarness(t, 5, Config{N: 3, R: 3, W: 2, Placement: placement}, 26)
 			tr := watch(t, h)
 			key := "k"
-			prefs, fallbacks := h.nodes[0].placement(key)
+			prefs, fallbacks := h.nodes[0].placement(h.nodes[0].epoch.Load(), key)
 			gated := h.node(prefs[tc.gated])
 			// The whole circle is still to be pulled: every key is gated.
-			gated.inbound = &catchUp{seq: 1, pulls: []TransferPull{{Source: "nobody"}}, done: []bool{false}}
+			gated.inbound = &catchUp{seq: 1, pulls: []TransferPull{{Source: "nobody"}}, done: []bool{false}, remaining: 1}
 			for _, id := range append(append([]string{}, prefs...), fallbacks[0]) {
 				if id != gated.id {
 					h.node(id).installEntry(0, key, entryAt("x", 1, nil, "v"))
@@ -635,7 +633,7 @@ func TestDigestReadAgainstEachKindOfPeer(t *testing.T) {
 			}, 28)
 			tr := watch(t, h)
 			key := "k"
-			prefs, fallbacks := h.nodes[0].placement(key)
+			prefs, fallbacks := h.nodes[0].placement(h.nodes[0].epoch.Load(), key)
 			for _, rep := range prefs[:2] {
 				h.node(rep).installEntry(0, key, tc.coord)
 			}

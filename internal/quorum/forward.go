@@ -279,6 +279,6 @@ func (n *Node) startPut(env transport.Env, coord string, m clientPut, cb func(tr
 // sender is how the node forwards: as itself, failing over across the
 // current members.
 func (n *Node) sender() sender {
-	return sender{id: n.id, nodes: n.ring(), timeout: requestTimeout, policy: n.cfg.Resilience,
+	return sender{id: n.id, nodes: n.members(), timeout: requestTimeout, policy: n.cfg.Resilience,
 		counters: n.cfg.Counters, directory: n.cfg.Directory}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/ring"
 	"repro/internal/transport"
 )
 
@@ -74,11 +75,11 @@ const (
 func nowMs() int64 { return time.Now().UnixMilli() }
 
 // splitGeo partitions a preference list into the coordinator-zone
-// replicas (synchronous) and the cross-zone remainder (async). The
-// coordinator itself always counts as local.
-func (n *Node) splitGeo(prefs []string) (sync, async []string) {
+// replicas (synchronous) and the cross-zone remainder (async), by the
+// zones of epoch ep. The coordinator itself always counts as local.
+func (n *Node) splitGeo(ep *ring.Epoch, prefs []string) (sync, async []string) {
 	for _, p := range prefs {
-		if p == n.id || n.cfg.Zones[p] == n.cfg.Zone {
+		if p == n.id || ep.Ring.ZoneOf(p) == n.cfg.Zone {
 			sync = append(sync, p)
 		} else {
 			async = append(async, p)
@@ -165,8 +166,9 @@ func (n *Node) geoSource(peer string) source {
 func (n *Node) geoBeacon(env transport.Env) {
 	ts := nowMs()
 	_, backlog := n.GeoQueue()
-	for _, peer := range n.ring() {
-		if peer == n.id || n.cfg.Zones[peer] == n.cfg.Zone {
+	ep := n.epoch.Load()
+	for _, peer := range ep.Ring.Members() {
+		if peer == n.id || ep.Ring.ZoneOf(peer) == n.cfg.Zone {
 			continue
 		}
 		if backlog[peer] > 0 {

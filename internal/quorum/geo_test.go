@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/ring"
 )
 
 func entryForTest() clock.SiblingEntry[record] {
@@ -17,9 +18,10 @@ func entryForTest() clock.SiblingEntry[record] {
 }
 
 // geoHarness is a 3-zone cluster: nodes s0..s(n-1) round-robin over
-// us/eu/ap, every node knowing the shared zone map. With 9 nodes the
-// modulo preference list always spans all 3 zones, so GeoAsync splits
-// every write into one local replica plus two cross-zone streams.
+// us/eu/ap, every node holding an epoch whose ring names the zones. The
+// nodes place by member list: with 9 nodes the modulo preference list
+// always spans all 3 zones, so GeoAsync splits every write into one
+// local replica plus two cross-zone streams.
 type geoHarness struct {
 	*harness
 	zones map[string]string
@@ -33,7 +35,6 @@ func newGeoHarness(t *testing.T, nNodes int, cfg Config, seed int64) *geoHarness
 	for i := 0; i < nNodes; i++ {
 		zones[fmt.Sprintf("s%d", i)] = zoneNames[i%3]
 	}
-	cfg.Zones = zones
 	base := cfg
 	h := newHarnessWith(t, nNodes, seed, func(id string) Config {
 		c := base
@@ -41,7 +42,13 @@ func newGeoHarness(t *testing.T, nNodes int, cfg Config, seed int64) *geoHarness
 		return c
 	})
 	g := &geoHarness{harness: h, zones: zones, byID: map[string]*Node{}}
+	ids := make([]string, 0, nNodes)
 	for _, n := range h.nodes {
+		ids = append(ids, n.id)
+	}
+	zoned := ring.NewZoned(ids, 1, zones)
+	for _, n := range h.nodes {
+		n.Install(ring.Epoch{Ring: zoned})
 		g.byID[n.id] = n
 	}
 	return g
@@ -227,7 +234,7 @@ func TestGetROverrideReadsInsidePartitionedZone(t *testing.T) {
 // it rather than reusing acked sequences.
 func TestGeoAckJournalRoundTrip(t *testing.T) {
 	cfg := Config{N: 3, R: 1, W: 1, Ring: []string{"a", "b", "c"},
-		Zone: "us", Zones: map[string]string{"a": "us", "b": "eu", "c": "ap"}, GeoAsync: true}
+		Zone: "us", GeoAsync: true}
 	var journal [][]byte
 	cfg.PersistAt = func(_ int, rec []byte) { journal = append(journal, append([]byte(nil), rec...)) }
 	n := NewNode("a", cfg)

@@ -252,7 +252,7 @@ func (n *Node) installEntry(domain int, key string, e clock.SiblingEntry[record]
 func (n *Node) applyEntry(key string, e clock.SiblingEntry[record]) bool {
 	var peers []string
 	if n.cfg.AntiEntropy {
-		peers = n.PreferenceList(key) // placement is the host's code: call it before locking
+		peers = n.PreferenceList(key) // before locking: the walk needs no shard lock
 	}
 	sh := n.shardFor(key)
 	sh.mu.Lock()

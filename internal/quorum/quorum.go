@@ -27,14 +27,16 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/resilience"
+	"repro/internal/ring"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
 
 // Config configures every node of a quorum store.
 type Config struct {
-	// Ring lists all storage nodes in ring order. Every node must use the
-	// same Ring.
+	// Ring lists all storage nodes. Every node must use the same Ring. A
+	// node without a Placement ring places keys by walking this member set
+	// in sorted order, and takes its zones from the epochs it installs.
 	Ring []string
 	// N is the replication factor.
 	N int
@@ -93,17 +95,15 @@ type Config struct {
 	// disk-resident LSM engines through this; engines are released by
 	// Node.Close.
 	Storage func(shard int) storage.Engine
-	// Placement, when non-nil, overrides Ring-order placement: a key's
-	// preference list is Sequence(key)[:N] and its sloppy fallbacks the
-	// remainder of the sequence. internal/ring's consistent-hash ring
-	// implements this; Ring must still list every node (it drives
-	// heartbeats and shared-key anti-entropy).
-	Placement Placement
-	// Elastic, when non-nil, enables the elasticity paths (see
-	// transfer.go): the ownership guard on replica writes, dual-apply to
-	// the previous epoch's owners during transfer windows, and read
-	// gating on catching-up replicas.
-	Elastic Elasticity
+	// Placement, when non-nil, is the ring of the node's boot epoch, and
+	// the node places by the ring of whichever epoch it has installed
+	// since (see Node.Install): a key's preference list is
+	// Sequence(key)[:N] and its sloppy fallbacks the rest of the walk. It
+	// also enables the elasticity paths (see transfer.go): the ownership
+	// guard on replica writes, dual-apply to the previous epoch's owners
+	// while a transfer window is open, and reads that walk past a
+	// catching-up replica.
+	Placement *ring.Ring
 	// OnStaleRing is invoked (on the actor loop) when a peer's refusal
 	// reveals this node's membership epoch is behind the cluster's.
 	OnStaleRing func(seq uint64)
@@ -112,25 +112,14 @@ type Config struct {
 	// that ships versions to a peer (default 64KiB, see stream.go).
 	TransferRate  int
 	TransferBatch int
-	// Zone names this node's zone and Zones maps every ring node to its
-	// zone; both inform geo-replication (see geo.go). Empty/absent zones
-	// group together, so an unzoned cluster is a single zone.
-	Zone  string
-	Zones map[string]string
+	// Zone names this node's zone; the installed epoch's ring names every
+	// member's. Both inform geo-replication (see geo.go). Empty/absent
+	// zones group together, so an unzoned cluster is a single zone.
+	Zone string
 	// GeoAsync acknowledges writes on an intra-zone sub-quorum
 	// (min(W, in-zone replicas)) and replicates to other zones
 	// asynchronously through the per-peer geo replicator.
 	GeoAsync bool
-}
-
-// Placement maps a key to an ordered walk of distinct storage nodes —
-// replicas first, then fallbacks. Every node must resolve the identical
-// sequence for a key (the same vnode layout), which consistent hashing
-// gives for free. The walk may be shared between lookups (a ring.Ring
-// hands out its own): the node and everything it hands the walk to only
-// read it.
-type Placement interface {
-	Sequence(key string) []string
 }
 
 func (c Config) withDefaults() Config {
@@ -169,6 +158,9 @@ func (c Config) Validate() error {
 	}
 	if c.W < 1 || c.W > c.N {
 		return fmt.Errorf("quorum: W=%d must be in [1, N=%d]", c.W, c.N)
+	}
+	if c.Placement != nil && c.Placement.Size() < c.N {
+		return fmt.Errorf("quorum: N=%d exceeds the Placement ring's %d members", c.N, c.Placement.Size())
 	}
 	return nil
 }
@@ -474,9 +466,12 @@ type Node struct {
 	cfg Config
 	id  string
 
-	// members is the live membership list: shard goroutines walk it for
-	// placement while SetMembers swaps it on the serial loop.
-	members atomic.Pointer[[]string]
+	// epoch is the installed membership epoch. Install stores a new one
+	// on the serial loop, the one writer; an operation loads it once and
+	// takes its placement, its dual-apply set, its ownership verdict and
+	// its members' zones from that one value, on whatever goroutine it
+	// runs.
+	epoch atomic.Pointer[ring.Epoch]
 
 	// Replica state lives in key-range shards (one with Shards <= 1);
 	// router maps keys to them. See shard.go for the locking story.
@@ -577,34 +572,41 @@ func NewNode(id string, cfg Config) *Node {
 		xferDone:   make(map[uint64]map[int]bool),
 		tbTokens:   float64(cfg.TransferRate),
 	}
-	members := append([]string(nil), cfg.Ring...)
-	n.members.Store(&members)
+	boot := ring.Epoch{Ring: cfg.Placement}
+	if boot.Ring == nil {
+		// The ring of a node that places by member list holds its members
+		// and their zones; one point each is all it needs.
+		boot.Ring = ring.New(cfg.Ring, 1)
+	}
+	n.epoch.Store(&boot)
 	return n
 }
 
+// Epoch returns the installed membership epoch (see Install).
+func (n *Node) Epoch() ring.Epoch { return *n.epoch.Load() }
+
 // PreferenceList returns the N replicas for key, in priority order. The
-// list may be the Placement's shared walk and must not be written.
+// list may be the ring's shared walk and must not be written.
 func (n *Node) PreferenceList(key string) []string {
-	prefs, _ := n.placement(key)
+	prefs, _ := n.placement(n.epoch.Load(), key)
 	return prefs
 }
 
-// placement returns key's N replicas in priority order and, after them,
-// the rest of the ring in walk order — the fallbacks of a sloppy quorum —
+// placement returns key's N replicas under ep in priority order and,
+// after them, the rest of the walk — the fallbacks of a sloppy quorum —
 // both cut from one walk.
-func (n *Node) placement(key string) (prefs, fallbacks []string) {
+func (n *Node) placement(ep *ring.Epoch, key string) (prefs, fallbacks []string) {
 	if n.cfg.Placement != nil {
-		if seq := n.cfg.Placement.Sequence(key); len(seq) >= n.cfg.N {
-			return seq[:n.cfg.N:n.cfg.N], seq[n.cfg.N:]
-		}
+		seq := ep.Ring.Sequence(key)
+		return seq[:n.cfg.N:n.cfg.N], seq[n.cfg.N:]
 	}
-	ring := n.ring()
+	members := ep.Ring.Members()
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	start := int(h.Sum64() % uint64(len(ring)))
-	seq := make([]string, max(len(ring), n.cfg.N))
+	start := int(h.Sum64() % uint64(len(members)))
+	seq := make([]string, max(len(members), n.cfg.N))
 	for i := range seq {
-		seq[i] = ring[(start+i)%len(ring)]
+		seq[i] = members[(start+i)%len(members)]
 	}
 	return seq[:n.cfg.N:n.cfg.N], seq[n.cfg.N:]
 }
@@ -667,7 +669,7 @@ func (n *Node) OnTimer(env transport.Env, tag any) {
 			n.readTimeout(env, tg.id)
 		}
 	case pingTag:
-		for _, peer := range n.ring() {
+		for _, peer := range n.members() {
 			if peer != n.id {
 				env.Send(peer, resPing{})
 			}
@@ -808,7 +810,8 @@ func (n *Node) coordinatePut(env transport.Env, client string, m clientPut, repl
 		answerPut(env, client, reply, m.Key, putResp{Err: "quorum: put without a request id"})
 		return
 	}
-	prefs, fallbacks := n.placement(m.Key)
+	ep := n.epoch.Load()
+	prefs, fallbacks := n.placement(ep, m.Key)
 
 	// Mint the new version: the context is exactly what the client
 	// causally observed (a blind write must sibling with, not supersede,
@@ -846,7 +849,7 @@ func (n *Node) coordinatePut(env transport.Env, client string, m clientPut, repl
 	// the local sub-quorum is never empty.
 	syncPrefs := prefs
 	if n.cfg.GeoAsync {
-		if s, a := n.splitGeo(prefs); len(s) > 0 && len(a) > 0 {
+		if s, a := n.splitGeo(ep, prefs); len(s) > 0 && len(a) > 0 {
 			syncPrefs = s
 			if pw.needed > len(s) {
 				pw.needed = len(s)
@@ -878,22 +881,16 @@ func (n *Node) coordinatePut(env transport.Env, client string, m clientPut, repl
 	// list, so reads falling back to them (catch-up gating) stay fresh
 	// and an aborted transfer leaves no gap. Unacked repair writes: the
 	// quorum is still counted against the current epoch's replicas.
-	if n.cfg.Elastic != nil {
-		if prev := n.cfg.Elastic.PrevSequence(m.Key); prev != nil {
-			lim := n.cfg.N
-			if lim > len(prev) {
-				lim = len(prev)
+	if ep.Prev != nil && n.cfg.Placement != nil {
+		for _, old := range ep.Prev.Replicas(m.Key, n.cfg.N) {
+			if slices.Contains(prefs, old) {
+				continue
 			}
-			for _, old := range prev[:lim] {
-				if slices.Contains(prefs, old) {
-					continue
-				}
-				if old == n.id {
-					n.installEntry(env.Domain(), m.Key, entry)
-					continue
-				}
-				env.Send(old, replicaPut{Key: m.Key, Entry: entry, Repair: true})
+			if old == n.id {
+				n.installEntry(env.Domain(), m.Key, entry)
+				continue
 			}
+			env.Send(old, replicaPut{Key: m.Key, Entry: entry, Repair: true})
 		}
 	}
 	if self {
@@ -984,9 +981,11 @@ func (n *Node) applyReplicaPut(env transport.Env, from string, m replicaPut) {
 	// instead of silently absorbing a write the read path will never
 	// find here. Hinted stand-ins and repair/dual-apply pushes are
 	// exempt — they are intentionally addressed off the preference list.
-	if n.cfg.Elastic != nil && m.Hint == "" && !m.Repair && !n.ownsKey(m.Key) {
-		env.Send(from, replicaNotOwner{ID: m.ID, Seq: n.cfg.Elastic.EpochSeq()})
-		return
+	if n.cfg.Placement != nil && m.Hint == "" && !m.Repair {
+		if ep := n.epoch.Load(); !n.ownsKey(ep, m.Key) {
+			env.Send(from, replicaNotOwner{ID: m.ID, Seq: ep.Seq})
+			return
+		}
 	}
 	if m.Hint != "" && m.Hint != n.id {
 		// Store on behalf of the unreachable intended replica. Retried
@@ -1088,7 +1087,7 @@ func (n *Node) writeTimeout(env transport.Env, id uint64) {
 //
 // The answer goes to the client as coordinatePut's does.
 func (n *Node) coordinateGet(env transport.Env, client string, m clientGet, reply func(transport.Env, GetResult)) {
-	prefs, fallbacks := n.placement(m.Key)
+	prefs, fallbacks := n.placement(n.epoch.Load(), m.Key)
 	shardIdx := n.router.Shard(m.Key)
 	id := n.mintReq(shardIdx)
 	needed := n.cfg.R
@@ -1111,7 +1110,7 @@ func (n *Node) coordinateGet(env transport.Env, client string, m clientGet, repl
 		digests:   slices.Contains(prefs, n.id),
 		asked:     make(map[string]bool),
 	}
-	if (n.cfg.Resilience != nil && n.cfg.SloppyQuorum) || n.cfg.Elastic != nil {
+	if (n.cfg.Resilience != nil && n.cfg.SloppyQuorum) || n.cfg.Placement != nil {
 		// Under elasticity the fallback walk matters even without sloppy
 		// quorums: a catching-up replica refuses (replicaNotReady) and the read
 		// must reach the old owners further along the new ring's walk.

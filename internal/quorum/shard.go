@@ -242,11 +242,10 @@ func (n *Node) StartRequestsAt(base uint64) {
 	}
 }
 
-// ring returns the current membership list. Reads may come from shard
-// goroutines while SetMembers swaps the list on the serial loop, hence
-// the atomic pointer rather than n.cfg.Ring.
-func (n *Node) ring() []string {
-	return *n.members.Load()
+// members returns the installed epoch's member set (sorted; shared, so
+// not to be written).
+func (n *Node) members() []string {
+	return n.epoch.Load().Ring.Members()
 }
 
 // A Runtime discovers the node's shards through this interface, on a

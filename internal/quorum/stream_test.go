@@ -207,7 +207,7 @@ func TestStreamToRemovedPeerIsDropped(t *testing.T) {
 	r := newStreamRig(t, 12)
 	r.onBatch = func(m shipBatch) {
 		if m.Seq == 2 {
-			r.src.SetMembers([]string{"s0", "s2"})
+			r.src.Install(ring.Epoch{Seq: 1, Ring: ring.New([]string{"s0", "s2"}, 1)})
 		}
 	}
 	r.c.Run(5 * time.Second)
@@ -396,7 +396,7 @@ func TestTransferSourceScansInWindows(t *testing.T) {
 		}
 	}
 	h.c.At(0, func() {
-		dst.BeginCatchUp(h.c.ClientEnv("s1"), 1, []TransferPull{{Source: "s0", Start: start, End: end}}, nil, func() { done = true })
+		dst.BeginCatchUp(h.c.ClientEnv("s1"), 1, []TransferPull{{Source: "s0", Start: start, End: end}}, func() { done = true })
 	})
 	h.c.Run(30 * time.Second)
 	if !done {
@@ -448,7 +448,7 @@ func TestTransferResumesAtCursorAfterSourceCrash(t *testing.T) {
 		}
 	}
 	h.c.At(0, func() {
-		dst.BeginCatchUp(h.c.ClientEnv("s1"), 1, []TransferPull{{Source: "s0", Start: 0, End: 0}}, nil, func() { done = true })
+		dst.BeginCatchUp(h.c.ClientEnv("s1"), 1, []TransferPull{{Source: "s0", Start: 0, End: 0}}, func() { done = true })
 	})
 	h.c.Run(30 * time.Second)
 	if !done {

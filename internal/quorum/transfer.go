@@ -16,10 +16,11 @@ import (
 
 // Live elasticity: streaming arc handoff between quorum replicas.
 //
-// When membership changes, the hosting runtime computes which arcs of
-// the hash circle gained this node (ring.DiffN) and calls BeginCatchUp
-// with a pull per arc. The gainer asks a current owner to open a stream
-// (see stream.go) over exactly each range — resumable after a crash
+// When membership changes, the hosting runtime builds the new epoch,
+// installs it (Install), computes which arcs of the hash circle gained
+// this node (ring.DiffN) and calls BeginCatchUp with a pull per arc.
+// The gainer asks a current owner to open a stream (see stream.go) over
+// exactly each range — resumable after a crash
 // because installs dedup by dot, a stalled range is re-opened at the last
 // cursor it installed, and completed ranges are journaled to the WAL —
 // while the source token-buckets its sends so foreground
@@ -29,19 +30,6 @@ import (
 // ring's fallback walk); writes keep landing on both placements via the
 // coordinator's dual-apply, so nothing lands in a gap. Anti-entropy
 // remains the safety net for anything a transfer window misses.
-
-// Elasticity is the hook the hosting runtime wires in so the quorum
-// protocol can see the membership epoch and, while a transfer window is
-// open, the previous epoch's placement. All methods run on the node's
-// actor loop. A nil Elastic disables every elasticity path.
-type Elasticity interface {
-	// EpochSeq returns the current membership epoch sequence.
-	EpochSeq() uint64
-	// PrevSequence returns key's placement walk under the previous
-	// epoch's ring while a transfer window is open, nil when settled.
-	// Like a Placement's, the walk may be shared and is only read.
-	PrevSequence(key string) []string
-}
 
 // TransferPull names one inbound range: pull (Start, End] from Source.
 type TransferPull struct {
@@ -83,17 +71,18 @@ type (
 
 // catchUp tracks one inbound transfer window (one epoch's pulls). Per
 // range: whether it is done, the id of the stream last asked for, the
-// cursor of the last batch installed from it, and the stall timer.
+// cursor of the last batch installed from it, and the stall timer. The
+// window stays the node's inbound one after its last range lands, with
+// nothing remaining, so its counts outlive it.
 type catchUp struct {
-	seq        uint64
-	pulls      []TransferPull
-	done       []bool
-	stream     []uint64
-	cursor     []string
-	stall      []transport.TimerID
-	remaining  int
-	onProgress func(done, total int)
-	onDone     func()
+	seq       uint64
+	pulls     []TransferPull
+	done      []bool
+	stream    []uint64
+	cursor    []string
+	stall     []transport.TimerID
+	remaining int
+	onDone    func()
 }
 
 type (
@@ -118,30 +107,27 @@ func rangeContains(start, end, hash uint64) bool {
 	return hash > start || hash <= end
 }
 
-// TransferDoneFor reports how many of epoch seq's ranges this node has
-// already journaled complete (WAL replay fills this before catch-up
-// resumes, so a restarted joiner skips finished arcs).
-func (n *Node) TransferDoneFor(seq uint64) int {
-	return len(n.xferDone[seq])
-}
-
 // BeginCatchUp starts (or resumes) pulling the given ranges for epoch
-// seq. Ranges already journaled complete are skipped. onProgress runs
-// after each completed range, onDone once when every range has landed —
-// both on the actor loop. Idempotent per epoch.
-func (n *Node) BeginCatchUp(env transport.Env, seq uint64, pulls []TransferPull, onProgress func(done, total int), onDone func()) {
-	if n.inbound != nil && n.inbound.seq == seq {
-		return // duplicate begin: the window is already running
+// seq. Ranges already journaled complete are skipped (WAL replay fills
+// the journal before catch-up resumes, so a restarted joiner skips
+// finished arcs). onDone runs on the actor loop once every range has
+// landed. Idempotent per epoch: a repeat while the window runs changes
+// nothing, and one after it finished runs onDone again.
+func (n *Node) BeginCatchUp(env transport.Env, seq uint64, pulls []TransferPull, onDone func()) {
+	if cu := n.inbound; cu != nil && cu.seq == seq {
+		if cu.remaining == 0 {
+			onDone()
+		}
+		return
 	}
 	cu := &catchUp{
-		seq:        seq,
-		pulls:      pulls,
-		done:       make([]bool, len(pulls)),
-		stream:     make([]uint64, len(pulls)),
-		cursor:     make([]string, len(pulls)),
-		stall:      make([]transport.TimerID, len(pulls)),
-		onProgress: onProgress,
-		onDone:     onDone,
+		seq:    seq,
+		pulls:  pulls,
+		done:   make([]bool, len(pulls)),
+		stream: make([]uint64, len(pulls)),
+		cursor: make([]string, len(pulls)),
+		stall:  make([]transport.TimerID, len(pulls)),
+		onDone: onDone,
 	}
 	for i := range pulls {
 		if n.xferDone[seq][i] {
@@ -154,11 +140,8 @@ func (n *Node) BeginCatchUp(env transport.Env, seq uint64, pulls []TransferPull,
 	n.inbound = cu
 	n.elMu.Unlock()
 	if cu.remaining == 0 {
-		n.finishCatchUp(env)
+		n.finishCatchUp(cu)
 		return
-	}
-	if cu.onProgress != nil {
-		cu.onProgress(len(cu.pulls)-cu.remaining, len(cu.pulls))
 	}
 	for i := range cu.pulls {
 		if !cu.done[i] {
@@ -171,7 +154,18 @@ func (n *Node) BeginCatchUp(env transport.Env, seq uint64, pulls []TransferPull,
 func (n *Node) CatchingUp() bool {
 	n.elMu.RLock()
 	defer n.elMu.RUnlock()
-	return n.inbound != nil
+	return n.inbound != nil && n.inbound.remaining > 0
+}
+
+// CatchUpProgress reports how many of epoch seq's inbound ranges have
+// landed, of how many: 0 of 0 until BeginCatchUp for seq.
+func (n *Node) CatchUpProgress(seq uint64) (done, total int) {
+	n.elMu.RLock()
+	defer n.elMu.RUnlock()
+	if cu := n.inbound; cu != nil && cu.seq == seq {
+		return len(cu.pulls) - cu.remaining, len(cu.pulls)
+	}
+	return 0, 0
 }
 
 // openTransfer asks range i's source for a new stream from the range's
@@ -212,19 +206,16 @@ func (n *Node) transferReceived(env transport.Env, dom int, m shipBatch) {
 	}
 	n.elMu.Lock()
 	cu.done[i] = true
-	n.elMu.Unlock()
 	cu.remaining--
+	n.elMu.Unlock()
 	env.Cancel(cu.stall[i])
 	n.Transfer.RangesDone.Add(1)
 	// Journal completion so a restarted node does not re-pull the range.
 	p := cu.pulls[i]
 	n.markTransferDone(cu.seq, i)
 	n.persistRecord(dom, walRecord{TransferDone: &transferDoneRec{Seq: cu.seq, Idx: i, Start: p.Start, End: p.End}})
-	if cu.onProgress != nil {
-		cu.onProgress(len(cu.pulls)-cu.remaining, len(cu.pulls))
-	}
 	if cu.remaining == 0 {
-		n.finishCatchUp(env)
+		n.finishCatchUp(cu)
 	}
 }
 
@@ -235,23 +226,14 @@ func (n *Node) markTransferDone(seq uint64, idx int) {
 	n.xferDone[seq][idx] = true
 }
 
-func (n *Node) finishCatchUp(env transport.Env) {
-	cu := n.inbound
-	n.elMu.Lock()
-	n.inbound = nil
-	n.elMu.Unlock()
+func (n *Node) finishCatchUp(cu *catchUp) {
 	// Old epochs' completion records are no longer needed for gating.
 	for seq := range n.xferDone {
 		if seq < cu.seq {
 			delete(n.xferDone, seq)
 		}
 	}
-	if cu.onProgress != nil {
-		cu.onProgress(len(cu.pulls), len(cu.pulls))
-	}
-	if cu.onDone != nil {
-		cu.onDone()
-	}
+	cu.onDone()
 }
 
 // gatedKey reports whether key sits in a still-incomplete inbound range:
@@ -261,7 +243,7 @@ func (n *Node) gatedKey(key string) bool {
 	n.elMu.RLock()
 	defer n.elMu.RUnlock()
 	cu := n.inbound
-	if cu == nil {
+	if cu == nil || cu.remaining == 0 {
 		return false
 	}
 	h := ring.KeyHash(key)
@@ -347,16 +329,18 @@ func (n *Node) drainTick(env transport.Env) {
 // Draining reports whether BeginDrain has been called.
 func (n *Node) Draining() bool { return n.draining.Load() }
 
-// SetMembers installs the new member set for heartbeats and anti-entropy
-// after a membership epoch lands. Streams to departed members are dropped.
-// Hints intended for departed members are dissolved into local data
-// (journaled), where anti-entropy re-homes them to the keys' current
-// owners — a hint may be an acked write's only copy and must never strand
-// behind a dead address.
-func (n *Node) SetMembers(members []string) {
-	ms := append([]string(nil), members...)
-	sort.Strings(ms)
-	n.members.Store(&ms)
+// Install makes ep the node's membership epoch, with one store: from the
+// next operation on, placement, the dual-apply set, the ownership guard,
+// the epoch a refusal carries, the members heartbeats and anti-entropy
+// visit and every member's zone all come from ep. It runs on the serial
+// loop, the one writer, and ep is not written after. Streams to departed
+// members are dropped. Hints intended for departed members are dissolved
+// into local data (journaled), where anti-entropy re-homes them to the
+// keys' current owners — a hint may be an acked write's only copy and
+// must never strand behind a dead address.
+func (n *Node) Install(ep ring.Epoch) {
+	n.epoch.Store(&ep)
+	ms := ep.Ring.Members()
 	// What is kept per peer goes with the peer: its streams (their timers
 	// find none and lapse), its geo queue (its arcs re-home through transfer
 	// and anti-entropy) and its tree.
@@ -396,20 +380,13 @@ func (n *Node) SetMembers(members []string) {
 }
 
 // ownsKey reports whether this node may accept a direct replica write
-// for key: it is in the current preference list, or in the previous
+// for key under ep: it is in the preference list, or in the previous
 // epoch's while a dual-apply window is open.
-func (n *Node) ownsKey(key string) bool {
-	if slices.Contains(n.PreferenceList(key), n.id) {
+func (n *Node) ownsKey(ep *ring.Epoch, key string) bool {
+	if prefs, _ := n.placement(ep, key); slices.Contains(prefs, n.id) {
 		return true
 	}
-	if prev := n.cfg.Elastic.PrevSequence(key); prev != nil {
-		lim := n.cfg.N
-		if lim > len(prev) {
-			lim = len(prev)
-		}
-		return slices.Contains(prev[:lim], n.id)
-	}
-	return false
+	return ep.Prev != nil && slices.Contains(ep.Prev.Replicas(key, n.cfg.N), n.id)
 }
 
 // onNotOwner handles a replica refusing one of our writes: the refusal
@@ -419,7 +396,7 @@ func (n *Node) ownsKey(key string) bool {
 // stand-in for a node that is not an owner would strand the write.
 func (n *Node) onNotOwner(m replicaNotOwner) {
 	n.Transfer.NotOwnerSeen.Add(1)
-	if n.cfg.OnStaleRing != nil && n.cfg.Elastic != nil && m.Seq > n.cfg.Elastic.EpochSeq() {
+	if n.cfg.OnStaleRing != nil && m.Seq > n.epoch.Load().Seq {
 		n.cfg.OnStaleRing(m.Seq)
 	}
 }

@@ -2,10 +2,13 @@ package quorum
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/ring"
+	"repro/internal/transport"
 )
 
 // Deterministic sim coverage for the elasticity building blocks: the
@@ -49,7 +52,7 @@ func TestTransferPullStreamsRangeGatesReadsAndThrottles(t *testing.T) {
 		}
 		dst.BeginCatchUp(h.c.ClientEnv("s3"), 1,
 			[]TransferPull{{Source: "s0", Start: 0, End: 0}}, // (0,0] wraps: the whole circle
-			nil, func() { doneAt = h.c.Now() })
+			func() { doneAt = h.c.Now() })
 	})
 	gatedMidway := false
 	h.c.At(200*time.Millisecond, func() {
@@ -95,7 +98,7 @@ func TestTransferPullStreamsRangeGatesReadsAndThrottles(t *testing.T) {
 	resumed := false
 	h.c.After(0, func() {
 		dst.BeginCatchUp(h.c.ClientEnv("s3"), 1,
-			[]TransferPull{{Source: "s0", Start: 0, End: 0}}, nil, func() { resumed = true })
+			[]TransferPull{{Source: "s0", Start: 0, End: 0}}, func() { resumed = true })
 	})
 	h.c.Run(h.c.Now() + time.Second)
 	if !resumed {
@@ -168,4 +171,102 @@ func TestDrainStopsMintingAndEmptiesHints(t *testing.T) {
 	if delivered == 0 {
 		t.Fatal("no hints delivered; the value arrived some other way")
 	}
+}
+
+// TestEpochInstallsRaceOperations: the serial loops install 200 epochs,
+// alternating an open transfer window and a settled one, while puts and
+// gets run on every shard of every node. Each operation loads the
+// installed epoch once, so under the race detector nothing may report,
+// no operation may fail, and every acked put reads back after the last
+// settle.
+func TestEpochInstallsRaceOperations(t *testing.T) {
+	ids := []string{"s0", "s1", "s2", "s3"}
+	cur := ring.New(ids, ring.DefaultVirtualNodes)
+	prev := ring.New(ids[:3], ring.DefaultVirtualNodes) // the window of s3's join
+	l := transport.NewLoopback(transport.LoopbackConfig{Seed: 3})
+	defer l.Close()
+	nodes := make([]*Node, len(ids))
+	for i, id := range ids {
+		nodes[i] = NewNode(id, Config{Ring: ids, N: 3, R: 2, W: 2, Shards: 4, Placement: cur})
+		l.AddNode(id, nodes[i])
+	}
+	cli := NewClient("cli")
+	l.AddNode(cli.ID(), cli)
+
+	keys := make([]string, 64)
+	shards := map[int]bool{}
+	for i := range keys {
+		keys[i] = fmt.Sprintf("race-%d", i)
+		shards[nodes[0].router.Shard(keys[i])] = true
+	}
+	if len(shards) != len(nodes[0].shards) {
+		t.Fatalf("keys cover %d of %d shards", len(shards), len(nodes[0].shards))
+	}
+
+	var installing sync.WaitGroup
+	for i, id := range ids {
+		installing.Add(1)
+		go func(n *Node, id string) {
+			defer installing.Done()
+			for seq := uint64(1); seq <= 200; seq++ {
+				ep := ring.Epoch{Seq: seq, Ring: cur}
+				if seq%2 == 1 {
+					ep.Prev = prev
+				}
+				done := make(chan struct{})
+				l.Invoke(id, func(transport.Env) { n.Install(ep); close(done) })
+				<-done
+				time.Sleep(time.Millisecond)
+			}
+		}(nodes[i], id)
+	}
+	installed := make(chan struct{})
+	go func() { installing.Wait(); close(installed) }()
+
+	read := func(r int) {
+		gets := make(chan GetResult, len(keys))
+		l.Invoke(cli.ID(), func(env transport.Env) {
+			for i, k := range keys {
+				cli.Get(env, ids[(i+1)%len(ids)], k, func(gr GetResult) { gets <- gr })
+			}
+		})
+		for range keys {
+			if gr := <-gets; gr.Err != nil || len(gr.Values) != 1 || string(gr.Values[0]) != fmt.Sprint(r) {
+				t.Fatalf("round %d: get %s = %q (err %v), want [%d]", r, gr.Key, values(gr), gr.Err, r)
+			}
+		}
+	}
+	round := func(r int) {
+		puts := make(chan PutResult, len(keys))
+		l.Invoke(cli.ID(), func(env transport.Env) {
+			for i, k := range keys {
+				cli.Put(env, ids[i%len(ids)], k, []byte(fmt.Sprint(r)), func(pr PutResult) { puts <- pr })
+			}
+		})
+		for range keys {
+			if pr := <-puts; pr.Err != nil {
+				t.Fatalf("round %d: put %s: %v", r, pr.Key, pr.Err)
+			}
+		}
+		read(r)
+	}
+	r := 0
+	for ; ; r++ {
+		select {
+		case <-installed:
+		default:
+			round(r)
+			continue
+		}
+		break
+	}
+	if r < 3 {
+		t.Fatalf("only %d rounds of operations overlapped the installs", r)
+	}
+	for _, n := range nodes {
+		if ep := n.Epoch(); ep.Seq != 200 || ep.Prev != nil {
+			t.Fatalf("%s ends at epoch %d (window open: %v), want the settled epoch 200", n.id, ep.Seq, ep.Prev != nil)
+		}
+	}
+	read(r - 1) // the puts acked while epochs churned read back after the last settle
 }

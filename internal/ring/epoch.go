@@ -7,29 +7,17 @@ import (
 
 // Epoch is one point in the cluster's membership history: a
 // monotonically increasing sequence number paired with the ring it
-// produced. Membership changes are totally ordered by Seq — every node
-// that has installed epoch E agrees byte-for-byte on placement, because
-// the ring is a pure function of the member set. Elasticity code keeps
-// the previous epoch's ring around while a transfer window is open so
-// writes can be dual-applied to both placements.
+// produced and, while the epoch's transfer window is open, the previous
+// epoch's ring, which writes are dual-applied to. Prev is nil once the
+// window settles. Membership changes are totally ordered by Seq, and a
+// ring is a pure function of its member set (and zone map), so every
+// node that has installed epoch E agrees on placement byte for byte. An
+// Epoch is a value: a membership change builds a new one and never
+// writes into one already handed out.
 type Epoch struct {
 	Seq  uint64
 	Ring *Ring
-}
-
-// Join derives the next epoch with member added.
-func (e Epoch) Join(member string) Epoch {
-	return Epoch{Seq: e.Seq + 1, Ring: e.Ring.Join(member)}
-}
-
-// JoinZone derives the next epoch with member added in zone.
-func (e Epoch) JoinZone(member, zone string) Epoch {
-	return Epoch{Seq: e.Seq + 1, Ring: e.Ring.JoinZone(member, zone)}
-}
-
-// Leave derives the next epoch with member removed.
-func (e Epoch) Leave(member string) Epoch {
-	return Epoch{Seq: e.Seq + 1, Ring: e.Ring.Leave(member)}
+	Prev *Ring
 }
 
 // RangeN is one arc of the circle, (Start, End] clockwise (wrapping when
@@ -55,7 +43,7 @@ func (g RangeN) Gained(member string) bool {
 }
 
 // DiffN returns the arcs whose n-replica preference set differs between
-// the old and new rings. Diff covers only the primary owner; with
+// the old and new rings (n = 1 compares primary owners alone). With
 // n-way replication a joiner must receive every arc where it enters the
 // preference list (usually as a non-primary replica), which is exactly
 // the set of ranges g with g.Gained(joiner). On a leave, every arc's

@@ -22,13 +22,10 @@ func TestEpochWalkNeverLeavesKeyUnowned(t *testing.T) {
 	for step := 0; step < 40; step++ {
 		if ep.Ring.Size() > 2 && rng.Intn(2) == 0 {
 			ms := ep.Ring.Members()
-			ep = ep.Leave(ms[rng.Intn(len(ms))])
+			ep = Epoch{Seq: ep.Seq + 1, Ring: ep.Ring.Leave(ms[rng.Intn(len(ms))])}
 		} else {
-			ep = ep.Join(fmt.Sprintf("node%d", next))
+			ep = Epoch{Seq: ep.Seq + 1, Ring: ep.Ring.Join(fmt.Sprintf("node%d", next))}
 			next++
-		}
-		if ep.Seq != uint64(step+1) {
-			t.Fatalf("step %d: epoch seq = %d, want %d", step, ep.Seq, step+1)
 		}
 		want := n
 		if ep.Ring.Size() < want {
@@ -37,13 +34,13 @@ func TestEpochWalkNeverLeavesKeyUnowned(t *testing.T) {
 		for _, k := range ks {
 			owners := ep.Ring.Replicas(k, n)
 			if len(owners) != want {
-				t.Fatalf("step %d (size %d): key %q has %d owners %v, want %d",
-					step, ep.Ring.Size(), k, len(owners), owners, want)
+				t.Fatalf("epoch %d (size %d): key %q has %d owners %v, want %d",
+					ep.Seq, ep.Ring.Size(), k, len(owners), owners, want)
 			}
 			seen := map[string]bool{}
 			for _, o := range owners {
 				if o == "" || seen[o] {
-					t.Fatalf("step %d: key %q owners %v not distinct/non-empty", step, k, owners)
+					t.Fatalf("epoch %d: key %q owners %v not distinct/non-empty", ep.Seq, k, owners)
 				}
 				seen[o] = true
 			}
@@ -53,36 +50,53 @@ func TestEpochWalkNeverLeavesKeyUnowned(t *testing.T) {
 
 // DiffN must cover exactly the keys whose n-replica set changed: every
 // key is either inside a returned range with Old/New matching the two
-// rings' walks, or outside all ranges with an unchanged replica set.
+// rings' walks, or outside all ranges with an unchanged replica set. On
+// a join every changed arc has the joiner in its new set; with n = 1,
+// where an arc's sets are its primary owner, that is every moved arc
+// flowing to the joiner.
 func TestDiffNCoversExactlyChangedReplicaSets(t *testing.T) {
-	const n = 3
-	before := New(members(4), 64)
-	after := before.Join("node9")
-	diffs := DiffN(before, after, n)
-	if len(diffs) == 0 {
-		t.Fatal("join produced no replica-set diffs")
-	}
-	for _, k := range keys(2000) {
-		h := KeyHash(k)
-		var hit *RangeN
-		for i := range diffs {
-			if diffs[i].Contains(h) {
-				if hit != nil {
-					t.Fatalf("key %q in two ranges", k)
+	for _, tc := range []struct {
+		n      int
+		before *Ring
+		joiner string
+	}{
+		{1, New(members(6), 48), "node6"},
+		{3, New(members(4), 64), "node9"},
+	} {
+		n := tc.n
+		before := tc.before
+		after := before.Join(tc.joiner)
+		diffs := DiffN(before, after, n)
+		if len(diffs) == 0 {
+			t.Fatalf("n=%d: join produced no replica-set diffs", n)
+		}
+		for _, g := range diffs {
+			if !slices.Contains(g.New, tc.joiner) {
+				t.Fatalf("n=%d: range %+v changed without the joiner %s", n, g, tc.joiner)
+			}
+		}
+		for _, k := range keys(5000) {
+			h := KeyHash(k)
+			var hit *RangeN
+			for i := range diffs {
+				if diffs[i].Contains(h) {
+					if hit != nil {
+						t.Fatalf("n=%d: key %q in two ranges", n, k)
+					}
+					hit = &diffs[i]
 				}
-				hit = &diffs[i]
 			}
-		}
-		ob, oa := before.Replicas(k, n), after.Replicas(k, n)
-		if hit == nil {
-			if !reflect.DeepEqual(ob, oa) {
-				t.Fatalf("key %q changed %v -> %v but no range covers it", k, ob, oa)
+			ob, oa := before.Replicas(k, n), after.Replicas(k, n)
+			if hit == nil {
+				if !reflect.DeepEqual(ob, oa) {
+					t.Fatalf("n=%d: key %q changed %v -> %v but no range covers it", n, k, ob, oa)
+				}
+				continue
 			}
-			continue
-		}
-		if !reflect.DeepEqual(hit.Old, ob) || !reflect.DeepEqual(hit.New, oa) {
-			t.Fatalf("key %q: range owners old=%v new=%v, ring says old=%v new=%v",
-				k, hit.Old, hit.New, ob, oa)
+			if !reflect.DeepEqual(hit.Old, ob) || !reflect.DeepEqual(hit.New, oa) {
+				t.Fatalf("n=%d: key %q: range owners old=%v new=%v, ring says old=%v new=%v",
+					n, k, hit.Old, hit.New, ob, oa)
+			}
 		}
 	}
 }

@@ -5,13 +5,14 @@
 // next N distinct physical nodes along the circle (Dynamo's preference
 // list). Virtual nodes smooth the load distribution and, crucially for
 // elasticity, make membership changes local: when a node joins or
-// leaves, only ~K/n of the keyspace changes hands, and the Diff helpers
-// name exactly which ranges moved so Merkle anti-entropy can be pointed
-// at the churn instead of the whole keyspace.
+// leaves, only ~K/n of the keyspace changes hands, and DiffN names
+// exactly the ranges whose replica sets changed, so the elasticity
+// transfer moves the churn instead of the whole keyspace.
 //
 // Placement is a pure function of the member set: every process that
 // knows the same members computes the identical ring, so there is no
-// placement metadata to replicate. Ring implements quorum.Placement.
+// placement metadata to replicate. An Epoch pairs a ring with its
+// sequence number in the cluster's membership history.
 package ring
 
 import (
@@ -222,7 +223,7 @@ func (r *Ring) Owner(key string) string {
 
 // Sequence returns the full ordered walk of distinct members starting
 // at key's position: the first N entries are the key's replicas, the
-// rest its sloppy-quorum fallbacks. It satisfies quorum.Placement.
+// rest its sloppy-quorum fallbacks.
 //
 // The result is shared by every lookup that lands between the same two
 // points and must not be written. Its capacity is its length, so an
@@ -322,91 +323,6 @@ func (r *Ring) Leave(member string) *Ring {
 		}
 	}
 	return NewZoned(ms, r.vnodes, zs)
-}
-
-// Range is one arc of the circle, (Start, End] clockwise (wrapping when
-// End < Start), whose ownership changed between two rings.
-type Range struct {
-	Start, End uint64
-	// From/To are the owners before and after the membership change.
-	From, To string
-}
-
-// Contains reports whether hash falls in the arc (Start, End].
-func (g Range) Contains(hash uint64) bool {
-	if g.Start < g.End {
-		return hash > g.Start && hash <= g.End
-	}
-	// Wrapping arc.
-	return hash > g.Start || hash <= g.End
-}
-
-// Diff returns the arcs whose owner differs between old and new rings —
-// the exact key ranges a membership change moves. A joining node's
-// inbound transfer list is Diff(before, after) filtered To == node;
-// pointing Merkle anti-entropy at these ranges (instead of full-keyspace
-// sync) is what makes rebalancing O(K/n).
-func Diff(before, after *Ring) []Range {
-	// Collect the union of cut points; each arc between consecutive cuts
-	// has a single owner in both rings.
-	cuts := make([]uint64, 0, len(before.points)+len(after.points))
-	for _, p := range before.points {
-		cuts = append(cuts, p.hash)
-	}
-	for _, p := range after.points {
-		cuts = append(cuts, p.hash)
-	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
-	cuts = dedupeU64(cuts)
-	if len(cuts) == 0 {
-		return nil
-	}
-	var out []Range
-	prev := cuts[len(cuts)-1] // the wrapping arc ends at the first cut
-	for _, c := range cuts {
-		ob := before.ownerAt(c)
-		oa := after.ownerAt(c)
-		if ob != oa {
-			out = append(out, Range{Start: prev, End: c, From: ob, To: oa})
-		}
-		prev = c
-	}
-	return mergeAdjacent(out)
-}
-
-// ownerAt returns the member owning position hash (hash is a point
-// position, owned by the point at exactly hash or the next clockwise).
-func (r *Ring) ownerAt(hash uint64) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	return r.points[r.successorIdx(hash)].node
-}
-
-// mergeAdjacent coalesces consecutive ranges with identical From/To.
-func mergeAdjacent(rs []Range) []Range {
-	if len(rs) < 2 {
-		return rs
-	}
-	out := rs[:1]
-	for _, g := range rs[1:] {
-		last := &out[len(out)-1]
-		if last.End == g.Start && last.From == g.From && last.To == g.To {
-			last.End = g.End
-			continue
-		}
-		out = append(out, g)
-	}
-	// The list is circle-ordered; the last and first ranges may abut
-	// across the wrap point.
-	if len(out) > 1 {
-		first, last := out[0], out[len(out)-1]
-		if last.End == first.Start && last.From == first.From && last.To == first.To {
-			out[0].Start = last.Start
-			out = out[:len(out)-1]
-		}
-	}
-	return out
 }
 
 func dedupeU64(sorted []uint64) []uint64 {

@@ -141,49 +141,6 @@ func TestLeaveMovesOnlyDepartedKeys(t *testing.T) {
 	}
 }
 
-// Diff must name exactly the arcs whose owner changed: every moved key
-// falls in a reported range with matching From/To, and no unmoved key
-// falls in any range.
-func TestDiffCoversExactlyTheMovedKeys(t *testing.T) {
-	before := New(members(6), 48)
-	after := before.Join("node6")
-	diff := Diff(before, after)
-	if len(diff) == 0 {
-		t.Fatal("join produced an empty diff")
-	}
-	for _, g := range diff {
-		if g.To != "node6" && g.From != g.To {
-			// On a pure join every changed arc flows to the joiner.
-			t.Fatalf("range %+v: join diff flows to %q, want node6", g, g.To)
-		}
-	}
-	find := func(h uint64) *Range {
-		for i := range diff {
-			if diff[i].Contains(h) {
-				return &diff[i]
-			}
-		}
-		return nil
-	}
-	for _, k := range keys(5000) {
-		h := KeyHash(k)
-		ob, oa := before.Owner(k), after.Owner(k)
-		g := find(h)
-		if ob == oa {
-			if g != nil {
-				t.Fatalf("unmoved key %q (owner %s) falls in diff range %+v", k, ob, *g)
-			}
-			continue
-		}
-		if g == nil {
-			t.Fatalf("moved key %q (%s -> %s) not covered by any diff range", k, ob, oa)
-		}
-		if g.From != ob || g.To != oa {
-			t.Fatalf("key %q moved %s -> %s but its range says %s -> %s", k, ob, oa, g.From, g.To)
-		}
-	}
-}
-
 func TestLoadBalance(t *testing.T) {
 	r := New(members(8), DefaultVirtualNodes)
 	load := r.Load()
@@ -207,7 +164,7 @@ func TestJoinLeaveRoundTrip(t *testing.T) {
 			t.Fatalf("join+leave changed Sequence(%q): %v != %v", k, got, want)
 		}
 	}
-	if d := Diff(r, same); len(d) != 0 {
+	if d := DiffN(r, same, r.Size()); len(d) != 0 {
 		t.Fatalf("join+leave left a non-empty diff: %v", d)
 	}
 }

@@ -134,7 +134,7 @@ func TestZoneDiversityAcrossEpochs(t *testing.T) {
 		counts := perZone(before)
 		if rng.Intn(2) == 0 && before.Size() < 15 {
 			z := zoneNames[rng.Intn(3)]
-			ep = ep.JoinZone(fmt.Sprintf("node%d", next), z)
+			ep = Epoch{Seq: ep.Seq + 1, Ring: ep.Ring.JoinZone(fmt.Sprintf("node%d", next), z)}
 			next++
 		} else {
 			// Decommission a random member whose zone keeps >= 2 nodes.
@@ -149,7 +149,7 @@ func TestZoneDiversityAcrossEpochs(t *testing.T) {
 			if victim == "" {
 				continue
 			}
-			ep = ep.Leave(victim)
+			ep = Epoch{Seq: ep.Seq + 1, Ring: ep.Ring.Leave(victim)}
 		}
 		after := ep.Ring
 		for _, k := range ks {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+
+	"repro/internal/transport"
 )
 
 // Tests of the quorum model's causal context, which travels with the
@@ -121,9 +123,13 @@ func TestDrainingNodeRefusesWrites(t *testing.T) {
 	if err := c.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	s.el.mu.Lock()
-	s.el.mode = stateDraining
-	s.el.mu.Unlock()
+	// Begin the drain a decommission begins with, and nothing after it.
+	drained := make(chan struct{})
+	s.tcp.Invoke(s.cfg.ID, func(env transport.Env) {
+		s.qnode.BeginDrain(env, nil)
+		close(drained)
+	})
+	<-drained
 	for _, write := range []func() error{
 		func() error { return c.Put("k", []byte("w")) },
 		func() error { return c.Delete("k") },

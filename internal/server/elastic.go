@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/quorum"
@@ -18,11 +17,19 @@ import (
 //
 // Membership is a totally ordered sequence of epochs (ring.Epoch): every
 // epoch's ring is a pure function of its member set, so agreeing on
-// (seq, members) is agreeing on placement. A change is installed in two
-// phases — the coordinator broadcasts the new epoch and waits for every
-// member's ack before any data moves, so by the time arcs stream, every
-// coordinator dual-applies writes to both placements and no write can
-// land in a gap. The joiner (or each survivor gaining arcs from a
+// (seq, members) is agreeing on placement. The epoch has one holder, the
+// quorum node, and one writer, this file's handlers on the node's serial
+// loop: each change — an install, a settle, a settled pull reply, a join,
+// a leave, a decommission — builds a new ring.Epoch and hands it to
+// Node.Install, and everything else reads it back from the node. Its Prev
+// ring is the previous epoch's while the transfer window is open, nil
+// once it settles. The node's state (ok, catching-up, draining, left) is
+// derived from the epoch it reports with, never stored beside it.
+//
+// A change is installed in two phases — the coordinator broadcasts the
+// new epoch and waits for every member's ack before any data moves, so
+// by the time arcs stream, every coordinator dual-applies writes to both
+// placements and no write can land in a gap. The joiner (or each survivor gaining arcs from a
 // leaver) pulls exactly the moved ranges (ring.DiffN) through the quorum
 // node's cursor-batched, token-bucketed transfer stream (see
 // internal/quorum/transfer.go), journaling completed ranges to the WAL
@@ -190,22 +197,14 @@ func init() {
 	})
 }
 
-// elastic is the node's membership state. The storage actor loop is the
-// only writer of the protocol fields; the mutex exists because the HTTP
-// sidecar, client dispatch goroutines, and the quorum node's Elasticity
-// hooks read concurrently.
+// elastic is what the serial loop keeps for membership changes beside the
+// epoch itself, which is the quorum node's (Node.Install): the subject of
+// the open window, peer addresses, and a coordinator's outstanding acks.
+// Only the serial loop reads or writes it.
 type elastic struct {
-	mu   sync.Mutex
-	seq  uint64
-	cur  *ring.Ring
-	prev *ring.Ring // previous epoch's ring while the transfer window is open
-	mode string
 	// joining/leaving name the open window's subject ("" when settled).
 	joining, leaving string
 	addrs            map[string]string // current id -> peer address
-	zones            map[string]string // current id -> zone ("" entries omitted)
-	// Inbound catch-up progress (gainer side), for status reporting.
-	xferDone, xferTotal int
 
 	// Coordinator state: acks outstanding for the epoch this node is
 	// installing cluster-wide, and — leaver only — gainers that have not
@@ -215,7 +214,6 @@ type elastic struct {
 	onAcked    func(env transport.Env)
 	gainers    map[string]bool
 
-	pullTimer transport.TimerID
 	// pullAnswered records that some peer has answered a ringPull since
 	// boot. Until then the pull repeats: a peer writes its first answer to
 	// a restarted node into the old connection if it has not yet noticed
@@ -223,11 +221,25 @@ type elastic struct {
 	pullAnswered bool
 }
 
-// snapshot returns the fields status endpoints need, consistently.
-func (el *elastic) snapshot() (seq uint64, mode string, members []string, done, total int) {
-	el.mu.Lock()
-	defer el.mu.Unlock()
-	return el.seq, el.mode, append([]string(nil), el.cur.Members()...), el.xferDone, el.xferTotal
+// epochState loads the installed epoch and derives the node's elasticity
+// state from it and from whether the node has begun draining, which it
+// does before its leave epoch exists and never undoes. Deriving the state
+// from the one epoch it is reported with is what keeps an answer from
+// pairing an epoch with a state older than that epoch.
+func (s *Server) epochState() (ring.Epoch, string) {
+	ep := s.qnode.Epoch()
+	in := func(r *ring.Ring) bool { return r != nil && slices.Contains(r.Members(), s.cfg.ID) }
+	switch {
+	case !in(ep.Ring) && in(ep.Prev):
+		return ep, stateDraining // the window of this node's own leave
+	case !in(ep.Ring) && s.qnode.Draining():
+		return ep, stateLeft
+	case !in(ep.Ring) || ep.Prev != nil && !in(ep.Prev):
+		return ep, stateCatchingUp // before, or in, the window of this node's join
+	case s.qnode.Draining():
+		return ep, stateDraining
+	}
+	return ep, stateOK
 }
 
 // elasticPullTag paces ringPull retries while a joiner waits for its
@@ -242,7 +254,7 @@ const elasticPullInterval = time.Second
 // sits inside the durability ack barrier, so its sends honor the same
 // commit ordering as protocol acks. Membership messages hit the protocol
 // node's ShardOf default case (-1) and stay on the serial loop, which is
-// what lets OnMessage touch epoch state without extra locking.
+// what lets OnMessage touch epoch state without locking.
 type elasticHandler struct {
 	s     *Server
 	inner transport.Handler
@@ -264,7 +276,7 @@ func (h *elasticHandler) OnMessage(env transport.Env, from string, msg transport
 	case transferComplete:
 		h.s.onTransferComplete(env, from, m)
 	case epochSettled:
-		h.s.onEpochSettled(m)
+		h.s.settle(m.Seq)
 	case ringPull:
 		h.s.onRingPull(env, from)
 	default:
@@ -280,34 +292,6 @@ func (h *elasticHandler) OnTimer(env transport.Env, tag any) {
 	h.inner.OnTimer(env, tag)
 }
 
-// livePlacement routes quorum placement through the node's current
-// membership epoch instead of the boot-time ring.
-type livePlacement struct{ s *Server }
-
-func (p livePlacement) Sequence(key string) []string { return p.s.curRing().Sequence(key) }
-
-// serverElastic implements quorum.Elasticity against the server's epoch
-// state.
-type serverElastic struct{ s *Server }
-
-func (e serverElastic) EpochSeq() uint64 {
-	el := e.s.el
-	el.mu.Lock()
-	defer el.mu.Unlock()
-	return el.seq
-}
-
-func (e serverElastic) PrevSequence(key string) []string {
-	el := e.s.el
-	el.mu.Lock()
-	prev := el.prev
-	el.mu.Unlock()
-	if prev == nil {
-		return nil
-	}
-	return prev.Sequence(key)
-}
-
 // elasticPull asks every known peer for the current epoch. It runs on
 // the storage loop at (re)start — a fresh cluster answers with seq 0,
 // which no one installs; a node restarted mid-window gets the open epoch
@@ -316,7 +300,6 @@ func (e serverElastic) PrevSequence(key string) []string {
 // while this node is still waiting for its join window (a lost
 // broadcast, or peers that weren't up yet).
 func (s *Server) elasticPull(env transport.Env) {
-	s.el.mu.Lock()
 	peers := make([]string, 0, len(s.el.addrs))
 	for id := range s.el.addrs {
 		if id != s.cfg.ID {
@@ -325,109 +308,85 @@ func (s *Server) elasticPull(env transport.Env) {
 	}
 	sort.Strings(peers)
 	unanswered := !s.el.pullAnswered && len(peers) > 0
-	waiting := s.el.mode == stateCatchingUp
-	s.el.mu.Unlock()
+	_, st := s.epochState()
+	waiting := st == stateCatchingUp
 	if unanswered || (waiting && !s.qnode.CatchingUp()) {
 		for _, p := range peers {
 			env.Send(p, ringPull{})
 		}
 	}
 	if unanswered || waiting {
-		s.el.pullTimer = env.SetTimer(elasticPullInterval, elasticPullTag{})
+		env.SetTimer(elasticPullInterval, elasticPullTag{})
 	}
+}
+
+// epochUpdate renders members at epoch seq as a ringUpdate, with their
+// addresses and the zones r names for them.
+func (s *Server) epochUpdate(seq uint64, members []string, r *ring.Ring) ringUpdate {
+	addrs := make([]string, len(members))
+	for i, m := range members {
+		addrs[i] = s.el.addrs[m]
+	}
+	return ringUpdate{Seq: seq, Members: members, Addrs: addrs, Zones: zonesParallel(members, r.Zones())}
 }
 
 // onRingPull answers with this node's current epoch. The reply carries
 // the open window's subject so a restarted joiner/leaver can rebuild
 // the previous ring and resume.
 func (s *Server) onRingPull(env transport.Env, from string) {
-	el := s.el
-	el.mu.Lock()
-	members := append([]string(nil), el.cur.Members()...)
-	addrs := make([]string, len(members))
-	for i, m := range members {
-		addrs[i] = el.addrs[m]
-	}
-	upd := ringUpdate{
-		Seq:     el.seq,
-		Joining: el.joining,
-		Leaving: el.leaving,
-		Members: members,
-		Addrs:   addrs,
-		Settled: el.prev == nil,
-		Reply:   true,
-		Zones:   zonesParallel(members, el.zones),
-	}
-	el.mu.Unlock()
+	ep := s.qnode.Epoch()
+	upd := s.epochUpdate(ep.Seq, ep.Ring.Members(), ep.Ring)
+	upd.Joining, upd.Leaving = s.el.joining, s.el.leaving
+	upd.Settled, upd.Reply = ep.Prev == nil, true
 	env.Send(from, upd)
 }
 
-// installUpdate applies a (strictly newer) epoch: new ring, previous
-// ring derived from the update's content, peer addresses, and quorum
-// member set (also the failover list of the operations the node
-// forwards). Idempotent by Seq. Returns whether the epoch was installed.
-func (s *Server) installUpdate(env transport.Env, m ringUpdate) bool {
+// installUpdate builds the epoch a (strictly newer) update describes and
+// installs it in the quorum node: new ring, previous ring derived from
+// the update's content, peer addresses, and with them the member set
+// (also the failover list of the operations the node forwards).
+// Idempotent by Seq. Returns whether the epoch was installed.
+func (s *Server) installUpdate(m ringUpdate) bool {
 	el := s.el
 	if len(m.Members) == 0 || len(m.Addrs) != len(m.Members) {
 		return false
 	}
-	el.mu.Lock()
-	if m.Seq <= el.seq {
+	cur := s.qnode.Epoch()
+	if m.Seq <= cur.Seq {
 		// Already there — but a settled pull reply may still be the news
 		// that closes a window this node thinks is open (missed settle).
-		var peers map[string]string
-		if m.Seq == el.seq && m.Settled && el.prev != nil && m.Reply {
-			el.prev = nil
-			leaver := el.leaving
-			el.joining, el.leaving = "", ""
-			if el.mode == stateCatchingUp && slices.Contains(m.Members, s.cfg.ID) {
-				el.mode = stateOK
-			}
-			if leaver != "" && leaver != s.cfg.ID {
-				delete(el.addrs, leaver)
-				peers = make(map[string]string, len(el.addrs))
-				for id, a := range el.addrs {
-					peers[id] = a
-				}
-			}
-		}
-		el.mu.Unlock()
-		if peers != nil {
-			s.tcp.SetPeers(peers)
+		if m.Seq == cur.Seq && m.Settled && m.Reply {
+			s.settle(m.Seq)
 		}
 		return false
 	}
 	members := append([]string(nil), m.Members...)
 	sort.Strings(members)
 	// Zone map of the new epoch: the update's parallel array when the
-	// sender carried one, this node's prior knowledge otherwise (an
-	// unzoned cluster hits neither and stays unzoned).
-	zones := make(map[string]string)
+	// sender carried one, the current ring's otherwise (an unzoned
+	// cluster hits neither and stays unzoned).
+	zones := cur.Ring.Zones()
 	if len(m.Zones) == len(m.Members) && m.Zones != nil {
+		zones = make(map[string]string)
 		for i, id := range m.Members {
 			if m.Zones[i] != "" {
 				zones[id] = m.Zones[i]
 			}
 		}
-	} else {
-		for id, z := range el.zones {
-			zones[id] = z
-		}
 	}
-	newRing := ring.NewZoned(members, ring.DefaultVirtualNodes, zones)
-	var prev *ring.Ring
+	ep := ring.Epoch{Seq: m.Seq, Ring: ring.NewZoned(members, ring.DefaultVirtualNodes, zones)}
 	if !m.Settled {
 		switch {
 		case m.Joining != "":
-			prev = newRing.Leave(m.Joining)
+			ep.Prev = ep.Ring.Leave(m.Joining)
 		case m.Leaving != "":
 			// The leaver is absent from the update; its zone survives in
-			// this node's prior map (or degrades to unzoned, which only
-			// affects the closing window's spread, not coverage).
-			prev = newRing.JoinZone(m.Leaving, el.zones[m.Leaving])
+			// the current ring (or degrades to unzoned, which only affects
+			// the closing window's spread, not coverage).
+			ep.Prev = ep.Ring.JoinZone(m.Leaving, cur.Ring.ZoneOf(m.Leaving))
 		}
 	}
-	addrs := make(map[string]string, len(m.Members))
+	addrs := make(map[string]string, len(m.Members)+1)
 	for i, id := range m.Members {
 		addrs[id] = m.Addrs[i]
 	}
@@ -437,110 +396,71 @@ func (s *Server) installUpdate(env transport.Env, m ringUpdate) bool {
 	// The leaver is not a member of the new epoch, but until the epoch
 	// settles it must stay reachable: survivors ack the leave to it and
 	// pull their gained arcs from it.
-	if prev != nil && m.Leaving != "" {
+	if ep.Prev != nil && m.Leaving != "" {
 		if la, ok := el.addrs[m.Leaving]; ok {
 			addrs[m.Leaving] = la
 		}
-		if lz, ok := el.zones[m.Leaving]; ok {
-			zones[m.Leaving] = lz
-		}
 	}
-	el.seq, el.cur, el.prev = m.Seq, newRing, prev
 	el.joining, el.leaving = m.Joining, m.Leaving
 	el.addrs = addrs
-	el.zones = zones
-	el.xferDone, el.xferTotal = 0, 0
-	switch {
-	case m.Joining == s.cfg.ID && !m.Settled:
-		el.mode = stateCatchingUp
-	case m.Leaving == s.cfg.ID && el.mode != stateLeft:
-		el.mode = stateDraining
-	case m.Settled && el.mode == stateCatchingUp && slices.Contains(members, s.cfg.ID):
-		el.mode = stateOK
-	}
-	addrsCopy := make(map[string]string, len(addrs))
-	for id, a := range addrs {
-		addrsCopy[id] = a
-	}
-	el.mu.Unlock()
-
-	s.tcp.SetPeers(addrsCopy)
-	s.qnode.SetMembers(members)
+	s.tcp.SetPeers(addrs)
+	s.qnode.Install(ep)
 	s.logf("server %s: installed membership epoch %d (members=%v joining=%q leaving=%q settled=%v)",
 		s.cfg.ID, m.Seq, members, m.Joining, m.Leaving, m.Settled)
 	return true
 }
 
+// settle closes epoch seq's transfer window, if it is the installed
+// epoch's and still open: the epoch is reinstalled without its previous
+// ring, and a departed leaver's address is dropped so the transport
+// stops dialing it.
+func (s *Server) settle(seq uint64) {
+	ep := s.qnode.Epoch()
+	if ep.Seq != seq || ep.Prev == nil {
+		return
+	}
+	leaver := s.el.leaving
+	s.el.joining, s.el.leaving = "", ""
+	if leaver != "" && leaver != s.cfg.ID {
+		delete(s.el.addrs, leaver)
+		s.tcp.SetPeers(s.el.addrs)
+	}
+	s.qnode.Install(ring.Epoch{Seq: ep.Seq, Ring: ep.Ring})
+}
+
 func (s *Server) onRingUpdate(env transport.Env, from string, m ringUpdate) {
-	s.installUpdate(env, m)
+	s.installUpdate(m)
 	if !m.Reply && from != s.cfg.ID {
 		env.Send(from, ringAck{Seq: m.Seq})
 	}
 	el := s.el
-	el.mu.Lock()
 	el.pullAnswered = el.pullAnswered || m.Reply
-	current := m.Seq == el.seq && el.prev != nil
-	resumeJoin := current && m.Reply && el.joining == s.cfg.ID
-	resumeLeave := current && m.Reply && el.leaving == s.cfg.ID &&
-		el.acksWanted == nil && el.gainers == nil
-	el.mu.Unlock()
-	if resumeJoin && !s.qnode.CatchingUp() {
+	ep := s.qnode.Epoch()
+	current := m.Reply && m.Seq == ep.Seq && ep.Prev != nil
+	if current && el.joining == s.cfg.ID && !s.qnode.CatchingUp() {
 		s.startCatchUp(env)
 	}
-	if resumeLeave {
+	if current && el.leaving == s.cfg.ID && el.acksWanted == nil && el.gainers == nil {
 		s.resumeDecommission(env)
 	}
 }
 
 func (s *Server) onRingAck(env transport.Env, from string, m ringAck) {
 	el := s.el
-	el.mu.Lock()
-	if m.Seq != el.ackSeq || el.acksWanted == nil || !el.acksWanted[from] {
-		el.mu.Unlock()
+	if m.Seq != el.ackSeq || !el.acksWanted[from] {
 		return
 	}
 	delete(el.acksWanted, from)
-	var cb func(env transport.Env)
 	if len(el.acksWanted) == 0 {
-		cb = el.onAcked
+		cb := el.onAcked
 		el.acksWanted, el.onAcked = nil, nil
-	}
-	el.mu.Unlock()
-	if cb != nil {
 		cb(env)
 	}
 }
 
 func (s *Server) onBeginTransfer(env transport.Env, m beginTransfer) {
-	s.el.mu.Lock()
-	ok := m.Seq == s.el.seq && s.el.prev != nil
-	s.el.mu.Unlock()
-	if ok {
+	if ep := s.qnode.Epoch(); m.Seq == ep.Seq && ep.Prev != nil {
 		s.startCatchUp(env)
-	}
-}
-
-func (s *Server) onEpochSettled(m epochSettled) {
-	el := s.el
-	el.mu.Lock()
-	var peers map[string]string
-	if m.Seq == el.seq && el.prev != nil {
-		el.prev = nil
-		leaver := el.leaving
-		el.joining, el.leaving = "", ""
-		// The window is closed: a departed leaver no longer needs to be
-		// reachable — drop its address so the transport stops dialing it.
-		if leaver != "" && leaver != s.cfg.ID {
-			delete(el.addrs, leaver)
-			peers = make(map[string]string, len(el.addrs))
-			for id, a := range el.addrs {
-				peers[id] = a
-			}
-		}
-	}
-	el.mu.Unlock()
-	if peers != nil {
-		s.tcp.SetPeers(peers)
 	}
 }
 
@@ -549,77 +469,49 @@ func (s *Server) onEpochSettled(m epochSettled) {
 // call repeatedly — BeginCatchUp is idempotent per epoch, and ranges
 // already journaled complete are skipped.
 func (s *Server) startCatchUp(env transport.Env) {
-	el := s.el
-	el.mu.Lock()
-	if el.prev == nil || el.mode == stateLeft {
-		el.mu.Unlock()
+	ep := s.qnode.Epoch()
+	if ep.Prev == nil {
 		return
 	}
-	seq := el.seq
-	prev, cur := el.prev, el.cur
-	leaving := el.leaving
-	el.mu.Unlock()
-
 	var pulls []quorum.TransferPull
-	for _, g := range ring.DiffN(prev, cur, s.qN) {
+	for _, g := range ring.DiffN(ep.Prev, ep.Ring, s.qN) {
 		if !g.Gained(s.cfg.ID) {
 			continue
 		}
 		// Any previous owner holds the range; prefer the leaver (it is
 		// guaranteed to stay up until every gainer acks).
 		src := g.Old[0]
-		if leaving != "" && slices.Contains(g.Old, leaving) {
-			src = leaving
+		if s.el.leaving != "" && slices.Contains(g.Old, s.el.leaving) {
+			src = s.el.leaving
 		}
 		pulls = append(pulls, quorum.TransferPull{Source: src, Start: g.Start, End: g.End})
 	}
-	el.mu.Lock()
-	el.xferDone, el.xferTotal = s.qnode.TransferDoneFor(seq), len(pulls)
-	el.mu.Unlock()
-	s.qnode.BeginCatchUp(env, seq, pulls,
-		func(done, total int) {
-			el.mu.Lock()
-			el.xferDone, el.xferTotal = done, total
-			el.mu.Unlock()
-		},
-		func() {
-			// No env in the completion callback: hop back onto the loop.
-			s.tcp.Invoke(s.cfg.ID, func(env transport.Env) { s.afterCatchUp(env, seq) })
-		})
+	s.qnode.BeginCatchUp(env, ep.Seq, pulls, func() {
+		// No env in the completion callback: hop back onto the loop.
+		s.tcp.Invoke(s.cfg.ID, func(env transport.Env) { s.afterCatchUp(env, ep.Seq) })
+	})
 }
 
 // afterCatchUp runs on the gainer when its last range lands: a joiner
 // settles the epoch cluster-wide; a survivor gaining from a leaver acks
 // the leaver instead (the leaver settles once every gainer acked).
 func (s *Server) afterCatchUp(env transport.Env, seq uint64) {
-	el := s.el
-	el.mu.Lock()
-	if seq != el.seq {
-		el.mu.Unlock()
+	ep, st := s.epochState()
+	if seq != ep.Seq {
 		return
 	}
-	mode, leaving := el.mode, el.leaving
-	var peers []string
-	if mode == stateCatchingUp {
-		el.mode = stateOK
-		el.prev = nil
-		el.joining, el.leaving = "", ""
-		for _, m := range el.cur.Members() {
-			if m != s.cfg.ID {
-				peers = append(peers, m)
+	if st == stateCatchingUp {
+		s.settle(seq)
+		for _, p := range ep.Ring.Members() {
+			if p != s.cfg.ID {
+				env.Send(p, epochSettled{Seq: seq})
 			}
-		}
-	}
-	el.mu.Unlock()
-	if mode == stateCatchingUp {
-		for _, p := range peers {
-			env.Send(p, epochSettled{Seq: seq})
 		}
 		s.logf("server %s: caught up epoch %d; settled", s.cfg.ID, seq)
 		return
 	}
-	if leaving != "" {
-		env.Send(leaving, transferComplete{Seq: seq})
+	if s.el.leaving != "" {
+		env.Send(s.el.leaving, transferComplete{Seq: seq})
 	}
 }
 
@@ -628,44 +520,32 @@ func (s *Server) afterCatchUp(env transport.Env, seq uint64) {
 // the joiner's transfer. done receives the outcome of the ack phase.
 func (s *Server) startJoin(env transport.Env, id, addr, zone string, done chan error) {
 	el := s.el
-	el.mu.Lock()
+	ep, st := s.epochState()
 	switch {
-	case el.mode != stateOK:
-		el.mu.Unlock()
-		done <- fmt.Errorf("node is %s, cannot coordinate a join", el.mode)
+	case st != stateOK:
+		done <- fmt.Errorf("node is %s, cannot coordinate a join", st)
 		return
-	case el.prev != nil || el.acksWanted != nil:
-		el.mu.Unlock()
-		done <- fmt.Errorf("membership change already in progress (epoch %d)", el.seq)
+	case ep.Prev != nil || el.acksWanted != nil:
+		done <- fmt.Errorf("membership change already in progress (epoch %d)", ep.Seq)
 		return
-	case slices.Contains(el.cur.Members(), id):
-		el.mu.Unlock()
+	case slices.Contains(ep.Ring.Members(), id):
 		done <- fmt.Errorf("%s is already a member", id)
 		return
 	}
-	seq := el.seq + 1
-	members := append(append([]string(nil), el.cur.Members()...), id)
+	seq := ep.Seq + 1
+	members := append(append([]string(nil), ep.Ring.Members()...), id)
 	sort.Strings(members)
-	addrs := make([]string, len(members))
-	for i, m := range members {
-		if m == id {
-			addrs[i] = addr
-		} else {
-			addrs[i] = el.addrs[m]
-		}
-	}
-	zm := make(map[string]string, len(el.zones)+1)
-	for k, v := range el.zones {
-		zm[k] = v
-	}
+	upd := s.epochUpdate(seq, members, ep.Ring)
+	upd.Joining = id
+	i := slices.Index(members, id)
+	upd.Addrs[i] = addr
 	if zone != "" {
-		zm[id] = zone
+		if upd.Zones == nil {
+			upd.Zones = make([]string, len(members))
+		}
+		upd.Zones[i] = zone
 	}
-	el.mu.Unlock()
-
-	upd := ringUpdate{Seq: seq, Joining: id, Members: members, Addrs: addrs, Zones: zonesParallel(members, zm)}
-	s.installUpdate(env, upd)
-	el.mu.Lock()
+	s.installUpdate(upd)
 	el.ackSeq = seq
 	el.acksWanted = make(map[string]bool, len(members)-1)
 	for _, m := range members {
@@ -680,7 +560,6 @@ func (s *Server) startJoin(env transport.Env, id, addr, zone string, done chan e
 		default:
 		}
 	}
-	el.mu.Unlock()
 	for _, m := range members {
 		if m != s.cfg.ID {
 			env.Send(m, upd)
@@ -693,57 +572,41 @@ func (s *Server) startJoin(env transport.Env, id, addr, zone string, done chan e
 // answered as soon as the drain is underway; progress is polled via
 // ring-status.
 func (s *Server) startDecommission(env transport.Env, done chan error) {
-	el := s.el
-	el.mu.Lock()
+	ep, st := s.epochState()
 	switch {
-	case el.mode == stateDraining || el.mode == stateLeft:
-		el.mu.Unlock()
-		done <- fmt.Errorf("node is already %s", el.mode)
+	case st == stateDraining || st == stateLeft:
+		done <- fmt.Errorf("node is already %s", st)
 		return
-	case el.mode != stateOK || el.prev != nil || el.acksWanted != nil:
-		el.mu.Unlock()
-		done <- fmt.Errorf("membership change in progress (epoch %d)", el.seq)
+	case st != stateOK || ep.Prev != nil || s.el.acksWanted != nil:
+		done <- fmt.Errorf("membership change in progress (epoch %d)", ep.Seq)
 		return
-	case el.cur.Size()-1 < s.qN:
-		size := el.cur.Size()
-		el.mu.Unlock()
-		done <- fmt.Errorf("cannot decommission: %d members left would be under the replication factor %d", size-1, s.qN)
+	case ep.Ring.Size()-1 < s.qN:
+		done <- fmt.Errorf("cannot decommission: %d members left would be under the replication factor %d", ep.Ring.Size()-1, s.qN)
 		return
 	}
-	el.mode = stateDraining
-	el.mu.Unlock()
-	done <- nil
 	s.qnode.BeginDrain(env, func() {
 		s.tcp.Invoke(s.cfg.ID, func(env transport.Env) { s.decommissionTransfer(env) })
 	})
+	done <- nil
 }
 
 // decommissionTransfer runs on the leaver once its hints are flushed:
 // install + broadcast the leave epoch, and after every survivor acks,
 // release the gainers' pulls.
 func (s *Server) decommissionTransfer(env transport.Env) {
-	el := s.el
-	el.mu.Lock()
-	if el.mode != stateDraining {
-		el.mu.Unlock()
+	ep, st := s.epochState()
+	if st != stateDraining {
 		return
 	}
-	seq := el.seq + 1
-	members := make([]string, 0, el.cur.Size()-1)
-	for _, m := range el.cur.Members() {
+	members := make([]string, 0, ep.Ring.Size()-1)
+	for _, m := range ep.Ring.Members() {
 		if m != s.cfg.ID {
 			members = append(members, m)
 		}
 	}
-	addrs := make([]string, len(members))
-	for i, m := range members {
-		addrs[i] = el.addrs[m]
-	}
-	zones := zonesParallel(members, el.zones)
-	el.mu.Unlock()
-
-	upd := ringUpdate{Seq: seq, Leaving: s.cfg.ID, Members: members, Addrs: addrs, Zones: zones}
-	s.installUpdate(env, upd)
+	upd := s.epochUpdate(ep.Seq+1, members, ep.Ring)
+	upd.Leaving = s.cfg.ID
+	s.installUpdate(upd)
 	s.coordinateLeave(env, upd)
 }
 
@@ -752,16 +615,9 @@ func (s *Server) decommissionTransfer(env transport.Env) {
 // re-drain, then re-broadcast the same epoch and collect acks again.
 // Gainers that already finished answer transferComplete immediately.
 func (s *Server) resumeDecommission(env transport.Env) {
-	el := s.el
-	el.mu.Lock()
-	members := append([]string(nil), el.cur.Members()...)
-	addrs := make([]string, len(members))
-	for i, m := range members {
-		addrs[i] = el.addrs[m]
-	}
-	upd := ringUpdate{Seq: el.seq, Leaving: s.cfg.ID, Members: members, Addrs: addrs,
-		Zones: zonesParallel(members, el.zones)}
-	el.mu.Unlock()
+	ep := s.qnode.Epoch()
+	upd := s.epochUpdate(ep.Seq, ep.Ring.Members(), ep.Ring)
+	upd.Leaving = s.cfg.ID
 	s.qnode.BeginDrain(env, func() {
 		s.tcp.Invoke(s.cfg.ID, func(env transport.Env) { s.coordinateLeave(env, upd) })
 	})
@@ -770,9 +626,7 @@ func (s *Server) resumeDecommission(env transport.Env) {
 // coordinateLeave broadcasts the leave epoch and arms the ack phase.
 func (s *Server) coordinateLeave(env transport.Env, upd ringUpdate) {
 	el := s.el
-	el.mu.Lock()
-	if el.mode != stateDraining || upd.Seq != el.seq {
-		el.mu.Unlock()
+	if ep, st := s.epochState(); st != stateDraining || upd.Seq != ep.Seq {
 		return
 	}
 	el.ackSeq = upd.Seq
@@ -781,7 +635,6 @@ func (s *Server) coordinateLeave(env transport.Env, upd ringUpdate) {
 		el.acksWanted[m] = true
 	}
 	el.onAcked = func(env transport.Env) { s.sendBeginTransfers(env, upd.Seq) }
-	el.mu.Unlock()
 	for _, m := range upd.Members {
 		env.Send(m, upd)
 	}
@@ -790,31 +643,23 @@ func (s *Server) coordinateLeave(env transport.Env, upd ringUpdate) {
 // sendBeginTransfers releases every gainer's pull for the leave epoch
 // and waits for their transferComplete acks.
 func (s *Server) sendBeginTransfers(env transport.Env, seq uint64) {
-	el := s.el
-	el.mu.Lock()
-	if seq != el.seq || el.mode != stateDraining || el.prev == nil {
-		el.mu.Unlock()
+	ep, st := s.epochState()
+	if seq != ep.Seq || st != stateDraining || ep.Prev == nil {
 		return
 	}
-	prev, cur := el.prev, el.cur
-	el.mu.Unlock()
-
 	gainers := make(map[string]bool)
-	for _, g := range ring.DiffN(prev, cur, s.qN) {
+	for _, g := range ring.DiffN(ep.Prev, ep.Ring, s.qN) {
 		for _, m := range g.New {
 			if m != s.cfg.ID && g.Gained(m) {
 				gainers[m] = true
 			}
 		}
 	}
-	el.mu.Lock()
-	el.gainers = gainers
-	empty := len(gainers) == 0
-	el.mu.Unlock()
-	if empty {
+	if len(gainers) == 0 {
 		s.settleDecommission(env, seq)
 		return
 	}
+	s.el.gainers = gainers
 	ids := make([]string, 0, len(gainers))
 	for g := range gainers {
 		ids = append(ids, g)
@@ -827,37 +672,26 @@ func (s *Server) sendBeginTransfers(env transport.Env, seq uint64) {
 
 func (s *Server) onTransferComplete(env transport.Env, from string, m transferComplete) {
 	el := s.el
-	el.mu.Lock()
-	if m.Seq != el.seq || el.gainers == nil || !el.gainers[from] {
-		el.mu.Unlock()
+	if m.Seq != s.qnode.Epoch().Seq || !el.gainers[from] {
 		return
 	}
 	delete(el.gainers, from)
-	fire := len(el.gainers) == 0
-	if fire {
+	if len(el.gainers) == 0 {
 		el.gainers = nil
-	}
-	el.mu.Unlock()
-	if fire {
 		s.settleDecommission(env, m.Seq)
 	}
 }
 
 // settleDecommission: every gainer holds its arcs — the leaver's exit is
-// safe. Settle the epoch on the survivors and report "left".
+// safe. Settle the epoch on the survivors; settled, the leave epoch
+// reports this node "left".
 func (s *Server) settleDecommission(env transport.Env, seq uint64) {
-	el := s.el
-	el.mu.Lock()
-	if seq != el.seq {
-		el.mu.Unlock()
+	ep := s.qnode.Epoch()
+	if seq != ep.Seq {
 		return
 	}
-	el.mode = stateLeft
-	el.prev = nil
-	el.joining, el.leaving = "", ""
-	members := append([]string(nil), el.cur.Members()...)
-	el.mu.Unlock()
-	for _, m := range members {
+	s.settle(seq)
+	for _, m := range ep.Ring.Members() {
 		if m != s.cfg.ID {
 			env.Send(m, epochSettled{Seq: seq})
 		}
@@ -865,25 +699,14 @@ func (s *Server) settleDecommission(env transport.Env, seq uint64) {
 	s.logf("server %s: decommission complete at epoch %d; node has left", s.cfg.ID, seq)
 }
 
-// onStaleRing runs on the storage loop when a replica's refusal carried
-// a newer epoch than ours: pull the current membership from a peer.
-func (s *Server) onStaleRing(seq uint64) {
-	el := s.el
-	el.mu.Lock()
-	if seq <= el.seq {
-		el.mu.Unlock()
-		return
-	}
-	var peer string
-	for _, m := range el.cur.Members() {
+// onStaleRing runs when a replica's refusal carried a newer epoch than
+// the node's: pull the current membership from a peer.
+func (s *Server) onStaleRing(uint64) {
+	for _, m := range s.qnode.Epoch().Ring.Members() {
 		if m != s.cfg.ID {
-			peer = m
-			break
+			s.tcp.Post(s.cfg.ID, m, ringPull{})
+			return
 		}
-	}
-	el.mu.Unlock()
-	if peer != "" {
-		s.tcp.Post(s.cfg.ID, peer, ringPull{})
 	}
 }
 
@@ -908,12 +731,13 @@ type RingStatus struct {
 }
 
 func (s *Server) handleRingStatus() Response {
-	if s.el == nil {
+	if s.qnode == nil {
 		return Response{Err: "elasticity requires the quorum model"}
 	}
-	seq, mode, members, done, total := s.el.snapshot()
+	ep, mode := s.epochState()
+	done, total := s.qnode.CatchUpProgress(ep.Seq)
 	st := RingStatus{
-		Node: s.cfg.ID, State: mode, Epoch: seq, Members: members,
+		Node: s.cfg.ID, State: mode, Epoch: ep.Seq, Members: ep.Ring.Members(),
 		TransferDone: done, TransferTotal: total,
 		PendingHints: s.qnode.PendingHints(), // lock-guarded: no loop to visit
 		Zone:         s.cfg.Zone,
@@ -926,7 +750,7 @@ func (s *Server) handleRingStatus() Response {
 	if err != nil {
 		return Response{Err: err.Error()}
 	}
-	return Response{OK: true, Value: b, Epoch: seq, State: mode}
+	return Response{OK: true, Value: b, Epoch: ep.Seq, State: mode}
 }
 
 // handleAddNode coordinates a join: Key is the new node's id, Value its
@@ -934,7 +758,7 @@ func (s *Server) handleRingStatus() Response {
 // joiner) has acked the new epoch and the transfer has been released;
 // catch-up progress is then polled via ring-status on the joiner.
 func (s *Server) handleAddNode(req Request) Response {
-	if s.el == nil {
+	if s.qnode == nil {
 		return Response{Err: "elasticity requires the quorum model"}
 	}
 	id, addr := req.Key, string(req.Value)
@@ -950,8 +774,8 @@ func (s *Server) handleAddNode(req Request) Response {
 		if err != nil {
 			return Response{Err: err.Error()}
 		}
-		seq, mode, _, _, _ := s.el.snapshot()
-		return Response{OK: true, Epoch: seq, State: mode}
+		ep, mode := s.epochState()
+		return Response{OK: true, Epoch: ep.Seq, State: mode}
 	case <-time.After(requestTimeout):
 		return Response{Err: "add-node timed out waiting for member acks"}
 	}
@@ -961,7 +785,7 @@ func (s *Server) handleAddNode(req Request) Response {
 // drain is underway; the caller polls ring-status until State is
 // "left" before stopping the process.
 func (s *Server) handleDecommission() Response {
-	if s.el == nil {
+	if s.qnode == nil {
 		return Response{Err: "elasticity requires the quorum model"}
 	}
 	done := make(chan error, 1)
@@ -973,8 +797,8 @@ func (s *Server) handleDecommission() Response {
 		if err != nil {
 			return Response{Err: err.Error()}
 		}
-		seq, mode, _, _, _ := s.el.snapshot()
-		return Response{OK: true, Epoch: seq, State: mode}
+		ep, mode := s.epochState()
+		return Response{OK: true, Epoch: ep.Seq, State: mode}
 	case <-time.After(requestTimeout):
 		return Response{Err: "decommission timed out"}
 	}

@@ -224,9 +224,9 @@ func TestScaleOutUnderLoadZeroLostAckedWrites(t *testing.T) {
 	}
 	// Every node agrees on the final epoch (3 joins = 3 epochs).
 	for id, s := range srvs {
-		seq, _, members, _, _ := s.el.snapshot()
-		if seq != 3 || len(members) != 6 {
-			t.Fatalf("%s at epoch %d with %d members, want 3/6", id, seq, len(members))
+		ep := s.qnode.Epoch()
+		if ep.Seq != 3 || ep.Ring.Size() != 6 {
+			t.Fatalf("%s at epoch %d with %d members, want 3/6", id, ep.Seq, ep.Ring.Size())
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -261,5 +262,69 @@ func TestGeoMetricsEndpoint(t *testing.T) {
 			t.Fatalf("metrics never exported %q; body:\n%s", missing, body)
 		}
 		time.Sleep(100 * time.Millisecond)
+	}
+}
+
+// TestJoinedNodeCountsInItsZone: a node admitted with AddNodeZone counts
+// in the zone its join epoch names, on every member. Three GeoAsync
+// nodes over us/eu admit node3 in eu, then take 200 puts through node0;
+// every write is coordinated by its key's owner, which replicates to its
+// own zone synchronously and ships only to the other zone. So the
+// entries the cross-zone replicators acknowledge, summed over the nodes,
+// are exactly the cross-zone replicas the current epoch's zones name. An
+// owner in eu that took node3 for cross-zone would ship it more.
+func TestJoinedNodeCountsInItsZone(t *testing.T) {
+	srvs, _ := startGeoCluster(t, 3, []string{"us", "eu"}, 0, false)
+	addr := reservePorts(t, 1)[0]
+	jcfg := joinerConfig(t, srvs[0].cfg, "node3", addr, 4003)
+	jcfg.Zone = "eu"
+	js, err := New(jcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(js.Close)
+	c0 := dialNode(t, srvs[0], "geo-join-cli")
+	if err := c0.AddNodeZone("node3", addr, "eu"); err != nil {
+		t.Fatalf("add-node: %v", err)
+	}
+	waitRingState(t, dialNode(t, js, "geo-join-watch"), "node3", stateOK, 30*time.Second)
+	all := append(srvs, js)
+	eventually(t, "the join epoch settles on every member", func() bool {
+		for _, s := range all {
+			if ep := s.qnode.Epoch(); ep.Seq != 1 || ep.Prev != nil {
+				return false
+			}
+		}
+		return true
+	})
+
+	ep := srvs[0].qnode.Epoch()
+	want := 0
+	for i := 0; i < 200; i++ {
+		key := fmt.Sprintf("jz%03d", i)
+		if err := c0.Put(key, []byte("v")); err != nil {
+			t.Fatalf("put %s: %v", key, err)
+		}
+		prefs := ep.Ring.Replicas(key, srvs[0].qN)
+		for _, p := range prefs[1:] {
+			if ep.Ring.ZoneOf(p) != ep.Ring.ZoneOf(prefs[0]) {
+				want++
+			}
+		}
+	}
+	acked := func() (sum uint64, queued int) {
+		for _, s := range all {
+			sum += atomic.LoadUint64(&s.qnode.GeoAcked)
+			q, _ := s.qnode.GeoQueue()
+			queued += q
+		}
+		return sum, queued
+	}
+	eventually(t, "the cross-zone replicators drain", func() bool {
+		sum, queued := acked()
+		return queued == 0 && sum >= uint64(want)
+	})
+	if sum, _ := acked(); sum != uint64(want) {
+		t.Fatalf("cross-zone replicators acknowledged %d entries; the epoch's zones name %d cross-zone replicas", sum, want)
 	}
 }

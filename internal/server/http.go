@@ -67,17 +67,19 @@ type healthz struct {
 func (s *Server) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 	now := s.tcp.Now()
 	h := healthz{ID: s.cfg.ID, Model: s.cfg.Model, OK: true, Uptime: now.Round(time.Millisecond).String()}
-	if s.el != nil {
-		seq, mode, _, _, _ := s.el.snapshot()
-		h.State, h.Epoch = mode, seq
+	cur := s.ring // a quorum node's is its epoch's, loaded once below
+	if s.qnode != nil {
+		ep, mode := s.epochState()
+		h.State, h.Epoch = mode, ep.Seq
 		h.OK = mode == stateOK
+		cur = ep.Ring
 	}
 	h.Zone = s.cfg.Zone
-	if s.qnode != nil && len(s.cfg.Zones) > 0 {
+	if s.qnode != nil && len(cur.Zones()) > 0 {
 		h.GeoStalenessMs = s.qnode.GeoStaleness()
 		h.GeoQueue, _ = s.qnode.GeoQueue()
 	}
-	for _, peer := range s.curRing().Members() {
+	for _, peer := range cur.Members() {
 		if peer == s.cfg.ID {
 			continue
 		}
@@ -199,8 +201,11 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("ec_lsm_read_errors_total", "IO or checksum errors swallowed on the LSM read path.", agg.ReadErrors)
 	}
 
-	if s.el != nil {
-		seq, mode, _, done, total := s.el.snapshot()
+	cur := s.ring // a quorum node's is its epoch's, loaded once below
+	if s.qnode != nil {
+		ep, mode := s.epochState()
+		cur = ep.Ring
+		done, total := s.qnode.CatchUpProgress(ep.Seq)
 		t := &s.qnode.Transfer
 		fmt.Fprintf(&b, "# HELP ec_transfer_bytes_total Bytes moved by elasticity arc transfers, by direction.\n# TYPE ec_transfer_bytes_total counter\n")
 		fmt.Fprintf(&b, "ec_transfer_bytes_total{direction=\"in\"} %d\n", t.BytesIn.Load())
@@ -209,7 +214,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("ec_transfer_throttle_waits_total", "Transfer batches delayed by the source's token bucket.", t.ThrottleWaits.Load())
 		counter("ec_transfer_gated_reads_total", "Replica reads refused because the key's range was still in flight.", t.GatedReads.Load())
 		counter("ec_transfer_not_owner_total", "Replica writes refused for stale epoch ownership.", t.NotOwnerSeen.Load())
-		fmt.Fprintf(&b, "# HELP ec_ring_epoch Membership epoch this node has installed.\n# TYPE ec_ring_epoch gauge\nec_ring_epoch %d\n", seq)
+		fmt.Fprintf(&b, "# HELP ec_ring_epoch Membership epoch this node has installed.\n# TYPE ec_ring_epoch gauge\nec_ring_epoch %d\n", ep.Seq)
 		stateVal := 0
 		if mode == stateOK {
 			stateVal = 1
@@ -218,7 +223,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "# HELP ec_transfer_ranges_pending Arc ranges still in flight for the open epoch.\n# TYPE ec_transfer_ranges_pending gauge\nec_transfer_ranges_pending %d\n", total-done)
 	}
 
-	if s.qnode != nil && len(s.cfg.Zones) > 0 {
+	if s.qnode != nil && len(cur.Zones()) > 0 {
 		st := s.qnode.GeoStaleness()
 		zs := make([]string, 0, len(st))
 		for z := range st {
@@ -239,11 +244,11 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		// Worst heartbeat p99 toward each zone: the latency-class view the
 		// SLA picker trades against.
 		zoneRTT := map[string]time.Duration{}
-		for _, p := range s.curRing().Members() {
+		for _, p := range cur.Members() {
 			if p == s.cfg.ID {
 				continue
 			}
-			z := s.cfg.Zones[p]
+			z := cur.ZoneOf(p)
 			if rtt := s.tcp.RTTQuantile(p, 0.99); rtt > zoneRTT[z] {
 				zoneRTT[z] = rtt
 			}
@@ -270,7 +275,6 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 
-	cur := s.curRing()
 	peers := make([]string, 0, cur.Size())
 	for _, p := range cur.Members() {
 		if p != s.cfg.ID {

@@ -112,7 +112,7 @@ type Config struct {
 type Server struct {
 	cfg    Config
 	tcp    *transport.TCP
-	ring   *ring.Ring
+	ring   *ring.Ring // gossip and session: the boot ring (a quorum node's ring is its installed epoch's)
 	dir    *resilience.Directory
 	policy *resilience.Policy
 
@@ -121,7 +121,7 @@ type Server struct {
 	sessN      *session.Server // session model: ops run on the storage actor itself
 	qnode      *quorum.Node    // quorum model: the storage actor's protocol node
 	qN         int             // quorum model: replication factor
-	el         *elastic        // quorum model: live membership state
+	el         *elastic        // quorum model: the serial loop's membership-change state
 	dur        *durability     // nil unless Config.DataDir set
 	ackB       *ackBarrier     // nil unless durable: holds acks until fsync
 	httpLn     net.Listener
@@ -225,10 +225,10 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
+	boot := ring.NewZoned(ringMembers, ring.DefaultVirtualNodes, cfg.Zones)
 	s := &Server{
 		cfg:      cfg,
 		ready:    make(chan struct{}),
-		ring:     ring.NewZoned(ringMembers, ring.DefaultVirtualNodes, cfg.Zones),
 		dir:      resilience.NewDirectory(policy),
 		policy:   policy,
 		reqCount: metrics.NewCounters(),
@@ -238,41 +238,6 @@ func New(cfg Config) (*Server, error) {
 	// Wake parked connection handlers however New exits — they check
 	// booted and drop the connection if boot failed.
 	defer close(s.ready)
-
-	var linkDelay func(string) time.Duration
-	if cfg.XZoneDelay > 0 && len(cfg.Zones) > 0 {
-		own, d, zones := cfg.Zone, cfg.XZoneDelay, cfg.Zones
-		linkDelay = func(peer string) time.Duration {
-			if zones[peer] != own {
-				return d
-			}
-			return 0
-		}
-	}
-	tcp, err := transport.NewTCP(transport.TCPConfig{
-		LocalID:   cfg.ID,
-		Listen:    cfg.ListenPeer,
-		Peers:     cfg.Peers,
-		Policy:    policy,
-		Directory: s.dir,
-		Seed:      cfg.Seed,
-		Logf:      cfg.Logf,
-		LinkDelay: linkDelay,
-		OnClientConn: func(link transport.Link, conn net.Conn) {
-			go func() {
-				<-s.ready
-				if !s.booted {
-					conn.Close()
-					return
-				}
-				s.serveClient(link, conn)
-			}()
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.tcp = tcp
 
 	others := make([]string, 0, len(members)-1)
 	for _, m := range members {
@@ -288,7 +253,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DataDir != "" {
 		d, err := openDurability(cfg.DataDir, cfg.Fsync, cfg.Logf)
 		if err != nil {
-			tcp.Close()
 			return nil, fmt.Errorf("server %s: %w", cfg.ID, err)
 		}
 		s.dur = d
@@ -311,24 +275,11 @@ func New(cfg Config) (*Server, error) {
 	case "quorum":
 		n, r, w := quorumParams(cfg, len(ringMembers))
 		s.qN = n
-		mode := stateOK
-		if cfg.Joining {
-			mode = stateCatchingUp
-		}
 		addrs := make(map[string]string, len(cfg.Peers))
 		for id, a := range cfg.Peers {
 			addrs[id] = a
 		}
-		zones := make(map[string]string, len(cfg.Zones))
-		for id, z := range cfg.Zones {
-			zones[id] = z
-		}
-		s.el = &elastic{
-			cur:   s.ring,
-			mode:  mode,
-			addrs: addrs,
-			zones: zones,
-		}
+		s.el = &elastic{addrs: addrs}
 		shards := cfg.Shards
 		if shards == 0 {
 			shards = runtime.GOMAXPROCS(0)
@@ -346,14 +297,12 @@ func New(cfg Config) (*Server, error) {
 			AntiEntropy:   true,
 			Resilience:    policy,
 			Directory:     s.dir,
-			Placement:     livePlacement{s},
-			Elastic:       serverElastic{s},
+			Placement:     boot,
 			OnStaleRing:   s.onStaleRing,
 			TransferRate:  cfg.TransferRate,
 			TransferBatch: cfg.TransferBatch,
 			Shards:        shards,
 			Zone:          cfg.Zone,
-			Zones:         cfg.Zones,
 			GeoAsync:      cfg.GeoAsync,
 		}
 		if s.dur != nil {
@@ -384,7 +333,6 @@ func New(cfg Config) (*Server, error) {
 					if s.dur != nil {
 						s.dur.Close()
 					}
-					tcp.Close()
 					return nil, fmt.Errorf("server %s: open lsm shard %d: %w", cfg.ID, i, err)
 				}
 				s.lsmEngines = append(s.lsmEngines, e)
@@ -398,6 +346,53 @@ func New(cfg Config) (*Server, error) {
 		s.sessN = session.NewServer(cfg.ID, session.ServerConfig{Peers: others, Persist: persist})
 		node, handler = s.sessN, s.sessN
 	}
+
+	if s.qnode == nil {
+		s.ring = boot
+	}
+	// The transport comes after the node whose frames it carries: its
+	// writers consult the link delay, and so the node's epoch, from the
+	// moment it binds.
+	var linkDelay func(string) time.Duration
+	if cfg.XZoneDelay > 0 && len(cfg.Zones) > 0 {
+		own, d := cfg.Zone, cfg.XZoneDelay
+		linkDelay = func(peer string) time.Duration {
+			if s.Ring().ZoneOf(peer) != own {
+				return d
+			}
+			return 0
+		}
+	}
+	tcp, err := transport.NewTCP(transport.TCPConfig{
+		LocalID:   cfg.ID,
+		Listen:    cfg.ListenPeer,
+		Peers:     cfg.Peers,
+		Policy:    policy,
+		Directory: s.dir,
+		Seed:      cfg.Seed,
+		Logf:      cfg.Logf,
+		LinkDelay: linkDelay,
+		OnClientConn: func(link transport.Link, conn net.Conn) {
+			go func() {
+				<-s.ready
+				if !s.booted {
+					conn.Close()
+					return
+				}
+				s.serveClient(link, conn)
+			}()
+		},
+	})
+	if err != nil {
+		if s.qnode != nil {
+			s.qnode.Close()
+		}
+		if s.dur != nil {
+			s.dur.Close()
+		}
+		return nil, err
+	}
+	s.tcp = tcp
 
 	// The storage actor's execution domains: the serial loop, plus a
 	// quorum node's shard loops.
@@ -528,19 +523,14 @@ func (s *Server) HTTPAddr() string {
 // ID returns the node id.
 func (s *Server) ID() string { return s.cfg.ID }
 
-// Ring returns the current placement ring (immutable; a new ring is
-// swapped in when a membership epoch installs).
-func (s *Server) Ring() *ring.Ring { return s.curRing() }
-
-// curRing returns the ring of the node's current membership epoch (the
-// boot ring for models without elasticity).
-func (s *Server) curRing() *ring.Ring {
-	if s.el == nil {
-		return s.ring
+// Ring returns the placement ring: a quorum node's installed epoch's
+// (immutable; a new one is swapped in when a membership epoch installs),
+// the boot ring for the other models.
+func (s *Server) Ring() *ring.Ring {
+	if s.qnode != nil {
+		return s.qnode.Epoch().Ring
 	}
-	s.el.mu.Lock()
-	defer s.el.mu.Unlock()
-	return s.el.cur
+	return s.ring
 }
 
 // Close shuts the node down.
@@ -614,9 +604,9 @@ func (s *Server) admin(req Request) Response {
 		return s.handleDecommission()
 	}
 	resp := Response{OK: true, Model: s.cfg.Model, Zone: s.cfg.Zone}
-	if s.el != nil {
-		seq, mode, _, _, _ := s.el.snapshot()
-		resp.Epoch, resp.State = seq, mode
+	if s.qnode != nil {
+		ep, mode := s.epochState()
+		resp.Epoch, resp.State = ep.Seq, mode
 	}
 	return resp
 }
@@ -625,17 +615,15 @@ func (s *Server) admin(req Request) Response {
 // draining and req is a write: it redirects the client instead of
 // silently serving (or coordinating) against stale ownership.
 func (s *Server) refusal(req Request) (Response, bool) {
-	if s.el == nil {
+	if s.qnode == nil {
 		return Response{}, false
 	}
-	s.el.mu.Lock()
-	mode, seq := s.el.mode, s.el.seq
-	s.el.mu.Unlock()
+	ep, mode := s.epochState()
 	if mode == stateLeft || (mode == stateDraining && req.Op != "get") {
 		return Response{
 			Err:      fmt.Sprintf("node %s is %s; retry against a current member", s.cfg.ID, mode),
 			NotOwner: true,
-			Epoch:    seq,
+			Epoch:    ep.Seq,
 			State:    mode,
 		}, true
 	}
@@ -696,8 +684,9 @@ func (s *Server) coordinator(key string, inZone bool) string {
 		if local {
 			return s.cfg.ID
 		}
+		r := s.Ring()
 		for _, p := range prefs {
-			if s.cfg.Zones[p] == s.cfg.Zone {
+			if r.ZoneOf(p) == s.cfg.Zone {
 				return p
 			}
 		}
@@ -708,12 +697,14 @@ func (s *Server) coordinator(key string, inZone bool) string {
 }
 
 // maxRemoteStaleness reports the worst measured replication staleness
-// across this node's remote zones, in milliseconds. 0 when the cluster
-// is unzoned (nothing is remote); -1 when some remote zone has no
-// measurement yet — the conservative answer while beacons warm up.
+// across this node's remote zones (those the installed epoch names), in
+// milliseconds. 0 when the cluster is unzoned (nothing is remote); -1
+// when some remote zone has no measurement yet — the conservative answer
+// while beacons warm up.
 func (s *Server) maxRemoteStaleness() int64 {
+	zones := s.Ring().Zones()
 	remote := false
-	for _, z := range s.cfg.Zones {
+	for _, z := range zones {
 		if z != s.cfg.Zone {
 			remote = true
 			break
@@ -724,7 +715,7 @@ func (s *Server) maxRemoteStaleness() int64 {
 	}
 	st := s.qnode.GeoStaleness()
 	var max int64
-	for _, z := range s.cfg.Zones {
+	for _, z := range zones {
 		if z == s.cfg.Zone {
 			continue
 		}
