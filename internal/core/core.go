@@ -19,6 +19,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/causal"
@@ -27,6 +28,7 @@ import (
 	"repro/internal/quorum"
 	"repro/internal/replication"
 	"repro/internal/resilience"
+	"repro/internal/ring"
 	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -113,6 +115,11 @@ type Options struct {
 
 	// N, R, W tune the Quorum model (defaults 3, 2, 2).
 	N, R, W int
+	// Elastic places a Quorum cluster's keys on a consistent-hash ring
+	// and runs the quorum nodes' membership protocol over it, with
+	// anti-entropy on, as the server does: a node joins (Join) or
+	// decommissions (QuorumNode(id).Decommission) online.
+	Elastic bool
 	// ReadRepair and SloppyQuorum toggle the Quorum model's mechanisms.
 	ReadRepair   bool
 	SloppyQuorum bool
@@ -304,26 +311,49 @@ func (c *Cluster) buildCausal() {
 }
 
 func (c *Cluster) buildQuorum() {
-	ids := c.allNodeIDs()
-	c.nodeIDs = ids
+	for _, id := range c.allNodeIDs() {
+		c.addQuorumNode(id, c.allNodeIDs())
+	}
+}
+
+// addQuorumNode boots quorum node id on a cluster of members.
+func (c *Cluster) addQuorumNode(id string, members []string) {
 	cfg := quorum.Config{
-		Ring: ids, N: c.opts.N, R: c.opts.R, W: c.opts.W,
+		Ring: members, N: c.opts.N, R: c.opts.R, W: c.opts.W,
 		ReadRepair: c.opts.ReadRepair, SloppyQuorum: c.opts.SloppyQuorum,
 		Resilience: c.opts.Resilience, Directory: c.resDir, Counters: c.resCounters,
-		Shards: c.opts.QuorumShards,
+		Shards: c.opts.QuorumShards, AntiEntropy: c.opts.Elastic,
 	}
-	for _, id := range ids {
-		nodeCfg := cfg
-		if c.opts.QuorumStorage != nil {
-			id := id
-			nodeCfg.Storage = func(shard int) storage.Engine {
-				return c.opts.QuorumStorage(id, shard)
-			}
-		}
-		n := quorum.NewNode(id, nodeCfg)
-		c.quorumNodes = append(c.quorumNodes, n)
-		c.sim.AddNode(id, n)
+	if c.opts.Elastic {
+		cfg.Placement = ring.New(members, ring.DefaultVirtualNodes)
 	}
+	if c.opts.QuorumStorage != nil {
+		cfg.Storage = func(shard int) storage.Engine { return c.opts.QuorumStorage(id, shard) }
+	}
+	n := quorum.NewNode(id, cfg)
+	c.nodeIDs = append(c.nodeIDs, id)
+	c.quorumNodes = append(c.quorumNodes, n)
+	c.sim.AddNode(id, n)
+}
+
+// Join boots quorum node id owning nothing, on the members of
+// coordinator's epoch, and has coordinator admit it (quorum.Node.Join):
+// acked runs once every member has installed the join epoch, and the new
+// node's state is "ok" once its arcs have streamed in. Elastic clusters
+// only.
+func (c *Cluster) Join(coordinator, id string, acked func()) error {
+	coord := c.QuorumNode(coordinator)
+	c.addQuorumNode(id, coord.Epoch().Ring.Members())
+	return coord.Join(c.sim.ClientEnv(coordinator), id, "", "", acked)
+}
+
+// QuorumNode returns the Quorum model's node id (nil if there is none),
+// for its membership entry points and its state.
+func (c *Cluster) QuorumNode(id string) *quorum.Node {
+	if i := slices.Index(c.nodeIDs, id); i >= 0 && i < len(c.quorumNodes) {
+		return c.quorumNodes[i]
+	}
+	return nil
 }
 
 // Close releases resources held by the cluster's nodes (today: the

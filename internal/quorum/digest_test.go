@@ -388,7 +388,7 @@ func TestNotReadyReplicaUnderDigestRead(t *testing.T) {
 			prefs, fallbacks := h.nodes[0].placement(h.nodes[0].epoch.Load(), key)
 			gated := h.node(prefs[tc.gated])
 			// The whole circle is still to be pulled: every key is gated.
-			gated.inbound = &catchUp{seq: 1, pulls: []TransferPull{{Source: "nobody"}}, done: []bool{false}, remaining: 1}
+			gated.gate.Store(&gate{seq: 1, total: 1, pending: []TransferPull{{Source: "nobody"}}})
 			for _, id := range append(append([]string{}, prefs...), fallbacks[0]) {
 				if id != gated.id {
 					h.node(id).installEntry(0, key, entryAt("x", 1, nil, "v"))

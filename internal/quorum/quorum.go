@@ -68,8 +68,9 @@ type Config struct {
 	// fallback for suspected replicas, and liveness heartbeats feeding
 	// the failure detector.
 	Resilience *resilience.Policy
-	// Directory is the shared phi-accrual failure detector (normally fed
-	// by the simulator's delivery hook). Used only when Resilience is set.
+	// Directory is the shared phi-accrual failure detector, fed by the
+	// simulator's delivery hook or by the TCP transport's heartbeats. Used
+	// only when Resilience is set.
 	Directory *resilience.Directory
 	// Counters receives resilience event counts. May be nil.
 	Counters *resilience.Counters
@@ -99,14 +100,16 @@ type Config struct {
 	// the node places by the ring of whichever epoch it has installed
 	// since (see Node.Install): a key's preference list is
 	// Sequence(key)[:N] and its sloppy fallbacks the rest of the walk. It
-	// also enables the elasticity paths (see transfer.go): the ownership
-	// guard on replica writes, dual-apply to the previous epoch's owners
-	// while a transfer window is open, and reads that walk past a
-	// catching-up replica.
+	// also enables the elasticity paths: the membership protocol
+	// (membership.go), the ownership guard on replica writes, dual-apply
+	// to the previous epoch's owners while a transfer window is open, and
+	// reads that walk past a catching-up replica (transfer.go).
 	Placement *ring.Ring
-	// OnStaleRing is invoked (on the actor loop) when a peer's refusal
-	// reveals this node's membership epoch is behind the cluster's.
-	OnStaleRing func(seq uint64)
+	// OnPeers, when set, receives the peer link addresses the node's
+	// epochs name (see Node.SetAddrs), on the serial loop, each time an
+	// epoch changes them: the TCP host dials them. The simulator leaves it
+	// nil.
+	OnPeers func(addrs map[string]string)
 	// TransferRate bounds outbound transfer streaming in bytes/sec
 	// (default ~8MiB/s); TransferBatch bounds one batch of every stream
 	// that ships versions to a peer (default 64KiB, see stream.go).
@@ -501,16 +504,16 @@ type Node struct {
 	aeMu    sync.Mutex
 	aeTrees map[string]*storage.Merkle
 
-	// Elasticity state (see transfer.go). elMu guards inbound and its
-	// completion flags — the read path consults them from shard
-	// goroutines (gatedKey) while the serial loop advances the transfer.
-	// xferDone remembers journaled range completions per epoch so a
-	// restart resumes instead of re-pulling (serial-loop-confined).
-	elMu      sync.RWMutex
-	inbound   *catchUp
-	xferDone  map[uint64]map[int]bool
-	draining  atomic.Bool
-	onDrained func()
+	// Elasticity state. mb is the membership protocol's (membership.go).
+	// inbound is the transfer window being pulled and xferDone the
+	// journaled range completions per epoch, so a restart resumes instead
+	// of re-pulling (transfer.go); all three are serial-loop-confined. The
+	// read path sees the window through its published gate.
+	mb       membership
+	inbound  *catchUp
+	xferDone map[uint64]map[int]bool
+	gate     atomic.Pointer[gate]
+	draining atomic.Bool
 	// Token bucket pacing outbound transfer batches.
 	tbTokens float64
 	tbLast   time.Duration
@@ -646,10 +649,16 @@ func (n *Node) OnStart(env transport.Env) {
 		env.SetTimer(geoFlushInterval, geoFlushTag{})
 		env.SetTimer(geoBeaconInterval/2+time.Duration(env.Rand().Int63n(int64(geoBeaconInterval))), geoBeaconTag{})
 	}
-	// A node the simulator crashed and restarted kept its streams and lost
-	// their timers.
+	if n.cfg.Placement != nil {
+		n.memberTick(env)
+	}
+	// A node the simulator crashed and restarted kept its streams and its
+	// inbound window, and lost their timers.
 	for _, st := range n.out {
 		n.transmit(env, st)
+	}
+	if cu := n.inbound; cu != nil {
+		n.openTransfers(env, cu)
 	}
 }
 
@@ -682,7 +691,7 @@ func (n *Node) OnTimer(env transport.Env, tag any) {
 			n.retryRead(env, tg.id)
 		}
 	case xferRetryTag:
-		if cu := n.inbound; cu != nil && cu.seq == tg.seq && !cu.done[tg.idx] {
+		if cu := n.inbound; cu != nil && cu.seq == tg.seq && !cu.ranges[tg.idx].done {
 			n.openTransfer(env, cu, tg.idx) // the range's stream has stalled: re-open it at its cursor
 		}
 	case *outStream:
@@ -700,6 +709,8 @@ func (n *Node) OnTimer(env transport.Env, tag any) {
 		n.geoFlush(env)
 	case geoBeaconTag:
 		n.geoBeacon(env)
+	case memberTag:
+		n.memberTick(env)
 	}
 }
 
@@ -746,7 +757,19 @@ func (n *Node) OnMessage(env transport.Env, from string, msg transport.Message) 
 		// an id it chose, in place of the one still open for that range.
 		n.openStream(env, from, streamID{streamTransfer, m.Stream}, m.Idx, n.arcSource(m.Start, m.End, m.Cursor))
 	case replicaNotOwner:
-		n.onNotOwner(m)
+		n.onNotOwner(env, from, m)
+	case ringUpdate:
+		n.onRingUpdate(env, from, m)
+	case ringAck:
+		n.onRingAck(env, from, m)
+	case beginTransfer:
+		n.onBeginTransfer(env, m)
+	case transferComplete:
+		n.onTransferComplete(env, from, m)
+	case epochSettled:
+		n.settle(m.Seq)
+	case ringPull:
+		n.onRingPull(env, from)
 	case geoStamp:
 		n.noteZoneHigh(m)
 	}

@@ -19,9 +19,10 @@ import (
 // the delivering goroutine (FastHandle). Control traffic — membership,
 // the anti-entropy descent, every stream that ships versions to a peer —
 // still runs on the serial actor loop, which is why the shared
-// structures it touches (hints, Merkle trees, the elasticity window)
-// carry their own locks while the per-request coordination maps stay
-// lock-free (each is only ever touched by its shard's loop). The
+// structures it touches carry their own locks (hints, Merkle trees) or
+// are published atomically (the catch-up gate), while the per-request
+// coordination maps stay lock-free (each is only ever touched by its
+// shard's loop). The
 // simulator hosts the node in one domain, which is as correct: every
 // invocation there is serial.
 //
@@ -291,8 +292,8 @@ func (n *Node) ShardOf(msg transport.Message) int {
 }
 
 // FastHandle implements transport.Sharding: a replicaGet or a
-// replicaDigest touches only lock-guarded state (sibling sets, hints,
-// the gating window), so it can be answered synchronously on the
+// replicaDigest touches only lock-guarded or atomically published state
+// (sibling sets, hints, the catch-up gate), so it can be answered on the
 // delivering goroutine without queueing through any mailbox. Every other
 // message falls back to normal dispatch.
 func (n *Node) FastHandle(env transport.Env, from string, msg transport.Message) bool {

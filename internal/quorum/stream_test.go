@@ -389,17 +389,17 @@ func TestTransferSourceScansInWindows(t *testing.T) {
 			inArc++
 		}
 	}
-	batches, done := 0, false
+	batches := 0
 	h.onDeliver = func(msg sim.Message) {
 		if _, ok := msg.(shipBatch); ok {
 			batches++
 		}
 	}
 	h.c.At(0, func() {
-		dst.BeginCatchUp(h.c.ClientEnv("s1"), 1, []TransferPull{{Source: "s0", Start: start, End: end}}, func() { done = true })
+		dst.beginCatchUp(h.c.ClientEnv("s1"), 1, []TransferPull{{Source: "s0", Start: start, End: end}})
 	})
 	h.c.Run(30 * time.Second)
-	if !done {
+	if done, total := dst.CatchUpProgress(1); done != total || total != 1 {
 		t.Fatal("catch-up never completed")
 	}
 	got := 0
@@ -430,7 +430,7 @@ func TestTransferResumesAtCursorAfterSourceCrash(t *testing.T) {
 		src.installEntry(0, fmt.Sprintf("key-%05d", i), seedEntry(i, 40))
 	}
 	pulled := map[string]int{}
-	batches, perBatch, done := 0, 0, false
+	batches, perBatch := 0, 0
 	h.onDeliver = func(msg sim.Message) {
 		m, ok := msg.(shipBatch)
 		if !ok {
@@ -448,10 +448,10 @@ func TestTransferResumesAtCursorAfterSourceCrash(t *testing.T) {
 		}
 	}
 	h.c.At(0, func() {
-		dst.BeginCatchUp(h.c.ClientEnv("s1"), 1, []TransferPull{{Source: "s0", Start: 0, End: 0}}, func() { done = true })
+		dst.beginCatchUp(h.c.ClientEnv("s1"), 1, []TransferPull{{Source: "s0", Start: 0, End: 0}})
 	})
 	h.c.Run(30 * time.Second)
-	if !done {
+	if done, total := dst.CatchUpProgress(1); done != total || total != 1 {
 		t.Fatal("catch-up never completed after the source came back")
 	}
 	twice := 0

@@ -16,20 +16,22 @@ import (
 
 // Live elasticity: streaming arc handoff between quorum replicas.
 //
-// When membership changes, the hosting runtime builds the new epoch,
-// installs it (Install), computes which arcs of the hash circle gained
-// this node (ring.DiffN) and calls BeginCatchUp with a pull per arc.
-// The gainer asks a current owner to open a stream (see stream.go) over
-// exactly each range — resumable after a crash
+// When a membership epoch is released to a gainer (membership.go), it
+// computes which arcs of the hash circle it gained (ring.DiffN) and begins
+// a pull per arc (beginCatchUp). The gainer asks a current owner to open a
+// stream (see stream.go) over exactly each range, resumable after a crash
 // because installs dedup by dot, a stalled range is re-opened at the last
-// cursor it installed, and completed ranges are journaled to the WAL —
-// while the source token-buckets its sends so foreground
-// traffic keeps its latency budget. Until a range completes, the
-// gainer's replica refuses reads for keys in it (replicaNotReady), and the
-// coordinator falls back to the old owners (which remain in the new
-// ring's fallback walk); writes keep landing on both placements via the
-// coordinator's dual-apply, so nothing lands in a gap. Anti-entropy
-// remains the safety net for anything a transfer window misses.
+// cursor it installed, and completed ranges are journaled to the WAL,
+// while the source token-buckets its sends so foreground traffic keeps its
+// latency budget. Until a range completes, the gainer's replica refuses
+// reads for keys in it (replicaNotReady): the serial loop publishes the
+// ranges still pending as an immutable gate behind an atomic pointer, so
+// the read path checks them with one load. The coordinator falls back to
+// the old owners (which remain in the new ring's fallback walk); writes
+// keep landing on both placements via the coordinator's dual-apply, so
+// nothing lands in a gap. The invocation that lands the last range runs
+// the membership protocol's completion (caughtUp). Anti-entropy remains
+// the safety net for anything a transfer window misses.
 
 // TransferPull names one inbound range: pull (Start, End] from Source.
 type TransferPull struct {
@@ -69,20 +71,46 @@ type (
 	}
 )
 
-// catchUp tracks one inbound transfer window (one epoch's pulls). Per
-// range: whether it is done, the id of the stream last asked for, the
-// cursor of the last batch installed from it, and the stall timer. The
-// window stays the node's inbound one after its last range lands, with
-// nothing remaining, so its counts outlive it.
+// catchUp tracks one inbound transfer window (one epoch's pulls). The
+// window stays the node's inbound one after its last range lands.
+// Serial-loop-confined; its gate says which ranges remain.
 type catchUp struct {
-	seq       uint64
-	pulls     []TransferPull
-	done      []bool
-	stream    []uint64
-	cursor    []string
-	stall     []transport.TimerID
-	remaining int
-	onDone    func()
+	seq    uint64
+	ranges []inRange
+}
+
+// inRange is one range of a window: the pull, whether it is done, the id
+// of the stream last asked for, the cursor of the last batch installed
+// from it, and the stall timer.
+type inRange struct {
+	TransferPull
+	done   bool
+	stream uint64
+	cursor string
+	stall  transport.TimerID
+}
+
+// gate is what the read path needs of the inbound window: its epoch, how
+// many ranges it has, and those still being pulled. The serial loop
+// publishes a new one (Node.gate) when a window begins and each time one
+// of its ranges lands; a published gate is never written, so its counts
+// outlive the window.
+type gate struct {
+	seq     uint64
+	total   int
+	pending []TransferPull
+}
+
+// publishGate publishes cu's gate and reports how many ranges remain.
+func (n *Node) publishGate(cu *catchUp) int {
+	g := &gate{seq: cu.seq, total: len(cu.ranges)}
+	for _, r := range cu.ranges {
+		if !r.done {
+			g.pending = append(g.pending, r.TransferPull)
+		}
+	}
+	n.gate.Store(g)
+	return len(g.pending)
 }
 
 type (
@@ -107,44 +135,36 @@ func rangeContains(start, end, hash uint64) bool {
 	return hash > start || hash <= end
 }
 
-// BeginCatchUp starts (or resumes) pulling the given ranges for epoch
+// beginCatchUp starts (or resumes) pulling the given ranges for epoch
 // seq. Ranges already journaled complete are skipped (WAL replay fills
 // the journal before catch-up resumes, so a restarted joiner skips
-// finished arcs). onDone runs on the actor loop once every range has
-// landed. Idempotent per epoch: a repeat while the window runs changes
-// nothing, and one after it finished runs onDone again.
-func (n *Node) BeginCatchUp(env transport.Env, seq uint64, pulls []TransferPull, onDone func()) {
+// finished arcs). Once every range has landed, caughtUp runs in the
+// invocation that landed the last. Idempotent per epoch: a repeat while
+// the window runs changes nothing, and one after it finished runs
+// caughtUp again.
+func (n *Node) beginCatchUp(env transport.Env, seq uint64, pulls []TransferPull) {
 	if cu := n.inbound; cu != nil && cu.seq == seq {
-		if cu.remaining == 0 {
-			onDone()
+		if !n.CatchingUp() {
+			n.caughtUp(env, seq)
 		}
 		return
 	}
-	cu := &catchUp{
-		seq:    seq,
-		pulls:  pulls,
-		done:   make([]bool, len(pulls)),
-		stream: make([]uint64, len(pulls)),
-		cursor: make([]string, len(pulls)),
-		stall:  make([]transport.TimerID, len(pulls)),
-		onDone: onDone,
+	cu := &catchUp{seq: seq, ranges: make([]inRange, len(pulls))}
+	for i, p := range pulls {
+		cu.ranges[i] = inRange{TransferPull: p, done: n.xferDone[seq][i]}
 	}
-	for i := range pulls {
-		if n.xferDone[seq][i] {
-			cu.done[i] = true
-			continue
-		}
-		cu.remaining++
-	}
-	n.elMu.Lock()
 	n.inbound = cu
-	n.elMu.Unlock()
-	if cu.remaining == 0 {
-		n.finishCatchUp(cu)
+	if n.publishGate(cu) == 0 {
+		n.finishCatchUp(env, cu)
 		return
 	}
-	for i := range cu.pulls {
-		if !cu.done[i] {
+	n.openTransfers(env, cu)
+}
+
+// openTransfers opens every range of cu not yet done.
+func (n *Node) openTransfers(env transport.Env, cu *catchUp) {
+	for i := range cu.ranges {
+		if !cu.ranges[i].done {
 			n.openTransfer(env, cu, i)
 		}
 	}
@@ -152,18 +172,15 @@ func (n *Node) BeginCatchUp(env transport.Env, seq uint64, pulls []TransferPull,
 
 // CatchingUp reports whether an inbound transfer window is open.
 func (n *Node) CatchingUp() bool {
-	n.elMu.RLock()
-	defer n.elMu.RUnlock()
-	return n.inbound != nil && n.inbound.remaining > 0
+	g := n.gate.Load()
+	return g != nil && len(g.pending) > 0
 }
 
 // CatchUpProgress reports how many of epoch seq's inbound ranges have
-// landed, of how many: 0 of 0 until BeginCatchUp for seq.
+// landed, of how many: 0 of 0 until the node begins pulling for seq.
 func (n *Node) CatchUpProgress(seq uint64) (done, total int) {
-	n.elMu.RLock()
-	defer n.elMu.RUnlock()
-	if cu := n.inbound; cu != nil && cu.seq == seq {
-		return len(cu.pulls) - cu.remaining, len(cu.pulls)
+	if g := n.gate.Load(); g != nil && g.seq == seq {
+		return g.total - len(g.pending), g.total
 	}
 	return 0, 0
 }
@@ -174,17 +191,18 @@ func (n *Node) CatchUpProgress(seq uint64) (done, total int) {
 // cursor. Re-pulling from the last installed cursor is safe because
 // installs dedup by dot.
 func (n *Node) openTransfer(env transport.Env, cu *catchUp, i int) {
-	p := cu.pulls[i]
-	cu.stream[i] = n.mintStream()
-	env.Send(p.Source, transferReq{Idx: i, Stream: cu.stream[i], Start: p.Start, End: p.End, Cursor: cu.cursor[i]})
+	r := &cu.ranges[i]
+	r.stream = n.mintStream()
+	env.Send(r.Source, transferReq{Idx: i, Stream: r.stream, Start: r.Start, End: r.End, Cursor: r.cursor})
 	n.armStall(env, cu, i)
 }
 
 // armStall restarts range i's stall timer. One live timer per range: each
 // batch supersedes it, so a slow (throttled) source is not asked twice.
 func (n *Node) armStall(env transport.Env, cu *catchUp, i int) {
-	env.Cancel(cu.stall[i])
-	cu.stall[i] = env.SetTimer(xferRetryTimeout, xferRetryTag{seq: cu.seq, idx: i})
+	r := &cu.ranges[i]
+	env.Cancel(r.stall)
+	r.stall = env.SetTimer(xferRetryTimeout, xferRetryTag{seq: cu.seq, idx: i})
 }
 
 // transferReceived is the transfer receive hook: m, already installed,
@@ -194,28 +212,26 @@ func (n *Node) transferReceived(env transport.Env, dom int, m shipBatch) {
 	if cu == nil {
 		return
 	}
-	i := slices.Index(cu.stream, m.Stream.N)
-	if i < 0 || cu.done[i] {
+	i := slices.IndexFunc(cu.ranges, func(r inRange) bool { return r.stream == m.Stream.N })
+	if i < 0 || cu.ranges[i].done {
 		return // a stream since re-opened, or a repeat of the last batch
 	}
+	r := &cu.ranges[i]
 	n.Transfer.BytesIn.Add(uint64(m.Size()))
 	if !m.Done {
-		cu.cursor[i] = m.Cursor
+		r.cursor = m.Cursor
 		n.armStall(env, cu, i)
 		return
 	}
-	n.elMu.Lock()
-	cu.done[i] = true
-	cu.remaining--
-	n.elMu.Unlock()
-	env.Cancel(cu.stall[i])
+	r.done = true
+	left := n.publishGate(cu)
+	env.Cancel(r.stall)
 	n.Transfer.RangesDone.Add(1)
 	// Journal completion so a restarted node does not re-pull the range.
-	p := cu.pulls[i]
 	n.markTransferDone(cu.seq, i)
-	n.persistRecord(dom, walRecord{TransferDone: &transferDoneRec{Seq: cu.seq, Idx: i, Start: p.Start, End: p.End}})
-	if cu.remaining == 0 {
-		n.finishCatchUp(cu)
+	n.persistRecord(dom, walRecord{TransferDone: &transferDoneRec{Seq: cu.seq, Idx: i, Start: r.Start, End: r.End}})
+	if left == 0 {
+		n.finishCatchUp(env, cu)
 	}
 }
 
@@ -226,29 +242,27 @@ func (n *Node) markTransferDone(seq uint64, idx int) {
 	n.xferDone[seq][idx] = true
 }
 
-func (n *Node) finishCatchUp(cu *catchUp) {
+func (n *Node) finishCatchUp(env transport.Env, cu *catchUp) {
 	// Old epochs' completion records are no longer needed for gating.
 	for seq := range n.xferDone {
 		if seq < cu.seq {
 			delete(n.xferDone, seq)
 		}
 	}
-	cu.onDone()
+	n.caughtUp(env, cu.seq)
 }
 
 // gatedKey reports whether key sits in a still-incomplete inbound range:
 // this replica must not serve reads for it yet. Called from shard
-// goroutines and the read fast path, hence the lock.
+// goroutines and the read fast path: one load of the published gate.
 func (n *Node) gatedKey(key string) bool {
-	n.elMu.RLock()
-	defer n.elMu.RUnlock()
-	cu := n.inbound
-	if cu == nil || cu.remaining == 0 {
+	g := n.gate.Load()
+	if g == nil || len(g.pending) == 0 {
 		return false
 	}
 	h := ring.KeyHash(key)
-	for i, p := range cu.pulls {
-		if !cu.done[i] && rangeContains(p.Start, p.End, h) {
+	for _, p := range g.pending {
+		if rangeContains(p.Start, p.End, h) {
 			return true
 		}
 	}
@@ -299,14 +313,13 @@ func (n *Node) arcSource(start, end uint64, cursor string) source {
 	}}
 }
 
-// BeginDrain puts the node into decommission drain: it keeps a hint
-// stream open to every peer it holds hints for, calling onDrained (once,
-// on the actor loop) when no hints remain. Replica-level traffic
-// continues — the node is still an owner until its arcs transfer; the
-// host refuses its clients' writes.
-func (n *Node) BeginDrain(env transport.Env, onDrained func()) {
+// beginDrain puts the node into decommission drain: it keeps a hint
+// stream open to every peer it holds hints for and, when no hints
+// remain, leaves (membership.go) in that invocation. Replica-level
+// traffic continues — the node is still an owner until its arcs
+// transfer; the host refuses its clients' writes.
+func (n *Node) beginDrain(env transport.Env) {
 	n.draining.Store(true)
-	n.onDrained = onDrained
 	n.drainTick(env)
 }
 
@@ -315,31 +328,28 @@ func (n *Node) drainTick(env transport.Env) {
 		return
 	}
 	if n.PendingHints() == 0 {
-		if n.onDrained != nil {
-			cb := n.onDrained
-			n.onDrained = nil
-			cb()
-		}
+		n.leave(env)
 		return
 	}
 	n.handoff(env)
 	env.SetTimer(50*time.Millisecond, drainTag{})
 }
 
-// Draining reports whether BeginDrain has been called.
-func (n *Node) Draining() bool { return n.draining.Load() }
-
 // Install makes ep the node's membership epoch, with one store: from the
 // next operation on, placement, the dual-apply set, the ownership guard,
 // the epoch a refusal carries, the members heartbeats and anti-entropy
 // visit and every member's zone all come from ep. It runs on the serial
-// loop, the one writer, and ep is not written after. Streams to departed
+// loop, the one writer, and ep is not written after. A new ring rebuilds
+// the anti-entropy trees. Streams to departed
 // members are dropped. Hints intended for departed members are dissolved
 // into local data (journaled), where anti-entropy re-homes them to the
 // keys' current owners — a hint may be an acked write's only copy and
 // must never strand behind a dead address.
 func (n *Node) Install(ep ring.Epoch) {
-	n.epoch.Store(&ep)
+	prev := n.epoch.Swap(&ep)
+	if n.cfg.AntiEntropy && prev.Ring != ep.Ring {
+		n.rebuildTrees()
+	}
 	ms := ep.Ring.Members()
 	// What is kept per peer goes with the peer: its streams (their timers
 	// find none and lapse), its geo queue (its arcs re-home through transfer
@@ -379,6 +389,36 @@ func (n *Node) Install(ep ring.Epoch) {
 	}
 }
 
+// rebuildTrees re-derives every peer's anti-entropy tree from the store
+// under the installed ring: each key this node replicates enters the tree
+// of every peer it now shares the key with. A key written before that
+// peer entered its preference list is one the peer may lack (a transfer
+// pulls from one previous owner, which need not hold every acked write),
+// and in no tree it would never be offered. Scanned in windows, each
+// under its shard's lock, as installs refresh digests.
+func (n *Node) rebuildTrees() {
+	n.aeMu.Lock()
+	clear(n.aeTrees)
+	n.aeMu.Unlock()
+	const window = 256
+	for _, sh := range n.shards {
+		for lo := ""; ; {
+			sh.mu.Lock()
+			pairs := sh.store.Scan(lo, "", window)
+			for _, p := range pairs {
+				if prefs := n.PreferenceList(p.Key); slices.Contains(prefs, n.id) {
+					n.noteKeyChanged(p.Key, mustDecodeStored(p.Key, p.Value), prefs)
+				}
+			}
+			sh.mu.Unlock()
+			if len(pairs) < window {
+				break
+			}
+			lo = pairs[len(pairs)-1].Key + "\x00"
+		}
+	}
+}
+
 // ownsKey reports whether this node may accept a direct replica write
 // for key under ep: it is in the preference list, or in the previous
 // epoch's while a dual-apply window is open.
@@ -387,16 +427,4 @@ func (n *Node) ownsKey(ep *ring.Epoch, key string) bool {
 		return true
 	}
 	return ep.Prev != nil && slices.Contains(ep.Prev.Replicas(key, n.cfg.N), n.id)
-}
-
-// onNotOwner handles a replica refusing one of our writes: the refusal
-// carries the refuser's epoch, and a newer one means our ring is stale —
-// surface it so the runtime can pull the current membership. The pending
-// operation is left to its other replicas (or its timeout): hinting a
-// stand-in for a node that is not an owner would strand the write.
-func (n *Node) onNotOwner(m replicaNotOwner) {
-	n.Transfer.NotOwnerSeen.Add(1)
-	if n.cfg.OnStaleRing != nil && m.Seq > n.epoch.Load().Seq {
-		n.cfg.OnStaleRing(m.Seq)
-	}
 }

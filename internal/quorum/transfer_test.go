@@ -45,15 +45,23 @@ func TestTransferPullStreamsRangeGatesReadsAndThrottles(t *testing.T) {
 	}
 	src, dst := byID["s0"], byID["s3"]
 	const nKeys = 50
-	doneAt := time.Duration(-1)
 	h.c.At(0, func() {
 		for i := 0; i < nKeys; i++ {
 			src.installEntry(0, fmt.Sprintf("xfer-%d", i), seedEntry(i, 128))
 		}
-		dst.BeginCatchUp(h.c.ClientEnv("s3"), 1,
-			[]TransferPull{{Source: "s0", Start: 0, End: 0}}, // (0,0] wraps: the whole circle
-			func() { doneAt = h.c.Now() })
+		dst.beginCatchUp(h.c.ClientEnv("s3"), 1,
+			[]TransferPull{{Source: "s0", Start: 0, End: 0}}) // (0,0] wraps: the whole circle
 	})
+	doneAt := time.Duration(-1)
+	var watch func()
+	watch = func() {
+		if done, total := dst.CatchUpProgress(1); total == 1 && done == 1 {
+			doneAt = h.c.Now()
+			return
+		}
+		h.c.After(10*time.Millisecond, watch)
+	}
+	h.c.At(0, watch)
 	gatedMidway := false
 	h.c.At(200*time.Millisecond, func() {
 		gatedMidway = dst.CatchingUp() && dst.gatedKey("xfer-0")
@@ -92,13 +100,16 @@ func TestTransferPullStreamsRangeGatesReadsAndThrottles(t *testing.T) {
 			src.Transfer.BytesOut.Load(), dst.Transfer.BytesIn.Load())
 	}
 
-	// Resume semantics: the completed range is journaled in xferDone, so
-	// re-beginning the same epoch reports done immediately — the restart
-	// path a killed joiner takes after WAL replay.
+	// Resume semantics: the completed range is journaled in xferDone, so a
+	// window begun afresh for the same epoch is done at once, without a
+	// pull — the restart path a killed joiner takes after WAL replay.
 	resumed := false
 	h.c.After(0, func() {
-		dst.BeginCatchUp(h.c.ClientEnv("s3"), 1,
-			[]TransferPull{{Source: "s0", Start: 0, End: 0}}, func() { resumed = true })
+		dst.inbound = nil
+		dst.gate.Store(nil)
+		dst.beginCatchUp(h.c.ClientEnv("s3"), 1, []TransferPull{{Source: "s0", Start: 0, End: 0}})
+		done, total := dst.CatchUpProgress(1)
+		resumed = done == 1 && total == 1 && !dst.CatchingUp()
 	})
 	h.c.Run(h.c.Now() + time.Second)
 	if !resumed {
@@ -107,7 +118,7 @@ func TestTransferPullStreamsRangeGatesReadsAndThrottles(t *testing.T) {
 }
 
 func TestDrainStopsMintingAndEmptiesHints(t *testing.T) {
-	// Decommission ordering: after BeginDrain a node's hinted-handoff
+	// Decommission ordering: after beginDrain a node's hinted-handoff
 	// queues flush to their intended replicas even though the periodic
 	// handoff timer (set to an hour) never fires — the drain tick does
 	// the delivery. (A node names no write of its own to stop naming:
@@ -139,24 +150,19 @@ func TestDrainStopsMintingAndEmptiesHints(t *testing.T) {
 		byID[coord].coordinatePut(h.c.ClientEnv(coord), "client", clientPut{ID: 1, Key: key, Value: []byte("v")}, nil)
 	})
 
-	drained := map[string]bool{}
 	h.c.At(2*time.Second, func() {
 		h.c.Heal()
 		for _, n := range h.nodes {
-			n := n
-			n.BeginDrain(h.c.ClientEnv(n.id), func() { drained[n.id] = true })
+			n.beginDrain(h.c.ClientEnv(n.id))
 		}
 	})
 	h.c.Run(10 * time.Second)
 
 	for _, n := range h.nodes {
-		if !drained[n.id] {
-			t.Fatalf("%s never reported drained", n.id)
-		}
 		if got := n.PendingHints(); got != 0 {
 			t.Fatalf("%s still holds %d hints after drain", n.id, got)
 		}
-		if !n.Draining() {
+		if !n.draining.Load() {
 			t.Fatalf("%s lost its draining flag", n.id)
 		}
 	}
@@ -269,4 +275,58 @@ func TestEpochInstallsRaceOperations(t *testing.T) {
 		}
 	}
 	read(r - 1) // the puts acked while epochs churned read back after the last settle
+}
+
+// TestCatchUpGateRacesReplicaReads: the serial loop pulls eight ranges in
+// small batches and publishes the gate as each lands, while replica reads
+// check it on the goroutines that deliver them. The gate is one immutable
+// value behind an atomic pointer, so under the race detector nothing may
+// report, and the reads that came in time were refused.
+func TestCatchUpGateRacesReplicaReads(t *testing.T) {
+	ids := []string{"s0", "s1", "s2"}
+	l := transport.NewLoopback(transport.LoopbackConfig{Seed: 5})
+	defer l.Close()
+	nodes := make([]*Node, len(ids))
+	for i, id := range ids {
+		nodes[i] = NewNode(id, Config{Ring: ids, N: 3, R: 2, W: 2, Shards: 4, TransferBatch: 512})
+	}
+	src, dst := nodes[0], nodes[2]
+	const nKeys = 400
+	for i := 0; i < nKeys; i++ {
+		src.installEntry(0, fmt.Sprintf("gate-%d", i), seedEntry(i, 64))
+	}
+	for i, id := range ids {
+		l.AddNode(id, nodes[i])
+	}
+	cli := NewClient("cli")
+	l.AddNode(cli.ID(), cli)
+
+	var pulls []TransferPull
+	for i := uint64(0); i < 8; i++ {
+		pulls = append(pulls, TransferPull{Source: "s0", Start: i << 61, End: (i + 1) << 61})
+	}
+	// A window that lands before any read comes in is pulled again, as
+	// the next epoch's.
+	id := uint64(0)
+	for seq := uint64(1); dst.Transfer.GatedReads.Load() == 0; seq++ {
+		if seq > 20 {
+			t.Fatal("no read came in while the ranges were pulled, in 20 windows")
+		}
+		l.Invoke("s2", func(env transport.Env) { dst.beginCatchUp(env, seq, pulls) })
+		for deadline := time.Now().Add(10 * time.Second); ; {
+			if done, total := dst.CatchUpProgress(seq); total == len(pulls) && done == total {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the ranges never landed")
+			}
+			id++
+			get := replicaGet{ID: id, Key: fmt.Sprintf("gate-%d", id%nKeys)}
+			l.Invoke(cli.ID(), func(env transport.Env) { env.Send("s2", get) })
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	if dst.CatchingUp() || dst.gatedKey("gate-0") {
+		t.Fatal("the gate is still up after the last range landed")
+	}
 }

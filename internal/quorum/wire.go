@@ -12,11 +12,12 @@ import (
 // hand-rolled binary encoding: no reflection, and decode aliases the
 // frame buffer.
 //
-// Wire ids 12–31 and 60–69 belong to this package (see
+// Wire ids 12–31, 40–49 and 60–69 belong to this package (see
 // transport.BinaryMessage). 12–31 hold every message a get, a put or
-// the background work beside them sends; 60–69 hold what only a lagging
-// replica, a full re-ask or an elastic ring change sends. Ids of retired messages are reused: the repo does
-// not run mixed-version clusters.
+// the background work beside them sends; 40–49 the membership protocol
+// (membership.go); 60–69 what only a lagging replica, a full re-ask or
+// a range transfer sends. Ids of retired messages are reused: the repo
+// does not run mixed-version clusters.
 const (
 	widClientPut uint16 = 12 + iota
 	widClientGet
@@ -34,6 +35,15 @@ const (
 	widAEReq
 	widAEResp
 	widGeoStamp
+)
+
+const (
+	widRingUpdate uint16 = 40 + iota
+	widRingAck
+	widBeginTransfer
+	widTransferComplete
+	widEpochSettled
+	widRingPull
 )
 
 const (
@@ -300,6 +310,57 @@ func readGeoStamp(r *wire.Reader) geoStamp {
 	return geoStamp{Zone: r.String(), HighTS: int64(r.Uvarint())}
 }
 
+func appendStrings(dst []byte, ss []string) []byte {
+	dst = wire.AppendUvarint(dst, uint64(len(ss)))
+	for _, s := range ss {
+		dst = wire.AppendString(dst, s)
+	}
+	return dst
+}
+
+func readStrings(r *wire.Reader) []string {
+	n := r.Uvarint()
+	if n == 0 {
+		return nil
+	}
+	if n > uint64(r.Len()) { // each string costs >= 1 byte
+		r.Poison()
+		return nil
+	}
+	out := make([]string, 0, n)
+	for i := uint64(0); i < n; i++ {
+		out = append(out, r.String())
+	}
+	return out
+}
+
+func (ringUpdate) WireID() uint16 { return widRingUpdate }
+func (m ringUpdate) AppendBinary(dst []byte) []byte {
+	dst = wire.AppendUvarint(dst, m.Seq)
+	dst = wire.AppendString(dst, m.Joining)
+	dst = wire.AppendString(dst, m.Leaving)
+	dst = appendStrings(dst, m.Members)
+	dst = appendStrings(dst, m.Addrs)
+	dst = wire.AppendBool(dst, m.Settled)
+	dst = wire.AppendBool(dst, m.Reply)
+	return appendStrings(dst, m.Zones)
+}
+
+func (ringAck) WireID() uint16                   { return widRingAck }
+func (m ringAck) AppendBinary(dst []byte) []byte { return wire.AppendUvarint(dst, m.Seq) }
+
+func (beginTransfer) WireID() uint16                   { return widBeginTransfer }
+func (m beginTransfer) AppendBinary(dst []byte) []byte { return wire.AppendUvarint(dst, m.Seq) }
+
+func (transferComplete) WireID() uint16                   { return widTransferComplete }
+func (m transferComplete) AppendBinary(dst []byte) []byte { return wire.AppendUvarint(dst, m.Seq) }
+
+func (epochSettled) WireID() uint16                   { return widEpochSettled }
+func (m epochSettled) AppendBinary(dst []byte) []byte { return wire.AppendUvarint(dst, m.Seq) }
+
+func (ringPull) WireID() uint16                 { return widRingPull }
+func (ringPull) AppendBinary(dst []byte) []byte { return dst }
+
 func init() {
 	transport.RegisterBinary(widClientPut, func(r *wire.Reader) transport.Message {
 		return clientPut{ID: r.Uvarint(), Key: r.String(), Value: r.Bytes(), Deleted: r.Bool(), Context: r.Vector()}
@@ -362,4 +423,13 @@ func init() {
 		return replicaNotOwner{ID: r.Uvarint(), Seq: r.Uvarint()}
 	})
 	transport.RegisterBinary(widGeoStamp, func(r *wire.Reader) transport.Message { return readGeoStamp(r) })
+	transport.RegisterBinary(widRingUpdate, func(r *wire.Reader) transport.Message {
+		return ringUpdate{Seq: r.Uvarint(), Joining: r.String(), Leaving: r.String(), Members: readStrings(r),
+			Addrs: readStrings(r), Settled: r.Bool(), Reply: r.Bool(), Zones: readStrings(r)}
+	})
+	transport.RegisterBinary(widRingAck, func(r *wire.Reader) transport.Message { return ringAck{Seq: r.Uvarint()} })
+	transport.RegisterBinary(widBeginTransfer, func(r *wire.Reader) transport.Message { return beginTransfer{Seq: r.Uvarint()} })
+	transport.RegisterBinary(widTransferComplete, func(r *wire.Reader) transport.Message { return transferComplete{Seq: r.Uvarint()} })
+	transport.RegisterBinary(widEpochSettled, func(r *wire.Reader) transport.Message { return epochSettled{Seq: r.Uvarint()} })
+	transport.RegisterBinary(widRingPull, func(r *wire.Reader) transport.Message { return ringPull{} })
 }

@@ -81,7 +81,34 @@ func genMsgs(g *wiretest.Gen) []transport.Message {
 		transferReq{Idx: int(g.Int64()), Stream: g.Uint64(), Start: g.Uint64(), End: g.Uint64(), Cursor: g.Str()},
 		replicaNotOwner{ID: g.Uint64(), Seq: g.Uint64()},
 		geoStamp{Zone: g.Str(), HighTS: g.Int64()},
+		ringUpdate{
+			Seq:     g.Uint64(),
+			Joining: g.Str(),
+			Leaving: g.Str(),
+			Members: genStrs(g),
+			Addrs:   genStrs(g),
+			Settled: g.Bool(),
+			Reply:   g.Bool(),
+			Zones:   genStrs(g),
+		},
+		ringAck{Seq: g.Uint64()},
+		beginTransfer{Seq: g.Uint64()},
+		transferComplete{Seq: g.Uint64()},
+		epochSettled{Seq: g.Uint64()},
+		ringPull{},
 	}
+}
+
+// genStrs returns a string list; an empty one decodes as nil.
+func genStrs(g *wiretest.Gen) []string {
+	if g.R.Intn(4) == 0 {
+		return nil
+	}
+	out := make([]string, 1+g.R.Intn(4))
+	for i := range out {
+		out[i] = g.Str()
+	}
+	return out
 }
 
 func genStreamID(g *wiretest.Gen) streamID {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -207,5 +208,78 @@ func TestSelfAckWaitsForTheCoordinatorsRecord(t *testing.T) {
 				t.Fatalf("put after the commit: %v", err)
 			}
 		})
+	}
+}
+
+// A joiner settles its join epoch in the invocation that lands its last
+// range, and that invocation journals the range's completion. So the
+// settle, like an ack, leaves only once the record is durable: until then
+// every other member keeps the window open, and dual-applies.
+func TestJoinSettlesOnlyOnceTheLastRangeIsDurable(t *testing.T) {
+	cfgs := durableConfigs(t, "quorum", 3, -1)
+	srvs := make([]*Server, len(cfgs))
+	for i, cfg := range cfgs {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		srvs[i] = s
+	}
+	c0 := dialNode(t, srvs[0], "cli0")
+	for i := 0; i < 40; i++ {
+		if err := c0.Put(fmt.Sprintf("k%02d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addr := reservePorts(t, 1)[0]
+	js, err := New(joinerConfig(t, cfgs[0], "node3", addr, 4002))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(js.Close)
+	disk := newGatedDisk(js.dur.log.Durable())
+	t.Cleanup(disk.openUp) // before the servers close: their barriers drain
+	swapJournal(t, js, disk)
+	if err := c0.AddNode("node3", addr); err != nil {
+		t.Fatal(err)
+	}
+
+	// Commit everything the joiner journals except its last range's
+	// record: what was appended before the ranges were seen unfinished
+	// cannot include it.
+	const seq = 1
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		appended := disk.appended()
+		if done, total := js.qnode.CatchUpProgress(seq); total > 0 && done == total {
+			break
+		}
+		disk.commit(appended)
+		if time.Now().After(deadline) {
+			t.Fatal("the joiner never pulled its ranges")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	open := func() []string {
+		var ids []string
+		for _, s := range srvs {
+			if s.qnode.Epoch().Prev != nil {
+				ids = append(ids, s.ID())
+			}
+		}
+		return ids
+	}
+	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		if ids := open(); len(ids) != len(srvs) {
+			t.Fatalf("only %v still hold epoch %d open: the settle left before the last range's record was durable", ids, seq)
+		}
+	}
+	disk.openUp()
+	for len(open()) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%v never settled once the record was durable", open())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -1,12 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
 	"testing"
-
-	"repro/internal/transport"
 )
 
 // Tests of the quorum model's causal context, which travels with the
@@ -117,30 +116,48 @@ func TestReadModifyWriteAcrossNodes(t *testing.T) {
 // refuses its clients' writes with the typed redirect, and still serves
 // reads.
 func TestDrainingNodeRefusesWrites(t *testing.T) {
-	srvs := startCluster(t, "quorum", 3, false)
-	s := srvs[2]
+	cfgs := durableConfigs(t, "quorum", 4, -1)
+	srvs := make([]*Server, len(cfgs))
+	for i, cfg := range cfgs {
+		// Slow enough that the leave's window stays open for the whole
+		// test: ~75 KiB for the survivors to pull behind a 2 KiB/s bucket.
+		cfg.TransferRate = 2 << 10
+		cfg.TransferBatch = 1 << 10
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srvs[i] = s
+		t.Cleanup(s.Close)
+	}
+	s := srvs[3]
 	c := dialNode(t, s, "cli")
+	pad := bytes.Repeat([]byte("x"), 1<<10)
+	for i := 0; i < 100; i++ {
+		if err := c.Put(fmt.Sprintf("seed%03d", i), pad); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := c.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	// Begin the drain a decommission begins with, and nothing after it.
-	drained := make(chan struct{})
-	s.tcp.Invoke(s.cfg.ID, func(env transport.Env) {
-		s.qnode.BeginDrain(env, nil)
-		close(drained)
-	})
-	<-drained
+	if err := c.Decommission(); err != nil {
+		t.Fatal(err)
+	}
 	for _, write := range []func() error{
 		func() error { return c.Put("k", []byte("w")) },
 		func() error { return c.Delete("k") },
 	} {
 		var noe *NotOwnerError
-		if err := write(); !errors.As(err, &noe) || noe.State != stateDraining || noe.Node != "node2" {
-			t.Fatalf("write through a draining node = %v, want a NotOwnerError from draining node2", err)
+		if err := write(); !errors.As(err, &noe) || noe.State != stateDraining || noe.Node != "node3" {
+			t.Fatalf("write through a draining node = %v, want a NotOwnerError from draining node3", err)
 		}
 	}
 	if v, found, err := c.Get("k"); err != nil || !found || string(v) != "v" {
 		t.Fatalf("get through a draining node = %q/%v/%v, want v", v, found, err)
+	}
+	if _, st := s.qnode.State(); st != stateDraining {
+		t.Fatalf("node3 is %s before the checks ended; lower TransferRate", st)
 	}
 }
 

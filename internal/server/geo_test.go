@@ -305,7 +305,7 @@ func TestJoinedNodeCountsInItsZone(t *testing.T) {
 		if err := c0.Put(key, []byte("v")); err != nil {
 			t.Fatalf("put %s: %v", key, err)
 		}
-		prefs := ep.Ring.Replicas(key, srvs[0].qN)
+		prefs := srvs[0].qnode.PreferenceList(key)
 		for _, p := range prefs[1:] {
 			if ep.Ring.ZoneOf(p) != ep.Ring.ZoneOf(prefs[0]) {
 				want++

@@ -69,7 +69,7 @@ func (s *Server) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 	h := healthz{ID: s.cfg.ID, Model: s.cfg.Model, OK: true, Uptime: now.Round(time.Millisecond).String()}
 	cur := s.ring // a quorum node's is its epoch's, loaded once below
 	if s.qnode != nil {
-		ep, mode := s.epochState()
+		ep, mode := s.qnode.State()
 		h.State, h.Epoch = mode, ep.Seq
 		h.OK = mode == stateOK
 		cur = ep.Ring
@@ -203,7 +203,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	cur := s.ring // a quorum node's is its epoch's, loaded once below
 	if s.qnode != nil {
-		ep, mode := s.epochState()
+		ep, mode := s.qnode.State()
 		cur = ep.Ring
 		done, total := s.qnode.CatchUpProgress(ep.Seq)
 		t := &s.qnode.Transfer

@@ -67,21 +67,6 @@ func genMsgs(g *wiretest.Gen) []transport.Message {
 			Zone:     g.Str(),
 			Context:  g.Bytes(),
 		},
-		ringUpdate{
-			Seq:     g.Uint64(),
-			Joining: g.Str(),
-			Leaving: g.Str(),
-			Members: genStrs(g),
-			Addrs:   genStrs(g),
-			Settled: g.Bool(),
-			Reply:   g.Bool(),
-			Zones:   genStrs(g),
-		},
-		ringAck{Seq: g.Uint64()},
-		beginTransfer{Seq: g.Uint64()},
-		transferComplete{Seq: g.Uint64()},
-		epochSettled{Seq: g.Uint64()},
-		ringPull{},
 	}
 }
 

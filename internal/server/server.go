@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -120,8 +119,6 @@ type Server struct {
 	gossipN    *gossip.Node    // gossip model: ops run on the storage actor itself
 	sessN      *session.Server // session model: ops run on the storage actor itself
 	qnode      *quorum.Node    // quorum model: the storage actor's protocol node
-	qN         int             // quorum model: replication factor
-	el         *elastic        // quorum model: the serial loop's membership-change state
 	dur        *durability     // nil unless Config.DataDir set
 	ackB       *ackBarrier     // nil unless durable: holds acks until fsync
 	httpLn     net.Listener
@@ -211,18 +208,14 @@ func New(cfg Config) (*Server, error) {
 	for id := range cfg.Peers {
 		members = append(members, id)
 	}
-	sort.Strings(members)
+	slices.Sort(members)
+	others := slices.DeleteFunc(slices.Clone(members), func(m string) bool { return m == cfg.ID })
 
 	// A joiner owns nothing at boot: its placement ring is the cluster
 	// WITHOUT itself until the join epoch arrives and its arcs stream in.
 	ringMembers := members
 	if cfg.Joining {
-		ringMembers = make([]string, 0, len(members)-1)
-		for _, m := range members {
-			if m != cfg.ID {
-				ringMembers = append(ringMembers, m)
-			}
-		}
+		ringMembers = others
 	}
 
 	boot := ring.NewZoned(ringMembers, ring.DefaultVirtualNodes, cfg.Zones)
@@ -238,13 +231,6 @@ func New(cfg Config) (*Server, error) {
 	// Wake parked connection handlers however New exits — they check
 	// booted and drop the connection if boot failed.
 	defer close(s.ready)
-
-	others := make([]string, 0, len(members)-1)
-	for _, m := range members {
-		if m != cfg.ID {
-			others = append(others, m)
-		}
-	}
 
 	// With a DataDir the node journals through a WAL; the Persist hook
 	// is handed to the protocol config and runs on the storage actor's
@@ -274,12 +260,6 @@ func New(cfg Config) (*Server, error) {
 		node, handler = s.gossipN, s.gossipN
 	case "quorum":
 		n, r, w := quorumParams(cfg, len(ringMembers))
-		s.qN = n
-		addrs := make(map[string]string, len(cfg.Peers))
-		for id, a := range cfg.Peers {
-			addrs[id] = a
-		}
-		s.el = &elastic{addrs: addrs}
 		shards := cfg.Shards
 		if shards == 0 {
 			shards = runtime.GOMAXPROCS(0)
@@ -298,7 +278,7 @@ func New(cfg Config) (*Server, error) {
 			Resilience:    policy,
 			Directory:     s.dir,
 			Placement:     boot,
-			OnStaleRing:   s.onStaleRing,
+			OnPeers:       func(addrs map[string]string) { s.tcp.SetPeers(addrs) },
 			TransferRate:  cfg.TransferRate,
 			TransferBatch: cfg.TransferBatch,
 			Shards:        shards,
@@ -340,6 +320,7 @@ func New(cfg Config) (*Server, error) {
 			qcfg.Storage = func(shard int) storage.Engine { return s.lsmEngines[shard] }
 		}
 		qn := quorum.NewNode(cfg.ID, qcfg)
+		qn.SetAddrs(cfg.Peers)
 		s.qnode = qn
 		node, handler = qn, qn
 	case "session":
@@ -432,12 +413,6 @@ func New(cfg Config) (*Server, error) {
 		s.qnode.StartRequestsAt(s.incarnation << incarnationShift)
 	}
 
-	// Membership traffic shares the storage actor's loop (and, below,
-	// its durability ack barrier): epoch installs serialize with the
-	// protocol work they re-route.
-	if s.el != nil {
-		handler = &elasticHandler{s: s, inner: handler}
-	}
 	// A durable node's acks wait for the WAL, not the WAL for the node:
 	// the barrier defers the storage actor's outgoing messages until
 	// their records' group commit lands, so the loop keeps appending
@@ -605,7 +580,7 @@ func (s *Server) admin(req Request) Response {
 	}
 	resp := Response{OK: true, Model: s.cfg.Model, Zone: s.cfg.Zone}
 	if s.qnode != nil {
-		ep, mode := s.epochState()
+		ep, mode := s.qnode.State()
 		resp.Epoch, resp.State = ep.Seq, mode
 	}
 	return resp
@@ -618,7 +593,7 @@ func (s *Server) refusal(req Request) (Response, bool) {
 	if s.qnode == nil {
 		return Response{}, false
 	}
-	ep, mode := s.epochState()
+	ep, mode := s.qnode.State()
 	if mode == stateLeft || (mode == stateDraining && req.Op != "get") {
 		return Response{
 			Err:      fmt.Sprintf("node %s is %s; retry against a current member", s.cfg.ID, mode),

@@ -40,7 +40,7 @@ import (
 //	10–11  internal/server client protocol
 //	12–31  internal/quorum, per operation
 //	32–39  transport's tests
-//	40–49  internal/server membership protocol
+//	40–49  internal/quorum membership protocol
 //	50–59  internal/session
 //	60–69  internal/quorum, the rest
 type BinaryMessage interface {
