@@ -1,18 +1,9 @@
 // Package geo carries the zone vocabulary of the geo-replication
 // subsystem: SLA tiers (strong / bounded-staleness / eventual), which
 // travel on each server request, and zone spec parsing for flags. The
-// server routes a tiered read itself (see server.slaRoute); the
-// Pileus-style utility picker is internal/sla, run in simulation by E10.
-//
-// The tier semantics on the quorum substrate:
-//
-//   - strong:   the configured R quorum (R+W > N reads see every acked
-//     write, at cross-zone round-trip cost).
-//   - eventual: R=1 served by an in-zone replica — local latency, reads
-//     may trail remote zones by the replicator lag.
-//   - bounded:d the eventual path, but only while the serving node's
-//     measured staleness for every remote zone is within d; otherwise
-//     the read escalates to strong.
+// quorum node plans a tiered read, and documents what each tier costs
+// (quorum.Node.Plan); the Pileus-style utility picker is internal/sla,
+// run in simulation by E10.
 package geo
 
 import (

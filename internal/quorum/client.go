@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/geo"
 	"repro/internal/resilience"
 	"repro/internal/transport"
 )
@@ -180,9 +181,9 @@ func putResult(key string, m putResp) PutResult {
 	return res
 }
 
-// getResult is putResult for a get.
-func getResult(key string, m getResp) GetResult {
-	res := GetResult{Key: key, Values: m.Values, Context: m.Context, Replicas: m.Replicas}
+// getResult is putResult for a get, with its plan's tier and staleness.
+func getResult(key string, m getResp, tier geo.Kind, staleMs int64) GetResult {
+	res := GetResult{Key: key, Values: m.Values, Context: m.Context, Replicas: m.Replicas, Tier: tier, StaleMs: staleMs}
 	if m.Err != "" {
 		res.Err = errors.New(m.Err)
 	}

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/geo"
 	"repro/internal/resilience"
 	"repro/internal/transport"
 )
@@ -46,20 +47,22 @@ type requests struct {
 
 // request is one operation sent to a coordinator and not yet answered:
 // the message, the key, a put's context (with the request id, it names
-// the dot), the callback of its kind and, with a policy, its retry and
-// hedge state.
+// the dot), the callback of its kind, a planned get's tier and staleness
+// (see Plan) and, with a policy, its retry and hedge state.
 type request struct {
-	msg    transport.Message
-	key    string
-	ctx    clock.Vector
-	put    func(transport.Env, PutResult)
-	get    func(transport.Env, GetResult)
-	coord  string
-	sent   time.Duration
-	budget *resilience.Budget
-	hedged bool
-	retry  transport.TimerID
-	hedge  transport.TimerID
+	msg     transport.Message
+	key     string
+	ctx     clock.Vector
+	put     func(transport.Env, PutResult)
+	get     func(transport.Env, GetResult)
+	tier    geo.Kind
+	staleMs int64
+	coord   string
+	sent    time.Duration
+	budget  *resilience.Budget
+	hedged  bool
+	retry   transport.TimerID
+	hedge   transport.TimerID
 }
 
 // requestTag is the timer of request id: its answer's time-out, a
@@ -220,7 +223,7 @@ func (q *requests) settle(env transport.Env, s sender, id uint64, from string, a
 		}
 	case getResp:
 		if r.get != nil {
-			r.get(env, getResult(r.key, m))
+			r.get(env, getResult(r.key, m, r.tier, r.staleMs))
 		}
 	default:
 		if r.put != nil {
@@ -233,47 +236,6 @@ func (q *requests) settle(env transport.Env, s sender, id uint64, from string, a
 			r.get(env, GetResult{Key: r.key, Err: ErrNoResponse})
 		}
 	}
-}
-
-// CoordinatePut runs a put of key for a client in this node's process,
-// under the causal context ctx the client holds for the key. The host
-// calls it on the key's execution domain (ShardOf maps the key's
-// messages there), which mints the request id; the write's dot is (this
-// node, request id). When coord is this node the put is coordinated in
-// place: no message crosses to the node and back, and cb is called with
-// the Env of the invocation the put completed in (see finishWrite).
-// Otherwise the put is forwarded to coord as a message from this node,
-// with the retries, hedges and failover of requests, and cb is called on
-// the domain the answer routes back to, the same one (ShardOf sends an
-// answer to the shard that issued its id). A put that fails answers with
-// the context that covers it all the same, so a client that echoes it
-// supersedes the write whether it was applied or not.
-func (n *Node) CoordinatePut(env transport.Env, coord, key string, value []byte, ctx clock.Vector, cb func(transport.Env, PutResult)) {
-	n.startPut(env, coord, clientPut{ID: n.mintReq(n.router.Shard(key)), Key: key, Value: value, Context: ctx}, cb)
-}
-
-// CoordinateDelete is CoordinatePut for a tombstone.
-func (n *Node) CoordinateDelete(env transport.Env, coord, key string, ctx clock.Vector, cb func(transport.Env, PutResult)) {
-	n.startPut(env, coord, clientPut{ID: n.mintReq(n.router.Shard(key)), Key: key, Deleted: true, Context: ctx}, cb)
-}
-
-// CoordinateGet is CoordinatePut for a read with quorum r (0 keeps the
-// configured R; see Client.GetR).
-func (n *Node) CoordinateGet(env transport.Env, coord, key string, r int, cb func(transport.Env, GetResult)) {
-	m := clientGet{ID: n.mintReq(n.router.Shard(key)), Key: key, R: r}
-	if coord == n.id {
-		n.coordinateGet(env, n.id, m, cb)
-		return
-	}
-	n.reqShard(m.ID).out.send(env, n.sender(), coord, m.ID, &request{msg: m, key: key, get: cb})
-}
-
-func (n *Node) startPut(env transport.Env, coord string, m clientPut, cb func(transport.Env, PutResult)) {
-	if coord == n.id {
-		n.coordinatePut(env, n.id, m, cb)
-		return
-	}
-	n.reqShard(m.ID).out.send(env, n.sender(), coord, m.ID, &request{msg: m, key: m.Key, ctx: m.Context, put: cb})
 }
 
 // sender is how the node forwards: as itself, failing over across the

@@ -224,6 +224,26 @@ func (n *Node) GeoStaleness() map[string]int64 {
 	return out
 }
 
+// worstStaleness is the worst of GeoStaleness's figures across the remote
+// zones ep names, without the map: 0 when no zone is remote, -1 when one
+// has no measurement yet (the conservative answer while beacons warm up).
+func (n *Node) worstStaleness(ep *ring.Epoch) int64 {
+	n.geoMu.Lock()
+	defer n.geoMu.Unlock()
+	now, worst := nowMs(), int64(0)
+	for _, z := range ep.Ring.Zones() {
+		if z == n.cfg.Zone {
+			continue
+		}
+		h, ok := n.zoneHigh[z]
+		if !ok {
+			return -1
+		}
+		worst = max(worst, now-h)
+	}
+	return worst
+}
+
 // GeoQueue returns the cross-zone replication backlog: total retained
 // entries and the per-peer breakdown (the /healthz lag figure).
 func (n *Node) GeoQueue() (total int, byPeer map[string]int) {

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/geo"
 	"repro/internal/resilience"
 	"repro/internal/ring"
 	"repro/internal/storage"
@@ -186,6 +187,10 @@ type GetResult struct {
 	Err error
 	// Replicas is how many replicas contributed before returning.
 	Replicas int
+	// Tier is the SLA tier a read of Node.CoordinateGet was served at,
+	// and StaleMs the staleness measurement that decided it (see Plan).
+	Tier    geo.Kind
+	StaleMs int64
 }
 
 // PutResult is delivered to the client when a write completes.
@@ -222,10 +227,8 @@ type (
 	clientGet struct {
 		ID  uint64
 		Key string
-		// R, when > 0, overrides the configured read quorum for this
-		// request (capped at the preference-list size) — how SLA tiers
-		// trade freshness for latency: an eventual-tier read asks R=1 of
-		// an in-zone coordinator.
+		// R, when > 0, is the read quorum the read's plan chose in place
+		// of the configured R: 1 for an eventual read (see Plan).
 		R int
 	}
 	putResp struct {
@@ -406,6 +409,9 @@ type pendingRead struct {
 	fallbacks []string
 	fi        int
 	attempt   int
+
+	tier    geo.Kind // a read in this process: its plan's tier and staleness, for its result
+	staleMs int64
 }
 
 // owes reports whether target has yet to answer the ask that stands: it
@@ -720,7 +726,7 @@ func (n *Node) OnMessage(env transport.Env, from string, msg transport.Message) 
 	case clientPut:
 		n.coordinatePut(env, from, m, nil)
 	case clientGet:
-		n.coordinateGet(env, from, m, nil)
+		n.coordinateGet(env, from, m, nil, Plan{})
 	case putResp:
 		n.reqShard(m.ID).out.settle(env, n.sender(), m.ID, from, m)
 	case getResp:
@@ -1108,19 +1114,16 @@ func (n *Node) writeTimeout(env transport.Env, id uint64) {
 // version its replica did not have, it asks that responder again in full
 // (onAnswer). A coordinator outside the list asks everyone in full.
 //
-// The answer goes to the client as coordinatePut's does.
-func (n *Node) coordinateGet(env transport.Env, client string, m clientGet, reply func(transport.Env, GetResult)) {
+// The answer goes to the client as coordinatePut's does, with p's tier and staleness.
+func (n *Node) coordinateGet(env transport.Env, client string, m clientGet, reply func(transport.Env, GetResult), p Plan) {
 	prefs, fallbacks := n.placement(n.epoch.Load(), m.Key)
 	shardIdx := n.router.Shard(m.Key)
 	id := n.mintReq(shardIdx)
 	needed := n.cfg.R
 	if m.R > 0 {
-		// Per-request SLA override: an eventual-tier read asks for R=1.
-		// Capped at the preference-list size so it can always complete.
-		needed = m.R
-		if needed > len(prefs) {
-			needed = len(prefs)
-		}
+		// The read quorum the plan chose (see Plan), capped at the
+		// preference-list size so the read can always complete.
+		needed = min(m.R, len(prefs))
 	}
 	pr := &pendingRead{
 		client:    client,
@@ -1132,6 +1135,8 @@ func (n *Node) coordinateGet(env transport.Env, client string, m clientGet, repl
 		replicas:  prefs,
 		digests:   slices.Contains(prefs, n.id),
 		asked:     make(map[string]bool),
+		tier:      p.Tier,
+		staleMs:   p.StaleMs,
 	}
 	if (n.cfg.Resilience != nil && n.cfg.SloppyQuorum) || n.cfg.Placement != nil {
 		// Under elasticity the fallback walk matters even without sloppy
@@ -1305,7 +1310,7 @@ func (n *Node) finishRead(env transport.Env, id uint64, pr *pendingRead, merged 
 		env.Send(pr.client, r)
 		return
 	}
-	pr.reply(env, getResult(pr.key, r)) // see answerPut
+	pr.reply(env, getResult(pr.key, r, pr.tier, pr.staleMs)) // see answerPut
 }
 
 // backgroundRepair handles a replica response arriving after the quorum

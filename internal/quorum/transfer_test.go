@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/geo"
 	"repro/internal/ring"
 	"repro/internal/transport"
 )
@@ -275,6 +276,131 @@ func TestEpochInstallsRaceOperations(t *testing.T) {
 		}
 	}
 	read(r - 1) // the puts acked while epochs churned read back after the last settle
+}
+
+// TestPlannedOperationsRaceEpochsAndGate: the serial loops install 200
+// epochs, alternating an open transfer window and a settled one, and
+// publish a catch-up gate with each, up and down in turn, while puts and
+// gets of this process's clients run through CoordinatePut and
+// CoordinateGet on every shard of every node. Each operation is planned
+// on its shard loop against the epoch and the gate it loads there, so
+// under the race detector nothing may report, no operation may fail, and
+// every acked put reads back after the last settle.
+func TestPlannedOperationsRaceEpochsAndGate(t *testing.T) {
+	ids := []string{"s0", "s1", "s2", "s3"}
+	cur := ring.New(ids, ring.DefaultVirtualNodes)
+	prev := ring.New(ids[:3], ring.DefaultVirtualNodes) // the window of s3's join
+	l := transport.NewLoopback(transport.LoopbackConfig{Seed: 7})
+	defer l.Close()
+	nodes := make([]*Node, len(ids))
+	for i, id := range ids {
+		nodes[i] = NewNode(id, Config{Ring: ids, N: 3, R: 2, W: 2, Shards: 4, Placement: cur})
+		l.AddNode(id, nodes[i])
+	}
+	keys := make([]string, 64)
+	index := map[string]int{}
+	shards := map[int]bool{}
+	for i := range keys {
+		keys[i] = fmt.Sprintf("plan-race-%d", i)
+		index[keys[i]] = i
+		shards[nodes[0].router.Shard(keys[i])] = true
+	}
+	if len(shards) != len(nodes[0].shards) {
+		t.Fatalf("keys cover %d of %d shards", len(shards), len(nodes[0].shards))
+	}
+	// The gate pends a one-point arc no key hashes to: up, it turns every
+	// plan to the owner, and no replica refuses a read of the keys.
+	pull := TransferPull{Source: "s0", Start: 0, End: 1}
+
+	var installing sync.WaitGroup
+	for i, id := range ids {
+		installing.Add(1)
+		go func(n *Node, id string) {
+			defer installing.Done()
+			for seq := uint64(1); seq <= 200; seq++ {
+				ep := ring.Epoch{Seq: seq, Ring: cur}
+				if seq%2 == 1 {
+					ep.Prev = prev
+				}
+				done := make(chan struct{})
+				l.Invoke(id, func(transport.Env) {
+					n.Install(ep)
+					n.publishGate(&catchUp{seq: seq, ranges: []inRange{{TransferPull: pull, done: seq%2 == 0}}})
+					close(done)
+				})
+				<-done
+				time.Sleep(time.Millisecond)
+			}
+		}(nodes[i], id)
+	}
+	installed := make(chan struct{})
+	go func() { installing.Wait(); close(installed) }()
+
+	// on runs op for key i on its shard of node (i+off).
+	on := func(i, off int, op func(n *Node, env transport.Env)) {
+		n := nodes[(i+off)%len(nodes)]
+		if !l.InvokeShard(n.id, n.router.Shard(keys[i]), func(env transport.Env) { op(n, env) }) {
+			t.Fatalf("%s stopped", n.id)
+		}
+	}
+	ctxs := make([]clock.Vector, len(keys)) // what each key's last put returned
+	read := func(r int) {
+		gets := make(chan GetResult, 2*len(keys))
+		for i, k := range keys {
+			on(i, 1, func(n *Node, env transport.Env) {
+				n.CoordinateGet(env, k, geo.Strong, 0, func(_ transport.Env, gr GetResult) { gets <- gr })
+			})
+			on(i, 2, func(n *Node, env transport.Env) {
+				n.CoordinateGet(env, k, geo.Bounded, 1000, func(_ transport.Env, gr GetResult) { gets <- gr })
+			})
+		}
+		for range 2 * len(keys) {
+			gr := <-gets
+			if gr.Err != nil {
+				t.Fatalf("round %d: %s get %s: %v", r, gr.Tier, gr.Key, gr.Err)
+			}
+			if gr.Tier == geo.Strong && (len(gr.Values) != 1 || string(gr.Values[0]) != fmt.Sprint(r)) {
+				t.Fatalf("round %d: get %s = %q, want [%d]", r, gr.Key, values(gr), r)
+			}
+		}
+	}
+	round := func(r int) {
+		puts := make(chan PutResult, len(keys))
+		for i, k := range keys {
+			v, ctx := []byte(fmt.Sprint(r)), ctxs[i]
+			on(i, 0, func(n *Node, env transport.Env) {
+				n.CoordinatePut(env, k, v, ctx, func(_ transport.Env, pr PutResult) { puts <- pr })
+			})
+		}
+		for range keys {
+			pr := <-puts
+			if pr.Err != nil {
+				t.Fatalf("round %d: put %s: %v", r, pr.Key, pr.Err)
+			}
+			ctxs[index[pr.Key]] = pr.Context
+		}
+		read(r)
+	}
+	r := 0
+	for ; ; r++ {
+		select {
+		case <-installed:
+		default:
+			round(r)
+			continue
+		}
+		break
+	}
+	if r < 3 {
+		t.Fatalf("only %d rounds of operations overlapped the installs", r)
+	}
+	for _, n := range nodes {
+		if ep := n.Epoch(); ep.Seq != 200 || ep.Prev != nil || n.CatchingUp() {
+			t.Fatalf("%s ends at epoch %d (window open: %v, gate up: %v), want the settled epoch 200",
+				n.id, ep.Seq, ep.Prev != nil, n.CatchingUp())
+		}
+	}
+	read(r - 1)
 }
 
 // TestCatchUpGateRacesReplicaReads: the serial loop pulls eight ranges in

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/quorum"
 	"repro/internal/session"
 	"repro/internal/transport"
 )
@@ -316,18 +317,9 @@ func (c *Client) Status() (node, model string, err error) {
 }
 
 // NotOwnerError is the typed refusal a node returns once it no longer
-// owns client traffic: it has left the ring, or is draining of writes.
-// Callers redirect to a node still in the membership (see RingStatus).
-type NotOwnerError struct {
-	Node  string
-	Epoch uint64
-	State string
-}
-
-func (e *NotOwnerError) Error() string {
-	return fmt.Sprintf("server: node %s is %s at membership epoch %d; retry against a current member",
-		e.Node, e.State, e.Epoch)
-}
+// owns client traffic. Callers redirect to a node still in the membership
+// (see RingStatus).
+type NotOwnerError = quorum.NotOwnerError
 
 // RingStatus fetches the node's membership view: epoch, state, member
 // list, and transfer progress (quorum model only).

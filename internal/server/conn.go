@@ -92,13 +92,7 @@ type opSlot struct {
 	req   Request
 	start time.Time
 
-	// The quorum plan of the operation (see slaRoute), and the causal
-	// context its request carried.
-	coord   string
-	r       int
-	tier    geo.Kind
-	staleMs int64
-	ctx     clock.Vector
+	ctx clock.Vector // the causal context a quorum request carried
 
 	resp   Response // the answer, while the ack barrier holds it or it waits for a writer
 	ctxBuf []byte   // the answer's Context, reused by the slot's operations
@@ -206,23 +200,20 @@ func (c *clientConn) start(req Request) {
 		return
 	}
 	sl.state.Store(slotOp)
-	if resp, refused := s.refusal(req); refused {
-		c.answer(sl, resp)
+	if req.SLA > uint8(geo.Eventual) {
+		c.answer(sl, Response{Err: fmt.Sprintf("unknown SLA tier %d", req.SLA)})
 		return
 	}
 	shard := -1
-	switch s.cfg.Model {
-	case "quorum":
-		// One call on the key's shard loop, which names the operation (a
-		// request id from the shard's sequence) and either coordinates it
-		// or forwards it to the coordinator, retrying, hedging and failing
-		// over if that node is down. The context is the client's.
+	if s.qnode != nil {
+		// One call on the key's shard loop, where the node plans the
+		// operation and either coordinates it or forwards it to the
+		// coordinator. The context is the client's.
 		var err error
 		if sl.ctx, err = decodeContext(req.Context); err != nil {
 			c.answer(sl, Response{Err: err.Error()})
 			return
 		}
-		sl.tier, sl.r, sl.coord, sl.staleMs = s.slaRoute(req)
 		shard = s.qnode.Router().Shard(req.Key)
 	}
 	if !s.tcp.InvokeShard(s.cfg.ID, shard, sl.guarded) {
@@ -260,11 +251,11 @@ func (sl *opSlot) run(env transport.Env) {
 	case "quorum":
 		switch req.Op {
 		case "put":
-			s.qnode.CoordinatePut(env, sl.coord, req.Key, req.Value, sl.ctx, sl.quorumPut)
+			s.qnode.CoordinatePut(env, req.Key, req.Value, sl.ctx, sl.quorumPut)
 		case "del":
-			s.qnode.CoordinateDelete(env, sl.coord, req.Key, sl.ctx, sl.quorumPut)
+			s.qnode.CoordinateDelete(env, req.Key, sl.ctx, sl.quorumPut)
 		case "get":
-			s.qnode.CoordinateGet(env, sl.coord, req.Key, sl.r, sl.quorumGet)
+			s.qnode.CoordinateGet(env, req.Key, geo.Kind(req.SLA), req.BoundMs, sl.quorumGet)
 		}
 	case "session":
 		// Served in place under the floor the request's token sets.
@@ -280,28 +271,36 @@ func (sl *opSlot) run(env transport.Env) {
 // putDone answers a quorum put or delete with the context that covers
 // it, whether it failed or not.
 func (sl *opSlot) putDone(env transport.Env, r quorum.PutResult) {
-	resp := Response{OK: r.Err == nil, Zone: sl.c.s.cfg.Zone, Context: sl.context(r.Context)}
+	resp := Response{OK: true}
 	if r.Err != nil {
-		resp.Err = r.Err.Error()
+		resp = failed(r.Err)
 	}
+	resp.Zone, resp.Context = sl.c.s.cfg.Zone, sl.context(r.Context)
 	sl.finish(env, resp)
 }
 
 // getDone answers a quorum get at the tier delivered, with the context
 // of what it read.
 func (sl *opSlot) getDone(env transport.Env, r quorum.GetResult) {
-	resp := Response{Zone: sl.c.s.cfg.Zone}
+	resp := Response{OK: true, Found: len(r.Values) > 0, Values: r.Values, Tier: uint8(r.Tier), StaleMs: r.StaleMs}
 	if r.Err != nil {
-		resp.Err = r.Err.Error()
+		resp = failed(r.Err)
 	} else {
-		resp.OK, resp.Found, resp.Values = true, len(r.Values) > 0, r.Values
-		resp.Tier, resp.StaleMs = uint8(sl.tier), sl.staleMs
 		resp.Context = sl.context(r.Context)
 		if len(r.Values) > 0 {
 			resp.Value = r.Values[0]
 		}
 	}
+	resp.Zone = sl.c.s.cfg.Zone
 	sl.finish(env, resp)
+}
+
+// failed is the answer to a quorum operation that failed with err: NotOwner for a refusal.
+func failed(err error) Response {
+	if no, ok := err.(*quorum.NotOwnerError); ok {
+		return Response{Err: no.Error(), NotOwner: true, Epoch: no.Epoch, State: no.State}
+	}
+	return Response{Err: err.Error()}
 }
 
 // context encodes v into the slot's context buffer, for the answer: nil

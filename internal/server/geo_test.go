@@ -224,6 +224,19 @@ func TestClusterGeoBoundedStaleness(t *testing.T) {
 	}
 }
 
+// TestUnknownSLATierIsRefused: a request names its tier in one byte, and
+// every model refuses one it does not know, naming it, where the request
+// arrives, instead of serving it as some other tier.
+func TestUnknownSLATierIsRefused(t *testing.T) {
+	for _, model := range []string{"quorum", "gossip", "session"} {
+		c := dialNode(t, startCluster(t, model, 1, false)[0], "cli-"+model)
+		_, _, delivered, _, err := c.GetSLA("k", geo.Tier{Kind: 7})
+		if err == nil || !strings.Contains(err.Error(), "unknown SLA tier 7") {
+			t.Fatalf("%s: a get at tier 7 answered %v (tier %s), want it refused", model, err, delivered)
+		}
+	}
+}
+
 // TestGeoMetricsEndpoint: a zoned node exports the geo series — the
 // per-zone staleness gauge, replicator counters, and per-zone RTT.
 func TestGeoMetricsEndpoint(t *testing.T) {

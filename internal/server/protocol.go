@@ -35,7 +35,8 @@ type Request struct {
 	// Seq is the connection-local sequence number; the matching Response
 	// echoes it. A serial client can leave it zero.
 	Seq uint64
-	// Op is "put", "get", "del", or "status".
+	// Op is "put", "get" or "del", or one of the admin ops "status",
+	// "ring-status", "add-node" and "decommission".
 	Op    string
 	Key   string
 	Value []byte

@@ -11,13 +11,13 @@ import (
 	"repro/internal/resilience"
 )
 
-// Tests of where a quorum operation is coordinated (Server.coordinator):
+// Tests of where a quorum operation is coordinated (quorum.Node.Plan):
 // at the node the client reached when it holds a replica of the key, at
 // the key's ring owner when it does not, runs GeoAsync, or is catching up.
 
 // coordOf is the node s picks to coordinate op on key at the given tier.
 func coordOf(s *Server, op, key string, tier geo.Kind) string {
-	_, _, coord, _ := s.slaRoute(Request{Op: op, Key: key, SLA: uint8(tier)})
+	coord := s.qnode.Plan(op != "get", key, tier, 0).Coord
 	return coord
 }
 

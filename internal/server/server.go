@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/geo"
 	"repro/internal/gossip"
 	"repro/internal/lsm"
 	"repro/internal/metrics"
@@ -584,123 +583,4 @@ func (s *Server) admin(req Request) Response {
 		resp.Epoch, resp.State = ep.Seq, mode
 	}
 	return resp
-}
-
-// refusal is the typed refusal of a node that left the ring, or is
-// draining and req is a write: it redirects the client instead of
-// silently serving (or coordinating) against stale ownership.
-func (s *Server) refusal(req Request) (Response, bool) {
-	if s.qnode == nil {
-		return Response{}, false
-	}
-	ep, mode := s.qnode.State()
-	if mode == stateLeft || (mode == stateDraining && req.Op != "get") {
-		return Response{
-			Err:      fmt.Sprintf("node %s is %s; retry against a current member", s.cfg.ID, mode),
-			NotOwner: true,
-			Epoch:    ep.Seq,
-			State:    mode,
-		}, true
-	}
-	return Response{}, false
-}
-
-// slaRoute resolves a request's SLA tier into a plan: the tier actually
-// delivered, the per-request read-quorum override (0 keeps the
-// configured R), the coordinator (see coordinator), and the staleness
-// measurement that justified the decision.
-//
-//   - strong (or any write): a full R (or W) quorum.
-//   - eventual: an R=1 read coordinated inside this node's zone — local
-//     latency, reads may trail remote zones by the replicator lag.
-//   - bounded: the eventual plan while this node's measured staleness
-//     for every remote zone is within the bound; otherwise it escalates
-//     to strong. No measurement yet (boot) counts as over-bound.
-func (s *Server) slaRoute(req Request) (tier geo.Kind, rOverride int, coord string, staleMs int64) {
-	tier = geo.Kind(req.SLA)
-	if req.Op != "get" || tier == geo.Strong {
-		return geo.Strong, 0, s.coordinator(req.Key, false), 0
-	}
-	staleMs = s.maxRemoteStaleness()
-	if tier == geo.Bounded {
-		if staleMs < 0 || staleMs > req.BoundMs {
-			return geo.Strong, 0, s.coordinator(req.Key, false), staleMs
-		}
-		tier = geo.Eventual
-	}
-	return tier, 1, s.coordinator(req.Key, true), staleMs
-}
-
-// coordinator picks the node that coordinates an operation on key. The
-// rule is to coordinate where the client landed: this node, whenever it
-// is one of the key's replicas. Quorums intersect whichever replica
-// coordinates, a write's dot is (this node, request id) whichever node
-// coordinates it, and dual-apply, hints, read repair and the
-// redirects of a draining or departed node run wherever the operation
-// does. The key's ring owner coordinates instead in three cases:
-//
-//   - this node is not a replica of the key (N < cluster size);
-//   - GeoAsync is on and the operation is a write or a strong read: a
-//     write acks on its coordinator's zone's sub-quorum, so a strong read
-//     is fresh only because writes and strong reads of a key meet at the
-//     one owner;
-//   - this node is catching up: its own replica would refuse the read (not ready).
-//
-// An eventual read (inZone) keeps to the zone instead: this node if it
-// is a replica, else the first replica in its zone, else the owner.
-func (s *Server) coordinator(key string, inZone bool) string {
-	prefs := s.qnode.PreferenceList(key)
-	if len(prefs) == 0 {
-		return s.cfg.ID
-	}
-	local := slices.Contains(prefs, s.cfg.ID)
-	switch {
-	case inZone:
-		if local {
-			return s.cfg.ID
-		}
-		r := s.Ring()
-		for _, p := range prefs {
-			if r.ZoneOf(p) == s.cfg.Zone {
-				return p
-			}
-		}
-	case local && !s.cfg.GeoAsync && !s.qnode.CatchingUp():
-		return s.cfg.ID
-	}
-	return prefs[0]
-}
-
-// maxRemoteStaleness reports the worst measured replication staleness
-// across this node's remote zones (those the installed epoch names), in
-// milliseconds. 0 when the cluster is unzoned (nothing is remote); -1
-// when some remote zone has no measurement yet — the conservative answer
-// while beacons warm up.
-func (s *Server) maxRemoteStaleness() int64 {
-	zones := s.Ring().Zones()
-	remote := false
-	for _, z := range zones {
-		if z != s.cfg.Zone {
-			remote = true
-			break
-		}
-	}
-	if !remote {
-		return 0
-	}
-	st := s.qnode.GeoStaleness()
-	var max int64
-	for _, z := range zones {
-		if z == s.cfg.Zone {
-			continue
-		}
-		ms, ok := st[z]
-		if !ok {
-			return -1
-		}
-		if ms > max {
-			max = ms
-		}
-	}
-	return max
 }
