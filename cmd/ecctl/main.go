@@ -601,7 +601,7 @@ func cmdAddNode(args []string) error {
 	deadline := time.Now().Add(*timeout)
 	lastDone := -1
 	for {
-		rs, err := jc.RingStatus()
+		rs, _, err := jc.Status()
 		if err == nil {
 			if rs.State == "ok" {
 				fmt.Printf("add-node: %s caught up at epoch %d; cluster is %d nodes\n", id, rs.Epoch, len(rs.Members))
@@ -656,7 +656,7 @@ func cmdDecommission(args []string) error {
 	deadline := time.Now().Add(*timeout)
 	lastState := ""
 	for {
-		rs, err := c.RingStatus()
+		rs, _, err := c.Status()
 		if err == nil {
 			if rs.State == "left" {
 				fmt.Printf("decommission: %s left at epoch %d; survivors hold every arc\n", id, rs.Epoch)
@@ -705,90 +705,77 @@ func cmdStatus(args []string) error {
 			fmt.Printf("%-8s DOWN (%v)\n", id, err)
 			continue
 		}
-		var h struct {
-			Model        string           `json:"model"`
-			State        string           `json:"state"`
-			Epoch        uint64           `json:"epoch"`
-			Uptime       string           `json:"uptime"`
-			Suspect      []string         `json:"suspected_peers"`
-			Zone         string           `json:"zone"`
-			GeoStaleness map[string]int64 `json:"geo_staleness_ms"`
-			GeoQueue     int              `json:"geo_queue"`
-		}
+		var h server.Status
 		err = json.NewDecoder(resp.Body).Decode(&h)
 		resp.Body.Close()
 		if err != nil {
 			fmt.Printf("%-8s ERROR (%v)\n", id, err)
 			continue
 		}
-		line := fmt.Sprintf("%-8s UP model=%s uptime=%s", id, h.Model, h.Uptime)
-		if h.Zone != "" {
-			line += " zone=" + h.Zone
-		}
-		if h.State != "" {
-			line += fmt.Sprintf(" state=%s epoch=%d", h.State, h.Epoch)
-		}
-		if len(h.Suspect) > 0 {
-			line += " suspects=" + strings.Join(h.Suspect, ",")
-		}
-		if len(h.GeoStaleness) > 0 {
-			// Cross-zone replication lag as seen from this node: worst
-			// acked high-water age per remote zone.
-			zs := make([]string, 0, len(h.GeoStaleness))
-			for z := range h.GeoStaleness {
-				zs = append(zs, z)
-			}
-			sort.Strings(zs)
-			parts := make([]string, len(zs))
-			for i, z := range zs {
-				parts[i] = fmt.Sprintf("%s:%dms", z, h.GeoStaleness[z])
-			}
-			line += " geo-lag=" + strings.Join(parts, ",")
-			if h.GeoQueue > 0 {
-				line += fmt.Sprintf(" geo-queue=%d", h.GeoQueue)
-			}
-		}
-		if m, err := scrapeMetrics(st.HTTP[id]); err == nil {
-			if _, durable := m["ec_wal_last_seq"]; durable {
-				line += fmt.Sprintf(" ckpt=%d wal=%s", uint64(m["ec_wal_checkpoint_seq"]), fmtBytes(m["ec_wal_disk_bytes"]))
-				if r := m["ec_wal_records_replayed_total"]; r > 0 {
-					line += fmt.Sprintf(" replayed=%d", uint64(r))
-				}
-			}
-			if _, lsmOn := m["ec_lsm_sstables"]; lsmOn {
-				line += fmt.Sprintf(" lsm=%s/%dsst", fmtBytes(m["ec_lsm_disk_bytes"]), uint64(m["ec_lsm_sstables"]))
-			}
-			if p := m["ec_transfer_ranges_pending"]; p > 0 {
-				line += fmt.Sprintf(" transfer-pending=%d", uint64(p))
-			}
-			if r := m["ec_transfer_ranges_total"]; r > 0 {
-				line += fmt.Sprintf(" transferred-ranges=%d", uint64(r))
-			}
-		}
-		if c, err := server.Dial(st.Peers[id], "ecctl-status"); err == nil {
-			if rs, err := c.RingStatus(); err == nil {
-				if rs.Shards > 0 {
-					line += fmt.Sprintf(" shards=%d", rs.Shards)
-				}
-				// Lane 0 is the serial control loop; lanes 1..S are the
-				// execution shards that replayed keyed records in parallel.
-				var replayed uint64
-				for _, n := range rs.ReplayedByLane {
-					replayed += n
-				}
-				if replayed > 0 && len(rs.ReplayedByLane) > 1 {
-					parts := make([]string, len(rs.ReplayedByLane))
-					for i, n := range rs.ReplayedByLane {
-						parts[i] = fmt.Sprintf("%d", n)
-					}
-					line += fmt.Sprintf(" replayed-by-lane=%s", strings.Join(parts, "/"))
-				}
-			}
-			c.Close()
-		}
-		fmt.Println(line)
+		m, _ := scrapeMetrics(st.HTTP[id]) // nil when unreadable: the line leaves its figures out
+		fmt.Println(statusLine(id, h, m))
 	}
 	return nil
+}
+
+// statusLine is node id's line of `ecctl status`, from its Status and the
+// un-labelled series of its /metrics.
+func statusLine(id string, h server.Status, m map[string]float64) string {
+	line := fmt.Sprintf("%-8s UP model=%s uptime=%s", id, h.Model, h.Uptime)
+	if h.Zone != "" {
+		line += " zone=" + h.Zone
+	}
+	if h.State != "" {
+		line += fmt.Sprintf(" state=%s epoch=%d", h.State, h.Epoch)
+	}
+	if len(h.Suspect) > 0 {
+		line += " suspects=" + strings.Join(h.Suspect, ",")
+	}
+	if len(h.GeoStalenessMs) > 0 {
+		// Cross-zone replication lag as seen from this node: worst
+		// acked high-water age per remote zone.
+		zs := make([]string, 0, len(h.GeoStalenessMs))
+		for z := range h.GeoStalenessMs {
+			zs = append(zs, z)
+		}
+		sort.Strings(zs)
+		parts := make([]string, len(zs))
+		for i, z := range zs {
+			parts[i] = fmt.Sprintf("%s:%dms", z, h.GeoStalenessMs[z])
+		}
+		line += " geo-lag=" + strings.Join(parts, ",")
+		if h.GeoQueue > 0 {
+			line += fmt.Sprintf(" geo-queue=%d", h.GeoQueue)
+		}
+	}
+	if _, durable := m["ec_wal_last_seq"]; durable {
+		line += fmt.Sprintf(" ckpt=%d wal=%s", uint64(m["ec_wal_checkpoint_seq"]), fmtBytes(m["ec_wal_disk_bytes"]))
+		if r := m["ec_wal_records_replayed_total"]; r > 0 {
+			line += fmt.Sprintf(" replayed=%d", uint64(r))
+		}
+	}
+	if _, lsmOn := m["ec_lsm_sstables"]; lsmOn {
+		line += fmt.Sprintf(" lsm=%s/%dsst", fmtBytes(m["ec_lsm_disk_bytes"]), uint64(m["ec_lsm_sstables"]))
+	}
+	if p := m["ec_transfer_ranges_pending"]; p > 0 {
+		line += fmt.Sprintf(" transfer-pending=%d", uint64(p))
+	}
+	if r := m["ec_transfer_ranges_total"]; r > 0 {
+		line += fmt.Sprintf(" transferred-ranges=%d", uint64(r))
+	}
+	if h.Shards > 0 {
+		line += fmt.Sprintf(" shards=%d", h.Shards)
+	}
+	// Lane 0 is the serial control loop; lanes 1..S are the execution
+	// shards that replayed keyed records in parallel.
+	if m["ec_wal_records_replayed_total"] > 0 && len(h.ReplayedByLane) > 1 {
+		parts := make([]string, len(h.ReplayedByLane))
+		for i, n := range h.ReplayedByLane {
+			parts[i] = fmt.Sprintf("%d", n)
+		}
+		line += fmt.Sprintf(" replayed-by-lane=%s", strings.Join(parts, "/"))
+	}
+	return line
 }
 
 // scrapeMetrics fetches a node's /metrics and returns the un-labelled

@@ -205,13 +205,11 @@ func (n *Node) geoRestoreAck(peer string, seq uint64) {
 
 // GeoStaleness returns, per remote zone, the measured staleness in
 // milliseconds: local wall clock minus the zone's last received
-// high-water timestamp. Zones never heard from are absent.
+// high-water timestamp. Zones never heard from are absent; the map is
+// never nil.
 func (n *Node) GeoStaleness() map[string]int64 {
 	n.geoMu.Lock()
 	defer n.geoMu.Unlock()
-	if len(n.zoneHigh) == 0 {
-		return nil
-	}
 	now := nowMs()
 	out := make(map[string]int64, len(n.zoneHigh))
 	for z, h := range n.zoneHigh {

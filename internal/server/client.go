@@ -307,38 +307,29 @@ func (c *Client) Delete(key string) error {
 	return err
 }
 
-// Status asks the node which model it runs.
-func (c *Client) Status() (node, model string, err error) {
+// Status fetches the node's status document: the Status, and the JSON
+// it came as.
+func (c *Client) Status() (Status, []byte, error) {
 	resp, err := c.do(Request{Op: "status"}, false)
 	if err != nil {
-		return "", "", err
+		return Status{}, nil, err
 	}
-	return resp.Node, resp.Model, nil
+	var st Status
+	if err := json.Unmarshal(resp.Value, &st); err != nil {
+		return Status{}, nil, fmt.Errorf("server: status payload: %w", err)
+	}
+	return st, resp.Value, nil
 }
 
 // NotOwnerError is the typed refusal a node returns once it no longer
 // owns client traffic. Callers redirect to a node still in the membership
-// (see RingStatus).
+// (see Status.Members).
 type NotOwnerError = quorum.NotOwnerError
-
-// RingStatus fetches the node's membership view: epoch, state, member
-// list, and transfer progress (quorum model only).
-func (c *Client) RingStatus() (RingStatus, error) {
-	resp, err := c.do(Request{Op: "ring-status"}, false)
-	if err != nil {
-		return RingStatus{}, err
-	}
-	var st RingStatus
-	if err := json.Unmarshal(resp.Value, &st); err != nil {
-		return RingStatus{}, fmt.Errorf("server: ring-status payload: %w", err)
-	}
-	return st, nil
-}
 
 // AddNode asks this node to coordinate a live join: admit id (listening
 // on addr) into the membership and start streaming its arcs. Returns
 // once every member has acked the new epoch; catch-up progress is
-// observed via RingStatus on the joiner.
+// observed via Status on the joiner.
 func (c *Client) AddNode(id, addr string) error {
 	return c.AddNodeZone(id, addr, "")
 }
@@ -352,7 +343,7 @@ func (c *Client) AddNodeZone(id, addr, zone string) error {
 
 // Decommission starts this node's graceful exit: drain hints, stop
 // minting, hand every owned arc to the survivors. Returns once the
-// drain is underway; poll RingStatus until State is "left" before
+// drain is underway; poll Status until State is "left" before
 // stopping the process.
 func (c *Client) Decommission() error {
 	_, err := c.do(Request{Op: "decommission"}, false)

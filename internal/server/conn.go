@@ -184,22 +184,24 @@ func (c *clientConn) start(req Request) {
 	s := c.s
 	sl := c.slot()
 	sl.req, sl.start = req, time.Now()
+	o, known := ops[req.Op]
+	if !known {
+		o.counter = "server.requests.unknown"
+	}
 	s.statMu.Lock()
-	s.reqCount.Inc(requestCounter(req.Op))
+	s.reqCount.Inc(o.counter)
 	s.statMu.Unlock()
-	switch req.Op {
-	case "put", "get", "del":
-	case "status", "ring-status", "add-node", "decommission":
+	if o.admin != nil {
 		sl.state.Store(slotAdmin)
 		// Passed, not captured: capturing a Request moves every one to the heap.
-		go func(req Request) { c.answer(sl, s.admin(req)) }(req)
-		return
-	default:
-		sl.state.Store(slotOp)
-		c.answer(sl, Response{Err: fmt.Sprintf("unknown op %q", req.Op)})
+		go func(req Request, admin func(*Server, Request) Response) { c.answer(sl, admin(s, req)) }(req, o.admin)
 		return
 	}
 	sl.state.Store(slotOp)
+	if !known {
+		c.answer(sl, Response{Err: fmt.Sprintf("unknown op %q", req.Op)})
+		return
+	}
 	if req.SLA > uint8(geo.Eventual) {
 		c.answer(sl, Response{Err: fmt.Sprintf("unknown SLA tier %d", req.SLA)})
 		return

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"encoding/json"
 	"time"
 
-	"repro/internal/quorum"
 	"repro/internal/transport"
 )
 
@@ -14,60 +12,10 @@ import (
 // admin operation is one call of a node entry point on the node's serial
 // loop, through the ack barrier like any other invocation of the node.
 
-// Node elasticity states, as reported by /healthz and `ecctl status`.
-const (
-	stateOK       = quorum.StateOK
-	stateDraining = quorum.StateDraining
-	stateLeft     = quorum.StateLeft
-)
-
-// RingStatus is the JSON payload of the "ring-status" client op, the
-// view `ecctl status` and the elasticity tests poll.
-type RingStatus struct {
-	Node          string   `json:"node"`
-	State         string   `json:"state"`
-	Epoch         uint64   `json:"epoch"`
-	Members       []string `json:"members"`
-	TransferDone  int      `json:"transfer_done"`
-	TransferTotal int      `json:"transfer_total"`
-	PendingHints  int      `json:"pending_hints"`
-	// Zone is the node's declared zone ("" = unzoned).
-	Zone string `json:"zone,omitempty"`
-	// Shards is the node's execution shard count: its shard loops.
-	Shards int `json:"shards,omitempty"`
-	// ReplayedByLane reports how many WAL records boot recovery replayed
-	// on each parallel replay lane: index 0 is the serial lane, 1+k is
-	// shard k. Empty when the node is not durable or replayed nothing.
-	ReplayedByLane []uint64 `json:"replayed_by_lane,omitempty"`
-}
-
-func (s *Server) handleRingStatus() Response {
-	if s.qnode == nil {
-		return Response{Err: "elasticity requires the quorum model"}
-	}
-	ep, mode := s.qnode.State()
-	done, total := s.qnode.CatchUpProgress(ep.Seq)
-	st := RingStatus{
-		Node: s.cfg.ID, State: mode, Epoch: ep.Seq, Members: ep.Ring.Members(),
-		TransferDone: done, TransferTotal: total,
-		PendingHints: s.qnode.PendingHints(), // lock-guarded: no loop to visit
-		Zone:         s.cfg.Zone,
-		Shards:       s.qnode.Shards(),
-	}
-	if s.dur != nil {
-		st.ReplayedByLane = s.dur.LaneReplayed()
-	}
-	b, err := json.Marshal(st)
-	if err != nil {
-		return Response{Err: err.Error()}
-	}
-	return Response{OK: true, Value: b, Epoch: ep.Seq, State: mode}
-}
-
 // handleAddNode coordinates a join: Key is the new node's id, Value its
 // peer-link address. OK is answered once every member (including the
 // joiner) has acked the new epoch and the transfer has been released;
-// catch-up progress is then polled via ring-status on the joiner.
+// catch-up progress is then polled via the joiner's status.
 func (s *Server) handleAddNode(req Request) Response {
 	id, addr := req.Key, string(req.Value)
 	if id == "" || addr == "" {
@@ -81,9 +29,9 @@ func (s *Server) handleAddNode(req Request) Response {
 }
 
 // handleDecommission starts this node's graceful exit. OK means the
-// drain is underway; the caller polls ring-status until State is
+// drain is underway; the caller polls the node's status until State is
 // "left" before stopping the process.
-func (s *Server) handleDecommission() Response {
+func (s *Server) handleDecommission(Request) Response {
 	return s.membershipOp("decommission timed out", func(env transport.Env, answer func(error)) {
 		answer(s.qnode.Decommission(env))
 	})

@@ -40,13 +40,13 @@ func joinerConfig(t *testing.T, base Config, id, addr string, seed int64) Config
 
 // waitRingState polls a node's ring-status until it reports the given
 // state, failing the test at the deadline.
-func waitRingState(t *testing.T, c *Client, id, want string, d time.Duration) RingStatus {
+func waitRingState(t *testing.T, c *Client, id, want string, d time.Duration) Status {
 	t.Helper()
 	deadline := time.Now().Add(d)
-	var last RingStatus
+	var last Status
 	var lastErr error
 	for time.Now().Before(deadline) {
-		rs, err := c.RingStatus()
+		rs, _, err := c.Status()
 		if err == nil {
 			last = rs
 			if rs.State == want {
@@ -57,7 +57,7 @@ func waitRingState(t *testing.T, c *Client, id, want string, d time.Duration) Ri
 		time.Sleep(50 * time.Millisecond)
 	}
 	t.Fatalf("%s never reached state %q (last %+v, err %v)", id, want, last, lastErr)
-	return RingStatus{}
+	return Status{}
 }
 
 // movedFraction samples how much primary ownership differs between two
@@ -159,7 +159,7 @@ func TestScaleOutUnderLoadZeroLostAckedWrites(t *testing.T) {
 		jc := dialNode(t, js, "join-"+id)
 		deadline := time.Now().Add(60 * time.Second)
 		for {
-			rs, err := jc.RingStatus()
+			rs, _, err := jc.Status()
 			if err == nil && rs.State == stateOK {
 				if len(rs.Members) != idx+1 {
 					t.Fatalf("%s settled with %d members, want %d", id, len(rs.Members), idx+1)
@@ -395,9 +395,9 @@ func TestJoinerKilledMidTransferResumes(t *testing.T) {
 	// few more keys into the open window, then kill the joiner.
 	jc := dialNode(t, js, "watch")
 	deadline := time.Now().Add(60 * time.Second)
-	var mid RingStatus
+	var mid Status
 	for {
-		rs, err := jc.RingStatus()
+		rs, _, err := jc.Status()
 		if err == nil && rs.State == stateOK {
 			t.Fatal("transfer finished before the kill; lower TransferRate")
 		}
@@ -436,10 +436,10 @@ func TestJoinerKilledMidTransferResumes(t *testing.T) {
 	// The restarted node boots at epoch 0 and learns the open epoch from
 	// a peer's ring pull — wait for it to install AND finish catch-up.
 	jc2 := dialNode(t, js2, "watch2")
-	var final RingStatus
+	var final Status
 	resumeDeadline := time.Now().Add(90 * time.Second)
 	for {
-		rs, err := jc2.RingStatus()
+		rs, _, err := jc2.Status()
 		if err == nil && rs.Epoch == 1 && rs.State == stateOK {
 			final = rs
 			break

@@ -29,76 +29,14 @@ func (s *Server) startHTTP(addr string) error {
 	return nil
 }
 
-// peerHealth is one peer's entry in the /healthz view: this node's
-// failure-detector opinion plus measured round-trip latency.
-type peerHealth struct {
-	ID       string  `json:"id"`
-	Phi      float64 `json:"phi"`
-	Suspect  bool    `json:"suspect"`
-	RTTp50Ms float64 `json:"rtt_p50_ms"`
-	RTTp99Ms float64 `json:"rtt_p99_ms"`
-}
-
-// healthz is the /healthz response body. State distinguishes a node
-// that answers but is not yet (or no longer) serving its full share:
-// "catching-up" while a joiner streams its arcs in, "draining"/"left"
-// through a decommission, "ok" otherwise.
-type healthz struct {
-	ID      string       `json:"id"`
-	Model   string       `json:"model"`
-	OK      bool         `json:"ok"`
-	State   string       `json:"state,omitempty"`
-	Epoch   uint64       `json:"epoch,omitempty"`
-	Uptime  string       `json:"uptime"`
-	Peers   []peerHealth `json:"peers"`
-	Suspect []string     `json:"suspected_peers"`
-	// Zone is the node's declared zone; GeoStalenessMs the measured
-	// replication lag behind each remote zone; GeoQueue the entries
-	// retained for asynchronous cross-zone shipment.
-	Zone           string           `json:"zone,omitempty"`
-	GeoStalenessMs map[string]int64 `json:"geo_staleness_ms,omitempty"`
-	GeoQueue       int              `json:"geo_queue,omitempty"`
-}
-
-// serveHealthz reports this node's view of the cluster: its own
-// liveness (trivially true if it answered) and the phi-accrual verdict
-// on every peer. Killing a node shows up here on the survivors within a
-// few heartbeat intervals.
+// serveHealthz reports the node's Status: its own liveness (trivially
+// true if it answered) and the phi-accrual verdict on every peer. Killing
+// a node shows up here on the survivors within a few heartbeat intervals.
 func (s *Server) serveHealthz(w http.ResponseWriter, _ *http.Request) {
-	now := s.tcp.Now()
-	h := healthz{ID: s.cfg.ID, Model: s.cfg.Model, OK: true, Uptime: now.Round(time.Millisecond).String()}
-	cur := s.ring // a quorum node's is its epoch's, loaded once below
-	if s.qnode != nil {
-		ep, mode := s.qnode.State()
-		h.State, h.Epoch = mode, ep.Seq
-		h.OK = mode == stateOK
-		cur = ep.Ring
-	}
-	h.Zone = s.cfg.Zone
-	if s.qnode != nil && len(cur.Zones()) > 0 {
-		h.GeoStalenessMs = s.qnode.GeoStaleness()
-		h.GeoQueue, _ = s.qnode.GeoQueue()
-	}
-	for _, peer := range cur.Members() {
-		if peer == s.cfg.ID {
-			continue
-		}
-		ph := peerHealth{
-			ID:       peer,
-			Phi:      s.dir.Phi(s.cfg.ID, peer, now),
-			Suspect:  s.dir.Suspects(s.cfg.ID, peer, now),
-			RTTp50Ms: float64(s.tcp.RTTQuantile(peer, 0.50)) / float64(time.Millisecond),
-			RTTp99Ms: float64(s.tcp.RTTQuantile(peer, 0.99)) / float64(time.Millisecond),
-		}
-		h.Peers = append(h.Peers, ph)
-		if ph.Suspect {
-			h.Suspect = append(h.Suspect, peer)
-		}
-	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(h)
+	enc.Encode(s.status())
 }
 
 // serveMetrics renders Prometheus text exposition format from the
@@ -107,11 +45,14 @@ func (s *Server) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 // but the format is the standard one, so any Prometheus scrapes it.
 func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	var b strings.Builder
-	now := s.tcp.Now()
+	status := s.status()
 	st := s.tcp.Stats()
 
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	}
+	gauge := func(name, help string, v uint64) {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
 	counter("ec_transport_messages_sent_total", "Protocol messages sent by local actors.", st.MessagesSent)
 	counter("ec_transport_messages_delivered_total", "Protocol messages delivered to local actors.", st.MessagesDelivered)
@@ -156,9 +97,6 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("ec_wal_fsyncs_total", "fsync calls issued by the write-ahead log.", st.Syncs)
 		counter("ec_wal_records_replayed_total", "WAL records replayed during crash recovery at boot.", s.dur.Replayed())
 		counter("ec_wal_persist_failures_total", "Journal appends or durability waits that failed; the acks they gated were dropped.", s.dur.Failures())
-		gauge := func(name, help string, v uint64) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-		}
 		commits := st.GroupCommits
 		if commits == 0 {
 			commits = 1
@@ -187,12 +125,9 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 			agg.BlockReads += st.BlockReads
 			agg.ReadErrors += st.ReadErrors
 		}
-		lsmGauge := func(name, help string, v uint64) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-		}
-		lsmGauge("ec_lsm_sstables", "Immutable SSTable runs across all storage shards.", uint64(agg.SSTables))
-		lsmGauge("ec_lsm_disk_bytes", "On-disk footprint of the LSM storage engine.", uint64(agg.DiskBytes))
-		lsmGauge("ec_lsm_memtable_bytes", "Resident size of the mutable memtables.", uint64(agg.MemtableBytes))
+		gauge("ec_lsm_sstables", "Immutable SSTable runs across all storage shards.", uint64(agg.SSTables))
+		gauge("ec_lsm_disk_bytes", "On-disk footprint of the LSM storage engine.", uint64(agg.DiskBytes))
+		gauge("ec_lsm_memtable_bytes", "Resident size of the mutable memtables.", uint64(agg.MemtableBytes))
 		counter("ec_lsm_flushes_total", "Memtable flushes to SSTables.", agg.Flushes)
 		counter("ec_lsm_flush_errors_total", "Memtable flushes that failed; the memtable is kept and the flush retried after another threshold's worth of writes.", agg.FlushErrors)
 		counter("ec_lsm_compactions_total", "Size-tiered SSTable merges.", agg.Compactions)
@@ -201,12 +136,8 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("ec_lsm_read_errors_total", "IO or checksum errors swallowed on the LSM read path.", agg.ReadErrors)
 	}
 
-	cur := s.ring // a quorum node's is its epoch's, loaded once below
-	if s.qnode != nil {
-		ep, mode := s.qnode.State()
-		cur = ep.Ring
-		done, total := s.qnode.CatchUpProgress(ep.Seq)
-		t := &s.qnode.Transfer
+	if q := s.qnode; q != nil {
+		t := &q.Transfer
 		fmt.Fprintf(&b, "# HELP ec_transfer_bytes_total Bytes moved by elasticity arc transfers, by direction.\n# TYPE ec_transfer_bytes_total counter\n")
 		fmt.Fprintf(&b, "ec_transfer_bytes_total{direction=\"in\"} %d\n", t.BytesIn.Load())
 		fmt.Fprintf(&b, "ec_transfer_bytes_total{direction=\"out\"} %d\n", t.BytesOut.Load())
@@ -214,28 +145,17 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("ec_transfer_throttle_waits_total", "Transfer batches delayed by the source's token bucket.", t.ThrottleWaits.Load())
 		counter("ec_transfer_gated_reads_total", "Replica reads refused because the key's range was still in flight.", t.GatedReads.Load())
 		counter("ec_transfer_not_owner_total", "Replica writes refused for stale epoch ownership.", t.NotOwnerSeen.Load())
-		fmt.Fprintf(&b, "# HELP ec_ring_epoch Membership epoch this node has installed.\n# TYPE ec_ring_epoch gauge\nec_ring_epoch %d\n", ep.Seq)
-		stateVal := 0
-		if mode == stateOK {
-			stateVal = 1
-		}
-		fmt.Fprintf(&b, "# HELP ec_ring_ok Whether the node is a fully serving member (0 while catching-up, draining, or left).\n# TYPE ec_ring_ok gauge\nec_ring_ok %d\n", stateVal)
-		fmt.Fprintf(&b, "# HELP ec_transfer_ranges_pending Arc ranges still in flight for the open epoch.\n# TYPE ec_transfer_ranges_pending gauge\nec_transfer_ranges_pending %d\n", total-done)
+		gauge("ec_ring_epoch", "Membership epoch this node has installed.", status.Epoch)
+		gauge("ec_ring_ok", "Whether the node is a fully serving member (0 while catching-up, draining, or left).", bit(status.OK))
+		gauge("ec_transfer_ranges_pending", "Arc ranges still in flight for the open epoch.", uint64(status.TransferTotal-status.TransferDone))
 	}
 
-	if s.qnode != nil && len(cur.Zones()) > 0 {
-		st := s.qnode.GeoStaleness()
-		zs := make([]string, 0, len(st))
-		for z := range st {
-			zs = append(zs, z)
-		}
-		sort.Strings(zs)
+	if status.GeoStalenessMs != nil { // a zoned quorum node
 		fmt.Fprintf(&b, "# HELP ec_geo_staleness_ms Measured replication staleness behind each remote zone (from the cross-zone replicator's high-water timestamps).\n# TYPE ec_geo_staleness_ms gauge\n")
-		for _, z := range zs {
-			fmt.Fprintf(&b, "ec_geo_staleness_ms{zone=%q} %d\n", z, st[z])
+		for _, z := range sortedKeys(status.GeoStalenessMs) {
+			fmt.Fprintf(&b, "ec_geo_staleness_ms{zone=%q} %d\n", z, status.GeoStalenessMs[z])
 		}
-		total, _ := s.qnode.GeoQueue()
-		fmt.Fprintf(&b, "# HELP ec_geo_queue_depth Entries retained for asynchronous cross-zone shipment.\n# TYPE ec_geo_queue_depth gauge\nec_geo_queue_depth %d\n", total)
+		gauge("ec_geo_queue_depth", "Entries retained for asynchronous cross-zone shipment.", uint64(status.GeoQueue))
 		counter("ec_geo_shipped_total", "Entries shipped to cross-zone replicas by the async replicator.", atomic.LoadUint64(&s.qnode.GeoShipped))
 		counter("ec_geo_acked_total", "Cross-zone shipments acknowledged by their receivers.", atomic.LoadUint64(&s.qnode.GeoAcked))
 		counter("ec_geo_resends_total", "Cross-zone batches re-shipped after an ack timeout.", atomic.LoadUint64(&s.qnode.GeoResends))
@@ -243,24 +163,15 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 
 		// Worst heartbeat p99 toward each zone: the latency-class view the
 		// SLA picker trades against.
-		zoneRTT := map[string]time.Duration{}
-		for _, p := range cur.Members() {
-			if p == s.cfg.ID {
-				continue
-			}
-			z := cur.ZoneOf(p)
-			if rtt := s.tcp.RTTQuantile(p, 0.99); rtt > zoneRTT[z] {
-				zoneRTT[z] = rtt
+		zoneRTT := map[string]float64{}
+		for _, p := range status.Peers {
+			if rtt := p.RTTp99Ms / 1e3; rtt > zoneRTT[p.Zone] {
+				zoneRTT[p.Zone] = rtt
 			}
 		}
-		rzs := make([]string, 0, len(zoneRTT))
-		for z := range zoneRTT {
-			rzs = append(rzs, z)
-		}
-		sort.Strings(rzs)
 		fmt.Fprintf(&b, "# HELP ec_zone_rtt_seconds Worst peer heartbeat round-trip p99 per zone.\n# TYPE ec_zone_rtt_seconds gauge\n")
-		for _, z := range rzs {
-			fmt.Fprintf(&b, "ec_zone_rtt_seconds{zone=%q} %g\n", z, zoneRTT[z].Seconds())
+		for _, z := range sortedKeys(zoneRTT) {
+			fmt.Fprintf(&b, "ec_zone_rtt_seconds{zone=%q} %g\n", z, zoneRTT[z])
 		}
 	}
 
@@ -275,30 +186,37 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 
-	peers := make([]string, 0, cur.Size())
-	for _, p := range cur.Members() {
-		if p != s.cfg.ID {
-			peers = append(peers, p)
-		}
-	}
-	sort.Strings(peers)
 	fmt.Fprintf(&b, "# HELP ec_peer_phi Phi-accrual suspicion of each peer (threshold %g).\n# TYPE ec_peer_phi gauge\n", s.policy.PhiThreshold)
-	for _, p := range peers {
-		fmt.Fprintf(&b, "ec_peer_phi{peer=%q} %g\n", p, s.dir.Phi(s.cfg.ID, p, now))
+	for _, p := range status.Peers {
+		fmt.Fprintf(&b, "ec_peer_phi{peer=%q} %g\n", p.ID, p.Phi)
 	}
 	fmt.Fprintf(&b, "# HELP ec_peer_suspect Whether phi exceeds the threshold.\n# TYPE ec_peer_suspect gauge\n")
-	for _, p := range peers {
-		v := 0
-		if s.dir.Suspects(s.cfg.ID, p, now) {
-			v = 1
-		}
-		fmt.Fprintf(&b, "ec_peer_suspect{peer=%q} %d\n", p, v)
+	for _, p := range status.Peers {
+		fmt.Fprintf(&b, "ec_peer_suspect{peer=%q} %d\n", p.ID, bit(p.Suspect))
 	}
 	fmt.Fprintf(&b, "# HELP ec_peer_rtt_seconds Heartbeat round-trip p99 per peer.\n# TYPE ec_peer_rtt_seconds gauge\n")
-	for _, p := range peers {
-		fmt.Fprintf(&b, "ec_peer_rtt_seconds{peer=%q} %g\n", p, s.tcp.RTTQuantile(p, 0.99).Seconds())
+	for _, p := range status.Peers {
+		fmt.Fprintf(&b, "ec_peer_rtt_seconds{peer=%q} %g\n", p.ID, p.RTTp99Ms/1e3)
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	w.Write([]byte(b.String()))
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// bit is 1 for true, 0 for false.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

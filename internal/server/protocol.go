@@ -35,8 +35,7 @@ type Request struct {
 	// Seq is the connection-local sequence number; the matching Response
 	// echoes it. A serial client can leave it zero.
 	Seq uint64
-	// Op is "put", "get" or "del", or one of the admin ops "status",
-	// "ring-status", "add-node" and "decommission".
+	// Op names the operation, one the ops table lists (server.go).
 	Op    string
 	Key   string
 	Value []byte
@@ -79,15 +78,13 @@ type Response struct {
 	// it came, if the operation timed out); the client joins it into its
 	// own and echoes that on its next request (possibly elsewhere).
 	Token session.Token
-	// Node is the id of the node that served the operation; Model its
-	// consistency model (set on "status").
-	Node  string
-	Model string
+	// Node is the id of the node that served the operation.
+	Node string
 	// NotOwner marks a typed ownership refusal: this node has left the
 	// ring (or is draining of writes) under membership epoch Epoch, and
 	// the client should retry against a current member. State is the
 	// node's elasticity state ("ok", "catching-up", "draining", "left");
-	// it also rides on "status"/"ring-status" answers.
+	// it also rides on the answers of "add-node" and "decommission".
 	Epoch    uint64
 	State    string
 	NotOwner bool
@@ -154,7 +151,6 @@ func (m Response) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendVector(dst, m.Token.Read)
 	dst = wire.AppendVector(dst, m.Token.Write)
 	dst = wire.AppendString(dst, m.Node)
-	dst = wire.AppendString(dst, m.Model)
 	dst = wire.AppendBool(dst, m.NotOwner)
 	dst = wire.AppendUvarint(dst, m.Epoch)
 	dst = wire.AppendString(dst, m.State)
@@ -194,7 +190,6 @@ func init() {
 		}
 		m.Token = session.Token{Read: r.Vector(), Write: r.Vector()}
 		m.Node = r.ID()
-		m.Model = r.String()
 		m.NotOwner = r.Bool()
 		m.Epoch = r.Uvarint()
 		m.State = r.String()

@@ -58,7 +58,6 @@ func genMsgs(g *wiretest.Gen) []transport.Message {
 			Values:   g.ByteSlices(),
 			Token:    session.Token{Read: g.Vector(), Write: g.Vector()},
 			Node:     g.Str(),
-			Model:    g.Str(),
 			NotOwner: g.Bool(),
 			Epoch:    g.Uint64(),
 			State:    g.Str(),

@@ -164,32 +164,39 @@ func (c Config) validate() error {
 	if _, ok := c.Peers[c.ID]; !ok {
 		return fmt.Errorf("server: Config.Peers must contain own id %q", c.ID)
 	}
-	if c.Joining && c.Model != "quorum" {
-		return fmt.Errorf("server: Joining requires the quorum model, not %q", c.Model)
+	switch c.Model {
+	case "quorum":
+	case "gossip", "session":
+		for _, q := range []struct { // the settings only a quorum node reads
+			name string
+			set  bool
+		}{
+			{"Joining", c.Joining},
+			{"GeoAsync", c.GeoAsync},
+			{`Engine "lsm"`, c.Engine == "lsm"},
+			{"TransferRate", c.TransferRate != 0},
+			{"TransferBatch", c.TransferBatch != 0},
+		} {
+			if q.set {
+				return fmt.Errorf("server: %s requires the quorum model, not %q", q.name, c.Model)
+			}
+		}
+	default:
+		return fmt.Errorf("server: unknown model %q (want gossip, quorum, or session)", c.Model)
 	}
 	if c.Joining && len(c.Peers) < 2 {
 		return errors.New("server: a joining node needs at least one existing peer")
 	}
-	if c.GeoAsync && c.Model != "quorum" {
-		return fmt.Errorf("server: GeoAsync requires the quorum model, not %q", c.Model)
-	}
 	switch c.Engine {
 	case "", "mem":
 	case "lsm":
-		if c.Model != "quorum" {
-			return fmt.Errorf("server: Engine \"lsm\" requires the quorum model, not %q", c.Model)
-		}
 		if c.DataDir == "" {
 			return errors.New("server: Engine \"lsm\" requires a DataDir (the WAL is its redo log)")
 		}
 	default:
 		return fmt.Errorf("server: unknown engine %q (want mem or lsm)", c.Engine)
 	}
-	switch c.Model {
-	case "gossip", "quorum", "session":
-		return nil
-	}
-	return fmt.Errorf("server: unknown model %q (want gossip, quorum, or session)", c.Model)
+	return nil
 }
 
 // New starts a node: binds the transport, boots the protocol node,
@@ -547,40 +554,24 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// requestCounter names the counter of requests for op. The op is the
-// client's string: counting it verbatim would let a client grow the
-// counters, and /metrics, by one series per op name it invents, so every
-// op dispatch does not know counts as "unknown".
-func requestCounter(op string) string {
-	if name, ok := requestCounters[op]; ok {
-		return name
-	}
-	return "server.requests.unknown"
+// op is one operation a client may name: the counter of its requests
+// and, for an admin op, its handler. An admin op may wait on the
+// cluster, so each runs on a goroutine of its own; a data op (nil admin)
+// runs on the protocol.
+type op struct {
+	counter string
+	admin   func(*Server, Request) Response
 }
 
-var requestCounters = map[string]string{}
-
-func init() {
-	for _, op := range []string{"put", "get", "del", "status", "ring-status", "add-node", "decommission"} {
-		requestCounters[op] = "server.requests." + op
-	}
-}
-
-// admin answers an admin operation. Those may wait on the cluster, so
-// each runs on a goroutine of its own.
-func (s *Server) admin(req Request) Response {
-	switch req.Op {
-	case "ring-status":
-		return s.handleRingStatus()
-	case "add-node":
-		return s.handleAddNode(req)
-	case "decommission":
-		return s.handleDecommission()
-	}
-	resp := Response{OK: true, Model: s.cfg.Model, Zone: s.cfg.Zone}
-	if s.qnode != nil {
-		ep, mode := s.qnode.State()
-		resp.Epoch, resp.State = ep.Seq, mode
-	}
-	return resp
+// ops lists every op. The name is the client's string: counting it
+// verbatim would let a client grow the counters, and /metrics, by one
+// series per name it invents, so the names not listed share one counter,
+// "server.requests.unknown".
+var ops = map[string]op{
+	"put":          {"server.requests.put", nil},
+	"get":          {"server.requests.get", nil},
+	"del":          {"server.requests.del", nil},
+	"status":       {"server.requests.status", (*Server).statusOp},
+	"add-node":     {"server.requests.add-node", (*Server).handleAddNode},
+	"decommission": {"server.requests.decommission", (*Server).handleDecommission},
 }

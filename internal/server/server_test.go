@@ -84,8 +84,8 @@ func TestClusterGossipPutGetOverTCP(t *testing.T) {
 	srvs := startCluster(t, "gossip", 3, false)
 	c0 := dialNode(t, srvs[0], "cli0")
 
-	if node, model, err := c0.Status(); err != nil || model != "gossip" || node != "node0" {
-		t.Fatalf("status = %s/%s, %v", node, model, err)
+	if st, _, err := c0.Status(); err != nil || st.Model != "gossip" || st.ID != "node0" {
+		t.Fatalf("status = %s/%s, %v", st.ID, st.Model, err)
 	}
 	if err := c0.Put("fruit", []byte("mango")); err != nil {
 		t.Fatal(err)
