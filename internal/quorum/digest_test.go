@@ -171,6 +171,124 @@ func TestAgreeingReplicasSendOneValue(t *testing.T) {
 	}
 }
 
+// TestReadAsksTheReplicasItNeeds: with a resilience policy a read asks R
+// replicas, not N. A coordinator that holds a replica asks its own in
+// full and R−1 peers for digests, so an R=1 read there asks nobody else;
+// one outside the preference list asks R replicas in full. With every
+// answer in, nothing is parked for background repair.
+func TestReadAsksTheReplicasItNeeds(t *testing.T) {
+	for _, tc := range []struct {
+		name                 string
+		inside               bool
+		r                    int // 0: the configured R=2
+		fullAsks, digestAsks int
+	}{
+		{"coordinator in the preference list", true, 0, 1, 1},
+		{"an R=1 read there", true, 1, 1, 0},
+		{"coordinator outside it", false, 0, 2, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pol := resilience.DefaultPolicy()
+			h := newHarness(t, 5, Config{N: 3, R: 2, W: 3, ReadRepair: true, SloppyQuorum: true,
+				Resilience: pol, Directory: resilience.NewDirectory(pol)}, 30)
+			tr := watch(t, h)
+			key := "k"
+			coord := h.nodes[0].PreferenceList(key)[1]
+			if !tc.inside {
+				coord = h.outsider(key)
+			}
+			var got GetResult
+			h.c.At(0, func() { h.client.Put(h.env, coord, key, []byte("v"), nil) })
+			h.c.At(time.Second, func() {
+				*tr = readTraffic{}
+				h.client.GetR(h.env, coord, key, tc.r, func(gr GetResult) { got = gr })
+			})
+			h.c.Run(3 * time.Second)
+			if got.Err != nil || len(got.Values) != 1 || string(got.Values[0]) != "v" {
+				t.Fatalf("get = %q err=%v", values(got), got.Err)
+			}
+			if tr.fullAsks != tc.fullAsks || tr.digestAsks != tc.digestAsks {
+				t.Fatalf("asks delivered: %d in full, %d digests; want %d and %d", tr.fullAsks, tr.digestAsks, tc.fullAsks, tc.digestAsks)
+			}
+			for _, n := range h.nodes {
+				if h := n.ReadHedges.Load(); h != 0 {
+					t.Fatalf("%s hedged %d reads with every replica answering", n.id, h)
+				}
+				for i, sh := range n.shards {
+					if len(sh.repairs) != 0 {
+						t.Fatalf("%s shard %d parks %d repairs", n.id, i, len(sh.repairs))
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestHedgeAsksTheNextReplicaWhenAnAnswerIsLate: the first peer a read
+// asks stops answering its coordinator, which does not suspect it yet.
+// Each get asks its own replica and that peer, and after the hedge delay
+// (HedgeMinDelay: the shard has no round trips to estimate from yet) the
+// third replica, whose digest completes the read. Every get completes
+// within the hedge delay and two link round trips (the client's and the
+// hedge's), well inside the retry time-out and the read deadline, and
+// each is hedged once.
+func TestHedgeAsksTheNextReplicaWhenAnAnswerIsLate(t *testing.T) {
+	const link = 2 * time.Millisecond
+	pol := resilience.DefaultPolicy()
+	dir := resilience.NewDirectory(pol)
+	counters := resilience.NewCounters()
+	h := newHarnessSim(t, 3, sim.Config{Seed: 29, Latency: sim.Fixed(link), OnDeliver: dir.Observe}, func(string) Config {
+		return Config{N: 3, R: 2, W: 3, Resilience: pol, Directory: dir, Counters: counters}
+	})
+	tr := watch(t, h)
+	key := "k"
+	prefs := h.nodes[0].PreferenceList(key)
+	coord, slow := prefs[0], prefs[1]
+	h.c.At(0, func() { h.client.Put(h.env, coord, key, []byte("v"), nil) })
+	const gets = 5
+	blockAt := time.Second
+	h.c.At(blockAt, func() {
+		h.c.BlockLink(slow, coord)
+		*tr = readTraffic{}
+	})
+	var took []time.Duration
+	for i := 0; i < gets; i++ {
+		at := blockAt + 10*time.Millisecond + time.Duration(i)*20*time.Millisecond
+		h.c.At(at, func() {
+			if dir.Suspects(coord, slow, at) {
+				t.Fatalf("set-up: %s suspects %s at %v", coord, slow, at)
+			}
+			h.client.Get(h.env, coord, key, func(gr GetResult) {
+				if gr.Err != nil || len(gr.Values) != 1 || string(gr.Values[0]) != "v" {
+					t.Errorf("get = %q err=%v", values(gr), gr.Err)
+				}
+				took = append(took, h.c.Now()-at)
+			})
+		})
+	}
+	h.c.Run(blockAt + time.Second)
+	if len(took) != gets {
+		t.Fatalf("%d of %d gets answered", len(took), gets)
+	}
+	bound := pol.HedgeMinDelay + 2*(2*link)
+	for i, d := range took {
+		if d > bound {
+			t.Errorf("get %d took %v, want within %v (retry time-out %v, read deadline %v)",
+				i, d, bound, pol.RetryTimeout, h.nodes[0].cfg.Timeout)
+		}
+	}
+	hedges := uint64(0)
+	for _, n := range h.nodes {
+		hedges += n.ReadHedges.Load()
+	}
+	if hedges != gets || counters.M.Get(resilience.CounterHedges) != gets {
+		t.Fatalf("%d hedges on the nodes, %d counted; want one per get, %d", hedges, counters.M.Get(resilience.CounterHedges), gets)
+	}
+	if tr.fullAsks != gets || tr.digestAsks != 2*gets {
+		t.Fatalf("asks delivered: %d in full, %d digests; want per get its own, the silent peer's and the hedge's", tr.fullAsks, tr.digestAsks)
+	}
+}
+
 // TestLaggingCoordinatorReasksAndIsRepaired: the coordinator's own
 // replica missed the newest write. The digests name a dot its answer
 // does not cover, so it asks again in full, the client sees the newest
@@ -596,7 +714,10 @@ func TestDigestAnswerBuildsNoContext(t *testing.T) {
 // whom it repairs follow from Covers alone. Every count is the one the
 // previous layout measured on the same seed, whose digests carried the
 // contexts, tombstone bits and flags too: shedding them changed no
-// message.
+// message. The read runs at R=3, so it asks every replica whether it
+// asks R or N; in the last case the suspected replica is no longer
+// asked at all and the fallback is asked in its place, where it used to
+// be asked beside it; either way the crashed replica took no delivery.
 func TestDigestReadAgainstEachKindOfPeer(t *testing.T) {
 	base := entryAt("x", 1, nil, "base")
 	newer := entryAt("x", 2, clock.Vector{"x": 1}, "newer")

@@ -401,17 +401,28 @@ type pendingRead struct {
 	// that replica alone is asked for values, every other node for a
 	// digest. It is read off the preference list, not configured.
 	digests bool
-	// asked is everyone this read has been sent to, and whether the ask
-	// that stands is for a digest (a re-ask in full clears it).
-	asked map[string]bool
+	// asked is everyone this read has been sent to (see ask).
+	asked map[string]ask
 
-	// Resilience state.
+	// Resilience state: the fallback walk and the next unused fallback,
+	// the hedge delay and whether its tick has fired (see retryRead), and
+	// the retransmission rounds spent.
 	fallbacks []string
 	fi        int
+	hedge     time.Duration
+	hedged    bool
 	attempt   int
 
 	tier    geo.Kind // a read in this process: its plan's tier and staleness, for its result
 	staleMs int64
+}
+
+// ask is a read's ask of one node: whether the ask that stands is for a
+// digest (a re-ask in full clears it), and when the node was first asked,
+// which its first answer measures a peer round trip from.
+type ask struct {
+	digest bool
+	at     time.Duration
 }
 
 // owes reports whether target has yet to answer the ask that stands: it
@@ -419,7 +430,7 @@ type pendingRead struct {
 // been asked for.
 func (pr *pendingRead) owes(target string) bool {
 	a, ok := pr.responses[target]
-	return !ok || (a.digest && !pr.asked[target])
+	return !ok || (a.digest && !pr.asked[target].digest)
 }
 
 // merge folds the read's answers under DVV supersession and names the
@@ -549,6 +560,9 @@ type Node struct {
 	// Transfer counts elasticity activity (atomic: read off-loop by the
 	// metrics endpoint).
 	Transfer TransferStats
+	// ReadHedges counts the nodes reads asked because an answer was late
+	// (see retryRead).
+	ReadHedges atomic.Uint64
 }
 
 // NewNode returns a quorum node with the given shared configuration. It
@@ -1100,24 +1114,34 @@ func (n *Node) writeTimeout(env transport.Env, id uint64) {
 }
 
 // coordinateGet runs the read protocol at whichever node the client
-// contacted: query all N replicas, return after the fastest R responses.
-// The coordinator does not short-circuit through its own local state;
-// its own replica (when it is one) answers through the message path like
-// any other, so which R replicas "win" is decided by delivery timing —
-// the race probabilistically-bounded staleness quantifies.
+// contacted: ask R replicas, return once R have answered, and ask one
+// more when an answer is late. The coordinator does not short-circuit
+// through its own local state; its own replica (when it is one) answers
+// through the message path like any other.
+//
+// Who is asked. A coordinator in the key's preference list asks its own
+// replica and the first R−1 other replicas it does not suspect; one
+// outside the list asks the first R it does not suspect. The asks go out
+// in preference order, and a read left with fewer than R unsuspected
+// replicas takes the rest from askNext at once. A node without a
+// resilience policy has no round-trip estimate to hedge on: its hedge
+// delay is 0, so it asks all N at once and the fastest R answers win —
+// the race probabilistically-bounded staleness quantifies (E2).
 //
 // What is asked of each replica depends on where the coordinator stands.
 // Whether a version is superseded is decided from its dot alone, so R
 // answers' dots decide which versions the read returns and each of those
-// needs its value from one place only. A coordinator in the key's preference list asks its own
-// replica for values and the others for digests; when the digests name a
-// version its replica did not have, it asks that responder again in full
-// (onAnswer). A coordinator outside the list asks everyone in full.
+// needs its value from one place only. A coordinator in the key's
+// preference list asks its own replica for values and the others for
+// digests; when the digests name a version its replica did not have, it
+// asks that responder again in full (onAnswer). A coordinator outside the
+// list asks in full.
 //
 // The answer goes to the client as coordinatePut's does, with p's tier and staleness.
 func (n *Node) coordinateGet(env transport.Env, client string, m clientGet, reply func(transport.Env, GetResult), p Plan) {
 	prefs, fallbacks := n.placement(n.epoch.Load(), m.Key)
 	shardIdx := n.router.Shard(m.Key)
+	sh := n.shards[shardIdx]
 	id := n.mintReq(shardIdx)
 	needed := n.cfg.R
 	if m.R > 0 {
@@ -1134,7 +1158,7 @@ func (n *Node) coordinateGet(env transport.Env, client string, m clientGet, repl
 		needed:    needed,
 		replicas:  prefs,
 		digests:   slices.Contains(prefs, n.id),
-		asked:     make(map[string]bool),
+		asked:     make(map[string]ask),
 		tier:      p.Tier,
 		staleMs:   p.StaleMs,
 	}
@@ -1144,37 +1168,74 @@ func (n *Node) coordinateGet(env transport.Env, client string, m clientGet, repl
 		// must reach the old owners further along the new ring's walk.
 		pr.fallbacks = fallbacks
 	}
-	n.shards[shardIdx].reads[id] = pr
+	sh.reads[id] = pr
+	pol := n.cfg.Resilience
+	others := len(prefs) // a hedge delay of 0 asks them all
+	if pol != nil {
+		others = needed
+		pr.hedge = sh.rtt.HedgeDelay(pol)
+	}
+	if pr.digests {
+		others-- // its own replica is asked whatever else is
+	}
+	now := env.Now()
 	for _, rep := range prefs {
-		n.ask(env, id, pr, rep, pr.digests && rep != n.id)
-		// Suspected replicas get a fallback reader immediately: under a
-		// sloppy quorum the fallback may hold the only reachable copy
-		// (a hinted write), and its response counts toward R.
-		if n.cfg.Resilience != nil && n.suspects(rep, env.Now()) {
-			n.askReadFallback(env, id, pr)
+		if rep == n.id {
+			n.ask(env, id, pr, rep, false)
+		} else if others > 0 && (pol == nil || !n.suspects(rep, now)) {
+			n.ask(env, id, pr, rep, pr.digests)
+			others--
 		}
 	}
+	for ; others > 0 && n.askNext(env, id, pr); others-- {
+	}
 	pr.timer = env.SetTimer(n.cfg.Timeout, timeoutTag{id: id, write: false})
-	if n.cfg.Resilience != nil {
-		env.SetTimer(n.cfg.Resilience.RetryTimeout, rpcRetryTag{id: id, write: false})
+	if pol != nil {
+		env.SetTimer(pr.hedge, rpcRetryTag{id: id, write: false})
 	}
 }
 
-// askReadFallback queries the next unused fallback node for a pending
-// read (no-op when fallbacks are exhausted or disabled).
-func (n *Node) askReadFallback(env transport.Env, id uint64, pr *pendingRead) {
-	if pr.fi >= len(pr.fallbacks) {
-		return
+// askNext asks one more node for a pending read: the first replica in
+// preference order that it has not asked and does not suspect, else the
+// next fallback, else the first replica it has not asked. It reports
+// whether there was anyone left to ask. A read short of R unsuspected
+// replicas (coordinateGet), the hedge, a refusal (onNotReady) and a
+// suspected replica in a retransmission round (retryRead) each take this
+// one step.
+func (n *Node) askNext(env transport.Env, id uint64, pr *pendingRead) bool {
+	now := env.Now()
+	unasked := func(suspectsToo bool) string {
+		for _, rep := range pr.replicas {
+			if _, ok := pr.asked[rep]; !ok && (suspectsToo || !n.suspects(rep, now)) {
+				return rep
+			}
+		}
+		return ""
 	}
-	fb := pr.fallbacks[pr.fi]
-	pr.fi++
-	n.ask(env, id, pr, fb, pr.digests)
+	next := unasked(false)
+	if next == "" && pr.fi < len(pr.fallbacks) {
+		next = pr.fallbacks[pr.fi]
+		pr.fi++
+	}
+	if next == "" {
+		next = unasked(true)
+	}
+	if next == "" {
+		return false
+	}
+	n.ask(env, id, pr, next, pr.digests && next != n.id)
+	return true
 }
 
 // ask sends target the read's ask, a replicaDigest or a replicaGet in
 // full, and records which ask now stands.
 func (n *Node) ask(env transport.Env, id uint64, pr *pendingRead, target string, digest bool) {
-	pr.asked[target] = digest
+	a, ok := pr.asked[target]
+	if !ok {
+		a.at = env.Now()
+	}
+	a.digest = digest
+	pr.asked[target] = a
 	if digest {
 		env.Send(target, replicaDigest{ID: id, Key: pr.key})
 	} else {
@@ -1182,7 +1243,11 @@ func (n *Node) ask(env transport.Env, id uint64, pr *pendingRead, target string,
 	}
 }
 
-// retryRead is one retransmission round for a pending read: re-ask every
+// retryRead runs on a pending read's rpcRetryTag ticks. The first fires
+// at the hedge delay, the policy's quantile of the shard's peer ask
+// round trips (floored by HedgeMinDelay), and asks the next node once:
+// an answer is late. The retransmission rounds keep their schedule from
+// the read's start, RetryTimeout and then Backoff; each re-asks every
 // node that still owes an answer (a re-ask in full included), within the
 // policy's attempt budget.
 func (n *Node) retryRead(env transport.Env, id uint64) {
@@ -1191,6 +1256,17 @@ func (n *Node) retryRead(env transport.Env, id uint64) {
 		return
 	}
 	pol := n.cfg.Resilience
+	if !pr.hedged {
+		pr.hedged = true
+		if pol.HedgeQuantile > 0 && n.askNext(env, id, pr) {
+			n.ReadHedges.Add(1)
+			if n.cfg.Counters != nil {
+				n.cfg.Counters.Hedge()
+			}
+		}
+		env.SetTimer(max(pol.RetryTimeout-pr.hedge, 0), rpcRetryTag{id: id, write: false})
+		return
+	}
 	pr.attempt++
 	if pr.attempt >= pol.MaxAttempts {
 		if n.cfg.Counters != nil {
@@ -1203,12 +1279,12 @@ func (n *Node) retryRead(env transport.Env, id uint64) {
 		if !pr.owes(t) {
 			continue
 		}
-		n.ask(env, id, pr, t, pr.asked[t])
+		n.ask(env, id, pr, t, pr.asked[t].digest)
 		if n.cfg.Counters != nil {
 			n.cfg.Counters.Retry()
 		}
 		if slices.Contains(pr.replicas, t) && n.suspects(t, now) {
-			n.askReadFallback(env, id, pr)
+			n.askNext(env, id, pr)
 		}
 	}
 	env.SetTimer(pol.Backoff(pr.attempt, env.Rand()), rpcRetryTag{id: id, write: false})
@@ -1228,26 +1304,33 @@ type repairState struct {
 }
 
 // onNotReady takes a catching-up replica's refusal: it does not count
-// toward R. Ask the next fallback — the old owners sit in the new ring's
-// walk right after the replicas.
+// toward R. Ask the next node in its place — a replica not yet asked, or
+// the next fallback: the old owners sit in the new ring's walk right
+// after the replicas.
 func (n *Node) onNotReady(env transport.Env, id uint64) {
 	if pr, ok := n.reqShard(id).reads[id]; ok && !pr.done {
-		n.askReadFallback(env, id, pr)
+		n.askNext(env, id, pr)
 	}
 }
 
 // onAnswer takes a replica's answer to read id, in full or as a digest.
 func (n *Node) onAnswer(env transport.Env, from string, id uint64, a readAnswer) {
-	pr, ok := n.reqShard(id).reads[id]
+	sh := n.reqShard(id)
+	pr, ok := sh.reads[id]
 	if !ok || pr.done {
 		// Late response after the quorum returned: background repair.
-		if rs, ok := n.reqShard(id).repairs[id]; ok {
+		if rs, ok := sh.repairs[id]; ok {
 			n.backgroundRepair(env, id, rs, from, a)
 		}
 		return
 	}
-	if have, ok := pr.responses[from]; ok && !have.digest && a.digest {
+	have, answered := pr.responses[from]
+	if answered && !have.digest && a.digest {
 		return // a straggling digest does not displace the values already here
+	}
+	if q, ok := pr.asked[from]; ok && !answered && from != n.id {
+		// A peer's first answer times its round trip, for the hedge delay.
+		sh.rtt.Observe(env.Now() - q.at)
 	}
 	pr.responses[from] = a
 	if len(pr.responses) < pr.needed {
@@ -1265,7 +1348,7 @@ func (n *Node) onAnswer(env transport.Env, from string, id uint64, a readAnswer)
 	// full, once. The answer replaces the digest and lands back here; if
 	// it is lost, retryRead repeats the ask inside the read's deadline.
 	for _, node := range missing {
-		if pr.asked[node] {
+		if pr.asked[node].digest {
 			n.ask(env, id, pr, node, false)
 		}
 	}
@@ -1282,11 +1365,12 @@ func (n *Node) finishRead(env transport.Env, id uint64, pr *pendingRead, merged 
 	parked := false
 	if n.cfg.ReadRepair && errStr == "" {
 		n.readRepair(env, pr, mergedEntries)
-		// Late responses from the replicas that did not make the quorum
-		// drive background repair as they trickle in.
+		// Late responses from the replicas it asked that did not make the
+		// quorum drive background repair as they trickle in.
 		var waiting []string
 		for _, rep := range pr.replicas {
-			if _, ok := pr.responses[rep]; !ok {
+			_, asked := pr.asked[rep]
+			if _, ok := pr.responses[rep]; asked && !ok {
 				waiting = append(waiting, rep)
 			}
 		}

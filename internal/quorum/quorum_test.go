@@ -62,8 +62,16 @@ func newHarnessWith(t *testing.T, nNodes int, seed int64, cfgFor func(id string)
 
 func newHarnessPerNode(t *testing.T, nNodes int, seed int64, lat sim.LatencyModel, cfgFor func(id string) Config) *harness {
 	t.Helper()
+	return newHarnessSim(t, nNodes, sim.Config{Seed: seed, Latency: lat}, cfgFor)
+}
+
+// newHarnessSim builds the cluster on a simulator configured by sc (its
+// size hook is the harness's).
+func newHarnessSim(t *testing.T, nNodes int, sc sim.Config, cfgFor func(id string) Config) *harness {
+	t.Helper()
 	h := &harness{}
-	c := sim.New(sim.Config{Seed: seed, Latency: lat, SizeOf: h.sizeOf})
+	sc.SizeOf = h.sizeOf
+	c := sim.New(sc)
 	ring := make([]string, nNodes)
 	for i := range ring {
 		ring[i] = fmt.Sprintf("s%d", i)

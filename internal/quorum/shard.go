@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/clock"
+	"repro/internal/resilience"
 	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -56,6 +57,9 @@ type nodeShard struct {
 	// repairs holds completed reads still awaiting late replica
 	// responses for background read repair.
 	repairs map[uint64]*repairState
+	// rtt holds the round trips of the shard's reads' peer asks, the
+	// samples a read's hedge delay is a quantile of (see retryRead).
+	rtt resilience.Latency
 	// out holds the operations of this node's own clients that it
 	// forwarded to another coordinator (see forward.go).
 	out requests

@@ -30,8 +30,9 @@ type Detector struct {
 }
 
 // NewDetector returns a detector primed with the expected arrival
-// interval (normally Policy.HeartbeatInterval plus typical one-way
-// latency). The prior keeps phi meaningful before the window fills.
+// interval (a Directory primes it with two heartbeat intervals). The
+// prior keeps phi meaningful before the window fills, and half of it
+// floors the mean after (see mean).
 func NewDetector(expected time.Duration) *Detector {
 	if expected <= 0 {
 		expected = 100 * time.Millisecond
@@ -62,6 +63,12 @@ func (d *Detector) Observe(now time.Duration) {
 	d.seen = true
 }
 
+// mean is the mean inter-arrival interval, floored at half the prior,
+// which is the heartbeat interval for the detectors a Directory makes. Any
+// message counts as an arrival, so a burst (the traffic of a node's
+// first moments) would otherwise drive a healthy peer's mean to a few
+// milliseconds, and an ordinary pause between heartbeats would read as
+// a failure.
 func (d *Detector) mean() time.Duration {
 	if d.n == 0 {
 		return d.expected
@@ -70,11 +77,7 @@ func (d *Detector) mean() time.Duration {
 	for i := 0; i < d.n; i++ {
 		sum += d.intervals[i]
 	}
-	m := sum / time.Duration(d.n)
-	if m <= 0 {
-		m = time.Millisecond
-	}
-	return m
+	return max(sum/time.Duration(d.n), d.expected/2)
 }
 
 // Phi returns the current suspicion level at virtual time now. A peer
@@ -216,9 +219,10 @@ func (l *Latency) Quantile(q float64) time.Duration {
 	return sorted[idx]
 }
 
-// HedgeDelay returns how long a client should wait before hedging an
-// idempotent request: the policy quantile of observed latency, floored
-// by HedgeMinDelay (which also stands in while samples are scarce).
+// HedgeDelay returns how long to wait before hedging: a client's
+// idempotent request, or a quorum read's ask of one more replica. It is
+// the policy quantile of observed latency, floored by HedgeMinDelay
+// (which also stands in while samples are scarce).
 func (l *Latency) HedgeDelay(p *Policy) time.Duration {
 	d := p.HedgeMinDelay
 	if l.Count() >= 8 {

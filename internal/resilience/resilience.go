@@ -36,7 +36,8 @@ type Policy struct {
 	RetryTimeout time.Duration
 	// HedgeQuantile is the observed-latency quantile after which a
 	// client issues a hedged duplicate of an idempotent request to a
-	// second target (default 0.95). <= 0 disables hedging.
+	// second target, and a quorum read asks one more replica (default
+	// 0.95). <= 0 disables hedging.
 	HedgeQuantile float64
 	// HedgeMinDelay floors the hedge delay and stands in for it until
 	// enough latency samples exist (default 120ms).

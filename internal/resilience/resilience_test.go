@@ -112,6 +112,26 @@ func TestDetectorOutlierCap(t *testing.T) {
 	}
 }
 
+// TestBurstDoesNotShrinkTheMeanBelowAHeartbeat: at boot a peer's
+// messages come in a burst. Fifty arrivals 1 ms apart and then 60 ms of
+// quiet, well inside one heartbeat interval, must not make a healthy
+// peer suspect: a mean floored at 1 ms reads phi 26 here. A silence of
+// ten heartbeats still must.
+func TestBurstDoesNotShrinkTheMeanBelowAHeartbeat(t *testing.T) {
+	dir := NewDirectory(DefaultPolicy())
+	now := time.Duration(0)
+	for i := 0; i < 50; i++ {
+		now += time.Millisecond
+		dir.Observe("b", "a", now)
+	}
+	if phi := dir.Phi("a", "b", now+60*time.Millisecond); dir.Suspects("a", "b", now+60*time.Millisecond) {
+		t.Fatalf("a suspects b after a burst and 60 ms of quiet: phi %.1f", phi)
+	}
+	if !dir.Suspects("a", "b", now+time.Second) {
+		t.Fatalf("a does not suspect b after a second of silence: phi %.1f", dir.Phi("a", "b", now+time.Second))
+	}
+}
+
 func TestDirectoryPerObserverViews(t *testing.T) {
 	dir := NewDirectory(nil)
 	now := time.Duration(0)

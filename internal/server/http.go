@@ -145,6 +145,8 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("ec_transfer_throttle_waits_total", "Transfer batches delayed by the source's token bucket.", t.ThrottleWaits.Load())
 		counter("ec_transfer_gated_reads_total", "Replica reads refused because the key's range was still in flight.", t.GatedReads.Load())
 		counter("ec_transfer_not_owner_total", "Replica writes refused for stale epoch ownership.", t.NotOwnerSeen.Load())
+		counter("ec_read_repairs_total", "Versions pushed to replicas a read found behind, at its completion or on a late answer.", atomic.LoadUint64(&q.ReadRepairsSent))
+		counter("ec_read_hedges_total", "Replicas a read asked because an answer was still missing after the hedge delay.", q.ReadHedges.Load())
 		gauge("ec_ring_epoch", "Membership epoch this node has installed.", status.Epoch)
 		gauge("ec_ring_ok", "Whether the node is a fully serving member (0 while catching-up, draining, or left).", bit(status.OK))
 		gauge("ec_transfer_ranges_pending", "Arc ranges still in flight for the open epoch.", uint64(status.TransferTotal-status.TransferDone))

@@ -159,6 +159,123 @@ func TestLocalPutIsACallNotAMessage(t *testing.T) {
 	}
 }
 
+// TestPeerEnvelopesPerOperation pins what one client operation through a
+// replica costs the peer links of a 3-node quorum cluster at N=3, R=2,
+// W=2, in envelopes written to a peer link. A put sends the version to
+// its N−1 peers and each acks: 2(N−1). A strong get asks R−1 peers for
+// a digest and each answers: 2(R−1). An eventual get (R=1) is answered by
+// the coordinator's own replica and crosses no link. What a node sends
+// itself is a mailbox post, not an envelope. Liveness pings are quieted.
+// A row ends once every replica holds every key and no envelope has been
+// written for a while (a replica's last acks can trail its values), and
+// what the cluster sends while idle (its anti-entropy rounds) is
+// measured over a window as long as the row's and subtracted.
+func TestPeerEnvelopesPerOperation(t *testing.T) {
+	addrs := reservePorts(t, 3)
+	peers := make(map[string]string, len(addrs))
+	for i, a := range addrs {
+		peers[fmt.Sprintf("node%d", i)] = a
+	}
+	quiet := &resilience.Policy{HeartbeatInterval: time.Hour}
+	srvs := make([]*Server, len(addrs))
+	for i := range srvs {
+		s, err := New(Config{ID: fmt.Sprintf("node%d", i), Model: "quorum", Peers: peers, Policy: quiet,
+			N: 3, R: 2, W: 2, Seed: int64(3100 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srvs[i] = s
+		t.Cleanup(s.Close)
+	}
+	c := dialNode(t, srvs[0], "cli")
+	const ops = 200
+	keys := make([]string, ops)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("budget-%03d", i)
+		for _, tier := range []geo.Kind{geo.Strong, geo.Eventual} {
+			if coord := coordOf(srvs[0], "get", keys[i], tier); coord != "node0" {
+				t.Fatalf("get %s is coordinated by %s, want node0", keys[i], coord)
+			}
+		}
+	}
+	// held waits until every replica holds every key: the put row's
+	// third copies and acks are part of its cost, and a get row must
+	// find nothing to repair or re-ask.
+	held := func() {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for _, k := range keys {
+			for _, s := range srvs {
+				for len(s.qnode.LocalValues(k)) != 1 {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s never got %s", s.ID(), k)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}
+	}
+	envelopes := func() (n uint64) {
+		for _, s := range srvs {
+			n += s.tcp.Stats().EnvelopesSent
+		}
+		return n
+	}
+	settle := func() {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for last, still := envelopes(), 0; still < 5; {
+			if time.Now().After(deadline) {
+				t.Fatal("the cluster never went quiet")
+			}
+			time.Sleep(20 * time.Millisecond)
+			if n := envelopes(); n != last {
+				last, still = n, 0
+			} else {
+				still++
+			}
+		}
+	}
+	// Every link is up before the first row counts.
+	if err := c.Put("warm", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	settle()
+	for _, row := range []struct {
+		name string
+		want float64
+		op   func(key string) error
+	}{
+		{"put", 4, func(k string) error { return c.Put(k, []byte("v")) }},
+		{"strong get", 2, func(k string) error {
+			_, _, _, _, err := c.GetSLA(k, geo.Tier{Kind: geo.Strong})
+			return err
+		}},
+		{"eventual get", 0, func(k string) error {
+			_, _, _, _, err := c.GetSLA(k, geo.Tier{Kind: geo.Eventual})
+			return err
+		}},
+	} {
+		before, start := envelopes(), time.Now()
+		for _, k := range keys {
+			if err := row.op(k); err != nil {
+				t.Fatalf("%s %s: %v", row.name, k, err)
+			}
+		}
+		held()
+		settle()
+		busy, window := envelopes()-before, time.Since(start)
+		before = envelopes()
+		time.Sleep(window)
+		idle := envelopes() - before
+		perOp := (float64(busy) - float64(idle)) / ops
+		t.Logf("%s: %.2f peer envelopes per op (%d sent, %d idle over %v)", row.name, perOp, busy, idle, window.Round(time.Millisecond))
+		if perOp < row.want-0.25 || perOp > row.want+0.25 {
+			t.Errorf("%s: %.2f peer envelopes per op, want %v", row.name, perOp, row.want)
+		}
+	}
+}
+
 // TestNonReplicaForwardsToTheOwner: with N below the cluster size, a node
 // that holds no replica of the key hands the operation to the key's
 // owner, and the client is served all the same.

@@ -377,6 +377,10 @@ func TestMetricsEndpointRenders(t *testing.T) {
 		`ec_requests_total{op="put"} 1`,
 		"ec_request_seconds{quantile=\"0.99\"}",
 		`ec_peer_phi{peer="node1"}`,
+		"# HELP ec_read_repairs_total ",
+		"\nec_read_repairs_total ",
+		"# HELP ec_read_hedges_total ",
+		"\nec_read_hedges_total ",
 	} {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
