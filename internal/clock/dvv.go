@@ -158,6 +158,22 @@ func (s *Siblings[T]) Covers(d Dot) bool {
 	return false
 }
 
+// Has reports whether a sibling carries dot d.
+func (s *Siblings[T]) Has(d Dot) bool {
+	for _, have := range s.versions {
+		if have.DVV.Dot == d {
+			return true
+		}
+	}
+	return false
+}
+
+// Reset empties the set, keeping its storage for the next Adds.
+func (s *Siblings[T]) Reset() {
+	clear(s.versions)
+	s.versions = s.versions[:0]
+}
+
 // Values returns the current sibling values in insertion order.
 func (s *Siblings[T]) Values() []T {
 	out := make([]T, len(s.versions))

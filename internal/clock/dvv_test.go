@@ -119,6 +119,27 @@ func TestSiblingsCoversAgreesWithAdd(t *testing.T) {
 	}
 }
 
+// TestSiblingsHasAndReset: Has is exact dot membership, where Covers also
+// counts a dot a sibling's context has seen; Reset empties the set, which
+// then takes new versions as a fresh one does.
+func TestSiblingsHasAndReset(t *testing.T) {
+	v1 := NewDVV("a", nil)
+	v2 := NewDVV("a", v1.Context) // supersedes v1
+	var s Siblings[string]
+	s.Add(v2, "two")
+	if !s.Has(v2.Dot) || s.Has(v1.Dot) || !s.Covers(v1.Dot) {
+		t.Fatalf("Has(v2) = %v, Has(v1) = %v, Covers(v1) = %v; want true, false, true", s.Has(v2.Dot), s.Has(v1.Dot), s.Covers(v1.Dot))
+	}
+	s.Reset()
+	if s.Len() != 0 || s.Has(v2.Dot) || s.Covers(v1.Dot) {
+		t.Fatalf("after Reset: %d versions, Has(v2) = %v", s.Len(), s.Has(v2.Dot))
+	}
+	s.Add(v1, "one")
+	if vs := s.Values(); len(vs) != 1 || vs[0] != "one" || !s.Has(v1.Dot) {
+		t.Fatalf("after Reset and Add(v1): %v", vs)
+	}
+}
+
 // TestSiblingsNoExplosionWithDVV is the A3 ablation's core claim: a client
 // that always echoes the read context never produces more than the true
 // number of concurrent writers, even when writes interleave at one server.

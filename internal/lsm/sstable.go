@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/ring"
 	"repro/internal/storage"
 )
 
@@ -67,7 +68,7 @@ func buildBloom(keys int, bitsPerKey int) bloomFilter {
 }
 
 func bloomHashes(key string) (h1, h2 uint64) {
-	h1 = storage.KeyHash(key)
+	h1 = ring.KeyHash(key)
 	h2 = bits.RotateLeft64(h1, 31) | 1
 	return h1, h2
 }

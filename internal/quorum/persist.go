@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/clock"
+	"repro/internal/ring"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
@@ -102,7 +103,7 @@ func (r walRecord) recordKey() (string, bool) {
 func appendRecord(dst []byte, r walRecord) []byte {
 	if key, keyed := r.recordKey(); keyed {
 		dst = append(dst, recMagicKeyed)
-		dst = binary.LittleEndian.AppendUint64(dst, storage.KeyHash(key))
+		dst = binary.LittleEndian.AppendUint64(dst, ring.KeyHash(key))
 	} else {
 		dst = append(dst, recMagicSerial)
 	}
@@ -179,7 +180,7 @@ func decodeRecord(rec []byte) (walRecord, error) {
 	// The header must route the record where its key lives, or parallel
 	// replay would apply it on a lane that does not own the key's order.
 	key, keyed := r.recordKey()
-	if keyed != (rec[0] == recMagicKeyed) || keyed && binary.LittleEndian.Uint64(rec[1:9]) != storage.KeyHash(key) {
+	if keyed != (rec[0] == recMagicKeyed) || keyed && binary.LittleEndian.Uint64(rec[1:9]) != ring.KeyHash(key) {
 		return walRecord{}, fmt.Errorf("quorum: WAL record kind %#x under the wrong routing header: %w", kind, wire.ErrMalformed)
 	}
 	return r, nil

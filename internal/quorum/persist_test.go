@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/lsm"
+	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/wire"
@@ -183,7 +184,7 @@ func FuzzWALRecord(f *testing.F) {
 	}
 	f.Add([]byte{recMagicKeyed, 1, 2, 3}, int64(8))
 	f.Add([]byte{0x2C, 0xFF, 0x81}, int64(9)) // gob
-	retired := binary.LittleEndian.AppendUint64([]byte{recMagicKeyed}, storage.KeyHash("k"))
+	retired := binary.LittleEndian.AppendUint64([]byte{recMagicKeyed}, ring.KeyHash("k"))
 	retired = wire.AppendUvarint(wire.AppendString(append(retired, kindRetired), "k"), 1)
 	f.Add(retired, int64(10)) // a key's dot counter, as once journaled
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {

@@ -16,6 +16,7 @@
 package quorum
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -255,10 +256,7 @@ type (
 		ID uint64
 	}
 	// replicaGet asks a replica for the key's sibling set in full, values
-	// and all; replicaDigest asks it for the dots only. A read needs R
-	// answers to decide freshness and one value to answer, so a
-	// coordinator that holds a replica of the key asks only that replica
-	// in full.
+	// and all; replicaDigest asks it for the dots only (see read.go).
 	replicaGet struct {
 		ID  uint64
 		Key string
@@ -338,144 +336,6 @@ type pendingWrite struct {
 	// of synchronous replicaPuts; retries and fallback engagement skip
 	// them (they are intentionally un-acked here).
 	geoAsync []string
-}
-
-// readAnswer is one node's answer to a read: its sibling entries, or
-// the dots of a digest.
-type readAnswer struct {
-	entries []clock.SiblingEntry[record]
-	dots    []clock.Dot
-	digest  bool
-}
-
-// len returns how many versions the answer names.
-func (a readAnswer) len() int {
-	if a.digest {
-		return len(a.dots)
-	}
-	return len(a.entries)
-}
-
-// dot returns the dot of the answer's i-th version.
-func (a readAnswer) dot(i int) clock.Dot {
-	if a.digest {
-		return a.dots[i]
-	}
-	return a.entries[i].DVV.Dot
-}
-
-// names reports whether the answer names exactly the versions of merged,
-// by dot: all a read learns of a digest, and all it needs of a full
-// answer to tell whether its replica needs repair.
-func (a readAnswer) names(merged []clock.SiblingEntry[record]) bool {
-	if a.len() != len(merged) {
-		return false
-	}
-	for i := 0; i < a.len(); i++ {
-		found := false
-		for _, e := range merged {
-			if e.DVV.Dot == a.dot(i) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-type pendingRead struct {
-	client    string
-	reply     func(transport.Env, GetResult) // see pendingWrite.reply
-	id        uint64
-	key       string
-	responses map[string]readAnswer
-	needed    int
-	replicas  []string
-	done      bool
-	timer     transport.TimerID
-
-	// digests is set when the coordinator holds a replica of the key:
-	// that replica alone is asked for values, every other node for a
-	// digest. It is read off the preference list, not configured.
-	digests bool
-	// asked is everyone this read has been sent to (see ask).
-	asked map[string]ask
-
-	// Resilience state: the fallback walk and the next unused fallback,
-	// the hedge delay and whether its tick has fired (see retryRead), and
-	// the retransmission rounds spent.
-	fallbacks []string
-	fi        int
-	hedge     time.Duration
-	hedged    bool
-	attempt   int
-
-	tier    geo.Kind // a read in this process: its plan's tier and staleness, for its result
-	staleMs int64
-}
-
-// ask is a read's ask of one node: whether the ask that stands is for a
-// digest (a re-ask in full clears it), and when the node was first asked,
-// which its first answer measures a peer round trip from.
-type ask struct {
-	digest bool
-	at     time.Duration
-}
-
-// owes reports whether target has yet to answer the ask that stands: it
-// has not answered at all, or with a digest where its values have since
-// been asked for.
-func (pr *pendingRead) owes(target string) bool {
-	a, ok := pr.responses[target]
-	return !ok || (a.digest && !pr.asked[target].digest)
-}
-
-// merge folds the read's answers under DVV supersession and names the
-// responders whose values are still needed. Only answers that carry
-// values go into merged, so none of its entries ever lacks one; digests
-// are checked against it, and a digest naming a version merged does not
-// cover (a dot that survives and that nobody sent) puts its responder in
-// missing. An empty missing means every surviving dot has its value. A
-// read asked in full everywhere is the degenerate case: nothing to
-// check. Both passes walk the preference list and then the fallbacks in
-// ring order, never the responses map, so sibling order is a function of
-// the seed.
-func (pr *pendingRead) merge() (merged *clock.Siblings[record], missing []string) {
-	merged = new(clock.Siblings[record])
-	nodes := len(pr.replicas) + pr.fi
-	answer := func(i int) (string, readAnswer, bool) {
-		node := ""
-		if i < len(pr.replicas) {
-			node = pr.replicas[i]
-		} else {
-			node = pr.fallbacks[i-len(pr.replicas)]
-		}
-		a, ok := pr.responses[node]
-		return node, a, ok
-	}
-	for i := 0; i < nodes; i++ {
-		if _, a, ok := answer(i); ok && !a.digest {
-			for _, e := range a.entries {
-				merged.Add(e.DVV, e.Value)
-			}
-		}
-	}
-	for i := 0; i < nodes; i++ {
-		node, a, ok := answer(i)
-		if !ok || !a.digest {
-			continue
-		}
-		for _, d := range a.dots {
-			if !merged.Covers(d) {
-				missing = append(missing, node)
-				break
-			}
-		}
-	}
-	return merged, missing
 }
 
 // Node is one storage node of the quorum store. It implements
@@ -561,7 +421,7 @@ type Node struct {
 	// metrics endpoint).
 	Transfer TransferStats
 	// ReadHedges counts the nodes reads asked because an answer was late
-	// (see retryRead).
+	// (see pendingRead.tick).
 	ReadHedges atomic.Uint64
 }
 
@@ -695,7 +555,7 @@ func (n *Node) OnTimer(env transport.Env, tag any) {
 		if tg.write {
 			n.writeTimeout(env, tg.id)
 		} else {
-			n.readTimeout(env, tg.id)
+			n.onRead(env, tg.id, readEvent{kind: evDeadline})
 		}
 	case pingTag:
 		for _, peer := range n.members() {
@@ -708,7 +568,7 @@ func (n *Node) OnTimer(env transport.Env, tag any) {
 		if tg.write {
 			n.retryWrite(env, tg.id)
 		} else {
-			n.retryRead(env, tg.id)
+			n.onRead(env, tg.id, readEvent{kind: evTick})
 		}
 	case xferRetryTag:
 		if cu := n.inbound; cu != nil && cu.seq == tg.seq && !cu.ranges[tg.idx].done {
@@ -754,11 +614,11 @@ func (n *Node) OnMessage(env transport.Env, from string, msg transport.Message) 
 	case replicaDigest:
 		n.answerDigest(env, from, m)
 	case replicaGetResp:
-		n.onAnswer(env, from, m.ID, readAnswer{entries: m.Entries})
+		n.onRead(env, m.ID, readEvent{kind: evAnswer, from: from, answer: readAnswer{entries: m.Entries}})
 	case replicaDigestResp:
-		n.onAnswer(env, from, m.ID, readAnswer{dots: m.Dots, digest: true})
+		n.onRead(env, m.ID, readEvent{kind: evAnswer, from: from, answer: readAnswer{dots: m.Dots, digest: true}})
 	case replicaNotReady:
-		n.onNotReady(env, m.ID)
+		n.onRead(env, m.ID, readEvent{kind: evRefusal, from: from})
 	case shipBatch:
 		n.onShipBatch(env, from, m)
 	case shipAck:
@@ -1113,359 +973,105 @@ func (n *Node) writeTimeout(env transport.Env, id uint64) {
 	n.finishWrite(env, id, pw, string(ErrQuorumTimeout))
 }
 
-// coordinateGet runs the read protocol at whichever node the client
-// contacted: ask R replicas, return once R have answered, and ask one
-// more when an answer is late. The coordinator does not short-circuit
-// through its own local state; its own replica (when it is one) answers
-// through the message path like any other.
-//
-// Who is asked. A coordinator in the key's preference list asks its own
-// replica and the first R−1 other replicas it does not suspect; one
-// outside the list asks the first R it does not suspect. The asks go out
-// in preference order, and a read left with fewer than R unsuspected
-// replicas takes the rest from askNext at once. A node without a
-// resilience policy has no round-trip estimate to hedge on: its hedge
-// delay is 0, so it asks all N at once and the fastest R answers win —
-// the race probabilistically-bounded staleness quantifies (E2).
-//
-// What is asked of each replica depends on where the coordinator stands.
-// Whether a version is superseded is decided from its dot alone, so R
-// answers' dots decide which versions the read returns and each of those
-// needs its value from one place only. A coordinator in the key's
-// preference list asks its own replica for values and the others for
-// digests; when the digests name a version its replica did not have, it
-// asks that responder again in full (onAnswer). A coordinator outside the
-// list asks in full.
-//
-// The answer goes to the client as coordinatePut's does, with p's tier and staleness.
+// coordinateGet starts the read protocol (read.go) at whichever node the
+// client contacted. Its own replica, when it is one, answers through the
+// message path like any other. The answer goes to the client as
+// coordinatePut's does, with p's tier and staleness.
 func (n *Node) coordinateGet(env transport.Env, client string, m clientGet, reply func(transport.Env, GetResult), p Plan) {
 	prefs, fallbacks := n.placement(n.epoch.Load(), m.Key)
 	shardIdx := n.router.Shard(m.Key)
 	sh := n.shards[shardIdx]
 	id := n.mintReq(shardIdx)
-	needed := n.cfg.R
+	pr := &pendingRead{client: client, reply: reply, id: m.ID, key: m.Key, tier: p.Tier, staleMs: p.StaleMs,
+		self: n.id, replicas: prefs, needed: n.cfg.R, digests: slices.Contains(prefs, n.id),
+		repair: n.cfg.ReadRepair, pol: n.cfg.Resilience, asked: make(map[string]ask), responses: make(map[string]readAnswer)}
 	if m.R > 0 {
 		// The read quorum the plan chose (see Plan), capped at the
 		// preference-list size so the read can always complete.
-		needed = min(m.R, len(prefs))
-	}
-	pr := &pendingRead{
-		client:    client,
-		reply:     reply,
-		id:        m.ID,
-		key:       m.Key,
-		responses: make(map[string]readAnswer),
-		needed:    needed,
-		replicas:  prefs,
-		digests:   slices.Contains(prefs, n.id),
-		asked:     make(map[string]ask),
-		tier:      p.Tier,
-		staleMs:   p.StaleMs,
+		pr.needed = min(m.R, len(prefs))
 	}
 	if (n.cfg.Resilience != nil && n.cfg.SloppyQuorum) || n.cfg.Placement != nil {
-		// Under elasticity the fallback walk matters even without sloppy
-		// quorums: a catching-up replica refuses (replicaNotReady) and the read
-		// must reach the old owners further along the new ring's walk.
+		// Under elasticity the walk matters without sloppy quorums too: a
+		// refused read must reach the old owners further along the new ring.
 		pr.fallbacks = fallbacks
 	}
+	if pr.pol != nil {
+		pr.hedge = sh.rtt.HedgeDelay(pr.pol)
+	}
 	sh.reads[id] = pr
-	pol := n.cfg.Resilience
-	others := len(prefs) // a hedge delay of 0 asks them all
-	if pol != nil {
-		others = needed
-		pr.hedge = sh.rtt.HedgeDelay(pol)
-	}
-	if pr.digests {
-		others-- // its own replica is asked whatever else is
-	}
-	now := env.Now()
-	for _, rep := range prefs {
-		if rep == n.id {
-			n.ask(env, id, pr, rep, false)
-		} else if others > 0 && (pol == nil || !n.suspects(rep, now)) {
-			n.ask(env, id, pr, rep, pr.digests)
-			others--
-		}
-	}
-	for ; others > 0 && n.askNext(env, id, pr); others-- {
-	}
-	pr.timer = env.SetTimer(n.cfg.Timeout, timeoutTag{id: id, write: false})
-	if pol != nil {
-		env.SetTimer(pr.hedge, rpcRetryTag{id: id, write: false})
-	}
+	n.onRead(env, id, readEvent{kind: evStart})
 }
 
-// askNext asks one more node for a pending read: the first replica in
-// preference order that it has not asked and does not suspect, else the
-// next fallback, else the first replica it has not asked. It reports
-// whether there was anyone left to ask. A read short of R unsuspected
-// replicas (coordinateGet), the hedge, a refusal (onNotReady) and a
-// suspected replica in a retransmission round (retryRead) each take this
-// one step.
-func (n *Node) askNext(env transport.Env, id uint64, pr *pendingRead) bool {
-	now := env.Now()
-	unasked := func(suspectsToo bool) string {
-		for _, rep := range pr.replicas {
-			if _, ok := pr.asked[rep]; !ok && (suspectsToo || !n.suspects(rep, now)) {
-				return rep
-			}
-		}
-		return ""
-	}
-	next := unasked(false)
-	if next == "" && pr.fi < len(pr.fallbacks) {
-		next = pr.fallbacks[pr.fi]
-		pr.fi++
-	}
-	if next == "" {
-		next = unasked(true)
-	}
-	if next == "" {
-		return false
-	}
-	n.ask(env, id, pr, next, pr.digests && next != n.id)
-	return true
-}
-
-// ask sends target the read's ask, a replicaDigest or a replicaGet in
-// full, and records which ask now stands.
-func (n *Node) ask(env transport.Env, id uint64, pr *pendingRead, target string, digest bool) {
-	a, ok := pr.asked[target]
-	if !ok {
-		a.at = env.Now()
-	}
-	a.digest = digest
-	pr.asked[target] = a
-	if digest {
-		env.Send(target, replicaDigest{ID: id, Key: pr.key})
-	} else {
-		env.Send(target, replicaGet{ID: id, Key: pr.key})
-	}
-}
-
-// retryRead runs on a pending read's rpcRetryTag ticks. The first fires
-// at the hedge delay, the policy's quantile of the shard's peer ask
-// round trips (floored by HedgeMinDelay), and asks the next node once:
-// an answer is late. The retransmission rounds keep their schedule from
-// the read's start, RetryTimeout and then Backoff; each re-asks every
-// node that still owes an answer (a re-ask in full included), within the
-// policy's attempt budget.
-func (n *Node) retryRead(env transport.Env, id uint64) {
-	pr, ok := n.reqShard(id).reads[id]
-	if !ok || pr.done {
+// onRead feeds ev to read id, in flight or parked, and carries out the
+// steps that follow.
+func (n *Node) onRead(env transport.Env, id uint64, ev readEvent) {
+	sh := n.reqShard(id)
+	pr := cmp.Or(sh.reads[id], sh.repairs[id])
+	if pr == nil {
 		return
 	}
-	pol := n.cfg.Resilience
-	if !pr.hedged {
-		pr.hedged = true
-		if pol.HedgeQuantile > 0 && n.askNext(env, id, pr) {
-			n.ReadHedges.Add(1)
-			if n.cfg.Counters != nil {
-				n.cfg.Counters.Hedge()
-			}
-		}
-		env.SetTimer(max(pol.RetryTimeout-pr.hedge, 0), rpcRetryTag{id: id, write: false})
-		return
+	if ev.kind == evDeadline {
+		pr.timer = 0 // it has fired: nothing to cancel
 	}
-	pr.attempt++
-	if pr.attempt >= pol.MaxAttempts {
-		if n.cfg.Counters != nil {
+	ev.now, ev.sus = env.Now(), n
+	for _, s := range pr.step(ev) {
+		switch s.kind {
+		case stepAsk:
+			if s.digest {
+				env.Send(s.target, replicaDigest{ID: id, Key: pr.key})
+			} else {
+				env.Send(s.target, replicaGet{ID: id, Key: pr.key})
+			}
+			if s.hedge {
+				n.ReadHedges.Add(1)
+				n.cfg.Counters.Hedge() // Counters are nil-safe
+			} else if s.retry {
+				n.cfg.Counters.Retry()
+			}
+		case stepObserve:
+			sh.rtt.Observe(s.delay)
+		case stepDeadline:
+			pr.timer = env.SetTimer(n.cfg.Timeout, timeoutTag{id: id, write: false})
+		case stepTick:
+			if s.retry {
+				s.delay = pr.pol.Backoff(pr.attempt, env.Rand())
+			}
+			env.SetTimer(s.delay, rpcRetryTag{id: id, write: false})
+		case stepSuppressed:
 			n.cfg.Counters.Suppressed()
-		}
-		return
-	}
-	now := env.Now()
-	for _, t := range sortedKeys(pr.asked) {
-		if !pr.owes(t) {
-			continue
-		}
-		n.ask(env, id, pr, t, pr.asked[t].digest)
-		if n.cfg.Counters != nil {
-			n.cfg.Counters.Retry()
-		}
-		if slices.Contains(pr.replicas, t) && n.suspects(t, now) {
-			n.askNext(env, id, pr)
-		}
-	}
-	env.SetTimer(pol.Backoff(pr.attempt, env.Rand()), rpcRetryTag{id: id, write: false})
-}
-
-// repairState is a completed read parked for background read repair: the
-// replicas that had not answered when it returned, and the merged set to
-// hold their late answers against. It lives until they have all answered
-// or the read's own deadline passes, whichever is first: timer is the
-// read's timeout, left armed, so a replica that never answers (down,
-// partitioned, a dropped frame, a refusal) cannot strand the state.
-type repairState struct {
-	key     string
-	merged  *clock.Siblings[record]
-	waiting []string
-	timer   transport.TimerID
-}
-
-// onNotReady takes a catching-up replica's refusal: it does not count
-// toward R. Ask the next node in its place — a replica not yet asked, or
-// the next fallback: the old owners sit in the new ring's walk right
-// after the replicas.
-func (n *Node) onNotReady(env transport.Env, id uint64) {
-	if pr, ok := n.reqShard(id).reads[id]; ok && !pr.done {
-		n.askNext(env, id, pr)
-	}
-}
-
-// onAnswer takes a replica's answer to read id, in full or as a digest.
-func (n *Node) onAnswer(env transport.Env, from string, id uint64, a readAnswer) {
-	sh := n.reqShard(id)
-	pr, ok := sh.reads[id]
-	if !ok || pr.done {
-		// Late response after the quorum returned: background repair.
-		if rs, ok := sh.repairs[id]; ok {
-			n.backgroundRepair(env, id, rs, from, a)
-		}
-		return
-	}
-	have, answered := pr.responses[from]
-	if answered && !have.digest && a.digest {
-		return // a straggling digest does not displace the values already here
-	}
-	if q, ok := pr.asked[from]; ok && !answered && from != n.id {
-		// A peer's first answer times its round trip, for the hedge delay.
-		sh.rtt.Observe(env.Now() - q.at)
-	}
-	pr.responses[from] = a
-	if len(pr.responses) < pr.needed {
-		return
-	}
-	// R answers, and every dot that survives the merge of their clocks
-	// has its value: the one condition a read completes on.
-	merged, missing := pr.merge()
-	if len(missing) == 0 {
-		n.finishRead(env, id, pr, merged, "")
-		return
-	}
-	// A digest names a surviving version nobody sent (this node's own
-	// replica lags, or has not answered yet): ask its responder again, in
-	// full, once. The answer replaces the digest and lands back here; if
-	// it is lost, retryRead repeats the ask inside the read's deadline.
-	for _, node := range missing {
-		if pr.asked[node].digest {
-			n.ask(env, id, pr, node, false)
-		}
-	}
-}
-
-// finishRead completes a read with merged, the fold of the answers that
-// carried values (see pendingRead.merge).
-func (n *Node) finishRead(env transport.Env, id uint64, pr *pendingRead, merged *clock.Siblings[record], errStr string) {
-	pr.done = true
-	sh := n.reqShard(id)
-	delete(sh.reads, id)
-	mergedEntries := merged.Entries()
-
-	parked := false
-	if n.cfg.ReadRepair && errStr == "" {
-		n.readRepair(env, pr, mergedEntries)
-		// Late responses from the replicas it asked that did not make the
-		// quorum drive background repair as they trickle in.
-		var waiting []string
-		for _, rep := range pr.replicas {
-			_, asked := pr.asked[rep]
-			if _, ok := pr.responses[rep]; asked && !ok {
-				waiting = append(waiting, rep)
+		case stepRepair:
+			for _, e := range pr.merged.Entries() {
+				if s.target == n.id && !s.late {
+					n.installEntry(env.Domain(), pr.key, e)
+					continue
+				}
+				env.Send(s.target, replicaPut{Key: pr.key, Entry: e, Repair: true})
+				atomic.AddUint64(&n.ReadRepairsSent, 1)
 			}
-		}
-		if len(waiting) > 0 {
-			sh.repairs[id] = &repairState{key: pr.key, merged: merged, waiting: waiting, timer: pr.timer}
-			parked = true
-		}
-	}
-	if !parked {
-		env.Cancel(pr.timer)
-	}
-
-	var values [][]byte
-	for _, e := range mergedEntries {
-		if !e.Value.Deleted {
-			values = append(values, e.Value.Value)
-		}
-	}
-	r := getResp{ID: pr.id, Values: values, Context: merged.Context(), Err: errStr, Replicas: len(pr.responses)}
-	if pr.reply == nil {
-		env.Send(pr.client, r)
-		return
-	}
-	pr.reply(env, getResult(pr.key, r, pr.tier, pr.staleMs)) // see answerPut
-}
-
-// backgroundRepair handles a replica response arriving after the quorum
-// returned: if the replica differs from the merged set, fold in what it
-// sent and push the merged versions back to it. Only the replicas the
-// read was still waiting for are heard, each once: a duplicate, a
-// fallback's answer or the reply to a re-ask neither repairs anything
-// nor ends the wait early. A late digest is compared by its dots and
-// carries nothing to fold in: what is pushed always comes from answers
-// that carried values.
-func (n *Node) backgroundRepair(env transport.Env, id uint64, rs *repairState, from string, a readAnswer) {
-	i := slices.Index(rs.waiting, from)
-	if i < 0 {
-		return
-	}
-	rs.waiting = slices.Delete(rs.waiting, i, i+1)
-	if !a.names(rs.merged.Entries()) {
-		for _, e := range a.entries {
-			rs.merged.Add(e.DVV, e.Value)
-		}
-		for _, e := range rs.merged.Entries() {
-			env.Send(from, replicaPut{Key: rs.key, Entry: e, Repair: true})
-			atomic.AddUint64(&n.ReadRepairsSent, 1)
-		}
-	}
-	if len(rs.waiting) == 0 {
-		delete(n.reqShard(id).repairs, id)
-		env.Cancel(rs.timer)
-	}
-}
-
-// readRepair pushes the merged sibling set to every replica whose
-// response differed from it (A1 ablation switch). A digest is compared
-// like any answer, by its dots.
-func (n *Node) readRepair(env transport.Env, pr *pendingRead, merged []clock.SiblingEntry[record]) {
-	// Repair replicas in sorted order so the sends interleave
-	// deterministically across runs.
-	for _, rep := range sortedKeys(pr.responses) {
-		// Fallback responders (resilience reads) are not replicas of the
-		// key; pushing the merged set there would strand data on nodes
-		// the read path never consults again.
-		if !slices.Contains(pr.replicas, rep) {
-			continue
-		}
-		if pr.responses[rep].names(merged) {
-			continue
-		}
-		if rep == n.id {
-			for _, e := range merged {
-				n.installEntry(env.Domain(), pr.key, e)
+		case stepPark:
+			delete(sh.reads, id)
+			sh.repairs[id] = pr
+		case stepForget:
+			delete(sh.reads, id)
+			delete(sh.repairs, id)
+			env.Cancel(pr.timer)
+		case stepAnswer:
+			r := getResp{ID: pr.id, Context: pr.merged.Context(), Replicas: len(pr.responses)}
+			for _, e := range pr.merged.Entries() {
+				if !e.Value.Deleted {
+					r.Values = append(r.Values, e.Value.Value)
+				}
 			}
-			continue
-		}
-		for _, e := range merged {
-			env.Send(rep, replicaPut{Key: pr.key, Entry: e, Repair: true})
-			atomic.AddUint64(&n.ReadRepairsSent, 1)
+			if s.failed {
+				r.Err = string(ErrQuorumTimeout)
+			}
+			if pr.reply == nil {
+				env.Send(pr.client, r)
+				continue
+			}
+			pr.reply(env, getResult(pr.key, r, pr.tier, pr.staleMs)) // see answerPut
 		}
 	}
-}
-
-// readTimeout is the read's deadline. A read still pending fails with
-// whatever the value-bearing answers so far merge to; a read that already
-// returned gives up waiting for its late replicas (see repairState).
-func (n *Node) readTimeout(env transport.Env, id uint64) {
-	sh := n.reqShard(id)
-	if pr, ok := sh.reads[id]; ok && !pr.done {
-		merged, _ := pr.merge()
-		n.finishRead(env, id, pr, merged, string(ErrQuorumTimeout))
-		return
-	}
-	delete(sh.repairs, id)
 }
 
 // handoff opens a hint stream to every peer this node holds hints for and

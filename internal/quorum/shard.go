@@ -54,11 +54,11 @@ type nodeShard struct {
 	nextReq uint64
 	writes  map[uint64]*pendingWrite
 	reads   map[uint64]*pendingRead
-	// repairs holds completed reads still awaiting late replica
-	// responses for background read repair.
-	repairs map[uint64]*repairState
+	// repairs holds reads that answered and still wait for replicas they
+	// asked, whose late answers read repair compares (see read.go).
+	repairs map[uint64]*pendingRead
 	// rtt holds the round trips of the shard's reads' peer asks, the
-	// samples a read's hedge delay is a quantile of (see retryRead).
+	// samples a read's hedge delay is a quantile of (see pendingRead.tick).
 	rtt resilience.Latency
 	// out holds the operations of this node's own clients that it
 	// forwarded to another coordinator (see forward.go).
@@ -70,7 +70,7 @@ func newNodeShard(store storage.Engine) *nodeShard {
 		store:   store,
 		writes:  make(map[uint64]*pendingWrite),
 		reads:   make(map[uint64]*pendingRead),
-		repairs: make(map[uint64]*repairState),
+		repairs: make(map[uint64]*pendingRead),
 		out:     newRequests(),
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/ring"
-	"repro/internal/storage"
 )
 
 // Shard-boundary properties: the router must agree with every other
@@ -57,7 +56,7 @@ func TestShardRouterAgreesWithDataAndMerkle(t *testing.T) {
 		}
 		// Shard assignment is a function of the same hash the Merkle
 		// trees bucket by, so a shard covers whole Merkle buckets.
-		if got := router.ShardOfHash(storage.KeyHash(key)); got != want {
+		if got := router.ShardOfHash(ring.KeyHash(key)); got != want {
 			t.Fatalf("ShardOfHash(%q) = %d, Shard = %d", key, got, want)
 		}
 	}
@@ -134,8 +133,8 @@ func TestSingleShardMintsClassicSequence(t *testing.T) {
 // TestArcScanOverShardsMatchesFlatScan is the transfer-source property:
 // walking each shard's engine in windows and filtering by a ring arc must
 // select exactly the keys a single flat map would — the shard partition
-// (keyed by storage.KeyHash) neither hides nor duplicates keys under the
-// arc filter (keyed by ring.KeyHash), wherever a batch happens to end.
+// (the top bits of ring.KeyHash) neither hides nor duplicates keys under
+// the arc filter (an interval of it), wherever a batch happens to end.
 func TestArcScanOverShardsMatchesFlatScan(t *testing.T) {
 	n := newShardedNode(t, 8)
 	const nKeys = 2000

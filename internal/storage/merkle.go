@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/ring"
 	"repro/internal/wire"
 )
 
@@ -50,24 +51,6 @@ func (m *Merkle) Depth() int { return m.depth }
 // Leaves returns the number of leaf buckets.
 func (m *Merkle) Leaves() int { return 1 << m.depth }
 
-func hashKey(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	v := h.Sum64()
-	// Both Merkle bucketing and shard routing take the TOP bits of this
-	// hash, but FNV-1a's final multiply barely disturbs them for short
-	// keys — sequential keys like "user-1..n" land in a handful of
-	// buckets and starve whole shards. Finish with a full 64-bit
-	// avalanche (the murmur3 fmix64 constants) so every output bit
-	// depends on every input byte.
-	v ^= v >> 33
-	v *= 0xff51afd7ed558ccd
-	v ^= v >> 33
-	v *= 0xc4ceb9fe1a85ec53
-	v ^= v >> 33
-	return v
-}
-
 func digest(key string, versionHash uint64) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(key))
@@ -86,7 +69,7 @@ func digest(key string, versionHash uint64) uint64 {
 // Bucket returns the leaf bucket index for key, shared across replicas so
 // both sides can enumerate a divergent bucket's keys.
 func (m *Merkle) Bucket(key string) int {
-	return int(hashKey(key) >> (64 - uint(m.depth)))
+	return int(ring.KeyHash(key) >> (64 - uint(m.depth)))
 }
 
 // Update folds (key, versionHash) into the tree, replacing the key's
@@ -123,7 +106,7 @@ func (m *Merkle) Remove(key string) {
 
 // indexAdd inserts key into its bucket's sorted key set. Caller holds mu.
 func (m *Merkle) indexAdd(key string) {
-	b := int(hashKey(key) >> (64 - uint(m.depth)))
+	b := int(ring.KeyHash(key) >> (64 - uint(m.depth)))
 	ks := m.buckets[b]
 	i := sort.SearchStrings(ks, key)
 	if i < len(ks) && ks[i] == key {
@@ -137,7 +120,7 @@ func (m *Merkle) indexAdd(key string) {
 
 // indexRemove deletes key from its bucket's sorted key set. Caller holds mu.
 func (m *Merkle) indexRemove(key string) {
-	b := int(hashKey(key) >> (64 - uint(m.depth)))
+	b := int(ring.KeyHash(key) >> (64 - uint(m.depth)))
 	ks := m.buckets[b]
 	i := sort.SearchStrings(ks, key)
 	if i < len(ks) && ks[i] == key {
@@ -162,7 +145,7 @@ func (m *Merkle) BucketLen(bucket int) int {
 }
 
 func (m *Merkle) fold(key string, d uint64) {
-	leaf := int(hashKey(key)>>(64-uint(m.depth))) + (1 << m.depth) - 1
+	leaf := int(ring.KeyHash(key)>>(64-uint(m.depth))) + (1 << m.depth) - 1
 	for i := leaf; ; i = (i - 1) / 2 {
 		m.nodes[i] ^= d
 		if i == 0 {

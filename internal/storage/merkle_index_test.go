@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/ring"
 )
 
 // rebuildIndex recomputes the bucket → sorted-keys index of m from
@@ -15,7 +17,7 @@ func rebuildIndex(m *Merkle) [][]string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	for key := range m.prev {
-		b := int(hashKey(key) >> (64 - uint(m.depth)))
+		b := int(ring.KeyHash(key) >> (64 - uint(m.depth)))
 		out[b] = append(out[b], key)
 	}
 	for _, ks := range out {

@@ -1,15 +1,18 @@
 package storage
 
+import "repro/internal/ring"
+
 // Key-range sharding for multi-core replica execution. A ShardRouter
-// partitions the keyspace by the top bits of the same FNV-64a hash the
-// Merkle tree buckets by, so a shard always owns a contiguous range of
-// Merkle buckets (shard s of S covers buckets [s*B/S, (s+1)*B/S) for a
-// tree of B buckets whenever S <= B and both are powers of two). That
+// partitions the keyspace by the top bits of the one key hash, the
+// ring.KeyHash the Merkle tree buckets by and the ring places by, so a
+// shard always owns a contiguous range of Merkle buckets (shard s of S
+// covers buckets [s*B/S, (s+1)*B/S) for a tree of B buckets whenever
+// S <= B and both are powers of two). That
 // alignment is what lets per-shard execution and per-peer anti-entropy
 // trees coexist without cross-shard bucket traffic.
 
 // ShardRouter maps keys to one of a power-of-two number of shards by
-// the top bits of the key's FNV-64a hash.
+// the top bits of the key's ring.KeyHash.
 type ShardRouter struct {
 	n     int
 	shift uint
@@ -37,17 +40,12 @@ func (r ShardRouter) Shards() int { return r.n }
 // Shard returns the shard owning key. For a single-shard router this is
 // always 0 (a uint64 shifted by 64 is 0 in Go).
 func (r ShardRouter) Shard(key string) int {
-	return int(hashKey(key) >> r.shift)
+	return int(ring.KeyHash(key) >> r.shift)
 }
 
-// ShardOfHash routes a precomputed KeyHash value. Because the shard is
+// ShardOfHash routes a precomputed ring.KeyHash value. Because the shard is
 // the hash's top bits, a hash recorded under one shard count routes
 // correctly under any other.
 func (r ShardRouter) ShardOfHash(h uint64) int {
 	return int(h >> r.shift)
 }
-
-// KeyHash exposes the FNV-64a key hash the router and the Merkle tree
-// share, for callers that persist it (WAL record headers) or check
-// bucket alignment.
-func KeyHash(key string) uint64 { return hashKey(key) }

@@ -3,7 +3,10 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"repro/internal/ring"
 )
 
 func TestShardRouterRounding(t *testing.T) {
@@ -63,9 +66,57 @@ func TestShardRouterHashRouting(t *testing.T) {
 		r := NewShardRouter(shards)
 		for i := 0; i < 500; i++ {
 			key := fmt.Sprintf("k%d", i)
-			if r.ShardOfHash(KeyHash(key)) != r.Shard(key) {
+			if r.ShardOfHash(ring.KeyHash(key)) != r.Shard(key) {
 				t.Fatalf("shards=%d: ShardOfHash disagrees with Shard for %q", shards, key)
 			}
 		}
+	}
+}
+
+// TestKeyHashAgreesAcrossShardsBucketsAndArcs: a key's shard, its Merkle
+// leaf bucket and the ring arc that holds it are all intervals of one
+// 64-bit value, ring.KeyHash(key). Arbitrary keys land in the shard and
+// the bucket whose top-bit interval contains that value, and a key changes
+// replicas when a node joins exactly when an arc DiffN reports contains
+// it, with that arc's owners.
+func TestKeyHashAgreesAcrossShardsBucketsAndArcs(t *testing.T) {
+	before := ring.New([]string{"a", "b", "c", "d"}, ring.DefaultVirtualNodes)
+	after := before.Join("e")
+	arcs := ring.DiffN(before, after, 3)
+	rng := rand.New(rand.NewSource(7))
+	// within: h lies in the idx-th of 2^bits equal intervals of the circle.
+	within := func(h uint64, idx int, bits uint) bool { return h>>(64-bits) == uint64(idx) }
+	moved := 0
+	for i := 0; i < 5000; i++ {
+		b := make([]byte, rng.Intn(24))
+		rng.Read(b)
+		key := string(b)
+		h := ring.KeyHash(key)
+		for _, bits := range []uint{0, 1, 3, 6} {
+			if r := NewShardRouter(1 << bits); !within(h, r.Shard(key), bits) || r.ShardOfHash(h) != r.Shard(key) {
+				t.Fatalf("%q: shard %d of %d does not hold its hash %#x", key, r.Shard(key), r.Shards(), h)
+			}
+		}
+		for _, depth := range []int{1, 8, 12} {
+			if m := NewMerkle(depth); !within(h, m.Bucket(key), uint(depth)) {
+				t.Fatalf("%q: bucket %d at depth %d does not hold its hash %#x", key, m.Bucket(key), depth, h)
+			}
+		}
+		old, cur := before.Replicas(key, 3), after.Replicas(key, 3)
+		var arc *ring.RangeN
+		for j := range arcs {
+			if arcs[j].Contains(h) {
+				arc = &arcs[j]
+			}
+		}
+		if changed := !slices.Equal(old, cur); changed != (arc != nil) ||
+			arc != nil && (!slices.Equal(arc.Old, old) || !slices.Equal(arc.New, cur)) {
+			t.Fatalf("%q (hash %#x): replicas %v -> %v, arc %+v", key, h, old, cur, arc)
+		} else if changed {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no key moved on the join: the arcs were not exercised")
 	}
 }
