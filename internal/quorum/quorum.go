@@ -67,12 +67,16 @@ type Config struct {
 	AntiEntropyInterval time.Duration
 	// Resilience, when non-nil, enables the fault-tolerance layer on
 	// every node: replica-RPC retransmission with backoff, fast sloppy
-	// fallback for suspected replicas, and liveness heartbeats feeding
-	// the failure detector.
+	// fallback for suspected replicas, and, where the transport does not
+	// heartbeat its links itself (Env.Heartbeats: the simulator and
+	// Loopback), a resPing to every ring peer each HeartbeatInterval to
+	// feed the failure detector.
 	Resilience *resilience.Policy
 	// Directory is the shared phi-accrual failure detector, fed by the
-	// simulator's delivery hook or by the TCP transport's heartbeats. Used
-	// only when Resilience is set.
+	// simulator's delivery hook (every message, resPing and resPong
+	// among them) or by the TCP transport (every frame read: its own
+	// heartbeats and echoes, and the protocols' messages). Used only
+	// when Resilience is set.
 	Directory *resilience.Directory
 	// Counters receives resilience event counts. May be nil.
 	Counters *resilience.Counters
@@ -287,9 +291,10 @@ type (
 		ID uint64
 	}
 	// resPing/resPong are liveness heartbeats exchanged between ring
-	// nodes when resilience is enabled. They carry nothing: the arrival
-	// itself is the failure-detector evidence, and the pong gives the
-	// pinger evidence about the pingee.
+	// nodes when resilience is enabled and the transport does not
+	// heartbeat its links itself (the simulator). They carry nothing: the
+	// arrival itself is the failure-detector evidence, and the pong gives
+	// the pinger evidence about the pingee.
 	resPing struct{}
 	resPong struct{}
 )
@@ -520,7 +525,7 @@ func (n *Node) OnStart(env transport.Env) {
 		d := n.cfg.AntiEntropyInterval/2 + time.Duration(env.Rand().Int63n(int64(n.cfg.AntiEntropyInterval)))
 		env.SetTimer(d, aeTick{})
 	}
-	if n.cfg.Resilience != nil {
+	if n.cfg.Resilience != nil && !env.Heartbeats() {
 		// Jittered so heartbeats do not fire in lockstep across the ring.
 		hi := n.cfg.Resilience.HeartbeatInterval
 		env.SetTimer(hi/2+time.Duration(env.Rand().Int63n(int64(hi))), pingTag{})

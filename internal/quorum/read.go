@@ -203,26 +203,29 @@ func (pr *pendingRead) start(ev readEvent) {
 // suspected, else the next fallback, else the first replica not yet
 // asked. It reports whether anyone was left.
 func (pr *pendingRead) askNext(ev readEvent, hedge bool) bool {
-	unasked := func(suspectsToo bool) string {
-		for _, rep := range pr.replicas {
-			if _, ok := pr.asked[rep]; !ok && (suspectsToo || !ev.sus.suspects(rep, ev.now)) {
-				return rep
-			}
-		}
-		return ""
-	}
-	next := unasked(false)
+	next := pr.unasked(ev, false)
 	if next == "" && pr.fi < len(pr.fallbacks) {
 		next = pr.fallbacks[pr.fi]
 		pr.fi++
 	}
 	if next == "" {
-		next = unasked(true)
+		next = pr.unasked(ev, true)
 	}
 	if next != "" {
 		pr.ask(ev, next, pr.digests && next != pr.self, readStep{hedge: hedge})
 	}
 	return next != ""
+}
+
+// unasked returns the first replica not yet asked, skipping those the node
+// suspects unless suspectsToo, or "" if there is none.
+func (pr *pendingRead) unasked(ev readEvent, suspectsToo bool) string {
+	for _, rep := range pr.replicas {
+		if _, ok := pr.asked[rep]; !ok && (suspectsToo || !ev.sus.suspects(rep, ev.now)) {
+			return rep
+		}
+	}
+	return ""
 }
 
 // ask asks target, for a digest or in full, and records which ask now
@@ -328,7 +331,10 @@ func (pr *pendingRead) late(from string, a readAnswer) {
 // tick is the retry timer. Its first tick, at the hedge delay, asks the
 // next node once. Each later one, RetryTimeout from the start and then at
 // Backoff, re-asks every node that still owes an answer and asks the next
-// node for a suspected replica, within the policy's attempt budget.
+// node for a suspected replica, within the policy's attempt budget. Once
+// every fallback and every replica it does not suspect has been asked, a
+// round also asks a replica skipped at the start for being suspected:
+// the suspicion may be false, and nobody else is left.
 func (pr *pendingRead) tick(ev readEvent) {
 	if !pr.hedged {
 		pr.hedged = true
@@ -359,6 +365,9 @@ func (pr *pendingRead) tick(ev readEvent) {
 		if slices.Contains(pr.replicas, t) && ev.sus.suspects(t, ev.now) {
 			pr.askNext(ev, false)
 		}
+	}
+	if pr.fi == len(pr.fallbacks) && pr.unasked(ev, false) == "" {
+		pr.askNext(ev, false)
 	}
 	pr.emit(readStep{kind: stepTick, retry: true})
 }

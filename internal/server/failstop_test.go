@@ -59,6 +59,7 @@ func (e *sinkEnv) SetTimer(time.Duration, any) transport.TimerID { return 0 }
 func (e *sinkEnv) Cancel(transport.TimerID)                      {}
 func (e *sinkEnv) Rand() *rand.Rand                              { return nil }
 func (e *sinkEnv) Domain() int                                   { return 0 }
+func (e *sinkEnv) Heartbeats() bool                              { return false }
 func (e *sinkEnv) Send(_ string, msg transport.Message) {
 	e.mu.Lock()
 	e.sent = append(e.sent, msg.(string))

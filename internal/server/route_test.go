@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/resilience"
+	"repro/internal/transport"
 )
 
 // Tests of where a quorum operation is coordinated (quorum.Node.Plan):
@@ -96,23 +97,9 @@ func TestGetsCoordinateWhereTheyLand(t *testing.T) {
 // replica in place. The messages it costs the cluster are the two peer
 // replica puts and their two acks: none goes from the node to itself.
 func TestLocalPutIsACallNotAMessage(t *testing.T) {
-	addrs := reservePorts(t, 3)
-	peers := make(map[string]string, len(addrs))
-	for i, a := range addrs {
-		peers[fmt.Sprintf("node%d", i)] = a
-	}
-	// No liveness pings between the nodes, so the puts' messages are all
-	// the cluster sends while they run, bar an anti-entropy round or two.
-	quiet := &resilience.Policy{HeartbeatInterval: time.Hour}
-	srvs := make([]*Server, len(addrs))
-	for i := range srvs {
-		s, err := New(Config{ID: fmt.Sprintf("node%d", i), Model: "quorum", Peers: peers, Policy: quiet, Seed: int64(3000 + i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[i] = s
-		t.Cleanup(s.Close)
-	}
+	// No liveness heartbeats between the nodes, so the puts' messages are
+	// all the cluster sends while they run, bar an anti-entropy round or two.
+	srvs := bootQuiet(t, "quorum", 3, 2, 2, 3000)
 	c := dialNode(t, srvs[0], "cli")
 	held := func(keys ...string) {
 		t.Helper()
@@ -160,17 +147,82 @@ func TestLocalPutIsACallNotAMessage(t *testing.T) {
 }
 
 // TestPeerEnvelopesPerOperation pins what one client operation through a
-// replica costs the peer links of a 3-node quorum cluster at N=3, R=2,
-// W=2, in envelopes written to a peer link. A put sends the version to
-// its N−1 peers and each acks: 2(N−1). A strong get asks R−1 peers for
-// a digest and each answers: 2(R−1). An eventual get (R=1) is answered by
-// the coordinator's own replica and crosses no link. What a node sends
-// itself is a mailbox post, not an envelope. Liveness pings are quieted.
-// A row ends once every replica holds every key and no envelope has been
-// written for a while (a replica's last acks can trail its values), and
-// what the cluster sends while idle (its anti-entropy rounds) is
-// measured over a window as long as the row's and subtracted.
+// replica costs the peer links of a 3-node cluster, in envelopes written
+// to a peer link, as a formula in N, R and W (N=3, R=2, W=2 here). A
+// quorum put sends the version to its N−1 peers and each acks: 2(N−1). A
+// delete is a put of a tombstone: 2(N−1). A strong get asks R−1 peers for
+// a digest and each answers: 2(R−1). An eventual get reads at R=1, the
+// coordinator's own replica: 2(1−1) = 0. A gossip put is one chain of
+// rumors, one to each of its N−1 peers, and a gossip get is local. What
+// a node sends itself is a mailbox post, not an envelope. Liveness
+// heartbeats are quieted. A row ends once every replica has applied every
+// operation and no envelope has been written for a while (a replica's
+// last acks can trail its values), and what the cluster sends while idle
+// (its anti-entropy rounds) is measured over a window as long as the
+// row's and subtracted.
 func TestPeerEnvelopesPerOperation(t *testing.T) {
+	const n, r, w = 3, 2, 2
+	const ops = 200
+	keys := make([]string, ops)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("budget-%03d", i)
+	}
+	quorumSrvs := bootQuiet(t, "quorum", n, r, w, 3100)
+	for _, k := range keys {
+		for _, tier := range []geo.Kind{geo.Strong, geo.Eventual} {
+			if coord := coordOf(quorumSrvs[0], "get", k, tier); coord != "node0" {
+				t.Fatalf("get %s is coordinated by %s, want node0", k, coord)
+			}
+		}
+	}
+	qc := dialNode(t, quorumSrvs[0], "cli")
+	holds := func(s *Server, k string) bool { return len(s.qnode.LocalValues(k)) == 1 }
+	gone := func(s *Server, k string) bool { return len(s.qnode.LocalValues(k)) == 0 }
+	countEnvelopes(t, quorumSrvs, qc, keys, []envelopeRow{
+		{"quorum put", 2 * (n - 1), holds, func(k string) error { return qc.Put(k, []byte("v")) }},
+		{"quorum strong get", 2 * (r - 1), holds, func(k string) error {
+			_, _, _, _, err := qc.GetSLA(k, geo.Tier{Kind: geo.Strong})
+			return err
+		}},
+		{"quorum eventual get", 2 * (1 - 1), holds, func(k string) error {
+			_, _, _, _, err := qc.GetSLA(k, geo.Tier{Kind: geo.Eventual})
+			return err
+		}},
+		{"quorum delete", 2 * (n - 1), gone, qc.Delete},
+	})
+
+	gossipSrvs := bootQuiet(t, "gossip", n, r, w, 3200)
+	gc := dialNode(t, gossipSrvs[0], "cli")
+	gossipHolds := func(s *Server, k string) bool {
+		found := make(chan bool, 1)
+		if !s.tcp.Invoke(s.ID(), func(transport.Env) { _, ok := s.gossipN.Get(k); found <- ok }) {
+			t.Fatalf("%s stopped", s.ID())
+		}
+		return <-found
+	}
+	countEnvelopes(t, gossipSrvs, gc, keys, []envelopeRow{
+		{"gossip put", n - 1, gossipHolds, func(k string) error { return gc.Put(k, []byte("v")) }},
+		{"gossip get", 0, gossipHolds, func(k string) error {
+			_, _, err := gc.Get(k)
+			return err
+		}},
+	})
+}
+
+// envelopeRow is one row of TestPeerEnvelopesPerOperation: an operation run
+// once per key, the peer envelopes it costs by its formula, and when a
+// node has applied it to a key.
+type envelopeRow struct {
+	name    string
+	want    int
+	applied func(s *Server, key string) bool
+	op      func(key string) error
+}
+
+// bootQuiet boots a 3-node cluster of model at N, R and W whose liveness
+// heartbeats are an hour apart.
+func bootQuiet(t *testing.T, model string, n, r, w int, seed int64) []*Server {
+	t.Helper()
 	addrs := reservePorts(t, 3)
 	peers := make(map[string]string, len(addrs))
 	for i, a := range addrs {
@@ -179,50 +231,38 @@ func TestPeerEnvelopesPerOperation(t *testing.T) {
 	quiet := &resilience.Policy{HeartbeatInterval: time.Hour}
 	srvs := make([]*Server, len(addrs))
 	for i := range srvs {
-		s, err := New(Config{ID: fmt.Sprintf("node%d", i), Model: "quorum", Peers: peers, Policy: quiet,
-			N: 3, R: 2, W: 2, Seed: int64(3100 + i)})
+		s, err := New(Config{ID: fmt.Sprintf("node%d", i), Model: model, Peers: peers, Policy: quiet,
+			N: n, R: r, W: w, Seed: seed + int64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		srvs[i] = s
 		t.Cleanup(s.Close)
 	}
-	c := dialNode(t, srvs[0], "cli")
-	const ops = 200
-	keys := make([]string, ops)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("budget-%03d", i)
-		for _, tier := range []geo.Kind{geo.Strong, geo.Eventual} {
-			if coord := coordOf(srvs[0], "get", keys[i], tier); coord != "node0" {
-				t.Fatalf("get %s is coordinated by %s, want node0", keys[i], coord)
-			}
-		}
-	}
-	// held waits until every replica holds every key: the put row's
-	// third copies and acks are part of its cost, and a get row must
-	// find nothing to repair or re-ask.
-	held := func() {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for _, k := range keys {
-			for _, s := range srvs {
-				for len(s.qnode.LocalValues(k)) != 1 {
-					if time.Now().After(deadline) {
-						t.Fatalf("%s never got %s", s.ID(), k)
-					}
-					time.Sleep(time.Millisecond)
-				}
-			}
-		}
-	}
+	return srvs
+}
+
+// countEnvelopes runs each row over keys through c and checks the peer
+// envelopes per operation against the row's formula, less the idle rate.
+func countEnvelopes(t *testing.T, srvs []*Server, c *Client, keys []string, rows []envelopeRow) {
+	t.Helper()
 	envelopes := func() (n uint64) {
 		for _, s := range srvs {
 			n += s.tcp.Stats().EnvelopesSent
 		}
 		return n
 	}
+	// A quorum replica's acks can trail its values, so a quorum row ends
+	// once the cluster has been quiet a while. A gossip rumor has no ack,
+	// and a gossip cluster's anti-entropy probes, ten a second per node,
+	// never leave it quiet: its rows end a moment after every node holds
+	// every write.
 	settle := func() {
 		t.Helper()
+		if srvs[0].qnode == nil {
+			time.Sleep(100 * time.Millisecond)
+			return
+		}
 		deadline := time.Now().Add(10 * time.Second)
 		for last, still := envelopes(), 0; still < 5; {
 			if time.Now().After(deadline) {
@@ -241,37 +281,67 @@ func TestPeerEnvelopesPerOperation(t *testing.T) {
 		t.Fatal(err)
 	}
 	settle()
-	for _, row := range []struct {
-		name string
-		want float64
-		op   func(key string) error
-	}{
-		{"put", 4, func(k string) error { return c.Put(k, []byte("v")) }},
-		{"strong get", 2, func(k string) error {
-			_, _, _, _, err := c.GetSLA(k, geo.Tier{Kind: geo.Strong})
-			return err
-		}},
-		{"eventual get", 0, func(k string) error {
-			_, _, _, _, err := c.GetSLA(k, geo.Tier{Kind: geo.Eventual})
-			return err
-		}},
-	} {
+	for _, row := range rows {
 		before, start := envelopes(), time.Now()
 		for _, k := range keys {
 			if err := row.op(k); err != nil {
 				t.Fatalf("%s %s: %v", row.name, k, err)
 			}
 		}
-		held()
+		// Every node has applied every operation: a put's third copies and
+		// acks are part of its cost, and a get must find nothing to repair.
+		deadline := time.Now().Add(10 * time.Second)
+		for _, k := range keys {
+			for _, s := range srvs {
+				for !row.applied(s, k) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s: %s never applied %s", row.name, s.ID(), k)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}
 		settle()
 		busy, window := envelopes()-before, time.Since(start)
 		before = envelopes()
 		time.Sleep(window)
 		idle := envelopes() - before
-		perOp := (float64(busy) - float64(idle)) / ops
+		perOp := (float64(busy) - float64(idle)) / float64(len(keys))
 		t.Logf("%s: %.2f peer envelopes per op (%d sent, %d idle over %v)", row.name, perOp, busy, idle, window.Round(time.Millisecond))
-		if perOp < row.want-0.25 || perOp > row.want+0.25 {
-			t.Errorf("%s: %.2f peer envelopes per op, want %v", row.name, perOp, row.want)
+		if want := float64(row.want); perOp < want-0.25 || perOp > want+0.25 {
+			t.Errorf("%s: %.2f peer envelopes per op, want %d", row.name, perOp, row.want)
+		}
+	}
+}
+
+// TestIdleClusterHeartbeatsEachLinkOnce pins what an idle 3-node quorum
+// cluster sends at a 20 ms heartbeat interval. Over TCP the transport's
+// heartbeat is a node's only liveness traffic, and it goes only on a link
+// with nothing else to carry, so each of the three link pairs carries one
+// heartbeat and its echo per interval: 3 × 2 × 50 = 300 envelopes a
+// second. On top come the one-in-ten heartbeat a link that carries only
+// echoes sends to measure its own round trip, and the anti-entropy rounds;
+// a quorum node sends no ping of its own over TCP. No peer may be
+// suspected meanwhile.
+func TestIdleClusterHeartbeatsEachLinkOnce(t *testing.T) {
+	srvs := startCluster(t, "quorum", 3, false)
+	envelopes := func() (n uint64) {
+		for _, s := range srvs {
+			n += s.tcp.Stats().EnvelopesSent
+		}
+		return n
+	}
+	time.Sleep(500 * time.Millisecond) // every link up, the boot traffic over
+	before, start := envelopes(), time.Now()
+	time.Sleep(2 * time.Second)
+	rate := float64(envelopes()-before) / time.Since(start).Seconds()
+	t.Logf("idle: %.0f peer envelopes/s", rate)
+	if rate > 350 {
+		t.Errorf("idle: %.0f peer envelopes/s, want ≤ 350: about 300 heartbeats and echoes, the RTT samples and anti-entropy", rate)
+	}
+	for _, s := range srvs {
+		if st := s.status(); len(st.Suspect) > 0 {
+			t.Errorf("%s suspects %v on an idle cluster", s.ID(), st.Suspect)
 		}
 	}
 }

@@ -575,8 +575,9 @@ func (e *clientEnv) Send(to string, msg Message) { e.c.send(nil, e.id, to, msg) 
 func (e *clientEnv) SetTimer(time.Duration, any) TimerID {
 	panic("sim: client env cannot set timers; schedule with Cluster.After")
 }
-func (e *clientEnv) Cancel(TimerID) {}
-func (e *clientEnv) Domain() int    { return 0 }
+func (e *clientEnv) Cancel(TimerID)   {}
+func (e *clientEnv) Domain() int      { return 0 }
+func (e *clientEnv) Heartbeats() bool { return false }
 
 // env implements Env for one handler invocation.
 type env struct {
@@ -591,6 +592,10 @@ func (e *env) Send(to string, msg Message) { e.c.send(e.n, e.n.id, to, msg) }
 
 // Domain is 0: the simulator runs every node in one execution domain.
 func (e *env) Domain() int { return 0 }
+
+// Heartbeats is false: the simulator's detector sees only the messages
+// the protocols send (Config.OnDeliver).
+func (e *env) Heartbeats() bool { return false }
 
 func (e *env) SetTimer(d time.Duration, tag any) TimerID {
 	e.c.nextID++

@@ -21,7 +21,8 @@
 //     transport test runs without opening a socket — while TCP (tcp.go)
 //     connects them over real connections with length-prefixed binary
 //     framing, per-peer send queues, reconnection backoff from
-//     internal/resilience, and transport-level heartbeats that feed the
+//     internal/resilience, and a transport-level heartbeat on each link
+//     with nothing else to carry, every arriving frame feeding the
 //     phi-accrual failure detector with real arrival times.
 package transport
 
@@ -82,4 +83,11 @@ type Env interface {
 	// State confined to a domain (a journal buffer, a barrier's queue)
 	// is indexed by it.
 	Domain() int
+	// Heartbeats reports whether the substrate keeps the failure detector
+	// fed on every link by itself: it heartbeats each link that has
+	// nothing else to carry and observes every frame that arrives (the TCP
+	// transport given a Directory). A protocol then sends no liveness
+	// pings of its own. The simulator and Loopback report false: there
+	// the detector sees only the messages the protocols send.
+	Heartbeats() bool
 }

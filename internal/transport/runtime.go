@@ -156,6 +156,7 @@ func (d *domain) ID() string                  { return d.p.id }
 func (d *domain) Now() time.Duration          { return d.p.rt.Now() }
 func (d *domain) Rand() *rand.Rand            { return d.rng }
 func (d *domain) Domain() int                 { return d.idx }
+func (d *domain) Heartbeats() bool            { return d.p.rt.heartbeats }
 func (d *domain) Send(to string, msg Message) { d.p.rt.send(d.p.id, to, msg) }
 
 func (d *domain) SetTimer(dur time.Duration, tag any) TimerID { return d.timers.set(dur, tag) }
@@ -261,6 +262,9 @@ type Runtime struct {
 	forward func(from, to string, msg Message) bool // non-local routing hook
 	cut     func(from, to string) bool              // fault hook: true drops the send
 	delay   func(from, to string) time.Duration     // fault hook: artificial link latency
+	// heartbeats is Env.Heartbeats for every domain: set by a TCP
+	// transport given a Directory, before any node is added.
+	heartbeats bool
 
 	stats statsCell
 }

@@ -109,6 +109,7 @@ func (e fastEnv) Rand() *rand.Rand {
 func (e fastEnv) Domain() int {
 	panic("transport: the fast path runs in no execution domain")
 }
+func (e fastEnv) Heartbeats() bool { return e.p.rt.heartbeats }
 
 // dispatch routes a message to p's owning execution domain: the fast
 // path if the handler claims it, the shard mailbox for key-addressed

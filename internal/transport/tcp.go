@@ -28,9 +28,12 @@ type TCPConfig struct {
 	// Policy supplies reconnect backoff, heartbeat pacing, and I/O
 	// deadlines. Nil uses resilience.DefaultPolicy.
 	Policy *resilience.Policy
-	// Directory, when set, receives one observation per arriving frame —
-	// the phi-accrual detector fed by real arrival times instead of the
-	// simulator's OnDeliver hook.
+	// Directory, when set, receives one observation per read from a peer
+	// link (a read takes every frame that has arrived) — the phi-accrual
+	// detector fed by real arrival times instead of the simulator's
+	// OnDeliver hook. With it the transport's Env reports Heartbeats: its
+	// heartbeats and the frames the protocols send are all the liveness
+	// evidence a node needs.
 	Directory *resilience.Directory
 	// OnClientConn, when set, receives accepted connections whose
 	// handshake declares Kind "client" (the server's client protocol
@@ -48,17 +51,18 @@ type TCPConfig struct {
 	// written once it has waited that long since it was sent, and
 	// messages do not wait for each other, so the link pipelines like a
 	// distant one rather than serializing like a slow one. Heartbeats
-	// ride the same per-peer queue, so the failure detector's measured
-	// RTTs reflect the delay, which is what lets the SLA machinery
-	// observe realistic latency classes locally.
+	// ride the same per-peer queue, so the measured RTTs reflect the
+	// delay, which is what lets the status and metrics gauges show
+	// realistic latency classes locally.
 	LinkDelay func(peer string) time.Duration
 }
 
 // TCP is the real transport: a Runtime whose non-local sends travel as
 // length-prefixed binary frames over pooled TCP connections, one ordered
 // send queue per peer, with automatic reconnection under the resilience
-// policy's jittered backoff and transport-level heartbeats feeding the
-// failure detector with real RTTs.
+// policy's jittered backoff, and a transport-level heartbeat on each link
+// that has nothing else to carry (see tcpPeer.drain), so the failure
+// detector hears every peer at least once per interval.
 type TCP struct {
 	*Runtime
 	cfg    TCPConfig
@@ -106,6 +110,7 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 		t.addrs[id] = addr
 	}
 	t.Runtime.forward = t.forward
+	t.Runtime.heartbeats = cfg.Directory != nil
 	t.wg.Add(1)
 	go t.acceptLoop()
 	t.connectAll()
@@ -216,7 +221,7 @@ func (t *TCP) peer(id, addr string) *tcpPeer {
 	return p
 }
 
-// observe feeds the failure detector and RTT reservoir for peer.
+// observe feeds the failure detector for peer.
 func (t *TCP) observe(peer string) {
 	if t.cfg.Directory != nil {
 		t.cfg.Directory.Observe(peer, t.cfg.LocalID, t.Now())
@@ -235,8 +240,9 @@ func (t *TCP) observeRTT(peer string, rtt time.Duration) {
 }
 
 // RTTQuantile returns the q-quantile of observed heartbeat round trips
-// to peer (0 if none yet) — the real-network input to hedging delays
-// and the /metrics latency gauges.
+// to peer (0 if none yet), for the status and /metrics latency gauges
+// (ec_peer_rtt_seconds, ec_zone_rtt_seconds). Hedging does not read it:
+// a quorum read hedges on its shard's answer delays.
 func (t *TCP) RTTQuantile(peer string, q float64) time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -513,8 +519,20 @@ func (p *tcpPeer) run() {
 // later.
 const maxBatch = 256
 
-// drain writes queued messages and paced heartbeats until the
-// connection errors (false return means the peer is closing for good).
+// rttSampleEvery is how many heartbeat intervals a busy link goes between
+// heartbeats. Its frames already keep the receiver's detector fed; the
+// one heartbeat in rttSampleEvery keeps the RTT gauges (RTTQuantile)
+// tracking under load.
+const rttSampleEvery = 10
+
+// drain writes queued messages and heartbeats until the connection errors
+// (false return means the peer is closing for good). A heartbeat goes at
+// a tick of the heartbeat interval only if the writer took no queued
+// message since the previous tick, or if the link has gone rttSampleEvery
+// ticks without one: every frame that arrives, an echo included, is
+// evidence to the receiver's detector, so an idle link pair carries one
+// heartbeat and its echo per interval and a busy one almost none.
+//
 // Sends are batched: after blocking for the first envelope the loop
 // greedily takes everything else already queued (up to maxBatch) and
 // writes their frames in one write — one syscall and one wakeup on the
@@ -531,12 +549,19 @@ func (p *tcpPeer) drain(conn net.Conn) bool {
 	defer hb.Stop()
 	batch := make([]Message, 0, maxBatch) // taken from the queue, not yet written
 	var sent []time.Duration              // each taken message's queued.at
+	took, skipped := false, 0             // a message taken since the last tick; ticks since the last heartbeat
 	take := func(q queued) {
 		batch, sent = append(batch, q.msg), append(sent, q.at)
+		took = true
 	}
-	beat := func() {
+	tick := func() {
+		if took && skipped < rttSampleEvery-1 {
+			took, skipped = false, skipped+1
+			return
+		}
 		now := t.Now()
-		take(queued{msg: heartbeat{T: int64(now)}, at: now})
+		batch, sent = append(batch, heartbeat{T: int64(now)}), append(sent, now)
+		took, skipped = false, 0
 	}
 	var buf []byte
 	for {
@@ -547,12 +572,12 @@ func (p *tcpPeer) drain(conn net.Conn) bool {
 			case q := <-p.out:
 				take(q)
 			case <-hb.C:
-				beat()
+				tick()
 			}
 		} else {
 			select {
 			case <-hb.C:
-				beat()
+				tick()
 			default:
 			}
 		}
@@ -565,6 +590,9 @@ func (p *tcpPeer) drain(conn net.Conn) bool {
 			}
 		}
 	full:
+		if len(batch) == 0 {
+			continue // a tick that sent no heartbeat
+		}
 		n := len(batch)
 		if d := p.delay(); d > 0 {
 			if !p.sleep(sent[0] + d - t.Now()) {
