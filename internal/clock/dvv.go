@@ -29,14 +29,11 @@ type DVV struct {
 
 // NewDVV stamps a new write performed at node, which had observed context
 // (typically the merge of the contexts the client read). It advances the
-// node's counter within the context and returns the resulting DVV.
+// node's counter within the context and returns the resulting DVV, whose
+// context is a new vector: context itself is left as it was.
 func NewDVV(node string, context Vector) DVV {
-	ctx := context.Copy()
-	if ctx == nil {
-		ctx = NewVector()
-	}
-	n := ctx.Tick(node)
-	return DVV{Dot: Dot{Node: node, Counter: n}, Context: ctx}
+	n := context.Get(node) + 1
+	return DVV{Dot: Dot{Node: node, Counter: n}, Context: context.With(node, n)}
 }
 
 // MintDVV stamps a new write whose dot may lie beyond the context — the
@@ -46,17 +43,14 @@ func NewDVV(node string, context Vector) DVV {
 // per-key mint floor guaranteeing uniqueness even when the writer has not
 // observed its own earlier writes yet (e.g. a coordinator whose local
 // apply is still in flight). Two such blind writes stay concurrent
-// instead of one falsely superseding the other.
+// instead of one falsely superseding the other. The DVV holds context
+// itself (an empty vector if it is nil): no vector is written once shared.
 func MintDVV(node string, context Vector, minCounter uint64) DVV {
-	ctx := context.Copy()
-	if ctx == nil {
-		ctx = NewVector()
+	if context == nil {
+		context = Vector{}
 	}
-	c := ctx.Get(node)
-	if minCounter > c {
-		c = minCounter
-	}
-	return DVV{Dot: Dot{Node: node, Counter: c + 1}, Context: ctx}
+	c := max(context.Get(node), minCounter)
+	return DVV{Dot: Dot{Node: node, Counter: c + 1}, Context: context}
 }
 
 // Obsoletes reports whether v's context has seen other's dot — i.e. the
@@ -71,17 +65,22 @@ func (v DVV) ConcurrentWith(other DVV) bool {
 }
 
 // Join returns the merge of both causal contexts including both dots —
-// the context a reader holds after observing both versions.
+// the context a reader holds after observing both versions. It is never
+// nil, and neither operand changes.
 func (v DVV) Join(other DVV) Vector {
-	out := v.Context.Copy()
-	out.Merge(other.Context)
-	if out.Get(v.Dot.Node) < v.Dot.Counter {
-		out[v.Dot.Node] = v.Dot.Counter
-	}
-	if out.Get(other.Dot.Node) < other.Dot.Counter {
-		out[other.Dot.Node] = other.Dot.Counter
+	out := v.Context.Merge(other.Context).withDot(v.Dot).withDot(other.Dot)
+	if out == nil {
+		out = Vector{}
 	}
 	return out
+}
+
+// withDot returns v raised to cover dot d.
+func (v Vector) withDot(d Dot) Vector {
+	if v.Get(d.Node) < d.Counter {
+		return v.With(d.Node, d.Counter)
+	}
+	return v
 }
 
 // String implements fmt.Stringer.
@@ -184,14 +183,12 @@ func (s *Siblings[T]) Values() []T {
 }
 
 // Context returns the merged causal context of all siblings — what a
-// client must echo back on its next write to supersede them all.
+// client must echo back on its next write to supersede them all. It is
+// never nil; it may be a sibling's own context, which nothing writes.
 func (s *Siblings[T]) Context() Vector {
-	ctx := NewVector()
+	ctx := Vector{}
 	for _, e := range s.versions {
-		ctx.Merge(e.DVV.Context)
-		if ctx.Get(e.DVV.Dot.Node) < e.DVV.Dot.Counter {
-			ctx[e.DVV.Dot.Node] = e.DVV.Dot.Counter
-		}
+		ctx = ctx.Merge(e.DVV.Context).withDot(e.DVV.Dot)
 	}
 	return ctx
 }

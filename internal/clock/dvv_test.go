@@ -3,7 +3,7 @@ package clock
 import "testing"
 
 func TestNewDVVAdvancesNodeCounter(t *testing.T) {
-	ctx := Vector{"a": 2, "b": 1}
+	ctx := Vector{{"a", 2}, {"b", 1}}
 	d := NewDVV("a", ctx)
 	if d.Dot != (Dot{Node: "a", Counter: 3}) {
 		t.Fatalf("dot = %v, want (a,3)", d.Dot)
@@ -24,8 +24,7 @@ func TestDVVObsoletes(t *testing.T) {
 	// Client reads version v1 (written at a), writes v2 with that context:
 	// v2 must obsolete v1 but not vice versa.
 	v1 := NewDVV("a", nil)
-	ctx := v1.Context.Copy()
-	v2 := NewDVV("b", ctx)
+	v2 := NewDVV("b", v1.Context)
 	if !v2.Obsoletes(v1) {
 		t.Error("v2 (read v1 first) must obsolete v1")
 	}
@@ -84,9 +83,9 @@ func TestSiblingsObsoleteWriteIgnored(t *testing.T) {
 // Add would decide about a version: kept (not covered) or not.
 func TestSiblingsCoversAgreesWithAdd(t *testing.T) {
 	v1 := NewDVV("a", nil)
-	v2 := NewDVV("a", v1.Context)         // supersedes v1
-	v3 := NewDVV("b", nil)                // concurrent with both
-	v4 := NewDVV("c", v2.Join(v3).Copy()) // supersedes all three
+	v2 := NewDVV("a", v1.Context)  // supersedes v1
+	v3 := NewDVV("b", nil)         // concurrent with both
+	v4 := NewDVV("c", v2.Join(v3)) // supersedes all three
 	var s Siblings[string]
 	s.Add(v2, "two")
 	for _, tc := range []struct {
@@ -149,7 +148,7 @@ func TestSiblingsNoExplosionWithDVV(t *testing.T) {
 	// Two clients ping-pong writes through the same server, each reading
 	// before writing. With plain per-value vectors clocked by the server
 	// this explodes; with DVVs sibling count stays ≤ 2.
-	ctxA, ctxB := NewVector(), NewVector()
+	ctxA, ctxB := Vector{}, Vector{}
 	for i := 0; i < 50; i++ {
 		dA := NewDVV(server, ctxA)
 		s.Add(dA, i)

@@ -8,16 +8,14 @@ import (
 
 // Vector clocks detect whether two events are ordered or concurrent.
 func ExampleVector_Compare() {
-	a := clock.NewVector()
-	b := clock.NewVector()
-	a.Tick("alice") // alice writes
-	b.Merge(a)      // bob observes alice's write ...
-	b.Tick("bob")   // ... then writes
+	var a, b, c clock.Vector
+	a = a.With("alice", 1) // alice writes
+	b = b.Merge(a)         // bob observes alice's write ...
+	b = b.With("bob", 1)   // ... then writes
 
 	fmt.Println(a.Compare(b)) // alice's event precedes bob's
 
-	c := clock.NewVector()
-	c.Tick("carol") // carol writes without observing anyone
+	c = c.With("carol", 1) // carol writes without observing anyone
 	fmt.Println(a.Compare(c))
 	// Output:
 	// before

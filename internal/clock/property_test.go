@@ -93,10 +93,10 @@ func TestDVVQuickSupersessionOrder(t *testing.T) {
 	}
 	prop := func(nodes []string) bool {
 		var s Siblings[int]
-		mint := map[string]uint64{}
+		var mint Vector // per node, the last dot counter minted
 		for i, node := range nodes {
-			d := MintDVV(node, s.Context(), mint[node])
-			mint[node] = d.Dot.Counter
+			d := MintDVV(node, s.Context(), mint.Get(node))
+			mint = mint.With(node, d.Dot.Counter)
 			s.Add(d, i)
 			if s.Len() != 1 {
 				return false

@@ -49,12 +49,13 @@ type CausalBuffer struct {
 
 // NewCausalBuffer returns an empty buffer.
 func NewCausalBuffer() *CausalBuffer {
-	return &CausalBuffer{applied: clock.NewVector()}
+	return &CausalBuffer{applied: clock.Vector{}}
 }
 
 // Applied returns the vector of operations applied so far (per origin).
-// Use it as the Deps of locally issued operations.
-func (b *CausalBuffer) Applied() clock.Vector { return b.applied.Copy() }
+// Use it as the Deps of locally issued operations: later deliveries
+// build a new vector and leave the returned one as it is.
+func (b *CausalBuffer) Applied() clock.Vector { return b.applied }
 
 // Pending returns how many envelopes are waiting for dependencies.
 func (b *CausalBuffer) Pending() int { return len(b.pending) }
@@ -63,11 +64,11 @@ func (b *CausalBuffer) deliverable(e Envelope) bool {
 	if b.applied.Get(e.Origin)+1 != e.Seq {
 		return false // gap or duplicate from the origin
 	}
-	for id, n := range e.Deps {
-		if id == e.Origin {
+	for _, d := range e.Deps {
+		if d.ID == e.Origin {
 			continue // the origin's own prefix is covered by Seq
 		}
-		if b.applied.Get(id) < n {
+		if b.applied.Get(d.ID) < d.Counter {
 			return false
 		}
 	}
@@ -96,7 +97,7 @@ func (b *CausalBuffer) Deliver(e Envelope) []Envelope {
 			if !b.deliverable(p) {
 				continue
 			}
-			b.applied[p.Origin] = p.Seq
+			b.applied = b.applied.With(p.Origin, p.Seq)
 			ready = append(ready, p)
 			b.pending = append(b.pending[:i], b.pending[i+1:]...)
 			progress = true

@@ -81,11 +81,11 @@ func NewMVRegister[T any](id string) *MVRegister[T] {
 // dominates the merge of their clocks, so after propagation it supersedes
 // them everywhere.
 func (r *MVRegister[T]) Set(value T) {
-	vc := clock.NewVector()
+	vc := clock.Vector{}
 	for _, v := range r.versions {
-		vc.Merge(v.Clock)
+		vc = vc.Merge(v.Clock)
 	}
-	vc.Tick(r.id)
+	vc = vc.With(r.id, vc.Get(r.id)+1)
 	r.versions = []MVVersion[T]{{Value: value, Clock: vc}}
 }
 
@@ -128,19 +128,16 @@ func (r *MVRegister[T]) Merge(other *MVRegister[T]) {
 			}
 		}
 		if !dominated {
-			keep = append(keep, MVVersion[T]{Value: c.Value, Clock: c.Clock.Copy()})
+			keep = append(keep, c)
 		}
 	}
 	r.versions = keep
 }
 
-// Copy returns a deep copy with the same owner id.
+// Copy returns a copy with the same owner id. The versions' clocks are
+// shared: a vector is never written once shared.
 func (r *MVRegister[T]) Copy() *MVRegister[T] {
-	out := NewMVRegister[T](r.id)
-	for _, v := range r.versions {
-		out.versions = append(out.versions, MVVersion[T]{Value: v.Value, Clock: v.Clock.Copy()})
-	}
-	return out
+	return &MVRegister[T]{id: r.id, versions: r.Versions()}
 }
 
 // Siblings returns how many concurrent versions the register holds.

@@ -21,6 +21,7 @@ package crdtstore
 import (
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/crdt"
 	"repro/internal/sim"
 )
@@ -145,7 +146,7 @@ type opTick struct{}
 // ackVector tells a peer which per-origin prefixes we hold, so it can
 // retransmit what we miss (the pull half of reliable causal broadcast).
 type ackVector struct {
-	Applied map[string]uint64
+	Applied clock.Vector
 }
 
 // NewOpNode returns an op-based replica; interval paces loss-recovery
@@ -187,7 +188,7 @@ func (n *OpNode) OnMessage(env sim.Env, from string, msg sim.Message) {
 		}
 	case ackVector:
 		// Retransmit our own ops the peer is missing.
-		have := m.Applied[n.id]
+		have := m.Applied.Get(n.id)
 		for _, e := range n.log {
 			if e.Seq > have {
 				env.Send(from, opBroadcast{E: e})

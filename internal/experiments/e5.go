@@ -64,7 +64,7 @@ func E5CRDT(seed int64) Result {
 				op = os.Add(v)
 			}
 			seq++
-			env := crdt.Envelope{Origin: "a", Seq: seq, Deps: clock.Vector{"a": seq - 1}, Op: op}
+			env := crdt.Envelope{Origin: "a", Seq: seq, Deps: clock.Vector{{ID: "a", Counter: seq - 1}}, Op: op}
 			total += env.WireSize()
 			sent++
 		}
@@ -79,7 +79,7 @@ func E5CRDT(seed int64) Result {
 			pc.Inc(1)
 		}
 		counterState := pc.WireSize()
-		counterOp := crdt.Envelope{Origin: "a", Seq: 1, Deps: clock.Vector{"a": 0}, Op: crdt.CounterOp{Delta: 1}}.WireSize()
+		counterOp := crdt.Envelope{Origin: "a", Seq: 1, Deps: clock.Vector{{ID: "a", Counter: 0}}, Op: crdt.CounterOp{Delta: 1}}.WireSize()
 
 		bwTable.AddRow(n, stateBytes, opBytes, counterState, counterOp)
 		stateSeries.Add(float64(n), float64(stateBytes))

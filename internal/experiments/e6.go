@@ -103,7 +103,7 @@ func E6ConflictResolution(seed int64) Result {
 	// explode.
 	a3 := &metrics.Table{Header: []string{"scheme", "interleaved writes", "max siblings"}}
 	var sib clock.Siblings[int]
-	ctxA, ctxB := clock.NewVector(), clock.NewVector()
+	ctxA, ctxB := clock.Vector{}, clock.Vector{}
 	maxSib := 0
 	const interleaved = 100
 	for i := 0; i < interleaved; i++ {

@@ -65,10 +65,11 @@ func (n *Node) tree(peer string) *storage.Merkle {
 // entriesDigest digests a key's full sibling set, so two replicas agree
 // on the hash iff they hold identical versions. It is FNV-1a over the
 // decoded fields in stored order — dot node, dot counter, tombstone
-// flag, value — and never over the stored bytes: contexts are maps and
-// encode in iteration order, so equal sets differ bytewise across
-// replicas, and a digest of the bytes would have anti-entropy exchange
-// every bucket forever.
+// flag, value — and never over the stored bytes or the contexts. A dot
+// names one write and its context, so the dots decide equality; and a
+// set stored by an earlier version, which wrote contexts in map order,
+// differs bytewise from an equal set stored now, so a digest of the
+// bytes would have anti-entropy exchange those buckets forever.
 func entriesDigest(es []clock.SiblingEntry[record]) uint64 {
 	h := fnv.New64a()
 	for _, e := range es {

@@ -96,7 +96,7 @@ func watch(t *testing.T, h *harness) *readTraffic {
 // seen ctx.
 func entryAt(node string, ctr uint64, ctx clock.Vector, val string) clock.SiblingEntry[record] {
 	if ctx == nil {
-		ctx = clock.NewVector()
+		ctx = clock.Vector{}
 	}
 	return clock.SiblingEntry[record]{
 		DVV:   clock.DVV{Dot: clock.Dot{Node: node, Counter: ctr}, Context: ctx},
@@ -449,7 +449,7 @@ func TestFallbackReaderAnswersADigestReadFromItsHints(t *testing.T) {
 	prefs, fallbacks := h.nodes[0].placement(h.nodes[0].epoch.Load(), key)
 	coord, down, fb := prefs[0], prefs[2], fallbacks[0]
 	old := entryAt("x", 1, nil, "old")
-	hinted := entryAt("x", 2, clock.Vector{"x": 1}, "hinted")
+	hinted := entryAt("x", 2, clock.Vector{{ID: "x", Counter: 1}}, "hinted")
 	for _, rep := range prefs[:2] {
 		h.node(rep).installEntry(0, key, old)
 	}
@@ -643,7 +643,7 @@ func TestMergeKeepsValueBearingCopiesInPreferenceOrder(t *testing.T) {
 		}
 		return out
 	}
-	newer := entryAt("z", 1, clock.Vector{"x": 1, "y": 1}, "c")
+	newer := entryAt("z", 1, clock.Vector{{ID: "x", Counter: 1}, {ID: "y", Counter: 1}}, "c")
 	pr := &pendingRead{
 		replicas:  []string{"s0", "s1", "s2"},
 		fallbacks: []string{"s3", "s4"},
@@ -683,15 +683,15 @@ func TestMergeKeepsValueBearingCopiesInPreferenceOrder(t *testing.T) {
 // TestDigestAnswerBuildsNoContext: a digest answer is read straight out
 // of the stored bytes. For a stored set whose version has a context it
 // allocates the dots and the answer handed to Send, and nothing else:
-// decoding the context into a clock.Vector would cost a map, and copying
-// the entry out a slice of entries. The previous layout, whose answer
+// decoding the context into a clock.Vector would cost a slice of
+// entries, and copying the entry out a slice of sibling entries. The previous layout, whose answer
 // was the decoded set with its values cleared, took 4 here.
 func TestDigestAnswerBuildsNoContext(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	n := NewNode("s0", Config{Ring: []string{"s0", "s1", "s2"}, N: 3, R: 2, W: 2, ReadRepair: true})
-	ctx := clock.Vector{"client": 3, "s1": 4, "s2": 9}
+	ctx := clock.Vector{{ID: "client", Counter: 3}, {ID: "s1", Counter: 4}, {ID: "s2", Counter: 9}}
 	n.installEntry(0, "k", fixtureEntry("client", 4, ctx, make([]byte, 128), false))
 	env := &sentEnv{}
 	n.answerDigest(env, "s1", replicaDigest{ID: 1, Key: "k"})
@@ -720,9 +720,9 @@ func TestDigestAnswerBuildsNoContext(t *testing.T) {
 // be asked beside it; either way the crashed replica took no delivery.
 func TestDigestReadAgainstEachKindOfPeer(t *testing.T) {
 	base := entryAt("x", 1, nil, "base")
-	newer := entryAt("x", 2, clock.Vector{"x": 1}, "newer")
+	newer := entryAt("x", 2, clock.Vector{{ID: "x", Counter: 1}}, "newer")
 	concurrent := entryAt("y", 1, nil, "concurrent")
-	tombstone := entryAt("x", 2, clock.Vector{"x": 1}, "")
+	tombstone := entryAt("x", 2, clock.Vector{{ID: "x", Counter: 1}}, "")
 	tombstone.Value = record{Deleted: true}
 	for _, tc := range []struct {
 		name     string

@@ -1,8 +1,10 @@
 package quorum
 
 import (
+	"bytes"
 	"errors"
 	"flag"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -58,11 +60,11 @@ var fixtureInstalls = []struct {
 	e   clock.SiblingEntry[record]
 }{
 	{"alpha", fixtureEntry("c1", 1, clock.Vector{}, []byte("a1"), false)},
-	{"alpha", fixtureEntry("c1", 2, clock.Vector{"c1": 1}, []byte("a2"), false)},
+	{"alpha", fixtureEntry("c1", 2, clock.Vector{{ID: "c1", Counter: 1}}, []byte("a2"), false)},
 	{"beta", fixtureEntry("c1", 1, clock.Vector{}, []byte("b1"), false)},
-	{"beta", fixtureEntry("c2", 1, clock.Vector{"s0": 4}, []byte("b2"), false)},
+	{"beta", fixtureEntry("c2", 1, clock.Vector{{ID: "s0", Counter: 4}}, []byte("b2"), false)},
 	{"gamma", fixtureEntry("c1", 2, clock.Vector{}, []byte("g1"), false)},
-	{"gamma", fixtureEntry("c1", 3, clock.Vector{"c1": 2, "c2": 7}, nil, true)},
+	{"gamma", fixtureEntry("c1", 3, clock.Vector{{ID: "c1", Counter: 2}, {ID: "c2", Counter: 7}}, nil, true)},
 	{"epsilon", fixtureEntry("s0", 1, nil, nil, false)},
 }
 
@@ -75,7 +77,7 @@ var fixtureWant = map[string][]clock.SiblingEntry[record]{
 	"epsilon": {fixtureInstalls[6].e},
 }
 
-var fixtureHint = fixtureEntry("c3", 1, clock.Vector{"c1": 2}, []byte("h1"), false)
+var fixtureHint = fixtureEntry("c3", 1, clock.Vector{{ID: "c1", Counter: 2}}, []byte("h1"), false)
 
 func fixtureConfig() Config {
 	return Config{Ring: []string{"s0", "s1", "s2"}, N: 3, R: 2, W: 2, Shards: 2}
@@ -140,6 +142,32 @@ func writeFixtureDirs(t *testing.T, root string) {
 	}
 	if err := ln.Close(); err != nil { // flushes the memtable to an SSTable
 		t.Fatal(err)
+	}
+}
+
+// The generator writes one set of bytes: vector contexts and the
+// checkpoint's lists are written in order, so the next format
+// generation's fixtures differ from this one's only where the format did.
+func TestFixtureGeneratorIsDeterministic(t *testing.T) {
+	first := t.TempDir()
+	writeFixtureDirs(t, first)
+	for run := 0; run < 3; run++ {
+		again := t.TempDir()
+		writeFixtureDirs(t, again)
+		err := filepath.WalkDir(first, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			rel, _ := filepath.Rel(first, path)
+			want, _ := os.ReadFile(path)
+			if got, err := os.ReadFile(filepath.Join(again, rel)); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("run %d: %s differs from the first run's (%v)", run+2, rel, err)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -348,6 +348,7 @@ func (n *Node) ReplayRecord(rec []byte) error {
 //
 // Stored values are copied in raw, so a checkpoint costs the actor loop
 // one scan and one memcpy per key, not a decode and a re-encode. The
+// other lists are written in key order, so one state is one image. The
 // retired format 0xE2 carried a fifth list, the node-issued dot counters,
 // and is refused with wire.ErrFormatTooOld.
 const (
@@ -394,9 +395,10 @@ func (n *Node) StateSnapshot() []byte {
 
 	n.hintsMu.Lock()
 	out = wire.AppendUvarint(out, uint64(n.pendingHintsLocked()))
-	for intended, keys := range n.hints {
-		for key, es := range keys {
-			for _, e := range es {
+	for _, intended := range sortedKeys(n.hints) {
+		keys := n.hints[intended]
+		for _, key := range sortedKeys(keys) {
+			for _, e := range keys[key] {
 				out = wire.AppendString(out, intended)
 				out = wire.AppendString(out, key)
 				out = appendEntry(out, e)
@@ -410,8 +412,8 @@ func (n *Node) StateSnapshot() []byte {
 		done += len(idxs)
 	}
 	out = wire.AppendUvarint(out, uint64(done))
-	for seq, idxs := range n.xferDone {
-		for idx := range idxs {
+	for _, seq := range sortedKeys(n.xferDone) {
+		for _, idx := range sortedKeys(n.xferDone[seq]) {
 			out = wire.AppendUvarint(out, seq)
 			out = wire.AppendVarint(out, int64(idx))
 		}
@@ -419,9 +421,9 @@ func (n *Node) StateSnapshot() []byte {
 
 	n.geoMu.Lock()
 	out = wire.AppendUvarint(out, uint64(len(n.geoPeers)))
-	for p, g := range n.geoPeers {
+	for _, p := range sortedKeys(n.geoPeers) {
 		out = wire.AppendString(out, p)
-		out = wire.AppendUvarint(out, g.acked)
+		out = wire.AppendUvarint(out, n.geoPeers[p].acked)
 	}
 	n.geoMu.Unlock()
 	return out

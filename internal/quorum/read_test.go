@@ -24,7 +24,7 @@ func (s suspectSet) suspects(peer string, _ time.Duration) bool { return s[peer]
 // and c is concurrent with both.
 var stepVersions = map[byte]clock.SiblingEntry[record]{
 	'a': entryAt("x", 1, nil, "A"),
-	'b': entryAt("x", 2, clock.Vector{"x": 1}, "B"),
+	'b': entryAt("x", 2, clock.Vector{{ID: "x", Counter: 1}}, "B"),
 	'c': entryAt("y", 1, nil, "C"),
 }
 

@@ -1,6 +1,7 @@
 package quorum
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/ring"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // Deterministic sim coverage for the elasticity building blocks: the
@@ -25,7 +27,7 @@ func seedEntry(i int, size int) clock.SiblingEntry[record] {
 		v[j] = byte(i)
 	}
 	return clock.SiblingEntry[record]{
-		DVV:   clock.DVV{Dot: clock.Dot{Node: "w", Counter: uint64(i + 1)}, Context: clock.NewVector()},
+		DVV:   clock.DVV{Dot: clock.Dot{Node: "w", Counter: uint64(i + 1)}, Context: clock.Vector{}},
 		Value: record{Value: v},
 	}
 }
@@ -454,5 +456,99 @@ func TestCatchUpGateRacesReplicaReads(t *testing.T) {
 	}
 	if dst.CatchingUp() || dst.gatedKey("gate-0") {
 		t.Fatal("the gate is still up after the last range landed")
+	}
+}
+
+// TestOneDecodedContextIsSharedByEveryInstall: a put's context is decoded
+// once and handed, in this process, to the coordinator and to every
+// replica's install on every execution domain, while another goroutine
+// reads it; then the contexts the puts and gets return are handed on the
+// same way. Nothing writes into a vector once it is shared: under the
+// race detector nothing may report, and the context still encodes to
+// the bytes it was decoded from.
+func TestOneDecodedContextIsSharedByEveryInstall(t *testing.T) {
+	ids := []string{"s0", "s1", "s2"}
+	l := transport.NewLoopback(transport.LoopbackConfig{Seed: 11})
+	defer l.Close()
+	nodes := make([]*Node, len(ids))
+	for i, id := range ids {
+		nodes[i] = NewNode(id, Config{Ring: ids, N: 3, R: 3, W: 3, Shards: 4})
+		l.AddNode(id, nodes[i])
+	}
+	keys := make([]string, 32)
+	index := map[string]int{}
+	shards := map[int]bool{}
+	for i := range keys {
+		keys[i] = fmt.Sprintf("shared-ctx-%d", i)
+		index[keys[i]] = i
+		shards[nodes[0].router.Shard(keys[i])] = true
+	}
+	if len(shards) != len(nodes[0].shards) {
+		t.Fatalf("keys cover %d of %d shards", len(shards), len(nodes[0].shards))
+	}
+	enc := wire.AppendVector(nil, clock.Vector{{ID: "c9", Counter: 5}, {ID: "s0", Counter: 3}, {ID: "s1", Counter: 8}})
+	ctx := wire.NewReader(enc).Vector()
+
+	stop := make(chan struct{})
+	var reading sync.WaitGroup
+	reading.Add(1)
+	go func() {
+		defer reading.Done()
+		var buf []byte
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			buf = wire.AppendVector(buf[:0], ctx)
+			if ctx.Compare(clock.Vector{{ID: "s1", Counter: 9}}) != clock.Concurrent || ctx.Get("c9") != 5 {
+				t.Error("the shared context read differently")
+				return
+			}
+		}
+	}()
+	// on runs op for key i on its shard of node (i+off).
+	on := func(i, off int, op func(n *Node, env transport.Env)) {
+		n := nodes[(i+off)%len(nodes)]
+		if !l.InvokeShard(n.id, n.router.Shard(keys[i]), func(env transport.Env) { op(n, env) }) {
+			t.Fatalf("%s stopped", n.id)
+		}
+	}
+	put := func(round int, ctxOf func(i int) clock.Vector) []clock.Vector {
+		puts := make(chan PutResult, len(keys))
+		for i, k := range keys {
+			v, c := []byte(fmt.Sprint(round)), ctxOf(i)
+			on(i, round, func(n *Node, env transport.Env) {
+				n.CoordinatePut(env, k, v, c, func(_ transport.Env, pr PutResult) { puts <- pr })
+			})
+		}
+		out := make([]clock.Vector, len(keys))
+		for range keys {
+			pr := <-puts
+			if pr.Err != nil || !pr.Context.Descends(ctx) {
+				t.Fatalf("round %d: put %s: %v, context %v", round, pr.Key, pr.Err, pr.Context)
+			}
+			out[index[pr.Key]] = pr.Context
+		}
+		return out
+	}
+	got := put(0, func(int) clock.Vector { return ctx })
+	gets := make(chan GetResult, len(keys))
+	for i, k := range keys {
+		on(i, 1, func(n *Node, env transport.Env) {
+			n.CoordinateGet(env, k, geo.Strong, 0, func(_ transport.Env, gr GetResult) { gets <- gr })
+		})
+	}
+	for range keys {
+		if gr := <-gets; gr.Err != nil || len(gr.Values) != 1 || !gr.Context.Descends(ctx) {
+			t.Fatalf("get %s = %q, %v, context %v", gr.Key, values(gr), gr.Err, gr.Context)
+		}
+	}
+	put(1, func(i int) clock.Vector { return got[i] })
+	close(stop)
+	reading.Wait()
+	if again := wire.AppendVector(nil, ctx); !bytes.Equal(again, enc) {
+		t.Fatalf("the shared context now encodes as % x, decoded from % x", again, enc)
 	}
 }

@@ -161,7 +161,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 func TestPeerFrameSizes(t *testing.T) {
 	const key = "k00000042" // the benchmark's key names
 	dot := clock.Dot{Node: "node0", Counter: 1 << 14}
-	ctx := clock.Vector{"node0": 1<<14 - 1}
+	ctx := clock.Vector{{ID: "node0", Counter: 1<<14 - 1}}
 	put := replicaPut{ID: 1 << 20, Key: key, Entry: clock.SiblingEntry[record]{
 		DVV:   clock.DVV{Dot: dot, Context: ctx},
 		Value: record{Value: make([]byte, 128)},

@@ -175,48 +175,47 @@ func (d *Directory) Healthy(observer string, peers []string, now time.Duration) 
 // Latency is a bounded reservoir of observed response times used to
 // pick hedge delays: Quantile(q) answers "how long is suspiciously
 // long?" with a number grounded in this run's actual latency
-// distribution rather than a magic constant.
+// distribution rather than a magic constant. The window is kept sorted
+// as it is observed, so a quantile is an index: every strong read asks
+// for one.
 type Latency struct {
-	samples []time.Duration
-	next    int
-	full    bool
+	ring   [latencyWindow]time.Duration // the samples in arrival order
+	sorted [latencyWindow]time.Duration // the same samples, ascending
+	n      int                          // samples held
+	next   int                          // ring slot of the next sample
 }
 
 // latencyWindow bounds the reservoir; old samples are overwritten
 // ring-buffer style so the estimate tracks current conditions.
 const latencyWindow = 64
 
-// Observe records one response time.
+// Observe records one response time, evicting the oldest sample once
+// the window is full.
 func (l *Latency) Observe(rtt time.Duration) {
-	if len(l.samples) < latencyWindow {
-		l.samples = append(l.samples, rtt)
-		return
+	n := l.n
+	if n == latencyWindow {
+		i, _ := slices.BinarySearch(l.sorted[:n], l.ring[l.next])
+		n--
+		copy(l.sorted[i:n], l.sorted[i+1:])
 	}
-	l.samples[l.next] = rtt
+	l.ring[l.next] = rtt
 	l.next = (l.next + 1) % latencyWindow
-	l.full = true
+	i, _ := slices.BinarySearch(l.sorted[:n], rtt)
+	copy(l.sorted[i+1:n+1], l.sorted[i:n])
+	l.sorted[i] = rtt
+	l.n = n + 1
 }
 
 // Count returns how many samples are held.
-func (l *Latency) Count() int { return len(l.samples) }
+func (l *Latency) Count() int { return l.n }
 
 // Quantile returns the q-quantile of the held samples (0 if empty).
 func (l *Latency) Quantile(q float64) time.Duration {
-	if len(l.samples) == 0 {
+	if l.n == 0 {
 		return 0
 	}
-	// A copy on the stack: this runs once per client request.
-	var window [latencyWindow]time.Duration
-	sorted := window[:copy(window[:], l.samples)]
-	slices.Sort(sorted)
-	idx := int(q * float64(len(sorted)))
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx]
+	idx := min(max(int(q*float64(l.n)), 0), l.n-1)
+	return l.sorted[idx]
 }
 
 // HedgeDelay returns how long to wait before hedging: a client's

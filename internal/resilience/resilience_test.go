@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -220,10 +221,51 @@ func TestLatencyQuantileAndHedgeDelay(t *testing.T) {
 	if l.Count() != latencyWindow {
 		t.Fatalf("count = %d, want window cap %d", l.Count(), latencyWindow)
 	}
-	// Every quorum request asks for a hedge delay: the sort must stay on
-	// the stack.
+	// Every quorum request asks for a hedge delay: it must not allocate.
 	if a := testing.AllocsPerRun(100, func() { l.HedgeDelay(p) }); a != 0 {
 		t.Fatalf("HedgeDelay over a full window: %v allocs, want 0", a)
+	}
+}
+
+// The sorted window answers every quantile exactly as sorting the last
+// latencyWindow samples would, over random sequences with repeats.
+func TestLatencyQuantileMatchesASortedWindow(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	qs := []float64{-1, 0, 0.01, 0.5, 0.9, 0.95, 0.99, 1, 2}
+	for trial := 0; trial < 200; trial++ {
+		var l Latency
+		var seen []time.Duration
+		spread := 1 + r.Intn(300) // small spreads repeat values
+		for i := 0; i < 1+r.Intn(300); i++ {
+			d := time.Duration(r.Intn(spread)) * time.Microsecond
+			l.Observe(d)
+			seen = append(seen, d)
+			window := slices.Clone(seen[max(0, len(seen)-latencyWindow):])
+			slices.Sort(window)
+			if l.Count() != len(window) {
+				t.Fatalf("trial %d: count %d, want %d", trial, l.Count(), len(window))
+			}
+			for _, q := range qs {
+				idx := min(max(int(q*float64(len(window))), 0), len(window)-1)
+				if got := l.Quantile(q); got != window[idx] {
+					t.Fatalf("trial %d after %d samples: Quantile(%v) = %v, a sorted window says %v", trial, len(seen), q, got, window[idx])
+				}
+			}
+		}
+	}
+}
+
+// A strong read observes an answer delay and asks for a quantile: neither
+// allocates, while the window fills or once it is full.
+func TestLatencyObserveAndQuantileAllocateNothing(t *testing.T) {
+	var l Latency
+	i := 0
+	if a := testing.AllocsPerRun(3*latencyWindow, func() {
+		i++
+		l.Observe(time.Duration(i*7919%1000) * time.Microsecond)
+		l.Quantile(0.95)
+	}); a != 0 {
+		t.Fatalf("Observe + Quantile: %v allocs, want 0", a)
 	}
 }
 

@@ -85,7 +85,7 @@ func NewClient(id string, g Guarantees) *Client {
 	return &Client{
 		id:       id,
 		g:        g,
-		tok:      Token{Read: clock.NewVector(), Write: clock.NewVector()},
+		tok:      Token{Read: clock.Vector{}, Write: clock.Vector{}},
 		readCBs:  make(map[uint64]func(ReadResult)),
 		writeCBs: make(map[uint64]func(WriteResult)),
 		ops:      make(map[uint64]*sessionOp),

@@ -67,7 +67,7 @@ var fixtureWant = struct {
 		"gamma":   fixtureWrites[4],
 		"epsilon": fixtureWrites[6],
 	},
-	vec:     clock.Vector{"s0": 4, "s1": 3},
+	vec:     clock.Vector{{ID: "s0", Counter: 4}, {ID: "s1", Counter: 3}},
 	lamport: 6,
 	cliSeq:  map[string]uint64{"c1": 3, "c2": 2},
 	lastWID: map[string]WriteID{"c1": {Origin: "s0", Seq: 3}, "c2": {Origin: "s1", Seq: 3}},

@@ -156,10 +156,7 @@ type request struct {
 type blockedReq struct {
 	request
 	expiry time.Duration
-	// min is the request's guarantee floor, interned once at block time
-	// so every wake/sweep re-check is a dense slice walk instead of a
-	// map iteration.
-	min clock.Dense
+	min    clock.Vector // the request's guarantee floor
 }
 
 // Answer completes an operation served in place: what a read found, and
@@ -179,13 +176,10 @@ type Server struct {
 
 	lamport uint64
 	logs    map[string][]write // per-origin, seq order, dense
-	// vec[origin] = len(logs[origin]), held in the interned dense
-	// representation so guarantee-floor checks are slice walks; the
-	// map-shaped clock.Vector appears only on the wire.
-	table *clock.NodeTable
-	self  int // dense index of this server's id
-	vec   clock.Dense
-	data  map[string]write // LWW-resolved current value per key
+	// vec[origin] = len(logs[origin]). Answers and anti-entropy requests
+	// carry vec itself: each write replaces it with a new vector.
+	vec  clock.Vector
+	data map[string]write // LWW-resolved current value per key
 
 	blocked []blockedReq
 
@@ -206,14 +200,11 @@ type blockSweep struct{}
 
 // NewServer returns a session server.
 func NewServer(id string, cfg ServerConfig) *Server {
-	table := clock.NewNodeTable()
 	return &Server{
 		cfg:     cfg.withDefaults(),
 		id:      id,
 		logs:    make(map[string][]write),
-		table:   table,
-		self:    table.Index(id),
-		vec:     clock.NewDense(table),
+		vec:     clock.Vector{},
 		data:    make(map[string]write),
 		cliSeq:  make(map[string]uint64),
 		lastWID: make(map[string]WriteID),
@@ -232,7 +223,7 @@ func (s *Server) OnTimer(env transport.Env, tag any) {
 	case aeTick:
 		if len(s.cfg.Peers) > 0 {
 			peer := s.cfg.Peers[env.Rand().Intn(len(s.cfg.Peers))]
-			env.Send(peer, aeReq{V: s.vec.ToVector()})
+			env.Send(peer, aeReq{V: s.vec})
 		}
 		env.SetTimer(s.cfg.AntiEntropyInterval, aeTick{})
 	case blockSweep:
@@ -314,11 +305,11 @@ func (s *Server) Write(env transport.Env, key string, value []byte, deleted bool
 // otherwise blocks it until anti-entropy brings the server there or
 // BlockTimeout passes.
 func (s *Server) serve(env transport.Env, r request, floor clock.Vector) {
-	if !s.vec.DescendsVector(floor) {
+	if !s.vec.Descends(floor) {
 		s.blocked = append(s.blocked, blockedReq{
 			request: r,
 			expiry:  env.Now() + s.cfg.BlockTimeout,
-			min:     clock.DenseFromVector(s.table, floor),
+			min:     floor,
 		})
 		return
 	}
@@ -337,7 +328,7 @@ func (s *Server) run(env transport.Env, r request) {
 
 func (s *Server) serveRead(env transport.Env, r request, m sread) {
 	w, ok := s.data[m.Key]
-	resp := sreadResp{ID: m.ID, Key: m.Key, V: s.vec.ToVector()}
+	resp := sreadResp{ID: m.ID, Key: m.Key, V: s.vec}
 	if ok && !w.Deleted {
 		resp.Val = w.Val
 		resp.OK = true
@@ -352,7 +343,7 @@ func (s *Server) serveWrite(env transport.Env, r request, m swrite) {
 	// different server cannot double-write. Only a requester with an
 	// address retries.
 	if r.from != "" && m.ID <= s.cliSeq[r.from] {
-		s.answer(env, r, swriteResp{ID: m.ID, WID: s.lastWID[r.from], V: s.vec.ToVector()})
+		s.answer(env, r, swriteResp{ID: m.ID, WID: s.lastWID[r.from], V: s.vec})
 		return
 	}
 	s.lamport++
@@ -367,14 +358,14 @@ func (s *Server) serveWrite(env transport.Env, r request, m swrite) {
 	w.TS.Time = s.lamport
 	w.TS.Node = s.id
 	s.logs[s.id] = append(s.logs[s.id], w)
-	s.vec.Set(s.self, uint64(len(s.logs[s.id])))
+	s.vec = s.vec.With(s.id, uint64(len(s.logs[s.id])))
 	if r.from != "" {
 		s.cliSeq[r.from] = m.ID
 		s.lastWID[r.from] = w.ID
 	}
 	s.resolve(w)
 	s.persistWrite(w)
-	s.answer(env, r, swriteResp{ID: m.ID, WID: w.ID, V: s.vec.ToVector()})
+	s.answer(env, r, swriteResp{ID: m.ID, WID: w.ID, V: s.vec})
 }
 
 // answer delivers resp, an sreadResp or swriteResp, to r's requester: a
@@ -406,7 +397,7 @@ func (s *Server) applyRemote(w write) bool {
 		return false // duplicate or gap (gaps cannot happen with prefix shipping)
 	}
 	s.logs[w.ID.Origin] = append(log, w)
-	s.vec.Set(s.table.Index(w.ID.Origin), w.ID.Seq)
+	s.vec = s.vec.With(w.ID.Origin, w.ID.Seq)
 	if w.TS.Time > s.lamport {
 		s.lamport = w.TS.Time
 	}
@@ -447,16 +438,16 @@ func (s *Server) sweepBlocked(env transport.Env) {
 		}
 		switch m := b.msg.(type) {
 		case sread:
-			s.answer(env, b.request, sreadResp{ID: m.ID, Key: m.Key, TimedOut: true, V: s.vec.ToVector()})
+			s.answer(env, b.request, sreadResp{ID: m.ID, Key: m.Key, TimedOut: true, V: s.vec})
 		case swrite:
-			s.answer(env, b.request, swriteResp{ID: m.ID, TimedOut: true, V: s.vec.ToVector()})
+			s.answer(env, b.request, swriteResp{ID: m.ID, TimedOut: true, V: s.vec})
 		}
 	}
 	s.blocked = still
 }
 
-// Vector exposes the server's version vector (a copy), for tests.
-func (s *Server) Vector() clock.Vector { return s.vec.ToVector() }
+// Vector exposes the server's version vector, for tests.
+func (s *Server) Vector() clock.Vector { return s.vec }
 
 // Value exposes the server's current value for key, for tests.
 func (s *Server) Value(key string) ([]byte, bool) {

@@ -161,12 +161,12 @@ type Token struct {
 // operation of the session t under guarantees g: a read when read is
 // set, else a write.
 func (t Token) floor(g Guarantees, read bool) clock.Vector {
-	floor := clock.NewVector()
+	floor := clock.Vector{}
 	if (read && g.ReadYourWrites) || (!read && g.MonotonicWrites) {
-		floor.Merge(t.Write)
+		floor = floor.Merge(t.Write)
 	}
 	if (read && g.MonotonicReads) || (!read && g.WritesFollowReads) {
-		floor.Merge(t.Read)
+		floor = floor.Merge(t.Read)
 	}
 	return floor
 }
@@ -183,42 +183,25 @@ func (t *Token) served(resp transport.Message) {
 		}
 	case swriteResp:
 		if !m.TimedOut && t.Write.Get(m.WID.Origin) < m.WID.Seq {
-			if t.Write == nil {
-				t.Write = clock.NewVector()
-			}
-			t.Write[m.WID.Origin] = m.WID.Seq
+			t.Write = t.Write.With(m.WID.Origin, m.WID.Seq)
 		}
 	}
 }
 
 // Join is the token that covers both t and o, each vector the
-// component-wise maximum. It is built in new vectors: neither t nor o
-// changes.
+// component-wise maximum. Neither t nor o changes.
 func (t Token) Join(o Token) Token {
-	return Token{Read: join(t.Read.Copy(), o.Read), Write: join(t.Write.Copy(), o.Write)}
+	return Token{Read: join(t.Read, o.Read), Write: join(t.Write, o.Write)}
 }
 
-// Copy returns a token whose vectors are independent of t's; a nil
-// vector stays nil.
-func (t Token) Copy() Token {
-	if t.Read != nil {
-		t.Read = t.Read.Copy()
-	}
-	if t.Write != nil {
-		t.Write = t.Write.Copy()
-	}
-	return t
-}
-
-// join merges v into dst, making dst if it is nil, and returns it.
+// join is the merge of dst and v, an empty vector if both are nil.
 func join(dst, v clock.Vector) clock.Vector {
 	if dst == nil {
-		dst = clock.NewVector()
+		dst = clock.Vector{}
 	}
-	dst.Merge(v)
-	return dst
+	return dst.Merge(v)
 }
 
-// Token snapshots the session state (copies; later operations don't
-// mutate the returned vectors).
-func (c *Client) Token() Token { return c.tok.Copy() }
+// Token snapshots the session state: later operations replace the
+// token's vectors and never write into the returned ones.
+func (c *Client) Token() Token { return c.tok }

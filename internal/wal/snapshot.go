@@ -31,20 +31,24 @@ func WriteSnapshot(dir string, seq uint64, state []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	buf := make([]byte, snapHeader+len(state)+snapTrailer)
-	binary.LittleEndian.PutUint64(buf[:snapHeader], seq)
-	copy(buf[snapHeader:], state)
-	crc := crc32.Checksum(buf[:snapHeader+len(state)], castagnoli)
-	binary.LittleEndian.PutUint32(buf[snapHeader+len(state):], crc)
+	// The header, the state and the trailer are written in turn: the
+	// state, the whole of a node's checkpoint, is not copied to frame it.
+	var head [snapHeader]byte
+	var trail [snapTrailer]byte
+	binary.LittleEndian.PutUint64(head[:], seq)
+	crc := crc32.Update(crc32.Checksum(head[:], castagnoli), castagnoli, state)
+	binary.LittleEndian.PutUint32(trail[:], crc)
 
 	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wal: %w", err)
+	for _, b := range [][]byte{head[:], state, trail[:]} {
+		if _, err := tmp.Write(b); err != nil {
+			tmp.Close()
+			return fmt.Errorf("wal: %w", err)
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -271,6 +273,32 @@ func TestSnapshotPruneKeepsFallback(t *testing.T) {
 	}
 	if len(seqs) != 2 || seqs[0] != 15 || seqs[1] != 20 {
 		t.Fatalf("prune kept %v, want [15 20]", seqs)
+	}
+}
+
+// A checkpoint file is [8B seq LE][state][4B CRC32C over seq+state],
+// byte for byte, written in pieces or not: checkpoints already on disk
+// must keep loading.
+func TestSnapshotFileLayout(t *testing.T) {
+	dir := t.TempDir()
+	for _, state := range [][]byte{nil, []byte("s"), bytes.Repeat([]byte{0xE3, 0x00, 0x7F}, 5000)} {
+		seq := uint64(0x0102030405060708) + uint64(len(state))
+		if err := WriteSnapshot(dir, seq, state); err != nil {
+			t.Fatal(err)
+		}
+		want := binary.LittleEndian.AppendUint64(nil, seq)
+		want = append(want, state...)
+		want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(want, crc32.MakeTable(crc32.Castagnoli)))
+		got, err := os.ReadFile(filepath.Join(dir, snapshotName(seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("a %d-byte state: file holds %d bytes that differ from the layout's %d", len(state), len(got), len(want))
+		}
+		if gotSeq, gotState, found, err := LatestSnapshot(dir); err != nil || !found || gotSeq != seq || !bytes.Equal(gotState, state) {
+			t.Fatalf("LatestSnapshot = %d, %d bytes, %v, %v", gotSeq, len(gotState), found, err)
+		}
 	}
 }
 

@@ -152,17 +152,16 @@ func AppendInts(dst []byte, vs []int) []byte {
 	return dst
 }
 
-// AppendVector appends a nil-aware clock.Vector as (id, counter) pairs.
-// Map iteration order does not matter to any consumer (vectors are
-// merged or compared entrywise), so no sort is paid on the hot path.
+// AppendVector appends a nil-aware clock.Vector as (id, counter) pairs in
+// the vector's order, which is by id: equal vectors encode to equal bytes.
 func AppendVector(dst []byte, v clock.Vector) []byte {
 	if v == nil {
 		return append(dst, 0)
 	}
 	dst = AppendUvarint(dst, uint64(len(v))+1)
-	for id, c := range v {
-		dst = AppendString(dst, id)
-		dst = AppendUvarint(dst, c)
+	for _, e := range v {
+		dst = AppendString(dst, e.ID)
+		dst = AppendUvarint(dst, e.Counter)
 	}
 	return dst
 }
@@ -415,22 +414,23 @@ func (r *Reader) Ints() []int {
 	return out
 }
 
-// Vector reads a nil-aware clock.Vector.
+// Vector reads a nil-aware clock.Vector into one exactly sized slice.
+// AppendVector writes entries in id order, but an earlier version wrote
+// them in map order, so a list out of order is sorted, and an id listed
+// twice keeps its larger counter.
 func (r *Reader) Vector() clock.Vector {
 	n, ok := r.ListLen()
 	if !ok {
 		return nil
 	}
-	v := make(clock.Vector, n)
-	for i := 0; i < n; i++ {
-		id := r.ID()
-		c := r.Uvarint()
-		if r.err != nil {
-			return nil
-		}
-		v[id] = c
+	es := make([]clock.Entry, n)
+	for i := range es {
+		es[i] = clock.Entry{ID: r.ID(), Counter: r.Uvarint()}
 	}
-	return v
+	if r.err != nil {
+		return nil
+	}
+	return clock.VectorOf(es...)
 }
 
 // SkipVector steps over a nil-aware clock.Vector without building it.
@@ -476,8 +476,8 @@ func SizeDVV(d clock.DVV) int {
 	n := SizeString(d.Dot.Node) + UvarintLen(d.Dot.Counter) + 1
 	if d.Context != nil {
 		n += UvarintLen(uint64(len(d.Context))+1) - 1
-		for id, c := range d.Context {
-			n += SizeString(id) + UvarintLen(c)
+		for _, e := range d.Context {
+			n += SizeString(e.ID) + UvarintLen(e.Counter)
 		}
 	}
 	return n

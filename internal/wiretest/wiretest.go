@@ -163,12 +163,11 @@ func (g *Gen) Vector() clock.Vector {
 	if g.R.Intn(4) == 0 {
 		return nil
 	}
-	n := g.R.Intn(5)
-	v := make(clock.Vector, n)
-	for i := 0; i < n; i++ {
-		v["node"+g.Str()] = g.Uint64()
+	es := make([]clock.Entry, g.R.Intn(5))
+	for i := range es {
+		es[i] = clock.Entry{ID: "node" + g.Str(), Counter: g.Uint64()}
 	}
-	return v
+	return clock.VectorOf(es...)
 }
 
 // DVV returns a random dotted version vector.
