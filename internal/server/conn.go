@@ -261,11 +261,15 @@ func (sl *opSlot) run(env transport.Env) {
 		}
 	case "session":
 		// Served in place under the floor the request's token sets.
+		var tok session.Token
+		if req.Token != nil {
+			tok = *req.Token
+		}
 		switch req.Op {
 		case "put", "del":
-			s.sessN.Write(env, req.Key, req.Value, req.Op == "del", req.Token, sl.sessDone)
+			s.sessN.Write(env, req.Key, req.Value, req.Op == "del", tok, sl.sessDone)
 		case "get":
-			s.sessN.Read(env, req.Key, req.Token, sl.sessDone)
+			s.sessN.Read(env, req.Key, tok, sl.sessDone)
 		}
 	}
 }
@@ -318,13 +322,13 @@ func (sl *opSlot) context(v clock.Vector) []byte {
 // sessionDone answers a session operation with the session's token,
 // raised by what the operation did or, if it timed out, as it came.
 func (sl *opSlot) sessionDone(env transport.Env, a session.Answer) {
-	resp := Response{OK: true, Value: a.Value, Found: a.Found, Token: a.Token}
+	resp := Response{OK: true, Value: a.Value, Found: a.Found, Token: &a.Token}
 	if a.TimedOut {
 		op := "write"
 		if sl.req.Op == "get" {
 			op = "read"
 		}
-		resp = Response{Err: "session " + op + " timed out", Token: a.Token}
+		resp = Response{Err: "session " + op + " timed out", Token: &a.Token}
 	}
 	sl.finish(env, resp)
 }

@@ -39,12 +39,14 @@ type Request struct {
 	Op    string
 	Key   string
 	Value []byte
-	// Token is the client's session (session model only): the node
-	// serves the operation once its state dominates the floor the token
-	// sets, so the guarantees hold even if the previous operations
-	// happened over another connection to another node — this is how
-	// read-your-writes survives reconnects.
-	Token session.Token
+	// Token is the client's session (session model only; nil elsewhere):
+	// the node serves the operation once its state dominates the floor
+	// the token sets, so the guarantees hold even if the previous
+	// operations happened over another connection to another node — this
+	// is how read-your-writes survives reconnects. A pointer: a decoded
+	// request is boxed, and two vectors inline would take every request
+	// of every model a size class up.
+	Token *session.Token
 	// SLA selects the consistency tier for a get (geo.Kind wire values:
 	// 0 strong, 1 bounded, 2 eventual). Zero keeps the configured-quorum
 	// strong path, so pre-SLA clients are unchanged.
@@ -76,8 +78,9 @@ type Response struct {
 	Values [][]byte
 	// Token is the request's token raised by what the operation did (as
 	// it came, if the operation timed out); the client joins it into its
-	// own and echoes that on its next request (possibly elsewhere).
-	Token session.Token
+	// own and echoes that on its next request (possibly elsewhere). Nil
+	// outside the session model, as Request.Token is.
+	Token *session.Token
 	// Node is the id of the node that served the operation.
 	Node string
 	// NotOwner marks a typed ownership refusal: this node has left the
@@ -106,8 +109,7 @@ func (m Request) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendString(dst, m.Op)
 	dst = wire.AppendString(dst, m.Key)
 	dst = wire.AppendBytes(dst, m.Value)
-	dst = wire.AppendVector(dst, m.Token.Read)
-	dst = wire.AppendVector(dst, m.Token.Write)
+	dst = appendToken(dst, m.Token)
 	dst = wire.AppendUvarint(dst, uint64(m.SLA))
 	dst = wire.AppendVarint(dst, m.BoundMs)
 	dst = wire.AppendString(dst, m.Zone)
@@ -148,8 +150,7 @@ func (m Response) AppendBinary(dst []byte) []byte {
 	}
 	dst = append(dst, flags)
 	dst = wire.AppendByteSlices(dst, m.Values)
-	dst = wire.AppendVector(dst, m.Token.Read)
-	dst = wire.AppendVector(dst, m.Token.Write)
+	dst = appendToken(dst, m.Token)
 	dst = wire.AppendString(dst, m.Node)
 	dst = wire.AppendBool(dst, m.NotOwner)
 	dst = wire.AppendUvarint(dst, m.Epoch)
@@ -167,7 +168,7 @@ func init() {
 			Op:      r.ID(), // a handful of names: interned, like node ids
 			Key:     r.String(),
 			Value:   r.Bytes(),
-			Token:   session.Token{Read: r.Vector(), Write: r.Vector()},
+			Token:   readToken(r),
 			SLA:     uint8(r.Uvarint()),
 			BoundMs: r.Varint(),
 			Zone:    r.String(),
@@ -188,7 +189,7 @@ func init() {
 		default:
 			r.Poison() // the mark promises an absent Value and a first sibling
 		}
-		m.Token = session.Token{Read: r.Vector(), Write: r.Vector()}
+		m.Token = readToken(r)
 		m.Node = r.ID()
 		m.NotOwner = r.Bool()
 		m.Epoch = r.Uvarint()
@@ -199,6 +200,26 @@ func init() {
 		m.Context = r.Bytes()
 		return m
 	})
+}
+
+// appendToken appends a session token as its two vectors, both absent
+// for nil.
+func appendToken(dst []byte, t *session.Token) []byte {
+	var tok session.Token
+	if t != nil {
+		tok = *t
+	}
+	return wire.AppendVector(wire.AppendVector(dst, tok.Read), tok.Write)
+}
+
+// readToken reads what appendToken wrote: nil when both vectors are
+// absent.
+func readToken(r *wire.Reader) *session.Token {
+	read, write := r.Vector(), r.Vector()
+	if read == nil && write == nil {
+		return nil
+	}
+	return &session.Token{Read: read, Write: write}
 }
 
 // decodeContext reads the causal context a request carries (nil for
