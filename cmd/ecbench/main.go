@@ -1,7 +1,8 @@
 // Command ecbench runs the evaluation suite (experiments E1–E12 from
 // DESIGN.md) and prints each experiment's tables and series. E12's
 // tables include the resilience layer's event counters (retries,
-// hedges, failovers, breaker trips) exported through internal/metrics.
+// failovers and breaker trips of the clients' failover sender, and the
+// quorum coordinator's read hedges) exported through internal/metrics.
 //
 // Usage:
 //

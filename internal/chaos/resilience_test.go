@@ -72,6 +72,7 @@ func TestResilienceConformance(t *testing.T) {
 		spec      StoreSpec
 		monotonic bool
 	}{
+		{resilientSpec(core.Eventual), false},
 		{resilientSpec(core.Quorum), false},
 		{resilientSpec(core.Session), true},
 		{resilientSpec(core.Strong), true}, // also linearizable, asserted below

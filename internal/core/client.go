@@ -8,9 +8,9 @@ import (
 	"repro/internal/gossip"
 	"repro/internal/quorum"
 	"repro/internal/replication"
-	"repro/internal/resilience"
 	"repro/internal/session"
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // Messages served by gossipAdapter, giving the gossip model an RPC
@@ -81,126 +81,37 @@ type Client struct {
 }
 
 // gossipClientNode receives gossip-adapter responses for a core client.
-// With a resilience policy it also retransmits unanswered RPCs to other
-// replicas with backoff (safe: gget is read-only, a retried gput
-// re-applies the same value under LWW).
+// With a resilience policy its transport.Sender also retransmits
+// unanswered RPCs to other replicas with backoff (safe: gget is
+// read-only, a retried gput re-applies the same value under LWW).
 type gossipClientNode struct {
-	id        string
-	nodes     []string
-	policy    *resilience.Policy
-	counters  *resilience.Counters
-	directory *resilience.Directory
-
+	out    transport.Sender
 	nextID uint64
 	get    map[uint64]func(GetResult)
 	put    map[uint64]func(PutResult)
-	ops    map[uint64]*gossipOp
-}
-
-// gossipOp is one in-flight resilient gossip RPC.
-type gossipOp struct {
-	msg    sim.Message
-	target string
-	budget *resilience.Budget
-	retry  sim.TimerID
-}
-
-type gRetryTag struct{ id uint64 }
-
-// send dispatches an RPC to target, arming retransmission when a policy
-// is set.
-func (g *gossipClientNode) send(env sim.Env, target string, id uint64, msg sim.Message) {
-	env.Send(target, msg)
-	if g.policy == nil {
-		return
-	}
-	o := &gossipOp{
-		msg:    msg,
-		target: target,
-		budget: resilience.NewBudget(g.policy.MaxAttempts, true, g.counters),
-	}
-	o.budget.Attempt()
-	g.ops[id] = o
-	o.retry = env.SetTimer(g.policy.RetryTimeout, gRetryTag{id: id})
 }
 
 func (g *gossipClientNode) OnStart(sim.Env) {}
 
+// OnTimer retries an RPC. Once the budget is spent the callback stays:
+// a very late response still completes the op.
 func (g *gossipClientNode) OnTimer(env sim.Env, tag any) {
-	t, ok := tag.(gRetryTag)
-	if !ok {
-		return
-	}
-	o, ok := g.ops[t.id]
-	if !ok {
-		return
-	}
-	if !o.budget.Attempt() {
-		// Budget spent: stop retransmitting but keep the callback so a
-		// very late response still completes the op.
-		delete(g.ops, t.id)
-		return
-	}
-	next := g.pickNode(env, o.target)
-	if next != o.target {
-		o.target = next
-		g.counters.Failover()
-	}
-	g.counters.Retry()
-	env.Send(o.target, o.msg)
-	o.retry = env.SetTimer(g.policy.Backoff(o.budget.Attempts()-1, env.Rand()), gRetryTag{id: t.id})
-}
-
-// pickNode rotates to the replica after `avoid`, skipping suspects.
-func (g *gossipClientNode) pickNode(env sim.Env, avoid string) string {
-	if len(g.nodes) == 0 {
-		return avoid
-	}
-	now := env.Now()
-	start := 0
-	for i, s := range g.nodes {
-		if s == avoid {
-			start = i + 1
-			break
-		}
-	}
-	for i := 0; i < len(g.nodes); i++ {
-		cand := g.nodes[(start+i)%len(g.nodes)]
-		if cand == avoid {
-			continue
-		}
-		if g.directory != nil && g.directory.Suspects(g.id, cand, now) {
-			continue
-		}
-		return cand
-	}
-	for i := 0; i < len(g.nodes); i++ {
-		cand := g.nodes[(start+i)%len(g.nodes)]
-		if cand != avoid {
-			return cand
-		}
-	}
-	return avoid
-}
-
-func (g *gossipClientNode) settle(env sim.Env, id uint64) {
-	if o, ok := g.ops[id]; ok {
-		env.Cancel(o.retry)
-		delete(g.ops, id)
+	if t, ok := tag.(transport.RetryTag); ok {
+		g.out.Retry(env, t.ID)
 	}
 }
 
-func (g *gossipClientNode) OnMessage(env sim.Env, _ string, msg sim.Message) {
+func (g *gossipClientNode) OnMessage(env sim.Env, from string, msg sim.Message) {
 	switch m := msg.(type) {
 	case gputResp:
-		g.settle(env, m.ID)
+		g.out.Answered(env, m.ID, from)
 		cb := g.put[m.ID]
 		delete(g.put, m.ID)
 		if cb != nil {
 			cb(PutResult{})
 		}
 	case ggetResp:
-		g.settle(env, m.ID)
+		g.out.Answered(env, m.ID, from)
 		cb := g.get[m.ID]
 		delete(g.get, m.ID)
 		if cb != nil {
@@ -228,15 +139,14 @@ func (c *Cluster) NewClientIn(id, dc string) *Client {
 	switch c.opts.Model {
 	case Eventual:
 		cl.gsp = &gossipClientNode{
-			id:  id,
+			out: transport.Sender{Self: id},
 			get: make(map[uint64]func(GetResult)), put: make(map[uint64]func(PutResult)),
-			ops: make(map[uint64]*gossipOp),
 		}
 		if c.opts.Resilience != nil {
-			cl.gsp.nodes = c.nodeIDs
-			cl.gsp.policy = c.opts.Resilience
-			cl.gsp.counters = c.resCounters
-			cl.gsp.directory = c.resDir
+			cl.gsp.out.Nodes = c.nodeIDs
+			cl.gsp.out.Policy = c.opts.Resilience
+			cl.gsp.out.Counters = c.resCounters
+			cl.gsp.out.Directory = c.resDir
 		}
 		c.sim.AddNode(id, cl.gsp)
 	case Session:
@@ -313,7 +223,7 @@ func (cl *Client) Get(key string, cb func(GetResult)) {
 	case cl.gsp != nil:
 		cl.gsp.nextID++
 		cl.gsp.get[cl.gsp.nextID] = cb
-		cl.gsp.send(cl.env, cl.anyNode(), cl.gsp.nextID, gget{ID: cl.gsp.nextID, Key: key})
+		cl.gsp.out.Send(cl.env, cl.gsp.nextID, cl.anyNode(), gget{ID: cl.gsp.nextID, Key: key})
 	case cl.sess != nil:
 		cl.sess.Read(cl.env, cl.anyNode(), key, func(r session.ReadResult) {
 			res := GetResult{Key: key}
@@ -385,7 +295,7 @@ func (cl *Client) Put(key string, value []byte, cb func(PutResult)) {
 	case cl.gsp != nil:
 		cl.gsp.nextID++
 		cl.gsp.put[cl.gsp.nextID] = cb
-		cl.gsp.send(cl.env, cl.anyNode(), cl.gsp.nextID, gput{ID: cl.gsp.nextID, Key: key, Val: value})
+		cl.gsp.out.Send(cl.env, cl.gsp.nextID, cl.anyNode(), gput{ID: cl.gsp.nextID, Key: key, Val: value})
 	case cl.sess != nil:
 		cl.sess.Write(cl.env, cl.anyNode(), key, value, func(r session.WriteResult) {
 			if r.TimedOut {
@@ -434,7 +344,7 @@ func (cl *Client) Delete(key string, cb func(PutResult)) {
 	case cl.gsp != nil:
 		cl.gsp.nextID++
 		cl.gsp.put[cl.gsp.nextID] = cb
-		cl.gsp.send(cl.env, cl.anyNode(), cl.gsp.nextID, gput{ID: cl.gsp.nextID, Key: key, Deleted: true})
+		cl.gsp.out.Send(cl.env, cl.gsp.nextID, cl.anyNode(), gput{ID: cl.gsp.nextID, Key: key, Deleted: true})
 	case cl.sess != nil:
 		cl.sess.Delete(cl.env, cl.anyNode(), key, func(r session.WriteResult) {
 			if r.TimedOut {

@@ -136,9 +136,9 @@ type Options struct {
 	AntiEntropyInterval time.Duration
 
 	// Resilience, when non-nil, turns on the fault-tolerance layer
-	// everywhere it is wired: store-side replica-RPC retries and sloppy
-	// fast fallback (Quorum), and client-side retry/failover/hedging
-	// for every model's client. A shared phi-accrual failure detector is
+	// everywhere it is wired: store-side replica-RPC retries, sloppy
+	// fast fallback and read hedging (Quorum), and client-side
+	// retry/failover for every model's client. A shared phi-accrual failure detector is
 	// fed by the simulator's delivery hook; all jitter draws from the
 	// simulation RNG, so runs stay deterministic per seed.
 	Resilience *resilience.Policy

@@ -14,8 +14,8 @@ import (
 )
 
 // E12Resilience measures what the resilience layer — retries with
-// jittered backoff, hedged requests, phi-accrual failure detection,
-// breaker-guarded coordinator failover — buys under faults, and what it
+// jittered backoff, the quorum coordinator's hedged reads, phi-accrual
+// failure detection, breaker-guarded failover — buys under faults, and what it
 // must not cost. Claim: under partition storms and flaky networks,
 // client-visible availability rises materially with the layer on
 // (same seeds, same nemesis), while the consistency claims of each

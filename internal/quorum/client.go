@@ -18,10 +18,11 @@ import (
 // loop.
 //
 // With a resilience Policy set, the client also tolerates coordinator
-// failure (see requests): an unresponsive coordinator is retried with
-// backoff and then failed over, slow requests are hedged to a second
-// coordinator, and a per-coordinator circuit breaker steers load away
-// from nodes that keep failing.
+// failure through a transport.Sender: an unresponsive coordinator is
+// retried with backoff and then failed over, and a per-coordinator
+// circuit breaker steers load away from nodes that keep failing. The
+// client does not hedge: the coordinator hedges a slow read (see
+// pendingRead.tick).
 type Client struct {
 	id      string
 	nextID  uint64
@@ -34,7 +35,7 @@ type Client struct {
 	RequestTimeout time.Duration
 
 	// Nodes lists the storage nodes usable as coordinators, in failover
-	// order. Required for retry/hedging (with Policy set).
+	// order. Required for failover (with Policy set).
 	Nodes []string
 	// Policy enables client-side resilience when non-nil.
 	Policy *resilience.Policy
@@ -43,8 +44,6 @@ type Client struct {
 	// Directory, when set, lets coordinator selection skip peers the
 	// failure detector suspects.
 	Directory *resilience.Directory
-
-	polNorm bool
 }
 
 // ErrNoResponse is returned when the coordinator never answered within
@@ -61,7 +60,7 @@ func NewClient(id string) *Client {
 	return &Client{
 		id:             id,
 		context:        make(map[string]clock.Vector),
-		out:            newRequests(),
+		out:            newRequests(requestTimeout, transport.Sender{Self: id}),
 		RequestTimeout: requestTimeout,
 	}
 }
@@ -71,8 +70,11 @@ func (c *Client) OnStart(transport.Env) {}
 
 // OnTimer implements transport.Handler.
 func (c *Client) OnTimer(env transport.Env, tag any) {
-	if t, ok := tag.(requestTag); ok {
-		c.out.onTimer(env, c.sender(), t)
+	switch t := tag.(type) {
+	case deadlineTag:
+		c.out.settle(env, t.id, "", nil)
+	case transport.RetryTag:
+		c.out.via.Retry(env, t.ID) // a spent budget waits for the deadline
 	}
 }
 
@@ -80,19 +82,21 @@ func (c *Client) OnTimer(env transport.Env, tag any) {
 func (c *Client) OnMessage(env transport.Env, from string, msg transport.Message) {
 	switch m := msg.(type) {
 	case putResp:
-		c.out.settle(env, c.sender(), m.ID, from, m)
+		c.out.settle(env, m.ID, from, m)
 	case getResp:
-		c.out.settle(env, c.sender(), m.ID, from, m)
+		c.out.settle(env, m.ID, from, m)
 	}
 }
 
-// sender is how the client sends, read off its exported fields.
-func (c *Client) sender() sender {
-	if c.Policy != nil && !c.polNorm {
-		c.Policy = c.Policy.Normalized()
-		c.polNorm = true
+// send sends msg, request id, to coordinator, with the resilience the
+// client's exported fields set.
+func (c *Client) send(env transport.Env, coordinator string, id uint64, msg transport.Message, r *request) {
+	if c.Policy != nil && c.out.via.Policy == nil {
+		c.out.via.Policy = c.Policy.Normalized()
 	}
-	return sender{id: c.id, nodes: c.Nodes, timeout: c.RequestTimeout, policy: c.Policy, counters: c.Counters, directory: c.Directory}
+	c.out.timeout = c.RequestTimeout
+	c.out.via.Nodes, c.out.via.Counters, c.out.via.Directory = c.Nodes, c.Counters, c.Directory
+	c.out.send(env, coordinator, id, msg, r)
 }
 
 // Put writes key=value through coordinator (any store node), invoking cb
@@ -115,7 +119,7 @@ func (c *Client) Delete(env transport.Env, coordinator, key string, cb func(PutR
 }
 
 func (c *Client) put(env transport.Env, coordinator string, m clientPut, cb func(PutResult)) {
-	c.out.send(env, c.sender(), coordinator, m.ID, &request{msg: m, key: m.Key, ctx: m.Context,
+	c.send(env, coordinator, m.ID, m, &request{key: m.Key, ctx: m.Context,
 		put: func(_ transport.Env, r PutResult) {
 			if r.Err != nil {
 				c.cover(m.Key, r.Context)
@@ -154,7 +158,7 @@ func (c *Client) Get(env transport.Env, coordinator, key string, cb func(GetResu
 // coordinator's configured quorum.
 func (c *Client) GetR(env transport.Env, coordinator, key string, r int, cb func(GetResult)) {
 	id := c.next()
-	c.out.send(env, c.sender(), coordinator, id, &request{msg: clientGet{ID: id, Key: key, R: r}, key: key,
+	c.send(env, coordinator, id, clientGet{ID: id, Key: key, R: r}, &request{key: key,
 		get: func(_ transport.Env, res GetResult) {
 			if res.Err == nil {
 				c.context[key] = res.Context

@@ -289,6 +289,58 @@ func TestHedgeAsksTheNextReplicaWhenAnAnswerIsLate(t *testing.T) {
 	}
 }
 
+// TestForwardedGetIsHedgedOnce: a client with a resilience policy sends
+// its gets to a coordinator whose first peer answers it slowly, past the
+// hedge delay but inside the retry time-out. The coordinator hedges each
+// read to the third replica, and that is the only hedge: the client,
+// which cannot see which replica is late, would fail a silent
+// coordinator over but never duplicates a get to a second one.
+func TestForwardedGetIsHedgedOnce(t *testing.T) {
+	const link, slowLink = 2 * time.Millisecond, 300 * time.Millisecond
+	pol := resilience.DefaultPolicy()
+	dir := resilience.NewDirectory(pol)
+	counters := resilience.NewCounters()
+	var coord, slow string
+	lat := sim.LatencyFunc(func(from, to string, _ *rand.Rand) (time.Duration, bool) {
+		if from == slow && to == coord {
+			return slowLink, true
+		}
+		return link, true
+	})
+	h := newHarnessSim(t, 3, sim.Config{Seed: 29, Latency: lat, OnDeliver: dir.Observe}, func(string) Config {
+		return Config{N: 3, R: 2, W: 3, Resilience: pol, Directory: dir, Counters: counters}
+	})
+	key := "k"
+	prefs := h.nodes[0].PreferenceList(key)
+	coord = prefs[0]
+	// The client's next coordinator would be the third replica, whose
+	// reads have no slow link to hedge around.
+	h.client.Nodes = []string{coord, prefs[2], prefs[1]}
+	h.client.Policy, h.client.Counters, h.client.Directory = pol, counters, dir
+	h.c.At(0, func() { h.client.Put(h.env, coord, key, []byte("v"), nil) })
+	const gets = 5
+	start := time.Second
+	h.c.At(start, func() { slow = prefs[1] })
+	answered := 0
+	for i := 0; i < gets; i++ {
+		h.c.At(start+time.Duration(i)*20*time.Millisecond, func() {
+			h.client.Get(h.env, coord, key, func(gr GetResult) {
+				if gr.Err != nil || len(gr.Values) != 1 || string(gr.Values[0]) != "v" {
+					t.Errorf("get = %q err=%v", values(gr), gr.Err)
+				}
+				answered++
+			})
+		})
+	}
+	h.c.Run(start + time.Second)
+	if answered != gets {
+		t.Fatalf("%d of %d gets answered", answered, gets)
+	}
+	if got := counters.M.Get(resilience.CounterHedges); got != gets {
+		t.Fatalf("%d hedges counted (%s); want one per get, %d", got, counters, gets)
+	}
+}
+
 // TestLaggingCoordinatorReasksAndIsRepaired: the coordinator's own
 // replica missed the newest write. The digests name a dot its answer
 // does not cover, so it asks again in full, the client sees the newest

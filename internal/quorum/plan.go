@@ -102,7 +102,7 @@ func (n *Node) coordinator(ep *ring.Epoch, key string, inZone bool) string {
 // crosses to the node and back, and cb is called with the Env of the
 // invocation the put completed in (see finishWrite). Otherwise the put is
 // forwarded to the coordinator as a message from this node, with the
-// retries, hedges and failover of requests, and cb is called on the
+// retries and failover of requests, and cb is called on the
 // domain the answer routes back to, the same one (ShardOf sends an answer
 // to the shard that issued its id). A put that fails answers with the
 // context that covers it all the same, so a client that echoes it
@@ -129,7 +129,7 @@ func (n *Node) CoordinateGet(env transport.Env, key string, tier geo.Kind, bound
 		n.coordinateGet(env, n.id, m, cb, p)
 		return
 	}
-	n.reqShard(m.ID).out.send(env, n.sender(), p.Coord, m.ID, &request{msg: m, key: key, get: cb, tier: p.Tier, staleMs: p.StaleMs})
+	n.reqShard(m.ID).out.send(env, p.Coord, m.ID, m, &request{key: key, get: cb, tier: p.Tier, staleMs: p.StaleMs})
 }
 
 func (n *Node) startPut(env transport.Env, m clientPut, cb func(transport.Env, PutResult)) {
@@ -143,5 +143,5 @@ func (n *Node) startPut(env transport.Env, m clientPut, cb func(transport.Env, P
 		n.coordinatePut(env, n.id, m, cb)
 		return
 	}
-	n.reqShard(m.ID).out.send(env, n.sender(), p.Coord, m.ID, &request{msg: m, key: m.Key, ctx: m.Context, put: cb})
+	n.reqShard(m.ID).out.send(env, p.Coord, m.ID, m, &request{key: m.Key, ctx: m.Context, put: cb})
 }

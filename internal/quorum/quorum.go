@@ -443,7 +443,8 @@ func NewNode(id string, cfg Config) *Node {
 	}
 	shards := make([]*nodeShard, router.Shards())
 	for i := range shards {
-		shards[i] = newNodeShard(engineFor(i))
+		shards[i] = newNodeShard(engineFor(i), newRequests(requestTimeout, transport.Sender{
+			Self: id, Policy: cfg.Resilience, Counters: cfg.Counters, Directory: cfg.Directory}))
 	}
 	n := &Node{
 		cfg:        cfg,
@@ -585,8 +586,10 @@ func (n *Node) OnTimer(env transport.Env, tag any) {
 			}
 			n.transmit(env, tg)
 		}
-	case requestTag:
-		n.reqShard(tg.id).out.onTimer(env, n.sender(), tg)
+	case deadlineTag:
+		n.reqShard(tg.id).out.settle(env, tg.id, "", nil)
+	case transport.RetryTag:
+		n.forwarder(tg.ID).Retry(env, tg.ID) // a spent budget waits for the deadline
 	case drainTag:
 		n.drainTick(env)
 	case geoFlushTag:
@@ -606,9 +609,9 @@ func (n *Node) OnMessage(env transport.Env, from string, msg transport.Message) 
 	case clientGet:
 		n.coordinateGet(env, from, m, nil, Plan{})
 	case putResp:
-		n.reqShard(m.ID).out.settle(env, n.sender(), m.ID, from, m)
+		n.reqShard(m.ID).out.settle(env, m.ID, from, m)
 	case getResp:
-		n.reqShard(m.ID).out.settle(env, n.sender(), m.ID, from, m)
+		n.reqShard(m.ID).out.settle(env, m.ID, from, m)
 	case replicaPut:
 		n.applyReplicaPut(env, from, m)
 	case replicaPutAck:
@@ -1045,7 +1048,7 @@ func (n *Node) onRead(env transport.Env, id uint64, ev readEvent) {
 			n.cfg.Counters.Suppressed()
 		case stepRepair:
 			for _, e := range pr.merged.Entries() {
-				if s.target == n.id && !s.late {
+				if s.target == n.id {
 					n.installEntry(env.Domain(), pr.key, e)
 					continue
 				}

@@ -58,14 +58,14 @@ const (
 )
 
 // readStep is one thing the node does for a read. An ask says whether it
-// is the hedge or a retransmission (they are counted), a repair whether
-// it is of a late answer (the coordinator's own replica is repaired in
-// place at completion, and afterwards by a message, as its answer came).
+// is the hedge or a retransmission (they are counted). A repair of the
+// coordinator's own replica installs in place, at completion and after a
+// late answer alike.
 type readStep struct {
-	target                             string
-	delay                              time.Duration
-	kind                               readStepKind
-	digest, hedge, retry, late, failed bool
+	target                       string
+	delay                        time.Duration
+	kind                         readStepKind
+	digest, hedge, retry, failed bool
 }
 
 // readAnswer is one node's answer to a read: its sibling entries, or
@@ -321,7 +321,7 @@ func (pr *pendingRead) late(from string, a readAnswer) {
 		for _, e := range a.entries {
 			pr.merged.Add(e.DVV, e.Value)
 		}
-		pr.emit(readStep{kind: stepRepair, target: from, late: true})
+		pr.emit(readStep{kind: stepRepair, target: from})
 	}
 	if !pr.waiting() {
 		pr.emit(readStep{kind: stepForget})

@@ -72,7 +72,7 @@ func parseReadEvent(t testing.TB, s string) readEvent {
 // renderSteps writes steps as a table cell reads them: "ask s0" and
 // "dots s1" (in full, for a digest; "hedge" or "retry" before when so
 // marked), "rtt 10ms", "deadline", "tick 280ms", "backoff", "suppressed",
-// "repair s2" ("late repair s2"), "park", "forget", and "answer ab" or
+// "repair s2", "park", "forget", and "answer ab" or
 // "fail a" with the merged versions.
 func renderSteps(pr *pendingRead, steps []readStep) string {
 	out := make([]string, 0, len(steps))
@@ -102,9 +102,6 @@ func renderSteps(pr *pendingRead, steps []readStep) string {
 			w = "suppressed"
 		case stepRepair:
 			w = "repair " + s.target
-			if s.late {
-				w = "late " + w
-			}
 		case stepPark:
 			w = "park"
 		case stepForget:
@@ -236,7 +233,7 @@ func TestReadStepTable(t *testing.T) {
 			"s0=a     -> ",
 			"tick     -> hedge dots s2, tick 280ms",
 			"s2:a     -> rtt 10ms, park, answer a",
-			"s1:b     -> late repair s1, forget",
+			"s1:b     -> repair s1, forget",
 		}},
 		{name: "R=2, a lost answer until the deadline", r: 2, script: []string{
 			"start    -> ask s0, dots s1, deadline, tick 120ms",
@@ -259,7 +256,7 @@ func TestReadStepTable(t *testing.T) {
 			"s1:b     -> rtt 20ms, park, answer b",
 			"s1:b     -> ",
 			"s0=a     -> ",
-			"s2=c     -> late repair s2, forget",
+			"s2=c     -> repair s2, forget",
 		}},
 		{name: "R=2, a parked read and a late answer that agrees", r: 2, noPolicy: true, script: []string{
 			"start    -> ask s0, dots s1, dots s2, deadline",

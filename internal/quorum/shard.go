@@ -65,13 +65,13 @@ type nodeShard struct {
 	out requests
 }
 
-func newNodeShard(store storage.Engine) *nodeShard {
+func newNodeShard(store storage.Engine, out requests) *nodeShard {
 	return &nodeShard{
 		store:   store,
 		writes:  make(map[uint64]*pendingWrite),
 		reads:   make(map[uint64]*pendingRead),
 		repairs: make(map[uint64]*pendingRead),
-		out:     newRequests(),
+		out:     out,
 	}
 }
 

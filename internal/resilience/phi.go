@@ -218,10 +218,9 @@ func (l *Latency) Quantile(q float64) time.Duration {
 	return l.sorted[idx]
 }
 
-// HedgeDelay returns how long to wait before hedging: a client's
-// idempotent request, or a quorum read's ask of one more replica. It is
-// the policy quantile of observed latency, floored by HedgeMinDelay
-// (which also stands in while samples are scarce).
+// HedgeDelay returns how long a quorum read waits before it asks one
+// more replica. It is the policy quantile of observed latency, floored
+// by HedgeMinDelay (which also stands in while samples are scarce).
 func (l *Latency) HedgeDelay(p *Policy) time.Duration {
 	d := p.HedgeMinDelay
 	if l.Count() >= 8 {

@@ -1,10 +1,12 @@
 // Package resilience provides the fault-tolerance primitives the stores
 // share: exponential backoff with jitter, per-operation retry budgets
-// with idempotency guards, request hedging after a latency percentile,
-// a phi-accrual failure detector (Hayashibara et al.; motivated here by
-// Dubois et al.'s result that eventual consistency needs an explicit
-// failure-detection component), and a circuit breaker that sheds load
-// away from suspected peers.
+// with idempotency guards, the latency reservoir a quorum read's hedge
+// delay is a percentile of, a phi-accrual failure detector (Hayashibara
+// et al.; motivated here by Dubois et al.'s result that eventual
+// consistency needs an explicit failure-detection component), and a
+// circuit breaker that sheds load away from suspected peers. The
+// clients that fail over across nodes combine them in one place,
+// transport.Sender.
 //
 // Everything in this package is deterministic under the simulator's
 // regime: time is always passed in as the virtual clock value, and every
@@ -34,10 +36,10 @@ type Policy struct {
 	// RetryTimeout is how long a client waits for any response from its
 	// current target before failing over to another (default 400ms).
 	RetryTimeout time.Duration
-	// HedgeQuantile is the observed-latency quantile after which a
-	// client issues a hedged duplicate of an idempotent request to a
-	// second target, and a quorum read asks one more replica (default
-	// 0.95). <= 0 disables hedging.
+	// HedgeQuantile is the observed-latency quantile of its replicas'
+	// answers after which a quorum read's coordinator asks one more
+	// replica (default 0.95). <= 0 disables hedging. Clients never
+	// hedge.
 	HedgeQuantile float64
 	// HedgeMinDelay floors the hedge delay and stands in for it until
 	// enough latency samples exist (default 120ms).
@@ -151,7 +153,7 @@ func BackoffCeiling(base, max time.Duration, attempt int) time.Duration {
 // Counter names exported through metrics.Counters.
 const (
 	CounterRetries      = "resilience.retries"       // RPC/request retransmissions
-	CounterHedges       = "resilience.hedges"        // hedged duplicate requests
+	CounterHedges       = "resilience.hedges"        // replicas a quorum read asked because an answer was late
 	CounterFailovers    = "resilience.failovers"     // target switched to a different peer
 	CounterBreakerTrips = "resilience.breaker_trips" // circuit breakers opened
 	CounterSuppressed   = "resilience.suppressed"    // retries denied by an exhausted budget
@@ -177,7 +179,7 @@ func (c *Counters) bump(name string) {
 // Retry records one retransmission.
 func (c *Counters) Retry() { c.bump(CounterRetries) }
 
-// Hedge records one hedged request.
+// Hedge records one hedged read.
 func (c *Counters) Hedge() { c.bump(CounterHedges) }
 
 // Failover records one target switch.

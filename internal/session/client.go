@@ -38,11 +38,13 @@ type WriteResult struct {
 // vectors and stamps each operation with the minimum server state the
 // selected guarantees demand. Register it as a simulator node.
 //
-// With a resilience Policy set, an unresponsive (or guarantee-blocked
-// and timed-out) server is retried with backoff and failed over: the
-// stored request is resent verbatim, so the MinVec floor travels with
-// it and the guarantees hold at whichever server finally serves it,
-// while the request id lets servers apply a retried write at most once.
+// With a resilience Policy set, an unresponsive server is retried with
+// backoff and failed over through a transport.Sender, which a
+// per-server circuit breaker guards, and so is a request a server
+// answers TimedOut (its guarantees did not hold in time): the stored
+// request is resent verbatim, so the MinVec floor travels with it and
+// the guarantees hold at whichever server finally serves it, while the
+// request id lets servers apply a retried write at most once.
 type Client struct {
 	id string
 	g  Guarantees
@@ -52,6 +54,7 @@ type Client struct {
 	nextID   uint64
 	readCBs  map[uint64]func(ReadResult)
 	writeCBs map[uint64]func(WriteResult)
+	keys     map[uint64]string // by request id, with a Policy: the key a give-up reports
 
 	// Servers lists the session servers in failover order. Required for
 	// retries (with Policy set).
@@ -64,21 +67,8 @@ type Client struct {
 	// detector suspects.
 	Directory *resilience.Directory
 
-	ops map[uint64]*sessionOp
+	out transport.Sender
 }
-
-// sessionOp is one in-flight resilient request; msg is stored verbatim
-// so retries carry identical id and MinVec floor.
-type sessionOp struct {
-	key    string
-	msg    transport.Message
-	isRead bool
-	server string
-	budget *resilience.Budget
-	retry  transport.TimerID
-}
-
-type sRetryTag struct{ id uint64 }
 
 // NewClient returns a session client with the given guarantees.
 func NewClient(id string, g Guarantees) *Client {
@@ -88,110 +78,45 @@ func NewClient(id string, g Guarantees) *Client {
 		tok:      Token{Read: clock.Vector{}, Write: clock.Vector{}},
 		readCBs:  make(map[uint64]func(ReadResult)),
 		writeCBs: make(map[uint64]func(WriteResult)),
-		ops:      make(map[uint64]*sessionOp),
+		keys:     make(map[uint64]string),
+		out:      transport.Sender{Self: id},
 	}
 }
 
 // OnStart implements transport.Handler.
 func (c *Client) OnStart(transport.Env) {}
 
-// OnTimer implements transport.Handler.
+// OnTimer implements transport.Handler: a retry, or a give-up when the
+// budget is spent.
 func (c *Client) OnTimer(env transport.Env, tag any) {
-	t, ok := tag.(sRetryTag)
-	if !ok {
-		return
+	if t, ok := tag.(transport.RetryTag); ok && c.out.Retry(env, t.ID) {
+		c.giveUp(t.ID)
 	}
-	o, ok := c.ops[t.id]
-	if !ok {
-		return
-	}
-	if !c.resend(env, t.id, o) {
-		c.giveUp(t.id, o)
-	}
-}
-
-// resend retries an op against the next healthy server, within budget.
-func (c *Client) resend(env transport.Env, id uint64, o *sessionOp) bool {
-	if !o.budget.Attempt() {
-		return false
-	}
-	next := c.pickServer(env, o.server)
-	if next != o.server {
-		o.server = next
-		c.Counters.Failover()
-	}
-	c.Counters.Retry()
-	env.Send(o.server, o.msg)
-	o.retry = env.SetTimer(c.Policy.Backoff(o.budget.Attempts()-1, env.Rand()), sRetryTag{id: id})
-	return true
 }
 
 // giveUp delivers a local timeout after the budget is exhausted.
-func (c *Client) giveUp(id uint64, o *sessionOp) {
-	delete(c.ops, id)
-	if o.isRead {
-		if cb := c.readCBs[id]; cb != nil {
-			delete(c.readCBs, id)
-			cb(ReadResult{Key: o.key, TimedOut: true})
-		}
+func (c *Client) giveUp(id uint64) {
+	key := c.keys[id]
+	delete(c.keys, id)
+	if cb, ok := c.readCBs[id]; ok {
 		delete(c.readCBs, id)
+		if cb != nil {
+			cb(ReadResult{Key: key, TimedOut: true})
+		}
 		return
 	}
 	if cb := c.writeCBs[id]; cb != nil {
-		delete(c.writeCBs, id)
-		cb(WriteResult{Key: o.key, TimedOut: true})
-		return
+		cb(WriteResult{Key: key, TimedOut: true})
 	}
 	delete(c.writeCBs, id)
 }
 
-// pickServer rotates to the server after `avoid`, skipping suspects;
-// plain rotation when every alternative is suspected.
-func (c *Client) pickServer(env transport.Env, avoid string) string {
-	if len(c.Servers) == 0 {
-		return avoid
-	}
-	now := env.Now()
-	start := 0
-	for i, s := range c.Servers {
-		if s == avoid {
-			start = i + 1
-			break
-		}
-	}
-	for i := 0; i < len(c.Servers); i++ {
-		cand := c.Servers[(start+i)%len(c.Servers)]
-		if cand == avoid {
-			continue
-		}
-		if c.Directory != nil && c.Directory.Suspects(c.id, cand, now) {
-			continue
-		}
-		return cand
-	}
-	for i := 0; i < len(c.Servers); i++ {
-		cand := c.Servers[(start+i)%len(c.Servers)]
-		if cand != avoid {
-			return cand
-		}
-	}
-	return avoid
-}
-
 // OnMessage implements transport.Handler.
-func (c *Client) OnMessage(env transport.Env, _ string, msg transport.Message) {
+func (c *Client) OnMessage(env transport.Env, from string, msg transport.Message) {
 	switch m := msg.(type) {
 	case sreadResp:
-		if o, ok := c.ops[m.ID]; ok {
-			old := o.retry
-			if m.TimedOut && c.resend(env, m.ID, o) {
-				// The server gave up waiting for its guarantees; another
-				// replica may already be caught up.
-				env.Cancel(old)
-				return
-			}
-			delete(c.ops, m.ID)
-			env.Cancel(o.retry)
+		if !c.answered(env, m.ID, from, m.TimedOut) {
+			return
 		}
 		cb := c.readCBs[m.ID]
 		delete(c.readCBs, m.ID)
@@ -200,14 +125,8 @@ func (c *Client) OnMessage(env transport.Env, _ string, msg transport.Message) {
 			cb(ReadResult{Key: m.Key, Value: m.Val, OK: m.OK, TimedOut: m.TimedOut})
 		}
 	case swriteResp:
-		if o, ok := c.ops[m.ID]; ok {
-			old := o.retry
-			if m.TimedOut && c.resend(env, m.ID, o) {
-				env.Cancel(old)
-				return
-			}
-			delete(c.ops, m.ID)
-			env.Cancel(o.retry)
+		if !c.answered(env, m.ID, from, m.TimedOut) {
+			return
 		}
 		cb := c.writeCBs[m.ID]
 		delete(c.writeCBs, m.ID)
@@ -218,23 +137,29 @@ func (c *Client) OnMessage(env transport.Env, _ string, msg transport.Message) {
 	}
 }
 
+// answered takes server from's answer to request id, reporting whether
+// it completes the request. A server that gave up waiting for its
+// guarantees answers timedOut; then another server may already be caught
+// up, and the request goes there while the budget lasts.
+func (c *Client) answered(env transport.Env, id uint64, from string, timedOut bool) bool {
+	if timedOut && c.out.Resend(env, id) {
+		return false
+	}
+	c.out.Answered(env, id, from)
+	delete(c.keys, id)
+	return true
+}
+
 // send dispatches a request, arming retry state when a Policy is set.
-func (c *Client) send(env transport.Env, server, key string, id uint64, msg transport.Message, isRead bool) {
-	env.Send(server, msg)
-	if c.Policy == nil {
-		return
+func (c *Client) send(env transport.Env, server, key string, id uint64, msg transport.Message) {
+	if c.Policy != nil && c.out.Policy == nil {
+		c.out.Policy = c.Policy.Normalized()
 	}
-	c.Policy = c.Policy.Normalized()
-	o := &sessionOp{
-		key:    key,
-		msg:    msg,
-		isRead: isRead,
-		server: server,
-		budget: resilience.NewBudget(c.Policy.MaxAttempts, true, c.Counters),
+	c.out.Nodes, c.out.Counters, c.out.Directory = c.Servers, c.Counters, c.Directory
+	if c.out.Policy != nil {
+		c.keys[id] = key
 	}
-	o.budget.Attempt()
-	c.ops[id] = o
-	o.retry = env.SetTimer(c.Policy.RetryTimeout, sRetryTag{id: id})
+	c.out.Send(env, id, server, msg)
 }
 
 // Read reads key at server, blocking there until the selected guarantees
@@ -242,7 +167,7 @@ func (c *Client) send(env transport.Env, server, key string, id uint64, msg tran
 func (c *Client) Read(env transport.Env, server, key string, cb func(ReadResult)) {
 	c.nextID++
 	c.readCBs[c.nextID] = cb
-	c.send(env, server, key, c.nextID, sread{ID: c.nextID, Key: key, MinVec: c.tok.floor(c.g, true)}, true)
+	c.send(env, server, key, c.nextID, sread{ID: c.nextID, Key: key, MinVec: c.tok.floor(c.g, true)})
 }
 
 // Write writes key=value at server, blocking there until the selected
@@ -250,14 +175,14 @@ func (c *Client) Read(env transport.Env, server, key string, cb func(ReadResult)
 func (c *Client) Write(env transport.Env, server, key string, value []byte, cb func(WriteResult)) {
 	c.nextID++
 	c.writeCBs[c.nextID] = cb
-	c.send(env, server, key, c.nextID, swrite{ID: c.nextID, Key: key, Val: value, MinVec: c.tok.floor(c.g, false)}, false)
+	c.send(env, server, key, c.nextID, swrite{ID: c.nextID, Key: key, Val: value, MinVec: c.tok.floor(c.g, false)})
 }
 
 // Delete tombstones key at server under the same write guarantees.
 func (c *Client) Delete(env transport.Env, server, key string, cb func(WriteResult)) {
 	c.nextID++
 	c.writeCBs[c.nextID] = cb
-	c.send(env, server, key, c.nextID, swrite{ID: c.nextID, Key: key, Deleted: true, MinVec: c.tok.floor(c.g, false)}, false)
+	c.send(env, server, key, c.nextID, swrite{ID: c.nextID, Key: key, Deleted: true, MinVec: c.tok.floor(c.g, false)})
 }
 
 // ID returns the client's simulator id.
