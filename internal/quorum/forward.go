@@ -36,14 +36,16 @@ type requests struct {
 
 // request is one operation sent to a coordinator and not yet answered:
 // the key, a put's context (with the request id, it names the dot), the
-// callback of its kind and a planned get's tier and staleness (see Plan).
+// callback of its kind, a planned get's tier and staleness (see Plan),
+// and the timer of its time-out, cancelled when an answer comes first.
 type request struct {
-	key     string
-	ctx     clock.Vector
-	put     func(transport.Env, PutResult)
-	get     func(transport.Env, GetResult)
-	tier    geo.Kind
-	staleMs int64
+	key      string
+	ctx      clock.Vector
+	put      func(transport.Env, PutResult)
+	get      func(transport.Env, GetResult)
+	tier     geo.Kind
+	staleMs  int64
+	deadline transport.TimerID
 }
 
 // deadlineTag is the time-out of request id's answer.
@@ -57,7 +59,7 @@ func newRequests(timeout time.Duration, via transport.Sender) requests {
 // time-out before it goes.
 func (q *requests) send(env transport.Env, coordinator string, id uint64, msg transport.Message, r *request) {
 	q.pending[id] = r
-	env.SetTimer(q.timeout, deadlineTag{id})
+	r.deadline = env.SetTimer(q.timeout, deadlineTag{id})
 	q.via.Send(env, id, coordinator, msg)
 }
 
@@ -72,6 +74,7 @@ func (q *requests) settle(env transport.Env, id uint64, from string, answer tran
 	}
 	delete(q.pending, id)
 	if answer != nil {
+		env.Cancel(r.deadline)
 		q.via.Answered(env, id, from)
 	} else {
 		q.via.Drop(env, id)

@@ -518,3 +518,47 @@ func TestPutWithoutRequestIDIsRefused(t *testing.T) {
 		t.Fatalf("the refused put stored %q", vals)
 	}
 }
+
+// An answered operation leaves no timer behind: its client cancels the
+// time-out it armed when the answer arrives. On a cluster that arms no
+// periodic timer (no resilience policy, no anti-entropy, no sloppy
+// quorum), no timer fires once the operations are answered.
+func TestAnsweredOperationsLeaveNoTimer(t *testing.T) {
+	const ops = 20
+	h := newHarness(t, 3, Config{N: 3, R: 2, W: 2}, 7)
+	answered := 0
+	var next func(i int)
+	next = func(i int) {
+		if i == ops {
+			return
+		}
+		key := fmt.Sprintf("k%d", i%4)
+		if i%2 == 0 {
+			h.client.Put(h.env, h.anyNode(), key, []byte("v"), func(pr PutResult) {
+				if pr.Err != nil {
+					t.Errorf("put %s: %v", key, pr.Err)
+				}
+				answered++
+				next(i + 1)
+			})
+			return
+		}
+		h.client.Get(h.env, h.anyNode(), key, func(gr GetResult) {
+			if gr.Err != nil {
+				t.Errorf("get %s: %v", key, gr.Err)
+			}
+			answered++
+			next(i + 1)
+		})
+	}
+	h.c.At(0, func() { next(0) })
+	h.c.Run(time.Second)
+	if answered != ops {
+		t.Fatalf("%d of %d operations answered within a second", answered, ops)
+	}
+	fired := h.c.Stats().TimersFired
+	h.c.Run(4 * time.Second)
+	if grew := h.c.Stats().TimersFired - fired; grew != 0 {
+		t.Fatalf("%d timers fired on an idle cluster after %d answered operations, want 0", grew, ops)
+	}
+}

@@ -160,18 +160,6 @@ func (d *Directory) Suspects(observer, peer string, now time.Duration) bool {
 	return d.Phi(observer, peer, now) > d.policy.PhiThreshold
 }
 
-// Healthy returns the subset of peers observer does not currently
-// suspect, preserving input order.
-func (d *Directory) Healthy(observer string, peers []string, now time.Duration) []string {
-	out := make([]string, 0, len(peers))
-	for _, p := range peers {
-		if !d.Suspects(observer, p, now) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Latency is a bounded reservoir of observed response times used to
 // pick hedge delays: Quantile(q) answers "how long is suspiciously
 // long?" with a number grounded in this run's actual latency

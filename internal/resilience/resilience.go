@@ -239,16 +239,3 @@ func (b *Budget) Attempt() bool {
 
 // Attempts returns how many attempts have been consumed.
 func (b *Budget) Attempts() int { return b.attempts }
-
-// Remaining returns how many attempts are left (0 for a spent or
-// non-idempotent-after-first budget).
-func (b *Budget) Remaining() int {
-	if !b.idempotent && b.attempts >= 1 {
-		return 0
-	}
-	r := b.max - b.attempts
-	if r < 0 {
-		return 0
-	}
-	return r
-}
