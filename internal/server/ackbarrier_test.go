@@ -153,16 +153,7 @@ func TestAckBarrierReleasesSendsBeforeTheFirstRecord(t *testing.T) {
 func TestSelfAckWaitsForTheCoordinatorsRecord(t *testing.T) {
 	for _, nodes := range []int{1, 3} {
 		t.Run(map[int]string{1: "one-node", 3: "three-nodes"}[nodes], func(t *testing.T) {
-			cfgs := durableConfigs(t, "quorum", nodes, -1)
-			srvs := make([]*Server, len(cfgs))
-			for i, cfg := range cfgs {
-				s, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(s.Close)
-				srvs[i] = s
-			}
+			srvs := bootCluster(t, spec{n: nodes, seed: 2000, heartbeat: fastBeat, durable: true, ckpt: -1}).srvs
 			s := srvs[0]
 			if coord := coordOf(s, "put", "k", geo.Strong); coord != s.ID() {
 				t.Fatalf("the put is coordinated by %s, want the contacted %s", coord, s.ID())
@@ -216,32 +207,19 @@ func TestSelfAckWaitsForTheCoordinatorsRecord(t *testing.T) {
 // settle, like an ack, leaves only once the record is durable: until then
 // every other member keeps the window open, and dual-applies.
 func TestJoinSettlesOnlyOnceTheLastRangeIsDurable(t *testing.T) {
-	cfgs := durableConfigs(t, "quorum", 3, -1)
-	srvs := make([]*Server, len(cfgs))
-	for i, cfg := range cfgs {
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.Close)
-		srvs[i] = s
-	}
-	c0 := dialNode(t, srvs[0], "cli0")
+	cl := bootCluster(t, spec{seed: 2000, heartbeat: fastBeat, durable: true, ckpt: -1})
+	srvs := cl.srvs
+	c0 := cl.dial(0, "cli0")
 	for i := 0; i < 40; i++ {
 		if err := c0.Put(fmt.Sprintf("k%02d", i), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	addr := reservePorts(t, 1)[0]
-	js, err := New(joinerConfig(t, cfgs[0], "node3", addr, 4002))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(js.Close)
+	js := cl.join(4002, "")
 	disk := newGatedDisk(js.dur.log.Durable())
 	t.Cleanup(disk.openUp) // before the servers close: their barriers drain
 	swapJournal(t, js, disk)
-	if err := c0.AddNode("node3", addr); err != nil {
+	if err := c0.AddNode("node3", js.Addr()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -45,7 +45,7 @@ func TestClientRoundTripAllocBudget(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	const budget = 6
-	srvs := startCluster(t, "gossip", 1, false)
+	srvs := bootCluster(t, spec{model: "gossip", n: 1, seed: 1000, heartbeat: fastBeat}).srvs
 	c := dialNode(t, srvs[0], "cli")
 	const key = "user:0042"
 	value := bytes.Repeat([]byte("v"), 128)

@@ -134,7 +134,7 @@ func parkActor(t *testing.T, s *Server) (release func()) {
 // The node reads a client's hello and nothing behind it: a client that
 // writes its hello and its first requests in one write gets every answer.
 func TestHelloAndFirstRequestInOneWrite(t *testing.T) {
-	s := startCluster(t, "gossip", 1, false)[0]
+	s := bootCluster(t, spec{model: "gossip", n: 1, seed: 1000, heartbeat: fastBeat}).srvs[0]
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestHelloAndFirstRequestInOneWrite(t *testing.T) {
 // keeps serving everyone else: every put of another client finishes
 // quickly.
 func TestSlowClientDoesNotStallTheNode(t *testing.T) {
-	s := startCluster(t, "gossip", 1, false)[0]
+	s := bootCluster(t, spec{model: "gossip", n: 1, seed: 1000, heartbeat: fastBeat}).srvs[0]
 	if err := dialNode(t, s, "loader").Put("big", make([]byte, 1<<20)); err != nil {
 		t.Fatal(err)
 	}
@@ -192,19 +192,14 @@ func TestSlowClientDoesNotStallTheNode(t *testing.T) {
 // all once its connection closed; and every in-flight slot comes back.
 func TestEveryOperationAnswersOnce(t *testing.T) {
 	t.Run("lost barrier domain", func(t *testing.T) {
-		cfg := durableConfigs(t, "gossip", 1, -1)[0]
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.Close)
+		s := bootCluster(t, spec{model: "gossip", n: 1, seed: 2000, heartbeat: fastBeat, durable: true, ckpt: -1}).srvs[0]
 		rc := dialRaw(t, s, "cli")
 		rc.send(1, Request{Op: "put", Key: "k", Value: []byte("before")})
 		if resp := rc.answers(1)[1]; !resp.OK {
 			t.Fatalf("put before the fault: %s", resp.Err)
 		}
 		swapped := make(chan struct{})
-		s.tcp.Invoke(cfg.ID, func(transport.Env) {
+		s.tcp.Invoke(s.ID(), func(transport.Env) {
 			s.dur.j = &brokenDisk{Log: s.dur.log, failedAt: s.dur.log.Durable()}
 			close(swapped)
 		})
@@ -223,7 +218,7 @@ func TestEveryOperationAnswersOnce(t *testing.T) {
 	})
 
 	t.Run("quorum time-out", func(t *testing.T) {
-		srvs := startCluster(t, "quorum", 3, false)
+		srvs := bootCluster(t, spec{model: "quorum", seed: 1000, heartbeat: fastBeat}).srvs
 		srvs[1].Close()
 		srvs[2].Close()
 		rc := dialRaw(t, srvs[0], "cli")
@@ -241,7 +236,7 @@ func TestEveryOperationAnswersOnce(t *testing.T) {
 	})
 
 	t.Run("stopped node", func(t *testing.T) {
-		srvs := startCluster(t, "quorum", 3, false)
+		srvs := bootCluster(t, spec{model: "quorum", seed: 1000, heartbeat: fastBeat}).srvs
 		srvs[1].Close()
 		srvs[2].Close()
 		rc := dialRaw(t, srvs[0], "cli")
@@ -261,7 +256,7 @@ func TestEveryOperationAnswersOnce(t *testing.T) {
 	})
 
 	t.Run("forwarded op whose coordinator is down", func(t *testing.T) {
-		srvs := startCluster(t, "quorum", 5, false)
+		srvs := bootCluster(t, spec{model: "quorum", n: 5, seed: 1000, heartbeat: fastBeat}).srvs
 		s := srvs[0]
 		far := keyWhere(t, s, func(p []string) bool { return !slices.Contains(p, "node0") })
 		owner := s.Ring().Owner(far)
@@ -281,7 +276,7 @@ func TestEveryOperationAnswersOnce(t *testing.T) {
 	})
 
 	t.Run("closed connection", func(t *testing.T) {
-		s := startCluster(t, "gossip", 1, false)[0]
+		s := bootCluster(t, spec{model: "gossip", n: 1, seed: 1000, heartbeat: fastBeat}).srvs[0]
 		rc := dialRaw(t, s, "cli")
 		release := parkActor(t, s)
 		rc.send(1, gets("k", 20)...)
@@ -300,7 +295,7 @@ func TestEveryOperationAnswersOnce(t *testing.T) {
 // a hundred pipelined requests queued behind a busy storage loop hold no
 // goroutine each.
 func TestRequestsStartNoGoroutines(t *testing.T) {
-	s := startCluster(t, "gossip", 1, false)[0]
+	s := bootCluster(t, spec{model: "gossip", n: 1, seed: 1000, heartbeat: fastBeat}).srvs[0]
 	rc := dialRaw(t, s, "cli")
 	eventually(t, "the connection is served", func() bool {
 		s.connMu.Lock()
@@ -328,7 +323,7 @@ func TestConnectionCostsTheSameUnderEveryModel(t *testing.T) {
 	grew := map[string]int{}
 	for _, model := range []string{"gossip", "quorum", "session"} {
 		t.Run(model, func(t *testing.T) {
-			s := startCluster(t, model, 1, false)[0]
+			s := bootCluster(t, spec{model: model, n: 1, seed: 1000, heartbeat: fastBeat}).srvs[0]
 			before := settledGoroutines()
 			for i := 0; i < conns; i++ {
 				dialRaw(t, s, fmt.Sprintf("cli%d", i))

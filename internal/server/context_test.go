@@ -34,28 +34,8 @@ func siblingsOf(t *testing.T, s *Server, key string) []string {
 // write, so both values stay, as siblings, whichever nodes the puts go
 // through and whether a node restarted between them.
 func TestBlindWritersLeaveSiblings(t *testing.T) {
-	cfgs := durableConfigs(t, "quorum", 3, -1)
-	srvs := make([]*Server, len(cfgs))
-	for i, cfg := range cfgs {
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[i] = s
-	}
-	t.Cleanup(func() {
-		for _, s := range srvs {
-			s.Close()
-		}
-	})
-	restart := func(i int) {
-		srvs[i].Close()
-		s, err := New(cfgs[i])
-		if err != nil {
-			t.Fatalf("restart %s: %v", cfgs[i].ID, err)
-		}
-		srvs[i] = s
-	}
+	cl := bootCluster(t, spec{seed: 2000, heartbeat: fastBeat, durable: true, ckpt: -1})
+	srvs := cl.srvs
 	for _, tc := range []struct {
 		name    string
 		first   int
@@ -64,7 +44,7 @@ func TestBlindWritersLeaveSiblings(t *testing.T) {
 	}{
 		{"through one node", 0, nil, 0},
 		{"through two nodes", 0, nil, 1},
-		{"across a restart of the node", 0, func() { restart(0) }, 0},
+		{"across a restart of the node", 0, func() { cl.restart(0) }, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			key := "blind " + tc.name
@@ -89,7 +69,7 @@ func TestBlindWritersLeaveSiblings(t *testing.T) {
 // The write supersedes every version it read, siblings included, and
 // leaves no sibling of its own.
 func TestReadModifyWriteAcrossNodes(t *testing.T) {
-	srvs := startCluster(t, "quorum", 3, false)
+	srvs := bootCluster(t, spec{model: "quorum", seed: 1000, heartbeat: fastBeat}).srvs
 	const key = "rmw"
 	for i, v := range []string{"a", "b"} { // two blind writers: two siblings
 		if err := dialNode(t, srvs[i], "writer").Put(key, []byte(v)); err != nil {
@@ -116,21 +96,14 @@ func TestReadModifyWriteAcrossNodes(t *testing.T) {
 // refuses its clients' writes with the typed redirect, and still serves
 // reads.
 func TestDrainingNodeRefusesWrites(t *testing.T) {
-	cfgs := durableConfigs(t, "quorum", 4, -1)
-	srvs := make([]*Server, len(cfgs))
-	for i, cfg := range cfgs {
-		// Slow enough that the leave's window stays open for the whole
-		// test: ~75 KiB for the survivors to pull behind a 2 KiB/s bucket.
-		cfg.TransferRate = 2 << 10
-		cfg.TransferBatch = 1 << 10
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[i] = s
-		t.Cleanup(s.Close)
-	}
-	s := srvs[3]
+	s := bootCluster(t, spec{n: 4, seed: 2000, heartbeat: fastBeat, durable: true, ckpt: -1,
+		config: func(c *Config) {
+			// Slow enough that the leave's window stays open for the whole
+			// test: ~75 KiB for the survivors to pull behind a 2 KiB/s
+			// bucket.
+			c.TransferRate = 2 << 10
+			c.TransferBatch = 1 << 10
+		}}).srvs[3]
 	c := dialNode(t, s, "cli")
 	pad := bytes.Repeat([]byte("x"), 1<<10)
 	for i := 0; i < 100; i++ {
@@ -166,7 +139,7 @@ func TestDrainingNodeRefusesWrites(t *testing.T) {
 // the context its key's last answer carried while other keys' answers
 // come in, so every key ends with its last value alone.
 func TestOneClientKeepsEachKeysContext(t *testing.T) {
-	srvs := startCluster(t, "quorum", 3, false)
+	srvs := bootCluster(t, spec{model: "quorum", seed: 1000, heartbeat: fastBeat}).srvs
 	c := dialNode(t, srvs[0], "shared")
 	const writers, puts = 8, 10
 	errs := make(chan error, writers)

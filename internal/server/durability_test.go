@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,39 +10,8 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/quorum"
-	"repro/internal/resilience"
 	"repro/internal/wal"
 )
-
-// durableConfigs builds an n-node peer map with per-node data dirs under
-// root, SyncEach fsync, and the given checkpoint interval (negative
-// disables checkpointing). Configs are returned so tests can restart a
-// node from its data dir.
-func durableConfigs(t *testing.T, model string, n int, ckpt time.Duration) []Config {
-	t.Helper()
-	addrs := reservePorts(t, n)
-	peers := make(map[string]string, n)
-	for i, a := range addrs {
-		peers[fmt.Sprintf("node%d", i)] = a
-	}
-	root := t.TempDir()
-	policy := &resilience.Policy{HeartbeatInterval: 20 * time.Millisecond}
-	cfgs := make([]Config, n)
-	for i := range cfgs {
-		id := fmt.Sprintf("node%d", i)
-		cfgs[i] = Config{
-			ID:                 id,
-			Model:              model,
-			Peers:              peers,
-			Policy:             policy,
-			Seed:               int64(2000 + i),
-			DataDir:            filepath.Join(root, id),
-			Fsync:              wal.SyncEach,
-			CheckpointInterval: ckpt,
-		}
-	}
-	return cfgs
-}
 
 // TestSingleNodeRecoveryPerModel proves disk-only recovery for every
 // model: a one-node cluster (no peer can re-seed it) is written to,
@@ -52,12 +20,8 @@ func durableConfigs(t *testing.T, model string, n int, ckpt time.Duration) []Con
 func TestSingleNodeRecoveryPerModel(t *testing.T) {
 	for _, model := range []string{"gossip", "quorum", "session"} {
 		t.Run(model, func(t *testing.T) {
-			cfg := durableConfigs(t, model, 1, -1)[0]
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := dialNode(t, s, "cli")
+			cl := bootCluster(t, spec{model: model, n: 1, seed: 2000, heartbeat: fastBeat, durable: true, ckpt: -1})
+			c := cl.dial(0, "cli")
 			for i := 0; i < 10; i++ {
 				if err := c.Put(fmt.Sprintf("key%d", i), []byte(fmt.Sprintf("val%d", i))); err != nil {
 					t.Fatalf("put key%d: %v", i, err)
@@ -67,13 +31,7 @@ func TestSingleNodeRecoveryPerModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.Close()
-			s.Close()
-
-			s2, err := New(cfg)
-			if err != nil {
-				t.Fatalf("restart from %s: %v", cfg.DataDir, err)
-			}
-			t.Cleanup(s2.Close)
+			s2 := cl.restart(0)
 			if got := s2.dur.Replayed(); got == 0 {
 				t.Fatal("restarted node replayed no WAL records")
 			}
@@ -99,12 +57,9 @@ func TestSingleNodeRecoveryPerModel(t *testing.T) {
 // restarts the node: recovery must come mostly from the snapshot, with
 // only the post-checkpoint log suffix replayed.
 func TestCheckpointBoundsReplay(t *testing.T) {
-	cfg := durableConfigs(t, "gossip", 1, 50*time.Millisecond)[0]
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := dialNode(t, s, "cli")
+	cl := bootCluster(t, spec{model: "gossip", n: 1, seed: 2000, heartbeat: fastBeat, durable: true, ckpt: 50 * time.Millisecond})
+	s := cl.srvs[0]
+	c := cl.dial(0, "cli")
 	const total = 60
 	for i := 0; i < total; i++ {
 		if err := c.Put(fmt.Sprintf("ck%02d", i), []byte("x")); err != nil {
@@ -125,13 +80,7 @@ func TestCheckpointBoundsReplay(t *testing.T) {
 		}
 	}
 	c.Close()
-	s.Close()
-
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s2.Close)
+	s2 := cl.restart(0)
 	if replayed := s2.dur.Replayed(); replayed >= total {
 		t.Fatalf("replayed %d records — checkpoint did not bound recovery", replayed)
 	}
@@ -182,27 +131,12 @@ func TestQuorumCrashRestartZeroLostAckedWrites(t *testing.T) {
 }
 
 func quorumCrashRestartScenario(t *testing.T, engine string) {
-	cfgs := durableConfigs(t, "quorum", 3, 200*time.Millisecond)
+	sp := spec{seed: 2000, heartbeat: fastBeat, durable: true, ckpt: 200 * time.Millisecond}
 	if engine != "mem" {
-		for i := range cfgs {
-			cfgs[i].Engine = engine
-		}
+		sp.config = func(c *Config) { c.Engine = engine }
 	}
-	srvs := make([]*Server, len(cfgs))
-	for i, cfg := range cfgs {
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[i] = s
-	}
-	defer func() {
-		for _, s := range srvs {
-			if s != nil {
-				s.Close()
-			}
-		}
-	}()
+	cl := bootCluster(t, sp)
+	srvs := cl.srvs
 
 	rec := &recorder{start: time.Now()}
 	versionOf := func(v string) int {
@@ -253,8 +187,7 @@ func quorumCrashRestartScenario(t *testing.T, engine string) {
 	}
 
 	// Kill node2 mid-workload: its memory is gone; only its WAL remains.
-	srvs[2].Close()
-	srvs[2] = nil
+	cl.stop(2)
 
 	// Phase 2: the cluster keeps taking acknowledged writes (sloppy
 	// quorum: fallbacks + hinted handoff cover the dead replica).
@@ -265,11 +198,7 @@ func quorumCrashRestartScenario(t *testing.T, engine string) {
 	}
 
 	// Restart node2 from its data dir, same identity and address.
-	s2, err := New(cfgs[2])
-	if err != nil {
-		t.Fatalf("restart node2: %v", err)
-	}
-	srvs[2] = s2
+	s2 := cl.restart(2)
 	// Every phase-1 record comes back from disk: replayed from the WAL,
 	// or covered by a checkpoint the node took before the kill.
 	if got := s2.dur.CheckpointSeq() + s2.dur.Replayed(); got < phase1 {
@@ -322,22 +251,8 @@ func quorumCrashRestartScenario(t *testing.T, engine string) {
 // needed), while the delta written during the outage arrives via Merkle
 // sync afterward.
 func TestGossipRestartServesPreKillKeysThenSyncsDelta(t *testing.T) {
-	cfgs := durableConfigs(t, "gossip", 3, -1)
-	srvs := make([]*Server, len(cfgs))
-	for i, cfg := range cfgs {
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[i] = s
-	}
-	defer func() {
-		for _, s := range srvs {
-			if s != nil {
-				s.Close()
-			}
-		}
-	}()
+	cl := bootCluster(t, spec{model: "gossip", seed: 2000, heartbeat: fastBeat, durable: true, ckpt: -1})
+	srvs := cl.srvs
 
 	c0 := dialNode(t, srvs[0], "cli0")
 	for i := 0; i < 8; i++ {
@@ -362,19 +277,14 @@ func TestGossipRestartServesPreKillKeysThenSyncsDelta(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	c2.Close()
-	srvs[2].Close()
-	srvs[2] = nil
+	cl.stop(2)
 
 	// The delta node2 misses while down.
 	if err := c0.Put("delta", []byte("missed")); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := New(cfgs[2])
-	if err != nil {
-		t.Fatalf("restart node2: %v", err)
-	}
-	srvs[2] = s2
+	s2 := cl.restart(2)
 	if s2.dur.Replayed() == 0 {
 		t.Fatal("restarted gossip node replayed no WAL records")
 	}
@@ -407,12 +317,8 @@ func TestGossipRestartServesPreKillKeysThenSyncsDelta(t *testing.T) {
 // taking puts; each iteration recovers it into a fresh node.
 func BenchmarkRecover(b *testing.B) {
 	const writers, perWriter = 4, 10000
-	cfg := Config{ID: "node0", Model: "quorum", Peers: map[string]string{"node0": reservePorts(b, 1)[0]},
-		DataDir: b.TempDir(), Fsync: wal.SyncNone, CheckpointInterval: -1}
-	s, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	cl := bootCluster(b, spec{n: 1, durable: true, ckpt: -1, config: func(c *Config) { c.Fsync = wal.SyncNone }})
+	s, cfg := cl.srvs[0], cl.cfgs[0]
 	value := make([]byte, 128)
 	var wg sync.WaitGroup
 	errs := make(chan error, writers)
@@ -435,7 +341,7 @@ func BenchmarkRecover(b *testing.B) {
 		b.Fatal(err)
 	}
 	shards := s.qnode.Shards()
-	s.Close()
+	cl.stop(0)
 
 	qcfg := quorum.Config{Ring: []string{cfg.ID}, N: 1, R: 1, W: 1, Shards: shards}
 	for _, lanes := range []int{1, shards + 1} {

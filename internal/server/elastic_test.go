@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,26 +16,6 @@ import (
 // load with zero lost acked writes, graceful decommission with drain
 // ordering, and a joiner killed mid-transfer that resumes from its WAL
 // instead of restarting the stream.
-
-// joinerConfig builds the config for a live joiner: the existing
-// cluster's peers plus itself, booted with Joining so it owns nothing
-// until the join epoch lands.
-func joinerConfig(t *testing.T, base Config, id, addr string, seed int64) Config {
-	t.Helper()
-	peers := make(map[string]string, len(base.Peers)+1)
-	for k, v := range base.Peers {
-		peers[k] = v
-	}
-	peers[id] = addr
-	cfg := base
-	cfg.ID = id
-	cfg.Peers = peers
-	cfg.ListenPeer = ""
-	cfg.Seed = seed
-	cfg.DataDir = filepath.Join(t.TempDir(), id)
-	cfg.Joining = true
-	return cfg
-}
 
 // waitRingState polls a node's ring-status until it reports the given
 // state, failing the test at the deadline.
@@ -81,20 +60,11 @@ func movedFraction(before, after *ring.Ring, samples int) float64 {
 // must hold: one join moves ~1/n of primary ownership, and 3->6 moves
 // about half.
 func TestScaleOutUnderLoadZeroLostAckedWrites(t *testing.T) {
-	cfgs := durableConfigs(t, "quorum", 3, 200*time.Millisecond)
+	cl := bootCluster(t, spec{seed: 2000, heartbeat: fastBeat, durable: true, ckpt: 200 * time.Millisecond})
 	srvs := make(map[string]*Server, 6)
-	for _, cfg := range cfgs {
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[cfg.ID] = s
+	for _, s := range cl.srvs {
+		srvs[s.ID()] = s
 	}
-	defer func() {
-		for _, s := range srvs {
-			s.Close()
-		}
-	}()
 
 	rec := &recorder{start: time.Now()}
 	versionOf := func(v string) int {
@@ -139,19 +109,10 @@ func TestScaleOutUnderLoadZeroLostAckedWrites(t *testing.T) {
 	ctl := dialNode(t, srvs["node0"], "ctl")
 	for idx := 3; idx <= 5; idx++ {
 		id := fmt.Sprintf("node%d", idx)
-		addr := reservePorts(t, 1)[0]
-		// Base the joiner's peer map on the newest member so it includes
-		// every prior joiner.
-		base := cfgs[0]
-		base.Peers = srvs[fmt.Sprintf("node%d", idx-1)].cfg.Peers
-		jcfg := joinerConfig(t, base, id, addr, int64(3000+idx))
-		js, err := New(jcfg)
-		if err != nil {
-			t.Fatalf("boot joiner %s: %v", id, err)
-		}
+		js := cl.join(int64(3000+idx), "")
 		srvs[id] = js
 
-		if err := ctl.AddNode(id, addr); err != nil {
+		if err := ctl.AddNode(id, js.Addr()); err != nil {
 			t.Fatalf("add-node %s: %v", id, err)
 		}
 		// Load during catch-up: alice bumps versions, bob reads — the
@@ -238,22 +199,8 @@ func TestScaleOutUnderLoadZeroLostAckedWrites(t *testing.T) {
 // end "left" with survivors holding every acked key, and any further
 // client traffic to it must get the typed NotOwner redirect.
 func TestDecommissionDrainsHintsAndRedirects(t *testing.T) {
-	cfgs := durableConfigs(t, "quorum", 4, -1)
-	srvs := make([]*Server, len(cfgs))
-	for i, cfg := range cfgs {
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[i] = s
-	}
-	defer func() {
-		for _, s := range srvs {
-			if s != nil {
-				s.Close()
-			}
-		}
-	}()
+	cl := bootCluster(t, spec{n: 4, seed: 2000, heartbeat: fastBeat, durable: true, ckpt: -1})
+	srvs := cl.srvs
 
 	acked := make(map[string]string)
 	c0 := dialNode(t, srvs[0], "cli0")
@@ -267,8 +214,7 @@ func TestDecommissionDrainsHintsAndRedirects(t *testing.T) {
 
 	// Manufacture hints: with node1 down, sloppy-quorum writes hint its
 	// share onto the stand-ins (node3 among them).
-	srvs[1].Close()
-	srvs[1] = nil
+	cl.stop(1)
 	for i := 0; i < 12; i++ {
 		k, v := fmt.Sprintf("hint%02d", i), fmt.Sprintf("hv%d", i)
 		if err := c0.Put(k, []byte(v)); err != nil {
@@ -276,11 +222,7 @@ func TestDecommissionDrainsHintsAndRedirects(t *testing.T) {
 		}
 		acked[k] = v
 	}
-	s1, err := New(cfgs[1])
-	if err != nil {
-		t.Fatalf("restart node1: %v", err)
-	}
-	srvs[1] = s1
+	cl.restart(1)
 
 	// Decommission node3. The drain (hint flush) runs before ownership
 	// moves; "left" means every gainer acked its last range.
@@ -302,7 +244,7 @@ func TestDecommissionDrainsHintsAndRedirects(t *testing.T) {
 	}
 
 	// The left node redirects instead of serving stale ownership.
-	err = c3.Put("post-leave", []byte("x"))
+	err := c3.Put("post-leave", []byte("x"))
 	if !errors.As(err, &noe) {
 		t.Fatalf("put to left node returned %v, want NotOwnerError", err)
 	}
@@ -346,26 +288,14 @@ func TestDecommissionDrainsHintsAndRedirects(t *testing.T) {
 // WAL already journaled complete — and finish catch-up with zero lost
 // acked writes.
 func TestJoinerKilledMidTransferResumes(t *testing.T) {
-	cfgs := durableConfigs(t, "quorum", 3, 200*time.Millisecond)
-	for i := range cfgs {
-		// Slow the stream so the kill lands mid-transfer: ~150KB of data
-		// behind a 24KB/s bucket in 2KB batches.
-		cfgs[i].TransferRate = 24 << 10
-		cfgs[i].TransferBatch = 2 << 10
-	}
-	srvs := make([]*Server, len(cfgs))
-	for i, cfg := range cfgs {
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[i] = s
-	}
-	defer func() {
-		for _, s := range srvs {
-			s.Close()
-		}
-	}()
+	cl := bootCluster(t, spec{seed: 2000, heartbeat: fastBeat, durable: true, ckpt: 200 * time.Millisecond,
+		config: func(c *Config) {
+			// Slow the stream so the kill lands mid-transfer: ~150KB of
+			// data behind a 24KB/s bucket in 2KB batches.
+			c.TransferRate = 24 << 10
+			c.TransferBatch = 2 << 10
+		}})
+	srvs := cl.srvs
 
 	acked := make(map[string]string)
 	c0 := dialNode(t, srvs[0], "cli0")
@@ -378,16 +308,8 @@ func TestJoinerKilledMidTransferResumes(t *testing.T) {
 		acked[k] = v
 	}
 
-	addr := reservePorts(t, 1)[0]
-	jcfg := joinerConfig(t, cfgs[0], "node3", addr, 4001)
-	jcfg.TransferRate = 24 << 10
-	jcfg.TransferBatch = 2 << 10
-	js, err := New(jcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c0.AddNode("node3", addr); err != nil {
-		js.Close()
+	js := cl.join(4001, "")
+	if err := c0.AddNode("node3", js.Addr()); err != nil {
 		t.Fatalf("add-node: %v", err)
 	}
 
@@ -417,18 +339,12 @@ func TestJoinerKilledMidTransferResumes(t *testing.T) {
 		}
 	}
 	jc.Close()
-	js.Close()
+	cl.stop(3)
 	t.Logf("killed joiner at %d/%d ranges", mid.TransferDone, mid.TransferTotal)
 
 	// Restart from the same data dir WITHOUT Joining — the epoch comes
 	// back from a peer's ring pull, completed ranges from the WAL.
-	rcfg := jcfg
-	rcfg.Joining = false
-	js2, err := New(rcfg)
-	if err != nil {
-		t.Fatalf("restart joiner: %v", err)
-	}
-	defer js2.Close()
+	js2 := cl.restart(3)
 	if js2.dur.Replayed() == 0 && js2.dur.CheckpointSeq() == 0 {
 		t.Fatal("restarted joiner recovered nothing from disk")
 	}

@@ -175,20 +175,11 @@ func TestNoAckForAWriteTheDiskLost(t *testing.T) {
 	} {
 		for _, fault := range []string{"fsync", "append"} {
 			t.Run(tc.name+"/"+fault, func(t *testing.T) {
-				cfgs := durableConfigs(t, tc.model, tc.nodes, -1)
-				srvs := make([]*Server, len(cfgs))
-				for i, cfg := range cfgs {
-					s, err := New(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					t.Cleanup(s.Close)
-					srvs[i] = s
-				}
-				s, cfg := srvs[0], cfgs[0]
+				srvs := bootCluster(t, spec{model: tc.model, n: tc.nodes, seed: 2000, heartbeat: fastBeat, durable: true, ckpt: -1}).srvs
+				s := srvs[0]
 				if tc.nodes > 1 {
-					if coord := coordOf(s, "put", "k", geo.Strong); coord != cfg.ID {
-						t.Fatalf("the put is coordinated by %s, want the contacted %s", coord, cfg.ID)
+					if coord := coordOf(s, "put", "k", geo.Strong); coord != s.ID() {
+						t.Fatalf("the put is coordinated by %s, want the contacted %s", coord, s.ID())
 					}
 				}
 				c := dialNode(t, s, "cli")
@@ -267,11 +258,8 @@ func TestPersistAllocatesNothing(t *testing.T) {
 func TestRestartedNodeMintsFreshIdentities(t *testing.T) {
 	for _, model := range []string{"quorum", "session"} {
 		t.Run(model, func(t *testing.T) {
-			cfg := durableConfigs(t, model, 1, -1)[0]
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cl := bootCluster(t, spec{model: model, n: 1, seed: 2000, heartbeat: fastBeat, durable: true, ckpt: -1})
+			s := cl.srvs[0]
 			if s.incarnation != 0 {
 				t.Fatalf("first boot has incarnation %d, want 0", s.incarnation)
 			}
@@ -282,13 +270,7 @@ func TestRestartedNodeMintsFreshIdentities(t *testing.T) {
 				}
 			}
 			c.Close()
-			s.Close()
-
-			s2, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(s2.Close)
+			s2 := cl.restart(0)
 			if s2.incarnation != 1 {
 				t.Fatalf("second boot has incarnation %d, want 1", s2.incarnation)
 			}

@@ -13,44 +13,6 @@ import (
 	"repro/internal/geo"
 )
 
-// startGeoCluster boots n quorum nodes spread round-robin across zones,
-// with async cross-zone replication and an injected per-frame delay on
-// every cross-zone link — the local stand-in for WAN RTT.
-func startGeoCluster(t testing.TB, n int, zoneNames []string, xzDelay time.Duration, withHTTP bool) ([]*Server, map[string]string) {
-	t.Helper()
-	addrs := reservePorts(t, n)
-	peers := make(map[string]string, n)
-	ids := make([]string, n)
-	for i, a := range addrs {
-		ids[i] = fmt.Sprintf("node%d", i)
-		peers[ids[i]] = a
-	}
-	zones := geo.AssignRoundRobin(ids, zoneNames)
-	srvs := make([]*Server, n)
-	for i := range srvs {
-		cfg := Config{
-			ID:         ids[i],
-			Model:      "quorum",
-			Peers:      peers,
-			Seed:       int64(4000 + i),
-			Zone:       zones[ids[i]],
-			Zones:      zones,
-			GeoAsync:   true,
-			XZoneDelay: xzDelay,
-		}
-		if withHTTP {
-			cfg.ListenHTTP = "127.0.0.1:0"
-		}
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatalf("start %s: %v", cfg.ID, err)
-		}
-		srvs[i] = s
-		t.Cleanup(s.Close)
-	}
-	return srvs, zones
-}
-
 // TestClusterGeoSLATiers is the tentpole acceptance scenario scaled to a
 // unit test: a zoned cluster where the same workload trades consistency
 // for latency per SLA tier. Strong reads route through the ring owner
@@ -59,8 +21,8 @@ func startGeoCluster(t testing.TB, n int, zoneNames []string, xzDelay time.Durat
 // async replicator ships the write over.
 func TestClusterGeoSLATiers(t *testing.T) {
 	const xzDelay = 20 * time.Millisecond
-	srvs, zones := startGeoCluster(t, 6, []string{"us", "eu", "ap"}, xzDelay, false)
-	c0 := dialNode(t, srvs[0], "geo-cli0") // node0 is in "us"
+	cl := bootCluster(t, spec{n: 6, seed: 4000, zones: []string{"us", "eu", "ap"}, xzDelay: xzDelay})
+	c0 := cl.dial(0, "geo-cli0") // node0 is in "us"
 
 	keys := make([]string, 5)
 	for i := range keys {
@@ -130,8 +92,8 @@ func TestClusterGeoSLATiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Zone != zones["node0"] {
-		t.Fatalf("response zone = %q, want %q", resp.Zone, zones["node0"])
+	if resp.Zone != cl.cfgs[0].Zone {
+		t.Fatalf("response zone = %q, want %q", resp.Zone, cl.cfgs[0].Zone)
 	}
 }
 
@@ -143,8 +105,7 @@ func TestClusterGeoSLATiers(t *testing.T) {
 // two cells is the latency the SLA tiers trade in.
 func BenchmarkGeoSLARead(b *testing.B) {
 	const keys = 64
-	srvs, _ := startGeoCluster(b, 6, []string{"us", "eu", "ap"}, 2*time.Millisecond, false)
-	c := dialNode(b, srvs[0], "geobench")
+	c := bootCluster(b, spec{n: 6, seed: 4000, zones: []string{"us", "eu", "ap"}, xzDelay: 2 * time.Millisecond}).dial(0, "geobench")
 	names := make([]string, keys)
 	for i := range names {
 		names[i] = fmt.Sprintf("geo-%d", i)
@@ -190,8 +151,7 @@ func BenchmarkGeoSLARead(b *testing.B) {
 // serves the eventual path once the node has staleness measurements for
 // every remote zone, and escalates to strong while it does not.
 func TestClusterGeoBoundedStaleness(t *testing.T) {
-	srvs, _ := startGeoCluster(t, 6, []string{"us", "eu", "ap"}, 10*time.Millisecond, false)
-	c0 := dialNode(t, srvs[0], "geo-cli-b")
+	c0 := bootCluster(t, spec{n: 6, seed: 4000, zones: []string{"us", "eu", "ap"}, xzDelay: 10 * time.Millisecond}).dial(0, "geo-cli-b")
 
 	if err := c0.Put("bk", []byte("bv")); err != nil {
 		t.Fatal(err)
@@ -229,7 +189,7 @@ func TestClusterGeoBoundedStaleness(t *testing.T) {
 // arrives, instead of serving it as some other tier.
 func TestUnknownSLATierIsRefused(t *testing.T) {
 	for _, model := range []string{"quorum", "gossip", "session"} {
-		c := dialNode(t, startCluster(t, model, 1, false)[0], "cli-"+model)
+		c := dialNode(t, bootCluster(t, spec{model: model, n: 1, seed: 1000, heartbeat: fastBeat}).srvs[0], "cli-"+model)
 		_, _, delivered, _, err := c.GetSLA("k", geo.Tier{Kind: 7})
 		if err == nil || !strings.Contains(err.Error(), "unknown SLA tier 7") {
 			t.Fatalf("%s: a get at tier 7 answered %v (tier %s), want it refused", model, err, delivered)
@@ -240,7 +200,7 @@ func TestUnknownSLATierIsRefused(t *testing.T) {
 // TestGeoMetricsEndpoint: a zoned node exports the geo series — the
 // per-zone staleness gauge, replicator counters, and per-zone RTT.
 func TestGeoMetricsEndpoint(t *testing.T) {
-	srvs, _ := startGeoCluster(t, 3, []string{"us", "eu", "ap"}, 5*time.Millisecond, true)
+	srvs := bootCluster(t, spec{seed: 4000, http: true, zones: []string{"us", "eu", "ap"}, xzDelay: 5 * time.Millisecond}).srvs
 	c0 := dialNode(t, srvs[0], "geo-cli-m")
 	for i := 0; i < 10; i++ {
 		if err := c0.Put(fmt.Sprintf("mk%d", i), []byte("mv")); err != nil {
@@ -287,17 +247,11 @@ func TestGeoMetricsEndpoint(t *testing.T) {
 // are exactly the cross-zone replicas the current epoch's zones name. An
 // owner in eu that took node3 for cross-zone would ship it more.
 func TestJoinedNodeCountsInItsZone(t *testing.T) {
-	srvs, _ := startGeoCluster(t, 3, []string{"us", "eu"}, 0, false)
-	addr := reservePorts(t, 1)[0]
-	jcfg := joinerConfig(t, srvs[0].cfg, "node3", addr, 4003)
-	jcfg.Zone = "eu"
-	js, err := New(jcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(js.Close)
+	cl := bootCluster(t, spec{seed: 4000, zones: []string{"us", "eu"}})
+	srvs := cl.srvs
+	js := cl.join(4003, "eu")
 	c0 := dialNode(t, srvs[0], "geo-join-cli")
-	if err := c0.AddNodeZone("node3", addr, "eu"); err != nil {
+	if err := c0.AddNodeZone("node3", js.Addr(), "eu"); err != nil {
 		t.Fatalf("add-node: %v", err)
 	}
 	waitRingState(t, dialNode(t, js, "geo-join-watch"), "node3", stateOK, 30*time.Second)

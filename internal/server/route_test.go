@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/geo"
-	"repro/internal/resilience"
 	"repro/internal/transport"
 )
 
@@ -44,7 +43,7 @@ func keyWhere(t *testing.T, s *Server, ok func(prefs []string) bool) string {
 // per 4 KiB get).
 func TestGetsCoordinateWhereTheyLand(t *testing.T) {
 	const keys, size = 200, 4 << 10
-	srvs := startCluster(t, "quorum", 3, false)
+	srvs := bootCluster(t, spec{model: "quorum", seed: 1000, heartbeat: fastBeat}).srvs
 	c := dialNode(t, srvs[0], "cli")
 	value := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i%26)}, size) }
 	for i := 0; i < keys; i++ {
@@ -99,7 +98,7 @@ func TestGetsCoordinateWhereTheyLand(t *testing.T) {
 func TestLocalPutIsACallNotAMessage(t *testing.T) {
 	// No liveness heartbeats between the nodes, so the puts' messages are
 	// all the cluster sends while they run, bar an anti-entropy round or two.
-	srvs := bootQuiet(t, "quorum", 3, 2, 2, 3000)
+	srvs := bootCluster(t, spec{seed: 3000, heartbeat: time.Hour, config: nrw(3, 2, 2)}).srvs
 	c := dialNode(t, srvs[0], "cli")
 	held := func(keys ...string) {
 		t.Helper()
@@ -167,7 +166,7 @@ func TestPeerEnvelopesPerOperation(t *testing.T) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("budget-%03d", i)
 	}
-	quorumSrvs := bootQuiet(t, "quorum", n, r, w, 3100)
+	quorumSrvs := bootCluster(t, spec{seed: 3100, heartbeat: time.Hour, config: nrw(n, r, w)}).srvs
 	for _, k := range keys {
 		for _, tier := range []geo.Kind{geo.Strong, geo.Eventual} {
 			if coord := coordOf(quorumSrvs[0], "get", k, tier); coord != "node0" {
@@ -191,7 +190,7 @@ func TestPeerEnvelopesPerOperation(t *testing.T) {
 		{"quorum delete", 2 * (n - 1), gone, qc.Delete},
 	})
 
-	gossipSrvs := bootQuiet(t, "gossip", n, r, w, 3200)
+	gossipSrvs := bootCluster(t, spec{model: "gossip", seed: 3200, heartbeat: time.Hour, config: nrw(n, r, w)}).srvs
 	gc := dialNode(t, gossipSrvs[0], "cli")
 	gossipHolds := func(s *Server, k string) bool {
 		found := make(chan bool, 1)
@@ -219,27 +218,9 @@ type envelopeRow struct {
 	op      func(key string) error
 }
 
-// bootQuiet boots a 3-node cluster of model at N, R and W whose liveness
-// heartbeats are an hour apart.
-func bootQuiet(t *testing.T, model string, n, r, w int, seed int64) []*Server {
-	t.Helper()
-	addrs := reservePorts(t, 3)
-	peers := make(map[string]string, len(addrs))
-	for i, a := range addrs {
-		peers[fmt.Sprintf("node%d", i)] = a
-	}
-	quiet := &resilience.Policy{HeartbeatInterval: time.Hour}
-	srvs := make([]*Server, len(addrs))
-	for i := range srvs {
-		s, err := New(Config{ID: fmt.Sprintf("node%d", i), Model: model, Peers: peers, Policy: quiet,
-			N: n, R: r, W: w, Seed: seed + int64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[i] = s
-		t.Cleanup(s.Close)
-	}
-	return srvs
+// nrw sets a node's quorum parameters.
+func nrw(n, r, w int) func(*Config) {
+	return func(c *Config) { c.N, c.R, c.W = n, r, w }
 }
 
 // countEnvelopes runs each row over keys through c and checks the peer
@@ -324,7 +305,7 @@ func countEnvelopes(t *testing.T, srvs []*Server, c *Client, keys []string, rows
 // a quorum node sends no ping of its own over TCP. No peer may be
 // suspected meanwhile.
 func TestIdleClusterHeartbeatsEachLinkOnce(t *testing.T) {
-	srvs := startCluster(t, "quorum", 3, false)
+	srvs := bootCluster(t, spec{model: "quorum", seed: 1000, heartbeat: fastBeat}).srvs
 	envelopes := func() (n uint64) {
 		for _, s := range srvs {
 			n += s.tcp.Stats().EnvelopesSent
@@ -350,7 +331,7 @@ func TestIdleClusterHeartbeatsEachLinkOnce(t *testing.T) {
 // that holds no replica of the key hands the operation to the key's
 // owner, and the client is served all the same.
 func TestNonReplicaForwardsToTheOwner(t *testing.T) {
-	srvs := startCluster(t, "quorum", 5, false)
+	srvs := bootCluster(t, spec{model: "quorum", n: 5, seed: 1000, heartbeat: fastBeat}).srvs
 	s := srvs[0]
 	far := keyWhere(t, s, func(p []string) bool { return !slices.Contains(p, "node0") })
 	near := keyWhere(t, s, func(p []string) bool { return slices.Contains(p, "node0") && p[0] != "node0" })
@@ -379,8 +360,7 @@ func TestNonReplicaForwardsToTheOwner(t *testing.T) {
 // of a key must share a coordinator, the owner, even at a node that holds
 // a replica; an eventual read keeps its in-zone rule.
 func TestGeoAsyncWritesAndStrongReadsMeetAtTheOwner(t *testing.T) {
-	srvs, _ := startGeoCluster(t, 3, []string{"us", "eu", "ap"}, 0, false)
-	s := srvs[0]
+	s := bootCluster(t, spec{seed: 4000, zones: []string{"us", "eu", "ap"}}).srvs[0]
 	k := keyWhere(t, s, func(p []string) bool { return slices.Contains(p, "node0") && p[0] != "node0" })
 	owner := s.Ring().Owner(k)
 	for _, tc := range []struct {
@@ -413,7 +393,7 @@ func TestGeoAsyncWritesAndStrongReadsMeetAtTheOwner(t *testing.T) {
 // read, which the client holds, and supersede the version it saw instead
 // of standing beside it.
 func TestGeoAsyncLocalGetAndForwardedPutShareOneContext(t *testing.T) {
-	srvs, _ := startGeoCluster(t, 3, []string{"us", "eu", "ap"}, 0, false)
+	srvs := bootCluster(t, spec{seed: 4000, zones: []string{"us", "eu", "ap"}}).srvs
 	s := srvs[0]
 	k := keyWhere(t, s, func(p []string) bool { return slices.Contains(p, "node0") && p[0] != "node0" })
 	if got := coordOf(s, "get", k, geo.Eventual); got != "node0" {
@@ -449,23 +429,14 @@ func TestGeoAsyncLocalGetAndForwardedPutShareOneContext(t *testing.T) {
 // streaming in holds a replica that answers NotReady, so it hands the
 // keys it replicates to their owners, and serves its clients meanwhile.
 func TestCatchingUpJoinerForwardsToTheOwner(t *testing.T) {
-	cfgs := durableConfigs(t, "quorum", 3, -1)
-	for i := range cfgs {
-		// Slow enough that the window stays open for the whole test:
-		// ~75 KiB to pull behind a 2 KiB/s bucket.
-		cfgs[i].TransferRate = 2 << 10
-		cfgs[i].TransferBatch = 1 << 10
-	}
-	srvs := make([]*Server, len(cfgs))
-	for i, cfg := range cfgs {
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[i] = s
-		t.Cleanup(s.Close)
-	}
-	c0 := dialNode(t, srvs[0], "cli0")
+	cl := bootCluster(t, spec{seed: 2000, heartbeat: fastBeat, durable: true, ckpt: -1,
+		config: func(c *Config) {
+			// Slow enough that the window stays open for the whole test:
+			// ~75 KiB to pull behind a 2 KiB/s bucket.
+			c.TransferRate = 2 << 10
+			c.TransferBatch = 1 << 10
+		}})
+	c0 := cl.dial(0, "cli0")
 	pad := bytes.Repeat([]byte("x"), 1<<10)
 	for i := 0; i < 100; i++ {
 		if err := c0.Put(fmt.Sprintf("seed%03d", i), pad); err != nil {
@@ -473,14 +444,8 @@ func TestCatchingUpJoinerForwardsToTheOwner(t *testing.T) {
 		}
 	}
 
-	addr := reservePorts(t, 1)[0]
-	jcfg := joinerConfig(t, cfgs[0], "node3", addr, 4001)
-	js, err := New(jcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(js.Close)
-	if err := c0.AddNode("node3", addr); err != nil {
+	js := cl.join(4001, "")
+	if err := c0.AddNode("node3", js.Addr()); err != nil {
 		t.Fatalf("add-node: %v", err)
 	}
 	for deadline := time.Now().Add(10 * time.Second); !js.qnode.CatchingUp(); {

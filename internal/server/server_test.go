@@ -5,83 +5,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/resilience"
 	"repro/internal/transport"
 )
 
-// reservePorts grabs n distinct loopback addresses by binding and
-// releasing ephemeral listeners. The tiny rebind window is the standard
-// trade for a cluster whose members must agree on the peer map before
-// any of them starts.
-func reservePorts(t testing.TB, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	return addrs
-}
-
-// startCluster boots n nodes of the given model on loopback TCP and
-// registers cleanup. withHTTP also binds each node's metrics listener.
-func startCluster(t *testing.T, model string, n int, withHTTP bool) []*Server {
-	t.Helper()
-	addrs := reservePorts(t, n)
-	peers := make(map[string]string, n)
-	for i, a := range addrs {
-		peers[fmt.Sprintf("node%d", i)] = a
-	}
-	policy := &resilience.Policy{HeartbeatInterval: 20 * time.Millisecond}
-	srvs := make([]*Server, n)
-	for i := range srvs {
-		cfg := Config{
-			ID:     fmt.Sprintf("node%d", i),
-			Model:  model,
-			Peers:  peers,
-			Policy: policy,
-			Seed:   int64(1000 + i),
-		}
-		if withHTTP {
-			cfg.ListenHTTP = "127.0.0.1:0"
-		}
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatalf("start %s: %v", cfg.ID, err)
-		}
-		srvs[i] = s
-		t.Cleanup(s.Close)
-	}
-	return srvs
-}
-
-func dialNode(t testing.TB, s *Server, id string) *Client {
-	t.Helper()
-	c, err := Dial(s.Addr(), id)
-	if err != nil {
-		t.Fatalf("dial %s: %v", s.ID(), err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
 func TestClusterGossipPutGetOverTCP(t *testing.T) {
-	srvs := startCluster(t, "gossip", 3, false)
+	srvs := bootCluster(t, spec{model: "gossip", seed: 1000, heartbeat: fastBeat}).srvs
 	c0 := dialNode(t, srvs[0], "cli0")
 
 	if st, _, err := c0.Status(); err != nil || st.Model != "gossip" || st.ID != "node0" {
@@ -119,7 +53,7 @@ func TestClusterGossipPutGetOverTCP(t *testing.T) {
 // nodes a put on node0 sends one rumor to a peer, which sends one to the
 // other. A third would only return to node0, which holds the write.
 func TestGossipRumorChainEndsAtTheLastPeer(t *testing.T) {
-	srvs := startCluster(t, "gossip", 3, false)
+	srvs := bootCluster(t, spec{model: "gossip", seed: 1000, heartbeat: fastBeat}).srvs
 	c0 := dialNode(t, srvs[0], "cli0")
 	const puts = 100
 	for i := range puts {
@@ -157,7 +91,7 @@ func TestGossipRumorChainEndsAtTheLastPeer(t *testing.T) {
 }
 
 func TestClusterQuorumPutGetOverTCP(t *testing.T) {
-	srvs := startCluster(t, "quorum", 3, false)
+	srvs := bootCluster(t, spec{model: "quorum", seed: 1000, heartbeat: fastBeat}).srvs
 	c0 := dialNode(t, srvs[0], "cli0")
 
 	for i := 0; i < 5; i++ {
@@ -189,7 +123,7 @@ func TestClusterQuorumPutGetOverTCP(t *testing.T) {
 // the server blocks the read until anti-entropy delivers it rather than
 // answering stale.
 func TestClusterSessionRYWAcrossReconnect(t *testing.T) {
-	srvs := startCluster(t, "session", 3, false)
+	srvs := bootCluster(t, spec{model: "session", seed: 1000, heartbeat: fastBeat}).srvs
 
 	c0 := dialNode(t, srvs[0], "alice")
 	for i := 1; i <= 3; i++ {
@@ -225,7 +159,7 @@ func TestClusterSessionRYWAcrossReconnect(t *testing.T) {
 // dead peer as suspected, straight from the phi-accrual detector fed by
 // real TCP heartbeats.
 func TestClusterSurvivesNodeKill(t *testing.T) {
-	srvs := startCluster(t, "gossip", 3, true)
+	srvs := bootCluster(t, spec{model: "gossip", seed: 1000, heartbeat: fastBeat, http: true}).srvs
 	c0 := dialNode(t, srvs[0], "cli0")
 	if err := c0.Put("before", []byte("kill")); err != nil {
 		t.Fatal(err)
@@ -291,27 +225,8 @@ func TestRestartedEmptyReplicaConvergesOverTCP(t *testing.T) {
 	}
 	for _, model := range []string{"quorum", "gossip", "session"} {
 		t.Run(model, func(t *testing.T) {
-			addrs := reservePorts(t, 3)
-			peers := make(map[string]string, len(addrs))
-			for i, a := range addrs {
-				peers[fmt.Sprintf("node%d", i)] = a
-			}
-			cfgs := make([]Config, len(addrs))
-			srvs := make([]*Server, len(addrs))
-			for i := range cfgs {
-				cfgs[i] = Config{ID: fmt.Sprintf("node%d", i), Model: model, Peers: peers, Seed: int64(2000 + i),
-					Policy: &resilience.Policy{HeartbeatInterval: 20 * time.Millisecond}}
-				s, err := New(cfgs[i])
-				if err != nil {
-					t.Fatalf("start %s: %v", cfgs[i].ID, err)
-				}
-				srvs[i] = s
-			}
-			defer func() {
-				for _, s := range srvs {
-					s.Close()
-				}
-			}()
+			cl := bootCluster(t, spec{model: model, seed: 2000, heartbeat: fastBeat})
+			srvs := cl.srvs
 			c := dialNode(t, srvs[0], "loader")
 			value := make([]byte, valueSize)
 			for i := 0; i < nKeys; i++ {
@@ -320,12 +235,7 @@ func TestRestartedEmptyReplicaConvergesOverTCP(t *testing.T) {
 				}
 			}
 
-			srvs[2].Close()
-			s2, err := New(cfgs[2]) // no data directory: it boots empty
-			if err != nil {
-				t.Fatalf("restart node2: %v", err)
-			}
-			srvs[2] = s2
+			s2 := cl.restart(2) // no data directory: it boots empty
 			has := func(key string) bool { return len(s2.qnode.LocalValues(key)) == 1 }
 			if model != "quorum" {
 				r := dialNode(t, s2, "reader")
@@ -358,7 +268,7 @@ func TestRestartedEmptyReplicaConvergesOverTCP(t *testing.T) {
 }
 
 func TestMetricsEndpointRenders(t *testing.T) {
-	srvs := startCluster(t, "quorum", 3, true)
+	srvs := bootCluster(t, spec{model: "quorum", seed: 1000, heartbeat: fastBeat, http: true}).srvs
 	c0 := dialNode(t, srvs[0], "cli0")
 	if err := c0.Put("m", []byte("1")); err != nil {
 		t.Fatal(err)
@@ -395,7 +305,7 @@ func TestMetricsEndpointRenders(t *testing.T) {
 // must not add a request series per name to /metrics. Every unknown op
 // counts under one op="unknown".
 func TestInventedOpsShareOneMetricSeries(t *testing.T) {
-	srvs := startCluster(t, "gossip", 1, true)
+	srvs := bootCluster(t, spec{model: "gossip", n: 1, seed: 1000, heartbeat: fastBeat, http: true}).srvs
 	c := dialNode(t, srvs[0], "cli")
 	if err := c.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)

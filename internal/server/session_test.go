@@ -17,7 +17,7 @@ import (
 // one-node cluster, which has no peer to send to, the operations send no
 // message at all.
 func TestSessionOpIsACallNotAMessage(t *testing.T) {
-	s := startCluster(t, "session", 1, false)[0]
+	s := bootCluster(t, spec{model: "session", n: 1, seed: 1000, heartbeat: fastBeat}).srvs[0]
 	c := dialNode(t, s, "cli")
 	inProcess := func() uint64 {
 		st := s.tcp.Stats()
@@ -44,7 +44,7 @@ func TestSessionOpIsACallNotAMessage(t *testing.T) {
 // A put and a get of one key, pipelined in one write, run in arrival
 // order on the node's loop: the get reads the put.
 func TestPipelinedSessionPutThenGetReadsThePut(t *testing.T) {
-	s := startCluster(t, "session", 3, false)[0]
+	s := bootCluster(t, spec{model: "session", seed: 1000, heartbeat: fastBeat}).srvs[0]
 	rc := dialRaw(t, s, "cli")
 	rc.send(1, Request{Op: "put", Key: "k", Value: []byte("v")}, Request{Op: "get", Key: "k"})
 	got := rc.answers(2)
@@ -62,7 +62,7 @@ func TestPipelinedSessionPutThenGetReadsThePut(t *testing.T) {
 // the token it came with, for the client to carry to another node. The
 // write is not applied.
 func TestSessionOpTimesOutWithItsToken(t *testing.T) {
-	s := startCluster(t, "session", 1, false)[0]
+	s := bootCluster(t, spec{model: "session", n: 1, seed: 1000, heartbeat: fastBeat}).srvs[0]
 	rc := dialRaw(t, s, "cli")
 	tok := session.Token{Write: clock.Vector{{ID: "node9", Counter: 1}}}
 	start := time.Now()

@@ -52,30 +52,15 @@ func httpGet(t *testing.T, s *Server, path string) []byte {
 func TestEverySurfaceReportsOneStatus(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		boot func(t *testing.T) *Server
+		spec spec
 	}{
-		{"gossip", func(t *testing.T) *Server { return startCluster(t, "gossip", 3, true)[0] }},
-		{"session", func(t *testing.T) *Server { return startCluster(t, "session", 3, true)[0] }},
-		{"quorum-durable", func(t *testing.T) *Server {
-			var srvs []*Server
-			for _, cfg := range durableConfigs(t, "quorum", 3, -1) {
-				cfg.ListenHTTP = "127.0.0.1:0"
-				s, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(s.Close)
-				srvs = append(srvs, s)
-			}
-			return srvs[0]
-		}},
-		{"quorum-zoned", func(t *testing.T) *Server {
-			srvs, _ := startGeoCluster(t, 3, []string{"us", "eu", "ap"}, 0, true)
-			return srvs[0]
-		}},
+		{"gossip", spec{model: "gossip", seed: 1000, heartbeat: fastBeat, http: true}},
+		{"session", spec{model: "session", seed: 1000, heartbeat: fastBeat, http: true}},
+		{"quorum-durable", spec{seed: 2000, heartbeat: fastBeat, http: true, durable: true, ckpt: -1}},
+		{"quorum-zoned", spec{seed: 4000, http: true, zones: []string{"us", "eu", "ap"}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := tc.boot(t)
+			s := bootCluster(t, tc.spec).srvs[0]
 			c := dialNode(t, s, "cli")
 			if err := c.Put("k", []byte("v")); err != nil {
 				t.Fatal(err)
