@@ -6,8 +6,8 @@ import (
 	"repro/internal/server"
 )
 
-// statusLine is what scripts/e2e.sh greps `ecctl status` for: state=ok,
-// zone=us and suspects=…node2 among them.
+// statusLine renders a node's Status and /metrics as one line of
+// `ecctl status`: each field appears only when the node reports it.
 func TestStatusLine(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
