@@ -230,9 +230,10 @@ func spawnNode(dir, bin string, st *clusterState, id string, extra ...string) er
 	}
 	logf.Close()
 	st.PIDs[id] = cmd.Process.Pid
-	// The parent never waits; nodes outlive ecctl. Release avoids a
-	// zombie if ecctl itself lingers.
-	cmd.Process.Release()
+	// Nodes outlive ecctl. While ecctl lives (an in-process caller such
+	// as a test may run many commands), it reaps each node that exits, so
+	// none lingers as a zombie.
+	go cmd.Wait()
 	return nil
 }
 

@@ -78,7 +78,7 @@ func writeFixtureDirs(t *testing.T, root string) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := wal.WriteSnapshot(filepath.Join(root, "ckpt"), seq, n.StateSnapshot()); err != nil {
+	if err := wal.WriteSnapshot(filepath.Join(root, "ckpt"), seq, n.Checkpoint()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,6 +3,7 @@ package gossip
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sort"
 
 	"repro/internal/wire"
@@ -73,6 +74,10 @@ func (n *Node) StateSnapshot() []byte {
 	}
 	return appendWrites([]byte{checkpointFormat}, ws)
 }
+
+// Checkpoint returns StateSnapshot's bytes as the image a checkpoint
+// writes.
+func (n *Node) Checkpoint() io.WriterTo { return bytes.NewReader(n.StateSnapshot()) }
 
 // RestoreState loads a checkpoint written by StateSnapshot. Must be
 // called before ReplayRecord replays the log suffix.

@@ -310,7 +310,7 @@ func (e *Engine) writeManifestLocked() error {
 		m.tables = append(m.tables, t.id)
 	}
 	e.manifestVer++
-	return wal.WriteSnapshot(e.opts.Dir, e.manifestVer, appendManifest(nil, m))
+	return wal.WriteSnapshot(e.opts.Dir, e.manifestVer, bytes.NewReader(appendManifest(nil, m)))
 }
 
 // ── storage.Engine: reads ──────────────────────────────────────────────

@@ -231,7 +231,7 @@ func TestAntiEntropyTreesCoverStoredKeysAfterLSMRestart(t *testing.T) {
 	h.c.Run(5 * time.Second)
 	old := h.nodes[1]
 	// The checkpoint covers the first half of the journal, replay the rest.
-	state := old.StateSnapshot()
+	state := checkpointBytes(old)
 	if len(journal) < nKeys {
 		t.Fatalf("s1 journaled %d records for %d keys", len(journal), nKeys)
 	}

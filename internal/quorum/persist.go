@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"slices"
 	"sync"
 
@@ -346,23 +347,29 @@ func (n *Node) ReplayRecord(rec []byte) error {
 //	transfers: epoch seq, range index
 //	geo acks:  peer, acked seq
 //
-// Stored values are copied in raw, so a checkpoint costs the actor loop
-// one scan and one memcpy per key, not a decode and a re-encode. The
-// other lists are written in key order, so one state is one image. The
-// retired format 0xE2 carried a fifth list, the node-issued dot counters,
-// and is refused with wire.ErrFormatTooOld.
+// A checkpoint is captured on the actor loop and written off it. The
+// capture takes each shard's pairs, which alias the stored values, and
+// encodes only the three short lists; the write streams the stored
+// values in raw, with no decode and no re-encode. The other lists are
+// written in key order, so one state is one image. The retired format
+// 0xE2 carried a fifth list, the node-issued dot counters, and is
+// refused with wire.ErrFormatTooOld.
 const (
 	checkpointFormat        = 0xE3
 	checkpointFormatRetired = 0xE2
 )
 
-// StateSnapshot serializes the node's durable state for a checkpoint.
-// Shards are captured concurrently (each under its own lock). The caller
-// fixes the WAL sequence the checkpoint covers before invoking this, so
-// any mutation the capture races is also in the replayed suffix and
-// re-applies idempotently.
-func (n *Node) StateSnapshot() []byte {
-	images := make([][]storage.Pair, len(n.shards)) // values are immutable: safe past the unlock
+// Checkpoint captures the node's durable state and returns the image a
+// checkpoint writes. Shards are captured concurrently, each under its own
+// read lock, and the capture copies no stored value: an install stores a
+// fresh value rather than writing through the old one, so the image may
+// be written after the locks are released, off the actor loop, while
+// installs go on. The caller fixes the WAL sequence the checkpoint
+// covers before invoking this, so any mutation the capture races is also
+// in the replayed suffix and re-applies idempotently. The transfer list
+// is the actor loop's own, so this must run there.
+func (n *Node) Checkpoint() io.WriterTo {
+	im := &checkpointImage{shards: make([][]storage.Pair, len(n.shards))}
 	var wg sync.WaitGroup
 	for i, sh := range n.shards {
 		wg.Add(1)
@@ -371,37 +378,19 @@ func (n *Node) StateSnapshot() []byte {
 			sh.mu.RLock()
 			defer sh.mu.RUnlock()
 			*im = sh.store.Scan("", "", 0)
-		}(&images[i], sh)
+		}(&im.shards[i], sh)
 	}
 	wg.Wait()
 
-	// Sized for the sibling sets, nearly all of a checkpoint's bytes.
-	keys, size := 0, 64
-	for _, pairs := range images {
-		keys += len(pairs)
-		for _, p := range pairs {
-			size += len(p.Key) + len(p.Value) + 2*binary.MaxVarintLen32
-		}
-	}
-	out := append(make([]byte, 0, size), checkpointFormat)
-	out = wire.AppendUvarint(out, uint64(keys))
-	for _, pairs := range images {
-		for _, p := range pairs {
-			out = wire.AppendString(out, p.Key)
-			out = wire.AppendUvarint(out, uint64(len(p.Value)))
-			out = append(out, p.Value...)
-		}
-	}
-
 	n.hintsMu.Lock()
-	out = wire.AppendUvarint(out, uint64(n.pendingHintsLocked()))
+	tail := wire.AppendUvarint(nil, uint64(n.pendingHintsLocked()))
 	for _, intended := range sortedKeys(n.hints) {
 		keys := n.hints[intended]
 		for _, key := range sortedKeys(keys) {
 			for _, e := range keys[key] {
-				out = wire.AppendString(out, intended)
-				out = wire.AppendString(out, key)
-				out = appendEntry(out, e)
+				tail = wire.AppendString(tail, intended)
+				tail = wire.AppendString(tail, key)
+				tail = appendEntry(tail, e)
 			}
 		}
 	}
@@ -411,26 +400,68 @@ func (n *Node) StateSnapshot() []byte {
 	for _, idxs := range n.xferDone {
 		done += len(idxs)
 	}
-	out = wire.AppendUvarint(out, uint64(done))
+	tail = wire.AppendUvarint(tail, uint64(done))
 	for _, seq := range sortedKeys(n.xferDone) {
 		for _, idx := range sortedKeys(n.xferDone[seq]) {
-			out = wire.AppendUvarint(out, seq)
-			out = wire.AppendVarint(out, int64(idx))
+			tail = wire.AppendUvarint(tail, seq)
+			tail = wire.AppendVarint(tail, int64(idx))
 		}
 	}
 
 	n.geoMu.Lock()
-	out = wire.AppendUvarint(out, uint64(len(n.geoPeers)))
+	tail = wire.AppendUvarint(tail, uint64(len(n.geoPeers)))
 	for _, p := range sortedKeys(n.geoPeers) {
-		out = wire.AppendString(out, p)
-		out = wire.AppendUvarint(out, n.geoPeers[p].acked)
+		tail = wire.AppendString(tail, p)
+		tail = wire.AppendUvarint(tail, n.geoPeers[p].acked)
 	}
 	n.geoMu.Unlock()
-	return out
+	im.tail = tail
+	return im
 }
 
-// RestoreState loads a checkpoint written by StateSnapshot. Call before
-// ReplayRecord replays the log suffix. Nothing restored aliases state.
+// checkpointImage is one capture of a node's durable state: each shard's
+// pairs in key order, and the hint, transfer and geo lists encoded.
+type checkpointImage struct {
+	shards [][]storage.Pair
+	tail   []byte
+}
+
+// WriteTo streams the image in the checkpoint layout. It only reads the
+// image, so it may run more than once.
+func (im *checkpointImage) WriteTo(w io.Writer) (total int64, err error) {
+	write := func(b []byte) {
+		if err == nil {
+			var n int
+			n, err = w.Write(b)
+			total += int64(n)
+		}
+	}
+	keys := 0
+	for _, pairs := range im.shards {
+		keys += len(pairs)
+	}
+	head := append(make([]byte, 0, 64), checkpointFormat)
+	head = wire.AppendUvarint(head, uint64(keys))
+	for _, pairs := range im.shards {
+		for _, p := range pairs {
+			head = wire.AppendString(head, p.Key)
+			head = wire.AppendUvarint(head, uint64(len(p.Value)))
+			write(head)
+			write(p.Value)
+			if err != nil {
+				return total, err
+			}
+			head = head[:0]
+		}
+	}
+	write(head)
+	write(im.tail)
+	return total, err
+}
+
+// RestoreState loads a checkpoint written from Checkpoint's image. Call
+// before ReplayRecord replays the log suffix. Nothing restored aliases
+// state.
 func (n *Node) RestoreState(state []byte) error {
 	if len(state) > 0 && state[0] == checkpointFormatRetired {
 		return fmt.Errorf("quorum: checkpoint: %w", wire.ErrFormatTooOld)

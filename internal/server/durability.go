@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,13 +15,14 @@ import (
 )
 
 // durableNode is what a protocol node must provide to be crash-safe:
-// restore a checkpoint, replay journaled records past it, and serialize
-// its state for the next checkpoint. gossip.Node, quorum.Node, and
-// session.Server all implement it.
+// restore a checkpoint, replay journaled records past it, and capture its
+// state for the next checkpoint. Checkpoint runs on the node's actor
+// loop; the image it returns is written to disk off the loop.
+// gossip.Node, quorum.Node, and session.Server all implement it.
 type durableNode interface {
 	RestoreState(state []byte) error
 	ReplayRecord(rec []byte) error
-	StateSnapshot() []byte
+	Checkpoint() io.WriterTo
 }
 
 // journal is the part of *wal.Log the ack path uses: append without
@@ -258,10 +260,11 @@ func (d *durability) LaneReplayed() []uint64 {
 	return d.laneReplayed
 }
 
-// startCheckpointer periodically captures a state snapshot via capture
-// (which must run StateSnapshot on the node's actor loop and return the
-// WAL seq observed there), persists it, and truncates covered segments.
-func (d *durability) startCheckpointer(interval time.Duration, capture func() (state []byte, seq uint64, ok bool)) {
+// startCheckpointer periodically captures a state image via capture
+// (which must run the node's Checkpoint on its actor loop and return the
+// WAL seq observed there), streams it to disk from the checkpointer's own
+// goroutine, and truncates covered segments.
+func (d *durability) startCheckpointer(interval time.Duration, capture func() (state io.WriterTo, seq uint64, ok bool)) {
 	d.stop = make(chan struct{})
 	d.done = make(chan struct{})
 	go func() {
@@ -279,7 +282,7 @@ func (d *durability) startCheckpointer(interval time.Duration, capture func() (s
 	}()
 }
 
-func (d *durability) checkpoint(capture func() ([]byte, uint64, bool)) {
+func (d *durability) checkpoint(capture func() (io.WriterTo, uint64, bool)) {
 	if d.log.LastSeq() <= d.CheckpointSeq() {
 		// Nothing journaled since the last checkpoint: do not make the
 		// actor loop snapshot state that a checkpoint already covers.

@@ -2,8 +2,10 @@ package server
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/wal"
@@ -142,9 +144,9 @@ func TestCheckpointSkipsIdleNode(t *testing.T) {
 	}
 	defer d.Close()
 	captures := 0
-	capture := func() ([]byte, uint64, bool) {
+	capture := func() (io.WriterTo, uint64, bool) {
 		captures++
-		return []byte("state"), d.log.LastSeq(), true
+		return strings.NewReader("state"), d.log.LastSeq(), true
 	}
 	for tick := 0; tick < 3; tick++ {
 		d.checkpoint(capture)

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"runtime"
@@ -441,21 +442,21 @@ func New(cfg Config) (*Server, error) {
 		if interval == 0 {
 			interval = 5 * time.Second
 		}
-		// Capture (state, WAL seq) on the storage actor's loop. The seq
-		// is read BEFORE the snapshot: a record journaled by seq-read
+		// Capture (state image, WAL seq) on the storage actor's loop. The
+		// seq is read BEFORE the capture: a record journaled by seq-read
 		// time had its mutation applied first (same goroutine), so the
-		// snapshot — which locks each shard after that — contains every
+		// image — which locks each shard after that — contains every
 		// mutation the covered prefix holds. Shard goroutines may append
 		// past seq while the capture runs; those mutations land in the
-		// snapshot early, and their records survive truncation and
-		// re-apply idempotently. The snapshot write itself runs off-loop.
-		s.dur.startCheckpointer(interval, func() ([]byte, uint64, bool) {
-			var state []byte
+		// image early, and their records survive truncation and re-apply
+		// idempotently. The image is written to disk off the loop.
+		s.dur.startCheckpointer(interval, func() (io.WriterTo, uint64, bool) {
+			var state io.WriterTo
 			var seq uint64
 			captured := make(chan struct{})
 			if !s.tcp.Invoke(cfg.ID, func(transport.Env) {
 				seq = s.dur.log.LastSeq()
-				state = node.StateSnapshot()
+				state = node.Checkpoint()
 				close(captured)
 			}) {
 				return nil, 0, false

@@ -119,7 +119,7 @@ func writeFixtureDirs(t *testing.T, root string) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := wal.WriteSnapshot(filepath.Join(root, "ckpt"), seq, s.StateSnapshot()); err != nil {
+	if err := wal.WriteSnapshot(filepath.Join(root, "ckpt"), seq, s.Checkpoint()); err != nil {
 		t.Fatal(err)
 	}
 }

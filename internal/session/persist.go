@@ -3,6 +3,7 @@ package session
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sort"
 
 	"repro/internal/wire"
@@ -73,6 +74,10 @@ func (s *Server) StateSnapshot() []byte {
 	}
 	return appendSessWrites([]byte{checkpointFormat}, ws)
 }
+
+// Checkpoint returns StateSnapshot's bytes as the image a checkpoint
+// writes.
+func (s *Server) Checkpoint() io.WriterTo { return bytes.NewReader(s.StateSnapshot()) }
 
 // RestoreState loads a checkpoint written by StateSnapshot, rebuilding
 // the version vector, Lamport clock, resolved values, and at-most-once

@@ -17,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -456,8 +457,14 @@ func (c *Cluster) Up(id string) bool {
 
 // Step executes the next pending event. It returns false when the queue is
 // empty.
-func (c *Cluster) Step() bool {
-	for c.queue.len() > 0 {
+func (c *Cluster) Step() bool { return c.stepUntil(math.MaxInt64) }
+
+// stepUntil executes the next pending event due at or before until,
+// discarding the cancelled timers and undeliverable messages it meets on
+// the way. It returns false when no event is due by until: an event it
+// discards does not let it run one past the horizon.
+func (c *Cluster) stepUntil(until time.Duration) bool {
+	for c.queue.len() > 0 && c.queue.min().at <= until {
 		e := c.queue.pop()
 		c.now = e.at
 		switch e.kind {
@@ -536,8 +543,7 @@ func (c *Cluster) sizeOf(msg Message) int {
 // Run executes events until the queue is empty or virtual time would
 // exceed until. Events at exactly until still run.
 func (c *Cluster) Run(until time.Duration) {
-	for c.queue.len() > 0 && c.queue.min().at <= until {
-		c.Step()
+	for c.stepUntil(until) {
 	}
 	if c.now < until {
 		c.now = until

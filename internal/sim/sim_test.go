@@ -260,6 +260,33 @@ func TestRunStopsAtHorizon(t *testing.T) {
 	}
 }
 
+// horizonNode cancels a 500 ms timer and leaves a 2 s one set.
+type horizonNode struct{ timerNode }
+
+func (n *horizonNode) OnStart(env Env) {
+	env.Cancel(env.SetTimer(500*time.Millisecond, "cancelled"))
+	env.SetTimer(2*time.Second, "late")
+}
+
+// A skipped event (here a cancelled timer) inside the horizon must not
+// let Run execute the next event beyond it.
+func TestRunStopsAtHorizonPastSkippedEvents(t *testing.T) {
+	c := New(Config{Seed: 1})
+	n := &horizonNode{}
+	c.AddNode("a", n)
+	c.Run(time.Second)
+	if len(n.fired) != 0 {
+		t.Fatalf("timers fired at %v inside Run(1s), want none", n.fired)
+	}
+	if c.Now() != time.Second {
+		t.Fatalf("Now() = %v, want horizon 1s", c.Now())
+	}
+	c.Run(3 * time.Second)
+	if len(n.fired) != 1 || n.fired[0] != 2*time.Second {
+		t.Fatalf("fire times %v after Run(3s), want [2s]", n.fired)
+	}
+}
+
 func TestDuplicateNodePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -63,20 +63,24 @@ func (kv *KV) View(key string, fn func([]byte)) bool {
 }
 
 // Scan returns the pairs in [start, end) in key order. An empty end means
-// "to the end of the keyspace". Limit <= 0 means no limit.
+// "to the end of the keyspace". Limit <= 0 means no limit. Both bounds are
+// found by binary search, so the result is allocated once at its size.
 func (kv *KV) Scan(start, end string, limit int) []Pair {
 	kv.mu.RLock()
 	defer kv.mu.RUnlock()
-	var out []Pair
-	for i := sort.SearchStrings(kv.keys, start); i < len(kv.keys); i++ {
-		key := kv.keys[i]
-		if end != "" && key >= end {
-			break
-		}
-		out = append(out, Pair{Key: key, Value: kv.vals[key]})
-		if limit > 0 && len(out) >= limit {
-			break
-		}
+	lo, hi := sort.SearchStrings(kv.keys, start), len(kv.keys)
+	if end != "" {
+		hi = sort.SearchStrings(kv.keys, end)
+	}
+	if limit > 0 && hi-lo > limit {
+		hi = lo + limit
+	}
+	if hi <= lo {
+		return nil
+	}
+	out := make([]Pair, hi-lo)
+	for i, key := range kv.keys[lo:hi] {
+		out[i] = Pair{Key: key, Value: kv.vals[key]}
 	}
 	return out
 }

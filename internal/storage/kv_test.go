@@ -55,6 +55,34 @@ func TestKVScanOrderAndBounds(t *testing.T) {
 	}
 }
 
+// Scan sizes its result from the two bounds and the limit: one
+// allocation, however many pairs, and none for an empty or inverted range.
+func TestKVScanAllocatesOnce(t *testing.T) {
+	kv := NewKV()
+	for i := 0; i < 1000; i++ {
+		kv.Put(fmt.Sprintf("k%04d", i), []byte{byte(i)}, nil)
+	}
+	for _, tc := range []struct {
+		start, end string
+		limit      int
+		pairs      int
+		allocs     float64
+	}{
+		{"", "", 0, 1000, 1},
+		{"k0100", "k0300", 0, 200, 1},
+		{"k0100", "", 50, 50, 1},
+		{"k0300", "k0100", 0, 0, 0},
+		{"z", "", 0, 0, 0},
+	} {
+		if got := kv.Scan(tc.start, tc.end, tc.limit); len(got) != tc.pairs || cap(got) != tc.pairs {
+			t.Fatalf("Scan(%q, %q, %d) = %d pairs in a slice of %d, want %d", tc.start, tc.end, tc.limit, len(got), cap(got), tc.pairs)
+		}
+		if a := testing.AllocsPerRun(20, func() { kv.Scan(tc.start, tc.end, tc.limit) }); a != tc.allocs {
+			t.Fatalf("Scan(%q, %q, %d) allocates %.0f times, want %.0f", tc.start, tc.end, tc.limit, a, tc.allocs)
+		}
+	}
+}
+
 // TestKVQuickLatestWins: after any interleaving of puts per key, Get
 // returns exactly the last put's value.
 func TestKVQuickLatestWins(t *testing.T) {

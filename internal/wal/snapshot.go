@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,29 +28,23 @@ func snapshotName(seq uint64) string { return fmt.Sprintf("snap-%016x%s", seq, s
 
 // WriteSnapshot atomically persists a checkpoint of state covering all
 // WAL records with sequence numbers <= seq, then prunes older
-// snapshots, keeping one predecessor as a fallback.
-func WriteSnapshot(dir string, seq uint64, state []byte) error {
+// snapshots, keeping one predecessor as a fallback. state is streamed
+// into the file: the header, then state's bytes as its WriteTo emits them
+// (the CRC updated as they pass), then the trailer, so a node's image is
+// never held whole in memory to be framed. If WriteTo fails, the previous
+// snapshot stays the latest and no temp file is left.
+func WriteSnapshot(dir string, seq uint64, state io.WriterTo) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	// The header, the state and the trailer are written in turn: the
-	// state, the whole of a node's checkpoint, is not copied to frame it.
-	var head [snapHeader]byte
-	var trail [snapTrailer]byte
-	binary.LittleEndian.PutUint64(head[:], seq)
-	crc := crc32.Update(crc32.Checksum(head[:], castagnoli), castagnoli, state)
-	binary.LittleEndian.PutUint32(trail[:], crc)
-
 	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	for _, b := range [][]byte{head[:], state, trail[:]} {
-		if _, err := tmp.Write(b); err != nil {
-			tmp.Close()
-			return fmt.Errorf("wal: %w", err)
-		}
+	if err := streamSnapshot(tmp, seq, state); err != nil {
+		tmp.Close()
+		return fmt.Errorf("wal: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -63,6 +59,58 @@ func WriteSnapshot(dir string, seq uint64, state []byte) error {
 	syncDir(dir)
 	pruneSnapshots(dir, seq)
 	return nil
+}
+
+// snapWriter is the buffered, checksumming writer a snapshot streams
+// through. Writers are kept in snapWriters between checkpoints, not in a
+// sync.Pool, which a collection would empty between two checkpoints.
+type snapWriter struct {
+	bw  *bufio.Writer
+	crc uint32
+}
+
+func (w *snapWriter) Write(p []byte) (int, error) {
+	w.crc = crc32.Update(w.crc, castagnoli, p)
+	return w.bw.Write(p)
+}
+
+const snapBufSize = 64 << 10
+
+// snapWriters holds idle writers; its capacity bounds how many buffers
+// outlive the checkpoints that used them.
+var snapWriters = make(chan *snapWriter, 2)
+
+// streamSnapshot writes [seq][state][crc] to f through an idle writer.
+func streamSnapshot(f *os.File, seq uint64, state io.WriterTo) error {
+	var w *snapWriter
+	select {
+	case w = <-snapWriters:
+		w.bw.Reset(f)
+	default:
+		w = &snapWriter{bw: bufio.NewWriterSize(f, snapBufSize)}
+	}
+	defer func() {
+		w.bw.Reset(nil)
+		select {
+		case snapWriters <- w:
+		default:
+		}
+	}()
+	var frame [snapHeader]byte
+	w.crc = 0
+	binary.LittleEndian.PutUint64(frame[:], seq)
+	if _, err := w.Write(frame[:]); err != nil {
+		return err
+	}
+	if _, err := state.WriteTo(w); err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint32(frame[:snapTrailer], w.crc)
+	// The trailer bypasses w: the CRC does not cover itself.
+	if _, err := w.bw.Write(frame[:snapTrailer]); err != nil {
+		return err
+	}
+	return w.bw.Flush()
 }
 
 // LatestSnapshot loads the newest intact checkpoint in dir. A snapshot

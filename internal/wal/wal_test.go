@@ -3,10 +3,13 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -230,10 +233,10 @@ func TestSnapshotRoundTripAndAtomicity(t *testing.T) {
 	if _, _, found, err := LatestSnapshot(dir); err != nil || found {
 		t.Fatalf("empty dir: found=%v err=%v", found, err)
 	}
-	if err := WriteSnapshot(dir, 10, []byte("state-ten")); err != nil {
+	if err := WriteSnapshot(dir, 10, bytes.NewReader([]byte("state-ten"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSnapshot(dir, 25, []byte("state-twentyfive")); err != nil {
+	if err := WriteSnapshot(dir, 25, bytes.NewReader([]byte("state-twentyfive"))); err != nil {
 		t.Fatal(err)
 	}
 	seq, state, found, err := LatestSnapshot(dir)
@@ -263,7 +266,7 @@ func TestSnapshotRoundTripAndAtomicity(t *testing.T) {
 func TestSnapshotPruneKeepsFallback(t *testing.T) {
 	dir := t.TempDir()
 	for _, seq := range []uint64{5, 10, 15, 20} {
-		if err := WriteSnapshot(dir, seq, []byte("s")); err != nil {
+		if err := WriteSnapshot(dir, seq, bytes.NewReader([]byte("s"))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -281,9 +284,15 @@ func TestSnapshotPruneKeepsFallback(t *testing.T) {
 // must keep loading.
 func TestSnapshotFileLayout(t *testing.T) {
 	dir := t.TempDir()
-	for _, state := range [][]byte{nil, []byte("s"), bytes.Repeat([]byte{0xE3, 0x00, 0x7F}, 5000)} {
+	for i, state := range [][]byte{nil, []byte("s"), bytes.Repeat([]byte{0xE3, 0x00, 0x7F}, 5000), bytes.Repeat([]byte{0x5A, 0xA5}, 100_000)} {
 		seq := uint64(0x0102030405060708) + uint64(len(state))
-		if err := WriteSnapshot(dir, seq, state); err != nil {
+		// The larger states are streamed in 7-byte and 40,000-byte pieces,
+		// below and above the writer's buffer.
+		var image io.WriterTo = bytes.NewReader(state)
+		if i >= 2 {
+			image = pieces{b: state, n: 7 + 39_993*(i-2)}
+		}
+		if err := WriteSnapshot(dir, seq, image); err != nil {
 			t.Fatal(err)
 		}
 		want := binary.LittleEndian.AppendUint64(nil, seq)
@@ -299,6 +308,82 @@ func TestSnapshotFileLayout(t *testing.T) {
 		if gotSeq, gotState, found, err := LatestSnapshot(dir); err != nil || !found || gotSeq != seq || !bytes.Equal(gotState, state) {
 			t.Fatalf("LatestSnapshot = %d, %d bytes, %v, %v", gotSeq, len(gotState), found, err)
 		}
+	}
+}
+
+// pieces streams b in writes of n bytes; with fail set it fails once it
+// has written half of b.
+type pieces struct {
+	b    []byte
+	n    int
+	fail bool
+}
+
+func (p pieces) WriteTo(w io.Writer) (int64, error) {
+	var total int64
+	for off := 0; off < len(p.b); off += p.n {
+		if p.fail && off >= len(p.b)/2 {
+			return total, errors.New("image failed midway")
+		}
+		n, err := w.Write(p.b[off:min(off+p.n, len(p.b))])
+		total += int64(n)
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
+}
+
+// An image that fails while it streams leaves the previous snapshot the
+// latest, and no temp file behind.
+func TestSnapshotFailedImageKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	if err := WriteSnapshot(dir, 10, bytes.NewReader([]byte("state-ten"))); err != nil {
+		t.Fatal(err)
+	}
+	big := bytes.Repeat([]byte("x"), 3*snapBufSize)
+	if err := WriteSnapshot(dir, 20, pieces{b: big, n: 1000, fail: true}); err == nil {
+		t.Fatal("WriteSnapshot of a failing image returned nil")
+	}
+	seq, state, found, err := LatestSnapshot(dir)
+	if err != nil || !found || seq != 10 || string(state) != "state-ten" {
+		t.Fatalf("latest after a failed image = (%d, %q, %v, %v), want (10, state-ten)", seq, state, found, err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if e.Name() != snapshotName(10) {
+			t.Fatalf("directory holds %s after a failed image, want only %s", e.Name(), snapshotName(10))
+		}
+	}
+	// The writer the failure used carries nothing into the next snapshot.
+	if err := WriteSnapshot(dir, 30, bytes.NewReader([]byte("state-thirty"))); err != nil {
+		t.Fatal(err)
+	}
+	if seq, state, _, _ := LatestSnapshot(dir); seq != 30 || string(state) != "state-thirty" {
+		t.Fatalf("latest after a good image = (%d, %q), want (30, state-thirty)", seq, state)
+	}
+}
+
+// Checkpoints reuse their write buffer: a fresh one per call would cost
+// snapBufSize bytes each.
+func TestSnapshotReusesWriteBuffer(t *testing.T) {
+	dir := t.TempDir()
+	state := []byte("state")
+	WriteSnapshot(dir, 1, bytes.NewReader(state)) // warms the idle writer
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for seq := uint64(2); seq < 2+calls; seq++ {
+		if err := WriteSnapshot(dir, seq, bytes.NewReader(state)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= snapBufSize/4 {
+		t.Fatalf("WriteSnapshot allocates %d B per call, want under %d", per, snapBufSize/4)
 	}
 }
 
