@@ -86,16 +86,17 @@ func entriesDigest(es []clock.SiblingEntry[record]) uint64 {
 }
 
 // noteKeyChanged refreshes key's digest, computed from es, the sibling set
-// the store now holds, in the tree of every peer that shares the key
-// (peers is the key's preference list). applyEntry calls it under the
-// shard lock on every install, changed or not: an unchanged digest costs
-// a map lookup per peer, and a key the tree lacked is added.
-func (n *Node) noteKeyChanged(key string, es []clock.SiblingEntry[record], peers []string) {
+// the store now holds, in the tree of every peer in the key's preference
+// list (a walk the epoch's ring shares: nothing is allocated). applyEntry
+// calls it under the shard lock on every install, changed or not: an
+// unchanged digest costs a map lookup per peer, and a key the tree lacked
+// is added.
+func (n *Node) noteKeyChanged(key string, es []clock.SiblingEntry[record]) {
 	if !n.cfg.AntiEntropy {
 		return
 	}
 	digest := entriesDigest(es)
-	for _, rep := range peers {
+	for _, rep := range n.PreferenceList(key) {
 		if rep != n.id {
 			n.tree(rep).Update(key, digest)
 		}

@@ -498,7 +498,7 @@ func TestFallbackReaderAnswersADigestReadFromItsHints(t *testing.T) {
 	}, 25)
 	tr := watch(t, h)
 	key := "k"
-	prefs, fallbacks := h.nodes[0].placement(h.nodes[0].epoch.Load(), key)
+	prefs, fallbacks := h.nodes[0].cfg.placement(h.nodes[0].epoch.Load(), key)
 	coord, down, fb := prefs[0], prefs[2], fallbacks[0]
 	old := entryAt("x", 1, nil, "old")
 	hinted := entryAt("x", 2, clock.Vector{{ID: "x", Counter: 1}}, "hinted")
@@ -555,7 +555,7 @@ func TestNotReadyReplicaUnderDigestRead(t *testing.T) {
 			h := newHarness(t, 5, Config{N: 3, R: 3, W: 2, Placement: placement}, 26)
 			tr := watch(t, h)
 			key := "k"
-			prefs, fallbacks := h.nodes[0].placement(h.nodes[0].epoch.Load(), key)
+			prefs, fallbacks := h.nodes[0].cfg.placement(h.nodes[0].epoch.Load(), key)
 			gated := h.node(prefs[tc.gated])
 			// The whole circle is still to be pulled: every key is gated.
 			gated.gate.Store(&gate{seq: 1, total: 1, pending: []TransferPull{{Source: "nobody"}}})
@@ -806,7 +806,7 @@ func TestDigestReadAgainstEachKindOfPeer(t *testing.T) {
 			}, 28)
 			tr := watch(t, h)
 			key := "k"
-			prefs, fallbacks := h.nodes[0].placement(h.nodes[0].epoch.Load(), key)
+			prefs, fallbacks := h.nodes[0].cfg.placement(h.nodes[0].epoch.Load(), key)
 			for _, rep := range prefs[:2] {
 				h.node(rep).installEntry(0, key, tc.coord)
 			}

@@ -74,20 +74,6 @@ const (
 
 func nowMs() int64 { return time.Now().UnixMilli() }
 
-// splitGeo partitions a preference list into the coordinator-zone
-// replicas (synchronous) and the cross-zone remainder (async), by the
-// zones of epoch ep. The coordinator itself always counts as local.
-func (n *Node) splitGeo(ep *ring.Epoch, prefs []string) (sync, async []string) {
-	for _, p := range prefs {
-		if p == n.id || ep.Ring.ZoneOf(p) == n.cfg.Zone {
-			sync = append(sync, p)
-		} else {
-			async = append(async, p)
-		}
-	}
-	return sync, async
-}
-
 // geoPeerLocked returns (creating) peer's replicator state. Caller holds
 // geoMu.
 func (n *Node) geoPeerLocked(peer string) *geoPeer {

@@ -540,12 +540,12 @@ func (n *Node) leave(env transport.Env) {
 // onNotOwner handles a replica refusing one of our writes: the refusal
 // carries the refuser's epoch, and a newer one means our ring is stale,
 // so pull the current membership from the refuser, which is ahead. The
-// pending operation is left to its other replicas (or its timeout):
-// hinting a stand-in for a node that is not an owner would strand the
-// write.
+// refusal is also an event of the write it refused, which decides what
+// follows (pendingWrite.step).
 func (n *Node) onNotOwner(env transport.Env, from string, m replicaNotOwner) {
 	n.Transfer.NotOwnerSeen.Add(1)
 	if m.Seq > n.epoch.Load().Seq {
 		env.Send(from, ringPull{})
 	}
+	n.onWrite(env, m.ID, writeEvent{kind: wrRefusal, from: from})
 }

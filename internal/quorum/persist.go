@@ -252,10 +252,6 @@ func (n *Node) installEntry(domain int, key string, e clock.SiblingEntry[record]
 // e.Value may alias a frame or journal buffer: encodeStored copies it
 // into the stored value, so nothing here retains it.
 func (n *Node) applyEntry(key string, e clock.SiblingEntry[record]) bool {
-	var peers []string
-	if n.cfg.AntiEntropy {
-		peers = n.PreferenceList(key) // before locking: the walk needs no shard lock
-	}
 	sh := n.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -265,7 +261,7 @@ func (n *Node) applyEntry(key string, e clock.SiblingEntry[record]) bool {
 	}
 	// Still under the shard lock, so that two racing installs of one key
 	// leave the digest of whichever set was stored last.
-	n.noteKeyChanged(key, es, peers)
+	n.noteKeyChanged(key, es)
 	return changed
 }
 

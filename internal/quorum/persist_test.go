@@ -296,8 +296,11 @@ func (sinkEnv) Domain() int              { return 0 }
 // per client request. The counts are deterministic; a reflective codec
 // on any of them costs hundreds and fails this long before a benchmark
 // runs. Budgets are what go1.24 measures plus the headroom they had
-// when a context was a map: 4 objects and 336 B per install and 4
+// when a context was a map: 3 objects and 288 B per install and 4
 // objects per get, plus 3 objects and 32 B; the record's 1 is a ceiling.
+// An install measured 4 objects and 336 B while it built the key's
+// preference list afresh (48 B) to refresh the anti-entropy digests; the
+// list is now a slice of the epoch's shared walk.
 func TestReplicaPathAllocBudget(t *testing.T) {
 	const runs = 200
 	var journaled int
@@ -321,8 +324,8 @@ func TestReplicaPathAllocBudget(t *testing.T) {
 	if got := n.localEntries("hot"); len(got) != 1 || got[0].DVV.Dot.Counter != uint64(next) {
 		t.Fatalf("after %d installs the key holds %+v", next, got)
 	}
-	if install > 7 {
-		t.Errorf("installEntry onto an existing key: %v allocs, budget 7", install)
+	if install > 6 {
+		t.Errorf("installEntry onto an existing key: %v allocs, budget 6", install)
 	}
 	// And in bytes: the stored set and what decoding the old one costs,
 	// with nothing kept per install beside the one value the key holds.
@@ -334,8 +337,8 @@ func TestReplicaPathAllocBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&m1)
 	installBytes := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
-	if installBytes > 368 && !raceEnabled {
-		t.Errorf("installEntry of a 128 B value onto an existing key: %.0f B, budget 368", installBytes)
+	if installBytes > 320 && !raceEnabled {
+		t.Errorf("installEntry of a 128 B value onto an existing key: %.0f B, budget 320", installBytes)
 	}
 
 	get := testing.AllocsPerRun(runs, func() {

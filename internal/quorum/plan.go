@@ -75,7 +75,7 @@ func (n *Node) Plan(write bool, key string, tier geo.Kind, boundMs int64) Plan {
 // An eventual read (inZone) keeps to the zone instead: this node if it
 // is a replica, else the first replica in its zone, else the owner.
 func (n *Node) coordinator(ep *ring.Epoch, key string, inZone bool) string {
-	prefs, _ := n.placement(ep, key)
+	prefs, _ := n.cfg.placement(ep, key)
 	local := slices.Contains(prefs, n.id)
 	switch {
 	case inZone:

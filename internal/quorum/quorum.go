@@ -19,7 +19,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -166,6 +165,14 @@ func (c Config) Validate() error {
 	}
 	if c.W < 1 || c.W > c.N {
 		return fmt.Errorf("quorum: W=%d must be in [1, N=%d]", c.W, c.N)
+	}
+	if c.N > 32 {
+		return fmt.Errorf("quorum: N=%d exceeds 32, the most replicas a write tracks", c.N)
+	}
+	members := slices.Clone(c.Ring)
+	slices.Sort(members)
+	if m := len(slices.Compact(members)); c.N > m {
+		return fmt.Errorf("quorum: N=%d exceeds the %d distinct members of Ring", c.N, m)
 	}
 	if c.Placement != nil && c.Placement.Size() < c.N {
 		return fmt.Errorf("quorum: N=%d exceeds the Placement ring's %d members", c.N, c.Placement.Size())
@@ -315,33 +322,6 @@ func (m replicaGetResp) Size() int {
 // Size implements the sim bandwidth hook.
 func (m replicaDigestResp) Size() int { return 16 * len(m.Dots) }
 
-type pendingWrite struct {
-	client    string
-	reply     func(transport.Env, PutResult) // the answer's call when client is in this process (see finishWrite)
-	id        uint64
-	key       string
-	entry     clock.SiblingEntry[record]
-	acked     []string // replicas (or fallbacks) that acked, each once; starts in ackedBuf
-	ackedBuf  [3]string
-	needed    int
-	replicas  []string // intended preference list
-	fallbacks []string // next ring nodes for sloppy quorum
-	sloppy    bool
-	done      bool
-	timer     transport.TimerID
-
-	// Resilience state.
-	hinted  map[string]bool // prefs a fallback already stands in for (nil until one does)
-	fi      int             // next unused fallback index
-	fbTried bool            // quorum-timeout fallback engagement done
-	attempt int             // retransmission rounds spent
-
-	// geoAsync lists cross-zone prefs served by the replicator instead
-	// of synchronous replicaPuts; retries and fallback engagement skip
-	// them (they are intentionally un-acked here).
-	geoAsync []string
-}
-
 // Node is one storage node of the quorum store. It implements
 // transport.Handler. All nodes are symmetric: a client may send a request to
 // any node, which forwards it to a coordinator in the key's preference
@@ -476,27 +456,28 @@ func (n *Node) Epoch() ring.Epoch { return *n.epoch.Load() }
 // PreferenceList returns the N replicas for key, in priority order. The
 // list may be the ring's shared walk and must not be written.
 func (n *Node) PreferenceList(key string) []string {
-	prefs, _ := n.placement(n.epoch.Load(), key)
+	prefs, _ := n.cfg.placement(n.epoch.Load(), key)
 	return prefs
 }
 
 // placement returns key's N replicas under ep in priority order and,
 // after them, the rest of the walk — the fallbacks of a sloppy quorum —
-// both cut from one walk.
-func (n *Node) placement(ep *ring.Epoch, key string) (prefs, fallbacks []string) {
-	if n.cfg.Placement != nil {
-		seq := ep.Ring.Sequence(key)
-		return seq[:n.cfg.N:n.cfg.N], seq[n.cfg.N:]
+// both cut from one walk that ep's ring shares: its Sequence under a
+// Placement ring, else the rotation of its sorted members that starts at
+// the member the key's fnv64a hash picks. It allocates nothing.
+func (c *Config) placement(ep *ring.Epoch, key string) (prefs, fallbacks []string) {
+	var seq []string
+	if c.Placement != nil {
+		seq = ep.Ring.Sequence(key)
+	} else {
+		h := uint64(14695981039346656037) // fnv64a, inlined so that it allocates nothing
+		for i := 0; i < len(key); i++ {
+			h ^= uint64(key[i])
+			h *= 1099511628211
+		}
+		seq = ep.Ring.Rotation(int(h % uint64(ep.Ring.Size())))
 	}
-	members := ep.Ring.Members()
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	start := int(h.Sum64() % uint64(len(members)))
-	seq := make([]string, max(len(members), n.cfg.N))
-	for i := range seq {
-		seq[i] = members[(start+i)%len(members)]
-	}
-	return seq[:n.cfg.N:n.cfg.N], seq[n.cfg.N:]
+	return seq[:c.N:c.N], seq[c.N:]
 }
 
 type handoffTag struct{}
@@ -558,7 +539,7 @@ func (n *Node) OnTimer(env transport.Env, tag any) {
 		env.SetTimer(n.cfg.AntiEntropyInterval, aeTick{})
 	case timeoutTag:
 		if tg.write {
-			n.writeTimeout(env, tg.id)
+			n.onWrite(env, tg.id, writeEvent{kind: wrDeadline})
 		} else {
 			n.onRead(env, tg.id, readEvent{kind: evDeadline})
 		}
@@ -571,7 +552,7 @@ func (n *Node) OnTimer(env transport.Env, tag any) {
 		env.SetTimer(n.cfg.Resilience.HeartbeatInterval, pingTag{})
 	case rpcRetryTag:
 		if tg.write {
-			n.retryWrite(env, tg.id)
+			n.onWrite(env, tg.id, writeEvent{kind: wrTick})
 		} else {
 			n.onRead(env, tg.id, readEvent{kind: evTick})
 		}
@@ -615,7 +596,7 @@ func (n *Node) OnMessage(env transport.Env, from string, msg transport.Message) 
 	case replicaPut:
 		n.applyReplicaPut(env, from, m)
 	case replicaPutAck:
-		n.onPutAck(env, from, m.ID)
+		n.onWrite(env, m.ID, writeEvent{kind: wrAck, from: from})
 	case replicaGet:
 		n.answerReplicaGet(env, from, m)
 	case replicaDigest:
@@ -702,17 +683,17 @@ func (n *Node) hintedEntries(key string) []clock.SiblingEntry[record] {
 	return out
 }
 
-// coordinatePut runs the write protocol at whichever node the client
-// contacted (Cassandra-style coordination): mint a new version, send it
-// to the key's N replicas, and acknowledge the client after W replica
-// acks. When the coordinator is one of the synchronous replicas it does
-// not message itself: after the fan-out it installs the version in place
-// and counts its own ack, so a write that needs W-1 peers waits for
-// exactly those. The install journals the version in this invocation,
-// so a host that holds acks behind the journal (the server's ack barrier)
-// holds the answer behind it too, whether it leaves now or with a later
-// peer ack. The acknowledgement is a putResp to client, or a call of
-// reply for a client in this process (see finishWrite).
+// coordinatePut starts the write protocol (write.go) at whichever node the
+// client contacted (Cassandra-style coordination): mint a new version,
+// send it to the key's replicas, and acknowledge the client after W
+// replica acks. When the coordinator is one of the synchronous replicas
+// it does not message itself: it installs the version in place and counts
+// its own ack, so a write that needs W-1 peers waits for exactly those.
+// The install journals the version in this invocation, so a host that
+// holds acks behind the journal (the server's ack barrier) holds the
+// answer behind it too, whether it leaves now or with a later peer ack.
+// The acknowledgement is a putResp to client, or a call of reply for a
+// client in this process (see answerPut).
 func (n *Node) coordinatePut(env transport.Env, client string, m clientPut, reply func(transport.Env, PutResult)) {
 	if m.ID == 0 {
 		// Every write is named by its sender: a request without an id has
@@ -720,9 +701,6 @@ func (n *Node) coordinatePut(env transport.Env, client string, m clientPut, repl
 		answerPut(env, client, reply, m.Key, putResp{Err: "quorum: put without a request id"})
 		return
 	}
-	ep := n.epoch.Load()
-	prefs, fallbacks := n.placement(ep, m.Key)
-
 	// Mint the new version: the context is exactly what the client
 	// causally observed (a blind write must sibling with, not supersede,
 	// versions it never read); the dot, (client, request id), names the
@@ -735,88 +713,12 @@ func (n *Node) coordinatePut(env transport.Env, client string, m clientPut, repl
 	// request's frame, or handed over by a sender in this process, which
 	// never writes into a context once sent.
 	dvv := clock.DVV{Dot: clientDot(client, m.ID, m.Context), Context: m.Context}
-	entry := clock.SiblingEntry[record]{DVV: dvv, Value: record{Value: m.Value, Deleted: m.Deleted}}
-
 	shardIdx := n.router.Shard(m.Key)
 	id := n.mintReq(shardIdx)
-	pw := &pendingWrite{
-		client:   client,
-		reply:    reply,
-		id:       m.ID,
-		key:      m.Key,
-		entry:    entry,
-		needed:   n.cfg.W,
-		replicas: prefs,
-	}
-	pw.acked = pw.ackedBuf[:0]
-	if n.cfg.SloppyQuorum {
-		pw.fallbacks = fallbacks
-	}
-	// Geo async: replicas in the coordinator's zone stay synchronous and
-	// the ack quorum shrinks to the intra-zone sub-quorum; cross-zone
-	// replicas are fed by the retained replicator stream instead (see
-	// geo.go). With a zone-diverse ring every zone holds a replica, so
-	// the local sub-quorum is never empty.
-	syncPrefs := prefs
-	if n.cfg.GeoAsync {
-		if s, a := n.splitGeo(ep, prefs); len(s) > 0 && len(a) > 0 {
-			syncPrefs = s
-			if pw.needed > len(s) {
-				pw.needed = len(s)
-			}
-			pw.geoAsync = a
-			for _, rep := range a {
-				n.geoEnqueue(rep, m.Key, entry)
-			}
-		}
-	}
-	n.shards[shardIdx].writes[id] = pw
-
-	put := transport.Message(replicaPut{ID: id, Key: m.Key, Entry: entry}) // boxed once for every peer
-	self := false
-	for _, rep := range syncPrefs {
-		if rep == n.id {
-			self = true
-			continue
-		}
-		env.Send(rep, put)
-		// A replica the failure detector already suspects gets a sloppy
-		// stand-in immediately instead of after the quorum timeout.
-		if n.cfg.Resilience != nil && n.cfg.SloppyQuorum && n.suspects(rep, env.Now()) {
-			n.engageFallback(env, id, pw, rep)
-		}
-	}
-	// Dual-apply: while a transfer window is open, the write also lands
-	// on the previous epoch's owners that fell out of the preference
-	// list, so reads falling back to them (catch-up gating) stay fresh
-	// and an aborted transfer leaves no gap. Unacked repair writes: the
-	// quorum is still counted against the current epoch's replicas.
-	if ep.Prev != nil && n.cfg.Placement != nil {
-		for _, old := range ep.Prev.Replicas(m.Key, n.cfg.N) {
-			if slices.Contains(prefs, old) {
-				continue
-			}
-			if old == n.id {
-				n.installEntry(env.Domain(), m.Key, entry)
-				continue
-			}
-			env.Send(old, replicaPut{Key: m.Key, Entry: entry, Repair: true})
-		}
-	}
-	if self {
-		// applyReplicaPut's ownership guard holds by construction: this
-		// node is in the key's preference list.
-		n.installEntry(env.Domain(), m.Key, entry)
-		pw.acked = append(pw.acked, n.id)
-		if len(pw.acked) >= pw.needed {
-			n.finishWrite(env, id, pw, "")
-			return
-		}
-	}
-	pw.timer = env.SetTimer(n.cfg.Timeout, timeoutTag{id: id, write: true})
-	if n.cfg.Resilience != nil {
-		env.SetTimer(n.cfg.Resilience.RetryTimeout, rpcRetryTag{id: id, write: true})
-	}
+	n.shards[shardIdx].writes[id] = &pendingWrite{client: client, reply: reply, id: m.ID, key: m.Key,
+		entry: clock.SiblingEntry[record]{DVV: dvv, Value: record{Value: m.Value, Deleted: m.Deleted}},
+		cfg:   &n.cfg, ep: n.epoch.Load()}
+	n.onWrite(env, id, writeEvent{kind: wrStart, from: n.id})
 }
 
 // clientDot is the dot of request id from client, carrying context ctx:
@@ -835,53 +737,69 @@ func (n *Node) suspects(peer string, now time.Duration) bool {
 	return n.cfg.Directory != nil && n.cfg.Directory.Suspects(n.id, peer, now)
 }
 
-// engageFallback sends the pending write to the next unused fallback as
-// a hinted stand-in for pref. Idempotent per pref.
-func (n *Node) engageFallback(env transport.Env, id uint64, pw *pendingWrite, pref string) bool {
-	if pw.hinted[pref] || pw.fi >= len(pw.fallbacks) {
-		return false
-	}
-	fb := pw.fallbacks[pw.fi]
-	pw.fi++
-	if pw.hinted == nil {
-		pw.hinted = make(map[string]bool)
-	}
-	pw.hinted[pref] = true
-	pw.sloppy = true
-	env.Send(fb, replicaPut{ID: id, Key: pw.key, Entry: pw.entry, Hint: pref})
-	return true
-}
-
-// retryWrite is one retransmission round for a pending write: resend the
-// entry to every replica that has not acked, within the policy's attempt
-// budget, backing off between rounds.
-func (n *Node) retryWrite(env transport.Env, id uint64) {
-	pw, ok := n.reqShard(id).writes[id]
-	if !ok || pw.done {
+// onWrite feeds ev to write id and carries out the steps that follow.
+func (n *Node) onWrite(env transport.Env, id uint64, ev writeEvent) {
+	sh := n.reqShard(id)
+	pw := sh.writes[id]
+	if pw == nil {
 		return
 	}
-	pol := n.cfg.Resilience
-	pw.attempt++
-	if pw.attempt >= pol.MaxAttempts {
-		if n.cfg.Counters != nil {
+	switch ev.kind { // the timer has fired: nothing to cancel
+	case wrDeadline:
+		pw.timer = 0
+	case wrTick:
+		pw.retryTimer = 0
+	}
+	// The buffer is taken from the shard while its steps are carried out:
+	// a reply that starts another write on this shard steps into its own.
+	ev.now, ev.sus, ev.steps, sh.writeSteps = env.Now(), n, sh.writeSteps, nil
+	steps := pw.step(ev)
+	var put transport.Message // boxed once for every replica
+	for _, s := range steps {
+		switch s.kind {
+		case wstepGeo:
+			n.geoEnqueue(s.to, pw.key, pw.entry)
+		case wstepSend:
+			if put == nil {
+				put = replicaPut{ID: id, Key: pw.key, Entry: pw.entry}
+			}
+			env.Send(s.to, put)
+			if s.retry {
+				n.cfg.Counters.Retry() // Counters are nil-safe
+			}
+		case wstepHint:
+			env.Send(s.to, replicaPut{ID: id, Key: pw.key, Entry: pw.entry, Hint: s.hint})
+		case wstepDual:
+			env.Send(s.to, replicaPut{Key: pw.key, Entry: pw.entry, Repair: true})
+		case wstepInstall, wstepDualInstall:
+			// applyReplicaPut's ownership guard holds by construction: this
+			// node is in the key's preference list, or the previous one's.
+			n.installEntry(env.Domain(), pw.key, pw.entry)
+		case wstepDeadline:
+			pw.timer = env.SetTimer(n.cfg.Timeout, timeoutTag{id: id, write: true})
+		case wstepTick:
+			d := n.cfg.Resilience.RetryTimeout
+			if s.retry {
+				d = n.cfg.Resilience.Backoff(int(pw.attempt), env.Rand())
+			}
+			pw.retryTimer = env.SetTimer(d, rpcRetryTag{id: id, write: true})
+		case wstepSuppressed:
 			n.cfg.Counters.Suppressed()
-		}
-		return
-	}
-	now := env.Now()
-	for _, rep := range pw.replicas {
-		if slices.Contains(pw.acked, rep) || slices.Contains(pw.geoAsync, rep) {
-			continue
-		}
-		env.Send(rep, replicaPut{ID: id, Key: pw.key, Entry: pw.entry})
-		if n.cfg.Counters != nil {
-			n.cfg.Counters.Retry()
-		}
-		if n.cfg.SloppyQuorum && n.suspects(rep, now) {
-			n.engageFallback(env, id, pw, rep)
+		case wstepForget:
+			delete(sh.writes, id)
+			env.Cancel(pw.timer)
+			env.Cancel(pw.retryTimer)
+		case wstepAnswer:
+			// The answer's context covers the write, failed or not: the client
+			// that echoes it supersedes the write whether it was applied or not.
+			r := putResp{ID: pw.id, Context: pw.entry.DVV.Join(clock.DVV{}), Sloppy: pw.sloppy}
+			if s.failed {
+				r.Err = string(ErrQuorumTimeout)
+			}
+			answerPut(env, pw.client, pw.reply, pw.key, r)
 		}
 	}
-	env.SetTimer(pol.Backoff(pw.attempt, env.Rand()), rpcRetryTag{id: id, write: true})
+	sh.writeSteps = steps[:0]
 }
 
 func (n *Node) applyReplicaPut(env transport.Env, from string, m replicaPut) {
@@ -913,30 +831,6 @@ func (n *Node) applyReplicaPut(env transport.Env, from string, m replicaPut) {
 	}
 }
 
-func (n *Node) onPutAck(env transport.Env, from string, id uint64) {
-	pw, ok := n.reqShard(id).writes[id]
-	if !ok || pw.done {
-		return
-	}
-	if slices.Contains(pw.acked, from) {
-		return // a retransmission's second ack
-	}
-	pw.acked = append(pw.acked, from)
-	if len(pw.acked) >= pw.needed {
-		n.finishWrite(env, id, pw, "")
-	}
-}
-
-func (n *Node) finishWrite(env transport.Env, id uint64, pw *pendingWrite, errStr string) {
-	pw.done = true
-	delete(n.reqShard(id).writes, id)
-	env.Cancel(pw.timer)
-	// The answer's context covers the write, failed or not: the client
-	// that echoes it supersedes the write whether it was applied or not.
-	answerPut(env, pw.client, pw.reply, pw.key,
-		putResp{ID: pw.id, Context: pw.entry.DVV.Join(clock.DVV{}), Err: errStr, Sloppy: pw.sloppy})
-}
-
 // answerPut delivers a coordinator's answer r to its client: a message to
 // the client's address, or, when the client is in this process and handed
 // the coordinator reply (Node.CoordinatePut), a call of reply with the Env
@@ -951,41 +845,12 @@ func answerPut(env transport.Env, client string, reply func(transport.Env, PutRe
 	reply(env, putResult(key, r))
 }
 
-func (n *Node) writeTimeout(env transport.Env, id uint64) {
-	pw, ok := n.reqShard(id).writes[id]
-	if !ok || pw.done {
-		return
-	}
-	if n.cfg.SloppyQuorum && !pw.fbTried && len(pw.fallbacks) > 0 {
-		// Engage one fallback per unacked preference replica, each
-		// carrying a hint naming the replica it stands in for. Fallback
-		// acks count toward W; hinted handoff later delivers the write
-		// to the intended replica. (Replicas the failure detector
-		// suspected already have stand-ins; engageFallback skips them.)
-		pw.fbTried = true
-		engaged := pw.sloppy
-		for _, rep := range pw.replicas {
-			if slices.Contains(pw.acked, rep) || slices.Contains(pw.geoAsync, rep) {
-				continue
-			}
-			if n.engageFallback(env, id, pw, rep) {
-				engaged = true
-			}
-		}
-		if engaged {
-			pw.timer = env.SetTimer(n.cfg.Timeout, timeoutTag{id: id, write: true})
-			return
-		}
-	}
-	n.finishWrite(env, id, pw, string(ErrQuorumTimeout))
-}
-
 // coordinateGet starts the read protocol (read.go) at whichever node the
 // client contacted. Its own replica, when it is one, answers through the
 // message path like any other. The answer goes to the client as
 // coordinatePut's does, with p's tier and staleness.
 func (n *Node) coordinateGet(env transport.Env, client string, m clientGet, reply func(transport.Env, GetResult), p Plan) {
-	prefs, fallbacks := n.placement(n.epoch.Load(), m.Key)
+	prefs, fallbacks := n.cfg.placement(n.epoch.Load(), m.Key)
 	shardIdx := n.router.Shard(m.Key)
 	sh := n.shards[shardIdx]
 	id := n.mintReq(shardIdx)
@@ -1017,8 +882,11 @@ func (n *Node) onRead(env transport.Env, id uint64, ev readEvent) {
 	if pr == nil {
 		return
 	}
-	if ev.kind == evDeadline {
-		pr.timer = 0 // it has fired: nothing to cancel
+	switch ev.kind { // the timer has fired: nothing to cancel
+	case evDeadline:
+		pr.timer = 0
+	case evTick:
+		pr.retryTimer = 0
 	}
 	ev.now, ev.sus = env.Now(), n
 	for _, s := range pr.step(ev) {
@@ -1043,7 +911,7 @@ func (n *Node) onRead(env transport.Env, id uint64, ev readEvent) {
 			if s.retry {
 				s.delay = pr.pol.Backoff(pr.attempt, env.Rand())
 			}
-			env.SetTimer(s.delay, rpcRetryTag{id: id, write: false})
+			pr.retryTimer = env.SetTimer(s.delay, rpcRetryTag{id: id, write: false})
 		case stepSuppressed:
 			n.cfg.Counters.Suppressed()
 		case stepRepair:
@@ -1062,6 +930,7 @@ func (n *Node) onRead(env transport.Env, id uint64, ev readEvent) {
 			delete(sh.reads, id)
 			delete(sh.repairs, id)
 			env.Cancel(pr.timer)
+			env.Cancel(pr.retryTimer)
 		case stepAnswer:
 			r := getResp{ID: pr.id, Context: pr.merged.Context(), Replicas: len(pr.responses)}
 			for _, e := range pr.merged.Entries() {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/resilience"
 	"repro/internal/sim"
 )
 
@@ -438,6 +439,12 @@ func TestConfigValidation(t *testing.T) {
 	mustPanic("N=0", func() { NewNode("a", Config{Ring: ring, N: 0, R: 1, W: 1}) })
 	mustPanic("R>N", func() { NewNode("a", Config{Ring: ring, N: 2, R: 3, W: 1}) })
 	mustPanic("W=0", func() { NewNode("a", Config{Ring: ring, N: 2, R: 1, W: 0}) })
+	mustPanic("N>distinct members", func() { NewNode("a", Config{Ring: []string{"a", "b", "a"}, N: 3, R: 1, W: 1}) })
+	wide := make([]string, 33)
+	for i := range wide {
+		wide[i] = fmt.Sprintf("n%d", i)
+	}
+	mustPanic("N>32", func() { NewNode("n0", Config{Ring: wide, N: 33, R: 1, W: 1}) })
 }
 
 func TestHintedHandoffDrainsAfterPartitionHeal(t *testing.T) {
@@ -520,45 +527,59 @@ func TestPutWithoutRequestIDIsRefused(t *testing.T) {
 }
 
 // An answered operation leaves no timer behind: its client cancels the
-// time-out it armed when the answer arrives. On a cluster that arms no
-// periodic timer (no resilience policy, no anti-entropy, no sloppy
-// quorum), no timer fires once the operations are answered.
+// time-out it armed when the answer arrives, and its coordinator cancels
+// the operation's time-out and retry timer when it forgets it. On a
+// cluster that arms no periodic timer (no anti-entropy, no sloppy quorum,
+// and a heartbeat an hour apart), no timer fires once the operations are
+// answered. The first window of the row with a resilience policy ends
+// before the 400ms retry timers of its operations would fire.
 func TestAnsweredOperationsLeaveNoTimer(t *testing.T) {
 	const ops = 20
-	h := newHarness(t, 3, Config{N: 3, R: 2, W: 2}, 7)
-	answered := 0
-	var next func(i int)
-	next = func(i int) {
-		if i == ops {
-			return
-		}
-		key := fmt.Sprintf("k%d", i%4)
-		if i%2 == 0 {
-			h.client.Put(h.env, h.anyNode(), key, []byte("v"), func(pr PutResult) {
-				if pr.Err != nil {
-					t.Errorf("put %s: %v", key, pr.Err)
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		window time.Duration
+	}{
+		{"no policy", Config{N: 3, R: 2, W: 2}, time.Second},
+		{"resilience policy", Config{N: 3, R: 2, W: 2, Resilience: &resilience.Policy{HeartbeatInterval: time.Hour}}, 300 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, 3, tc.cfg, 7)
+			answered := 0
+			var next func(i int)
+			next = func(i int) {
+				if i == ops {
+					return
 				}
-				answered++
-				next(i + 1)
-			})
-			return
-		}
-		h.client.Get(h.env, h.anyNode(), key, func(gr GetResult) {
-			if gr.Err != nil {
-				t.Errorf("get %s: %v", key, gr.Err)
+				key := fmt.Sprintf("k%d", i%4)
+				if i%2 == 0 {
+					h.client.Put(h.env, h.anyNode(), key, []byte("v"), func(pr PutResult) {
+						if pr.Err != nil {
+							t.Errorf("put %s: %v", key, pr.Err)
+						}
+						answered++
+						next(i + 1)
+					})
+					return
+				}
+				h.client.Get(h.env, h.anyNode(), key, func(gr GetResult) {
+					if gr.Err != nil {
+						t.Errorf("get %s: %v", key, gr.Err)
+					}
+					answered++
+					next(i + 1)
+				})
 			}
-			answered++
-			next(i + 1)
+			h.c.At(0, func() { next(0) })
+			h.c.Run(tc.window)
+			if answered != ops {
+				t.Fatalf("%d of %d operations answered within %v", answered, ops, tc.window)
+			}
+			fired := h.c.Stats().TimersFired
+			h.c.Run(4 * time.Second)
+			if grew := h.c.Stats().TimersFired - fired; grew != 0 {
+				t.Fatalf("%d timers fired on an idle cluster after %d answered operations, want 0", grew, ops)
+			}
 		})
-	}
-	h.c.At(0, func() { next(0) })
-	h.c.Run(time.Second)
-	if answered != ops {
-		t.Fatalf("%d of %d operations answered within a second", answered, ops)
-	}
-	fired := h.c.Stats().TimersFired
-	h.c.Run(4 * time.Second)
-	if grew := h.c.Stats().TimersFired - fired; grew != 0 {
-		t.Fatalf("%d timers fired on an idle cluster after %d answered operations, want 0", grew, ops)
 	}
 }

@@ -31,16 +31,20 @@ const (
 	evDeadline               // the read's timeout
 )
 
+// detector is the node's failure detector (Node.suspects), as an event
+// of a read or a write brings it.
+type detector interface {
+	suspects(peer string, now time.Duration) bool
+}
+
 // readEvent is one event of a read, with the time it happened and the
-// node's failure detector (Node.suspects).
+// node's failure detector.
 type readEvent struct {
 	kind   readEventKind
 	from   string
 	answer readAnswer
 	now    time.Duration
-	sus    interface {
-		suspects(peer string, now time.Duration) bool
-	}
+	sus    detector
 }
 
 type readStepKind uint8
@@ -53,7 +57,7 @@ const (
 	stepSuppressed                     // the attempt budget is spent
 	stepRepair                         // push the merged set to target
 	stepPark                           // the read answered: keep it for late answers
-	stepForget                         // drop the read and cancel its timeout
+	stepForget                         // drop the read and cancel both its timers
 	stepAnswer                         // answer the client with the merged set, or fail
 )
 
@@ -99,13 +103,14 @@ type ask struct {
 // in its shard's reads, then, if it answered while replicas it asked had
 // not, parked in the shard's repairs.
 type pendingRead struct {
-	client  string
-	reply   func(transport.Env, GetResult) // see pendingWrite.reply
-	id      uint64
-	key     string
-	tier    geo.Kind // a read in this process: its plan's tier and staleness, for its result
-	staleMs int64
-	timer   transport.TimerID
+	client     string
+	reply      func(transport.Env, GetResult) // see pendingWrite.reply
+	id         uint64
+	key        string
+	tier       geo.Kind // a read in this process: its plan's tier and staleness, for its result
+	staleMs    int64
+	timer      transport.TimerID // the deadline
+	retryTimer transport.TimerID // the retry timer
 
 	// Fixed at the start: the coordinator, its walk, the answers needed,
 	// whether it holds a replica (then it alone is asked for values),

@@ -450,7 +450,7 @@ func TestRefusalSettlesTheRefusersAsk(t *testing.T) {
 	h := newHarness(t, 4, Config{N: 3, R: 3, W: 2, Placement: placement, ReadRepair: true,
 		Resilience: pol, Timeout: 2 * time.Second}, 31)
 	key := "k"
-	prefs, _ := h.nodes[0].placement(h.nodes[0].epoch.Load(), key)
+	prefs, _ := h.nodes[0].cfg.placement(h.nodes[0].epoch.Load(), key)
 	coord, gated, lost := h.node(prefs[0]), h.node(prefs[1]), prefs[2]
 	gated.gate.Store(&gate{seq: 1, total: 1, pending: []TransferPull{{Source: "nobody"}}})
 	for _, n := range h.nodes {

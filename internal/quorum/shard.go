@@ -53,7 +53,9 @@ type nodeShard struct {
 	// acks/responses/timers route back by id. No lock needed.
 	nextReq uint64
 	writes  map[uint64]*pendingWrite
-	reads   map[uint64]*pendingRead
+	// writeSteps is the buffer the shard's writes step into (see onWrite).
+	writeSteps []writeStep
+	reads      map[uint64]*pendingRead
 	// repairs holds reads that answered and still wait for replicas they
 	// asked, whose late answers read repair compares (see read.go).
 	repairs map[uint64]*pendingRead
@@ -279,6 +281,8 @@ func (n *Node) ShardOf(msg transport.Message) int {
 	case replicaDigest:
 		return n.router.Shard(m.Key)
 	case replicaPutAck:
+		return int(m.ID % s)
+	case replicaNotOwner:
 		return int(m.ID % s)
 	case replicaGetResp:
 		return int(m.ID % s)

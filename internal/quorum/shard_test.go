@@ -86,7 +86,7 @@ func TestShardOfRoutesKeyTrafficAndResponsesConsistently(t *testing.T) {
 		if got := n.ShardOf(replicaPutAck{ID: id}); got != idx {
 			t.Fatalf("ack for id %d routed to shard %d, issued on %d", id, got, idx)
 		}
-		for _, resp := range []interface{}{replicaGetResp{ID: id}, replicaDigestResp{ID: id}, replicaNotReady{ID: id}} {
+		for _, resp := range []interface{}{replicaGetResp{ID: id}, replicaDigestResp{ID: id}, replicaNotReady{ID: id}, replicaNotOwner{ID: id}} {
 			if got := n.ShardOf(resp); got != idx {
 				t.Fatalf("%T for id %d routed to shard %d, issued on %d", resp, id, got, idx)
 			}
@@ -99,7 +99,7 @@ func TestShardOfRoutesKeyTrafficAndResponsesConsistently(t *testing.T) {
 	for _, msg := range []interface{}{
 		aeReq{}, aeResp{},
 		shipBatch{}, shipAck{},
-		transferReq{}, replicaNotOwner{}, geoStamp{},
+		transferReq{}, geoStamp{},
 	} {
 		if got := n.ShardOf(msg); got != -1 {
 			t.Fatalf("ShardOf(%T) = %d, want -1 (serial)", msg, got)

@@ -406,8 +406,8 @@ func (n *Node) rebuildTrees() {
 			sh.mu.Lock()
 			pairs := sh.store.Scan(lo, "", window)
 			for _, p := range pairs {
-				if prefs := n.PreferenceList(p.Key); slices.Contains(prefs, n.id) {
-					n.noteKeyChanged(p.Key, mustDecodeStored(p.Key, p.Value), prefs)
+				if slices.Contains(n.PreferenceList(p.Key), n.id) {
+					n.noteKeyChanged(p.Key, mustDecodeStored(p.Key, p.Value))
 				}
 			}
 			sh.mu.Unlock()
@@ -423,7 +423,7 @@ func (n *Node) rebuildTrees() {
 // for key under ep: it is in the preference list, or in the previous
 // epoch's while a dual-apply window is open.
 func (n *Node) ownsKey(ep *ring.Epoch, key string) bool {
-	if prefs, _ := n.placement(ep, key); slices.Contains(prefs, n.id) {
+	if prefs, _ := n.cfg.placement(ep, key); slices.Contains(prefs, n.id) {
 		return true
 	}
 	return ep.Prev != nil && slices.Contains(ep.Prev.Replicas(key, n.cfg.N), n.id)

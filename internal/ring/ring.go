@@ -39,7 +39,8 @@ type point struct {
 // placements stay queryable for rebalancing diffs).
 type Ring struct {
 	vnodes  int
-	members []string          // sorted, deduped
+	members []string          // sorted, deduped: the first half of cycle
+	cycle   []string          // members twice over, so that each rotation is a slice of it
 	points  []point           // sorted by hash
 	zones   map[string]string // member -> zone; nil/uniform means zone-unaware
 	// walks holds, for each point, the full distinct walk starting there
@@ -74,7 +75,8 @@ func NewZoned(members []string, vnodes int, zones map[string]string) *Ring {
 	ms := append([]string(nil), members...)
 	sort.Strings(ms)
 	ms = dedupe(ms)
-	r := &Ring{vnodes: vnodes, members: ms}
+	cycle := append(ms[:len(ms):len(ms)], ms...)
+	r := &Ring{vnodes: vnodes, members: cycle[:len(ms):len(ms)], cycle: cycle}
 	if len(zones) > 0 {
 		r.zones = make(map[string]string, len(zones))
 		for m, z := range zones {
@@ -230,6 +232,18 @@ func (r *Ring) Owner(key string) string {
 // append copies it.
 func (r *Ring) Sequence(key string) []string {
 	return r.walk(KeyHash(key), len(r.members))
+}
+
+// Rotation returns the members in sorted order from the i-th (mod Size)
+// on, wrapping round to the first: a walk of every member that ignores the
+// points. Like Sequence's, the result is shared and must not be written.
+func (r *Ring) Rotation(i int) []string {
+	m := len(r.members)
+	if m == 0 {
+		return nil
+	}
+	i %= m
+	return r.cycle[i : i+m : i+m]
 }
 
 // Replicas returns the n distinct members responsible for key, in

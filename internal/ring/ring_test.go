@@ -247,6 +247,28 @@ func TestSequenceAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestRotationIsASharedSlice: a rotation of the members starts at the
+// i-th (mod the member count), wraps round, allocates nothing and is
+// capped, so an append to it copies.
+func TestRotationIsASharedSlice(t *testing.T) {
+	r := New([]string{"c", "a", "b"}, 4)
+	for i, want := range [][]string{{"a", "b", "c"}, {"b", "c", "a"}, {"c", "a", "b"}, {"a", "b", "c"}} {
+		if got := r.Rotation(i); !slices.Equal(got, want) || cap(got) != len(got) {
+			t.Fatalf("Rotation(%d) = %v (cap %d), want %v", i, got, cap(got), want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.Rotation(2) }); allocs != 0 {
+		t.Fatalf("Rotation allocates %v objects, want 0", allocs)
+	}
+	_ = append(r.Rotation(1), "intruder")
+	if got := r.Rotation(1); !slices.Equal(got, []string{"b", "c", "a"}) {
+		t.Fatalf("an append to a rotation wrote into the ring: %v", got)
+	}
+	if got := New(nil, 4).Rotation(3); got != nil {
+		t.Fatalf("Rotation of an empty ring = %v", got)
+	}
+}
+
 func TestEmptyAndSingleton(t *testing.T) {
 	empty := New(nil, 8)
 	if o := empty.Owner("k"); o != "" {
