@@ -7,7 +7,7 @@
 // deterministic discrete-event network simulator underneath.
 //
 // The public surface is internal/core (the unified store API),
-// cmd/ecbench (the experiment suite E1–E11 from DESIGN.md), cmd/ecdemo
+// cmd/ecbench (the experiment suite E1–E12 from DESIGN.md), cmd/ecdemo
 // (a scripted partition scenario per model), and the runnable programs
 // under examples/.
 package repro

@@ -1,3 +1,13 @@
+// Package clock implements the logical clock machinery that eventually
+// consistent replication depends on: vector clocks, dotted version
+// vectors, and hybrid logical clocks.
+//
+// The tutorial's taxonomy ("Rethinking Eventual Consistency", Bernstein &
+// Das, SIGMOD 2013) treats happens-before tracking as the foundation for
+// every convergence mechanism stronger than last-writer-wins: version
+// vectors detect concurrent updates, dotted version vectors bound sibling
+// explosion, and hybrid logical clocks give last-writer-wins timestamps
+// that respect causality.
 package clock
 
 import (

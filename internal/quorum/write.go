@@ -90,21 +90,24 @@ type pendingWrite struct {
 	retryTimer transport.TimerID
 
 	// The walk indexes that acked (the coordinator's own install among
-	// them), the preferences that have a stand-in, and those left to the
-	// geo replicator.
-	acked, hinted, geoAsync walkSet
-	attempt                 uint16 // retransmission rounds spent
-	needed                  uint8  // W, or the sub-quorum in the coordinator's zone
-	fi                      uint8  // fallbacks engaged: the walk's next unused one is N+fi
-	sloppy                  bool   // a fallback was engaged (PutResult.Sloppy)
-	fbTried                 bool   // the first quorum time-out has engaged its stand-ins
-	done                    bool
+	// them), the preferences that have a stand-in, and those the write does
+	// not wait for: left to the geo replicator at the start, or refusers.
+	acked, hinted, excused walkSet
+	attempt                uint16 // retransmission rounds spent
+	needed                 uint8  // W, or the sub-quorum in the coordinator's zone
+	fi                     uint8  // fallbacks engaged: the walk's next unused one is N+fi
+	sloppy                 bool   // a fallback was engaged (PutResult.Sloppy)
+	fbTried                bool   // the first quorum time-out has engaged its stand-ins
+	done                   bool
 }
 
 // step takes one event and returns the steps that follow, in the order
 // the node carries them out; the slice is valid until the next call. A
-// not-owner refusal produces no step: the write is left to its other
-// replicas and its deadline, and the node pulls the ring (onNotOwner).
+// not-owner refusal settles the refuser's share of the write and takes no
+// step: the refuser is not resent to, gets no stand-in and counts no ack,
+// since its refusal says the coordinator's ring is stale (the node pulls
+// the ring, onNotOwner). The write answers on W acks from the others, or
+// fails at its deadline.
 func (pw *pendingWrite) step(ev writeEvent) []writeStep {
 	ev.steps = ev.steps[:0]
 	prefs, fallbacks := pw.cfg.placement(pw.ep, pw.key)
@@ -117,6 +120,10 @@ func (pw *pendingWrite) step(ev writeEvent) []writeStep {
 		pw.start(&ev, prefs, fallbacks)
 	case ev.kind == wrAck:
 		pw.ack(&ev, prefs, fallbacks)
+	case ev.kind == wrRefusal:
+		if i := slices.Index(prefs, ev.from); i >= 0 {
+			pw.excused.add(i)
+		}
 	case ev.kind == wrTick:
 		pw.retransmit(&ev, prefs, fallbacks)
 	case ev.kind == wrDeadline:
@@ -141,17 +148,17 @@ func (pw *pendingWrite) start(ev *writeEvent, prefs, fallbacks []string) {
 	cfg := pw.cfg
 	for i, rep := range prefs {
 		if cfg.GeoAsync && rep != ev.from && pw.ep.Ring.ZoneOf(rep) != cfg.Zone {
-			pw.geoAsync.add(i)
+			pw.excused.add(i)
 		}
 	}
-	if pw.geoAsync.len() == len(prefs) {
-		pw.geoAsync = 0
+	if pw.excused.len() == len(prefs) {
+		pw.excused = 0
 	}
-	pw.needed = uint8(min(cfg.W, len(prefs)-pw.geoAsync.len()))
+	pw.needed = uint8(min(cfg.W, len(prefs)-pw.excused.len()))
 	self := -1
 	for i, rep := range prefs {
 		switch {
-		case pw.geoAsync.has(i):
+		case pw.excused.has(i):
 			ev.emit(writeStep{kind: wstepGeo, to: rep})
 		case rep == ev.from:
 			self = i
@@ -185,18 +192,19 @@ func (pw *pendingWrite) start(ev *writeEvent, prefs, fallbacks []string) {
 	}
 }
 
-// owes reports whether preference i is sent to synchronously and has not
-// acked.
-func (pw *pendingWrite) owes(i int) bool { return !pw.acked.has(i) && !pw.geoAsync.has(i) }
+// owes reports whether preference i is sent to synchronously and has
+// neither acked nor refused.
+func (pw *pendingWrite) owes(i int) bool { return !pw.acked.has(i) && !pw.excused.has(i) }
 
 // ack is the counting rule: each distinct node the write sent to counts
 // once. A preference and the fallback that stands in for it count as two,
 // so a write may answer on both while another preference never acked:
 // the asymmetry that counting the quorum on one placement, or a read's
 // write-back that waits for W acks, would revisit. An ack from a node the
-// write never sent to, a geo-async preference among them, counts nothing.
+// write never sent to, a geo-async preference among them, or from a
+// refuser counts nothing.
 func (pw *pendingWrite) ack(ev *writeEvent, prefs, fallbacks []string) {
-	if i := slices.Index(prefs, ev.from); i >= 0 && !pw.geoAsync.has(i) {
+	if i := slices.Index(prefs, ev.from); i >= 0 && !pw.excused.has(i) {
 		pw.count(ev, i)
 	} else if i := slices.Index(fallbacks[:pw.fi], ev.from); i >= 0 {
 		pw.count(ev, len(prefs)+i)

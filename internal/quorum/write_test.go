@@ -206,13 +206,21 @@ func TestWriteStepTable(t *testing.T) {
 			"tick     -> resend s1, resend s2, backoff",
 			"s2+      -> forget, ok",
 		}},
+		// A refusal says the coordinator's ring is stale: the refuser is
+		// not resent to, gets no stand-in, and its ack counts nothing.
 		{name: "W=3, a not-owner refusal takes no step", stepWrite: stepWrite{w: 3}, script: []string{
 			"start    -> send s1, send s2, install, deadline, tick",
 			"s1!      -> ",
 			"s2+      -> ",
-			"tick     -> resend s1, backoff",
-			"deadline -> hint s3 for s1, deadline",
-			"s3+      -> forget, ok sloppy",
+			"tick     -> backoff",
+			"s1+      -> ",
+			"deadline -> forget, fail",
+		}},
+		{name: "W=2, a write answers without its refuser", stepWrite: stepWrite{w: 2}, script: []string{
+			"start    -> send s1, send s2, install, deadline, tick",
+			"s1!      -> ",
+			"tick     -> resend s2, backoff",
+			"s2+      -> forget, ok",
 		}},
 		{name: "W=2, an ack from a node never sent to counts nothing", stepWrite: stepWrite{w: 2}, script: []string{
 			"start    -> send s1, send s2, install, deadline, tick",
@@ -298,7 +306,7 @@ func TestWriteStepAllocatesNothing(t *testing.T) {
 		}
 		var buf []writeStep
 		return func() {
-			pw.acked, pw.hinted, pw.geoAsync = 0, 0, 0
+			pw.acked, pw.hinted, pw.excused = 0, 0, 0
 			pw.attempt, pw.needed, pw.fi = 0, 0, 0
 			pw.sloppy, pw.fbTried, pw.done = false, false, false
 			for _, ev := range evs {
@@ -310,7 +318,7 @@ func TestWriteStepAllocatesNothing(t *testing.T) {
 	for name, run := range map[string]func(){
 		"all ack":               script(stepWrite{w: 3}, "start", "s1+", "s2+"),
 		"suspect and fallbacks": script(stepWrite{w: 3}, "start", "tick", "tick", "tick", "tick", "deadline", "s4+", "s3+"),
-		"dual-apply":            script(stepWrite{w: 2, dual: true}, "start", "s2!", "s2+"),
+		"dual-apply":            script(stepWrite{w: 2, dual: true}, "start", "s1!", "s2+"),
 		"geo-async":             script(stepWrite{w: 3, geo: true}, "start", "s1+"),
 		"deadline":              script(stepWrite{w: 3, noSloppy: true}, "start", "deadline"),
 	} {
@@ -337,17 +345,19 @@ func TestPendingWriteSize(t *testing.T) {
 // that a success answer comes only after the needed acks (W, or the
 // sub-quorum in the coordinator's zone) from distinct nodes the write sent
 // to, itself included when it installed; that no fallback stands in for
-// two preferences and no preference has two stand-ins; and that every hint
-// names a preference. Acks and refusals come from any node of the walk:
-// one the write never sent to must count nothing. Ticks come only while
-// the retry timer is armed and deadlines only while the time-out is, and
-// nothing once the write is forgotten.
+// two preferences and no preference has two stand-ins; that every hint
+// names a preference; and that once a node refused a replicaPut the write
+// sent it, no step addresses it and no hint names it. Acks and refusals
+// come from any node of the walk: one the write never sent to must count
+// nothing. Ticks come only while the retry timer is armed and deadlines
+// only while the time-out is, and nothing once the write is forgotten.
 func FuzzWriteStep(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{2, 1, 8, 16, 24, 32, 40, 48, 56, 64})
 	f.Add([]byte{14, 3, 255, 128, 64, 32, 16, 8, 4, 2, 1})
 	f.Add([]byte{29, 0, 1, 9, 17, 25, 33, 41, 49, 0, 0, 0, 0, 1})
 	f.Add([]byte{50, 4, 3, 11, 19, 27, 6, 14, 22, 30, 1, 1})
+	f.Add([]byte{48, 48, 50, 48}) // s1 refuses, then a retry tick
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -360,6 +370,7 @@ func FuzzWriteStep(f *testing.F) {
 		ticks, deadlines, answered := 0, 0, 0
 		sent, acked := map[string]bool{}, map[string]bool{}
 		standIn, hinted := map[string]string{}, map[string]bool{}
+		refused := map[string]bool{}
 		geoAsync := 0
 		events := append([]byte{0}, data[2:]...)
 		for i, b := range events {
@@ -373,12 +384,16 @@ func FuzzWriteStep(f *testing.F) {
 				ev.kind, deadlines = wrDeadline, deadlines-1
 			case b%8 == 2:
 				ev.kind, ev.from = wrRefusal, stepWalk[int(b>>3)%len(stepWalk)]
+				refused[ev.from] = refused[ev.from] || sent[ev.from]
 			default:
 				ev.kind, ev.from = wrAck, stepWalk[int(b>>3)%len(stepWalk)]
 				acked[ev.from] = acked[ev.from] || sent[ev.from]
 			}
 			ev.now, ev.sus = time.Duration(i)*time.Millisecond, sus
 			for _, s := range pw.step(ev) {
+				if refused[s.to] || refused[s.hint] {
+					t.Fatalf("event %d: a step to %q for %q after a refusal", i, s.to, s.hint)
+				}
 				switch s.kind {
 				case wstepGeo:
 					geoAsync++

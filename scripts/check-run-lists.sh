@@ -19,7 +19,7 @@ while read -r cmd; do
 	pattern=$(sed -nE "s/.*-run '([^']*)'.*/\1/p" <<<"$cmd")
 	[ -n "$pattern" ] || pattern=$(sed -nE 's/.*-run ([^ ]+).*/\1/p' <<<"$cmd")
 	[ "$pattern" = '^$' ] && continue
-	pkgs=$(grep -oE '\./[^ ]+' <<<"$cmd")
+	pkgs=$(grep -oE '\./[^ ]+| \.$' <<<"$cmd") # a trailing " ." is the root package
 	IFS='|' read -ra alternatives <<<"$pattern"
 	for alt in "${alternatives[@]}"; do
 		checked=$((checked + 1))
