@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -24,14 +25,24 @@ import (
 	"repro/internal/metrics"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the program: it parses args, writes the verdict table to stdout
+// and errors to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("eccheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		model   = flag.String("model", "all", "consistency model, or 'all'")
-		seed    = flag.Int64("seed", 1, "simulation seed")
-		clients = flag.Int("clients", 3, "concurrent clients")
-		ops     = flag.Int("ops", 7, "operations per client")
+		model   = fs.String("model", "all", "consistency model, or 'all'")
+		seed    = fs.Int64("seed", 1, "simulation seed")
+		clients = fs.Int("clients", 3, "concurrent clients")
+		ops     = fs.Int("ops", 7, "operations per client")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	models := core.Models
 	if *model != "all" {
@@ -43,8 +54,8 @@ func main() {
 			}
 		}
 		if !found {
-			fmt.Fprintf(os.Stderr, "eccheck: unknown model %q\n", *model)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "eccheck: unknown model %q\n", *model)
+			return 2
 		}
 	}
 
@@ -57,10 +68,11 @@ func main() {
 			verdict(check.Linearizable(h)),
 			verdict(check.SequentiallyConsistent(h)))
 	}
-	fmt.Printf("workload: %d clients × %d ops over 2 keys, seed %d\n\n", *clients, *ops, *seed)
-	fmt.Print(table.String())
-	fmt.Println("\n(linearizable ⇒ sequentially consistent; eventual models may satisfy neither,")
-	fmt.Println(" because even one client's view can go backwards between replicas)")
+	fmt.Fprintf(stdout, "workload: %d clients × %d ops over 2 keys, seed %d\n\n", *clients, *ops, *seed)
+	fmt.Fprint(stdout, table.String())
+	fmt.Fprintln(stdout, "\n(linearizable ⇒ sequentially consistent; eventual models may satisfy neither,")
+	fmt.Fprintln(stdout, " because even one client's view can go backwards between replicas)")
+	return 0
 }
 
 func verdict(ok bool) string {

@@ -13,18 +13,29 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro/internal/core"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the program: it parses args, plays the scenario to stdout,
+// writes errors to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ecdemo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		model = flag.String("model", "", "consistency model (eventual|session|causal|quorum|primary-async|primary-sync|strong); empty = all")
-		seed  = flag.Int64("seed", 1, "simulation seed")
+		model = fs.String("model", "", "consistency model (eventual|session|causal|quorum|primary-async|primary-sync|strong); empty = all")
+		seed  = fs.Int64("seed", 1, "simulation seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	models := core.Models
 	if *model != "" {
@@ -37,22 +48,23 @@ func main() {
 			}
 		}
 		if !found {
-			fmt.Fprintf(os.Stderr, "ecdemo: unknown model %q\n", *model)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "ecdemo: unknown model %q\n", *model)
+			return 2
 		}
 	}
 
 	for _, m := range models {
-		playScenario(m, *seed)
-		fmt.Println()
+		playScenario(stdout, m, *seed)
+		fmt.Fprintln(stdout)
 	}
+	return 0
 }
 
 // playScenario: two clients, one on each side of a partition that opens
 // at t=5s and heals at t=12s. Both write the same key during the
 // partition; we watch what each reads before, during, and after.
-func playScenario(m core.Model, seed int64) {
-	fmt.Printf("━━━ model: %s ━━━\n", m)
+func playScenario(w io.Writer, m core.Model, seed int64) {
+	fmt.Fprintf(w, "━━━ model: %s ━━━\n", m)
 	c := core.New(core.Options{Model: m, Nodes: 5, Seed: seed})
 	nodes := c.Nodes()
 	left := c.NewClient("alice")
@@ -61,7 +73,7 @@ func playScenario(m core.Model, seed int64) {
 	right.Prefer(nodes[len(nodes)-1])
 
 	log := func(who, what string) {
-		fmt.Printf("  t=%-8v %-6s %s\n", c.Now().Round(time.Millisecond), who, what)
+		fmt.Fprintf(w, "  t=%-8v %-6s %s\n", c.Now().Round(time.Millisecond), who, what)
 	}
 	read := func(cl *core.Client, who string) {
 		cl.Get("status", func(r core.GetResult) {
