@@ -696,39 +696,41 @@ func TestMergeKeepsValueBearingCopiesInPreferenceOrder(t *testing.T) {
 		return out
 	}
 	newer := entryAt("z", 1, clock.Vector{{ID: "x", Counter: 1}, {ID: "y", Counter: 1}}, "c")
-	pr := &pendingRead{
-		replicas:  []string{"s0", "s1", "s2"},
-		fallbacks: []string{"s3", "s4"},
-		fi:        1,
-		responses: map[string]readAnswer{
-			"s0": digest(a, b),
-			"s1": {entries: []clock.SiblingEntry[record]{b}},
-			"s3": {entries: []clock.SiblingEntry[record]{a}},
-		},
+	pr := newStepRead(t, "s0", 3, resilience.DefaultPolicy(), true)
+	w := pr.walk()
+	// answer records a as walk index i's answer, asking i first if the
+	// read has not.
+	answer := func(i int, a readAnswer) {
+		if !pr.asked.has(i) {
+			pr.ask(&readEvent{}, w, i, a.digest, readStep{})
+		}
+		pr.slot(i).answer = a
+		pr.answered.add(i)
 	}
-	merged, missing := pr.merge()
-	if len(missing) != 0 {
-		t.Fatalf("missing = %v with both dots sent in full", missing)
+	pr.fi = 1 // s3, the first fallback, was asked
+	answer(3, readAnswer{entries: []clock.SiblingEntry[record]{a}})
+	answer(1, readAnswer{entries: []clock.SiblingEntry[record]{b}})
+	answer(0, digest(a, b))
+	if missing := pr.merge(); missing != 0 {
+		t.Fatalf("missing = %b with both dots sent in full", missing)
 	}
-	es := merged.Entries()
+	es := pr.merged
 	if len(es) != 2 || !bytes.Equal(es[0].Value.Value, []byte("b")) || !bytes.Equal(es[1].Value.Value, []byte("a")) {
 		t.Fatalf("merged = %+v, want b (a replica's) then a (the fallback's), each with its value", es)
 	}
 	// A digest that names a version nobody sent: its responder is missing,
 	// and the version stays out of merged.
-	pr.responses["s2"] = digest(newer)
-	merged, missing = pr.merge()
-	if len(missing) != 1 || missing[0] != "s2" {
-		t.Fatalf("missing = %v, want [s2]", missing)
+	answer(2, digest(newer))
+	if missing := pr.merge(); missing != 1<<2 {
+		t.Fatalf("missing = %b, want s2 alone", missing)
 	}
-	if merged.Len() != 2 {
-		t.Fatalf("merged holds %d entries, want the two with values", merged.Len())
+	if len(pr.merged) != 2 {
+		t.Fatalf("merged holds %d entries, want the two with values", len(pr.merged))
 	}
 	// Its answer in full replaces the digest and supersedes both.
-	pr.responses["s2"] = readAnswer{entries: []clock.SiblingEntry[record]{newer}}
-	merged, missing = pr.merge()
-	if es := merged.Entries(); len(missing) != 0 || len(es) != 1 || string(es[0].Value.Value) != "c" {
-		t.Fatalf("after the full answer: merged = %+v missing = %v, want [c]", es, missing)
+	answer(2, readAnswer{entries: []clock.SiblingEntry[record]{newer}})
+	if missing := pr.merge(); missing != 0 || len(pr.merged) != 1 || string(pr.merged[0].Value.Value) != "c" {
+		t.Fatalf("after the full answer: merged = %+v missing = %b, want [c]", pr.merged, missing)
 	}
 }
 

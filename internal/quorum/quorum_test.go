@@ -3,11 +3,14 @@ package quorum
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/geo"
 	"repro/internal/resilience"
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // harness wires a quorum store plus one client into a simulator.
@@ -581,5 +584,63 @@ func TestAnsweredOperationsLeaveNoTimer(t *testing.T) {
 				t.Fatalf("%d timers fired on an idle cluster after %d answered operations, want 0", grew, ops)
 			}
 		})
+	}
+}
+
+// TestReplyStartsAnOperationOnItsShard: a reply to a client in the node's
+// process that starts another operation on the same shard, from inside the
+// answer step, steps into a buffer of its own: onWrite and onRead take the
+// shard's writeSteps and readSteps while they carry out a step's steps.
+// Each operation answers once with the right values, and the steps of the
+// outer one that come before its answer (forget, or park for a read that
+// still waits for a replica, and the timer cancels) have run.
+func TestReplyStartsAnOperationOnItsShard(t *testing.T) {
+	h := newHarness(t, 3, Config{N: 3, R: 2, W: 2, ReadRepair: true}, 5)
+	n := h.nodes[0]
+	env := h.c.ClientEnv(n.id)
+	sh := n.shards[0] // one shard: both keys are on it
+	var answers []string
+	put := func(key, value string, then func(transport.Env)) {
+		n.CoordinatePut(env, key, []byte(value), nil, func(env transport.Env, pr PutResult) {
+			answers = append(answers, fmt.Sprintf("put %s err=%v", key, pr.Err))
+			if then != nil {
+				if len(sh.writes) != 0 {
+					t.Errorf("put %s answered with %d writes pending, want its own forgotten", key, len(sh.writes))
+				}
+				then(env)
+			}
+		})
+	}
+	get := func(env transport.Env, key string, then func(transport.Env)) {
+		n.CoordinateGet(env, key, geo.Strong, 0, func(env transport.Env, gr GetResult) {
+			answers = append(answers, fmt.Sprintf("get %s=%s err=%v", key, strings.Join(values(gr), ","), gr.Err))
+			if then != nil {
+				// A read without a policy asks all three and answers on two:
+				// it parked for the third before it answered.
+				if len(sh.reads) != 0 || len(sh.repairs) != 1 {
+					t.Errorf("get %s answered with %d reads in flight and %d parked, want none and itself", key, len(sh.reads), len(sh.repairs))
+				}
+				then(env)
+			}
+		})
+	}
+	h.c.At(0, func() {
+		put("a", "1", func(env transport.Env) { put("b", "2", nil) })
+	})
+	h.c.At(time.Second, func() {
+		get(env, "a", func(env transport.Env) { get(env, "b", nil) })
+	})
+	h.c.Run(2 * time.Second)
+	want := []string{"put a err=<nil>", "put b err=<nil>", "get a=1 err=<nil>", "get b=2 err=<nil>"}
+	if !slices.Equal(answers, want) {
+		t.Fatalf("answers %q, want %q", answers, want)
+	}
+	if len(sh.writes) != 0 || len(sh.reads) != 0 || len(sh.repairs) != 0 {
+		t.Fatalf("%d writes, %d reads and %d parked reads left, want none", len(sh.writes), len(sh.reads), len(sh.repairs))
+	}
+	fired := h.c.Stats().TimersFired
+	h.c.Run(4 * time.Second)
+	if grew := h.c.Stats().TimersFired - fired; grew != 0 {
+		t.Fatalf("%d timers fired on an idle cluster, want 0: an answered operation left its timer armed", grew)
 	}
 }

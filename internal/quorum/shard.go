@@ -56,6 +56,8 @@ type nodeShard struct {
 	// writeSteps is the buffer the shard's writes step into (see onWrite).
 	writeSteps []writeStep
 	reads      map[uint64]*pendingRead
+	// readSteps is the buffer the shard's reads step into (see onRead).
+	readSteps []readStep
 	// repairs holds reads that answered and still wait for replicas they
 	// asked, whose late answers read repair compares (see read.go).
 	repairs map[uint64]*pendingRead
